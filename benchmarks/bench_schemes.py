@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.baselines.winograd import winograd_supported
 from repro.core import clear_model_plan_cache, conv_spec, fc_spec
-from repro.core import tiers
 from repro.dse.schemes import plan_model_schemes
 from repro.hw import PAPER_CONFIG_ALEXNET, PAPER_CONFIG_VGG16, STRATIX_V_GXA7
 from repro.hw.workload import ModelWorkload, workload_from_encoded
@@ -124,107 +123,103 @@ def _assert_bit_exact(fused, reference):
 def test_bench_scheme_execution():
     """ABM-only vs planner-assigned heterogeneous execution, end to end."""
     repeats = 4 if QUICK else 9
-    previous_tier = tiers.set_tier("numpy")
     rows = {}
     print()
-    try:
-        for name in MODEL_CONFIGS:
-            network, pipeline, images = _build_model(name)
-            workload = _encoded_workload(name, network, pipeline)
-            plan = plan_model_schemes(
-                workload, PAPER_CONFIGS[name], device=STRATIX_V_GXA7
-            )
-            assignment = plan.assignment()
-            supported = {
-                layer.spec.name
-                for layer in workload.layers
-                if winograd_supported(layer.spec)
-            }
-            if name == "vgg16":
-                # The acceptance shape: the planner reassigns a non-trivial
-                # slice of the pyramid, every pick is a Winograd unit, and
-                # every pick is a 3x3 stride-1 conv layer.  (It does NOT
-                # pick every supported layer: conv1/2's transform stacks
-                # spill cache and conv5 is too small — the calibrated cost
-                # model keeps those on ABM on purpose.)
-                assert len(assignment) >= 3, plan.summary()
-                for layer_name, scheme in assignment.items():
-                    assert scheme.startswith("winograd"), (layer_name, scheme)
-                    assert layer_name in supported, layer_name
-                assert "spectral" in plan.rejected
+    for name in MODEL_CONFIGS:
+        network, pipeline, images = _build_model(name)
+        workload = _encoded_workload(name, network, pipeline)
+        plan = plan_model_schemes(
+            workload, PAPER_CONFIGS[name], device=STRATIX_V_GXA7
+        )
+        assignment = plan.assignment()
+        supported = {
+            layer.spec.name
+            for layer in workload.layers
+            if winograd_supported(layer.spec)
+        }
+        if name == "vgg16":
+            # The acceptance shape: the planner reassigns a non-trivial
+            # slice of the pyramid, every pick is a Winograd unit, and
+            # every pick is a 3x3 stride-1 conv layer.  (It does NOT
+            # pick every supported layer: conv1/2's transform stacks
+            # spill cache and conv5 is too small — the calibrated cost
+            # model keeps those on ABM on purpose.)
+            assert len(assignment) >= 3, plan.summary()
+            for layer_name, scheme in assignment.items():
+                assert scheme.startswith("winograd"), (layer_name, scheme)
+                assert layer_name in supported, layer_name
+            assert "spectral" in plan.rejected
 
-            clear_model_plan_cache()
-            reference = pipeline.run_batch_reference(images)
-            _assert_bit_exact(pipeline.run_batch(images), reference)
-            _assert_bit_exact(
-                pipeline.run_batch(images, schemes=assignment), reference
-            )
+        clear_model_plan_cache()
+        reference = pipeline.run_batch_reference(images)
+        _assert_bit_exact(pipeline.run_batch(images), reference)
+        _assert_bit_exact(
+            pipeline.run_batch(images, schemes=assignment), reference
+        )
 
-            # Ranking consistency probe: reassignments ordered by predicted
-            # saving; the top-predicted half must buy at least as much
-            # measured wall time as the rest.
-            by_saving = sorted(
-                (d for d in plan.decisions if d.scheme != "abm"),
-                key=lambda d: d.abm_cost - d.chosen_cost,
-                reverse=True,
-            )
-            split = max(1, len(by_saving) // 2)
-            top = {d.layer: d.scheme for d in by_saving[:split]}
-            rest = {d.layer: d.scheme for d in by_saving[split:]}
+        # Ranking consistency probe: reassignments ordered by predicted
+        # saving; the top-predicted half must buy at least as much
+        # measured wall time as the rest.
+        by_saving = sorted(
+            (d for d in plan.decisions if d.scheme != "abm"),
+            key=lambda d: d.abm_cost - d.chosen_cost,
+            reverse=True,
+        )
+        split = max(1, len(by_saving) // 2)
+        top = {d.layer: d.scheme for d in by_saving[:split]}
+        rest = {d.layer: d.scheme for d in by_saving[split:]}
 
-            variants = [
-                lambda: pipeline.run_batch(images),
-                lambda: pipeline.run_batch(images, schemes=assignment),
-                lambda: pipeline.run_batch(images, schemes=top),
-                lambda: pipeline.run_batch(images, schemes=rest),
-            ]
-            abm_s, het_s, top_s, rest_s = _interleaved_best(variants, repeats)
-            if not rest:
-                rest_s = abm_s
-            gain_top = abm_s - top_s
-            gain_rest = abm_s - rest_s
+        variants = [
+            lambda: pipeline.run_batch(images),
+            lambda: pipeline.run_batch(images, schemes=assignment),
+            lambda: pipeline.run_batch(images, schemes=top),
+            lambda: pipeline.run_batch(images, schemes=rest),
+        ]
+        abm_s, het_s, top_s, rest_s = _interleaved_best(variants, repeats)
+        if not rest:
+            rest_s = abm_s
+        gain_top = abm_s - top_s
+        gain_rest = abm_s - rest_s
 
-            batch = images.shape[0]
-            scale, spatial_scale, _ = MODEL_CONFIGS[name]
-            rows[name] = {
-                "scale": scale,
-                "spatial_scale": spatial_scale,
-                "batch": batch,
-                "plan": plan.summary(),
-                "enabled": list(plan.enabled),
-                "rejected": list(plan.rejected),
-                "assignment": assignment,
-                "predicted_speedup": round(plan.predicted_speedup, 3),
-                "abm_only_s": round(abm_s, 6),
-                "heterogeneous_s": round(het_s, 6),
-                "measured_speedup": round(abm_s / het_s, 3),
-                "images_per_s": round(batch / het_s, 2),
-                "ranking": {
-                    "top_half_layers": sorted(top),
-                    "gain_top_half_s": round(gain_top, 6),
-                    "gain_rest_s": round(gain_rest, 6),
-                },
-                "layers": [
-                    {
-                        "layer": d.layer,
-                        "scheme": d.scheme,
-                        "abm_cost": round(d.abm_cost, 1),
-                        "chosen_cost": round(d.chosen_cost, 1),
-                        "predicted_speedup": round(d.speedup, 3),
-                        "reason": d.reason,
-                    }
-                    for d in plan.decisions
-                ],
-            }
-            print(
-                f"  {name:<8} abm-only {abm_s * 1e3:8.2f} ms  "
-                f"heterogeneous {het_s * 1e3:8.2f} ms "
-                f"({rows[name]['measured_speedup']:5.2f}x measured, "
-                f"{rows[name]['predicted_speedup']:.2f}x predicted)  "
-                f"[{plan.summary()}]"
-            )
-    finally:
-        tiers.set_tier(previous_tier)
+        batch = images.shape[0]
+        scale, spatial_scale, _ = MODEL_CONFIGS[name]
+        rows[name] = {
+            "scale": scale,
+            "spatial_scale": spatial_scale,
+            "batch": batch,
+            "plan": plan.summary(),
+            "enabled": list(plan.enabled),
+            "rejected": list(plan.rejected),
+            "assignment": assignment,
+            "predicted_speedup": round(plan.predicted_speedup, 3),
+            "abm_only_s": round(abm_s, 6),
+            "heterogeneous_s": round(het_s, 6),
+            "measured_speedup": round(abm_s / het_s, 3),
+            "images_per_s": round(batch / het_s, 2),
+            "ranking": {
+                "top_half_layers": sorted(top),
+                "gain_top_half_s": round(gain_top, 6),
+                "gain_rest_s": round(gain_rest, 6),
+            },
+            "layers": [
+                {
+                    "layer": d.layer,
+                    "scheme": d.scheme,
+                    "abm_cost": round(d.abm_cost, 1),
+                    "chosen_cost": round(d.chosen_cost, 1),
+                    "predicted_speedup": round(d.speedup, 3),
+                    "reason": d.reason,
+                }
+                for d in plan.decisions
+            ],
+        }
+        print(
+            f"  {name:<8} abm-only {abm_s * 1e3:8.2f} ms  "
+            f"heterogeneous {het_s * 1e3:8.2f} ms "
+            f"({rows[name]['measured_speedup']:5.2f}x measured, "
+            f"{rows[name]['predicted_speedup']:.2f}x predicted)  "
+            f"[{plan.summary()}]"
+        )
 
     report = {
         "generated_by": "benchmarks/bench_schemes.py",

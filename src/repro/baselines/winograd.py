@@ -213,8 +213,8 @@ def winograd_raw(
     ``batch`` is (B, C, H, W) integer codes; ``kernel_transforms`` holds one
     pre-transformed ``U`` tensor of shape (group_out, C_g, t, t) per channel
     group. Returns ``(raw, images, out_rows, out_cols)`` with ``raw`` shaped
-    (M, B * out_rows * out_cols) kernel-major — the same layout the CSR
-    plan's raw/GEMM paths produce, so the fused epilogue is shared.
+    (M, B * out_rows * out_cols) kernel-major — the same layout the ABM
+    plan's GEMM produces, so the fused epilogue is shared.
     """
     transforms_for_tile(tile)
     batch = np.asarray(batch)
@@ -469,7 +469,7 @@ register_cache("baselines.winograd", transform_cache_stats)
 #: gather/launch overhead unamortized, and large working sets push the
 #: t^2-wide transform stacks (and the kernel-transform tensor U) out of
 #: cache so the extra passes become DRAM-bound. Constants fitted to
-#: interleaved best-of sweeps against ``LayerPlan.execute_batch_gemm``
+#: interleaved best-of sweeps against ``LayerPlan.execute_batch_raw``
 #: on the reference host (see BENCH_schemes.json); tuned conservative so
 #: predicted wins are measured wins.
 _CAL_BASE = {2: 0.42, 4: 0.57}

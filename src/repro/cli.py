@@ -35,7 +35,6 @@ import sys
 from typing import List, Optional
 
 from .analysis.compare import render_comparisons
-from .core import tiers
 from .dse.explorer import explore
 from .dse.roofline import RooflineModel
 from .hw.accelerator import AcceleratorSimulator
@@ -691,13 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="ABM-SpConv (DAC 2019) reproduction toolkit",
     )
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
-    parser.add_argument(
-        "--tier",
-        choices=tiers.TIERS,
-        default=None,
-        help="execution tier for the compiled ABM kernels (default: "
-        "ABM_SPCONV_TIER env var, else 'auto' = numba when available)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("experiments", help="regenerate paper tables/figures")
@@ -901,8 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tier is not None:
-        tiers.set_tier(args.tier)
     return args.func(args)
 
 

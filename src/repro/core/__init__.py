@@ -12,7 +12,6 @@
   heterogeneous execution.
 - :mod:`~repro.core.model_plan` — whole-network fused streaming execution
   (conv/FC + epilogue stages over ping-pong activation buffers).
-- :mod:`~repro.core.tiers` — numpy / numba execution-tier selection.
 """
 
 from .abm import (
@@ -23,7 +22,6 @@ from .abm import (
     abm_conv2d_batch,
     abm_conv2d_from_codes,
     abm_conv2d_reference,
-    abm_conv2d_vectorized,
     abm_fc,
     abm_fc_batch,
     direct_conv2d_codes,
@@ -44,6 +42,7 @@ from .encoding import (
     unpack_index,
 )
 from .plan import (
+    ExactnessError,
     LayerPlan,
     clear_plan_cache,
     plan_cache_stats,
@@ -56,13 +55,6 @@ from .model_plan import (
     compile_model_plan,
     model_plan_cache_size,
     model_plan_cache_stats,
-)
-from .tiers import (
-    TIERS,
-    get_tier,
-    numba_available,
-    resolve_tier,
-    set_tier,
 )
 from .opcount import (
     FDCONV_REDUCTION,
@@ -115,7 +107,6 @@ __all__ = [
     "abm_conv2d_batch",
     "abm_conv2d_from_codes",
     "abm_conv2d_reference",
-    "abm_conv2d_vectorized",
     "abm_fc",
     "abm_fc_batch",
     "direct_conv2d_codes",
@@ -132,6 +123,7 @@ __all__ = [
     "encoded_model_bytes",
     "pack_index",
     "unpack_index",
+    "ExactnessError",
     "LayerPlan",
     "compile_layer_plan",
     "clear_plan_cache",
@@ -142,11 +134,6 @@ __all__ = [
     "clear_model_plan_cache",
     "model_plan_cache_stats",
     "model_plan_cache_size",
-    "TIERS",
-    "get_tier",
-    "set_tier",
-    "resolve_tier",
-    "numba_available",
     "FDCONV_REDUCTION",
     "LayerOpCounts",
     "ModelOpCounts",

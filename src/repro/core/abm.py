@@ -16,14 +16,11 @@ factorization is bit-exact against direct convolution (a property test).
 Rounding to the 8-bit feature format happens once, after the kernel sum, as
 in the hardware's Sum/Round stage.
 
-Three implementations are provided: a literal reference loop
-(:func:`abm_conv2d_reference`) used as the test oracle; a vectorized
-version (:func:`abm_conv2d_vectorized`) that batches all output pixels of
-a channel through numpy but still loops (kernel, distinct-value) pairs in
-Python; and the default fast path (:func:`abm_conv2d`), which executes a
-compile-once layer-wide CSR plan (:mod:`repro.core.plan`) — one gather,
-one segmented accumulate, one segment multiply — and is bit-exact against
-both with identical operation counts.
+Two implementations are provided: the literal reference loop
+(:func:`abm_conv2d_reference`), the single kernel oracle; and the fast
+path (:func:`abm_conv2d`), which executes a compile-once layer plan
+(:mod:`repro.core.plan`) as one exact GEMM per channel group and is
+bit-exact against the oracle with identical (analytic) operation counts.
 """
 
 from __future__ import annotations
@@ -140,69 +137,20 @@ def abm_conv2d_reference(
     return ABMConvResult(output=output, accumulate_ops=acc_ops, multiply_ops=mult_ops)
 
 
-def abm_conv2d_vectorized(
-    feature_codes: np.ndarray,
-    encoded: EncodedLayer,
-    geometry: ConvGeometry,
-    bias_codes: Optional[np.ndarray] = None,
-) -> ABMConvResult:
-    """Vectorized ABM-SpConv (the pre-plan implementation, kept as a
-    mid-fidelity baseline for benchmarks and differential tests).
-
-    The value-grouped structure is identical to the reference; numpy batches
-    the accumulate stage over all output pixels of a kernel at once, but the
-    (kernel, distinct-value) loop still runs in Python — one fancy-indexed
-    gather and one reduction per pair.
-    """
-    features = _check_feature_codes(feature_codes)
-    channels, rows, cols = features.shape
-    out_rows, out_cols = _conv_output_hw(rows, cols, geometry)
-    kernels = len(encoded.kernels)
-    if kernels % geometry.groups:
-        raise ValueError("output channels must divide into groups")
-    group_in = channels // geometry.groups
-    group_out = kernels // geometry.groups
-    output = np.zeros((kernels, out_rows * out_cols), dtype=np.int64)
-    acc_ops = 0
-    mult_ops = 0
-    for g in range(geometry.groups):
-        patches = im2col(
-            features[g * group_in : (g + 1) * group_in],
-            geometry.kernel,
-            geometry.stride,
-            geometry.padding,
-        )
-        pixels = patches.shape[0]
-        for m in range(g * group_out, (g + 1) * group_out):
-            kernel = encoded.kernels[m]
-            totals = np.zeros(pixels, dtype=np.int64)
-            for value, block in kernel.value_groups():
-                partial = patches[:, block].sum(axis=1)
-                totals += value * partial
-                acc_ops += block.size * pixels
-                mult_ops += pixels
-            if bias_codes is not None:
-                totals += int(bias_codes[m])
-            output[m] = totals
-    return ABMConvResult(
-        output=output.reshape(kernels, out_rows, out_cols),
-        accumulate_ops=acc_ops,
-        multiply_ops=mult_ops,
-    )
-
-
 def abm_conv2d(
     feature_codes: np.ndarray,
     encoded: EncodedLayer,
     geometry: ConvGeometry,
     bias_codes: Optional[np.ndarray] = None,
 ) -> ABMConvResult:
-    """ABM-SpConv through the compiled CSR fast path (the default).
+    """ABM-SpConv through the compiled layer plan (the default).
 
-    Compiles (and caches) a layer-wide execution plan on first use — see
-    :mod:`repro.core.plan` — then runs the whole layer as one gather plus
-    two segmented reductions. Bit-exact against
-    :func:`abm_conv2d_reference` with identical operation counts.
+    Compiles (and caches) an execution plan on first use — see
+    :mod:`repro.core.plan` — then runs the layer as one exact GEMM per
+    channel group. Bit-exact against :func:`abm_conv2d_reference` with
+    identical operation counts; raises
+    :class:`repro.core.plan.ExactnessError` when the features are too
+    wide for any exact host datapath.
     """
     features = _check_feature_codes(feature_codes)
     plan = compile_layer_plan(encoded, geometry)
@@ -241,10 +189,9 @@ def abm_conv2d_batch(
 ) -> ABMConvBatchResult:
     """Batched ABM-SpConv: a (B, C, H, W) batch stacked into the pixel axis.
 
-    All B images run through one compiled-plan pass — the gather and the
-    segmented reductions see B x out_pixels rows — instead of looping
-    images in Python. Numerically identical to running each image through
-    :func:`abm_conv2d`.
+    All B images run through one compiled-plan pass — the GEMM sees
+    B x out_pixels columns — instead of looping images in Python.
+    Numerically identical to running each image through :func:`abm_conv2d`.
     """
     batch = np.asarray(feature_codes)
     if batch.ndim != 4:

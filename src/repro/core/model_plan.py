@@ -1,11 +1,11 @@
 """Whole-model fused streaming execution plans.
 
-:mod:`repro.core.plan` compiles each conv/FC layer into a CSR execution
-plan, but end-to-end inference still round-trips every layer through fresh
-numpy temporaries: the per-layer pipeline detaches each plan result with a
-``transpose(...).copy()``, casts the full batch per layer, rescans its
-peak magnitude per layer, and materializes 6-8 float temporaries per
-requantize.  This module compiles the *network* the way the paper's
+:mod:`repro.core.plan` compiles each conv/FC layer into an exact GEMM
+plan, but the per-layer reference walk still round-trips every layer
+through fresh numpy temporaries: it detaches each plan result into a new
+array, rescans the batch's peak magnitude per layer, and materializes
+6-8 float temporaries per requantize.  This module compiles the *network*
+the way the paper's
 accelerator streams it: one :class:`ModelPlan` per (pipeline, batch
 geometry) that
 
@@ -16,10 +16,11 @@ geometry) that
   sized to the network's high-water mark, so no per-layer output is ever
   materialized (stages read the raw plan scratch and write requantized
   codes straight into the destination buffer);
-- **hoists run-time decisions to compile time**: the per-layer work dtype
-  comes from the tracked quantized-format code range (no ``abs().max()``
-  scan per layer per batch), the bias codes and requantize scale factors
-  are computed once, and the host/accelerator split is resolved when the
+- **hoists run-time decisions to compile time**: each stage's datapath
+  (float64 GEMM or the int64 fallback, see :meth:`LayerPlan.datapath`)
+  comes from the tracked quantized-format code range (no peak scan per
+  layer per batch), the bias codes and requantize scale factors are
+  computed once, and the host/accelerator split is resolved when the
   plan is built;
 - **shares one scratch arena across the batch**: the requantize float
   scratch and the pooling windows reuse the same two arrays for every
@@ -73,8 +74,7 @@ from ..nn.tensor import FeatureShape
 from ..quant.fixed_point import QFormat
 from ..telemetry.caches import CacheStats, register_cache
 from ..telemetry.context import get_active
-from . import tiers
-from .plan import LayerPlan, compile_layer_plan
+from .plan import LayerPlan, code_peak, compile_layer_plan
 from .schemes import get_scheme_model
 from .specs import CONV, LayerSpec
 
@@ -108,7 +108,7 @@ class _FusedStage:
         "pool",
         "is_fc",
         "input_peak",
-        "use_gemm",
+        "datapath",
         "conv_shape",
         "out_shape",
         "fused_names",
@@ -147,15 +147,14 @@ class _FusedStage:
         self.pool = pool
         self.is_fc = is_fc
         self.input_peak = _max_abs_code(in_fmt)
-        # Compile-time exactness proof for the GEMM datapath: every BLAS
-        # partial sum is bounded by max|x| * max_k sum(|VAL|*NUM) + |bias|,
-        # and integers below 2**53 are exact in float64 — so dense float64
-        # matmul equals the integer ABM sums term for term.  The numba
-        # tier keeps the ABM loop structure instead (see run()).
-        bias_peak = int(np.abs(bias_codes).max()) if bias_codes.size else 0
-        self.use_gemm = (
-            self.input_peak * plan.max_weighted_sum + bias_peak < 2**53
-        )
+        # Compile-time exactness proof: every partial sum is bounded by
+        # max|x| * max_k sum(|VAL|*NUM) + |bias|, so the float64 GEMM is
+        # exact below 2**53 and the int64 fallback below 2**63; past that
+        # the plan raises ExactnessError here, before any batch runs.
+        bias_peak = code_peak(bias_codes)
+        datapath = plan.datapath(self.input_peak, bias_peak)
+        #: What computes the raw sums: "gemm", "int64" or the scheme name.
+        self.datapath = datapath if scheme == "abm" else scheme
         self.conv_shape = conv_shape
         self.out_shape = out_shape
         self.fused_names = fused_names
@@ -191,17 +190,14 @@ class _FusedStage:
             np.rint(raw, out=raw)
             scaled = raw  # scheme-owned fresh array: scale it in place
             np.multiply(raw, self.factor, out=scaled)
-        elif self.use_gemm and not tiers.numba_active():
-            raw, images, out_rows, out_cols = self.plan.execute_batch_gemm(
-                batch, self.bias_codes
-            )
-            scaled = raw  # plan-owned float scratch: scale it in place
-            np.multiply(raw, self.factor, out=scaled)
         else:
             raw, images, out_rows, out_cols = self.plan.execute_batch_raw(
-                batch, self.bias_codes, self.input_peak
+                batch, self.bias_codes, self.datapath
             )
-            scaled = arena.float_a[: raw.size].reshape(raw.shape)
+            if self.datapath == "gemm":
+                scaled = raw  # plan-owned float scratch: scale it in place
+            else:
+                scaled = arena.float_a[: raw.size].reshape(raw.shape)
             np.multiply(raw, self.factor, out=scaled)
         # Requantize in the shared float scratch: one exact power-of-two
         # multiply, round half away from zero, clip (ReLU included).
@@ -590,6 +586,7 @@ class ModelPlan:
                         layer=stage.name,
                         images=int(codes.shape[0]),
                         fused=",".join(stage.fused_names),
+                        datapath=stage.datapath,
                     ):
                         current = stage.run(self.arena, current)
                 else:

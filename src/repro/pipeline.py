@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .core.abm import ABMConvBatchResult, ABMConvResult, ConvGeometry, abm_conv2d, abm_conv2d_batch
+from .core.abm import ABMConvBatchResult, ConvGeometry, abm_conv2d_batch
 from .telemetry.context import get_active
 from .core.encoding import EncodedLayer, encode_layer
 from .nn.layers import (
@@ -234,67 +234,10 @@ class QuantizedPipeline:
     # ---- execution -----------------------------------------------------
 
     def run(self, image: np.ndarray) -> InferenceResult:
-        """Quantized inference with ABM-SpConv on all conv/FC layers."""
+        """Quantized inference of one image with ABM-SpConv on all conv/FC
+        layers: the per-layer reference walk on a batch of one."""
         self._check_ready("run()")
-        codes = self.input_fmt.quantize(np.asarray(image))
-        fmt = self.input_fmt
-        stats: List[LayerRunStats] = []
-        telemetry = get_active()
-        for layer in self.network:
-            scope = (
-                telemetry.span("layer", layer=layer.name)
-                if telemetry is not None
-                else nullcontext()
-            )
-            with scope:
-                codes, fmt, layer_stats = self._run_layer(layer, codes, fmt)
-            if layer_stats is not None:
-                stats.append(layer_stats)
-        return InferenceResult(output=fmt.dequantize(codes), layer_stats=stats)
-
-    def _run_layer(
-        self, layer, codes: np.ndarray, fmt: QFormat
-    ) -> Tuple[np.ndarray, QFormat, Optional[LayerRunStats]]:
-        name = layer.name
-        if name in self.compiled:
-            compiled = self.compiled[name]
-            # Datapath format: product of input and weight scales, exact.
-            datapath_fmt = QFormat(32, fmt.frac_bits + compiled.weight_fmt.frac_bits)
-            bias_codes = datapath_fmt.quantize(compiled.bias_codes)
-            if compiled.is_fc:
-                flat = codes.reshape(-1, 1, 1)
-                result: ABMConvResult = abm_conv2d(
-                    flat, compiled.encoded, compiled.geometry, bias_codes=bias_codes
-                )
-            else:
-                result = abm_conv2d(
-                    codes, compiled.encoded, compiled.geometry, bias_codes=bias_codes
-                )
-            # Sum/Round: single rounding into the 8-bit feature format.
-            out_fmt = compiled.output_fmt
-            out_codes = out_fmt.quantize(datapath_fmt.dequantize(result.output))
-            return (
-                out_codes,
-                out_fmt,
-                LayerRunStats(
-                    name=name,
-                    accumulate_ops=result.accumulate_ops,
-                    multiply_ops=result.multiply_ops,
-                ),
-            )
-        if isinstance(layer, (ReLU,)):
-            return np.maximum(codes, 0), fmt, None
-        if isinstance(layer, MaxPool2D):
-            # Max of codes == code of max: exact in integer domain.
-            return layer.forward(codes).astype(np.int64), fmt, None
-        if isinstance(layer, (Flatten, Dropout)):
-            return layer.forward(codes).astype(np.int64), fmt, None
-        if isinstance(layer, (AvgPool2D, LocalResponseNorm, Softmax)):
-            # Host layers: dequantize, run float, requantize.
-            real = layer.forward(fmt.dequantize(codes))
-            out_fmt = self.output_fmts.get(layer.name, fmt)
-            return out_fmt.quantize(real), out_fmt, None
-        raise TypeError(f"pipeline cannot execute layer {layer!r}")
+        return self.run_batch_reference(np.asarray(image)[None])[0]
 
     def _as_bchw(self, images: np.ndarray) -> np.ndarray:
         batch = np.asarray(images)
@@ -360,7 +303,7 @@ class QuantizedPipeline:
         layer, each accelerated layer stacking the batch into its ABM
         plan's pixel axis.  Kept as the differential oracle for the fused
         :meth:`run_batch` and for callers that want per-layer telemetry
-        spans.  Bit-exact, image-for-image, against per-image :meth:`run`.
+        spans.  :meth:`run` is this walk on a batch of one.
         """
         self._check_ready("run_batch_reference()")
         batch = self._as_bchw(images)
@@ -398,10 +341,11 @@ class QuantizedPipeline:
     def _run_layer_batch(
         self, layer, codes: np.ndarray, fmt: QFormat
     ) -> Tuple[np.ndarray, QFormat, Optional[LayerRunStats]]:
-        """Batched twin of :meth:`_run_layer`; op counts are batch totals."""
+        """Run one layer of the reference walk; op counts are batch totals."""
         name = layer.name
         if name in self.compiled:
             compiled = self.compiled[name]
+            # Datapath format: product of input and weight scales, exact.
             datapath_fmt = QFormat(32, fmt.frac_bits + compiled.weight_fmt.frac_bits)
             bias_codes = datapath_fmt.quantize(compiled.bias_codes)
             if compiled.is_fc:
@@ -413,6 +357,7 @@ class QuantizedPipeline:
                 result = abm_conv2d_batch(
                     codes, compiled.encoded, compiled.geometry, bias_codes=bias_codes
                 )
+            # Sum/Round: single rounding into the 8-bit feature format.
             out_fmt = compiled.output_fmt
             out_codes = out_fmt.quantize(datapath_fmt.dequantize(result.output))
             return (
@@ -427,10 +372,12 @@ class QuantizedPipeline:
         if isinstance(layer, (ReLU,)):
             return np.maximum(codes, 0), fmt, None
         if isinstance(layer, MaxPool2D):
+            # Max of codes == code of max: exact in integer domain.
             return layer.forward_batch(codes).astype(np.int64), fmt, None
         if isinstance(layer, (Flatten, Dropout)):
             return layer.forward_batch(codes).astype(np.int64), fmt, None
         if isinstance(layer, (AvgPool2D, LocalResponseNorm, Softmax)):
+            # Host layers: dequantize, run float, requantize.
             real = layer.forward_batch(fmt.dequantize(codes))
             out_fmt = self.output_fmts.get(layer.name, fmt)
             return out_fmt.quantize(real), out_fmt, None

@@ -386,6 +386,7 @@ class ShardedModelPlan:
                     layer=stage.name,
                     images=images,
                     fused=",".join(stage.fused_names),
+                    datapath=stage.datapath,
                 ):
                     current = stage.run(arena, current)
             else:

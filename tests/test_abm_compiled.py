@@ -1,9 +1,9 @@
-"""Differential tests of the compiled CSR fast path (repro.core.plan).
+"""Differential tests of the compiled layer plan (repro.core.plan).
 
-The compiled plan must be *bit-exact* against the per-kernel reference
-implementation — same outputs, same analytic accumulate/multiply counts —
-on both execution backends: the scipy selection-matrix path and the pure
-numpy gather+reduceat fallback.
+The compiled plan must be *bit-exact* against the literal two-stage oracle
+:func:`abm_conv2d_reference` — same outputs, same analytic
+accumulate/multiply counts — on both sides of the float64 exactness split:
+the float64 GEMM and the exact int64 matmul fallback.
 """
 
 import numpy as np
@@ -14,9 +14,9 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core import (
     ConvGeometry,
+    ExactnessError,
     abm_conv2d,
     abm_conv2d_reference,
-    abm_conv2d_vectorized,
     abm_fc,
     clear_encode_cache,
     clear_plan_cache,
@@ -27,20 +27,22 @@ from repro.core import (
     plan_cache_size,
 )
 from repro.core import plan as plan_module
+from repro.telemetry.context import Telemetry, activate
 from tests.conftest import sparse_weight_codes
 
-BACKENDS = ["sparse", "fallback"]
 
+@pytest.fixture(params=["sparse", "fallback"])
+def datapath(request, monkeypatch):
+    """Run the test body on each host datapath.
 
-@pytest.fixture(params=BACKENDS)
-def exec_backend(request):
-    """Run the test body under each execution backend."""
-    enabled = request.param == "sparse"
-    if enabled and plan_module._scipy_sparse is None:
-        pytest.skip("scipy unavailable")
-    previous = plan_module._set_sparse_enabled(enabled)
-    yield request.param
-    plan_module._set_sparse_enabled(previous)
+    ``sparse`` (the suite's historical id for the default run) leaves the
+    choice to the plan, which picks the float64 GEMM for these codes;
+    ``fallback`` lowers the float64 limit to zero so every layer takes
+    the exact int64 matmul.
+    """
+    if request.param == "fallback":
+        monkeypatch.setattr(plan_module, "FLOAT64_EXACT", 0)
+    return request.param
 
 
 def assert_results_identical(fast, ref):
@@ -58,7 +60,7 @@ class TestDifferential:
         [(1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 0, 2), (3, 2, 1)],
     )
     @pytest.mark.parametrize("with_bias", [False, True])
-    def test_geometry_sweep(self, rng, exec_backend, stride, padding, groups, with_bias):
+    def test_geometry_sweep(self, rng, datapath, stride, padding, groups, with_bias):
         weights = sparse_weight_codes(rng, shape=(6, 8 // groups, 3, 3))
         features = rng.integers(-128, 128, size=(8, 9, 9))
         bias = rng.integers(-500, 500, size=6) if with_bias else None
@@ -70,42 +72,78 @@ class TestDifferential:
 
     @given(
         weights=hnp.arrays(
-            dtype=np.int64, shape=(4, 3, 2, 2), elements=st.integers(-8, 8)
+            dtype=np.int64, shape=(4, 3, 2, 2), elements=st.integers(-128, 127)
         ),
-        features=hnp.arrays(
+        unit=hnp.arrays(
             dtype=np.int64, shape=(3, 6, 6), elements=st.integers(-128, 127)
         ),
+        scale=st.sampled_from([1, 2**38]),
         stride=st.integers(1, 2),
         padding=st.integers(0, 2),
     )
     @settings(max_examples=120, deadline=None)
-    def test_differential_property(self, weights, features, stride, padding):
-        """Arbitrary integer tensors: compiled == reference, both backends."""
+    def test_differential_property(self, weights, unit, scale, stride, padding):
+        """Arbitrary integer tensors on both sides of the 2**53 split.
+
+        Codes of +-128 keep every sum below 2**53 (float64 GEMM); scaled to
+        +-2**45, with one code and three weights pinned at full scale, the
+        bound exceeds 2**53 and the plan must take the int64 matmul —
+        exact either way, int64 out.
+        """
+        weights[0, 0, 0, :] = 127
+        weights[0, 0, 1, 0] = 127
+        unit[0, 0, 0] = -128
+        features = unit * scale
         geometry = ConvGeometry(kernel=2, stride=stride, padding=padding)
         encoded = encode_layer("h", weights)
+        plan = compile_layer_plan(encoded, geometry)
+        expected = "gemm" if scale == 1 else "int64"
+        assert plan.datapath(128 * scale) == expected
         ref = abm_conv2d_reference(features, encoded, geometry)
-        for enabled in (True, False):
-            if enabled and plan_module._scipy_sparse is None:
-                continue
-            previous = plan_module._set_sparse_enabled(enabled)
-            try:
-                fast = abm_conv2d(features, encoded, geometry)
-            finally:
-                plan_module._set_sparse_enabled(previous)
-            assert_results_identical(fast, ref)
-
-    def test_matches_vectorized_baseline(self, rng, exec_backend):
-        weights = sparse_weight_codes(rng, shape=(5, 4, 3, 3))
-        features = rng.integers(-64, 64, size=(4, 8, 8))
-        geometry = ConvGeometry(kernel=3, padding=1)
-        encoded = encode_layer("t", weights)
         fast = abm_conv2d(features, encoded, geometry)
-        base = abm_conv2d_vectorized(features, encoded, geometry)
-        assert_results_identical(fast, base)
+        assert_results_identical(fast, ref)
+        assert fast.output.dtype == np.int64
+
+
+class TestExactness:
+    """The datapath split and the loud failure past int64."""
+
+    def _layer(self, rng):
+        weights = sparse_weight_codes(rng, shape=(4, 2, 3, 3), density=0.5, value_range=127)
+        return weights, encode_layer("wide", weights), ConvGeometry(kernel=3)
+
+    def test_wide_codes_raise_instead_of_wrapping(self, rng):
+        """56-bit feature codes on a 3x3 conv: int64 would wrap, so the
+        plan refuses, just as the arbitrary-precision oracle overflows."""
+        _, encoded, geometry = self._layer(rng)
+        features = rng.integers(-(2**56), 2**56, size=(2, 6, 6))
+        with pytest.raises(ExactnessError, match="does not fit int64"):
+            abm_conv2d(features, encoded, geometry)
+        with pytest.raises(OverflowError):
+            abm_conv2d_reference(features, encoded, geometry)
+
+    def test_bias_counts_toward_the_bound(self, rng):
+        _, encoded, geometry = self._layer(rng)
+        plan = compile_layer_plan(encoded, geometry)
+        assert plan.datapath(0, 2**53 - 1) == "gemm"
+        assert plan.datapath(0, 2**53) == "int64"
+        with pytest.raises(ExactnessError):
+            plan.datapath(0, 2**63)
+
+    def test_kernel_span_records_datapath(self, rng):
+        weights, encoded, geometry = self._layer(rng)
+        telemetry = Telemetry()
+        with activate(telemetry):
+            abm_conv2d(rng.integers(-128, 128, size=(2, 6, 6)), encoded, geometry)
+            wide = rng.integers(-(2**45), 2**45, size=(2, 6, 6))
+            result = abm_conv2d(wide, encoded, geometry)
+        assert np.array_equal(result.output, direct_conv2d_codes(wide, weights, geometry))
+        spans = [root.to_dict() for root in telemetry.tracer.roots]
+        assert [s["attrs"]["datapath"] for s in spans] == ["gemm", "int64"]
 
 
 class TestEdgeCases:
-    def test_all_zero_kernel(self, rng, exec_backend):
+    def test_all_zero_kernel(self, rng, datapath):
         """A kernel with no nonzeros contributes an all-zero output plane."""
         weights = sparse_weight_codes(rng, shape=(4, 3, 3, 3))
         weights[2] = 0
@@ -117,7 +155,7 @@ class TestEdgeCases:
         assert_results_identical(fast, ref)
         assert not fast.output[2].any()
 
-    def test_all_zero_layer(self, rng, exec_backend):
+    def test_all_zero_layer(self, rng, datapath):
         weights = np.zeros((3, 2, 3, 3), dtype=np.int64)
         features = rng.integers(-64, 64, size=(2, 5, 5))
         geometry = ConvGeometry(kernel=3)
@@ -128,7 +166,7 @@ class TestEdgeCases:
         assert not fast.output.any()
         assert fast.accumulate_ops == 0 and fast.multiply_ops == 0
 
-    def test_single_distinct_value(self, rng, exec_backend):
+    def test_single_distinct_value(self, rng, datapath):
         """Q=1: every nonzero weight shares one quantized value."""
         mask = rng.random(size=(4, 3, 3, 3)) < 0.4
         weights = np.where(mask, 5, 0).astype(np.int64)
@@ -140,17 +178,17 @@ class TestEdgeCases:
         ref = abm_conv2d_reference(features, encoded, geometry)
         assert_results_identical(fast, ref)
 
-    def test_int64_path_with_large_features(self, rng, exec_backend):
-        """Features large enough to force the wide accumulator dtype."""
-        weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))
-        features = rng.integers(-(2**30), 2**30, size=(2, 6, 6))
+    def test_int64_path_with_large_features(self, rng, datapath):
+        """Features wide enough to leave float64 for the int64 matmul."""
+        weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3), value_range=127)
+        features = rng.integers(-(2**45), 2**45, size=(2, 6, 6))
         geometry = ConvGeometry(kernel=3)
         encoded = encode_layer("big", weights)
         fast = abm_conv2d(features, encoded, geometry)
         expected = direct_conv2d_codes(features, weights, geometry)
         assert np.array_equal(fast.output, expected)
 
-    def test_fc_path(self, rng, exec_backend):
+    def test_fc_path(self, rng, datapath):
         weights = sparse_weight_codes(rng, shape=(10, 32, 1, 1), density=0.2)
         features = rng.integers(-128, 128, size=32)
         encoded = encode_layer("fc", weights)

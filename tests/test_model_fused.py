@@ -4,29 +4,25 @@ The fused streaming path must be *bit-exact* against the retained
 per-layer reference — same outputs, same per-image op counts — across
 the architecture space (groups, padding, strided convs, FC stacks,
 standalone and fused pooling, LRN/AvgPool host-layer splits), on both
-layer-plan execution backends and on every execution tier (the numpy
-tier always; the numba tier degrades to numpy when numba is absent,
-which is exactly the fallback this suite pins).
+host datapaths: the float64 GEMM and the exact int64 fallback.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import model_plan as model_plan_module
 from repro.core import plan as plan_module
-from repro.core import tiers
 from repro.core.model_plan import (
     MODEL_PLAN_CACHE_CAPACITY,
     ModelPlan,
+    _FusedStage,
     clear_model_plan_cache,
     compile_model_plan,
     model_plan_cache_size,
     model_plan_cache_stats,
 )
+from repro.core.plan import ExactnessError
 from repro.nn.models import (
     Architecture,
     ConvDef,
@@ -41,18 +37,18 @@ from repro.nn.models import (
 from repro.pipeline import QuantizedPipeline
 from repro.telemetry.context import Telemetry, activate
 
-BACKENDS = ["sparse", "fallback"]
+@pytest.fixture(params=["sparse", "fallback"])
+def datapath(request, monkeypatch):
+    """Run the test body on each host datapath.
 
-
-@pytest.fixture(params=BACKENDS)
-def exec_backend(request):
-    """Run the test body under each layer-plan execution backend."""
-    enabled = request.param == "sparse"
-    if enabled and plan_module._scipy_sparse is None:
-        pytest.skip("scipy unavailable")
-    previous = plan_module._set_sparse_enabled(enabled)
-    yield request.param
-    plan_module._set_sparse_enabled(previous)
+    ``sparse`` (the suite's historical id for the default run) leaves the
+    choice to the plans, which pick the float64 GEMM for 8-bit models;
+    ``fallback`` lowers the float64 limit to zero so every fused stage and
+    every reference layer takes the exact int64 matmul.
+    """
+    if request.param == "fallback":
+        monkeypatch.setattr(plan_module, "FLOAT64_EXACT", 0)
+    return request.param
 
 
 @pytest.fixture(autouse=True)
@@ -170,7 +166,7 @@ class TestDifferential:
 
     @pytest.mark.parametrize("arch_name", sorted(ARCHITECTURES))
     @pytest.mark.parametrize("batch", [1, 3])
-    def test_architecture_sweep(self, rng, exec_backend, arch_name, batch):
+    def test_architecture_sweep(self, rng, datapath, arch_name, batch):
         arch = ARCHITECTURES[arch_name]
         pipeline = build_pipeline(arch, rng)
         images = rng.standard_normal(
@@ -262,65 +258,43 @@ class TestDifferential:
         assert stats.misses == 1 and stats.hits == 1
 
 
-# ---- tiers ----------------------------------------------------------------
+# ---- datapath choice ------------------------------------------------------
 
 
-class TestTiers:
-    @pytest.fixture(autouse=True)
-    def restore_tier(self):
-        previous = tiers.get_tier()
-        yield
-        tiers.set_tier(previous)
+def fused_datapaths(plan):
+    return [s.datapath for s in plan.stages if isinstance(s, _FusedStage)]
 
-    def test_default_resolves_to_an_available_tier(self):
-        assert tiers.get_tier() in tiers.TIERS
-        assert tiers.resolve_tier() in ("numpy", "numba")
 
-    def test_numpy_tier_forced(self, rng):
-        tiers.set_tier("numpy")
-        assert tiers.resolve_tier() == "numpy"
-        assert not tiers.numba_active()
+class TestDatapathChoice:
+    """Each fused stage's datapath follows from its input format's range."""
 
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="unknown tier"):
-            tiers.set_tier("gpu")
+    def test_8bit_models_run_the_gemm(self, rng):
+        pipeline = build_pipeline(ARCHITECTURES["conv_relu_pool"], rng)
+        plan = compile_model_plan(pipeline, (1, 3, 12, 12))
+        assert fused_datapaths(plan) == ["gemm", "gemm"]
 
-    def test_numba_request_without_numba_warns_and_falls_back(self, rng):
-        """The pure-numpy fallback is mandatory: requesting the compiled
-        tier on an install without numba must degrade, not fail."""
-        if tiers.numba_available():
-            pytest.skip("numba installed: fallback warning not reachable")
-        with pytest.warns(RuntimeWarning, match="falling back to the numpy tier"):
-            tiers.set_tier("numba")
-        assert tiers.get_tier() == "numba"
-        assert tiers.resolve_tier() == "numpy"
+    def test_wide_features_take_the_int64_matmul(self, rng):
+        """48-bit feature codes break the 2**53 bound but fit int64."""
         arch = ARCHITECTURES["conv_relu_pool"]
-        pipeline = build_pipeline(arch, rng)
+        pipeline = QuantizedPipeline(arch.build(seed=7), feature_bits=48)
+        pipeline.calibrate(rng.standard_normal((3, 12, 12)))
+        pipeline.quantize()
         images = rng.standard_normal((2, 3, 12, 12))
-        assert_batches_identical(
-            pipeline.run_batch(images), pipeline.run_batch_reference(images)
-        )
-
-    @pytest.mark.parametrize("tier", ["auto", "numba"])
-    def test_fused_exact_on_requested_tier(self, rng, tier):
-        """On numba installs this exercises the JIT kernel; elsewhere the
-        numpy fallback — both must be bit-exact."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            tiers.set_tier(tier)
-        arch = ARCHITECTURES["grouped_strided"]
-        pipeline = build_pipeline(arch, rng)
-        images = rng.standard_normal((3, 4, 11, 11))
         fused = pipeline.run_batch(images)
-        tiers.set_tier("numpy")
+        assert fused_datapaths(compile_model_plan(pipeline, images.shape)) == [
+            "int64",
+            "int64",
+        ]
         assert_batches_identical(fused, pipeline.run_batch_reference(images))
 
-    def test_env_parsing_ignores_garbage(self, monkeypatch):
-        monkeypatch.setenv("ABM_SPCONV_TIER", "warp-drive")
-        with pytest.warns(RuntimeWarning, match="ignoring unknown"):
-            assert tiers._tier_from_env() is None
-        monkeypatch.setenv("ABM_SPCONV_TIER", " NumPy ")
-        assert tiers._tier_from_env() == "numpy"
+    def test_features_too_wide_for_int64_fail_at_compile(self, rng):
+        """60-bit codes could wrap int64: the stage refuses at fuse time."""
+        arch = ARCHITECTURES["conv_relu_pool"]
+        pipeline = QuantizedPipeline(arch.build(seed=7), feature_bits=60)
+        pipeline.calibrate(rng.standard_normal((3, 12, 12)))
+        pipeline.quantize()
+        with pytest.raises(ExactnessError, match="c1.*does not fit int64"):
+            compile_model_plan(pipeline, (1, 3, 12, 12))
 
 
 # ---- plan cache -----------------------------------------------------------
@@ -438,6 +412,7 @@ class TestTelemetrySpans:
         kernel_spans = [r for r in roots if r["name"] == "kernel"]
         fused_attrs = {span["attrs"]["fused"] for span in kernel_spans}
         assert "c1,r1,p1" in fused_attrs
+        assert {span["attrs"]["datapath"] for span in kernel_spans} == {"gemm"}
 
     def test_silent_without_active_telemetry(self, rng):
         arch = ARCHITECTURES["conv_relu_pool"]
