@@ -1,19 +1,20 @@
-"""Benchmark: compiled whole-grid DSE vs the per-point reference flow.
+"""Benchmark: compiled whole-grid DSE sweeps vs the per-point references.
 
-Times the full exploration flow (``explore()``: the Figure 6 N_knl sweep
-plus the Figure 7 S_ec x N_cu grid, candidate selection and the final
-performance estimate) on the paper's two workloads, once through the
-compiled whole-grid evaluator (:mod:`repro.dse.compiled`, the default)
-and once through the per-point reference path (``compiled=False``). The
-two must agree exactly — every sweep point, candidate and chosen config —
-before any timing counts.
+Times the two sweeps of the exploration flow — the Figure 6 N_knl sweep
+and the Figure 7 S_ec x N_cu grid — on the paper's two workloads, once
+through the compiled whole-grid evaluator (:mod:`repro.dse.compiled`) and
+once through the per-point reference oracles (``sweep_nknl_reference``,
+``sweep_sec_ncu_reference``). The two must agree exactly, point for
+point, before any timing counts.
 
 ``test_bench_dse_artifact`` writes a ``BENCH_dse.json`` trajectory
 artifact (timings, speedups, grid sizes, Pareto timings) to the repo root
-so future PRs can track DSE performance over time. Quick mode for CI:
-``REPRO_BENCH_QUICK=1`` uses fewer repeats and a relaxed speedup floor
-for shared runners; the full run asserts the ISSUE's >= 20x bar on the
-VGG16 full-grid ``explore()``.
+so future changes can track DSE performance over time;
+``test_bench_dse_exhaustive`` adds one ``exhaustive`` row per model:
+wall time, space size and optimum of the exhaustive joint-space search.
+Quick mode for CI: ``REPRO_BENCH_QUICK=1`` uses fewer repeats and a
+relaxed speedup floor for shared runners; the full run asserts a >= 20x
+bar on the VGG16 sweeps.
 """
 
 import json
@@ -25,10 +26,16 @@ from repro.dse import (
     DEFAULT_RESOURCE_MODEL,
     clear_buffer_cache,
     clear_compiled_cache,
+    default_joint_space,
+    exhaustive_search,
     explore,
     pareto_frontier,
     pareto_frontier_reference,
+    share_factor_from_workloads,
+    sweep_nknl,
+    sweep_nknl_reference,
     sweep_sec_ncu,
+    sweep_sec_ncu_reference,
 )
 from repro.hw import STRATIX_V_GXA7
 from repro.hw.tiling import clear_window_plan_cache
@@ -70,12 +77,27 @@ def _clear_caches():
     clear_window_plan_cache()
 
 
-def test_bench_dse_artifact():
-    """Compiled vs reference full-grid exploration; writes the artifact.
+def _sweeps(workload, n_share, n_knl, compiled):
+    """Both exploration sweeps, compiled or through the reference oracles."""
+    nknl = sweep_nknl if compiled else sweep_nknl_reference
+    grid = sweep_sec_ncu if compiled else sweep_sec_ncu_reference
+    return (
+        nknl(workload, DEFAULT_RESOURCE_MODEL, n_share, device=STRATIX_V_GXA7),
+        grid(
+            workload,
+            STRATIX_V_GXA7,
+            DEFAULT_RESOURCE_MODEL,
+            n_knl=n_knl,
+            n_share=n_share,
+        ),
+    )
 
-    The compiled path must return identical ExplorationResults (same
-    sweeps, candidates, chosen config and final performance) and clear
-    the speedup floor on the VGG16 full ``explore()`` grid.
+
+def test_bench_dse_artifact():
+    """Compiled vs reference sweeps; writes the artifact.
+
+    The compiled sweeps must equal the reference oracles point for point
+    and clear the speedup floor on VGG16.
     """
     repeats = 3 if QUICK else 5
     floor = 5.0 if QUICK else 20.0
@@ -90,17 +112,21 @@ def test_bench_dse_artifact():
         workload = synthetic_model_workload(model, seed=1)
 
         compiled_result = explore(workload, STRATIX_V_GXA7)
-        reference_result = explore(workload, STRATIX_V_GXA7, compiled=False)
+        n_share = share_factor_from_workloads(workload.layers)
+        n_knl = compiled_result.chosen_n_knl
         # Point-for-point, float-for-float agreement is a precondition.
-        assert compiled_result.nknl_sweep == reference_result.nknl_sweep
-        assert compiled_result.grid == reference_result.grid
-        assert compiled_result.candidates == reference_result.candidates
-        assert compiled_result.chosen == reference_result.chosen
-        assert compiled_result.performance == reference_result.performance
+        compiled_sweeps = _sweeps(workload, n_share, n_knl, compiled=True)
+        assert compiled_sweeps == _sweeps(workload, n_share, n_knl, compiled=False)
+        assert compiled_sweeps == (
+            list(compiled_result.nknl_sweep),
+            list(compiled_result.grid),
+        )
 
-        compiled_s = _best_of(lambda: explore(workload, STRATIX_V_GXA7), repeats)
+        compiled_s = _best_of(
+            lambda: _sweeps(workload, n_share, n_knl, compiled=True), repeats
+        )
         reference_s = _best_of(
-            lambda: explore(workload, STRATIX_V_GXA7, compiled=False),
+            lambda: _sweeps(workload, n_share, n_knl, compiled=False),
             max(1, repeats - 2),
         )
         # Cold compile: what the very first query pays (caches emptied).
@@ -162,78 +188,33 @@ def test_bench_dse_artifact():
     assert vgg16 >= floor, f"vgg16 compiled-DSE speedup {vgg16}x below {floor}x"
 
 
-def test_bench_dse_adaptive():
-    """TPE-guided joint search vs the exhaustive oracle; appends rows.
-
-    For each workload the adaptive study must recover >= 99% of the
-    exhaustive-best throughput while evaluating <= 10% of the joint
-    space. Results merge into ``BENCH_dse.json`` under ``"adaptive"``
-    and each study's JSONL file is left next to the artifact so CI can
-    upload it.
-    """
-    from repro.dse import default_joint_space, exhaustive_search, run_study
-
-    trials = 48
-    rows = {"trials": trials, "seed": 1, "sampler": "tpe", "models": {}}
+def test_bench_dse_exhaustive():
+    """Exhaustive joint-space search per model; merges ``exhaustive`` rows."""
+    rows = {"seed": 1, "models": {}}
     print()
     for model in ("alexnet", "vgg16"):
         workload = synthetic_model_workload(model, seed=1)
         space = default_joint_space([workload])
-
         start = time.perf_counter()
-        exhaustive = exhaustive_search([workload], STRATIX_V_GXA7, space=space)
-        exhaustive_s = time.perf_counter() - start
-
-        study_path = ARTIFACT.parent / f"BENCH_dse_study_{model}.jsonl"
-        study_path.unlink(missing_ok=True)
-        start = time.perf_counter()
-        result = run_study(
-            [workload], STRATIX_V_GXA7, trials=trials, sampler="tpe",
-            seed=1, space=space, path=str(study_path),
-        )
-        study_s = time.perf_counter() - start
-
-        random_result = run_study(
-            [workload], STRATIX_V_GXA7, trials=trials, sampler="random",
-            seed=1, space=space,
-        )
-
-        best = result.best.values["throughput_gops"]
-        oracle = exhaustive.values["throughput_gops"]
-        ratio = best / oracle
-        fraction = result.evaluated_fraction
+        best = exhaustive_search([workload], STRATIX_V_GXA7, space=space)
+        wall_s = time.perf_counter() - start
+        assert best.evaluated_points == space.size
         rows["models"][model] = {
             "space_points": space.size,
-            "evaluated_points": result.evaluated_points,
-            "evaluated_fraction": round(fraction, 5),
-            "best_gops": round(best, 1),
-            "exhaustive_gops": round(oracle, 1),
-            "ratio_to_exhaustive": round(ratio, 4),
-            "random_best_gops": round(
-                random_result.best.values["throughput_gops"], 1
-            ),
-            "front_size": len(result.front),
-            "study_wall_s": round(study_s, 3),
-            "exhaustive_wall_s": round(exhaustive_s, 3),
-            "study_file": study_path.name,
+            "exhaustive_gops": round(best.values["throughput_gops"], 1),
+            "params": best.params,
+            "wall_s": round(wall_s, 3),
         }
         print(
-            f"  {model:<8} tpe {best:7.1f} / exhaustive {oracle:7.1f} GOP/s "
-            f"(ratio {ratio:.4f})  {result.evaluated_points} of "
-            f"{space.size} points ({fraction:.2%})  "
-            f"study {study_s:5.2f}s  exhaustive {exhaustive_s:5.2f}s"
+            f"  {model:<8} exhaustive {best.values['throughput_gops']:7.1f} GOP/s "
+            f"over {space.size} points in {wall_s:5.2f}s"
         )
-        assert ratio >= 0.99, f"{model}: TPE ratio {ratio:.4f} below 0.99"
-        assert fraction <= 0.10, (
-            f"{model}: evaluated {fraction:.2%} of the space (cap 10%)"
-        )
-
-    # Merge into the trajectory artifact without clobbering the grid rows.
+    # Merge into the trajectory artifact without clobbering the sweep rows.
     report = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {
         "generated_by": "benchmarks/bench_dse.py",
         "quick": QUICK,
         "seed": 1,
     }
-    report["adaptive"] = rows
+    report["exhaustive"] = rows
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"  wrote adaptive rows into {ARTIFACT}")
+    print(f"  wrote exhaustive rows into {ARTIFACT}")

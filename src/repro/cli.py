@@ -7,10 +7,8 @@ Commands
 - ``simulate --model {alexnet,vgg16}`` — run the accelerator simulator on a
   calibrated synthetic workload and print the per-layer report.
 - ``explore --model {alexnet,vgg16}`` — run the design-space exploration
-  flow and print the chosen configuration; with ``--trials K`` it runs the
-  adaptive joint-space study instead (``--sampler tpe|random``,
-  ``--objectives a,b,...``, ``--study FILE`` persists the trial log as
-  JSONL and ``--resume`` continues a killed study bit-identically).
+  flow and print the chosen configuration, followed by the optimum of an
+  exhaustive search over the seven-axis joint space.
 - ``schemes --model {alexnet,vgg16}`` — print the per-layer heterogeneous
   scheme plan (chosen scheme, predicted cost/cycles, rationale) produced
   by :func:`repro.dse.schemes.plan_model_schemes`.
@@ -18,14 +16,17 @@ Commands
 - ``devices`` — list the FPGA device catalog (logic/DSP/M20K/bandwidth).
 - ``partition --model {alexnet,vgg16} --devices A,B`` — search
   layer-pipeline partitions across a heterogeneous device catalog
-  (exhaustive by default; ``--trials K`` runs the adaptive study) and
-  print the best pipelined plan against the replication baseline.
+  exhaustively and print the best pipelined plan against the replication
+  baseline.
 - ``serve-sim --model {lenet,cifarnet}`` — simulate batched serving across
   a pool of accelerator instances and print the latency/throughput report;
   ``--metrics-out FILE`` additionally records the run through
   :mod:`repro.telemetry` and writes the JSONL snapshot.
 - ``metrics`` — inspect, validate (``--check``) or convert
   (``--format prometheus``) an exported telemetry snapshot.
+
+Bad input (an unknown device name, an impossible shard count) prints one
+``error: ...`` line to stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ import sys
 from typing import List, Optional
 
 from .analysis.compare import render_comparisons
-from .dse.explorer import explore
+from .dse import default_joint_space, exhaustive_search, explore
 from .dse.roofline import RooflineModel
 from .hw.accelerator import AcceleratorSimulator
 from .hw.config import PAPER_CONFIG_ALEXNET, PAPER_CONFIG_VGG16
-from .hw.device import get_device
+from .hw.device import FPGADevice, get_device
 from .workloads.synthetic import synthetic_model_workload
 
 _EXPERIMENTS = (
@@ -54,6 +55,17 @@ _EXPERIMENTS = (
     "batch_bandwidth",
     "density_sweep",
 )
+
+
+class _UsageError(Exception):
+    """Bad command-line input; :func:`main` reports it and exits 2."""
+
+
+def _device(name: str) -> FPGADevice:
+    try:
+        return get_device(name)
+    except KeyError as error:
+        raise _UsageError(error.args[0]) from None
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -78,7 +90,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = PAPER_CONFIG_VGG16 if args.model == "vgg16" else PAPER_CONFIG_ALEXNET
-    device = get_device(args.device)
+    device = _device(args.device)
     workload = synthetic_model_workload(args.model, seed=args.seed)
     simulator = AcceleratorSimulator(config, device, use_cache=not args.no_cache)
     trace = None
@@ -86,7 +98,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from .hw.trace import TraceRecorder
 
         trace = TraceRecorder(capacity=args.trace_capacity)
-    result = simulator.simulate(workload, workers=args.workers, trace=trace)
+    result = simulator.simulate(workload, trace=trace)
     print(f"model: {args.model}   config: {config.describe()}")
     print(simulator.utilization_summary(result))
     print()
@@ -103,78 +115,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_explore_adaptive(args: argparse.Namespace) -> int:
-    from .dse.adaptive import OBJECTIVE_DIRECTIONS, run_study
-    from .dse.study import StudyError, parse_objectives
-
-    device = get_device(args.device)
-    workload = synthetic_model_workload(args.model, seed=args.seed)
-    try:
-        objectives = (
-            parse_objectives(args.objectives, OBJECTIVE_DIRECTIONS)
-            if args.objectives
-            else None
-        )
-        result = run_study(
-            [workload],
-            device,
-            trials=args.trials,
-            sampler=args.sampler,
-            seed=args.seed,
-            objectives=objectives,
-            path=args.study,
-            resume=args.resume,
-            batch=args.batch,
-        )
-    except StudyError as error:
-        print(f"error: {error}")
-        return 1
-    spec = result.study.spec
-    print(
-        f"adaptive exploration for {args.model} on {device.name} "
-        f"[sampler={spec.sampler} seed={spec.seed}]"
-    )
-    print(
-        f"  trials:              {result.sampled_trials} sampled, "
-        f"{len(result.study.trials)} total"
-    )
-    print(
-        f"  evaluated:           {result.evaluated_points} of "
-        f"{result.space_size} joint configurations "
-        f"({result.evaluated_fraction:.2%})"
-    )
-    print(f"  pareto front:        {len(result.front)} trials")
-    if result.best is None:
-        print("  no feasible configuration found")
-        return 1
-    params = result.best.params
-    print(
-        f"  best:                N_knl={params['n_knl']:g} "
-        f"S_ec={params['s_ec']:g} N_cu={params['n_cu']:g} "
-        f"N={params['n_share']:g} D_f={params['d_f']:g} "
-        f"D_w={params['d_w']:g} @{params['freq_mhz']:g} MHz"
-    )
-    for name, value in result.best.values.items():
-        print(f"    {name:<18} {value:.4g}")
-    if args.study:
-        print(f"  study file:          {args.study}")
-    return 0
-
-
 def _cmd_explore(args: argparse.Namespace) -> int:
-    if args.trials is not None:
-        return _cmd_explore_adaptive(args)
-    device = get_device(args.device)
+    device = _device(args.device)
     workload = synthetic_model_workload(args.model, seed=args.seed)
-    result = explore(
-        workload,
-        device,
-        workers=args.workers,
-        compiled=not args.reference,
-        seed=args.seed,
-    )
-    path = "reference (per-point)" if args.reference else "compiled (whole-grid)"
-    print(f"exploration for {args.model} on {device.name} [{path}]")
+    result = explore(workload, device, seed=args.seed)
+    print(f"exploration for {args.model} on {device.name}")
     print(f"  sharing factor N:    {result.n_share}")
     print(f"  optimal N_knl:       {result.chosen_n_knl}")
     print(f"  chosen config:       {result.chosen.describe()}")
@@ -197,11 +142,23 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             f"dsp {candidate.utilization.dsp:.0%} "
             f"mem {candidate.utilization.memory:.0%}"
         )
+    space = default_joint_space([workload])
+    best = exhaustive_search([workload], device, space=space)
+    params = best.params
+    print(f"joint-space optimum ({space.size:,} configurations, exhaustive):")
+    print(
+        f"  config:              N_knl={params['n_knl']:g} "
+        f"S_ec={params['s_ec']:g} N_cu={params['n_cu']:g} "
+        f"N={params['n_share']:g} D_f={params['d_f']:g} "
+        f"D_w={params['d_w']:g} @{params['freq_mhz']:g} MHz"
+    )
+    for name, value in best.values.items():
+        print(f"  {name + ':':<20} {value:.4g}")
     return 0
 
 
 def _cmd_roofline(args: argparse.Namespace) -> int:
-    device = get_device(args.device)
+    device = _device(args.device)
     print(RooflineModel(device, freq_mhz=args.freq).render())
     return 0
 
@@ -226,14 +183,15 @@ def _cmd_devices(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    from .dse.partition import partition_study, search_partitions
+    from .dse.partition import search_partitions
     from .shard.link import LinkModel
 
     device_names = [name.strip() for name in args.devices.split(",") if name.strip()]
     if not device_names:
-        print("error: --devices needs at least one device name", file=sys.stderr)
-        return 2
-    devices = [get_device(name) for name in device_names]
+        raise _UsageError("--devices needs at least one device name")
+    if args.shards is not None and args.shards < 1:
+        raise _UsageError(f"--shards must be >= 1, got {args.shards}")
+    devices = [_device(name) for name in device_names]
     workload = synthetic_model_workload(
         args.model,
         seed=args.seed,
@@ -245,37 +203,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         latency_s=args.link_latency_us * 1e-6,
         name="cli-link",
     )
-    if args.trials is not None:
-        result = partition_study(
-            workload,
-            devices,
-            n_shards=args.shards or 2,
-            trials=args.trials,
-            sampler=args.sampler,
-            seed=args.seed,
-            link=link,
-            path=args.study,
-            resume=args.resume,
-        )
-        study = result.study
-        print(
-            f"partition study for {args.model} over "
-            f"{', '.join(device_names)}: {result.sampled_trials} trials "
-            f"sampled of a {result.space_size}-point space"
-        )
-        if result.best is None:
-            print("no feasible pipelined deployment found")
-            return 1
-        print(f"best: {result.best.describe()}")
-        print(
-            f"replication baseline: "
-            f"{result.replication.total_ips:.1f} img/s"
-        )
-        print(
-            f"pareto front: {len(study.front.members)} members, "
-            f"{study.rounds_complete} rounds complete"
-        )
-        return 0
     result = search_partitions(
         workload,
         devices,
@@ -291,7 +218,7 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
     from .dse.schemes import plan_model_schemes
 
     config = PAPER_CONFIG_VGG16 if args.model == "vgg16" else PAPER_CONFIG_ALEXNET
-    device = get_device(args.device)
+    device = _device(args.device)
     workload = synthetic_model_workload(
         args.model,
         seed=args.seed,
@@ -351,7 +278,7 @@ def _cmd_system(args: argparse.Namespace) -> int:
         get_architecture(args.model),
         synthetic_model_workload(args.model, seed=args.seed),
         config,
-        get_device(args.device),
+        _device(args.device),
         host_ops_per_second=args.host_gops * 1e9,
     )
     print(f"pipelined CPU/FPGA system — {args.model}")
@@ -414,7 +341,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         pipeline,
         architecture.accelerated_specs(),
         args.workers if args.engine == "threads" else 1,
-        device=get_device(args.device),
+        device=_device(args.device),
         cache=cache,
     )
     policy = BatchPolicy(
@@ -701,8 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--device", default="Stratix-V GXA7")
     p_sim.add_argument("--no-cache", action="store_true",
                        help="bypass the layer-simulation result cache")
-    p_sim.add_argument("--workers", type=int, default=None,
-                       help="parallel layer-simulation processes")
     p_sim.add_argument("--trace", action="store_true",
                        help="record per-task scheduler events (serial, uncached)")
     p_sim.add_argument("--trace-capacity", type=int, default=None,
@@ -712,26 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse = sub.add_parser("explore", help="run design space exploration")
     p_dse.add_argument("--model", choices=("alexnet", "vgg16"), default="vgg16")
     p_dse.add_argument("--device", default="Stratix-V GXA7")
-    p_dse.add_argument("--reference", action="store_true",
-                       help="use the per-point reference evaluators instead "
-                            "of the compiled whole-grid fast path")
-    p_dse.add_argument("--workers", type=int, default=None,
-                       help="process-pool size (reference path only)")
-    p_dse.add_argument("--trials", type=int, default=None,
-                       help="run the adaptive joint-space study with this "
-                            "many sampled trials instead of the grid sweep")
-    p_dse.add_argument("--sampler", choices=("tpe", "random"), default="tpe",
-                       help="adaptive study sampler (default: tpe)")
-    p_dse.add_argument("--objectives", default=None,
-                       help="comma-separated study objectives; the first is "
-                            "the primary (default: throughput_gops,"
-                            "logic_util,dsp_util,mem_util,total_power_w)")
-    p_dse.add_argument("--study", default=None,
-                       help="persist the study as append-only JSONL here")
-    p_dse.add_argument("--resume", action="store_true",
-                       help="resume an existing --study file")
-    p_dse.add_argument("--batch", type=int, default=8,
-                       help="sampled trials per study round (default: 8)")
     p_dse.set_defaults(func=_cmd_explore)
 
     p_sch = sub.add_parser(
@@ -785,7 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_part.add_argument(
         "--shards", type=int, default=None,
-        help="max shard count (exhaustive) or exact count (--trials study)",
+        help="largest shard count to search, >= 1 "
+             "(default: the catalog size, capped at 3)",
     )
     p_part.add_argument("--link-gbs", type=float, default=6.0,
                         help="inter-shard link bandwidth in GB/s")
@@ -796,14 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--spatial-scale", type=float, default=1.0,
                         help="input-resolution multiplier")
     p_part.add_argument("--seed", type=int, default=1)
-    p_part.add_argument("--trials", type=int, default=None,
-                        help="run the adaptive partition study with this "
-                             "many sampled trials instead of exhaustion")
-    p_part.add_argument("--sampler", choices=("tpe", "random"), default="tpe")
-    p_part.add_argument("--study", default=None,
-                        help="persist the study as append-only JSONL here")
-    p_part.add_argument("--resume", action="store_true",
-                        help="resume an existing --study file")
     p_part.set_defaults(func=_cmd_partition)
 
     p_sys = sub.add_parser("system", help="pipelined CPU/FPGA system model")
@@ -893,7 +791,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

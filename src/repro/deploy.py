@@ -61,16 +61,14 @@ class DeployedModel:
         self,
         device: FPGADevice = STRATIX_V_GXA7,
         cache: bool = True,
-        workers: Optional[int] = None,
         trace: Optional["TraceRecorder"] = None,
     ) -> ModelSimResult:
         """Estimate the deployment's performance on a device.
 
         Routed through the process-wide layer-simulation result cache, so
         repeated deployments of the same workload (serve pools, DSE sweeps)
-        do not re-simulate; pass ``cache=False`` to bypass it. ``workers``
-        opts into parallel multi-layer simulation; ``trace`` forwards a
-        :class:`~repro.hw.trace.TraceRecorder` (traced runs are serial and
+        do not re-simulate; pass ``cache=False`` to bypass it. ``trace``
+        forwards a :class:`~repro.hw.trace.TraceRecorder` (traced runs are
         uncached, see :meth:`AcceleratorSimulator.simulate`).
 
         When a telemetry context is active the whole estimate runs under a
@@ -79,9 +77,9 @@ class DeployedModel:
         simulator = AcceleratorSimulator(self.config, device, use_cache=cache)
         telemetry = get_active()
         if telemetry is None:
-            return simulator.simulate(self.workload, workers=workers, trace=trace)
+            return simulator.simulate(self.workload, trace=trace)
         with telemetry.span("simulate", model=self.workload.name, device=device.name):
-            return simulator.simulate(self.workload, workers=workers, trace=trace)
+            return simulator.simulate(self.workload, trace=trace)
 
 
 def deploy(

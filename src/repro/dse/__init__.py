@@ -51,7 +51,6 @@ from .multi import (
     co_deployment_objectives,
     explore_joint,
 )
-from .parallel import map_jobs
 from .pareto import (
     FrontierSummary,
     nondominated_mask,
@@ -81,41 +80,22 @@ from .sensitivity import (
     resource_sensitivity,
 )
 
-# The study/adaptive layer sits above everything else in this package
-# (and repro.hw.power reaches back into repro.dse.bandwidth), so these
-# imports must come last to keep the import graph acyclic.
-from .study import (
-    Objective,
-    ParetoFront,
-    SearchSpace,
-    Study,
-    StudyError,
-    StudySpec,
-    TrialRecord,
-    parse_objectives,
-)
-from .adaptive import (
+# The joint-space search sits above everything else in this package (and
+# repro.hw.power reaches back into repro.dse.bandwidth), so these imports
+# must come last to keep the import graph acyclic.
+from .joint_space import (
     DEFAULT_OBJECTIVES,
     JointEvaluator,
     OBJECTIVE_DIRECTIONS,
-    RandomSampler,
-    StudyResult,
-    TPESampler,
+    SearchSpace,
     default_joint_space,
     exhaustive_search,
-    make_sampler,
-    run_study,
 )
-
-# Partition search builds on both the compiled grid and the study layer.
 from .partition import (
     PartitionSearchResult,
-    PartitionStudyResult,
     ReplicationBaseline,
     clear_partition_cache,
     partition_cache_stats,
-    partition_space,
-    partition_study,
     replication_baseline,
     search_partitions,
 )
@@ -172,7 +152,6 @@ __all__ = [
     "SensitivityEntry",
     "SensitivityResult",
     "resource_sensitivity",
-    "map_jobs",
     "FrontierSummary",
     "pareto_frontier",
     "pareto_frontier_reference",
@@ -181,31 +160,16 @@ __all__ = [
     "co_deployment_objectives",
     "explore_joint",
     "nondominated_mask",
-    "Objective",
-    "ParetoFront",
     "SearchSpace",
-    "Study",
-    "StudyError",
-    "StudySpec",
-    "TrialRecord",
-    "parse_objectives",
     "DEFAULT_OBJECTIVES",
     "JointEvaluator",
     "OBJECTIVE_DIRECTIONS",
-    "RandomSampler",
-    "StudyResult",
-    "TPESampler",
     "default_joint_space",
     "exhaustive_search",
-    "make_sampler",
-    "run_study",
     "PartitionSearchResult",
-    "PartitionStudyResult",
     "ReplicationBaseline",
     "clear_partition_cache",
     "partition_cache_stats",
-    "partition_space",
-    "partition_study",
     "replication_baseline",
     "search_partitions",
 ]

@@ -28,9 +28,7 @@ Every element of the resulting grid is **float-identical** to what the
 per-point reference path (`sweep_nknl_reference`, `sweep_sec_ncu_reference`,
 `estimate_model`) produces for the corresponding configuration — the
 differential suite in ``tests/test_dse_compiled.py`` pins this point for
-point. The reference evaluators stay available for differential testing
-and for callers that want process-pool parallelism (``workers=`` is only
-useful on the reference path; the compiled path is array code).
+point. The reference evaluators stay as the differential-test oracles.
 """
 
 from __future__ import annotations
@@ -277,7 +275,7 @@ class CompiledWorkload:
 
         ``buffers`` overrides the per-``S_ec`` buffer sizing (one
         :class:`~repro.dse.explorer.BufferSizing` per ``s_ec_values``
-        entry) — the adaptive joint search uses this to sample ``d_f`` /
+        entry) — the joint-space search uses this to sweep ``d_f`` /
         ``d_w`` as free axes instead of deriving them. ``energy_model``
         selects the power coefficients (default
         :class:`~repro.hw.power.EnergyModel`).

@@ -34,7 +34,6 @@ from ..hw.workload import ModelWorkload
 from ..telemetry.caches import CacheStats, register_cache
 from .bandwidth import BandwidthReport, bandwidth_report
 from .compiled import compile_workload
-from .parallel import map_jobs
 from .performance import (
     MODE_QUANTIZED,
     ModelPerformance,
@@ -176,22 +175,6 @@ class NknlPoint:
     feasible: bool
 
 
-def _eval_nknl_point(job) -> Tuple[int, float, int, bool]:
-    """Evaluate one N_knl sweep point: (n_knl, perf, logic, feasible).
-
-    Module-level so :func:`repro.dse.parallel.map_jobs` can ship it to a
-    process pool; the relative boost is derived afterwards because it
-    depends on the sweep's first point.
-    """
-    workload, resources, config, device, logic_limit = job
-    perf = estimate_model(workload, config, mode=MODE_QUANTIZED).throughput_gops
-    estimate = resources.estimate(config)
-    feasible = True
-    if device is not None:
-        feasible = estimate.utilization(device).fits(logic_limit)
-    return config.n_knl, perf, estimate.alms, feasible
-
-
 def sweep_nknl_reference(
     workload: ModelWorkload,
     resources: ResourceModel,
@@ -202,16 +185,13 @@ def sweep_nknl_reference(
     freq_mhz: float = 200.0,
     logic_limit: float = 0.75,
     n_knl_range: Sequence[int] = tuple(range(2, 25)),
-    workers: Optional[int] = None,
 ) -> List[NknlPoint]:
     """Per-point reference for :func:`sweep_nknl` (differential baseline).
 
-    Evaluates every N_knl with the scalar `estimate_model` path. ``workers``
-    fans the point evaluations out over a process pool; results are
-    identical and identically ordered for any worker count.
+    Evaluates every N_knl with the scalar `estimate_model` path.
     """
     buffers = size_buffers(workload, s_ec)
-    jobs = []
+    raw = []
     for n_knl in n_knl_range:
         config = AcceleratorConfig(
             n_cu=n_cu,
@@ -223,8 +203,12 @@ def sweep_nknl_reference(
             d_q=buffers.d_q,
             freq_mhz=freq_mhz,
         )
-        jobs.append((workload, resources, config, device, logic_limit))
-    raw = map_jobs(_eval_nknl_point, jobs, workers)
+        perf = estimate_model(workload, config, mode=MODE_QUANTIZED).throughput_gops
+        estimate = resources.estimate(config)
+        feasible = True
+        if device is not None:
+            feasible = estimate.utilization(device).fits(logic_limit)
+        raw.append((n_knl, perf, estimate.alms, feasible))
     return _nknl_points_from_raw(raw)
 
 
@@ -259,8 +243,6 @@ def sweep_nknl(
     freq_mhz: float = 200.0,
     logic_limit: float = 0.75,
     n_knl_range: Sequence[int] = tuple(range(2, 25)),
-    workers: Optional[int] = None,
-    compiled: bool = True,
 ) -> List[NknlPoint]:
     """Figure 6: normalized performance boost across N_knl.
 
@@ -270,25 +252,10 @@ def sweep_nknl(
     sweep from above: at S_ec=20, N=4, N_cu=3 the GXA7's 256 DSPs admit at
     most N_knl=15.
 
-    The sweep runs on the compiled whole-grid evaluator by default
-    (:mod:`repro.dse.compiled`), point-for-point float-identical to the
-    per-point path; ``compiled=False`` selects
-    :func:`sweep_nknl_reference`, where ``workers`` fans points over a
-    process pool (the compiled path is array code and ignores it).
+    The sweep runs on the compiled whole-grid evaluator
+    (:mod:`repro.dse.compiled`), point-for-point float-identical to
+    :func:`sweep_nknl_reference`.
     """
-    if not compiled:
-        return sweep_nknl_reference(
-            workload,
-            resources,
-            n_share,
-            device=device,
-            n_cu=n_cu,
-            s_ec=s_ec,
-            freq_mhz=freq_mhz,
-            logic_limit=logic_limit,
-            n_knl_range=n_knl_range,
-            workers=workers,
-        )
     evaluation = compile_workload(workload, n_share).evaluate_grid(
         resources,
         device=device,
@@ -337,22 +304,6 @@ class GridPoint:
         return self.config.n_cu
 
 
-def _eval_grid_point(job) -> GridPoint:
-    """Evaluate one (S_ec, N_cu) grid point (module-level for map_jobs)."""
-    workload, device, resources, config, logic_limit = job
-    estimate = resources.estimate(config)
-    utilization = estimate.utilization(device)
-    feasible = utilization.fits(logic_limit)
-    perf = estimate_model(workload, config, mode=MODE_QUANTIZED)
-    return GridPoint(
-        config=config,
-        throughput_gops=perf.throughput_gops,
-        resources=estimate,
-        utilization=utilization,
-        feasible=feasible,
-    )
-
-
 def sweep_sec_ncu_reference(
     workload: ModelWorkload,
     device: FPGADevice,
@@ -363,14 +314,12 @@ def sweep_sec_ncu_reference(
     logic_limit: float = 0.75,
     s_ec_range: Sequence[int] = tuple(range(4, 33, 2)),
     n_cu_range: Sequence[int] = tuple(range(1, 7)),
-    workers: Optional[int] = None,
 ) -> List[GridPoint]:
     """Per-point reference for :func:`sweep_sec_ncu` (differential baseline).
 
-    ``workers`` fans the grid out over a process pool; point order (N_cu
-    outer, S_ec inner) and values are identical for any worker count.
+    Point order is N_cu outer, S_ec inner.
     """
-    jobs = []
+    points = []
     for n_cu in n_cu_range:
         for s_ec in s_ec_range:
             buffers = size_buffers(workload, s_ec)
@@ -384,8 +333,20 @@ def sweep_sec_ncu_reference(
                 d_q=buffers.d_q,
                 freq_mhz=freq_mhz,
             )
-            jobs.append((workload, device, resources, config, logic_limit))
-    return map_jobs(_eval_grid_point, jobs, workers)
+            estimate = resources.estimate(config)
+            utilization = estimate.utilization(device)
+            points.append(
+                GridPoint(
+                    config=config,
+                    throughput_gops=estimate_model(
+                        workload, config, mode=MODE_QUANTIZED
+                    ).throughput_gops,
+                    resources=estimate,
+                    utilization=utilization,
+                    feasible=utilization.fits(logic_limit),
+                )
+            )
+    return points
 
 
 def sweep_sec_ncu(
@@ -398,30 +359,13 @@ def sweep_sec_ncu(
     logic_limit: float = 0.75,
     s_ec_range: Sequence[int] = tuple(range(4, 33, 2)),
     n_cu_range: Sequence[int] = tuple(range(1, 7)),
-    workers: Optional[int] = None,
-    compiled: bool = True,
 ) -> List[GridPoint]:
     """Figure 7: attainable throughput across the S_ec x N_cu grid.
 
     Point order is N_cu outer, S_ec inner. The grid is scored by the
-    compiled whole-grid evaluator by default (float-identical to the
-    per-point path); ``compiled=False`` selects
-    :func:`sweep_sec_ncu_reference`, where ``workers`` fans points over a
-    process pool (the compiled path ignores it).
+    compiled whole-grid evaluator, float-identical to
+    :func:`sweep_sec_ncu_reference`.
     """
-    if not compiled:
-        return sweep_sec_ncu_reference(
-            workload,
-            device,
-            resources,
-            n_knl=n_knl,
-            n_share=n_share,
-            freq_mhz=freq_mhz,
-            logic_limit=logic_limit,
-            s_ec_range=s_ec_range,
-            n_cu_range=n_cu_range,
-            workers=workers,
-        )
     evaluation = compile_workload(workload, n_share).evaluate_grid(
         resources,
         device=device,
@@ -467,9 +411,7 @@ class ExplorationResult:
     chosen: AcceleratorConfig
     performance: ModelPerformance
     bandwidth: BandwidthReport
-    #: How the space was searched ('exhaustive' here; the adaptive flow
-    #: reports 'tpe' / 'random') and the seed that pins any randomness.
-    sampler: str = "exhaustive"
+    #: Seed of the (upstream-synthesized) workload, for provenance.
     seed: Optional[int] = None
     #: Per-layer heterogeneous scheme assignment for the chosen
     #: configuration (:func:`repro.dse.schemes.plan_model_schemes` on the
@@ -486,21 +428,14 @@ def explore(
     logic_limit: float = 0.75,
     preset_n_cu: int = 3,
     preset_s_ec: int = 20,
-    workers: Optional[int] = None,
-    compiled: bool = True,
     seed: Optional[int] = None,
 ) -> ExplorationResult:
     """Run the full exploration flow of Figure 5.
 
-    Both sweeps run on the compiled whole-grid evaluator by default;
-    ``compiled=False`` selects the per-point reference path, where
-    ``workers`` parallelizes the sweeps over a process pool. The chosen
-    configuration and every reported point are identical for any
-    combination of the two knobs.
-
-    The exhaustive flow has no internal randomness; ``seed`` records the
-    provenance of the (upstream-synthesized) workload in the result so
-    downstream reports can reproduce the run bit for bit.
+    Both sweeps run on the compiled whole-grid evaluator. The flow has no
+    internal randomness; ``seed`` records the provenance of the
+    (upstream-synthesized) workload in the result so downstream reports
+    can reproduce the run bit for bit.
     """
     n_share = share_factor_from_workloads(workload.layers)
     nknl_points = sweep_nknl(
@@ -512,8 +447,6 @@ def explore(
         s_ec=preset_s_ec,
         freq_mhz=freq_mhz,
         logic_limit=logic_limit,
-        workers=workers,
-        compiled=compiled,
     )
     n_knl = optimal_nknl(nknl_points)
     grid = sweep_sec_ncu(
@@ -524,8 +457,6 @@ def explore(
         n_share=n_share,
         freq_mhz=freq_mhz,
         logic_limit=logic_limit,
-        workers=workers,
-        compiled=compiled,
     )
     candidates = best_candidates(grid)
     if not candidates:
@@ -567,7 +498,6 @@ def explore(
         chosen=chosen,
         performance=performance,
         bandwidth=bandwidth,
-        sampler="exhaustive",
         seed=seed,
         scheme_plan=scheme_plan,
     )

@@ -55,8 +55,8 @@ class FrequencyModel:
     def fmax_mhz_array(self, logic_utilization: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`fmax_mhz` over a utilization array.
 
-        Element-for-element identical to the scalar method; the adaptive
-        joint search uses it to gate sampled clock frequencies against
+        Element-for-element identical to the scalar method; the joint-space
+        search uses it to gate candidate clock frequencies against
         congestion across whole evaluation grids at once.
         """
         util = np.asarray(logic_utilization, dtype=np.float64)

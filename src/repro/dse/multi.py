@@ -19,7 +19,7 @@ from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
 from ..hw.workload import ModelWorkload
 from .compiled import GridEvaluation, compile_workload
-from .explorer import size_buffers, sweep_sec_ncu_reference
+from .explorer import size_buffers
 from .performance import MODE_QUANTIZED, estimate_model, share_factor_from_workloads
 from .resources import DEFAULT_RESOURCE_MODEL, ResourceModel
 
@@ -51,10 +51,8 @@ class JointExplorationResult:
     best_single: Mapping[str, float]
     chosen: JointPoint
     candidates: Tuple[JointPoint, ...]
-    #: Provenance, mirroring :class:`repro.dse.explorer.ExplorationResult`:
-    #: how the joint grid was enumerated, and the seed if a sampler was
-    #: involved (the exhaustive sweep has none).
-    sampler: str = "exhaustive"
+    #: Workload seed, for provenance (mirrors
+    #: :class:`repro.dse.explorer.ExplorationResult`).
     seed: Optional[int] = None
 
     def render(self) -> str:
@@ -80,8 +78,8 @@ def co_deployment_objectives(
     worst case, so the combination is conservative elementwise:
     throughput is the minimum across workloads, power/utilization the
     maximum, efficiency the minimum, and a point is feasible only when it
-    is feasible for *every* workload. The adaptive joint search
-    (:mod:`repro.dse.adaptive`) scores multi-model studies through this
+    is feasible for *every* workload. The joint-space search
+    (:mod:`repro.dse.joint_space`) scores multi-model sets through this
     seam.
     """
     if not evaluations:
@@ -120,74 +118,44 @@ def _joint_grids(
     n_knl: int,
     freq_mhz: float,
     logic_limit: float,
-    workers: Optional[int],
-    compiled: bool,
 ) -> Tuple[List[AcceleratorConfig], List[np.ndarray], List[np.ndarray], np.ndarray]:
     """Per-model grids in sweep order (N_cu outer, S_ec inner).
 
     Returns the candidate configs (buffer depths sized for the *first*
     workload — the covering re-derivation happens after selection), one
     flat throughput array per model, one per-model feasibility array
-    (for solo bests), and the joint feasibility mask.
-
-    The compiled path runs the whole-grid evaluator per workload and
-    combines them through :func:`co_deployment_objectives`; the reference
-    path scores every point individually (``workers`` fans it over a
-    process pool) and reduces feasibility the same way — the differential
-    tests pin the two float-identical.
+    (for solo bests), and the joint feasibility mask. Each workload's
+    grid is scored by the compiled evaluator and the grids are combined
+    through :func:`co_deployment_objectives`.
     """
     flat = [
         (k, j)
         for k in range(len(_N_CU_VALUES))
         for j in range(len(_S_EC_VALUES))
     ]
-    if compiled:
-        evaluations = [
-            compile_workload(workload, n_share).evaluate_grid(
-                resources,
-                device=device,
-                n_knl_values=(n_knl,),
-                s_ec_values=_S_EC_VALUES,
-                n_cu_values=_N_CU_VALUES,
-                freq_mhz=freq_mhz,
-                logic_limit=logic_limit,
-            )
-            for workload in workloads
-        ]
-        combined = co_deployment_objectives(evaluations)
-        configs = [evaluations[0].config_at(0, j, k) for k, j in flat]
-        throughput = [
-            np.array([float(e.throughput_gops[0, j, k]) for k, j in flat])
-            for e in evaluations
-        ]
-        per_model = [
-            np.array([bool(e.feasible[0, j, k]) for k, j in flat])
-            for e in evaluations
-        ]
-        joint = np.array([bool(combined["feasible"][0, j, k]) for k, j in flat])
-        return configs, throughput, per_model, joint
-    grids = [
-        sweep_sec_ncu_reference(
-            workload,
-            device,
+    evaluations = [
+        compile_workload(workload, n_share).evaluate_grid(
             resources,
-            n_knl=n_knl,
-            n_share=n_share,
+            device=device,
+            n_knl_values=(n_knl,),
+            s_ec_values=_S_EC_VALUES,
+            n_cu_values=_N_CU_VALUES,
             freq_mhz=freq_mhz,
             logic_limit=logic_limit,
-            workers=workers,
         )
         for workload in workloads
     ]
-    configs = [point.config for point in grids[0]]
+    combined = co_deployment_objectives(evaluations)
+    configs = [evaluations[0].config_at(0, j, k) for k, j in flat]
     throughput = [
-        np.array([point.throughput_gops for point in grid]) for grid in grids
+        np.array([float(e.throughput_gops[0, j, k]) for k, j in flat])
+        for e in evaluations
     ]
     per_model = [
-        np.array([point.feasible for point in grid]) for grid in grids
+        np.array([bool(e.feasible[0, j, k]) for k, j in flat])
+        for e in evaluations
     ]
-    # Same reduction co_deployment_objectives applies to compiled grids.
-    joint = np.logical_and.reduce(per_model)
+    joint = np.array([bool(combined["feasible"][0, j, k]) for k, j in flat])
     return configs, throughput, per_model, joint
 
 
@@ -199,8 +167,6 @@ def explore_joint(
     freq_mhz: float = 200.0,
     logic_limit: float = 0.75,
     candidates: int = 5,
-    workers: Optional[int] = None,
-    compiled: bool = True,
     seed: Optional[int] = None,
 ) -> JointExplorationResult:
     """Pick one configuration serving every workload (max-min normalized).
@@ -211,10 +177,7 @@ def explore_joint(
 
     The S_ec x N_cu grid is scored per workload by the compiled
     whole-grid evaluator and combined through
-    :func:`co_deployment_objectives` by default; ``compiled=False``
-    selects the per-point reference path, where ``workers`` parallelizes
-    each grid over a process pool. The chosen point and candidate
-    ranking are identical either way. ``seed`` is pure provenance (the
+    :func:`co_deployment_objectives`. ``seed`` is pure provenance (the
     exhaustive sweep has no randomness), mirroring
     :class:`repro.dse.explorer.ExplorationResult`.
     """
@@ -231,7 +194,7 @@ def explore_joint(
     # each workload with that workload's own buffer sizing.
     configs, throughput_arrays, feasible_arrays, feasible_mask = _joint_grids(
         workloads, device, resources, n_share, n_knl, freq_mhz,
-        logic_limit, workers, compiled,
+        logic_limit,
     )
     best_single = {
         name: float(
@@ -306,6 +269,5 @@ def explore_joint(
         best_single=best_single,
         chosen=chosen,
         candidates=tuple(ranked[:candidates]),
-        sampler="exhaustive",
         seed=seed,
     )

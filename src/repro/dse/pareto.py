@@ -9,18 +9,17 @@ no more of *any* resource.
 The dominance test runs as one numpy broadcast per chunk of points
 (objective and resource matrices, a ≤/< mask reduction) — the pairwise
 Python path survives as :func:`pareto_frontier_reference` for
-differential testing and for the opt-in ``workers=`` process pool.
+differential testing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .explorer import GridPoint
-from .parallel import map_jobs
 
 
 def _dominates(a: GridPoint, b: GridPoint) -> bool:
@@ -40,21 +39,6 @@ def _dominates(a: GridPoint, b: GridPoint) -> bool:
     return no_worse and strictly_better
 
 
-def _survivors_chunk(
-    job: Tuple[Sequence[GridPoint], Sequence[GridPoint]]
-) -> List[bool]:
-    """Dominance mask for one chunk of points against the full feasible set.
-
-    Module-level so :func:`repro.dse.parallel.map_jobs` can ship the O(n^2)
-    pairwise checks to a process pool chunk by chunk.
-    """
-    chunk, feasible = job
-    return [
-        not any(_dominates(other, point) for other in feasible)
-        for point in chunk
-    ]
-
-
 def nondominated_mask(
     columns: Sequence[np.ndarray], directions: Sequence[str]
 ) -> np.ndarray:
@@ -66,8 +50,7 @@ def nondominated_mask(
     column and strictly better on one. Dominance is tested with one
     (candidates x chunk) mask reduction per chunk of points, so the
     pairwise matrices stay ~a few MB even on grids with tens of thousands
-    of points. The grid frontier (:func:`pareto_frontier`) and the
-    adaptive study front (:mod:`repro.dse.study`) share this test.
+    of points. The grid frontier (:func:`pareto_frontier`) uses this test.
     """
     if len(columns) != len(directions):
         raise ValueError("need one direction per objective column")
@@ -116,44 +99,23 @@ def _survivors_vectorized(feasible: Sequence[GridPoint]) -> np.ndarray:
     )
 
 
-def pareto_frontier_reference(
-    grid: Sequence[GridPoint], workers: Optional[int] = None
-) -> List[GridPoint]:
-    """Pairwise-Python reference for :func:`pareto_frontier`.
-
-    ``workers`` distributes the dominance checks over a process pool; the
-    frontier is identical for any worker count.
-    """
+def pareto_frontier_reference(grid: Sequence[GridPoint]) -> List[GridPoint]:
+    """Pairwise-Python reference for :func:`pareto_frontier`."""
     feasible = [point for point in grid if point.feasible]
-    if workers is None or workers <= 1:
-        survives = _survivors_chunk((feasible, feasible))
-    else:
-        chunk_size = max(1, -(-len(feasible) // (workers * 4)))
-        jobs = [
-            (feasible[lo : lo + chunk_size], feasible)
-            for lo in range(0, len(feasible), chunk_size)
-        ]
-        survives = [
-            keep for mask in map_jobs(_survivors_chunk, jobs, workers) for keep in mask
-        ]
-    frontier = [point for point, keep in zip(feasible, survives) if keep]
+    frontier = [
+        point
+        for point in feasible
+        if not any(_dominates(other, point) for other in feasible)
+    ]
     return sorted(frontier, key=lambda p: -p.throughput_gops)
 
 
-def pareto_frontier(
-    grid: Sequence[GridPoint],
-    workers: Optional[int] = None,
-    compiled: bool = True,
-) -> List[GridPoint]:
+def pareto_frontier(grid: Sequence[GridPoint]) -> List[GridPoint]:
     """Feasible, non-dominated points, sorted by throughput descending.
 
-    Dominance runs as a numpy broadcast by default, identical to the
-    pairwise reference for any grid; ``compiled=False`` selects
-    :func:`pareto_frontier_reference`, where ``workers`` distributes the
-    checks over a process pool (the vectorized path ignores it).
+    Dominance runs as a numpy broadcast, identical to
+    :func:`pareto_frontier_reference` for any grid.
     """
-    if not compiled:
-        return pareto_frontier_reference(grid, workers=workers)
     feasible = [point for point in grid if point.feasible]
     if not feasible:
         return []

@@ -17,14 +17,10 @@ every catalog device — a device that cannot fit the whole model
 contributes zero there, but can still carry a light shard in a pipeline,
 which is exactly where partitioned deployments win.
 
-Two search modes share one memoized evaluator (telemetry cache family
-``dse.partition``):
-
-- :func:`search_partitions` — exhaustive over contiguous cuts and
-  injective device assignments, exact for small shard counts;
-- :func:`partition_study` — the joint (cuts x assignment) space wired
-  into the adaptive TPE/study machinery of :mod:`repro.dse.study`, for
-  catalogs and depths where exhaustion stops being free.
+:func:`search_partitions` is exhaustive over contiguous cuts and
+injective device assignments; a memoized shard evaluator (telemetry
+cache family ``dse.partition``) collapses the product to one compiled
+grid per (layer slice, device).
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,28 +39,16 @@ from ..hw.workload import ModelWorkload
 from ..shard.link import DEFAULT_LINK, LinkModel
 from ..shard.plan import ModelPartition, ShardPlan, ShardSpec
 from ..telemetry.caches import CacheStats, register_cache
-from .adaptive import make_sampler
 from .compiled import compile_workload
 from .performance import share_factor_from_workloads
 from .resources import DEFAULT_RESOURCE_MODEL, ResourceModel
-from .study import (
-    ORIGIN_SAMPLED,
-    Objective,
-    SearchSpace,
-    Study,
-    StudySpec,
-    TrialRecord,
-)
 
 __all__ = [
     "PARTITION_CACHE_CAPACITY",
     "PartitionSearchResult",
-    "PartitionStudyResult",
     "ReplicationBaseline",
     "clear_partition_cache",
     "partition_cache_stats",
-    "partition_space",
-    "partition_study",
     "replication_baseline",
     "search_partitions",
 ]
@@ -308,7 +292,6 @@ class PartitionSearchResult:
     replication: ReplicationBaseline
     evaluated: int
     space_size: int
-    sampler: str = "exhaustive"
     seed: Optional[int] = None
 
     @property
@@ -321,7 +304,7 @@ class PartitionSearchResult:
         lines = [
             f"partition search for {self.model} over "
             f"{', '.join(d.name for d in self.devices)} "
-            f"({self.evaluated}/{self.space_size} points, {self.sampler})",
+            f"({self.evaluated}/{self.space_size} points, exhaustive)",
             f"best: {self.best.describe()}",
             f"replication baseline: {self.replication.total_ips:.1f} img/s "
             f"({', '.join(self.replication.feasible_devices) or 'no feasible device'})",
@@ -401,164 +384,6 @@ def search_partitions(
         replication=baseline,
         evaluated=evaluated,
         space_size=space_size,
-        sampler="exhaustive",
         seed=seed,
     )
 
-
-# ---------------------------------------------------------------------------
-# Adaptive study over the joint (cuts x assignment) space.
-# ---------------------------------------------------------------------------
-
-
-def partition_space(n_layers: int, n_devices: int, n_shards: int) -> SearchSpace:
-    """The joint categorical space of a fixed-shard-count partition study.
-
-    Axes ``cut1..cut{K-1}`` hold layer indices; ``device0..device{K-1}``
-    hold catalog indices. Orderings that are not strictly increasing (or
-    assignments that reuse a board) are scored infeasible rather than
-    excluded, keeping the space a plain product the samplers understand.
-    """
-    if n_shards < 2:
-        raise ValueError("a partition study needs at least 2 shards")
-    if n_shards > min(n_layers, n_devices):
-        raise ValueError(
-            f"{n_shards} shards do not fit {n_layers} layers on "
-            f"{n_devices} devices"
-        )
-    axes: List[Tuple[str, Tuple[float, ...]]] = []
-    cut_values = tuple(float(c) for c in range(1, n_layers))
-    for i in range(1, n_shards):
-        axes.append((f"cut{i}", cut_values))
-    device_values = tuple(float(d) for d in range(n_devices))
-    for i in range(n_shards):
-        axes.append((f"device{i}", device_values))
-    return SearchSpace(axes=tuple(axes))
-
-
-@dataclass(frozen=True)
-class PartitionStudyResult:
-    """Outcome of a sampled partition study."""
-
-    study: Study
-    best: Optional[ShardPlan]
-    replication: ReplicationBaseline
-    sampled_trials: int
-    space_size: int
-
-
-def partition_study(
-    workload: ModelWorkload,
-    devices: Sequence[FPGADevice],
-    n_shards: int = 2,
-    trials: int = 64,
-    sampler: str = "tpe",
-    seed: int = 1,
-    resources: ResourceModel = DEFAULT_RESOURCE_MODEL,
-    n_knl: int = 14,
-    freq_mhz: float = 200.0,
-    logic_limit: float = 0.75,
-    link: LinkModel = DEFAULT_LINK,
-    batch: int = 8,
-    path: Optional[str] = None,
-    resume: bool = False,
-) -> PartitionStudyResult:
-    """Sample the joint (cuts x assignment) space with the study machinery.
-
-    Objectives are pipeline throughput (primary, maximized) and fill
-    latency (minimized); the Pareto front and every trial persist through
-    the same append-only JSONL format as :func:`repro.dse.adaptive.run_study`,
-    with the same ``default_rng([seed, round])`` determinism, so studies
-    can be killed and resumed byte-identically.
-    """
-    n_layers = len(workload.layers)
-    space = partition_space(n_layers, len(devices), n_shards)
-    objectives = (
-        Objective("throughput_ips", "max"),
-        Objective("fill_latency_s", "min"),
-    )
-    spec = StudySpec(
-        name=f"partition:{workload.name}",
-        models=(workload.name,),
-        device="+".join(d.name for d in devices),
-        sampler=sampler,
-        seed=seed,
-        objectives=objectives,
-        space=space,
-        batch=batch,
-    )
-    if resume and path is not None:
-        study = Study.load(path, spec=spec)
-    else:
-        study = Study.create(spec, path)
-    sampler_obj = make_sampler(sampler)
-    seen: Set[Tuple[float, ...]] = {space.key(t.params) for t in study.trials}
-
-    def _evaluate(params: Mapping[str, float]) -> Tuple[Dict[str, float], bool]:
-        cuts = tuple(int(params[f"cut{i}"]) for i in range(1, n_shards))
-        picks = tuple(int(params[f"device{i}"]) for i in range(n_shards))
-        ordered = all(b > a for a, b in zip(cuts, cuts[1:]))
-        if not ordered or len(set(picks)) != len(picks):
-            return {}, False
-        plan = _plan_for(
-            workload, cuts, [devices[p] for p in picks], resources,
-            n_knl, freq_mhz, logic_limit, link,
-        )
-        if plan is None:
-            return {}, False
-        return (
-            {
-                "throughput_ips": plan.throughput_ips,
-                "fill_latency_s": plan.fill_latency_s,
-            },
-            True,
-        )
-
-    round_index = study.rounds_complete
-    while study.sampled_count() < trials:
-        rng = np.random.default_rng([seed, round_index])
-        count = min(batch, trials - study.sampled_count())
-        proposals = sampler_obj.propose(
-            space, study.trials, spec.primary, rng, count, seen
-        )
-        if not proposals:
-            break  # space exhausted
-        for params in proposals:
-            seen.add(space.key(params))
-            values, feasible = _evaluate(params)
-            study.append_trial(
-                TrialRecord(
-                    number=len(study.trials),
-                    round=round_index,
-                    origin=ORIGIN_SAMPLED,
-                    params=dict(params),
-                    values=values,
-                    feasible=feasible,
-                )
-            )
-        study.end_round(round_index, len(seen))
-        round_index += 1
-
-    best_trial = study.best("throughput_ips")
-    best_plan: Optional[ShardPlan] = None
-    if best_trial is not None:
-        cuts = tuple(
-            int(best_trial.params[f"cut{i}"]) for i in range(1, n_shards)
-        )
-        picks = [
-            devices[int(best_trial.params[f"device{i}"])]
-            for i in range(n_shards)
-        ]
-        best_plan = _plan_for(
-            workload, cuts, picks, resources, n_knl, freq_mhz, logic_limit, link
-        )
-    baseline = replication_baseline(
-        workload, devices, resources, n_knl, freq_mhz, logic_limit
-    )
-    return PartitionStudyResult(
-        study=study,
-        best=best_plan,
-        replication=baseline,
-        sampled_trials=study.sampled_count(),
-        space_size=space.size,
-    )

@@ -10,9 +10,7 @@ Layer results are memoized in a process-wide LRU keyed on (workload
 fingerprint, config, device bandwidth, policy): per-layer simulations are
 independent pure functions of those inputs, so DSE sweeps, repeated
 ``SystemRuntime``/serve deployments and the experiment suite stop
-re-simulating identical layers. ``simulate(..., workers=N)`` optionally
-fans uncached layers out over a process pool with deterministic result
-ordering.
+re-simulating identical layers.
 """
 
 from __future__ import annotations
@@ -118,15 +116,6 @@ def sim_cache_stats() -> Tuple[int, int]:
 
 
 register_cache("hw.sim", sim_cache_info)
-
-
-def _simulate_layer_job(
-    job: Tuple[LayerWorkload, AcceleratorConfig, float, str, bool]
-) -> LayerSimResult:
-    """Module-level worker so parallel jobs pickle cleanly."""
-    layer, config, bandwidth_gbs, policy, fast = job
-    memory = ExternalMemory(bandwidth_gbs=bandwidth_gbs, freq_mhz=config.freq_mhz)
-    return simulate_layer(layer, config, memory, policy=policy, fast=fast)
 
 
 @dataclass(frozen=True)
@@ -251,70 +240,37 @@ class AcceleratorSimulator:
     def simulate(
         self,
         workload: ModelWorkload,
-        workers: Optional[int] = None,
         trace: Optional["TraceRecorder"] = None,
     ) -> ModelSimResult:
-        """Run every layer and aggregate.
-
-        ``workers`` fans uncached layers out over a process pool
-        (``repro.dse.parallel.map_jobs``); results come back in layer order
-        either way, and cached layers are never re-simulated.
+        """Run every layer in order and aggregate; cached layers are
+        never re-simulated.
 
         ``trace`` captures per-task scheduler events into the given
-        :class:`~repro.hw.trace.TraceRecorder`. Traced runs are forced
-        serial and in-process and bypass the result cache in both
-        directions — trace events cannot come from a cache hit or cross a
-        process pool. The recorder's ``dropped`` count (ring-buffer
+        :class:`~repro.hw.trace.TraceRecorder`. Traced runs bypass the
+        result cache in both directions — trace events cannot come from a
+        cache hit. The recorder's ``dropped`` count (ring-buffer
         overflow) is published as the ``hw.trace.dropped`` gauge when a
         telemetry context is active.
         """
-        if trace is not None:
-            return self._simulate_traced(workload, trace)
+        cached = self.use_cache and trace is None
         layers = workload.layers
-        results: List[Optional[LayerSimResult]] = [None] * len(layers)
-        pending: List[int] = []
+        results: List[Optional[LayerSimResult]] = [
+            self._sim_cache_probe(layer) if cached else None for layer in layers
+        ]
         for index, layer in enumerate(layers):
-            cached = self._sim_cache_probe(layer) if self.use_cache else None
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append(index)
-        if pending:
-            from ..dse.parallel import map_jobs  # local: avoids import cycle
-
-            jobs = [
-                (layers[i], self.config, self.bandwidth_gbs, self.policy, self.fast)
-                for i in pending
-            ]
-            for index, result in zip(pending, map_jobs(_simulate_layer_job, jobs, workers)):
-                results[index] = result
-                if self.use_cache:
-                    _sim_cache_put(self._key(layers[index]), result)
-        return ModelSimResult(
-            model=workload.name,
-            config=self.config,
-            layers=tuple(results),
-            dense_ops=workload.dense_ops,
-        )
-
-    def _simulate_traced(
-        self, workload: ModelWorkload, trace: "TraceRecorder"
-    ) -> ModelSimResult:
-        results: List[LayerSimResult] = []
-        for layer in workload.layers:
-            memory = self._memory()
-            results.append(
-                simulate_layer(
+            if results[index] is None:
+                results[index] = simulate_layer(
                     layer,
                     self.config,
-                    memory,
+                    self._memory(),
                     policy=self.policy,
                     trace=trace,
                     fast=self.fast,
                 )
-            )
+                if cached:
+                    _sim_cache_put(self._key(layer), results[index])
         telemetry = get_active()
-        if telemetry is not None:
+        if trace is not None and telemetry is not None:
             telemetry.registry.gauge("hw.trace.dropped").set(trace.dropped)
             telemetry.registry.gauge("hw.trace.recorded").set(trace.recorded)
         return ModelSimResult(

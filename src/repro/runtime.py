@@ -77,7 +77,6 @@ class SystemRuntime:
         device: FPGADevice = STRATIX_V_GXA7,
         host_ops_per_second: float = DEFAULT_HOST_OPS_PER_SECOND,
         sim_cache: bool = True,
-        sim_workers: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         """``telemetry``, when given, makes every :meth:`infer` /
@@ -89,7 +88,6 @@ class SystemRuntime:
         self.device = device
         self.host_model = HostModel(ops_per_second=host_ops_per_second)
         self.sim_cache = sim_cache
-        self.sim_workers = sim_workers
         self.telemetry = telemetry
         self._simulation: Optional[ModelSimResult] = None
 
@@ -121,7 +119,7 @@ class SystemRuntime:
         """
         if self._simulation is None:
             self._simulation = self.deployed.simulate(
-                self.device, cache=self.sim_cache, workers=self.sim_workers
+                self.device, cache=self.sim_cache
             )
         return self._simulation
 

@@ -49,6 +49,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "optimal N_knl" in out
         assert "top candidates" in out
+        assert "joint-space optimum (279,450 configurations" in out
+        assert "throughput_gops:     983.7" in out
 
     def test_experiments_single(self, capsys):
         assert main(["experiments", "--only", "fig1"]) == 0
@@ -78,6 +80,27 @@ class TestCommands:
         assert "GOP/s aggregate" in out
         assert "model cache" in out
         assert "p95" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["explore", "--device", "nope"], "unknown device 'nope'"),
+            (["simulate", "--device", "nope"], "unknown device 'nope'"),
+            (["partition", "--devices", "Stratix-V GXA7,nope"],
+             "unknown device 'nope'"),
+            (["partition", "--devices", " , "], "--devices needs at least one"),
+            (["partition", "--shards", "0"], "--shards must be >= 1"),
+            (["partition", "--shards", "-2"], "--shards must be >= 1"),
+        ],
+    )
+    def test_bad_input_fails_cleanly(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message in lines[0]
 
     def test_encode_roundtrip(self, capsys, tmp_path):
         from repro.core import load_model

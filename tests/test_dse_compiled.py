@@ -22,8 +22,10 @@ from repro.dse import (
     estimate_model,
     explore,
     explore_joint,
+    optimal_nknl,
     pareto_frontier,
     pareto_frontier_reference,
+    share_factor_from_workloads,
     size_buffers,
     steps_total_closed_form,
     sweep_nknl,
@@ -81,23 +83,56 @@ class TestPaperWorkloadsIdentical:
         assert compiled == reference
 
     def test_explore_identical(self, vgg_workload):
-        compiled = explore(vgg_workload, STRATIX_V_GXA7)
-        reference = explore(vgg_workload, STRATIX_V_GXA7, compiled=False)
-        assert compiled.n_share == reference.n_share
-        assert compiled.chosen_n_knl == reference.chosen_n_knl
-        assert compiled.nknl_sweep == reference.nknl_sweep
-        assert compiled.grid == reference.grid
-        assert compiled.candidates == reference.candidates
-        assert compiled.chosen == reference.chosen
-        assert compiled.performance == reference.performance
+        result = explore(vgg_workload, STRATIX_V_GXA7)
+        assert result.n_share == share_factor_from_workloads(vgg_workload.layers)
+        nknl = sweep_nknl_reference(
+            vgg_workload,
+            DEFAULT_RESOURCE_MODEL,
+            result.n_share,
+            device=STRATIX_V_GXA7,
+        )
+        assert list(result.nknl_sweep) == nknl
+        assert result.chosen_n_knl == optimal_nknl(nknl)
+        grid = sweep_sec_ncu_reference(
+            vgg_workload,
+            STRATIX_V_GXA7,
+            DEFAULT_RESOURCE_MODEL,
+            n_knl=result.chosen_n_knl,
+            n_share=result.n_share,
+        )
+        assert list(result.grid) == grid
+        assert list(result.candidates) == best_candidates(grid)
+        best = best_candidates(grid)[0].config
+        assert (result.chosen.s_ec, result.chosen.n_cu) == (best.s_ec, best.n_cu)
+        assert result.performance == estimate_model(
+            vgg_workload, result.chosen, mode=MODE_QUANTIZED
+        )
 
     def test_explore_joint_identical(self, alexnet_workload, vgg_workload):
         workloads = [alexnet_workload, vgg_workload]
-        compiled = explore_joint(workloads, STRATIX_V_GXA7)
-        reference = explore_joint(workloads, STRATIX_V_GXA7, compiled=False)
-        assert compiled.chosen == reference.chosen
-        assert compiled.candidates == reference.candidates
-        assert compiled.best_single == reference.best_single
+        result = explore_joint(workloads, STRATIX_V_GXA7)
+        n_share = min(share_factor_from_workloads(w.layers) for w in workloads)
+        grids = {
+            w.name: sweep_sec_ncu_reference(
+                w, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=n_share
+            )
+            for w in workloads
+        }
+        for name, grid in grids.items():
+            assert result.best_single[name] == max(
+                p.throughput_gops for p in grid if p.feasible
+            )
+        # Every candidate's per-model figures are the reference grid's.
+        for candidate in result.candidates:
+            for name, grid in grids.items():
+                point = next(
+                    p
+                    for p in grid
+                    if (p.s_ec, p.n_cu)
+                    == (candidate.config.s_ec, candidate.config.n_cu)
+                )
+                assert point.feasible
+                assert candidate.throughput[name] == point.throughput_gops
 
     def test_best_candidates_identical(self, vgg_workload):
         grid = sweep_sec_ncu(
@@ -161,8 +196,11 @@ class TestDegenerateGrids:
     def test_all_infeasible_explore_raises_both_paths(self, alexnet_workload):
         with pytest.raises((RuntimeError, ValueError)):
             explore(alexnet_workload, TINY_DEVICE)
-        with pytest.raises((RuntimeError, ValueError)):
-            explore(alexnet_workload, TINY_DEVICE, compiled=False)
+        nknl = sweep_nknl_reference(
+            alexnet_workload, DEFAULT_RESOURCE_MODEL, n_share=4, device=TINY_DEVICE
+        )
+        with pytest.raises(ValueError):
+            optimal_nknl(nknl)
 
     def test_no_device_marks_everything_feasible(self, alexnet_workload):
         compiled = sweep_nknl(alexnet_workload, DEFAULT_RESOURCE_MODEL, n_share=4)

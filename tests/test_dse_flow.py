@@ -154,6 +154,10 @@ class TestExplorationFlow:
         assert result.performance.throughput_gops > 662  # beats FDConv [3]
         assert result.bandwidth.compute_bound
 
+    def test_explore_result_carries_seed(self, vgg_workload):
+        assert explore(vgg_workload, STRATIX_V_GXA7, seed=5).seed == 5
+        assert explore(vgg_workload, STRATIX_V_GXA7).seed is None
+
     def test_buffer_sizing_matches_paper_vgg(self, vgg_workload):
         """D_w=2048 and D_q=128 are the paper's VGG16 depths."""
         buffers = size_buffers(vgg_workload, s_ec=20)

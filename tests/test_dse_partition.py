@@ -3,9 +3,7 @@
 Pins the acceptance story of the partitioned-deployment PR: the
 exhaustive search finds a pipelined plan that *beats single-device
 replication* for a real (model, catalog) pair; the memoized shard
-evaluator keeps honest telemetry counters; and the adaptive study path
-shares the exact study/sampler determinism of repro.dse.adaptive
-(resume included).
+evaluator keeps honest telemetry counters.
 """
 
 import pytest
@@ -14,8 +12,6 @@ from repro.dse.partition import (
     PartitionSearchResult,
     clear_partition_cache,
     partition_cache_stats,
-    partition_space,
-    partition_study,
     replication_baseline,
     search_partitions,
 )
@@ -75,7 +71,6 @@ class TestExhaustiveSearch:
         assert result.evaluated == result.space_size
         rates = [plan.throughput_ips for plan in result.candidates]
         assert rates == sorted(rates, reverse=True)
-        assert result.sampler == "exhaustive"
 
     def test_single_device_degenerates_to_whole_model(self, alexnet_half):
         result = search_partitions(
@@ -140,101 +135,6 @@ class TestPartitionCache:
         assert second.hits > first.hits
 
 
-class TestPartitionSpace:
-    def test_axes_cover_cuts_and_devices(self):
-        space = partition_space(n_layers=8, n_devices=3, n_shards=2)
-        assert space.names == ("cut1", "device0", "device1")
-        assert space.size == 7 * 3 * 3
-
-    def test_rejects_impossible_shard_counts(self):
-        with pytest.raises(ValueError):
-            partition_space(n_layers=8, n_devices=3, n_shards=1)
-        with pytest.raises(ValueError):
-            partition_space(n_layers=2, n_devices=3, n_shards=3)
-
-
-class TestPartitionStudy:
-    def test_random_study_finds_a_feasible_plan(self, alexnet_half, tmp_path):
-        path = str(tmp_path / "study.jsonl")
-        result = partition_study(
-            alexnet_half,
-            [STRATIX_V_GXA7, STRATIX_V_GXA3],
-            n_shards=2,
-            trials=10,
-            sampler="random",
-            seed=5,
-            path=path,
-        )
-        assert result.sampled_trials == 10
-        assert result.best is not None
-        assert result.best.n_shards == 2
-        feasible = [t for t in result.study.trials if t.feasible]
-        assert feasible, "no feasible trial in 10 samples"
-        for trial in feasible:
-            assert set(trial.values) == {"throughput_ips", "fill_latency_s"}
-
-    def test_infeasible_combos_are_recorded_not_skipped(self, alexnet_half):
-        result = partition_study(
-            alexnet_half,
-            [STRATIX_V_GXA7, STRATIX_V_GXA3],
-            n_shards=2,
-            trials=16,
-            sampler="random",
-            seed=2,
-        )
-        # Duplicate-device assignments exist in the sampled space and must
-        # appear as infeasible trials with empty values.
-        infeasible = [t for t in result.study.trials if not t.feasible]
-        assert all(t.values == {} for t in infeasible)
-
-    def test_study_is_deterministic(self, alexnet_half):
-        runs = [
-            partition_study(
-                alexnet_half,
-                [STRATIX_V_GXA7, STRATIX_V_GXA3],
-                n_shards=2,
-                trials=8,
-                sampler="tpe",
-                seed=9,
-            )
-            for _ in range(2)
-        ]
-        a, b = (
-            [(t.params, t.values, t.feasible) for t in r.study.trials]
-            for r in runs
-        )
-        assert a == b
-
-    def test_resume_continues_without_resampling(self, alexnet_half, tmp_path):
-        path = str(tmp_path / "resume.jsonl")
-        first = partition_study(
-            alexnet_half,
-            [STRATIX_V_GXA7, STRATIX_V_GXA3],
-            n_shards=2,
-            trials=6,
-            sampler="random",
-            seed=3,
-            path=path,
-        )
-        resumed = partition_study(
-            alexnet_half,
-            [STRATIX_V_GXA7, STRATIX_V_GXA3],
-            n_shards=2,
-            trials=12,
-            sampler="random",
-            seed=3,
-            path=path,
-            resume=True,
-        )
-        assert resumed.sampled_trials == 12
-        # The first 6 trials are byte-identical to the original run.
-        for old, new in zip(first.study.trials, resumed.study.trials):
-            assert old.params == new.params
-            assert old.values == new.values
-        keys = [tuple(sorted(t.params.items())) for t in resumed.study.trials]
-        assert len(keys) == len(set(keys)), "resume re-sampled a point"
-
-
 class TestProvenance:
     def test_seed_field_round_trips(self, alexnet_half):
         result = search_partitions(
@@ -242,4 +142,3 @@ class TestProvenance:
         )
         assert isinstance(result, PartitionSearchResult)
         assert result.seed == 42
-        assert result.sampler == "exhaustive"

@@ -289,30 +289,6 @@ class TestSimResultCache:
         assert fast == reference
 
 
-class TestParallelSimulation:
-    def test_workers_match_serial(self, small_workload, config):
-        clear_sim_cache()
-        serial = AcceleratorSimulator(
-            config, STRATIX_V_GXA7, use_cache=False
-        ).simulate(small_workload)
-        parallel = AcceleratorSimulator(
-            config, STRATIX_V_GXA7, use_cache=False
-        ).simulate(small_workload, workers=2)
-        assert serial == parallel
-        # Deterministic ordering: layers come back in workload order.
-        assert [l.layer for l in parallel.layers] == [
-            w.spec.name for w in small_workload.layers
-        ]
-
-    def test_workers_fill_cache(self, small_workload, config):
-        clear_sim_cache()
-        AcceleratorSimulator(config, STRATIX_V_GXA7).simulate(
-            small_workload, workers=2
-        )
-        assert sim_cache_size() == len(small_workload.layers)
-        clear_sim_cache()
-
-
 # ---------------------------------------------------------------------------
 # bounded trace recorder
 # ---------------------------------------------------------------------------
