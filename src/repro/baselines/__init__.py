@@ -1,32 +1,19 @@
-"""Executable baseline convolution schemes and published accelerators.
+"""Baseline convolution schemes and published accelerators.
 
-Importing this package registers every built-in :class:`SchemeModel`
-(``sdconv``, ``fdconv``, ``spconv``, ``winograd2``, ``winograd4``,
-``spectral``) with the registry in :mod:`repro.core.schemes`; the ``abm``
-model registers with core itself.
+SDConv, SpConv and FDConv keep small functional references for the
+differential checks; Winograd and spectral are op-count and cycle models
+only. Importing this package registers every built-in
+:class:`SchemeModel` (``sdconv``, ``fdconv``, ``spconv``, ``winograd2``,
+``winograd4``, ``spectral``) with the registry in
+:mod:`repro.core.schemes`; the ``abm`` model registers with core itself.
 """
 
 from .fdconv import DEFAULT_OVERHEAD, DEFAULT_TILE, FDConvModel, OaAModel, fdconv2d
 from .published import PublishedAccelerator, get_baseline, published_accelerators
 from .sdconv import SDConvModel, SDConvResult, sdconv2d, sdconv_ops
 from .spconv import SpConvModel, SpConvResult, spconv2d, spconv_ops
-from .spectral import (
-    SpectralConvResult,
-    SpectralModel,
-    spectral_conv2d,
-    spectral_ops,
-    spectral_raw,
-    spectral_raw_from_plan,
-)
-from .winograd import (
-    WinogradConvResult,
-    WinogradModel,
-    winograd_conv2d,
-    winograd_ops,
-    winograd_raw,
-    winograd_raw_from_plan,
-    winograd_reduction,
-)
+from .spectral import SpectralModel, spectral_ops
+from .winograd import WinogradModel, winograd_ops, winograd_reduction
 
 __all__ = [
     "OaAModel",
@@ -45,17 +32,9 @@ __all__ = [
     "SpConvResult",
     "spconv2d",
     "spconv_ops",
-    "SpectralConvResult",
     "SpectralModel",
-    "spectral_conv2d",
     "spectral_ops",
-    "spectral_raw",
-    "spectral_raw_from_plan",
-    "WinogradConvResult",
     "WinogradModel",
-    "winograd_conv2d",
     "winograd_ops",
-    "winograd_raw",
-    "winograd_raw_from_plan",
     "winograd_reduction",
 ]

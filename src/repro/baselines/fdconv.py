@@ -111,15 +111,12 @@ class OaAModel:
 class FDConvModel:
     """OaA frequency-domain convolution as a :class:`SchemeModel`.
 
-    Model-only (``executable = False``): :func:`fdconv2d` is a single-image
-    functional baseline without group support; the batched executable
-    frequency-domain path is :mod:`repro.baselines.spectral`. This model
-    keeps [3]'s calibrated OaA reduction in prediction tables.
+    Keeps [3]'s calibrated OaA reduction in prediction tables;
+    :func:`fdconv2d` is the single-image functional baseline.
     """
 
     name = "fdconv"
     taxonomy = ConvScheme.FDCONV
-    executable = False
 
     def __init__(self, oaa: OaAModel = None) -> None:
         self.oaa = oaa if oaa is not None else OaAModel()
@@ -138,9 +135,6 @@ class FDConvModel:
         spec = workload.spec
         rate = self.oaa.reduction(spec.kernel, spec.stride)
         return spec.macs / (rate * config.total_multipliers)
-
-    def execution_cost(self, workload: "LayerWorkload") -> float:
-        return self.oaa.layer_ops(workload.spec) / 0.7
 
     def resource_overhead(self, config: "AcceleratorConfig") -> SchemeResources:
         return SchemeResources(alms=4000, dsps=24, m20ks=16)

@@ -68,17 +68,11 @@ def sdconv_ops(spec: LayerSpec) -> int:
 
 
 class SDConvModel:
-    """Dense MAC-array execution as a :class:`SchemeModel`.
-
-    Model-only (``executable = False``): the fused runtime's dense GEMM
-    *is* the ABM datapath, so a separate SDConv dispatch would be
-    redundant — the scheme exists for prediction tables and as the
-    taxonomy's normalization point.
-    """
+    """Dense MAC-array execution as a :class:`SchemeModel`: the
+    taxonomy's normalization point in prediction tables."""
 
     name = "sdconv"
     taxonomy = ConvScheme.SDCONV
-    executable = False
 
     def supports(self, spec: LayerSpec) -> bool:
         return True
@@ -92,9 +86,6 @@ class SDConvModel:
     ) -> float:
         """One MAC per shared multiplier per cycle — the 2*N_mac*F roof."""
         return workload.spec.macs / float(config.total_multipliers)
-
-    def execution_cost(self, workload: "LayerWorkload") -> float:
-        return 2.0 * workload.spec.macs
 
     def resource_overhead(self, config: "AcceleratorConfig") -> SchemeResources:
         return SchemeResources()

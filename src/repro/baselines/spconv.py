@@ -109,23 +109,12 @@ def spconv_ops(spec: LayerSpec, density: float) -> float:
     return 2.0 * spec.macs * density
 
 
-#: Software efficiency of the gather-based zero-skipping path relative to a
-#: dense BLAS GEMM — irregular column gathers run far below GEMM rate,
-#: which is why pruned-weight savings rarely show up as wall time on CPUs.
-EXECUTION_EFFICIENCY = 0.35
-
-
 class SpConvModel:
-    """Zero-skipping sparse convolution as a :class:`SchemeModel`.
-
-    Model-only (``executable = False``): the functional :func:`spconv2d`
-    exists for differential checks, but its per-kernel gather loop is not a
-    batched fast path the fused runtime should ever pick.
-    """
+    """Zero-skipping sparse convolution as a :class:`SchemeModel`; the
+    functional :func:`spconv2d` exists for differential checks."""
 
     name = "spconv"
     taxonomy = ConvScheme.SPCONV
-    executable = False
 
     def supports(self, spec: LayerSpec) -> bool:
         return True
@@ -143,9 +132,6 @@ class SpConvModel:
             * workload.density
             / float(config.total_multipliers)
         )
-
-    def execution_cost(self, workload: "LayerWorkload") -> float:
-        return spconv_ops(workload.spec, workload.density) / EXECUTION_EFFICIENCY
 
     def resource_overhead(self, config: "AcceleratorConfig") -> SchemeResources:
         return SchemeResources()

@@ -1,33 +1,19 @@
-"""Spectral (FFT) convolution as an executable per-layer scheme.
+"""Spectral (full-map FFT) convolution as a scheme model.
 
 Where :mod:`repro.baselines.fdconv` keeps the single-image functional
-baseline and the OaA reduction *model*, this module promotes the
-frequency-domain idea (SPEC2-style) to a batched fast path the fused model
-plan can dispatch to: full-map rfft2 of the padded batch, channel reduction
-in the frequency domain (one einsum per group), irfft2, valid-crop plus
-stride decimation. Kernel FFTs are cached per compiled layer plan (LRU,
-telemetry family ``baselines.spectral``) so a layer pays its weight
-transform once, like the Winograd kernel transforms.
-
-Numerics: the frequency domain is inherently float, so spectral raw sums
-carry FFT round-off (~1e-12 relative). On integer codes the true sums are
-integers, and at 8-bit magnitudes the absolute error is far below 0.5 —
-consumers round to the nearest integer before the requantize epilogue and
-recover the exact spatial result. The differential suite pins this.
+FFT baseline and the OaA reduction *model* of Table 2's FDConv designs,
+this module models SPEC2-style full-map FFT convolution as one more
+per-layer scheme: analytic op counts (forward rfft2 of every input
+channel, the frequency-domain channel reduction, inverse rfft2 of every
+output channel), the cycle prediction on the shared multipliers, and the
+fabric of a shared FFT engine. It does not execute the scheme.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import weakref
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
-
-from ..core.abm import ConvGeometry
 from ..core.schemes import (
     ConvScheme,
     SchemeOps,
@@ -35,10 +21,8 @@ from ..core.schemes import (
     register_scheme_model,
 )
 from ..core.specs import LayerSpec
-from ..telemetry.caches import CacheStats, register_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.plan import LayerPlan
     from ..hw.config import AcceleratorConfig
     from ..hw.workload import LayerWorkload
 
@@ -66,8 +50,8 @@ def spectral_ops(spec: LayerSpec) -> SchemeOps:
 
     Three stages: forward rfft2 of every input channel, the frequency-domain
     complex multiply-accumulate over channel groups, and inverse rfft2 of
-    every output channel. Kernel FFTs amortize across the batch (cached per
-    plan) and are excluded, symmetrical to Winograd's cached ``U``.
+    every output channel. Kernel FFTs amortize across the batch and are
+    excluded, symmetrical to Winograd's kernel transform.
     """
     if not spectral_supported(spec):
         raise ValueError(f"{spec.name}: spectral needs a conv layer with K > 1")
@@ -88,256 +72,9 @@ def spectral_ops(spec: LayerSpec) -> SchemeOps:
     return SchemeOps(multiplies=multiplies, accumulates=accumulates)
 
 
-def spectral_kernel_fft(
-    weights: np.ndarray, fft_shape: Tuple[int, int]
-) -> np.ndarray:
-    """rfft2 of flipped (M, C, K, K) kernels -> (M, C, rows, cols//2 + 1).
-
-    Flipping turns the FFT's circular convolution into the cross-correlation
-    the spatial layers compute, matching :func:`repro.baselines.fdconv2d`.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 4:
-        raise ValueError(f"expected (M, C, K, K) weights, got {weights.shape}")
-    if weights.shape[2] > fft_shape[0] or weights.shape[3] > fft_shape[1]:
-        raise ValueError("kernel larger than the FFT frame")
-    return np.fft.rfft2(weights[:, :, ::-1, ::-1], s=fft_shape)
-
-
-def spectral_raw(
-    batch: np.ndarray,
-    geometry: ConvGeometry,
-    kernel_ffts: Sequence[np.ndarray],
-    bias_codes: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, int, int, int]:
-    """Batched spectral convolution producing raw float64 sums.
-
-    ``batch`` is (B, C, H, W) integer codes; ``kernel_ffts`` holds one
-    pre-transformed tensor per channel group, shaped
-    (group_out, C_g, H_p, W_p//2 + 1) for the padded map (H_p, W_p).
-    Returns ``(raw, images, out_rows, out_cols)`` with ``raw`` shaped
-    (M, B * out_rows * out_cols) kernel-major — the shared fused-epilogue
-    layout. The circular wraparound of the full-map FFT only touches the
-    first ``K - 1`` rows/columns, which the valid crop discards.
-    """
-    batch = np.asarray(batch)
-    if batch.ndim != 4:
-        raise ValueError(f"expected a BCHW batch, got shape {batch.shape}")
-    images, channels, rows, cols = batch.shape
-    k = geometry.kernel
-    stride = geometry.stride
-    pad = geometry.padding
-    groups = geometry.groups
-    if len(kernel_ffts) != groups:
-        raise ValueError(f"{len(kernel_ffts)} kernel FFTs for {groups} groups")
-    group_in = channels // groups
-    group_out = kernel_ffts[0].shape[0]
-    m_out = group_out * groups
-    rows_p = rows + 2 * pad
-    cols_p = cols + 2 * pad
-    out_rows = (rows_p - k) // stride + 1
-    out_cols = (cols_p - k) // stride + 1
-    if out_rows < 1 or out_cols < 1:
-        raise ValueError("convolution geometry does not fit the input")
-    expect = (group_out, group_in, rows_p, cols_p // 2 + 1)
-    work = np.asarray(batch, dtype=np.float64)
-    if pad:
-        work = np.pad(work, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    feature_fft = np.fft.rfft2(work, s=(rows_p, cols_p))
-    out = np.empty((m_out, images, out_rows, out_cols), dtype=np.float64)
-    for grp in range(groups):
-        u = kernel_ffts[grp]
-        if u.shape != expect:
-            raise ValueError(
-                f"group {grp}: kernel FFT shape {u.shape} != {expect}"
-            )
-        xg = feature_fft[:, grp * group_in : (grp + 1) * group_in]
-        product = np.einsum("bnrc,mnrc->bmrc", xg, u)
-        full = np.fft.irfft2(product, s=(rows_p, cols_p))
-        valid = full[
-            :,
-            :,
-            k - 1 : k - 1 + out_rows * stride : stride,
-            k - 1 : k - 1 + out_cols * stride : stride,
-        ]
-        out[grp * group_out : (grp + 1) * group_out] = valid.transpose(
-            1, 0, 2, 3
-        )
-    raw = out.reshape(m_out, images * out_rows * out_cols)
-    if bias_codes is not None:
-        raw += np.asarray(bias_codes, dtype=np.float64)[:, None]
-    return raw, images, out_rows, out_cols
-
-
-@dataclass(frozen=True)
-class SpectralConvResult:
-    """Output and analytic op count of a spectral convolution."""
-
-    output: np.ndarray
-    multiply_ops: int
-    accumulate_ops: int
-
-    @property
-    def total_ops(self) -> int:
-        return self.multiply_ops + self.accumulate_ops
-
-
-def spectral_conv2d(
-    feature_codes: np.ndarray,
-    weight_codes: np.ndarray,
-    geometry: ConvGeometry,
-    bias_codes: Optional[np.ndarray] = None,
-) -> SpectralConvResult:
-    """Spectral convolution of CHW integer codes with (M, C_g, K, K) weights.
-
-    Returns integer codes (FFT round-off removed by rounding to nearest),
-    numerically matching :func:`repro.core.abm.direct_conv2d_codes`.
-    """
-    features = np.asarray(feature_codes)
-    weights = np.asarray(weight_codes)
-    if features.ndim != 3 or weights.ndim != 4:
-        raise ValueError("expected CHW features and (M, C_g, K, K) weights")
-    groups = geometry.groups
-    m_out = weights.shape[0]
-    if m_out % groups:
-        raise ValueError("output channels must divide into groups")
-    group_out = m_out // groups
-    rows_p = features.shape[1] + 2 * geometry.padding
-    cols_p = features.shape[2] + 2 * geometry.padding
-    ffts = [
-        spectral_kernel_fft(
-            weights[g * group_out : (g + 1) * group_out], (rows_p, cols_p)
-        )
-        for g in range(groups)
-    ]
-    raw, _, out_rows, out_cols = spectral_raw(
-        features[None], geometry, ffts, bias_codes=bias_codes
-    )
-    output = np.rint(raw).astype(np.int64).reshape(m_out, out_rows, out_cols)
-    spec = LayerSpec(
-        name="spectral",
-        kind="conv",
-        in_channels=features.shape[0],
-        out_channels=m_out,
-        kernel=geometry.kernel,
-        stride=geometry.stride,
-        padding=geometry.padding,
-        groups=groups,
-        in_rows=features.shape[1],
-        in_cols=features.shape[2],
-        out_rows=out_rows,
-        out_cols=out_cols,
-    )
-    ops = spectral_ops(spec)
-    return SpectralConvResult(
-        output=output,
-        multiply_ops=int(round(ops.multiplies)),
-        accumulate_ops=int(round(ops.accumulates)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Kernel-FFT cache (per compiled layer plan).
-# ---------------------------------------------------------------------------
-
-FFT_CACHE_CAPACITY = 32
-
-_fft_cache: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
-_fft_refs: Dict[int, "weakref.ref"] = {}
-_fft_lock = threading.RLock()
-_fft_hits = 0
-_fft_misses = 0
-_fft_evictions = 0
-
-
-def _evict_ffts(plan_id: int) -> None:
-    global _fft_evictions
-    with _fft_lock:
-        _fft_refs.pop(plan_id, None)
-        for key in [k for k in _fft_cache if k[0] == plan_id]:
-            del _fft_cache[key]
-            _fft_evictions += 1
-
-
-def kernel_fft_for_plan(
-    plan: "LayerPlan", group: int, fft_shape: Tuple[int, int]
-) -> np.ndarray:
-    """The cached flipped-kernel rfft2 of one plan group at one frame size."""
-    global _fft_hits, _fft_misses
-    key = (id(plan), group, fft_shape)
-    with _fft_lock:
-        cached = _fft_cache.get(key)
-        if cached is not None:
-            _fft_cache.move_to_end(key)
-            _fft_hits += 1
-            return cached
-        _fft_misses += 1
-    u = spectral_kernel_fft(plan.dense_group_weights(group), fft_shape)
-    with _fft_lock:
-        global _fft_evictions
-        _fft_cache[key] = u
-        if id(plan) not in _fft_refs:
-            _fft_refs[id(plan)] = weakref.ref(plan)
-            weakref.finalize(plan, _evict_ffts, id(plan))
-        while len(_fft_cache) > FFT_CACHE_CAPACITY:
-            old_key, _ = _fft_cache.popitem(last=False)
-            _fft_evictions += 1
-            if not any(k[0] == old_key[0] for k in _fft_cache):
-                _fft_refs.pop(old_key[0], None)
-    return u
-
-
-def spectral_raw_from_plan(
-    plan: "LayerPlan",
-    batch: np.ndarray,
-    bias_codes: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, int, int, int]:
-    """Spectral execution of a compiled layer plan (cached kernel FFTs)."""
-    batch = np.asarray(batch)
-    pad = plan.geometry.padding
-    fft_shape = (batch.shape[2] + 2 * pad, batch.shape[3] + 2 * pad)
-    ffts = [
-        kernel_fft_for_plan(plan, g, fft_shape)
-        for g in range(plan.geometry.groups)
-    ]
-    return spectral_raw(batch, plan.geometry, ffts, bias_codes=bias_codes)
-
-
-def clear_fft_cache() -> None:
-    """Drop every cached kernel FFT (tests)."""
-    global _fft_hits, _fft_misses, _fft_evictions
-    with _fft_lock:
-        _fft_cache.clear()
-        _fft_refs.clear()
-        _fft_hits = 0
-        _fft_misses = 0
-        _fft_evictions = 0
-
-
-def fft_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the kernel-FFT cache (telemetry)."""
-    with _fft_lock:
-        return CacheStats(
-            hits=_fft_hits,
-            misses=_fft_misses,
-            evictions=_fft_evictions,
-            size=len(_fft_cache),
-            capacity=FFT_CACHE_CAPACITY,
-            name="baselines.spectral",
-        )
-
-
-register_cache("baselines.spectral", fft_cache_stats)
-
-
 # ---------------------------------------------------------------------------
 # Scheme model.
 # ---------------------------------------------------------------------------
-
-#: Software-efficiency factor relative to one dense BLAS GEMM: pocketfft's
-#: transforms and the einsum reduction run below GEMM arithmetic intensity.
-#: Calibrated against BENCH_schemes.json.
-EXECUTION_EFFICIENCY = 0.7
 
 #: Modeled fabric of one shared FFT engine (butterfly pipeline + twiddle
 #: ROMs + line buffers), SPEC2-style: a flat block, not per-CU.
@@ -349,7 +86,6 @@ class SpectralModel:
 
     name = "spectral"
     taxonomy = ConvScheme.FDCONV
-    executable = True
 
     def supports(self, spec: LayerSpec) -> bool:
         return spectral_supported(spec)
@@ -367,12 +103,6 @@ class SpectralModel:
         if not self.supports(spec):
             return math.inf
         return spectral_ops(spec).total_ops / (2.0 * config.total_multipliers)
-
-    def execution_cost(self, workload: "LayerWorkload") -> float:
-        spec = workload.spec
-        if not self.supports(spec):
-            return math.inf
-        return spectral_ops(spec).total_ops / EXECUTION_EFFICIENCY
 
     def resource_overhead(self, config: "AcceleratorConfig") -> SchemeResources:
         return _FFT_ENGINE

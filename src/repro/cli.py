@@ -9,9 +9,9 @@ Commands
 - ``explore --model {alexnet,vgg16}`` — run the design-space exploration
   flow and print the chosen configuration, followed by the optimum of an
   exhaustive search over the seven-axis joint space.
-- ``schemes --model {alexnet,vgg16}`` — print the per-layer heterogeneous
-  scheme plan (chosen scheme, predicted cost/cycles, rationale) produced
-  by :func:`repro.dse.schemes.plan_model_schemes`.
+- ``schemes --model {alexnet,vgg16}`` — print the per-layer scheme plan
+  (chosen scheme, predicted cycles, rationale) produced by
+  :func:`repro.dse.schemes.plan_model_schemes`.
 - ``roofline`` — print the Figure 1 roofline for a device.
 - ``devices`` — list the FPGA device catalog (logic/DSP/M20K/bandwidth).
 - ``partition --model {alexnet,vgg16} --devices A,B`` — search
@@ -25,8 +25,9 @@ Commands
 - ``metrics`` — inspect, validate (``--check``) or convert
   (``--format prometheus``) an exported telemetry snapshot.
 
-Bad input (an unknown device name, an impossible shard count) prints one
-``error: ...`` line to stderr and exits with status 2.
+Bad input (an unknown device name, an impossible shard count, a negative
+scheme margin) prints one ``error: ...`` line to stderr and exits with
+status 2.
 """
 
 from __future__ import annotations
@@ -225,15 +226,16 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
         scale=args.scale,
         spatial_scale=args.spatial_scale,
     )
-    plan = plan_model_schemes(
-        workload, config, device=device, basis=args.basis, margin=args.margin
-    )
+    try:
+        plan = plan_model_schemes(workload, config, device=device, margin=args.margin)
+    except ValueError as error:
+        raise _UsageError(str(error)) from None
     scaled = "" if args.scale == 1.0 and args.spatial_scale == 1.0 else (
         f" (scale {args.scale:g}, spatial {args.spatial_scale:g})"
     )
     print(f"per-layer scheme plan for {args.model} on {device.name}{scaled}")
     print(f"  config:   {config.describe()}")
-    print(f"  basis:    {plan.basis} (margin {plan.margin:.0%})")
+    print(f"  margin:   {plan.margin:.0%} fewer cycles than abm")
     print(f"  enabled:  {', '.join(plan.enabled) if plan.enabled else 'none'}")
     if plan.rejected:
         print(f"  rejected: {', '.join(plan.rejected)} (unit does not fit fabric)")
@@ -245,7 +247,7 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
     print()
     print(
         f"  {'layer':<10} {'shape':<24} {'scheme':<10} "
-        f"{'cost':>9} {'cycles':>9} {'gain':>6}  why"
+        f"{'cycles':>9} {'gain':>6}  why"
     )
     specs = {layer.spec.name: layer.spec for layer in workload.layers}
     for decision in plan.decisions:
@@ -260,8 +262,7 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
             )
         print(
             f"  {decision.layer:<10} {shape:<24} {decision.scheme:<10} "
-            f"{decision.chosen_cost / 1e6:8.1f}M "
-            f"{decision.cycles[decision.scheme] / 1e6:8.2f}M "
+            f"{decision.chosen_cycles / 1e6:8.2f}M "
             f"{decision.speedup:5.2f}x  {decision.reason}"
         )
     print()
@@ -640,16 +641,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.set_defaults(func=_cmd_explore)
 
     p_sch = sub.add_parser(
-        "schemes", help="print the per-layer heterogeneous scheme plan"
+        "schemes", help="print the per-layer scheme plan on predicted cycles"
     )
     p_sch.add_argument("--model", choices=("alexnet", "vgg16"), default="vgg16")
     p_sch.add_argument("--device", default="Stratix-V GXA7")
-    p_sch.add_argument(
-        "--basis",
-        choices=("execution", "cycles"),
-        default="execution",
-        help="ranking basis: software execution cost or accelerator cycles",
-    )
     p_sch.add_argument(
         "--margin",
         type=float,

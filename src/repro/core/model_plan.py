@@ -47,17 +47,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,8 +65,6 @@ from ..quant.fixed_point import QFormat
 from ..telemetry.caches import CacheStats, register_cache
 from ..telemetry.context import get_active
 from .plan import LayerPlan, code_peak, compile_layer_plan
-from .schemes import get_scheme_model
-from .specs import CONV, LayerSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.pipeline
     from ..pipeline import QuantizedPipeline
@@ -112,8 +100,6 @@ class _FusedStage:
         "conv_shape",
         "out_shape",
         "fused_names",
-        "scheme",
-        "_raw_fn",
     )
 
     def __init__(
@@ -130,8 +116,6 @@ class _FusedStage:
         conv_shape: FeatureShape,
         out_shape: FeatureShape,
         fused_names: Tuple[str, ...],
-        scheme: str = "abm",
-        raw_fn: Optional[Callable] = None,
     ) -> None:
         self.name = name
         self.plan = plan
@@ -151,54 +135,25 @@ class _FusedStage:
         # max|x| * max_k sum(|VAL|*NUM) + |bias|, so the float64 GEMM is
         # exact below 2**53 and the int64 fallback below 2**63; past that
         # the plan raises ExactnessError here, before any batch runs.
-        bias_peak = code_peak(bias_codes)
-        datapath = plan.datapath(self.input_peak, bias_peak)
-        #: What computes the raw sums: "gemm", "int64" or the scheme name.
-        self.datapath = datapath if scheme == "abm" else scheme
+        #: What computes the raw sums: "gemm" or "int64".
+        self.datapath = plan.datapath(self.input_peak, code_peak(bias_codes))
         self.conv_shape = conv_shape
         self.out_shape = out_shape
         self.fused_names = fused_names
-        self.scheme = scheme
-        self._raw_fn = raw_fn
-        if scheme == "winograd2":
-            # F(2x2,3x3) claims bit-exactness, so prove it like the GEMM
-            # bound: transform row sums bound every intermediate by
-            # 81 * C_g * max|x| * max|w| (+ bias), and the dyadic values
-            # (multiples of 1/4) need 2 extra mantissa bits -> 2**51.
-            wino_peak = (
-                81 * plan.group_in * self.input_peak * plan.weight_peak
-                + bias_peak
-            )
-            if wino_peak >= 2**51:
-                raise ValueError(
-                    f"{name}: winograd2 magnitude bound {wino_peak} >= 2**51; "
-                    "the F(2x2,3x3) path cannot guarantee exact sums here"
-                )
 
     def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
         batch = (
             current.reshape(current.shape[0], -1, 1, 1) if self.is_fc else current
         )
         channels = self.plan.out_channels
-        if self._raw_fn is not None:
-            raw, images, out_rows, out_cols = self._raw_fn(
-                batch, self.bias_codes
-            )
-            # Scheme fast paths return float64 sums with bounded round-off
-            # (zero for winograd2, < 0.5 otherwise); snap to the exact
-            # integer sums, then run the shared requantize epilogue.
-            np.rint(raw, out=raw)
-            scaled = raw  # scheme-owned fresh array: scale it in place
-            np.multiply(raw, self.factor, out=scaled)
+        raw, images, out_rows, out_cols = self.plan.execute_batch_raw(
+            batch, self.bias_codes, self.datapath
+        )
+        if self.datapath == "gemm":
+            scaled = raw  # plan-owned float scratch: scale it in place
         else:
-            raw, images, out_rows, out_cols = self.plan.execute_batch_raw(
-                batch, self.bias_codes, self.datapath
-            )
-            if self.datapath == "gemm":
-                scaled = raw  # plan-owned float scratch: scale it in place
-            else:
-                scaled = arena.float_a[: raw.size].reshape(raw.shape)
-            np.multiply(raw, self.factor, out=scaled)
+            scaled = arena.float_a[: raw.size].reshape(raw.shape)
+        np.multiply(raw, self.factor, out=scaled)
         # Requantize in the shared float scratch: one exact power-of-two
         # multiply, round half away from zero, clip (ReLU included).
         rounded = arena.float_b[: raw.size].reshape(raw.shape)
@@ -345,87 +300,13 @@ class _Arena:
         )
 
 
-def _resolve_scheme(
-    scheme: str,
-    name: str,
-    compiled,
-    plan: LayerPlan,
-    in_shape: FeatureShape,
-    conv_shape: FeatureShape,
-):
-    """Resolve a non-ABM scheme tag to (raw-sum producer, per-image ops).
-
-    Validates at compile time that the scheme exists, has a fused datapath,
-    and supports the layer's geometry — a bad assignment fails here with
-    the layer name, never mid-batch.
-    """
-    if compiled.is_fc:
-        raise ValueError(f"{name}: scheme {scheme!r} cannot execute an FC layer")
-    geometry = compiled.geometry
-    spec = LayerSpec(
-        name=name,
-        kind=CONV,
-        in_channels=in_shape.channels,
-        out_channels=conv_shape.channels,
-        kernel=geometry.kernel,
-        stride=geometry.stride,
-        padding=geometry.padding,
-        groups=geometry.groups,
-        in_rows=in_shape.rows,
-        in_cols=in_shape.cols,
-        out_rows=conv_shape.rows,
-        out_cols=conv_shape.cols,
-    )
-    model = get_scheme_model(scheme)
-    if not model.executable:
-        raise ValueError(f"{name}: scheme {scheme!r} has no fused datapath")
-    if not model.supports(spec):
-        raise ValueError(
-            f"{name}: scheme {scheme!r} does not support geometry "
-            f"K={spec.kernel} S={spec.stride} groups={spec.groups}"
-        )
-    if scheme in ("winograd2", "winograd4"):
-        from ..baselines.winograd import winograd_raw_from_plan
-
-        tile = int(scheme[len("winograd") :])
-
-        def raw_fn(batch, bias, _plan=plan, _tile=tile):
-            return winograd_raw_from_plan(_plan, batch, bias, tile=_tile)
-
-    elif scheme == "spectral":
-        from ..baselines.spectral import spectral_raw_from_plan
-
-        def raw_fn(batch, bias, _plan=plan):
-            return spectral_raw_from_plan(_plan, batch, bias)
-
-    else:  # pragma: no cover - registry and executables move together
-        raise ValueError(f"{name}: scheme {scheme!r} has no fused datapath")
-    from ..hw.workload import KernelWork, LayerWorkload
-
-    workload = LayerWorkload(
-        spec=spec,
-        kernels=tuple(KernelWork(0, 0) for _ in range(spec.out_channels)),
-        encoded_bytes=0,
-    )
-    return raw_fn, model.layer_ops(workload)
-
-
 class ModelPlan:
-    """A quantized network compiled for fused streaming execution.
-
-    ``schemes`` optionally maps accelerated layer names to the convolution
-    scheme executing them (``abm`` — the default — ``winograd2``,
-    ``winograd4`` or ``spectral``). Non-ABM stages swap only the raw-sum
-    producer; bias, requantize, ReLU and pooling fuse identically, and
-    numerics stay bit-exact with the reference path (winograd2 by the
-    compile-time magnitude proof, the float schemes by integer snapping).
-    """
+    """A quantized network compiled for fused streaming execution."""
 
     def __init__(
         self,
         pipeline: "QuantizedPipeline",
         batch_shape: Tuple[int, ...],
-        schemes: Optional[Mapping[str, str]] = None,
     ) -> None:
         if len(batch_shape) != 4:
             raise ValueError(f"expected a BCHW batch shape, got {batch_shape}")
@@ -443,11 +324,6 @@ class ModelPlan:
         self.batch_shape = tuple(int(s) for s in batch_shape)
         self.network_name = pipeline.network.name
         self.input_fmt = pipeline.input_fmt
-        self.schemes: Dict[str, str] = {
-            layer: scheme
-            for layer, scheme in (schemes or {}).items()
-            if scheme != "abm"
-        }
         self.stages: List[object] = []
         #: (layer name, accumulates, multiplies) per accelerated layer, in
         #: network order — the batch-total op counts are exact constants.
@@ -485,13 +361,6 @@ class ModelPlan:
                     fused.append(pool.name)
                     index += 1
                 out_shape = pool.output_shape(conv_shape) if pool else conv_shape
-                scheme = self.schemes.get(name, "abm")
-                raw_fn = None
-                scheme_ops = None
-                if scheme != "abm":
-                    raw_fn, scheme_ops = _resolve_scheme(
-                        scheme, name, compiled, plan, shape, conv_shape
-                    )
                 stage = _FusedStage(
                     name=name,
                     plan=plan,
@@ -505,27 +374,16 @@ class ModelPlan:
                     conv_shape=conv_shape,
                     out_shape=out_shape,
                     fused_names=tuple(fused),
-                    scheme=scheme,
-                    raw_fn=raw_fn,
                 )
                 self.stages.append(stage)
                 pixels = images * conv_shape.rows * conv_shape.cols
-                if scheme_ops is None:
-                    self.layer_ops.append(
-                        (
-                            name,
-                            plan.accumulates_per_pixel * pixels,
-                            plan.multiplies_per_pixel * pixels,
-                        )
+                self.layer_ops.append(
+                    (
+                        name,
+                        plan.accumulates_per_pixel * pixels,
+                        plan.multiplies_per_pixel * pixels,
                     )
-                else:
-                    self.layer_ops.append(
-                        (
-                            name,
-                            int(round(scheme_ops.accumulates)) * images,
-                            int(round(scheme_ops.multiplies)) * images,
-                        )
-                    )
+                )
                 high_water = max(high_water, images * conv_shape.size)
                 float_elements = max(float_elements, images * conv_shape.size)
                 fmt = compiled.output_fmt
@@ -549,15 +407,6 @@ class ModelPlan:
                 raise TypeError(f"pipeline cannot execute layer {layer!r}")
             high_water = max(high_water, images * shape.size)
             index += 1
-        accelerated = {
-            s.name for s in self.stages if isinstance(s, _FusedStage)
-        }
-        unknown = set(self.schemes) - accelerated
-        if unknown:
-            raise ValueError(
-                f"scheme assignment names layers the pipeline does not "
-                f"accelerate: {sorted(unknown)}"
-            )
         self.output_fmt = fmt
         self.output_shape = shape
         self.arena = _Arena(high_water, float_elements)
@@ -599,18 +448,10 @@ class ModelPlan:
         """One-line summary for logs and benchmarks."""
         fused = sum(1 for s in self.stages if isinstance(s, _FusedStage))
         host = sum(1 for s in self.stages if isinstance(s, _HostStage))
-        mix: Dict[str, int] = {}
-        for stage in self.stages:
-            if isinstance(stage, _FusedStage):
-                mix[stage.scheme] = mix.get(stage.scheme, 0) + 1
-        scheme_part = ""
-        if set(mix) - {"abm"}:
-            joined = ",".join(f"{k}:{v}" for k, v in sorted(mix.items()))
-            scheme_part = f", schemes={joined}"
         return (
             f"model_plan({self.network_name}: {len(self.stages)} stages, "
             f"{fused} fused, {host} host, batch={self.batch_shape}, "
-            f"arena={self.arena.nbytes / 1e6:.1f} MB{scheme_part})"
+            f"arena={self.arena.nbytes / 1e6:.1f} MB)"
         )
 
 
@@ -634,29 +475,17 @@ def _evict_model_plans(pipeline_id: int) -> None:
 def compile_model_plan(
     pipeline: "QuantizedPipeline",
     batch_shape: Tuple[int, ...],
-    schemes: Optional[Mapping[str, str]] = None,
 ) -> ModelPlan:
-    """The cached :class:`ModelPlan` for (pipeline, batch geometry, schemes).
+    """The cached :class:`ModelPlan` for (pipeline, batch geometry).
 
     Keyed on the pipeline's identity, its quantization token (bumped by
     ``prune``/``calibrate``/``quantize``, so a re-quantized pipeline never
-    reuses stale stages), the batch shape, and the canonicalized per-layer
-    scheme assignment; entries evict when the pipeline is garbage collected
-    or the LRU bound trips.  A compile miss records a ``fuse`` span under
-    the active telemetry.
+    reuses stale stages) and the batch shape; entries evict when the
+    pipeline is garbage collected or the LRU bound trips.  A compile miss
+    records a ``fuse`` span under the active telemetry.
     """
     global _model_plan_hits, _model_plan_misses
-    scheme_key = (
-        tuple(sorted((k, v) for k, v in schemes.items() if v != "abm"))
-        if schemes
-        else ()
-    )
-    key = (
-        id(pipeline),
-        pipeline.quantization_token,
-        tuple(batch_shape),
-        scheme_key,
-    )
+    key = (id(pipeline), pipeline.quantization_token, tuple(batch_shape))
     with _model_plan_lock:
         plan = _model_plan_cache.get(key)
         if plan is not None:
@@ -672,9 +501,9 @@ def compile_model_plan(
         with telemetry.span(
             "fuse", model=pipeline.network.name, batch=list(batch_shape)
         ):
-            plan = ModelPlan(pipeline, tuple(batch_shape), schemes=schemes)
+            plan = ModelPlan(pipeline, tuple(batch_shape))
     else:
-        plan = ModelPlan(pipeline, tuple(batch_shape), schemes=schemes)
+        plan = ModelPlan(pipeline, tuple(batch_shape))
     with _model_plan_lock:
         global _model_plan_evictions
         _model_plan_cache[key] = plan

@@ -235,17 +235,6 @@ class LayerPlan:
         """
         return self._max_weighted_sum
 
-    @property
-    def weight_peak(self) -> int:
-        """Largest |weight code| of the layer (max |VAL| over all Q-Tables).
-
-        Together with an input-magnitude bound this lets alternative scheme
-        datapaths (the fused plan's Winograd stages) prove their float64
-        intermediates exact at compile time, the same way
-        :attr:`max_weighted_sum` licenses the GEMM datapath.
-        """
-        return max((code_peak(group.seg_values) for group in self._groups), default=0)
-
     def datapath(self, input_peak: int, bias_peak: int = 0) -> str:
         """The exact datapath for inputs with ``|x| <= input_peak``.
 
@@ -263,17 +252,6 @@ class LayerPlan:
             f"{input_peak} x max weighted sum {self._max_weighted_sum} + bias "
             f"peak {bias_peak}) does not fit int64"
         )
-
-    def dense_group_weights(self, group: int) -> np.ndarray:
-        """One group's weight codes as float64 ``(group_out, C_g, K, K)``.
-
-        A reshaped view of the cached dense GEMM matrix — the tensor form
-        the Winograd/spectral scheme datapaths transform. For FC layers the
-        kernel extent is 1 and this degenerates to ``(out, in, 1, 1)``.
-        """
-        k = self.geometry.kernel
-        dense = self._groups[group].dense_weights(self.group_out, self.patch_width)
-        return dense.reshape(self.group_out, self.group_in, k, k)
 
     # ---- execution -------------------------------------------------------
 

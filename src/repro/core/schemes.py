@@ -13,25 +13,24 @@ accumulators. On a Stratix-V GXA7 at 200 MHz those roofs are 204.8, 675 and
 1046 GOP/s respectively — the three horizontal lines of Figure 1.
 
 Beyond the roofs, this module defines the :class:`SchemeModel` protocol
-that promotes each taxonomy class to a first-class *scheme* the per-layer
-planner (:mod:`repro.dse.schemes`) can compare and the fused model plan
-(:mod:`repro.core.model_plan`) can dispatch to. A scheme model answers, per
+that turns each taxonomy class into a *scheme* the per-layer planner
+(:mod:`repro.dse.schemes`) can compare. Schemes are models, not host
+datapaths: the host executes every conv/FC layer with ABM (one exact GEMM
+per channel group, :mod:`repro.core.plan`). A scheme model answers, per
 layer:
 
 - ``layer_ops``       — analytic multiply/accumulate counts (Table 1 axis);
 - ``layer_cycles``    — predicted accelerator cycles under a configuration
   (ABM uses the quantized Performance Model; MAC-array schemes retire one
-  MAC per shared multiplier per cycle, scaled by their reduction rate);
-- ``execution_cost``  — predicted work of the *software* fast path in
-  float-op equivalents, the quantity the streaming runtime's measured wall
-  time tracks (this is what per-layer execution planning ranks on);
-- ``resource_overhead`` — extra fabric the scheme's datapath needs next to
+  MAC per shared multiplier per cycle, scaled by their reduction rate) —
+  the quantity the planner ranks on;
+- ``resource_overhead`` — extra fabric the scheme's unit needs next to
   the base ABM design (transform adder trees, FFT butterflies), the shared
-  constraint the DSE charges before enabling a scheme.
+  constraint the planner charges before enabling a scheme.
 
-Implementations live with their executables: ``repro.baselines.sdconv`` /
-``fdconv`` / ``spconv`` / ``winograd`` / ``spectral``; the ABM model is
-defined here. Models self-register into a process-wide registry.
+Implementations live in ``repro.baselines.sdconv`` / ``fdconv`` /
+``spconv`` / ``winograd`` / ``spectral``; the ABM model is defined here.
+Models self-register into a process-wide registry.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ def abm_roof(n_acc: int, freq_mhz: float) -> ComputationalRoof:
 
 
 # ---------------------------------------------------------------------------
-# Scheme models: executable schemes with symmetric op/cycle/resource models.
+# Scheme models: symmetric op/cycle/resource models per scheme.
 # ---------------------------------------------------------------------------
 
 
@@ -128,17 +127,14 @@ class SchemeModel(Protocol):
 
     ``name`` is the registry key (``abm``, ``sdconv``, ``spconv``,
     ``fdconv``, ``winograd2``, ``winograd4``, ``spectral``); ``taxonomy``
-    maps it back to the Figure 1 class; ``executable`` says whether the
-    fused model plan has a real datapath for it (model-only schemes still
-    show up in predictions and tables).
+    maps it back to the Figure 1 class.
     """
 
     name: str
     taxonomy: ConvScheme
-    executable: bool
 
     def supports(self, spec: "LayerSpec") -> bool:
-        """Whether the scheme can execute this layer geometry at all."""
+        """Whether the scheme applies to this layer geometry at all."""
         ...
 
     def layer_ops(self, workload: "LayerWorkload") -> SchemeOps:
@@ -147,10 +143,6 @@ class SchemeModel(Protocol):
 
     def layer_cycles(self, workload: "LayerWorkload", config: "AcceleratorConfig") -> float:
         """Predicted accelerator cycles per image under ``config``."""
-        ...
-
-    def execution_cost(self, workload: "LayerWorkload") -> float:
-        """Predicted software fast-path work per image (float-op units)."""
         ...
 
     def resource_overhead(self, config: "AcceleratorConfig") -> SchemeResources:
@@ -201,16 +193,12 @@ class ABMSchemeModel:
     """The paper's own scheme, as a :class:`SchemeModel`.
 
     Op counts come straight from the encoded kernel statistics (Table 1's
-    measured columns), cycles from the quantized Performance Model, and the
-    software execution cost from the fused plan's dense float64 GEMM
-    datapath (2 float ops per dense MAC — the GEMM multiplies pruned zeros
-    too; that is precisely the headroom reduced-MAC schemes attack).
+    measured columns) and cycles from the quantized Performance Model.
     ABM is the base design, so its resource overhead is zero by definition.
     """
 
     name = "abm"
     taxonomy = ConvScheme.ABM_SPCONV
-    executable = True
 
     def supports(self, spec: "LayerSpec") -> bool:
         return True
@@ -225,9 +213,6 @@ class ABMSchemeModel:
         from ..dse.performance import MODE_QUANTIZED, estimate_layer
 
         return estimate_layer(workload, config, mode=MODE_QUANTIZED).cycles_per_image
-
-    def execution_cost(self, workload: "LayerWorkload") -> float:
-        return 2.0 * workload.spec.macs
 
     def resource_overhead(self, config: "AcceleratorConfig") -> SchemeResources:
         return SchemeResources()

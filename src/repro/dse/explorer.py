@@ -47,7 +47,6 @@ from .resources import (
     ResourceUtilization,
     next_power_of_two,
 )
-from .schemes import ModelSchemePlan, plan_model_schemes
 
 
 @dataclass(frozen=True)
@@ -413,11 +412,6 @@ class ExplorationResult:
     bandwidth: BandwidthReport
     #: Seed of the (upstream-synthesized) workload, for provenance.
     seed: Optional[int] = None
-    #: Per-layer heterogeneous scheme assignment for the chosen
-    #: configuration (:func:`repro.dse.schemes.plan_model_schemes` on the
-    #: execution basis), sharing the device's resource budget with the
-    #: chosen design point.
-    scheme_plan: Optional["ModelSchemePlan"] = None
 
 
 def explore(
@@ -479,13 +473,6 @@ def explore(
     bandwidth = bandwidth_report(
         workload, chosen, device, performance.images_per_second
     )
-    scheme_plan = plan_model_schemes(
-        workload,
-        chosen,
-        device=device,
-        resources=resources,
-        logic_limit=logic_limit,
-    )
     return ExplorationResult(
         model=workload.name,
         device=device,
@@ -499,5 +486,4 @@ def explore(
         performance=performance,
         bandwidth=bandwidth,
         seed=seed,
-        scheme_plan=scheme_plan,
     )

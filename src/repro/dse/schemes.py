@@ -1,29 +1,22 @@
-"""Per-layer heterogeneous scheme planning.
+"""Per-layer heterogeneous scheme planning on accelerator cycles.
 
 HPIPE-style layer heterogeneity for the ABM accelerator: every layer gets
-the convolution scheme that is best *for its shape*, chosen among the
-registered :class:`~repro.core.schemes.SchemeModel` implementations under
-a shared device-resource constraint. Two ranking bases exist because the
-two questions differ:
-
-- ``execution`` (default) ranks on :meth:`SchemeModel.execution_cost`, the
-  predicted work of each scheme's software fast path — the quantity the
-  streaming runtime's measured wall time tracks, and the basis
-  ``BENCH_schemes.json`` validates against. Winograd wins 3x3 stride-1
-  layers here (~2.25x fewer elementwise flops than the dense GEMM).
-- ``cycles`` ranks on :meth:`SchemeModel.layer_cycles`, the accelerator
-  cycle prediction. On paper-scale configurations ABM dominates this view
-  — the whole point of Figure 1: 840 logic accumulators outrun 210 shared
-  multipliers even after a 2.25-4x multiply reduction — so a cycles-basis
-  plan is typically homogeneous ABM, which is itself a faithful
-  reproduction of the paper's claim.
+the convolution scheme that is best *for its shape*, chosen among all
+registered :class:`~repro.core.schemes.SchemeModel` implementations on
+their predicted accelerator cycles (:meth:`SchemeModel.layer_cycles`)
+under a shared device-resource constraint. On paper-scale configurations
+ABM wins every layer — the whole point of Figure 1: 840 logic
+accumulators outrun 210 shared multipliers even after a 2.25-4x multiply
+reduction — so the plan for AlexNet and VGG16 on the Stratix-V GXA7 is
+homogeneous ABM, itself a faithful reproduction of the paper's claim.
+The plan is a prediction; the host executes every layer with ABM.
 
 Resource coupling: a non-ABM scheme may only be *enabled* (made available
 to any layer) if the base configuration's fabric estimate plus the scheme
 unit's modeled overhead still fits the device. Enablement is greedy by
 total predicted benefit, so the highest-value units claim the remaining
 fabric first — this is the shared constraint that makes scheme-per-layer
-a joint dimension of the DSE rather than a free post-processing step.
+a joint dimension of the design rather than a free post-processing step.
 """
 
 from __future__ import annotations
@@ -36,27 +29,23 @@ from ..core.schemes import (
     SchemeModel,
     SchemeResources,
     get_scheme_model,
+    scheme_model_names,
     scheme_models,
 )
 from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
-from ..hw.workload import LayerWorkload, ModelWorkload
+from ..hw.workload import ModelWorkload
 from .resources import DEFAULT_RESOURCE_MODEL, ResourceEstimate, ResourceModel
 
 __all__ = [
-    "BASIS_CYCLES",
-    "BASIS_EXECUTION",
     "ModelSchemePlan",
     "SchemeDecision",
     "plan_model_schemes",
 ]
 
-BASIS_EXECUTION = "execution"
-BASIS_CYCLES = "cycles"
-
 #: A challenger must beat ABM by this relative margin to displace it: the
-#: cost models are predictions, and flapping a layer onto a scheme for a
-#: 2% predicted win is how planners lose measured benchmarks.
+#: cycle models are predictions, and flapping a layer onto another unit
+#: for a 2% predicted win is not worth the fabric.
 DEFAULT_MARGIN = 0.1
 
 
@@ -66,27 +55,25 @@ class SchemeDecision:
 
     layer: str
     scheme: str
-    #: Basis cost of every candidate that supports the layer (always
-    #: includes ``abm``); lower is better.
-    costs: Mapping[str, float]
-    #: Predicted accelerator cycles per image of the same candidates.
+    #: Predicted accelerator cycles per image of every candidate that
+    #: supports the layer (always includes ``abm``); lower is better.
     cycles: Mapping[str, float]
     reason: str
 
     @property
-    def abm_cost(self) -> float:
-        return self.costs["abm"]
+    def abm_cycles(self) -> float:
+        return self.cycles["abm"]
 
     @property
-    def chosen_cost(self) -> float:
-        return self.costs[self.scheme]
+    def chosen_cycles(self) -> float:
+        return self.cycles[self.scheme]
 
     @property
     def speedup(self) -> float:
         """Predicted layer speedup of the choice over ABM (1.0 = kept ABM)."""
-        if self.chosen_cost <= 0:
+        if self.chosen_cycles <= 0:
             return 1.0
-        return self.abm_cost / self.chosen_cost
+        return self.abm_cycles / self.chosen_cycles
 
 
 @dataclass(frozen=True)
@@ -94,11 +81,10 @@ class ModelSchemePlan:
     """A per-layer scheme assignment for one model on one configuration."""
 
     model: str
-    basis: str
     margin: float
     decisions: Tuple[SchemeDecision, ...]
-    #: Non-ABM schemes whose datapath units fit the fabric next to the
-    #: base design (and were worth enabling).
+    #: Non-ABM schemes whose units fit the fabric next to the base design
+    #: (and were worth enabling).
     enabled: Tuple[str, ...]
     #: Total modeled fabric overhead of the enabled units.
     overhead: SchemeResources
@@ -106,19 +92,15 @@ class ModelSchemePlan:
     #: unit did not fit the remaining fabric.
     rejected: Tuple[str, ...] = ()
 
-    def assignment(self) -> Dict[str, str]:
-        """Layer -> scheme for every non-ABM choice (run_batch format)."""
-        return {d.layer: d.scheme for d in self.decisions if d.scheme != "abm"}
-
     @property
     def heterogeneous(self) -> bool:
         return any(d.scheme != "abm" for d in self.decisions)
 
     @property
     def predicted_speedup(self) -> float:
-        """Whole-model predicted speedup over ABM-only on the plan basis."""
-        abm = sum(d.abm_cost for d in self.decisions)
-        chosen = sum(d.chosen_cost for d in self.decisions)
+        """Whole-model predicted cycle speedup over ABM-only."""
+        abm = sum(d.abm_cycles for d in self.decisions)
+        chosen = sum(d.chosen_cycles for d in self.decisions)
         if chosen <= 0:
             return 1.0
         return abm / chosen
@@ -129,25 +111,9 @@ class ModelSchemePlan:
             mix[decision.scheme] = mix.get(decision.scheme, 0) + 1
         joined = ", ".join(f"{k}: {v}" for k, v in sorted(mix.items()))
         return (
-            f"{self.model}: {joined} (basis={self.basis}, predicted "
-            f"{self.predicted_speedup:.2f}x vs ABM-only)"
+            f"{self.model}: {joined} (predicted "
+            f"{self.predicted_speedup:.2f}x cycles vs ABM-only)"
         )
-
-
-def _candidate_cost(
-    model: SchemeModel,
-    layer: LayerWorkload,
-    config: AcceleratorConfig,
-    basis: str,
-) -> float:
-    if basis == BASIS_EXECUTION:
-        return float(model.execution_cost(layer))
-    if basis == BASIS_CYCLES:
-        return float(model.layer_cycles(layer, config))
-    raise ValueError(
-        f"unknown planning basis {basis!r}; use {BASIS_EXECUTION!r} or "
-        f"{BASIS_CYCLES!r}"
-    )
 
 
 def plan_model_schemes(
@@ -157,12 +123,10 @@ def plan_model_schemes(
     device: Optional[FPGADevice] = None,
     resources: ResourceModel = DEFAULT_RESOURCE_MODEL,
     logic_limit: float = 0.75,
-    basis: str = BASIS_EXECUTION,
     margin: float = DEFAULT_MARGIN,
-    executable_only: bool = True,
     schemes: Optional[Sequence[str]] = None,
 ) -> ModelSchemePlan:
-    """Choose the best scheme per layer under shared resource constraints.
+    """Choose the scheme with the fewest predicted cycles per layer.
 
     Parameters
     ----------
@@ -175,50 +139,52 @@ def plan_model_schemes(
         When given, non-ABM schemes are gated by fabric: the base estimate
         plus each enabled unit's overhead must keep fitting
         ``(logic <= logic_limit, dsp <= 1, memory <= 1)``. Without a
-        device, every profitable scheme is enabled (pure software view).
-    basis:
-        ``execution`` ranks on software fast-path cost (default),
-        ``cycles`` on accelerator cycle predictions.
+        device, every profitable scheme is enabled.
     margin:
-        Relative margin a challenger must beat ABM by per layer.
-    executable_only:
-        Restrict candidates to schemes the fused runtime can dispatch
-        (model-only schemes like ``sdconv``/``fdconv``/``spconv`` are then
-        prediction rows, never choices).
+        Relative margin (finite, >= 0) a challenger must beat ABM's
+        cycles by per layer.
     schemes:
-        Optional explicit candidate-name allowlist (``abm`` is implicit).
-    """
-    abm = get_scheme_model("abm")
-    candidates: List[SchemeModel] = []
-    for model in scheme_models():
-        if model.name == "abm":
-            continue
-        if schemes is not None and model.name not in schemes:
-            continue
-        if executable_only and not model.executable:
-            continue
-        candidates.append(model)
+        Optional candidate-name allowlist of registered schemes (``abm``
+        is implicit).
 
-    # Pass 1: per-layer costs of every supporting candidate.
-    layer_costs: List[Dict[str, float]] = []
+    Raises
+    ------
+    ValueError
+        On a negative or non-finite ``margin``, or an allowlist naming an
+        unregistered scheme.
+    """
+    margin = float(margin)
+    if not math.isfinite(margin) or margin < 0:
+        raise ValueError(f"margin must be a finite number >= 0, got {margin}")
+    if schemes is not None:
+        unknown = sorted(set(schemes) - set(scheme_model_names()))
+        if unknown:
+            raise ValueError(
+                f"unknown scheme(s) {', '.join(map(repr, unknown))}; "
+                f"registered: {', '.join(scheme_model_names())}"
+            )
+    abm = get_scheme_model("abm")
+    candidates: List[SchemeModel] = [
+        model
+        for model in scheme_models()
+        if model.name != "abm" and (schemes is None or model.name in schemes)
+    ]
+
+    # Pass 1: per-layer cycles of every supporting candidate.
     layer_cycles: List[Dict[str, float]] = []
     for layer in workload.layers:
-        costs = {"abm": _candidate_cost(abm, layer, config, basis)}
         cycles = {"abm": float(abm.layer_cycles(layer, config))}
         for model in candidates:
             if not model.supports(layer.spec):
                 continue
-            cost = _candidate_cost(model, layer, config, basis)
-            if not math.isfinite(cost):
-                continue
-            costs[model.name] = cost
-            cycles[model.name] = float(model.layer_cycles(layer, config))
-        layer_costs.append(costs)
+            predicted = float(model.layer_cycles(layer, config))
+            if math.isfinite(predicted):
+                cycles[model.name] = predicted
         layer_cycles.append(cycles)
 
     # Pass 2: greedy enablement by total benefit under the fabric budget.
-    # Each round, every not-yet-decided scheme is credited with the cost it
-    # would save over the *current* best (ABM plus already-enabled schemes)
+    # Each round, every not-yet-decided scheme is credited with the cycles
+    # it would save over the *current* best (ABM plus already-enabled schemes)
     # on layers where it also clears the margin against ABM; the biggest
     # saver is enabled if its unit fits the remaining fabric, otherwise
     # rejected — and the next round lets runner-up schemes claim the layers
@@ -233,16 +199,16 @@ def plan_model_schemes(
     undecided = set(by_name)
     while undecided:
         benefit: Dict[str, float] = {}
-        for costs in layer_costs:
-            abm_cost = costs["abm"]
+        for cycles in layer_cycles:
+            abm_cycles = cycles["abm"]
             current = min(
-                [abm_cost] + [costs[n] for n in enabled if n in costs]
+                [abm_cycles] + [cycles[n] for n in enabled if n in cycles]
             )
-            pool = {n: costs[n] for n in undecided if n in costs}
+            pool = {n: cycles[n] for n in undecided if n in cycles}
             if not pool:
                 continue
             best = min(pool, key=pool.get)
-            if pool[best] * (1.0 + margin) < abm_cost and pool[best] < current:
+            if pool[best] * (1.0 + margin) < abm_cycles and pool[best] < current:
                 benefit[best] = benefit.get(best, 0.0) + (
                     current - pool[best]
                 )
@@ -269,21 +235,21 @@ def plan_model_schemes(
 
     # Pass 3: final per-layer choice among ABM + enabled schemes.
     decisions: List[SchemeDecision] = []
-    for layer, costs, cycles in zip(workload.layers, layer_costs, layer_cycles):
-        abm_cost = costs["abm"]
+    for layer, cycles in zip(workload.layers, layer_cycles):
+        abm_cycles = cycles["abm"]
         available = {
-            name: cost for name, cost in costs.items() if name in enabled
+            name: value for name, value in cycles.items() if name in enabled
         }
         chosen = "abm"
         if available:
             best = min(available, key=available.get)
-            if available[best] * (1.0 + margin) < abm_cost:
+            if available[best] * (1.0 + margin) < abm_cycles:
                 chosen = best
         if chosen == "abm":
             blocked = [
                 name
                 for name in rejected
-                if name in costs and costs[name] * (1.0 + margin) < abm_cost
+                if name in cycles and cycles[name] * (1.0 + margin) < abm_cycles
             ]
             if blocked:
                 reason = (
@@ -297,14 +263,13 @@ def plan_model_schemes(
                 )
         else:
             reason = (
-                f"{chosen}: {abm_cost / costs[chosen]:.2f}x lower predicted "
-                f"{basis} cost than abm"
+                f"{chosen}: {abm_cycles / cycles[chosen]:.2f}x fewer predicted "
+                "cycles than abm"
             )
         decisions.append(
             SchemeDecision(
                 layer=layer.spec.name,
                 scheme=chosen,
-                costs=dict(costs),
                 cycles=dict(cycles),
                 reason=reason,
             )
@@ -312,7 +277,6 @@ def plan_model_schemes(
 
     return ModelSchemePlan(
         model=workload.name,
-        basis=basis,
         margin=margin,
         decisions=tuple(decisions),
         enabled=tuple(enabled),

@@ -14,7 +14,6 @@ from .accelerator import (
     clear_sim_cache,
     sim_cache_info,
     sim_cache_size,
-    sim_cache_stats,
 )
 from .address_gen import AddressGenerator, FeatureAddress
 from .buffers import (
@@ -98,7 +97,6 @@ __all__ = [
     "clear_sim_cache",
     "sim_cache_info",
     "sim_cache_size",
-    "sim_cache_stats",
     "AddressGenerator",
     "FeatureAddress",
     "BufferRequirement",

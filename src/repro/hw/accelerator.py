@@ -97,24 +97,6 @@ def sim_cache_info() -> CacheStats:
         )
 
 
-def sim_cache_stats() -> Tuple[int, int]:
-    """(hits, misses) since the last :func:`clear_sim_cache`.
-
-    .. deprecated:: use :func:`sim_cache_info`, which also reports
-       evictions, size and capacity as a :class:`CacheStats`.
-    """
-    import warnings
-
-    warnings.warn(
-        "sim_cache_stats() is deprecated; use sim_cache_info(), which "
-        "returns the full CacheStats record",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    info = sim_cache_info()
-    return info.hits, info.misses
-
-
 register_cache("hw.sim", sim_cache_info)
 
 

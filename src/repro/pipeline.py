@@ -247,11 +247,7 @@ class QuantizedPipeline:
             raise ValueError(f"expected a BCHW batch, got shape {batch.shape}")
         return batch
 
-    def run_batch(
-        self,
-        images: np.ndarray,
-        schemes: "Optional[Mapping[str, str]]" = None,
-    ) -> List[InferenceResult]:
+    def run_batch(self, images: np.ndarray) -> List[InferenceResult]:
         """Batched quantized inference through the fused model plan.
 
         ``images`` is a (B, C, H, W) array or a sequence of CHW images.
@@ -265,19 +261,13 @@ class QuantizedPipeline:
         :class:`InferenceResult` per image, each carrying its exact
         per-image share of the layer op counts (counts are per-pixel
         constants, so the share is exact).
-
-        ``schemes`` optionally maps layer names to per-layer convolution
-        schemes (``winograd2``/``winograd4``/``spectral``); unnamed layers
-        keep the default ABM datapath, outputs stay bit-exact either way.
-        The per-layer planner (:func:`repro.dse.schemes.plan_model_schemes`)
-        produces such assignments.
         """
         from .core.model_plan import compile_model_plan
 
         self._check_ready("run_batch()")
         batch = self._as_bchw(images)
         b = batch.shape[0]
-        plan = compile_model_plan(self, batch.shape, schemes=schemes)
+        plan = compile_model_plan(self, batch.shape)
         codes = self.input_fmt.quantize(batch)
         out_codes, out_fmt = plan.run(codes)
         outputs = out_fmt.dequantize(out_codes)

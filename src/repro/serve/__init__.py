@@ -70,7 +70,6 @@ __all__ = [
     "Batch",
     "BatchPolicy",
     "BatchTrace",
-    "CacheInfo",
     "CacheStats",
     "DEFAULT_SLO",
     "DeploymentCache",
@@ -111,12 +110,3 @@ __all__ = [
     "uniform_trace",
 ]
 
-
-def __getattr__(name: str):
-    # Deprecated: kept importable from the package for backwards
-    # compatibility; the warning fires in repro.serve.cache.__getattr__.
-    if name == "CacheInfo":
-        from . import cache
-
-        return cache.CacheInfo
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,23 +21,6 @@ from ..telemetry.caches import CacheStats, register_cache_object
 
 T = TypeVar("T")
 
-def __getattr__(name: str):
-    # Deprecated alias: :class:`repro.telemetry.caches.CacheStats` is the
-    # uniform stats record now; the field order matches the historical
-    # ``CacheInfo(hits, misses, evictions, size, capacity)`` exactly.
-    # Lazy so importing the module never warns — only touching the alias.
-    if name == "CacheInfo":
-        import warnings
-
-        warnings.warn(
-            "repro.serve.cache.CacheInfo is deprecated; use "
-            "repro.telemetry.caches.CacheStats",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return CacheStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 class LRUCache:
     """A small least-recently-used cache with explicit accounting."""

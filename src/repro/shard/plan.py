@@ -22,8 +22,8 @@ Two layers live here, mirroring the rest of the codebase's split between
   bottleneck stage's rate, latency is the fill sum.
 
 Sharded executable plans are LRU-cached per (pipeline identity,
-quantization token, batch geometry, cuts, schemes) and registered with
-the telemetry cache registry as ``shard.plans``.
+quantization token, batch geometry, cuts) and registered with the
+telemetry cache registry as ``shard.plans``.
 """
 
 from __future__ import annotations
@@ -32,16 +32,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -432,9 +423,8 @@ def compile_sharded_plan(
     pipeline: "QuantizedPipeline",
     batch_shape: Tuple[int, ...],
     cuts: Sequence[int],
-    schemes: Optional[Mapping[str, str]] = None,
 ) -> ShardedModelPlan:
-    """The cached sharded wrapper for (pipeline, batch, cuts, schemes).
+    """The cached sharded wrapper for (pipeline, batch, cuts).
 
     The underlying fused plan comes from
     :func:`repro.core.model_plan.compile_model_plan` (its own cache);
@@ -443,17 +433,11 @@ def compile_sharded_plan(
     with weakref eviction when the pipeline is collected.
     """
     global _sharded_hits, _sharded_misses, _sharded_evictions
-    scheme_key = (
-        tuple(sorted((k, v) for k, v in schemes.items() if v != "abm"))
-        if schemes
-        else ()
-    )
     key = (
         id(pipeline),
         pipeline.quantization_token,
         tuple(int(s) for s in batch_shape),
         tuple(int(c) for c in cuts),
-        scheme_key,
     )
     with _sharded_lock:
         sharded = _sharded_cache.get(key)
@@ -465,7 +449,7 @@ def compile_sharded_plan(
                 return sharded
             _evict_sharded_plans(id(pipeline))
         _sharded_misses += 1
-    plan = compile_model_plan(pipeline, tuple(batch_shape), schemes=schemes)
+    plan = compile_model_plan(pipeline, tuple(batch_shape))
     sharded = ShardedModelPlan(plan, cuts)
     with _sharded_lock:
         _sharded_cache[key] = sharded
@@ -511,7 +495,6 @@ def sharded_run_batch(
     pipeline: "QuantizedPipeline",
     images: np.ndarray,
     cuts: Sequence[int],
-    schemes: Optional[Mapping[str, str]] = None,
 ) -> "List[InferenceResult]":
     """Batched inference through a stage-sharded plan.
 
@@ -526,7 +509,7 @@ def sharded_run_batch(
     pipeline._check_ready("sharded_run_batch()")
     batch = pipeline._as_bchw(images)
     b = batch.shape[0]
-    sharded = compile_sharded_plan(pipeline, batch.shape, cuts, schemes=schemes)
+    sharded = compile_sharded_plan(pipeline, batch.shape, cuts)
     codes = pipeline.input_fmt.quantize(batch)
     out_codes, out_fmt = sharded.run(codes)
     outputs = out_fmt.dequantize(out_codes)

@@ -35,11 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss/eviction accounting of one cache.
-
-    Field order keeps keyword construction compatible with the historical
-    ``repro.serve.cache.CacheInfo`` (now a deprecated alias of this class).
-    """
+    """Hit/miss/eviction accounting of one cache."""
 
     hits: int
     misses: int

@@ -91,6 +91,8 @@ class TestCommands:
             (["partition", "--devices", " , "], "--devices needs at least one"),
             (["partition", "--shards", "0"], "--shards must be >= 1"),
             (["partition", "--shards", "-2"], "--shards must be >= 1"),
+            (["schemes", "--margin", "-1"], "margin must be a finite number >= 0"),
+            (["schemes", "--margin", "nan"], "margin must be a finite number >= 0"),
         ],
     )
     def test_bad_input_fails_cleanly(self, capsys, argv, message):
@@ -101,6 +103,20 @@ class TestCommands:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert message in lines[0]
+
+    @pytest.mark.parametrize("model, layers", [("vgg16", 16), ("alexnet", 8)])
+    def test_schemes_paper_scale_is_all_abm(self, capsys, model, layers):
+        # Figure 1's claim on predicted cycles: ABM wins every layer.
+        assert main(["schemes", "--model", model]) == 0
+        out = capsys.readouterr().out
+        assert f"{model}: abm: {layers} (" in out
+        assert "enabled:  none" in out
+
+    def test_schemes_rejects_basis_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["schemes", "--basis", "cycles"])
+        assert exc.value.code == 2
+        assert "--basis" in capsys.readouterr().err
 
     def test_encode_roundtrip(self, capsys, tmp_path):
         from repro.core import load_model

@@ -2,8 +2,7 @@
 
 Correctness pin of the tentpole: sharded execution must be *bit-exact*
 against the unsharded fused ModelPlan for every contiguous cut set —
-same outputs, same per-image op attribution — including under per-layer
-scheme overrides. Plus the static partition/timing layer: cut
+same outputs, same per-image op attribution. Plus the static partition/timing layer: cut
 validation, per-shard workload slicing, link pricing, the tandem-line
 timing arithmetic, and the shard-plan cache's telemetry accounting.
 """
@@ -223,16 +222,6 @@ class TestShardedExecutionBitExact:
         _assert_identical(
             sharded_run_batch(quantized, images, cuts),
             quantized.run_batch(images),
-        )
-
-    def test_scheme_overrides_stay_bit_exact(self, quantized):
-        rng = np.random.default_rng(13)
-        images = rng.standard_normal((2, 3, 16, 16))
-        schemes = {"conv2": "winograd2"}
-        reference = quantized.run_batch(images, schemes=schemes)
-        _assert_identical(
-            sharded_run_batch(quantized, images, (1, 3), schemes=schemes),
-            reference,
         )
 
     @given(

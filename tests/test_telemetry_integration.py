@@ -4,8 +4,9 @@ The acceptance story of the observability subsystem: one simulated
 serving run produces a nested span tree (request -> batch -> layer ->
 kernel), a snapshot carrying hit/miss counters for every registered
 cache family, and histogram percentiles *identical* to the existing
-``ServeStats`` arithmetic. Also covers the deprecated cache-stat shims
-and the ``metrics`` / ``--metrics-out`` / ``--trace`` CLI surfaces.
+``ServeStats`` arithmetic. Also checks that plain imports emit no
+deprecation warnings, and covers the ``metrics`` / ``--metrics-out`` /
+``--trace`` CLI surfaces.
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 
 from repro.cli import main
 from repro.deploy import deploy
-from repro.hw import STRATIX_V_GXA7, TraceRecorder, sim_cache_info
-from repro.hw.accelerator import clear_sim_cache, sim_cache_stats
+from repro.hw import TraceRecorder
+from repro.hw.accelerator import clear_sim_cache
 from repro.nn.models import (
     Architecture,
     ConvDef,
@@ -29,7 +30,6 @@ from repro.prune import uniform_schedule
 from repro.runtime import SystemRuntime
 from repro.serve import (
     BatchPolicy,
-    CacheStats,
     DeploymentCache,
     ServingSimulator,
     build_worker_pool,
@@ -265,52 +265,6 @@ class TestRuntimeAndDeploySpans:
 
 
 class TestDeprecatedShims:
-    def test_sim_cache_stats_tuple_matches_info(self, served_model):
-        pipeline, specs = served_model
-        clear_sim_cache()
-        deployed = deploy(pipeline, specs)
-        deployed.simulate()  # miss
-        deployed.simulate()  # hit
-        info = sim_cache_info()
-        assert info.name == "hw.sim"
-        with pytest.warns(DeprecationWarning, match="sim_cache_info"):
-            assert sim_cache_stats() == (info.hits, info.misses)
-        assert info.hits >= 1 and info.misses >= 1
-
-    def test_sim_cache_stats_mirrors_cachestats_protocol(self, served_model):
-        """The tuple shim is a strict projection of the CacheStats record."""
-        pipeline, specs = served_model
-        clear_sim_cache()
-        deploy(pipeline, specs).simulate()
-        info = sim_cache_info()
-        assert isinstance(info, CacheStats)
-        assert set(info.as_dict()) >= {
-            "hits", "misses", "evictions", "size", "capacity", "name",
-            "hit_rate",
-        }
-        with pytest.warns(DeprecationWarning):
-            shim = sim_cache_stats()
-        assert shim == (info.hits, info.misses)
-
-    def test_cache_info_alias_warns_and_matches(self):
-        import repro.serve.cache as serve_cache
-
-        with pytest.warns(DeprecationWarning, match="CacheStats"):
-            alias = serve_cache.CacheInfo
-        assert alias is CacheStats
-        # Field order matches the historical CacheInfo record exactly.
-        from dataclasses import fields
-
-        names = [f.name for f in fields(CacheStats)]
-        assert names[:5] == ["hits", "misses", "evictions", "size", "capacity"]
-
-    def test_cache_info_importable_from_package(self):
-        import repro.serve as serve
-
-        with pytest.warns(DeprecationWarning):
-            alias = serve.CacheInfo
-        assert alias is CacheStats
-
     def test_plain_imports_do_not_warn(self):
         import warnings
 
