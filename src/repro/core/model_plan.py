@@ -17,7 +17,8 @@ geometry) that
   materialized (stages read the raw plan scratch and write requantized
   codes straight into the destination buffer);
 - **hoists run-time decisions to compile time**: each stage's datapath
-  (float64 GEMM or the int64 fallback, see :meth:`LayerPlan.datapath`)
+  (float32 or float64 GEMM or the int64 fallback, see
+  :meth:`LayerPlan.datapath`)
   comes from the tracked quantized-format code range (no peak scan per
   layer per batch), the bias codes and requantize scale factors are
   computed once, and the host/accelerator split is resolved when the
@@ -60,7 +61,7 @@ from ..nn.layers import (
     ReLU,
     Softmax,
 )
-from ..nn.tensor import FeatureShape
+from ..nn.tensor import FeatureShape, pool_output_extent
 from ..quant.fixed_point import QFormat
 from ..telemetry.caches import CacheStats, register_cache
 from ..telemetry.context import get_active
@@ -73,10 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.pipeline
 #: ping-pong buffers (two int64 + two float64 arrays at the network's
 #: high-water mark), so the bound is deliberately small.
 MODEL_PLAN_CACHE_CAPACITY = 8
-
-#: Fill value of integer max-pool padding; never beats a real code.
-_INT_MIN = np.iinfo(np.int64).min
-
 
 def _max_abs_code(fmt: QFormat) -> int:
     """The largest |code| the format can emit — the static input peak."""
@@ -132,10 +129,11 @@ class _FusedStage:
         self.is_fc = is_fc
         self.input_peak = _max_abs_code(in_fmt)
         # Compile-time exactness proof: every partial sum is bounded by
-        # max|x| * max_k sum(|VAL|*NUM) + |bias|, so the float64 GEMM is
-        # exact below 2**53 and the int64 fallback below 2**63; past that
-        # the plan raises ExactnessError here, before any batch runs.
-        #: What computes the raw sums: "gemm" or "int64".
+        # max|x| * max_k sum(|VAL|*NUM) + |bias|, so the float32 GEMM is
+        # exact below 2**24, the float64 GEMM below 2**53 and the int64
+        # fallback below 2**63; past that the plan raises ExactnessError
+        # here, before any batch runs.
+        #: What computes the raw sums: "gemm32", "gemm" or "int64".
         self.datapath = plan.datapath(self.input_peak, code_peak(bias_codes))
         self.conv_shape = conv_shape
         self.out_shape = out_shape
@@ -150,10 +148,11 @@ class _FusedStage:
             batch, self.bias_codes, self.datapath
         )
         if self.datapath == "gemm":
-            scaled = raw  # plan-owned float scratch: scale it in place
+            scaled = raw  # plan-owned float64 scratch: scale it in place
         else:
+            # int64 and float32 sums widen exactly into the float64 scratch.
             scaled = arena.float_a[: raw.size].reshape(raw.shape)
-        np.multiply(raw, self.factor, out=scaled)
+        np.multiply(raw, self.factor, out=scaled, dtype=np.float64)
         # Requantize in the shared float scratch: one exact power-of-two
         # multiply, round half away from zero, clip (ReLU included).
         rounded = arena.float_b[: raw.size].reshape(raw.shape)
@@ -178,19 +177,26 @@ class _FusedStage:
 def _integer_maxpool(arena: "_Arena", pool: MaxPool2D, current: np.ndarray) -> np.ndarray:
     """Ceil-mode max pooling on integer codes, into the free ping buffer.
 
-    Max of codes == code of max, and padding with INT64_MIN never beats a
-    real pixel (ceil-mode windows always contain at least one), so this is
-    bit-identical to the reference's float64 pool + ``astype(int64)``.
+    One strided ``np.maximum`` pass per window offset.  Offset (0, 0) lies
+    inside every window (ceil-mode windows never start past the edge), so
+    it initializes the output; each later offset updates only the leading
+    windows it still reaches, which is exactly max over the real pixels —
+    the reference's ``-inf`` padding never wins.  Max of codes == code of
+    max, so this is bit-identical to the float64 pool + ``astype(int64)``.
     """
     images, channels, rows, cols = current.shape
-    windows = pool._windows(
-        current.reshape(images * channels, rows, cols), fill=_INT_MIN
-    )
-    out_rows, out_cols = windows.shape[1], windows.shape[2]
+    k, s = pool.kernel, pool.stride
+    out_rows = pool_output_extent(rows, k, s)
+    out_cols = pool_output_extent(cols, k, s)
     dest = arena.claim(current, (images, channels, out_rows, out_cols))
-    np.max(
-        windows, axis=(3, 4), out=dest.reshape(images * channels, out_rows, out_cols)
-    )
+    for i in range(k):
+        for j in range(k):
+            tap = current[:, :, i::s, j::s][:, :, :out_rows, :out_cols]
+            if i == j == 0:
+                np.copyto(dest, tap)
+            else:
+                part = dest[:, :, : tap.shape[2], : tap.shape[3]]
+                np.maximum(part, tap, out=part)
     return dest
 
 

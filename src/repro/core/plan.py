@@ -23,9 +23,12 @@ dense weights.  The datapath follows from the input alone, via the bound
 ``input_peak * max_weighted_sum + bias_peak`` on every product, every
 partial sum (in any summation order) and the biased total:
 
-- ``gemm`` — float64 BLAS, when the bound is below ``2**53``: every value
-  is then an exactly representable integer, so the float result *is* the
-  integer sum.  Every 8-bit model lands here.
+- ``gemm32`` — float32 BLAS, when the bound is below ``2**24``: every
+  product and every partial sum, in any summation order and with or
+  without FMA, is an integer of magnitude at most the bound, which the
+  24-bit significand represents exactly.  The 8-bit models land here.
+- ``gemm`` — float64 BLAS, when the bound is below ``2**53``, by the same
+  argument on the 53-bit significand.
 - ``int64`` — exact integer ``np.matmul`` when the bound is below
   ``2**63`` but not ``2**53``.
 - otherwise :class:`ExactnessError`: no host integer datapath can hold
@@ -53,6 +56,9 @@ from .encoding import EncodedLayer
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.core.abm
     from .abm import ConvGeometry
 
+#: Exclusive bound on every intermediate the float32 GEMM keeps exact.
+FLOAT32_EXACT = 2**24
+
 #: Exclusive bound on every intermediate the float64 GEMM keeps exact.
 FLOAT64_EXACT = 2**53
 
@@ -65,7 +71,7 @@ PLAN_CACHE_CAPACITY = 64
 #: Scratch buffers kept per plan before LRU eviction.
 _SCRATCH_CAPACITY = 16
 
-_DTYPES = {"gemm": np.float64, "int64": np.int64}
+_DTYPES = {"gemm32": np.float32, "gemm": np.float64, "int64": np.int64}
 
 
 class ExactnessError(ValueError):
@@ -124,7 +130,7 @@ class _GroupPlan:
         """The group's weight codes as a dense (group_out, K) matrix.
 
         Built once per dtype and cached on the group.  Weight codes are
-        small integers, so the float64 copy is exact.
+        small integers, so the float copies are exact.
         """
         key = np.dtype(dtype).str
         dense = self._dense.get(key)
@@ -231,18 +237,20 @@ class LayerPlan:
         The exact per-kernel bound max_k sum(|VAL| * NUM): multiplied by a
         bound on |x| it bounds every product, every partial sum in any
         order and every total — which is what :meth:`datapath` checks
-        against ``2**53`` and ``2**63``.
+        against ``2**24``, ``2**53`` and ``2**63``.
         """
         return self._max_weighted_sum
 
     def datapath(self, input_peak: int, bias_peak: int = 0) -> str:
         """The exact datapath for inputs with ``|x| <= input_peak``.
 
-        ``"gemm"`` (float64 BLAS) below ``2**53``, ``"int64"`` below
-        ``2**63``; past that no host datapath is exact and
-        :class:`ExactnessError` is raised.
+        ``"gemm32"`` (float32 BLAS) below ``2**24``, ``"gemm"`` (float64
+        BLAS) below ``2**53``, ``"int64"`` below ``2**63``; past that no
+        host datapath is exact and :class:`ExactnessError` is raised.
         """
         bound = int(input_peak) * self._max_weighted_sum + int(bias_peak)
+        if bound < FLOAT32_EXACT:
+            return "gemm32"
         if bound < FLOAT64_EXACT:
             return "gemm"
         if bound < INT64_EXACT:
@@ -298,7 +306,7 @@ class LayerPlan:
         )
         total_pixels = images * out_rows * out_cols
         # One strided pass detaches the kernel-major scratch into a fresh
-        # BCHW int64 array (exact: the sums are integers on either datapath).
+        # BCHW int64 array (exact: the sums are integers on every datapath).
         output = np.empty((images, self.out_channels, out_rows, out_cols), np.int64)
         np.copyto(
             output.transpose(1, 0, 2, 3),
@@ -320,12 +328,13 @@ class LayerPlan:
         """Run a batch as one GEMM per channel group on ``datapath``.
 
         Returns ``(output, images, out_rows, out_cols)`` where ``output``
-        is **plan-owned scratch** of shape (M, B*pixels) — float64 on the
-        ``gemm`` datapath, int64 on ``int64`` — with bias already added,
-        valid only until the next execute call on this plan.  The fused
-        model plan consumes it directly, writing requantized codes straight
-        into its ping-pong buffers.  The result is exact only when
-        ``datapath`` is what :meth:`datapath` returns for the batch.
+        is **plan-owned scratch** of shape (M, B*pixels) — float32 on
+        ``gemm32``, float64 on ``gemm``, int64 on ``int64`` — with bias
+        already added, valid only until the next execute call on this
+        plan.  The fused model plan consumes it directly, writing
+        requantized codes straight into its ping-pong buffers.  The result
+        is exact only when ``datapath`` is what :meth:`datapath` returns
+        for the batch.
         """
         dtype = _DTYPES[datapath]
         geometry = self.geometry

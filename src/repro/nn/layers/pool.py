@@ -36,12 +36,14 @@ class _Pool2D(Layer):
         channels, rows, cols = features.shape
         out_rows = pool_output_extent(rows, self.kernel, self.stride)
         out_cols = pool_output_extent(cols, self.kernel, self.stride)
-        need_rows = (out_rows - 1) * self.stride + self.kernel
-        need_cols = (out_cols - 1) * self.stride + self.kernel
-        if need_rows > rows or need_cols > cols:
+        # Tail padding for ceil-mode overhang; with stride > kernel the
+        # last window may instead end short of the edge (no padding).
+        pad_rows = max(0, (out_rows - 1) * self.stride + self.kernel - rows)
+        pad_cols = max(0, (out_cols - 1) * self.stride + self.kernel - cols)
+        if pad_rows or pad_cols:
             features = np.pad(
                 features,
-                ((0, 0), (0, need_rows - rows), (0, need_cols - cols)),
+                ((0, 0), (0, pad_rows), (0, pad_cols)),
                 mode="constant",
                 constant_values=fill,
             )

@@ -52,7 +52,15 @@ def conv_output_extent(extent: int, kernel: int, stride: int, padding: int) -> i
 
 
 def pool_output_extent(extent: int, kernel: int, stride: int) -> int:
-    """Spatial output extent of a pooling window (ceil mode, AlexNet style)."""
+    """Spatial output extent of a pooling window (ceil mode, AlexNet style).
+
+    Ceil mode lets the last window overhang the edge, but — Caffe's rule —
+    never start at or past it, so every window holds at least one real
+    pixel (this only bites when ``stride > kernel``).
+    """
     if extent < kernel:
         raise ValueError(f"pool kernel {kernel} larger than extent {extent}")
-    return (extent - kernel + stride - 1) // stride + 1
+    out = (extent - kernel + stride - 1) // stride + 1
+    if (out - 1) * stride >= extent:
+        out -= 1
+    return out

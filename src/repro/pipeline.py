@@ -245,6 +245,10 @@ class QuantizedPipeline:
             batch = batch[None]
         if batch.ndim != 4:
             raise ValueError(f"expected a BCHW batch, got shape {batch.shape}")
+        # A NaN pixel quantizes to INT64_MIN, outside input_fmt: that would
+        # break the model plan's compile-time input-peak exactness proof.
+        if not np.isfinite(batch).all():
+            raise ValueError("images contain non-finite (NaN or inf) pixels")
         return batch
 
     def run_batch(self, images: np.ndarray) -> List[InferenceResult]:

@@ -2,8 +2,8 @@
 
 The compiled plan must be *bit-exact* against the literal two-stage oracle
 :func:`abm_conv2d_reference` — same outputs, same analytic
-accumulate/multiply counts — on both sides of the float64 exactness split:
-the float64 GEMM and the exact int64 matmul fallback.
+accumulate/multiply counts — on all three host datapaths: the float32
+GEMM, the float64 GEMM and the exact int64 matmul fallback.
 """
 
 import numpy as np
@@ -31,15 +31,18 @@ from repro.telemetry.context import Telemetry, activate
 from tests.conftest import sparse_weight_codes
 
 
-@pytest.fixture(params=["sparse", "fallback"])
+@pytest.fixture(params=["sparse", "float64", "fallback"])
 def datapath(request, monkeypatch):
     """Run the test body on each host datapath.
 
     ``sparse`` (the suite's historical id for the default run) leaves the
-    choice to the plan, which picks the float64 GEMM for these codes;
-    ``fallback`` lowers the float64 limit to zero so every layer takes
-    the exact int64 matmul.
+    choice to the plan, which picks the float32 GEMM for these codes;
+    ``float64`` lowers the float32 limit to zero so every layer takes the
+    float64 GEMM; ``fallback`` lowers both float limits to zero so every
+    layer takes the exact int64 matmul.
     """
+    if request.param != "sparse":
+        monkeypatch.setattr(plan_module, "FLOAT32_EXACT", 0)
     if request.param == "fallback":
         monkeypatch.setattr(plan_module, "FLOAT64_EXACT", 0)
     return request.param
@@ -77,19 +80,22 @@ class TestDifferential:
         unit=hnp.arrays(
             dtype=np.int64, shape=(3, 6, 6), elements=st.integers(-128, 127)
         ),
-        scale=st.sampled_from([1, 2**38]),
+        tier=st.sampled_from([(1, "gemm32"), (2**10, "gemm"), (2**38, "int64")]),
         stride=st.integers(1, 2),
         padding=st.integers(0, 2),
     )
     @settings(max_examples=120, deadline=None)
-    def test_differential_property(self, weights, unit, scale, stride, padding):
-        """Arbitrary integer tensors on both sides of the 2**53 split.
+    def test_differential_property(self, weights, unit, tier, stride, padding):
+        """Arbitrary integer tensors on all three datapaths.
 
-        Codes of +-128 keep every sum below 2**53 (float64 GEMM); scaled to
-        +-2**45, with one code and three weights pinned at full scale, the
-        bound exceeds 2**53 and the plan must take the int64 matmul —
-        exact either way, int64 out.
+        One code and three weights pinned at full scale put the bound
+        between 128 * 381 * scale and 128 * 1536 * scale: codes of +-128
+        keep it below 2**24 (float32 GEMM); scaled to +-2**17 it crosses
+        2**24 but not 2**53 (float64 GEMM); scaled to +-2**45 it exceeds
+        2**53 and the plan must take the int64 matmul — exact every way,
+        int64 out.
         """
+        scale, expected = tier
         weights[0, 0, 0, :] = 127
         weights[0, 0, 1, 0] = 127
         unit[0, 0, 0] = -128
@@ -97,7 +103,6 @@ class TestDifferential:
         geometry = ConvGeometry(kernel=2, stride=stride, padding=padding)
         encoded = encode_layer("h", weights)
         plan = compile_layer_plan(encoded, geometry)
-        expected = "gemm" if scale == 1 else "int64"
         assert plan.datapath(128 * scale) == expected
         ref = abm_conv2d_reference(features, encoded, geometry)
         fast = abm_conv2d(features, encoded, geometry)
@@ -125,6 +130,8 @@ class TestExactness:
     def test_bias_counts_toward_the_bound(self, rng):
         _, encoded, geometry = self._layer(rng)
         plan = compile_layer_plan(encoded, geometry)
+        assert plan.datapath(0, 2**24 - 1) == "gemm32"
+        assert plan.datapath(0, 2**24) == "gemm"
         assert plan.datapath(0, 2**53 - 1) == "gemm"
         assert plan.datapath(0, 2**53) == "int64"
         with pytest.raises(ExactnessError):
@@ -135,11 +142,12 @@ class TestExactness:
         telemetry = Telemetry()
         with activate(telemetry):
             abm_conv2d(rng.integers(-128, 128, size=(2, 6, 6)), encoded, geometry)
+            abm_conv2d(rng.integers(-(2**20), 2**20, size=(2, 6, 6)), encoded, geometry)
             wide = rng.integers(-(2**45), 2**45, size=(2, 6, 6))
             result = abm_conv2d(wide, encoded, geometry)
         assert np.array_equal(result.output, direct_conv2d_codes(wide, weights, geometry))
         spans = [root.to_dict() for root in telemetry.tracer.roots]
-        assert [s["attrs"]["datapath"] for s in spans] == ["gemm", "int64"]
+        assert [s["attrs"]["datapath"] for s in spans] == ["gemm32", "gemm", "int64"]
 
 
 class TestEdgeCases:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (
     AvgPool2D,
@@ -148,6 +150,25 @@ class TestPooling:
         out = pool.forward(features)
         assert np.all(np.isfinite(out))
         assert out.shape == (2, 3, 3)
+
+    @given(
+        kernel=st.integers(1, 4),
+        stride=st.integers(1, 4),
+        extra_rows=st.integers(0, 6),
+        extra_cols=st.integers(0, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_window_holds_a_real_pixel(self, kernel, stride, extra_rows, extra_cols):
+        """Ceil mode may overhang the edge but never pools padding alone."""
+        rows, cols = kernel + extra_rows, kernel + extra_cols
+        shape = MaxPool2D("m", kernel, stride).output_shape(FeatureShape(1, rows, cols))
+        assert (shape.rows - 1) * stride < rows
+        assert (shape.cols - 1) * stride < cols
+        features = -np.arange(2 * rows * cols, dtype=float).reshape(1, 2, rows, cols)
+        maxed = MaxPool2D("m", kernel, stride).forward_batch(features)
+        averaged = AvgPool2D("a", kernel, stride).forward_batch(features)
+        assert maxed.shape == averaged.shape == (1, 2, shape.rows, shape.cols)
+        assert np.isfinite(maxed).all() and np.isfinite(averaged).all()
 
     def test_avg_pool_counts_only_real_pixels(self):
         pool = AvgPool2D("p", kernel=2, stride=2)

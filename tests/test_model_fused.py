@@ -3,26 +3,31 @@
 The fused streaming path must be *bit-exact* against the retained
 per-layer reference — same outputs, same per-image op counts — across
 the architecture space (groups, padding, strided convs, FC stacks,
-standalone and fused pooling, LRN/AvgPool host-layer splits), on both
-host datapaths: the float64 GEMM and the exact int64 fallback.
+standalone and fused pooling, LRN/AvgPool host-layer splits), on all
+three host datapaths: the float32 GEMM, the float64 GEMM and the exact
+int64 fallback.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import plan as plan_module
 from repro.core.model_plan import (
     MODEL_PLAN_CACHE_CAPACITY,
     ModelPlan,
+    _Arena,
     _FusedStage,
+    _integer_maxpool,
     clear_model_plan_cache,
     compile_model_plan,
     model_plan_cache_size,
     model_plan_cache_stats,
 )
 from repro.core.plan import ExactnessError
+from repro.nn.layers import MaxPool2D
 from repro.nn.models import (
     Architecture,
     ConvDef,
@@ -37,15 +42,18 @@ from repro.nn.models import (
 from repro.pipeline import QuantizedPipeline
 from repro.telemetry.context import Telemetry, activate
 
-@pytest.fixture(params=["sparse", "fallback"])
+@pytest.fixture(params=["sparse", "float64", "fallback"])
 def datapath(request, monkeypatch):
     """Run the test body on each host datapath.
 
     ``sparse`` (the suite's historical id for the default run) leaves the
-    choice to the plans, which pick the float64 GEMM for 8-bit models;
-    ``fallback`` lowers the float64 limit to zero so every fused stage and
-    every reference layer takes the exact int64 matmul.
+    choice to the plans, which pick the float32 GEMM for 8-bit models;
+    ``float64`` lowers the float32 limit to zero so every fused stage and
+    every reference layer takes the float64 GEMM; ``fallback`` lowers both
+    float limits to zero so they all take the exact int64 matmul.
     """
+    if request.param != "sparse":
+        monkeypatch.setattr(plan_module, "FLOAT32_EXACT", 0)
     if request.param == "fallback":
         monkeypatch.setattr(plan_module, "FLOAT64_EXACT", 0)
     return request.param
@@ -258,6 +266,39 @@ class TestDifferential:
         assert stats.misses == 1 and stats.hits == 1
 
 
+# ---- integer max-pool -----------------------------------------------------
+
+
+class TestIntegerMaxPool:
+    @given(
+        kernel=st.integers(1, 3),
+        stride=st.integers(1, 3),
+        codes=hnp.arrays(
+            dtype=np.int64,
+            shape=st.tuples(
+                st.integers(1, 2), st.integers(1, 3), st.integers(3, 8), st.integers(3, 8)
+            ),
+            elements=st.integers(-(2**40), 2**40),
+        ),
+        negative=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_float_maxpool(self, kernel, stride, codes, negative):
+        """Strided integer passes == the float64 oracle, bit for bit.
+
+        Odd and even extents exercise the ceil-mode overhang; all-negative
+        maps check that the overhang never contributes a padding value.
+        """
+        if negative:
+            codes = codes - (int(codes.max()) + 1)
+        pool = MaxPool2D("p", kernel, stride)
+        arena = _Arena(codes.size, 1)
+        fused = _integer_maxpool(arena, pool, codes)
+        expected = pool.forward_batch(codes).astype(np.int64)
+        assert fused.shape == expected.shape
+        assert np.array_equal(fused, expected)
+
+
 # ---- datapath choice ------------------------------------------------------
 
 
@@ -271,7 +312,7 @@ class TestDatapathChoice:
     def test_8bit_models_run_the_gemm(self, rng):
         pipeline = build_pipeline(ARCHITECTURES["conv_relu_pool"], rng)
         plan = compile_model_plan(pipeline, (1, 3, 12, 12))
-        assert fused_datapaths(plan) == ["gemm", "gemm"]
+        assert fused_datapaths(plan) == ["gemm32", "gemm32"]
 
     def test_wide_features_take_the_int64_matmul(self, rng):
         """48-bit feature codes break the 2**53 bound but fit int64."""
@@ -412,7 +453,7 @@ class TestTelemetrySpans:
         kernel_spans = [r for r in roots if r["name"] == "kernel"]
         fused_attrs = {span["attrs"]["fused"] for span in kernel_spans}
         assert "c1,r1,p1" in fused_attrs
-        assert {span["attrs"]["datapath"] for span in kernel_spans} == {"gemm"}
+        assert {span["attrs"]["datapath"] for span in kernel_spans} == {"gemm32"}
 
     def test_silent_without_active_telemetry(self, rng):
         arch = ARCHITECTURES["conv_relu_pool"]

@@ -58,6 +58,18 @@ class TestFlowStages:
         ):
             pipeline.run_batch_reference(x[None])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["run_batch", "run_batch_reference"])
+    def test_non_finite_pixels_rejected(self, image, bad, method):
+        """A NaN would quantize outside input_fmt and break the exactness
+        proof; the batch entry points refuse it instead of running."""
+        network, x = image
+        pipeline = build_pipeline(network, x)
+        batch = np.stack([x, x])
+        batch[1, 0, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            getattr(pipeline, method)(batch)
+
     def test_all_accelerated_layers_compiled(self, image):
         network, x = image
         pipeline = build_pipeline(network, x)

@@ -36,6 +36,10 @@ class TestExtents:
         assert pool_output_extent(55, 3, 2) == 27
         assert pool_output_extent(13, 3, 2) == 6
         assert pool_output_extent(224, 2, 2) == 112
+        # Caffe's rule: with stride > kernel, no window starts past the edge.
+        assert pool_output_extent(2, 1, 2) == 1
+        assert pool_output_extent(5, 2, 4) == 2
+        assert pool_output_extent(4, 2, 4) == 1
 
     def test_pool_too_small(self):
         with pytest.raises(ValueError):
