@@ -204,9 +204,7 @@ class CompiledWorkload:
         self.dense_ops = workload.dense_ops
         layers: List[_CompiledLayer] = []
         for layer in workload.layers:
-            engine = np.maximum(
-                layer.nonzeros_array(), layer.distinct_array() * n_share
-            )
+            engine = np.maximum(layer.nonzeros, layer.distinct * n_share)
             engine_desc = np.ascontiguousarray(np.sort(engine)[::-1])
             acc = layer.accumulate_ops
             mult = layer.multiply_ops * n_share

@@ -137,13 +137,9 @@ register_cache("dse.buffers", buffer_cache_stats)
 
 
 def _size_buffers_uncached(workload: ModelWorkload, s_ec: int) -> BufferSizing:
-    max_nnz = max(
-        (max((k.nonzeros for k in layer.kernels), default=0) for layer in workload.layers),
-        default=0,
-    )
+    max_nnz = max((int(layer.nonzeros.max(initial=0)) for layer in workload.layers), default=0)
     max_distinct = max(
-        (max((k.distinct_values for k in layer.kernels), default=0) for layer in workload.layers),
-        default=0,
+        (int(layer.distinct.max(initial=0)) for layer in workload.layers), default=0
     )
     entries_needed = 1
     for layer in workload.layers:

@@ -112,10 +112,8 @@ def _quantized_layer_cycles(
         rows = min(plan.window_rows, spec.out_rows - row_tile * plan.window_rows)
         cols = min(plan.window_cols, spec.out_cols - col_tile * plan.window_cols)
         steps_total += math.ceil(rows * cols / config.s_ec)
-    nonzeros = workload.nonzeros_array()
-    distinct = workload.distinct_array()
     # Engine cycles per window step group: slower of the two stages.
-    engine = np.maximum(nonzeros, distinct * config.n_share)
+    engine = np.maximum(workload.nonzeros, workload.distinct * config.n_share)
     groups = math.ceil(len(engine) / config.n_knl)
     pad = groups * config.n_knl - len(engine)
     if pad:

@@ -86,16 +86,14 @@ def _workload_counts(workload: ModelWorkload) -> ModelOpCounts:
     for layer_workload in workload.layers:
         # Rebuild an encoded-layer-free measurement from the statistics.
         spec = layer_workload.spec
-        nnz = int(layer_workload.nonzeros_array().sum())
-        distinct = int(layer_workload.distinct_array().sum())
         layers.append(
             LayerOpCounts(
                 name=spec.name,
                 sdconv_ops=float(spec.dense_ops),
                 fdconv_ops=spec.dense_ops / (3.3 if spec.kind == "conv" else 1.0),
-                spconv_ops=2.0 * nnz * spec.output_pixels,
-                abm_accumulates=float(nnz * spec.output_pixels),
-                abm_multiplies=float(distinct * spec.output_pixels),
+                spconv_ops=2.0 * layer_workload.accumulate_ops,
+                abm_accumulates=float(layer_workload.accumulate_ops),
+                abm_multiplies=float(layer_workload.multiply_ops),
             )
         )
     return ModelOpCounts(layers=tuple(layers))

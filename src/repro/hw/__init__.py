@@ -84,7 +84,6 @@ from .tiling import (
 )
 from .trace import TaskEvent, TraceRecorder
 from .workload import (
-    KernelWork,
     LayerWorkload,
     ModelWorkload,
     workload_from_arrays,
@@ -161,7 +160,6 @@ __all__ = [
     "flip_value_bit",
     "truncate_stream",
     "random_fault",
-    "KernelWork",
     "LayerWorkload",
     "ModelWorkload",
     "workload_from_arrays",

@@ -215,8 +215,9 @@ class AcceleratorSimulator:
         )
 
     def _key(self, layer: LayerWorkload) -> _SimKey:
-        # LayerWorkload hashes by value (frozen dataclass of plain figures),
-        # so equal workloads hit regardless of where they were constructed.
+        # LayerWorkload hashes by content (a key built once from its spec,
+        # count arrays and bytes), so equal workloads hit regardless of
+        # where they were constructed.
         return (layer, self.config, self.bandwidth_gbs, self.policy)
 
     def simulate(

@@ -117,9 +117,9 @@ def make_kernel_groups(
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown grouping policy {policy!r}")
-    order = np.arange(len(workload.kernels))
+    order = np.arange(workload.nonzeros.size)
     if policy == POLICY_BALANCED:
-        order = np.argsort(-workload.nonzeros_array(), kind="stable")
+        order = np.argsort(-workload.nonzeros, kind="stable")
     return [
         order[start : start + config.n_knl]
         for start in range(0, order.size, config.n_knl)
@@ -133,8 +133,6 @@ def build_tasks(
     policy: str = POLICY_NATURAL,
 ) -> List[ConvTask]:
     """All (window, kernel-group) tasks of a layer, in window-major order."""
-    nonzeros = workload.nonzeros_array()
-    distinct = workload.distinct_array()
     groups = make_kernel_groups(workload, config, policy)
     spec = workload.spec
     tasks = []
@@ -149,8 +147,8 @@ def build_tasks(
                     layer=spec.name,
                     window_index=window_index,
                     group_index=group_index,
-                    nonzeros=tuple(int(n) for n in nonzeros[group]),
-                    distinct=tuple(int(d) for d in distinct[group]),
+                    nonzeros=tuple(int(n) for n in workload.nonzeros[group]),
+                    distinct=tuple(int(d) for d in workload.distinct[group]),
                     window_pixels=pixels,
                 )
             )
@@ -323,8 +321,8 @@ def compile_window_schedules(
         pixel_counts = _window_pixel_counts(workload.spec, plan)
     groups = make_kernel_groups(workload, config, policy)
     flat = np.concatenate(groups)
-    nonzeros = workload.nonzeros_array()[flat]
-    distinct = workload.distinct_array()[flat]
+    nonzeros = workload.nonzeros[flat]
+    distinct = workload.distinct[flat]
     group_starts = np.arange(0, flat.size, config.n_knl)
     schedules: Dict[int, _WindowSchedule] = {}
     for pixels in pixel_counts:
@@ -361,7 +359,7 @@ def simulate_layer_fast(
     plan = plan_windows(workload.spec, config)
     pixel_counts = _window_pixel_counts(workload.spec, plan)
     schedules = compile_window_schedules(workload, config, policy, pixel_counts)
-    n_groups = -(-len(workload.kernels) // config.n_knl)
+    n_groups = -(-workload.nonzeros.size // config.n_knl)
 
     weight_bytes_per_window = workload.encoded_bytes / plan.windows / config.s_ec
     window_bytes = int(

@@ -11,8 +11,9 @@ fit in laptop memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,62 +21,78 @@ from ..core.encoding import EncodedLayer
 from ..core.specs import LayerSpec
 
 
-@dataclass(frozen=True)
-class KernelWork:
-    """Per-kernel work figures: one output channel's costs per output pixel."""
+def _count_array(spec: LayerSpec, what: str, values: Sequence[int]) -> np.ndarray:
+    """Validated read-only int64 copy of one per-kernel statistic."""
+    raw = np.asarray(values)
+    if raw.ndim != 1 or raw.size != spec.out_channels:
+        raise ValueError(
+            f"{spec.name}: {raw.size} {what} counts for {spec.out_channels} output channels"
+        )
+    counts = raw.astype(np.int64)
+    if raw.dtype.kind not in "iu" and not np.array_equal(counts, raw):
+        raise ValueError(f"{spec.name}: {what} counts must be integers")
+    if (counts < 0).any():
+        raise ValueError(f"{spec.name}: {what} counts cannot be negative")
+    counts.setflags(write=False)
+    return counts
 
-    nonzeros: int
-    distinct_values: int
 
-    def __post_init__(self) -> None:
-        if self.nonzeros < 0 or self.distinct_values < 0:
-            raise ValueError("work figures cannot be negative")
-        if self.distinct_values > self.nonzeros:
-            raise ValueError("distinct values cannot exceed nonzeros")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerWorkload:
-    """Everything the simulator needs to schedule one layer."""
+    """Everything the simulator needs to schedule one layer.
+
+    ``nonzeros[m]`` and ``distinct[m]`` are kernel ``m``'s accumulates and
+    multiplies per output pixel, stored as read-only int64 arrays. The
+    layer totals are computed once, here, because the DSE grid reads them
+    per point. Workloads compare and hash by content, so equal workloads
+    built separately share cache entries.
+    """
 
     spec: LayerSpec
-    kernels: Tuple[KernelWork, ...]
-    #: Encoded weight bytes of the layer (drives the bandwidth model).
-    encoded_bytes: int
+    nonzeros: np.ndarray
+    distinct: np.ndarray
+    #: Encoded weight bytes of the layer (drives the bandwidth model);
+    #: ``None`` derives them from the encoding's 16-bit-per-entry format.
+    encoded_bytes: Optional[int] = None
+    #: Total accumulates / multiplies per image (Table 1 'Acc.' / 'Mult.').
+    accumulate_ops: int = field(init=False, repr=False)
+    multiply_ops: int = field(init=False, repr=False)
+    density: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.kernels) != self.spec.out_channels:
-            raise ValueError(
-                f"{self.spec.name}: {len(self.kernels)} kernel work items for "
-                f"{self.spec.out_channels} output channels"
-            )
+        spec = self.spec
+        nonzeros = _count_array(spec, "nonzeros", self.nonzeros)
+        distinct = _count_array(spec, "distinct", self.distinct)
+        if (distinct > nonzeros).any():
+            raise ValueError(f"{spec.name}: distinct values cannot exceed nonzeros")
+        nonzero_total = int(nonzeros.sum())
+        distinct_total = int(distinct.sum())
+        encoded_bytes = self.encoded_bytes
+        if encoded_bytes is None:
+            # Per kernel: 2 B header + 2 B per Q-Table entry + 2 B per index.
+            encoded_bytes = 2 * (spec.out_channels + distinct_total + nonzero_total)
+        if encoded_bytes < 0 or int(encoded_bytes) != encoded_bytes:
+            raise ValueError(f"{spec.name}: encoded_bytes {encoded_bytes!r} is not a count")
+        encoded_bytes = int(encoded_bytes)
+        derived = {
+            "nonzeros": nonzeros,
+            "distinct": distinct,
+            "encoded_bytes": encoded_bytes,
+            "accumulate_ops": nonzero_total * spec.output_pixels,
+            "multiply_ops": distinct_total * spec.output_pixels,
+            "density": nonzero_total / spec.weight_count if spec.weight_count else 0.0,
+            "_key": (spec, nonzeros.tobytes(), distinct.tobytes(), encoded_bytes),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
-    @property
-    def accumulate_ops(self) -> int:
-        """Total accumulates per image (Table 1 'Acc.')."""
-        return sum(k.nonzeros for k in self.kernels) * self.spec.output_pixels
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LayerWorkload):
+            return NotImplemented
+        return self._key == other._key
 
-    @property
-    def multiply_ops(self) -> int:
-        """Total multiplies per image (Table 1 'Mult.')."""
-        return sum(k.distinct_values for k in self.kernels) * self.spec.output_pixels
-
-    @property
-    def mean_nonzeros(self) -> float:
-        return float(np.mean([k.nonzeros for k in self.kernels]))
-
-    @property
-    def density(self) -> float:
-        total = self.spec.weight_count
-        if total == 0:
-            return 0.0
-        return sum(k.nonzeros for k in self.kernels) / total
-
-    def nonzeros_array(self) -> np.ndarray:
-        return np.array([k.nonzeros for k in self.kernels], dtype=np.int64)
-
-    def distinct_array(self) -> np.ndarray:
-        return np.array([k.distinct_values for k in self.kernels], dtype=np.int64)
+    def __hash__(self) -> int:
+        return hash(self._key)
 
 
 @dataclass(frozen=True)
@@ -85,11 +102,11 @@ class ModelWorkload:
     name: str
     layers: Tuple[LayerWorkload, ...]
 
-    @property
+    @cached_property
     def accumulate_ops(self) -> int:
         return sum(layer.accumulate_ops for layer in self.layers)
 
-    @property
+    @cached_property
     def multiply_ops(self) -> int:
         return sum(layer.multiply_ops for layer in self.layers)
 
@@ -111,11 +128,12 @@ class ModelWorkload:
 
 def workload_from_encoded(spec: LayerSpec, encoded: EncodedLayer) -> LayerWorkload:
     """Build a layer workload from an actually-encoded weight tensor."""
-    kernels = tuple(
-        KernelWork(nonzeros=k.nonzero_count, distinct_values=k.distinct_values)
-        for k in encoded.kernels
+    return LayerWorkload(
+        spec,
+        [k.nonzero_count for k in encoded.kernels],
+        [k.distinct_values for k in encoded.kernels],
+        encoded.encoded_bytes,
     )
-    return LayerWorkload(spec=spec, kernels=kernels, encoded_bytes=encoded.encoded_bytes)
 
 
 def workload_from_arrays(
@@ -128,11 +146,6 @@ def workload_from_arrays(
 
     When ``encoded_bytes`` is omitted it is derived from the encoding's
     16-bit-per-entry format (index stream + Q-Table + per-kernel header).
+    Bad lengths, non-integral or negative counts raise ``ValueError``.
     """
-    kernels = tuple(
-        KernelWork(nonzeros=int(n), distinct_values=int(d))
-        for n, d in zip(nonzeros, distinct)
-    )
-    if encoded_bytes == 0:
-        encoded_bytes = sum(2 + 2 * k.distinct_values + 2 * k.nonzeros for k in kernels)
-    return LayerWorkload(spec=spec, kernels=kernels, encoded_bytes=encoded_bytes)
+    return LayerWorkload(spec, nonzeros, distinct, encoded_bytes or None)

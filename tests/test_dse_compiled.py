@@ -252,12 +252,12 @@ def model_workload(draw):
     layers = tuple(draw(layer_workload(index=i)) for i in range(count))
     # All-zero workloads make the reference raise ZeroDivisionError on the
     # throughput; keep at least one real kernel (as any encoded model has).
-    if not any(k.nonzeros for layer in layers for k in layer.kernels):
+    if not any(layer.nonzeros.any() for layer in layers):
         first = layers[0]
         patched = workload_from_arrays(
             first.spec,
-            [max(1, k.nonzeros) for k in first.kernels],
-            [max(1, k.distinct_values) for k in first.kernels],
+            np.maximum(first.nonzeros, 1),
+            np.maximum(first.distinct, 1),
         )
         layers = (patched,) + layers[1:]
     return ModelWorkload(name="hyp", layers=layers)
@@ -432,9 +432,7 @@ class TestCaches:
         for n_knl in (1, 3, 14, 23):
             sums = compiled.group_max_sums(n_knl)
             for index, layer in enumerate(vgg_workload.layers):
-                engine = np.maximum(
-                    layer.nonzeros_array(), layer.distinct_array() * 4
-                )
+                engine = np.maximum(layer.nonzeros, layer.distinct * 4)
                 groups = -(-len(engine) // n_knl)
                 pad = groups * n_knl - len(engine)
                 if pad:

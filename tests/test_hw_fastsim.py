@@ -177,8 +177,8 @@ class TestTaskCyclesBatch:
     def test_matches_scalar_task_cycles(self, workload, config, policy, pixels):
         groups = make_kernel_groups(workload, config, policy)
         flat = np.concatenate(groups)
-        nonzeros = workload.nonzeros_array()[flat]
-        distinct = workload.distinct_array()[flat]
+        nonzeros = workload.nonzeros[flat]
+        distinct = workload.distinct[flat]
         starts = np.arange(0, flat.size, config.n_knl)
         batch = task_cycles_batch(nonzeros, distinct, starts, pixels, config)
         for index, group in enumerate(groups):
@@ -186,8 +186,8 @@ class TestTaskCyclesBatch:
                 layer="t",
                 window_index=0,
                 group_index=index,
-                nonzeros=tuple(int(n) for n in workload.nonzeros_array()[group]),
-                distinct=tuple(int(d) for d in workload.distinct_array()[group]),
+                nonzeros=tuple(int(n) for n in workload.nonzeros[group]),
+                distinct=tuple(int(d) for d in workload.distinct[group]),
                 window_pixels=pixels,
             )
             cost = task_cycles(task, config)

@@ -41,7 +41,7 @@ class TestKernelGroups:
 
     def test_balanced_sorts_by_nnz(self, workload, config):
         groups = make_kernel_groups(workload, config, POLICY_BALANCED)
-        nnz = workload.nonzeros_array()
+        nnz = workload.nonzeros
         flattened = np.concatenate(groups)
         assert np.all(np.diff(nnz[flattened]) <= 0)
 

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import conv_spec
-from repro.hw.workload import KernelWork, ModelWorkload, workload_from_arrays
+from hypothesis import given, settings, strategies as st
+
+from repro.hw import STRATIX_V_GXA7, AcceleratorConfig, AcceleratorSimulator
+from repro.hw.accelerator import clear_sim_cache, sim_cache_info
+from repro.hw.workload import LayerWorkload, ModelWorkload, workload_from_arrays
 from repro.prune import deep_compression_schedule
 from repro.workloads import (
     codebook_size,
@@ -141,15 +145,31 @@ class TestConcreteTensors:
 
 class TestWorkloadValidation:
     def test_kernel_work_validation(self):
+        spec = conv_spec("c", 4, 1, kernel=3, in_rows=8, in_cols=8)
         with pytest.raises(ValueError):
-            KernelWork(nonzeros=2, distinct_values=3)
+            LayerWorkload(spec, [2], [3])  # distinct > nonzeros
         with pytest.raises(ValueError):
-            KernelWork(nonzeros=-1, distinct_values=0)
+            LayerWorkload(spec, [-1], [0])
 
     def test_layer_workload_length_check(self):
         spec = conv_spec("c", 4, 8, kernel=3, in_rows=8, in_cols=8)
         with pytest.raises(ValueError):
             workload_from_arrays(spec, [3, 3], [1, 1])  # 2 items, 8 kernels
+
+    def test_distinct_length_mismatch_rejected(self):
+        spec = conv_spec("c4", 4, 4, kernel=3, in_rows=8, in_cols=8)
+        with pytest.raises(ValueError, match="c4"):
+            workload_from_arrays(spec, [5, 5, 5, 5], [1, 1, 1, 1, 99, 99])
+
+    def test_non_integral_counts_rejected(self):
+        spec = conv_spec("c4", 4, 4, kernel=3, in_rows=8, in_cols=8)
+        with pytest.raises(ValueError, match="c4"):
+            workload_from_arrays(spec, [5.7, 5, 5, 5], [1, 1, 1, 1])
+
+    def test_negative_encoded_bytes_rejected(self):
+        spec = conv_spec("c4", 4, 4, kernel=3, in_rows=8, in_cols=8)
+        with pytest.raises(ValueError, match="c4"):
+            workload_from_arrays(spec, [5, 5, 5, 5], [1, 1, 1, 1], encoded_bytes=-3)
 
     def test_derived_encoded_bytes(self):
         spec = conv_spec("c", 4, 2, kernel=3, in_rows=8, in_cols=8)
@@ -163,3 +183,72 @@ class TestWorkloadValidation:
         model = ModelWorkload(name="m", layers=(layer,))
         assert model.accumulate_ops == layer.accumulate_ops
         assert model.dense_ops == spec.dense_ops
+
+
+@st.composite
+def kernel_counts(draw):
+    kernels = draw(st.integers(1, 12))
+    nonzeros = draw(st.lists(st.integers(0, 36), min_size=kernels, max_size=kernels))
+    distinct = [draw(st.integers(0, n)) for n in nonzeros]
+    return nonzeros, distinct
+
+
+class TestArrayBackedWorkload:
+    @pytest.fixture
+    def spec(self):
+        return conv_spec("c", 4, 3, kernel=3, in_rows=8, in_cols=8)
+
+    def test_equal_content_compares_and_hashes_equal(self, spec):
+        a = workload_from_arrays(spec, [10, 4, 0], [3, 2, 0])
+        b = workload_from_arrays(spec, np.array([10, 4, 0]), (3, 2, 0))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != workload_from_arrays(spec, [10, 4, 1], [3, 2, 0])
+        assert a != workload_from_arrays(spec, [10, 4, 0], [3, 2, 0], encoded_bytes=7)
+
+    def test_equal_content_shares_sim_cache_entry(self, spec):
+        config = AcceleratorConfig(n_cu=2, n_knl=2, n_share=2, s_ec=4, d_f=1568)
+        simulator = AcceleratorSimulator(config, STRATIX_V_GXA7)
+        clear_sim_cache()
+        simulator.simulate(
+            ModelWorkload("m", (workload_from_arrays(spec, [10, 4, 0], [3, 2, 0]),))
+        )
+        assert sim_cache_info().hits == 0
+        simulator.simulate(
+            ModelWorkload("m", (workload_from_arrays(spec, [10, 4, 0], [3, 2, 0]),))
+        )
+        info = sim_cache_info()
+        assert (info.hits, info.misses, info.size) == (1, 1, 1)
+        clear_sim_cache()
+
+    def test_arrays_and_fields_are_read_only(self, spec):
+        layer = workload_from_arrays(spec, [10, 4, 0], [3, 2, 0])
+        with pytest.raises(ValueError):
+            layer.nonzeros[0] = 1
+        with pytest.raises(ValueError):
+            layer.distinct[0] = 1
+        with pytest.raises(AttributeError):
+            layer.encoded_bytes = 1
+
+    def test_caller_array_stays_writable(self, spec):
+        nonzeros = np.array([10, 4, 0])
+        workload_from_arrays(spec, nonzeros, [3, 2, 0])
+        nonzeros[0] = 11
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=kernel_counts())
+    def test_totals_match_per_kernel_sums(self, counts):
+        nonzeros, distinct = counts
+        spec = conv_spec("p", 4, len(nonzeros), kernel=3, in_rows=8, in_cols=8)
+        layer = workload_from_arrays(spec, nonzeros, distinct)
+        # The per-kernel Python sums are the definitions the arrays replace.
+        pixels = spec.output_pixels
+        assert layer.accumulate_ops == sum(nonzeros) * pixels
+        assert layer.multiply_ops == sum(distinct) * pixels
+        assert layer.density == sum(nonzeros) / spec.weight_count
+        assert layer.encoded_bytes == sum(
+            2 + 2 * d + 2 * n for n, d in zip(nonzeros, distinct)
+        )
+        model = ModelWorkload("m", (layer, layer))
+        assert model.accumulate_ops == 2 * layer.accumulate_ops
+        assert model.multiply_ops == 2 * layer.multiply_ops
