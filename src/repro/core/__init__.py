@@ -29,6 +29,7 @@ from .abm import (
 from .encoding import (
     EncodedKernel,
     EncodedLayer,
+    EncodingError,
     QTableEntry,
     clear_encode_cache,
     encode_cache_stats,
@@ -113,6 +114,7 @@ __all__ = [
     "EncodedKernel",
     "EncodedLayer",
     "QTableEntry",
+    "EncodingError",
     "encode_kernel",
     "decode_kernel",
     "encode_layer",

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..nn.layers.conv import im2col
 from .encoding import EncodedLayer, encode_layer_cached
-from .plan import compile_layer_plan
+from .plan import compile_layer_plan, conv_output_hw
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,6 @@ class ABMConvResult:
         return self.accumulate_ops / self.multiply_ops
 
 
-def _conv_output_hw(
-    rows: int, cols: int, geometry: ConvGeometry
-) -> Tuple[int, int]:
-    out_rows = (rows + 2 * geometry.padding - geometry.kernel) // geometry.stride + 1
-    out_cols = (cols + 2 * geometry.padding - geometry.kernel) // geometry.stride + 1
-    if out_rows < 1 or out_cols < 1:
-        raise ValueError("convolution geometry does not fit the input")
-    return out_rows, out_cols
-
-
 def _check_feature_codes(features: np.ndarray) -> np.ndarray:
     arr = np.asarray(features)
     if arr.ndim != 3:
@@ -99,8 +89,8 @@ def abm_conv2d_reference(
     """
     features = _check_feature_codes(feature_codes)
     channels, rows, cols = features.shape
-    out_rows, out_cols = _conv_output_hw(rows, cols, geometry)
-    kernels = len(encoded.kernels)
+    out_rows, out_cols = conv_output_hw(rows, cols, geometry)
+    kernels = encoded.out_channels
     if kernels % geometry.groups:
         raise ValueError("output channels must divide into groups")
     padded = np.pad(
@@ -272,7 +262,7 @@ def direct_conv2d_codes(
     groups = channels // group_in
     if kernels % groups:
         raise ValueError("output channels must divide into groups")
-    out_rows, out_cols = _conv_output_hw(features.shape[1], features.shape[2], geometry)
+    out_rows, out_cols = conv_output_hw(features.shape[1], features.shape[2], geometry)
     group_out = kernels // groups
     output = np.zeros((kernels, out_rows * out_cols), dtype=np.int64)
     for g in range(groups):

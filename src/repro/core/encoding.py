@@ -16,8 +16,14 @@ kernel (the N*K*K weight block of one output channel) is encoded as:
   legal in the model: the encoder splits it across several entries with the
   same VAL, exactly what the hardware's 8-bit NUM field forces.
 
-Decoding is exact: ``decode_kernel(encode_kernel(w)) == w`` for any kernel
-whose values fit the 8-bit weight format, a property test in the suite.
+An :class:`EncodedLayer` keeps these as flat arrays — every kernel's
+stream concatenated, every kernel's Q-Table concatenated, and per-kernel
+offsets into both — built by :func:`encode_layer` from one stable sort of
+the layer's nonzeros. :class:`EncodedKernel` is a per-kernel view of them
+for the walkers that step through one kernel at a time.
+
+Decoding is exact: ``decode_layer(encode_layer(name, w)) == w`` for any
+integer weight tensor, a property test in the suite.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +49,13 @@ KERNEL_HEADER_BYTES = 2
 MAX_ENTRY_COUNT = 255
 #: Largest packed index representable in a 16-bit WT-Buffer entry.
 MAX_PACKED_INDEX = (1 << 16) - 1
+
+
+class EncodingError(ValueError):
+    """An :class:`EncodedLayer` failed a structural check: non-monotone
+    offsets, NUMs not summing to a kernel's stream length, a NUM outside
+    [1, 255], a zero VAL, an index outside the kernel, or a kernel shape
+    that is not (N, K, K) within the 16-bit index width."""
 
 
 @dataclass(frozen=True)
@@ -61,11 +74,10 @@ class QTableEntry:
 
 @dataclass(frozen=True)
 class EncodedKernel:
-    """One kernel's encoded form: Q-Table rows plus the packed index stream.
-
+    """One kernel's Q-Table rows and packed index stream: a view of an
+    :class:`EncodedLayer` for the walkers that step through one kernel.
     ``indices[i]`` belongs to the Q-Table entry whose cumulative counts
-    cover position ``i``; indices are sorted within each value group.
-    """
+    cover position ``i``; indices are sorted within each value group."""
 
     qtable: Tuple[QTableEntry, ...]
     indices: np.ndarray
@@ -103,45 +115,21 @@ class EncodedKernel:
         )
 
     @cached_property
-    def segment_offsets(self) -> np.ndarray:
-        """CSR-style offsets into :attr:`indices`, one segment per Q-Table
-        entry: segment ``i`` is ``indices[segment_offsets[i]:segment_offsets[i+1]]``.
-
-        Shape ``(qtable_entries + 1,)``. Cached: the flat view is what the
-        compiled execution plan consumes directly.
-        """
-        counts = np.fromiter(
-            (entry.count for entry in self.qtable), dtype=np.int64, count=len(self.qtable)
+    def _groups(self) -> Tuple[Tuple[int, np.ndarray], ...]:
+        ends = np.cumsum([entry.count for entry in self.qtable], dtype=np.int64)
+        return tuple(
+            (entry.value, self.indices[end - entry.count : end])
+            for entry, end in zip(self.qtable, ends.tolist())
         )
-        offsets = np.zeros(len(self.qtable) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return offsets
-
-    @cached_property
-    def segment_values(self) -> np.ndarray:
-        """Per-segment weight value, aligned with :attr:`segment_offsets`."""
-        return np.fromiter(
-            (entry.value for entry in self.qtable), dtype=np.int64, count=len(self.qtable)
-        )
-
-    @cached_property
-    def _materialized_groups(self) -> Tuple[Tuple[int, np.ndarray], ...]:
-        offsets = self.segment_offsets
-        groups = []
-        for i, entry in enumerate(self.qtable):
-            block = self.indices[offsets[i] : offsets[i + 1]]
-            block.setflags(write=False)
-            groups.append((entry.value, block))
-        return tuple(groups)
 
     def value_groups(self) -> Iterable[Tuple[int, np.ndarray]]:
         """Yield (value, packed index block) pairs in stream order.
 
-        The blocks are materialized once and cached, so hot loops that walk
-        the groups repeatedly (the reference kernel visits them per output
+        The blocks are sliced once and cached, so hot loops that walk the
+        groups repeatedly (the reference kernel visits them per output
         pixel) stop re-slicing :attr:`indices` on every iteration.
         """
-        return iter(self._materialized_groups)
+        return iter(self._groups)
 
 
 def pack_index(n: int, k: int, k2: int, kernel: int) -> int:
@@ -156,48 +144,222 @@ def unpack_index(packed: int, kernel: int) -> Tuple[int, int, int]:
     return rest // kernel, rest % kernel, k2
 
 
-def encode_kernel(kernel_codes: np.ndarray) -> EncodedKernel:
-    """Encode one kernel's integer weight codes.
+def narrowest_int(values: np.ndarray):
+    """The smallest signed integer dtype holding every element of ``values``."""
+    peak = max(int(values.max()), -int(values.min()) - 1) if values.size else 0
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if peak <= np.iinfo(t).max)
 
-    ``kernel_codes`` has shape (N, K, K); FC kernels use (N, 1, 1). Raises
-    if any packed index would overflow the 16-bit WT-Buffer width.
+
+def _value_runs(kernels: np.ndarray, values: np.ndarray):
+    """Stable order by (kernel, value), both keys in that order, and a flag
+    on the first element of every (kernel, value) run. Narrowed keys (8-bit
+    codes sort as int8) take numpy's radix sort; no combined key, so no
+    code range can overflow."""
+    order = np.lexsort(
+        (values.astype(narrowest_int(values)), kernels.astype(narrowest_int(kernels)))
+    )
+    kernels = kernels[order]
+    values = values[order]
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = (kernels[1:] != kernels[:-1]) | (values[1:] != values[:-1])
+    return order, kernels, values, first
+
+
+def _frozen(values) -> np.ndarray:
+    array = np.array(values, dtype=np.int64)
+    if array.ndim != 1:
+        raise EncodingError(f"encoded streams are one-dimensional, got shape {array.shape}")
+    array.setflags(write=False)
+    return array
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+_STREAMS = ("indices", "qtable_values", "qtable_counts", "stream_offsets", "qtable_offsets")
+
+
+@dataclass(frozen=True, eq=False)
+class EncodedLayer:
+    """All kernels of one conv/FC layer as flat WT-Buffer and Q-Table arrays.
+
+    Kernel ``m``'s index stream is ``indices[stream_offsets[m]:stream_offsets[m + 1]]``
+    and its Q-Table rows ``qtable_offsets[m]:qtable_offsets[m + 1]`` of
+    ``qtable_values`` (VAL) and ``qtable_counts`` (NUM); each row owns the
+    next NUM entries of the stream. Arrays are stored as checked read-only
+    int64 copies (:class:`EncodingError`); ``nonzeros`` and ``distinct``
+    (accumulates and multiplies per output pixel, per kernel) are derived.
     """
-    codes = np.asarray(kernel_codes)
-    if codes.ndim != 3 or codes.shape[1] != codes.shape[2]:
-        raise ValueError(f"kernel codes must be (N, K, K), got {codes.shape}")
+
+    name: str
+    kernel_shape: Tuple[int, int, int]
+    indices: np.ndarray = field(repr=False)
+    qtable_values: np.ndarray = field(repr=False)
+    qtable_counts: np.ndarray = field(repr=False)
+    stream_offsets: np.ndarray = field(repr=False)
+    qtable_offsets: np.ndarray = field(repr=False)
+    nonzeros: np.ndarray = field(init=False, repr=False)
+    distinct: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        shape = tuple(int(d) for d in self.kernel_shape)
+        if len(shape) != 3 or shape[1] != shape[2] or min(shape) < 1:
+            raise EncodingError(f"kernel shape must be (N, K, K) with N, K >= 1, got {shape}")
+        object.__setattr__(self, "kernel_shape", shape)
+        for name in _STREAMS:
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        self._check()
+        object.__setattr__(self, "nonzeros", _frozen(np.diff(self.stream_offsets)))
+        kernels = np.repeat(np.arange(self.out_channels), np.diff(self.qtable_offsets))
+        _, kernels, _, first = _value_runs(kernels, self.qtable_values)
+        distinct = np.bincount(kernels[first], minlength=self.out_channels)
+        object.__setattr__(self, "distinct", _frozen(distinct))
+
+    def _check(self) -> None:
+        """Vectorized structural checks; raise :class:`EncodingError`."""
+
+        def fail(message: str) -> None:
+            raise EncodingError(f"layer {self.name!r}: {message}")
+
+        values, counts = self.qtable_values, self.qtable_counts
+        streams, tables = self.stream_offsets, self.qtable_offsets
+        if values.size != counts.size:
+            fail(f"{values.size} Q-Table VALs but {counts.size} NUMs")
+        if streams.size == 0 or streams.size != tables.size:
+            fail("stream and Q-Table offsets need one entry per kernel plus one")
+        for offsets, total, what in (
+            (streams, self.indices.size, "stream"),
+            (tables, values.size, "Q-Table"),
+        ):
+            if offsets[0] != 0 or offsets[-1] != total or (np.diff(offsets) < 0).any():
+                fail(f"{what} offsets do not rise monotonically from 0 to {total}")
+        if counts.size and not (1 <= counts.min() and counts.max() <= MAX_ENTRY_COUNT):
+            fail(f"a Q-Table NUM lies outside [1, {MAX_ENTRY_COUNT}]")
+        if (values == 0).any():
+            fail("a Q-Table VAL is zero; zero weights are never encoded")
+        width = self.kernel_width
+        if width - 1 > MAX_PACKED_INDEX:
+            fail(f"kernel of {width} weights overflows the 16-bit index width")
+        if self.indices.size and not (0 <= self.indices.min() and self.indices.max() < width):
+            fail(f"an index lies outside the kernel's {width} weights")
+        ends = _offsets(counts)
+        sums = ends[tables[1:]] - ends[tables[:-1]]
+        lengths = np.diff(streams)
+        bad = np.flatnonzero(sums != lengths)
+        if bad.size:
+            m = bad[0]
+            fail(f"kernel {m}: Q-Table counts sum to {sums[m]} but {lengths[m]} indices given")
+
+    @property
+    def out_channels(self) -> int:
+        """Kernels in the layer (one per output channel)."""
+        return int(self.stream_offsets.size - 1)
+
+    @property
+    def kernel_width(self) -> int:
+        """Weights per kernel, N*K*K: the packed index range."""
+        n, k, _ = self.kernel_shape
+        return n * k * k
+
+    @property
+    def nonzero_count(self) -> int:
+        return int(self.indices.size)
+
+    @property
+    def qtable_entries(self) -> int:
+        return int(self.qtable_values.size)
+
+    @property
+    def encoded_bytes(self) -> int:
+        """Total DDR footprint of the layer's encoded weights."""
+        return (
+            KERNEL_HEADER_BYTES * self.out_channels
+            + QT_ENTRY_BYTES * self.qtable_entries
+            + WT_ENTRY_BYTES * self.nonzero_count
+        )
+
+    @property
+    def max_wt_entries_per_kernel(self) -> int:
+        """Deepest per-kernel index stream (sizes the WT-Buffer depth D_w)."""
+        return int(self.nonzeros.max(initial=0))
+
+    @property
+    def max_qtable_entries_per_kernel(self) -> int:
+        """Deepest per-kernel Q-Table (sizes the Q-Table depth D_q)."""
+        return int(np.diff(self.qtable_offsets).max(initial=0))
+
+    def dense_codes(self, dtype=np.int64) -> np.ndarray:
+        """The weight codes as a dense (M, N*K*K) matrix, in one scatter."""
+        dense = np.zeros((self.out_channels, self.kernel_width), dtype=dtype)
+        rows = np.repeat(np.arange(self.out_channels), self.nonzeros)
+        dense[rows, self.indices] = np.repeat(self.qtable_values, self.qtable_counts)
+        return dense
+
+    @cached_property
+    def kernels(self) -> Tuple[EncodedKernel, ...]:
+        """Per-kernel views, built on first access, for the walkers that step
+        through one kernel (address generator, CU, emulation, the ABM
+        reference loop). Set-up reads the flat arrays."""
+        entries = list(map(QTableEntry, self.qtable_values.tolist(), self.qtable_counts.tolist()))
+        s, t, shape = self.stream_offsets.tolist(), self.qtable_offsets.tolist(), self.kernel_shape
+        return tuple(
+            EncodedKernel(tuple(entries[t[m] : t[m + 1]]), self.indices[s[m] : s[m + 1]], shape)
+            for m in range(self.out_channels)
+        )
+
+
+def encode_layer(name: str, weight_codes: np.ndarray) -> EncodedLayer:
+    """Encode a whole layer's (M, N, K, K) integer weight tensor.
+
+    FC weights may be given as (M, N) and are read as (M, N, 1, 1). One
+    stable sort of the layer's nonzeros by (kernel, value) groups every
+    kernel's positions by value, ascending within each value; runs longer
+    than the 8-bit NUM field split into continuation Q-Table entries.
+    Raises if a packed index would overflow the 16-bit WT-Buffer width.
+    """
+    codes = np.asarray(weight_codes)
+    if codes.ndim == 2:  # FC weights (M, N) -> (M, N, 1, 1)
+        codes = codes.reshape(codes.shape[0], codes.shape[1], 1, 1)
+    if codes.ndim != 4:
+        raise ValueError(f"layer codes must be (M, N, K, K), got shape {codes.shape}")
     if not np.issubdtype(codes.dtype, np.integer):
         raise TypeError("kernel codes must be integers")
-    if codes.size - 1 > MAX_PACKED_INDEX:
-        raise ValueError(
-            f"kernel of {codes.size} weights overflows the 16-bit index width"
-        )
+    out_channels, *shape = codes.shape
+    width = int(np.prod(shape))
     flat = codes.reshape(-1)
-    nonzero_positions = np.flatnonzero(flat)
-    entries: List[QTableEntry] = []
-    blocks: List[np.ndarray] = []
-    if nonzero_positions.size:
-        values = flat[nonzero_positions]
-        # Group positions by value; iterate values in ascending order, which
-        # fixes the stream order the Address Generator expects.
-        order = np.argsort(values, kind="stable")
-        sorted_positions = nonzero_positions[order]
-        sorted_values = values[order]
-        boundaries = np.flatnonzero(np.diff(sorted_values)) + 1
-        for block, value_block in zip(
-            np.split(sorted_positions, boundaries), np.split(sorted_values, boundaries)
-        ):
-            value = int(value_block[0])
-            # Split oversize groups to honour the 8-bit NUM field.
-            for start in range(0, block.size, MAX_ENTRY_COUNT):
-                chunk = block[start : start + MAX_ENTRY_COUNT]
-                entries.append(QTableEntry(value=value, count=int(chunk.size)))
-                blocks.append(np.sort(chunk))
-    indices = (
-        np.concatenate(blocks).astype(np.int64) if blocks else np.empty(0, dtype=np.int64)
+    nonzero = np.flatnonzero(flat)
+    kernels = nonzero // width
+    # Stable, so positions stay ascending inside each (kernel, value) run.
+    order, kernels, values, run_start = _value_runs(
+        kernels, flat[nonzero].astype(np.int64, copy=False)
     )
-    return EncodedKernel(
-        qtable=tuple(entries), indices=indices, kernel_shape=tuple(codes.shape)
+    positions = nonzero[order] - kernels * width
+    starts = np.flatnonzero(run_start)
+    rank = np.arange(values.size) - np.repeat(starts, np.diff(starts, append=values.size))
+    entries = np.flatnonzero(rank % MAX_ENTRY_COUNT == 0)
+    return EncodedLayer(
+        name=name,
+        kernel_shape=shape,
+        indices=positions,
+        qtable_values=values[entries],
+        qtable_counts=np.diff(entries, append=values.size),
+        stream_offsets=_offsets(np.bincount(kernels, minlength=out_channels)),
+        qtable_offsets=_offsets(np.bincount(kernels[entries], minlength=out_channels)),
     )
+
+
+def encode_kernel(kernel_codes: np.ndarray) -> EncodedKernel:
+    """Encode one kernel's (N, K, K) integer weight codes (FC: (N, 1, 1)).
+
+    The kernel view of a one-kernel :func:`encode_layer`.
+    """
+    codes = np.asarray(kernel_codes)
+    if codes.ndim != 3:
+        raise ValueError(f"kernel codes must be (N, K, K), got {codes.shape}")
+    return encode_layer("kernel", codes[None]).kernels[0]
 
 
 def decode_kernel(encoded: EncodedKernel) -> np.ndarray:
@@ -208,57 +370,11 @@ def decode_kernel(encoded: EncodedKernel) -> np.ndarray:
     return flat.reshape(encoded.kernel_shape)
 
 
-@dataclass(frozen=True)
-class EncodedLayer:
-    """All kernels of one conv/FC layer in encoded form."""
-
-    name: str
-    kernels: Tuple[EncodedKernel, ...]
-
-    @property
-    def nonzero_count(self) -> int:
-        return sum(kernel.nonzero_count for kernel in self.kernels)
-
-    @property
-    def qtable_entries(self) -> int:
-        return sum(kernel.qtable_entries for kernel in self.kernels)
-
-    @property
-    def encoded_bytes(self) -> int:
-        """Total DDR footprint of the layer's encoded weights."""
-        return sum(kernel.encoded_bytes for kernel in self.kernels)
-
-    @property
-    def max_wt_entries_per_kernel(self) -> int:
-        """Deepest per-kernel index stream (sizes the WT-Buffer depth D_w)."""
-        if not self.kernels:
-            return 0
-        return max(kernel.nonzero_count for kernel in self.kernels)
-
-    @property
-    def max_qtable_entries_per_kernel(self) -> int:
-        """Deepest per-kernel Q-Table (sizes the Q-Table depth D_q)."""
-        if not self.kernels:
-            return 0
-        return max(kernel.qtable_entries for kernel in self.kernels)
-
-
-def encode_layer(name: str, weight_codes: np.ndarray) -> EncodedLayer:
-    """Encode a whole layer's (M, N, K, K) integer weight tensor."""
-    codes = np.asarray(weight_codes)
-    if codes.ndim == 2:  # FC weights (M, N) -> (M, N, 1, 1)
-        codes = codes.reshape(codes.shape[0], codes.shape[1], 1, 1)
-    if codes.ndim != 4:
-        raise ValueError(f"layer codes must be (M, N, K, K), got shape {codes.shape}")
-    kernels = tuple(encode_kernel(codes[m]) for m in range(codes.shape[0]))
-    return EncodedLayer(name=name, kernels=kernels)
-
-
 def decode_layer(encoded: EncodedLayer) -> np.ndarray:
     """Reconstruct the dense (M, N, K, K) tensor of an encoded layer."""
-    if not encoded.kernels:
+    if not encoded.out_channels:
         raise ValueError("encoded layer has no kernels")
-    return np.stack([decode_kernel(kernel) for kernel in encoded.kernels])
+    return encoded.dense_codes().reshape(encoded.out_channels, *encoded.kernel_shape)
 
 
 def encoded_model_bytes(layers: Sequence[EncodedLayer]) -> int:

@@ -147,13 +147,13 @@ def measured_layer_counts(
     fdconv_reduction: float = FDCONV_REDUCTION,
 ) -> LayerOpCounts:
     """Op counts measured from an actual encoded weight tensor."""
-    if len(encoded.kernels) != spec.out_channels:
+    if encoded.out_channels != spec.out_channels:
         raise ValueError(
-            f"{spec.name}: encoded layer has {len(encoded.kernels)} kernels, "
+            f"{spec.name}: encoded layer has {encoded.out_channels} kernels, "
             f"spec expects {spec.out_channels}"
         )
     nnz = encoded.nonzero_count
-    distinct_total = sum(kernel.distinct_values for kernel in encoded.kernels)
+    distinct_total = int(encoded.distinct.sum())
     reduction = fdconv_reduction if spec.kind == "conv" else 1.0
     return LayerOpCounts(
         name=spec.name,

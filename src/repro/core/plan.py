@@ -14,8 +14,8 @@ A :class:`LayerPlan` compiles an encoded layer once into
   — exactly what the reference loop counts one iteration at a time;
 - :attr:`LayerPlan.max_weighted_sum`, the exact per-kernel bound
   ``max_k sum(|VAL| * NUM)`` on ``|output| / max|x|``;
-- per channel group, the Q-Table segments needed to scatter the weight
-  codes into a dense ``(group_out, C*K*K)`` matrix on first use.
+- the weight codes as one dense ``(M, C*K*K)`` matrix, scattered once from
+  the flat WT-Buffer stream; each channel group multiplies its row block.
 
 Execution lays the batch out as a transposed im2col matrix (features x
 pixels, the batch stacked into the pixel axis) and multiplies it by the
@@ -45,13 +45,13 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from ..telemetry.caches import CacheStats, register_cache
 from ..telemetry.context import get_active
-from .encoding import EncodedLayer
+from .encoding import EncodedLayer, narrowest_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.core.abm
     from .abm import ConvGeometry
@@ -95,7 +95,7 @@ def code_peak(codes) -> int:
     return max(int(codes.max()), -int(codes.min()))
 
 
-def _conv_output_hw(rows: int, cols: int, geometry: "ConvGeometry") -> Tuple[int, int]:
+def conv_output_hw(rows: int, cols: int, geometry: "ConvGeometry") -> Tuple[int, int]:
     out_rows = (rows + 2 * geometry.padding - geometry.kernel) // geometry.stride + 1
     out_cols = (cols + 2 * geometry.padding - geometry.kernel) // geometry.stride + 1
     if out_rows < 1 or out_cols < 1:
@@ -103,115 +103,55 @@ def _conv_output_hw(rows: int, cols: int, geometry: "ConvGeometry") -> Tuple[int
     return out_rows, out_cols
 
 
-class _GroupPlan:
-    """One channel group's Q-Table segments, flattened across kernels.
-
-    Segment ``s`` puts value ``seg_values[s]`` at the ``seg_lengths[s]``
-    WT-Buffer columns it owns in ``columns``, in output row
-    ``seg_rows[s]`` — enough to scatter the dense weight matrix.
-    """
-
-    __slots__ = ("columns", "seg_lengths", "seg_values", "seg_rows", "_dense")
-
-    def __init__(
-        self,
-        columns: np.ndarray,
-        seg_lengths: np.ndarray,
-        seg_values: np.ndarray,
-        seg_rows: np.ndarray,
-    ) -> None:
-        self.columns = columns
-        self.seg_lengths = seg_lengths
-        self.seg_values = seg_values
-        self.seg_rows = seg_rows
-        self._dense: Dict[str, np.ndarray] = {}
-
-    def dense_weights(self, group_out: int, patch_width: int, dtype=np.float64) -> np.ndarray:
-        """The group's weight codes as a dense (group_out, K) matrix.
-
-        Built once per dtype and cached on the group.  Weight codes are
-        small integers, so the float copies are exact.
-        """
-        key = np.dtype(dtype).str
-        dense = self._dense.get(key)
-        if dense is None:
-            dense = np.zeros((group_out, patch_width), dtype=dtype)
-            dense[
-                np.repeat(self.seg_rows, self.seg_lengths), self.columns
-            ] = np.repeat(self.seg_values, self.seg_lengths)
-            self._dense[key] = dense
-        return dense
+def _max_weighted_sum(encoded: EncodedLayer) -> int:
+    """``max_k sum(|VAL| * NUM)`` over the kernels, exactly: in int64 when
+    ``max|VAL| * max nnz`` fits it, otherwise on Python ints."""
+    values = encoded.qtable_values
+    if values.size == 0:
+        return 0
+    fits = code_peak(values) * encoded.max_wt_entries_per_kernel < INT64_EXACT
+    weighted = np.abs(values.astype(np.int64 if fits else object)) * encoded.qtable_counts
+    starts = encoded.qtable_offsets[:-1][encoded.nonzeros > 0]
+    return int(np.add.reduceat(weighted, starts).max())
 
 
 class LayerPlan:
     """A layer compiled for exact dense-GEMM execution (see module docs)."""
 
     def __init__(self, encoded: EncodedLayer, geometry: "ConvGeometry") -> None:
-        kernels = len(encoded.kernels)
+        kernels = encoded.out_channels
         if kernels % geometry.groups:
             raise ValueError("output channels must divide into groups")
+        if encoded.kernel_shape[1] != geometry.kernel:
+            raise ValueError(
+                f"encoded kernel size {encoded.kernel_shape[1]} != geometry kernel "
+                f"{geometry.kernel}"
+            )
         self.geometry = geometry
         self.out_channels = kernels
         self.name = encoded.name
-        shapes = {kernel.kernel_shape for kernel in encoded.kernels}
-        if len(shapes) > 1:
-            raise ValueError(f"kernels disagree on shape: {sorted(shapes)}")
-        if shapes:
-            shape = next(iter(shapes))
-            if shape[1] != geometry.kernel:
-                raise ValueError(
-                    f"encoded kernel size {shape[1]} != geometry kernel "
-                    f"{geometry.kernel}"
-                )
-            self.group_in = shape[0]
-        else:
-            self.group_in = 0
-        self.patch_width = self.group_in * geometry.kernel * geometry.kernel
-        group_out = kernels // geometry.groups if geometry.groups else 0
-        self.group_out = group_out
-        self._groups: List[_GroupPlan] = []
+        self.group_in = encoded.kernel_shape[0]
+        self.patch_width = encoded.kernel_width
+        self.group_out = kernels // geometry.groups
         #: Exact accumulate operations per output pixel (layer nonzeros).
-        self.accumulates_per_pixel = 0
+        self.accumulates_per_pixel = encoded.nonzero_count
         #: Exact multiply operations per output pixel (Q-Table segments,
         #: counting NUM-field split entries separately, as the loop does).
-        self.multiplies_per_pixel = 0
-        self._max_weighted_sum = 0
-        for g in range(geometry.groups):
-            self._groups.append(
-                self._compile_group(encoded.kernels[g * group_out : (g + 1) * group_out])
-            )
+        self.multiplies_per_pixel = encoded.qtable_entries
+        self._max_weighted_sum = _max_weighted_sum(encoded)
+        # One scatter, in the narrowest integer dtype; each dtype is a cast.
+        self._codes = encoded.dense_codes(narrowest_int(encoded.qtable_values))
+        self._dense: Dict[str, np.ndarray] = {}
         self._scratch: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
 
-    def _compile_group(self, kernels: Sequence) -> _GroupPlan:
-        columns: List[np.ndarray] = []
-        seg_lengths: List[int] = []
-        seg_values: List[int] = []
-        seg_rows: List[int] = []
-        for row, kernel in enumerate(kernels):
-            weighted = 0
-            for entry in kernel.qtable:
-                seg_lengths.append(entry.count)
-                seg_values.append(entry.value)
-                seg_rows.append(row)
-                weighted += abs(entry.value) * entry.count
-            self._max_weighted_sum = max(self._max_weighted_sum, weighted)
-            if kernel.indices.size:
-                columns.append(kernel.indices)
-            self.accumulates_per_pixel += kernel.nonzero_count
-            self.multiplies_per_pixel += kernel.qtable_entries
-        flat_columns = (
-            np.concatenate(columns).astype(np.intp)
-            if columns
-            else np.empty(0, dtype=np.intp)
-        )
-        if flat_columns.size and int(flat_columns.max()) >= self.patch_width:
-            raise ValueError("encoded index exceeds the layer's patch width")
-        return _GroupPlan(
-            columns=flat_columns,
-            seg_lengths=np.asarray(seg_lengths, dtype=np.intp),
-            seg_values=np.asarray(seg_values, dtype=np.int64),
-            seg_rows=np.asarray(seg_rows, dtype=np.intp),
-        )
+    def dense_weights(self, dtype=np.float64) -> np.ndarray:
+        """The weight codes as a dense (M, C*K*K) matrix of ``dtype``, built
+        once per dtype; group ``g`` owns rows ``g * group_out`` onward."""
+        key = np.dtype(dtype).str
+        dense = self._dense.get(key)
+        if dense is None:
+            dense = self._dense[key] = self._codes.astype(dtype)
+        return dense
 
     # ---- scratch management ---------------------------------------------
 
@@ -339,21 +279,19 @@ class LayerPlan:
         dtype = _DTYPES[datapath]
         geometry = self.geometry
         images, channels, rows, cols = batch.shape
-        if self.group_in and channels != self.group_in * geometry.groups:
+        if channels != self.group_in * geometry.groups:
             raise ValueError(
                 f"layer {self.name!r} expects {self.group_in * geometry.groups} "
                 f"input channels, got {channels}"
             )
-        out_rows, out_cols = _conv_output_hw(rows, cols, geometry)
+        out_rows, out_cols = conv_output_hw(rows, cols, geometry)
         total_pixels = images * out_rows * out_cols
         output = self._buffer("output", (self.out_channels, total_pixels), dtype)
-        for g, plan in enumerate(self._groups):
+        weights = self.dense_weights(dtype)
+        for g in range(geometry.groups):
+            rows = slice(g * self.group_out, (g + 1) * self.group_out)
             patches_t = self._patches_t(batch, g, out_rows, out_cols, dtype)
-            np.matmul(
-                plan.dense_weights(self.group_out, self.patch_width, dtype),
-                patches_t,
-                out=output[g * self.group_out : (g + 1) * self.group_out],
-            )
+            np.matmul(weights[rows], patches_t, out=output[rows])
         if bias_codes is not None:
             output += np.asarray(bias_codes, dtype=dtype)[:, None]
         return output, images, out_rows, out_cols
@@ -376,9 +314,7 @@ class LayerPlan:
         geometry = self.geometry
         images = batch.shape[0]
         pixels = out_rows * out_cols
-        width = self.patch_width if self.group_in else 0
-        if width == 0:
-            return np.empty((0, images * pixels), dtype=work_dtype)
+        width = self.patch_width
         patches = self._buffer(("patches_t", group), (width, images * pixels), work_dtype)
         lo = group * self.group_in
         hi = lo + self.group_in
@@ -409,15 +345,6 @@ class LayerPlan:
             casting="same_kind",
         )
         return patches
-
-    def describe(self) -> str:
-        """One-line summary for logs and benchmarks."""
-        return (
-            f"plan({self.name}: {self.out_channels} kernels, "
-            f"{self.accumulates_per_pixel} acc/px, "
-            f"{self.multiplies_per_pixel} mult/px, "
-            f"{len(self._groups)} group(s))"
-        )
 
 
 _plan_cache: "OrderedDict[Tuple[int, Hashable], LayerPlan]" = OrderedDict()
@@ -460,11 +387,15 @@ def compile_layer_plan(encoded: EncodedLayer, geometry: "ConvGeometry") -> Layer
                 return plan
             _evict_plans(id(encoded))
         _plan_misses += 1
-    # Compile outside the lock: plans are deterministic, so if two threads
-    # race on the same key the loser's insert is a harmless overwrite.
+    # Compile outside the lock (it is the expensive part); racing threads
+    # may both compile, but the first insert wins so callers share one plan.
     plan = LayerPlan(encoded, geometry)
     with _plan_lock:
         global _plan_evictions
+        raced = _plan_cache.get(key)
+        if raced is not None:
+            _plan_cache.move_to_end(key)
+            return raced
         _plan_cache[key] = plan
         if id(encoded) not in _plan_refs:
             _plan_refs[id(encoded)] = weakref.ref(encoded)

@@ -31,48 +31,82 @@ from typing import BinaryIO, List, Sequence
 
 import numpy as np
 
-from .encoding import EncodedKernel, EncodedLayer, QTableEntry
+from .encoding import EncodedLayer, EncodingError
 
 MAGIC = b"ABMS"
 FORMAT_VERSION = 1
+
+#: One Q-Table entry on the wire: 8-bit two's-complement VAL, 8-bit NUM.
+_QTABLE_ENTRY = np.dtype([("value", "i1"), ("count", "u1")])
 
 
 class SerializationError(ValueError):
     """Raised when a blob is malformed or version-incompatible."""
 
 
-def _write_kernel(stream: BinaryIO, kernel: EncodedKernel) -> None:
-    stream.write(struct.pack("<HH", kernel.nonzero_count, kernel.qtable_entries))
-    for entry in kernel.qtable:
-        stream.write(struct.pack("<bB", entry.value, entry.count))
-    stream.write(kernel.indices.astype("<u2").tobytes())
+def _write_layer(stream: BinaryIO, layer: EncodedLayer) -> None:
+    name = layer.name.encode("utf-8")
+    if len(name) > 0xFF:
+        raise SerializationError(f"layer name too long: {layer.name!r}")
+    if not layer.out_channels:
+        raise SerializationError(f"layer {layer.name!r} has no kernels")
+    if layer.max_wt_entries_per_kernel > 0xFFFF:
+        raise SerializationError(f"layer {layer.name!r} has a kernel stream over u16")
+    values = layer.qtable_values
+    if values.size and not (-128 <= values.min() and values.max() <= 127):
+        raise SerializationError(f"layer {layer.name!r} has a VAL outside 8 bits")
+    stream.write(struct.pack("<B", len(name)))
+    stream.write(name)
+    stream.write(struct.pack("<IIII", *layer.kernel_shape, layer.out_channels))
+    headers = np.stack([layer.nonzeros, np.diff(layer.qtable_offsets)], 1).astype("<u2")
+    qtable = np.empty(values.size, dtype=_QTABLE_ENTRY)
+    qtable["value"] = values
+    qtable["count"] = layer.qtable_counts
+    indices = layer.indices.astype("<u2")
+    streams, tables = layer.stream_offsets.tolist(), layer.qtable_offsets.tolist()
+    for m in range(layer.out_channels):
+        stream.write(headers[m].tobytes())
+        stream.write(qtable[tables[m] : tables[m + 1]].tobytes())
+        stream.write(indices[streams[m] : streams[m + 1]].tobytes())
 
 
-def _read_kernel(stream: BinaryIO, kernel_shape: tuple) -> EncodedKernel:
-    header = stream.read(4)
-    if len(header) != 4:
-        raise SerializationError("truncated kernel header")
-    total, entries = struct.unpack("<HH", header)
-    qtable: List[QTableEntry] = []
-    for _ in range(entries):
-        raw = stream.read(2)
-        if len(raw) != 2:
-            raise SerializationError("truncated Q-Table")
-        value, count = struct.unpack("<bB", raw)
-        try:
-            qtable.append(QTableEntry(value=value, count=count))
-        except ValueError as exc:
-            raise SerializationError(f"invalid Q-Table entry: {exc}") from exc
-    raw = stream.read(2 * total)
-    if len(raw) != 2 * total:
-        raise SerializationError("truncated index stream")
-    indices = np.frombuffer(raw, dtype="<u2").astype(np.int64)
+def _read(stream: BinaryIO, size: int, what: str) -> bytes:
+    raw = stream.read(size)
+    if len(raw) != size:
+        raise SerializationError(f"truncated {what}")
+    return raw
+
+
+def _read_layer(stream: BinaryIO) -> EncodedLayer:
+    (name_len,) = struct.unpack("<B", _read(stream, 1, "layer header"))
     try:
-        return EncodedKernel(
-            qtable=tuple(qtable), indices=indices, kernel_shape=kernel_shape
+        name = _read(stream, name_len, "layer name").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"layer name is not UTF-8: {exc}") from exc
+    *shape, kernels = struct.unpack("<IIII", _read(stream, 16, "layer shape record"))
+    if not kernels:
+        raise SerializationError(f"layer {name!r} has no kernels")
+    headers, qtables, streams = [], [], []
+    for _ in range(kernels):
+        total, entries = struct.unpack("<HH", _read(stream, 4, "kernel header"))
+        headers.append((total, entries))
+        qtables.append(np.frombuffer(_read(stream, 2 * entries, "Q-Table"), _QTABLE_ENTRY))
+        streams.append(np.frombuffer(_read(stream, 2 * total, "index stream"), "<u2"))
+    qtable = np.concatenate(qtables)
+    offsets = np.zeros((kernels + 1, 2), dtype=np.int64)
+    np.cumsum(headers, axis=0, out=offsets[1:])
+    try:
+        return EncodedLayer(
+            name=name,
+            kernel_shape=tuple(shape),
+            indices=np.concatenate(streams),
+            qtable_values=qtable["value"],
+            qtable_counts=qtable["count"],
+            stream_offsets=offsets[:, 0],
+            qtable_offsets=offsets[:, 1],
         )
-    except ValueError as exc:
-        raise SerializationError(f"inconsistent kernel record: {exc}") from exc
+    except EncodingError as exc:
+        raise SerializationError(f"inconsistent layer record: {exc}") from exc
 
 
 def dump_layers(layers: Sequence[EncodedLayer], stream: BinaryIO) -> None:
@@ -82,55 +116,20 @@ def dump_layers(layers: Sequence[EncodedLayer], stream: BinaryIO) -> None:
     stream.write(MAGIC)
     stream.write(struct.pack("<HH", FORMAT_VERSION, len(layers)))
     for layer in layers:
-        name = layer.name.encode("utf-8")
-        if len(name) > 0xFF:
-            raise SerializationError(f"layer name too long: {layer.name!r}")
-        if not layer.kernels:
-            raise SerializationError(f"layer {layer.name!r} has no kernels")
-        stream.write(struct.pack("<B", len(name)))
-        stream.write(name)
-        shape = layer.kernels[0].kernel_shape
-        stream.write(struct.pack("<IIII", *shape, len(layer.kernels)))
-        for kernel in layer.kernels:
-            if kernel.kernel_shape != shape:
-                raise SerializationError(
-                    f"layer {layer.name!r} mixes kernel shapes"
-                )
-            if kernel.nonzero_count > 0xFFFF:
-                raise SerializationError(
-                    f"kernel stream of {kernel.nonzero_count} entries overflows u16"
-                )
-            _write_kernel(stream, kernel)
+        _write_layer(stream, layer)
 
 
 def load_layers(stream: BinaryIO) -> List[EncodedLayer]:
-    """Deserialize encoded layers from a binary stream."""
+    """Deserialize encoded layers from a stream holding exactly one blob;
+    any malformation, trailing bytes included, raises SerializationError."""
     if stream.read(4) != MAGIC:
         raise SerializationError("bad magic — not an ABM-SpConv model blob")
-    header = stream.read(4)
-    if len(header) != 4:
-        raise SerializationError("truncated file header")
-    version, layer_count = struct.unpack("<HH", header)
+    version, layer_count = struct.unpack("<HH", _read(stream, 4, "file header"))
     if version != FORMAT_VERSION:
         raise SerializationError(f"unsupported format version {version}")
-    layers = []
-    for _ in range(layer_count):
-        raw = stream.read(1)
-        if len(raw) != 1:
-            raise SerializationError("truncated layer header")
-        (name_len,) = struct.unpack("<B", raw)
-        name = stream.read(name_len).decode("utf-8")
-        raw = stream.read(16)
-        if len(raw) != 16:
-            raise SerializationError("truncated layer shape record")
-        n, k, k2, kernels = struct.unpack("<IIII", raw)
-        shape = (n, k, k2)
-        layers.append(
-            EncodedLayer(
-                name=name,
-                kernels=tuple(_read_kernel(stream, shape) for _ in range(kernels)),
-            )
-        )
+    layers = [_read_layer(stream) for _ in range(layer_count)]
+    if stream.read(1):
+        raise SerializationError("trailing bytes after the last layer")
     return layers
 
 

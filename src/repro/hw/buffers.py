@@ -64,12 +64,9 @@ def wt_buffer_requirement(
     the rule that reproduces the paper's D_w = 1024 (AlexNet, deepest
     kernel ~830 nonzeros) and 2048 (VGG16, ~1660).
     """
-    required = 0
-    for layer in layers:
-        required = max(required, layer.max_wt_entries_per_kernel)
     return BufferRequirement(
         name="WT-Buffer",
-        required_depth=required,
+        required_depth=max((layer.max_wt_entries_per_kernel for layer in layers), default=0),
         provisioned_depth=config.d_w,
         entry_bits=16,
     )
@@ -79,12 +76,9 @@ def qtable_requirement(
     config: AcceleratorConfig, layers: Sequence[EncodedLayer]
 ) -> BufferRequirement:
     """Q-Table: holds the deepest per-kernel value table of any layer."""
-    required = 0
-    for layer in layers:
-        required = max(required, layer.max_qtable_entries_per_kernel)
     return BufferRequirement(
         name="Q-Table",
-        required_depth=required,
+        required_depth=max((layer.max_qtable_entries_per_kernel for layer in layers), default=0),
         provisioned_depth=config.d_q,
         entry_bits=16,
     )

@@ -49,7 +49,7 @@ def emulate_layer(
     if features.ndim != 3:
         raise ValueError("expected CHW integer features")
     channels = features.shape[0]
-    kernels = len(encoded.kernels)
+    kernels = encoded.out_channels
     if kernels % geometry.groups or channels % geometry.groups:
         raise ValueError("channels must divide into groups")
     padded = np.pad(

@@ -5,8 +5,9 @@ injects the classic transport faults — bit flips in the 16-bit index
 entries, bit flips in Q-Table VAL bytes, and truncation — so the test
 suite can characterize the decoder's behaviour under corruption:
 
-- structural faults (counts no longer matching the stream) must be
-  *detected*, never silently decoded;
+- structural faults (counts no longer matching the stream, an index
+  leaving its kernel) must be *detected*, never silently decoded: every
+  corrupted layer is rebuilt through :class:`EncodedLayer`'s checks;
 - value faults decode "successfully" but perturb the output, and the
   blast radius is measurable (a single VAL flip corrupts every output
   pixel of one kernel; a single index flip moves one accumulate).
@@ -14,12 +15,12 @@ suite can characterize the decoder's behaviour under corruption:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from ..core.encoding import EncodedKernel, EncodedLayer, MAX_PACKED_INDEX, QTableEntry
+from ..core.encoding import EncodedLayer, EncodingError
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,28 @@ class FaultReport:
     kernel_index: int
     position: int
     bit: int
+
+
+class CorruptionDetected(RuntimeError):
+    """The decoder noticed a structurally-invalid encoded stream."""
+
+
+def _rebuild(layer: EncodedLayer, **streams: np.ndarray) -> EncodedLayer:
+    """``layer`` with streams replaced; a failed structural check is the detection."""
+    try:
+        return replace(layer, **streams)
+    except EncodingError as exc:
+        raise CorruptionDetected(str(exc)) from exc
+
+
+def _entry(offsets: np.ndarray, kernel_index: int, entry_index: int, what: str) -> int:
+    """Flat position of entry ``entry_index`` of kernel ``kernel_index``."""
+    if not 0 <= kernel_index < offsets.size - 1:
+        raise ValueError("kernel index out of range")
+    start = int(offsets[kernel_index])
+    if not 0 <= entry_index < int(offsets[kernel_index + 1]) - start:
+        raise ValueError(f"{what} out of range")
+    return start + entry_index
 
 
 def flip_index_bit(
@@ -43,26 +66,18 @@ def flip_index_bit(
 
     With ``clamp_to_kernel`` the flipped index wraps into the kernel's
     valid range (an in-range wrong read — silent data corruption); without
-    it the raw flipped value is kept, possibly out of range.
+    it the raw flipped value is kept, and an index that leaves the kernel
+    raises :class:`CorruptionDetected`.
     """
     if not 0 <= bit < 16:
         raise ValueError("index entries are 16 bits wide")
-    kernel = layer.kernels[kernel_index]
-    if not 0 <= entry_index < kernel.indices.size:
-        raise ValueError("entry index out of range")
-    indices = kernel.indices.copy()
-    flipped = int(indices[entry_index]) ^ (1 << bit)
-    size = int(np.prod(kernel.kernel_shape))
+    position = _entry(layer.stream_offsets, kernel_index, entry_index, "entry index")
+    indices = layer.indices.copy()
+    flipped = int(indices[position]) ^ (1 << bit)
     if clamp_to_kernel:
-        flipped %= size
-    if flipped > MAX_PACKED_INDEX:
-        raise ValueError("flip escapes the 16-bit index width")
-    indices[entry_index] = flipped
-    kernels = list(layer.kernels)
-    kernels[kernel_index] = EncodedKernel(
-        qtable=kernel.qtable, indices=indices, kernel_shape=kernel.kernel_shape
-    )
-    return EncodedLayer(name=layer.name, kernels=tuple(kernels))
+        flipped %= layer.kernel_width
+    indices[position] = flipped
+    return _rebuild(layer, indices=indices)
 
 
 def flip_value_bit(
@@ -71,24 +86,16 @@ def flip_value_bit(
     """Flip one bit of one Q-Table VAL byte (8-bit two's complement)."""
     if not 0 <= bit < 8:
         raise ValueError("VAL fields are 8 bits wide")
-    kernel = layer.kernels[kernel_index]
-    if not 0 <= entry_index < len(kernel.qtable):
-        raise ValueError("Q-Table entry out of range")
-    entry = kernel.qtable[entry_index]
-    raw = entry.value & 0xFF
-    flipped = raw ^ (1 << bit)
+    position = _entry(layer.qtable_offsets, kernel_index, entry_index, "Q-Table entry")
+    values = layer.qtable_values.copy()
+    flipped = (int(values[position]) & 0xFF) ^ (1 << bit)
     value = flipped - 256 if flipped >= 128 else flipped
     if value == 0:
         # A zero VAL is not encodable; flip lands on the adjacent code,
         # which is what a hardware decoder treating 0 as 1 LSB would see.
         value = 1
-    qtable = list(kernel.qtable)
-    qtable[entry_index] = QTableEntry(value=value, count=entry.count)
-    kernels = list(layer.kernels)
-    kernels[kernel_index] = EncodedKernel(
-        qtable=tuple(qtable), indices=kernel.indices, kernel_shape=kernel.kernel_shape
-    )
-    return EncodedLayer(name=layer.name, kernels=tuple(kernels))
+    values[position] = value
+    return _rebuild(layer, qtable_values=values)
 
 
 def truncate_stream(
@@ -96,25 +103,15 @@ def truncate_stream(
 ) -> EncodedLayer:
     """Drop the tail of a kernel's index stream *without* fixing its
     Q-Table counts — the structural corruption a decoder must detect."""
-    kernel = layer.kernels[kernel_index]
-    if not 1 <= drop_entries <= kernel.indices.size:
-        raise ValueError("invalid truncation length")
-    kernels = list(layer.kernels)
-    # Constructing the inconsistent kernel must fail loudly: counts and
-    # stream length no longer agree. We surface that as the detection.
-    try:
-        kernels[kernel_index] = EncodedKernel(
-            qtable=kernel.qtable,
-            indices=kernel.indices[: kernel.indices.size - drop_entries],
-            kernel_shape=kernel.kernel_shape,
-        )
-    except ValueError as exc:
-        raise CorruptionDetected(str(exc)) from exc
-    return EncodedLayer(name=layer.name, kernels=tuple(kernels))
-
-
-class CorruptionDetected(RuntimeError):
-    """The decoder noticed a structurally-invalid encoded stream."""
+    _entry(layer.stream_offsets, kernel_index, drop_entries - 1, "truncation length")
+    end = int(layer.stream_offsets[kernel_index + 1])
+    offsets = layer.stream_offsets.copy()
+    offsets[kernel_index + 1 :] -= drop_entries
+    return _rebuild(
+        layer,
+        indices=np.delete(layer.indices, np.s_[end - drop_entries : end]),
+        stream_offsets=offsets,
+    )
 
 
 def random_fault(
@@ -123,19 +120,17 @@ def random_fault(
     """Inject one random fault; returns (corrupted_layer, FaultReport)."""
     kinds = ("index", "value")
     chosen = kind or kinds[int(rng.integers(len(kinds)))]
-    candidates = [
-        i for i, kernel in enumerate(layer.kernels) if kernel.nonzero_count > 0
-    ]
-    if not candidates:
+    candidates = np.flatnonzero(layer.nonzeros > 0)
+    if not candidates.size:
         raise ValueError("layer has no nonzero kernels to corrupt")
     kernel_index = int(rng.choice(candidates))
-    kernel = layer.kernels[kernel_index]
     if chosen == "index":
-        position = int(rng.integers(kernel.indices.size))
+        position = int(rng.integers(layer.nonzeros[kernel_index]))
         bit = int(rng.integers(16))
         corrupted = flip_index_bit(layer, kernel_index, position, bit)
     elif chosen == "value":
-        position = int(rng.integers(len(kernel.qtable)))
+        entries = np.diff(layer.qtable_offsets)[kernel_index]
+        position = int(rng.integers(entries))
         bit = int(rng.integers(8))
         corrupted = flip_value_bit(layer, kernel_index, position, bit)
     else:

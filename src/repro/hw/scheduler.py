@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import AcceleratorConfig
-from .cu import ConvTask, TaskCost, task_cycles, task_cycles_batch
+from .cu import ConvTask, task_cycles, task_cycles_batch
 from .memory import ExternalMemory
 from .tiling import WindowPlan, plan_windows
 from .trace import TraceRecorder
@@ -153,29 +153,6 @@ def build_tasks(
                 )
             )
     return tasks
-
-
-def _schedule_window(
-    costs: Sequence[TaskCost], n_cu: int
-) -> Tuple[int, List[int]]:
-    """LPT list scheduling of one window's tasks; returns makespan + busy.
-
-    The task scheduler knows every task's weight stream length up front (it
-    is the Q-Table's total occurrence count), so dispatching the longest
-    remaining task to the first idle CU is implementable hardware policy,
-    and it is what keeps the CUs balanced despite irregular sparsity.
-    """
-    heap = [(0, cu) for cu in range(n_cu)]
-    heapq.heapify(heap)
-    busy = [0] * n_cu
-    finish = 0
-    for cost in sorted(costs, key=lambda c: -c.cycles):
-        free_at, cu = heapq.heappop(heap)
-        done = free_at + cost.cycles
-        busy[cu] += cost.cycles
-        finish = max(finish, done)
-        heapq.heappush(heap, (done, cu))
-    return finish, busy
 
 
 def simulate_layer_reference(

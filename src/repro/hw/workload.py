@@ -128,12 +128,7 @@ class ModelWorkload:
 
 def workload_from_encoded(spec: LayerSpec, encoded: EncodedLayer) -> LayerWorkload:
     """Build a layer workload from an actually-encoded weight tensor."""
-    return LayerWorkload(
-        spec,
-        [k.nonzero_count for k in encoded.kernels],
-        [k.distinct_values for k in encoded.kernels],
-        encoded.encoded_bytes,
-    )
+    return LayerWorkload(spec, encoded.nonzeros, encoded.distinct, encoded.encoded_bytes)
 
 
 def workload_from_arrays(

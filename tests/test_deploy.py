@@ -74,3 +74,31 @@ class TestDeploy:
         result = pipeline.run(image)
         assert deployed.workload.accumulate_ops == result.accumulate_ops
         assert deployed.workload.multiply_ops == result.multiply_ops
+
+
+class TestSetupBuildsNoKernelViews:
+    def test_quantize_run_batch_and_deploy(self, tiny_architecture, rng, monkeypatch):
+        """Set-up reads the flat encoded arrays: quantize(), the first
+        run_batch and deploy() build no EncodedKernel or QTableEntry."""
+        from repro.core import encoding
+
+        built = []
+        for cls in (encoding.EncodedKernel, encoding.QTableEntry):
+
+            def counting(self, original=cls.__post_init__):
+                built.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        network = tiny_architecture.build(seed=8)
+        names = [layer.name for layer in network.accelerated_layers()]
+        pipeline = QuantizedPipeline(network)
+        pipeline.prune(uniform_schedule(names, 0.4).densities)
+        pipeline.calibrate(rng.normal(size=network.input_shape.as_tuple()))
+        pipeline.quantize()
+        pipeline.run_batch(rng.normal(size=(2, *network.input_shape.as_tuple())))
+        deploy(pipeline, tiny_architecture.accelerated_specs())
+        assert built == []
+        # The counter does see the per-kernel views when a walker asks.
+        pipeline.encoded_layers()[0].kernels
+        assert "EncodedKernel" in built and "QTableEntry" in built

@@ -1,17 +1,21 @@
 """Tests for the sparse weight encoding (paper Figure 4)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.abm import ConvGeometry
 from repro.core.encoding import (
     KERNEL_HEADER_BYTES,
     MAX_ENTRY_COUNT,
     QT_ENTRY_BYTES,
     WT_ENTRY_BYTES,
     EncodedKernel,
+    EncodingError,
     QTableEntry,
     decode_kernel,
     decode_layer,
@@ -21,6 +25,66 @@ from repro.core.encoding import (
     pack_index,
     unpack_index,
 )
+from repro.core.plan import LayerPlan
+
+
+def reference_encode_kernel(kernel_codes):
+    """The per-kernel encoder loop, kept as the oracle of :func:`encode_layer`.
+
+    Returns the kernel's Q-Table as (VAL, NUM) pairs and its WT-Buffer
+    index stream: positions grouped by ascending value, sorted inside each
+    group, and a group longer than 255 split across several entries.
+    """
+    flat = np.asarray(kernel_codes).reshape(-1)
+    nonzero_positions = np.flatnonzero(flat)
+    qtable = []
+    blocks = []
+    if nonzero_positions.size:
+        values = flat[nonzero_positions]
+        order = np.argsort(values, kind="stable")
+        sorted_positions = nonzero_positions[order]
+        sorted_values = values[order]
+        boundaries = np.flatnonzero(np.diff(sorted_values)) + 1
+        for block, value_block in zip(
+            np.split(sorted_positions, boundaries), np.split(sorted_values, boundaries)
+        ):
+            value = int(value_block[0])
+            for start in range(0, block.size, MAX_ENTRY_COUNT):
+                chunk = block[start : start + MAX_ENTRY_COUNT]
+                qtable.append((value, int(chunk.size)))
+                blocks.append(np.sort(chunk))
+    indices = np.concatenate(blocks).astype(np.int64) if blocks else np.empty(0, np.int64)
+    return qtable, indices
+
+
+#: Codes the differential draws from: small 8-bit-like values and values
+#: near +-2**62, where any combined (kernel, value) sort key would overflow.
+_CODES = st.sampled_from(
+    [-3, -1, 1, 2, 7, -128, 127, 2**62, -(2**62), 2**62 - 1, 1 - 2**62]
+)
+
+
+@st.composite
+def layer_codes(draw):
+    """(codes, groups): conv (M, N, K, K) or 2-D FC (M, N) integer weights
+    with a small value alphabet, zero kernels and constant kernels."""
+    groups = draw(st.integers(1, 3))
+    kernels = groups * draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        shape = (kernels, draw(st.one_of(st.integers(1, 40), st.integers(300, 700))))
+    else:
+        k = draw(st.sampled_from([1, 2, 3]))
+        shape = (kernels, draw(st.integers(1, 40)), k, k)
+    alphabet = draw(st.lists(_CODES, min_size=1, max_size=2))
+    density = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.where(rng.random(shape) < density, rng.choice(alphabet, size=shape), 0)
+    if kernels and draw(st.booleans()):
+        codes[draw(st.integers(0, kernels - 1))] = 0
+    if kernels and draw(st.booleans()):
+        # One value everywhere: a run past 255 once the kernel is that wide.
+        codes[draw(st.integers(0, kernels - 1))] = draw(_CODES)
+    return codes.astype(np.int64), groups
 
 
 class TestPackIndex:
@@ -131,6 +195,105 @@ class TestEncodeKernel:
         assert encoded.nonzero_count == np.count_nonzero(kernel)
         nonzero = kernel[kernel != 0]
         assert encoded.distinct_values == np.unique(nonzero).size
+
+
+class TestLayerEncoderDifferential:
+    """The one-sort layer encoder against the per-kernel oracle."""
+
+    @given(layer_codes())
+    @settings(max_examples=150, deadline=None)
+    def test_flat_arrays_match_reference(self, drawn):
+        codes, groups = drawn
+        layer = encode_layer("d", codes)
+        kernels = codes.reshape(codes.shape[0], layer.kernel_width)
+        reference = [reference_encode_kernel(kernel) for kernel in kernels]
+        qtable = [entry for table, _ in reference for entry in table]
+        assert layer.qtable_values.tolist() == [value for value, _ in qtable]
+        assert layer.qtable_counts.tolist() == [count for _, count in qtable]
+        streams = [stream for _, stream in reference]
+        assert np.array_equal(
+            layer.indices, np.concatenate([np.empty(0, np.int64), *streams])
+        )
+        assert np.diff(layer.stream_offsets).tolist() == [s.size for s in streams]
+        assert np.diff(layer.qtable_offsets).tolist() == [len(t) for t, _ in reference]
+        assert layer.nonzeros.tolist() == [np.count_nonzero(k) for k in kernels]
+        assert layer.distinct.tolist() == [len({v for v, _ in t}) for t, _ in reference]
+        if codes.shape[0]:
+            assert np.array_equal(decode_layer(layer).reshape(kernels.shape), kernels)
+        # The compiled plan reads the same arrays, grouped conv included.
+        k = layer.kernel_shape[1]
+        plan = LayerPlan(layer, ConvGeometry(kernel=k, groups=groups))
+        assert plan.accumulates_per_pixel == sum(s.size for s in streams)
+        assert plan.multiplies_per_pixel == len(qtable)
+        assert plan.max_weighted_sum == max(
+            [sum(abs(v) * c for v, c in table) for table, _ in reference], default=0
+        )
+        assert np.array_equal(plan.dense_weights(np.int64), kernels)
+
+
+class TestLayerValidation:
+    """Every structural check of EncodedLayer raises EncodingError."""
+
+    @pytest.fixture
+    def layer(self):
+        codes = np.zeros((3, 2, 3, 3), dtype=np.int64)
+        codes[0, 0, 0] = [1, 1, 2]
+        codes[2, 1, 2] = [-4, 0, 5]
+        return encode_layer("v", codes)
+
+    def test_arrays_are_read_only(self, layer):
+        for array in (
+            layer.indices,
+            layer.qtable_values,
+            layer.qtable_counts,
+            layer.stream_offsets,
+            layer.qtable_offsets,
+            layer.nonzeros,
+            layer.distinct,
+        ):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_caller_arrays_are_copied(self, layer):
+        indices = layer.indices.copy()
+        rebuilt = replace(layer, indices=indices)
+        indices[0] = 17
+        assert rebuilt.indices[0] == layer.indices[0]
+
+    def test_non_monotone_offsets(self, layer):
+        with pytest.raises(EncodingError, match="stream offsets"):
+            replace(layer, stream_offsets=[0, 4, 3, 5])
+        with pytest.raises(EncodingError, match="Q-Table offsets"):
+            replace(layer, qtable_offsets=[0, 1, 2, 9])
+
+    def test_num_sum_must_match_stream_length(self, layer):
+        with pytest.raises(EncodingError, match="kernel 0: Q-Table counts sum to 3"):
+            replace(layer, stream_offsets=[0, 2, 2, 5])
+
+    @pytest.mark.parametrize("count", [0, MAX_ENTRY_COUNT + 1])
+    def test_num_range(self, layer, count):
+        counts = layer.qtable_counts.copy()
+        counts[0] = count
+        with pytest.raises(EncodingError, match="NUM"):
+            replace(layer, qtable_counts=counts)
+
+    def test_zero_val(self, layer):
+        values = layer.qtable_values.copy()
+        values[-1] = 0
+        with pytest.raises(EncodingError, match="VAL is zero"):
+            replace(layer, qtable_values=values)
+
+    @pytest.mark.parametrize("index", [-1, 18, 0xFFFF])
+    def test_index_outside_kernel(self, layer, index):
+        indices = layer.indices.copy()
+        indices[0] = index
+        with pytest.raises(EncodingError, match="outside the kernel"):
+            replace(layer, indices=indices)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (0, 3, 3), (2, 0, 0), (65537, 1, 1)])
+    def test_bad_kernel_shape(self, layer, shape):
+        with pytest.raises(EncodingError):
+            replace(layer, kernel_shape=shape)
 
 
 class TestEncodeLayer:

@@ -108,6 +108,21 @@ class TestFaults:
         with pytest.raises(CorruptionDetected):
             truncate_stream(encoded, kernel_index=0, drop_entries=1)
 
+    def test_unclamped_index_flip_leaving_kernel_is_detected(self, layer_and_features):
+        """Without clamping, a flip past the kernel's N*K*K weights must be
+        caught where the corrupted stream is built, not in a consumer."""
+        encoded, _ = layer_and_features
+        assert encoded.kernel_width == 54
+        with pytest.raises(CorruptionDetected, match="outside the kernel"):
+            flip_index_bit(encoded, kernel_index=0, entry_index=0, bit=15, clamp_to_kernel=False)
+
+    def test_unclamped_index_flip_inside_kernel_decodes(self, layer_and_features):
+        encoded, _ = layer_and_features
+        original = int(encoded.indices[0])
+        bit = next(b for b in range(6) if original ^ (1 << b) < encoded.kernel_width)
+        corrupted = flip_index_bit(encoded, 0, 0, bit=bit, clamp_to_kernel=False)
+        assert int(corrupted.indices[0]) == original ^ (1 << bit)
+
     def test_random_fault_reproducible(self, layer_and_features):
         encoded, _ = layer_and_features
         a, report_a = random_fault(encoded, np.random.default_rng(3))
