@@ -16,6 +16,12 @@ geometry) that
   sized to the network's high-water mark, so no per-layer output is ever
   materialized (stages read the raw plan scratch and write requantized
   codes straight into the destination buffer);
+- **keeps the codes in the datapath's dtype**: when every fused stage runs
+  the float32 GEMM with a sum bound below ``2**23`` (the 8-bit models),
+  the ping-pong buffers hold float32 codes and the requantize runs in
+  float32 — narrow feature words, as in the paper's Feature Buffer —
+  otherwise int64 codes and a float64 requantize (see
+  :func:`_float32_codes`);
 - **hoists run-time decisions to compile time**: each stage's datapath
   (float32 or float64 GEMM or the int64 fallback, see
   :meth:`LayerPlan.datapath`)
@@ -23,16 +29,16 @@ geometry) that
   layer per batch), the bias codes and requantize scale factors are
   computed once, and the host/accelerator split is resolved when the
   plan is built;
-- **shares one scratch arena across the batch**: the requantize float
-  scratch and the pooling windows reuse the same two arrays for every
-  stage of every call.
+- **shares one scratch arena across the batch**: the ping-pong buffers
+  and one requantize scratch serve every stage of every call.
 
-Bit-exactness: every fused stage performs the *same* float64/integer
-operations as :meth:`repro.pipeline.QuantizedPipeline.run_batch_reference`
-(power-of-two scale factors make the fused single multiply exact, integer
-max equals float max on integer codes), so fused outputs and op counts are
-identical to the per-layer path — pinned by the hypothesis differential
-suite in ``tests/test_model_fused.py``.
+Bit-exactness: every fused stage computes the *same* codes as
+:meth:`repro.pipeline.QuantizedPipeline.run_batch_reference` (power-of-two
+scale factors make the fused single multiply exact, max of codes equals
+code of max, and below the float32 predicate's bounds the float32
+requantize rounds exactly as the reference's float64 one), so fused
+outputs and op counts are identical to the per-layer path — pinned by the
+hypothesis differential suite in ``tests/test_model_fused.py``.
 
 Host layers (AvgPool, LRN, Softmax) stay on the float path, exactly as the
 paper's CPU/FPGA split prescribes: they dequantize out of the stream, run
@@ -65,19 +71,60 @@ from ..nn.tensor import FeatureShape, pool_output_extent
 from ..quant.fixed_point import QFormat
 from ..telemetry.caches import CacheStats, register_cache
 from ..telemetry.context import get_active
-from .plan import LayerPlan, code_peak, compile_layer_plan
+from .plan import FLOAT32_EXACT, LayerPlan, code_peak, compile_layer_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.pipeline
     from ..pipeline import QuantizedPipeline
 
-#: Compiled model plans kept before LRU eviction.  Model plans own the
-#: ping-pong buffers (two int64 + two float64 arrays at the network's
-#: high-water mark), so the bound is deliberately small.
+#: Compiled model plans kept before LRU eviction.  Model plans own their
+#: arena (two ping-pong code buffers at the network's high-water mark plus
+#: one requantize scratch, float32 or int64/float64), so the bound is
+#: deliberately small.
 MODEL_PLAN_CACHE_CAPACITY = 8
+
+#: Exclusive bound on the raw sums the float32 requantize rounds exactly.
+#: One bit below ``FLOAT32_EXACT``: ``|x| + 0.5`` of a 23-bit ``x`` always
+#: fits the 24-bit significand, while at 24 bits ``(2**24 - 1) * 2**-25``
+#: plus 0.5 rounds up to 1.0 where float64 rounds to 0.
+FLOAT32_REQUANTIZE_EXACT = 2**23
+
 
 def _max_abs_code(fmt: QFormat) -> int:
     """The largest |code| the format can emit — the static input peak."""
     return max(-fmt.min_code, fmt.max_code)
+
+
+def _normal_float32(value: float) -> bool:
+    """Whether ``value`` is a (finite, nonzero) normal float32."""
+    info = np.finfo(np.float32)
+    return float(info.smallest_normal) <= abs(value) <= float(info.max)
+
+
+def requantize(
+    raw: np.ndarray,
+    factor: float,
+    clip_lo: float,
+    clip_hi: float,
+    scratch: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """``clip(round_half_away(raw * factor), clip_lo, clip_hi)`` into ``out``.
+
+    Computed in ``scratch``'s dtype, which has ``raw``'s shape: one exact
+    power-of-two multiply, round half away from zero as ``floor(|x| +
+    0.5)`` with the sign of ``raw`` (``factor > 0``), and one clip that
+    writes, and casts, straight into ``out``.  In float64 this is the
+    reference's rounding; in float32 it is identical whenever
+    ``|raw| < FLOAT32_REQUANTIZE_EXACT`` and ``factor`` is a normal
+    float32, which is what :func:`_float32_codes` proves before a plan
+    stores float32 codes.
+    """
+    np.multiply(raw, factor, out=scratch, dtype=scratch.dtype)
+    np.abs(scratch, out=scratch)
+    scratch += 0.5
+    np.floor(scratch, out=scratch)
+    np.copysign(scratch, raw, out=scratch)
+    np.clip(scratch, clip_lo, clip_hi, out=out, casting="unsafe")
 
 
 class _FusedStage:
@@ -93,6 +140,7 @@ class _FusedStage:
         "pool",
         "is_fc",
         "input_peak",
+        "sum_bound",
         "datapath",
         "conv_shape",
         "out_shape",
@@ -133,8 +181,10 @@ class _FusedStage:
         # exact below 2**24, the float64 GEMM below 2**53 and the int64
         # fallback below 2**63; past that the plan raises ExactnessError
         # here, before any batch runs.
+        bias_peak = code_peak(bias_codes)
+        self.sum_bound = plan.sum_bound(self.input_peak, bias_peak)
         #: What computes the raw sums: "gemm32", "gemm" or "int64".
-        self.datapath = plan.datapath(self.input_peak, code_peak(bias_codes))
+        self.datapath = plan.datapath(self.input_peak, bias_peak)
         self.conv_shape = conv_shape
         self.out_shape = out_shape
         self.fused_names = fused_names
@@ -147,27 +197,17 @@ class _FusedStage:
         raw, images, out_rows, out_cols = self.plan.execute_batch_raw(
             batch, self.bias_codes, self.datapath
         )
-        if self.datapath == "gemm":
-            scaled = raw  # plan-owned float64 scratch: scale it in place
-        else:
-            # int64 and float32 sums widen exactly into the float64 scratch.
-            scaled = arena.float_a[: raw.size].reshape(raw.shape)
-        np.multiply(raw, self.factor, out=scaled, dtype=np.float64)
-        # Requantize in the shared float scratch: one exact power-of-two
-        # multiply, round half away from zero, clip (ReLU included).
-        rounded = arena.float_b[: raw.size].reshape(raw.shape)
-        np.abs(scaled, out=rounded)
-        rounded += 0.5
-        np.floor(rounded, out=rounded)
-        np.copysign(rounded, scaled, out=rounded)
-        np.clip(rounded, self.clip_lo, self.clip_hi, out=rounded)
-        # One strided pass writes the kernel-major sums into the BCHW
-        # destination view — the detach copy and the int64 cast in one.
+        # Requantize in the arena's scratch dtype; the clip writes the
+        # kernel-major sums into the BCHW destination view in one strided
+        # pass — the detach copy and the cast to the code dtype in one.
         dest = arena.claim(current, (images, channels, out_rows, out_cols))
-        np.copyto(
+        requantize(
+            raw.reshape(channels, images, out_rows, out_cols),
+            self.factor,
+            self.clip_lo,
+            self.clip_hi,
+            arena.scratch[: raw.size].reshape(channels, images, out_rows, out_cols),
             dest.transpose(1, 0, 2, 3),
-            rounded.reshape(channels, images, out_rows, out_cols),
-            casting="unsafe",
         )
         if self.pool is not None:
             dest = _integer_maxpool(arena, self.pool, dest)
@@ -246,7 +286,8 @@ class _HostStage:
 
     The float round-trip is byte-for-byte the reference path's — host
     layers are where the paper's system leaves the integer stream, so the
-    fused plan leaves it the same way.
+    fused plan leaves it the same way.  Float32 codes are integers below
+    ``2**24``, so they dequantize exactly.
     """
 
     __slots__ = ("name", "layer", "in_fmt", "out_fmt")
@@ -267,21 +308,31 @@ class _HostStage:
 class _Arena:
     """The shared buffer arena of one model plan.
 
-    Two int64 ping-pong buffers at the activation high-water mark plus two
-    float64 requantize scratches at the largest raw conv output.  ``claim``
+    Two ping-pong code buffers at the activation high-water mark plus one
+    requantize scratch at the largest raw conv output: float32 codes with a
+    float32 scratch, or int64 codes with a float64 scratch.  ``claim``
     hands out a view of whichever ping buffer the caller is *not* reading
     from, so a stage can always write its output while streaming its input.
     """
 
-    __slots__ = ("ping", "float_a", "float_b")
+    __slots__ = ("ping", "scratch")
 
-    def __init__(self, high_water: int, float_elements: int) -> None:
-        self.ping = (
-            np.empty(high_water, dtype=np.int64),
-            np.empty(high_water, dtype=np.int64),
+    def __init__(self, high_water: int, scratch_elements: int, codes=np.int64) -> None:
+        codes = np.dtype(codes)
+        self.ping = (np.empty(high_water, codes), np.empty(high_water, codes))
+        self.scratch = np.empty(
+            scratch_elements, np.float32 if codes == np.float32 else np.float64
         )
-        self.float_a = np.empty(float_elements, dtype=np.float64)
-        self.float_b = np.empty(float_elements, dtype=np.float64)
+
+    @classmethod
+    def like(cls, other: "_Arena") -> "_Arena":
+        """A fresh arena with ``other``'s sizes and dtypes."""
+        return cls(other.ping[0].size, other.scratch.size, other.codes)
+
+    @property
+    def codes(self) -> np.dtype:
+        """The dtype of the codes in the ping-pong buffers."""
+        return self.ping[0].dtype
 
     def _index_of(self, array: np.ndarray) -> Optional[int]:
         base = array
@@ -301,9 +352,25 @@ class _Arena:
 
     @property
     def nbytes(self) -> int:
-        return (
-            self.ping[0].nbytes * 2 + self.float_a.nbytes + self.float_b.nbytes
-        )
+        return self.ping[0].nbytes * 2 + self.scratch.nbytes
+
+
+def _float32_codes(stages: Sequence[object], formats: Sequence[QFormat]) -> bool:
+    """Whether a plan's activations and requantize can run in float32.
+
+    Exact when every fused stage runs the float32 GEMM with its sum bound
+    below ``FLOAT32_REQUANTIZE_EXACT`` and a normal float32 requantize
+    factor (see :func:`requantize`), and every code format that reaches
+    the ping buffers — input, stage and host-layer outputs — stays below
+    ``2**24`` in magnitude, so float32 stores each code exactly.
+    """
+    fused = [s for s in stages if isinstance(s, _FusedStage)]
+    return all(
+        s.datapath == "gemm32"
+        and s.sum_bound < FLOAT32_REQUANTIZE_EXACT
+        and _normal_float32(s.factor)
+        for s in fused
+    ) and all(_max_abs_code(fmt) < FLOAT32_EXACT for fmt in formats)
 
 
 class ModelPlan:
@@ -339,8 +406,9 @@ class ModelPlan:
         layers = list(pipeline.network)
         shape = FeatureShape(*(int(s) for s in batch_shape[1:]))
         fmt = pipeline.input_fmt
+        formats = [fmt]
         high_water = images * shape.size
-        float_elements = 1
+        scratch_elements = 1
         index = 0
         while index < len(layers):
             layer = layers[index]
@@ -391,8 +459,9 @@ class ModelPlan:
                     )
                 )
                 high_water = max(high_water, images * conv_shape.size)
-                float_elements = max(float_elements, images * conv_shape.size)
+                scratch_elements = max(scratch_elements, images * conv_shape.size)
                 fmt = compiled.output_fmt
+                formats.append(fmt)
                 shape = out_shape
             elif isinstance(layer, ReLU):
                 self.stages.append(_ReLUStage(name))
@@ -408,6 +477,7 @@ class ModelPlan:
                 out_fmt = pipeline.output_fmts.get(name, fmt)
                 self.stages.append(_HostStage(name, layer, fmt, out_fmt))
                 fmt = out_fmt
+                formats.append(fmt)
                 shape = layer.output_shape(shape)
             else:
                 raise TypeError(f"pipeline cannot execute layer {layer!r}")
@@ -415,16 +485,20 @@ class ModelPlan:
             index += 1
         self.output_fmt = fmt
         self.output_shape = shape
-        self.arena = _Arena(high_water, float_elements)
+        codes = np.float32 if _float32_codes(self.stages, formats) else np.int64
+        self.arena = _Arena(high_water, scratch_elements, codes)
 
     # ---- execution -------------------------------------------------------
 
     def run(self, codes: np.ndarray) -> Tuple[np.ndarray, QFormat]:
         """Stream quantized input codes through every fused stage.
 
-        Returns the final integer codes (a view into plan-owned scratch —
-        consume before the next ``run``) and their format.  The arena is
-        shared mutable state, so concurrent runs serialize on a plan lock.
+        Returns the final int64 codes and their format.  On an int64 arena
+        the codes are a view into plan-owned scratch — consume them before
+        the next ``run``; a float32 arena's codes are cast once into a
+        fresh array, which also turns the ``-0.0`` the float32 requantize
+        can emit into ``0``.  The arena is shared mutable state, so
+        concurrent runs serialize on a plan lock.
         """
         if codes.shape != self.batch_shape:
             raise ValueError(
@@ -446,7 +520,7 @@ class ModelPlan:
                         current = stage.run(self.arena, current)
                 else:
                     current = stage.run(self.arena, current)
-            return current, self.output_fmt
+            return current.astype(np.int64, copy=False), self.output_fmt
 
     # ---- reporting -------------------------------------------------------
 
@@ -457,7 +531,7 @@ class ModelPlan:
         return (
             f"model_plan({self.network_name}: {len(self.stages)} stages, "
             f"{fused} fused, {host} host, batch={self.batch_shape}, "
-            f"arena={self.arena.nbytes / 1e6:.1f} MB)"
+            f"codes={self.arena.codes}, arena={self.arena.nbytes / 1e6:.1f} MB)"
         )
 
 
@@ -506,8 +580,9 @@ def compile_model_plan(
     if telemetry is not None:
         with telemetry.span(
             "fuse", model=pipeline.network.name, batch=list(batch_shape)
-        ):
+        ) as span:
             plan = ModelPlan(pipeline, tuple(batch_shape))
+            span.attrs["codes"] = str(plan.arena.codes)
     else:
         plan = ModelPlan(pipeline, tuple(batch_shape))
     with _model_plan_lock:

@@ -181,6 +181,12 @@ class LayerPlan:
         """
         return self._max_weighted_sum
 
+    def sum_bound(self, input_peak: int, bias_peak: int = 0) -> int:
+        """``input_peak * max_weighted_sum + bias_peak``: a bound on every
+        product, partial sum and biased total for inputs with
+        ``|x| <= input_peak``."""
+        return int(input_peak) * self._max_weighted_sum + int(bias_peak)
+
     def datapath(self, input_peak: int, bias_peak: int = 0) -> str:
         """The exact datapath for inputs with ``|x| <= input_peak``.
 
@@ -188,7 +194,7 @@ class LayerPlan:
         BLAS) below ``2**53``, ``"int64"`` below ``2**63``; past that no
         host datapath is exact and :class:`ExactnessError` is raised.
         """
-        bound = int(input_peak) * self._max_weighted_sum + int(bias_peak)
+        bound = self.sum_bound(input_peak, bias_peak)
         if bound < FLOAT32_EXACT:
             return "gemm32"
         if bound < FLOAT64_EXACT:

@@ -269,8 +269,8 @@ class ShardedModelPlan:
     """A compiled model plan executed as contiguous stage shards.
 
     Wraps an existing :class:`ModelPlan` without touching it: each shard
-    owns a private :class:`_Arena` (sized like the parent's, so any cut
-    set is safe), and the activation leaving a shard is detach-copied —
+    owns a private :class:`_Arena` (sized and typed like the parent's, so
+    any cut set is safe), and the activation leaving a shard is detach-copied —
     the modelled link transfer — before entering the next shard's arena
     domain. Because every stage's ``run`` is a pure function of its input
     values, the sharded stream is bit-exact against ``plan.run``.
@@ -292,13 +292,12 @@ class ShardedModelPlan:
             tuple(s.name for s in shard if isinstance(s, _FusedStage))
             for shard in self.shards
         )
-        # Each shard gets the parent's arena geometry: sizing per shard
-        # would save memory but ties the arena to the cut set; the parent
-        # high-water mark is correct for any contiguous slice.
-        ping = plan.arena.ping[0].size
-        scratch = plan.arena.float_a.size
+        # Each shard gets the parent's arena geometry and code dtype:
+        # sizing per shard would save memory but ties the arena to the cut
+        # set; the parent high-water mark is correct for any contiguous
+        # slice.
         self.arenas: Tuple[_Arena, ...] = tuple(
-            _Arena(ping, scratch) for _ in self.shards
+            _Arena.like(plan.arena) for _ in self.shards
         )
         #: Per-cut activation elements moved at the last ``run`` (whole
         #: batch); ``None`` before the first run.
@@ -324,7 +323,7 @@ class ShardedModelPlan:
     def run(self, codes: np.ndarray) -> Tuple[np.ndarray, QFormat]:
         """Stream codes through every shard, copying at each cut.
 
-        Returns the final integer codes and their format, exactly like
+        Returns the final int64 codes and their format, exactly like
         :meth:`ModelPlan.run`. The parent plan's lock is held too: fused
         stages share per-layer scratch with the unsharded plan, so the
         two must never run concurrently.
@@ -360,7 +359,7 @@ class ShardedModelPlan:
                     current = current.copy()
                     transfers.append(int(current.size))
             self.transfer_elements = tuple(transfers)
-            return current, self.plan.output_fmt
+            return current.astype(np.int64, copy=False), self.plan.output_fmt
 
     @staticmethod
     def _run_shard(

@@ -5,7 +5,7 @@ per-layer reference — same outputs, same per-image op counts — across
 the architecture space (groups, padding, strided convs, FC stacks,
 standalone and fused pooling, LRN/AvgPool host-layer splits), on all
 three host datapaths: the float32 GEMM, the float64 GEMM and the exact
-int64 fallback.
+int64 fallback — and on both arena code dtypes, float32 and int64.
 """
 
 import numpy as np
@@ -16,15 +16,19 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core import plan as plan_module
 from repro.core.model_plan import (
+    FLOAT32_REQUANTIZE_EXACT,
     MODEL_PLAN_CACHE_CAPACITY,
     ModelPlan,
     _Arena,
     _FusedStage,
+    _float32_codes,
     _integer_maxpool,
+    _normal_float32,
     clear_model_plan_cache,
     compile_model_plan,
     model_plan_cache_size,
     model_plan_cache_stats,
+    requantize,
 )
 from repro.core.plan import ExactnessError
 from repro.nn.layers import MaxPool2D
@@ -66,9 +70,11 @@ def fresh_model_plan_cache():
     clear_model_plan_cache()
 
 
-def build_pipeline(arch: Architecture, rng: np.random.Generator) -> QuantizedPipeline:
+def build_pipeline(
+    arch: Architecture, rng: np.random.Generator, feature_bits: int = 8
+) -> QuantizedPipeline:
     network = arch.build(seed=7)
-    pipeline = QuantizedPipeline(network)
+    pipeline = QuantizedPipeline(network, feature_bits=feature_bits)
     sample = rng.standard_normal(
         (arch.input_channels, arch.input_rows, arch.input_cols)
     )
@@ -78,9 +84,12 @@ def build_pipeline(arch: Architecture, rng: np.random.Generator) -> QuantizedPip
 
 
 def assert_batches_identical(fused, reference):
+    """Same outputs byte for byte (``array_equal`` cannot see ``-0.0``)
+    and same per-image op counts."""
     assert len(fused) == len(reference)
     for f, r in zip(fused, reference):
-        assert np.array_equal(f.output, r.output)
+        assert f.output.dtype == r.output.dtype
+        assert f.output.tobytes() == r.output.tobytes()
         assert [(s.name, s.accumulate_ops, s.multiply_ops) for s in f.layer_stats] == [
             (s.name, s.accumulate_ops, s.multiply_ops) for s in r.layer_stats
         ]
@@ -252,6 +261,17 @@ class TestDifferential:
             pipeline.run_batch(images), pipeline.run_batch_reference(images)
         )
 
+    def test_large_batch_grouped_strided_is_byte_exact(self, rng):
+        """Batch 256 on the float32 arena: enough zero outputs that a
+        ``-0.0`` leaking from the float32 requantize would change bytes."""
+        arch = ARCHITECTURES["grouped_strided"]
+        pipeline = build_pipeline(arch, rng)
+        images = rng.standard_normal((256, 4, 11, 11))
+        assert compile_model_plan(pipeline, images.shape).arena.codes == np.float32
+        assert_batches_identical(
+            pipeline.run_batch(images), pipeline.run_batch_reference(images)
+        )
+
     def test_repeated_runs_reuse_plan_and_stay_exact(self, rng):
         """The cached plan's arena is reused; results must not alias it."""
         arch = ARCHITECTURES["conv_relu_pool"]
@@ -270,33 +290,39 @@ class TestDifferential:
 
 
 class TestIntegerMaxPool:
-    @given(
-        kernel=st.integers(1, 3),
-        stride=st.integers(1, 3),
-        codes=hnp.arrays(
-            dtype=np.int64,
-            shape=st.tuples(
-                st.integers(1, 2), st.integers(1, 3), st.integers(3, 8), st.integers(3, 8)
-            ),
-            elements=st.integers(-(2**40), 2**40),
-        ),
-        negative=st.booleans(),
-    )
+    #: (arena code dtype, largest |code| drawn): int64 arenas hold wide
+    #: codes, float32 arenas every integer code below 2**24.
+    ARENAS = [(np.int64, 2**40), (np.float32, 2**24 - 1)]
+
+    @pytest.mark.parametrize("dtype,peak", ARENAS, ids=["int64", "float32"])
+    @given(data=st.data(), kernel=st.integers(1, 3), stride=st.integers(1, 3),
+           negative=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_matches_float_maxpool(self, kernel, stride, codes, negative):
-        """Strided integer passes == the float64 oracle, bit for bit.
+    def test_matches_float_maxpool(self, dtype, peak, data, kernel, stride, negative):
+        """Strided max passes == the float64 oracle, bit for bit.
 
         Odd and even extents exercise the ceil-mode overhang; all-negative
         maps check that the overhang never contributes a padding value.
         """
+        codes = data.draw(
+            hnp.arrays(
+                dtype=np.int64,
+                shape=st.tuples(
+                    st.integers(1, 2), st.integers(1, 3), st.integers(3, 8),
+                    st.integers(3, 8),
+                ),
+                elements=st.integers(-peak, peak),
+            )
+        )
         if negative:
-            codes = codes - (int(codes.max()) + 1)
+            codes = np.maximum(codes - (int(codes.max()) + 1), -peak)
         pool = MaxPool2D("p", kernel, stride)
-        arena = _Arena(codes.size, 1)
-        fused = _integer_maxpool(arena, pool, codes)
+        arena = _Arena(codes.size, 1, dtype)
+        fused = _integer_maxpool(arena, pool, codes.astype(dtype))
         expected = pool.forward_batch(codes).astype(np.int64)
+        assert fused.dtype == dtype
         assert fused.shape == expected.shape
-        assert np.array_equal(fused, expected)
+        assert np.array_equal(fused.astype(np.int64), expected)
 
 
 # ---- datapath choice ------------------------------------------------------
@@ -336,6 +362,148 @@ class TestDatapathChoice:
         pipeline.quantize()
         with pytest.raises(ExactnessError, match="c1.*does not fit int64"):
             compile_model_plan(pipeline, (1, 3, 12, 12))
+
+
+# ---- activation code dtype -------------------------------------------------
+
+
+def reference_requantize(raw, e, clip_lo, clip_hi):
+    """The int64 arena's float64 requantize: the reference's arithmetic,
+    as the differential suite pins."""
+    scratch = np.empty(raw.shape, np.float64)
+    out = np.empty(raw.shape, np.float64)
+    requantize(raw, 2.0**e, clip_lo, clip_hi, scratch, out)
+    return out
+
+
+def float32_requantize(raw, e, clip_lo, clip_hi):
+    """The float32-arena requantize, cast to int64 as ``ModelPlan.run`` does.
+
+    Large factors overflow to inf, which the clip saturates exactly as the
+    float64 path saturates its finite value."""
+    raw = raw.astype(np.float32)
+    scratch = np.empty(raw.shape, np.float32)
+    out = np.empty(raw.shape, np.float32)
+    with np.errstate(over="ignore"):
+        requantize(raw, 2.0**e, clip_lo, clip_hi, scratch, out)
+    return out.astype(np.int64)
+
+
+def requantize_probes(e):
+    """|raw| < 2**23 near powers of two, near 2**23, and at the half-integer
+    points (2k+1) * 2**(-e-1) +- 1 where ``raw * 2**e`` ties, both signs."""
+    top = FLOAT32_REQUANTIZE_EXACT
+    powers = [1 << p for p in range(23)]
+    probes = {0, top - 1, top - 2, top - 3}
+    probes.update(p + d for p in powers for d in (-1, 0, 1))
+    if e < 0:
+        half = 1 << (-e - 1)
+        for k in (0, 1, 2, 3, 62, 63, 126, 127, 128, 4095, 2**22):
+            center = (2 * k + 1) * half
+            probes.update(center + d for d in (-1, 0, 1))
+    magnitudes = np.array(sorted(p for p in probes if 0 <= p < top), np.int64)
+    return np.concatenate([magnitudes, -magnitudes])
+
+
+#: (clip_lo, clip_hi) of 4/8/16/24-bit outputs, with and without ReLU.
+CLIPS = [
+    (lo, (1 << (bits - 1)) - 1)
+    for bits in (4, 8, 16, 24)
+    for lo in (-(1 << (bits - 1)), 0)
+]
+
+
+class TestFloat32Codes:
+    """The compile-time predicate that stores a plan's codes in float32."""
+
+    def test_requantize_float32_matches_float64(self):
+        """Below 2**23 the float32 requantize rounds like the float64 one
+        for every normal float32 factor; the rest the predicate refuses."""
+        for e in range(-140, 131):
+            if not _normal_float32(2.0**e):
+                assert e < -126 or e > 127
+                continue
+            raw = requantize_probes(e)
+            for lo, hi in CLIPS:
+                expected = reference_requantize(raw, e, lo, hi)
+                got = float32_requantize(raw, e, lo, hi)
+                mismatch = np.flatnonzero(got != expected)
+                assert mismatch.size == 0, (e, lo, hi, raw[mismatch[:4]])
+
+    def test_24_bit_sums_break_the_float32_requantize(self):
+        """Why the bound is 2**23: (2**24 - 1) * 2**-25 + 0.5 rounds up to
+        1.0 in float32, where float64 rounds it to 0."""
+        raw = np.array([2**24 - 1, -(2**24 - 1)], np.int64)
+        assert reference_requantize(raw, -25, -128, 127).tolist() == [0, 0]
+        assert float32_requantize(raw, -25, -128, 127).tolist() == [1, -1]
+
+    def test_non_normal_factors_are_refused(self, rng):
+        """2**128 overflows float32: ``0 * inf`` is NaN where float64 gives 0,
+        so a stage with that factor keeps the plan on int64 codes."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            scratch = np.empty(1, np.float32)
+            out = np.empty(1, np.float32)
+            requantize(np.zeros(1, np.float32), 2.0**128, -128, 127, scratch, out)
+        assert np.isnan(out[0])
+        pipeline = build_pipeline(ARCHITECTURES["conv_relu_pool"], rng)
+        plan = compile_model_plan(pipeline, (1, 3, 12, 12))
+        assert _float32_codes(plan.stages, [plan.input_fmt])
+        plan.stages[0].factor = 2.0**128
+        assert not _float32_codes(plan.stages, [plan.input_fmt])
+
+    def test_8bit_plans_store_float32(self, rng, datapath):
+        """Only a plan whose every stage runs the float32 GEMM goes float32:
+        the float64 and fallback fixtures keep int64 codes."""
+        pipeline = build_pipeline(ARCHITECTURES["host_split"], rng)
+        plan = compile_model_plan(pipeline, (2, 3, 13, 13))
+        expected = np.float32 if datapath == "sparse" else np.int64
+        assert plan.arena.codes == expected
+        assert f"codes={np.dtype(expected)}" in plan.describe()
+
+    def check_int64_plan(self, pipeline, arch, rng):
+        images = rng.standard_normal(
+            (3, arch.input_channels, arch.input_rows, arch.input_cols)
+        )
+        plan = compile_model_plan(pipeline, images.shape)
+        assert plan.arena.codes == np.int64
+        assert plan.arena.scratch.dtype == np.float64
+        assert_batches_identical(
+            pipeline.run_batch(images), pipeline.run_batch_reference(images)
+        )
+        return plan
+
+    def test_sum_bound_between_2_23_and_2_24_stays_int64(self, rng):
+        """12-bit features put the FC's bound in [2**23, 2**24): every stage
+        runs the float32 GEMM, but the requantize stays float64."""
+        arch = ARCHITECTURES["conv_relu_pool"]
+        pipeline = build_pipeline(arch, rng, feature_bits=12)
+        plan = self.check_int64_plan(pipeline, arch, rng)
+        stages = [s for s in plan.stages if isinstance(s, _FusedStage)]
+        assert {s.datapath for s in stages} == {"gemm32"}
+        assert FLOAT32_REQUANTIZE_EXACT <= max(s.sum_bound for s in stages) < 2**24
+
+    def test_mixed_gemm32_and_gemm_stages_stay_int64(self, rng):
+        """13-bit features split the stages between the float32 and float64
+        GEMMs: the buffers stay int64 and the run stays bit-exact."""
+        arch = ARCHITECTURES["conv_relu_pool"]
+        pipeline = build_pipeline(arch, rng, feature_bits=13)
+        plan = self.check_int64_plan(pipeline, arch, rng)
+        assert fused_datapaths(plan) == ["gemm32", "gemm"]
+
+    def test_32_bit_codes_stay_int64_even_at_density_zero(self, rng):
+        """All-zero weights and biases make every sum bound 0, so every
+        stage runs the float32 GEMM — but 32-bit codes do not fit float32."""
+        arch = ARCHITECTURES["conv_relu_pool"]
+        network = arch.build(seed=7)
+        for layer in network.accelerated_layers():
+            layer.bias[...] = 0.0
+        pipeline = QuantizedPipeline(network, feature_bits=32)
+        pipeline.prune({layer.name: 0.0 for layer in network.accelerated_layers()})
+        pipeline.calibrate(rng.standard_normal((3, 12, 12)))
+        pipeline.quantize()
+        plan = self.check_int64_plan(pipeline, arch, rng)
+        stages = [s for s in plan.stages if isinstance(s, _FusedStage)]
+        assert [(s.datapath, s.sum_bound) for s in stages] == [("gemm32", 0)] * 2
 
 
 # ---- plan cache -----------------------------------------------------------
@@ -431,6 +599,7 @@ class TestPlanErrors:
         plan = compile_model_plan(pipeline, (2, 3, 13, 13))
         text = plan.describe()
         assert "fused" in text and "host" in text and "batch=(2, 3, 13, 13)" in text
+        assert "codes=float32" in text
 
 
 # ---- telemetry ------------------------------------------------------------
@@ -447,6 +616,8 @@ class TestTelemetrySpans:
             pipeline.run_batch(images)  # cache hit: no second fuse span
         totals = telemetry.tracer.totals()
         assert totals["fuse"]["count"] == 1
+        fuse = next(r for r in telemetry.tracer.roots if r.name == "fuse")
+        assert fuse.attrs["codes"] == "float32"
         # One kernel span per fused stage (conv + fc) per run.
         assert totals["kernel"]["count"] == 4
         roots = [root.to_dict() for root in telemetry.tracer.roots]

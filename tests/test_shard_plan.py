@@ -72,14 +72,25 @@ def _tiny_architecture():
     )
 
 
-@pytest.fixture(scope="module")
-def quantized():
+def _quantized(feature_bits: int) -> QuantizedPipeline:
     network = _tiny_architecture().build(seed=7)
-    pipeline = QuantizedPipeline(network)
+    pipeline = QuantizedPipeline(network, feature_bits=feature_bits)
     rng = np.random.default_rng(3)
     pipeline.calibrate(rng.standard_normal((3, 16, 16)))
     pipeline.quantize()
     return pipeline
+
+
+@pytest.fixture(scope="module")
+def quantized():
+    """8-bit features: the fused plan stores float32 codes."""
+    return _quantized(8)
+
+
+@pytest.fixture(scope="module")
+def quantized_wide():
+    """16-bit features: past the float32 bounds, the plan stores int64 codes."""
+    return _quantized(16)
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +280,40 @@ class TestShardedExecutionBitExact:
         for cuts in ((0,), (99,), (2, 2)):
             with pytest.raises(ValueError):
                 sharded_run_batch(quantized, images, cuts)
+
+
+class TestShardedArenaDtypes:
+    CUT_SETS = [(1,), (3,), (2, 4), (1, 3, 5)]
+
+    def _runs(self, pipeline, codes):
+        plan = compile_model_plan(pipeline, codes.shape)
+        expected, _ = plan.run(codes)
+        expected = expected.copy()
+        transfers = []
+        for cuts in self.CUT_SETS:
+            sharded = ShardedModelPlan(plan, cuts)
+            assert [a.codes for a in sharded.arenas] == [plan.arena.codes] * (len(cuts) + 1)
+            out, fmt = sharded.run(codes)
+            assert fmt == plan.output_fmt
+            assert out.dtype == expected.dtype == np.int64
+            assert out.tobytes() == expected.tobytes()
+            transfers.append(sharded.transfer_elements)
+        return plan.arena.codes, transfers
+
+    def test_shards_inherit_the_plan_code_dtype(self, quantized, quantized_wide):
+        """Shard arenas copy the parent's dtypes; on a float32 plan and an
+        int64 plan the sharded bytes equal ``plan.run`` bytes, and the
+        per-cut transfer sizes do not depend on the code dtype."""
+        rng = np.random.default_rng(17)
+        images = rng.standard_normal((3, 3, 16, 16))
+        narrow, narrow_transfers = self._runs(
+            quantized, quantized.input_fmt.quantize(images)
+        )
+        wide, wide_transfers = self._runs(
+            quantized_wide, quantized_wide.input_fmt.quantize(images)
+        )
+        assert (narrow, wide) == (np.float32, np.int64)
+        assert narrow_transfers == wide_transfers
 
 
 class TestShardedPlanCache:
