@@ -1,8 +1,9 @@
 """Benchmark: batched multi-accelerator serving throughput.
 
-Serves one saturated burst of requests through the dynamic batcher on
-pools of 1 and 2 simulated accelerator instances and reports the
-aggregate simulated GOP/s of each pool. The headline assertion is the
+Serves one saturated burst of requests through the event-driven engine
+(windows batching) on pools of 1 and 2 simulated accelerator instances of
+a real deployment's timing profile and reports the aggregate simulated
+GOP/s of each pool. The headline assertion is the
 scaling law the serving runtime exists for: with a saturated queue,
 doubling the accelerator pool must scale aggregate throughput by at
 least 1.8x (the batcher and dispatcher add no serial bottleneck).
@@ -28,12 +29,12 @@ from repro.nn.models import (
 )
 from repro.pipeline import QuantizedPipeline
 from repro.prune import uniform_schedule
+from repro.runtime import SystemRuntime
 from repro.serve import (
     BatchPolicy,
-    DeploymentCache,
-    ServingSimulator,
-    build_worker_pool,
-    make_requests,
+    EventDrivenSimulator,
+    LoadTrace,
+    ServiceProfile,
 )
 from repro.workloads.images import natural_image
 
@@ -43,7 +44,7 @@ MAX_BATCH = 8
 
 
 def _serving_architecture() -> Architecture:
-    """A small but complete CNN so the burst runs full ABM numerics."""
+    """A small but complete CNN, deployed for its timing profile."""
     return Architecture(
         name="servenet",
         input_channels=3,
@@ -76,24 +77,26 @@ def serving_setup(seed):
     pipeline.prune(uniform_schedule(names, 0.4).densities)
     pipeline.calibrate(natural_image(shape, rng))
     pipeline.quantize()
-    images = [natural_image(shape, rng) for _ in range(REQUESTS)]
-    return pipeline, architecture.accelerated_specs(), images
+    runtime = SystemRuntime.from_pipeline(
+        pipeline, architecture.accelerated_specs()
+    )
+    return ServiceProfile.from_runtime(runtime)
 
 
 def test_bench_serving_scaling(benchmark, serving_setup):
-    pipeline, specs, images = serving_setup
-    cache = DeploymentCache()
+    profile = serving_setup
     policy = BatchPolicy(max_batch=MAX_BATCH, max_wait_s=0.0)
     # A burst at t=0 keeps every worker saturated, so the pool's scaling
     # is the dispatcher's, not the arrival process's.
-    requests = make_requests(images, [0.0] * len(images))
+    burst = LoadTrace("burst", np.zeros(REQUESTS), np.zeros(REQUESTS))
 
     def run_scaling():
-        reports = {}
-        for workers in (1, 2):
-            pool = build_worker_pool(pipeline, specs, workers, cache=cache)
-            reports[workers] = ServingSimulator(pool, policy).run(requests)
-        return reports
+        return {
+            workers: EventDrivenSimulator(
+                profile, policy, instances=workers
+            ).run_trace(burst)
+            for workers in (1, 2)
+        }
 
     reports = benchmark(run_scaling)
     print()
@@ -109,13 +112,9 @@ def test_bench_serving_scaling(benchmark, serving_setup):
     scaling = (
         reports[2].stats.aggregate_gops / reports[1].stats.aggregate_gops
     )
-    print(f"  scaling 1 -> 2 workers: {scaling:.2f}x  "
-          f"(cache: {cache.hits} hits / {cache.misses} misses)")
+    print(f"  scaling 1 -> 2 workers: {scaling:.2f}x")
     # Dynamic batcher never overfills a batch.
     for report in reports.values():
-        assert all(trace.size <= MAX_BATCH for trace in report.batches)
-    # One deployment total: every pool after the first reused the cached
-    # encoding (benchmark timing loops re-enter run_scaling, so hits grow).
-    assert cache.misses == 1 and cache.hits >= 1
+        assert all(batch.size <= MAX_BATCH for batch in report.batches)
     # The headline: near-linear multi-accelerator scaling under saturation.
     assert scaling >= 1.8

@@ -293,6 +293,28 @@ def _cmd_system(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_serve_args(args: argparse.Namespace) -> None:
+    """Reject a bad serving shape before the (slow) pipeline build."""
+    checks = (
+        (args.workers >= 1, "--workers must be >= 1"),
+        (args.requests >= 1, "--requests must be >= 1"),
+        (args.max_batch >= 1, "--max-batch must be >= 1"),
+        (args.max_wait_ms >= 0, "--max-wait-ms cannot be negative"),
+        (0 < args.rate < float("inf"), "--rate must be positive and finite"),
+        (0 <= args.best_effort < 1, "--best-effort must be in [0, 1)"),
+        (args.queue_limit is None or args.queue_limit >= 1,
+         "--queue-limit must be >= 1"),
+        (not args.autoscale_max or args.autoscale_max >= args.workers,
+         "--autoscale-max must be >= --workers"),
+        (args.autoscale_interval_ms > 0,
+         "--autoscale-interval-ms must be positive"),
+        (0 <= args.density <= 1, "--density must be in [0, 1]"),
+    )
+    for ok, message in checks:
+        if not ok:
+            raise _UsageError(message)
+
+
 def _cmd_serve_sim(args: argparse.Namespace) -> int:
     """Simulate batched serving across a pool of accelerator instances."""
     import numpy as np
@@ -300,50 +322,30 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     from .nn.models import get_architecture
     from .pipeline import QuantizedPipeline
     from .prune import uniform_schedule
-    from .serve import BatchPolicy, DeploymentCache, build_worker_pool
+    from .runtime import SystemRuntime
+    from .serve import (
+        AutoscalePolicy,
+        BatchPolicy,
+        EventDrivenSimulator,
+        ServiceProfile,
+        SLOClass,
+        make_trace,
+    )
     from .workloads.images import natural_image
 
-    # Validate the serving shape before the (slow) pipeline build.
-    if args.workers < 1:
-        print("serve-sim: --workers must be >= 1")
-        return 2
-    if args.requests < 1:
-        print("serve-sim: --requests must be >= 1")
-        return 2
-    if args.max_batch < 1:
-        print("serve-sim: --max-batch must be >= 1")
-        return 2
-    if args.max_wait_ms < 0:
-        print("serve-sim: --max-wait-ms cannot be negative")
-        return 2
-    if args.rate <= 0:
-        print("serve-sim: --rate must be positive")
-        return 2
-    if not 0 <= args.best_effort < 1:
-        print("serve-sim: --best-effort must be in [0, 1)")
-        return 2
-    if args.autoscale_max and args.autoscale_max < args.workers:
-        print("serve-sim: --autoscale-max must be >= --workers")
-        return 2
-
+    _check_serve_args(args)
+    device = _device(args.device)
     architecture = get_architecture(args.model)
     network = architecture.build(seed=args.seed)
     rng = np.random.default_rng(args.seed)
-    shape = network.input_shape.as_tuple()
     pipeline = QuantizedPipeline(network)
     names = [layer.name for layer in network.accelerated_layers()]
     pipeline.prune(uniform_schedule(names, args.density).densities)
-    pipeline.calibrate(natural_image(shape, rng))
+    pipeline.calibrate(natural_image(network.input_shape.as_tuple(), rng))
     pipeline.quantize()
-    cache = DeploymentCache()
-    # The events engine only needs one runtime (its timing profile); the
-    # reference engine needs the full pool for the per-batch numerics.
-    pool = build_worker_pool(
-        pipeline,
-        architecture.accelerated_specs(),
-        args.workers if args.engine == "threads" else 1,
-        device=_device(args.device),
-        cache=cache,
+    # The engine needs one deployed runtime: its timing profile.
+    runtime = SystemRuntime.from_pipeline(
+        pipeline, architecture.accelerated_specs(), device
     )
     policy = BatchPolicy(
         max_batch=args.max_batch, max_wait_s=args.max_wait_ms * 1e-3
@@ -356,81 +358,53 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
 
     print(
         f"serving simulation — {args.model} on {args.workers} simulated "
-        f"accelerator instance(s) ({args.engine} engine)"
+        "accelerator instance(s)"
     )
     print(
         f"policy:          max batch {policy.max_batch}, "
         f"max wait {args.max_wait_ms:g} ms, "
         f"offered load {args.rate:g} req/s ({args.trace})"
     )
-    if args.engine == "threads":
-        from .serve import ServingSimulator, make_requests, make_trace
-
-        trace = make_trace(args.trace, args.requests, args.rate, seed=args.seed)
-        images = [natural_image(shape, rng) for _ in range(args.requests)]
-        requests = make_requests(images, trace.arrivals.tolist())
-        report = ServingSimulator(pool, policy, telemetry=telemetry).run(
-            requests
+    slo_mix = {"latency-sensitive": 1.0}
+    classes = (SLOClass("latency-sensitive", priority=0),)
+    if args.best_effort > 0:
+        slo_mix = {
+            "latency-sensitive": 1.0 - args.best_effort,
+            "best-effort": args.best_effort,
+        }
+        classes = (
+            SLOClass("latency-sensitive", priority=0),
+            SLOClass("best-effort", priority=1, queue_limit=args.queue_limit),
         )
-        stats = report.stats
-    else:
-        from .serve import (
-            AutoscalePolicy,
-            EventDrivenSimulator,
-            ServiceProfile,
-            SLOClass,
-            make_trace,
+    autoscale = None
+    if args.autoscale_max and args.autoscale_max > args.workers:
+        autoscale = AutoscalePolicy(
+            min_instances=args.workers,
+            max_instances=args.autoscale_max,
+            check_interval_s=args.autoscale_interval_ms * 1e-3,
         )
-
-        slo_mix = {"latency-sensitive": 1.0}
-        classes = (SLOClass("latency-sensitive", priority=0),)
-        if args.best_effort > 0:
-            slo_mix = {
-                "latency-sensitive": 1.0 - args.best_effort,
-                "best-effort": args.best_effort,
-            }
-            classes = (
-                SLOClass("latency-sensitive", priority=0),
-                SLOClass(
-                    "best-effort", priority=1, queue_limit=args.queue_limit
-                ),
-            )
-        autoscale = None
-        if args.autoscale_max and args.autoscale_max > args.workers:
-            autoscale = AutoscalePolicy(
-                min_instances=args.workers,
-                max_instances=args.autoscale_max,
-                check_interval_s=args.autoscale_interval_ms * 1e-3,
-            )
-        trace = make_trace(
-            args.trace, args.requests, args.rate, seed=args.seed,
-            slo_mix=slo_mix,
-        )
-        engine = EventDrivenSimulator(
-            ServiceProfile.from_runtime(pool[0]),
-            policy,
-            classes=classes,
-            instances=args.workers,
-            continuous=args.continuous,
-            autoscale=autoscale,
-            telemetry=telemetry,
-        )
-        report = engine.run_trace(trace)
-        stats = report.stats
-        if args.continuous:
-            print("batching:        continuous (in-flight admission)")
-        if report.scale_events:
-            peak = report.peak_instances
-            print(
-                f"autoscaling:     {len(report.scale_events)} decision(s), "
-                f"peak {peak} instance(s), final {report.final_instances}"
-            )
-    print(stats.render())
-    info = cache.info()
-    print(
-        f"model cache:     {info.size} deployment(s), "
-        f"{info.hits} hits / {info.misses} misses"
+    trace = make_trace(
+        args.trace, args.requests, args.rate, seed=args.seed, slo_mix=slo_mix
     )
+    engine = EventDrivenSimulator(
+        ServiceProfile.from_runtime(runtime),
+        policy,
+        classes=classes,
+        instances=args.workers,
+        continuous=args.continuous,
+        autoscale=autoscale,
+        telemetry=telemetry,
+    )
+    report = engine.run_trace(trace)
+    if args.continuous:
+        print("batching:        continuous (in-flight admission)")
+    if report.scale_events:
+        print(
+            f"autoscaling:     {len(report.scale_events)} decision(s), "
+            f"peak {report.peak_instances} instance(s), "
+            f"final {report.final_instances}"
+        )
+    print(report.stats.render())
     if telemetry is not None:
         from .telemetry import write_jsonl
 
@@ -716,11 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="small zoo members run the full functional pipeline",
     )
     p_srv.add_argument("--device", default="Stratix-V GXA7")
-    p_srv.add_argument("--engine", choices=("events", "threads"),
-                       default="events",
-                       help="events = virtual-clock event loop (timing only, "
-                            "fleet scale); threads = reference simulator "
-                            "with full numerics")
     p_srv.add_argument("--workers", type=int, default=2,
                        help="simulated accelerator instances")
     p_srv.add_argument("--requests", type=int, default=32)
@@ -734,16 +703,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dynamic batcher deadline")
     p_srv.add_argument("--continuous", action="store_true",
                        help="continuous batching: admit requests into "
-                            "in-flight batches (events engine only)")
+                            "in-flight batches")
     p_srv.add_argument("--best-effort", type=float, default=0.0,
                        help="fraction of requests in a lower-priority "
-                            "best-effort SLO class (events engine only)")
+                            "best-effort SLO class")
     p_srv.add_argument("--queue-limit", type=int, default=None,
                        help="admission-control queue bound for the "
                             "best-effort class")
     p_srv.add_argument("--autoscale-max", type=int, default=None,
-                       help="enable autoscaling up to this many instances "
-                            "(events engine only)")
+                       help="enable autoscaling up to this many instances")
     p_srv.add_argument("--autoscale-interval-ms", type=float, default=1.0,
                        help="autoscaler check interval, virtual ms")
     p_srv.add_argument("--density", type=float, default=0.4,

@@ -66,7 +66,7 @@ class DeployedModel:
         """Estimate the deployment's performance on a device.
 
         Routed through the process-wide layer-simulation result cache, so
-        repeated deployments of the same workload (serve pools, DSE sweeps)
+        repeated deployments of the same workload (DSE sweeps, sibling runtimes)
         do not re-simulate; pass ``cache=False`` to bypass it. ``trace``
         forwards a :class:`~repro.hw.trace.TraceRecorder` (traced runs are
         uncached, see :meth:`AcceleratorSimulator.simulate`).

@@ -114,8 +114,8 @@ class SystemRuntime:
         """Lazily-run (and cached) timing simulation of the deployment.
 
         Backed by the process-wide layer result cache, so sibling runtimes
-        serving the same deployment (serve worker pools) share one
-        simulation instead of re-running it per instance.
+        serving the same deployment share one simulation instead of
+        re-running it per instance.
         """
         if self._simulation is None:
             self._simulation = self.deployed.simulate(
@@ -188,29 +188,6 @@ class SystemRuntime:
             )
             for result in functional
         ]
-
-    def batch_seconds(self, batch_size: int) -> float:
-        """Simulated service time of one batch on this accelerator.
-
-        Generalizes the paper's two-stage CPU/FPGA pipeline (Section 6.1)
-        to a batch of B images: the first image fills both stages, the
-        remaining B-1 stream at the slower stage's rate, and the last
-        image's host stage drains after its FPGA stage —
-
-            T(B) = fpga + host + (B - 1) * max(fpga, host)
-
-        so T(1) is the sequential per-image time and the marginal cost of
-        an extra batched image is the pipelined per-image time.
-
-        :meth:`repro.serve.fleet.ServiceProfile.batch_seconds` copies this
-        expression verbatim — keep the two in sync, the event-driven
-        serving engine's differential pinning depends on float equality.
-        """
-        if batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        fpga = self.simulation.seconds_per_image
-        host = self.host_model.seconds_per_image(self.pipeline.network)
-        return fpga + host + (batch_size - 1) * max(fpga, host)
 
     def latency_breakdown(self) -> Tuple[Tuple[str, float], ...]:
         """(layer, milliseconds) for every accelerated layer, in order."""

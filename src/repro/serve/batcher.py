@@ -1,4 +1,4 @@
-"""Request queue and dynamic batcher for the serving simulator.
+"""Dynamic batcher and earliest-free dispatch: the serving timing oracle.
 
 The batcher implements the standard serving trade-off between latency and
 occupancy: requests accumulate in an open batch until either the batch
@@ -11,14 +11,20 @@ which is what makes the invariants directly testable:
 - no batch ever exceeds ``max_batch`` requests,
 - no request waits in the queue past ``max_wait_s`` before dispatch,
 - every request appears in exactly one batch, in arrival order.
+
+:func:`dispatch_batches` then runs the sealed batches on the earliest-free
+of N instances under a :class:`repro.serve.fleet.ServiceProfile`. The two
+functions together are the offline oracle the event-driven engine
+(:mod:`repro.serve.events`) is pinned to in windows mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    from .fleet import ServiceProfile
 
 
 @dataclass(frozen=True)
@@ -37,11 +43,10 @@ class BatchPolicy:
 
 @dataclass(frozen=True)
 class ServeRequest:
-    """One inference request: an image and its (virtual) arrival time."""
+    """One inference request: its id and (virtual) arrival time."""
 
     request_id: int
     arrival_s: float
-    image: np.ndarray
 
     def __post_init__(self) -> None:
         if self.arrival_s < 0:
@@ -105,36 +110,33 @@ def form_batches(
     return batches
 
 
-def poisson_arrivals(
-    count: int, rate_rps: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Arrival times (seconds) of a Poisson process at ``rate_rps``."""
-    if count < 1:
-        raise ValueError("need at least one arrival")
-    if rate_rps <= 0:
-        raise ValueError("arrival rate must be positive")
-    gaps = rng.exponential(scale=1.0 / rate_rps, size=count)
-    return np.cumsum(gaps)
+@dataclass(frozen=True)
+class Dispatch:
+    """Where and when one sealed batch ran."""
+
+    batch: Batch
+    worker_id: int
+    start_s: float
+    finish_s: float
 
 
-def uniform_arrivals(count: int, rate_rps: float) -> np.ndarray:
-    """Deterministic, evenly spaced arrivals at ``rate_rps``."""
-    if count < 1:
-        raise ValueError("need at least one arrival")
-    if rate_rps <= 0:
-        raise ValueError("arrival rate must be positive")
-    return np.arange(count) / rate_rps
+def dispatch_batches(
+    batches: Sequence[Batch], profile: "ServiceProfile", instances: int
+) -> List[Dispatch]:
+    """Run sealed batches, in close order, on the earliest-free instance.
 
-
-def make_requests(
-    images: Sequence[np.ndarray], arrivals: Sequence[float]
-) -> List[ServeRequest]:
-    """Pair images with arrival times into a request stream."""
-    if len(images) != len(arrivals):
-        raise ValueError(
-            f"{len(images)} images for {len(arrivals)} arrival times"
-        )
-    return [
-        ServeRequest(request_id=i, arrival_s=float(t), image=np.asarray(img))
-        for i, (img, t) in enumerate(zip(images, arrivals))
-    ]
+    Ties go to the lowest instance id; a batch starts when it has closed
+    and its instance is free, and holds the instance for
+    ``profile.batch_seconds(size)``. The list index is the batch id.
+    """
+    if instances < 1:
+        raise ValueError("need at least one instance")
+    available = [0.0] * instances
+    dispatched: List[Dispatch] = []
+    for batch in sorted(batches, key=lambda b: b.close_s):
+        worker_id = min(range(instances), key=lambda i: (available[i], i))
+        start_s = max(batch.close_s, available[worker_id])
+        finish_s = start_s + profile.batch_seconds(batch.size)
+        available[worker_id] = finish_s
+        dispatched.append(Dispatch(batch, worker_id, start_s, finish_s))
+    return dispatched

@@ -1,13 +1,14 @@
 """Event-driven, virtual-clock serving simulator.
 
-This is the fleet-scale engine behind ``serve-sim --engine events``: a
-priority-queue event loop over *virtual* time that pushes millions of
-simulated requests through in seconds of wall time. It is a pure timing
-simulator — instances are :class:`repro.serve.fleet.ServiceProfile`
-records, not live pipelines — and it is **differentially pinned** against
-the reference :class:`repro.serve.simulator.ServingSimulator`: with one
-SLO class, windowed batching and no autoscaling, per-request latencies
-and batch compositions are *exactly* (float-for-float) equal
+This is the serving engine behind ``serve-sim``: a priority-queue event
+loop over *virtual* time that pushes millions of simulated requests
+through in seconds of wall time. It is a pure timing simulator —
+instances are :class:`repro.serve.fleet.ServiceProfile` records, not live
+pipelines — and it is **differentially pinned** against the offline
+oracle :func:`repro.serve.batcher.form_batches` +
+:func:`repro.serve.batcher.dispatch_batches`: with one SLO class,
+windowed batching and no autoscaling, per-request latencies and batch
+compositions are *exactly* (float-for-float) equal
 (``tests/test_serve_events.py``).
 
 Event kinds, in tie-break order at equal virtual times:
@@ -26,7 +27,7 @@ Event kinds, in tie-break order at equal virtual times:
 
 Batching modes:
 
-- **windows** (default, reference-equivalent): a batch seals when full
+- **windows** (default, oracle-equivalent): a batch seals when full
   (``max_batch``) or at its window deadline, then dispatches whole to the
   earliest-free instance.
 - **continuous**: no windows — each instance is a pipelined stream, and
@@ -59,7 +60,6 @@ __all__ = [
     "EventDrivenSimulator",
     "EventOutcome",
     "EventReport",
-    "EventRequest",
     "SLOClass",
 ]
 
@@ -101,25 +101,11 @@ DEFAULT_SLO = SLOClass("standard")
 
 
 @dataclass(frozen=True)
-class EventRequest:
-    """One simulated request: id, arrival time and SLO class name."""
-
-    request_id: int
-    arrival_s: float
-    slo: str = DEFAULT_SLO.name
-
-    def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival time cannot be negative")
-
-
-@dataclass(frozen=True)
 class EventOutcome:
     """One served request's full timing attribution.
 
-    Same timing surface as :class:`repro.serve.stats.ServeResponse`
-    (so :class:`ServeStats` consumes either), plus the SLO class; the
-    event engine carries no payloads, so there is no output tensor.
+    The per-request record :class:`repro.serve.stats.ServeStats` reads;
+    the engine carries no payloads, so there is no output tensor.
     """
 
     request_id: int
@@ -134,18 +120,22 @@ class EventOutcome:
 
     @property
     def batch_wait_s(self) -> float:
+        """Time spent waiting for the batch to close."""
         return self.close_s - self.arrival_s
 
     @property
     def queue_wait_s(self) -> float:
+        """Time from arrival until the batch starts on an instance."""
         return self.start_s - self.arrival_s
 
     @property
     def service_s(self) -> float:
+        """Time the batch occupied its instance."""
         return self.finish_s - self.start_s
 
     @property
     def latency_s(self) -> float:
+        """End-to-end request latency."""
         return self.finish_s - self.arrival_s
 
 
@@ -272,25 +262,10 @@ class EventDrivenSimulator:
         self.clock = VirtualClock()
         self._class_index = {slo.name: i for i, slo in enumerate(self.classes)}
 
-    # ---- entry points ---------------------------------------------------
-
-    def run(self, requests: Sequence[EventRequest]) -> EventReport:
-        """Simulate an explicit request list (tests, small CLI runs)."""
-        if not requests:
-            raise ValueError("need at least one request")
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        ids = [r.request_id for r in ordered]
-        if len(set(ids)) != len(ids):
-            raise ValueError("request ids must be unique")
-        arrivals = [r.arrival_s for r in ordered]
-        try:
-            class_ids = [self._class_index[r.slo] for r in ordered]
-        except KeyError as error:
-            raise ValueError(f"unknown SLO class {error.args[0]!r}") from None
-        return self._simulate(ids, arrivals, class_ids)
+    # ---- entry point ----------------------------------------------------
 
     def run_trace(self, trace: LoadTrace) -> EventReport:
-        """Simulate a generated :class:`LoadTrace` (fleet-scale path)."""
+        """Simulate a :class:`LoadTrace`; request ids are trace indices."""
         try:
             remap = [self._class_index[name] for name in trace.class_names]
         except KeyError as error:
@@ -402,7 +377,7 @@ class EventDrivenSimulator:
                 worker = min(free, key=lambda w: (w.available_s, w.instance_id))
                 _, close_s, _, cls, members = heappop(dispatch)
                 size = len(members)
-                # Same expression as the reference simulator, so start
+                # Same expression as batcher.dispatch_batches, so start
                 # and finish are float-identical on the restricted config.
                 start_s = max(close_s, worker.available_s)
                 finish_s = start_s + profile.batch_seconds(size)

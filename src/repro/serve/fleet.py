@@ -5,9 +5,7 @@ A *fleet* is the pool of simulated accelerator instances the event engine
 timing model — a :class:`ServiceProfile` captures the two-stage CPU/FPGA
 pipeline of one deployed :class:`repro.runtime.SystemRuntime` (Section
 6.1 of the paper) — so a fleet of N instances costs N small records, and
-simulating millions of requests never touches the ABM numerics. The
-functional path stays with the reference :class:`ServingSimulator`,
-which is differentially pinned against the event engine.
+simulating millions of requests never touches the ABM numerics.
 
 Instances can be spawned and retired mid-run: :class:`AutoscalePolicy`
 describes when the engine should do so (queue-depth watermarks with
@@ -18,13 +16,12 @@ cooldown and startup delay), and every decision is recorded as a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = [
     "AutoscalePolicy",
     "Fleet",
     "Instance",
-    "PipelinedProfile",
     "ScaleEvent",
     "ServiceProfile",
 ]
@@ -35,13 +32,10 @@ class ServiceProfile:
     """Timing model of one simulated accelerator instance.
 
     ``fpga_s`` and ``host_s`` are the per-image stage times of the
-    paper's two-stage CPU/FPGA pipeline; a batch of B images costs
-
-        T(B) = fpga + host + (B - 1) * max(fpga, host)
-
-    exactly as :meth:`repro.runtime.SystemRuntime.batch_seconds` — the
-    expressions are kept identical so the event engine's virtual times
-    are *bit-equal* to the reference simulator's.
+    paper's two-stage CPU/FPGA pipeline (Section 6.1). A batch of B
+    images fills both stages once, then streams the remaining B-1 at the
+    slower stage's rate — see :meth:`batch_seconds`, the one copy of
+    that law.
     """
 
     fpga_s: float
@@ -71,7 +65,13 @@ class ServiceProfile:
         return 1.0 / self.step_s
 
     def batch_seconds(self, batch_size: int) -> float:
-        """Service time of one batch — same arithmetic as the runtime."""
+        """Service time of one batch of ``batch_size`` images:
+
+            T(B) = fpga + host + (B - 1) * max(fpga, host)
+
+        so T(1) is the sequential per-image time and the marginal cost of
+        an extra batched image is the pipelined per-image time.
+        """
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
         return self.fpga_s + self.host_s + (batch_size - 1) * max(
@@ -82,9 +82,8 @@ class ServiceProfile:
     def from_runtime(cls, runtime) -> "ServiceProfile":
         """Extract the timing profile of a deployed ``SystemRuntime``.
 
-        Copies the exact floats the reference ``ServingSimulator`` uses
-        (``simulation.seconds_per_image`` and the host model's per-image
-        time), which is what makes the differential equality exact.
+        Copies the runtime's exact floats: ``simulation.seconds_per_image``
+        and the host model's per-image time.
         """
         simulation = runtime.simulation
         return cls(
@@ -94,103 +93,6 @@ class ServiceProfile:
             ),
             dense_ops_per_image=simulation.dense_ops,
             name=runtime.pipeline.network.name,
-        )
-
-
-@dataclass(frozen=True)
-class PipelinedProfile:
-    """Timing model of one *pipelined* deployment (a shard group).
-
-    Generalizes :class:`ServiceProfile` from the two-stage CPU/FPGA
-    pipeline to an N-stage layer-pipeline over heterogeneous devices
-    (:mod:`repro.shard`): ``stage_s`` are the per-shard service times and
-    ``link_s`` the inter-shard transfer times, interleaved in stream
-    order. The deterministic tandem-line law pinned by
-    :mod:`repro.shard.pipeline_sim` gives
-
-        T(B) = fill + (B - 1) * bottleneck
-
-    for any inter-stage queue depth >= 1, where ``fill`` is the sum of
-    all stage and link times and ``bottleneck`` the maximum — the same
-    shape as the two-stage formula, so the profile duck-types straight
-    into :class:`Fleet` and the event engine. The arithmetic mirrors
-    :meth:`repro.shard.plan.ShardPlan.batch_seconds` term for term, so
-    event-engine virtual times are bit-equal to the plan's estimates.
-    """
-
-    stage_s: Tuple[float, ...]
-    link_s: Tuple[float, ...] = ()
-    dense_ops_per_image: int = 0
-    name: str = "pipeline"
-    #: Modeled inter-stage FIFO depth (throughput-neutral for depth >= 1;
-    #: carried for the telemetry gauges and the simulator cross-check).
-    queue_depth: int = 2
-
-    def __post_init__(self) -> None:
-        if not self.stage_s:
-            raise ValueError("a pipelined profile needs at least one stage")
-        if any(t <= 0 for t in self.stage_s):
-            raise ValueError("stage times must be positive")
-        if len(self.link_s) != len(self.stage_s) - 1:
-            raise ValueError(
-                f"{len(self.stage_s)} stages need {len(self.stage_s) - 1} "
-                f"links, got {len(self.link_s)}"
-            )
-        if any(t < 0 for t in self.link_s):
-            raise ValueError("link times cannot be negative")
-        if self.dense_ops_per_image < 0:
-            raise ValueError("dense ops cannot be negative")
-        if self.queue_depth < 1:
-            raise ValueError("queue depth must be >= 1")
-
-    @property
-    def service_times(self) -> Tuple[float, ...]:
-        """Stage and link times interleaved in stream order."""
-        times: List[float] = []
-        for i, stage in enumerate(self.stage_s):
-            times.append(stage)
-            if i < len(self.link_s):
-                times.append(self.link_s[i])
-        return tuple(times)
-
-    @property
-    def n_stages(self) -> int:
-        return len(self.stage_s)
-
-    @property
-    def step_s(self) -> float:
-        """Steady-state per-image time: the bottleneck stage or link."""
-        return max(self.service_times)
-
-    @property
-    def fill_s(self) -> float:
-        """One image's latency through the empty pipeline."""
-        return sum(self.service_times)
-
-    @property
-    def capacity_rps(self) -> float:
-        """Saturated throughput of the whole pipelined group."""
-        return 1.0 / self.step_s
-
-    def batch_seconds(self, batch_size: int) -> float:
-        """Makespan of one batch — same arithmetic as ``ShardPlan``."""
-        if batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        return self.fill_s + (batch_size - 1) * self.step_s
-
-    @classmethod
-    def from_shard_plan(cls, plan, queue_depth: int = 2) -> "PipelinedProfile":
-        """Profile of a planned shard pipeline (`repro.shard.plan.ShardPlan`).
-
-        Copies the exact floats of the plan's timing model, so serving
-        estimates agree with the partition search bit for bit.
-        """
-        return cls(
-            stage_s=tuple(s.seconds_per_image for s in plan.shards),
-            link_s=tuple(t.seconds for t in plan.transfers),
-            dense_ops_per_image=plan.dense_ops_per_image,
-            name=f"{plan.model}:pipeline",
-            queue_depth=queue_depth,
         )
 
 

@@ -8,9 +8,12 @@ test suite can pin every figure against hand-computed values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .events import EventOutcome
 
 
 @dataclass(frozen=True)
@@ -23,48 +26,12 @@ class Rejection:
     reason: str
 
 
-@dataclass(frozen=True)
-class ServeResponse:
-    """One completed request with its full timing attribution."""
-
-    request_id: int
-    worker_id: int
-    batch_id: int
-    batch_size: int
-    arrival_s: float
-    close_s: float
-    start_s: float
-    finish_s: float
-    output: np.ndarray
-    top1: int
-
-    @property
-    def batch_wait_s(self) -> float:
-        """Time spent waiting for the batch to close."""
-        return self.close_s - self.arrival_s
-
-    @property
-    def queue_wait_s(self) -> float:
-        """Time from arrival until the batch starts on a worker."""
-        return self.start_s - self.arrival_s
-
-    @property
-    def service_s(self) -> float:
-        """Time the batch occupied its accelerator instance."""
-        return self.finish_s - self.start_s
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end request latency."""
-        return self.finish_s - self.arrival_s
-
-
 class ServeStats:
-    """Aggregate statistics over one simulated serving run."""
+    """Aggregate statistics over the :class:`EventOutcome` records of one run."""
 
     def __init__(
         self,
-        responses: Sequence[ServeResponse],
+        responses: Sequence["EventOutcome"],
         dense_ops_per_image: int,
         rejections: Sequence[Rejection] = (),
     ) -> None:
@@ -72,7 +39,7 @@ class ServeStats:
             raise ValueError("stats need at least one response")
         if dense_ops_per_image < 0:
             raise ValueError("dense ops cannot be negative")
-        self.responses: Tuple[ServeResponse, ...] = tuple(
+        self.responses: Tuple["EventOutcome", ...] = tuple(
             sorted(responses, key=lambda r: r.request_id)
         )
         self.dense_ops_per_image = dense_ops_per_image
@@ -130,8 +97,8 @@ class ServeStats:
     # ---- SLO classes ---------------------------------------------------
 
     def slo_classes(self) -> List[str]:
-        """Distinct SLO class names present, sorted ("" when untagged)."""
-        return sorted({getattr(r, "slo", "") for r in self.responses})
+        """Distinct SLO class names present, sorted."""
+        return sorted({r.slo for r in self.responses})
 
     # ---- latency -------------------------------------------------------
 
@@ -139,11 +106,7 @@ class ServeStats:
         """Per-request latencies; ``slo`` filters to one class."""
         if slo is None:
             return [r.latency_s for r in self.responses]
-        latencies = [
-            r.latency_s
-            for r in self.responses
-            if getattr(r, "slo", "") == slo
-        ]
+        latencies = [r.latency_s for r in self.responses if r.slo == slo]
         if not latencies:
             raise ValueError(f"no responses in SLO class {slo!r}")
         return latencies

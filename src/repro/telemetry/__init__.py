@@ -12,7 +12,7 @@ counters and unaggregated trace events:
   runtime, the accelerator simulator and the compiled kernel all nest
   into one trace.
 - :class:`CacheStats` + the cache registry — every LRU in the codebase
-  (plan, encode, layer-sim, deployment, DSE memos, window plans) reports
+  (plan, encode, layer-sim, DSE memos, window plans) reports
   hit/miss/eviction counters under one dotted namespace.
 - Exporters — lossless JSON-lines round-trip and Prometheus-style text —
   plus :func:`validate_snapshot` for the CI schema check.
@@ -27,7 +27,6 @@ from .caches import (
     cache_snapshot,
     cache_stats,
     register_cache,
-    register_cache_object,
     registered_caches,
     unregister_cache,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "parse_jsonl",
     "prometheus_text",
     "register_cache",
-    "register_cache_object",
     "registered_caches",
     "unregister_cache",
     "validate_snapshot",

@@ -2,7 +2,7 @@
 
 A :class:`Telemetry` bundles one metrics registry and one tracer — the
 observability context of a run. Components accept it explicitly
-(``SystemRuntime(telemetry=...)``, ``ServingSimulator(...,
+(``SystemRuntime(telemetry=...)``, ``EventDrivenSimulator(...,
 telemetry=...)``); deep hot paths that cannot thread a parameter through
 (the compiled kernel, the pipeline's layer loop) consult the *active*
 telemetry instead:

@@ -78,7 +78,7 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "GOP/s aggregate" in out
-        assert "model cache" in out
+        assert "max batch 2" in out
         assert "p95" in out
 
     @pytest.mark.parametrize(
@@ -93,6 +93,14 @@ class TestCommands:
             (["partition", "--shards", "-2"], "--shards must be >= 1"),
             (["schemes", "--margin", "-1"], "margin must be a finite number >= 0"),
             (["schemes", "--margin", "nan"], "margin must be a finite number >= 0"),
+            (["serve-sim", "--workers", "0"], "--workers must be >= 1"),
+            (["serve-sim", "--rate", "nan"], "--rate must be positive and finite"),
+            (["serve-sim", "--queue-limit", "0", "--best-effort", "0.3"],
+             "--queue-limit must be >= 1"),
+            (["serve-sim", "--autoscale-max", "4",
+              "--autoscale-interval-ms", "0"],
+             "--autoscale-interval-ms must be positive"),
+            (["serve-sim", "--density", "1.5"], "--density must be in [0, 1]"),
         ],
     )
     def test_bad_input_fails_cleanly(self, capsys, argv, message):

@@ -36,6 +36,11 @@ class TestLoadTrace:
         with pytest.raises(ValueError, match="out of range"):
             LoadTrace("x", np.array([0.0]), np.array([1], dtype=np.int32))
 
+    def test_rejects_non_finite_arrivals(self):
+        """A NaN arrival would be served and poison every percentile."""
+        with pytest.raises(ValueError, match="finite"):
+            LoadTrace("x", [0.0, float("nan"), 1.0], [0, 0, 0])
+
     def test_counts_by_class(self):
         trace = poisson_trace(
             1000, 100.0, seed=3, slo_mix={"a": 0.5, "b": 0.5}
@@ -57,6 +62,15 @@ class TestPoisson:
         sigma = np.sqrt(count) / rate
         assert abs(span - expected) < 4 * sigma
         assert trace.offered_rps == pytest.approx(rate, rel=0.05)
+
+    def test_rejects_nan_rate(self):
+        with pytest.raises(ValueError, match="finite"):
+            poisson_trace(4, float("nan"))
+
+    def test_rejects_infinite_rate(self):
+        """An infinite rate would put every arrival at t = 0."""
+        with pytest.raises(ValueError, match="finite"):
+            poisson_trace(4, float("inf"))
 
     def test_gaps_are_memoryless(self):
         """Exponential gaps: CV of inter-arrivals is 1 (within tolerance)."""

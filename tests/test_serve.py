@@ -1,30 +1,27 @@
 """Tests for the batched multi-accelerator serving runtime.
 
 Covers the batching invariants (a batch never exceeds ``max_batch`` and
-no request waits past ``max_wait_s``), worker-pool sharding, the LRU
-deployment cache's hit/miss/eviction accounting, and the ``ServeStats``
-arithmetic pinned against hand-computed values.
+no request waits past ``max_wait_s``), sharding over instances, the
+two-stage batch-time law of a real deployment's ``ServiceProfile``, and
+the ``ServeStats`` arithmetic pinned against hand-computed values.
 """
 
 import numpy as np
 import pytest
 
-from repro.hw.config import AcceleratorConfig
 from repro.pipeline import QuantizedPipeline
 from repro.prune import uniform_schedule
+from repro.runtime import SystemRuntime
 from repro.serve import (
     BatchPolicy,
-    DeploymentCache,
-    LRUCache,
+    EventDrivenSimulator,
+    EventOutcome,
+    LoadTrace,
     ServeRequest,
-    ServeResponse,
     ServeStats,
-    ServingSimulator,
-    build_worker_pool,
+    ServiceProfile,
+    dispatch_batches,
     form_batches,
-    make_requests,
-    poisson_arrivals,
-    uniform_arrivals,
 )
 
 
@@ -77,12 +74,17 @@ def served_model():
     return pipeline, tiny_architecture.accelerated_specs()
 
 
+@pytest.fixture(scope="module")
+def runtime(served_model):
+    """The served model deployed on the default device."""
+    pipeline, specs = served_model
+    return SystemRuntime.from_pipeline(pipeline, specs)
+
+
 def _requests(arrivals):
-    """Tiny placeholder requests for pure batcher tests."""
-    image = np.zeros((1, 1, 1))
+    """Placeholder requests for pure batcher tests."""
     return [
-        ServeRequest(request_id=i, arrival_s=t, image=image)
-        for i, t in enumerate(arrivals)
+        ServeRequest(request_id=i, arrival_s=t) for i, t in enumerate(arrivals)
     ]
 
 
@@ -95,7 +97,7 @@ class TestBatchPolicy:
 
     def test_negative_arrival_rejected(self):
         with pytest.raises(ValueError):
-            ServeRequest(request_id=0, arrival_s=-1.0, image=np.zeros(1))
+            ServeRequest(request_id=0, arrival_s=-1.0)
 
 
 class TestDynamicBatcher:
@@ -158,181 +160,63 @@ class TestDynamicBatcher:
         assert [b.close_s for b in batches] == [0.0, 0.1, 0.2]
 
 
-class TestArrivals:
-    def test_poisson_monotone_and_sized(self, rng):
-        arrivals = poisson_arrivals(50, 1000.0, rng)
-        assert len(arrivals) == 50
-        assert np.all(np.diff(arrivals) >= 0)
-        assert arrivals[0] > 0
-
-    def test_uniform_spacing(self):
-        arrivals = uniform_arrivals(4, 100.0)
-        assert np.allclose(arrivals, [0.0, 0.01, 0.02, 0.03])
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            poisson_arrivals(0, 10.0, rng)
-        with pytest.raises(ValueError):
-            poisson_arrivals(5, 0.0, rng)
-        with pytest.raises(ValueError):
-            uniform_arrivals(5, -1.0)
-
-    def test_make_requests_length_mismatch(self):
-        with pytest.raises(ValueError):
-            make_requests([np.zeros(1)], [0.0, 1.0])
-
-
-class TestLRUCache:
-    def test_hit_miss_accounting(self):
-        cache = LRUCache(capacity=2)
-        assert cache.get_or_create("a", lambda: 1) == 1
-        assert cache.get_or_create("a", lambda: 2) == 1  # hit keeps value
-        assert cache.hits == 1 and cache.misses == 1 and cache.evictions == 0
-        info = cache.info()
-        assert info.hit_rate == 0.5 and info.size == 1
-
-    def test_lru_eviction_order(self):
-        cache = LRUCache(capacity=2)
-        cache.get_or_create("a", lambda: 1)
-        cache.get_or_create("b", lambda: 2)
-        cache.get_or_create("a", lambda: 0)  # refresh a; b is now LRU
-        cache.get_or_create("c", lambda: 3)  # evicts b
-        assert "b" not in cache and "a" in cache and "c" in cache
-        assert cache.evictions == 1
-        assert cache.keys() == ["a", "c"]
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            LRUCache(capacity=0)
-
-
-class TestDeploymentCache:
-    def test_repeat_deploy_skips_encoding(self, served_model, monkeypatch):
-        pipeline, specs = served_model
-        calls = []
-        import repro.serve.cache as cache_module
-
-        real_deploy = cache_module.deploy
-
-        def counting_deploy(*args, **kwargs):
-            calls.append(1)
-            return real_deploy(*args, **kwargs)
-
-        monkeypatch.setattr(cache_module, "deploy", counting_deploy)
-        cache = DeploymentCache(capacity=2)
-        first = cache.get_or_deploy(pipeline, specs)
-        second = cache.get_or_deploy(pipeline, specs)
-        assert first is second
-        assert len(calls) == 1
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_distinct_configs_are_distinct_entries(self, served_model):
-        pipeline, specs = served_model
-        cache = DeploymentCache(capacity=4)
-        config_a = AcceleratorConfig(n_cu=1, n_knl=2, n_share=2, s_ec=1)
-        config_b = AcceleratorConfig(n_cu=2, n_knl=2, n_share=2, s_ec=1)
-        cache.get_or_deploy(pipeline, specs, config=config_a)
-        cache.get_or_deploy(pipeline, specs, config=config_b)
-        cache.get_or_deploy(pipeline, specs, config=config_a)
-        assert cache.misses == 2 and cache.hits == 1
-
-    def test_eviction_forces_redeploy(self, served_model):
-        pipeline, specs = served_model
-        cache = DeploymentCache(capacity=1)
-        config_a = AcceleratorConfig(n_cu=1, n_knl=2, n_share=2, s_ec=1)
-        config_b = AcceleratorConfig(n_cu=2, n_knl=2, n_share=2, s_ec=1)
-        cache.get_or_deploy(pipeline, specs, config=config_a)
-        cache.get_or_deploy(pipeline, specs, config=config_b)  # evicts a
-        cache.get_or_deploy(pipeline, specs, config=config_a)  # miss again
-        assert cache.misses == 3 and cache.evictions == 2
-
-
 class TestWorkerPool:
-    def test_workers_share_one_deployment(self, served_model):
-        pipeline, specs = served_model
-        pool = build_worker_pool(pipeline, specs, workers=3)
-        assert len(pool) == 3
-        assert all(worker.deployed is pool[0].deployed for worker in pool)
-        # ...but each wraps an independently-simulated accelerator.
-        assert len({id(worker) for worker in pool}) == 3
-
-    def test_pool_size_validation(self, served_model):
-        pipeline, specs = served_model
+    def test_pool_size_validation(self, runtime):
+        profile = ServiceProfile.from_runtime(runtime)
         with pytest.raises(ValueError):
-            build_worker_pool(pipeline, specs, workers=0)
+            EventDrivenSimulator(profile, BatchPolicy(), instances=0)
+        with pytest.raises(ValueError):
+            dispatch_batches([], profile, instances=0)
 
-    def test_batches_shard_across_workers(self, served_model):
+    def test_batches_shard_across_workers(self, runtime):
         """A saturated burst round-robins batches over the free workers."""
-        pipeline, specs = served_model
-        pool = build_worker_pool(pipeline, specs, workers=2)
-        rng = np.random.default_rng(5)
-        shape = pipeline.network.input_shape.as_tuple()
-        images = [rng.normal(size=shape) for _ in range(8)]
-        requests = make_requests(images, [0.0] * 8)
-        report = ServingSimulator(
-            pool, BatchPolicy(max_batch=2, max_wait_s=0.0)
-        ).run(requests)
-        assert [trace.worker_id for trace in report.batches] == [0, 1, 0, 1]
+        profile = ServiceProfile.from_runtime(runtime)
+        engine = EventDrivenSimulator(
+            profile, BatchPolicy(max_batch=2, max_wait_s=0.0), instances=2
+        )
+        report = engine.run_trace(LoadTrace("burst", np.zeros(8), np.zeros(8)))
+        assert [batch.worker_id for batch in report.batches] == [0, 1, 0, 1]
         busy = report.stats.worker_busy_s()
         assert busy[0] == pytest.approx(busy[1])
         # Two workers halve the makespan of four equal batches.
-        service = pool[0].batch_seconds(2)
+        service = profile.batch_seconds(2)
         assert report.stats.makespan_s == pytest.approx(2 * service)
 
-    def test_mixed_models_rejected(self, served_model, tiny_architecture):
-        pipeline, specs = served_model
-        pool = build_worker_pool(pipeline, specs, workers=1)
-        other_network = tiny_architecture.build(seed=3)
-        other_network.name = "other"
-        other = QuantizedPipeline(other_network)
-        names = [l.name for l in other_network.accelerated_layers()]
-        other.prune(uniform_schedule(names, 0.4).densities)
-        rng = np.random.default_rng(0)
-        other.calibrate(rng.normal(size=other_network.input_shape.as_tuple()))
-        other.quantize()
-        other_pool = build_worker_pool(other, specs, workers=1)
-        with pytest.raises(ValueError, match="same model"):
-            ServingSimulator(pool + other_pool, BatchPolicy())
-
-    def test_empty_inputs_rejected(self, served_model):
-        pipeline, specs = served_model
-        pool = build_worker_pool(pipeline, specs, workers=1)
-        simulator = ServingSimulator(pool, BatchPolicy())
+    def test_empty_inputs_rejected(self, runtime):
+        profile = ServiceProfile.from_runtime(runtime)
         with pytest.raises(ValueError):
-            ServingSimulator([], BatchPolicy())
+            EventDrivenSimulator(profile, BatchPolicy(), classes=())
         with pytest.raises(ValueError):
-            simulator.run([])
+            LoadTrace("empty", np.zeros(0), np.zeros(0))
 
 
 class TestBatchSeconds:
-    def test_single_image_is_sequential_time(self, served_model):
-        pipeline, specs = served_model
-        runtime = build_worker_pool(pipeline, specs, workers=1)[0]
+    def test_single_image_is_sequential_time(self, runtime):
+        profile = ServiceProfile.from_runtime(runtime)
         fpga = runtime.simulation.seconds_per_image
-        host = runtime.host_model.seconds_per_image(pipeline.network)
-        assert runtime.batch_seconds(1) == pytest.approx(fpga + host)
+        host = runtime.host_model.seconds_per_image(runtime.pipeline.network)
+        assert profile.batch_seconds(1) == pytest.approx(fpga + host)
 
-    def test_pipelined_marginal_cost(self, served_model):
-        pipeline, specs = served_model
-        runtime = build_worker_pool(pipeline, specs, workers=1)[0]
+    def test_pipelined_marginal_cost(self, runtime):
+        profile = ServiceProfile.from_runtime(runtime)
         fpga = runtime.simulation.seconds_per_image
-        host = runtime.host_model.seconds_per_image(pipeline.network)
+        host = runtime.host_model.seconds_per_image(runtime.pipeline.network)
         for batch in (2, 5, 16):
             expected = fpga + host + (batch - 1) * max(fpga, host)
-            assert runtime.batch_seconds(batch) == pytest.approx(expected)
+            assert profile.batch_seconds(batch) == pytest.approx(expected)
 
-    def test_validation(self, served_model):
-        pipeline, specs = served_model
-        runtime = build_worker_pool(pipeline, specs, workers=1)[0]
+    def test_validation(self, runtime):
+        profile = ServiceProfile.from_runtime(runtime)
         with pytest.raises(ValueError):
-            runtime.batch_seconds(0)
+            profile.batch_seconds(0)
         with pytest.raises(ValueError):
             runtime.infer_batch([])
 
 
 def _response(request_id, worker, batch, size, arrival, close, start, finish):
-    return ServeResponse(
+    return EventOutcome(
         request_id=request_id,
+        slo="standard",
         worker_id=worker,
         batch_id=batch,
         batch_size=size,
@@ -340,8 +224,6 @@ def _response(request_id, worker, batch, size, arrival, close, start, finish):
         close_s=close,
         start_s=start,
         finish_s=finish,
-        output=np.array([1.0]),
-        top1=0,
     )
 
 

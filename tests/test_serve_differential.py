@@ -3,9 +3,11 @@
 The serving runtime's core guarantee is that batching and sharding are
 *timing-only* transformations — every request's output must be bit-exact
 identical to running the same image through ``SystemRuntime.infer``
-sequentially. A fixed image set pins this directly, and a
-property-based sweep checks it over random batch sizes, worker counts
-and arrival patterns.
+sequentially. Requests are grouped by :func:`form_batches`, dispatched by
+:func:`dispatch_batches`, and each batch runs in one
+``SystemRuntime.infer_batch`` pass on its instance's runtime. A fixed
+image set pins this directly, and a property-based sweep checks it over
+random batch sizes, worker counts and arrival patterns.
 """
 
 import functools
@@ -26,11 +28,13 @@ from repro.nn.models import (
 )
 from repro.pipeline import QuantizedPipeline
 from repro.prune import uniform_schedule
+from repro.runtime import SystemRuntime
 from repro.serve import (
     BatchPolicy,
-    ServingSimulator,
-    build_worker_pool,
-    make_requests,
+    ServeRequest,
+    ServiceProfile,
+    dispatch_batches,
+    form_batches,
 )
 from repro.workloads.images import natural_image
 
@@ -61,7 +65,7 @@ def _architecture() -> Architecture:
 
 @functools.lru_cache(maxsize=1)
 def _context():
-    """(pipeline, specs, images, sequential outcomes) built once.
+    """(reference runtime, images, sequential outcomes) built once.
 
     A plain memoized helper rather than a pytest fixture so the
     hypothesis test can reuse it across examples without fixture-scope
@@ -78,36 +82,60 @@ def _context():
     pipeline.quantize()
     specs = architecture.accelerated_specs()
     images = tuple(natural_image(shape, rng) for _ in range(IMAGE_COUNT))
-    reference = build_worker_pool(pipeline, specs, workers=1)[0]
+    reference = SystemRuntime.from_pipeline(pipeline, specs)
     sequential = tuple(reference.infer(image) for image in images)
-    return pipeline, specs, images, sequential
+    return reference, images, sequential
+
+
+def _serve(arrivals, policy, workers):
+    """Batch, dispatch and run every request: (outcomes by id, dispatches).
+
+    Each instance is its own ``SystemRuntime`` over the shared deployment.
+    """
+    reference, images, _ = _context()
+    runtimes = [
+        SystemRuntime(reference.pipeline, reference.deployed)
+        for _ in range(workers)
+    ]
+    requests = [ServeRequest(i, float(t)) for i, t in enumerate(arrivals)]
+    dispatched = dispatch_batches(
+        form_batches(requests, policy),
+        ServiceProfile.from_runtime(reference),
+        workers,
+    )
+    outcomes = {}
+    for d in dispatched:
+        batch = d.batch.requests
+        results = runtimes[d.worker_id].infer_batch(
+            [images[r.request_id] for r in batch]
+        )
+        for request, result in zip(batch, results):
+            assert request.request_id not in outcomes
+            outcomes[request.request_id] = result
+    return outcomes, dispatched
 
 
 class TestDifferentialFixedSet:
     """Fixed image set, fixed serving shape: exact equality, verified."""
 
     @pytest.fixture(scope="class")
-    def report(self):
-        pipeline, specs, images, _ = _context()
-        pool = build_worker_pool(pipeline, specs, workers=2)
-        requests = make_requests(list(images), [0.0] * len(images))
+    def outcomes(self):
         policy = BatchPolicy(max_batch=3, max_wait_s=1e-4)
-        return ServingSimulator(pool, policy).run(requests)
+        outcomes, _ = _serve([0.0] * IMAGE_COUNT, policy, workers=2)
+        return outcomes
 
-    def test_outputs_bit_exact(self, report):
-        _, _, _, sequential = _context()
+    def test_outputs_bit_exact(self, outcomes):
+        _, _, sequential = _context()
         for request_id, outcome in enumerate(sequential):
-            response = report.output_for(request_id)
-            assert np.array_equal(response.output, outcome.output)
+            assert np.array_equal(outcomes[request_id].output, outcome.output)
 
-    def test_top1_identical(self, report):
-        _, _, _, sequential = _context()
+    def test_top1_identical(self, outcomes):
+        _, _, sequential = _context()
         for request_id, outcome in enumerate(sequential):
-            assert report.output_for(request_id).top1 == outcome.top1
+            assert outcomes[request_id].top1 == outcome.top1
 
-    def test_all_requests_answered_once(self, report):
-        ids = [response.request_id for response in report.responses]
-        assert sorted(ids) == list(range(IMAGE_COUNT))
+    def test_all_requests_answered_once(self, outcomes):
+        assert sorted(outcomes) == list(range(IMAGE_COUNT))
 
     def test_batched_makespan_beats_sequential(self):
         """Batching + 2 workers must outrun one-at-a-time service.
@@ -115,14 +143,13 @@ class TestDifferentialFixedSet:
         Uses a zero-wait policy so the comparison is about pipelining and
         sharding, not the latency the batcher deliberately trades away.
         """
-        pipeline, specs, images, _ = _context()
-        pool = build_worker_pool(pipeline, specs, workers=2)
-        requests = make_requests(list(images), [0.0] * len(images))
+        reference, images, _ = _context()
         policy = BatchPolicy(max_batch=3, max_wait_s=0.0)
-        report = ServingSimulator(pool, policy).run(requests)
-        runtime = build_worker_pool(pipeline, specs, workers=1)[0]
-        sequential_span = runtime.batch_seconds(1) * len(images)
-        assert report.stats.makespan_s < sequential_span
+        _, dispatched = _serve([0.0] * len(images), policy, workers=2)
+        makespan = max(d.finish_s for d in dispatched)
+        profile = ServiceProfile.from_runtime(reference)
+        sequential_span = profile.batch_seconds(1) * len(images)
+        assert makespan < sequential_span
 
 
 class TestDifferentialProperty:
@@ -142,18 +169,13 @@ class TestDifferentialProperty:
     def test_any_shape_matches_sequential(
         self, max_batch, workers, max_wait_us, arrival_seed
     ):
-        pipeline, specs, images, sequential = _context()
+        _, images, sequential = _context()
         rng = np.random.default_rng(arrival_seed)
         arrivals = np.sort(rng.uniform(0.0, 2e-4, size=len(images)))
-        requests = make_requests(list(images), arrivals)
-        pool = build_worker_pool(pipeline, specs, workers=workers)
         policy = BatchPolicy(max_batch=max_batch, max_wait_s=max_wait_us * 1e-6)
-        report = ServingSimulator(pool, policy).run(requests)
-        assert sorted(r.request_id for r in report.responses) == list(
-            range(len(images))
-        )
+        outcomes, dispatched = _serve(arrivals, policy, workers)
+        assert sorted(outcomes) == list(range(len(images)))
         for request_id, outcome in enumerate(sequential):
-            response = report.output_for(request_id)
-            assert np.array_equal(response.output, outcome.output)
-            assert response.top1 == outcome.top1
-        assert all(trace.size <= max_batch for trace in report.batches)
+            assert np.array_equal(outcomes[request_id].output, outcome.output)
+            assert outcomes[request_id].top1 == outcome.top1
+        assert all(d.batch.size <= max_batch for d in dispatched)

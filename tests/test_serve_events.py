@@ -2,13 +2,14 @@
 
 The contract this file enforces is the one ``docs/serving.md`` promises:
 on the restricted configuration — one SLO class, windowed batching, no
-autoscaling — the event-driven engine is *exactly* equal to the reference
-:class:`ServingSimulator`: same batch compositions, same workers, and
-float-for-float identical close/start/finish times, first on a fixed
-trace through a real quantized pipeline and then on hypothesis-randomized
-traces against a timing-faithful fake runtime. Randomized traces also pin
-the engine's serving invariants (served exactly once, FIFO within an SLO
-class, batch/lane caps, bounded batching wait) in both batching modes.
+autoscaling — the event-driven engine is *exactly* equal to the offline
+oracle, :func:`form_batches` + :func:`dispatch_batches`: same batch
+compositions, same workers, and float-for-float identical
+close/start/finish times, first on a fixed trace through the profile of a
+real quantized pipeline and then on hypothesis-randomized traces.
+Randomized traces also pin the engine's serving invariants (served
+exactly once, FIFO within an SLO class, batch/lane caps, bounded batching
+wait) in both batching modes.
 """
 
 import numpy as np
@@ -17,14 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve import (
+    DEFAULT_SLO,
     BatchPolicy,
     EventDrivenSimulator,
-    EventRequest,
+    EventOutcome,
+    LoadTrace,
+    ServeRequest,
+    ServeStats,
     ServiceProfile,
-    ServingSimulator,
     SLOClass,
-    build_worker_pool,
-    make_requests,
+    dispatch_batches,
+    form_batches,
 )
 
 # ---------------------------------------------------------------------------
@@ -32,100 +36,59 @@ from repro.serve import (
 # ---------------------------------------------------------------------------
 
 
-class _FakeSimulation:
-    def __init__(self, seconds_per_image: float, dense_ops: int) -> None:
-        self.seconds_per_image = seconds_per_image
-        self.dense_ops = dense_ops
+def _trace(arrivals, class_names=(DEFAULT_SLO.name,)):
+    """A LoadTrace over ``arrivals``, classes assigned round-robin."""
+    class_ids = np.arange(len(arrivals)) % len(class_names)
+    return LoadTrace("test", arrivals, class_ids, class_names=class_names)
 
 
-class _FakeNetwork:
-    name = "fake"
-
-
-class _FakePipeline:
-    network = _FakeNetwork()
-
-
-class _FakeOutcome:
-    output = np.zeros(1)
-    top1 = 0
-
-
-class _FakeHostModel:
-    def __init__(self, host_s: float) -> None:
-        self._host_s = host_s
-
-    def seconds_per_image(self, network) -> float:
-        return self._host_s
-
-
-class FakeRuntime:
-    """Duck-typed SystemRuntime: real timing arithmetic, no numerics.
-
-    Exposes exactly the surface ``ServingSimulator`` and
-    ``ServiceProfile.from_runtime`` touch, with the same batch-time
-    expression as the real runtime — so the differential comparison
-    exercises the full float pipeline without building a model.
-    """
-
-    def __init__(self, fpga_s: float, host_s: float, dense_ops: int = 7) -> None:
-        self.simulation = _FakeSimulation(fpga_s, dense_ops)
-        self.host_model = _FakeHostModel(host_s)
-        self.pipeline = _FakePipeline()
-        self._fpga_s = fpga_s
-        self._host_s = host_s
-
-    def batch_seconds(self, batch_size: int) -> float:
-        return self._fpga_s + self._host_s + (batch_size - 1) * max(
-            self._fpga_s, self._host_s
+def _oracle(arrivals, policy, profile, workers):
+    """(dispatched batches, per-request outcomes) of the offline oracle."""
+    requests = [ServeRequest(i, float(t)) for i, t in enumerate(arrivals)]
+    dispatched = dispatch_batches(
+        form_batches(requests, policy), profile, workers
+    )
+    outcomes = [
+        EventOutcome(
+            request_id=request.request_id,
+            slo=DEFAULT_SLO.name,
+            worker_id=d.worker_id,
+            batch_id=batch_id,
+            batch_size=d.batch.size,
+            arrival_s=request.arrival_s,
+            close_s=d.batch.close_s,
+            start_s=d.start_s,
+            finish_s=d.finish_s,
         )
-
-    def infer_batch(self, images):
-        return [_FakeOutcome() for _ in images]
-
-
-def _dummy_requests(arrivals):
-    image = np.zeros(1)
-    return make_requests([image] * len(arrivals), list(arrivals))
+        for batch_id, d in enumerate(dispatched)
+        for request in d.batch.requests
+    ]
+    return dispatched, sorted(outcomes, key=lambda o: o.request_id)
 
 
 def _run_both(arrivals, policy, fpga_s, host_s, workers=1):
-    """(reference report, event report) over the same arrival trace."""
-    pool = [FakeRuntime(fpga_s, host_s) for _ in range(workers)]
-    reference = ServingSimulator(pool, policy).run(_dummy_requests(arrivals))
-    engine = EventDrivenSimulator(
-        ServiceProfile.from_runtime(pool[0]), policy, instances=workers
-    )
-    events = engine.run(
-        [EventRequest(i, float(t)) for i, t in enumerate(arrivals)]
-    )
-    return reference, events
+    """(oracle, event report) over the same arrival trace."""
+    profile = ServiceProfile(fpga_s=fpga_s, host_s=host_s)
+    engine = EventDrivenSimulator(profile, policy, instances=workers)
+    events = engine.run_trace(_trace(arrivals))
+    return _oracle(arrivals, policy, profile, workers), events
 
 
-def _assert_exactly_equal(reference, events):
+def _assert_exactly_equal(oracle, events):
     """Per-request and per-batch float-for-float equality."""
-    assert events.served == len(reference.responses)
-    by_id = {r.request_id: r for r in reference.responses}
-    for outcome in events.outcomes:
-        ref = by_id[outcome.request_id]
-        assert outcome.worker_id == ref.worker_id
-        assert outcome.batch_id == ref.batch_id
-        assert outcome.batch_size == ref.batch_size
-        # Exact equality, not approx: same floats through same expressions.
-        assert outcome.arrival_s == ref.arrival_s
-        assert outcome.close_s == ref.close_s
-        assert outcome.start_s == ref.start_s
-        assert outcome.finish_s == ref.finish_s
-        assert outcome.latency_s == ref.latency_s
-    ref_batches = {
-        b.batch_id: (b.worker_id, b.size, b.close_s, b.start_s, b.finish_s)
-        for b in reference.batches
+    dispatched, outcomes = oracle
+    # Dataclass equality compares every float with ==, not approx.
+    assert sorted(events.outcomes, key=lambda o: o.request_id) == outcomes
+    expected_batches = {
+        batch_id: (d.worker_id, d.batch.size, d.batch.close_s, d.start_s,
+                   d.finish_s)
+        for batch_id, d in enumerate(dispatched)
     }
     evt_batches = {
         b.batch_id: (b.worker_id, b.size, b.close_s, b.start_s, b.finish_s)
         for b in events.batches
     }
-    assert evt_batches == ref_batches
+    assert evt_batches == expected_batches
 
 
 # hypothesis building blocks: arrival gaps spanning idle gaps, ties and
@@ -153,9 +116,10 @@ def _arrivals_from_gaps(gaps):
 
 class TestDifferentialRealPipeline:
     @pytest.fixture(scope="class")
-    def pool(self, tiny_network_module):
+    def runtime(self, tiny_network_module):
         from repro.pipeline import QuantizedPipeline
         from repro.prune import uniform_schedule
+        from repro.runtime import SystemRuntime
 
         architecture, network = tiny_network_module
         rng = np.random.default_rng(7)
@@ -164,8 +128,8 @@ class TestDifferentialRealPipeline:
         pipeline.prune(uniform_schedule(names, 0.4).densities)
         pipeline.calibrate(rng.normal(size=network.input_shape.as_tuple()))
         pipeline.quantize()
-        return build_worker_pool(
-            pipeline, architecture.accelerated_specs(), 2
+        return SystemRuntime.from_pipeline(
+            pipeline, architecture.accelerated_specs()
         )
 
     @pytest.fixture(scope="class")
@@ -196,9 +160,9 @@ class TestDifferentialRealPipeline:
         )
         return architecture, architecture.build(seed=10)
 
-    def test_fixed_trace_exact_equality(self, pool):
-        """The ISSUE's pinning config: fixed trace, windows, real model."""
-        profile = ServiceProfile.from_runtime(pool[0])
+    def test_fixed_trace_exact_equality(self, runtime):
+        """Fixed trace, windows, two instances of a real model's profile."""
+        profile = ServiceProfile.from_runtime(runtime)
         # A trace with ties, a full batch, a deadline close and idle gaps.
         step = profile.step_s
         arrivals = [
@@ -207,29 +171,32 @@ class TestDifferentialRealPipeline:
             30.0 * step,
         ]
         policy = BatchPolicy(max_batch=4, max_wait_s=0.5 * step)
-        rng = np.random.default_rng(3)
-        shape = pool[0].pipeline.network.input_shape.as_tuple()
-        images = [rng.normal(size=shape) for _ in arrivals]
-        reference = ServingSimulator(pool, policy).run(
-            make_requests(images, arrivals)
-        )
-        engine = EventDrivenSimulator(profile, policy, instances=len(pool))
-        events = engine.run(
-            [EventRequest(i, t) for i, t in enumerate(arrivals)]
-        )
-        _assert_exactly_equal(reference, events)
+        oracle = _oracle(arrivals, policy, profile, workers=2)
+        engine = EventDrivenSimulator(profile, policy, instances=2)
+        events = engine.run_trace(_trace(arrivals))
+        _assert_exactly_equal(oracle, events)
         # And the aggregate stats agree exactly too.
-        assert events.stats.p50_latency_s == reference.stats.p50_latency_s
-        assert events.stats.makespan_s == reference.stats.makespan_s
+        expected = ServeStats(
+            oracle[1], dense_ops_per_image=profile.dense_ops_per_image
+        )
+        assert events.stats.p50_latency_s == expected.p50_latency_s
+        assert events.stats.makespan_s == expected.makespan_s
         assert (
             events.stats.batch_size_histogram()
-            == reference.stats.batch_size_histogram()
+            == expected.batch_size_histogram()
         )
 
-    def test_profile_copies_runtime_floats(self, pool):
-        profile = ServiceProfile.from_runtime(pool[0])
+    def test_profile_copies_runtime_floats(self, runtime):
+        profile = ServiceProfile.from_runtime(runtime)
+        fpga = runtime.simulation.seconds_per_image
+        host = runtime.host_model.seconds_per_image(runtime.pipeline.network)
+        assert profile.fpga_s == fpga
+        assert profile.host_s == host
+        assert profile.dense_ops_per_image == runtime.simulation.dense_ops
         for size in (1, 2, 5, 8):
-            assert profile.batch_seconds(size) == pool[0].batch_seconds(size)
+            assert profile.batch_seconds(size) == (
+                fpga + host + (size - 1) * max(fpga, host)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +209,8 @@ class TestDifferentialRandomized:
     @given(gaps=_GAPS, policy=_POLICIES)
     def test_single_worker_exact(self, gaps, policy):
         arrivals = _arrivals_from_gaps(gaps)
-        reference, events = _run_both(arrivals, policy, 1.7e-3, 0.9e-3)
-        _assert_exactly_equal(reference, events)
+        oracle, events = _run_both(arrivals, policy, 1.7e-3, 0.9e-3)
+        _assert_exactly_equal(oracle, events)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -253,18 +220,18 @@ class TestDifferentialRandomized:
     )
     def test_multi_worker_exact(self, gaps, policy, workers):
         arrivals = _arrivals_from_gaps(gaps)
-        reference, events = _run_both(
+        oracle, events = _run_both(
             arrivals, policy, 2.1e-3, 2.1e-3, workers=workers
         )
-        _assert_exactly_equal(reference, events)
+        _assert_exactly_equal(oracle, events)
 
     @settings(max_examples=30, deadline=None)
     @given(gaps=_GAPS, policy=_POLICIES)
     def test_host_bound_profile_exact(self, gaps, policy):
         """host > fpga flips the pipeline bottleneck; equality must hold."""
         arrivals = _arrivals_from_gaps(gaps)
-        reference, events = _run_both(arrivals, policy, 0.4e-3, 3.0e-3)
-        _assert_exactly_equal(reference, events)
+        oracle, events = _run_both(arrivals, policy, 0.4e-3, 3.0e-3)
+        _assert_exactly_equal(oracle, events)
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +248,10 @@ def _run_events(arrivals, policy, continuous, classes=None, workers=1):
         profile, policy, instances=workers, continuous=continuous, **kwargs
     )
     if classes is None:
-        requests = [EventRequest(i, float(t)) for i, t in enumerate(arrivals)]
+        trace = _trace(arrivals)
     else:
-        names = [slo.name for slo in classes]
-        requests = [
-            EventRequest(i, float(t), slo=names[i % len(names)])
-            for i, t in enumerate(arrivals)
-        ]
-    return engine.run(requests), requests
+        trace = _trace(arrivals, tuple(slo.name for slo in classes))
+    return engine.run_trace(trace)
 
 
 class TestInvariants:
@@ -301,12 +264,10 @@ class TestInvariants:
     )
     def test_served_exactly_once(self, gaps, policy, continuous, workers):
         arrivals = _arrivals_from_gaps(gaps)
-        report, requests = _run_events(
-            arrivals, policy, continuous, workers=workers
-        )
+        report = _run_events(arrivals, policy, continuous, workers=workers)
         assert report.rejected == 0
         served_ids = sorted(o.request_id for o in report.outcomes)
-        assert served_ids == [r.request_id for r in requests]
+        assert served_ids == list(range(len(arrivals)))
 
     @settings(max_examples=60, deadline=None)
     @given(gaps=_GAPS, policy=_POLICIES, continuous=st.booleans())
@@ -314,9 +275,7 @@ class TestInvariants:
         """Earlier arrival in the same class never finishes later."""
         classes = (SLOClass("a", priority=0), SLOClass("b", priority=1))
         arrivals = _arrivals_from_gaps(gaps)
-        report, _ = _run_events(
-            arrivals, policy, continuous, classes=classes
-        )
+        report = _run_events(arrivals, policy, continuous, classes=classes)
         by_class = {}
         for outcome in sorted(
             report.outcomes, key=lambda o: (o.arrival_s, o.request_id)
@@ -333,7 +292,7 @@ class TestInvariants:
     def test_windows_batch_and_wait_caps(self, gaps, policy):
         """No batch exceeds max_batch; no request waits past max_wait_s."""
         arrivals = _arrivals_from_gaps(gaps)
-        report, _ = _run_events(arrivals, policy, continuous=False)
+        report = _run_events(arrivals, policy, continuous=False)
         assert report.batches
         for batch in report.batches:
             assert 1 <= batch.size <= policy.max_batch
@@ -355,7 +314,7 @@ class TestInvariants:
     def test_continuous_lane_cap(self, gaps, policy, workers):
         """Per-instance in-flight concurrency never exceeds max_batch."""
         arrivals = _arrivals_from_gaps(gaps)
-        report, _ = _run_events(
+        report = _run_events(
             arrivals, policy, continuous=True, workers=workers
         )
         per_worker = {}
@@ -377,7 +336,7 @@ class TestInvariants:
         policy = BatchPolicy(max_batch=64, max_wait_s=1.0)
         engine = EventDrivenSimulator(profile, policy, continuous=True)
         n = 9
-        report = engine.run([EventRequest(i, 0.0) for i in range(n)])
+        report = engine.run_trace(_trace(np.zeros(n)))
         finishes = sorted(o.finish_s for o in report.outcomes)
         # The engine applies finish = prev + step sequentially; pin the
         # exact same accumulation, not the algebraically equal product.
@@ -394,27 +353,20 @@ class TestInvariants:
         """The point of continuous batching: stragglers stop waiting."""
         profile = ServiceProfile(fpga_s=2e-3, host_s=1e-3)
         policy = BatchPolicy(max_batch=8, max_wait_s=5e-3)
-        arrivals = np.arange(32) * 1e-3
-        requests = [EventRequest(i, float(t)) for i, t in enumerate(arrivals)]
-        windows = EventDrivenSimulator(profile, policy).run(requests)
+        trace = _trace(np.arange(32) * 1e-3)
+        windows = EventDrivenSimulator(profile, policy).run_trace(trace)
         continuous = EventDrivenSimulator(
             profile, policy, continuous=True
-        ).run(requests)
+        ).run_trace(trace)
         assert (
             continuous.stats.p99_latency_s <= windows.stats.p99_latency_s
         )
 
-    def test_duplicate_request_ids_rejected(self):
-        profile = ServiceProfile(fpga_s=1e-3, host_s=1e-3)
-        engine = EventDrivenSimulator(profile, BatchPolicy())
-        with pytest.raises(ValueError, match="unique"):
-            engine.run([EventRequest(0, 0.0), EventRequest(0, 1.0)])
-
     def test_unknown_slo_class_rejected(self):
         profile = ServiceProfile(fpga_s=1e-3, host_s=1e-3)
         engine = EventDrivenSimulator(profile, BatchPolicy())
-        with pytest.raises(ValueError, match="unknown SLO class"):
-            engine.run([EventRequest(0, 0.0, slo="nope")])
+        with pytest.raises(ValueError, match="not among engine classes"):
+            engine.run_trace(_trace([0.0], class_names=("nope",)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,33 +378,15 @@ class TestReportModes:
     def test_collect_records_false_keeps_aggregates_only(self):
         profile = ServiceProfile(fpga_s=1e-3, host_s=1e-3)
         policy = BatchPolicy(max_batch=4, max_wait_s=1e-3)
-        requests = [
-            EventRequest(i, i * 5e-4) for i in range(50)
-        ]
-        full = EventDrivenSimulator(profile, policy).run(requests)
+        trace = _trace(np.arange(50) * 5e-4)
+        full = EventDrivenSimulator(profile, policy).run_trace(trace)
         lean_engine = EventDrivenSimulator(
             profile, policy, collect_records=False
         )
-        lean = lean_engine.run(requests)
+        lean = lean_engine.run_trace(trace)
         assert lean.served == full.served == 50
         assert lean.makespan_s == full.makespan_s
         assert lean.outcomes == ()
         assert lean.batches == ()
         with pytest.raises(ValueError, match="collect_records"):
             _ = lean.stats
-
-    def test_run_trace_equals_run(self):
-        from repro.serve import poisson_trace
-
-        profile = ServiceProfile(fpga_s=1e-3, host_s=1e-3)
-        policy = BatchPolicy(max_batch=4, max_wait_s=1e-3)
-        trace = poisson_trace(40, 800.0, seed=5)
-        engine = EventDrivenSimulator(profile, policy)
-        via_trace = engine.run_trace(trace)
-        via_requests = EventDrivenSimulator(profile, policy).run(
-            [
-                EventRequest(i, float(t))
-                for i, t in enumerate(trace.arrivals)
-            ]
-        )
-        assert via_trace.outcomes == via_requests.outcomes

@@ -15,8 +15,8 @@ from repro.serve import (
     AutoscalePolicy,
     BatchPolicy,
     EventDrivenSimulator,
-    EventRequest,
     Fleet,
+    LoadTrace,
     ServiceProfile,
     SLOClass,
     poisson_trace,
@@ -155,8 +155,8 @@ class TestSLOClasses:
             BatchPolicy(max_batch=64, max_wait_s=50e-3),
             classes=classes,
         )
-        report = engine.run(
-            [EventRequest(0, 0.0, slo="fast"), EventRequest(1, 30e-3, slo="fast")]
+        report = engine.run_trace(
+            LoadTrace("t", [0.0, 30e-3], [0, 0], class_names=("fast",))
         )
         # With the 50 ms policy window both requests share one batch; the
         # 1 ms class override forces two.
@@ -300,8 +300,8 @@ class TestTelemetryParity:
             BatchPolicy(max_batch=4, max_wait_s=1e-3),
             telemetry=telemetry,
         )
-        report = engine.run(
-            [EventRequest(i, i * 5e-4) for i in range(10)]
+        report = engine.run_trace(
+            LoadTrace("t", np.arange(10) * 5e-4, np.zeros(10))
         )
         roots = telemetry.tracer.roots
         assert len(roots) == len(report.batches)

