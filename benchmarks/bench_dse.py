@@ -24,8 +24,6 @@ from pathlib import Path
 
 from repro.dse import (
     DEFAULT_RESOURCE_MODEL,
-    clear_buffer_cache,
-    clear_compiled_cache,
     default_joint_space,
     exhaustive_search,
     explore,
@@ -38,8 +36,7 @@ from repro.dse import (
     sweep_sec_ncu_reference,
 )
 from repro.hw import STRATIX_V_GXA7
-from repro.hw.tiling import clear_window_plan_cache
-from repro.telemetry import Telemetry, activate
+from repro.telemetry import Telemetry, activate, clear_caches
 from repro.workloads import synthetic_model_workload
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
@@ -69,12 +66,6 @@ def _best_of(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _clear_caches():
-    clear_compiled_cache()
-    clear_buffer_cache()
-    clear_window_plan_cache()
 
 
 def _sweeps(workload, n_share, n_knl, compiled):
@@ -130,7 +121,7 @@ def test_bench_dse_artifact():
             max(1, repeats - 2),
         )
         # Cold compile: what the very first query pays (caches emptied).
-        _clear_caches()
+        clear_caches()
         start = time.perf_counter()
         explore(workload, STRATIX_V_GXA7)
         cold_s = time.perf_counter() - start

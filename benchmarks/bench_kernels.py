@@ -28,18 +28,17 @@ from repro.core import (
     ConvGeometry,
     abm_conv2d,
     abm_conv2d_reference,
-    clear_model_plan_cache,
-    clear_plan_cache,
     compile_layer_plan,
     compile_model_plan,
     encode_layer,
 )
+from repro.core.model_plan import _model_plans
 from repro.core.plan import code_peak
 from repro.core.specs import conv_spec
 from repro.nn.models.alexnet import alexnet_architecture
 from repro.nn.models.vgg16 import vgg16_architecture
 from repro.pipeline import QuantizedPipeline
-from repro.telemetry import Telemetry, activate
+from repro.telemetry import Telemetry, activate, clear_caches
 from repro.workloads import synthesize_quantized_layer, synthetic_feature_codes
 
 
@@ -160,7 +159,7 @@ def test_bench_compiled_real_layers():
         weights, features, geometry = _build_real_layer(name)
         encoded = encode_layer(name, weights)
 
-        clear_plan_cache()
+        clear_caches()
         start = time.perf_counter()
         plan = compile_layer_plan(encoded, geometry)
         compile_s = time.perf_counter() - start
@@ -251,7 +250,7 @@ def test_bench_model_end_to_end():
     for name in MODEL_CONFIGS:
         pipeline, images = _build_model(name)
 
-        clear_model_plan_cache()
+        _model_plans.clear()
         start = time.perf_counter()
         plan = compile_model_plan(pipeline, images.shape)
         fuse_s = time.perf_counter() - start

@@ -27,9 +27,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.dse.partition import clear_partition_cache, search_partitions
+from repro.dse.partition import search_partitions
 from repro.hw.device import STRATIX_V_GXA3, STRATIX_V_GXA7
 from repro.shard import simulate_shard_plan
+from repro.telemetry import clear_caches
 from repro.workloads import synthetic_model_workload
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
@@ -73,7 +74,7 @@ def _plan_row(plan):
 
 def test_bench_partition():
     """Partition search vs replication over the GXA7+GXA3 catalog."""
-    clear_partition_cache()
+    clear_caches()
     models = ["vgg16"] if QUICK else list(MODEL_CONFIGS)
     rows = {}
     print()

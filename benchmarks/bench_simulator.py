@@ -26,9 +26,8 @@ from repro.hw import (
     STRATIX_V_GXA7,
     AcceleratorConfig,
     AcceleratorSimulator,
-    clear_sim_cache,
 )
-from repro.telemetry import Telemetry, activate
+from repro.telemetry import Telemetry, activate, clear_caches
 from repro.workloads import synthetic_model_workload
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
@@ -134,11 +133,11 @@ def test_bench_fastsim_artifact():
             lambda: ref_sim.simulate(workload), max(1, repeats - 2)
         )
         # Cached replay: what repeated deployments / DSE sweeps pay.
-        clear_sim_cache()
+        clear_caches()
         cached_sim = AcceleratorSimulator(config, STRATIX_V_GXA7)
         cached_sim.simulate(workload)
         cached_s = _best_of(lambda: cached_sim.simulate(workload), repeats)
-        clear_sim_cache()
+        clear_caches()
 
         entry = {
             "layers": len(fast.layers),

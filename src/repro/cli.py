@@ -93,7 +93,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = PAPER_CONFIG_VGG16 if args.model == "vgg16" else PAPER_CONFIG_ALEXNET
     device = _device(args.device)
     workload = synthetic_model_workload(args.model, seed=args.seed)
-    simulator = AcceleratorSimulator(config, device, use_cache=not args.no_cache)
+    simulator = AcceleratorSimulator(config, device)
     trace = None
     if args.trace:
         from .hw.trace import TraceRecorder
@@ -601,8 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="simulate a model on the accelerator")
     p_sim.add_argument("--model", choices=("alexnet", "vgg16"), default="vgg16")
     p_sim.add_argument("--device", default="Stratix-V GXA7")
-    p_sim.add_argument("--no-cache", action="store_true",
-                       help="bypass the layer-simulation result cache")
     p_sim.add_argument("--trace", action="store_true",
                        help="record per-task scheduler events (serial, uncached)")
     p_sim.add_argument("--trace-capacity", type=int, default=None,

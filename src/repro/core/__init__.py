@@ -31,13 +31,10 @@ from .encoding import (
     EncodedLayer,
     EncodingError,
     QTableEntry,
-    clear_encode_cache,
-    encode_cache_stats,
     decode_kernel,
     decode_layer,
     encode_kernel,
     encode_layer,
-    encode_layer_cached,
     encoded_model_bytes,
     pack_index,
     unpack_index,
@@ -45,17 +42,11 @@ from .encoding import (
 from .plan import (
     ExactnessError,
     LayerPlan,
-    clear_plan_cache,
-    plan_cache_stats,
     compile_layer_plan,
-    plan_cache_size,
 )
 from .model_plan import (
     ModelPlan,
-    clear_model_plan_cache,
     compile_model_plan,
-    model_plan_cache_size,
-    model_plan_cache_stats,
 )
 from .opcount import (
     FDCONV_REDUCTION,
@@ -118,9 +109,6 @@ __all__ = [
     "encode_kernel",
     "decode_kernel",
     "encode_layer",
-    "encode_layer_cached",
-    "clear_encode_cache",
-    "encode_cache_stats",
     "decode_layer",
     "encoded_model_bytes",
     "pack_index",
@@ -128,14 +116,8 @@ __all__ = [
     "ExactnessError",
     "LayerPlan",
     "compile_layer_plan",
-    "clear_plan_cache",
-    "plan_cache_stats",
-    "plan_cache_size",
     "ModelPlan",
     "compile_model_plan",
-    "clear_model_plan_cache",
-    "model_plan_cache_stats",
-    "model_plan_cache_size",
     "FDCONV_REDUCTION",
     "LayerOpCounts",
     "ModelOpCounts",

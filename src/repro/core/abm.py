@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..nn.layers.conv import im2col
-from .encoding import EncodedLayer, encode_layer_cached
+from .encoding import EncodedLayer, encode_layer
 from .plan import compile_layer_plan, conv_output_hw
 
 
@@ -233,13 +233,8 @@ def abm_conv2d_from_codes(
     bias_codes: Optional[np.ndarray] = None,
     name: str = "layer",
 ) -> ABMConvResult:
-    """Convenience wrapper: encode dense integer weights, then run ABM.
-
-    The encoding is memoized on (name, weight content), so calling this
-    per-inference no longer re-runs :func:`repro.core.encoding.encode_layer`
-    on every invocation.
-    """
-    encoded = encode_layer_cached(name, np.asarray(weight_codes))
+    """Convenience wrapper: encode dense integer weights, then run ABM."""
+    encoded = encode_layer(name, np.asarray(weight_codes))
     return abm_conv2d(feature_codes, encoded, geometry, bias_codes=bias_codes)
 
 

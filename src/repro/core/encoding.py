@@ -28,16 +28,12 @@ integer weight tensor, a property test in the suite.
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from ..telemetry.caches import CacheStats, register_cache
 
 #: Bytes per WT-Buffer entry (16-bit packed index).
 WT_ENTRY_BYTES = 2
@@ -380,84 +376,3 @@ def decode_layer(encoded: EncodedLayer) -> np.ndarray:
 def encoded_model_bytes(layers: Sequence[EncodedLayer]) -> int:
     """Total encoded weight footprint of a model (paper Table 3)."""
     return sum(layer.encoded_bytes for layer in layers)
-
-
-#: Encoded layers kept by :func:`encode_layer_cached` before LRU eviction.
-ENCODE_CACHE_CAPACITY = 32
-
-_encode_cache: "OrderedDict[Tuple[str, Tuple[int, ...], str], EncodedLayer]" = (
-    OrderedDict()
-)
-#: Guards LRU mutations — serve workers and parallel simulation can race.
-_encode_lock = threading.Lock()
-_encode_hits = 0
-_encode_misses = 0
-_encode_evictions = 0
-
-
-def _encode_cache_key(
-    name: str, codes: np.ndarray
-) -> Tuple[str, Tuple[int, ...], str]:
-    digest = hashlib.sha256(np.ascontiguousarray(codes).tobytes()).hexdigest()
-    return (name, tuple(codes.shape), digest)
-
-
-def encode_layer_cached(name: str, weight_codes: np.ndarray) -> EncodedLayer:
-    """Memoized :func:`encode_layer` for hot paths that re-encode per call.
-
-    Keyed by (name, shape, content digest), so repeated calls with the same
-    dense codes — e.g. :func:`repro.core.abm.abm_conv2d_from_codes` inside
-    an inference loop — reuse the encoding instead of re-sorting the whole
-    weight tensor every invocation. A small LRU bounds the footprint.
-    """
-    codes = np.asarray(weight_codes)
-    if not np.issubdtype(codes.dtype, np.integer):
-        raise TypeError("kernel codes must be integers")
-    global _encode_hits, _encode_misses, _encode_evictions
-    key = _encode_cache_key(name, codes)
-    with _encode_lock:
-        cached = _encode_cache.get(key)
-        if cached is not None:
-            _encode_cache.move_to_end(key)
-            _encode_hits += 1
-            return cached
-        _encode_misses += 1
-    # Encode outside the lock (it is the expensive part); racing threads may
-    # both encode, but the first insert wins so callers share one object.
-    encoded = encode_layer(name, codes)
-    with _encode_lock:
-        cached = _encode_cache.get(key)
-        if cached is not None:
-            _encode_cache.move_to_end(key)
-            return cached
-        _encode_cache[key] = encoded
-        while len(_encode_cache) > ENCODE_CACHE_CAPACITY:
-            _encode_cache.popitem(last=False)
-            _encode_evictions += 1
-    return encoded
-
-
-def clear_encode_cache() -> None:
-    """Drop all memoized encodings (tests and long-lived processes)."""
-    global _encode_hits, _encode_misses, _encode_evictions
-    with _encode_lock:
-        _encode_cache.clear()
-        _encode_hits = 0
-        _encode_misses = 0
-        _encode_evictions = 0
-
-
-def encode_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the encode memo (telemetry view)."""
-    with _encode_lock:
-        return CacheStats(
-            hits=_encode_hits,
-            misses=_encode_misses,
-            evictions=_encode_evictions,
-            size=len(_encode_cache),
-            capacity=ENCODE_CACHE_CAPACITY,
-            name="core.encode",
-        )
-
-
-register_cache("core.encode", encode_cache_stats)

@@ -52,9 +52,7 @@ geometry) and registered with the telemetry cache registry as
 from __future__ import annotations
 
 import threading
-import weakref
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,18 +67,18 @@ from ..nn.layers import (
 )
 from ..nn.tensor import FeatureShape, pool_output_extent
 from ..quant.fixed_point import QFormat
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import Memo
 from ..telemetry.context import get_active
 from .plan import FLOAT32_EXACT, LayerPlan, code_peak, compile_layer_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.pipeline
     from ..pipeline import QuantizedPipeline
 
-#: Compiled model plans kept before LRU eviction.  Model plans own their
-#: arena (two ping-pong code buffers at the network's high-water mark plus
-#: one requantize scratch, float32 or int64/float64), so the bound is
+#: Compiled model plans, LRU-bounded.  Model plans own their arena (two
+#: ping-pong code buffers at the network's high-water mark plus one
+#: requantize scratch, float32 or int64/float64), so the bound is
 #: deliberately small.
-MODEL_PLAN_CACHE_CAPACITY = 8
+_model_plans = Memo("core.model_plan", capacity=8)
 
 #: Exclusive bound on the raw sums the float32 requantize rounds exactly.
 #: One bit below ``FLOAT32_EXACT``: ``|x| + 0.5`` of a 23-bit ``x`` always
@@ -535,23 +533,6 @@ class ModelPlan:
         )
 
 
-_model_plan_cache: "OrderedDict[Hashable, ModelPlan]" = OrderedDict()
-_model_plan_refs: Dict[int, "weakref.ref"] = {}
-_model_plan_lock = threading.RLock()
-_model_plan_hits = 0
-_model_plan_misses = 0
-_model_plan_evictions = 0
-
-
-def _evict_model_plans(pipeline_id: int) -> None:
-    global _model_plan_evictions
-    with _model_plan_lock:
-        _model_plan_refs.pop(pipeline_id, None)
-        for key in [k for k in _model_plan_cache if k[0] == pipeline_id]:
-            del _model_plan_cache[key]
-            _model_plan_evictions += 1
-
-
 def compile_model_plan(
     pipeline: "QuantizedPipeline",
     batch_shape: Tuple[int, ...],
@@ -564,68 +545,19 @@ def compile_model_plan(
     pipeline is garbage collected or the LRU bound trips.  A compile miss
     records a ``fuse`` span under the active telemetry.
     """
-    global _model_plan_hits, _model_plan_misses
-    key = (id(pipeline), pipeline.quantization_token, tuple(batch_shape))
-    with _model_plan_lock:
-        plan = _model_plan_cache.get(key)
-        if plan is not None:
-            ref = _model_plan_refs.get(id(pipeline))
-            if ref is not None and ref() is pipeline:
-                _model_plan_cache.move_to_end(key)
-                _model_plan_hits += 1
-                return plan
-            _evict_model_plans(id(pipeline))
-        _model_plan_misses += 1
-    telemetry = get_active()
-    if telemetry is not None:
+    batch_shape = tuple(batch_shape)
+
+    def build() -> ModelPlan:
+        telemetry = get_active()
+        if telemetry is None:
+            return ModelPlan(pipeline, batch_shape)
         with telemetry.span(
             "fuse", model=pipeline.network.name, batch=list(batch_shape)
         ) as span:
-            plan = ModelPlan(pipeline, tuple(batch_shape))
+            plan = ModelPlan(pipeline, batch_shape)
             span.attrs["codes"] = str(plan.arena.codes)
-    else:
-        plan = ModelPlan(pipeline, tuple(batch_shape))
-    with _model_plan_lock:
-        global _model_plan_evictions
-        _model_plan_cache[key] = plan
-        if id(pipeline) not in _model_plan_refs:
-            _model_plan_refs[id(pipeline)] = weakref.ref(pipeline)
-            weakref.finalize(pipeline, _evict_model_plans, id(pipeline))
-        while len(_model_plan_cache) > MODEL_PLAN_CACHE_CAPACITY:
-            old_key, _ = _model_plan_cache.popitem(last=False)
-            _model_plan_evictions += 1
-            if not any(k[0] == old_key[0] for k in _model_plan_cache):
-                _model_plan_refs.pop(old_key[0], None)
-    return plan
+        return plan
 
-
-def clear_model_plan_cache() -> None:
-    """Drop all compiled model plans (tests and memory-sensitive callers)."""
-    global _model_plan_hits, _model_plan_misses, _model_plan_evictions
-    with _model_plan_lock:
-        _model_plan_cache.clear()
-        _model_plan_refs.clear()
-        _model_plan_hits = 0
-        _model_plan_misses = 0
-        _model_plan_evictions = 0
-
-
-def model_plan_cache_size() -> int:
-    with _model_plan_lock:
-        return len(_model_plan_cache)
-
-
-def model_plan_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the model-plan cache (telemetry)."""
-    with _model_plan_lock:
-        return CacheStats(
-            hits=_model_plan_hits,
-            misses=_model_plan_misses,
-            evictions=_model_plan_evictions,
-            size=len(_model_plan_cache),
-            capacity=MODEL_PLAN_CACHE_CAPACITY,
-            name="core.model_plan",
-        )
-
-
-register_cache("core.model_plan", model_plan_cache_stats)
+    return _model_plans.get(
+        (pipeline.quantization_token, batch_shape), build, owner=pipeline
+    )

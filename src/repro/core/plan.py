@@ -42,14 +42,11 @@ plan built on top of these plans — pays compilation and allocation once.
 
 from __future__ import annotations
 
-import threading
-import weakref
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import Memo
 from ..telemetry.context import get_active
 from .encoding import EncodedLayer, narrowest_int
 
@@ -65,8 +62,8 @@ FLOAT64_EXACT = 2**53
 #: Exclusive bound on every intermediate the int64 fallback keeps exact.
 INT64_EXACT = 2**63
 
-#: Compiled plans kept before LRU eviction.
-PLAN_CACHE_CAPACITY = 64
+#: Compiled plans, LRU-bounded.
+_plans = Memo("core.plan", capacity=64)
 
 #: Scratch buffers kept per plan before LRU eviction.
 _SCRATCH_CAPACITY = 16
@@ -142,7 +139,7 @@ class LayerPlan:
         # One scatter, in the narrowest integer dtype; each dtype is a cast.
         self._codes = encoded.dense_codes(narrowest_int(encoded.qtable_values))
         self._dense: Dict[str, np.ndarray] = {}
-        self._scratch: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
+        self._scratch: Dict[Hashable, np.ndarray] = {}
 
     def dense_weights(self, dtype=np.float64) -> np.ndarray:
         """The weight codes as a dense (M, C*K*K) matrix of ``dtype``, built
@@ -158,14 +155,13 @@ class LayerPlan:
     def _buffer(self, kind: Hashable, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """A reusable scratch array for this plan, LRU-bounded."""
         key = (kind, shape, np.dtype(dtype).str)
-        buffer = self._scratch.get(key)
+        # Re-inserting keeps the dict in recency order: the oldest first.
+        buffer = self._scratch.pop(key, None)
         if buffer is None:
             buffer = np.empty(shape, dtype=dtype)
-            self._scratch[key] = buffer
-            while len(self._scratch) > _SCRATCH_CAPACITY:
-                self._scratch.popitem(last=False)
-        else:
-            self._scratch.move_to_end(key)
+        self._scratch[key] = buffer
+        if len(self._scratch) > _SCRATCH_CAPACITY:
+            del self._scratch[next(iter(self._scratch))]
         return buffer
 
     # ---- exactness ---------------------------------------------------------
@@ -353,94 +349,13 @@ class LayerPlan:
         return patches
 
 
-_plan_cache: "OrderedDict[Tuple[int, Hashable], LayerPlan]" = OrderedDict()
-_plan_refs: Dict[int, "weakref.ref[EncodedLayer]"] = {}
-#: Reentrant: a weakref.finalize eviction can fire from a GC triggered while
-#: compile_layer_plan already holds the lock in the same thread.
-_plan_lock = threading.RLock()
-_plan_hits = 0
-_plan_misses = 0
-_plan_evictions = 0
-
-
-def _evict_plans(encoded_id: int) -> None:
-    global _plan_evictions
-    with _plan_lock:
-        _plan_refs.pop(encoded_id, None)
-        for key in [k for k in _plan_cache if k[0] == encoded_id]:
-            del _plan_cache[key]
-            _plan_evictions += 1
-
-
 def compile_layer_plan(encoded: EncodedLayer, geometry: "ConvGeometry") -> LayerPlan:
     """The cached :class:`LayerPlan` for (encoded, geometry).
 
     Keyed by the encoded layer's identity (encodings are immutable) and the
     geometry; entries are evicted when the encoded layer is garbage
     collected, and an LRU bound caps the cache for long-lived processes.
-    Lookup and insertion are lock-guarded — serve workers and parallel
-    simulation may compile plans concurrently.
+    Serve workers and parallel simulation may compile plans concurrently;
+    racing compiles share the first plan inserted.
     """
-    global _plan_hits, _plan_misses
-    key = (id(encoded), geometry)
-    with _plan_lock:
-        plan = _plan_cache.get(key)
-        if plan is not None:
-            ref = _plan_refs.get(id(encoded))
-            if ref is not None and ref() is encoded:
-                _plan_cache.move_to_end(key)
-                _plan_hits += 1
-                return plan
-            _evict_plans(id(encoded))
-        _plan_misses += 1
-    # Compile outside the lock (it is the expensive part); racing threads
-    # may both compile, but the first insert wins so callers share one plan.
-    plan = LayerPlan(encoded, geometry)
-    with _plan_lock:
-        global _plan_evictions
-        raced = _plan_cache.get(key)
-        if raced is not None:
-            _plan_cache.move_to_end(key)
-            return raced
-        _plan_cache[key] = plan
-        if id(encoded) not in _plan_refs:
-            _plan_refs[id(encoded)] = weakref.ref(encoded)
-            weakref.finalize(encoded, _evict_plans, id(encoded))
-        while len(_plan_cache) > PLAN_CACHE_CAPACITY:
-            old_key, _ = _plan_cache.popitem(last=False)
-            _plan_evictions += 1
-            if not any(k[0] == old_key[0] for k in _plan_cache):
-                _plan_refs.pop(old_key[0], None)
-    return plan
-
-
-def clear_plan_cache() -> None:
-    """Drop all compiled plans (tests and memory-sensitive callers)."""
-    global _plan_hits, _plan_misses, _plan_evictions
-    with _plan_lock:
-        _plan_cache.clear()
-        _plan_refs.clear()
-        _plan_hits = 0
-        _plan_misses = 0
-        _plan_evictions = 0
-
-
-def plan_cache_size() -> int:
-    with _plan_lock:
-        return len(_plan_cache)
-
-
-def plan_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the plan cache (telemetry view)."""
-    with _plan_lock:
-        return CacheStats(
-            hits=_plan_hits,
-            misses=_plan_misses,
-            evictions=_plan_evictions,
-            size=len(_plan_cache),
-            capacity=PLAN_CACHE_CAPACITY,
-            name="core.plan",
-        )
-
-
-register_cache("core.plan", plan_cache_stats)
+    return _plans.get(geometry, lambda: LayerPlan(encoded, geometry), owner=encoded)

@@ -60,21 +60,20 @@ class DeployedModel:
     def simulate(
         self,
         device: FPGADevice = STRATIX_V_GXA7,
-        cache: bool = True,
         trace: Optional["TraceRecorder"] = None,
     ) -> ModelSimResult:
         """Estimate the deployment's performance on a device.
 
         Routed through the process-wide layer-simulation result cache, so
-        repeated deployments of the same workload (DSE sweeps, sibling runtimes)
-        do not re-simulate; pass ``cache=False`` to bypass it. ``trace``
-        forwards a :class:`~repro.hw.trace.TraceRecorder` (traced runs are
-        uncached, see :meth:`AcceleratorSimulator.simulate`).
+        repeated deployments of the same workload (DSE sweeps, sibling
+        runtimes) do not re-simulate. ``trace`` forwards a
+        :class:`~repro.hw.trace.TraceRecorder` (traced runs are uncached,
+        see :meth:`AcceleratorSimulator.simulate`).
 
         When a telemetry context is active the whole estimate runs under a
         ``simulate`` span.
         """
-        simulator = AcceleratorSimulator(self.config, device, use_cache=cache)
+        simulator = AcceleratorSimulator(self.config, device)
         telemetry = get_active()
         if telemetry is None:
             return simulator.simulate(self.workload, trace=trace)

@@ -16,10 +16,7 @@ from .calibration import (
 from .compiled import (
     CompiledWorkload,
     GridEvaluation,
-    clear_compiled_cache,
-    compiled_cache_stats,
     compile_workload,
-    compiled_cache_size,
     steps_total_closed_form,
 )
 from .explorer import (
@@ -28,9 +25,6 @@ from .explorer import (
     GridPoint,
     NknlPoint,
     best_candidates,
-    buffer_cache_size,
-    buffer_cache_stats,
-    clear_buffer_cache,
     explore,
     optimal_nknl,
     size_buffers,
@@ -94,8 +88,6 @@ from .joint_space import (
 from .partition import (
     PartitionSearchResult,
     ReplicationBaseline,
-    clear_partition_cache,
-    partition_cache_stats,
     replication_baseline,
     search_partitions,
 )
@@ -116,13 +108,7 @@ __all__ = [
     "GridPoint",
     "NknlPoint",
     "best_candidates",
-    "buffer_cache_size",
-    "buffer_cache_stats",
-    "clear_buffer_cache",
-    "clear_compiled_cache",
     "compile_workload",
-    "compiled_cache_size",
-    "compiled_cache_stats",
     "explore",
     "optimal_nknl",
     "size_buffers",
@@ -168,8 +154,6 @@ __all__ = [
     "exhaustive_search",
     "PartitionSearchResult",
     "ReplicationBaseline",
-    "clear_partition_cache",
-    "partition_cache_stats",
     "replication_baseline",
     "search_partitions",
 ]

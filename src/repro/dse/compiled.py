@@ -34,7 +34,6 @@ point. The reference evaluators stay as the differential-test oracles.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,7 +45,7 @@ from ..hw.device import FPGADevice
 from ..hw.power import EnergyModel, PowerReport, analytic_energy_per_image
 from ..hw.tiling import plan_layer_windows
 from ..hw.workload import ModelWorkload
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import Memo
 from .performance import MODE_QUANTIZED, _MODES
 from .resources import ResourceEstimate, ResourceModel, ResourceUtilization
 
@@ -392,64 +391,14 @@ class CompiledWorkload:
         )
 
 
-#: Compiled workloads are memoized per (workload identity, N). Entries hold
-#: a strong reference to the workload, so an id() can never be recycled
-#: while its key is live; eviction is purely LRU.
-COMPILED_CACHE_CAPACITY = 64
-
-_compiled_cache: "OrderedDict[Tuple[int, int], CompiledWorkload]" = OrderedDict()
-_compiled_lock = threading.Lock()
-_compiled_hits = 0
-_compiled_misses = 0
-_compiled_evictions = 0
+#: Compiled workloads, memoized per (workload identity, N) and LRU-bounded.
+#: A compiled workload holds its workload, so its entry pins the workload
+#: until the LRU bound evicts it.
+_compiled = Memo("dse.compiled", capacity=64)
 
 
 def compile_workload(workload: ModelWorkload, n_share: int) -> CompiledWorkload:
     """Memoized compilation of a workload's grid-invariant figures."""
-    global _compiled_hits, _compiled_misses, _compiled_evictions
-    key = (id(workload), n_share)
-    with _compiled_lock:
-        hit = _compiled_cache.get(key)
-        if hit is not None:
-            _compiled_cache.move_to_end(key)
-            _compiled_hits += 1
-            return hit
-        _compiled_misses += 1
-    compiled = CompiledWorkload(workload, n_share)
-    with _compiled_lock:
-        _compiled_cache[key] = compiled
-        while len(_compiled_cache) > COMPILED_CACHE_CAPACITY:
-            _compiled_cache.popitem(last=False)
-            _compiled_evictions += 1
-    return compiled
-
-
-def clear_compiled_cache() -> None:
-    """Drop every memoized :class:`CompiledWorkload`."""
-    global _compiled_hits, _compiled_misses, _compiled_evictions
-    with _compiled_lock:
-        _compiled_cache.clear()
-        _compiled_hits = 0
-        _compiled_misses = 0
-        _compiled_evictions = 0
-
-
-def compiled_cache_size() -> int:
-    with _compiled_lock:
-        return len(_compiled_cache)
-
-
-def compiled_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the compiled-workload memo."""
-    with _compiled_lock:
-        return CacheStats(
-            hits=_compiled_hits,
-            misses=_compiled_misses,
-            evictions=_compiled_evictions,
-            size=len(_compiled_cache),
-            capacity=COMPILED_CACHE_CAPACITY,
-            name="dse.compiled",
-        )
-
-
-register_cache("dse.compiled", compiled_cache_stats)
+    return _compiled.get(
+        n_share, lambda: CompiledWorkload(workload, n_share), owner=workload
+    )

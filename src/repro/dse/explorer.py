@@ -23,15 +23,13 @@ The flow mirrors the paper's stages:
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
 from ..hw.workload import ModelWorkload
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import Memo
 from .bandwidth import BandwidthReport, bandwidth_report
 from .compiled import compile_workload
 from .performance import (
@@ -60,18 +58,8 @@ class BufferSizing:
 
 #: ``size_buffers`` results are memoized per (workload identity, s_ec):
 #: ``sweep_sec_ncu`` and ``explore_joint`` ask for the same sizing once per
-#: grid column instead of once per grid point. Entries keep a strong
-#: reference to the workload so an ``id()`` can never be recycled while its
-#: key is live; eviction is purely LRU.
-BUFFER_CACHE_CAPACITY = 1024
-
-_buffer_cache: "OrderedDict[Tuple[int, int], Tuple[ModelWorkload, BufferSizing]]" = (
-    OrderedDict()
-)
-_buffer_lock = threading.Lock()
-_buffer_hits = 0
-_buffer_misses = 0
-_buffer_evictions = 0
+#: grid column instead of once per grid point.
+_buffers = Memo("dse.buffers", capacity=1024)
 
 
 def size_buffers(workload: ModelWorkload, s_ec: int) -> BufferSizing:
@@ -84,56 +72,13 @@ def size_buffers(workload: ModelWorkload, s_ec: int) -> BufferSizing:
       steady-state conv prefetch window (in S_ec-wide entries), with an 8%
       allocation margin, rounded to a multiple of 32.
 
-    Results are cached per (workload identity, s_ec); the full layer scan
-    runs once per distinct S_ec even across repeated sweeps.
+    Results are cached per (workload identity, s_ec) until the workload is
+    collected; the full layer scan runs once per distinct S_ec even across
+    repeated sweeps.
     """
-    global _buffer_hits, _buffer_misses, _buffer_evictions
-    key = (id(workload), s_ec)
-    with _buffer_lock:
-        hit = _buffer_cache.get(key)
-        if hit is not None:
-            _buffer_cache.move_to_end(key)
-            _buffer_hits += 1
-            return hit[1]
-        _buffer_misses += 1
-    sizing = _size_buffers_uncached(workload, s_ec)
-    with _buffer_lock:
-        _buffer_cache[key] = (workload, sizing)
-        while len(_buffer_cache) > BUFFER_CACHE_CAPACITY:
-            _buffer_cache.popitem(last=False)
-            _buffer_evictions += 1
-    return sizing
-
-
-def clear_buffer_cache() -> None:
-    """Drop every memoized :func:`size_buffers` result."""
-    global _buffer_hits, _buffer_misses, _buffer_evictions
-    with _buffer_lock:
-        _buffer_cache.clear()
-        _buffer_hits = 0
-        _buffer_misses = 0
-        _buffer_evictions = 0
-
-
-def buffer_cache_size() -> int:
-    with _buffer_lock:
-        return len(_buffer_cache)
-
-
-def buffer_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the buffer-sizing memo."""
-    with _buffer_lock:
-        return CacheStats(
-            hits=_buffer_hits,
-            misses=_buffer_misses,
-            evictions=_buffer_evictions,
-            size=len(_buffer_cache),
-            capacity=BUFFER_CACHE_CAPACITY,
-            name="dse.buffers",
-        )
-
-
-register_cache("dse.buffers", buffer_cache_stats)
+    return _buffers.get(
+        s_ec, lambda: _size_buffers_uncached(workload, s_ec), owner=workload
+    )
 
 
 def _size_buffers_uncached(workload: ModelWorkload, s_ec: int) -> BufferSizing:

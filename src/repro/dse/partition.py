@@ -25,8 +25,6 @@ grid per (layer slice, device).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -38,17 +36,14 @@ from ..hw.device import FPGADevice
 from ..hw.workload import ModelWorkload
 from ..shard.link import DEFAULT_LINK, LinkModel
 from ..shard.plan import ModelPartition, ShardPlan, ShardSpec
-from ..telemetry.caches import CacheStats, register_cache
-from .compiled import compile_workload
+from ..telemetry.caches import Memo
+from .compiled import CompiledWorkload
 from .performance import share_factor_from_workloads
 from .resources import DEFAULT_RESOURCE_MODEL, ResourceModel
 
 __all__ = [
-    "PARTITION_CACHE_CAPACITY",
     "PartitionSearchResult",
     "ReplicationBaseline",
-    "clear_partition_cache",
-    "partition_cache_stats",
     "replication_baseline",
     "search_partitions",
 ]
@@ -65,39 +60,7 @@ _N_CU_RANGE = tuple(range(1, 7))
 #: Memoized shard evaluations. Every cut set re-uses O(L^2) contiguous
 #: slices, so the memo turns the cut x assignment product into one grid
 #: evaluation per (slice, device).
-PARTITION_CACHE_CAPACITY = 4096
-
-_partition_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_partition_lock = threading.Lock()
-_partition_hits = 0
-_partition_misses = 0
-_partition_evictions = 0
-
-
-def clear_partition_cache() -> None:
-    """Drop every memoized shard evaluation."""
-    global _partition_hits, _partition_misses, _partition_evictions
-    with _partition_lock:
-        _partition_cache.clear()
-        _partition_hits = 0
-        _partition_misses = 0
-        _partition_evictions = 0
-
-
-def partition_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the shard-evaluation memo."""
-    with _partition_lock:
-        return CacheStats(
-            hits=_partition_hits,
-            misses=_partition_misses,
-            evictions=_partition_evictions,
-            size=len(_partition_cache),
-            capacity=PARTITION_CACHE_CAPACITY,
-            name="dse.partition",
-        )
-
-
-register_cache("dse.partition", partition_cache_stats)
+_shard_evals = Memo("dse.partition", capacity=4096)
 
 
 @dataclass(frozen=True)
@@ -122,56 +85,38 @@ def _best_shard_config(
     """Best feasible config for layers ``[start, end)`` on ``device``.
 
     ``None`` when no grid point fits the device — the slice (or whole
-    model, for the replication baseline) is infeasible there. Memoized;
-    entries pin the workload so its ``id`` cannot be recycled while live.
+    model, for the replication baseline) is infeasible there. Memoized
+    until ``workload`` is collected.
     """
-    global _partition_hits, _partition_misses, _partition_evictions
-    key = (
-        id(workload),
-        start,
-        end,
-        device.name,
-        n_knl,
-        freq_mhz,
-        logic_limit,
-        id(resources),
-    )
-    with _partition_lock:
-        hit = _partition_cache.get(key)
-        if hit is not None:
-            _partition_cache.move_to_end(key)
-            _partition_hits += 1
-            return hit[2]
-        _partition_misses += 1
-    layers = workload.layers[start:end]
-    shard = ModelWorkload(
-        name=f"{workload.name}[{start}:{end}]", layers=layers
-    )
-    n_share = share_factor_from_workloads(layers)
-    evaluation = compile_workload(shard, n_share).evaluate_grid(
-        resources,
-        device=device,
-        n_knl_values=(n_knl,),
-        s_ec_values=_S_EC_RANGE,
-        n_cu_values=_N_CU_RANGE,
-        freq_mhz=freq_mhz,
-        logic_limit=logic_limit,
-    )
-    result: Optional[_ShardEval] = None
-    if evaluation.feasible.any():
+
+    def build() -> Optional[_ShardEval]:
+        layers = workload.layers[start:end]
+        shard = ModelWorkload(name=f"{workload.name}[{start}:{end}]", layers=layers)
+        # Not compile_workload: a fresh slice is never looked up again, and
+        # a memo entry would pin it past this call.
+        evaluation = CompiledWorkload(
+            shard, share_factor_from_workloads(layers)
+        ).evaluate_grid(
+            resources,
+            device=device,
+            n_knl_values=(n_knl,),
+            s_ec_values=_S_EC_RANGE,
+            n_cu_values=_N_CU_RANGE,
+            freq_mhz=freq_mhz,
+            logic_limit=logic_limit,
+        )
+        if not evaluation.feasible.any():
+            return None
         cycles = np.where(evaluation.feasible, evaluation.cycles_per_image, np.inf)
         idx = np.unravel_index(int(np.argmin(cycles)), cycles.shape)
-        result = _ShardEval(
+        return _ShardEval(
             config=evaluation.config_at(*idx),
             seconds_per_image=float(cycles[idx]) / (freq_mhz * 1e6),
             throughput_gops=float(evaluation.throughput_gops[idx]),
         )
-    with _partition_lock:
-        _partition_cache[key] = (workload, resources, result)
-        while len(_partition_cache) > PARTITION_CACHE_CAPACITY:
-            _partition_cache.popitem(last=False)
-            _partition_evictions += 1
-    return result
+
+    key = (start, end, device.name, n_knl, freq_mhz, logic_limit, resources)
+    return _shard_evals.get(key, build, owner=workload)
 
 
 # ---------------------------------------------------------------------------

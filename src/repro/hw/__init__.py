@@ -8,13 +8,7 @@ bit-accurate :class:`~repro.hw.cu.FunctionalCU` model additionally verifies
 the datapath's numerics against the reference algorithm.
 """
 
-from .accelerator import (
-    AcceleratorSimulator,
-    ModelSimResult,
-    clear_sim_cache,
-    sim_cache_info,
-    sim_cache_size,
-)
+from .accelerator import AcceleratorSimulator, ModelSimResult
 from .address_gen import AddressGenerator, FeatureAddress
 from .buffers import (
     BufferRequirement,
@@ -74,14 +68,7 @@ from .faults import (
     random_fault,
     truncate_stream,
 )
-from .tiling import (
-    WindowPlan,
-    clear_window_plan_cache,
-    plan_layer_windows,
-    plan_windows,
-    window_plan_cache_info,
-    window_plan_cache_stats,
-)
+from .tiling import WindowPlan, plan_layer_windows, plan_windows
 from .trace import TaskEvent, TraceRecorder
 from .workload import (
     LayerWorkload,
@@ -93,9 +80,6 @@ from .workload import (
 __all__ = [
     "AcceleratorSimulator",
     "ModelSimResult",
-    "clear_sim_cache",
-    "sim_cache_info",
-    "sim_cache_size",
     "AddressGenerator",
     "FeatureAddress",
     "BufferRequirement",
@@ -147,9 +131,6 @@ __all__ = [
     "WindowPlan",
     "plan_windows",
     "plan_layer_windows",
-    "clear_window_plan_cache",
-    "window_plan_cache_info",
-    "window_plan_cache_stats",
     "TraceRecorder",
     "TaskEvent",
     "EmulationResult",

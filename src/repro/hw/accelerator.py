@@ -15,14 +15,12 @@ re-simulating identical layers.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import Memo
 from ..telemetry.context import get_active
 from .config import AcceleratorConfig
 from .device import FPGADevice
@@ -34,70 +32,11 @@ from .workload import LayerWorkload, ModelWorkload
 #: DDR bandwidth assumed when no device is given (the DE5-Net's DDR3).
 DEFAULT_BANDWIDTH_GBS = 12.8
 
-#: Layer results kept before LRU eviction. One entry per distinct
-#: (layer workload, config, bandwidth, policy) — full-model simulations of
-#: AlexNet/VGG16-class networks need a few tens of entries each.
-SIM_CACHE_CAPACITY = 4096
-
+#: Layer results, LRU-bounded. One entry per distinct (layer workload,
+#: config, bandwidth, policy) — full-model simulations of AlexNet/VGG16-class
+#: networks need a few tens of entries each.
+_sims = Memo("hw.sim", capacity=4096)
 _SimKey = Tuple[LayerWorkload, AcceleratorConfig, float, str]
-_sim_cache: "OrderedDict[_SimKey, LayerSimResult]" = OrderedDict()
-_sim_cache_lock = threading.Lock()
-_sim_cache_hits = 0
-_sim_cache_misses = 0
-_sim_cache_evictions = 0
-
-
-def _sim_cache_get(key: _SimKey) -> Optional[LayerSimResult]:
-    global _sim_cache_hits, _sim_cache_misses
-    with _sim_cache_lock:
-        result = _sim_cache.get(key)
-        if result is not None:
-            _sim_cache.move_to_end(key)
-            _sim_cache_hits += 1
-        else:
-            _sim_cache_misses += 1
-        return result
-
-
-def _sim_cache_put(key: _SimKey, result: LayerSimResult) -> None:
-    global _sim_cache_evictions
-    with _sim_cache_lock:
-        _sim_cache[key] = result
-        _sim_cache.move_to_end(key)
-        while len(_sim_cache) > SIM_CACHE_CAPACITY:
-            _sim_cache.popitem(last=False)
-            _sim_cache_evictions += 1
-
-
-def clear_sim_cache() -> None:
-    """Drop all cached layer simulations (tests, memory-sensitive callers)."""
-    global _sim_cache_hits, _sim_cache_misses, _sim_cache_evictions
-    with _sim_cache_lock:
-        _sim_cache.clear()
-        _sim_cache_hits = 0
-        _sim_cache_misses = 0
-        _sim_cache_evictions = 0
-
-
-def sim_cache_size() -> int:
-    with _sim_cache_lock:
-        return len(_sim_cache)
-
-
-def sim_cache_info() -> CacheStats:
-    """Full hit/miss/eviction accounting of the layer-sim result cache."""
-    with _sim_cache_lock:
-        return CacheStats(
-            hits=_sim_cache_hits,
-            misses=_sim_cache_misses,
-            evictions=_sim_cache_evictions,
-            size=len(_sim_cache),
-            capacity=SIM_CACHE_CAPACITY,
-            name="hw.sim",
-        )
-
-
-register_cache("hw.sim", sim_cache_info)
 
 
 @dataclass(frozen=True)
@@ -236,13 +175,10 @@ class AcceleratorSimulator:
         telemetry context is active.
         """
         cached = self.use_cache and trace is None
-        layers = workload.layers
-        results: List[Optional[LayerSimResult]] = [
-            self._sim_cache_probe(layer) if cached else None for layer in layers
-        ]
-        for index, layer in enumerate(layers):
-            if results[index] is None:
-                results[index] = simulate_layer(
+        results = []
+        for layer in workload.layers:
+            def build() -> LayerSimResult:
+                return simulate_layer(
                     layer,
                     self.config,
                     self._memory(),
@@ -250,8 +186,8 @@ class AcceleratorSimulator:
                     trace=trace,
                     fast=self.fast,
                 )
-                if cached:
-                    _sim_cache_put(self._key(layer), results[index])
+
+            results.append(_sims.get(self._key(layer), build) if cached else build())
         telemetry = get_active()
         if trace is not None and telemetry is not None:
             telemetry.registry.gauge("hw.trace.dropped").set(trace.dropped)
@@ -262,9 +198,6 @@ class AcceleratorSimulator:
             layers=tuple(results),
             dense_ops=workload.dense_ops,
         )
-
-    def _sim_cache_probe(self, layer: LayerWorkload) -> Optional[LayerSimResult]:
-        return _sim_cache_get(self._key(layer))
 
     def utilization_summary(self, result: ModelSimResult) -> str:
         """Human-readable per-layer utilization table."""

@@ -179,17 +179,7 @@ def plan_layer_windows(spec: LayerSpec, d_f: int, s_ec: int) -> WindowPlan:
     )
 
 
-def clear_window_plan_cache() -> None:
-    """Drop every cached :class:`WindowPlan`."""
-    plan_layer_windows.cache_clear()
-
-
-def window_plan_cache_info():
-    """``functools.lru_cache`` statistics of the window-plan cache."""
-    return plan_layer_windows.cache_info()
-
-
-def window_plan_cache_stats() -> CacheStats:
+def _window_plan_stats() -> CacheStats:
     """Telemetry view of the window-plan LRU.
 
     ``functools.lru_cache`` does not expose an eviction counter, but
@@ -207,4 +197,4 @@ def window_plan_cache_stats() -> CacheStats:
     )
 
 
-register_cache("hw.windows", window_plan_cache_stats)
+register_cache("hw.windows", _window_plan_stats, clear=plan_layer_windows.cache_clear)

@@ -76,7 +76,6 @@ class SystemRuntime:
         deployed: DeployedModel,
         device: FPGADevice = STRATIX_V_GXA7,
         host_ops_per_second: float = DEFAULT_HOST_OPS_PER_SECOND,
-        sim_cache: bool = True,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         """``telemetry``, when given, makes every :meth:`infer` /
@@ -87,7 +86,6 @@ class SystemRuntime:
         self.deployed = deployed
         self.device = device
         self.host_model = HostModel(ops_per_second=host_ops_per_second)
-        self.sim_cache = sim_cache
         self.telemetry = telemetry
         self._simulation: Optional[ModelSimResult] = None
 
@@ -118,9 +116,7 @@ class SystemRuntime:
         re-running it per instance.
         """
         if self._simulation is None:
-            self._simulation = self.deployed.simulate(
-                self.device, cache=self.sim_cache
-            )
+            self._simulation = self.deployed.simulate(self.device)
         return self._simulation
 
     def infer(self, image: np.ndarray) -> RuntimeOutcome:

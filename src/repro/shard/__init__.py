@@ -10,14 +10,11 @@ The partition *search* lives in :mod:`repro.dse.partition`.
 
 from .link import DEFAULT_LINK, LinkModel, LinkTransfer
 from .plan import (
-    SHARDED_PLAN_CACHE_CAPACITY,
     ModelPartition,
     ShardPlan,
     ShardSpec,
     ShardedModelPlan,
-    clear_sharded_plan_cache,
     compile_sharded_plan,
-    sharded_plan_cache_stats,
     sharded_run_batch,
     stage_cuts_for_layers,
 )
@@ -35,15 +32,12 @@ __all__ = [
     "LinkTransfer",
     "ModelPartition",
     "PipelineSimReport",
-    "SHARDED_PLAN_CACHE_CAPACITY",
     "ShardPlan",
     "ShardSpec",
     "ShardedModelPlan",
     "analytic_bottleneck_s",
     "analytic_fill_s",
-    "clear_sharded_plan_cache",
     "compile_sharded_plan",
-    "sharded_plan_cache_stats",
     "sharded_run_batch",
     "simulate_pipeline",
     "simulate_shard_plan",

@@ -29,10 +29,8 @@ telemetry cache registry as ``shard.plans``.
 from __future__ import annotations
 
 import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +39,7 @@ from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
 from ..hw.workload import ModelWorkload
 from ..quant.fixed_point import QFormat
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import Memo
 from ..telemetry.context import get_active
 from .link import DEFAULT_LINK, LinkModel, LinkTransfer
 
@@ -50,13 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.pipeline
 
 __all__ = [
     "ModelPartition",
-    "SHARDED_PLAN_CACHE_CAPACITY",
     "ShardPlan",
     "ShardSpec",
     "ShardedModelPlan",
-    "clear_sharded_plan_cache",
     "compile_sharded_plan",
-    "sharded_plan_cache_stats",
     "sharded_run_batch",
     "stage_cuts_for_layers",
 ]
@@ -397,25 +392,9 @@ class ShardedModelPlan:
 # Sharded-plan cache (telemetry family: shard.plans).
 # ---------------------------------------------------------------------------
 
-#: Sharded wrappers kept before LRU eviction. Each owns per-shard arenas,
-#: so the bound stays as small as the model-plan cache's.
-SHARDED_PLAN_CACHE_CAPACITY = 8
-
-_sharded_cache: "OrderedDict[Hashable, ShardedModelPlan]" = OrderedDict()
-_sharded_refs: Dict[int, "weakref.ref"] = {}
-_sharded_lock = threading.RLock()
-_sharded_hits = 0
-_sharded_misses = 0
-_sharded_evictions = 0
-
-
-def _evict_sharded_plans(pipeline_id: int) -> None:
-    global _sharded_evictions
-    with _sharded_lock:
-        _sharded_refs.pop(pipeline_id, None)
-        for key in [k for k in _sharded_cache if k[0] == pipeline_id]:
-            del _sharded_cache[key]
-            _sharded_evictions += 1
+#: Sharded wrappers, LRU-bounded. Each owns per-shard arenas, so the bound
+#: stays as small as the model-plan cache's.
+_sharded_plans = Memo("shard.plans", capacity=8)
 
 
 def compile_sharded_plan(
@@ -429,65 +408,15 @@ def compile_sharded_plan(
     :func:`repro.core.model_plan.compile_model_plan` (its own cache);
     this cache only holds the shard wrappers and their arenas. Keys
     follow the model-plan cache: pipeline identity + quantization token,
-    with weakref eviction when the pipeline is collected.
+    and entries evict when the pipeline is collected.
     """
-    global _sharded_hits, _sharded_misses, _sharded_evictions
-    key = (
-        id(pipeline),
-        pipeline.quantization_token,
-        tuple(int(s) for s in batch_shape),
-        tuple(int(c) for c in cuts),
+    batch_shape = tuple(int(s) for s in batch_shape)
+    cuts = tuple(int(c) for c in cuts)
+    return _sharded_plans.get(
+        (pipeline.quantization_token, batch_shape, cuts),
+        lambda: ShardedModelPlan(compile_model_plan(pipeline, batch_shape), cuts),
+        owner=pipeline,
     )
-    with _sharded_lock:
-        sharded = _sharded_cache.get(key)
-        if sharded is not None:
-            ref = _sharded_refs.get(id(pipeline))
-            if ref is not None and ref() is pipeline:
-                _sharded_cache.move_to_end(key)
-                _sharded_hits += 1
-                return sharded
-            _evict_sharded_plans(id(pipeline))
-        _sharded_misses += 1
-    plan = compile_model_plan(pipeline, tuple(batch_shape))
-    sharded = ShardedModelPlan(plan, cuts)
-    with _sharded_lock:
-        _sharded_cache[key] = sharded
-        if id(pipeline) not in _sharded_refs:
-            _sharded_refs[id(pipeline)] = weakref.ref(pipeline)
-            weakref.finalize(pipeline, _evict_sharded_plans, id(pipeline))
-        while len(_sharded_cache) > SHARDED_PLAN_CACHE_CAPACITY:
-            old_key, _ = _sharded_cache.popitem(last=False)
-            _sharded_evictions += 1
-            if not any(k[0] == old_key[0] for k in _sharded_cache):
-                _sharded_refs.pop(old_key[0], None)
-    return sharded
-
-
-def clear_sharded_plan_cache() -> None:
-    """Drop every cached sharded wrapper (tests and benchmarks)."""
-    global _sharded_hits, _sharded_misses, _sharded_evictions
-    with _sharded_lock:
-        _sharded_cache.clear()
-        _sharded_refs.clear()
-        _sharded_hits = 0
-        _sharded_misses = 0
-        _sharded_evictions = 0
-
-
-def sharded_plan_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the sharded-plan cache."""
-    with _sharded_lock:
-        return CacheStats(
-            hits=_sharded_hits,
-            misses=_sharded_misses,
-            evictions=_sharded_evictions,
-            size=len(_sharded_cache),
-            capacity=SHARDED_PLAN_CACHE_CAPACITY,
-            name="shard.plans",
-        )
-
-
-register_cache("shard.plans", sharded_plan_cache_stats)
 
 
 def sharded_run_batch(

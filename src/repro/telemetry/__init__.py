@@ -11,9 +11,10 @@ counters and unaggregated trace events:
   virtual-clock support, so serve-sim (virtual seconds), the system
   runtime, the accelerator simulator and the compiled kernel all nest
   into one trace.
-- :class:`CacheStats` + the cache registry — every LRU in the codebase
-  (plan, encode, layer-sim, DSE memos, window plans) reports
-  hit/miss/eviction counters under one dotted namespace.
+- :class:`Memo` + the cache registry — every process-wide LRU in the
+  codebase (plans, layer-sim results, DSE memos, window plans) reports
+  hit/miss/eviction counters as :class:`CacheStats` under one dotted
+  namespace, and :func:`clear_caches` resets them all.
 - Exporters — lossless JSON-lines round-trip and Prometheus-style text —
   plus :func:`validate_snapshot` for the CI schema check.
 - :class:`Telemetry` — the facade bundling one registry + tracer, passed
@@ -24,8 +25,10 @@ See ``docs/observability.md`` for the full tour and overhead numbers.
 
 from .caches import (
     CacheStats,
+    Memo,
     cache_snapshot,
     cache_stats,
+    clear_caches,
     register_cache,
     registered_caches,
     unregister_cache,
@@ -55,6 +58,7 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS_S",
     "Gauge",
     "Histogram",
+    "Memo",
     "MetricsRegistry",
     "Span",
     "Telemetry",
@@ -63,6 +67,7 @@ __all__ = [
     "activate",
     "cache_snapshot",
     "cache_stats",
+    "clear_caches",
     "export_jsonl",
     "get_active",
     "metric_key",

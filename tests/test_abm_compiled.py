@@ -18,13 +18,9 @@ from repro.core import (
     abm_conv2d,
     abm_conv2d_reference,
     abm_fc,
-    clear_encode_cache,
-    clear_plan_cache,
     compile_layer_plan,
     direct_conv2d_codes,
     encode_layer,
-    encode_layer_cached,
-    plan_cache_size,
 )
 from repro.core import plan as plan_module
 from repro.telemetry.context import Telemetry, activate
@@ -207,31 +203,31 @@ class TestEdgeCases:
 
 class TestPlanCache:
     def test_same_layer_reuses_plan(self, rng):
-        clear_plan_cache()
+        plan_module._plans.clear()
         weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))
         encoded = encode_layer("c", weights)
         geometry = ConvGeometry(kernel=3, padding=1)
         first = compile_layer_plan(encoded, geometry)
         second = compile_layer_plan(encoded, geometry)
         assert first is second
-        assert plan_cache_size() == 1
+        assert len(plan_module._plans) == 1
 
     def test_distinct_geometry_distinct_plan(self, rng):
-        clear_plan_cache()
+        plan_module._plans.clear()
         weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))
         encoded = encode_layer("c", weights)
         a = compile_layer_plan(encoded, ConvGeometry(kernel=3, padding=1))
         b = compile_layer_plan(encoded, ConvGeometry(kernel=3, padding=0))
         assert a is not b
-        assert plan_cache_size() == 2
+        assert len(plan_module._plans) == 2
 
     def test_clear_plan_cache(self, rng):
         weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))
         encoded = encode_layer("c", weights)
         compile_layer_plan(encoded, ConvGeometry(kernel=3))
-        assert plan_cache_size() >= 1
-        clear_plan_cache()
-        assert plan_cache_size() == 0
+        assert len(plan_module._plans) >= 1
+        plan_module._plans.clear()
+        assert len(plan_module._plans) == 0
 
     def test_op_counts_are_analytic(self, rng):
         """Plan op counts come from nnz / Q-Table sizes, not execution."""
@@ -248,29 +244,3 @@ class TestPlanCache:
         result = abm_conv2d(features, encoded, geometry)
         assert result.accumulate_ops == pixels * nnz
         assert result.multiply_ops == pixels * qtable
-
-
-class TestEncodeMemoization:
-    def test_same_content_hits_cache(self, rng):
-        clear_encode_cache()
-        weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))
-        a = encode_layer_cached("m", weights)
-        b = encode_layer_cached("m", weights.copy())
-        assert a is b
-
-    def test_different_content_misses(self, rng):
-        clear_encode_cache()
-        weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))
-        a = encode_layer_cached("m", weights)
-        changed = weights.copy()
-        changed[0, 0, 0, 0] += 1
-        b = encode_layer_cached("m", changed)
-        assert a is not b
-
-    def test_name_is_part_of_key(self, rng):
-        clear_encode_cache()
-        weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))
-        a = encode_layer_cached("x", weights)
-        b = encode_layer_cached("y", weights)
-        assert a is not b
-        assert a.name == "x" and b.name == "y"

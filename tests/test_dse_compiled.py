@@ -33,7 +33,7 @@ from repro.dse import (
     sweep_sec_ncu,
     sweep_sec_ncu_reference,
 )
-from repro.dse.explorer import GridPoint, buffer_cache_size, clear_buffer_cache
+from repro.dse.explorer import GridPoint, _buffers
 from repro.dse.resources import ResourceEstimate, ResourceUtilization
 from repro.hw import STRATIX_V_GXA7, AcceleratorConfig, plan_windows
 from repro.hw.device import FPGADevice
@@ -403,12 +403,12 @@ class TestStepsClosedForm:
 
 class TestCaches:
     def test_size_buffers_memoized_per_identity(self, alexnet_workload):
-        clear_buffer_cache()
+        _buffers.clear()
         first = size_buffers(alexnet_workload, 20)
         assert size_buffers(alexnet_workload, 20) is first
-        assert buffer_cache_size() == 1
+        assert len(_buffers) == 1
         assert size_buffers(alexnet_workload, 16) is not first
-        assert buffer_cache_size() == 2
+        assert len(_buffers) == 2
         # A content-equal copy is a different identity: recomputed, equal.
         copy = ModelWorkload(name=alexnet_workload.name, layers=alexnet_workload.layers)
         assert size_buffers(copy, 20) == first

@@ -6,12 +6,14 @@ replication* for a real (model, catalog) pair; the memoized shard
 evaluator keeps honest telemetry counters.
 """
 
+import gc
+
 import pytest
 
+from repro.dse import explore
 from repro.dse.partition import (
     PartitionSearchResult,
-    clear_partition_cache,
-    partition_cache_stats,
+    _shard_evals,
     replication_baseline,
     search_partitions,
 )
@@ -22,16 +24,20 @@ from repro.hw.device import (
     STRATIX_V_GXA7,
 )
 from repro.shard import LinkModel
+from repro.telemetry import cache_stats
 from repro.workloads import synthetic_model_workload
 
 BENCH_SCALE = dict(scale=0.25, spatial_scale=0.25)
 
+#: The memos the partition search shares with ``explore``.
+DSE_MEMOS = ("dse.compiled", "dse.buffers")
+
 
 @pytest.fixture(autouse=True)
 def fresh_partition_cache():
-    clear_partition_cache()
+    _shard_evals.clear()
     yield
-    clear_partition_cache()
+    _shard_evals.clear()
 
 
 @pytest.fixture(scope="module")
@@ -124,15 +130,25 @@ class TestReplicationBaseline:
 class TestPartitionCache:
     def test_memo_hits_across_repeat_searches(self, alexnet_half):
         search_partitions(alexnet_half, [STRATIX_V_GXA7, STRATIX_V_GXA3])
-        first = partition_cache_stats()
+        first = _shard_evals.stats()
         assert first.name == "dse.partition"
         assert first.misses > 0
         # The cut x assignment product re-visits slices: hits must occur.
         assert first.hits > 0
         search_partitions(alexnet_half, [STRATIX_V_GXA7, STRATIX_V_GXA3])
-        second = partition_cache_stats()
+        second = _shard_evals.stats()
         assert second.misses == first.misses  # everything memoized
         assert second.hits > first.hits
+
+    def test_search_leaves_no_dead_shard_entries(self, alexnet_half):
+        """Shard slices are throwaway workloads: once the search returns
+        and they are collected, the DSE memos hold only the design's own
+        entries again."""
+        explore(alexnet_half, STRATIX_V_GXA7)
+        sizes = {name: cache_stats()[name].size for name in DSE_MEMOS}
+        search_partitions(alexnet_half, [STRATIX_V_GXA7, STRATIX_V_GXA3])
+        gc.collect()
+        assert {name: cache_stats()[name].size for name in DSE_MEMOS} == sizes
 
 
 class TestProvenance:

@@ -26,11 +26,8 @@ from repro.hw import (
     POLICY_BALANCED,
     POLICY_NATURAL,
     TraceRecorder,
-    clear_sim_cache,
     compile_window_schedules,
     make_kernel_groups,
-    sim_cache_info,
-    sim_cache_size,
     simulate_layer,
     simulate_layer_fast,
     simulate_layer_reference,
@@ -39,6 +36,7 @@ from repro.hw import (
     workload_from_arrays,
 )
 from repro.hw.device import STRATIX_V_GXA7
+from repro.telemetry import cache_stats, clear_caches
 from repro.workloads import synthetic_model_workload
 
 # ---------------------------------------------------------------------------
@@ -234,52 +232,52 @@ def config():
 
 class TestSimResultCache:
     def test_second_simulation_hits_cache(self, small_workload, config):
-        clear_sim_cache()
+        clear_caches()
         simulator = AcceleratorSimulator(config, STRATIX_V_GXA7)
         first = simulator.simulate(small_workload)
-        assert sim_cache_size() == len(small_workload.layers)
+        assert cache_stats()["hw.sim"].size == len(small_workload.layers)
         second = simulator.simulate(small_workload)
         assert first == second
-        hits = sim_cache_info().hits
+        hits = cache_stats()["hw.sim"].hits
         assert hits == len(small_workload.layers)
         # Cached entries are the very same LayerSimResult objects.
         for a, b in zip(first.layers, second.layers):
             assert a is b
-        clear_sim_cache()
+        clear_caches()
 
     def test_cache_shared_across_instances(self, small_workload, config):
         """Re-instantiating the simulator (deploy.py, CLI) reuses results."""
-        clear_sim_cache()
+        clear_caches()
         AcceleratorSimulator(config, STRATIX_V_GXA7).simulate(small_workload)
-        misses_before = sim_cache_info().misses
+        misses_before = cache_stats()["hw.sim"].misses
         AcceleratorSimulator(config, STRATIX_V_GXA7).simulate(small_workload)
-        misses_after = sim_cache_info().misses
+        misses_after = cache_stats()["hw.sim"].misses
         assert misses_after == misses_before
-        clear_sim_cache()
+        clear_caches()
 
     def test_no_cache_escape_hatch(self, small_workload, config):
-        clear_sim_cache()
+        clear_caches()
         simulator = AcceleratorSimulator(config, STRATIX_V_GXA7, use_cache=False)
         uncached = simulator.simulate(small_workload)
-        assert sim_cache_size() == 0
+        assert cache_stats()["hw.sim"].size == 0
         cached = AcceleratorSimulator(config, STRATIX_V_GXA7).simulate(small_workload)
         assert uncached == cached
-        clear_sim_cache()
+        clear_caches()
 
     def test_distinct_policies_do_not_collide(self, small_workload, config):
-        clear_sim_cache()
+        clear_caches()
         balanced = AcceleratorSimulator(
             config, STRATIX_V_GXA7, policy=POLICY_BALANCED
         ).simulate(small_workload)
         natural = AcceleratorSimulator(
             config, STRATIX_V_GXA7, policy=POLICY_NATURAL
         ).simulate(small_workload)
-        assert sim_cache_size() == 2 * len(small_workload.layers)
+        assert cache_stats()["hw.sim"].size == 2 * len(small_workload.layers)
         assert balanced.cycles_per_image <= natural.cycles_per_image * 1.05
-        clear_sim_cache()
+        clear_caches()
 
     def test_reference_simulator_matches_fast(self, small_workload, config):
-        clear_sim_cache()
+        clear_caches()
         fast = AcceleratorSimulator(
             config, STRATIX_V_GXA7, use_cache=False
         ).simulate(small_workload)

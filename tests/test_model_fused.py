@@ -17,17 +17,14 @@ from hypothesis.extra import numpy as hnp
 from repro.core import plan as plan_module
 from repro.core.model_plan import (
     FLOAT32_REQUANTIZE_EXACT,
-    MODEL_PLAN_CACHE_CAPACITY,
     ModelPlan,
     _Arena,
     _FusedStage,
     _float32_codes,
     _integer_maxpool,
+    _model_plans,
     _normal_float32,
-    clear_model_plan_cache,
     compile_model_plan,
-    model_plan_cache_size,
-    model_plan_cache_stats,
     requantize,
 )
 from repro.core.plan import ExactnessError
@@ -65,9 +62,9 @@ def datapath(request, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def fresh_model_plan_cache():
-    clear_model_plan_cache()
+    _model_plans.clear()
     yield
-    clear_model_plan_cache()
+    _model_plans.clear()
 
 
 def build_pipeline(
@@ -282,7 +279,7 @@ class TestDifferential:
         out_b = pipeline.run_batch(b)
         assert_batches_identical(out_a, pipeline.run_batch_reference(a))
         assert_batches_identical(out_b, pipeline.run_batch_reference(b))
-        stats = model_plan_cache_stats()
+        stats = _model_plans.stats()
         assert stats.misses == 1 and stats.hits == 1
 
 
@@ -518,7 +515,7 @@ class TestModelPlanCache:
         assert p1 is p2
         p3 = compile_model_plan(pipeline, (4, 3, 12, 12))
         assert p3 is not p1
-        stats = model_plan_cache_stats()
+        stats = _model_plans.stats()
         assert (stats.hits, stats.misses, stats.size) == (1, 2, 2)
         assert stats.name == "core.model_plan"
 
@@ -533,15 +530,15 @@ class TestModelPlanCache:
         assert pipeline.quantization_token != token
         p2 = compile_model_plan(pipeline, (1, 3, 12, 12))
         assert p2 is not p1
-        assert model_plan_cache_stats().hits == 0
+        assert _model_plans.stats().hits == 0
 
     def test_lru_eviction(self, rng):
         arch = ARCHITECTURES["conv_pool_no_relu"]
         pipeline = build_pipeline(arch, rng)
-        for b in range(1, MODEL_PLAN_CACHE_CAPACITY + 2):
+        for b in range(1, _model_plans.capacity + 2):
             compile_model_plan(pipeline, (b, 2, 9, 9))
-        stats = model_plan_cache_stats()
-        assert stats.size == MODEL_PLAN_CACHE_CAPACITY
+        stats = _model_plans.stats()
+        assert stats.size == _model_plans.capacity
         assert stats.evictions == 1
 
     def test_registered_in_telemetry_namespace(self, rng):
@@ -555,11 +552,11 @@ class TestModelPlanCache:
         assert snapshot["core.model_plan"]["misses"] == 1
 
     def test_cache_size_helper(self, rng):
-        assert model_plan_cache_size() == 0
+        assert len(_model_plans) == 0
         arch = ARCHITECTURES["conv_pool_no_relu"]
         pipeline = build_pipeline(arch, rng)
         compile_model_plan(pipeline, (1, 2, 9, 9))
-        assert model_plan_cache_size() == 1
+        assert len(_model_plans) == 1
 
 
 # ---- errors and introspection --------------------------------------------

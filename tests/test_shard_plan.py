@@ -22,21 +22,20 @@ from repro.shard import (
     ShardPlan,
     ShardSpec,
     ShardedModelPlan,
-    clear_sharded_plan_cache,
     compile_sharded_plan,
-    sharded_plan_cache_stats,
     sharded_run_batch,
     simulate_shard_plan,
     stage_cuts_for_layers,
 )
+from repro.shard.plan import _sharded_plans
 from repro.workloads import synthetic_model_workload
 
 
 @pytest.fixture(autouse=True)
 def fresh_shard_cache():
-    clear_sharded_plan_cache()
+    _sharded_plans.clear()
     yield
-    clear_sharded_plan_cache()
+    _sharded_plans.clear()
 
 
 def _tiny_architecture():
@@ -325,7 +324,7 @@ class TestShardedPlanCache:
         assert first is again
         other = compile_sharded_plan(quantized, images.shape, (1,))
         assert isinstance(other, ShardedModelPlan)
-        stats = sharded_plan_cache_stats()
+        stats = _sharded_plans.stats()
         assert stats.name == "shard.plans"
         assert stats.hits == 1
         assert stats.misses == 2

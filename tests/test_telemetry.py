@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import sys
 import threading
 
 import pytest
 
 from repro.telemetry import (
     CacheStats,
+    Memo,
     MetricsRegistry,
     Telemetry,
     Tracer,
     VirtualClock,
     activate,
     cache_stats,
+    clear_caches,
     export_jsonl,
     get_active,
     metric_key,
@@ -255,6 +259,90 @@ class TestCacheRegistry:
         assert CacheStats(hits=0, misses=0, evictions=0, size=0).hit_rate == 0.0
         data = stats.as_dict()
         assert data["hits"] == 3 and data["hit_rate"] == 0.75
+
+
+class _Owner:
+    """A weak-referenceable stand-in for a pipeline or workload."""
+
+
+@pytest.fixture
+def memo():
+    memo = Memo("test.memo", capacity=2)
+    yield memo
+    unregister_cache("test.memo")
+
+
+class TestMemo:
+    def test_lru_order_and_evictions(self, memo):
+        assert memo.get("a", lambda: 1) == 1
+        assert memo.get("b", lambda: 2) == 2
+        assert memo.get("a", lambda: 0) == 1  # hit; "a" is now newest
+        assert memo.get("c", lambda: 3) == 3  # evicts "b", the oldest
+        assert memo.get("a", lambda: 0) == 1
+        assert memo.get("b", lambda: 4) == 4  # rebuilt; evicts "c"
+        assert len(memo) == 2
+        stats = memo.stats()
+        assert (stats.hits, stats.misses, stats.evictions) == (2, 4, 2)
+
+    def test_owner_entries_dropped_on_collect(self, memo):
+        owner, other = _Owner(), _Owner()
+        first = memo.get("k", object, owner=owner)
+        assert memo.get("k", object, owner=owner) is first
+        assert memo.get("k", object, owner=other) is not first
+        del owner
+        gc.collect()
+        assert len(memo) == 1
+        assert memo.stats().evictions == 1
+        memo.clear()
+        del other
+        gc.collect()  # a cleared memo detaches its finalizers
+        assert memo.stats().evictions == 0
+
+    def test_first_insert_wins_under_threads(self, memo):
+        results = [None] * 8
+        barrier = threading.Barrier(len(results))
+
+        def worker(i):
+            barrier.wait()
+            results[i] = memo.get("shared", object)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result is results[0] for result in results)
+        stats = memo.stats()
+        assert stats.size == 1 and stats.hits + stats.misses == 8
+
+    def test_stats_and_registration(self, memo):
+        memo.get("a", lambda: 1)
+        memo.get("a", lambda: 1)
+        assert "test.memo" in registered_caches()
+        stats = cache_stats()["test.memo"]
+        assert stats == memo.stats()
+        assert (stats.name, stats.capacity, stats.size) == ("test.memo", 2, 1)
+        assert (stats.hits, stats.misses, stats.hit_rate) == (1, 1, 0.5)
+        with pytest.raises(ValueError):
+            Memo("test.memo.empty", capacity=0)
+
+    def test_clear_caches_resets_every_family(self, memo):
+        import repro.cli  # noqa: F401  (registers every family)
+        from repro.core import conv_spec
+        from repro.hw import plan_layer_windows
+
+        memo.get("a", lambda: 1)
+        plan_layer_windows(conv_spec("c", 3, 4, kernel=3, in_rows=8, in_cols=8), 64, 4)
+        assert cache_stats()["hw.windows"].size >= 1
+        clear_caches()
+        for name, stats in cache_stats().items():
+            assert (stats.hits, stats.misses, stats.size) == (0, 0, 0), name
 
 
 def _sample_snapshot():

@@ -15,7 +15,6 @@ import pytest
 from repro.cli import main
 from repro.deploy import deploy
 from repro.hw import TraceRecorder
-from repro.hw.accelerator import clear_sim_cache
 from repro.nn.models import (
     Architecture,
     ConvDef,
@@ -34,12 +33,18 @@ from repro.serve import (
     LoadTrace,
     ServiceProfile,
 )
-from repro.telemetry import Telemetry, activate, parse_jsonl, validate_snapshot
+from repro.telemetry import (
+    Telemetry,
+    activate,
+    clear_caches,
+    parse_jsonl,
+    validate_snapshot,
+)
 
 # The cache families that register themselves at import time.
 GLOBAL_CACHE_FAMILIES = {
     "core.plan",
-    "core.encode",
+    "core.model_plan",
     "hw.sim",
     "hw.windows",
     "dse.compiled",
@@ -134,13 +139,13 @@ class TestServeSpanTree:
 
     def test_shard_spans_wrap_kernels(self, served_model):
         """Sharded execution nests its kernel spans under `shard` spans."""
-        from repro.shard.plan import clear_sharded_plan_cache, sharded_run_batch
+        from repro.shard.plan import sharded_run_batch
 
         pipeline, _ = served_model
         rng = np.random.default_rng(17)
         shape = pipeline.network.input_shape.as_tuple()
         images = np.stack([rng.normal(size=shape) for _ in range(2)])
-        clear_sharded_plan_cache()
+        clear_caches()
         telemetry = Telemetry()
         with activate(telemetry):
             sharded_run_batch(pipeline, images, cuts=(2,))
@@ -155,7 +160,7 @@ class TestServeSpanTree:
             assert len(kernels) == 2
             assert all("fused" in kernel.attrs for kernel in kernels)
             assert span.attrs["layers"]
-        clear_sharded_plan_cache()
+        clear_caches()
 
     def test_request_span_attrs_mirror_batch_trace(self, serve_run):
         report, telemetry, _ = serve_run
@@ -262,7 +267,7 @@ class TestRuntimeAndDeploySpans:
         deployed = deploy(pipeline, specs)
         telemetry = Telemetry()
         recorder = TraceRecorder(capacity=16)
-        clear_sim_cache()
+        clear_caches()
         with activate(telemetry):
             deployed.simulate(trace=recorder)
         (root,) = telemetry.tracer.roots
@@ -282,7 +287,7 @@ class TestDeprecatedShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             import repro.serve  # noqa: F401
-            from repro.hw.accelerator import sim_cache_info  # noqa: F401
+            from repro.hw.accelerator import AcceleratorSimulator  # noqa: F401
 
 
 class TestCLI:

@@ -7,9 +7,9 @@ from repro.core import conv_spec
 from hypothesis import given, settings, strategies as st
 
 from repro.hw import STRATIX_V_GXA7, AcceleratorConfig, AcceleratorSimulator
-from repro.hw.accelerator import clear_sim_cache, sim_cache_info
 from repro.hw.workload import LayerWorkload, ModelWorkload, workload_from_arrays
 from repro.prune import deep_compression_schedule
+from repro.telemetry import cache_stats, clear_caches
 from repro.workloads import (
     codebook_size,
     codebook_sizes,
@@ -209,17 +209,17 @@ class TestArrayBackedWorkload:
     def test_equal_content_shares_sim_cache_entry(self, spec):
         config = AcceleratorConfig(n_cu=2, n_knl=2, n_share=2, s_ec=4, d_f=1568)
         simulator = AcceleratorSimulator(config, STRATIX_V_GXA7)
-        clear_sim_cache()
+        clear_caches()
         simulator.simulate(
             ModelWorkload("m", (workload_from_arrays(spec, [10, 4, 0], [3, 2, 0]),))
         )
-        assert sim_cache_info().hits == 0
+        assert cache_stats()["hw.sim"].hits == 0
         simulator.simulate(
             ModelWorkload("m", (workload_from_arrays(spec, [10, 4, 0], [3, 2, 0]),))
         )
-        info = sim_cache_info()
+        info = cache_stats()["hw.sim"]
         assert (info.hits, info.misses, info.size) == (1, 1, 1)
-        clear_sim_cache()
+        clear_caches()
 
     def test_arrays_and_fields_are_read_only(self, spec):
         layer = workload_from_arrays(spec, [10, 4, 0], [3, 2, 0])
