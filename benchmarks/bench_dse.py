@@ -8,7 +8,8 @@ once through the per-point reference oracles (``sweep_nknl_reference``,
 point, before any timing counts.
 
 ``test_bench_dse_artifact`` writes a ``BENCH_dse.json`` trajectory
-artifact (timings, speedups, grid sizes, Pareto timings) to the repo root
+artifact (timings in perfbench reference seconds, speedups, grid sizes,
+Pareto timings, host fingerprint) to the repo root
 so future changes can track DSE performance over time;
 ``test_bench_dse_exhaustive`` adds one ``exhaustive`` row per model:
 wall time, space size and optimum of the exhaustive joint-space search.
@@ -21,6 +22,8 @@ import json
 import os
 import time
 from pathlib import Path
+
+from refclock import CLOCK_UNIT, best_of, fingerprint, telemetry_section, timed
 
 from repro.dse import (
     DEFAULT_RESOURCE_MODEL,
@@ -41,31 +44,6 @@ from repro.workloads import synthetic_model_workload
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_dse.json"
-
-
-def _telemetry_section(telemetry):
-    """Compact snapshot for bench artifacts: cache hit rates + span totals."""
-    snapshot = telemetry.snapshot(include_spans=False)
-    return {
-        "caches": {
-            name: {
-                key: data[key]
-                for key in ("hits", "misses", "evictions", "hit_rate")
-            }
-            for name, data in snapshot["caches"].items()
-        },
-        "span_totals": telemetry.tracer.totals(),
-    }
-
-
-def _best_of(fn, repeats):
-    """Best-of-N wall time in seconds (min is the least noisy estimator)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _sweeps(workload, n_share, n_knl, compiled):
@@ -96,6 +74,8 @@ def test_bench_dse_artifact():
         "generated_by": "benchmarks/bench_dse.py",
         "quick": QUICK,
         "seed": 1,
+        "clock": CLOCK_UNIT,
+        "fingerprint": fingerprint(),
         "models": {},
     }
     print()
@@ -113,18 +93,16 @@ def test_bench_dse_artifact():
             list(compiled_result.grid),
         )
 
-        compiled_s = _best_of(
+        compiled_s = best_of(
             lambda: _sweeps(workload, n_share, n_knl, compiled=True), repeats
         )
-        reference_s = _best_of(
+        reference_s = best_of(
             lambda: _sweeps(workload, n_share, n_knl, compiled=False),
             max(1, repeats - 2),
         )
         # Cold compile: what the very first query pays (caches emptied).
         clear_caches()
-        start = time.perf_counter()
-        explore(workload, STRATIX_V_GXA7)
-        cold_s = time.perf_counter() - start
+        cold_s = timed(lambda: explore(workload, STRATIX_V_GXA7))
 
         # Pareto dominance over the full S_ec x N_cu grid, both paths.
         grid = sweep_sec_ncu(
@@ -135,8 +113,8 @@ def test_bench_dse_artifact():
             n_share=compiled_result.n_share,
         )
         assert pareto_frontier(grid) == pareto_frontier_reference(grid)
-        pareto_s = _best_of(lambda: pareto_frontier(grid), repeats)
-        pareto_ref_s = _best_of(
+        pareto_s = best_of(lambda: pareto_frontier(grid), repeats)
+        pareto_ref_s = best_of(
             lambda: pareto_frontier_reference(grid), max(1, repeats - 2)
         )
 
@@ -170,7 +148,7 @@ def test_bench_dse_artifact():
             workload = synthetic_model_workload(model, seed=1)
             with telemetry.span("explore", model=model):
                 explore(workload, STRATIX_V_GXA7)
-    report["telemetry"] = _telemetry_section(telemetry)
+    report["telemetry"] = telemetry_section(telemetry)
 
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"  wrote {ARTIFACT}")

@@ -7,18 +7,19 @@ the paper's N=4 choice.
 ``test_bench_fastsim_artifact`` compares the vectorized scheduler fast
 path against the per-task reference event loop on both models, verifies
 they agree exactly, and writes a ``BENCH_simulator.json`` trajectory
-artifact (timings, speedups, cached-replay time) to the repo root so
-future PRs can track simulator performance over time. Quick mode for CI:
+artifact (timings in perfbench reference seconds, speedups, cached-replay
+time, host fingerprint) to the repo root so later changes can track
+simulator performance over time. Quick mode for CI:
 ``REPRO_BENCH_QUICK=1`` uses fewer repeats and a relaxed speedup floor for
-shared runners; the full run asserts the ISSUE's >= 5x bar on VGG16.
+shared runners; the full run asserts a >= 5x bar on VGG16.
 """
 
 import json
 import os
-import time
 from pathlib import Path
 
 import pytest
+from refclock import CLOCK_UNIT, best_of, fingerprint, telemetry_section
 
 from repro.hw import (
     PAPER_CONFIG_ALEXNET,
@@ -32,21 +33,6 @@ from repro.workloads import synthetic_model_workload
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
-
-
-def _telemetry_section(telemetry):
-    """Compact snapshot for bench artifacts: cache hit rates + span totals."""
-    snapshot = telemetry.snapshot(include_spans=False)
-    return {
-        "caches": {
-            name: {
-                key: data[key]
-                for key in ("hits", "misses", "evictions", "hit_rate")
-            }
-            for name, data in snapshot["caches"].items()
-        },
-        "span_totals": telemetry.tracer.totals(),
-    }
 
 
 @pytest.mark.parametrize(
@@ -91,16 +77,6 @@ def test_bench_share_factor_ablation(benchmark, seed):
     assert results[4][1] == results[1][1] / 4  # and saves 4x the DSPs
 
 
-def _best_of(fn, repeats):
-    """Best-of-N wall time in seconds (min is the least noisy estimator)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_bench_fastsim_artifact():
     """Reference vs fast-path full-model simulation; writes the artifact.
 
@@ -113,6 +89,8 @@ def test_bench_fastsim_artifact():
         "generated_by": "benchmarks/bench_simulator.py",
         "quick": QUICK,
         "seed": 1,
+        "clock": CLOCK_UNIT,
+        "fingerprint": fingerprint(),
         "models": {},
     }
     print()
@@ -128,15 +106,15 @@ def test_bench_fastsim_artifact():
         fast = fast_sim.simulate(workload)
         assert fast == ref_sim.simulate(workload)  # cycle-exact, field-exact
 
-        fast_s = _best_of(lambda: fast_sim.simulate(workload), repeats)
-        reference_s = _best_of(
+        fast_s = best_of(lambda: fast_sim.simulate(workload), repeats)
+        reference_s = best_of(
             lambda: ref_sim.simulate(workload), max(1, repeats - 2)
         )
         # Cached replay: what repeated deployments / DSE sweeps pay.
         clear_caches()
         cached_sim = AcceleratorSimulator(config, STRATIX_V_GXA7)
         cached_sim.simulate(workload)
-        cached_s = _best_of(lambda: cached_sim.simulate(workload), repeats)
+        cached_s = best_of(lambda: cached_sim.simulate(workload), repeats)
         clear_caches()
 
         entry = {
@@ -169,7 +147,7 @@ def test_bench_fastsim_artifact():
             simulator = AcceleratorSimulator(config, STRATIX_V_GXA7)
             with telemetry.span("simulate", model=model):
                 simulator.simulate(workload)
-    report["telemetry"] = _telemetry_section(telemetry)
+    report["telemetry"] = telemetry_section(telemetry)
 
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"  wrote {ARTIFACT}")

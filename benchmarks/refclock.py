@@ -1,0 +1,54 @@
+"""Shared timing for the benchmark artifacts: perfbench's reference clock.
+
+The artifacts time their paths on ``perfbench/harness.py``'s
+:class:`RefClock` — CPU seconds rescaled by the interpreter calibration
+kernel that brackets every interval, so a slow minute on a shared host
+does not read as a regression — and stamp the host fingerprint the
+perfbench results carry.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import harness  # noqa: E402  (perfbench/harness.py)
+
+#: The simulator and the DSE grids are interpreter-bound, like perfbench's
+#: ``design`` workload, so they share its calibration kernel.
+KERNELS = ("events",)
+CLOCK_UNIT = "reference seconds (perfbench harness.RefClock, events kernel)"
+
+CLOCK = harness.RefClock(KERNELS)
+
+
+def timed(fn) -> float:
+    """Reference seconds of one call of ``fn``."""
+    with CLOCK.interval() as took:
+        fn()
+    return took[0]
+
+
+def best_of(fn, repeats: int) -> float:
+    """Best-of-``repeats`` reference seconds (min is the least noisy)."""
+    return min(timed(fn) for _ in range(repeats))
+
+
+def fingerprint() -> dict:
+    """Where the artifact was measured (``harness.fingerprint``)."""
+    return harness.fingerprint(harness.gemm_peak_gflops())
+
+
+def telemetry_section(telemetry) -> dict:
+    """Compact snapshot for bench artifacts: cache hit rates + span totals."""
+    snapshot = telemetry.snapshot(include_spans=False)
+    return {
+        "caches": {
+            name: {
+                key: data[key]
+                for key in ("hits", "misses", "evictions", "hit_rate")
+            }
+            for name, data in snapshot["caches"].items()
+        },
+        "span_totals": telemetry.tracer.totals(),
+    }

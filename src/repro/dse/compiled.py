@@ -20,6 +20,14 @@ then scores the full ``N_knl x S_ec x N_cu`` space with array operations:
   (interior, right edge, bottom edge, corner), so the exact sum of
   ``ceil(rows * cols / S_ec)`` over all ``G_r x G_c`` windows is four
   integer terms built from the cached :func:`plan_layer_windows` geometry.
+- **Column tables.** Window steps, batch images and the DDR bytes behind
+  the energy model depend only on a column's ``(d_f, S_ec)`` geometry,
+  not on ``N_knl`` or ``N_cu``. Each compiled workload keeps them as
+  arrays over its layers, built on a column's first use, so a joint-space
+  search that revisits a ``(d_f, S_ec)`` column under other ``d_w``,
+  frequency or energy coefficients re-reads them instead of re-planning
+  every layer. Group-max sums are gathered once per grid as one
+  ``(layers, N_knl)`` matrix.
 - **Resources.** :meth:`ResourceModel.estimate_arrays` evaluates the
   C0..C7 equations over broadcast parameter arrays, operation-for-operation
   identical to the scalar path.
@@ -34,15 +42,21 @@ point. The reference evaluators stay as the differential-test oracles.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from ..core.specs import LayerSpec
 from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
-from ..hw.power import EnergyModel, PowerReport, analytic_energy_per_image
+from ..hw.power import (
+    EnergyModel,
+    PowerReport,
+    analytic_ddr_bytes,
+    dynamic_energy_per_image,
+)
 from ..hw.tiling import plan_layer_windows
 from ..hw.workload import ModelWorkload
 from ..telemetry.caches import Memo
@@ -87,6 +101,20 @@ class _CompiledLayer:
     #: multiply_ops * N — the multiplier-bound threshold of the model.
     multiply_share: int
     bound: str
+
+
+@dataclass(frozen=True)
+class _Column:
+    """Per-layer figures of one ``(d_f, S_ec)`` column of the grid."""
+
+    #: Exact vector steps and batch images per layer (``steps_total_closed_form``).
+    steps: np.ndarray
+    batch: np.ndarray
+    #: Per-image DDR bytes of the whole model (``analytic_ddr_bytes``).
+    ddr_bytes: float
+
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -192,13 +220,15 @@ class CompiledWorkload:
     Use :func:`compile_workload` rather than constructing directly — it
     memoizes instances per workload identity, which is what makes repeated
     sweeps (``explore``, ``explore_joint``, benchmarks) pay compilation
-    once.
+    once. The instance holds only a weak reference to its workload, so a
+    memo entry never keeps the workload alive; :meth:`evaluate_grid` takes
+    the workload again and checks it is the compiled one.
     """
 
     def __init__(self, workload: ModelWorkload, n_share: int) -> None:
         if n_share < 1:
             raise ValueError("n_share must be >= 1")
-        self.workload = workload
+        self._workload = weakref.ref(workload)
         self.n_share = n_share
         self.dense_ops = workload.dense_ops
         layers: List[_CompiledLayer] = []
@@ -217,13 +247,26 @@ class CompiledWorkload:
                 )
             )
         self._layers: Tuple[_CompiledLayer, ...] = tuple(layers)
-        #: group-max sums per n_knl, memoized: n_knl -> (L,) float64 array.
-        self._gm_cache: Dict[int, np.ndarray] = {}
-        self._gm_lock = threading.Lock()
+        #: n_knl -> group-max sums, an (L,) float64 array.
+        self._group_max: Dict[int, np.ndarray] = {}
+        #: (d_f, s_ec) -> that column's per-layer tables / plannability.
+        self._columns: Dict[Tuple[int, int], _Column] = {}
+        self._plannable: Dict[Tuple[int, int], bool] = {}
+        self._lock = threading.Lock()
 
     @property
     def layer_bounds(self) -> Tuple[str, ...]:
         return tuple(layer.bound for layer in self._layers)
+
+    def _table(self, table: Dict, key, build: Callable[[], _T]) -> _T:
+        """``table[key]``, built outside the lock on first use."""
+        with self._lock:
+            cached = table.get(key)
+        if cached is None:
+            cached = build()
+            with self._lock:
+                cached = table.setdefault(key, cached)
+        return cached
 
     def group_max_sums(self, n_knl: int) -> np.ndarray:
         """``sum(group_max)`` of every layer for one engine count.
@@ -234,20 +277,47 @@ class CompiledWorkload:
         strided slice sum — identical to the reference's pad/sort/reshape
         reduction, without doing any of it per design point.
         """
-        with self._gm_lock:
-            cached = self._gm_cache.get(n_knl)
-        if cached is not None:
-            return cached
-        sums = np.array(
-            [float(layer.engine_desc[::n_knl].sum()) for layer in self._layers],
-            dtype=np.float64,
+        return self._table(
+            self._group_max,
+            n_knl,
+            lambda: np.array(
+                [float(layer.engine_desc[::n_knl].sum()) for layer in self._layers],
+                dtype=np.float64,
+            ),
         )
-        with self._gm_lock:
-            self._gm_cache[n_knl] = sums
-        return sums
+
+    def plannable(self, d_f: int, s_ec: int) -> bool:
+        """Whether every layer has a prefetch-window plan at ``(d_f, s_ec)``."""
+
+        def build() -> bool:
+            try:
+                for layer in self._layers:
+                    plan_layer_windows(layer.spec, d_f, s_ec)
+            except ValueError:
+                return False
+            return True
+
+        return self._table(self._plannable, (d_f, s_ec), build)
+
+    def _column(self, workload: ModelWorkload, config: AcceleratorConfig) -> _Column:
+        """The per-layer tables of ``config``'s ``(d_f, S_ec)`` column."""
+
+        def build() -> _Column:
+            figures = [
+                steps_total_closed_form(layer.spec, config.d_f, config.s_ec)
+                for layer in self._layers
+            ]
+            return _Column(
+                steps=np.array([f[0] for f in figures], dtype=np.int64),
+                batch=np.array([f[1] for f in figures], dtype=np.int64),
+                ddr_bytes=analytic_ddr_bytes(workload, config),
+            )
+
+        return self._table(self._columns, (config.d_f, config.s_ec), build)
 
     def evaluate_grid(
         self,
+        workload: ModelWorkload,
         resources: ResourceModel,
         device: Optional[FPGADevice] = None,
         *,
@@ -262,6 +332,7 @@ class CompiledWorkload:
     ) -> GridEvaluation:
         """Score the full cartesian grid in one batch of array operations.
 
+        ``workload`` must be the workload this instance was compiled from.
         Returns cycles/throughput, resource estimates, utilization, power
         and the feasibility mask for every ``(N_knl, S_ec, N_cu)``
         combination — each element float-identical to the per-point
@@ -279,13 +350,17 @@ class CompiledWorkload:
         """
         if mode not in _MODES:
             raise ValueError(f"unknown performance-model mode {mode!r}")
+        if self._workload() is not workload:
+            raise ValueError(
+                f"workload {workload.name!r} is not the one this grid was compiled from"
+            )
         from .explorer import size_buffers  # late import: explorer imports us
 
         n_knl = tuple(int(v) for v in n_knl_values)
         s_ec = tuple(int(v) for v in s_ec_values)
         n_cu = tuple(int(v) for v in n_cu_values)
         if buffers is None:
-            buffers = tuple(size_buffers(self.workload, s) for s in s_ec)
+            buffers = tuple(size_buffers(workload, s) for s in s_ec)
         else:
             buffers = tuple(buffers)
             if len(buffers) != len(s_ec):
@@ -298,22 +373,43 @@ class CompiledWorkload:
         sec = np.asarray(s_ec, dtype=np.int64)[None, :, None]
         ncu = np.asarray(n_cu, dtype=np.int64)[None, None, :]
 
+        # Everything below that depends on the column reads its table; the
+        # column configs also validate the buffer depths and the clock.
+        columns = [
+            self._column(
+                workload,
+                # The tables ignore the CU/kernel counts, so degenerate
+                # empty axes just borrow a placeholder.
+                AcceleratorConfig(
+                    n_cu=n_cu[0] if n_cu else 1,
+                    n_knl=n_knl[0] if n_knl else 1,
+                    n_share=self.n_share,
+                    s_ec=s,
+                    d_f=sized.d_f,
+                    d_w=sized.d_w,
+                    d_q=sized.d_q,
+                    freq_mhz=freq_mhz,
+                ),
+            )
+            for s, sized in zip(s_ec, buffers)
+        ]
+
         total = np.zeros(shape, dtype=np.float64)
         if mode == MODE_QUANTIZED:
-            ncu_b = np.asarray(n_cu, dtype=np.int64)[None, None, :]
-            for index, layer in enumerate(self._layers):
-                steps = np.empty(len(s_ec), dtype=np.int64)
-                batch = np.empty(len(s_ec), dtype=np.int64)
-                for j, (s, sized) in enumerate(zip(s_ec, buffers)):
-                    steps[j], batch[j] = steps_total_closed_form(
-                        layer.spec, sized.d_f, s
-                    )
-                gm = np.empty(len(n_knl), dtype=np.float64)
-                for i, n in enumerate(n_knl):
-                    gm[i] = self.group_max_sums(n)[index]
+            n_layers = len(self._layers)
+            # (L, S_ec) steps/batch and (L, N_knl) group-max sums.
+            steps = np.empty((n_layers, len(s_ec)), dtype=np.int64)
+            batch = np.empty((n_layers, len(s_ec)), dtype=np.int64)
+            for j, column in enumerate(columns):
+                steps[:, j] = column.steps
+                batch[:, j] = column.batch
+            gm = np.empty((n_layers, len(n_knl)), dtype=np.float64)
+            for i, n in enumerate(n_knl):
+                gm[:, i] = self.group_max_sums(n)
+            for index in range(n_layers):
                 cycles = (
-                    gm[:, None, None] * steps[None, :, None]
-                ) / ncu_b / batch[None, :, None]
+                    gm[index][:, None, None] * steps[index][None, :, None]
+                ) / ncu / batch[index][None, :, None]
                 total = total + cycles
         else:
             accumulators = ncu * (knl * sec)
@@ -326,25 +422,15 @@ class CompiledWorkload:
             throughput = self.dense_ops / seconds / 1e9
 
         # Dynamic energy depends only on the (d_f, s_ec) column geometry, so
-        # one scalar evaluation per column — the same function the per-point
-        # path calls — keeps the whole power grid float-identical to it.
-        energy_col = np.empty(len(s_ec), dtype=np.float64)
-        for j, (s, sized) in enumerate(zip(s_ec, buffers)):
-            # Energy ignores the CU/kernel counts, so degenerate empty
-            # axes just borrow a placeholder to satisfy config validation.
-            column_config = AcceleratorConfig(
-                n_cu=n_cu[0] if n_cu else 1,
-                n_knl=n_knl[0] if n_knl else 1,
-                n_share=self.n_share,
-                s_ec=s,
-                d_f=sized.d_f,
-                d_w=sized.d_w,
-                d_q=sized.d_q,
-                freq_mhz=freq_mhz,
-            )
-            energy_col[j] = analytic_energy_per_image(
-                self.workload, column_config, model
-            )
+        # one evaluation per column — the same formula the per-point path
+        # uses — keeps the whole power grid float-identical to it.
+        energy_col = np.array(
+            [
+                dynamic_energy_per_image(workload, column.ddr_bytes, model)
+                for column in columns
+            ],
+            dtype=np.float64,
+        )
         with np.errstate(divide="ignore", invalid="ignore"):
             power_w = energy_col[None, :, None] / seconds + model.static_w
             gops_per_watt = throughput / power_w
@@ -392,8 +478,8 @@ class CompiledWorkload:
 
 
 #: Compiled workloads, memoized per (workload identity, N) and LRU-bounded.
-#: A compiled workload holds its workload, so its entry pins the workload
-#: until the LRU bound evicts it.
+#: A compiled workload holds only a weak reference to its workload, so the
+#: entries are dropped when the workload is collected.
 _compiled = Memo("dse.compiled", capacity=64)
 
 

@@ -197,6 +197,7 @@ def sweep_nknl(
     :func:`sweep_nknl_reference`.
     """
     evaluation = compile_workload(workload, n_share).evaluate_grid(
+        workload,
         resources,
         device=device,
         n_knl_values=tuple(n_knl_range),
@@ -307,6 +308,7 @@ def sweep_sec_ncu(
     :func:`sweep_sec_ncu_reference`.
     """
     evaluation = compile_workload(workload, n_share).evaluate_grid(
+        workload,
         resources,
         device=device,
         n_knl_values=(n_knl,),

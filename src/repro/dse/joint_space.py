@@ -31,7 +31,6 @@ import numpy as np
 from ..hw.buffers import BufferRequirement
 from ..hw.device import FPGADevice
 from ..hw.power import EnergyModel
-from ..hw.tiling import plan_layer_windows
 from ..hw.workload import ModelWorkload
 from .compiled import compile_workload
 from .explorer import BufferSizing, size_buffers
@@ -246,19 +245,6 @@ class JointEvaluator:
         )
         self.frequency_model = frequency_model
 
-    def _plannable_columns(
-        self, workload: ModelWorkload, d_f: int, s_ec_values: Sequence[int]
-    ) -> Set[int]:
-        columns: Set[int] = set()
-        for j, s_ec in enumerate(s_ec_values):
-            try:
-                for layer in workload.layers:
-                    plan_layer_windows(layer.spec, d_f, s_ec)
-            except ValueError:
-                continue
-            columns.add(j)
-        return columns
-
     def evaluate_cell(
         self,
         outer: Mapping[str, float],
@@ -281,9 +267,10 @@ class JointEvaluator:
         feasible = np.zeros(shape, dtype=bool)
         plannable = np.zeros(len(sec), dtype=bool)
 
+        compiled = [compile_workload(w, n_share) for w in self.workloads]
         common: Optional[Set[int]] = None
-        for workload in self.workloads:
-            columns = self._plannable_columns(workload, d_f, sec)
+        for grid in compiled:
+            columns = {j for j, s in enumerate(sec) if grid.plannable(d_f, s)}
             common = columns if common is None else (common & columns)
         ordered_columns = sorted(common or ())
         if not ordered_columns:
@@ -295,13 +282,14 @@ class JointEvaluator:
         evaluations = []
         mem_adjusted = []
         extra_gates = []
-        for workload in self.workloads:
+        for workload, grid in zip(self.workloads, compiled):
             derived = [size_buffers(workload, s) for s in sub_sec]
             override = [
                 BufferSizing(d_f=d_f, d_w=d_w, d_q=sizing.d_q)
                 for sizing in derived
             ]
-            evaluation = compile_workload(workload, n_share).evaluate_grid(
+            evaluation = grid.evaluate_grid(
+                workload,
                 self.resources,
                 self.device,
                 n_knl_values=knl,

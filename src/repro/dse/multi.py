@@ -135,6 +135,7 @@ def _joint_grids(
     ]
     evaluations = [
         compile_workload(workload, n_share).evaluate_grid(
+            workload,
             resources,
             device=device,
             n_knl_values=(n_knl,),

@@ -97,6 +97,7 @@ def _best_shard_config(
         evaluation = CompiledWorkload(
             shard, share_factor_from_workloads(layers)
         ).evaluate_grid(
+            shard,
             resources,
             device=device,
             n_knl_values=(n_knl,),

@@ -45,13 +45,14 @@ class ExternalMemory:
             return 0
         return BURST_LATENCY_CYCLES + int(round(nbytes / self._bytes_per_cycle))
 
-    def record(self, nbytes: int) -> int:
-        """Account a transfer and return its duration in cycles."""
+    def record(self, nbytes: int, count: int = 1) -> int:
+        """Account ``count`` transfers of ``nbytes`` each; return the
+        duration of one in cycles."""
         cycles = self.transfer_cycles(nbytes)
         if nbytes > 0:
-            self.total_bytes += nbytes
-            self.total_transfer_cycles += cycles
-            self.transfers += 1
+            self.total_bytes += nbytes * count
+            self.total_transfer_cycles += cycles * count
+            self.transfers += count
         return cycles
 
     def achieved_bandwidth_gbs(self, elapsed_cycles: int) -> float:

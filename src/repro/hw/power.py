@@ -98,6 +98,30 @@ def abm_power(
     )
 
 
+def analytic_ddr_bytes(workload: ModelWorkload, config: AcceleratorConfig) -> float:
+    """Per-image DDR bytes of the bandwidth model's prefetch-window plan.
+
+    Depends only on the ``(d_f, s_ec)`` geometry of the configuration.
+    """
+    from ..dse.bandwidth import layer_traffic  # local: dse sits above hw
+
+    return sum(layer_traffic(layer, config).total_bytes for layer in workload.layers)
+
+
+def dynamic_energy_per_image(
+    workload: ModelWorkload, ddr_bytes: float, model: EnergyModel = EnergyModel()
+) -> float:
+    """Per-image dynamic energy from the workload's op counts and DDR bytes."""
+    acc_ops = workload.accumulate_ops
+    mult_ops = workload.multiply_ops
+    return (
+        acc_ops * model.accumulate_j
+        + mult_ops * model.multiply_j
+        + acc_ops * model.sram_accesses_per_op * model.sram_access_j
+        + ddr_bytes * model.ddr_byte_j
+    )
+
+
 def analytic_energy_per_image(
     workload: ModelWorkload,
     config: AcceleratorConfig,
@@ -108,24 +132,15 @@ def analytic_energy_per_image(
     Same activity accounting as :func:`abm_power`, but fed from the
     analytic models instead of a simulation: operation counts come from
     the workload statistics and DDR traffic from the bandwidth model's
-    prefetch-window plan. The result depends only on the ``(d_f, s_ec)``
-    geometry of the configuration — which is what lets the compiled DSE
-    grid (:meth:`repro.dse.compiled.CompiledWorkload.evaluate_grid`)
-    evaluate energy once per ``S_ec`` column and stay float-identical to
+    prefetch-window plan (:func:`analytic_ddr_bytes`). The result depends
+    only on the ``(d_f, s_ec)`` geometry of the configuration — which is
+    what lets the compiled DSE grid
+    (:meth:`repro.dse.compiled.CompiledWorkload.evaluate_grid`) keep one
+    DDR-byte figure per ``(d_f, S_ec)`` column and stay float-identical to
     this per-point path.
     """
-    from ..dse.bandwidth import layer_traffic  # local: dse sits above hw
-
-    acc_ops = workload.accumulate_ops
-    mult_ops = workload.multiply_ops
-    ddr_bytes = sum(
-        layer_traffic(layer, config).total_bytes for layer in workload.layers
-    )
-    return (
-        acc_ops * model.accumulate_j
-        + mult_ops * model.multiply_j
-        + acc_ops * model.sram_accesses_per_op * model.sram_access_j
-        + ddr_bytes * model.ddr_byte_j
+    return dynamic_energy_per_image(
+        workload, analytic_ddr_bytes(workload, config), model
     )
 
 

@@ -24,8 +24,15 @@ Two implementations produce *identical* results:
   repeat identically across windows, so per-group cost vectors are computed
   once per distinct window size with :func:`~repro.hw.cu.task_cycles_batch`,
   pre-sorted into LPT dispatch order, and the event loop degenerates to an
-  array walk with an O(n_cu) earliest-free scan that replicates the
-  reference heap's (free_at, cu) tie-breaking exactly.
+  array walk. Each pick is the C-level ``free.index(min(free))`` over the
+  CU free times: the first minimum wins, which is exactly the reference
+  heap's (free_at, cu) tie-breaking. The DDR transfer is the same for every
+  window, so it is costed once per layer.
+
+Both paths group kernels through :func:`kernel_order`. The balanced order
+(descending nonzeros, stable) does not depend on ``N_knl``, so each
+:class:`~repro.hw.workload.LayerWorkload` computes it once, on first use,
+and every configuration the DSE or the simulator visits reuses it.
 
 :func:`simulate_layer` dispatches to the fast path by default
 (``fast=False`` selects the reference). Differential tests in
@@ -105,21 +112,30 @@ class LayerSimResult:
         return self.memory_stall_cycles > 0.05 * self.cycles
 
 
-def make_kernel_groups(
-    workload: LayerWorkload, config: AcceleratorConfig, policy: str = POLICY_NATURAL
-) -> List[np.ndarray]:
-    """Partition the layer's kernels into CU-sized groups.
+def kernel_order(
+    workload: LayerWorkload, policy: str = POLICY_NATURAL
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kernel indices, nonzeros, distinct) in the policy's grouping order.
 
     ``natural`` follows encoding order (what streaming the WT-Buffer gives
     for free); ``balanced`` sorts kernels by nonzero count first so each
     group's engines carry similar loads — an ablation knob for the paper's
-    imbalance discussion.
+    imbalance discussion. The balanced order is computed once per workload
+    (:attr:`LayerWorkload.balanced_order`) and shared by every ``N_knl``.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown grouping policy {policy!r}")
-    order = np.arange(workload.nonzeros.size)
     if policy == POLICY_BALANCED:
-        order = np.argsort(-workload.nonzeros, kind="stable")
+        return workload.balanced_order
+    return np.arange(workload.nonzeros.size), workload.nonzeros, workload.distinct
+
+
+def make_kernel_groups(
+    workload: LayerWorkload, config: AcceleratorConfig, policy: str = POLICY_NATURAL
+) -> List[np.ndarray]:
+    """Partition the layer's kernels into CU-sized groups of
+    :func:`kernel_order`."""
+    order = kernel_order(workload, policy)[0]
     return [
         order[start : start + config.n_knl]
         for start in range(0, order.size, config.n_knl)
@@ -270,14 +286,16 @@ class _WindowSchedule:
 
 
 def _window_pixel_counts(spec, plan: WindowPlan) -> List[int]:
-    """Output pixels covered by each window, in window-major order."""
-    pixels = []
-    for window_index in range(plan.windows):
-        row_tile, col_tile = divmod(window_index, plan.g_c)
-        rows = min(plan.window_rows, spec.out_rows - row_tile * plan.window_rows)
-        cols = min(plan.window_cols, spec.out_cols - col_tile * plan.window_cols)
-        pixels.append(rows * cols)
-    return pixels
+    """Output pixels covered by each window, in window-major order.
+
+    Every window is full-size except the last row band and the last column
+    tile, so the grid is the outer product of two edge-clipped extents.
+    """
+    rows = [plan.window_rows] * (plan.g_r - 1)
+    rows.append(spec.out_rows - (plan.g_r - 1) * plan.window_rows)
+    cols = [plan.window_cols] * (plan.g_c - 1)
+    cols.append(spec.out_cols - (plan.g_c - 1) * plan.window_cols)
+    return [r * c for r in rows for c in cols]
 
 
 def compile_window_schedules(
@@ -296,11 +314,8 @@ def compile_window_schedules(
     if pixel_counts is None:
         plan = plan_windows(workload.spec, config)
         pixel_counts = _window_pixel_counts(workload.spec, plan)
-    groups = make_kernel_groups(workload, config, policy)
-    flat = np.concatenate(groups)
-    nonzeros = workload.nonzeros[flat]
-    distinct = workload.distinct[flat]
-    group_starts = np.arange(0, flat.size, config.n_knl)
+    _, nonzeros, distinct = kernel_order(workload, policy)
+    group_starts = np.arange(0, nonzeros.size, config.n_knl)
     schedules: Dict[int, _WindowSchedule] = {}
     for pixels in pixel_counts:
         if pixels in schedules:
@@ -327,9 +342,11 @@ def simulate_layer_fast(
     """Vectorized layer simulation; cycle-exact vs the reference.
 
     No per-task Python objects are materialized: costs come pre-sorted from
-    :func:`compile_window_schedules` and the greedy assignment scans a plain
-    integer list for the earliest-free CU (first minimum wins, matching the
-    reference heap's (free_at, cu) ordering). When a ``trace`` recorder is
+    :func:`compile_window_schedules` and the greedy assignment picks the
+    earliest-free CU with the C-level ``free.index(min(free))`` (first
+    minimum wins, matching the reference heap's (free_at, cu) ordering).
+    Every window moves the same bytes, so the DDR transfer is costed once
+    and recorded for all windows in one call. When a ``trace`` recorder is
     passed, events are reconstructed from the array schedule and are
     identical to the reference trace.
     """
@@ -344,34 +361,32 @@ def simulate_layer_fast(
         + weight_bytes_per_window
         + plan.window_output_bytes * plan.batch_images
     )
+    transfer = memory.record(window_bytes, plan.windows)
 
     n_cu = config.n_cu
-    cu_range = range(n_cu)
     free = [0] * n_cu
     cu_busy = [0] * n_cu
     stall_cycles = 0
     channel_free = 0
-    memory_bytes = 0
     engine_busy = 0
     engine_capacity = 0
     window_finish = [0] * plan.windows
     clock = 0
     layer_name = workload.spec.name
 
-    for window_index in range(plan.windows):
+    for window_index, pixels in enumerate(pixel_counts):
         buffer_free = window_finish[window_index - 2] if window_index >= 2 else 0
-        transfer = memory.record(window_bytes)
-        memory_bytes += window_bytes
         prefetch_done = max(channel_free, buffer_free) + transfer
         channel_free = prefetch_done
         release = prefetch_done + SYNC_CYCLES
-        schedule = schedules[pixel_counts[window_index]]
+        schedule = schedules[pixels]
         finish_all = 0
         for position, cost in enumerate(schedule.cycles):
-            cu = min(cu_range, key=free.__getitem__)
-            free_at = free[cu]
-            start = free_at if free_at > release else release
-            stall_cycles += start - free_at
+            start = min(free)
+            cu = free.index(start)
+            if start < release:
+                stall_cycles += release - start
+                start = release
             done = start + cost
             cu_busy[cu] += cost
             free[cu] = done
@@ -404,7 +419,7 @@ def simulate_layer_fast(
         tasks=plan.windows * n_groups,
         windows=plan.windows,
         images=plan.batch_images,
-        memory_bytes=memory_bytes,
+        memory_bytes=window_bytes * plan.windows,
         engine_busy_cycles=engine_busy,
         engine_capacity_cycles=engine_capacity,
     )

@@ -86,6 +86,22 @@ class LayerWorkload:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
+    @cached_property
+    def balanced_order(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(kernel order, nonzeros, distinct) of the balanced kernel grouping.
+
+        Kernels sorted by descending nonzero count, ties in encoding order.
+        The order does not depend on ``N_knl``, so every configuration the
+        simulator schedules shares it. It is built on first use, not in
+        ``__post_init__``, so constructing a workload costs no more than
+        before.
+        """
+        order = np.argsort(-self.nonzeros, kind="stable")
+        arrays = (order, self.nonzeros[order], self.distinct[order])
+        for array in arrays:
+            array.setflags(write=False)
+        return arrays
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LayerWorkload):
             return NotImplemented

@@ -8,6 +8,8 @@ grids. These tests pin that contract with the paper workloads and with
 hypothesis-random synthetic ones.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,10 +35,12 @@ from repro.dse import (
     sweep_sec_ncu,
     sweep_sec_ncu_reference,
 )
-from repro.dse.explorer import GridPoint, _buffers
+from repro.dse.compiled import CompiledWorkload, _compiled
+from repro.dse.explorer import BufferSizing, GridPoint, _buffers
 from repro.dse.resources import ResourceEstimate, ResourceUtilization
 from repro.hw import STRATIX_V_GXA7, AcceleratorConfig, plan_windows
 from repro.hw.device import FPGADevice
+from repro.hw.power import EnergyModel, abm_power_analytic
 from repro.hw.tiling import plan_layer_windows
 from repro.hw.workload import ModelWorkload, workload_from_arrays
 from repro.workloads import synthetic_model_workload
@@ -285,6 +289,7 @@ class TestHypothesisDifferential:
         n_knl_values, s_ec_values, n_cu_values = axes
         device = STRATIX_V_GXA7 if use_device else None
         evaluation = compile_workload(workload, n_share).evaluate_grid(
+            workload,
             DEFAULT_RESOURCE_MODEL,
             device=device,
             n_knl_values=n_knl_values,
@@ -447,9 +452,110 @@ class TestCaches:
         compiled = compile_workload(alexnet_workload, 4)
         with pytest.raises(ValueError):
             compiled.evaluate_grid(
+                alexnet_workload,
                 DEFAULT_RESOURCE_MODEL,
                 n_knl_values=(14,),
                 s_ec_values=(20,),
                 n_cu_values=(3,),
                 mode="exact",
             )
+
+
+# ---------------------------------------------------------------------------
+# Column tables: warm per-(d_f, S_ec) tables equal a cold compile and the
+# per-point model, exactly.
+# ---------------------------------------------------------------------------
+
+GRID_ARRAYS = ("cycles_per_image", "throughput_gops", "power_w", "gops_per_watt")
+
+
+def _assert_grids_identical(a, b):
+    for name in GRID_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.energy_per_image_j == b.energy_per_image_j
+
+
+class TestColumnTables:
+    AXES = dict(n_knl_values=(4, 14), s_ec_values=(8, 20), n_cu_values=(1, 3))
+
+    def _evaluate(self, compiled, workload, buffers, energy_model):
+        return compiled.evaluate_grid(
+            workload,
+            DEFAULT_RESOURCE_MODEL,
+            STRATIX_V_GXA7,
+            buffers=buffers,
+            energy_model=energy_model,
+            **self.AXES,
+        )
+
+    def test_warm_tables_match_cold_and_per_point(self, alexnet_workload):
+        workload = alexnet_workload
+        derived = [size_buffers(workload, s) for s in self.AXES["s_ec_values"]]
+        d_f = max(sized.d_f for sized in derived)
+        # Same d_f (so the same column tables), different d_w.
+        overrides = [
+            tuple(BufferSizing(d_f=d_f, d_w=d_w, d_q=sized.d_q) for sized in derived)
+            for d_w in (derived[0].d_w, 4 * derived[0].d_w)
+        ]
+        energy_models = (
+            EnergyModel(),
+            EnergyModel(ddr_byte_j=90.0e-12, static_w=4.0, multiply_j=7.5e-12),
+        )
+        warm = compile_workload(workload, 4)
+        self._evaluate(warm, workload, overrides[0], energy_models[0])
+        for buffers in overrides:
+            for model in energy_models:
+                got = self._evaluate(warm, workload, buffers, model)
+                cold = self._evaluate(
+                    CompiledWorkload(workload, 4), workload, buffers, model
+                )
+                _assert_grids_identical(got, cold)
+                for index in np.ndindex(got.shape):
+                    config = got.config_at(*index)
+                    perf = estimate_model(workload, config, mode=MODE_QUANTIZED)
+                    assert got.cycles_per_image[index] == perf.cycles_per_image
+                    seconds = perf.cycles_per_image / (config.freq_mhz * 1e6)
+                    report = abm_power_analytic(workload, config, seconds, model)
+                    assert got.power_w[index] == report.total_power_w
+                    assert got.gops_per_watt[index] == report.gops_per_watt
+
+    def test_rejects_a_workload_it_was_not_compiled_from(self, alexnet_workload):
+        copy = ModelWorkload(name=alexnet_workload.name, layers=alexnet_workload.layers)
+        with pytest.raises(ValueError, match="not the one"):
+            compile_workload(alexnet_workload, 4).evaluate_grid(
+                copy,
+                DEFAULT_RESOURCE_MODEL,
+                n_knl_values=(14,),
+                s_ec_values=(20,),
+                n_cu_values=(3,),
+            )
+
+    def test_plannable_matches_the_planner(self, alexnet_workload):
+        compiled = compile_workload(alexnet_workload, 4)
+        for d_f in (16, 256, 4096):
+            for s_ec in (4, 20):
+                try:
+                    for layer in alexnet_workload.layers:
+                        plan_layer_windows(layer.spec, d_f, s_ec)
+                    expected = True
+                except ValueError:
+                    expected = False
+                assert compiled.plannable(d_f, s_ec) is expected
+
+
+class TestCompiledOwnerEviction:
+    def test_entries_dropped_with_their_workload(self):
+        workload = synthetic_model_workload("alexnet", seed=7)
+        before = len(_compiled)
+        for n_share in (2, 4):
+            compile_workload(workload, n_share).evaluate_grid(
+                workload,
+                DEFAULT_RESOURCE_MODEL,
+                n_knl_values=(14,),
+                s_ec_values=(20,),
+                n_cu_values=(3,),
+            )
+        assert len(_compiled) == before + 2
+        del workload
+        gc.collect()
+        assert len(_compiled) == before

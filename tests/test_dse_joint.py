@@ -99,6 +99,7 @@ class TestPowerArrays:
         compiled = compile_workload(alexnet_workload, n_share=11)
         s_ec_values = (8, 16, 24)
         evaluation = compiled.evaluate_grid(
+            alexnet_workload,
             DEFAULT_RESOURCE_MODEL,
             STRATIX_V_GXA7,
             n_knl_values=(8, 14),
@@ -121,6 +122,7 @@ class TestPowerArrays:
     def test_grid_power_matches_abm_power_analytic(self, alexnet_workload):
         compiled = compile_workload(alexnet_workload, n_share=11)
         evaluation = compiled.evaluate_grid(
+            alexnet_workload,
             DEFAULT_RESOURCE_MODEL,
             STRATIX_V_GXA7,
             n_knl_values=(14,),

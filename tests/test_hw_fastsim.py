@@ -136,6 +136,42 @@ class TestFastPathExactness:
         )
         fast_trace.verify_no_overlap()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=st.one_of(
+            conv_workloads().map(lambda w: w.spec), fc_workloads().map(lambda w: w.spec)
+        ),
+        nonzeros=st.integers(0, 60),
+        distinct_frac=st.floats(0, 1),
+        n_cu=st.integers(1, 8),
+        n_knl=st.integers(1, 6),
+        s_ec=st.integers(1, 12),
+        policy=policies,
+        bandwidth=bandwidths,
+    )
+    def test_equal_cost_ties_pick_the_first_free_cu(
+        self, spec, nonzeros, distinct_frac, n_cu, n_knl, s_ec, policy, bandwidth
+    ):
+        """Equal-cost groups tie on every pick: the earliest-free CU with the
+        lowest index wins on both paths, event for event."""
+        distinct = int(nonzeros * distinct_frac)
+        channels = spec.out_channels
+        workload = workload_from_arrays(
+            spec, [nonzeros] * channels, [distinct] * channels
+        )
+        config = AcceleratorConfig(
+            n_cu=n_cu, n_knl=n_knl, n_share=4, s_ec=s_ec, d_f=512
+        )
+        fast_trace, ref_trace = TraceRecorder(), TraceRecorder()
+        fast = simulate_layer_fast(
+            workload, config, _memory(config, bandwidth), policy, trace=fast_trace
+        )
+        reference = simulate_layer_reference(
+            workload, config, _memory(config, bandwidth), policy, trace=ref_trace
+        )
+        assert fast == reference
+        assert list(fast_trace.events) == list(ref_trace.events)
+
     def test_dispatcher_default_is_fast(self, rng):
         spec = conv_spec("c", 8, 10, kernel=3, in_rows=10, in_cols=10, padding=1)
         nonzeros = rng.integers(5, 60, size=10)
