@@ -1,5 +1,12 @@
 """Benchmark: fleet-scale serving through the event-driven engine.
 
+The simulated instances carry the timing profile of a real deployment:
+the ``cifarnet`` zoo model, pruned to 40 % density, quantized and
+deployed on the Stratix-V GXA7 (``ServiceProfile.from_runtime``, as in
+``bench_serving.py`` and the perfbench ``serve`` workload). Host time is
+in perfbench reference seconds (``refclock.py``), stamped with the host
+fingerprint; the wall-time bars below are checked on wall seconds.
+
 Two measurements, one artifact (``BENCH_serving_scale.json``):
 
 - **scale**: >= 1,000,000 simulated requests pushed through the
@@ -23,6 +30,15 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
+import pytest
+from refclock import CLOCK, CLOCK_UNIT, fingerprint
+
+from repro.hw import STRATIX_V_GXA7
+from repro.nn.models import get_architecture
+from repro.pipeline import QuantizedPipeline
+from repro.prune import uniform_schedule
+from repro.runtime import SystemRuntime
 from repro.serve import (
     BatchPolicy,
     EventDrivenSimulator,
@@ -31,13 +47,14 @@ from repro.serve import (
     poisson_trace,
 )
 from repro.telemetry import Telemetry
+from repro.workloads.images import natural_image
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_serving_scale.json"
 
-#: The simulated deployment: AlexNet-class stage times (Section 6.1 scale)
-#: on a 16-instance fleet.
-PROFILE = ServiceProfile(fpga_s=2e-3, host_s=1e-3, dense_ops_per_image=0)
+#: The deployed model and its pruning density; a 16-instance fleet.
+MODEL = "cifarnet"
+DENSITY = 0.4
 INSTANCES = 16
 POLICY = BatchPolicy(max_batch=16, max_wait_s=4e-3)
 SLO_MIX = {"latency-sensitive": 0.6, "best-effort": 0.4}
@@ -51,8 +68,29 @@ WALL_BAR_S = 60.0 if QUICK else 30.0
 LOAD_POINTS = (0.5, 0.8, 0.95, 1.25)
 
 
-def _fleet_capacity_rps() -> float:
-    return INSTANCES * PROFILE.capacity_rps
+@pytest.fixture(scope="module")
+def profile(seed) -> ServiceProfile:
+    """Timing profile of the deployed model (Section 6.1 pipeline)."""
+    architecture = get_architecture(MODEL)
+    network = architecture.build(seed=seed)
+    rng = np.random.default_rng(seed)
+    pipeline = QuantizedPipeline(network)
+    names = [layer.name for layer in network.accelerated_layers()]
+    pipeline.prune(uniform_schedule(names, DENSITY).densities)
+    pipeline.calibrate(natural_image(network.input_shape.as_tuple(), rng))
+    pipeline.quantize()
+    runtime = SystemRuntime.from_pipeline(
+        pipeline, architecture.accelerated_specs(), STRATIX_V_GXA7
+    )
+    return ServiceProfile.from_runtime(runtime)
+
+
+def _run_timed(engine, trace):
+    """(report, reference seconds, wall seconds) of one ``run_trace``."""
+    start = time.perf_counter()
+    with CLOCK.interval() as took:
+        report = engine.run_trace(trace)
+    return report, took[0], time.perf_counter() - start
 
 
 def _classes(overloaded: bool):
@@ -66,22 +104,27 @@ def _classes(overloaded: bool):
 def _percentiles(telemetry: Telemetry, slo: str):
     histogram = telemetry.registry.histogram("serve/latency_s", slo=slo)
     return {
-        "p50_ms": round(histogram.percentile(50) * 1e3, 4),
-        "p99_ms": round(histogram.percentile(99) * 1e3, 4),
-        "p999_ms": round(histogram.percentile(99.9) * 1e3, 4),
+        "p50_ms": round(histogram.percentile(50) * 1e3, 6),
+        "p99_ms": round(histogram.percentile(99) * 1e3, 6),
+        "p999_ms": round(histogram.percentile(99.9) * 1e3, 6),
         "count": histogram.count,
     }
 
 
-def test_bench_serving_scale_artifact():
+def test_bench_serving_scale_artifact(profile, seed):
     """Fleet-scale wall-time bar + latency-vs-load curve; writes artifact."""
-    capacity = _fleet_capacity_rps()
+    capacity = INSTANCES * profile.capacity_rps
     report = {
         "generated_by": "benchmarks/bench_serving_scale.py",
         "quick": QUICK,
+        "seed": seed,
+        "clock": CLOCK_UNIT,
+        "fingerprint": fingerprint(),
         "profile": {
-            "fpga_ms": PROFILE.fpga_s * 1e3,
-            "host_ms": PROFILE.host_s * 1e3,
+            "model": profile.name,
+            "density": DENSITY,
+            "fpga_ms": profile.fpga_s * 1e3,
+            "host_ms": profile.host_s * 1e3,
             "instances": INSTANCES,
             "max_batch": POLICY.max_batch,
             "max_wait_ms": POLICY.max_wait_s * 1e3,
@@ -95,7 +138,7 @@ def test_bench_serving_scale_artifact():
         SCALE_REQUESTS, 0.8 * capacity, seed=0, slo_mix=SLO_MIX
     )
     engine = EventDrivenSimulator(
-        PROFILE,
+        profile,
         POLICY,
         classes=_classes(overloaded=False),
         instances=INSTANCES,
@@ -103,9 +146,7 @@ def test_bench_serving_scale_artifact():
         record_spans=False,
         collect_records=False,
     )
-    start = time.perf_counter()
-    scale_report = engine.run_trace(trace)
-    wall_s = time.perf_counter() - start
+    scale_report, ref_s, wall_s = _run_timed(engine, trace)
     assert scale_report.served == SCALE_REQUESTS
     assert wall_s < WALL_BAR_S, (
         f"{SCALE_REQUESTS} requests took {wall_s:.1f}s, bar is {WALL_BAR_S}s"
@@ -114,14 +155,17 @@ def test_bench_serving_scale_artifact():
         "engine": "events",
         "batching": "windows",
         "requests": SCALE_REQUESTS,
+        "ref_s": round(ref_s, 3),
+        "us_per_request": round(ref_s / SCALE_REQUESTS * 1e6, 3),
         "wall_s": round(wall_s, 3),
         "requests_per_wall_second": round(SCALE_REQUESTS / wall_s),
         "virtual_makespan_s": round(scale_report.makespan_s, 3),
         "bar_s": WALL_BAR_S,
     }
     print(
-        f"  scale: {SCALE_REQUESTS} requests in {wall_s:.2f}s wall "
-        f"({SCALE_REQUESTS / wall_s / 1e3:.0f}k req/s, bar {WALL_BAR_S:g}s)"
+        f"  scale: {SCALE_REQUESTS} requests in {wall_s:.2f}s wall, "
+        f"{ref_s / SCALE_REQUESTS * 1e6:.2f} us/request "
+        f"(bar {WALL_BAR_S:g}s)"
     )
 
     # ---- latency vs offered load, per SLO class ------------------------
@@ -133,7 +177,7 @@ def test_bench_serving_scale_artifact():
             CURVE_REQUESTS, ratio * capacity, seed=7, slo_mix=SLO_MIX
         )
         engine = EventDrivenSimulator(
-            PROFILE,
+            profile,
             POLICY,
             classes=_classes(overloaded),
             instances=INSTANCES,
@@ -142,15 +186,15 @@ def test_bench_serving_scale_artifact():
             record_spans=False,
             collect_records=False,
         )
-        start = time.perf_counter()
-        point_report = engine.run_trace(trace)
-        point_wall_s = time.perf_counter() - start
+        point_report, point_ref_s, point_wall_s = _run_timed(engine, trace)
         point = {
             "offered_ratio": ratio,
             "offered_rps": round(ratio * capacity, 1),
             "requests": CURVE_REQUESTS,
             "served": point_report.served,
             "rejected": point_report.rejected,
+            "ref_s": round(point_ref_s, 3),
+            "us_per_request": round(point_ref_s / CURVE_REQUESTS * 1e6, 3),
             "wall_s": round(point_wall_s, 3),
             "classes": {
                 slo: _percentiles(telemetry, slo)
@@ -163,7 +207,8 @@ def test_bench_serving_scale_artifact():
             f"  load {ratio:4.2f}x: p50 {sensitive['p50_ms']:7.3f} ms  "
             f"p99 {sensitive['p99_ms']:7.3f} ms  "
             f"p999 {sensitive['p999_ms']:7.3f} ms  "
-            f"rejected {point['rejected']}"
+            f"rejected {point['rejected']}  "
+            f"{point['us_per_request']:.2f} us/request"
         )
     report["load_curve"] = curve
 

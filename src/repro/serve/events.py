@@ -14,7 +14,10 @@ compositions are *exactly* (float-for-float) equal
 Event kinds, in tie-break order at equal virtual times:
 
 1. ``FINISH`` — an instance completes a batch (or one streamed image in
-   continuous mode); waiting work dispatches immediately.
+   continuous mode); waiting work dispatches immediately. Continuous
+   mode keeps one FINISH per request: lanes that free at the same
+   instant free one at a time, in admission order, with an admission
+   attempt after each, and freeing them together would change picks.
 2. ``ARRIVAL`` — a request arrives; admission control may reject it,
    otherwise it joins its SLO class's open batch (windows mode) or queue
    (continuous mode). Arrivals are walked straight off the sorted trace
@@ -35,6 +38,14 @@ Batching modes:
   stream lane (``max_batch`` of them) frees up. An admitted request
   finishes at ``max(now + fill, tail + step)``: either it refills a
   drained pipeline or it slots in behind the last scheduled image.
+
+Both picks break ties to the lowest instance id. ``Fleet.active`` is in
+ascending id order, so each pick is one upward walk that keeps only a
+strictly earlier candidate. The continuous walk stops at the first
+drained instance (``tail + step <= now + fill``): it finishes at
+``now + fill``, the least possible. Admission runs only while requests
+are queued, and the virtual time is a local of the event loop, written
+back to :attr:`EventDrivenSimulator.clock` once per trace.
 
 SLO classes are served strictly by priority; per-class ``queue_limit``
 gives admission control, and rejected requests surface in the report,
@@ -65,6 +76,7 @@ __all__ = [
 
 # Tie-break ranks of same-instant events (see module docstring).
 _FINISH, _ARRIVAL, _SEAL, _SCALE = 0, 1, 2, 3
+_NEVER = float("inf")
 
 
 @dataclass(frozen=True)
@@ -213,9 +225,6 @@ class _ClassState:
         self.queue_head = 0  # pop index (amortized O(1) FIFO on a list)
         self.pending = 0  # admitted but not yet started
 
-    def queue_len(self) -> int:
-        return len(self.queue) - self.queue_head
-
 
 class EventDrivenSimulator:
     """Virtual-clock, event-driven serving over a simulated fleet."""
@@ -292,6 +301,7 @@ class EventDrivenSimulator:
         continuous = self.continuous
         collect = self.collect_records
         fleet = Fleet(profile, self.instances)
+        active = fleet.active  # ascending ids; spawn/retire edit it in place
         states = [
             _ClassState(slo, self.policy.max_wait_s) for slo in self.classes
         ]
@@ -304,6 +314,9 @@ class EventDrivenSimulator:
         dispatch: List[tuple] = []  # (priority, close_s, bseq, cls, members)
         bseq = 0
         next_batch_id = 0
+        # The virtual clock lives in this local between events and is
+        # written back to ``self.clock`` once, after the last event.
+        now = self.clock.now()
 
         n = len(arrivals)
         i = 0  # next arrival index
@@ -314,46 +327,22 @@ class EventDrivenSimulator:
         scale_events: List[ScaleEvent] = []
 
         rejections: List[Rejection] = []
-        # Parallel per-request record columns (materialized at the end).
-        rec_rid: List[int] = []
-        rec_cls: List[int] = []
-        rec_worker: List[int] = []
-        rec_batch: List[int] = []
-        rec_arrival: List[float] = []
-        rec_close: List[float] = []
-        rec_start: List[float] = []
-        rec_finish: List[float] = []
-        # Aggregates kept even when records are off.
+        # Per-request records (materialized at the end):
+        # (rid, cls, worker, batch, arrival, close, start, finish).
+        records: List[tuple] = []
+        # Aggregates kept even when records are off; one wait per served
+        # request.
         lat_by_class: List[List[float]] = [[] for _ in states]
         wait_all: List[float] = []
-        served = 0
         last_finish_s = arrivals[0] if n else 0.0
         first_arrival_s = arrivals[0] if n else 0.0
         # Batch traces; continuous mode finalizes stream runs at the end.
         batch_rows: List[list] = []  # [id, worker, cls, size, close, start, finish]
-        run_of_instance: Dict[int, int] = {}  # continuous: open run per instance
+        # Continuous: instance id -> the row of its open stream run.
+        open_run: Dict[int, list] = {}
 
         def more_work() -> bool:
             return i < n or queued > 0 or in_service > 0
-
-        def record(rid: int, cls: int, worker: int, batch: int,
-                   arrival: float, close: float, start: float,
-                   finish: float) -> None:
-            nonlocal served, last_finish_s
-            served += 1
-            lat_by_class[cls].append(finish - arrival)
-            wait_all.append(start - arrival)
-            if finish > last_finish_s:
-                last_finish_s = finish
-            if collect:
-                rec_rid.append(rid)
-                rec_cls.append(cls)
-                rec_worker.append(worker)
-                rec_batch.append(batch)
-                rec_arrival.append(arrival)
-                rec_close.append(close)
-                rec_start.append(start)
-                rec_finish.append(finish)
 
         # ---- windows mode helpers ----------------------------------
 
@@ -368,13 +357,18 @@ class EventDrivenSimulator:
             try_dispatch()
 
         def try_dispatch() -> None:
-            nonlocal in_service, seq, next_batch_id, queued
+            nonlocal in_service, seq, next_batch_id, queued, last_finish_s
             while dispatch:
-                now = self.clock.now()
-                free = [w for w in fleet.active if w.available_s <= now]
-                if not free:
+                # Earliest-free instance, lowest id on ties: an ascending-id
+                # walk that keeps only a strictly earlier one.
+                worker = None
+                for w in active:
+                    if w.available_s <= now and (
+                        worker is None or w.available_s < worker.available_s
+                    ):
+                        worker = w
+                if worker is None:
                     return
-                worker = min(free, key=lambda w: (w.available_s, w.instance_id))
                 _, close_s, _, cls, members = heappop(dispatch)
                 size = len(members)
                 # Same expression as batcher.dispatch_batches, so start
@@ -391,38 +385,48 @@ class EventDrivenSimulator:
                 in_service += 1
                 heappush(heap, (finish_s, _FINISH, seq, worker, None))
                 seq += 1
+                latencies = lat_by_class[cls]
+                for _, arrival in members:
+                    latencies.append(finish_s - arrival)
+                    wait_all.append(start_s - arrival)
+                if finish_s > last_finish_s:
+                    last_finish_s = finish_s
                 if collect:
+                    worker_id = worker.instance_id
                     batch_rows.append(
-                        [batch_id, worker.instance_id, cls, size,
+                        [batch_id, worker_id, cls, size,
                          close_s, start_s, finish_s]
                     )
-                for rid, arrival in members:
-                    record(rid, cls, worker.instance_id, batch_id,
-                           arrival, close_s, start_s, finish_s)
+                    records.extend(
+                        (rid, cls, worker_id, batch_id,
+                         arrival, close_s, start_s, finish_s)
+                        for rid, arrival in members
+                    )
 
         # ---- continuous mode helpers -------------------------------
 
         def try_admit() -> None:
-            nonlocal in_service, seq, next_batch_id, queued
-            now = self.clock.now()
-            while True:
-                state = None
-                cls = -1
-                for index in by_priority:
-                    if states[index].queue_len() > 0:
-                        state, cls = states[index], index
+            nonlocal in_service, seq, next_batch_id, queued, last_finish_s
+            # A request admitted now finishes at max(floor, tail + step).
+            floor = now + fill
+            while queued:  # == the summed queue lengths in this mode
+                for cls in by_priority:
+                    state = states[cls]
+                    if state.queue_head < len(state.queue):
                         break
-                if state is None:
-                    return
+                # Lowest finish, lowest id on ties: walk ids upwards and keep
+                # only a strictly earlier finish. The first drained instance
+                # (tail + step <= floor) finishes at floor, the least any
+                # instance can, and every later tie has a larger id.
                 best = None
-                best_key = None
-                for w in fleet.active:
-                    if w.in_flight >= max_batch:
-                        continue
-                    finish = max(now + fill, w.tail_s + step)
-                    key = (finish, w.instance_id)
-                    if best_key is None or key < best_key:
-                        best, best_key = w, key
+                for w in active:
+                    if w.in_flight < max_batch:
+                        finish_s = w.tail_s + step
+                        if finish_s <= floor:
+                            best, best_s = w, floor
+                            break
+                        if best is None or finish_s < best_s:
+                            best, best_s = w, finish_s
                 if best is None:
                     return
                 rid, arrival = state.queue[state.queue_head]
@@ -433,41 +437,37 @@ class EventDrivenSimulator:
                 state.pending -= 1
                 queued -= 1
                 if best.in_flight == 0:
-                    run = next_batch_id
+                    row = [next_batch_id, best.instance_id, cls, 0, now, now, now]
                     next_batch_id += 1
-                    run_of_instance[best.instance_id] = run
+                    open_run[best.instance_id] = row
                     if collect:
-                        batch_rows.append(
-                            [run, best.instance_id, cls, 0, now, now, now]
-                        )
+                        batch_rows.append(row)
                 else:
-                    run = run_of_instance[best.instance_id]
-                finish_s = best_key[0]
-                best.busy_s += finish_s - max(best.tail_s, now)
-                best.tail_s = finish_s
+                    row = open_run[best.instance_id]
+                tail_s = best.tail_s
+                best.busy_s += best_s - (tail_s if tail_s >= now else now)
+                best.tail_s = best_s
                 best.in_flight += 1
                 in_service += 1
-                heappush(heap, (finish_s, _FINISH, seq, best, None))
+                heappush(heap, (best_s, _FINISH, seq, best, None))
                 seq += 1
+                lat_by_class[cls].append(best_s - arrival)
+                wait_all.append(now - arrival)
+                if best_s > last_finish_s:
+                    last_finish_s = best_s
                 if collect:
-                    row = batch_rows[-1] if batch_rows[-1][0] == run else None
-                    if row is None:  # joined an earlier run
-                        for row in reversed(batch_rows):
-                            if row[0] == run:
-                                break
                     row[3] += 1
-                    row[6] = max(row[6], finish_s)
+                    row[6] = max(row[6], best_s)
                     if row[2] != cls:
                         row[2] = -1  # mixed-class stream run
-                record(rid, cls, best.instance_id, run,
-                       arrival, now, now, finish_s)
+                    records.append((rid, cls, best.instance_id, row[0],
+                                    arrival, now, now, best_s))
 
         # ---- autoscaling -------------------------------------------
 
         def scale_check() -> None:
             nonlocal last_scale_s, seq
             policy = self.autoscale
-            now = self.clock.now()
             if policy is None:
                 return
             if now - last_scale_s >= policy.cooldown_s:
@@ -476,7 +476,7 @@ class EventDrivenSimulator:
                     per_instance > policy.scale_up_queue_per_instance
                     and fleet.size < policy.max_instances
                 ):
-                    worker = fleet.spawn(now + policy.startup_delay_s)
+                    fleet.spawn(now + policy.startup_delay_s)
                     last_scale_s = now
                     scale_events.append(
                         ScaleEvent(
@@ -491,7 +491,6 @@ class EventDrivenSimulator:
                             ),
                         )
                     )
-                    del worker
                 elif (
                     queued == 0
                     and fleet.size > policy.min_instances
@@ -527,19 +526,18 @@ class EventDrivenSimulator:
         # ---- main loop ---------------------------------------------
 
         while i < n or heap:
-            take_heap = bool(heap) and (
-                i >= n
-                or heap[0][0] < arrivals[i]
-                or (heap[0][0] == arrivals[i] and heap[0][1] < _ARRIVAL)
-            )
-            if take_heap:
+            # A heap event goes before arrival i when it is earlier, or a
+            # FINISH at the same instant (arrivals never enter the heap).
+            if heap and heap[0] < (arrivals[i] if i < n else _NEVER, _ARRIVAL):
                 time_s, rank, _, a, b = heappop(heap)
-                self.clock.advance_to(time_s)
+                if time_s > now:
+                    now = time_s
                 if rank == _FINISH:
                     in_service -= 1
                     if continuous:
                         a.in_flight -= 1
-                        try_admit()
+                        if queued:
+                            try_admit()
                     else:
                         try_dispatch()
                 elif rank == _SEAL:
@@ -554,7 +552,8 @@ class EventDrivenSimulator:
             rid = ids[i]
             cls = class_ids[i]
             i += 1
-            self.clock.advance_to(t)
+            if t > now:
+                now = t
             state = states[cls]
             limit = state.limit
             if limit is not None and state.pending >= limit:
@@ -586,9 +585,11 @@ class EventDrivenSimulator:
                     seq += 1
                 if len(state.open) >= max_batch:
                     seal(cls, t)
+        self.clock.advance_to(now)
 
         # ---- report ------------------------------------------------
 
+        served = len(wait_all)
         makespan_s = (
             last_finish_s - first_arrival_s if served else 0.0
         )
@@ -598,17 +599,18 @@ class EventDrivenSimulator:
             run_sizes = {row[0]: row[3] for row in batch_rows}
             outcomes = tuple(
                 EventOutcome(
-                    request_id=rec_rid[k],
-                    slo=states[rec_cls[k]].name,
-                    worker_id=rec_worker[k],
-                    batch_id=rec_batch[k],
-                    batch_size=run_sizes[rec_batch[k]],
-                    arrival_s=rec_arrival[k],
-                    close_s=rec_close[k],
-                    start_s=rec_start[k],
-                    finish_s=rec_finish[k],
+                    request_id=rid,
+                    slo=states[cls].name,
+                    worker_id=worker,
+                    batch_id=batch,
+                    batch_size=run_sizes[batch],
+                    arrival_s=arrival,
+                    close_s=close,
+                    start_s=start,
+                    finish_s=finish,
                 )
-                for k in range(len(rec_rid))
+                for rid, cls, worker, batch, arrival, close, start, finish
+                in records
             )
             batches = tuple(
                 EventBatch(

@@ -140,7 +140,9 @@ class Fleet:
     Spawned instances get monotonically increasing ids (an id is never
     reused, so outcomes always attribute to one concrete instance even
     across scale-down/up cycles); retired instances are kept for the
-    final utilization report.
+    final utilization report. ``active`` stays in ascending id order —
+    spawns append, retirements remove — and the engine's instance picks
+    rely on it for their lowest-id tie rule.
     """
 
     def __init__(self, profile: ServiceProfile, instances: int = 1) -> None:
@@ -167,9 +169,7 @@ class Fleet:
 
     def retire_idle(self, now: float) -> Optional[Instance]:
         """Retire the newest idle instance, if any; returns it or None."""
-        for instance in sorted(
-            self.active, key=lambda w: w.instance_id, reverse=True
-        ):
+        for instance in reversed(self.active):
             if instance.idle_at(now):
                 instance.retired_s = now
                 self.active.remove(instance)

@@ -7,19 +7,25 @@ oracle, :func:`form_batches` + :func:`dispatch_batches`: same batch
 compositions, same workers, and float-for-float identical
 close/start/finish times, first on a fixed trace through the profile of a
 real quantized pipeline and then on hypothesis-randomized traces.
+Continuous mode is pinned the same way against a test-local reference
+that takes the literal full-scan argmin for every admission.
 Randomized traces also pin the engine's serving invariants (served
 exactly once, FIFO within an SLO class, batch/lane caps, bounded batching
 wait) in both batching modes.
 """
 
+from collections import deque
+from heapq import heappop, heappush
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve import (
     DEFAULT_SLO,
     BatchPolicy,
+    EventBatch,
     EventDrivenSimulator,
     EventOutcome,
     LoadTrace,
@@ -232,6 +238,122 @@ class TestDifferentialRandomized:
         arrivals = _arrivals_from_gaps(gaps)
         oracle, events = _run_both(arrivals, policy, 0.4e-3, 3.0e-3)
         _assert_exactly_equal(oracle, events)
+
+
+# ---------------------------------------------------------------------------
+# differential: continuous mode against a literal reference
+# ---------------------------------------------------------------------------
+
+
+def _continuous_reference(arrivals, max_batch, profile, workers):
+    """(outcomes, batches, busy seconds) of continuous batching, literally.
+
+    One SLO class, no queue limit, no autoscaling. FINISH events go before
+    same-instant arrivals and among themselves in admission order; after
+    every event the FIFO queue is admitted while a lane is free, each
+    request to the instance with the least ``(max(now + fill, tail +
+    step), id)`` over a full scan of the fleet.
+    """
+    fill, step = profile.fill_s, profile.step_s
+    tail = [0.0] * workers
+    in_flight = [0] * workers
+    busy = [0.0] * workers
+    runs = []  # [batch_id, worker, size, close, start, finish]
+    open_run = [None] * workers
+    admitted = []  # (rid, worker, run, arrival, admit time, finish)
+    finishes = []  # heap of (time, admission seq, worker)
+    queue = deque()
+    now = 0.0
+
+    def admit():
+        while queue:
+            lanes = [w for w in range(workers) if in_flight[w] < max_batch]
+            if not lanes:
+                return
+            finish, w = min(
+                (max(now + fill, tail[w] + step), w) for w in lanes
+            )
+            rid, arrival = queue.popleft()
+            if in_flight[w] == 0:
+                open_run[w] = [len(runs), w, 0, now, now, now]
+                runs.append(open_run[w])
+            run = open_run[w]
+            run[2] += 1
+            run[5] = max(run[5], finish)
+            busy[w] += finish - max(tail[w], now)
+            tail[w] = finish
+            in_flight[w] += 1
+            heappush(finishes, (finish, len(admitted), w))
+            admitted.append((rid, w, run, arrival, now, finish))
+
+    i = 0
+    while i < len(arrivals) or finishes:
+        if finishes and (i == len(arrivals) or finishes[0][0] <= arrivals[i]):
+            now, _, w = heappop(finishes)
+            in_flight[w] -= 1
+        else:
+            now = float(arrivals[i])
+            queue.append((i, now))
+            i += 1
+        admit()
+
+    outcomes = [
+        EventOutcome(
+            request_id=rid,
+            slo=DEFAULT_SLO.name,
+            worker_id=w,
+            batch_id=run[0],
+            batch_size=run[2],
+            arrival_s=arrival,
+            close_s=start,
+            start_s=start,
+            finish_s=finish,
+        )
+        for rid, w, run, arrival, start, finish in sorted(admitted)
+    ]
+    batches = [
+        EventBatch(
+            batch_id=batch_id, worker_id=w, slo=DEFAULT_SLO.name,
+            size=size, close_s=close, start_s=start, finish_s=finish,
+        )
+        for batch_id, w, size, close, start, finish in runs
+    ]
+    return outcomes, batches, dict(enumerate(busy))
+
+
+class TestContinuousDifferential:
+    """The continuous pick's early exits against the literal full scan."""
+
+    @settings(max_examples=80, deadline=None)
+    # Bursts: drained instances tie at the floor, and then busy ones tie at
+    # the same tail + step; both ties go to the lowest id.
+    @example(gaps=[0.0] * 3, workers=2, max_batch=2, stages=(1.7e-3, 0.9e-3))
+    @example(gaps=[0.0] * 9, workers=3, max_batch=4, stages=(0.4e-3, 3.0e-3))
+    @given(
+        gaps=_GAPS,
+        workers=st.integers(min_value=1, max_value=6),
+        max_batch=st.integers(min_value=1, max_value=4),
+        stages=st.sampled_from([(1.7e-3, 0.9e-3), (0.4e-3, 3.0e-3)]),
+    )
+    def test_matches_reference_exactly(self, gaps, workers, max_batch, stages):
+        """Compute-bound and host-bound profiles; zero gaps give ties."""
+        arrivals = _arrivals_from_gaps(gaps)
+        profile = ServiceProfile(fpga_s=stages[0], host_s=stages[1])
+        report = EventDrivenSimulator(
+            profile,
+            BatchPolicy(max_batch=max_batch),
+            instances=workers,
+            continuous=True,
+        ).run_trace(_trace(arrivals))
+        outcomes, batches, busy = _continuous_reference(
+            arrivals, max_batch, profile, workers
+        )
+        # Dataclass equality compares every field, floats with ==.
+        assert (
+            sorted(report.outcomes, key=lambda o: o.request_id) == outcomes
+        )
+        assert list(report.batches) == batches
+        assert report.busy_seconds == busy
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,30 @@ class TestFleetAccounting:
         assert fleet.peak_size == 3
         assert sorted(fleet.busy_seconds()) == [0, 1, 2, 3]
 
+    def test_active_stays_in_ascending_id_order(self):
+        """The engine's lowest-id tie rules walk ``active`` in order."""
+        fleet = Fleet(PROFILE, instances=3)
+        rng = np.random.default_rng(0)
+        now = 0.0
+        for _ in range(200):
+            now += 1.0
+            # Random instances stay busy past ``now``, so retirement has
+            # to skip over them and removes from the middle of the list.
+            for worker in fleet.active:
+                worker.available_s = now + rng.integers(0, 2)
+            if rng.random() < 0.5:
+                fleet.spawn(now)
+            elif fleet.size > 1:
+                retired = fleet.retire_idle(now)
+                if retired is not None:
+                    idle = [w for w in fleet.active if w.idle_at(now)]
+                    assert all(
+                        w.instance_id < retired.instance_id for w in idle
+                    )
+            ids = [w.instance_id for w in fleet.active]
+            assert ids == sorted(ids)
+        assert fleet.retired and fleet.peak_size > 3
+
     def test_busy_instances_not_retired(self):
         fleet = Fleet(PROFILE, instances=1)
         fleet.active[0].available_s = 10.0  # mid-batch until t=10
