@@ -7,8 +7,11 @@ performance regressions in the numpy implementations are visible.
 The real-layer comparison (``test_bench_compiled_real_layers``) times the
 literal per-kernel reference and the compiled GEMM plan on actual
 AlexNet/VGG16 conv shapes, then writes a ``BENCH_kernels.json`` trajectory
-artifact (timings, images/s, speedups, plan-compile cost, datapath) to
-the repo root so future changes can track the kernel's performance.
+artifact (timings, images/s, speedups, plan-compile cost, datapath, host
+fingerprint) to the repo root so future changes can track the kernel's
+performance.  Times are perfbench reference seconds on the inference
+clock (``refclock.INFER_CLOCK``); run with ``OPENBLAS_NUM_THREADS=1``, as
+perfbench does, so the CPU seconds it rescales are one core's.
 
 Quick mode for CI: set ``REPRO_BENCH_QUICK=1`` to time only the smallest
 real layer with few repeats; the compiled-beats-reference assertion
@@ -17,11 +20,11 @@ still runs.
 
 import json
 import os
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from refclock import INFER_CLOCK, INFER_CLOCK_UNIT, best_of, fingerprint, telemetry_section
 
 from repro.baselines import sdconv2d, spconv2d
 from repro.core import (
@@ -42,20 +45,6 @@ from repro.telemetry import Telemetry, activate, clear_caches
 from repro.workloads import synthesize_quantized_layer, synthetic_feature_codes
 
 
-def _telemetry_section(telemetry):
-    """Compact snapshot for bench artifacts: cache hit rates + span totals."""
-    snapshot = telemetry.snapshot(include_spans=False)
-    return {
-        "caches": {
-            name: {
-                key: data[key]
-                for key in ("hits", "misses", "evictions", "hit_rate")
-            }
-            for name, data in snapshot["caches"].items()
-        },
-        "span_totals": telemetry.tracer.totals(),
-    }
-
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
@@ -69,6 +58,15 @@ REAL_LAYERS = {
     "vgg_conv5_3": (512, 512, 3, 14, 1, 1, 1),
 }
 QUICK_LAYERS = ("alex_conv5",)
+
+
+def _header():
+    return {
+        "generated_by": "benchmarks/bench_kernels.py",
+        "quick": QUICK,
+        "clock": INFER_CLOCK_UNIT,
+        "fingerprint": fingerprint(),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -105,16 +103,6 @@ def test_bench_encoding(benchmark, layer):
     assert encoded.nonzero_count == np.count_nonzero(weights)
 
 
-def _best_of(fn, repeats):
-    """Best-of-N wall time in seconds (min is the least noisy estimator)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _build_real_layer(name):
     out_ch, in_ch, kernel, in_hw, stride, padding, groups = REAL_LAYERS[name]
     spec = conv_spec(
@@ -147,32 +135,28 @@ def test_bench_compiled_real_layers():
     """
     names = QUICK_LAYERS if QUICK else tuple(REAL_LAYERS)
     repeats = 3 if QUICK else 5
-    report = {
-        "generated_by": "benchmarks/bench_kernels.py",
-        "quick": QUICK,
-        "density": 0.3,
-        "codebook": 20,
-        "layers": {},
-    }
+    report = {**_header(), "density": 0.3, "codebook": 20, "layers": {}}
     print()
     for name in names:
         weights, features, geometry = _build_real_layer(name)
         encoded = encode_layer(name, weights)
 
         clear_caches()
-        start = time.perf_counter()
-        plan = compile_layer_plan(encoded, geometry)
-        compile_s = time.perf_counter() - start
+        with INFER_CLOCK.interval() as took:
+            plan = compile_layer_plan(encoded, geometry)
+        compile_s = took[0]
 
         compiled = abm_conv2d(features, encoded, geometry)
-        start = time.perf_counter()
-        reference = abm_conv2d_reference(features, encoded, geometry)
-        reference_s = time.perf_counter() - start
+        with INFER_CLOCK.interval() as took:
+            reference = abm_conv2d_reference(features, encoded, geometry)
+        reference_s = took[0]
         assert np.array_equal(compiled.output, reference.output)
         assert compiled.accumulate_ops == reference.accumulate_ops
         assert compiled.multiply_ops == reference.multiply_ops
 
-        compiled_s = _best_of(lambda: abm_conv2d(features, encoded, geometry), repeats)
+        compiled_s = best_of(
+            lambda: abm_conv2d(features, encoded, geometry), repeats, INFER_CLOCK
+        )
 
         entry = {
             "shape": dict(
@@ -202,7 +186,7 @@ def test_bench_compiled_real_layers():
     telemetry = Telemetry()
     with activate(telemetry):
         abm_conv2d(features, encoded, geometry)
-    report["telemetry"] = _telemetry_section(telemetry)
+    report["telemetry"] = telemetry_section(telemetry)
 
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"  wrote {ARTIFACT}")
@@ -251,9 +235,9 @@ def test_bench_model_end_to_end():
         pipeline, images = _build_model(name)
 
         _model_plans.clear()
-        start = time.perf_counter()
-        plan = compile_model_plan(pipeline, images.shape)
-        fuse_s = time.perf_counter() - start
+        with INFER_CLOCK.interval() as took:
+            plan = compile_model_plan(pipeline, images.shape)
+        fuse_s = took[0]
 
         fused = pipeline.run_batch(images)
         reference = pipeline.run_batch_reference(images)
@@ -261,9 +245,9 @@ def test_bench_model_end_to_end():
             assert np.array_equal(f.output, r.output)
             assert f.total_ops == r.total_ops
 
-        fused_s = _best_of(lambda: pipeline.run_batch(images), repeats)
-        per_layer_s = _best_of(
-            lambda: pipeline.run_batch_reference(images), max(1, repeats - 2)
+        fused_s = best_of(lambda: pipeline.run_batch(images), repeats, INFER_CLOCK)
+        per_layer_s = best_of(
+            lambda: pipeline.run_batch_reference(images), max(1, repeats - 2), INFER_CLOCK
         )
 
         batch = images.shape[0]
@@ -286,11 +270,9 @@ def test_bench_model_end_to_end():
             f"fuse-compile {fuse_s * 1e3:6.2f} ms"
         )
 
-    report = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {
-        "generated_by": "benchmarks/bench_kernels.py",
-        "quick": QUICK,
-        "layers": {},
-    }
+    report = {**_header(), "layers": {}}
+    if ARTIFACT.exists():  # keep the real-layer rows and their fingerprint
+        report.update(json.loads(ARTIFACT.read_text()))
     report["models"] = rows
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"  wrote {ARTIFACT}")

@@ -21,17 +21,24 @@ CLOCK_UNIT = "reference seconds (perfbench harness.RefClock, events kernel)"
 
 CLOCK = harness.RefClock(KERNELS)
 
+#: The kernel benchmarks are BLAS GEMMs and memory-bound numpy passes, like
+#: perfbench's ``run_batch`` timing, so they share its calibration kernels.
+INFER_KERNELS = ("gemm", "stream")
+INFER_CLOCK_UNIT = "reference seconds (perfbench harness.RefClock, gemm+stream kernels)"
 
-def timed(fn) -> float:
-    """Reference seconds of one call of ``fn``."""
-    with CLOCK.interval() as took:
+INFER_CLOCK = harness.RefClock(INFER_KERNELS)
+
+
+def timed(fn, clock=CLOCK) -> float:
+    """Reference seconds of one call of ``fn`` on ``clock``."""
+    with clock.interval() as took:
         fn()
     return took[0]
 
 
-def best_of(fn, repeats: int) -> float:
+def best_of(fn, repeats: int, clock=CLOCK) -> float:
     """Best-of-``repeats`` reference seconds (min is the least noisy)."""
-    return min(timed(fn) for _ in range(repeats))
+    return min(timed(fn, clock) for _ in range(repeats))
 
 
 def fingerprint() -> dict:

@@ -1,21 +1,25 @@
 """Whole-model fused streaming execution plans.
 
 :mod:`repro.core.plan` compiles each conv/FC layer into an exact GEMM
-plan, but the per-layer reference walk still round-trips every layer
-through fresh numpy temporaries: it detaches each plan result into a new
-array, rescans the batch's peak magnitude per layer, and materializes
-6-8 float temporaries per requantize.  This module compiles the *network*
-the way the paper's
-accelerator streams it: one :class:`ModelPlan` per (pipeline, batch
-geometry) that
+plan; the per-layer reference walk still round-trips every layer through
+fresh BCHW temporaries.  This module compiles the *network* the way the
+paper's accelerator streams it, where a feature word is written once, in
+the form the next layer reads.  One :class:`ModelPlan` per (pipeline,
+batch geometry)
 
 - **fuses each conv/FC with its epilogue** — bias add, requantize to the
   layer's 8-bit output format, ReLU (folded into the clip bound) and, when
   adjacent, the integer-exact MaxPool — into a single stage;
-- **threads activations through two preallocated ping-pong CHW buffers**
-  sized to the network's high-water mark, so no per-layer output is ever
-  materialized (stages read the raw plan scratch and write requantized
-  codes straight into the destination buffer);
+- **streams channels-last (NHWC) activations through two preallocated
+  ping-pong buffers** at the network's high-water mark.  A conv's
+  pixel-major GEMM output is already the next layer's layout, so its
+  requantize writes contiguously into the destination buffer and the
+  next im2col copies contiguous ``C``-word runs.  ``run`` transposes at
+  the two ends only; Flatten copies to the reference's CHW order when the
+  map is wider than 1x1, so FC weights keep their columns;
+- **pools before it requantizes**: requantize is monotone non-decreasing,
+  so it commutes with max exactly, and a pooled stage requantizes only
+  the pooled sums;
 - **keeps the codes in the datapath's dtype**: when every fused stage runs
   the float32 GEMM with a sum bound below ``2**23`` (the 8-bit models),
   the ping-pong buffers hold float32 codes and the requantize runs in
@@ -23,26 +27,21 @@ geometry) that
   otherwise int64 codes and a float64 requantize (see
   :func:`_float32_codes`);
 - **hoists run-time decisions to compile time**: each stage's datapath
-  (float32 or float64 GEMM or the int64 fallback, see
-  :meth:`LayerPlan.datapath`)
-  comes from the tracked quantized-format code range (no peak scan per
-  layer per batch), the bias codes and requantize scale factors are
-  computed once, and the host/accelerator split is resolved when the
-  plan is built;
-- **shares one scratch arena across the batch**: the ping-pong buffers
-  and one requantize scratch serve every stage of every call.
+  (see :meth:`LayerPlan.datapath`) comes from the tracked quantized-format
+  code range (no peak scan per layer per batch), and the bias codes and
+  requantize scale factors are computed once.
 
 Bit-exactness: every fused stage computes the *same* codes as
 :meth:`repro.pipeline.QuantizedPipeline.run_batch_reference` (power-of-two
-scale factors make the fused single multiply exact, max of codes equals
-code of max, and below the float32 predicate's bounds the float32
+scale factors make the fused single multiply exact, max commutes with the
+monotone requantize, and below the float32 predicate's bounds the float32
 requantize rounds exactly as the reference's float64 one), so fused
 outputs and op counts are identical to the per-layer path — pinned by the
 hypothesis differential suite in ``tests/test_model_fused.py``.
 
 Host layers (AvgPool, LRN, Softmax) stay on the float path, exactly as the
 paper's CPU/FPGA split prescribes: they dequantize out of the stream, run
-in float64, and requantize back into the ping-pong flow.
+in float64 on BCHW, and requantize back into the ping-pong flow.
 
 Plans are LRU-cached per (pipeline identity, quantization token, batch
 geometry) and registered with the telemetry cache registry as
@@ -111,17 +110,24 @@ def requantize(
     Computed in ``scratch``'s dtype, which has ``raw``'s shape: one exact
     power-of-two multiply, round half away from zero as ``floor(|x| +
     0.5)`` with the sign of ``raw`` (``factor > 0``), and one clip that
-    writes, and casts, straight into ``out``.  In float64 this is the
-    reference's rounding; in float32 it is identical whenever
-    ``|raw| < FLOAT32_REQUANTIZE_EXACT`` and ``factor`` is a normal
-    float32, which is what :func:`_float32_codes` proves before a plan
-    stores float32 codes.
+    writes, and casts, straight into ``out`` (which may be ``raw``).  In
+    float64 this is the reference's rounding; in float32 it is identical
+    whenever ``|raw| < FLOAT32_REQUANTIZE_EXACT`` and ``factor`` is a
+    normal float32, which is what :func:`_float32_codes` proves before a
+    plan stores float32 codes.
+
+    With ``clip_lo >= 0`` (a folded ReLU) the sign is never needed: a
+    negative ``x`` rounds to a value ``<= 0`` either way and clips to
+    ``clip_lo``, and for ``x >= 0`` ``floor(x + 0.5)`` is the half-away
+    rounding.  So ReLU stages skip the ``abs`` and ``copysign`` passes.
     """
     np.multiply(raw, factor, out=scratch, dtype=scratch.dtype)
-    np.abs(scratch, out=scratch)
+    if clip_lo < 0:
+        np.abs(scratch, out=scratch)
     scratch += 0.5
     np.floor(scratch, out=scratch)
-    np.copysign(scratch, raw, out=scratch)
+    if clip_lo < 0:
+        np.copysign(scratch, raw, out=scratch)
     np.clip(scratch, clip_lo, clip_hi, out=out, casting="unsafe")
 
 
@@ -137,11 +143,8 @@ class _FusedStage:
         "clip_hi",
         "pool",
         "is_fc",
-        "input_peak",
         "sum_bound",
         "datapath",
-        "conv_shape",
-        "out_shape",
         "fused_names",
     )
 
@@ -156,8 +159,6 @@ class _FusedStage:
         relu: bool,
         pool: Optional[MaxPool2D],
         is_fc: bool,
-        conv_shape: FeatureShape,
-        out_shape: FeatureShape,
         fused_names: Tuple[str, ...],
     ) -> None:
         self.name = name
@@ -173,69 +174,91 @@ class _FusedStage:
         self.clip_hi = float(out_fmt.max_code)
         self.pool = pool
         self.is_fc = is_fc
-        self.input_peak = _max_abs_code(in_fmt)
+        input_peak = _max_abs_code(in_fmt)
         # Compile-time exactness proof: every partial sum is bounded by
         # max|x| * max_k sum(|VAL|*NUM) + |bias|, so the float32 GEMM is
         # exact below 2**24, the float64 GEMM below 2**53 and the int64
         # fallback below 2**63; past that the plan raises ExactnessError
         # here, before any batch runs.
         bias_peak = code_peak(bias_codes)
-        self.sum_bound = plan.sum_bound(self.input_peak, bias_peak)
+        self.sum_bound = plan.sum_bound(input_peak, bias_peak)
         #: What computes the raw sums: "gemm32", "gemm" or "int64".
-        self.datapath = plan.datapath(self.input_peak, bias_peak)
-        self.conv_shape = conv_shape
-        self.out_shape = out_shape
+        self.datapath = plan.datapath(input_peak, bias_peak)
         self.fused_names = fused_names
 
     def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
-        batch = (
-            current.reshape(current.shape[0], -1, 1, 1) if self.is_fc else current
-        )
-        channels = self.plan.out_channels
-        raw, images, out_rows, out_cols = self.plan.execute_batch_raw(
-            batch, self.bias_codes, self.datapath
-        )
-        # Requantize in the arena's scratch dtype; the clip writes the
-        # kernel-major sums into the BCHW destination view in one strided
-        # pass — the detach copy and the cast to the code dtype in one.
-        dest = arena.claim(current, (images, channels, out_rows, out_cols))
-        requantize(
-            raw.reshape(channels, images, out_rows, out_cols),
-            self.factor,
-            self.clip_lo,
-            self.clip_hi,
-            arena.scratch[: raw.size].reshape(channels, images, out_rows, out_cols),
-            dest.transpose(1, 0, 2, 3),
-        )
-        if self.pool is not None:
-            dest = _integer_maxpool(arena, self.pool, dest)
+        if self.is_fc:
+            current = _flatten(arena, current)
+        raw = self.plan.execute_batch_raw(current, self.bias_codes, self.datapath)
+        if self.pool is None:
+            dest = arena.claim(current, raw.shape)
+        else:
+            # Requantize is monotone non-decreasing, so it commutes with
+            # max: pool the raw sums into the destination (an exact cast of
+            # integers) and requantize only the pooled ones, in place.
+            dest = raw = _integer_maxpool(arena, self.pool, current, src=raw)
+        scratch = arena.scratch[: dest.size].reshape(dest.shape)
+        requantize(raw, self.factor, self.clip_lo, self.clip_hi, scratch, dest)
         return dest
 
 
-def _integer_maxpool(arena: "_Arena", pool: MaxPool2D, current: np.ndarray) -> np.ndarray:
-    """Ceil-mode max pooling on integer codes, into the free ping buffer.
+def _integer_maxpool(
+    arena: "_Arena",
+    pool: MaxPool2D,
+    current: np.ndarray,
+    src: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Ceil-mode max pooling of channels-last integers into the ping buffer
+    ``current`` does not occupy.
 
-    One strided ``np.maximum`` pass per window offset.  Offset (0, 0) lies
-    inside every window (ceil-mode windows never start past the edge), so
-    it initializes the output; each later offset updates only the leading
+    ``src`` (default ``current``) is what is pooled: a fused stage pools
+    its raw sums, cast into the code dtype on the way.  One strided
+    ``np.maximum`` pass per window offset.  Offset (0, 0) lies inside
+    every window (ceil-mode windows never start past the edge), so it
+    initializes the output; each later offset updates only the leading
     windows it still reaches, which is exactly max over the real pixels —
     the reference's ``-inf`` padding never wins.  Max of codes == code of
     max, so this is bit-identical to the float64 pool + ``astype(int64)``.
     """
-    images, channels, rows, cols = current.shape
+    src = current if src is None else src
+    images, rows, cols, channels = src.shape
     k, s = pool.kernel, pool.stride
     out_rows = pool_output_extent(rows, k, s)
     out_cols = pool_output_extent(cols, k, s)
-    dest = arena.claim(current, (images, channels, out_rows, out_cols))
+    dest = arena.claim(current, (images, out_rows, out_cols, channels))
     for i in range(k):
         for j in range(k):
-            tap = current[:, :, i::s, j::s][:, :, :out_rows, :out_cols]
+            tap = src[:, i::s, j::s][:, :out_rows, :out_cols]
             if i == j == 0:
-                np.copyto(dest, tap)
+                np.copyto(dest, tap, casting="unsafe")
             else:
-                part = dest[:, :, : tap.shape[2], : tap.shape[3]]
-                np.maximum(part, tap, out=part)
+                part = dest[:, : tap.shape[1], : tap.shape[2]]
+                np.maximum(part, tap, out=part, casting="unsafe")
     return dest
+
+
+def _flatten(arena: "_Arena", current: np.ndarray) -> np.ndarray:
+    """The stream as (B, 1, 1, C*H*W) features in the reference's CHW order.
+
+    A 1x1 map is already in that order; a wider one is copied, transposed,
+    into the free ping buffer, so FC weights keep their CHW columns.
+    """
+    if current.shape[1] * current.shape[2] > 1:
+        chw = current.transpose(0, 3, 1, 2)
+        current = arena.claim(current, chw.shape)
+        np.copyto(current, chw)
+    return current.reshape(current.shape[0], 1, 1, -1)
+
+
+def _to_bchw(current: np.ndarray) -> np.ndarray:
+    """The channels-last stream as a fresh C-contiguous BCHW int64 array.
+
+    The cast also turns the ``-0.0`` a float32 requantize can emit into 0.
+    """
+    images, rows, cols, channels = current.shape
+    out = np.empty((images, channels, rows, cols), np.int64)
+    np.copyto(out.transpose(0, 2, 3, 1), current, casting="unsafe")
+    return out
 
 
 class _PoolStage:
@@ -265,7 +288,7 @@ class _ReLUStage:
 
 
 class _ReshapeStage:
-    """Flatten / Dropout: pure view changes, no data movement."""
+    """Flatten / Dropout: Dropout is the identity; Flatten is :func:`_flatten`."""
 
     __slots__ = ("name", "flatten")
 
@@ -274,9 +297,7 @@ class _ReshapeStage:
         self.flatten = flatten
 
     def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
-        if self.flatten:
-            return current.reshape(current.shape[0], -1, 1, 1)
-        return current
+        return _flatten(arena, current) if self.flatten else current
 
 
 class _HostStage:
@@ -284,8 +305,10 @@ class _HostStage:
 
     The float round-trip is byte-for-byte the reference path's — host
     layers are where the paper's system leaves the integer stream, so the
-    fused plan leaves it the same way.  Float32 codes are integers below
-    ``2**24``, so they dequantize exactly.
+    fused plan leaves it the same way.  The layer sees the reference's
+    C-contiguous BCHW floats (so its reductions sum in the same order),
+    and its codes rejoin the stream as a channels-last view.  Float32
+    codes are integers below ``2**24``, so they dequantize exactly.
     """
 
     __slots__ = ("name", "layer", "in_fmt", "out_fmt")
@@ -297,10 +320,11 @@ class _HostStage:
         self.out_fmt = out_fmt
 
     def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
-        real = self.layer.forward_batch(self.in_fmt.dequantize(current))
+        bchw = np.ascontiguousarray(current.transpose(0, 3, 1, 2))
+        real = self.layer.forward_batch(self.in_fmt.dequantize(bchw))
         # The fresh codes array rejoins the stream directly; downstream
         # claims fall back to ping buffer 0 when reading from it.
-        return self.out_fmt.quantize(real)
+        return self.out_fmt.quantize(real).transpose(0, 2, 3, 1)
 
 
 class _Arena:
@@ -443,8 +467,6 @@ class ModelPlan:
                     relu=relu,
                     pool=pool,
                     is_fc=compiled.is_fc,
-                    conv_shape=conv_shape,
-                    out_shape=out_shape,
                     fused_names=tuple(fused),
                 )
                 self.stages.append(stage)
@@ -456,8 +478,7 @@ class ModelPlan:
                         plan.multiplies_per_pixel * pixels,
                     )
                 )
-                high_water = max(high_water, images * conv_shape.size)
-                scratch_elements = max(scratch_elements, images * conv_shape.size)
+                scratch_elements = max(scratch_elements, images * out_shape.size)
                 fmt = compiled.output_fmt
                 formats.append(fmt)
                 shape = out_shape
@@ -489,14 +510,13 @@ class ModelPlan:
     # ---- execution -------------------------------------------------------
 
     def run(self, codes: np.ndarray) -> Tuple[np.ndarray, QFormat]:
-        """Stream quantized input codes through every fused stage.
+        """Stream quantized BCHW input codes through every fused stage.
 
-        Returns the final int64 codes and their format.  On an int64 arena
-        the codes are a view into plan-owned scratch — consume them before
-        the next ``run``; a float32 arena's codes are cast once into a
-        fresh array, which also turns the ``-0.0`` the float32 requantize
-        can emit into ``0``.  The arena is shared mutable state, so
-        concurrent runs serialize on a plan lock.
+        Returns the final codes, as a fresh C-contiguous BCHW int64 array,
+        and their format.  The stream itself is channels-last: the input
+        enters as a transposed view and leaves through one strided copy.
+        The arena is shared mutable state, so concurrent runs serialize on
+        a plan lock.
         """
         if codes.shape != self.batch_shape:
             raise ValueError(
@@ -505,7 +525,7 @@ class ModelPlan:
             )
         telemetry = get_active()
         with self._lock:
-            current = codes
+            current = codes.transpose(0, 2, 3, 1)
             for stage in self.stages:
                 if telemetry is not None and isinstance(stage, _FusedStage):
                     with telemetry.span(
@@ -518,7 +538,7 @@ class ModelPlan:
                         current = stage.run(self.arena, current)
                 else:
                     current = stage.run(self.arena, current)
-            return current.astype(np.int64, copy=False), self.output_fmt
+            return _to_bchw(current), self.output_fmt
 
     # ---- reporting -------------------------------------------------------
 

@@ -15,11 +15,15 @@ A :class:`LayerPlan` compiles an encoded layer once into
 - :attr:`LayerPlan.max_weighted_sum`, the exact per-kernel bound
   ``max_k sum(|VAL| * NUM)`` on ``|output| / max|x|``;
 - the weight codes as one dense ``(M, C*K*K)`` matrix, scattered once from
-  the flat WT-Buffer stream; each channel group multiplies its row block.
+  the flat WT-Buffer stream, and for a conv its transpose in GEMM order.
 
-Execution lays the batch out as a transposed im2col matrix (features x
-pixels, the batch stacked into the pixel axis) and multiplies it by the
-dense weights.  The datapath follows from the input alone, via the bound
+Execution is channels-last (NHWC).  A pixel-major im2col lays the batch
+out as one patch row per output pixel, the batch stacked into the pixel
+axis: ``K*K`` contiguous runs of ``C`` feature words, in ``(k, k', n)``
+order.  A conv multiplies it by the ``(K*K*C, M)`` weights, so its
+``(pixels, M)`` output is already the next layer's channels-last input;
+an FC layer keeps the kernel-major ``W @ x``, which is faster at its
+shapes.  The datapath follows from the input alone, via the bound
 ``input_peak * max_weighted_sum + bias_peak`` on every product, every
 partial sum (in any summation order) and the biased total:
 
@@ -42,6 +46,7 @@ plan built on top of these plans — pays compilation and allocation once.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
 
 import numpy as np
@@ -138,27 +143,39 @@ class LayerPlan:
         self._max_weighted_sum = _max_weighted_sum(encoded)
         # One scatter, in the narrowest integer dtype; each dtype is a cast.
         self._codes = encoded.dense_codes(narrowest_int(encoded.qtable_values))
-        self._dense: Dict[str, np.ndarray] = {}
+        self._dense: Dict[Tuple[bool, str], np.ndarray] = {}
         self._scratch: Dict[Hashable, np.ndarray] = {}
 
     def dense_weights(self, dtype=np.float64) -> np.ndarray:
         """The weight codes as a dense (M, C*K*K) matrix of ``dtype``, built
         once per dtype; group ``g`` owns rows ``g * group_out`` onward."""
-        key = np.dtype(dtype).str
-        dense = self._dense.get(key)
-        if dense is None:
-            dense = self._dense[key] = self._codes.astype(dtype)
-        return dense
+        return self._weights(dtype, pixel_major=False)
+
+    def _weights(self, dtype, pixel_major: bool) -> np.ndarray:
+        """:meth:`dense_weights`, or with ``pixel_major`` the conv GEMM's
+        (K*K*C, M) transpose, rows in ``(k, k', n)`` order."""
+        key = (pixel_major, np.dtype(dtype).str)
+        weights = self._dense.get(key)
+        if weights is None:
+            codes = self._codes
+            if pixel_major:
+                k = self.geometry.kernel
+                codes = codes.reshape(-1, self.group_in, k, k).transpose(2, 3, 1, 0)
+            weights = self._dense[key] = codes.reshape(-1, codes.shape[-1]).astype(dtype)
+        return weights
 
     # ---- scratch management ---------------------------------------------
 
     def _buffer(self, kind: Hashable, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """A reusable scratch array for this plan, LRU-bounded."""
+        """A reusable scratch array for this plan, LRU-bounded.
+
+        Zeroed when allocated, so a padded source needs no fill pass.
+        """
         key = (kind, shape, np.dtype(dtype).str)
         # Re-inserting keeps the dict in recency order: the oldest first.
         buffer = self._scratch.pop(key, None)
         if buffer is None:
-            buffer = np.empty(shape, dtype=dtype)
+            buffer = np.zeros(shape, dtype=dtype)
         self._scratch[key] = buffer
         if len(self._scratch) > _SCRATCH_CAPACITY:
             del self._scratch[next(iter(self._scratch))]
@@ -230,35 +247,22 @@ class LayerPlan:
             code_peak(batch), 0 if bias_codes is None else code_peak(bias_codes)
         )
         telemetry = get_active()
-        if telemetry is None:
-            return self._execute_batch(batch, bias_codes, datapath)
-        with telemetry.span(
+        with nullcontext() if telemetry is None else telemetry.span(
             "kernel", layer=self.name, images=int(batch.shape[0]), datapath=datapath
         ):
-            return self._execute_batch(batch, bias_codes, datapath)
-
-    def _execute_batch(
-        self,
-        batch: np.ndarray,
-        bias_codes: Optional[np.ndarray],
-        datapath: str,
-    ) -> Tuple[np.ndarray, int, int]:
-        raw, images, out_rows, out_cols = self.execute_batch_raw(
-            batch, bias_codes, datapath
-        )
-        total_pixels = images * out_rows * out_cols
-        # One strided pass detaches the kernel-major scratch into a fresh
-        # BCHW int64 array (exact: the sums are integers on every datapath).
-        output = np.empty((images, self.out_channels, out_rows, out_cols), np.int64)
-        np.copyto(
-            output.transpose(1, 0, 2, 3),
-            raw.reshape(self.out_channels, images, out_rows, out_cols),
-            casting="unsafe",
-        )
+            raw = self.execute_batch_raw(
+                batch.transpose(0, 2, 3, 1), bias_codes, datapath
+            )
+        images, out_rows, out_cols, kernels = raw.shape
+        # Detach the scratch into a fresh BCHW int64 array (exact: the sums
+        # are integers on every datapath).
+        output = np.empty((images, kernels, out_rows, out_cols), np.int64)
+        np.copyto(output.transpose(0, 2, 3, 1), raw, casting="unsafe")
+        pixels = images * out_rows * out_cols
         return (
             output,
-            self.accumulates_per_pixel * total_pixels,
-            self.multiplies_per_pixel * total_pixels,
+            self.accumulates_per_pixel * pixels,
+            self.multiplies_per_pixel * pixels,
         )
 
     def execute_batch_raw(
@@ -266,87 +270,58 @@ class LayerPlan:
         batch: np.ndarray,
         bias_codes: Optional[np.ndarray],
         datapath: str,
-    ) -> Tuple[np.ndarray, int, int, int]:
-        """Run a batch as one GEMM per channel group on ``datapath``.
+    ) -> np.ndarray:
+        """Run a channels-last (B, H, W, C) batch, one GEMM per channel group.
 
-        Returns ``(output, images, out_rows, out_cols)`` where ``output``
-        is **plan-owned scratch** of shape (M, B*pixels) — float32 on
-        ``gemm32``, float64 on ``gemm``, int64 on ``int64`` — with bias
-        already added, valid only until the next execute call on this
-        plan.  The fused model plan consumes it directly, writing
-        requantized codes straight into its ping-pong buffers.  The result
-        is exact only when ``datapath`` is what :meth:`datapath` returns
-        for the batch.
+        Returns the biased sums as a (B, R', C', M) view of **plan-owned
+        scratch** — float32 on ``gemm32``, float64 on ``gemm``, int64 on
+        ``int64`` — valid only until the next execute call on this plan.
+        The fused model plan consumes it directly, writing requantized
+        codes straight into its ping-pong buffers.  The result is exact
+        only when ``datapath`` is what :meth:`datapath` returns for the
+        batch.
         """
         dtype = _DTYPES[datapath]
         geometry = self.geometry
-        images, channels, rows, cols = batch.shape
+        images, rows, cols, channels = batch.shape
         if channels != self.group_in * geometry.groups:
             raise ValueError(
                 f"layer {self.name!r} expects {self.group_in * geometry.groups} "
                 f"input channels, got {channels}"
             )
         out_rows, out_cols = conv_output_hw(rows, cols, geometry)
-        total_pixels = images * out_rows * out_cols
-        output = self._buffer("output", (self.out_channels, total_pixels), dtype)
-        weights = self.dense_weights(dtype)
-        for g in range(geometry.groups):
-            rows = slice(g * self.group_out, (g + 1) * self.group_out)
-            patches_t = self._patches_t(batch, g, out_rows, out_cols, dtype)
-            np.matmul(weights[rows], patches_t, out=output[rows])
-        if bias_codes is not None:
-            output += np.asarray(bias_codes, dtype=dtype)[:, None]
-        return output, images, out_rows, out_cols
-
-    def _patches_t(
-        self,
-        batch: np.ndarray,
-        group: int,
-        out_rows: int,
-        out_cols: int,
-        work_dtype,
-    ) -> np.ndarray:
-        """Transposed im2col of one channel group over the whole batch.
-
-        Returns a (C*K*K, B*pixels) matrix: row ``n*K*K + k*K + k'`` holds
-        that weight position's feature word for every output pixel of every
-        image, so the batch genuinely stacks into the pixel axis.  The
-        copies convert to the work dtype on the fly: no separate cast pass.
-        """
-        geometry = self.geometry
-        images = batch.shape[0]
-        pixels = out_rows * out_cols
-        width = self.patch_width
-        patches = self._buffer(("patches_t", group), (width, images * pixels), work_dtype)
-        lo = group * self.group_in
-        hi = lo + self.group_in
-        if geometry.kernel == 1 and pixels == 1 and geometry.padding == 0:
-            # FC view: the patch matrix is just the transposed batch.
-            np.copyto(patches, batch[:, lo:hi].reshape(images, width).T)
-            return patches
-        k = geometry.kernel
-        pad = geometry.padding
-        if pad:
-            padded = self._buffer(
-                ("padded", group),
-                (images, self.group_in, batch.shape[2] + 2 * pad, batch.shape[3] + 2 * pad),
-                batch.dtype.str,
+        pixels = images * out_rows * out_cols
+        k, pad, width = geometry.kernel, geometry.padding, self.group_in
+        fc = rows == cols == k == 1 and pad == 0
+        weights = self._weights(dtype, pixel_major=not fc)
+        shape = (self.out_channels, pixels) if fc else (pixels, self.out_channels)
+        output = self._buffer("output", shape, dtype)
+        source = batch
+        if pad:  # the halo of the zeroed scratch is never written
+            source = self._buffer(
+                "padded", (images, rows + 2 * pad, cols + 2 * pad, channels), dtype
             )
-            padded.fill(0)
-            padded[:, :, pad:-pad, pad:-pad] = batch[:, lo:hi]
-        else:
-            padded = batch[:, lo:hi]
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, (k, k), axis=(2, 3)
-        )[:, :, :: geometry.stride, :: geometry.stride][:, :, :out_rows, :out_cols]
-        # (B, C, R', C', K, K) -> (C, K, K, B, R', C'): row-major (n, k, k')
-        # over image-major pixel columns, in one strided pass.
-        np.copyto(
-            patches.reshape(self.group_in, k, k, images, out_rows, out_cols),
-            windows.transpose(1, 4, 5, 0, 2, 3),
-            casting="same_kind",
-        )
-        return patches
+            np.copyto(source[:, pad:-pad, pad:-pad], batch, casting="same_kind")
+        windows = np.lib.stride_tricks.sliding_window_view(source, (k, k), axis=(1, 2))
+        windows = windows[:, :: geometry.stride, :: geometry.stride][:, :out_rows, :out_cols]
+        for g in range(geometry.groups):
+            block = slice(g * self.group_out, (g + 1) * self.group_out)
+            patches = self._buffer(("patches", g), (pixels, self.patch_width), dtype)
+            # (B, R', C', n, k, k') -> (B, R', C', k, k', n) in one pass that
+            # also converts to the work dtype.
+            np.copyto(
+                patches.reshape(images, out_rows, out_cols, k, k, width),
+                windows[:, :, :, g * width : (g + 1) * width].transpose(0, 1, 2, 4, 5, 3),
+                casting="same_kind",
+            )
+            if fc:  # kernel-major: about twice as fast as patches @ W.T here
+                np.matmul(weights[block], patches.T, out=output[block])
+            else:
+                np.matmul(patches, weights[:, block], out=output[:, block])
+        if bias_codes is not None:
+            bias = np.asarray(bias_codes, dtype=dtype)
+            output += bias[:, None] if fc else bias
+        return (output.T if fc else output).reshape(images, out_rows, out_cols, -1)
 
 
 def compile_layer_plan(encoded: EncodedLayer, geometry: "ConvGeometry") -> LayerPlan:

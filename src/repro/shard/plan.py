@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.model_plan import ModelPlan, _Arena, _FusedStage, compile_model_plan
+from ..core.model_plan import ModelPlan, _Arena, _FusedStage, _to_bchw, compile_model_plan
 from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
 from ..hw.workload import ModelWorkload
@@ -318,10 +318,11 @@ class ShardedModelPlan:
     def run(self, codes: np.ndarray) -> Tuple[np.ndarray, QFormat]:
         """Stream codes through every shard, copying at each cut.
 
-        Returns the final int64 codes and their format, exactly like
-        :meth:`ModelPlan.run`. The parent plan's lock is held too: fused
-        stages share per-layer scratch with the unsharded plan, so the
-        two must never run concurrently.
+        Returns a fresh BCHW int64 array of the final codes and their
+        format, exactly like :meth:`ModelPlan.run`; the channels-last
+        stream crosses each cut as is. The parent plan's lock is held
+        too: fused stages share per-layer scratch with the unsharded
+        plan, so the two must never run concurrently.
         """
         if codes.shape != self.plan.batch_shape:
             raise ValueError(
@@ -331,7 +332,7 @@ class ShardedModelPlan:
         telemetry = get_active()
         transfers: List[int] = []
         with self._lock, self.plan._lock:
-            current = codes
+            current = codes.transpose(0, 2, 3, 1)
             for index, (shard, arena) in enumerate(zip(self.shards, self.arenas)):
                 if telemetry is not None:
                     with telemetry.span(
@@ -354,7 +355,7 @@ class ShardedModelPlan:
                     current = current.copy()
                     transfers.append(int(current.size))
             self.transfer_elements = tuple(transfers)
-            return current.astype(np.int64, copy=False), self.plan.output_fmt
+            return _to_bchw(current), self.plan.output_fmt
 
     @staticmethod
     def _run_shard(

@@ -41,6 +41,7 @@ from repro.nn.models import (
     SoftmaxDef,
 )
 from repro.pipeline import QuantizedPipeline
+from repro.shard import ShardedModelPlan
 from repro.telemetry.context import Telemetry, activate
 
 @pytest.fixture(params=["sparse", "float64", "fallback"])
@@ -153,6 +154,22 @@ ARCHITECTURES = {
             PoolDef("p1", kernel=3, stride=3),
             FlattenDef("fl"),
             FCDef("fc", 3, scale_output=False),
+        ],
+    ),
+    # AlexNet's stride-4 11x11 stem; the pool fuses into the conv, so the
+    # ReLU after it runs as a standalone stage, then Flatten's 3x3 map is
+    # copied to CHW order for the FC.
+    "strided_stem": Architecture(
+        name="stem",
+        input_channels=3,
+        input_rows=27,
+        input_cols=27,
+        defs=[
+            ConvDef("c1", 8, kernel=11, stride=4, padding=2),
+            PoolDef("p1", kernel=3, stride=2),
+            ReLUDef("r1"),
+            FlattenDef("fl"),
+            FCDef("fc", 5, scale_output=False),
         ],
     ),
     # FC stack with dropout and a trailing standalone ReLU epilogue.
@@ -269,6 +286,28 @@ class TestDifferential:
             pipeline.run_batch(images), pipeline.run_batch_reference(images)
         )
 
+    @pytest.mark.parametrize("cuts", [None, (2,), (3,)], ids=["plan", "cut2", "cut3"])
+    def test_run_returns_a_fresh_array(self, rng, datapath, cuts):
+        """``run`` detaches its result on every arena dtype, sharded or not
+        (cut on either side of the Flatten): a second run leaves the first
+        result as it was.  The network ends in a fused FC, whose codes are
+        written into a ping buffer."""
+        pipeline = build_pipeline(ARCHITECTURES["grouped_strided"], rng)
+        codes = [
+            pipeline.input_fmt.quantize(rng.standard_normal((2, 4, 11, 11)))
+            for _ in range(2)
+        ]
+        plan = compile_model_plan(pipeline, codes[0].shape)
+        runner = plan if cuts is None else ShardedModelPlan(plan, cuts)
+        first, _ = runner.run(codes[0])
+        kept = first.copy()
+        second, _ = runner.run(codes[1])
+        assert first.flags.c_contiguous and first.dtype == np.int64
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(first, buf) for buf in plan.arena.ping)
+        assert first.tobytes() == kept.tobytes()
+        assert first.tobytes() != second.tobytes()
+
     def test_repeated_runs_reuse_plan_and_stay_exact(self, rng):
         """The cached plan's arena is reused; results must not alias it."""
         arch = ARCHITECTURES["conv_relu_pool"]
@@ -298,8 +337,10 @@ class TestIntegerMaxPool:
     def test_matches_float_maxpool(self, dtype, peak, data, kernel, stride, negative):
         """Strided max passes == the float64 oracle, bit for bit.
 
-        Odd and even extents exercise the ceil-mode overhang; all-negative
-        maps check that the overhang never contributes a padding value.
+        The pool runs on the plan's channels-last stream, so the BCHW draw
+        is transposed in and the result back out.  Odd and even extents
+        exercise the ceil-mode overhang; all-negative maps check that the
+        overhang never contributes a padding value.
         """
         codes = data.draw(
             hnp.arrays(
@@ -315,7 +356,8 @@ class TestIntegerMaxPool:
             codes = np.maximum(codes - (int(codes.max()) + 1), -peak)
         pool = MaxPool2D("p", kernel, stride)
         arena = _Arena(codes.size, 1, dtype)
-        fused = _integer_maxpool(arena, pool, codes.astype(dtype))
+        nhwc = codes.astype(dtype).transpose(0, 2, 3, 1)
+        fused = _integer_maxpool(arena, pool, nhwc).transpose(0, 3, 1, 2)
         expected = pool.forward_batch(codes).astype(np.int64)
         assert fused.dtype == dtype
         assert fused.shape == expected.shape
@@ -501,6 +543,90 @@ class TestFloat32Codes:
         plan = self.check_int64_plan(pipeline, arch, rng)
         stages = [s for s in plan.stages if isinstance(s, _FusedStage)]
         assert [(s.datapath, s.sum_bound) for s in stages] == [("gemm32", 0)] * 2
+
+
+# ---- epilogue algebra ------------------------------------------------------
+
+
+def sign_restoring_requantize(raw, factor, clip_lo, clip_hi, scratch, out):
+    """:func:`requantize` without its ReLU shortcut: always round ``|x|``
+    and restore the sign of ``raw``."""
+    np.multiply(raw, factor, out=scratch, dtype=scratch.dtype)
+    np.abs(scratch, out=scratch)
+    scratch += 0.5
+    np.floor(scratch, out=scratch)
+    np.copysign(scratch, raw, out=scratch)
+    np.clip(scratch, clip_lo, clip_hi, out=out, casting="unsafe")
+
+
+def as_int64_bytes(codes):
+    return codes.astype(np.int64).tobytes()
+
+
+class TestEpilogueAlgebra:
+    """The fused epilogue's two rewrites, each against its plain form."""
+
+    #: (arena code dtype, raw sum dtypes, largest |raw| drawn): an int64
+    #: arena takes int64 or float64 sums, a float32 arena float32 sums
+    #: below the float32 requantize bound.
+    ARENAS = [
+        (np.int64, (np.int64, np.float64), 2**40),
+        (np.float32, (np.float32,), FLOAT32_REQUANTIZE_EXACT - 1),
+    ]
+
+    @pytest.mark.parametrize("dtype,raw_dtypes,peak", ARENAS, ids=["int64", "float32"])
+    @given(data=st.data(), kernel=st.integers(1, 3), stride=st.integers(1, 3),
+           e=st.integers(-30, 4), relu=st.booleans(), bits=st.sampled_from([8, 16]))
+    @settings(max_examples=200, deadline=None)
+    def test_pooling_commutes_with_requantize(
+        self, dtype, raw_dtypes, peak, data, kernel, stride, e, relu, bits
+    ):
+        """Pool-then-requantize (the fused stage) == requantize-then-pool
+        (the reference), byte for byte after the int64 cast.  Odd and even
+        extents exercise ceil-mode partial windows."""
+        raw = data.draw(
+            hnp.arrays(
+                dtype=np.int64,
+                shape=st.tuples(
+                    st.integers(1, 2), st.integers(3, 8), st.integers(3, 8),
+                    st.integers(1, 3),
+                ),
+                elements=st.integers(-peak, peak),
+            )
+        ).astype(data.draw(st.sampled_from(raw_dtypes)))
+        clip_lo, clip_hi = (0 if relu else -(1 << (bits - 1))), (1 << (bits - 1)) - 1
+        pool = MaxPool2D("p", kernel, stride)
+        arena = _Arena(raw.size, raw.size, dtype)
+        pooled = _integer_maxpool(arena, pool, raw, src=raw)
+        scratch = arena.scratch[: pooled.size].reshape(pooled.shape)
+        requantize(pooled, 2.0**e, clip_lo, clip_hi, scratch, pooled)
+        fused = as_int64_bytes(pooled)
+        codes = np.empty(raw.shape, dtype)
+        scratch = arena.scratch.reshape(raw.shape)
+        requantize(raw, 2.0**e, clip_lo, clip_hi, scratch, codes)
+        assert fused == as_int64_bytes(_integer_maxpool(arena, pool, codes))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_relu_requantize_needs_no_sign(self, dtype):
+        """With ``clip_lo >= 0`` the three-pass requantize equals the
+        sign-restoring one for every factor the dtype's plans can hold."""
+        for e in range(-140, 131):
+            if dtype == np.float32 and not _normal_float32(2.0**e):
+                continue
+            raw = requantize_probes(e).astype(
+                np.int64 if dtype == np.float64 else np.float32
+            )
+            for clip_lo, clip_hi in CLIPS:
+                if clip_lo < 0:
+                    continue
+                got = np.empty(raw.shape, dtype)
+                expected = np.empty(raw.shape, dtype)
+                with np.errstate(over="ignore"):
+                    requantize(raw, 2.0**e, clip_lo, clip_hi, np.empty_like(got), got)
+                    sign_restoring_requantize(
+                        raw, 2.0**e, clip_lo, clip_hi, np.empty_like(got), expected
+                    )
+                assert as_int64_bytes(got) == as_int64_bytes(expected), (e, clip_hi)
 
 
 # ---- plan cache -----------------------------------------------------------
