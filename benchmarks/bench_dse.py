@@ -1,11 +1,12 @@
-"""Benchmark: compiled whole-grid DSE sweeps vs the per-point references.
+"""Benchmark: compiled whole-grid DSE sweeps vs the per-point oracle.
 
 Times the two sweeps of the exploration flow — the Figure 6 N_knl sweep
 and the Figure 7 S_ec x N_cu grid — on the paper's two workloads, once
 through the compiled whole-grid evaluator (:mod:`repro.dse.compiled`) and
-once through the per-point reference oracles (``sweep_nknl_reference``,
-``sweep_sec_ncu_reference``). The two must agree exactly, point for
-point, before any timing counts.
+once by scoring the same configurations one at a time through the
+per-point oracle (``estimate_model`` plus ``ResourceModel.estimate`` and
+its device fit). The two must agree exactly, point for point, before any
+timing counts.
 
 ``test_bench_dse_artifact`` writes a ``BENCH_dse.json`` trajectory
 artifact (timings in perfbench reference seconds, speedups, grid sizes,
@@ -27,18 +28,19 @@ from refclock import CLOCK_UNIT, best_of, fingerprint, telemetry_section, timed
 
 from repro.dse import (
     DEFAULT_RESOURCE_MODEL,
+    MODE_QUANTIZED,
     default_joint_space,
+    estimate_model,
     exhaustive_search,
     explore,
     pareto_frontier,
     pareto_frontier_reference,
     share_factor_from_workloads,
+    size_buffers,
     sweep_nknl,
-    sweep_nknl_reference,
     sweep_sec_ncu,
-    sweep_sec_ncu_reference,
 )
-from repro.hw import STRATIX_V_GXA7
+from repro.hw import STRATIX_V_GXA7, AcceleratorConfig
 from repro.telemetry import Telemetry, activate, clear_caches
 from repro.workloads import synthetic_model_workload
 
@@ -46,13 +48,11 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_dse.json"
 
 
-def _sweeps(workload, n_share, n_knl, compiled):
-    """Both exploration sweeps, compiled or through the reference oracles."""
-    nknl = sweep_nknl if compiled else sweep_nknl_reference
-    grid = sweep_sec_ncu if compiled else sweep_sec_ncu_reference
+def _sweeps(workload, n_share, n_knl):
+    """Both exploration sweeps through the compiled evaluator."""
     return (
-        nknl(workload, DEFAULT_RESOURCE_MODEL, n_share, device=STRATIX_V_GXA7),
-        grid(
+        sweep_nknl(workload, DEFAULT_RESOURCE_MODEL, n_share, device=STRATIX_V_GXA7),
+        sweep_sec_ncu(
             workload,
             STRATIX_V_GXA7,
             DEFAULT_RESOURCE_MODEL,
@@ -62,10 +62,37 @@ def _sweeps(workload, n_share, n_knl, compiled):
     )
 
 
-def test_bench_dse_artifact():
-    """Compiled vs reference sweeps; writes the artifact.
+def _per_point(workload, n_share, n_knl):
+    """The same sweep points, in sweep order (the N_knl sweep at S_ec=20,
+    N_cu=3, then the grid N_cu-outer), each scored on its own: throughput
+    and device fit."""
 
-    The compiled sweeps must equal the reference oracles point for point
+    def score(n_knl, s_ec, n_cu):
+        buffers = size_buffers(workload, s_ec)
+        config = AcceleratorConfig(
+            n_cu=n_cu,
+            n_knl=n_knl,
+            n_share=n_share,
+            s_ec=s_ec,
+            d_f=buffers.d_f,
+            d_w=buffers.d_w,
+            d_q=buffers.d_q,
+        )
+        estimate = DEFAULT_RESOURCE_MODEL.estimate(config)
+        return (
+            estimate_model(workload, config, mode=MODE_QUANTIZED).throughput_gops,
+            estimate.utilization(STRATIX_V_GXA7).fits(0.75),
+        )
+
+    return [score(k, 20, 3) for k in range(2, 25)] + [
+        score(n_knl, s_ec, n_cu) for n_cu in range(1, 7) for s_ec in range(4, 33, 2)
+    ]
+
+
+def test_bench_dse_artifact():
+    """Compiled sweeps vs the per-point oracle; writes the artifact.
+
+    The compiled sweeps must equal the per-point oracle point for point
     and clear the speedup floor on VGG16.
     """
     repeats = 3 if QUICK else 5
@@ -86,19 +113,19 @@ def test_bench_dse_artifact():
         n_share = share_factor_from_workloads(workload.layers)
         n_knl = compiled_result.chosen_n_knl
         # Point-for-point, float-for-float agreement is a precondition.
-        compiled_sweeps = _sweeps(workload, n_share, n_knl, compiled=True)
-        assert compiled_sweeps == _sweeps(workload, n_share, n_knl, compiled=False)
+        compiled_sweeps = _sweeps(workload, n_share, n_knl)
+        nknl_points, grid_points = compiled_sweeps
+        assert [
+            (p.throughput_gops, p.feasible) for p in nknl_points + grid_points
+        ] == _per_point(workload, n_share, n_knl)
         assert compiled_sweeps == (
             list(compiled_result.nknl_sweep),
             list(compiled_result.grid),
         )
 
-        compiled_s = best_of(
-            lambda: _sweeps(workload, n_share, n_knl, compiled=True), repeats
-        )
+        compiled_s = best_of(lambda: _sweeps(workload, n_share, n_knl), repeats)
         reference_s = best_of(
-            lambda: _sweeps(workload, n_share, n_knl, compiled=False),
-            max(1, repeats - 2),
+            lambda: _per_point(workload, n_share, n_knl), max(1, repeats - 2)
         )
         # Cold compile: what the very first query pays (caches emptied).
         clear_caches()

@@ -1,8 +1,8 @@
 """Micro-benchmarks of the functional convolution kernels.
 
-Not a paper artifact — these time the library's own hot paths (ABM vs
-dense vs zero-skipping execution of the same quantized layer) so
-performance regressions in the numpy implementations are visible.
+Not a paper artifact — these time the library's own hot paths (ABM
+execution and weight encoding of one quantized layer) so performance
+regressions in the numpy implementations are visible.
 
 The real-layer comparison (``test_bench_compiled_real_layers``) times the
 literal per-kernel reference and the compiled GEMM plan on actual
@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 from refclock import INFER_CLOCK, INFER_CLOCK_UNIT, best_of, fingerprint, telemetry_section
 
-from repro.baselines import sdconv2d, spconv2d
 from repro.core import (
     ConvGeometry,
     abm_conv2d,
@@ -83,18 +82,6 @@ def test_bench_abm_conv(benchmark, layer):
     encoded = encode_layer("bench", weights)
     result = benchmark(abm_conv2d, features, encoded, geometry)
     assert result.multiply_ops < result.accumulate_ops
-
-
-def test_bench_dense_conv(benchmark, layer):
-    weights, features, geometry = layer
-    result = benchmark(sdconv2d, features, weights, geometry)
-    assert result.total_ops > 0
-
-
-def test_bench_spconv(benchmark, layer):
-    weights, features, geometry = layer
-    result = benchmark(spconv2d, features, weights, geometry)
-    assert result.total_ops > 0
 
 
 def test_bench_encoding(benchmark, layer):

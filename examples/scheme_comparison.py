@@ -1,18 +1,20 @@
-"""Compare all four convolution schemes functionally and by op count.
+"""Compare the four convolution schemes by operation count on one layer.
 
-Runs the *same* pruned, quantized convolution layer through SDConv (dense),
-SpConv (zero-skipping), FDConv (frequency domain) and ABM-SpConv, checking
-they produce the same numbers (exactly for the integer schemes, to float
-tolerance for FDConv) while spending very different operation budgets —
-the single-layer view of paper Table 1.
+The paper compares SDConv (dense), SpConv (zero-skipping), FDConv
+(frequency domain) and ABM-SpConv by the operations each spends on the
+same layer (Table 1). This example runs one pruned, quantized layer
+through ABM-SpConv, checks the measured counts against the encoded
+workload, and sets them beside the op-count models of the three
+baselines — the single-layer view of paper Table 1.
 
 Run:  python examples/scheme_comparison.py
 """
 
 import numpy as np
 
-from repro.baselines import OaAModel, fdconv2d, sdconv2d, spconv2d
-from repro.core import ConvGeometry, abm_conv2d_from_codes, conv_spec
+from repro.baselines import FDConvModel, SDConvModel, SpConvModel
+from repro.core import ConvGeometry, SchemeOps, abm_conv2d, conv_spec, encode_layer
+from repro.hw import workload_from_encoded
 from repro.workloads import codebook_size, synthesize_quantized_layer, synthetic_feature_codes
 
 SEED = 3
@@ -26,30 +28,25 @@ def main() -> None:
         spec, density=0.27, codebook=codebook_size("vgg16", "conv4_2"), rng=rng
     )
     features = synthetic_feature_codes((64, 14, 14), rng)
-    geometry = ConvGeometry(kernel=3, padding=1)
+    encoded = encode_layer("demo", weights)
+    workload = workload_from_encoded(spec, encoded)
 
-    dense = sdconv2d(features, weights, geometry)
-    sparse = spconv2d(features, weights, geometry)
-    abm = abm_conv2d_from_codes(features, weights, geometry)
-    freq = fdconv2d(features.astype(float), weights.astype(float), padding=1)
+    abm = abm_conv2d(features, encoded, ConvGeometry(kernel=3, padding=1))
+    assert abm.accumulate_ops == workload.accumulate_ops, "one add per nonzero"
+    assert abm.multiply_ops == workload.multiply_ops, "one multiply per value"
+    print("measured ABM counts match the encoded workload\n")
 
-    assert np.array_equal(dense.output, sparse.output), "SpConv must match dense"
-    assert np.array_equal(dense.output, abm.output), "ABM must match dense"
-    assert np.allclose(freq, dense.output, atol=1e-5), "FDConv must match dense"
-    print("all four schemes agree on the output feature map\n")
-
-    oaa = OaAModel()
-    fd_ops = dense.total_ops / oaa.reduction(spec.kernel)
-    rows = (
-        ("SDConv (dense)", dense.multiply_ops, dense.accumulate_ops, dense.total_ops),
-        ("FDConv (OaA model)", fd_ops / 2, fd_ops / 2, fd_ops),
-        ("SpConv (zero-skip)", sparse.multiply_ops, sparse.accumulate_ops, sparse.total_ops),
-        ("ABM-SpConv", abm.multiply_ops, abm.accumulate_ops, abm.total_ops),
-    )
-    print(f"{'scheme':<20} {'multiplies':>12} {'accumulates':>12} {'total':>12} {'vs dense':>9}")
-    for name, mult, acc, total in rows:
-        print(f"{name:<20} {mult:>12,.0f} {acc:>12,.0f} {total:>12,.0f} "
-              f"{total / dense.total_ops:>8.1%}")
+    rows = [
+        ("SDConv (dense)", SDConvModel().layer_ops(workload)),
+        ("FDConv (OaA model)", FDConvModel().layer_ops(workload)),
+        ("SpConv (zero-skip)", SpConvModel().layer_ops(workload)),
+        ("ABM-SpConv (measured)", SchemeOps(abm.multiply_ops, abm.accumulate_ops)),
+    ]
+    dense = rows[0][1].total_ops
+    print(f"{'scheme':<22} {'multiplies':>12} {'accumulates':>12} {'total':>12} {'vs dense':>9}")
+    for name, ops in rows:
+        print(f"{name:<22} {ops.multiplies:>12,.0f} {ops.accumulates:>12,.0f} "
+              f"{ops.total_ops:>12,.0f} {ops.total_ops / dense:>8.1%}")
     print(f"\nABM acc/mult ratio: {abm.acc_to_mult_ratio:.1f} "
           f"(paper Table 1 reports 62.7 for the full-size conv4_2)")
 

@@ -2,24 +2,19 @@
 
 The strongest prior design the paper compares against performs convolution
 in the frequency domain with overlap-and-add (OaA) tiling, cutting MAC
-operations ~3.3x on 3x3 layers. Two views:
-
-- :func:`fdconv2d` — a functional FFT/OaA convolution (float; frequency
-  domain is inherently non-integer) validated against spatial convolution,
-  so the baseline is executable rather than a literature constant.
-- :class:`OaAModel` — the analytic MAC-reduction model. The ideal OaA
-  reduction for a KxK kernel on t x t output tiles is
-  ``K^2 t^2 / (t + K - 1)^2`` real products avoided per output; transform
-  overheads (the FFTs themselves and the complex arithmetic) erode it by a
-  platform factor, calibrated so K=3, t=4 reproduces [3]'s published 3.3x.
+operations ~3.3x on 3x3 layers. The paper compares against it by operation
+counts and published numbers only, so this module is a model, not an
+executable convolution. :class:`OaAModel` is the analytic MAC-reduction
+model: the ideal OaA reduction for a KxK kernel on t x t output tiles is
+``K^2 t^2 / (t + K - 1)^2`` real products avoided per output; transform
+overheads (the FFTs themselves and the complex arithmetic) erode it by a
+platform factor, calibrated so K=3, t=4 reproduces [3]'s published 3.3x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from ..core.schemes import (
     ConvScheme,
@@ -37,48 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_TILE = 4
 #: Transform-overhead factor calibrated to [3]'s 3.3x on K=3, t=4.
 DEFAULT_OVERHEAD = 1.212
-
-
-def fdconv2d(
-    features: np.ndarray,
-    weights: np.ndarray,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    """Frequency-domain convolution of a CHW input with (M, N, K, K) weights.
-
-    Full-map FFT formulation (OaA tiles compose to the same numbers);
-    returns the *cross-correlation* like the spatial layers do. Strides are
-    applied by decimating the dense result, as FDConv hardware does.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if features.ndim != 3 or weights.ndim != 4:
-        raise ValueError("expected CHW features and (M, N, K, K) weights")
-    channels, rows, cols = features.shape
-    kernels, w_channels, k, k2 = weights.shape
-    if k != k2:
-        raise ValueError("kernels must be square")
-    if w_channels != channels:
-        raise ValueError("FDConv baseline does not support grouped convolution")
-    if padding:
-        features = np.pad(
-            features, ((0, 0), (padding, padding), (padding, padding))
-        )
-        rows += 2 * padding
-        cols += 2 * padding
-    out_rows = (rows - k) // stride + 1
-    out_cols = (cols - k) // stride + 1
-    fft_rows, fft_cols = rows, cols
-    # Correlation == convolution with a flipped kernel.
-    flipped = weights[:, :, ::-1, ::-1]
-    feature_fft = np.fft.rfft2(features, s=(fft_rows, fft_cols))
-    kernel_fft = np.fft.rfft2(flipped, s=(fft_rows, fft_cols))
-    # Sum over input channels in the frequency domain.
-    product = np.einsum("nrc,mnrc->mrc", feature_fft, kernel_fft)
-    full = np.fft.irfft2(product, s=(fft_rows, fft_cols))
-    valid = full[:, k - 1 : k - 1 + out_rows * stride, k - 1 : k - 1 + out_cols * stride]
-    return valid[:, ::stride, ::stride]
 
 
 @dataclass(frozen=True)
@@ -111,8 +64,7 @@ class OaAModel:
 class FDConvModel:
     """OaA frequency-domain convolution as a :class:`SchemeModel`.
 
-    Keeps [3]'s calibrated OaA reduction in prediction tables;
-    :func:`fdconv2d` is the single-image functional baseline.
+    Keeps [3]'s calibrated OaA reduction in prediction tables.
     """
 
     name = "fdconv"

@@ -1,20 +1,17 @@
 """SDConv baseline: dense spatial convolution.
 
-The reference the paper normalizes everything to. Functionally this is
-plain Equation (1); the integer version is the oracle ABM-SpConv must match
-bit-for-bit, and the op count (2 per MAC) is the '#OP' every throughput
-number in Table 2 divides by. The MAC-array timing model lives in
+The reference the paper normalizes everything to: plain Equation (1), whose
+op count (2 per MAC) is the '#OP' every throughput number in Table 2
+divides by. The paper compares schemes by operation counts, so this module
+is an op-count and cycle model only; the functional Equation (1) is the
+float layer :class:`repro.nn.Conv2D`. The MAC-array timing model lives in
 :mod:`repro.hw.mac_array`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ..core.abm import ConvGeometry, direct_conv2d_codes
 from ..core.schemes import (
     ConvScheme,
     SchemeOps,
@@ -26,40 +23,6 @@ from ..core.specs import LayerSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hw.config import AcceleratorConfig
     from ..hw.workload import LayerWorkload
-
-
-@dataclass(frozen=True)
-class SDConvResult:
-    """Output and op count of a dense spatial convolution."""
-
-    output: np.ndarray
-    multiply_ops: int
-    accumulate_ops: int
-
-    @property
-    def total_ops(self) -> int:
-        return self.multiply_ops + self.accumulate_ops
-
-
-def sdconv2d(
-    feature_codes: np.ndarray,
-    weight_codes: np.ndarray,
-    geometry: ConvGeometry,
-    bias_codes: np.ndarray = None,
-) -> SDConvResult:
-    """Dense integer convolution with exact op accounting.
-
-    Every weight — zero or not — costs one multiply and one accumulate:
-    dense hardware cannot skip, which is exactly the gap the sparse
-    schemes exploit.
-    """
-    output = direct_conv2d_codes(feature_codes, weight_codes, geometry, bias_codes)
-    weights = np.asarray(weight_codes)
-    pixels = int(output.shape[1] * output.shape[2])
-    total_macs = int(weights.size) * pixels
-    return SDConvResult(
-        output=output, multiply_ops=total_macs, accumulate_ops=total_macs
-    )
 
 
 def sdconv_ops(spec: LayerSpec) -> int:

@@ -568,14 +568,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from .core.verify import verify_schemes
-
-    report = verify_schemes(trials=args.trials, seed=args.seed)
-    print(report.render())
-    return 0 if report.passed else 1
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from .analysis.report import write_report
 
@@ -736,10 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--max-layer-weights", type=int, default=3_000_000,
                        help="skip layers with more weights (memory guard)")
     p_enc.set_defaults(func=_cmd_encode)
-
-    p_ver = sub.add_parser("verify", help="differential verification campaign")
-    p_ver.add_argument("--trials", type=int, default=200)
-    p_ver.set_defaults(func=_cmd_verify)
 
     p_rep = sub.add_parser("report", help="write the full reproduction report")
     p_rep.add_argument("--out", default="reproduction_report.md")

@@ -1,7 +1,7 @@
 """ABM-SpConv core: the paper's primary contribution.
 
 - :mod:`~repro.core.abm` — the accumulate-before-multiply factored
-  convolution (Equation 2), bit-exact against direct integer convolution.
+  convolution (Equation 2), bit-exact against its literal reference loop.
 - :mod:`~repro.core.encoding` — the index-based sparse weight encoding
   (WT-Buffer + Q-Table, Figure 4).
 - :mod:`~repro.core.opcount` — operation-count analysis of SDConv / FDConv /
@@ -20,11 +20,7 @@ from .abm import (
     ConvGeometry,
     abm_conv2d,
     abm_conv2d_batch,
-    abm_conv2d_from_codes,
     abm_conv2d_reference,
-    abm_fc,
-    abm_fc_batch,
-    direct_conv2d_codes,
 )
 from .encoding import (
     EncodedKernel,
@@ -83,13 +79,6 @@ from .serialize import (
     save_model,
 )
 from .specs import CONV, FC, LayerSpec, conv_spec, fc_spec
-from .verify import (
-    TrialConfig,
-    VerificationReport,
-    random_trial_config,
-    run_trial,
-    verify_schemes,
-)
 
 __all__ = [
     "ABMConvBatchResult",
@@ -97,11 +86,7 @@ __all__ = [
     "ConvGeometry",
     "abm_conv2d",
     "abm_conv2d_batch",
-    "abm_conv2d_from_codes",
     "abm_conv2d_reference",
-    "abm_fc",
-    "abm_fc_batch",
-    "direct_conv2d_codes",
     "EncodedKernel",
     "EncodedLayer",
     "QTableEntry",
@@ -151,9 +136,4 @@ __all__ = [
     "loads",
     "save_model",
     "load_model",
-    "TrialConfig",
-    "VerificationReport",
-    "random_trial_config",
-    "run_trial",
-    "verify_schemes",
 ]

@@ -12,7 +12,9 @@ and sum the products. Stage 1 is pure addition — cheap ALM logic on an FPGA
 the whole architectural point of the paper.
 
 All arithmetic here is exact integer arithmetic on fixed-point codes, so the
-factorization is bit-exact against direct convolution (a property test).
+factorization is bit-exact against direct convolution (Equation 1); the
+tests anchor the reference to the float layer :class:`repro.nn.Conv2D`
+run on the same integer codes.
 Rounding to the 8-bit feature format happens once, after the kernel sum, as
 in the hardware's Sum/Round stage.
 
@@ -30,8 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..nn.layers.conv import im2col
-from .encoding import EncodedLayer, encode_layer
+from .encoding import EncodedLayer
 from .plan import compile_layer_plan, conv_output_hw
 
 
@@ -194,83 +195,3 @@ def abm_conv2d_batch(
     return ABMConvBatchResult(
         output=output, accumulate_ops=acc_ops, multiply_ops=mult_ops
     )
-
-
-def abm_fc(
-    feature_codes: np.ndarray,
-    encoded: EncodedLayer,
-    bias_codes: Optional[np.ndarray] = None,
-) -> ABMConvResult:
-    """ABM execution of a fully-connected layer (R=C=K=1 view of Eq. 1)."""
-    flat = np.asarray(feature_codes).reshape(-1, 1, 1)
-    return abm_conv2d(flat, encoded, ConvGeometry(kernel=1), bias_codes=bias_codes)
-
-
-def abm_fc_batch(
-    feature_codes: np.ndarray,
-    encoded: EncodedLayer,
-    bias_codes: Optional[np.ndarray] = None,
-) -> ABMConvBatchResult:
-    """Batched FC execution: a (B, in_features) matrix in one plan pass.
-
-    The batch dimension becomes the pixel axis — exactly how the paper's
-    accelerator fills its S_ec vector lanes with a batch of images on FC
-    layers. Output shape is (B, out_features, 1, 1).
-    """
-    flat = np.asarray(feature_codes)
-    if flat.ndim != 2:
-        raise ValueError(f"batched FC codes must be (B, features), got {flat.shape}")
-    batch = flat.reshape(flat.shape[0], flat.shape[1], 1, 1)
-    return abm_conv2d_batch(
-        batch, encoded, ConvGeometry(kernel=1), bias_codes=bias_codes
-    )
-
-
-def abm_conv2d_from_codes(
-    feature_codes: np.ndarray,
-    weight_codes: np.ndarray,
-    geometry: ConvGeometry,
-    bias_codes: Optional[np.ndarray] = None,
-    name: str = "layer",
-) -> ABMConvResult:
-    """Convenience wrapper: encode dense integer weights, then run ABM."""
-    encoded = encode_layer(name, np.asarray(weight_codes))
-    return abm_conv2d(feature_codes, encoded, geometry, bias_codes=bias_codes)
-
-
-def direct_conv2d_codes(
-    feature_codes: np.ndarray,
-    weight_codes: np.ndarray,
-    geometry: ConvGeometry,
-    bias_codes: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Exact integer spatial convolution — the equivalence oracle for ABM."""
-    features = _check_feature_codes(feature_codes)
-    weights = np.asarray(weight_codes)
-    if weights.ndim != 4:
-        raise ValueError(f"weight codes must be (M, N, K, K), got {weights.shape}")
-    channels = features.shape[0]
-    kernels = weights.shape[0]
-    group_in = weights.shape[1]
-    if channels % group_in:
-        raise ValueError("input channels incompatible with weight shape")
-    groups = channels // group_in
-    if kernels % groups:
-        raise ValueError("output channels must divide into groups")
-    out_rows, out_cols = conv_output_hw(features.shape[1], features.shape[2], geometry)
-    group_out = kernels // groups
-    output = np.zeros((kernels, out_rows * out_cols), dtype=np.int64)
-    for g in range(groups):
-        patches = im2col(
-            features[g * group_in : (g + 1) * group_in],
-            geometry.kernel,
-            geometry.stride,
-            geometry.padding,
-        )
-        block = weights[g * group_out : (g + 1) * group_out].reshape(group_out, -1)
-        output[g * group_out : (g + 1) * group_out] = (
-            patches.astype(np.int64) @ block.astype(np.int64).T
-        ).T
-    if bias_codes is not None:
-        output += np.asarray(bias_codes, dtype=np.int64)[:, None]
-    return output.reshape(kernels, out_rows, out_cols)

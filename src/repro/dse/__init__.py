@@ -29,9 +29,7 @@ from .explorer import (
     optimal_nknl,
     size_buffers,
     sweep_nknl,
-    sweep_nknl_reference,
     sweep_sec_ncu,
-    sweep_sec_ncu_reference,
 )
 from .frequency import (
     DEFAULT_FREQUENCY_MODEL,
@@ -114,9 +112,7 @@ __all__ = [
     "size_buffers",
     "steps_total_closed_form",
     "sweep_nknl",
-    "sweep_nknl_reference",
     "sweep_sec_ncu",
-    "sweep_sec_ncu_reference",
     "MODE_IDEAL",
     "MODE_QUANTIZED",
     "LayerPerformance",

@@ -33,10 +33,9 @@ then scores the full ``N_knl x S_ec x N_cu`` space with array operations:
   identical to the scalar path.
 
 Every element of the resulting grid is **float-identical** to what the
-per-point reference path (`sweep_nknl_reference`, `sweep_sec_ncu_reference`,
-`estimate_model`) produces for the corresponding configuration — the
-differential suite in ``tests/test_dse_compiled.py`` pins this point for
-point. The reference evaluators stay as the differential-test oracles.
+per-point oracle, `estimate_model` plus `ResourceModel.estimate`, produces
+for the corresponding configuration — the differential suite in
+``tests/test_dse_compiled.py`` pins this point for point.
 """
 
 from __future__ import annotations

@@ -115,64 +115,6 @@ class NknlPoint:
     feasible: bool
 
 
-def sweep_nknl_reference(
-    workload: ModelWorkload,
-    resources: ResourceModel,
-    n_share: int,
-    device: Optional[FPGADevice] = None,
-    n_cu: int = 3,
-    s_ec: int = 20,
-    freq_mhz: float = 200.0,
-    logic_limit: float = 0.75,
-    n_knl_range: Sequence[int] = tuple(range(2, 25)),
-) -> List[NknlPoint]:
-    """Per-point reference for :func:`sweep_nknl` (differential baseline).
-
-    Evaluates every N_knl with the scalar `estimate_model` path.
-    """
-    buffers = size_buffers(workload, s_ec)
-    raw = []
-    for n_knl in n_knl_range:
-        config = AcceleratorConfig(
-            n_cu=n_cu,
-            n_knl=n_knl,
-            n_share=n_share,
-            s_ec=s_ec,
-            d_f=buffers.d_f,
-            d_w=buffers.d_w,
-            d_q=buffers.d_q,
-            freq_mhz=freq_mhz,
-        )
-        perf = estimate_model(workload, config, mode=MODE_QUANTIZED).throughput_gops
-        estimate = resources.estimate(config)
-        feasible = True
-        if device is not None:
-            feasible = estimate.utilization(device).fits(logic_limit)
-        raw.append((n_knl, perf, estimate.alms, feasible))
-    return _nknl_points_from_raw(raw)
-
-
-def _nknl_points_from_raw(raw) -> List[NknlPoint]:
-    """Derive normalized boosts (relative to the sweep's first point)."""
-    points = []
-    base_perf: Optional[float] = None
-    base_logic: Optional[float] = None
-    for n_knl, perf, logic, feasible in raw:
-        if base_perf is None:
-            base_perf, base_logic = perf, float(logic)
-        boost = (perf / base_perf) / (logic / base_logic)
-        points.append(
-            NknlPoint(
-                n_knl=n_knl,
-                throughput_gops=perf,
-                logic_alms=logic,
-                normalized_boost=boost,
-                feasible=feasible,
-            )
-        )
-    return points
-
-
 def sweep_nknl(
     workload: ModelWorkload,
     resources: ResourceModel,
@@ -193,8 +135,9 @@ def sweep_nknl(
     most N_knl=15.
 
     The sweep runs on the compiled whole-grid evaluator
-    (:mod:`repro.dse.compiled`), point-for-point float-identical to
-    :func:`sweep_nknl_reference`.
+    (:mod:`repro.dse.compiled`), point-for-point float-identical to the
+    per-point :func:`~repro.dse.performance.estimate_model` and
+    :meth:`ResourceModel.estimate`.
     """
     evaluation = compile_workload(workload, n_share).evaluate_grid(
         workload,
@@ -206,16 +149,22 @@ def sweep_nknl(
         freq_mhz=freq_mhz,
         logic_limit=logic_limit,
     )
-    raw = [
-        (
-            n_knl,
-            float(evaluation.throughput_gops[i, 0, 0]),
-            int(evaluation.alms[i, 0, 0]),
-            bool(evaluation.feasible[i, 0, 0]),
+    points = []
+    for i, n_knl in enumerate(evaluation.n_knl_values):
+        perf = float(evaluation.throughput_gops[i, 0, 0])
+        logic = int(evaluation.alms[i, 0, 0])
+        if not points:
+            base_perf, base_logic = perf, float(logic)
+        points.append(
+            NknlPoint(
+                n_knl=n_knl,
+                throughput_gops=perf,
+                logic_alms=logic,
+                normalized_boost=(perf / base_perf) / (logic / base_logic),
+                feasible=bool(evaluation.feasible[i, 0, 0]),
+            )
         )
-        for i, n_knl in enumerate(evaluation.n_knl_values)
-    ]
-    return _nknl_points_from_raw(raw)
+    return points
 
 
 def optimal_nknl(points: Sequence[NknlPoint]) -> int:
@@ -245,51 +194,6 @@ class GridPoint:
         return self.config.n_cu
 
 
-def sweep_sec_ncu_reference(
-    workload: ModelWorkload,
-    device: FPGADevice,
-    resources: ResourceModel,
-    n_knl: int,
-    n_share: int,
-    freq_mhz: float = 200.0,
-    logic_limit: float = 0.75,
-    s_ec_range: Sequence[int] = tuple(range(4, 33, 2)),
-    n_cu_range: Sequence[int] = tuple(range(1, 7)),
-) -> List[GridPoint]:
-    """Per-point reference for :func:`sweep_sec_ncu` (differential baseline).
-
-    Point order is N_cu outer, S_ec inner.
-    """
-    points = []
-    for n_cu in n_cu_range:
-        for s_ec in s_ec_range:
-            buffers = size_buffers(workload, s_ec)
-            config = AcceleratorConfig(
-                n_cu=n_cu,
-                n_knl=n_knl,
-                n_share=n_share,
-                s_ec=s_ec,
-                d_f=buffers.d_f,
-                d_w=buffers.d_w,
-                d_q=buffers.d_q,
-                freq_mhz=freq_mhz,
-            )
-            estimate = resources.estimate(config)
-            utilization = estimate.utilization(device)
-            points.append(
-                GridPoint(
-                    config=config,
-                    throughput_gops=estimate_model(
-                        workload, config, mode=MODE_QUANTIZED
-                    ).throughput_gops,
-                    resources=estimate,
-                    utilization=utilization,
-                    feasible=utilization.fits(logic_limit),
-                )
-            )
-    return points
-
-
 def sweep_sec_ncu(
     workload: ModelWorkload,
     device: FPGADevice,
@@ -304,8 +208,9 @@ def sweep_sec_ncu(
     """Figure 7: attainable throughput across the S_ec x N_cu grid.
 
     Point order is N_cu outer, S_ec inner. The grid is scored by the
-    compiled whole-grid evaluator, float-identical to
-    :func:`sweep_sec_ncu_reference`.
+    compiled whole-grid evaluator, float-identical to the per-point
+    :func:`~repro.dse.performance.estimate_model` and
+    :meth:`ResourceModel.estimate`.
     """
     evaluation = compile_workload(workload, n_share).evaluate_grid(
         workload,

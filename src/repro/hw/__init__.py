@@ -56,7 +56,6 @@ from .scheduler import (
     compile_window_schedules,
     make_kernel_groups,
     simulate_layer,
-    simulate_layer_fast,
     simulate_layer_reference,
 )
 from .emulation import EmulationResult, emulate_layer
@@ -120,7 +119,6 @@ __all__ = [
     "mac_array_power",
     "LayerSimResult",
     "simulate_layer",
-    "simulate_layer_fast",
     "simulate_layer_reference",
     "compile_window_schedules",
     "build_tasks",

@@ -125,9 +125,7 @@ class ModelSimResult:
 class AcceleratorSimulator:
     """Simulates the ABM-SpConv accelerator on model workloads.
 
-    ``fast`` selects the vectorized scheduler (identical results; see
-    :mod:`repro.hw.scheduler`); ``use_cache`` routes layers through the
-    process-wide result cache.
+    ``use_cache`` routes layers through the process-wide result cache.
     """
 
     def __init__(
@@ -135,13 +133,11 @@ class AcceleratorSimulator:
         config: AcceleratorConfig,
         device: Optional[FPGADevice] = None,
         policy: str = POLICY_BALANCED,
-        fast: bool = True,
         use_cache: bool = True,
     ) -> None:
         self.config = config
         self.device = device
         self.policy = policy
-        self.fast = fast
         self.use_cache = use_cache
 
     @property
@@ -184,7 +180,6 @@ class AcceleratorSimulator:
                     self._memory(),
                     policy=self.policy,
                     trace=trace,
-                    fast=self.fast,
                 )
 
             results.append(_sims.get(self._key(layer), build) if cached else build())

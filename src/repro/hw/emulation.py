@@ -4,10 +4,10 @@ The fast path (:func:`repro.core.abm.abm_conv2d`) computes with numpy; this
 module instead drives a whole layer through the *microarchitectural*
 components — address generator decoding the WT-Buffer stream, accumulator
 groups, partial-sum FIFO, shared multiplier — one kernel engine at a time,
-the way RTL simulation would. It is slow by construction and exists to
-pin the datapath design to the algorithm: the emulator and the fast path
-must agree bit-for-bit on every layer (a test, and part of the
-``verify``-style methodology an accelerator team would keep around).
+the way RTL simulation would. It is slow by construction and is the single
+oracle of the datapath design: the emulator and the fast path must agree
+bit-for-bit on every layer, and its FIFO pushes must equal the fast path's
+multiply count (``tests/test_emulation.py``).
 """
 
 from __future__ import annotations

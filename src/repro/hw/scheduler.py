@@ -19,7 +19,7 @@ Two implementations produce *identical* results:
 - :func:`simulate_layer_reference` — the per-task event loop: one
   :class:`~repro.hw.cu.ConvTask` object and one scalar
   :func:`~repro.hw.cu.task_cycles` call per (window, kernel-group) pair.
-- :func:`simulate_layer_fast` — the vectorized fast path. Task costs are a
+- :func:`simulate_layer` — the vectorized fast path. Task costs are a
   pure function of (group work figures, window pixels, config) and tasks
   repeat identically across windows, so per-group cost vectors are computed
   once per distinct window size with :func:`~repro.hw.cu.task_cycles_batch`,
@@ -34,8 +34,7 @@ Both paths group kernels through :func:`kernel_order`. The balanced order
 :class:`~repro.hw.workload.LayerWorkload` computes it once, on first use,
 and every configuration the DSE or the simulator visits reuses it.
 
-:func:`simulate_layer` dispatches to the fast path by default
-(``fast=False`` selects the reference). Differential tests in
+The reference is the single oracle of the fast path: differential tests in
 ``tests/test_hw_fastsim.py`` pin cycle-exact equality of every
 :class:`LayerSimResult` field and of the recorded trace events.
 """
@@ -188,7 +187,7 @@ def simulate_layer_reference(
     released its buffer half.
 
     This is the reference implementation the vectorized
-    :func:`simulate_layer_fast` is differentially tested against.
+    :func:`simulate_layer` is differentially tested against.
     """
     plan = plan_windows(workload.spec, config)
     tasks = build_tasks(workload, plan, config, policy)
@@ -332,7 +331,7 @@ def compile_window_schedules(
     return schedules
 
 
-def simulate_layer_fast(
+def simulate_layer(
     workload: LayerWorkload,
     config: AcceleratorConfig,
     memory: ExternalMemory,
@@ -423,22 +422,3 @@ def simulate_layer_fast(
         engine_busy_cycles=engine_busy,
         engine_capacity_cycles=engine_capacity,
     )
-
-
-def simulate_layer(
-    workload: LayerWorkload,
-    config: AcceleratorConfig,
-    memory: ExternalMemory,
-    policy: str = POLICY_BALANCED,
-    trace: Optional[TraceRecorder] = None,
-    fast: bool = True,
-) -> LayerSimResult:
-    """Simulate one layer; vectorized fast path by default.
-
-    ``fast=False`` runs the per-task :func:`simulate_layer_reference` event
-    loop instead. Both paths return identical results (including trace
-    events) — the differential tests assert field-exact equality.
-    """
-    if fast:
-        return simulate_layer_fast(workload, config, memory, policy, trace)
-    return simulate_layer_reference(workload, config, memory, policy, trace)

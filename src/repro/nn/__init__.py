@@ -1,6 +1,5 @@
 """Inference-only numpy CNN substrate (layers, networks, model zoo)."""
 
-from .executor import BatchResult, Executor, LayerProfile
 from .initializers import initialize_layer, initialize_network
 from .layers import (
     AvgPool2D,
@@ -41,7 +40,4 @@ __all__ = [
     "pool_output_extent",
     "initialize_network",
     "initialize_layer",
-    "Executor",
-    "BatchResult",
-    "LayerProfile",
 ]

@@ -2,8 +2,8 @@
 
 The paper indexes feature maps as (channels, rows, cols) = (N, R, C) on the
 input side and (M, R', C') on the output side of a convolution. We keep that
-CHW convention throughout; batch is handled by an explicit leading axis only
-inside the executor.
+CHW convention throughout; batched paths (``Network.forward_batch``, the
+fused model plan) add an explicit leading batch axis.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.abm import ConvGeometry
 from repro.core.specs import conv_spec, fc_spec
+from repro.nn import Conv2D
 from repro.nn.models import (
     Architecture,
     ConvDef,
@@ -49,6 +50,30 @@ def sparse_weight_codes(
     codes = rng.integers(-value_range, value_range + 1, size=shape)
     mask = rng.random(shape) < density
     return (codes * mask).astype(np.int64)
+
+
+def direct_conv(
+    features: np.ndarray,
+    weights: np.ndarray,
+    geometry: ConvGeometry,
+    bias: np.ndarray = None,
+) -> np.ndarray:
+    """Equation (1) on integer codes: the float :class:`Conv2D` layer run
+    on int64 features, weights and bias, so every product is exact."""
+    weights = np.asarray(weights, dtype=np.int64)
+    out_channels, group_in, kernel, _ = weights.shape
+    layer = Conv2D(
+        "eq1",
+        group_in * geometry.groups,
+        out_channels,
+        kernel,
+        stride=geometry.stride,
+        padding=geometry.padding,
+        groups=geometry.groups,
+        weights=weights,
+        bias=np.zeros(out_channels, np.int64) if bias is None else np.asarray(bias, np.int64),
+    )
+    return layer.forward(np.asarray(features, dtype=np.int64))
 
 
 @pytest.fixture

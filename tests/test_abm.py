@@ -9,13 +9,14 @@ from hypothesis.extra import numpy as hnp
 from repro.core import (
     ConvGeometry,
     abm_conv2d,
-    abm_conv2d_from_codes,
     abm_conv2d_reference,
-    abm_fc,
-    direct_conv2d_codes,
     encode_layer,
 )
-from tests.conftest import sparse_weight_codes
+from tests.conftest import direct_conv, sparse_weight_codes
+
+
+def abm_from_codes(features, weights, geometry, bias=None):
+    return abm_conv2d(features, encode_layer("t", weights), geometry, bias_codes=bias)
 
 
 class TestEquivalence:
@@ -31,7 +32,7 @@ class TestEquivalence:
         geometry = ConvGeometry(kernel=3, stride=stride, padding=padding, groups=groups)
         encoded = encode_layer("t", weights)
         result = abm_conv2d(features, encoded, geometry)
-        expected = direct_conv2d_codes(features, weights, geometry)
+        expected = direct_conv(features, weights, geometry)
         assert np.array_equal(result.output, expected)
 
     def test_reference_matches_vectorized(self, rng):
@@ -50,15 +51,15 @@ class TestEquivalence:
         features = rng.integers(-16, 16, size=(4, 6, 6))
         bias = rng.integers(-100, 100, size=3)
         geometry = ConvGeometry(kernel=3)
-        out = abm_conv2d_from_codes(features, weights, geometry, bias_codes=bias)
-        expected = direct_conv2d_codes(features, weights, geometry, bias_codes=bias)
+        out = abm_from_codes(features, weights, geometry, bias=bias)
+        expected = direct_conv(features, weights, geometry, bias=bias)
         assert np.array_equal(out.output, expected)
 
     def test_fc_path(self, rng):
         weights = sparse_weight_codes(rng, shape=(10, 32, 1, 1), density=0.2)
         features = rng.integers(-128, 128, size=32)
         encoded = encode_layer("fc", weights)
-        result = abm_fc(features, encoded)
+        result = abm_conv2d(features.reshape(-1, 1, 1), encoded, ConvGeometry(kernel=1))
         expected = weights.reshape(10, 32).astype(np.int64) @ features
         assert np.array_equal(result.output.reshape(-1), expected)
 
@@ -78,8 +79,8 @@ class TestEquivalence:
     def test_equivalence_property(self, weights, features):
         """Equation 2 holds for arbitrary integer tensors."""
         geometry = ConvGeometry(kernel=2)
-        result = abm_conv2d_from_codes(features, weights, geometry)
-        expected = direct_conv2d_codes(features, weights, geometry)
+        result = abm_from_codes(features, weights, geometry)
+        expected = direct_conv(features, weights, geometry)
         assert np.array_equal(result.output, expected)
 
 
@@ -99,7 +100,7 @@ class TestOpCounts:
         """Even a fully dense kernel multiplies only once per distinct value."""
         weights = np.full((1, 4, 3, 3), 5, dtype=np.int64)
         features = rng.integers(-8, 8, size=(4, 5, 5))
-        result = abm_conv2d_from_codes(features, weights, ConvGeometry(kernel=3))
+        result = abm_from_codes(features, weights, ConvGeometry(kernel=3))
         pixels = 3 * 3
         assert result.multiply_ops == 1 * pixels  # one distinct value
         assert result.accumulate_ops == 36 * pixels
@@ -107,7 +108,7 @@ class TestOpCounts:
     def test_acc_to_mult_ratio(self, rng):
         weights = sparse_weight_codes(rng, shape=(2, 8, 3, 3), density=0.5)
         features = rng.integers(-8, 8, size=(8, 6, 6))
-        result = abm_conv2d_from_codes(features, weights, ConvGeometry(kernel=3))
+        result = abm_from_codes(features, weights, ConvGeometry(kernel=3))
         if result.multiply_ops:
             assert result.acc_to_mult_ratio == pytest.approx(
                 result.accumulate_ops / result.multiply_ops
@@ -116,7 +117,7 @@ class TestOpCounts:
     def test_all_zero_weights(self, rng):
         weights = np.zeros((2, 3, 3, 3), dtype=np.int64)
         features = rng.integers(-8, 8, size=(3, 5, 5))
-        result = abm_conv2d_from_codes(features, weights, ConvGeometry(kernel=3))
+        result = abm_from_codes(features, weights, ConvGeometry(kernel=3))
         assert result.accumulate_ops == 0
         assert result.multiply_ops == 0
         assert not np.any(result.output)

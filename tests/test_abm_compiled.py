@@ -3,7 +3,9 @@
 The compiled plan must be *bit-exact* against the literal two-stage oracle
 :func:`abm_conv2d_reference` — same outputs, same analytic
 accumulate/multiply counts — on all three host datapaths: the float32
-GEMM, the float64 GEMM and the exact int64 matmul fallback.
+GEMM, the float64 GEMM and the exact int64 matmul fallback. The oracle
+itself is anchored to Equation (1), the float :class:`repro.nn.Conv2D`
+layer run on int64 codes.
 """
 
 import numpy as np
@@ -17,14 +19,13 @@ from repro.core import (
     ExactnessError,
     abm_conv2d,
     abm_conv2d_reference,
-    abm_fc,
     compile_layer_plan,
-    direct_conv2d_codes,
+    decode_layer,
     encode_layer,
 )
 from repro.core import plan as plan_module
 from repro.telemetry.context import Telemetry, activate
-from tests.conftest import sparse_weight_codes
+from tests.conftest import direct_conv, sparse_weight_codes
 
 
 @pytest.fixture(params=["sparse", "float64", "fallback"])
@@ -106,6 +107,46 @@ class TestDifferential:
         assert fast.output.dtype == np.int64
 
 
+@st.composite
+def random_layers(draw):
+    """One layer of the randomized differential space, biased toward awkward
+    corners: 1x1 to 5x5 kernels, up to four groups, stride 2, padding up to
+    K - 1, any density, value ranges from ternary-like to full 8-bit."""
+    groups = draw(st.sampled_from([1, 2, 4]))
+    kernel = draw(st.sampled_from([1, 2, 3, 5]))
+    stride = draw(st.integers(1, 2))
+    padding = draw(st.integers(0, kernel - 1))
+    size = draw(st.integers(kernel + stride, 13))
+    in_channels = groups * draw(st.integers(1, 4))
+    out_channels = groups * draw(st.integers(1, 3))
+    density = draw(st.floats(0.0, 1.0))
+    value_range = draw(st.sampled_from([2, 8, 127]))
+    with_bias = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (out_channels, in_channels // groups, kernel, kernel)
+    weights = rng.integers(-value_range, value_range + 1, size=shape)
+    weights = (weights * (rng.random(shape) < density)).astype(np.int64)
+    features = rng.integers(-128, 128, size=(in_channels, size, size))
+    bias = rng.integers(-500, 500, size=out_channels) if with_bias else None
+    geometry = ConvGeometry(kernel=kernel, stride=stride, padding=padding, groups=groups)
+    return weights, features, bias, geometry
+
+
+class TestRandomLayers:
+    @given(layer=random_layers())
+    @settings(max_examples=200, deadline=None)
+    def test_fast_reference_and_equation_1_agree(self, layer):
+        """Encoding round-trips; the compiled plan matches the reference on
+        output, dtype and both op counts; the reference matches Eq. (1)."""
+        weights, features, bias, geometry = layer
+        encoded = encode_layer("random", weights)
+        assert np.array_equal(decode_layer(encoded), weights)
+        fast = abm_conv2d(features, encoded, geometry, bias_codes=bias)
+        ref = abm_conv2d_reference(features, encoded, geometry, bias_codes=bias)
+        assert_results_identical(fast, ref)
+        assert np.array_equal(ref.output, direct_conv(features, weights, geometry, bias))
+
+
 class TestExactness:
     """The datapath split and the loud failure past int64."""
 
@@ -141,7 +182,7 @@ class TestExactness:
             abm_conv2d(rng.integers(-(2**20), 2**20, size=(2, 6, 6)), encoded, geometry)
             wide = rng.integers(-(2**45), 2**45, size=(2, 6, 6))
             result = abm_conv2d(wide, encoded, geometry)
-        assert np.array_equal(result.output, direct_conv2d_codes(wide, weights, geometry))
+        assert np.array_equal(result.output, direct_conv(wide, weights, geometry))
         spans = [root.to_dict() for root in telemetry.tracer.roots]
         assert [s["attrs"]["datapath"] for s in spans] == ["gemm32", "gemm", "int64"]
 
@@ -189,14 +230,14 @@ class TestEdgeCases:
         geometry = ConvGeometry(kernel=3)
         encoded = encode_layer("big", weights)
         fast = abm_conv2d(features, encoded, geometry)
-        expected = direct_conv2d_codes(features, weights, geometry)
+        expected = direct_conv(features, weights, geometry)
         assert np.array_equal(fast.output, expected)
 
     def test_fc_path(self, rng, datapath):
         weights = sparse_weight_codes(rng, shape=(10, 32, 1, 1), density=0.2)
         features = rng.integers(-128, 128, size=32)
         encoded = encode_layer("fc", weights)
-        result = abm_fc(features, encoded)
+        result = abm_conv2d(features.reshape(-1, 1, 1), encoded, ConvGeometry(kernel=1))
         expected = weights.reshape(10, 32).astype(np.int64) @ features
         assert np.array_equal(result.output.reshape(-1), expected)
 

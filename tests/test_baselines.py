@@ -1,104 +1,80 @@
-"""Tests for the executable baseline schemes and published designs."""
+"""Tests for the baseline scheme op-count models and published designs."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import (
+    FDConvModel,
     OaAModel,
-    fdconv2d,
+    SDConvModel,
+    SpConvModel,
     get_baseline,
     published_accelerators,
-    sdconv2d,
     sdconv_ops,
-    spconv2d,
     spconv_ops,
 )
-from repro.core import ConvGeometry, abm_conv2d_from_codes, conv_spec
+from repro.core import ConvGeometry, abm_conv2d, conv_spec, encode_layer
+from repro.hw.workload import workload_from_encoded
 from tests.conftest import sparse_weight_codes
+
+
+def _layer(rng, density, groups=1):
+    """A 6->4 channel 3x3 layer on an 8x8 input: its workload (the models'
+    input) and its measured ABM execution."""
+    weights = sparse_weight_codes(rng, shape=(4, 6 // groups, 3, 3), density=density)
+    features = rng.integers(-8, 8, size=(6, 8, 8))
+    encoded = encode_layer("t", weights)
+    spec = conv_spec("t", 6, 4, kernel=3, in_rows=8, in_cols=8, groups=groups)
+    abm = abm_conv2d(features, encoded, ConvGeometry(kernel=3, groups=groups))
+    return weights, workload_from_encoded(spec, encoded), abm
 
 
 class TestSDConv:
     def test_op_count_is_dense(self, rng):
-        weights = sparse_weight_codes(rng, shape=(4, 3, 3, 3), density=0.2)
-        features = rng.integers(-8, 8, size=(3, 6, 6))
-        result = sdconv2d(features, weights, ConvGeometry(kernel=3))
-        pixels = 4 * 4
-        assert result.multiply_ops == weights.size * pixels  # zeros still cost
-        assert result.accumulate_ops == result.multiply_ops
+        weights, workload, _ = _layer(rng, density=0.2)
+        ops = SDConvModel().layer_ops(workload)
+        pixels = 6 * 6
+        assert ops.multiplies == weights.size * pixels  # zeros still cost
+        assert ops.accumulates == ops.multiplies
 
     def test_spec_ops(self, small_conv_spec):
         assert sdconv_ops(small_conv_spec) == small_conv_spec.dense_ops
 
 
 class TestSpConv:
-    def test_matches_dense_output(self, rng):
-        weights = sparse_weight_codes(rng, shape=(4, 3, 3, 3), density=0.3)
-        features = rng.integers(-8, 8, size=(3, 6, 6))
-        geometry = ConvGeometry(kernel=3, padding=1)
-        dense = sdconv2d(features, weights, geometry)
-        sparse = spconv2d(features, weights, geometry)
-        assert np.array_equal(dense.output, sparse.output)
-
     def test_ops_scale_with_nnz(self, rng):
-        weights = sparse_weight_codes(rng, shape=(4, 3, 3, 3), density=0.3)
-        features = rng.integers(-8, 8, size=(3, 6, 6))
-        result = spconv2d(features, weights, ConvGeometry(kernel=3))
-        pixels = 4 * 4
-        assert result.multiply_ops == np.count_nonzero(weights) * pixels
+        weights, workload, _ = _layer(rng, density=0.3)
+        ops = SpConvModel().layer_ops(workload)
+        pixels = 6 * 6
+        assert ops.multiplies == pytest.approx(np.count_nonzero(weights) * pixels)
 
     def test_grouped(self, rng):
-        weights = sparse_weight_codes(rng, shape=(4, 3, 3, 3), density=0.4)
-        features = rng.integers(-8, 8, size=(6, 6, 6))
-        geometry = ConvGeometry(kernel=3, groups=2)
-        dense = sdconv2d(features, weights, geometry)
-        sparse = spconv2d(features, weights, geometry)
-        assert np.array_equal(dense.output, sparse.output)
-
-    def test_with_bias(self, rng):
-        weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))
-        features = rng.integers(-8, 8, size=(2, 5, 5))
-        bias = rng.integers(-10, 10, size=3)
-        geometry = ConvGeometry(kernel=3)
-        dense = sdconv2d(features, weights, geometry, bias_codes=bias)
-        sparse = spconv2d(features, weights, geometry, bias_codes=bias)
-        assert np.array_equal(dense.output, sparse.output)
+        """Grouped layers count only each group's own input channels."""
+        weights, workload, abm = _layer(rng, density=0.4, groups=2)
+        ops = SpConvModel().layer_ops(workload)
+        pixels = 6 * 6
+        assert ops.multiplies == pytest.approx(np.count_nonzero(weights) * pixels)
+        assert ops.accumulates == pytest.approx(abm.accumulate_ops)
 
     def test_spec_ops(self, small_conv_spec):
         assert spconv_ops(small_conv_spec, 0.5) == small_conv_spec.macs
 
     def test_more_ops_than_abm(self, rng):
         """SpConv always spends >= ABM ops (the paper's 50% claim)."""
-        weights = sparse_weight_codes(rng, shape=(4, 6, 3, 3), density=0.4)
-        features = rng.integers(-8, 8, size=(6, 8, 8))
-        geometry = ConvGeometry(kernel=3)
-        sparse = spconv2d(features, weights, geometry)
-        abm = abm_conv2d_from_codes(features, weights, geometry)
+        _, workload, abm = _layer(rng, density=0.4)
+        sparse = SpConvModel().layer_ops(workload)
         assert abm.total_ops <= sparse.total_ops
-        assert abm.accumulate_ops == sparse.accumulate_ops  # same additions
+        assert abm.accumulate_ops == pytest.approx(sparse.accumulates)  # same additions
 
 
 class TestFDConv:
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
-    def test_matches_spatial(self, rng, stride, padding):
-        weights = rng.normal(size=(4, 3, 3, 3))
-        features = rng.normal(size=(3, 8, 8))
-        geometry = ConvGeometry(kernel=3, stride=stride, padding=padding)
-        dense = sdconv2d(
-            np.round(features * 0).astype(np.int64), np.zeros_like(weights, dtype=np.int64), geometry
-        )  # only for the shape
-        freq = fdconv2d(features, weights, stride=stride, padding=padding)
-        # Spatial reference in float:
-        from repro.nn import Conv2D
-
-        conv = Conv2D("ref", 3, 4, kernel=3, stride=stride, padding=padding)
-        conv.weights = weights
-        expected = conv.forward(features)
-        assert freq.shape == dense.output.shape
-        assert np.allclose(freq, expected, atol=1e-8)
-
-    def test_rejects_groups(self, rng):
-        with pytest.raises(ValueError):
-            fdconv2d(rng.normal(size=(4, 6, 6)), rng.normal(size=(2, 2, 3, 3)))
+    def test_rejects_groups(self):
+        """OaA FDConv has no grouped form; the model declines such layers."""
+        model = FDConvModel()
+        assert model.supports(conv_spec("c", 8, 8, kernel=3, in_rows=8, in_cols=8))
+        assert not model.supports(
+            conv_spec("g", 8, 8, kernel=3, in_rows=8, in_cols=8, groups=2)
+        )
 
     def test_oaa_calibrated_to_paper(self):
         """K=3, t=4 must give [3]'s published 3.3x reduction."""

@@ -14,8 +14,6 @@ from repro.core import (
     ConvGeometry,
     abm_conv2d,
     abm_conv2d_batch,
-    abm_fc,
-    abm_fc_batch,
     encode_layer,
 )
 from repro.pipeline import QuantizedPipeline
@@ -65,10 +63,11 @@ class TestBatchedKernel:
         batch = rng.integers(-128, 128, size=(5, 32))
         bias = rng.integers(-50, 50, size=10)
         encoded = encode_layer("fcb", weights)
-        batched = abm_fc_batch(batch, encoded, bias_codes=bias)
+        fc = ConvGeometry(kernel=1)
+        batched = abm_conv2d_batch(batch[:, :, None, None], encoded, fc, bias_codes=bias)
         assert batched.output.shape == (5, 10, 1, 1)
         for i in range(5):
-            single = abm_fc(batch[i], encoded, bias_codes=bias)
+            single = abm_conv2d(batch[i, :, None, None], encoded, fc, bias_codes=bias)
             assert np.array_equal(batched.output[i], single.output)
 
     def test_rejects_non_bchw(self, rng):
@@ -78,8 +77,6 @@ class TestBatchedKernel:
             abm_conv2d_batch(
                 rng.integers(0, 2, size=(2, 5, 5)), encoded, ConvGeometry(kernel=3)
             )
-        with pytest.raises(ValueError):
-            abm_fc_batch(rng.integers(0, 2, size=(2, 3, 1, 1)), encoded)
 
 
 class TestBatchedLayers:

@@ -1,11 +1,13 @@
-"""Differential tests: compiled whole-grid DSE vs the per-point reference.
+"""Differential tests: compiled whole-grid DSE vs the per-point oracle.
 
-The compiled evaluator (`repro.dse.compiled`) must be *float-identical*,
-point for point, to the per-point path — same cycles, same throughput,
-same bound labels, same resource estimates, same feasibility, same chosen
-configuration — across models, modes, conv+FC layers and degenerate
-grids. These tests pin that contract with the paper workloads and with
-hypothesis-random synthetic ones.
+The compiled evaluator (`repro.dse.compiled`) and the sweeps built on it
+must be *float-identical*, point for point, to the per-point oracle —
+`estimate_model` plus `ResourceModel.estimate` on each point's
+configuration: same cycles, same throughput, same bound labels, same
+resource estimates, same feasibility, same chosen configuration — across
+models, modes, conv+FC layers and degenerate grids. These tests pin that
+contract with the paper workloads and with hypothesis-random synthetic
+ones.
 """
 
 import gc
@@ -31,9 +33,7 @@ from repro.dse import (
     size_buffers,
     steps_total_closed_form,
     sweep_nknl,
-    sweep_nknl_reference,
     sweep_sec_ncu,
-    sweep_sec_ncu_reference,
 )
 from repro.dse.compiled import CompiledWorkload, _compiled
 from repro.dse.explorer import BufferSizing, GridPoint, _buffers
@@ -58,6 +58,75 @@ def alexnet_workload():
     return synthetic_model_workload("alexnet", seed=1)
 
 
+def point_config(workload, n_knl, n_share, s_ec, n_cu):
+    """The configuration a sweep visits at one point (200 MHz)."""
+    buffers = size_buffers(workload, s_ec)
+    return AcceleratorConfig(
+        n_cu=n_cu,
+        n_knl=n_knl,
+        n_share=n_share,
+        s_ec=s_ec,
+        d_f=buffers.d_f,
+        d_w=buffers.d_w,
+        d_q=buffers.d_q,
+    )
+
+
+def per_point_gops(workload, config):
+    return estimate_model(workload, config, mode=MODE_QUANTIZED).throughput_gops
+
+
+def assert_nknl_per_point(
+    points,
+    workload,
+    n_share,
+    device=None,
+    n_knl_range=tuple(range(2, 25)),
+    s_ec=20,
+    n_cu=3,
+):
+    """Every Figure 6 point is the per-point oracle's; boosts are relative
+    to the sweep's first point."""
+    assert [p.n_knl for p in points] == list(n_knl_range)
+    for point in points:
+        config = point_config(workload, point.n_knl, n_share, s_ec, n_cu)
+        estimate = DEFAULT_RESOURCE_MODEL.estimate(config)
+        assert point.throughput_gops == per_point_gops(workload, config)
+        assert point.logic_alms == estimate.alms
+        assert point.feasible == (
+            device is None or estimate.utilization(device).fits(0.75)
+        )
+        first = points[0]
+        assert point.normalized_boost == (
+            point.throughput_gops / first.throughput_gops
+        ) / (point.logic_alms / float(first.logic_alms))
+
+
+def assert_grid_per_point(
+    points,
+    workload,
+    device,
+    n_knl,
+    n_share,
+    s_ec_range=tuple(range(4, 33, 2)),
+    n_cu_range=tuple(range(1, 7)),
+):
+    """Every Figure 7 point, in N_cu-outer / S_ec-inner order, is the
+    per-point oracle's."""
+    assert [(p.n_cu, p.s_ec) for p in points] == [
+        (n_cu, s_ec) for n_cu in n_cu_range for s_ec in s_ec_range
+    ]
+    for point in points:
+        config = point_config(workload, n_knl, n_share, point.s_ec, point.n_cu)
+        estimate = DEFAULT_RESOURCE_MODEL.estimate(config)
+        utilization = estimate.utilization(device)
+        assert point.config == config
+        assert point.throughput_gops == per_point_gops(workload, config)
+        assert point.resources == estimate
+        assert point.utilization == utilization
+        assert point.feasible == utilization.fits(0.75)
+
+
 # ---------------------------------------------------------------------------
 # Pinned paper workloads: the sweeps and the whole flow must be identical.
 # ---------------------------------------------------------------------------
@@ -67,44 +136,33 @@ class TestPaperWorkloadsIdentical:
     @pytest.mark.parametrize("model", ["alexnet", "vgg16"])
     def test_sweep_nknl_identical(self, model):
         workload = synthetic_model_workload(model, seed=1)
-        compiled = sweep_nknl(
+        points = sweep_nknl(
             workload, DEFAULT_RESOURCE_MODEL, n_share=4, device=STRATIX_V_GXA7
         )
-        reference = sweep_nknl_reference(
-            workload, DEFAULT_RESOURCE_MODEL, n_share=4, device=STRATIX_V_GXA7
-        )
-        assert compiled == reference  # dataclass equality: floats must match
+        assert_nknl_per_point(points, workload, 4, device=STRATIX_V_GXA7)
 
     @pytest.mark.parametrize("model", ["alexnet", "vgg16"])
     def test_sweep_sec_ncu_identical(self, model):
         workload = synthetic_model_workload(model, seed=1)
-        compiled = sweep_sec_ncu(
+        points = sweep_sec_ncu(
             workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=4
         )
-        reference = sweep_sec_ncu_reference(
-            workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=4
-        )
-        assert compiled == reference
+        assert_grid_per_point(points, workload, STRATIX_V_GXA7, n_knl=14, n_share=4)
 
     def test_explore_identical(self, vgg_workload):
         result = explore(vgg_workload, STRATIX_V_GXA7)
         assert result.n_share == share_factor_from_workloads(vgg_workload.layers)
-        nknl = sweep_nknl_reference(
-            vgg_workload,
-            DEFAULT_RESOURCE_MODEL,
-            result.n_share,
-            device=STRATIX_V_GXA7,
-        )
-        assert list(result.nknl_sweep) == nknl
+        nknl = list(result.nknl_sweep)
+        assert_nknl_per_point(nknl, vgg_workload, result.n_share, device=STRATIX_V_GXA7)
         assert result.chosen_n_knl == optimal_nknl(nknl)
-        grid = sweep_sec_ncu_reference(
+        grid = list(result.grid)
+        assert_grid_per_point(
+            grid,
             vgg_workload,
             STRATIX_V_GXA7,
-            DEFAULT_RESOURCE_MODEL,
             n_knl=result.chosen_n_knl,
             n_share=result.n_share,
         )
-        assert list(result.grid) == grid
         assert list(result.candidates) == best_candidates(grid)
         best = best_candidates(grid)[0].config
         assert (result.chosen.s_ec, result.chosen.n_cu) == (best.s_ec, best.n_cu)
@@ -117,7 +175,7 @@ class TestPaperWorkloadsIdentical:
         result = explore_joint(workloads, STRATIX_V_GXA7)
         n_share = min(share_factor_from_workloads(w.layers) for w in workloads)
         grids = {
-            w.name: sweep_sec_ncu_reference(
+            w.name: sweep_sec_ncu(
                 w, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=n_share
             )
             for w in workloads
@@ -126,26 +184,33 @@ class TestPaperWorkloadsIdentical:
             assert result.best_single[name] == max(
                 p.throughput_gops for p in grid if p.feasible
             )
-        # Every candidate's per-model figures are the reference grid's.
+        # Every candidate's per-model figure is the per-point oracle's.
         for candidate in result.candidates:
-            for name, grid in grids.items():
+            for workload in workloads:
                 point = next(
                     p
-                    for p in grid
+                    for p in grids[workload.name]
                     if (p.s_ec, p.n_cu)
                     == (candidate.config.s_ec, candidate.config.n_cu)
                 )
                 assert point.feasible
-                assert candidate.throughput[name] == point.throughput_gops
+                assert candidate.throughput[workload.name] == per_point_gops(
+                    workload, point.config
+                )
 
     def test_best_candidates_identical(self, vgg_workload):
+        """The candidate set is the top five feasible points ranked by the
+        per-point oracle's throughput."""
         grid = sweep_sec_ncu(
             vgg_workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=4
         )
-        reference = sweep_sec_ncu_reference(
-            vgg_workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=4
+        ranked = sorted(
+            (p for p in grid if p.feasible),
+            key=lambda p: -per_point_gops(vgg_workload, p.config),
         )
-        assert best_candidates(grid) == best_candidates(reference)
+        assert [p.config for p in best_candidates(grid)] == [
+            p.config for p in ranked[:5]
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +220,33 @@ class TestPaperWorkloadsIdentical:
 
 class TestDegenerateGrids:
     def test_single_point_grid(self, alexnet_workload):
-        kwargs = dict(n_knl=14, n_share=4, s_ec_range=(20,), n_cu_range=(3,))
-        compiled = sweep_sec_ncu(
-            alexnet_workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, **kwargs
+        kwargs = dict(s_ec_range=(20,), n_cu_range=(3,))
+        points = sweep_sec_ncu(
+            alexnet_workload,
+            STRATIX_V_GXA7,
+            DEFAULT_RESOURCE_MODEL,
+            n_knl=14,
+            n_share=4,
+            **kwargs,
         )
-        reference = sweep_sec_ncu_reference(
-            alexnet_workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, **kwargs
+        assert len(points) == 1
+        assert_grid_per_point(
+            points, alexnet_workload, STRATIX_V_GXA7, n_knl=14, n_share=4, **kwargs
         )
-        assert len(compiled) == 1
-        assert compiled == reference
 
     def test_single_point_nknl(self, alexnet_workload):
-        kwargs = dict(n_share=4, device=STRATIX_V_GXA7, n_knl_range=(14,))
-        compiled = sweep_nknl(alexnet_workload, DEFAULT_RESOURCE_MODEL, **kwargs)
-        reference = sweep_nknl_reference(
-            alexnet_workload, DEFAULT_RESOURCE_MODEL, **kwargs
+        points = sweep_nknl(
+            alexnet_workload,
+            DEFAULT_RESOURCE_MODEL,
+            n_share=4,
+            device=STRATIX_V_GXA7,
+            n_knl_range=(14,),
         )
-        assert len(compiled) == 1
-        assert compiled == reference
-        assert compiled[0].normalized_boost == 1.0
+        assert len(points) == 1
+        assert_nknl_per_point(
+            points, alexnet_workload, 4, device=STRATIX_V_GXA7, n_knl_range=(14,)
+        )
+        assert points[0].normalized_boost == 1.0
 
     def test_empty_nknl_range(self, alexnet_workload):
         assert (
@@ -187,32 +260,25 @@ class TestDegenerateGrids:
         )
 
     def test_all_infeasible_grid(self, alexnet_workload):
-        kwargs = dict(n_knl=14, n_share=4)
-        compiled = sweep_sec_ncu(
-            alexnet_workload, TINY_DEVICE, DEFAULT_RESOURCE_MODEL, **kwargs
+        points = sweep_sec_ncu(
+            alexnet_workload, TINY_DEVICE, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=4
         )
-        reference = sweep_sec_ncu_reference(
-            alexnet_workload, TINY_DEVICE, DEFAULT_RESOURCE_MODEL, **kwargs
-        )
-        assert compiled == reference
-        assert not any(point.feasible for point in compiled)
+        assert_grid_per_point(points, alexnet_workload, TINY_DEVICE, n_knl=14, n_share=4)
+        assert not any(point.feasible for point in points)
 
     def test_all_infeasible_explore_raises_both_paths(self, alexnet_workload):
         with pytest.raises((RuntimeError, ValueError)):
             explore(alexnet_workload, TINY_DEVICE)
-        nknl = sweep_nknl_reference(
+        nknl = sweep_nknl(
             alexnet_workload, DEFAULT_RESOURCE_MODEL, n_share=4, device=TINY_DEVICE
         )
         with pytest.raises(ValueError):
             optimal_nknl(nknl)
 
     def test_no_device_marks_everything_feasible(self, alexnet_workload):
-        compiled = sweep_nknl(alexnet_workload, DEFAULT_RESOURCE_MODEL, n_share=4)
-        reference = sweep_nknl_reference(
-            alexnet_workload, DEFAULT_RESOURCE_MODEL, n_share=4
-        )
-        assert compiled == reference
-        assert all(point.feasible for point in compiled)
+        points = sweep_nknl(alexnet_workload, DEFAULT_RESOURCE_MODEL, n_share=4)
+        assert_nknl_per_point(points, alexnet_workload, 4)
+        assert all(point.feasible for point in points)
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +392,23 @@ class TestHypothesisDifferential:
     @settings(max_examples=25, deadline=None)
     @given(workload=model_workload(), n_share=st.integers(1, 5))
     def test_sweeps_match_reference(self, workload, n_share):
-        kwargs = dict(n_knl_range=(1, 3, 7), s_ec=6, n_cu=2, device=STRATIX_V_GXA7)
-        assert sweep_nknl(
-            workload, DEFAULT_RESOURCE_MODEL, n_share, **kwargs
-        ) == sweep_nknl_reference(workload, DEFAULT_RESOURCE_MODEL, n_share, **kwargs)
-        grid_kwargs = dict(
-            n_knl=5, n_share=n_share, s_ec_range=(2, 9), n_cu_range=(1, 4)
+        """Both sweeps are the per-point oracle's, point for point."""
+        kwargs = dict(n_knl_range=(1, 3, 7), s_ec=6, n_cu=2)
+        points = sweep_nknl(
+            workload, DEFAULT_RESOURCE_MODEL, n_share, device=STRATIX_V_GXA7, **kwargs
         )
-        assert sweep_sec_ncu(
-            workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, **grid_kwargs
-        ) == sweep_sec_ncu_reference(
-            workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, **grid_kwargs
+        assert_nknl_per_point(points, workload, n_share, STRATIX_V_GXA7, **kwargs)
+        grid_kwargs = dict(s_ec_range=(2, 9), n_cu_range=(1, 4))
+        grid = sweep_sec_ncu(
+            workload,
+            STRATIX_V_GXA7,
+            DEFAULT_RESOURCE_MODEL,
+            n_knl=5,
+            n_share=n_share,
+            **grid_kwargs,
+        )
+        assert_grid_per_point(
+            grid, workload, STRATIX_V_GXA7, n_knl=5, n_share=n_share, **grid_kwargs
         )
 
     @settings(max_examples=50, deadline=None)

@@ -12,7 +12,9 @@ Pins the contracts of :mod:`repro.dse.joint_space`:
 - a two-workload search is conservative: the joint optimum is no better
   than either workload alone at the same configuration;
 - ``nondominated_mask`` keeps exactly the non-dominated points
-  (hypothesis-checked against a pairwise oracle).
+  (hypothesis-checked against a pairwise oracle);
+- the max-min joint exploration (``explore_joint``) serves both models
+  from one shared configuration at near-solo performance.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.dse import (
     compile_workload,
     default_joint_space,
     exhaustive_search,
+    explore_joint,
     nondominated_mask,
 )
 from repro.hw import STRATIX_V_GXA7
@@ -281,3 +284,46 @@ class TestNondominatedMask:
         for a in survivors:
             for b in survivors:
                 assert not _dominates(a, b, self.DIRECTIONS)
+
+
+class TestJointExploration:
+    @pytest.fixture(scope="class")
+    def result(self):
+        workloads = [
+            synthetic_model_workload("alexnet", seed=1),
+            synthetic_model_workload("vgg16", seed=1),
+        ]
+        return explore_joint(workloads, STRATIX_V_GXA7)
+
+    def test_serves_both_models(self, result):
+        assert set(result.models) == {"alexnet", "vgg16"}
+        for model in result.models:
+            assert result.chosen.throughput[model] > 0
+
+    def test_maxmin_objective(self, result):
+        """The chosen point's worst normalized throughput beats (or ties)
+        every other jointly feasible candidate's."""
+        for candidate in result.candidates:
+            assert (
+                result.candidates[0].worst_normalized
+                >= candidate.worst_normalized - 1e-9
+            )
+
+    def test_near_solo_performance(self, result):
+        """One shared bitstream costs each model only a modest slice."""
+        for model in result.models:
+            assert result.chosen.normalized[model] > 0.8
+
+    def test_buffers_cover_both(self, result):
+        # VGG16's FC6 needs the deepest FT-Buffer; the joint config must
+        # carry it even if AlexNet alone would not.
+        assert result.chosen.config.d_f * result.chosen.config.s_ec >= 25088
+
+    def test_render(self, result):
+        text = result.render()
+        assert "joint exploration" in text
+        assert "vgg16" in text
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            explore_joint([], STRATIX_V_GXA7)

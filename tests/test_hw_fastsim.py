@@ -29,7 +29,6 @@ from repro.hw import (
     compile_window_schedules,
     make_kernel_groups,
     simulate_layer,
-    simulate_layer_fast,
     simulate_layer_reference,
     task_cycles,
     task_cycles_batch,
@@ -111,7 +110,7 @@ class TestFastPathExactness:
     @given(workload=workloads, config=configs, policy=policies, bandwidth=bandwidths)
     def test_cycle_exact_vs_reference(self, workload, config, policy, bandwidth):
         """Every LayerSimResult field matches the reference, exactly."""
-        fast = simulate_layer_fast(
+        fast = simulate_layer(
             workload, config, _memory(config, bandwidth), policy
         )
         reference = simulate_layer_reference(
@@ -124,7 +123,7 @@ class TestFastPathExactness:
     def test_trace_equivalence(self, workload, config, policy, bandwidth):
         """Fast-path traces contain the same event multiset as the reference."""
         fast_trace, ref_trace = TraceRecorder(), TraceRecorder()
-        fast = simulate_layer_fast(
+        fast = simulate_layer(
             workload, config, _memory(config, bandwidth), policy, trace=fast_trace
         )
         reference = simulate_layer_reference(
@@ -163,7 +162,7 @@ class TestFastPathExactness:
             n_cu=n_cu, n_knl=n_knl, n_share=4, s_ec=s_ec, d_f=512
         )
         fast_trace, ref_trace = TraceRecorder(), TraceRecorder()
-        fast = simulate_layer_fast(
+        fast = simulate_layer(
             workload, config, _memory(config, bandwidth), policy, trace=fast_trace
         )
         reference = simulate_layer_reference(
@@ -173,24 +172,25 @@ class TestFastPathExactness:
         assert list(fast_trace.events) == list(ref_trace.events)
 
     def test_dispatcher_default_is_fast(self, rng):
+        """The default grouping policy is the balanced one on both paths."""
         spec = conv_spec("c", 8, 10, kernel=3, in_rows=10, in_cols=10, padding=1)
         nonzeros = rng.integers(5, 60, size=10)
         distinct = np.minimum(rng.integers(1, 10, size=10), nonzeros)
         workload = workload_from_arrays(spec, nonzeros, distinct)
         config = AcceleratorConfig(n_cu=3, n_knl=4, n_share=4, s_ec=8, d_f=512)
         default = simulate_layer(workload, config, _memory(config, 12.8))
-        fast = simulate_layer_fast(workload, config, _memory(config, 12.8))
-        reference = simulate_layer(
-            workload, config, _memory(config, 12.8), fast=False
+        balanced = simulate_layer(
+            workload, config, _memory(config, 12.8), POLICY_BALANCED
         )
-        assert default == fast == reference
+        reference = simulate_layer_reference(workload, config, _memory(config, 12.8))
+        assert default == balanced == reference
 
     def test_zero_work_layer(self):
         """Fully-pruned kernels cost only launch/fill overhead on both paths."""
         spec = conv_spec("c", 4, 4, kernel=3, in_rows=6, in_cols=6, padding=1)
         workload = workload_from_arrays(spec, [0, 0, 0, 0], [0, 0, 0, 0])
         config = AcceleratorConfig(n_cu=2, n_knl=2, n_share=4, s_ec=4, d_f=512)
-        fast = simulate_layer_fast(workload, config, _memory(config, 12.8))
+        fast = simulate_layer(workload, config, _memory(config, 12.8))
         reference = simulate_layer_reference(workload, config, _memory(config, 12.8))
         assert fast == reference
 
@@ -317,10 +317,13 @@ class TestSimResultCache:
         fast = AcceleratorSimulator(
             config, STRATIX_V_GXA7, use_cache=False
         ).simulate(small_workload)
-        reference = AcceleratorSimulator(
-            config, STRATIX_V_GXA7, fast=False, use_cache=False
-        ).simulate(small_workload)
-        assert fast == reference
+        reference = tuple(
+            simulate_layer_reference(
+                layer, config, _memory(config, STRATIX_V_GXA7.bandwidth_gbs)
+            )
+            for layer in small_workload.layers
+        )
+        assert fast.layers == reference
 
 
 # ---------------------------------------------------------------------------

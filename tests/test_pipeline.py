@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import ConvGeometry, direct_conv2d_codes
+from repro.core import ConvGeometry
 from repro.pipeline import QuantizedPipeline
 from repro.prune import deep_compression_schedule, uniform_schedule
+from tests.conftest import direct_conv
 
 
 @pytest.fixture
@@ -105,7 +106,7 @@ class TestNumerics:
 
         weight_codes = decode_layer(compiled.encoded)
         geometry = ConvGeometry(kernel=3, padding=1)
-        direct = direct_conv2d_codes(input_codes, weight_codes, geometry)
+        direct = direct_conv(input_codes, weight_codes, geometry)
         from repro.core import abm_conv2d
 
         abm = abm_conv2d(input_codes, compiled.encoded, geometry)
