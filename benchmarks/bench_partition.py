@@ -15,6 +15,9 @@ cross-checked against the finite-FIFO tandem-line event simulation
 (:func:`repro.shard.simulate_shard_plan`), so the artifact's numbers are
 backed by the same model the serving layer uses.
 
+The search is timed in reference seconds on ``refclock.py``'s clock, and
+the artifact carries the host fingerprint.
+
 Writes ``BENCH_partition.json`` to the repo root.  Quick mode for CI:
 ``REPRO_BENCH_QUICK=1`` keeps only the headline VGG16 row (the search is
 deterministic arithmetic, so quick and full agree on it exactly).
@@ -22,10 +25,10 @@ deterministic arithmetic, so quick and full agree on it exactly).
 
 import json
 import os
-import time
 from pathlib import Path
 
 import pytest
+from refclock import CLOCK_UNIT, fingerprint, timed
 
 from repro.dse.partition import search_partitions
 from repro.hw.device import STRATIX_V_GXA3, STRATIX_V_GXA7
@@ -83,9 +86,9 @@ def test_bench_partition():
         workload = synthetic_model_workload(
             name, seed=1, scale=scale, spatial_scale=spatial_scale
         )
-        start = time.perf_counter()
-        result = search_partitions(workload, CATALOG, seed=1)
-        search_s = time.perf_counter() - start
+        searched = []
+        search_s = timed(lambda: searched.append(search_partitions(workload, CATALOG, seed=1)))
+        (result,) = searched
 
         # The analytic plan numbers must match the finite-FIFO tandem-line
         # simulation exactly — same law, independent mechanism.
@@ -131,6 +134,8 @@ def test_bench_partition():
     report = {
         "generated_by": "benchmarks/bench_partition.py",
         "quick": QUICK,
+        "clock": CLOCK_UNIT,
+        "fingerprint": fingerprint(),
         "models": rows,
     }
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")

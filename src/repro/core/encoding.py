@@ -18,9 +18,10 @@ kernel (the N*K*K weight block of one output channel) is encoded as:
 
 An :class:`EncodedLayer` keeps these as flat arrays — every kernel's
 stream concatenated, every kernel's Q-Table concatenated, and per-kernel
-offsets into both — built by :func:`encode_layer` from one stable sort of
-the layer's nonzeros. :class:`EncodedKernel` is a per-kernel view of them
-for the walkers that step through one kernel at a time.
+offsets into both — built by :func:`encode_nonzeros` from one stable sort
+of the layer's nonzeros (:func:`encode_layer` takes the dense codes).
+:class:`EncodedKernel` is a per-kernel view of them for the walkers that
+step through one kernel at a time.
 
 Decoding is exact: ``decode_layer(encode_layer(name, w)) == w`` for any
 integer weight tensor, a property test in the suite.
@@ -310,11 +311,9 @@ class EncodedLayer:
 def encode_layer(name: str, weight_codes: np.ndarray) -> EncodedLayer:
     """Encode a whole layer's (M, N, K, K) integer weight tensor.
 
-    FC weights may be given as (M, N) and are read as (M, N, 1, 1). One
-    stable sort of the layer's nonzeros by (kernel, value) groups every
-    kernel's positions by value, ascending within each value; runs longer
-    than the 8-bit NUM field split into continuation Q-Table entries.
-    Raises if a packed index would overflow the 16-bit WT-Buffer width.
+    FC weights may be given as (M, N) and are read as (M, N, 1, 1). The
+    nonzeros go to :func:`encode_nonzeros`. Raises if a packed index would
+    overflow the 16-bit WT-Buffer width.
     """
     codes = np.asarray(weight_codes)
     if codes.ndim == 2:  # FC weights (M, N) -> (M, N, 1, 1)
@@ -323,23 +322,37 @@ def encode_layer(name: str, weight_codes: np.ndarray) -> EncodedLayer:
         raise ValueError(f"layer codes must be (M, N, K, K), got shape {codes.shape}")
     if not np.issubdtype(codes.dtype, np.integer):
         raise TypeError("kernel codes must be integers")
-    out_channels, *shape = codes.shape
-    width = int(np.prod(shape))
     flat = codes.reshape(-1)
     nonzero = np.flatnonzero(flat)
-    kernels = nonzero // width
+    return encode_nonzeros(name, codes.shape, nonzero, flat[nonzero])
+
+
+def encode_nonzeros(
+    name: str, shape: Tuple[int, int, int, int], positions: np.ndarray, codes: np.ndarray
+) -> EncodedLayer:
+    """Encode an (M, N, K, K) layer given only its nonzero weight codes.
+
+    ``positions`` are ascending flat positions in the C-ordered layer and
+    ``codes`` the nonzero integer codes there. One stable sort by (kernel,
+    value) groups every kernel's positions by value, ascending within each
+    value; runs longer than the 8-bit NUM field split into continuation
+    Q-Table entries.
+    """
+    out_channels, *kernel_shape = shape
+    width = int(np.prod(kernel_shape))
+    kernels = positions // width
     # Stable, so positions stay ascending inside each (kernel, value) run.
     order, kernels, values, run_start = _value_runs(
-        kernels, flat[nonzero].astype(np.int64, copy=False)
+        kernels, codes.astype(np.int64, copy=False)
     )
-    positions = nonzero[order] - kernels * width
+    indices = positions[order] - kernels * width
     starts = np.flatnonzero(run_start)
     rank = np.arange(values.size) - np.repeat(starts, np.diff(starts, append=values.size))
     entries = np.flatnonzero(rank % MAX_ENTRY_COUNT == 0)
     return EncodedLayer(
         name=name,
-        kernel_shape=shape,
-        indices=positions,
+        kernel_shape=kernel_shape,
+        indices=indices,
         qtable_values=values[entries],
         qtable_counts=np.diff(entries, append=values.size),
         stream_offsets=_offsets(np.bincount(kernels, minlength=out_channels)),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core.abm import ABMConvBatchResult, ConvGeometry, abm_conv2d_batch
 from .telemetry.context import get_active
-from .core.encoding import EncodedLayer, encode_layer
+from .core.encoding import EncodedLayer, encode_nonzeros
 from .nn.layers import (
     AvgPool2D,
     Conv2D,
@@ -171,29 +171,30 @@ class QuantizedPipeline:
         return self
 
     def quantize(self) -> "QuantizedPipeline":
-        """Quantize weights and encode every accelerated layer."""
+        """Quantize weights and encode every accelerated layer.
+
+        Only the nonzero weights are touched: the format is fitted to them
+        (their peak is the layer's peak), they are rounded, and the ones
+        that round to code 0 are dropped before encoding. Raises
+        ``ValueError`` naming the layer if a weight is NaN or infinite.
+        """
         if not self._calibrated:
             raise RuntimeError("calibrate() must run before quantize()")
         for layer in self.network:
             if isinstance(layer, Conv2D):
-                weights = self._shared_weights(layer.weights)
-                weight_fmt = fit_qformat(weights, self.weight_bits)
-                codes = weight_fmt.quantize(weights)
                 geometry = ConvGeometry(
                     kernel=layer.kernel,
                     stride=layer.stride,
                     padding=layer.padding,
                     groups=layer.groups,
                 )
-                self._compile(layer.name, codes, geometry, weight_fmt, layer.bias, False)
-            elif isinstance(layer, FullyConnected):
-                weights = self._shared_weights(layer.weights)
-                weight_fmt = fit_qformat(weights, self.weight_bits)
-                codes = weight_fmt.quantize(
-                    weights.reshape(layer.out_features, layer.in_features, 1, 1)
-                )
                 self._compile(
-                    layer.name, codes, ConvGeometry(kernel=1), weight_fmt, layer.bias, True
+                    layer.name, layer.weights, layer.weights.shape, geometry, layer.bias, False
+                )
+            elif isinstance(layer, FullyConnected):
+                shape = (layer.out_features, layer.in_features, 1, 1)
+                self._compile(
+                    layer.name, layer.weights, shape, ConvGeometry(kernel=1), layer.bias, True
                 )
         self._quantization_token += 1
         return self
@@ -209,18 +210,25 @@ class QuantizedPipeline:
     def _compile(
         self,
         name: str,
-        weight_codes: np.ndarray,
+        weights: np.ndarray,
+        shape: Tuple[int, int, int, int],
         geometry: ConvGeometry,
-        weight_fmt: QFormat,
         bias: np.ndarray,
         is_fc: bool,
     ) -> None:
         if self.input_fmt is None:
             raise RuntimeError("pipeline is not calibrated")
-        encoded = encode_layer(name, weight_codes)
+        flat = self._shared_weights(weights).reshape(-1)
+        positions = np.flatnonzero(flat != 0)  # a bool scan beats one over floats
+        values = flat[positions]
+        if not np.isfinite(values).all():
+            raise ValueError(f"layer {name!r}: weights contain non-finite values (NaN or inf)")
+        weight_fmt = fit_qformat(values, self.weight_bits)
+        codes = weight_fmt.quantize(values)
+        kept = codes != 0
         self.compiled[name] = CompiledLayer(
             name=name,
-            encoded=encoded,
+            encoded=encode_nonzeros(name, shape, positions[kept], codes[kept]),
             geometry=geometry,
             weight_fmt=weight_fmt,
             output_fmt=self.output_fmts[name],

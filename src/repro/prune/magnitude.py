@@ -20,8 +20,11 @@ from ..nn.network import Network
 def prune_tensor(weights: np.ndarray, density: float) -> np.ndarray:
     """Zero all but the ``density`` fraction of largest-magnitude weights.
 
-    Returns a new array; ties at the threshold are broken by keeping the
-    earliest entries in flat order so the kept count is exact.
+    Returns a new array. The kept set is exact top-k by value threshold:
+    every weight with magnitude above the k-th largest is kept, and ties at
+    that threshold keep the earliest entries in flat order, so the kept
+    count is exact. Raises ``ValueError`` if the weights that would survive
+    hold a NaN or an infinity.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
@@ -31,27 +34,38 @@ def prune_tensor(weights: np.ndarray, density: float) -> np.ndarray:
         return np.zeros_like(arr)
     if keep >= arr.size:
         return arr.copy()
-    flat = np.abs(arr).reshape(-1)
-    # argpartition puts the `keep` largest magnitudes in the tail.
-    kept_positions = np.argpartition(flat, arr.size - keep)[arr.size - keep :]
-    mask = np.zeros(arr.size, dtype=bool)
-    mask[kept_positions] = True
-    pruned = arr.reshape(-1).copy()
-    pruned[~mask] = 0.0
-    return pruned.reshape(arr.shape)
+    flat = arr.reshape(-1)
+    cut = arr.size - keep
+    # The keep largest magnitudes land in the tail; NaN sorts above inf.
+    magnitude = np.abs(flat)
+    magnitude.partition(cut)
+    if not np.isfinite(magnitude[cut:].max()):
+        raise ValueError("weights contain non-finite values (NaN or inf)")
+    threshold = magnitude[cut]
+    kept = (flat >= threshold) | (flat <= -threshold)
+    excess = int(np.count_nonzero(kept)) - keep
+    if excess:
+        # More ties at the threshold than places left: drop the latest ones.
+        ties = np.flatnonzero(np.abs(flat) == threshold)
+        kept[ties[ties.size - excess :]] = False
+    return np.where(kept, flat, 0.0).reshape(arr.shape)
 
 
 def prune_network(network: Network, densities: Mapping[str, float]) -> Network:
     """Prune every weighted layer of a network in place.
 
     Layers absent from ``densities`` are left dense. Returns the network for
-    chaining.
+    chaining. Raises ``ValueError`` naming the layer when its surviving
+    weights are not finite.
     """
     for layer in network:
         weights = layer.weights
         if weights is None or layer.name not in densities:
             continue
-        layer.weights = prune_tensor(weights, densities[layer.name])
+        try:
+            layer.weights = prune_tensor(weights, densities[layer.name])
+        except ValueError as error:
+            raise ValueError(f"layer {layer.name!r}: {error}") from None
     return network
 
 

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import ConvGeometry
+from repro.core import ConvGeometry, encode_layer
+from repro.nn import Conv2D, FeatureShape, Flatten, FullyConnected, Network
 from repro.pipeline import QuantizedPipeline
 from repro.prune import deep_compression_schedule, uniform_schedule
+from repro.quant.clustering import cluster_weights
+from repro.quant.fixed_point import fit_qformat
 from tests.conftest import direct_conv
 
 
@@ -71,6 +76,15 @@ class TestFlowStages:
         with pytest.raises(ValueError, match="non-finite"):
             getattr(pipeline, method)(batch)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_names_the_layer(self, image, bad):
+        network, x = image
+        pipeline = QuantizedPipeline(network)
+        pipeline.calibrate(x)
+        network.layer("fc3").weights[2, 5] = bad
+        with pytest.raises(ValueError, match="layer 'fc3'.*non-finite"):
+            pipeline.quantize()
+
     def test_all_accelerated_layers_compiled(self, image):
         network, x = image
         pipeline = build_pipeline(network, x)
@@ -119,6 +133,59 @@ class TestNumerics:
         result = pipeline.run(x)
         assert np.all(result.output >= 0)  # softmax probabilities
         assert result.output.sum() == pytest.approx(1.0, abs=0.05)
+
+
+@st.composite
+def coded_weights(draw, shape):
+    """Weights on a quarter-LSB grid of a drawn format: steps of +-1 round to
+    code 0, steps of 2 (mod 4) are exact +-(k + 1/2) LSB ties, and a peak
+    of 508 steps (127 LSB) pins the fitted format to the grid's."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.integers(-508, 509, size=shape)
+    small = rng.random(shape) < draw(st.floats(0.0, 0.5))
+    steps[small] = rng.choice([-2, -1, 1, 2], size=int(small.sum()))
+    steps[rng.random(shape) >= draw(st.floats(0.0, 1.0))] = 0
+    steps[rng.random(shape[0]) < draw(st.floats(0.0, 0.5))] = 0  # all-zero kernels
+    if draw(st.booleans()):
+        steps.flat[draw(st.integers(0, steps.size - 1))] = draw(st.sampled_from([-508, 508]))
+    if draw(st.integers(0, 9)) == 0:
+        steps[...] = 0  # an all-zero layer
+    return steps * 2.0 ** -(draw(st.integers(-2, 8)) + 2)
+
+
+class TestSparseQuantize:
+    """quantize() touches only the nonzero weights; it must equal fitting,
+    rounding and encoding the dense tensor."""
+
+    @given(
+        st.sampled_from([1, 3]),
+        st.sampled_from([1, 2]),
+        st.data(),
+        st.none() | st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_formula(self, kernel, groups, data, clusters):
+        conv = Conv2D("conv", 4, 6, kernel, padding=kernel // 2, groups=groups)
+        fc = FullyConnected("fc", 6 * 5 * 5, 7)
+        conv.weights = data.draw(coded_weights(conv.weights.shape))
+        fc.weights = data.draw(coded_weights(fc.weights.shape))
+        network = Network("sparse", FeatureShape(4, 5, 5), [conv, Flatten("flatten"), fc])
+        pipeline = QuantizedPipeline(network, weight_clusters=clusters)
+        pipeline.calibrate(np.random.default_rng(0).normal(size=(4, 5, 5)))
+        pipeline.quantize()
+        for layer in (conv, fc):
+            weights = layer.weights
+            if clusters is not None:
+                weights = cluster_weights(weights, clusters).dense()
+            fmt = fit_qformat(weights, 8)
+            want = encode_layer(layer.name, fmt.quantize(weights))
+            got = pipeline.compiled[layer.name]
+            assert got.weight_fmt == fmt
+            assert got.encoded.kernel_shape == want.kernel_shape
+            for stream in (
+                "indices", "qtable_values", "qtable_counts", "stream_offsets", "qtable_offsets"
+            ):
+                assert np.array_equal(getattr(got.encoded, stream), getattr(want, stream)), stream
 
 
 class TestOpAccounting:

@@ -61,6 +61,32 @@ class TestPruneTensor:
         surviving = pruned != 0
         assert np.array_equal(pruned[surviving], weights[surviving])
 
+    def test_ties_keep_earliest_in_flat_order(self):
+        assert np.flatnonzero(prune_tensor(np.ones(10), 0.5)).tolist() == [0, 1, 2, 3, 4]
+
+    @given(
+        st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=200),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tie_heavy_kept_set(self, values, density):
+        """Small integer weights tie at the threshold almost always: the kept
+        count is exact, nothing dropped outranks anything kept, and of the
+        ties at the threshold the earliest survive."""
+        weights = np.array(values, dtype=np.float64)
+        pruned = prune_tensor(weights, density)
+        kept = pruned != 0
+        assert np.count_nonzero(kept) == int(round(density * weights.size))
+        assert np.array_equal(pruned[kept], weights[kept])
+        if kept.all() or not kept.any():
+            return
+        magnitude = np.abs(weights)
+        threshold = magnitude[kept].min()
+        assert threshold >= magnitude[~kept].max()
+        ties = np.flatnonzero(magnitude == threshold)
+        kept_ties = ties[kept[ties]]
+        assert kept_ties.tolist() == ties[: kept_ties.size].tolist()
+
 
 class TestSchedules:
     def test_deep_compression_vgg_matches_table1(self):
@@ -123,6 +149,13 @@ class TestNetworkPruning:
             network, {"conv1": 0.5, "conv2": 0.5, "fc3": 0.5, "fc4": 0.5}
         )
         assert mac_reduction_rate(network) == pytest.approx(2.0, rel=0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_names_the_layer(self, tiny_architecture, bad):
+        network = tiny_architecture.build(seed=3)
+        network.layer("conv2").weights[0, 0, 1, 1] = bad
+        with pytest.raises(ValueError, match="layer 'conv2'.*non-finite"):
+            prune_network(network, {"conv1": 0.5, "conv2": 0.5})
 
     def test_actual_density_empty(self):
         assert actual_density(np.array([])) == 0.0
