@@ -13,7 +13,8 @@ artifact (timings in perfbench reference seconds, speedups, grid sizes,
 Pareto timings, host fingerprint) to the repo root
 so future changes can track DSE performance over time;
 ``test_bench_dse_exhaustive`` adds one ``exhaustive`` row per model:
-wall time, space size and optimum of the exhaustive joint-space search.
+search time (reference seconds under the historical ``wall_s`` key), space
+size and optimum of the exhaustive joint-space search.
 Quick mode for CI: ``REPRO_BENCH_QUICK=1`` uses fewer repeats and a
 relaxed speedup floor for shared runners; the full run asserts a >= 20x
 bar on the VGG16 sweeps.
@@ -21,27 +22,23 @@ bar on the VGG16 sweeps.
 
 import json
 import os
-import time
 from pathlib import Path
 
 from refclock import CLOCK_UNIT, best_of, fingerprint, telemetry_section, timed
 
-from repro.dse import (
-    DEFAULT_RESOURCE_MODEL,
+from repro.dse.explorer import explore, size_buffers, sweep_nknl, sweep_sec_ncu
+from repro.dse.joint_space import default_joint_space, exhaustive_search
+from repro.dse.pareto import pareto_frontier, pareto_frontier_reference
+from repro.dse.performance import (
     MODE_QUANTIZED,
-    default_joint_space,
     estimate_model,
-    exhaustive_search,
-    explore,
-    pareto_frontier,
-    pareto_frontier_reference,
     share_factor_from_workloads,
-    size_buffers,
-    sweep_nknl,
-    sweep_sec_ncu,
 )
-from repro.hw import STRATIX_V_GXA7, AcceleratorConfig
-from repro.telemetry import Telemetry, activate, clear_caches
+from repro.dse.resources import DEFAULT_RESOURCE_MODEL
+from repro.hw.config import AcceleratorConfig
+from repro.hw.device import STRATIX_V_GXA7
+from repro.telemetry.caches import clear_caches
+from repro.telemetry.context import Telemetry, activate
 from repro.workloads import synthetic_model_workload
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
@@ -186,14 +183,18 @@ def test_bench_dse_artifact():
 
 def test_bench_dse_exhaustive():
     """Exhaustive joint-space search per model; merges ``exhaustive`` rows."""
-    rows = {"seed": 1, "models": {}}
+    rows = {"seed": 1, "clock": CLOCK_UNIT, "models": {}}
     print()
     for model in ("alexnet", "vgg16"):
         workload = synthetic_model_workload(model, seed=1)
         space = default_joint_space([workload])
-        start = time.perf_counter()
-        best = exhaustive_search([workload], STRATIX_V_GXA7, space=space)
-        wall_s = time.perf_counter() - start
+        found = []
+        wall_s = timed(
+            lambda: found.append(
+                exhaustive_search([workload], STRATIX_V_GXA7, space=space)
+            )
+        )
+        (best,) = found
         assert best.evaluated_points == space.size
         rows["models"][model] = {
             "space_points": space.size,
@@ -203,7 +204,7 @@ def test_bench_dse_exhaustive():
         }
         print(
             f"  {model:<8} exhaustive {best.values['throughput_gops']:7.1f} GOP/s "
-            f"over {space.size} points in {wall_s:5.2f}s"
+            f"over {space.size} points in {wall_s:5.2f} reference s"
         )
     # Merge into the trajectory artifact without clobbering the sweep rows.
     report = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {

@@ -1,6 +1,6 @@
 """Benchmark: regenerate paper Figure 1 (roofline design spaces)."""
 
-from repro.analysis import render_comparisons, worst_error
+from repro.analysis.compare import render_comparisons, worst_error
 from repro.experiments import fig1
 
 

@@ -1,6 +1,6 @@
 """Benchmark: regenerate paper Figure 6 (optimal N_knl sweep)."""
 
-from repro.analysis import render_comparisons
+from repro.analysis.compare import render_comparisons
 from repro.experiments import fig6
 
 

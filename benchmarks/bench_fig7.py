@@ -1,6 +1,6 @@
 """Benchmark: regenerate paper Figure 7 (S_ec x N_cu exploration)."""
 
-from repro.analysis import render_comparisons
+from repro.analysis.compare import render_comparisons
 from repro.experiments import fig7
 
 
@@ -18,7 +18,7 @@ def test_bench_fig7(benchmark, seed):
 
     # Refinement: re-rank candidates at their congestion-limited Fmax
     # (the paper's reason for carrying several close candidates forward).
-    from repro.dse import refine_with_frequency
+    from repro.dse.frequency import refine_with_frequency
 
     refined = refine_with_frequency(list(result.candidates))
     print("\ncongestion-refined ranking (delivered GOP/s at achievable Fmax):")

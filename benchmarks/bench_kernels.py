@@ -26,22 +26,22 @@ import numpy as np
 import pytest
 from refclock import INFER_CLOCK, INFER_CLOCK_UNIT, best_of, fingerprint, telemetry_section
 
-from repro.core import (
-    ConvGeometry,
-    abm_conv2d,
-    abm_conv2d_reference,
-    compile_layer_plan,
-    compile_model_plan,
-    encode_layer,
-)
+from repro.core.abm import ConvGeometry, abm_conv2d, abm_conv2d_reference
+from repro.core.encoding import encode_layer
+from repro.core.model_plan import compile_model_plan
+from repro.core.plan import compile_layer_plan
 from repro.core.model_plan import _model_plans
 from repro.core.plan import code_peak
 from repro.core.specs import conv_spec
 from repro.nn.models.alexnet import alexnet_architecture
 from repro.nn.models.vgg16 import vgg16_architecture
 from repro.pipeline import QuantizedPipeline
-from repro.telemetry import Telemetry, activate, clear_caches
-from repro.workloads import synthesize_quantized_layer, synthetic_feature_codes
+from repro.telemetry.caches import clear_caches
+from repro.telemetry.context import Telemetry, activate
+from repro.workloads.synthetic import (
+    synthesize_quantized_layer,
+    synthetic_feature_codes,
+)
 
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")

@@ -7,12 +7,9 @@ fitted to two data points.
 """
 
 from repro.dse import explore
-from repro.hw import (
-    ARRIA_10_GX1150,
-    PAPER_CONFIG_VGG16,
-    STRATIX_V_GXA7,
-    AcceleratorSimulator,
-)
+from repro.hw.accelerator import AcceleratorSimulator
+from repro.hw.config import PAPER_CONFIG_VGG16
+from repro.hw.device import ARRIA_10_GX1150, STRATIX_V_GXA7
 from repro.workloads import synthetic_model_workload
 
 

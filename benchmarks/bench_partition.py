@@ -1,6 +1,6 @@
 """Benchmark: pipelined multi-device deployment vs whole-model replication.
 
-Runs the exhaustive partition search (:func:`repro.dse.search_partitions`)
+Runs the exhaustive partition search (:func:`repro.dse.partition.search_partitions`)
 over a heterogeneous two-board catalog — a Stratix-V GXA7 next to the
 smaller GXA3 — and compares the best layer-pipelined deployment against
 the replication baseline (every board serving whole-model replicas with
@@ -12,7 +12,7 @@ for compute units on both boards.
 
 Every plan's analytic timing (bottleneck rate, fill latency) is
 cross-checked against the finite-FIFO tandem-line event simulation
-(:func:`repro.shard.simulate_shard_plan`), so the artifact's numbers are
+(:func:`repro.shard.pipeline_sim.simulate_shard_plan`), so the artifact's numbers are
 backed by the same model the serving layer uses.
 
 The search is timed in reference seconds on ``refclock.py``'s clock, and
@@ -32,8 +32,8 @@ from refclock import CLOCK_UNIT, fingerprint, timed
 
 from repro.dse.partition import search_partitions
 from repro.hw.device import STRATIX_V_GXA3, STRATIX_V_GXA7
-from repro.shard import simulate_shard_plan
-from repro.telemetry import clear_caches
+from repro.shard.pipeline_sim import simulate_shard_plan
+from repro.telemetry.caches import clear_caches
 from repro.workloads import synthetic_model_workload
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")

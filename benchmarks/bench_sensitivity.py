@@ -6,7 +6,7 @@ exploration. The claim under test: the *decision* (which design to build)
 is far more stable than the throughput estimate.
 """
 
-from repro.dse import resource_sensitivity
+from repro.dse.sensitivity import resource_sensitivity
 from repro.hw import STRATIX_V_GXA7
 from repro.workloads import synthetic_model_workload
 

@@ -28,14 +28,12 @@ from repro.nn.models import (
     SoftmaxDef,
 )
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
+from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
-from repro.serve import (
-    BatchPolicy,
-    EventDrivenSimulator,
-    LoadTrace,
-    ServiceProfile,
-)
+from repro.serve.batcher import BatchPolicy
+from repro.serve.events import EventDrivenSimulator
+from repro.serve.fleet import ServiceProfile
+from repro.serve.loadgen import LoadTrace
 from repro.workloads.images import natural_image
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")

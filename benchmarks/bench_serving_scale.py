@@ -37,7 +37,7 @@ from refclock import CLOCK, CLOCK_UNIT, fingerprint
 from repro.hw import STRATIX_V_GXA7
 from repro.nn.models import get_architecture
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
+from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
 from repro.serve import (
     BatchPolicy,

@@ -22,16 +22,13 @@ from pathlib import Path
 import pytest
 from refclock import CLOCK_UNIT, best_of, fingerprint, telemetry_section
 
-from repro.hw import (
-    PAPER_CONFIG_ALEXNET,
-    PAPER_CONFIG_VGG16,
-    STRATIX_V_GXA7,
-    AcceleratorConfig,
-    AcceleratorSimulator,
-    ExternalMemory,
-    simulate_layer_reference,
-)
-from repro.telemetry import Telemetry, activate, clear_caches
+from repro.hw.accelerator import AcceleratorSimulator
+from repro.hw.config import PAPER_CONFIG_ALEXNET, PAPER_CONFIG_VGG16, AcceleratorConfig
+from repro.hw.device import STRATIX_V_GXA7
+from repro.hw.memory import ExternalMemory
+from repro.hw.scheduler import simulate_layer_reference
+from repro.telemetry.caches import clear_caches
+from repro.telemetry.context import Telemetry, activate
 from repro.workloads import synthetic_model_workload
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")

@@ -11,16 +11,14 @@ utilization that irregular sparsity gets almost for free.
 
 import numpy as np
 
-from repro.core import conv_spec, encode_layer
-from repro.hw import (
-    AcceleratorConfig,
-    ExternalMemory,
-    POLICY_BALANCED,
-    POLICY_NATURAL,
-    simulate_layer,
-    workload_from_encoded,
-)
-from repro.prune import prune_kernels, prune_tensor
+from repro.core.encoding import encode_layer
+from repro.core.specs import conv_spec
+from repro.hw.config import AcceleratorConfig
+from repro.hw.memory import ExternalMemory
+from repro.hw.scheduler import POLICY_BALANCED, POLICY_NATURAL, simulate_layer
+from repro.hw.workload import workload_from_encoded
+from repro.prune.magnitude import prune_tensor
+from repro.prune.structured import prune_kernels
 
 
 def _simulate(weights, spec, policy):

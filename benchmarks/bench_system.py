@@ -8,7 +8,7 @@ footnote draws for [3] (663.5 vs 780.6 GOP/s).
 
 from repro.hw import PAPER_CONFIG_ALEXNET, PAPER_CONFIG_VGG16, STRATIX_V_GXA7
 from repro.nn.models import get_architecture
-from repro.system import run_system
+from repro.system.pipeline import run_system
 from repro.workloads import synthetic_model_workload
 
 

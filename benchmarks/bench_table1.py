@@ -1,6 +1,6 @@
 """Benchmark: regenerate paper Table 1 (#OP by convolution scheme, VGG16)."""
 
-from repro.analysis import render_comparisons, worst_error
+from repro.analysis.compare import render_comparisons, worst_error
 from repro.experiments import table1
 
 

@@ -1,7 +1,7 @@
 """Benchmark: regenerate paper Table 2 (state-of-the-art comparison)."""
 
-from repro.analysis import render_comparisons
-from repro.baselines import get_baseline
+from repro.analysis.compare import render_comparisons
+from repro.baselines.published import get_baseline
 from repro.experiments import table2
 
 

@@ -1,6 +1,6 @@
 """Benchmark: regenerate paper Table 3 (design parameters & weight sizes)."""
 
-from repro.analysis import render_comparisons
+from repro.analysis.compare import render_comparisons
 from repro.experiments import table3
 
 

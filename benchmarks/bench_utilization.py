@@ -1,6 +1,6 @@
 """Benchmark: regenerate the CU execution-efficiency study (Sections 6-7)."""
 
-from repro.analysis import render_comparisons
+from repro.analysis.compare import render_comparisons
 from repro.experiments import utilization
 
 

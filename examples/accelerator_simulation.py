@@ -10,9 +10,9 @@ in the Figure 1 roofline.
 Run:  python examples/accelerator_simulation.py
 """
 
-from repro.baselines import get_baseline
+from repro.baselines.published import get_baseline
 from repro.core.schemes import ConvScheme
-from repro.dse import DesignPoint, RooflineModel
+from repro.dse.roofline import DesignPoint, RooflineModel
 from repro.hw import (
     PAPER_CONFIG_ALEXNET,
     PAPER_CONFIG_VGG16,

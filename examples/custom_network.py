@@ -11,12 +11,10 @@ Run:  python examples/custom_network.py
 import numpy as np
 
 from repro.dse import explore
-from repro.hw import (
-    STRATIX_V_GXA7,
-    AcceleratorSimulator,
-    buffer_report,
-    workload_from_encoded,
-)
+from repro.hw.accelerator import AcceleratorSimulator
+from repro.hw.buffers import buffer_report
+from repro.hw.device import STRATIX_V_GXA7
+from repro.hw.workload import workload_from_encoded
 from repro.hw.workload import ModelWorkload
 from repro.nn.models import (
     Architecture,
@@ -28,7 +26,7 @@ from repro.nn.models import (
     SoftmaxDef,
 )
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
+from repro.prune.schedules import uniform_schedule
 
 SEED = 11
 

@@ -14,14 +14,15 @@ the exploration is device-generic — the paper's "complete flow" claim.
 Run:  python examples/design_space_exploration.py
 """
 
-from repro.dse import (
+from repro.dse.calibration import (
     SyntheticCompiler,
     characterization_suite,
-    explore,
     fit_constants,
 )
+from repro.dse.explorer import explore
 from repro.dse.performance import share_factor_from_workloads
-from repro.hw import ARRIA_10_GX1150, STRATIX_V_GXA7, AcceleratorConfig
+from repro.hw.config import AcceleratorConfig
+from repro.hw.device import ARRIA_10_GX1150, STRATIX_V_GXA7
 from repro.workloads import synthetic_model_workload
 
 SEED = 1

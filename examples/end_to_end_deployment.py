@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.nn.models import cifarnet_architecture
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
+from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
 
 SEED = 13

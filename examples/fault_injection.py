@@ -14,19 +14,24 @@ Run:  python examples/fault_injection.py
 
 import numpy as np
 
-from repro.core import ConvGeometry, abm_conv2d, conv_spec, encode_layer
-from repro.hw import (
-    AcceleratorConfig,
+from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.encoding import encode_layer
+from repro.core.specs import conv_spec
+from repro.hw.config import AcceleratorConfig
+from repro.hw.faults import (
     CorruptionDetected,
-    ExternalMemory,
-    TraceRecorder,
     flip_index_bit,
     flip_value_bit,
-    simulate_layer,
     truncate_stream,
-    workload_from_encoded,
 )
-from repro.workloads import synthesize_quantized_layer, synthetic_feature_codes
+from repro.hw.memory import ExternalMemory
+from repro.hw.scheduler import simulate_layer
+from repro.hw.trace import TraceRecorder
+from repro.hw.workload import workload_from_encoded
+from repro.workloads.synthetic import (
+    synthesize_quantized_layer,
+    synthetic_feature_codes,
+)
 
 SEED = 9
 

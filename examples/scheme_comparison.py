@@ -12,10 +12,19 @@ Run:  python examples/scheme_comparison.py
 
 import numpy as np
 
-from repro.baselines import FDConvModel, SDConvModel, SpConvModel
-from repro.core import ConvGeometry, SchemeOps, abm_conv2d, conv_spec, encode_layer
-from repro.hw import workload_from_encoded
-from repro.workloads import codebook_size, synthesize_quantized_layer, synthetic_feature_codes
+from repro.baselines.fdconv import FDConvModel
+from repro.baselines.sdconv import SDConvModel
+from repro.baselines.spconv import SpConvModel
+from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.encoding import encode_layer
+from repro.core.schemes import SchemeOps
+from repro.core.specs import conv_spec
+from repro.hw.workload import workload_from_encoded
+from repro.workloads.codebooks import codebook_size
+from repro.workloads.synthetic import (
+    synthesize_quantized_layer,
+    synthetic_feature_codes,
+)
 
 SEED = 3
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from repro.nn.models import cifarnet_architecture
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
-from repro.quant import cluster_weights, clustering_error
+from repro.prune.schedules import uniform_schedule
+from repro.quant.clustering import cluster_weights, clustering_error
 
 SEED = 21
 

@@ -1,19 +1,1 @@
 """Reporting helpers: tables and paper-vs-measured comparisons."""
-
-from .ascii_plots import heatmap, line_plot
-from .compare import Comparison, render_comparisons, worst_error
-from .report import generate_report, write_report
-from .tables import format_mop, format_pct, render_table
-
-__all__ = [
-    "Comparison",
-    "render_comparisons",
-    "worst_error",
-    "render_table",
-    "format_mop",
-    "format_pct",
-    "line_plot",
-    "heatmap",
-    "generate_report",
-    "write_report",
-]

@@ -26,23 +26,23 @@ Commands
   (``--format prometheus``) an exported telemetry snapshot.
 
 Bad input (an unknown device name, an impossible shard count, a negative
-scheme margin) prints one ``error: ...`` line to stderr and exits with
-status 2.
+scheme margin, a non-positive scale, bandwidth, rate or frequency) prints
+one ``error: ...`` line to stderr and exits with status 2.
+
+Each command imports the modules it runs inside its handler, so parsing
+the command line loads no simulator, DSE or serving code.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from .analysis.compare import render_comparisons
-from .dse import default_joint_space, exhaustive_search, explore
-from .dse.roofline import RooflineModel
-from .hw.accelerator import AcceleratorSimulator
-from .hw.config import PAPER_CONFIG_ALEXNET, PAPER_CONFIG_VGG16
-from .hw.device import FPGADevice, get_device
-from .workloads.synthetic import synthetic_model_workload
+if TYPE_CHECKING:
+    from .hw.config import AcceleratorConfig
+    from .hw.device import FPGADevice
 
 _EXPERIMENTS = (
     "table1",
@@ -62,22 +62,48 @@ class _UsageError(Exception):
     """Bad command-line input; :func:`main` reports it and exits 2."""
 
 
+def _positive(flag: str, kind: type = float) -> Callable[[str], float]:
+    """An argparse ``type=`` for a finite ``kind`` > 0; anything else exits 2."""
+    noun = "integer" if kind is int else "finite number"
+
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise _UsageError(f"{flag} must be a positive {noun}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _device(name: str) -> FPGADevice:
+    from .hw.device import get_device
+
     try:
         return get_device(name)
     except KeyError as error:
         raise _UsageError(error.args[0]) from None
 
 
+def _paper_config(model: str) -> AcceleratorConfig:
+    from .hw.config import PAPER_CONFIG_ALEXNET, PAPER_CONFIG_VGG16
+
+    return PAPER_CONFIG_VGG16 if model == "vgg16" else PAPER_CONFIG_ALEXNET
+
+
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from . import experiments as exp
+    import importlib
+
+    from .analysis.compare import render_comparisons
 
     names = [args.only] if args.only else list(_EXPERIMENTS)
     for name in names:
         if name not in _EXPERIMENTS:
             print(f"unknown experiment {name!r}; choose from {_EXPERIMENTS}")
             return 2
-        module = getattr(exp, name)
+        module = importlib.import_module(f"{__package__}.experiments.{name}")
         result = module.run(seed=args.seed)
         print(f"==== {name} " + "=" * max(0, 60 - len(name)))
         print(result.render())
@@ -90,7 +116,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = PAPER_CONFIG_VGG16 if args.model == "vgg16" else PAPER_CONFIG_ALEXNET
+    from .hw.accelerator import AcceleratorSimulator
+    from .workloads.synthetic import synthetic_model_workload
+
+    config = _paper_config(args.model)
     device = _device(args.device)
     workload = synthetic_model_workload(args.model, seed=args.seed)
     simulator = AcceleratorSimulator(config, device)
@@ -117,6 +146,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from .dse.explorer import explore
+    from .dse.joint_space import default_joint_space, exhaustive_search
+    from .workloads.synthetic import synthetic_model_workload
+
     device = _device(args.device)
     workload = synthetic_model_workload(args.model, seed=args.seed)
     result = explore(workload, device, seed=args.seed)
@@ -159,13 +192,15 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_roofline(args: argparse.Namespace) -> int:
+    from .dse.roofline import RooflineModel
+
     device = _device(args.device)
     print(RooflineModel(device, freq_mhz=args.freq).render())
     return 0
 
 
 def _cmd_devices(args: argparse.Namespace) -> int:
-    from .hw.device import available_devices
+    from .hw.device import available_devices, get_device
 
     header = (
         f"{'device':<18} {'ALMs':>9} {'DSPs':>6} {'M20K':>6} "
@@ -186,6 +221,7 @@ def _cmd_devices(args: argparse.Namespace) -> int:
 def _cmd_partition(args: argparse.Namespace) -> int:
     from .dse.partition import search_partitions
     from .shard.link import LinkModel
+    from .workloads.synthetic import synthetic_model_workload
 
     device_names = [name.strip() for name in args.devices.split(",") if name.strip()]
     if not device_names:
@@ -217,8 +253,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_schemes(args: argparse.Namespace) -> int:
     from .dse.schemes import plan_model_schemes
+    from .workloads.synthetic import synthetic_model_workload
 
-    config = PAPER_CONFIG_VGG16 if args.model == "vgg16" else PAPER_CONFIG_ALEXNET
+    config = _paper_config(args.model)
     device = _device(args.device)
     workload = synthetic_model_workload(
         args.model,
@@ -272,9 +309,10 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
 
 def _cmd_system(args: argparse.Namespace) -> int:
     from .nn.models import get_architecture
-    from .system import run_system
+    from .system.pipeline import run_system
+    from .workloads.synthetic import synthetic_model_workload
 
-    config = PAPER_CONFIG_VGG16 if args.model == "vgg16" else PAPER_CONFIG_ALEXNET
+    config = _paper_config(args.model)
     result = run_system(
         get_architecture(args.model),
         synthetic_model_workload(args.model, seed=args.seed),
@@ -321,16 +359,12 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
 
     from .nn.models import get_architecture
     from .pipeline import QuantizedPipeline
-    from .prune import uniform_schedule
+    from .prune.schedules import uniform_schedule
     from .runtime import SystemRuntime
-    from .serve import (
-        AutoscalePolicy,
-        BatchPolicy,
-        EventDrivenSimulator,
-        ServiceProfile,
-        SLOClass,
-        make_trace,
-    )
+    from .serve.batcher import BatchPolicy
+    from .serve.events import EventDrivenSimulator, SLOClass
+    from .serve.fleet import AutoscalePolicy, ServiceProfile
+    from .serve.loadgen import make_trace
     from .workloads.images import natural_image
 
     _check_serve_args(args)
@@ -352,7 +386,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     )
     telemetry = None
     if args.metrics_out:
-        from .telemetry import Telemetry
+        from .telemetry.context import Telemetry
 
         telemetry = Telemetry()
 
@@ -406,7 +440,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         )
     print(report.stats.render())
     if telemetry is not None:
-        from .telemetry import write_jsonl
+        from .telemetry.exporters import write_jsonl
 
         snapshot = telemetry.snapshot()
         size = write_jsonl(snapshot, args.metrics_out)
@@ -423,7 +457,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     """Encode a synthetic pruned model and write the deployment blob."""
     import numpy as np
 
-    from .core import encode_layer, save_model
+    from .core.encoding import encode_layer
+    from .core.serialize import save_model
     from .nn.models import get_architecture
     from .prune.schedules import deep_compression_schedule
     from .workloads.codebooks import codebook_size
@@ -459,7 +494,8 @@ def _demo_snapshot() -> dict:
     histograms, cache stats, a nested span tree — so ``metrics`` without
     ``--from`` doubles as a self-check of the telemetry plumbing.
     """
-    from .telemetry import Telemetry, VirtualClock, activate
+    from .telemetry.context import Telemetry, activate
+    from .telemetry.spans import VirtualClock
 
     clock = VirtualClock()
     telemetry = Telemetry(clock=clock.now)
@@ -520,7 +556,7 @@ def _render_metrics_summary(snapshot: dict) -> str:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Inspect, validate or convert a telemetry snapshot."""
-    from .telemetry import (
+    from .telemetry.exporters import (
         export_jsonl,
         parse_jsonl,
         prometheus_text,
@@ -595,7 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--device", default="Stratix-V GXA7")
     p_sim.add_argument("--trace", action="store_true",
                        help="record per-task scheduler events (serial, uncached)")
-    p_sim.add_argument("--trace-capacity", type=int, default=None,
+    p_sim.add_argument("--trace-capacity", type=_positive("--trace-capacity", int),
+                       default=None,
                        help="ring-buffer capacity; overflow is reported as dropped")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -617,13 +654,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sch.add_argument(
         "--scale",
-        type=float,
+        type=_positive("--scale"),
         default=1.0,
         help="channel-count multiplier (bench-scale plans, e.g. 0.25)",
     )
     p_sch.add_argument(
         "--spatial-scale",
-        type=float,
+        type=_positive("--spatial-scale"),
         default=1.0,
         help="input-resolution multiplier (bench-scale plans, e.g. 0.5)",
     )
@@ -631,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_roof = sub.add_parser("roofline", help="print the Figure 1 roofline")
     p_roof.add_argument("--device", default="Stratix-V GXA7")
-    p_roof.add_argument("--freq", type=float, default=200.0)
+    p_roof.add_argument("--freq", type=_positive("--freq"), default=200.0)
     p_roof.set_defaults(func=_cmd_roofline)
 
     p_dev = sub.add_parser("devices", help="list the FPGA device catalog")
@@ -652,21 +689,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest shard count to search, >= 1 "
              "(default: the catalog size, capped at 3)",
     )
-    p_part.add_argument("--link-gbs", type=float, default=6.0,
+    p_part.add_argument("--link-gbs", type=_positive("--link-gbs"), default=6.0,
                         help="inter-shard link bandwidth in GB/s")
     p_part.add_argument("--link-latency-us", type=float, default=5.0,
                         help="per-transfer link latency in microseconds")
-    p_part.add_argument("--scale", type=float, default=1.0,
+    p_part.add_argument("--scale", type=_positive("--scale"), default=1.0,
                         help="channel-count multiplier")
-    p_part.add_argument("--spatial-scale", type=float, default=1.0,
-                        help="input-resolution multiplier")
+    p_part.add_argument("--spatial-scale", type=_positive("--spatial-scale"),
+                        default=1.0, help="input-resolution multiplier")
     p_part.add_argument("--seed", type=int, default=1)
     p_part.set_defaults(func=_cmd_partition)
 
     p_sys = sub.add_parser("system", help="pipelined CPU/FPGA system model")
     p_sys.add_argument("--model", choices=("alexnet", "vgg16"), default="vgg16")
     p_sys.add_argument("--device", default="Stratix-V GXA7")
-    p_sys.add_argument("--host-gops", type=float, default=4.0,
+    p_sys.add_argument("--host-gops", type=_positive("--host-gops"), default=4.0,
                        help="host elementwise rate in Gops/s")
     p_sys.set_defaults(func=_cmd_system)
 
@@ -725,7 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc = sub.add_parser("encode", help="write an encoded-model blob")
     p_enc.add_argument("--model", choices=("alexnet", "vgg16"), default="alexnet")
     p_enc.add_argument("--out", default="model.abms")
-    p_enc.add_argument("--max-layer-weights", type=int, default=3_000_000,
+    p_enc.add_argument("--max-layer-weights",
+                       type=_positive("--max-layer-weights", int), default=3_000_000,
                        help="skip layers with more weights (memory guard)")
     p_enc.set_defaults(func=_cmd_encode)
 
@@ -738,9 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as error:
         print(f"error: {error}", file=sys.stderr)

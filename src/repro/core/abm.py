@@ -13,7 +13,7 @@ the whole architectural point of the paper.
 
 All arithmetic here is exact integer arithmetic on fixed-point codes, so the
 factorization is bit-exact against direct convolution (Equation 1); the
-tests anchor the reference to the float layer :class:`repro.nn.Conv2D`
+tests anchor the reference to the float layer :class:`repro.nn.layers.Conv2D`
 run on the same integer codes.
 Rounding to the 8-bit feature format happens once, after the kernel sum, as
 in the hardware's Sum/Round stage.

@@ -163,7 +163,7 @@ def _ensure_builtin_models() -> None:
     # The baseline modules register their models at import time; core must
     # not depend on baselines at *module* import (baselines builds on core),
     # so the registry pulls them in lazily on first use.
-    from .. import baselines  # noqa: F401
+    from ..baselines import fdconv, sdconv, spconv, spectral, winograd  # noqa: F401
 
 
 def get_scheme_model(name: str) -> SchemeModel:

@@ -15,7 +15,7 @@ scored exhaustively:
   stream, and over- or under-provisioned buffers adjust the M20K budget
   through the same width x depth block mapping as :mod:`repro.hw.buffers`.
   Multi-model sets combine per-workload grids through
-  :func:`repro.dse.multi.co_deployment_objectives`.
+  :func:`co_deployment_objectives`.
 - :func:`exhaustive_search` walks every outer cell and returns the best
   feasible point on the primary objective.
 """
@@ -32,10 +32,9 @@ from ..hw.buffers import BufferRequirement
 from ..hw.device import FPGADevice
 from ..hw.power import EnergyModel
 from ..hw.workload import ModelWorkload
-from .compiled import compile_workload
+from .compiled import GridEvaluation, compile_workload
 from .explorer import BufferSizing, size_buffers
 from .frequency import DEFAULT_FREQUENCY_MODEL, FrequencyModel
-from .multi import co_deployment_objectives
 from .performance import share_factor_from_workloads
 from .resources import DEFAULT_RESOURCE_MODEL, ResourceModel
 
@@ -161,6 +160,46 @@ def _wt_blocks(d_w: int) -> int:
         provisioned_depth=d_w,
         entry_bits=16,
     ).m20k_blocks
+
+
+def co_deployment_objectives(
+    evaluations: Sequence[GridEvaluation],
+) -> Dict[str, np.ndarray]:
+    """Combine same-shape per-workload grids into co-deployment objectives.
+
+    A single bitstream serving every workload is only as good as its
+    worst case, so the combination is conservative elementwise:
+    throughput is the minimum across workloads, power/utilization the
+    maximum, efficiency the minimum, and a point is feasible only when it
+    is feasible for *every* workload. :class:`JointEvaluator` scores
+    multi-model sets through this seam.
+    """
+    if not evaluations:
+        raise ValueError("need at least one grid evaluation")
+    shape = evaluations[0].shape
+    if any(e.shape != shape for e in evaluations):
+        raise ValueError("grid evaluations must share one shape")
+    combined: Dict[str, np.ndarray] = {
+        "throughput_gops": np.minimum.reduce(
+            [e.throughput_gops for e in evaluations]
+        ),
+        "total_power_w": np.maximum.reduce([e.power_w for e in evaluations]),
+        "gops_per_watt": np.minimum.reduce(
+            [e.gops_per_watt for e in evaluations]
+        ),
+        "feasible": np.logical_and.reduce([e.feasible for e in evaluations]),
+    }
+    if all(e.logic_util is not None for e in evaluations):
+        combined["logic_util"] = np.maximum.reduce(
+            [e.logic_util for e in evaluations]
+        )
+        combined["dsp_util"] = np.maximum.reduce(
+            [e.dsp_util for e in evaluations]
+        )
+        combined["mem_util"] = np.maximum.reduce(
+            [e.mem_util for e in evaluations]
+        )
+    return combined
 
 
 @dataclass(frozen=True)

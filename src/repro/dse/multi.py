@@ -11,15 +11,16 @@ against each workload's own best).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
 from ..hw.workload import ModelWorkload
-from .compiled import GridEvaluation, compile_workload
+from .compiled import compile_workload
 from .explorer import size_buffers
+from .joint_space import co_deployment_objectives
 from .performance import MODE_QUANTIZED, estimate_model, share_factor_from_workloads
 from .resources import DEFAULT_RESOURCE_MODEL, ResourceModel
 
@@ -67,47 +68,6 @@ class JointExplorationResult:
                 f"{self.best_single[model]:.1f})"
             )
         return "\n".join(lines)
-
-
-def co_deployment_objectives(
-    evaluations: Sequence[GridEvaluation],
-) -> Dict[str, np.ndarray]:
-    """Combine same-shape per-workload grids into co-deployment objectives.
-
-    A single bitstream serving every workload is only as good as its
-    worst case, so the combination is conservative elementwise:
-    throughput is the minimum across workloads, power/utilization the
-    maximum, efficiency the minimum, and a point is feasible only when it
-    is feasible for *every* workload. The joint-space search
-    (:mod:`repro.dse.joint_space`) scores multi-model sets through this
-    seam.
-    """
-    if not evaluations:
-        raise ValueError("need at least one grid evaluation")
-    shape = evaluations[0].shape
-    if any(e.shape != shape for e in evaluations):
-        raise ValueError("grid evaluations must share one shape")
-    combined: Dict[str, np.ndarray] = {
-        "throughput_gops": np.minimum.reduce(
-            [e.throughput_gops for e in evaluations]
-        ),
-        "total_power_w": np.maximum.reduce([e.power_w for e in evaluations]),
-        "gops_per_watt": np.minimum.reduce(
-            [e.gops_per_watt for e in evaluations]
-        ),
-        "feasible": np.logical_and.reduce([e.feasible for e in evaluations]),
-    }
-    if all(e.logic_util is not None for e in evaluations):
-        combined["logic_util"] = np.maximum.reduce(
-            [e.logic_util for e in evaluations]
-        )
-        combined["dsp_util"] = np.maximum.reduce(
-            [e.dsp_util for e in evaluations]
-        )
-        combined["mem_util"] = np.maximum.reduce(
-            [e.mem_util for e in evaluations]
-        )
-    return combined
 
 
 def _joint_grids(

@@ -8,29 +8,3 @@
 - :mod:`~repro.experiments.fig7` — S_ec x N_cu exploration (Figure 7)
 - :mod:`~repro.experiments.utilization` — CU execution efficiency (Sec. 6-7)
 """
-
-from . import (
-    batch_bandwidth,
-    bitwidth,
-    density_sweep,
-    fig1,
-    fig6,
-    fig7,
-    table1,
-    table2,
-    table3,
-    utilization,
-)
-
-__all__ = [
-    "table1",
-    "table2",
-    "table3",
-    "fig1",
-    "fig6",
-    "fig7",
-    "utilization",
-    "bitwidth",
-    "batch_bandwidth",
-    "density_sweep",
-]

@@ -15,11 +15,14 @@ Power = dynamic energy / time + static leakage (scaled by logic used).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .accelerator import ModelSimResult
 from .config import AcceleratorConfig
-from .mac_array import MacArrayModelResult
 from .workload import ModelWorkload
+
+if TYPE_CHECKING:
+    from .mac_array import MacArrayModelResult
 
 
 @dataclass(frozen=True)

@@ -1,41 +1,7 @@
 """Magnitude pruning substrate (Deep Compression style)."""
 
-from .magnitude import actual_density, prune_network, prune_tensor
-from .schedules import (
-    DEEP_COMPRESSION_ALEXNET,
-    DEEP_COMPRESSION_VGG16,
-    DEEP_COMPRESSION_VGG19,
-    PruningSchedule,
-    deep_compression_schedule,
-    uniform_schedule,
-)
-from .structured import (
-    prune_input_channels,
-    prune_kernels,
-    sparsity_structure_report,
-)
-from .sparsity import (
-    LayerDensityReport,
-    mac_reduction_rate,
-    model_density,
-    network_density_report,
-)
+from .schedules import deep_compression_schedule
 
 __all__ = [
-    "prune_tensor",
-    "prune_network",
-    "actual_density",
-    "PruningSchedule",
     "deep_compression_schedule",
-    "uniform_schedule",
-    "DEEP_COMPRESSION_ALEXNET",
-    "DEEP_COMPRESSION_VGG16",
-    "DEEP_COMPRESSION_VGG19",
-    "prune_kernels",
-    "prune_input_channels",
-    "sparsity_structure_report",
-    "LayerDensityReport",
-    "network_density_report",
-    "model_density",
-    "mac_reduction_rate",
 ]

@@ -10,83 +10,3 @@ Public surface:
 - :mod:`~repro.quant.stats` — per-kernel distinct-value statistics feeding
   the ABM-SpConv op-count analysis (paper Table 1).
 """
-
-from .fixed_point import (
-    DATAPATH_BITS,
-    FEATURE_BITS,
-    ROUND_EVEN,
-    ROUND_FLOOR,
-    ROUND_NEAREST,
-    WEIGHT_BITS,
-    QFormat,
-    best_frac_bits,
-    fit_qformat,
-)
-from .activation_calibration import (
-    CALIBRATION_MAX,
-    CALIBRATION_PERCENTILE,
-    CALIBRATION_STRATEGIES,
-    fit_qformat_percentile,
-    fit_with_strategy,
-    sqnr_db,
-)
-from .clustering import (
-    DEEP_COMPRESSION_CONV_CLUSTERS,
-    DEEP_COMPRESSION_FC_CLUSTERS,
-    ClusteredWeights,
-    cluster_weights,
-    clustering_error,
-    kmeans_1d,
-)
-from .quantizer import (
-    LayerQuantization,
-    ModelQuantizer,
-    QuantizedTensor,
-    codebook_histogram,
-    quantization_error,
-    quantize_tensor,
-)
-from .stats import (
-    KernelSparsityStats,
-    LayerSparsitySummary,
-    kernel_stats,
-    per_output_channel_stats,
-    summarize_layer,
-    summarize_stats,
-)
-
-__all__ = [
-    "DATAPATH_BITS",
-    "FEATURE_BITS",
-    "ROUND_EVEN",
-    "ROUND_FLOOR",
-    "ROUND_NEAREST",
-    "WEIGHT_BITS",
-    "QFormat",
-    "best_frac_bits",
-    "fit_qformat",
-    "ClusteredWeights",
-    "cluster_weights",
-    "clustering_error",
-    "kmeans_1d",
-    "DEEP_COMPRESSION_CONV_CLUSTERS",
-    "DEEP_COMPRESSION_FC_CLUSTERS",
-    "CALIBRATION_MAX",
-    "CALIBRATION_PERCENTILE",
-    "CALIBRATION_STRATEGIES",
-    "fit_qformat_percentile",
-    "fit_with_strategy",
-    "sqnr_db",
-    "LayerQuantization",
-    "ModelQuantizer",
-    "QuantizedTensor",
-    "codebook_histogram",
-    "quantization_error",
-    "quantize_tensor",
-    "KernelSparsityStats",
-    "LayerSparsitySummary",
-    "kernel_stats",
-    "per_output_channel_stats",
-    "summarize_layer",
-    "summarize_stats",
-]

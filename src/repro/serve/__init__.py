@@ -11,65 +11,15 @@ Load comes from :mod:`repro.serve.loadgen` traces (Poisson, uniform,
 diurnal, burst). See ``docs/serving.md``.
 """
 
-from .batcher import (
-    Batch,
-    BatchPolicy,
-    Dispatch,
-    ServeRequest,
-    dispatch_batches,
-    form_batches,
-)
-from .events import (
-    DEFAULT_SLO,
-    EventBatch,
-    EventDrivenSimulator,
-    EventOutcome,
-    EventReport,
-    SLOClass,
-)
-from .fleet import (
-    AutoscalePolicy,
-    Fleet,
-    Instance,
-    ScaleEvent,
-    ServiceProfile,
-)
-from .loadgen import (
-    LoadTrace,
-    TRACE_KINDS,
-    burst_trace,
-    diurnal_trace,
-    make_trace,
-    poisson_trace,
-    uniform_trace,
-)
-from .stats import Rejection, ServeStats
+from .batcher import BatchPolicy
+from .events import EventDrivenSimulator, SLOClass
+from .fleet import ServiceProfile
+from .loadgen import poisson_trace
 
 __all__ = [
-    "AutoscalePolicy",
-    "Batch",
     "BatchPolicy",
-    "DEFAULT_SLO",
-    "Dispatch",
-    "EventBatch",
     "EventDrivenSimulator",
-    "EventOutcome",
-    "EventReport",
-    "Fleet",
-    "Instance",
-    "LoadTrace",
-    "Rejection",
     "SLOClass",
-    "ScaleEvent",
-    "ServeRequest",
-    "ServeStats",
     "ServiceProfile",
-    "TRACE_KINDS",
-    "burst_trace",
-    "diurnal_trace",
-    "dispatch_batches",
-    "form_batches",
-    "make_trace",
     "poisson_trace",
-    "uniform_trace",
 ]

@@ -1,23 +1,1 @@
 """CPU/FPGA system-level model: host layer costs and pipelined execution."""
-
-from .host import (
-    DEFAULT_HOST_OPS_PER_SECOND,
-    HostLayerCost,
-    HostModel,
-    UnknownHostLayerError,
-    host_costs,
-    host_layer_ops,
-)
-from .pipeline import SystemResult, host_ops_from_architecture, run_system
-
-__all__ = [
-    "HostModel",
-    "HostLayerCost",
-    "host_costs",
-    "host_layer_ops",
-    "DEFAULT_HOST_OPS_PER_SECOND",
-    "UnknownHostLayerError",
-    "SystemResult",
-    "run_system",
-    "host_ops_from_architecture",
-]

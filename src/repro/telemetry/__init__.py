@@ -23,59 +23,11 @@ counters and unaggregated trace events:
 See ``docs/observability.md`` for the full tour and overhead numbers.
 """
 
-from .caches import (
-    CacheStats,
-    Memo,
-    cache_snapshot,
-    cache_stats,
-    clear_caches,
-    register_cache,
-    registered_caches,
-    unregister_cache,
-)
-from .context import SCHEMA, Telemetry, activate, get_active
-from .exporters import (
-    export_jsonl,
-    parse_jsonl,
-    prometheus_text,
-    validate_snapshot,
-    write_jsonl,
-)
-from .registry import (
-    DEFAULT_TIME_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    metric_key,
-)
-from .spans import Span, Tracer, VirtualClock
+from .caches import cache_snapshot
+from .context import Telemetry, activate
 
 __all__ = [
-    "SCHEMA",
-    "CacheStats",
-    "Counter",
-    "DEFAULT_TIME_BUCKETS_S",
-    "Gauge",
-    "Histogram",
-    "Memo",
-    "MetricsRegistry",
-    "Span",
-    "Telemetry",
-    "Tracer",
-    "VirtualClock",
-    "activate",
     "cache_snapshot",
-    "cache_stats",
-    "clear_caches",
-    "export_jsonl",
-    "get_active",
-    "metric_key",
-    "parse_jsonl",
-    "prometheus_text",
-    "register_cache",
-    "registered_caches",
-    "unregister_cache",
-    "validate_snapshot",
-    "write_jsonl",
+    "Telemetry",
+    "activate",
 ]

@@ -56,8 +56,25 @@ def write_jsonl(snapshot: Dict[str, object], path: str) -> int:
     return len(text.encode("utf-8"))
 
 
+#: Record kinds after ``meta``: the snapshot section each fills and the
+#: fields it must carry (key, then payload; spans are a list, not keyed).
+_RECORD_KINDS = {
+    "counter": ("counters", ("name", "value")),
+    "gauge": ("gauges", ("name", "value")),
+    "histogram": ("histograms", ("name", "data")),
+    "cache": ("caches", ("name", "data")),
+    "span": ("spans", ("data",)),
+    "span_total": ("span_totals", ("name", "data")),
+}
+
+
 def parse_jsonl(text: str) -> Dict[str, object]:
-    """Rebuild a snapshot dict from its JSONL export (exact round-trip)."""
+    """Rebuild a snapshot dict from its JSONL export (exact round-trip).
+
+    A line that is not a well-formed record (invalid JSON, JSON that is not
+    an object, an unknown ``kind``, a missing field, a non-string ``name``)
+    raises ``ValueError("line N: ...")``.
+    """
     snapshot: Dict[str, object] = {
         "schema": SCHEMA,
         "counters": {},
@@ -74,21 +91,29 @@ def parse_jsonl(text: str) -> Dict[str, object]:
             record = json.loads(line)
         except json.JSONDecodeError as error:
             raise ValueError(f"line {line_number}: invalid JSON: {error}") from None
+        if not isinstance(record, dict):
+            raise ValueError(
+                f"line {line_number}: expected a JSON object, "
+                f"got {type(record).__name__}"
+            )
         kind = record.get("kind")
         if kind == "meta":
             snapshot["schema"] = record.get("schema", SCHEMA)
-        elif kind in ("counter", "gauge"):
-            snapshot[kind + "s"][record["name"]] = record["value"]
-        elif kind == "histogram":
-            snapshot["histograms"][record["name"]] = record["data"]
-        elif kind == "cache":
-            snapshot["caches"][record["name"]] = record["data"]
-        elif kind == "span":
-            snapshot["spans"].append(record["data"])
-        elif kind == "span_total":
-            snapshot["span_totals"][record["name"]] = record["data"]
-        else:
+            continue
+        if not isinstance(kind, str) or kind not in _RECORD_KINDS:
             raise ValueError(f"line {line_number}: unknown record kind {kind!r}")
+        section, fields = _RECORD_KINDS[kind]
+        missing = [field for field in fields if field not in record]
+        if missing:
+            raise ValueError(
+                f"line {line_number}: {kind} record lacks {', '.join(missing)}"
+            )
+        if kind == "span":
+            snapshot["spans"].append(record["data"])
+        elif not isinstance(record["name"], str):
+            raise ValueError(f"line {line_number}: {kind} name must be a string")
+        else:
+            snapshot[section][record["name"]] = record[fields[1]]
     return snapshot
 
 

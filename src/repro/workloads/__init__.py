@@ -1,37 +1,9 @@
 """Calibrated synthetic workloads and the paper's published targets."""
 
-from .codebooks import (
-    ALEXNET_CODEBOOKS,
-    DEFAULT_CODEBOOK_SIZE,
-    VGG16_CODEBOOKS,
-    codebook_size,
-    codebook_sizes,
-    codebook_values,
-    expected_distinct,
-)
-from .images import calibration_batch, natural_image, spectrum_slope
-from .synthetic import (
-    synthesize_layer_stats,
-    synthesize_quantized_layer,
-    synthetic_feature_codes,
-    synthetic_layer_workload,
-    synthetic_model_workload,
-)
+from .images import natural_image
+from .synthetic import synthetic_model_workload
 
 __all__ = [
-    "ALEXNET_CODEBOOKS",
-    "VGG16_CODEBOOKS",
-    "DEFAULT_CODEBOOK_SIZE",
-    "codebook_size",
-    "codebook_sizes",
-    "codebook_values",
-    "expected_distinct",
-    "synthesize_layer_stats",
-    "synthesize_quantized_layer",
-    "synthetic_feature_codes",
-    "synthetic_layer_workload",
-    "synthetic_model_workload",
     "natural_image",
-    "calibration_batch",
-    "spectrum_slope",
+    "synthetic_model_workload",
 ]

@@ -37,22 +37,18 @@ def synthesize_layer_stats(
     Nonzero counts are Binomial(weights_per_kernel, density) — magnitude
     pruning with a global layer threshold leaves near-independent survival
     per weight. Distinct counts come from actually drawing each kernel's
-    survivors uniformly from the codebook (multinomial occupancy).
+    survivors uniformly from the codebook (multinomial occupancy), all
+    kernels in one draw. A kernel with no survivors consumes no random
+    numbers, so the draw matches one ``multinomial`` call per nonempty
+    kernel in order, generator state included.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
-    kernels = spec.out_channels
-    weights = spec.weights_per_kernel
-    nonzeros = rng.binomial(weights, density, size=kernels).astype(np.int64)
-    probabilities = np.full(codebook, 1.0 / codebook)
-    distinct = np.empty(kernels, dtype=np.int64)
-    for m in range(kernels):
-        if nonzeros[m] == 0:
-            distinct[m] = 0
-            continue
-        counts = rng.multinomial(nonzeros[m], probabilities)
-        distinct[m] = int(np.count_nonzero(counts))
-    return nonzeros, distinct
+    nonzeros = rng.binomial(
+        spec.weights_per_kernel, density, size=spec.out_channels
+    ).astype(np.int64)
+    counts = rng.multinomial(nonzeros, np.full(codebook, 1.0 / codebook))
+    return nonzeros, np.count_nonzero(counts, axis=1).astype(np.int64)
 
 
 def synthetic_layer_workload(

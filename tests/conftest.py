@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.abm import ConvGeometry
 from repro.core.specs import conv_spec, fc_spec
-from repro.nn import Conv2D
+from repro.nn.layers import Conv2D
 from repro.nn.models import (
     Architecture,
     ConvDef,

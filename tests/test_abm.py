@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import (
-    ConvGeometry,
-    abm_conv2d,
-    abm_conv2d_reference,
-    encode_layer,
-)
+from repro.core.abm import ConvGeometry, abm_conv2d, abm_conv2d_reference
+from repro.core.encoding import encode_layer
 from tests.conftest import direct_conv, sparse_weight_codes
 
 

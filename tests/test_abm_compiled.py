@@ -4,7 +4,7 @@ The compiled plan must be *bit-exact* against the literal two-stage oracle
 :func:`abm_conv2d_reference` — same outputs, same analytic
 accumulate/multiply counts — on all three host datapaths: the float32
 GEMM, the float64 GEMM and the exact int64 matmul fallback. The oracle
-itself is anchored to Equation (1), the float :class:`repro.nn.Conv2D`
+itself is anchored to Equation (1), the float :class:`repro.nn.layers.Conv2D`
 layer run on int64 codes.
 """
 
@@ -14,15 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import (
-    ConvGeometry,
-    ExactnessError,
-    abm_conv2d,
-    abm_conv2d_reference,
-    compile_layer_plan,
-    decode_layer,
-    encode_layer,
-)
+from repro.core.abm import ConvGeometry, abm_conv2d, abm_conv2d_reference
+from repro.core.encoding import decode_layer, encode_layer
+from repro.core.plan import ExactnessError, compile_layer_plan
 from repro.core import plan as plan_module
 from repro.telemetry.context import Telemetry, activate
 from tests.conftest import direct_conv, sparse_weight_codes

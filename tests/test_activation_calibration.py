@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.quant import (
+from repro.quant.activation_calibration import (
     CALIBRATION_MAX,
     CALIBRATION_PERCENTILE,
-    QFormat,
-    fit_qformat,
     fit_qformat_percentile,
     fit_with_strategy,
     sqnr_db,
 )
+from repro.quant.fixed_point import QFormat, fit_qformat
 
 
 class TestPercentileFit:

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.analysis import (
-    Comparison,
-    format_mop,
-    format_pct,
-    render_comparisons,
-    render_table,
-    worst_error,
-)
+from repro.analysis.compare import Comparison, render_comparisons, worst_error
+from repro.analysis.tables import format_mop, format_pct, render_table
 
 
 class TestComparison:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import heatmap, line_plot
+from repro.analysis.ascii_plots import heatmap, line_plot
 
 
 class TestLinePlot:

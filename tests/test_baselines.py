@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    FDConvModel,
-    OaAModel,
-    SDConvModel,
-    SpConvModel,
-    get_baseline,
-    published_accelerators,
-    sdconv_ops,
-    spconv_ops,
-)
-from repro.core import ConvGeometry, abm_conv2d, conv_spec, encode_layer
+from repro.baselines.fdconv import FDConvModel, OaAModel
+from repro.baselines.published import get_baseline, published_accelerators
+from repro.baselines.sdconv import SDConvModel, sdconv_ops
+from repro.baselines.spconv import SpConvModel, spconv_ops
+from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.encoding import encode_layer
+from repro.core.specs import conv_spec
 from repro.hw.workload import workload_from_encoded
 from tests.conftest import sparse_weight_codes
 

@@ -10,14 +10,10 @@ ulp-level BLAS summation-order differences.
 import numpy as np
 import pytest
 
-from repro.core import (
-    ConvGeometry,
-    abm_conv2d,
-    abm_conv2d_batch,
-    encode_layer,
-)
+from repro.core.abm import ConvGeometry, abm_conv2d, abm_conv2d_batch
+from repro.core.encoding import encode_layer
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
+from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
 from tests.conftest import sparse_weight_codes
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import BatchNorm, Conv2D, FeatureShape, FullyConnected, Network, ReLU, fold_batchnorm
+from repro.nn.layers import BatchNorm, Conv2D, FullyConnected, ReLU, fold_batchnorm
+from repro.nn.network import Network
+from repro.nn.tensor import FeatureShape
 
 
 def make_bn(channels, rng):

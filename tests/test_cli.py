@@ -101,6 +101,19 @@ class TestCommands:
               "--autoscale-interval-ms", "0"],
              "--autoscale-interval-ms must be positive"),
             (["serve-sim", "--density", "1.5"], "--density must be in [0, 1]"),
+            (["schemes", "--scale", "0"], "--scale must be a positive"),
+            (["schemes", "--spatial-scale", "0"], "--spatial-scale must be a positive"),
+            (["partition", "--scale", "-1"], "--scale must be a positive"),
+            (["partition", "--spatial-scale", "inf"],
+             "--spatial-scale must be a positive"),
+            (["partition", "--link-gbs", "0"], "--link-gbs must be a positive"),
+            (["system", "--host-gops", "0"], "--host-gops must be a positive"),
+            (["roofline", "--freq", "0"], "--freq must be a positive"),
+            (["roofline", "--freq", "fast"], "--freq must be a positive"),
+            (["simulate", "--trace-capacity", "0"],
+             "--trace-capacity must be a positive integer"),
+            (["encode", "--max-layer-weights", "-5"],
+             "--max-layer-weights must be a positive integer"),
         ],
     )
     def test_bad_input_fails_cleanly(self, capsys, argv, message):
@@ -127,7 +140,7 @@ class TestCommands:
         assert "--basis" in capsys.readouterr().err
 
     def test_encode_roundtrip(self, capsys, tmp_path):
-        from repro.core import load_model
+        from repro.core.serialize import load_model
 
         path = str(tmp_path / "model.abms")
         assert main(["encode", "--model", "alexnet", "--out", path]) == 0

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quant import ClusteredWeights, cluster_weights, clustering_error, kmeans_1d
+from repro.quant.clustering import (
+    ClusteredWeights,
+    cluster_weights,
+    clustering_error,
+    kmeans_1d,
+)
 
 
 class TestKMeans1D:
@@ -84,7 +89,7 @@ class TestPipelineIntegration:
     def test_weight_sharing_cuts_multiplies(self, tiny_architecture, rng):
         """Clustering is the mechanism behind ABM's multiply savings."""
         from repro.pipeline import QuantizedPipeline
-        from repro.prune import uniform_schedule
+        from repro.prune.schedules import uniform_schedule
 
         def run(clusters):
             network = tiny_architecture.build(seed=6)
@@ -103,7 +108,7 @@ class TestPipelineIntegration:
 
     def test_clustered_model_still_classifies(self, tiny_architecture, rng):
         from repro.pipeline import QuantizedPipeline
-        from repro.prune import uniform_schedule
+        from repro.prune.schedules import uniform_schedule
 
         network = tiny_architecture.build(seed=6)
         x = rng.normal(size=network.input_shape.as_tuple())

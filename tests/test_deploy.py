@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import load_model
+from repro.core.serialize import load_model
 from repro.deploy import DeploymentError, deploy
-from repro.hw import AcceleratorConfig, STRATIX_V_GXA7
+from repro.hw.config import AcceleratorConfig
+from repro.hw.device import STRATIX_V_GXA7
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
+from repro.prune.schedules import uniform_schedule
 
 
 @pytest.fixture

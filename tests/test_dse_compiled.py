@@ -17,28 +17,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.specs import conv_spec, fc_spec
-from repro.dse import (
-    DEFAULT_RESOURCE_MODEL,
-    MODE_IDEAL,
-    MODE_QUANTIZED,
+from repro.dse.compiled import compile_workload, steps_total_closed_form
+from repro.dse.explorer import (
     best_candidates,
-    compile_workload,
-    estimate_model,
     explore,
-    explore_joint,
     optimal_nknl,
-    pareto_frontier,
-    pareto_frontier_reference,
-    share_factor_from_workloads,
     size_buffers,
-    steps_total_closed_form,
     sweep_nknl,
     sweep_sec_ncu,
 )
+from repro.dse.multi import explore_joint
+from repro.dse.pareto import pareto_frontier, pareto_frontier_reference
+from repro.dse.performance import (
+    MODE_IDEAL,
+    MODE_QUANTIZED,
+    estimate_model,
+    share_factor_from_workloads,
+)
+from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.dse.compiled import CompiledWorkload, _compiled
 from repro.dse.explorer import BufferSizing, GridPoint, _buffers
 from repro.dse.resources import ResourceEstimate, ResourceUtilization
-from repro.hw import STRATIX_V_GXA7, AcceleratorConfig, plan_windows
+from repro.hw.config import AcceleratorConfig
+from repro.hw.device import STRATIX_V_GXA7
+from repro.hw.tiling import plan_windows
 from repro.hw.device import FPGADevice
 from repro.hw.power import EnergyModel, abm_power_analytic
 from repro.hw.tiling import plan_layer_windows

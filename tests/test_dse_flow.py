@@ -3,21 +3,23 @@
 import pytest
 
 from repro.core.schemes import ConvScheme
-from repro.dse import (
-    DEFAULT_RESOURCE_MODEL,
-    DesignPoint,
-    RooflineModel,
+from repro.dse.calibration import (
     SyntheticCompiler,
-    best_candidates,
     characterization_suite,
-    explore,
     fit_constants,
+)
+from repro.dse.explorer import (
+    best_candidates,
+    explore,
     optimal_nknl,
     size_buffers,
     sweep_nknl,
     sweep_sec_ncu,
 )
-from repro.hw import PAPER_CONFIG_VGG16, STRATIX_V_GXA7, AcceleratorConfig
+from repro.dse.resources import DEFAULT_RESOURCE_MODEL
+from repro.dse.roofline import DesignPoint, RooflineModel
+from repro.hw.config import PAPER_CONFIG_VGG16, AcceleratorConfig
+from repro.hw.device import STRATIX_V_GXA7
 from repro.workloads import synthetic_model_workload
 
 

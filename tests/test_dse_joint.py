@@ -21,17 +21,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dse import (
+from repro.dse.compiled import compile_workload
+from repro.dse.joint_space import (
     DEFAULT_OBJECTIVES,
-    DEFAULT_RESOURCE_MODEL,
     OBJECTIVE_DIRECTIONS,
     SearchSpace,
-    compile_workload,
     default_joint_space,
     exhaustive_search,
-    explore_joint,
-    nondominated_mask,
 )
+from repro.dse.multi import explore_joint
+from repro.dse.pareto import nondominated_mask
+from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.hw import STRATIX_V_GXA7
 from repro.hw.power import abm_power_analytic, analytic_energy_per_image
 from repro.workloads import synthetic_model_workload

@@ -2,24 +2,18 @@
 
 import pytest
 
-from repro.dse import (
-    DEFAULT_RESOURCE_MODEL,
+from repro.dse.bandwidth import bandwidth_report, layer_traffic
+from repro.dse.performance import (
     MODE_IDEAL,
     MODE_QUANTIZED,
-    ResourceModel,
-    bandwidth_report,
     estimate_layer,
     estimate_model,
-    layer_traffic,
-    next_power_of_two,
     share_factor_from_workloads,
 )
-from repro.hw import (
-    PAPER_CONFIG_VGG16,
-    STRATIX_V_GXA7,
-    AcceleratorConfig,
-    AcceleratorSimulator,
-)
+from repro.dse.resources import DEFAULT_RESOURCE_MODEL, ResourceModel, next_power_of_two
+from repro.hw.accelerator import AcceleratorSimulator
+from repro.hw.config import PAPER_CONFIG_VGG16, AcceleratorConfig
+from repro.hw.device import STRATIX_V_GXA7
 from repro.workloads import synthetic_model_workload
 
 

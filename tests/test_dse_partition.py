@@ -23,8 +23,8 @@ from repro.hw.device import (
     STRATIX_V_GXA3,
     STRATIX_V_GXA7,
 )
-from repro.shard import LinkModel
-from repro.telemetry import cache_stats
+from repro.shard.link import LinkModel
+from repro.telemetry.caches import cache_stats
 from repro.workloads import synthetic_model_workload
 
 BENCH_SCALE = dict(scale=0.25, spatial_scale=0.25)

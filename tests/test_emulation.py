@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import ConvGeometry, abm_conv2d, encode_layer
-from repro.hw import AcceleratorConfig, emulate_layer
+from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.encoding import encode_layer
+from repro.hw.config import AcceleratorConfig
+from repro.hw.emulation import emulate_layer
 from tests.conftest import sparse_weight_codes
 
 

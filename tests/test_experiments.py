@@ -8,7 +8,7 @@ simulated throughput, and ordering/feasibility for the exploration flow.
 
 import pytest
 
-from repro.analysis import render_comparisons, worst_error
+from repro.analysis.compare import render_comparisons, worst_error
 from repro.experiments import fig1, fig6, fig7, table1, table2, table3, utilization
 
 

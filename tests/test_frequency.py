@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.dse import (
+from repro.dse.explorer import sweep_sec_ncu
+from repro.dse.frequency import (
     DEFAULT_FREQUENCY_MODEL,
-    DEFAULT_RESOURCE_MODEL,
     FrequencyModel,
     refine_with_frequency,
-    sweep_sec_ncu,
 )
+from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.hw import STRATIX_V_GXA7
 from repro.workloads import synthetic_model_workload
 

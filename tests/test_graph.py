@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2D, FeatureShape, ReLU
+from repro.nn.layers import Conv2D, ReLU
+from repro.nn.tensor import FeatureShape
 from repro.nn.graph import Add, Concat, GraphNetwork
 from repro.nn.models.resnet import tiny_resnet
 
@@ -107,13 +108,11 @@ class TestTinyResNet:
 
     def test_specs_drive_the_simulator(self, rng):
         """A branching model runs through the accelerator stack unchanged."""
-        from repro.hw import (
-            AcceleratorConfig,
-            AcceleratorSimulator,
-            STRATIX_V_GXA7,
-        )
+        from repro.hw.accelerator import AcceleratorSimulator
+        from repro.hw.config import AcceleratorConfig
+        from repro.hw.device import STRATIX_V_GXA7
         from repro.hw.workload import ModelWorkload
-        from repro.workloads import synthetic_layer_workload
+        from repro.workloads.synthetic import synthetic_layer_workload
 
         network = tiny_resnet()
         layers = tuple(

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core import ConvGeometry, abm_conv2d, encode_layer
-from repro.hw import (
+from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.encoding import encode_layer
+from repro.hw.config import AcceleratorConfig
+from repro.hw.cu import (
     PIPELINE_FILL_CYCLES,
     TASK_LAUNCH_CYCLES,
-    AcceleratorConfig,
     ConvTask,
     FunctionalCU,
     task_cycles,
 )
-from repro.quant import QFormat
+from repro.quant.fixed_point import QFormat
 from tests.conftest import sparse_weight_codes
 
 

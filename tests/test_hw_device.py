@@ -2,15 +2,8 @@
 
 import pytest
 
-from repro.hw import (
-    PAPER_CONFIG_ALEXNET,
-    PAPER_CONFIG_VGG16,
-    STRATIX_V_GXA7,
-    AcceleratorConfig,
-    FPGADevice,
-    available_devices,
-    get_device,
-)
+from repro.hw.config import PAPER_CONFIG_ALEXNET, PAPER_CONFIG_VGG16, AcceleratorConfig
+from repro.hw.device import STRATIX_V_GXA7, FPGADevice, available_devices, get_device
 
 
 class TestDevices:

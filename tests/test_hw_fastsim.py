@@ -17,25 +17,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import conv_spec, fc_spec
-from repro.hw import (
-    AcceleratorConfig,
-    AcceleratorSimulator,
-    ConvTask,
-    ExternalMemory,
+from repro.core.specs import conv_spec, fc_spec
+from repro.hw.accelerator import AcceleratorSimulator
+from repro.hw.config import AcceleratorConfig
+from repro.hw.cu import ConvTask, task_cycles, task_cycles_batch
+from repro.hw.memory import ExternalMemory
+from repro.hw.scheduler import (
     POLICY_BALANCED,
     POLICY_NATURAL,
-    TraceRecorder,
     compile_window_schedules,
     make_kernel_groups,
     simulate_layer,
     simulate_layer_reference,
-    task_cycles,
-    task_cycles_batch,
-    workload_from_arrays,
 )
+from repro.hw.trace import TraceRecorder
+from repro.hw.workload import workload_from_arrays
 from repro.hw.device import STRATIX_V_GXA7
-from repro.telemetry import cache_stats, clear_caches
+from repro.telemetry.caches import cache_stats, clear_caches
 from repro.workloads import synthetic_model_workload
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core import encode_kernel, encode_layer
-from repro.hw import (
-    AcceleratorConfig,
-    AddressGenerator,
-    Fifo,
-    FifoOverflow,
-    FifoUnderflow,
+from repro.core.encoding import encode_kernel, encode_layer
+from repro.hw.address_gen import AddressGenerator
+from repro.hw.buffers import (
     buffer_report,
     ft_buffer_requirement,
     qtable_requirement,
     wt_buffer_requirement,
 )
+from repro.hw.config import AcceleratorConfig
+from repro.hw.fifo import Fifo, FifoOverflow, FifoUnderflow
 from tests.conftest import sparse_weight_codes
 
 

@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core import conv_spec, fc_spec
-from repro.hw import (
-    AcceleratorConfig,
-    ExternalMemory,
+from repro.core.specs import conv_spec, fc_spec
+from repro.hw.config import AcceleratorConfig
+from repro.hw.memory import ExternalMemory
+from repro.hw.scheduler import (
     POLICY_BALANCED,
     POLICY_NATURAL,
     build_tasks,
     make_kernel_groups,
-    plan_windows,
     simulate_layer,
-    workload_from_arrays,
 )
+from repro.hw.tiling import plan_windows
+from repro.hw.workload import workload_from_arrays
 
 
 @pytest.fixture

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import conv_spec, fc_spec
-from repro.hw import AcceleratorConfig, plan_windows
+from repro.core.specs import conv_spec, fc_spec
+from repro.hw.config import AcceleratorConfig
+from repro.hw.tiling import plan_windows
 from repro.hw.tiling import input_extent
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads import calibration_batch, natural_image, spectrum_slope
+from repro.workloads.images import calibration_batch, natural_image, spectrum_slope
 
 
 class TestNaturalImage:

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (
+from repro.nn.layers import (
     AvgPool2D,
     Conv2D,
     Dropout,
-    FeatureShape,
     Flatten,
     FullyConnected,
     LocalResponseNorm,
@@ -18,6 +17,7 @@ from repro.nn import (
     Softmax,
     im2col,
 )
+from repro.nn.tensor import FeatureShape
 
 
 def naive_conv(features, weights, bias, stride, padding, groups):

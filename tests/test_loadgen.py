@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import (
+from repro.serve.loadgen import (
     LoadTrace,
     TRACE_KINDS,
     burst_trace,

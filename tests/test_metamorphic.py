@@ -11,15 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ConvGeometry, abm_conv2d, encode_layer
-from repro.dse import MODE_QUANTIZED, estimate_model
-from repro.hw import (
-    AcceleratorConfig,
-    AcceleratorSimulator,
-    STRATIX_V_GXA7,
-)
+from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.encoding import encode_layer
+from repro.dse.performance import MODE_QUANTIZED, estimate_model
+from repro.hw.accelerator import AcceleratorSimulator
+from repro.hw.config import AcceleratorConfig
+from repro.hw.device import STRATIX_V_GXA7
 from repro.hw.workload import ModelWorkload
-from repro.workloads import synthetic_layer_workload, synthetic_model_workload
+from repro.workloads.synthetic import synthetic_layer_workload, synthetic_model_workload
 from tests.conftest import sparse_weight_codes
 
 
@@ -56,7 +55,7 @@ class TestSimulatorScaling:
         assert four < 4.2 * one  # never superlinear beyond noise
 
     def test_denser_model_is_slower(self):
-        from repro.prune import uniform_schedule
+        from repro.prune.schedules import uniform_schedule
         from repro.nn.models import get_architecture
 
         specs = get_architecture("alexnet").accelerated_specs()
@@ -81,7 +80,7 @@ class TestSimulatorScaling:
     def test_model_tracks_simulator_across_configs(self, alexnet_workload):
         """The analytic model stays within 15% of the simulator anywhere
         in the reasonable region, not just at the paper point."""
-        from repro.dse import size_buffers
+        from repro.dse.explorer import size_buffers
 
         for overrides in (
             dict(n_cu=2, s_ec=16),

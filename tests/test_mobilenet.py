@@ -7,7 +7,7 @@ from repro.dse.performance import share_factor_from_workloads
 from repro.hw.workload import ModelWorkload, workload_from_encoded
 from repro.nn.models import mobilenet_tiny_architecture
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
+from repro.prune.schedules import uniform_schedule
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ class TestDepthwiseSpecs:
     def test_depthwise_dominates_intensity_floor(self, architecture, rng):
         """The tiny 9-weight depthwise kernels set the minimum Acc/Mult
         ratio — hence the sharing factor N for this model class."""
-        from repro.workloads import synthetic_layer_workload
+        from repro.workloads.synthetic import synthetic_layer_workload
 
         layers = []
         for spec in architecture.accelerated_specs():

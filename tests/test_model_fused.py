@@ -41,7 +41,7 @@ from repro.nn.models import (
     SoftmaxDef,
 )
 from repro.pipeline import QuantizedPipeline
-from repro.shard import ShardedModelPlan
+from repro.shard.plan import ShardedModelPlan
 from repro.telemetry.context import Telemetry, activate
 
 @pytest.fixture(params=["sparse", "float64", "fallback"])

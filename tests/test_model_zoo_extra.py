@@ -11,7 +11,7 @@ from repro.nn.models import (
     vgg19_architecture,
 )
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
+from repro.prune.schedules import uniform_schedule
 
 
 class TestVGG19:
@@ -54,7 +54,7 @@ class TestCifarNet:
 
     def test_uses_avg_pooling(self):
         network = cifarnet_architecture().build(seed=None)
-        from repro.nn import AvgPool2D
+        from repro.nn.layers import AvgPool2D
 
         assert isinstance(network.layer("pool2"), AvgPool2D)
 

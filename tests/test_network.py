@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2D, FeatureShape, Network, ReLU, initialize_network
+from repro.nn.initializers import initialize_network
+from repro.nn.layers import Conv2D, ReLU
+from repro.nn.network import Network
+from repro.nn.tensor import FeatureShape
 from repro.nn.initializers import he_std, laplacian_weights
 
 

@@ -3,19 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    ConvScheme,
-    abm_roof,
+from repro.core.encoding import encode_layer
+from repro.core.opcount import (
     analytic_layer_counts,
     analytic_model_counts,
-    conv_spec,
-    encode_layer,
     expected_distinct_values,
-    fc_spec,
     measured_layer_counts,
-    reduced_mac_roof,
-    sdconv_roof,
 )
+from repro.core.schemes import ConvScheme, abm_roof, reduced_mac_roof, sdconv_roof
+from repro.core.specs import conv_spec, fc_spec
 from tests.conftest import sparse_weight_codes
 
 

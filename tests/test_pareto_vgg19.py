@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.dse import (
-    DEFAULT_RESOURCE_MODEL,
-    FrontierSummary,
-    pareto_frontier,
-    sweep_sec_ncu,
-)
+from repro.dse.explorer import sweep_sec_ncu
+from repro.dse.pareto import FrontierSummary, pareto_frontier
+from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.hw import (
     PAPER_CONFIG_VGG16,
     STRATIX_V_GXA7,

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ConvGeometry, encode_layer
-from repro.nn import Conv2D, FeatureShape, Flatten, FullyConnected, Network
+from repro.core.abm import ConvGeometry
+from repro.core.encoding import encode_layer
+from repro.nn.layers import Conv2D, Flatten, FullyConnected
+from repro.nn.network import Network
+from repro.nn.tensor import FeatureShape
 from repro.pipeline import QuantizedPipeline
-from repro.prune import deep_compression_schedule, uniform_schedule
+from repro.prune.schedules import deep_compression_schedule, uniform_schedule
 from repro.quant.clustering import cluster_weights
 from repro.quant.fixed_point import fit_qformat
 from tests.conftest import direct_conv
@@ -121,7 +124,7 @@ class TestNumerics:
         weight_codes = decode_layer(compiled.encoded)
         geometry = ConvGeometry(kernel=3, padding=1)
         direct = direct_conv(input_codes, weight_codes, geometry)
-        from repro.core import abm_conv2d
+        from repro.core.abm import abm_conv2d
 
         abm = abm_conv2d(input_codes, compiled.encoded, geometry)
         assert np.array_equal(abm.output, direct)

@@ -2,16 +2,11 @@
 
 import pytest
 
-from repro.hw import (
-    PAPER_CONFIG_VGG16,
-    STRATIX_V_GXA7,
-    AcceleratorSimulator,
-    EnergyModel,
-    abm_power,
-    mac_array_power,
-    mac_array_for_device,
-    simulate_mac_model,
-)
+from repro.hw.accelerator import AcceleratorSimulator
+from repro.hw.config import PAPER_CONFIG_VGG16
+from repro.hw.device import STRATIX_V_GXA7
+from repro.hw.mac_array import mac_array_for_device, simulate_mac_model
+from repro.hw.power import EnergyModel, abm_power, mac_array_power
 from repro.nn.models import vgg16_architecture
 from repro.workloads import synthetic_model_workload
 

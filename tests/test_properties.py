@@ -12,15 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import conv_spec, encode_layer
-from repro.hw import (
-    AcceleratorConfig,
-    ExternalMemory,
-    build_tasks,
-    plan_windows,
-    simulate_layer,
-    workload_from_arrays,
-)
+from repro.core.encoding import encode_layer
+from repro.core.specs import conv_spec
+from repro.hw.config import AcceleratorConfig
+from repro.hw.memory import ExternalMemory
+from repro.hw.scheduler import build_tasks, simulate_layer
+from repro.hw.tiling import plan_windows
+from repro.hw.workload import workload_from_arrays
 from tests.conftest import sparse_weight_codes
 
 

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.prune import (
+from repro.prune.magnitude import actual_density, prune_network, prune_tensor
+from repro.prune.schedules import (
     DEEP_COMPRESSION_VGG16,
     PruningSchedule,
-    actual_density,
     deep_compression_schedule,
+    uniform_schedule,
+)
+from repro.prune.sparsity import (
     mac_reduction_rate,
     model_density,
     network_density_report,
-    prune_network,
-    prune_tensor,
-    uniform_schedule,
 )
 
 

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.quant import (
+from repro.quant.fixed_point import QFormat
+from repro.quant.quantizer import (
     ModelQuantizer,
-    QFormat,
     QuantizedTensor,
     codebook_histogram,
-    kernel_stats,
-    per_output_channel_stats,
     quantization_error,
     quantize_tensor,
-    summarize_layer,
 )
+from repro.quant.stats import kernel_stats, per_output_channel_stats, summarize_layer
 
 
 class TestQuantizedTensor:

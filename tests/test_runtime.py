@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
+from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
 
 

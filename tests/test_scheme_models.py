@@ -20,7 +20,7 @@ from repro.baselines.winograd import (
     winograd_reduction,
     winograd_supported,
 )
-from repro.core import conv_spec, fc_spec
+from repro.core.specs import conv_spec, fc_spec
 from repro.dse.resources import DEFAULT_RESOURCE_MODEL, ResourceEstimate
 from repro.dse.schemes import ModelSchemePlan, plan_model_schemes
 from repro.hw.config import (

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import (
+from repro.core.encoding import decode_layer, encode_layer
+from repro.core.serialize import (
     SerializationError,
-    decode_layer,
     dumps,
-    encode_layer,
     load_model,
     loads,
     save_model,
@@ -136,7 +135,7 @@ class TestValidation:
             dumps([empty])
 
     def test_stream_write_read(self, layers):
-        from repro.core import dump_layers, load_layers
+        from repro.core.serialize import dump_layers, load_layers
 
         buffer = io.BytesIO()
         dump_layers(layers, buffer)

@@ -10,19 +10,18 @@ import numpy as np
 import pytest
 
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
+from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
-from repro.serve import (
+from repro.serve.batcher import (
     BatchPolicy,
-    EventDrivenSimulator,
-    EventOutcome,
-    LoadTrace,
     ServeRequest,
-    ServeStats,
-    ServiceProfile,
     dispatch_batches,
     form_batches,
 )
+from repro.serve.events import EventDrivenSimulator, EventOutcome
+from repro.serve.fleet import ServiceProfile
+from repro.serve.loadgen import LoadTrace
+from repro.serve.stats import ServeStats
 
 
 from repro.nn.models import (

@@ -27,15 +27,15 @@ from repro.nn.models import (
     SoftmaxDef,
 )
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
+from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
-from repro.serve import (
+from repro.serve.batcher import (
     BatchPolicy,
     ServeRequest,
-    ServiceProfile,
     dispatch_batches,
     form_batches,
 )
+from repro.serve.fleet import ServiceProfile
 from repro.workloads.images import natural_image
 
 IMAGE_COUNT = 8

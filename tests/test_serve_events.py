@@ -22,20 +22,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.serve import (
-    DEFAULT_SLO,
+from repro.serve.batcher import (
     BatchPolicy,
-    EventBatch,
-    EventDrivenSimulator,
-    EventOutcome,
-    LoadTrace,
     ServeRequest,
-    ServeStats,
-    ServiceProfile,
-    SLOClass,
     dispatch_batches,
     form_batches,
 )
+from repro.serve.events import (
+    DEFAULT_SLO,
+    EventBatch,
+    EventDrivenSimulator,
+    EventOutcome,
+    SLOClass,
+)
+from repro.serve.fleet import ServiceProfile
+from repro.serve.loadgen import LoadTrace
+from repro.serve.stats import ServeStats
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -124,7 +126,7 @@ class TestDifferentialRealPipeline:
     @pytest.fixture(scope="class")
     def runtime(self, tiny_network_module):
         from repro.pipeline import QuantizedPipeline
-        from repro.prune import uniform_schedule
+        from repro.prune.schedules import uniform_schedule
         from repro.runtime import SystemRuntime
 
         architecture, network = tiny_network_module

@@ -11,18 +11,12 @@ registry's percentiles stay *identical* to the ``ServeStats`` arithmetic.
 import numpy as np
 import pytest
 
-from repro.serve import (
-    AutoscalePolicy,
-    BatchPolicy,
-    EventDrivenSimulator,
-    Fleet,
-    LoadTrace,
-    ServiceProfile,
-    SLOClass,
-    poisson_trace,
-    uniform_trace,
-)
-from repro.telemetry import Telemetry, validate_snapshot
+from repro.serve.batcher import BatchPolicy
+from repro.serve.events import EventDrivenSimulator, SLOClass
+from repro.serve.fleet import AutoscalePolicy, Fleet, ServiceProfile
+from repro.serve.loadgen import LoadTrace, poisson_trace, uniform_trace
+from repro.telemetry.context import Telemetry
+from repro.telemetry.exporters import validate_snapshot
 
 PROFILE = ServiceProfile(fpga_s=2e-3, host_s=1e-3, dense_ops_per_image=1234)
 

@@ -16,15 +16,15 @@ from repro.core.model_plan import compile_model_plan
 from repro.hw.device import STRATIX_V_GXA3, STRATIX_V_GXA7
 from repro.hw.config import AcceleratorConfig
 from repro.pipeline import QuantizedPipeline
-from repro.shard import (
-    LinkModel,
+from repro.shard.link import LinkModel
+from repro.shard.pipeline_sim import simulate_shard_plan
+from repro.shard.plan import (
     ModelPartition,
     ShardPlan,
     ShardSpec,
     ShardedModelPlan,
     compile_sharded_plan,
     sharded_run_batch,
-    simulate_shard_plan,
     stage_cuts_for_layers,
 )
 from repro.shard.plan import _sharded_plans

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import conv_spec, fc_spec
+from repro.core.specs import conv_spec, fc_spec
 from repro.core.specs import LayerSpec
 from repro.nn.tensor import FeatureShape, conv_output_extent, pool_output_extent
 
@@ -88,7 +88,7 @@ class TestLayerSpec:
 
 class TestReportGeneration:
     def test_report_contains_all_sections(self, tmp_path):
-        from repro.analysis import write_report
+        from repro.analysis.report import write_report
 
         path = str(tmp_path / "report.md")
         size = write_report(path, seed=1, include_extensions=False)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import encode_layer
-from repro.prune import (
+from repro.core.encoding import encode_layer
+from repro.prune.magnitude import prune_tensor
+from repro.prune.structured import (
     prune_input_channels,
     prune_kernels,
-    prune_tensor,
     sparsity_structure_report,
 )
 

@@ -6,14 +6,13 @@ from repro.hw import PAPER_CONFIG_ALEXNET, PAPER_CONFIG_VGG16, STRATIX_V_GXA7
 from repro.nn.layers import BatchNorm
 from repro.nn.layers.base import Layer
 from repro.nn.tensor import FeatureShape
-from repro.system import (
+from repro.system.host import (
     HostModel,
     UnknownHostLayerError,
     host_costs,
     host_layer_ops,
-    host_ops_from_architecture,
-    run_system,
 )
+from repro.system.pipeline import host_ops_from_architecture, run_system
 from repro.nn.models import alexnet_architecture, get_architecture, vgg16_architecture
 from repro.workloads import synthetic_model_workload
 

@@ -8,27 +8,27 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.telemetry import (
+from repro.telemetry.caches import (
     CacheStats,
     Memo,
-    MetricsRegistry,
-    Telemetry,
-    Tracer,
-    VirtualClock,
-    activate,
     cache_stats,
     clear_caches,
-    export_jsonl,
-    get_active,
-    metric_key,
-    parse_jsonl,
-    prometheus_text,
     register_cache,
     registered_caches,
     unregister_cache,
+)
+from repro.telemetry.context import Telemetry, activate, get_active
+from repro.telemetry.exporters import (
+    export_jsonl,
+    parse_jsonl,
+    prometheus_text,
     validate_snapshot,
 )
+from repro.telemetry.registry import MetricsRegistry, metric_key
+from repro.telemetry.spans import Tracer, VirtualClock
 
 
 class TestMetricKey:
@@ -334,8 +334,8 @@ class TestMemo:
 
     def test_clear_caches_resets_every_family(self, memo):
         import repro.cli  # noqa: F401  (registers every family)
-        from repro.core import conv_spec
-        from repro.hw import plan_layer_windows
+        from repro.core.specs import conv_spec
+        from repro.hw.tiling import plan_layer_windows
 
         memo.get("a", lambda: 1)
         plan_layer_windows(conv_spec("c", 3, 4, kernel=3, in_rows=8, in_cols=8), 64, 4)
@@ -362,6 +362,29 @@ def _sample_snapshot():
         return telemetry.snapshot()
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+_KINDS = ("meta", "counter", "gauge", "histogram", "cache", "span", "span_total")
+#: Records of every kind with any subset of their fields, each holding any
+#: JSON value.
+_RECORDS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(_KINDS)},
+    optional={"name": _JSON, "value": _JSON, "data": _JSON, "schema": _JSON},
+)
+#: Arbitrary JSON values, arbitrary records, and records cut short.
+_JSONL_LINES = st.one_of(
+    _JSON.map(json.dumps),
+    _RECORDS.map(json.dumps),
+    _RECORDS.map(json.dumps).flatmap(
+        lambda line: st.integers(0, len(line)).map(lambda cut: line[:cut])
+    ),
+)
+
+
 class TestExporters:
     def test_jsonl_round_trip_is_exact(self):
         snapshot = _sample_snapshot()
@@ -375,6 +398,38 @@ class TestExporters:
         line = json.dumps({"kind": "mystery"})
         with pytest.raises(ValueError, match="unknown record kind"):
             parse_jsonl(line)
+
+    @pytest.mark.parametrize("line", ["[1]", "3", "null", '"counter"', "true"])
+    def test_parse_rejects_non_object(self, line):
+        with pytest.raises(ValueError, match="line 2: expected a JSON object"):
+            parse_jsonl('{"kind": "meta"}\n' + line)
+
+    @pytest.mark.parametrize(
+        "record, missing",
+        [
+            ({"kind": "counter"}, "name, value"),
+            ({"kind": "gauge", "name": "g"}, "value"),
+            ({"kind": "histogram", "data": {}}, "name"),
+            ({"kind": "span"}, "data"),
+        ],
+    )
+    def test_parse_rejects_record_lacking_field(self, record, missing):
+        with pytest.raises(ValueError, match=f"line 1: .* lacks {missing}$"):
+            parse_jsonl(json.dumps(record))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(_JSONL_LINES, min_size=1, max_size=4))
+    def test_parse_fails_only_with_a_line_numbered_value_error(self, lines):
+        try:
+            snapshot = parse_jsonl("\n".join(lines))
+        except ValueError as error:
+            number = int(str(error).split(":")[0].removeprefix("line "))
+            assert 1 <= number <= len(lines)
+        else:
+            assert set(snapshot) == {
+                "schema", "counters", "gauges", "histograms", "caches",
+                "spans", "span_totals",
+            }
 
     def test_prometheus_text_shape(self):
         text = prometheus_text(_sample_snapshot())

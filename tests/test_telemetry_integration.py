@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.deploy import deploy
-from repro.hw import TraceRecorder
+from repro.hw.trace import TraceRecorder
 from repro.nn.models import (
     Architecture,
     ConvDef,
@@ -25,21 +25,15 @@ from repro.nn.models import (
     SoftmaxDef,
 )
 from repro.pipeline import QuantizedPipeline
-from repro.prune import uniform_schedule
+from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
-from repro.serve import (
-    BatchPolicy,
-    EventDrivenSimulator,
-    LoadTrace,
-    ServiceProfile,
-)
-from repro.telemetry import (
-    Telemetry,
-    activate,
-    clear_caches,
-    parse_jsonl,
-    validate_snapshot,
-)
+from repro.serve.batcher import BatchPolicy
+from repro.serve.events import EventDrivenSimulator
+from repro.serve.fleet import ServiceProfile
+from repro.serve.loadgen import LoadTrace
+from repro.telemetry.caches import clear_caches
+from repro.telemetry.context import Telemetry, activate
+from repro.telemetry.exporters import parse_jsonl, validate_snapshot
 
 # The cache families that register themselves at import time.
 GLOBAL_CACHE_FAMILIES = {
@@ -242,7 +236,7 @@ class TestServeSnapshot:
     def test_snapshot_validates_and_round_trips(self, serve_run):
         _, _, snapshot = serve_run
         assert validate_snapshot(snapshot) == []
-        from repro.telemetry import export_jsonl
+        from repro.telemetry.exporters import export_jsonl
 
         assert parse_jsonl(export_jsonl(snapshot)) == snapshot
 
@@ -315,7 +309,7 @@ class TestCLI:
         lines = capsys.readouterr().out
         snapshot = parse_jsonl(lines)
         snapshot["counters"]["demo/requests"] = -5
-        from repro.telemetry import write_jsonl
+        from repro.telemetry.exporters import write_jsonl
 
         write_jsonl(snapshot, bad)
         assert main(["metrics", "--from", str(bad), "--check"]) == 1

@@ -3,19 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core import ConvGeometry, abm_conv2d, conv_spec, encode_layer
-from repro.hw import (
-    AcceleratorConfig,
+from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.encoding import encode_layer
+from repro.core.specs import conv_spec
+from repro.hw.config import AcceleratorConfig
+from repro.hw.faults import (
     CorruptionDetected,
-    ExternalMemory,
-    TraceRecorder,
     flip_index_bit,
     flip_value_bit,
     random_fault,
-    simulate_layer,
     truncate_stream,
-    workload_from_arrays,
 )
+from repro.hw.memory import ExternalMemory
+from repro.hw.scheduler import simulate_layer
+from repro.hw.trace import TraceRecorder
+from repro.hw.workload import workload_from_arrays
 from tests.conftest import sparse_weight_codes
 
 

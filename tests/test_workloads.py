@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.core import conv_spec
+from repro.core.specs import conv_spec, fc_spec
 from hypothesis import given, settings, strategies as st
 
-from repro.hw import STRATIX_V_GXA7, AcceleratorConfig, AcceleratorSimulator
+from repro.hw.accelerator import AcceleratorSimulator
+from repro.hw.config import AcceleratorConfig
+from repro.hw.device import STRATIX_V_GXA7
 from repro.hw.workload import LayerWorkload, ModelWorkload, workload_from_arrays
 from repro.prune import deep_compression_schedule
-from repro.telemetry import cache_stats, clear_caches
-from repro.workloads import (
+from repro.telemetry.caches import cache_stats, clear_caches
+from repro.workloads.codebooks import (
     codebook_size,
     codebook_sizes,
     codebook_values,
     expected_distinct,
+)
+from repro.workloads.synthetic import (
     synthesize_layer_stats,
     synthesize_quantized_layer,
     synthetic_feature_codes,
@@ -73,6 +77,36 @@ class TestSynthesizeStats:
         spec = conv_spec("c", 4, 8, kernel=3, in_rows=8, in_cols=8)
         with pytest.raises(ValueError):
             synthesize_layer_stats(spec, 1.2, 20, rng)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        weights=st.integers(1, 40),
+        kernels=st.integers(1, 48),
+        density=st.sampled_from([0.0, 0.02, 0.1, 1.0]) | st.floats(0.0, 1.0),
+        codebook=st.sampled_from([1, 2]) | st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_draw_matches_per_kernel_loop(
+        self, weights, kernels, density, codebook, seed
+    ):
+        """The single multinomial draw equals one draw per nonempty kernel,
+        arrays and generator state alike."""
+        spec = fc_spec("fc", weights, kernels)
+        rng = np.random.default_rng(seed)
+        nonzeros, distinct = synthesize_layer_stats(spec, density, codebook, rng)
+
+        loop = np.random.default_rng(seed)
+        want_nonzeros = loop.binomial(weights, density, size=kernels).astype(np.int64)
+        probabilities = np.full(codebook, 1.0 / codebook)
+        want_distinct = np.zeros(kernels, dtype=np.int64)
+        for m, n in enumerate(want_nonzeros):
+            if n:
+                want_distinct[m] = np.count_nonzero(loop.multinomial(n, probabilities))
+
+        assert nonzeros.dtype == distinct.dtype == np.int64
+        np.testing.assert_array_equal(nonzeros, want_nonzeros)
+        np.testing.assert_array_equal(distinct, want_distinct)
+        assert rng.bit_generator.state == loop.bit_generator.state
 
 
 class TestModelWorkload:
