@@ -8,6 +8,7 @@ hand-written EXPERIMENTS.md. Exposed on the CLI as ``abm-spconv report``.
 
 from __future__ import annotations
 
+import importlib
 from typing import List, Sequence
 
 from .compare import Comparison, render_comparisons, worst_error
@@ -47,8 +48,6 @@ def _section(title: str, body: str, comparisons: Sequence[Comparison]) -> str:
 
 def generate_report(seed: int = 1, include_extensions: bool = True) -> str:
     """Run all experiments and return the markdown report."""
-    from .. import experiments as exp
-
     sections: List[str] = [
         "# ABM-SpConv reproduction report",
         "",
@@ -59,7 +58,7 @@ def generate_report(seed: int = 1, include_extensions: bool = True) -> str:
     if include_extensions:
         names.extend(EXTENSION_SECTIONS)
     for name, title in names:
-        module = getattr(exp, name)
+        module = importlib.import_module(f"repro.experiments.{name}")
         result = module.run(seed=seed)
         comparisons = getattr(result, "comparisons", ())
         sections.append(_section(title, result.render(), comparisons))

@@ -177,16 +177,24 @@ def get_scheme_model(name: str) -> SchemeModel:
         ) from None
 
 
+#: Built-in schemes in their listing order, which must not depend on which
+#: baseline module some caller happened to import first.
+_BUILTIN_ORDER = (
+    "abm", "fdconv", "sdconv", "spconv", "spectral", "winograd2", "winograd4",
+)
+
+
 def scheme_model_names() -> List[str]:
-    """Registered scheme names, registration order."""
+    """Registered scheme names: the built-ins in a fixed order, then any
+    others in registration order."""
     _ensure_builtin_models()
-    return list(_SCHEME_MODELS)
+    extra = [name for name in _SCHEME_MODELS if name not in _BUILTIN_ORDER]
+    return [name for name in _BUILTIN_ORDER if name in _SCHEME_MODELS] + extra
 
 
 def scheme_models() -> List[SchemeModel]:
-    """All registered scheme models, registration order."""
-    _ensure_builtin_models()
-    return list(_SCHEME_MODELS.values())
+    """All registered scheme models, in :func:`scheme_model_names` order."""
+    return [_SCHEME_MODELS[name] for name in scheme_model_names()]
 
 
 class ABMSchemeModel:

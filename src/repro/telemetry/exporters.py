@@ -30,21 +30,29 @@ __all__ = [
 ]
 
 
+#: Record kinds after ``meta``, in export order: the snapshot section each
+#: fills and the fields it must carry (key, then payload; spans are a list,
+#: not keyed).
+_RECORD_KINDS = {
+    "counter": ("counters", ("name", "value")),
+    "gauge": ("gauges", ("name", "value")),
+    "histogram": ("histograms", ("name", "data")),
+    "cache": ("caches", ("name", "data")),
+    "span": ("spans", ("data",)),
+    "span_total": ("span_totals", ("name", "data")),
+}
+
+
 def export_jsonl(snapshot: Dict[str, object]) -> str:
     """Serialize one snapshot to JSON-lines text (ends with a newline)."""
     lines = [json.dumps({"kind": "meta", "schema": snapshot.get("schema", SCHEMA)})]
-    for name, value in snapshot.get("counters", {}).items():
-        lines.append(json.dumps({"kind": "counter", "name": name, "value": value}))
-    for name, value in snapshot.get("gauges", {}).items():
-        lines.append(json.dumps({"kind": "gauge", "name": name, "value": value}))
-    for name, data in snapshot.get("histograms", {}).items():
-        lines.append(json.dumps({"kind": "histogram", "name": name, "data": data}))
-    for name, data in snapshot.get("caches", {}).items():
-        lines.append(json.dumps({"kind": "cache", "name": name, "data": data}))
-    for span in snapshot.get("spans", []):
-        lines.append(json.dumps({"kind": "span", "data": span}))
-    for name, data in snapshot.get("span_totals", {}).items():
-        lines.append(json.dumps({"kind": "span_total", "name": name, "data": data}))
+    for kind, (section, fields) in _RECORD_KINDS.items():
+        if kind == "span":
+            for span in snapshot.get(section, []):
+                lines.append(json.dumps({"kind": kind, "data": span}))
+            continue
+        for name, payload in snapshot.get(section, {}).items():
+            lines.append(json.dumps({"kind": kind, "name": name, fields[1]: payload}))
     return "\n".join(lines) + "\n"
 
 
@@ -56,18 +64,6 @@ def write_jsonl(snapshot: Dict[str, object], path: str) -> int:
     return len(text.encode("utf-8"))
 
 
-#: Record kinds after ``meta``: the snapshot section each fills and the
-#: fields it must carry (key, then payload; spans are a list, not keyed).
-_RECORD_KINDS = {
-    "counter": ("counters", ("name", "value")),
-    "gauge": ("gauges", ("name", "value")),
-    "histogram": ("histograms", ("name", "data")),
-    "cache": ("caches", ("name", "data")),
-    "span": ("spans", ("data",)),
-    "span_total": ("span_totals", ("name", "data")),
-}
-
-
 def parse_jsonl(text: str) -> Dict[str, object]:
     """Rebuild a snapshot dict from its JSONL export (exact round-trip).
 
@@ -75,15 +71,9 @@ def parse_jsonl(text: str) -> Dict[str, object]:
     an object, an unknown ``kind``, a missing field, a non-string ``name``)
     raises ``ValueError("line N: ...")``.
     """
-    snapshot: Dict[str, object] = {
-        "schema": SCHEMA,
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
-        "caches": {},
-        "spans": [],
-        "span_totals": {},
-    }
+    snapshot: Dict[str, object] = {"schema": SCHEMA}
+    for kind, (section, _) in _RECORD_KINDS.items():
+        snapshot[section] = [] if kind == "span" else {}
     for line_number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -11,6 +11,8 @@ Two layers of guarantees:
 """
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -96,6 +98,23 @@ class TestSpectralModel:
 @pytest.fixture(scope="module")
 def vgg16():
     return synthetic_model_workload("vgg16", seed=1)
+
+
+def test_scheme_order_does_not_depend_on_first_import():
+    # Importing one baseline module first registers its models first; the
+    # listing order (candidate order and error text) must not follow it.
+    code = (
+        "import repro.baselines.winograd, repro.baselines.spconv\n"
+        "from repro.core.schemes import scheme_model_names, scheme_models\n"
+        "print(' '.join(scheme_model_names()))\n"
+        "print(' '.join(m.name for m in scheme_models()))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    order = "abm fdconv sdconv spconv spectral winograd2 winograd4"
+    assert result.stdout.splitlines() == [order, order]
 
 
 class TestSchemePlanner:

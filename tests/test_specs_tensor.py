@@ -1,5 +1,8 @@
 """Tests for the low-level shape substrate (core.specs, nn.tensor)."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.specs import conv_spec, fc_spec
@@ -99,3 +102,17 @@ class TestReportGeneration:
                         "Figure 7", "CU execution"):
             assert heading in content
         assert "paper vs measured" in content
+
+    def test_report_loads_its_experiments_in_a_fresh_interpreter(self):
+        # The experiments package exports nothing, so the report must
+        # import each section's module itself (one cheap section suffices).
+        code = (
+            "import repro.analysis.report as report\n"
+            "report.PAPER_SECTIONS = report.PAPER_SECTIONS[3:4]\n"
+            "print(report.generate_report(include_extensions=False))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert "## Figure 1" in result.stdout

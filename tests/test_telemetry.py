@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import subprocess
 import sys
 import threading
 
@@ -251,6 +252,25 @@ class TestCacheRegistry:
         finally:
             unregister_cache("test.family")
         assert "test.family" not in registered_caches()
+
+    def test_cache_owners_register_exactly_the_eight_families(self):
+        # Package __init__s load no cache owner, so a fresh interpreter
+        # imports each owning module by name.
+        code = (
+            "import repro.core.model_plan, repro.core.plan\n"
+            "import repro.dse.compiled, repro.dse.explorer, repro.dse.partition\n"
+            "import repro.hw.accelerator, repro.hw.tiling, repro.shard.plan\n"
+            "from repro.telemetry.caches import registered_caches\n"
+            "print(' '.join(registered_caches()))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [
+            "core.model_plan", "core.plan", "dse.buffers", "dse.compiled",
+            "dse.partition", "hw.sim", "hw.windows", "shard.plans",
+        ]
 
     def test_cache_stats_derived_fields(self):
         stats = CacheStats(hits=3, misses=1, evictions=2, size=4, capacity=8)

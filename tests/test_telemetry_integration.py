@@ -12,6 +12,7 @@ deprecation warnings, and covers the ``metrics`` / ``--metrics-out`` /
 import numpy as np
 import pytest
 
+import repro.dse.partition  # noqa: F401  (registers dse.partition; nothing else here does)
 from repro.cli import main
 from repro.deploy import deploy
 from repro.hw.trace import TraceRecorder
