@@ -51,13 +51,3 @@ def _format(value: object) -> str:
             return f"{value:.2f}"
         return f"{value:.3g}"
     return str(value)
-
-
-def format_mop(ops: float) -> float:
-    """Operations -> MOP with sensible rounding (paper Table 1 units)."""
-    return ops / 1e6
-
-
-def format_pct(fraction: float) -> str:
-    """Fraction -> percentage string."""
-    return f"{fraction:.1%}"

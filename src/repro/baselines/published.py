@@ -8,7 +8,6 @@ density (GOP/s per DSP) and frequency-normalized speedups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 from ..workloads.paper_targets import TABLE2_COLUMNS, Table2Column
 
@@ -48,20 +47,6 @@ class PublishedAccelerator:
     def density_advantage(self, other: "PublishedAccelerator") -> float:
         """Performance-density ratio vs another design."""
         return self.perf_density / other.perf_density
-
-
-def published_accelerators(
-    cnn: Optional[str] = None, scheme: Optional[str] = None
-) -> List[PublishedAccelerator]:
-    """All Table 2 columns, optionally filtered by CNN model or scheme."""
-    rows = []
-    for column in TABLE2_COLUMNS:
-        if cnn is not None and column.cnn != cnn.lower():
-            continue
-        if scheme is not None and column.scheme.lower() != scheme.lower():
-            continue
-        rows.append(PublishedAccelerator(column))
-    return rows
 
 
 def get_baseline(key: str) -> PublishedAccelerator:

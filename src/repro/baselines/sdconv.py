@@ -4,8 +4,7 @@ The reference the paper normalizes everything to: plain Equation (1), whose
 op count (2 per MAC) is the '#OP' every throughput number in Table 2
 divides by. The paper compares schemes by operation counts, so this module
 is an op-count and cycle model only; the functional Equation (1) is the
-float layer :class:`repro.nn.layers.Conv2D`. The MAC-array timing model lives in
-:mod:`repro.hw.mac_array`.
+float layer :class:`repro.nn.layers.Conv2D`.
 """
 
 from __future__ import annotations

@@ -22,12 +22,14 @@ Commands
   a pool of accelerator instances and print the latency/throughput report;
   ``--metrics-out FILE`` additionally records the run through
   :mod:`repro.telemetry` and writes the JSONL snapshot.
-- ``metrics`` — inspect, validate (``--check``) or convert
-  (``--format prometheus``) an exported telemetry snapshot.
+- ``metrics`` — inspect, validate (``--check``) or re-export
+  (``--format jsonl``) a telemetry snapshot.
 
 Bad input (an unknown device name, an impossible shard count, a negative
-scheme margin, a non-positive scale, bandwidth, rate or frequency) prints
-one ``error: ...`` line to stderr and exits with status 2.
+scheme margin, seed or link latency, a non-positive scale, bandwidth, rate
+or frequency, an output path in a missing directory, an unreadable or
+malformed snapshot) prints one ``error: ...`` line to stderr and exits
+with status 2.
 
 Each command imports the modules it runs inside its handler, so parsing
 the command line loads no simulator, DSE or serving code.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import TYPE_CHECKING, Callable, List, Optional
 
@@ -62,18 +65,45 @@ class _UsageError(Exception):
     """Bad command-line input; :func:`main` reports it and exits 2."""
 
 
-def _positive(flag: str, kind: type = float) -> Callable[[str], float]:
-    """An argparse ``type=`` for a finite ``kind`` > 0; anything else exits 2."""
+def _number(
+    flag: str, kind: type, sign: str, ok: Callable[[float], bool]
+) -> Callable[[str], float]:
+    """An argparse ``type=`` for a ``kind`` that ``ok`` accepts; else exit 2."""
     noun = "integer" if kind is int else "finite number"
 
     def parse(text: str) -> float:
         try:
             value = kind(text)
         except ValueError:
-            value = 0
-        if not 0 < value < math.inf:
-            raise _UsageError(f"{flag} must be a positive {noun}, got {text!r}")
+            value = math.nan
+        if not ok(value):
+            raise _UsageError(f"{flag} must be a {sign} {noun}, got {text!r}")
         return value
+
+    return parse
+
+
+def _positive(flag: str, kind: type = float) -> Callable[[str], float]:
+    """An argparse ``type=`` for a finite ``kind`` > 0."""
+    return _number(flag, kind, "positive", lambda v: 0 < v < math.inf)
+
+
+def _non_negative(flag: str, kind: type = float) -> Callable[[str], float]:
+    """An argparse ``type=`` for a finite ``kind`` >= 0."""
+    return _number(flag, kind, "non-negative", lambda v: 0 <= v < math.inf)
+
+
+def _output_path(flag: str) -> Callable[[str], str]:
+    """An argparse ``type=`` for a file path whose directory exists.
+
+    Checked at parse time, so a bad path fails before the command's work.
+    """
+
+    def parse(text: str) -> str:
+        directory = os.path.dirname(text) or "."
+        if not os.path.isdir(directory):
+            raise _UsageError(f"{flag}: directory {directory!r} does not exist")
+        return text
 
     return parse
 
@@ -556,23 +586,18 @@ def _render_metrics_summary(snapshot: dict) -> str:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Inspect, validate or convert a telemetry snapshot."""
-    from .telemetry.exporters import (
-        export_jsonl,
-        parse_jsonl,
-        prometheus_text,
-        validate_snapshot,
-    )
+    from .telemetry.exporters import export_jsonl, parse_jsonl, validate_snapshot
 
     if args.snapshot_file:
         try:
             with open(args.snapshot_file, "r", encoding="utf-8") as handle:
                 snapshot = parse_jsonl(handle.read())
         except OSError as error:
-            print(f"metrics: cannot read {args.snapshot_file}: {error}")
-            return 2
+            raise _UsageError(
+                f"--from: cannot read {args.snapshot_file}: {error}"
+            ) from None
         except ValueError as error:
-            print(f"metrics: {args.snapshot_file}: {error}")
-            return 2
+            raise _UsageError(f"--from: {args.snapshot_file}: {error}") from None
     else:
         snapshot = _demo_snapshot()
     problems = validate_snapshot(snapshot)
@@ -593,8 +618,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         return 0
     if args.format == "jsonl":
         print(export_jsonl(snapshot), end="")
-    elif args.format == "prometheus":
-        print(prometheus_text(snapshot), end="")
     else:
         print(_render_metrics_summary(snapshot))
         if problems:
@@ -619,7 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="abm-spconv",
         description="ABM-SpConv (DAC 2019) reproduction toolkit",
     )
-    parser.add_argument("--seed", type=int, default=1, help="workload seed")
+    parser.add_argument("--seed", type=_non_negative("--seed", int), default=1,
+                        help="workload seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("experiments", help="regenerate paper tables/figures")
@@ -691,13 +715,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_part.add_argument("--link-gbs", type=_positive("--link-gbs"), default=6.0,
                         help="inter-shard link bandwidth in GB/s")
-    p_part.add_argument("--link-latency-us", type=float, default=5.0,
+    p_part.add_argument("--link-latency-us",
+                        type=_non_negative("--link-latency-us"), default=5.0,
                         help="per-transfer link latency in microseconds")
     p_part.add_argument("--scale", type=_positive("--scale"), default=1.0,
                         help="channel-count multiplier")
     p_part.add_argument("--spatial-scale", type=_positive("--spatial-scale"),
                         default=1.0, help="input-resolution multiplier")
-    p_part.add_argument("--seed", type=int, default=1)
+    p_part.add_argument("--seed", type=_non_negative("--seed", int), default=1)
     p_part.set_defaults(func=_cmd_partition)
 
     p_sys = sub.add_parser("system", help="pipelined CPU/FPGA system model")
@@ -755,20 +780,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSONL snapshot to load (default: built-in demo)")
     p_met.add_argument("--check", action="store_true",
                        help="schema-validate and exit 1 on problems")
-    p_met.add_argument("--format", choices=("summary", "jsonl", "prometheus"),
+    p_met.add_argument("--format", choices=("summary", "jsonl"),
                        default="summary")
     p_met.set_defaults(func=_cmd_metrics)
 
     p_enc = sub.add_parser("encode", help="write an encoded-model blob")
     p_enc.add_argument("--model", choices=("alexnet", "vgg16"), default="alexnet")
-    p_enc.add_argument("--out", default="model.abms")
+    p_enc.add_argument("--out", type=_output_path("--out"), default="model.abms")
     p_enc.add_argument("--max-layer-weights",
                        type=_positive("--max-layer-weights", int), default=3_000_000,
                        help="skip layers with more weights (memory guard)")
     p_enc.set_defaults(func=_cmd_encode)
 
     p_rep = sub.add_parser("report", help="write the full reproduction report")
-    p_rep.add_argument("--out", default="reproduction_report.md")
+    p_rep.add_argument("--out", type=_output_path("--out"),
+                       default="reproduction_report.md")
     p_rep.add_argument("--no-extensions", action="store_true",
                        help="paper artifacts only")
     p_rep.set_defaults(func=_cmd_report)

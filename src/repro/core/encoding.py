@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -384,8 +384,3 @@ def decode_layer(encoded: EncodedLayer) -> np.ndarray:
     if not encoded.out_channels:
         raise ValueError("encoded layer has no kernels")
     return encoded.dense_codes().reshape(encoded.out_channels, *encoded.kernel_shape)
-
-
-def encoded_model_bytes(layers: Sequence[EncodedLayer]) -> int:
-    """Total encoded weight footprint of a model (paper Table 3)."""
-    return sum(layer.encoded_bytes for layer in layers)

@@ -346,11 +346,6 @@ class _Arena:
             scratch_elements, np.float32 if codes == np.float32 else np.float64
         )
 
-    @classmethod
-    def like(cls, other: "_Arena") -> "_Arena":
-        """A fresh arena with ``other``'s sizes and dtypes."""
-        return cls(other.ping[0].size, other.scratch.size, other.codes)
-
     @property
     def codes(self) -> np.dtype:
         """The dtype of the codes in the ping-pong buffers."""

@@ -12,15 +12,15 @@ operations required by:
   per accumulated pixel) and multiplies equal to the number of *distinct
   nonzero values* per kernel per output pixel.
 
-Counts come in two flavours: *analytic* (from a :class:`LayerSpec` plus a
-density and distinct-value figure — no weights needed, used for full-size
-models) and *measured* (from an actual encoded weight tensor).
+Counts are measured from an actual encoded weight tensor
+(:func:`measured_layer_counts`); full-size models take the same formulas
+from their workload statistics (:mod:`repro.experiments.table1`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -109,38 +109,6 @@ class ModelOpCounts:
         return 1.0 - self.abm_ops / self.spconv_ops
 
 
-def analytic_layer_counts(
-    spec: LayerSpec,
-    density: float,
-    distinct_values_per_kernel: float,
-    fdconv_reduction: float = FDCONV_REDUCTION,
-) -> LayerOpCounts:
-    """Op counts from dimensions + sparsity statistics (no weights).
-
-    Parameters
-    ----------
-    density:
-        Fraction of weights surviving pruning (1 - pruning ratio).
-    distinct_values_per_kernel:
-        Mean number of distinct nonzero quantized values in one kernel —
-        the per-output-pixel multiply count of ABM-SpConv.
-    """
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must be in [0, 1], got {density}")
-    if distinct_values_per_kernel < 0:
-        raise ValueError("distinct value count cannot be negative")
-    surviving_macs = spec.macs * density
-    reduction = fdconv_reduction if spec.kind == "conv" else 1.0
-    return LayerOpCounts(
-        name=spec.name,
-        sdconv_ops=float(spec.dense_ops),
-        fdconv_ops=spec.dense_ops / reduction,
-        spconv_ops=2.0 * surviving_macs,
-        abm_accumulates=surviving_macs,
-        abm_multiplies=distinct_values_per_kernel * spec.kernel_count,
-    )
-
-
 def measured_layer_counts(
     spec: LayerSpec,
     encoded: EncodedLayer,
@@ -163,30 +131,6 @@ def measured_layer_counts(
         abm_accumulates=float(nnz * spec.output_pixels),
         abm_multiplies=float(distinct_total * spec.output_pixels),
     )
-
-
-def analytic_model_counts(
-    specs: Sequence[LayerSpec],
-    densities: Mapping[str, float],
-    distinct_values: Mapping[str, float],
-    fdconv_reduction: float = FDCONV_REDUCTION,
-) -> ModelOpCounts:
-    """Whole-model analytic counts from per-layer statistics."""
-    layers = []
-    for spec in specs:
-        if spec.name not in densities:
-            raise KeyError(f"no density for layer {spec.name!r}")
-        if spec.name not in distinct_values:
-            raise KeyError(f"no distinct-value figure for layer {spec.name!r}")
-        layers.append(
-            analytic_layer_counts(
-                spec,
-                densities[spec.name],
-                distinct_values[spec.name],
-                fdconv_reduction=fdconv_reduction,
-            )
-        )
-    return ModelOpCounts(layers=tuple(layers))
 
 
 def expected_distinct_values(

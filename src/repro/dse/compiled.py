@@ -218,7 +218,7 @@ class CompiledWorkload:
 
     Use :func:`compile_workload` rather than constructing directly — it
     memoizes instances per workload identity, which is what makes repeated
-    sweeps (``explore``, ``explore_joint``, benchmarks) pay compilation
+    sweeps (``explore``, ``exhaustive_search``, benchmarks) pay compilation
     once. The instance holds only a weak reference to its workload, so a
     memo entry never keeps the workload alive; :meth:`evaluate_grid` takes
     the workload again and checks it is the compiled one.

@@ -57,8 +57,8 @@ class BufferSizing:
 
 
 #: ``size_buffers`` results are memoized per (workload identity, s_ec):
-#: ``sweep_sec_ncu`` and ``explore_joint`` ask for the same sizing once per
-#: grid column instead of once per grid point.
+#: ``sweep_sec_ncu`` and the joint-space evaluator ask for the same sizing
+#: once per grid column instead of once per grid point.
 _buffers = Memo("dse.buffers", capacity=1024)
 
 

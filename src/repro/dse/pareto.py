@@ -14,7 +14,6 @@ differential testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -122,29 +121,3 @@ def pareto_frontier(grid: Sequence[GridPoint]) -> List[GridPoint]:
     survives = _survivors_vectorized(feasible)
     frontier = [point for point, keep in zip(feasible, survives) if keep]
     return sorted(frontier, key=lambda p: -p.throughput_gops)
-
-
-@dataclass(frozen=True)
-class FrontierSummary:
-    """Compact description of the frontier for reports."""
-
-    points: Sequence[GridPoint]
-
-    @property
-    def knee(self) -> GridPoint:
-        """The point with the best throughput per ALM (the 'knee' pick)."""
-        if not self.points:
-            raise ValueError("empty frontier")
-        return max(self.points, key=lambda p: p.throughput_gops / p.resources.alms)
-
-    def render(self) -> str:
-        lines = [
-            f"{'S_ec':>4} {'N_cu':>4} {'GOP/s':>8} {'ALMs':>8} {'DSPs':>5} {'M20K':>5}"
-        ]
-        for point in self.points:
-            lines.append(
-                f"{point.s_ec:>4} {point.n_cu:>4} {point.throughput_gops:>8.1f} "
-                f"{point.resources.alms:>8} {point.resources.dsps:>5} "
-                f"{point.resources.m20ks:>5}"
-            )
-        return "\n".join(lines)

@@ -18,7 +18,12 @@ from typing import List, Tuple
 
 from ..analysis.compare import Comparison
 from ..analysis.tables import render_table
-from ..core.opcount import LayerOpCounts, ModelOpCounts, measured_layer_counts
+from ..core.opcount import (
+    FDCONV_REDUCTION,
+    LayerOpCounts,
+    ModelOpCounts,
+    measured_layer_counts,
+)
 from ..hw.workload import ModelWorkload
 from ..workloads.paper_targets import TABLE1_ROWS, TABLE1_SAVINGS, TABLE1_TOTALS
 from ..workloads.synthetic import synthetic_model_workload
@@ -90,7 +95,8 @@ def _workload_counts(workload: ModelWorkload) -> ModelOpCounts:
             LayerOpCounts(
                 name=spec.name,
                 sdconv_ops=float(spec.dense_ops),
-                fdconv_ops=spec.dense_ops / (3.3 if spec.kind == "conv" else 1.0),
+                fdconv_ops=spec.dense_ops
+                / (FDCONV_REDUCTION if spec.kind == "conv" else 1.0),
                 spconv_ops=2.0 * layer_workload.accumulate_ops,
                 abm_accumulates=float(layer_workload.accumulate_ops),
                 abm_multiplies=float(layer_workload.multiply_ops),

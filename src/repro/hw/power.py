@@ -2,7 +2,7 @@
 
 The paper motivates FPGAs with "lower power dissipation" but reports no
 power numbers; this model adds the standard activity-based estimate so the
-energy side of the ABM-vs-MAC-array trade can be studied. Per-operation
+DSE can rank design points on power and GOP/s per watt. Per-operation
 energies are rough 28-nm (Stratix-V class) literature values — the *ratios*
 (a DSP multiply costs several ALM adds; DDR dwarfs on-chip SRAM) are what
 the conclusions rest on, and tests only assert relationships, not watts.
@@ -15,14 +15,9 @@ Power = dynamic energy / time + static leakage (scaled by logic used).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .accelerator import ModelSimResult
 from .config import AcceleratorConfig
 from .workload import ModelWorkload
-
-if TYPE_CHECKING:
-    from .mac_array import MacArrayModelResult
 
 
 @dataclass(frozen=True)
@@ -79,28 +74,6 @@ class PowerReport:
         return self.energy_per_image_j * 1e3
 
 
-def abm_power(
-    simulation: ModelSimResult, model: EnergyModel = EnergyModel()
-) -> PowerReport:
-    """Power report for a simulated ABM-SpConv run."""
-    acc_ops = sum(l.accumulate_ops / l.images for l in simulation.layers)
-    mult_ops = sum(l.multiply_ops / l.images for l in simulation.layers)
-    ddr_bytes = sum(l.memory_bytes / l.images for l in simulation.layers)
-    energy = (
-        acc_ops * model.accumulate_j
-        + mult_ops * model.multiply_j
-        + acc_ops * model.sram_accesses_per_op * model.sram_access_j
-        + ddr_bytes * model.ddr_byte_j
-    )
-    return PowerReport(
-        label=f"abm-spconv/{simulation.model}",
-        energy_per_image_j=energy,
-        seconds_per_image=simulation.seconds_per_image,
-        static_w=model.static_w,
-        dense_ops=simulation.dense_ops,
-    )
-
-
 def analytic_ddr_bytes(workload: ModelWorkload, config: AcceleratorConfig) -> float:
     """Per-image DDR bytes of the bandwidth model's prefetch-window plan.
 
@@ -132,9 +105,9 @@ def analytic_energy_per_image(
 ) -> float:
     """Per-image dynamic energy of a workload/configuration pair.
 
-    Same activity accounting as :func:`abm_power`, but fed from the
-    analytic models instead of a simulation: operation counts come from
-    the workload statistics and DDR traffic from the bandwidth model's
+    The activity accounting of :func:`dynamic_energy_per_image`, fed from
+    the analytic models: operation counts come from the workload
+    statistics and DDR traffic from the bandwidth model's
     prefetch-window plan (:func:`analytic_ddr_bytes`). The result depends
     only on the ``(d_f, s_ec)`` geometry of the configuration — which is
     what lets the compiled DSE grid
@@ -164,31 +137,4 @@ def abm_power_analytic(
         seconds_per_image=seconds_per_image,
         static_w=model.static_w,
         dense_ops=workload.dense_ops,
-    )
-
-
-def mac_array_power(
-    result: MacArrayModelResult,
-    feature_bytes_per_image: float,
-    weight_bytes_per_image: float,
-    model: EnergyModel = EnergyModel(),
-) -> PowerReport:
-    """Power report for the dense MAC-array baseline.
-
-    Every MAC costs one multiply, one accumulate and the same buffer
-    traffic per operation; DDR moves the dense weights and features.
-    """
-    macs = sum(layer.macs for layer in result.layers)
-    ddr_bytes = feature_bytes_per_image + weight_bytes_per_image
-    energy = (
-        macs * (model.multiply_j + model.accumulate_j)
-        + macs * model.sram_accesses_per_op * model.sram_access_j
-        + ddr_bytes * model.ddr_byte_j
-    )
-    return PowerReport(
-        label="mac-array",
-        energy_per_image_j=energy,
-        seconds_per_image=result.seconds_per_image,
-        static_w=model.static_w,
-        dense_ops=result.dense_ops,
     )

@@ -67,11 +67,3 @@ def prune_network(network: Network, densities: Mapping[str, float]) -> Network:
         except ValueError as error:
             raise ValueError(f"layer {layer.name!r}: {error}") from None
     return network
-
-
-def actual_density(weights: np.ndarray) -> float:
-    """Fraction of nonzero weights in a tensor."""
-    arr = np.asarray(weights)
-    if arr.size == 0:
-        return 0.0
-    return float(np.count_nonzero(arr)) / arr.size

@@ -7,12 +7,8 @@ semi-synchronous CUs handle the irregular kind directly, so the natural
 ablation is: at equal density, what do the two sparsity structures do to
 the workload statistics and the accelerator's utilization?
 
-Two granularities are provided:
-
-- :func:`prune_kernels` — remove entire output-channel kernels (the
-  coarsest structure; surviving kernels stay dense);
-- :func:`prune_input_channels` — remove entire input channels of each
-  kernel (finer; keeps all output channels alive).
+:func:`prune_kernels` removes entire output-channel kernels (the
+coarsest structure; surviving kernels stay dense).
 """
 
 from __future__ import annotations
@@ -41,50 +37,3 @@ def prune_kernels(weights: np.ndarray, density: float) -> np.ndarray:
     drop = np.argsort(norms)[: kernels - keep]
     pruned[drop] = 0.0
     return pruned
-
-
-def prune_input_channels(weights: np.ndarray, density: float) -> np.ndarray:
-    """Keep the ``density`` fraction of input channels (per layer, shared
-    across all kernels) with the largest aggregate L1 norm."""
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must be in [0, 1], got {density}")
-    arr = np.asarray(weights, dtype=np.float64)
-    if arr.ndim < 2:
-        raise ValueError("weights need an input-channel axis")
-    channels = arr.shape[1]
-    keep = int(round(density * channels))
-    pruned = arr.copy()
-    if keep == 0:
-        return np.zeros_like(arr)
-    if keep >= channels:
-        return pruned
-    norms = np.abs(arr).sum(axis=tuple(i for i in range(arr.ndim) if i != 1))
-    drop = np.argsort(norms)[: channels - keep]
-    pruned[:, drop] = 0.0
-    return pruned
-
-
-def sparsity_structure_report(weights: np.ndarray) -> dict:
-    """Describe how the zeros of a tensor are organized.
-
-    Returns per-granularity survival fractions: element, kernel (output
-    channel) and input channel. Unstructured pruning shows element density
-    well below kernel/channel density; structured pruning aligns them.
-    """
-    arr = np.asarray(weights)
-    if arr.ndim < 2:
-        raise ValueError("weights need at least (M, N) axes")
-    kernels = arr.shape[0]
-    channels = arr.shape[1]
-    element_density = float(np.count_nonzero(arr)) / arr.size if arr.size else 0.0
-    kernel_alive = sum(
-        1 for m in range(kernels) if np.count_nonzero(arr[m])
-    )
-    channel_alive = sum(
-        1 for n in range(channels) if np.count_nonzero(arr[:, n])
-    )
-    return {
-        "element_density": element_density,
-        "kernel_density": kernel_alive / kernels,
-        "channel_density": channel_alive / channels,
-    }

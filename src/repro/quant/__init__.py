@@ -5,8 +5,7 @@ Public surface:
 - :class:`~repro.quant.fixed_point.QFormat` — signed fixed-point format with
   quantize/dequantize/saturate.
 - :func:`~repro.quant.fixed_point.fit_qformat` — dynamic-range calibration.
-- :class:`~repro.quant.quantizer.QuantizedTensor` and
-  :class:`~repro.quant.quantizer.ModelQuantizer` — per-layer model quantization.
-- :mod:`~repro.quant.stats` — per-kernel distinct-value statistics feeding
-  the ABM-SpConv op-count analysis (paper Table 1).
+- :class:`~repro.quant.quantizer.QuantizedTensor` — integer codes paired
+  with their format; :class:`repro.pipeline.QuantizedPipeline` does the
+  per-layer model quantization.
 """

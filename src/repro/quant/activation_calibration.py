@@ -5,8 +5,7 @@ default) devotes range to the single largest activation; on heavy-tailed
 distributions that wastes most codes on outliers. Percentile calibration
 clips the top tail instead, trading rare saturation for a finer LSB — the
 refinement Ristretto-style flows apply when the plain dynamic range costs
-accuracy. The SQNR metric quantifies the trade, and the pipeline exposes
-the strategy choice.
+accuracy. The pipeline exposes the strategy choice.
 """
 
 from __future__ import annotations
@@ -57,18 +56,3 @@ def fit_with_strategy(
         f"unknown calibration strategy {strategy!r}; "
         f"choose from {CALIBRATION_STRATEGIES}"
     )
-
-
-def sqnr_db(values: np.ndarray, fmt: QFormat) -> float:
-    """Signal-to-quantization-noise ratio of a format on a tensor, in dB."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return float("inf")
-    reconstructed = fmt.roundtrip(arr)
-    noise = np.mean((arr - reconstructed) ** 2)
-    signal = np.mean(arr**2)
-    if noise == 0.0:
-        return float("inf")
-    if signal == 0.0:
-        return 0.0
-    return float(10.0 * np.log10(signal / noise))

@@ -1,28 +1,19 @@
-"""Per-layer dynamic fixed-point quantization of CNN models.
+"""Integer-code tensors in dynamic fixed point.
 
 The paper quantizes pruned AlexNet/VGG16 weights to 8 bits using the
 Ristretto methodology: every layer gets its own fixed-point format whose
-integer width is fitted to the layer's dynamic range. Feature maps are
-likewise stored in 8-bit entries in the FT-Buffer, while the datapath
-(accumulators and multiplier operands) is 16-bit so the two-stage ABM
-computation loses no information before the single final rounding.
+integer width is fitted to the layer's dynamic range
+(:meth:`repro.pipeline.QuantizedPipeline.quantize` does the fitting). A
+:class:`QuantizedTensor` pairs a layer's integer codes with that format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fixed_point import (
-    DATAPATH_BITS,
-    FEATURE_BITS,
-    ROUND_NEAREST,
-    WEIGHT_BITS,
-    QFormat,
-    fit_qformat,
-)
+from .fixed_point import QFormat
 
 
 @dataclass(frozen=True)
@@ -63,96 +54,3 @@ class QuantizedTensor:
         """Sorted distinct nonzero codes — the Wp of Equation (2)."""
         nz = self.codes[self.codes != 0]
         return np.unique(nz)
-
-
-def quantize_tensor(
-    values: np.ndarray,
-    total_bits: int = WEIGHT_BITS,
-    fmt: Optional[QFormat] = None,
-    rounding: str = ROUND_NEAREST,
-) -> QuantizedTensor:
-    """Quantize a real tensor to dynamic fixed point.
-
-    If ``fmt`` is not supplied the format is fitted to the tensor's dynamic
-    range (Ristretto rule).
-    """
-    if fmt is None:
-        fmt = fit_qformat(values, total_bits)
-    return QuantizedTensor(fmt.quantize(values, rounding=rounding), fmt)
-
-
-@dataclass
-class LayerQuantization:
-    """Quantization decision for one layer: weight, bias and output formats."""
-
-    weight_fmt: QFormat
-    bias_fmt: QFormat
-    output_fmt: QFormat
-
-
-@dataclass
-class ModelQuantizer:
-    """Calibrates and applies dynamic fixed point across a whole model.
-
-    Parameters
-    ----------
-    weight_bits / feature_bits:
-        Storage widths. The paper's final design uses 8/8.
-    datapath_bits:
-        Width of accumulators and multiplier inputs (16 in the paper);
-        exposed so experiments can study narrower datapaths.
-    """
-
-    weight_bits: int = WEIGHT_BITS
-    feature_bits: int = FEATURE_BITS
-    datapath_bits: int = DATAPATH_BITS
-    decisions: Dict[str, LayerQuantization] = field(default_factory=dict)
-
-    def calibrate_layer(
-        self,
-        name: str,
-        weights: np.ndarray,
-        bias: Optional[np.ndarray],
-        output_sample: np.ndarray,
-    ) -> LayerQuantization:
-        """Fit formats for one layer from its weights and an output sample."""
-        weight_fmt = fit_qformat(weights, self.weight_bits)
-        bias_values = bias if bias is not None else np.zeros(1)
-        bias_fmt = fit_qformat(bias_values, self.datapath_bits)
-        output_fmt = fit_qformat(output_sample, self.feature_bits)
-        decision = LayerQuantization(weight_fmt, bias_fmt, output_fmt)
-        self.decisions[name] = decision
-        return decision
-
-    def quantize_weights(self, name: str, weights: np.ndarray) -> QuantizedTensor:
-        """Quantize a layer's weights with its calibrated format."""
-        decision = self._decision(name)
-        return QuantizedTensor(decision.weight_fmt.quantize(weights), decision.weight_fmt)
-
-    def quantize_features(self, name: str, features: np.ndarray) -> QuantizedTensor:
-        """Quantize a layer's output feature map with its calibrated format."""
-        decision = self._decision(name)
-        return QuantizedTensor(decision.output_fmt.quantize(features), decision.output_fmt)
-
-    def _decision(self, name: str) -> LayerQuantization:
-        if name not in self.decisions:
-            raise KeyError(f"layer {name!r} has not been calibrated")
-        return self.decisions[name]
-
-
-def quantization_error(values: np.ndarray, quantized: QuantizedTensor) -> float:
-    """RMS error introduced by quantization, in real-value units."""
-    diff = np.asarray(values, dtype=np.float64) - quantized.dequantize()
-    if diff.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(diff**2)))
-
-
-def codebook_histogram(tensors: Iterable[QuantizedTensor]) -> Mapping[int, int]:
-    """Histogram of integer codes across tensors (for Q-Table sizing)."""
-    counts: Dict[int, int] = {}
-    for tensor in tensors:
-        values, occurrences = np.unique(tensor.codes, return_counts=True)
-        for value, occurrence in zip(values.tolist(), occurrences.tolist()):
-            counts[value] = counts.get(value, 0) + occurrence
-    return counts

@@ -52,16 +52,6 @@ class RuntimeOutcome:
         return self.host_seconds * 1e3
 
     @property
-    def pipelined_seconds(self) -> float:
-        """Steady-state per-image time of the CPU/FPGA pipeline."""
-        return max(self.fpga_seconds, self.host_seconds)
-
-    @property
-    def throughput_gops(self) -> float:
-        """Paper-basis throughput of this deployment."""
-        return self.dense_ops / self.pipelined_seconds / 1e9
-
-    @property
     def effective_gops(self) -> float:
         """Executed (acc+mult) operation rate on the FPGA."""
         return self.executed_ops / self.fpga_seconds / 1e9

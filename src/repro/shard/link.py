@@ -5,16 +5,15 @@ PAPERS.md), the activation tensor at every cut point has to cross a
 board-to-board link — PCIe, a serial transceiver bridge, or host DRAM
 staging. A :class:`LinkModel` is the timing abstraction for one such
 link: a fixed per-transfer latency plus a bandwidth term over the
-activation bytes. The executable sharded plan
-(:class:`repro.shard.plan.ShardedModelPlan`) counts the exact elements
-crossing each cut; the partition search
-(:mod:`repro.dse.partition`) prices those bytes through this model so a
-cut in the middle of a wide feature pyramid is penalized the way real
-deployments penalize it.
+activation bytes. The partition search (:mod:`repro.dse.partition`)
+prices the elements crossing each cut
+(:meth:`repro.shard.plan.ModelPartition.cut_elements`) through this
+model, so a cut in the middle of a wide feature pyramid is penalized the
+way real deployments penalize it.
 
 Activations in this system are 8-bit quantized codes, so the default
-``bytes_per_element`` is 1 — the int64 arrays the executable stream uses
-are a host-side convenience, not the wire format.
+``bytes_per_element`` is 1 — the wider arrays the host stream uses are a
+host-side convenience, not the wire format.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from .plan import ShardPlan
 __all__ = [
     "PipelineSimReport",
     "analytic_bottleneck_s",
-    "analytic_fill_s",
     "simulate_pipeline",
     "simulate_shard_plan",
 ]
@@ -44,13 +43,6 @@ def analytic_bottleneck_s(service_times: Sequence[float]) -> float:
     if not service_times:
         raise ValueError("need at least one stage")
     return max(service_times)
-
-
-def analytic_fill_s(service_times: Sequence[float]) -> float:
-    """First-image latency through the empty line (pipeline fill)."""
-    if not service_times:
-        raise ValueError("need at least one stage")
-    return float(sum(service_times))
 
 
 @dataclass(frozen=True)

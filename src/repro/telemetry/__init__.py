@@ -15,8 +15,8 @@ counters and unaggregated trace events:
   codebase (plans, layer-sim results, DSE memos, window plans) reports
   hit/miss/eviction counters as :class:`CacheStats` under one dotted
   namespace, and :func:`clear_caches` resets them all.
-- Exporters — lossless JSON-lines round-trip and Prometheus-style text —
-  plus :func:`validate_snapshot` for the CI schema check.
+- Exporters — lossless JSON-lines round-trip — plus
+  :func:`validate_snapshot` for the CI schema check.
 - :class:`Telemetry` — the facade bundling one registry + tracer, passed
   to runtimes explicitly or installed process-wide via :func:`activate`.
 

@@ -1,11 +1,9 @@
-"""Snapshot exporters: JSON-lines and Prometheus-style text.
+"""Snapshot exporter: JSON lines.
 
 The JSONL format is the durable artifact: one self-describing record per
 line (``{"kind": "counter", ...}``), round-trippable —
 ``parse_jsonl(export_jsonl(s)) == s`` exactly — and trivially streamable
-into log pipelines. The Prometheus text format is the scrape-friendly
-view for dashboards; it is one-way (histograms flatten into cumulative
-``_bucket`` series).
+into log pipelines.
 
 :func:`validate_snapshot` is the schema check the CI smoke job runs
 against exported files: structural (required keys, types) plus internal
@@ -16,15 +14,13 @@ It deliberately uses no external schema library.
 from __future__ import annotations
 
 import json
-import re
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .context import SCHEMA
 
 __all__ = [
     "export_jsonl",
     "parse_jsonl",
-    "prometheus_text",
     "validate_snapshot",
     "write_jsonl",
 ]
@@ -105,80 +101,6 @@ def parse_jsonl(text: str) -> Dict[str, object]:
         else:
             snapshot[section][record["name"]] = record[fields[1]]
     return snapshot
-
-
-# ---- Prometheus-style text ---------------------------------------------
-
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-_KEY_RE = re.compile(r"^(?P<name>[^{]+)(?:\{(?P<labels>.*)\})?$")
-
-
-def _prom_name(name: str, prefix: str = "repro_") -> str:
-    return prefix + _NAME_RE.sub("_", name)
-
-
-def _split_key(key: str):
-    """('name', 'labels-inner-or-empty') of one flat snapshot key."""
-    match = _KEY_RE.match(key)
-    if match is None:  # pragma: no cover - keys are generated, not typed
-        return key, ""
-    return match.group("name"), match.group("labels") or ""
-
-
-def _merge_labels(inner: str, extra: str) -> str:
-    parts = [p for p in (inner, extra) if p]
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def prometheus_text(snapshot: Dict[str, object]) -> str:
-    """Prometheus exposition-format view of a snapshot (one-way)."""
-    lines: List[str] = []
-
-    for key, value in snapshot.get("counters", {}).items():
-        name, labels = _split_key(key)
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} counter")
-        lines.append(f"{prom}{_merge_labels(labels, '')} {value}")
-
-    for key, value in snapshot.get("gauges", {}).items():
-        name, labels = _split_key(key)
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom}{_merge_labels(labels, '')} {value}")
-
-    for key, data in snapshot.get("histograms", {}).items():
-        name, labels = _split_key(key)
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} histogram")
-        cumulative = 0
-        for le, count in zip(data["bucket_le"], data["bucket_counts"]):
-            cumulative += count
-            le_label = 'le="%s"' % le
-            lines.append(
-                f"{prom}_bucket{_merge_labels(labels, le_label)} {cumulative}"
-            )
-        cumulative += data.get("overflow", 0)
-        inf_label = 'le="+Inf"'
-        lines.append(
-            f"{prom}_bucket{_merge_labels(labels, inf_label)} {cumulative}"
-        )
-        lines.append(f"{prom}_sum{_merge_labels(labels, '')} {data['sum']}")
-        lines.append(f"{prom}_count{_merge_labels(labels, '')} {data['count']}")
-
-    for family, data in snapshot.get("caches", {}).items():
-        for field in ("hits", "misses", "evictions"):
-            prom = _prom_name(f"cache.{field}")
-            lines.append(f'{prom}{{cache="{family}"}} {data[field]}')
-        prom = _prom_name("cache.size")
-        lines.append(f'{prom}{{cache="{family}"}} {data["size"]}')
-
-    for name, data in snapshot.get("span_totals", {}).items():
-        prom = _prom_name(f"span.{name}.total_seconds")
-        lines.append(f"{prom} {data['total_s']}")
-        prom = _prom_name(f"span.{name}.count")
-        lines.append(f"{prom} {data['count']}")
-
-    return "\n".join(lines) + "\n"
 
 
 # ---- schema validation ---------------------------------------------------

@@ -61,37 +61,3 @@ def natural_image(
     # Normalize to the requested range with a 3-sigma soft clip.
     clipped = np.clip(image, -3.0, 3.0) / 3.0
     return lo + (clipped + 1.0) * (hi - lo) / 2.0
-
-
-def calibration_batch(
-    shape: Tuple[int, int, int],
-    count: int,
-    rng: np.random.Generator,
-    **kwargs,
-) -> np.ndarray:
-    """A (count, C, H, W) batch of independent natural images."""
-    if count < 1:
-        raise ValueError("need at least one image")
-    return np.stack([natural_image(shape, rng, **kwargs) for _ in range(count)])
-
-
-def spectrum_slope(image_channel: np.ndarray) -> float:
-    """Fitted log-log slope of the radial amplitude spectrum.
-
-    Natural images sit near -1; white noise near 0. Used by tests to
-    verify the generator and by users to sanity-check their own inputs.
-    """
-    arr = np.asarray(image_channel, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a single 2-D channel")
-    spectrum = np.abs(np.fft.fft2(arr - arr.mean()))
-    fy = np.fft.fftfreq(arr.shape[0])[:, None]
-    fx = np.fft.fftfreq(arr.shape[1])[None, :]
-    radius = np.sqrt(fy**2 + fx**2).reshape(-1)
-    amplitude = spectrum.reshape(-1)
-    # Fit over a mid-frequency band, away from DC and Nyquist wrap.
-    band = (radius > 0.02) & (radius < 0.35) & (amplitude > 0)
-    if band.sum() < 16:
-        raise ValueError("channel too small for a spectrum fit")
-    slope, _ = np.polyfit(np.log(radius[band]), np.log(amplitude[band]), 1)
-    return float(slope)

@@ -8,9 +8,23 @@ from repro.quant.activation_calibration import (
     CALIBRATION_PERCENTILE,
     fit_qformat_percentile,
     fit_with_strategy,
-    sqnr_db,
 )
 from repro.quant.fixed_point import QFormat, fit_qformat
+
+
+def sqnr_db(values: np.ndarray, fmt: QFormat) -> float:
+    """Signal-to-quantization-noise ratio of a format on a tensor, in dB."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
+        return float("inf")
+    reconstructed = fmt.roundtrip(arr)
+    noise = np.mean((arr - reconstructed) ** 2)
+    signal = np.mean(arr**2)
+    if noise == 0.0:
+        return float("inf")
+    if signal == 0.0:
+        return 0.0
+    return float(10.0 * np.log10(signal / noise))
 
 
 class TestPercentileFit:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.compare import Comparison, render_comparisons, worst_error
-from repro.analysis.tables import format_mop, format_pct, render_table
+from repro.analysis.tables import render_table
 
 
 class TestComparison:
@@ -48,10 +48,6 @@ class TestRenderTable:
     def test_small_floats(self):
         text = render_table(("v",), [(0.00123,)])
         assert "0.00123" in text
-
-    def test_helpers(self):
-        assert format_mop(2_500_000) == 2.5
-        assert format_pct(0.123) == "12.3%"
 
     def test_render_comparisons_columns(self):
         text = render_comparisons([Comparison("e", "m", 2.0, 1.0)])

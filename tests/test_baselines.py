@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.baselines.fdconv import FDConvModel, OaAModel
-from repro.baselines.published import get_baseline, published_accelerators
+from repro.baselines.published import get_baseline
 from repro.baselines.sdconv import SDConvModel, sdconv_ops
 from repro.baselines.spconv import SpConvModel, spconv_ops
 from repro.core.abm import ConvGeometry, abm_conv2d
 from repro.core.encoding import encode_layer
 from repro.core.specs import conv_spec
 from repro.hw.workload import workload_from_encoded
+from repro.workloads.paper_targets import TABLE2_COLUMNS
 from tests.conftest import sparse_weight_codes
 
 
@@ -93,16 +94,9 @@ class TestFDConv:
 
 class TestPublished:
     def test_all_columns_present(self):
-        assert len(published_accelerators()) == 8
-
-    def test_filter_by_cnn(self):
-        vgg = published_accelerators(cnn="vgg16")
-        assert all(acc.column.cnn == "vgg16" for acc in vgg)
-        assert len(vgg) == 4
-
-    def test_filter_by_scheme(self):
-        fd = published_accelerators(scheme="FDConv")
-        assert {acc.key for acc in fd} == {"aydonat-alexnet", "zeng-alexnet", "zeng-vgg16"}
+        assert len(TABLE2_COLUMNS) == 8
+        for column in TABLE2_COLUMNS:
+            assert get_baseline(column.key).column is column
 
     def test_perf_density_matches_paper(self):
         """Table 2's density row: [3] VGG16 2.58, proposed 4.29."""

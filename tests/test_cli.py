@@ -114,6 +114,22 @@ class TestCommands:
              "--trace-capacity must be a positive integer"),
             (["encode", "--max-layer-weights", "-5"],
              "--max-layer-weights must be a positive integer"),
+            (["partition", "--link-latency-us", "-1"],
+             "--link-latency-us must be a non-negative finite number"),
+            (["--seed", "-1", "simulate"],
+             "--seed must be a non-negative integer"),
+            (["partition", "--seed", "-1"],
+             "--seed must be a non-negative integer"),
+            (["encode", "--out", "no-such-dir/x.abms"],
+             "--out: directory 'no-such-dir' does not exist"),
+            (["report", "--out", "no-such-dir/r.md"],
+             "--out: directory 'no-such-dir' does not exist"),
+            (["metrics", "--from", "no-such-file.jsonl"],
+             "--from: cannot read no-such-file.jsonl"),
+            # This source file is not a JSONL snapshot.
+            pytest.param(["metrics", "--from", __file__],
+                         f"--from: {__file__}: line 1: invalid JSON",
+                         id="metrics-from-malformed"),
         ],
     )
     def test_bad_input_fails_cleanly(self, capsys, argv, message):

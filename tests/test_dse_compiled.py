@@ -26,7 +26,6 @@ from repro.dse.explorer import (
     sweep_nknl,
     sweep_sec_ncu,
 )
-from repro.dse.multi import explore_joint
 from repro.dse.pareto import pareto_frontier, pareto_frontier_reference
 from repro.dse.performance import (
     MODE_IDEAL,
@@ -171,34 +170,6 @@ class TestPaperWorkloadsIdentical:
         assert result.performance == estimate_model(
             vgg_workload, result.chosen, mode=MODE_QUANTIZED
         )
-
-    def test_explore_joint_identical(self, alexnet_workload, vgg_workload):
-        workloads = [alexnet_workload, vgg_workload]
-        result = explore_joint(workloads, STRATIX_V_GXA7)
-        n_share = min(share_factor_from_workloads(w.layers) for w in workloads)
-        grids = {
-            w.name: sweep_sec_ncu(
-                w, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=n_share
-            )
-            for w in workloads
-        }
-        for name, grid in grids.items():
-            assert result.best_single[name] == max(
-                p.throughput_gops for p in grid if p.feasible
-            )
-        # Every candidate's per-model figure is the per-point oracle's.
-        for candidate in result.candidates:
-            for workload in workloads:
-                point = next(
-                    p
-                    for p in grids[workload.name]
-                    if (p.s_ec, p.n_cu)
-                    == (candidate.config.s_ec, candidate.config.n_cu)
-                )
-                assert point.feasible
-                assert candidate.throughput[workload.name] == per_point_gops(
-                    workload, point.config
-                )
 
     def test_best_candidates_identical(self, vgg_workload):
         """The candidate set is the top five feasible points ranked by the

@@ -13,8 +13,8 @@ Pins the contracts of :mod:`repro.dse.joint_space`:
   than either workload alone at the same configuration;
 - ``nondominated_mask`` keeps exactly the non-dominated points
   (hypothesis-checked against a pairwise oracle);
-- the max-min joint exploration (``explore_joint``) serves both models
-  from one shared configuration at near-solo performance.
+- the max-min AlexNet + VGG16 co-deployment serves both models from one
+  shared configuration at near-solo performance.
 """
 
 import numpy as np
@@ -29,7 +29,6 @@ from repro.dse.joint_space import (
     default_joint_space,
     exhaustive_search,
 )
-from repro.dse.multi import explore_joint
 from repro.dse.pareto import nondominated_mask
 from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.hw import STRATIX_V_GXA7
@@ -287,43 +286,53 @@ class TestNondominatedMask:
 
 
 class TestJointExploration:
+    """``exhaustive_search([alexnet, vgg16])`` ranks the max-min
+    co-deployment: one shared configuration, scored by its worst model."""
+
     @pytest.fixture(scope="class")
-    def result(self):
-        workloads = [
-            synthetic_model_workload("alexnet", seed=1),
-            synthetic_model_workload("vgg16", seed=1),
-        ]
-        return explore_joint(workloads, STRATIX_V_GXA7)
+    def joint(self, alexnet_workload, vgg_workload):
+        workloads = [alexnet_workload, vgg_workload]
+        return exhaustive_search(
+            workloads, STRATIX_V_GXA7, space=default_joint_space(workloads)
+        )
 
-    def test_serves_both_models(self, result):
-        assert set(result.models) == {"alexnet", "vgg16"}
-        for model in result.models:
-            assert result.chosen.throughput[model] > 0
-
-    def test_maxmin_objective(self, result):
-        """The chosen point's worst normalized throughput beats (or ties)
-        every other jointly feasible candidate's."""
-        for candidate in result.candidates:
-            assert (
-                result.candidates[0].worst_normalized
-                >= candidate.worst_normalized - 1e-9
+    @pytest.fixture(scope="class")
+    def at_joint(self, joint, alexnet_workload, vgg_workload):
+        """Each model alone at the joint configuration."""
+        return {
+            w.name: exhaustive_search(
+                [w], STRATIX_V_GXA7, space=_point_space(joint.params)
             )
+            for w in (alexnet_workload, vgg_workload)
+        }
 
-    def test_near_solo_performance(self, result):
+    def test_serves_both_models(self, at_joint):
+        assert set(at_joint) == {"alexnet", "vgg16"}
+        for solo in at_joint.values():
+            assert solo.values["throughput_gops"] > 0
+
+    def test_maxmin_objective(self, joint, at_joint):
+        """The joint score is the worst model's throughput at the point."""
+        assert joint.values["throughput_gops"] == min(
+            solo.values["throughput_gops"] for solo in at_joint.values()
+        )
+
+    def test_near_solo_performance(self, at_joint, alexnet_workload, vgg_workload):
         """One shared bitstream costs each model only a modest slice."""
-        for model in result.models:
-            assert result.chosen.normalized[model] > 0.8
+        for workload in (alexnet_workload, vgg_workload):
+            best = exhaustive_search(
+                [workload],
+                STRATIX_V_GXA7,
+                space=default_joint_space([workload]),
+            )
+            shared = at_joint[workload.name].values["throughput_gops"]
+            assert shared > 0.8 * best.values["throughput_gops"]
 
-    def test_buffers_cover_both(self, result):
+    def test_buffers_cover_both(self, joint):
         # VGG16's FC6 needs the deepest FT-Buffer; the joint config must
         # carry it even if AlexNet alone would not.
-        assert result.chosen.config.d_f * result.chosen.config.s_ec >= 25088
+        assert joint.params["d_f"] * joint.params["s_ec"] >= 25088
 
-    def test_render(self, result):
-        text = result.render()
-        assert "joint exploration" in text
-        assert "vgg16" in text
-
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, alexnet_space):
         with pytest.raises(ValueError):
-            explore_joint([], STRATIX_V_GXA7)
+            exhaustive_search([], STRATIX_V_GXA7, space=alexnet_space)

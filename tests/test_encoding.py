@@ -21,7 +21,6 @@ from repro.core.encoding import (
     decode_layer,
     encode_kernel,
     encode_layer,
-    encoded_model_bytes,
     pack_index,
     unpack_index,
 )
@@ -322,13 +321,6 @@ class TestEncodeLayer:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             encode_layer("bad", np.zeros((2, 2, 2, 2, 2), dtype=np.int64))
-
-    def test_model_bytes(self, rng):
-        layers = [
-            encode_layer(f"l{i}", rng.integers(-3, 4, size=(2, 2, 3, 3)))
-            for i in range(3)
-        ]
-        assert encoded_model_bytes(layers) == sum(l.encoded_bytes for l in layers)
 
 
 class TestCacheThreadSafety:

@@ -1,12 +1,10 @@
-"""Tests for the top-level accelerator simulator and the MAC-array baseline."""
+"""Tests for the top-level accelerator simulator."""
 
 import pytest
 
 from repro.hw.accelerator import AcceleratorSimulator
 from repro.hw.config import PAPER_CONFIG_ALEXNET, PAPER_CONFIG_VGG16
 from repro.hw.device import STRATIX_V_GXA7
-from repro.hw.mac_array import MacArrayConfig, mac_array_for_device, simulate_mac_model
-from repro.nn.models import vgg16_architecture
 from repro.workloads import synthetic_model_workload
 
 
@@ -79,32 +77,3 @@ class TestModelSimulation:
         ).utilization_summary(vgg_result)
         assert "conv1_1" in text
         assert "total" in text
-
-
-class TestMacArray:
-    def test_array_for_device(self):
-        config = mac_array_for_device(STRATIX_V_GXA7)
-        assert config.mac_units == 512
-
-    def test_vgg_throughput_near_sdconv_roof(self):
-        """A dense MAC array cannot exceed (and should approach) 204.8 GOP/s."""
-        specs = vgg16_architecture().accelerated_specs()
-        result = simulate_mac_model(specs, mac_array_for_device(STRATIX_V_GXA7))
-        assert result.throughput_gops <= 204.8
-        assert result.throughput_gops > 0.5 * 204.8
-
-    def test_abm_beats_mac_array(self, vgg_result):
-        specs = vgg16_architecture().accelerated_specs()
-        dense = simulate_mac_model(specs, mac_array_for_device(STRATIX_V_GXA7))
-        assert vgg_result.throughput_gops > 3 * dense.throughput_gops
-
-    def test_utilization_bounded(self):
-        specs = vgg16_architecture().accelerated_specs()
-        result = simulate_mac_model(specs, mac_array_for_device(STRATIX_V_GXA7))
-        assert 0.0 < result.array_utilization <= 1.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MacArrayConfig(rows=0, cols=4)
-        with pytest.raises(ValueError):
-            MacArrayConfig(rows=4, cols=4, freq_mhz=0)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.hw.fifo import Fifo, FifoOverflow, FifoUnderflow
 from repro.shard.pipeline_sim import (
     analytic_bottleneck_s,
-    analytic_fill_s,
     simulate_pipeline,
 )
 
@@ -119,7 +118,7 @@ class TestPipelineSimulation:
         """finish[k] == fill + k * bottleneck for a deterministic line."""
         times = (0.2, 0.5, 0.3)
         report = simulate_pipeline(times, images=12, queue_depth=2)
-        fill = analytic_fill_s(times)
+        fill = sum(times)
         bottleneck = analytic_bottleneck_s(times)
         for k, finish in enumerate(report.finish_s):
             assert finish == pytest.approx(fill + k * bottleneck, abs=1e-12)
@@ -165,7 +164,7 @@ class TestPipelineSimulation:
     @settings(max_examples=60, deadline=None)
     def test_simulated_line_always_obeys_the_law(self, times, images, depth):
         report = simulate_pipeline(times, images, queue_depth=depth)
-        fill = analytic_fill_s(times)
+        fill = sum(times)
         bottleneck = analytic_bottleneck_s(times)
         for k, finish in enumerate(report.finish_s):
             assert finish == pytest.approx(fill + k * bottleneck, rel=1e-9)

@@ -41,7 +41,6 @@ from repro.nn.models import (
     SoftmaxDef,
 )
 from repro.pipeline import QuantizedPipeline
-from repro.shard.plan import ShardedModelPlan
 from repro.telemetry.context import Telemetry, activate
 
 @pytest.fixture(params=["sparse", "float64", "fallback"])
@@ -286,22 +285,19 @@ class TestDifferential:
             pipeline.run_batch(images), pipeline.run_batch_reference(images)
         )
 
-    @pytest.mark.parametrize("cuts", [None, (2,), (3,)], ids=["plan", "cut2", "cut3"])
-    def test_run_returns_a_fresh_array(self, rng, datapath, cuts):
-        """``run`` detaches its result on every arena dtype, sharded or not
-        (cut on either side of the Flatten): a second run leaves the first
-        result as it was.  The network ends in a fused FC, whose codes are
-        written into a ping buffer."""
+    def test_run_returns_a_fresh_array(self, rng, datapath):
+        """``run`` detaches its result on every arena dtype: a second run
+        leaves the first result as it was.  The network ends in a fused
+        FC, whose codes are written into a ping buffer."""
         pipeline = build_pipeline(ARCHITECTURES["grouped_strided"], rng)
         codes = [
             pipeline.input_fmt.quantize(rng.standard_normal((2, 4, 11, 11)))
             for _ in range(2)
         ]
         plan = compile_model_plan(pipeline, codes[0].shape)
-        runner = plan if cuts is None else ShardedModelPlan(plan, cuts)
-        first, _ = runner.run(codes[0])
+        first, _ = plan.run(codes[0])
         kept = first.copy()
-        second, _ = runner.run(codes[1])
+        second, _ = plan.run(codes[1])
         assert first.flags.c_contiguous and first.dtype == np.int64
         assert not np.shares_memory(first, second)
         assert not any(np.shares_memory(first, buf) for buf in plan.arena.ping)

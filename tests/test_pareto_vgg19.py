@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dse.explorer import sweep_sec_ncu
-from repro.dse.pareto import FrontierSummary, pareto_frontier
+from repro.dse.pareto import pareto_frontier
 from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.hw import (
     PAPER_CONFIG_VGG16,
@@ -51,16 +51,6 @@ class TestParetoFrontier:
 
     def test_only_feasible_points(self, grid):
         assert all(point.feasible for point in pareto_frontier(grid))
-
-    def test_knee_and_render(self, grid):
-        summary = FrontierSummary(pareto_frontier(grid))
-        knee = summary.knee
-        assert knee in summary.points
-        assert "GOP/s" in summary.render()
-
-    def test_empty_frontier_knee_raises(self):
-        with pytest.raises(ValueError):
-            FrontierSummary(()).knee
 
 
 class TestVGG19Workload:

@@ -25,7 +25,6 @@ from repro.telemetry.context import Telemetry, activate, get_active
 from repro.telemetry.exporters import (
     export_jsonl,
     parse_jsonl,
-    prometheus_text,
     validate_snapshot,
 )
 from repro.telemetry.registry import MetricsRegistry, metric_key
@@ -253,13 +252,13 @@ class TestCacheRegistry:
             unregister_cache("test.family")
         assert "test.family" not in registered_caches()
 
-    def test_cache_owners_register_exactly_the_eight_families(self):
+    def test_cache_owners_register_exactly_their_families(self):
         # Package __init__s load no cache owner, so a fresh interpreter
         # imports each owning module by name.
         code = (
             "import repro.core.model_plan, repro.core.plan\n"
             "import repro.dse.compiled, repro.dse.explorer, repro.dse.partition\n"
-            "import repro.hw.accelerator, repro.hw.tiling, repro.shard.plan\n"
+            "import repro.hw.accelerator, repro.hw.tiling\n"
             "from repro.telemetry.caches import registered_caches\n"
             "print(' '.join(registered_caches()))"
         )
@@ -269,7 +268,7 @@ class TestCacheRegistry:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == [
             "core.model_plan", "core.plan", "dse.buffers", "dse.compiled",
-            "dse.partition", "hw.sim", "hw.windows", "shard.plans",
+            "dse.partition", "hw.sim", "hw.windows",
         ]
 
     def test_cache_stats_derived_fields(self):
@@ -450,14 +449,6 @@ class TestExporters:
                 "schema", "counters", "gauges", "histograms", "caches",
                 "spans", "span_totals",
             }
-
-    def test_prometheus_text_shape(self):
-        text = prometheus_text(_sample_snapshot())
-        assert '# TYPE repro_serve_requests counter' in text
-        assert 'repro_serve_requests{model="tiny"} 8' in text
-        assert 'le="+Inf"' in text
-        assert "repro_serve_latency_s_count 4" in text
-        assert 'repro_span_request_total_seconds' in text
 
     def test_validate_accepts_good_snapshot(self):
         assert validate_snapshot(_sample_snapshot()) == []

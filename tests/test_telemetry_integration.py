@@ -45,7 +45,6 @@ GLOBAL_CACHE_FAMILIES = {
     "dse.compiled",
     "dse.buffers",
     "dse.partition",
-    "shard.plans",
 }
 
 
@@ -131,31 +130,6 @@ class TestServeSpanTree:
             assert len(kernels) == 4
             assert all("fused" in kernel.attrs for kernel in kernels)
         assert saw_fuse, "no batch recorded a model-plan compile span"
-
-    def test_shard_spans_wrap_kernels(self, served_model):
-        """Sharded execution nests its kernel spans under `shard` spans."""
-        from repro.shard.plan import sharded_run_batch
-
-        pipeline, _ = served_model
-        rng = np.random.default_rng(17)
-        shape = pipeline.network.input_shape.as_tuple()
-        images = np.stack([rng.normal(size=shape) for _ in range(2)])
-        clear_caches()
-        telemetry = Telemetry()
-        with activate(telemetry):
-            sharded_run_batch(pipeline, images, cuts=(2,))
-        shard_spans = [
-            root for root in telemetry.tracer.roots if root.name == "shard"
-        ]
-        assert [span.attrs["shard"] for span in shard_spans] == [0, 1]
-        for span in shard_spans:
-            kernels = [c for c in span.children if c.name == "kernel"]
-            # Two fused stages per shard at cut (2,): conv1+conv2 then
-            # fc3+fc4 (the host softmax stage records no kernel span).
-            assert len(kernels) == 2
-            assert all("fused" in kernel.attrs for kernel in kernels)
-            assert span.attrs["layers"]
-        clear_caches()
 
     def test_request_span_attrs_mirror_batch_trace(self, serve_run):
         report, telemetry, _ = serve_run
@@ -297,9 +271,6 @@ class TestCLI:
         assert "snapshot ok" in capsys.readouterr().out
 
     def test_metrics_formats(self, capsys):
-        assert main(["metrics", "--format", "prometheus"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE" in out and 'le="+Inf"' in out
         assert main(["metrics", "--format", "jsonl"]) == 0
         snapshot = parse_jsonl(capsys.readouterr().out)
         assert validate_snapshot(snapshot) == []
