@@ -89,6 +89,27 @@ def steps_total_closed_form(spec: LayerSpec, d_f: int, s_ec: int) -> Tuple[int, 
     return steps, plan.batch_images
 
 
+def throughput_and_power(
+    cycles_per_image: np.ndarray,
+    freq_mhz: float,
+    dense_ops: int,
+    energy_per_image_j: np.ndarray,
+    static_w: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(GOP/s, total W, GOP/s per W) of an ``[N_knl, S_ec, N_cu]`` cycle grid.
+
+    ``energy_per_image_j`` holds one dynamic energy per ``S_ec`` column.
+    The clock only scales the cycle grid, so the joint-space search scores
+    every candidate frequency from one grid through this formula.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seconds = cycles_per_image / (freq_mhz * 1e6)
+        throughput = dense_ops / seconds / 1e9
+        power_w = energy_per_image_j[None, :, None] / seconds + static_w
+        gops_per_watt = throughput / power_w
+    return throughput, power_w, gops_per_watt
+
+
 @dataclass(frozen=True)
 class _CompiledLayer:
     """Grid-invariant figures of one layer for one sharing factor N."""
@@ -416,10 +437,6 @@ class CompiledWorkload:
                 peak = max(layer.accumulate_ops, layer.multiply_share)
                 total = total + peak / accumulators
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            seconds = total / (freq_mhz * 1e6)
-            throughput = self.dense_ops / seconds / 1e9
-
         # Dynamic energy depends only on the (d_f, s_ec) column geometry, so
         # one evaluation per column — the same formula the per-point path
         # uses — keeps the whole power grid float-identical to it.
@@ -430,9 +447,9 @@ class CompiledWorkload:
             ],
             dtype=np.float64,
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            power_w = energy_col[None, :, None] / seconds + model.static_w
-            gops_per_watt = throughput / power_w
+        throughput, power_w, gops_per_watt = throughput_and_power(
+            total, freq_mhz, self.dense_ops, energy_col, model.static_w
+        )
 
         alms, dsps, m20ks = resources.estimate_arrays(knl, sec, ncu, self.n_share)
         alms = np.broadcast_to(alms, shape).copy()

@@ -6,25 +6,27 @@ seven axes ``(N_knl, S_ec, N_cu, N, d_f, d_w, freq_mhz)``. One design
 point costs microseconds on the compiled grid, so the whole space is
 scored exhaustively:
 
-- :class:`JointEvaluator` scores one outer ``(N, d_f, d_w, freq)`` cell
-  over the full inner ``(N_knl, S_ec, N_cu)`` grid in one
-  :meth:`CompiledWorkload.evaluate_grid` call per workload (with ``d_f`` /
-  ``d_w`` buffer overrides). On top of the grid's logic/DSP/memory
-  feasibility it adds the joint-space gates: the clock must not exceed
-  the congestion model's Fmax, ``d_w`` must cover the deepest kernel
-  stream, and over- or under-provisioned buffers adjust the M20K budget
-  through the same width x depth block mapping as :mod:`repro.hw.buffers`.
-  Multi-model sets combine per-workload grids through
+- The cycle grid of a cell depends only on ``(N, d_f)``, so
+  :func:`exhaustive_search` groups the outer cells by ``(N, d_f)`` and
+  makes one :meth:`CompiledWorkload.evaluate_grid` call per workload and
+  group (with a ``d_f`` buffer override). Each ``(d_w, freq)`` cell of
+  the group then derives only what depends on it: throughput and power
+  from the cycle grid (:func:`~repro.dse.compiled.throughput_and_power`)
+  and the joint-space gates. The clock must not exceed the congestion
+  model's Fmax, ``d_w`` must cover the deepest kernel stream, and over-
+  or under-provisioned buffers adjust the M20K budget through the same
+  width x depth block mapping as :mod:`repro.hw.buffers`.
+- Multi-model sets combine per-workload grids through
   :func:`co_deployment_objectives`.
-- :func:`exhaustive_search` walks every outer cell and returns the best
-  feasible point on the primary objective.
+- The search returns the best feasible point on the primary objective.
+  Scoring each cell alone, as a one-cell space, is its oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from ..hw.buffers import BufferRequirement
 from ..hw.device import FPGADevice
 from ..hw.power import EnergyModel
 from ..hw.workload import ModelWorkload
-from .compiled import GridEvaluation, compile_workload
+from .compiled import GridEvaluation, compile_workload, throughput_and_power
 from .explorer import BufferSizing, size_buffers
 from .frequency import DEFAULT_FREQUENCY_MODEL, FrequencyModel
 from .performance import share_factor_from_workloads
@@ -163,224 +165,154 @@ def _wt_blocks(d_w: int) -> int:
 
 
 def co_deployment_objectives(
-    evaluations: Sequence[GridEvaluation],
-) -> Dict[str, np.ndarray]:
-    """Combine same-shape per-workload grids into co-deployment objectives.
+    per_workload: Sequence[Mapping[str, np.ndarray]],
+) -> Mapping[str, np.ndarray]:
+    """Combine same-shape per-workload objective grids for co-deployment.
 
     A single bitstream serving every workload is only as good as its
-    worst case, so the combination is conservative elementwise:
-    throughput is the minimum across workloads, power/utilization the
-    maximum, efficiency the minimum, and a point is feasible only when it
-    is feasible for *every* workload. :class:`JointEvaluator` scores
-    multi-model sets through this seam.
+    worst case, so the combination is conservative elementwise: every
+    objective of :data:`OBJECTIVE_DIRECTIONS` takes its worst value across
+    workloads (the minimum of a maximized one, the maximum of a minimized
+    one), and a point is ``feasible`` only when it is feasible for *every*
+    workload.
     """
-    if not evaluations:
-        raise ValueError("need at least one grid evaluation")
-    shape = evaluations[0].shape
-    if any(e.shape != shape for e in evaluations):
-        raise ValueError("grid evaluations must share one shape")
-    combined: Dict[str, np.ndarray] = {
-        "throughput_gops": np.minimum.reduce(
-            [e.throughput_gops for e in evaluations]
-        ),
-        "total_power_w": np.maximum.reduce([e.power_w for e in evaluations]),
-        "gops_per_watt": np.minimum.reduce(
-            [e.gops_per_watt for e in evaluations]
-        ),
-        "feasible": np.logical_and.reduce([e.feasible for e in evaluations]),
+    if len(per_workload) == 1:
+        return per_workload[0]
+    combined = {
+        name: (np.minimum if direction == "max" else np.maximum).reduce(
+            [grids[name] for grids in per_workload]
+        )
+        for name, direction in OBJECTIVE_DIRECTIONS.items()
     }
-    if all(e.logic_util is not None for e in evaluations):
-        combined["logic_util"] = np.maximum.reduce(
-            [e.logic_util for e in evaluations]
-        )
-        combined["dsp_util"] = np.maximum.reduce(
-            [e.dsp_util for e in evaluations]
-        )
-        combined["mem_util"] = np.maximum.reduce(
-            [e.mem_util for e in evaluations]
-        )
+    combined["feasible"] = np.logical_and.reduce(
+        [grids["feasible"] for grids in per_workload]
+    )
     return combined
 
 
-@dataclass(frozen=True)
-class CellEvaluation:
-    """One evaluated ``(N, d_f, d_w, freq)`` cell over a 3-axis sub-grid.
+class _GroupGrid(NamedTuple):
+    """One workload's figures for a ``(N, d_f)`` group of cells."""
 
-    ``values`` maps every objective of :data:`OBJECTIVE_DIRECTIONS` to an
-    array indexed ``[i_knl, i_sec, i_ncu]``; ``plannable`` marks the
-    ``S_ec`` columns where every workload's window plan fits the cell's
-    ``d_f`` (unplannable columns score NaN and are infeasible).
+    evaluation: GridEvaluation
+    #: Dynamic energy per image of each plannable ``S_ec`` column.
+    energy: np.ndarray
+    #: M20K blocks the cell's FT-Buffers add over the derived sizing.
+    ft_extra: np.ndarray
+    derived_dw: int
+    fmax: np.ndarray
+
+
+def _scored_cells(
+    workloads: Tuple[ModelWorkload, ...],
+    device: FPGADevice,
+    space: SearchSpace,
+    resources: ResourceModel,
+    logic_limit: float,
+    energy_model: EnergyModel,
+    frequency_model: FrequencyModel,
+) -> Iterator[Tuple[Dict[str, float], Tuple[int, ...], Mapping[str, np.ndarray]]]:
+    """(outer params, plannable S_ec values, objective grids) of every cell.
+
+    Cells come in enumeration order (N, d_f, d_w, freq); a cell with no
+    plannable ``S_ec`` column is skipped. The grids are indexed
+    ``[i_knl, i_sec, i_ncu]`` over the plannable columns and hold every
+    objective of :data:`OBJECTIVE_DIRECTIONS` plus ``feasible``.
     """
-
-    n_knl_values: Tuple[int, ...]
-    s_ec_values: Tuple[int, ...]
-    n_cu_values: Tuple[int, ...]
-    values: Mapping[str, np.ndarray]
-    feasible: np.ndarray
-    plannable: np.ndarray
-
-    def point(
-        self, i_knl: int, i_sec: int, i_ncu: int, names: Sequence[str]
-    ) -> Tuple[Dict[str, float], bool]:
-        """(objective values, feasibility) of one sub-grid point."""
-        if not bool(self.plannable[i_sec]):
-            return {}, False
-        out: Dict[str, float] = {}
-        for name in names:
-            value = float(self.values[name][i_knl, i_sec, i_ncu])
-            if math.isfinite(value):
-                out[name] = value
-        feasible = bool(self.feasible[i_knl, i_sec, i_ncu]) and len(out) == len(
-            names
-        )
-        return out, feasible
-
-    def best_feasible(self, objective: str) -> Optional[Tuple[int, int, int]]:
-        """Index of the best feasible point on one objective.
-
-        Ties break to the first point in C order.
-        """
-        if not self.feasible.any():
-            return None
-        array = self.values[objective]
-        if OBJECTIVE_DIRECTIONS[objective] == "max":
-            flat = int(np.argmax(np.where(self.feasible, array, -np.inf)))
-        else:
-            flat = int(np.argmin(np.where(self.feasible, array, np.inf)))
-        return tuple(int(i) for i in np.unravel_index(flat, self.feasible.shape))
-
-
-class JointEvaluator:
-    """Scores joint-space cells for one or more co-deployed workloads.
-
-    On top of the compiled grid's logic/DSP/memory feasibility this adds
-    the joint-space gates: the cell's clock must not exceed the
-    congestion model's Fmax at the point's logic utilization, the cell's
-    ``d_w`` must cover every workload's deepest kernel stream, and the
-    delta between the cell's and the derived buffer sizing adjusts the
-    M20K estimate through the same block mapping as :mod:`repro.hw.buffers`
-    (so undersized buffers *save* BRAM and oversized ones must still fit
-    the device).
-    """
-
-    def __init__(
-        self,
-        workloads: Sequence[ModelWorkload],
-        device: FPGADevice,
-        *,
-        resources: ResourceModel = DEFAULT_RESOURCE_MODEL,
-        logic_limit: float = 0.75,
-        energy_model: Optional[EnergyModel] = None,
-        frequency_model: FrequencyModel = DEFAULT_FREQUENCY_MODEL,
-    ) -> None:
-        self.workloads = tuple(workloads)
-        if not self.workloads:
-            raise ValueError("need at least one workload")
-        self.device = device
-        self.resources = resources
-        self.logic_limit = logic_limit
-        self.energy_model = (
-            energy_model if energy_model is not None else EnergyModel()
-        )
-        self.frequency_model = frequency_model
-
-    def evaluate_cell(
-        self,
-        outer: Mapping[str, float],
-        n_knl_values: Sequence[int],
-        s_ec_values: Sequence[int],
-        n_cu_values: Sequence[int],
-    ) -> CellEvaluation:
-        """Evaluate one outer cell across a full inner sub-grid."""
-        knl = tuple(int(v) for v in n_knl_values)
-        sec = tuple(int(v) for v in s_ec_values)
-        ncu = tuple(int(v) for v in n_cu_values)
-        n_share = int(outer["n_share"])
-        d_f = int(outer["d_f"])
-        d_w = int(outer["d_w"])
-        freq_mhz = float(outer["freq_mhz"])
-        shape = (len(knl), len(sec), len(ncu))
-        values = {
-            name: np.full(shape, np.nan) for name in OBJECTIVE_DIRECTIONS
-        }
-        feasible = np.zeros(shape, dtype=bool)
-        plannable = np.zeros(len(sec), dtype=bool)
-
-        compiled = [compile_workload(w, n_share) for w in self.workloads]
-        common: Optional[Set[int]] = None
-        for grid in compiled:
-            columns = {j for j, s in enumerate(sec) if grid.plannable(d_f, s)}
-            common = columns if common is None else (common & columns)
-        ordered_columns = sorted(common or ())
-        if not ordered_columns:
-            return CellEvaluation(knl, sec, ncu, values, feasible, plannable)
-
-        sub_sec = tuple(sec[j] for j in ordered_columns)
-        knl_arr = np.asarray(knl, dtype=np.float64)[:, None, None]
-        ncu_arr = np.asarray(ncu, dtype=np.float64)[None, None, :]
-        evaluations = []
-        mem_adjusted = []
-        extra_gates = []
-        for workload, grid in zip(self.workloads, compiled):
-            derived = [size_buffers(workload, s) for s in sub_sec]
-            override = [
-                BufferSizing(d_f=d_f, d_w=d_w, d_q=sizing.d_q)
-                for sizing in derived
-            ]
-            evaluation = grid.evaluate_grid(
-                workload,
-                self.resources,
-                self.device,
-                n_knl_values=knl,
-                s_ec_values=sub_sec,
-                n_cu_values=ncu,
-                freq_mhz=freq_mhz,
-                logic_limit=self.logic_limit,
-                buffers=override,
-                energy_model=self.energy_model,
+    knl = tuple(int(v) for v in space.values("n_knl"))
+    sec = tuple(int(v) for v in space.values("s_ec"))
+    ncu = tuple(int(v) for v in space.values("n_cu"))
+    ncu_arr = np.asarray(ncu, dtype=np.float64)[None, None, :]
+    knl_ncu = np.asarray(knl, dtype=np.float64)[:, None, None] * ncu_arr
+    for n_share in space.values("n_share"):
+        compiled = [compile_workload(w, int(n_share)) for w in workloads]
+        for d_f in space.values("d_f"):
+            sub_sec = tuple(
+                s for s in sec if all(grid.plannable(int(d_f), s) for grid in compiled)
             )
-            # The cell's buffer sizing vs the derived one shifts the M20K
-            # budget: one FT-Buffer per CU, one WT-Buffer slice per kernel
-            # engine.
-            ft_delta = np.array(
-                [
-                    _ft_blocks(d_f, s) - _ft_blocks(sizing.d_f, s)
-                    for s, sizing in zip(sub_sec, derived)
-                ],
-                dtype=np.float64,
-            )
-            wt_delta = float(_wt_blocks(d_w) - _wt_blocks(derived[0].d_w))
-            extra = (
-                ncu_arr * ft_delta[None, :, None]
-                + knl_arr * ncu_arr * wt_delta
-            )
-            mem_util = (evaluation.m20ks + extra) / self.device.m20k_blocks
-            fmax = self.frequency_model.fmax_mhz_array(evaluation.logic_util)
-            gate = (
-                (mem_util <= 1.0)
-                & (freq_mhz <= fmax)
-                & (d_w >= derived[0].d_w)
-            )
-            evaluations.append(evaluation)
-            mem_adjusted.append(mem_util)
-            extra_gates.append(gate)
-
-        base = co_deployment_objectives(evaluations)
-        sub_values = {
-            "throughput_gops": base["throughput_gops"],
-            "logic_util": base["logic_util"],
-            "dsp_util": base["dsp_util"],
-            "mem_util": np.maximum.reduce(mem_adjusted),
-            "total_power_w": base["total_power_w"],
-            "gops_per_watt": base["gops_per_watt"],
-        }
-        sub_feasible = base["feasible"] & np.logical_and.reduce(extra_gates)
-        for j_sub, j in enumerate(ordered_columns):
-            plannable[j] = True
-            feasible[:, j, :] = sub_feasible[:, j_sub, :]
-            for name, array in values.items():
-                array[:, j, :] = sub_values[name][:, j_sub, :]
-        return CellEvaluation(knl, sec, ncu, values, feasible, plannable)
+            if not sub_sec:
+                continue
+            # Everything but the clock and d_w: one grid per workload.
+            groups = []
+            for workload, grid in zip(workloads, compiled):
+                derived = [size_buffers(workload, s) for s in sub_sec]
+                evaluation = grid.evaluate_grid(
+                    workload,
+                    resources,
+                    device,
+                    n_knl_values=knl,
+                    s_ec_values=sub_sec,
+                    n_cu_values=ncu,
+                    logic_limit=logic_limit,
+                    buffers=[
+                        BufferSizing(d_f=int(d_f), d_w=sized.d_w, d_q=sized.d_q)
+                        for sized in derived
+                    ],
+                    energy_model=energy_model,
+                )
+                # One FT-Buffer per CU at the cell's depth instead of the
+                # derived one.
+                ft_delta = np.array(
+                    [
+                        _ft_blocks(int(d_f), s) - _ft_blocks(sized.d_f, s)
+                        for s, sized in zip(sub_sec, derived)
+                    ],
+                    dtype=np.float64,
+                )
+                groups.append(
+                    _GroupGrid(
+                        evaluation,
+                        np.array(evaluation.energy_per_image_j, dtype=np.float64),
+                        ncu_arr * ft_delta[None, :, None],
+                        derived[0].d_w,
+                        frequency_model.fmax_mhz_array(evaluation.logic_util),
+                    )
+                )
+            for d_w in space.values("d_w"):
+                # One WT-Buffer slice per kernel engine at the cell's depth;
+                # d_w must still cover the deepest kernel stream.
+                memory = []
+                for group in groups:
+                    wt_delta = float(
+                        _wt_blocks(int(d_w)) - _wt_blocks(group.derived_dw)
+                    )
+                    mem_util = (
+                        group.evaluation.m20ks + (group.ft_extra + knl_ncu * wt_delta)
+                    ) / device.m20k_blocks
+                    feasible = (
+                        group.evaluation.feasible
+                        & (mem_util <= 1.0)
+                        & (int(d_w) >= group.derived_dw)
+                    )
+                    memory.append((mem_util, feasible))
+                for freq_mhz in space.values("freq_mhz"):
+                    per_workload = []
+                    for group, (mem_util, feasible) in zip(groups, memory):
+                        evaluation = group.evaluation
+                        throughput, power_w, gops_per_watt = throughput_and_power(
+                            evaluation.cycles_per_image,
+                            float(freq_mhz),
+                            evaluation.dense_ops,
+                            group.energy,
+                            evaluation.static_w,
+                        )
+                        per_workload.append(
+                            {
+                                "throughput_gops": throughput,
+                                "logic_util": evaluation.logic_util,
+                                "dsp_util": evaluation.dsp_util,
+                                "mem_util": mem_util,
+                                "total_power_w": power_w,
+                                "gops_per_watt": gops_per_watt,
+                                "feasible": feasible & (float(freq_mhz) <= group.fmax),
+                            }
+                        )
+                    outer = {
+                        "n_share": n_share,
+                        "d_f": d_f,
+                        "d_w": d_w,
+                        "freq_mhz": freq_mhz,
+                    }
+                    yield outer, sub_sec, co_deployment_objectives(per_workload)
 
 
 @dataclass(frozen=True)
@@ -405,11 +337,14 @@ def exhaustive_search(
 ) -> ExhaustiveResult:
     """Enumerate the whole joint space and return the primary-best point.
 
-    One vectorized inner-grid evaluation per outer cell; every
-    configuration is scored (``evaluated_points == space.size``). The
-    first objective is the primary; ``values`` reports every objective at
-    the winning point. Ties keep the first point in enumeration order.
+    Every configuration is scored (``evaluated_points == space.size``).
+    The first objective is the primary; ``values`` reports every objective
+    at the winning point. Within a cell, ties keep the first point in C
+    order; across cells, the first cell in enumeration order.
     """
+    workloads = tuple(workloads)
+    if not workloads:
+        raise ValueError("need at least one workload")
     if set(space.names) != set(JOINT_AXES):
         raise ValueError(
             f"joint search space must define exactly the axes {JOINT_AXES}, "
@@ -421,47 +356,45 @@ def exhaustive_search(
             f"objectives must be a non-empty subset of "
             f"{sorted(OBJECTIVE_DIRECTIONS)}, got {list(objectives)}"
         )
+    if any(v < 1 for v in space.values("d_w")) or any(
+        v <= 0 for v in space.values("freq_mhz")
+    ):
+        raise ValueError("d_w and freq_mhz candidates must be positive")
     primary = objectives[0]
-    sign = 1.0 if OBJECTIVE_DIRECTIONS[primary] == "max" else -1.0
-    evaluator = JointEvaluator(
-        workloads,
-        device,
-        resources=resources,
-        logic_limit=logic_limit,
-        energy_model=energy_model,
-        frequency_model=frequency_model,
-    )
+    maximize = OBJECTIVE_DIRECTIONS[primary] == "max"
+    sign = 1.0 if maximize else -1.0
     knl = tuple(int(v) for v in space.values("n_knl"))
-    sec = tuple(int(v) for v in space.values("s_ec"))
     ncu = tuple(int(v) for v in space.values("n_cu"))
     best: Optional[Tuple[float, Dict[str, float], Dict[str, float]]] = None
-    for n_share in space.values("n_share"):
-        for d_f in space.values("d_f"):
-            for d_w in space.values("d_w"):
-                for freq_mhz in space.values("freq_mhz"):
-                    outer = {
-                        "n_share": n_share,
-                        "d_f": d_f,
-                        "d_w": d_w,
-                        "freq_mhz": freq_mhz,
-                    }
-                    cell = evaluator.evaluate_cell(outer, knl, sec, ncu)
-                    index = cell.best_feasible(primary)
-                    if index is None:
-                        continue
-                    values, feasible = cell.point(*index, objectives)
-                    if not feasible:
-                        continue
-                    score = sign * values[primary]
-                    if best is None or score > best[0]:
-                        point = {
-                            **outer,
-                            "n_knl": knl[index[0]],
-                            "s_ec": sec[index[1]],
-                            "n_cu": ncu[index[2]],
-                        }
-                        params = {name: point[name] for name in space.names}
-                        best = (score, params, values)
+    for outer, sub_sec, cell in _scored_cells(
+        workloads,
+        device,
+        space,
+        resources,
+        logic_limit,
+        energy_model if energy_model is not None else EnergyModel(),
+        frequency_model,
+    ):
+        feasible = cell["feasible"]
+        if not feasible.any():
+            continue
+        masked = np.where(feasible, cell[primary], -np.inf if maximize else np.inf)
+        flat = int(np.argmax(masked) if maximize else np.argmin(masked))
+        index = np.unravel_index(flat, feasible.shape)
+        if not feasible[index]:
+            continue
+        values = {name: float(cell[name][index]) for name in objectives}
+        if not all(math.isfinite(value) for value in values.values()):
+            continue
+        score = sign * values[primary]
+        if best is None or score > best[0]:
+            point = {
+                **outer,
+                "n_knl": knl[index[0]],
+                "s_ec": sub_sec[index[1]],
+                "n_cu": ncu[index[2]],
+            }
+            best = (score, {name: point[name] for name in space.names}, values)
     if best is None:
         raise RuntimeError("no feasible point anywhere in the joint space")
     return ExhaustiveResult(

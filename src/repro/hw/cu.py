@@ -81,52 +81,6 @@ class TaskCost:
         return self.engine_busy_cycles / self.engine_cycle_capacity
 
 
-@dataclass(frozen=True)
-class GroupCostVector:
-    """Batched :func:`task_cycles` over every kernel group of a layer.
-
-    All arrays are indexed by group; entry ``g`` equals the corresponding
-    field of ``task_cycles(ConvTask(group g, window_pixels), config)``.
-    """
-
-    cycles: np.ndarray
-    engine_busy_cycles: np.ndarray
-    engine_cycle_capacity: np.ndarray
-    accumulate_ops: np.ndarray
-    multiply_ops: np.ndarray
-
-
-def task_cycles_batch(
-    nonzeros: np.ndarray,
-    distinct: np.ndarray,
-    group_starts: np.ndarray,
-    window_pixels: int,
-    config: AcceleratorConfig,
-) -> GroupCostVector:
-    """Vectorized :func:`task_cycles` for all kernel groups at one window size.
-
-    ``nonzeros``/``distinct`` are the per-kernel work figures laid out flat in
-    dispatch (group-major) order; ``group_starts`` is the CSR-style offset of
-    each group's first kernel. Tasks repeat identically across every prefetch
-    window with the same pixel count, so one call per distinct window size
-    replaces one scalar :func:`task_cycles` call per (window, group) pair.
-    """
-    if window_pixels < 1:
-        raise ValueError("window must cover at least one output pixel")
-    steps = -(-window_pixels // config.s_ec)
-    nonzeros = np.asarray(nonzeros, dtype=np.int64)
-    distinct = np.asarray(distinct, dtype=np.int64)
-    engine = np.maximum(nonzeros, distinct * config.n_share) * steps
-    compute = np.maximum.reduceat(engine, group_starts)
-    return GroupCostVector(
-        cycles=compute + TASK_LAUNCH_CYCLES + PIPELINE_FILL_CYCLES,
-        engine_busy_cycles=np.add.reduceat(engine, group_starts),
-        engine_cycle_capacity=config.n_knl * compute,
-        accumulate_ops=np.add.reduceat(nonzeros, group_starts) * window_pixels,
-        multiply_ops=np.add.reduceat(distinct, group_starts) * window_pixels,
-    )
-
-
 def task_cycles(task: ConvTask, config: AcceleratorConfig) -> TaskCost:
     """Timing model of one task (see module docstring).
 

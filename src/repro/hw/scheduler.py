@@ -19,14 +19,14 @@ Two implementations produce *identical* results:
 - :func:`simulate_layer_reference` — the per-task event loop: one
   :class:`~repro.hw.cu.ConvTask` object and one scalar
   :func:`~repro.hw.cu.task_cycles` call per (window, kernel-group) pair.
-- :func:`simulate_layer` — the vectorized fast path. Task costs are a
-  pure function of (group work figures, window pixels, config) and tasks
-  repeat identically across windows, so per-group cost vectors are computed
-  once per distinct window size with :func:`~repro.hw.cu.task_cycles_batch`,
-  pre-sorted into LPT dispatch order, and the event loop degenerates to an
-  array walk. Each pick is the C-level ``free.index(min(free))`` over the
-  CU free times: the first minimum wins, which is exactly the reference
-  heap's (free_at, cu) tie-breaking. The DDR transfer is the same for every
+- :func:`simulate_layer` — the vectorized fast path. A task costs its
+  group's largest engine figure times the window's vector steps, plus a
+  constant, so the group maxima and their LPT dispatch order are computed
+  once per layer (:func:`compile_window_schedules`), each distinct window
+  size only scales them, and the event loop degenerates to an array walk.
+  Each pick is the C-level ``free.index(min(free))`` over the CU free
+  times: the first minimum wins, which is exactly the reference heap's
+  (free_at, cu) tie-breaking. The DDR transfer is the same for every
   window, so it is costed once per layer.
 
 Both paths group kernels through :func:`kernel_order`. The balanced order
@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import AcceleratorConfig
-from .cu import ConvTask, task_cycles, task_cycles_batch
+from .cu import PIPELINE_FILL_CYCLES, TASK_LAUNCH_CYCLES, ConvTask, task_cycles
 from .memory import ExternalMemory
 from .tiling import WindowPlan, plan_windows
 from .trace import TraceRecorder
@@ -278,7 +278,7 @@ class _WindowSchedule:
     #: Group indices in LPT dispatch order (descending cost, stable ties).
     dispatch: Tuple[int, ...]
     #: Task cycles aligned with ``dispatch``.
-    cycles: Tuple[int, ...]
+    cycles: List[int]
     #: Window totals (independent of the CU assignment).
     engine_busy: int
     engine_capacity: int
@@ -305,28 +305,39 @@ def compile_window_schedules(
 ) -> Dict[int, _WindowSchedule]:
     """Cost vectors for every distinct window size of a layer.
 
-    A layer has at most four distinct window pixel counts (interior, right
-    edge, bottom edge, corner), so the whole schedule costs four batched
-    :func:`~repro.hw.cu.task_cycles_batch` calls instead of one scalar
-    :func:`~repro.hw.cu.task_cycles` per (window, group) task.
+    A task costs ``group_max * ceil(pixels / S_ec)`` cycles plus the
+    launch and pipeline-fill constants of :func:`~repro.hw.cu.task_cycles`,
+    where ``group_max`` is the largest engine figure
+    ``max(nonzeros, distinct * N)`` of the task's kernel group. The LPT
+    order (descending cycles, stable ties) therefore does not depend on
+    the window size: the group maxima and their sort are computed once,
+    and each of the (at most four) distinct pixel counts only scales them.
     """
     if pixel_counts is None:
         plan = plan_windows(workload.spec, config)
         pixel_counts = _window_pixel_counts(workload.spec, plan)
     _, nonzeros, distinct = kernel_order(workload, policy)
-    group_starts = np.arange(0, nonzeros.size, config.n_knl)
+    engine = np.maximum(nonzeros, distinct * config.n_share)
+    group_max = np.maximum.reduceat(engine, np.arange(0, engine.size, config.n_knl))
+    order = np.argsort(-group_max, kind="stable")
+    dispatch = tuple(order.tolist())
+    sorted_max = group_max[order]
+    engine_total = int(engine.sum())
+    capacity_total = config.n_knl * int(group_max.sum())
     schedules: Dict[int, _WindowSchedule] = {}
     for pixels in pixel_counts:
         if pixels in schedules:
             continue
-        batch = task_cycles_batch(nonzeros, distinct, group_starts, pixels, config)
-        # Same LPT order as the reference: descending cycles, stable ties.
-        order = np.argsort(-batch.cycles, kind="stable")
+        if pixels < 1:
+            raise ValueError("window must cover at least one output pixel")
+        steps = -(-pixels // config.s_ec)
         schedules[pixels] = _WindowSchedule(
-            dispatch=tuple(order.tolist()),
-            cycles=tuple(batch.cycles[order].tolist()),
-            engine_busy=int(batch.engine_busy_cycles.sum()),
-            engine_capacity=int(batch.engine_cycle_capacity.sum()),
+            dispatch=dispatch,
+            cycles=(
+                sorted_max * steps + (TASK_LAUNCH_CYCLES + PIPELINE_FILL_CYCLES)
+            ).tolist(),
+            engine_busy=engine_total * steps,
+            engine_capacity=capacity_total * steps,
         )
     return schedules
 
@@ -344,10 +355,12 @@ def simulate_layer(
     :func:`compile_window_schedules` and the greedy assignment picks the
     earliest-free CU with the C-level ``free.index(min(free))`` (first
     minimum wins, matching the reference heap's (free_at, cu) ordering).
-    Every window moves the same bytes, so the DDR transfer is costed once
-    and recorded for all windows in one call. When a ``trace`` recorder is
-    passed, events are reconstructed from the array schedule and are
-    identical to the reference trace.
+    The loop keeps only the CU free times and, per CU, the idle cycles it
+    waited for a window's release; busy cycles are ``free - idle`` and
+    stalls the idle sum. Every window moves the same bytes, so the DDR
+    transfer is costed once and recorded for all windows in one call. When
+    a ``trace`` recorder is passed, events are reconstructed from the array
+    schedule and are identical to the reference trace.
     """
     plan = plan_windows(workload.spec, config)
     pixel_counts = _window_pixel_counts(workload.spec, plan)
@@ -364,13 +377,9 @@ def simulate_layer(
 
     n_cu = config.n_cu
     free = [0] * n_cu
-    cu_busy = [0] * n_cu
-    stall_cycles = 0
+    idle = [0] * n_cu
     channel_free = 0
-    engine_busy = 0
-    engine_capacity = 0
     window_finish = [0] * plan.windows
-    clock = 0
     layer_name = workload.spec.name
 
     for window_index, pixels in enumerate(pixel_counts):
@@ -379,18 +388,13 @@ def simulate_layer(
         channel_free = prefetch_done
         release = prefetch_done + SYNC_CYCLES
         schedule = schedules[pixels]
-        finish_all = 0
         for position, cost in enumerate(schedule.cycles):
             start = min(free)
             cu = free.index(start)
             if start < release:
-                stall_cycles += release - start
+                idle[cu] += release - start
                 start = release
-            done = start + cost
-            cu_busy[cu] += cost
-            free[cu] = done
-            if done > finish_all:
-                finish_all = done
+            free[cu] = start + cost
             if trace is not None:
                 trace.record(
                     layer=layer_name,
@@ -398,27 +402,27 @@ def simulate_layer(
                     group_index=schedule.dispatch[position],
                     cu=cu,
                     start=start,
-                    end=done,
+                    end=start + cost,
                 )
-        engine_busy += schedule.engine_busy
-        engine_capacity += schedule.engine_capacity
-        window_finish[window_index] = finish_all
-        if finish_all > clock:
-            clock = finish_all
+        # max(free) exceeds this window's own finish only through a CU the
+        # window left alone, so by at most an earlier window's finish. The
+        # DDR channel has waited for every earlier finish before window
+        # w+2 prefetches, so that prefetch starts at the same time.
+        window_finish[window_index] = max(free)
 
-    compute_cycles = max(clock, 1)
+    clock = max(free)
     return LayerSimResult(
         layer=layer_name,
         cycles=clock,
-        compute_cycles=compute_cycles,
-        memory_stall_cycles=min(stall_cycles // max(n_cu, 1), clock),
-        cu_busy_cycles=tuple(cu_busy),
+        compute_cycles=max(clock, 1),
+        memory_stall_cycles=min(sum(idle) // max(n_cu, 1), clock),
+        cu_busy_cycles=tuple(done - waited for done, waited in zip(free, idle)),
         accumulate_ops=workload.accumulate_ops * plan.batch_images,
         multiply_ops=workload.multiply_ops * plan.batch_images,
         tasks=plan.windows * n_groups,
         windows=plan.windows,
         images=plan.batch_images,
         memory_bytes=window_bytes * plan.windows,
-        engine_busy_cycles=engine_busy,
-        engine_capacity_cycles=engine_capacity,
+        engine_busy_cycles=sum(schedules[p].engine_busy for p in pixel_counts),
+        engine_capacity_cycles=sum(schedules[p].engine_capacity for p in pixel_counts),
     )

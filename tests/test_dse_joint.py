@@ -9,6 +9,8 @@ Pins the contracts of :mod:`repro.dse.joint_space`:
 - ``exhaustive_search`` scores the whole space, its winner is feasible
   and reproducible as a one-point search, and the seed-1 AlexNet / VGG16
   optima are pinned;
+- grouping the outer cells by (N, d_f) changes nothing: the search equals
+  the best of one-cell searches, ties going to the first cell;
 - a two-workload search is conservative: the joint optimum is no better
   than either workload alone at the same configuration;
 - ``nondominated_mask`` keeps exactly the non-dominated points
@@ -16,6 +18,8 @@ Pins the contracts of :mod:`repro.dse.joint_space`:
 - the max-min AlexNet + VGG16 co-deployment serves both models from one
   shared configuration at near-solo performance.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -212,6 +216,108 @@ class TestExhaustiveSearch:
                 space=default_joint_space([alexnet_workload]),
                 objectives=("latency",),
             )
+
+
+# ---------------------------------------------------------------------------
+# The grouped search against its per-cell oracle
+# ---------------------------------------------------------------------------
+
+
+def _per_cell_search(workloads, space, objectives):
+    """Best of one-outer-cell searches, each cell searched alone.
+
+    Cells are visited in enumeration order (N, d_f, d_w, freq); a later
+    cell must be strictly better to win, so ties go to the first cell.
+    """
+    primary = objectives[0]
+    sign = 1.0 if OBJECTIVE_DIRECTIONS[primary] == "max" else -1.0
+    best = None
+    for n_share, d_f, d_w, freq_mhz in itertools.product(
+        *(space.values(name) for name in ("n_share", "d_f", "d_w", "freq_mhz"))
+    ):
+        outer = {"n_share": n_share, "d_f": d_f, "d_w": d_w, "freq_mhz": freq_mhz}
+        cell = SearchSpace(
+            tuple(
+                (name, (outer[name],) if name in outer else values)
+                for name, values in space.axes
+            )
+        )
+        try:
+            found = exhaustive_search(
+                workloads, STRATIX_V_GXA7, space=cell, objectives=objectives
+            )
+        except RuntimeError:  # no feasible point in this cell
+            continue
+        if best is None or sign * found.values[primary] > sign * best.values[primary]:
+            best = found
+    return best
+
+
+class TestGroupedSearch:
+    """``exhaustive_search`` scores each (N, d_f) cycle grid once for all
+    its (d_w, freq) cells; searching every cell alone must agree."""
+
+    @pytest.mark.parametrize(
+        "objectives",
+        [tuple(OBJECTIVE_DIRECTIONS), ("total_power_w", "throughput_gops")],
+        ids=["max-primary", "min-primary"],
+    )
+    def test_alexnet_equals_per_cell_search(
+        self, alexnet_workload, alexnet_space, objectives
+    ):
+        grouped = exhaustive_search(
+            [alexnet_workload],
+            STRATIX_V_GXA7,
+            space=alexnet_space,
+            objectives=objectives,
+        )
+        oracle = _per_cell_search([alexnet_workload], alexnet_space, objectives)
+        assert grouped.params == oracle.params
+        assert grouped.values == oracle.values
+
+    def test_co_deployment_equals_per_cell_search(
+        self, alexnet_workload, vgg_workload
+    ):
+        workloads = [alexnet_workload, vgg_workload]
+        space = default_joint_space(
+            workloads, n_knl_values=(8, 14, 16, 20), n_cu_values=(1, 2, 3)
+        )
+        objectives = tuple(OBJECTIVE_DIRECTIONS)
+        grouped = exhaustive_search(
+            workloads, STRATIX_V_GXA7, space=space, objectives=objectives
+        )
+        oracle = _per_cell_search(workloads, space, objectives)
+        assert grouped.params == oracle.params
+        assert grouped.values == oracle.values
+
+    def test_space_has_partly_plannable_d_f(self, alexnet_workload, alexnet_space):
+        """The smallest AlexNet d_f plans only some S_ec columns, so the
+        searches above cover cells with unplannable columns."""
+        grid = compile_workload(alexnet_workload, alexnet_space.values("n_share")[0])
+        d_f = min(alexnet_space.values("d_f"))
+        plannable = [grid.plannable(d_f, s) for s in alexnet_space.values("s_ec")]
+        assert any(plannable) and not all(plannable)
+
+    def test_ties_keep_the_first_cell(
+        self, alexnet_workload, alexnet_space, alexnet_exhaustive
+    ):
+        """d_w does not change throughput, so the feasible d_w candidates
+        tie; the first in enumeration order wins either way round."""
+        assert alexnet_exhaustive.params["d_w"] == 2048
+        reversed_dw = SearchSpace(
+            tuple(
+                (name, values[::-1] if name == "d_w" else values)
+                for name, values in alexnet_space.axes
+            )
+        )
+        found = exhaustive_search(
+            [alexnet_workload], STRATIX_V_GXA7, space=reversed_dw
+        )
+        assert found.params == {**alexnet_exhaustive.params, "d_w": 4096}
+        assert (
+            found.values["throughput_gops"]
+            == alexnet_exhaustive.values["throughput_gops"]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ the same event multiset. Hypothesis drives random configurations, grouping
 policies and conv/FC workloads through both implementations.
 
 Also covers the satellites that ride on the fast path: the layer result
-cache, opt-in parallel multi-layer simulation, the batched task-cost
-vectors and the bounded trace ring buffer.
+cache, the per-window-size schedules (checked against the scalar
+``task_cycles``) and the bounded trace ring buffer.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.specs import conv_spec, fc_spec
 from repro.hw.accelerator import AcceleratorSimulator
 from repro.hw.config import AcceleratorConfig
-from repro.hw.cu import ConvTask, task_cycles, task_cycles_batch
+from repro.hw.cu import ConvTask, task_cycles
 from repro.hw.memory import ExternalMemory
 from repro.hw.scheduler import (
     POLICY_BALANCED,
@@ -199,6 +199,9 @@ class TestFastPathExactness:
 
 
 class TestTaskCyclesBatch:
+    """A window schedule is every group's task cost at one window size,
+    sorted once per layer; the scalar ``task_cycles`` is its oracle."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         workload=workloads,
@@ -207,36 +210,36 @@ class TestTaskCyclesBatch:
         pixels=st.integers(1, 200),
     )
     def test_matches_scalar_task_cycles(self, workload, config, policy, pixels):
-        groups = make_kernel_groups(workload, config, policy)
-        flat = np.concatenate(groups)
-        nonzeros = workload.nonzeros[flat]
-        distinct = workload.distinct[flat]
-        starts = np.arange(0, flat.size, config.n_knl)
-        batch = task_cycles_batch(nonzeros, distinct, starts, pixels, config)
-        for index, group in enumerate(groups):
-            task = ConvTask(
-                layer="t",
-                window_index=0,
-                group_index=index,
-                nonzeros=tuple(int(n) for n in workload.nonzeros[group]),
-                distinct=tuple(int(d) for d in workload.distinct[group]),
-                window_pixels=pixels,
+        costs = [
+            task_cycles(
+                ConvTask(
+                    layer="t",
+                    window_index=0,
+                    group_index=index,
+                    nonzeros=tuple(int(n) for n in workload.nonzeros[group]),
+                    distinct=tuple(int(d) for d in workload.distinct[group]),
+                    window_pixels=pixels,
+                ),
+                config,
             )
-            cost = task_cycles(task, config)
-            assert int(batch.cycles[index]) == cost.cycles
-            assert int(batch.engine_busy_cycles[index]) == cost.engine_busy_cycles
-            assert (
-                int(batch.engine_cycle_capacity[index]) == cost.engine_cycle_capacity
-            )
-            assert int(batch.accumulate_ops[index]) == cost.accumulate_ops
-            assert int(batch.multiply_ops[index]) == cost.multiply_ops
+            for index, group in enumerate(make_kernel_groups(workload, config, policy))
+        ]
+        schedule = compile_window_schedules(workload, config, policy, [pixels])[pixels]
+        # The reference's LPT order: descending cycles, stable ties.
+        lpt = sorted(range(len(costs)), key=lambda g: -costs[g].cycles)
+        assert schedule.dispatch == tuple(lpt)
+        assert schedule.cycles == [costs[g].cycles for g in lpt]
+        assert schedule.engine_busy == sum(c.engine_busy_cycles for c in costs)
+        assert schedule.engine_capacity == sum(
+            c.engine_cycle_capacity for c in costs
+        )
 
     def test_rejects_empty_window(self):
+        spec = conv_spec("c", 4, 2, kernel=3, in_rows=6, in_cols=6)
+        workload = workload_from_arrays(spec, np.array([9, 4]), np.array([3, 1]))
         config = AcceleratorConfig(n_cu=1, n_knl=2, n_share=4, s_ec=4)
         with pytest.raises(ValueError):
-            task_cycles_batch(
-                np.array([1, 2]), np.array([1, 1]), np.array([0]), 0, config
-            )
+            compile_window_schedules(workload, config, pixel_counts=[0])
 
     def test_schedule_compiles_one_entry_per_distinct_size(self, rng):
         spec = conv_spec("c", 8, 8, kernel=3, in_rows=11, in_cols=11, padding=1)
