@@ -372,11 +372,11 @@ def _check_serve_args(args: argparse.Namespace) -> None:
         (0 <= args.best_effort < 1, "--best-effort must be in [0, 1)"),
         (args.queue_limit is None or args.queue_limit >= 1,
          "--queue-limit must be >= 1"),
-        (not args.autoscale_max or args.autoscale_max >= args.workers,
-         "--autoscale-max must be >= --workers"),
+        (args.autoscale_max is None or args.autoscale_max > args.workers,
+         "--autoscale-max must be > --workers"),
         (args.autoscale_interval_ms > 0,
          "--autoscale-interval-ms must be positive"),
-        (0 <= args.density <= 1, "--density must be in [0, 1]"),
+        (0 < args.density <= 1, "--density must be in (0, 1]"),
     )
     for ok, message in checks:
         if not ok:
@@ -441,7 +441,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
             SLOClass("best-effort", priority=1, queue_limit=args.queue_limit),
         )
     autoscale = None
-    if args.autoscale_max and args.autoscale_max > args.workers:
+    if args.autoscale_max is not None:
         autoscale = AutoscalePolicy(
             min_instances=args.workers,
             max_instances=args.autoscale_max,

@@ -277,8 +277,14 @@ def explore(
     Both sweeps run on the compiled whole-grid evaluator. The flow has no
     internal randomness; ``seed`` records the provenance of the
     (upstream-synthesized) workload in the result so downstream reports
-    can reproduce the run bit for bit.
+    can reproduce the run bit for bit. A workload without a nonzero
+    weight has no work to time and raises ``ValueError``.
     """
+    if not workload.accumulate_ops:
+        raise ValueError(
+            f"workload {workload.name!r} has no nonzero weights: "
+            "no work to explore"
+        )
     n_share = share_factor_from_workloads(workload.layers)
     nknl_points = sweep_nknl(
         workload,

@@ -13,14 +13,20 @@ compositions are *exactly* (float-for-float) equal
 
 Event kinds, in tie-break order at equal virtual times:
 
-1. ``FINISH`` — an instance completes a batch (or one streamed image in
-   continuous mode); waiting work dispatches immediately. Continuous
-   mode keeps one FINISH per request: lanes that free at the same
-   instant free one at a time, in admission order, with an admission
-   attempt after each, and freeing them together would change picks.
+1. ``FINISH`` — an instance completes a batch (windows mode) or a lane
+   frees (continuous mode); waiting work dispatches immediately.
+   Continuous lanes finish lazily: each instance keeps its lanes'
+   ``(finish_s, seq)`` in admission order, and at an ARRIVAL or SCALE a
+   lane with ``finish_s <= now`` is free, since FINISH ranks first. Only
+   while requests wait (every lane busy) does each instance's first lane
+   become a FINISH event, with the ``seq`` of its admission, so lanes
+   that free at the same instant still free one at a time, in admission
+   order, with an admission after each; freeing them together would
+   change picks.
 2. ``ARRIVAL`` — a request arrives; admission control may reject it,
    otherwise it joins its SLO class's open batch (windows mode) or queue
-   (continuous mode). Arrivals are walked straight off the sorted trace
+   (continuous mode). An arrival into an empty continuous queue is
+   admitted directly. Arrivals are walked straight off the sorted trace
    array, so they never enter the heap.
 3. ``SEAL`` — a batching window expires (``max_wait_s`` after the oldest
    member arrived); processed after same-instant arrivals so a request
@@ -43,9 +49,9 @@ Both picks break ties to the lowest instance id. ``Fleet.active`` is in
 ascending id order, so each pick is one upward walk that keeps only a
 strictly earlier candidate. The continuous walk stops at the first
 drained instance (``tail + step <= now + fill``): it finishes at
-``now + fill``, the least possible. Admission runs only while requests
-are queued, and the virtual time is a local of the event loop, written
-back to :attr:`EventDrivenSimulator.clock` once per trace.
+``now + fill``, the least possible. The virtual time is a local of the
+event loop, written back to :attr:`EventDrivenSimulator.clock` once per
+trace, at the later of the last event and the last finish.
 
 SLO classes are served strictly by priority; per-class ``queue_limit``
 gives admission control, and rejected requests surface in the report,
@@ -61,7 +67,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..telemetry.context import Telemetry
 from ..telemetry.spans import VirtualClock
 from .batcher import BatchPolicy
-from .fleet import AutoscalePolicy, Fleet, ScaleEvent, ServiceProfile
+from .fleet import AutoscalePolicy, Fleet, Instance, ScaleEvent, ServiceProfile
 from .loadgen import LoadTrace
 from .stats import Rejection, ServeStats
 
@@ -322,7 +328,6 @@ class EventDrivenSimulator:
         i = 0  # next arrival index
         queued = 0  # admitted but not started, across classes
         max_queued = 0
-        in_service = 0  # outstanding FINISH events
         last_scale_s = -float("inf")
         scale_events: List[ScaleEvent] = []
 
@@ -342,7 +347,7 @@ class EventDrivenSimulator:
         open_run: Dict[int, list] = {}
 
         def more_work() -> bool:
-            return i < n or queued > 0 or in_service > 0
+            return i < n or queued > 0 or last_finish_s > now
 
         # ---- windows mode helpers ----------------------------------
 
@@ -357,7 +362,7 @@ class EventDrivenSimulator:
             try_dispatch()
 
         def try_dispatch() -> None:
-            nonlocal in_service, seq, next_batch_id, queued, last_finish_s
+            nonlocal seq, next_batch_id, queued, last_finish_s
             while dispatch:
                 # Earliest-free instance, lowest id on ties: an ascending-id
                 # walk that keeps only a strictly earlier one.
@@ -382,7 +387,6 @@ class EventDrivenSimulator:
                 next_batch_id += 1
                 states[cls].pending -= size
                 queued -= size
-                in_service += 1
                 heappush(heap, (finish_s, _FINISH, seq, worker, None))
                 seq += 1
                 latencies = lat_by_class[cls]
@@ -405,63 +409,96 @@ class EventDrivenSimulator:
 
         # ---- continuous mode helpers -------------------------------
 
-        def try_admit() -> None:
-            nonlocal in_service, seq, next_batch_id, queued, last_finish_s
+        def pick() -> Optional[Instance]:
+            """The instance a request admitted now goes to, or None.
+
+            Called at an ARRIVAL or SCALE only. An instance with
+            ``max_batch`` lanes looks full; its first lane is free if it
+            finished by ``now``, because FINISH ranks before both.
+            """
             # A request admitted now finishes at max(floor, tail + step).
             floor = now + fill
-            while queued:  # == the summed queue lengths in this mode
-                for cls in by_priority:
-                    state = states[cls]
-                    if state.queue_head < len(state.queue):
-                        break
-                # Lowest finish, lowest id on ties: walk ids upwards and keep
-                # only a strictly earlier finish. The first drained instance
-                # (tail + step <= floor) finishes at floor, the least any
-                # instance can, and every later tie has a larger id.
-                best = None
-                for w in active:
-                    if w.in_flight < max_batch:
-                        finish_s = w.tail_s + step
-                        if finish_s <= floor:
-                            best, best_s = w, floor
-                            break
-                        if best is None or finish_s < best_s:
-                            best, best_s = w, finish_s
-                if best is None:
-                    return
-                rid, arrival = state.queue[state.queue_head]
-                state.queue_head += 1
-                if state.queue_head > 64 and state.queue_head * 2 > len(state.queue):
-                    del state.queue[: state.queue_head]
-                    state.queue_head = 0
-                state.pending -= 1
-                queued -= 1
-                if best.in_flight == 0:
-                    row = [next_batch_id, best.instance_id, cls, 0, now, now, now]
+            # Lowest finish, lowest id on ties: walk ids upwards and keep
+            # only a strictly earlier finish. The first drained instance
+            # (tail + step <= floor) finishes at floor, the least any
+            # instance can, and every later tie has a larger id.
+            best = None
+            best_s = _NEVER
+            for w in active:
+                finish_s = w.tail_s + step
+                if finish_s < best_s:
+                    lanes = w.lanes
+                    if len(lanes) >= max_batch:
+                        if lanes[0][0] > now:
+                            continue
+                        lanes.popleft()
+                    if finish_s <= floor:
+                        return w
+                    best, best_s = w, finish_s
+            return best
+
+        def book(w: Instance, rid: int, cls: int, arrival: float) -> None:
+            """Admit request ``rid`` into a free lane of ``w`` at ``now``."""
+            nonlocal seq, next_batch_id, last_finish_s
+            tail_s = w.tail_s
+            floor = now + fill
+            finish_s = tail_s + step
+            if finish_s < floor:
+                finish_s = floor
+            lanes = w.lanes
+            if tail_s <= now:
+                lanes.clear()  # every lane has finished
+            if collect:
+                if lanes:
+                    row = open_run[w.instance_id]
+                else:  # nothing in flight: a new stream run
+                    row = [next_batch_id, w.instance_id, cls, 0, now, now, now]
                     next_batch_id += 1
-                    open_run[best.instance_id] = row
-                    if collect:
-                        batch_rows.append(row)
-                else:
-                    row = open_run[best.instance_id]
-                tail_s = best.tail_s
-                best.busy_s += best_s - (tail_s if tail_s >= now else now)
-                best.tail_s = best_s
-                best.in_flight += 1
-                in_service += 1
-                heappush(heap, (best_s, _FINISH, seq, best, None))
-                seq += 1
-                lat_by_class[cls].append(best_s - arrival)
-                wait_all.append(now - arrival)
-                if best_s > last_finish_s:
-                    last_finish_s = best_s
-                if collect:
-                    row[3] += 1
-                    row[6] = max(row[6], best_s)
-                    if row[2] != cls:
-                        row[2] = -1  # mixed-class stream run
-                    records.append((rid, cls, best.instance_id, row[0],
-                                    arrival, now, now, best_s))
+                    open_run[w.instance_id] = row
+                    batch_rows.append(row)
+                row[3] += 1
+                row[6] = max(row[6], finish_s)
+                if row[2] != cls:
+                    row[2] = -1  # mixed-class stream run
+                records.append((rid, cls, w.instance_id, row[0],
+                                arrival, now, now, finish_s))
+            w.busy_s += finish_s - (tail_s if tail_s >= now else now)
+            w.tail_s = finish_s
+            lanes.append((finish_s, seq))
+            seq += 1
+            lat_by_class[cls].append(finish_s - arrival)
+            wait_all.append(now - arrival)
+            if finish_s > last_finish_s:
+                last_finish_s = finish_s
+
+        def dequeue() -> Tuple[int, int, float]:
+            """(rid, class, arrival) of the next queued request, removed."""
+            nonlocal queued
+            for cls in by_priority:
+                state = states[cls]
+                if state.queue_head < len(state.queue):
+                    break
+            rid, arrival = state.queue[state.queue_head]
+            state.queue_head += 1
+            if state.queue_head > 64 and state.queue_head * 2 > len(state.queue):
+                del state.queue[: state.queue_head]
+                state.queue_head = 0
+            state.pending -= 1
+            queued -= 1
+            return rid, cls, arrival
+
+        def arm() -> None:
+            """Every lane is busy: each instance's first lane gets a FINISH.
+
+            The event keeps the ``seq`` of the lane's admission, so lanes
+            that finish at the same instant free one at a time, in
+            admission order.
+            """
+            for w in active:
+                if not w.armed:
+                    w.armed = True
+                    finish_s, lane_seq = w.lanes[0]
+                    heappush(heap, (finish_s, _FINISH, lane_seq, w, None))
 
         # ---- autoscaling -------------------------------------------
 
@@ -509,7 +546,12 @@ class EventDrivenSimulator:
             # Always retry dispatch: an instance may have just left its
             # startup delay with no FINISH/SEAL event pending to kick it.
             if continuous:
-                try_admit()
+                while queued:
+                    w = pick()
+                    if w is None:
+                        arm()
+                        break
+                    book(w, *dequeue())
             else:
                 try_dispatch()
             if more_work() or fleet.size > policy.min_instances:
@@ -533,11 +575,19 @@ class EventDrivenSimulator:
                 if time_s > now:
                     now = time_s
                 if rank == _FINISH:
-                    in_service -= 1
                     if continuous:
-                        a.in_flight -= 1
+                        # Only armed lanes finish here, and only while every
+                        # lane is busy: the lane that frees takes the next
+                        # queued request. Equal-time lanes of other
+                        # instances have later seqs and free after it.
+                        a.lanes.popleft()
                         if queued:
-                            try_admit()
+                            book(a, *dequeue())
+                        if queued:
+                            finish_s, lane_seq = a.lanes[0]
+                            heappush(heap, (finish_s, _FINISH, lane_seq, a, None))
+                        else:
+                            a.armed = False
                     else:
                         try_dispatch()
                 elif rank == _SEAL:
@@ -566,13 +616,23 @@ class EventDrivenSimulator:
                     )
                 )
                 continue
+            if continuous and not queued:
+                # An arrival into an empty queue is admitted directly.
+                max_queued = max_queued or 1
+                w = pick()
+                if w is not None:
+                    book(w, rid, cls, t)
+                    continue
             state.pending += 1
             queued += 1
             if queued > max_queued:
                 max_queued = queued
             if continuous:
+                # Requests wait only while every lane is busy, and only a
+                # FINISH can free one: arm() when the wait begins.
                 state.queue.append((rid, t))
-                try_admit()
+                if queued == 1:
+                    arm()
             else:
                 state.open.append((rid, t))
                 if len(state.open) == 1:
@@ -585,7 +645,8 @@ class EventDrivenSimulator:
                     seq += 1
                 if len(state.open) >= max_batch:
                     seal(cls, t)
-        self.clock.advance_to(now)
+        # Continuous lanes that finished with an empty queue had no event.
+        self.clock.advance_to(max(now, last_finish_s))
 
         # ---- report ------------------------------------------------
 

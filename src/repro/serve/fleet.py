@@ -15,8 +15,9 @@ cooldown and startup delay), and every decision is recorded as a
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 __all__ = [
     "AutoscalePolicy",
@@ -103,7 +104,8 @@ class Instance:
         "instance_id",
         "available_s",
         "tail_s",
-        "in_flight",
+        "lanes",
+        "armed",
         "busy_s",
         "spawned_s",
         "retired_s",
@@ -116,21 +118,25 @@ class Instance:
         self.available_s = spawned_s
         #: Continuous mode: finish time of the last scheduled stream slot.
         self.tail_s = spawned_s
-        #: Continuous mode: admitted-but-unfinished requests (lane usage).
-        self.in_flight = 0
+        #: Continuous mode: ``(finish_s, seq)`` of the admitted requests,
+        #: in admission order (so by finish), that may not have finished
+        #: yet; the engine drops finished ones lazily.
+        self.lanes: Deque[Tuple[float, int]] = deque()
+        #: Continuous mode: the first lane has a FINISH event in the heap.
+        self.armed = False
         self.busy_s = 0.0
         self.spawned_s = spawned_s
         self.retired_s: Optional[float] = None
         self.batches = 0
 
     def idle_at(self, now: float) -> bool:
-        """No in-flight work and no scheduled stream past ``now``."""
-        return self.in_flight == 0 and self.available_s <= now and self.tail_s <= now
+        """No batch and no scheduled stream slot past ``now``."""
+        return self.available_s <= now and self.tail_s <= now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Instance({self.instance_id}, available={self.available_s}, "
-            f"in_flight={self.in_flight})"
+            f"tail={self.tail_s})"
         )
 
 

@@ -100,7 +100,7 @@ class TestCommands:
             (["serve-sim", "--autoscale-max", "4",
               "--autoscale-interval-ms", "0"],
              "--autoscale-interval-ms must be positive"),
-            (["serve-sim", "--density", "1.5"], "--density must be in [0, 1]"),
+            (["serve-sim", "--density", "1.5"], "--density must be in (0, 1]"),
             (["schemes", "--scale", "0"], "--scale must be a positive"),
             (["schemes", "--spatial-scale", "0"], "--spatial-scale must be a positive"),
             (["partition", "--scale", "-1"], "--scale must be a positive"),
@@ -130,6 +130,16 @@ class TestCommands:
             pytest.param(["metrics", "--from", __file__],
                          f"--from: {__file__}: line 1: invalid JSON",
                          id="metrics-from-malformed"),
+            # Density 0 leaves the model no work to deploy.
+            pytest.param(["serve-sim", "--density", "0"],
+                         "--density must be in (0, 1]", id="density-zero"),
+            # A ceiling at or below the fleet size cannot scale anything.
+            pytest.param(["serve-sim", "--autoscale-max", "2"],
+                         "--autoscale-max must be > --workers",
+                         id="autoscale-max-equals-workers"),
+            pytest.param(["serve-sim", "--workers", "3", "--autoscale-max", "0"],
+                         "--autoscale-max must be > --workers",
+                         id="autoscale-max-zero"),
         ],
     )
     def test_bad_input_fails_cleanly(self, capsys, argv, message):

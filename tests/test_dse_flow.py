@@ -1,5 +1,6 @@
 """Tests for calibration, roofline and the exploration flow."""
 
+import numpy as np
 import pytest
 
 from repro.core.schemes import ConvScheme
@@ -173,3 +174,21 @@ class TestExplorationFlow:
         tiny = FPGADevice("tiny", alms=5000, dsps=4, m20k_blocks=8, bandwidth_gbs=1.0)
         with pytest.raises((RuntimeError, ValueError)):
             explore(vgg_workload, tiny)
+
+    def test_explore_zero_work_raises(self, vgg_workload):
+        """Every weight pruned: a named error, not a division by zero."""
+        from repro.hw.workload import ModelWorkload, workload_from_arrays
+
+        empty = ModelWorkload(
+            "empty",
+            tuple(
+                workload_from_arrays(
+                    layer.spec,
+                    np.zeros_like(layer.nonzeros),
+                    np.zeros_like(layer.distinct),
+                )
+                for layer in vgg_workload.layers
+            ),
+        )
+        with pytest.raises(ValueError, match="'empty' has no nonzero weights"):
+            explore(empty, STRATIX_V_GXA7)

@@ -14,6 +14,7 @@ exactly once, FIFO within an SLO class, batch/lane caps, bounded batching
 wait) in both batching modes.
 """
 
+import hashlib
 from collections import deque
 from heapq import heappop, heappush
 
@@ -35,9 +36,9 @@ from repro.serve.events import (
     EventOutcome,
     SLOClass,
 )
-from repro.serve.fleet import ServiceProfile
-from repro.serve.loadgen import LoadTrace
-from repro.serve.stats import ServeStats
+from repro.serve.fleet import AutoscalePolicy, ServiceProfile
+from repro.serve.loadgen import LoadTrace, burst_trace
+from repro.serve.stats import Rejection, ServeStats
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -247,46 +248,56 @@ class TestDifferentialRandomized:
 # ---------------------------------------------------------------------------
 
 
-def _continuous_reference(arrivals, max_batch, profile, workers):
+def _continuous_reference(
+    arrivals, max_batch, profile, workers, classes=(DEFAULT_SLO,)
+):
     """(outcomes, batches, busy seconds) of continuous batching, literally.
 
-    One SLO class, no queue limit, no autoscaling. FINISH events go before
-    same-instant arrivals and among themselves in admission order; after
-    every event the FIFO queue is admitted while a lane is free, each
-    request to the instance with the least ``(max(now + fill, tail +
+    No autoscaling; requests take ``classes`` round-robin, as ``_trace``
+    assigns them. FINISH events go before same-instant arrivals and among
+    themselves in admission order. An arrival whose class already has
+    ``queue_limit`` requests queued is rejected and served by nobody.
+    After every other event the queues are admitted while a lane is free:
+    the class of least ``(priority, index)`` first, FIFO within a class,
+    each request to the instance with the least ``(max(now + fill, tail +
     step), id)`` over a full scan of the fleet.
     """
     fill, step = profile.fill_s, profile.step_s
     tail = [0.0] * workers
     in_flight = [0] * workers
     busy = [0.0] * workers
-    runs = []  # [batch_id, worker, size, close, start, finish]
+    runs = []  # [batch_id, worker, class (-1: mixed), size, close, start, finish]
     open_run = [None] * workers
-    admitted = []  # (rid, worker, run, arrival, admit time, finish)
+    admitted = []  # (rid, class, worker, run, arrival, admit time, finish)
     finishes = []  # heap of (time, admission seq, worker)
-    queue = deque()
+    queues = [deque() for _ in classes]
+    order = sorted(range(len(classes)), key=lambda c: (classes[c].priority, c))
     now = 0.0
 
     def admit():
-        while queue:
+        while True:
+            waiting = [c for c in order if queues[c]]
             lanes = [w for w in range(workers) if in_flight[w] < max_batch]
-            if not lanes:
+            if not waiting or not lanes:
                 return
             finish, w = min(
                 (max(now + fill, tail[w] + step), w) for w in lanes
             )
-            rid, arrival = queue.popleft()
+            cls = waiting[0]
+            rid, arrival = queues[cls].popleft()
             if in_flight[w] == 0:
-                open_run[w] = [len(runs), w, 0, now, now, now]
+                open_run[w] = [len(runs), w, cls, 0, now, now, now]
                 runs.append(open_run[w])
             run = open_run[w]
-            run[2] += 1
-            run[5] = max(run[5], finish)
+            if run[2] != cls:
+                run[2] = -1
+            run[3] += 1
+            run[6] = max(run[6], finish)
             busy[w] += finish - max(tail[w], now)
             tail[w] = finish
             in_flight[w] += 1
             heappush(finishes, (finish, len(admitted), w))
-            admitted.append((rid, w, run, arrival, now, finish))
+            admitted.append((rid, cls, w, run, arrival, now, finish))
 
     i = 0
     while i < len(arrivals) or finishes:
@@ -295,30 +306,35 @@ def _continuous_reference(arrivals, max_batch, profile, workers):
             in_flight[w] -= 1
         else:
             now = float(arrivals[i])
-            queue.append((i, now))
+            cls = i % len(classes)
+            limit = classes[cls].queue_limit
             i += 1
+            if limit is not None and len(queues[cls]) >= limit:
+                continue  # rejected: queue_full
+            queues[cls].append((i - 1, now))
         admit()
 
     outcomes = [
         EventOutcome(
             request_id=rid,
-            slo=DEFAULT_SLO.name,
+            slo=classes[cls].name,
             worker_id=w,
             batch_id=run[0],
-            batch_size=run[2],
+            batch_size=run[3],
             arrival_s=arrival,
             close_s=start,
             start_s=start,
             finish_s=finish,
         )
-        for rid, w, run, arrival, start, finish in sorted(admitted)
+        for rid, cls, w, run, arrival, start, finish in sorted(admitted)
     ]
     batches = [
         EventBatch(
-            batch_id=batch_id, worker_id=w, slo=DEFAULT_SLO.name,
+            batch_id=batch_id, worker_id=w,
+            slo="mixed" if cls < 0 else classes[cls].name,
             size=size, close_s=close, start_s=start, finish_s=finish,
         )
-        for batch_id, w, size, close, start, finish in runs
+        for batch_id, w, cls, size, close, start, finish in runs
     ]
     return outcomes, batches, dict(enumerate(busy))
 
@@ -356,6 +372,166 @@ class TestContinuousDifferential:
         )
         assert list(report.batches) == batches
         assert report.busy_seconds == busy
+
+
+# Gaps that fill every lane (zero gaps) and then drain the queue (~62 ms),
+# so waiting requests come and go several times in one trace. They and
+# the dyadic stage times below are powers of two, so sums are exact and
+# arrivals land exactly on lane finishes.
+_SATURATING_GAPS = st.lists(
+    st.sampled_from([0.0, 0.0, 0.0, 2.0**-11, 2.0**-10, 2.0**-4]),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _run_classes_against_reference(
+    gaps, workers, max_batch, limits, priorities, stages
+):
+    """Run engine and reference on two SLO classes; assert they agree."""
+    arrivals = _arrivals_from_gaps(gaps)
+    classes = (
+        SLOClass("latency-sensitive", priority=priorities[0],
+                 queue_limit=limits[0]),
+        SLOClass("best-effort", priority=priorities[1],
+                 queue_limit=limits[1]),
+    )
+    profile = ServiceProfile(fpga_s=stages[0], host_s=stages[1])
+    engine = EventDrivenSimulator(
+        profile,
+        BatchPolicy(max_batch=max_batch),
+        classes=classes,
+        instances=workers,
+        continuous=True,
+    )
+    report = engine.run_trace(
+        _trace(arrivals, tuple(slo.name for slo in classes))
+    )
+    outcomes, batches, busy = _continuous_reference(
+        arrivals, max_batch, profile, workers, classes
+    )
+    assert sorted(report.outcomes, key=lambda o: o.request_id) == outcomes
+    assert list(report.batches) == batches
+    assert report.busy_seconds == busy
+    served = {o.request_id for o in outcomes}
+    assert list(report.rejections) == [
+        Rejection(rid, classes[rid % 2].name, float(arrivals[rid]),
+                  "queue_full")
+        for rid in range(len(arrivals))
+        if rid not in served
+    ]
+    # The clock ends at the last arrival or the last finish.
+    assert engine.clock.now() == max(
+        [float(arrivals[-1])] + [o.finish_s for o in outcomes]
+    )
+    return outcomes
+
+
+class TestContinuousClassesDifferential:
+    """Priority classes, queue limits and full lanes against the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    # Every lane busy: a zero-gap burst queues requests, a 50 ms gap drains
+    # the queue, and a second burst queues them again.
+    @example(gaps=[0.0] * 6 + [5e-2] + [0.0] * 6, workers=1, max_batch=1,
+             limits=(None, 2), priorities=(0, 1), stages=(1.7e-3, 0.9e-3))
+    @example(gaps=[0.0] * 10 + [5e-2] + [0.0] * 10, workers=2, max_batch=2,
+             limits=(None, 3), priorities=(1, 0), stages=(0.4e-3, 3.0e-3))
+    @example(gaps=[0.0] * 3 + [5e-4] * 20 + [5e-2] + [0.0] * 8, workers=3,
+             max_batch=1, limits=(1, None), priorities=(0, 0),
+             stages=(1.7e-3, 0.9e-3))
+    # The last arrival lands exactly on a lane finish of a full instance:
+    # that lane is free, and its instance beats a free one finishing later.
+    @example(gaps=[0.0, 2.0**-10, 2.0**-10, 0.0, 0.0, 2.0**-10], workers=3,
+             max_batch=2, limits=(None, None), priorities=(0, 1),
+             stages=(2.0**-9, 2.0**-10))
+    @given(
+        gaps=_SATURATING_GAPS,
+        workers=st.integers(min_value=1, max_value=3),
+        max_batch=st.integers(min_value=1, max_value=4),
+        limits=st.tuples(
+            st.sampled_from([None, 1, 2, 4]), st.sampled_from([None, 1, 2, 4])
+        ),
+        priorities=st.sampled_from([(0, 1), (1, 0), (0, 0)]),
+        stages=st.sampled_from(
+            [(1.7e-3, 0.9e-3), (0.4e-3, 3.0e-3), (2.0**-9, 2.0**-10)]
+        ),
+    )
+    def test_matches_reference_exactly(
+        self, gaps, workers, max_batch, limits, priorities, stages
+    ):
+        _run_classes_against_reference(
+            gaps, workers, max_batch, limits, priorities, stages
+        )
+
+    def test_queue_fills_drains_and_fills_again(self):
+        """Both bursts of the first example above really wait for lanes."""
+        outcomes = _run_classes_against_reference(
+            [0.0] * 6 + [5e-2] + [0.0] * 6, 1, 1, (None, 2), (0, 1),
+            (1.7e-3, 0.9e-3),
+        )
+        waited = [o.request_id for o in outcomes if o.start_s > o.arrival_s]
+        assert any(rid < 6 for rid in waited)
+        assert any(rid >= 6 for rid in waited)
+
+
+def _autoscaled_continuous_run(seed):
+    """(report, engine) of a bursty two-class run on an autoscaled fleet."""
+    profile = ServiceProfile(fpga_s=2e-3, host_s=1e-3)
+    classes = (
+        SLOClass("latency-sensitive", priority=0),
+        SLOClass("best-effort", priority=1, queue_limit=24),
+    )
+    trace = burst_trace(
+        3000,
+        1.1 * 2 * profile.capacity_rps,
+        seed=seed,
+        slo_mix={"latency-sensitive": 0.4, "best-effort": 0.6},
+    )
+    engine = EventDrivenSimulator(
+        profile,
+        BatchPolicy(max_batch=4),
+        classes=classes,
+        instances=2,
+        continuous=True,
+        autoscale=AutoscalePolicy(
+            min_instances=2,
+            max_instances=5,
+            check_interval_s=2e-3,
+            scale_up_queue_per_instance=3.0,
+            cooldown_s=4e-3,
+            startup_delay_s=3e-3,
+        ),
+    )
+    return engine.run_trace(trace), engine
+
+
+#: sha256 of the whole report of ``_autoscaled_continuous_run(seed)``, as
+#: the engine produced it when every admitted request had its own FINISH
+#: event. Lazily finished lanes must not change a single field.
+_AUTOSCALED_DIGESTS = {
+    1: "861e90333059bd5ac0e3a9150101674be902c1142238f5d5c0de87963ad4e347",
+    2: "2609a1d8d25a7aa7fef052ffad736a6a64b29863776bde5ac6bfebec2e96da25",
+    3: "4c23a8c3ae1cacdf9be790bb35a982fb8add0128f07428307d1ced0747363b75",
+}
+
+
+class TestContinuousPinnedReports:
+    @pytest.mark.parametrize("seed", sorted(_AUTOSCALED_DIGESTS))
+    def test_autoscaled_report_digest(self, seed):
+        report, engine = _autoscaled_continuous_run(seed)
+        # The run exercises what the digest is meant to cover.
+        actions = {event.action for event in report.scale_events}
+        assert actions == {"up", "down"}
+        assert report.rejected > 0 and report.max_queue_depth > 24
+        material = repr((
+            report.outcomes, report.rejections, report.batches,
+            report.scale_events, sorted(report.busy_seconds.items()),
+            engine.clock.now(), report.makespan_s, report.max_queue_depth,
+            report.final_instances, report.peak_instances,
+        ))
+        digest = hashlib.sha256(material.encode()).hexdigest()
+        assert digest == _AUTOSCALED_DIGESTS[seed]
 
 
 # ---------------------------------------------------------------------------
