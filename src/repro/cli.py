@@ -405,6 +405,8 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     pipeline = QuantizedPipeline(network)
     names = [layer.name for layer in network.accelerated_layers()]
     pipeline.prune(uniform_schedule(names, args.density).densities)
+    if not any(np.any(layer.weights) for layer in network.accelerated_layers()):
+        raise _UsageError(f"--density {args.density:g} prunes every weight")
     pipeline.calibrate(natural_image(network.input_shape.as_tuple(), rng))
     pipeline.quantize()
     # The engine needs one deployed runtime: its timing profile.

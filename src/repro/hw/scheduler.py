@@ -22,12 +22,14 @@ Two implementations produce *identical* results:
 - :func:`simulate_layer` — the vectorized fast path. A task costs its
   group's largest engine figure times the window's vector steps, plus a
   constant, so the group maxima and their LPT dispatch order are computed
-  once per layer (:func:`compile_window_schedules`), each distinct window
-  size only scales them, and the event loop degenerates to an array walk.
-  Each pick is the C-level ``free.index(min(free))`` over the CU free
-  times: the first minimum wins, which is exactly the reference heap's
-  (free_at, cu) tie-breaking. The DDR transfer is the same for every
-  window, so it is costed once per layer.
+  once per layer (:func:`compile_window_schedules`) and each distinct
+  window size only scales them. The CUs are a heap of ints
+  ``free * n_cu + cu``: its top is the earliest-free CU, ties to the
+  lowest index, which is exactly the reference heap's (free_at, cu)
+  order, and adding ``cost * n_cu`` keeps the CU, so a task that need
+  not wait for its window's release is one ``heapreplace``. The DDR
+  transfer is the same for every window, so it is costed once per layer.
+  A traced call runs the reference, which records the same events.
 
 Both paths group kernels through :func:`kernel_order`. The balanced order
 (descending nonzeros, stable) does not depend on ``N_knl``, so each
@@ -42,6 +44,7 @@ The reference is the single oracle of the fast path: differential tests in
 from __future__ import annotations
 
 import heapq
+from heapq import heapreplace
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -275,9 +278,7 @@ def simulate_layer_reference(
 class _WindowSchedule:
     """Pre-sorted dispatch schedule for one distinct window pixel count."""
 
-    #: Group indices in LPT dispatch order (descending cost, stable ties).
-    dispatch: Tuple[int, ...]
-    #: Task cycles aligned with ``dispatch``.
+    #: Task cycles in LPT dispatch order (descending, stable ties).
     cycles: List[int]
     #: Window totals (independent of the CU assignment).
     engine_busy: int
@@ -319,9 +320,7 @@ def compile_window_schedules(
     _, nonzeros, distinct = kernel_order(workload, policy)
     engine = np.maximum(nonzeros, distinct * config.n_share)
     group_max = np.maximum.reduceat(engine, np.arange(0, engine.size, config.n_knl))
-    order = np.argsort(-group_max, kind="stable")
-    dispatch = tuple(order.tolist())
-    sorted_max = group_max[order]
+    sorted_max = group_max[np.argsort(-group_max, kind="stable")]
     engine_total = int(engine.sum())
     capacity_total = config.n_knl * int(group_max.sum())
     schedules: Dict[int, _WindowSchedule] = {}
@@ -332,7 +331,6 @@ def compile_window_schedules(
             raise ValueError("window must cover at least one output pixel")
         steps = -(-pixels // config.s_ec)
         schedules[pixels] = _WindowSchedule(
-            dispatch=dispatch,
             cycles=(
                 sorted_max * steps + (TASK_LAUNCH_CYCLES + PIPELINE_FILL_CYCLES)
             ).tolist(),
@@ -351,17 +349,16 @@ def simulate_layer(
 ) -> LayerSimResult:
     """Vectorized layer simulation; cycle-exact vs the reference.
 
-    No per-task Python objects are materialized: costs come pre-sorted from
-    :func:`compile_window_schedules` and the greedy assignment picks the
-    earliest-free CU with the C-level ``free.index(min(free))`` (first
-    minimum wins, matching the reference heap's (free_at, cu) ordering).
-    The loop keeps only the CU free times and, per CU, the idle cycles it
-    waited for a window's release; busy cycles are ``free - idle`` and
-    stalls the idle sum. Every window moves the same bytes, so the DDR
-    transfer is costed once and recorded for all windows in one call. When
-    a ``trace`` recorder is passed, events are reconstructed from the array
-    schedule and are identical to the reference trace.
+    Costs come pre-sorted from :func:`compile_window_schedules`, scaled by
+    ``n_cu``, and each CU is one heap entry ``free * n_cu + cu``. A CU
+    waits for the window's release exactly when ``heap[0] < release *
+    n_cu``; those (at most ``n_cu``) tasks book their idle cycles and
+    start at the release, and every other task is one ``heapreplace``.
+    Busy cycles are the decoded free times minus the idle cycles. A
+    ``trace`` recorder runs the reference, which records the events.
     """
+    if trace is not None:
+        return simulate_layer_reference(workload, config, memory, policy, trace)
     plan = plan_windows(workload.spec, config)
     pixel_counts = _window_pixel_counts(workload.spec, plan)
     schedules = compile_window_schedules(workload, config, policy, pixel_counts)
@@ -376,43 +373,39 @@ def simulate_layer(
     transfer = memory.record(window_bytes, plan.windows)
 
     n_cu = config.n_cu
-    free = [0] * n_cu
+    scaled = {p: [c * n_cu for c in s.cycles] for p, s in schedules.items()}
+    heap = list(range(n_cu))  # every CU free at cycle 0: already a heap
     idle = [0] * n_cu
     channel_free = 0
     window_finish = [0] * plan.windows
-    layer_name = workload.spec.name
 
     for window_index, pixels in enumerate(pixel_counts):
         buffer_free = window_finish[window_index - 2] if window_index >= 2 else 0
         prefetch_done = max(channel_free, buffer_free) + transfer
         channel_free = prefetch_done
         release = prefetch_done + SYNC_CYCLES
-        schedule = schedules[pixels]
-        for position, cost in enumerate(schedule.cycles):
-            start = min(free)
-            cu = free.index(start)
-            if start < release:
-                idle[cu] += release - start
-                start = release
-            free[cu] = start + cost
-            if trace is not None:
-                trace.record(
-                    layer=layer_name,
-                    window_index=window_index,
-                    group_index=schedule.dispatch[position],
-                    cu=cu,
-                    start=start,
-                    end=start + cost,
-                )
-        # max(free) exceeds this window's own finish only through a CU the
+        release_key = release * n_cu
+        costs = scaled[pixels]
+        position = 0
+        # Waiting CUs start in (free, cu) order; moving them all to the
+        # release when the window opens would break ties by index alone.
+        while heap[0] < release_key and position < len(costs):
+            free, cu = divmod(heap[0], n_cu)
+            idle[cu] += release - free
+            heapreplace(heap, release_key + cu + costs[position])
+            position += 1
+        for cost in costs[position:]:
+            heapreplace(heap, heap[0] + cost)
+        # max(heap) exceeds this window's own finish only through a CU the
         # window left alone, so by at most an earlier window's finish. The
         # DDR channel has waited for every earlier finish before window
         # w+2 prefetches, so that prefetch starts at the same time.
-        window_finish[window_index] = max(free)
+        window_finish[window_index] = max(heap) // n_cu
 
+    free = [key // n_cu for key in sorted(heap, key=lambda key: key % n_cu)]
     clock = max(free)
     return LayerSimResult(
-        layer=layer_name,
+        layer=workload.spec.name,
         cycles=clock,
         compute_cycles=max(clock, 1),
         memory_stall_cycles=min(sum(idle) // max(n_cu, 1), clock),

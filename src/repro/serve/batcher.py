@@ -68,15 +68,6 @@ class Batch:
     def size(self) -> int:
         return len(self.requests)
 
-    @property
-    def first_arrival_s(self) -> float:
-        return self.requests[0].arrival_s
-
-    @property
-    def queue_span_s(self) -> float:
-        """How long the oldest request sat queued before the batch closed."""
-        return self.close_s - self.first_arrival_s
-
 
 def form_batches(
     requests: Sequence[ServeRequest], policy: BatchPolicy

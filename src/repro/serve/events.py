@@ -137,11 +137,6 @@ class EventOutcome:
     finish_s: float
 
     @property
-    def batch_wait_s(self) -> float:
-        """Time spent waiting for the batch to close."""
-        return self.close_s - self.arrival_s
-
-    @property
     def queue_wait_s(self) -> float:
         """Time from arrival until the batch starts on an instance."""
         return self.start_s - self.arrival_s
@@ -209,6 +204,7 @@ class EventReport:
             self.outcomes,
             dense_ops_per_image=self.dense_ops_per_image,
             rejections=self.rejections,
+            busy_seconds=self.busy_seconds,
         )
 
 

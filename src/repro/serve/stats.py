@@ -8,7 +8,7 @@ test suite can pin every figure against hand-computed values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ class ServeStats:
         responses: Sequence["EventOutcome"],
         dense_ops_per_image: int,
         rejections: Sequence[Rejection] = (),
+        busy_seconds: Optional[Mapping[int, float]] = None,
     ) -> None:
         if not responses:
             raise ValueError("stats need at least one response")
@@ -44,6 +45,7 @@ class ServeStats:
         )
         self.dense_ops_per_image = dense_ops_per_image
         self.rejections: Tuple[Rejection, ...] = tuple(rejections)
+        self.busy_seconds = busy_seconds
 
     # ---- request counts ------------------------------------------------
 
@@ -191,7 +193,12 @@ class ServeStats:
         return self.count * self.dense_ops_per_image / self.makespan_s / 1e9
 
     def worker_busy_s(self) -> Dict[int, float]:
-        """worker id -> total virtual seconds spent executing batches."""
+        """worker id -> virtual seconds busy, for each worker that served:
+        the engine's ``busy_seconds`` when given (continuous lanes overlap,
+        so no record holds a stream run's time), else per-batch sums."""
+        if self.busy_seconds is not None:
+            served = {r.worker_id for r in self.responses}
+            return {w: self.busy_seconds[w] for w in sorted(served)}
         batch_service: Dict[int, Tuple[int, float]] = {
             r.batch_id: (r.worker_id, r.service_s) for r in self.responses
         }

@@ -140,6 +140,10 @@ class TestCommands:
             pytest.param(["serve-sim", "--workers", "3", "--autoscale-max", "0"],
                          "--autoscale-max must be > --workers",
                          id="autoscale-max-zero"),
+            # In range, but pruning keeps no weight: nothing to deploy.
+            pytest.param(["serve-sim", "--model", "lenet", "--density", "1e-9"],
+                         "--density 1e-09 prunes every weight",
+                         id="density-prunes-every-weight"),
         ],
     )
     def test_bad_input_fails_cleanly(self, capsys, argv, message):

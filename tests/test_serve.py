@@ -20,7 +20,7 @@ from repro.serve.batcher import (
 )
 from repro.serve.events import EventDrivenSimulator, EventOutcome
 from repro.serve.fleet import ServiceProfile
-from repro.serve.loadgen import LoadTrace
+from repro.serve.loadgen import LoadTrace, poisson_trace
 from repro.serve.stats import ServeStats
 
 
@@ -180,6 +180,41 @@ class TestWorkerPool:
         # Two workers halve the makespan of four equal batches.
         service = profile.batch_seconds(2)
         assert report.stats.makespan_s == pytest.approx(2 * service)
+
+    @staticmethod
+    def _utilization_run(runtime, continuous):
+        """A saturated Poisson run over three instances, lanes of two."""
+        profile = ServiceProfile.from_runtime(runtime)
+        policy = BatchPolicy(max_batch=2, max_wait_s=0.5 * profile.step_s)
+        rate = 30 / profile.batch_seconds(2)  # far past the fleet capacity
+        engine = EventDrivenSimulator(
+            profile, policy, instances=3, continuous=continuous
+        )
+        return engine.run_trace(poisson_trace(256, rate, seed=4))
+
+    def test_continuous_utilization_is_engine_busy_time(self, runtime):
+        """A continuous batch is a whole stream run whose lanes overlap:
+        utilization is the engine's per-instance busy time, not one
+        lane's service time."""
+        report = self._utilization_run(runtime, continuous=True)
+        utilization = report.stats.worker_utilization()
+        assert utilization == {
+            w: report.busy_seconds[w] / report.makespan_s for w in range(3)
+        }
+        # Saturated: every instance is busy for almost the whole run.
+        assert min(utilization.values()) > 0.9
+
+    def test_windows_utilization_is_unchanged(self, runtime):
+        """Windows batches do not overlap on an instance, so the engine's
+        busy time is the per-batch service sum the records give."""
+        report = self._utilization_run(runtime, continuous=False)
+        per_batch = ServeStats(
+            report.outcomes, dense_ops_per_image=report.dense_ops_per_image
+        )
+        assert report.stats.worker_busy_s() == pytest.approx(
+            per_batch.worker_busy_s(), rel=1e-12
+        )
+        assert sorted(report.stats.worker_busy_s()) == [0, 1, 2]
 
     def test_empty_inputs_rejected(self, runtime):
         profile = ServiceProfile.from_runtime(runtime)
