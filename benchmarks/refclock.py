@@ -46,16 +46,20 @@ def fingerprint() -> dict:
     return harness.fingerprint(harness.gemm_peak_gflops())
 
 
-def telemetry_section(telemetry) -> dict:
-    """Compact snapshot for bench artifacts: cache hit rates + span totals."""
-    snapshot = telemetry.snapshot(include_spans=False)
+def telemetry_section(telemetry, families=None) -> dict:
+    """Compact snapshot for bench artifacts: cache hit rates + span totals.
+
+    ``families`` names the cache families to report, in order; a missing
+    one raises ``KeyError``. ``None`` reports every registered family.
+    """
+    caches = telemetry.snapshot(include_spans=False)["caches"]
     return {
         "caches": {
             name: {
-                key: data[key]
+                key: caches[name][key]
                 for key in ("hits", "misses", "evictions", "hit_rate")
             }
-            for name, data in snapshot["caches"].items()
+            for name in (caches if families is None else families)
         },
         "span_totals": telemetry.tracer.totals(),
     }

@@ -182,7 +182,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
     device = _device(args.device)
     workload = synthetic_model_workload(args.model, seed=args.seed)
-    result = explore(workload, device, seed=args.seed)
+    try:
+        result = explore(workload, device, seed=args.seed)
+    except ValueError as error:
+        message = f"no {args.model} design fits {device.name}: {error}"
+        raise _UsageError(message) from None
     print(f"exploration for {args.model} on {device.name}")
     print(f"  sharing factor N:    {result.n_share}")
     print(f"  optimal N_knl:       {result.chosen_n_knl}")
@@ -270,13 +274,16 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         latency_s=args.link_latency_us * 1e-6,
         name="cli-link",
     )
-    result = search_partitions(
-        workload,
-        devices,
-        max_shards=args.shards,
-        link=link,
-        seed=args.seed,
-    )
+    try:
+        result = search_partitions(
+            workload,
+            devices,
+            max_shards=args.shards,
+            link=link,
+            seed=args.seed,
+        )
+    except ValueError as error:
+        raise _UsageError(str(error)) from None
     print(result.render())
     return 0
 

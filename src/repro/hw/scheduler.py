@@ -21,9 +21,10 @@ Two implementations produce *identical* results:
   :func:`~repro.hw.cu.task_cycles` call per (window, kernel-group) pair.
 - :func:`simulate_layer` — the vectorized fast path. A task costs its
   group's largest engine figure times the window's vector steps, plus a
-  constant, so the group maxima and their LPT dispatch order are computed
-  once per layer (:func:`compile_window_schedules`) and each distinct
-  window size only scales them. The CUs are a heap of ints
+  constant, so the group maxima in LPT dispatch order are a
+  :class:`DispatchTable` that each workload builds once per ``(N_knl, N,
+  policy)``, and each distinct window size of a configuration only
+  scales it (:func:`compile_window_schedules`). The CUs are a heap of ints
   ``free * n_cu + cu``: its top is the earliest-free CU, ties to the
   lowest index, which is exactly the reference heap's (free_at, cu)
   order, and adding ``cost * n_cu`` keeps the CU, so a task that need
@@ -275,10 +276,56 @@ def simulate_layer_reference(
 
 
 @dataclass(frozen=True)
-class _WindowSchedule:
-    """Pre-sorted dispatch schedule for one distinct window pixel count."""
+class DispatchTable:
+    """The part of a layer's LPT dispatch list that the window does not set.
 
-    #: Task cycles in LPT dispatch order (descending, stable ties).
+    A task costs ``group_max * ceil(pixels / S_ec)`` cycles plus the launch
+    and pipeline-fill constants of :func:`~repro.hw.cu.task_cycles`, where
+    ``group_max`` is the largest engine figure ``max(nonzeros, distinct *
+    N)`` of the task's kernel group. The LPT order (descending cycles,
+    stable ties) is therefore the order of the group maxima, whatever the
+    window. Nothing here depends on ``n_cu``, ``s_ec``, ``d_f`` or the
+    clock, so each :class:`~repro.hw.workload.LayerWorkload` keeps one
+    table per ``(N_knl, N, policy)`` (:func:`dispatch_table`).
+    """
+
+    #: Group maxima in LPT dispatch order (descending, stable ties).
+    group_max: np.ndarray
+    #: Sum of every kernel's engine figure: a window's engine busy cycles
+    #: per vector step.
+    engine_total: int
+    #: ``N_knl`` times the sum of the group maxima: a window's engine
+    #: capacity per vector step.
+    capacity_total: int
+
+
+def dispatch_table(
+    workload: LayerWorkload, n_knl: int, n_share: int, policy: str = POLICY_NATURAL
+) -> DispatchTable:
+    """The layer's :class:`DispatchTable`, built on first use per
+    ``(n_knl, n_share, policy)`` and kept on the workload."""
+    key = (n_knl, n_share, policy)
+    table = workload.dispatch_tables.get(key)
+    if table is None:
+        _, nonzeros, distinct = kernel_order(workload, policy)
+        engine = np.maximum(nonzeros, distinct * n_share)
+        group_max = np.maximum.reduceat(engine, np.arange(0, engine.size, n_knl))
+        ordered = group_max[np.argsort(-group_max, kind="stable")]
+        ordered.setflags(write=False)
+        table = DispatchTable(
+            group_max=ordered,
+            engine_total=int(engine.sum()),
+            capacity_total=n_knl * int(group_max.sum()),
+        )
+        workload.dispatch_tables[key] = table
+    return table
+
+
+@dataclass(frozen=True)
+class _WindowSchedule:
+    """Dispatch list of one distinct window pixel count."""
+
+    #: Task cycles in LPT dispatch order, times the schedule's ``scale``.
     cycles: List[int]
     #: Window totals (independent of the CU assignment).
     engine_busy: int
@@ -303,39 +350,31 @@ def compile_window_schedules(
     config: AcceleratorConfig,
     policy: str = POLICY_NATURAL,
     pixel_counts: Optional[Sequence[int]] = None,
+    scale: int = 1,
 ) -> Dict[int, _WindowSchedule]:
-    """Cost vectors for every distinct window size of a layer.
+    """Dispatch lists for every distinct window size of a layer.
 
-    A task costs ``group_max * ceil(pixels / S_ec)`` cycles plus the
-    launch and pipeline-fill constants of :func:`~repro.hw.cu.task_cycles`,
-    where ``group_max`` is the largest engine figure
-    ``max(nonzeros, distinct * N)`` of the task's kernel group. The LPT
-    order (descending cycles, stable ties) therefore does not depend on
-    the window size: the group maxima and their sort are computed once,
-    and each of the (at most four) distinct pixel counts only scales them.
+    Each list is one numpy expression on the layer's
+    :func:`dispatch_table`: the group maxima times the window's vector
+    steps, plus the per-task constants, all times ``scale``. The default
+    ``scale=1`` gives plain task cycles, as :func:`~repro.hw.cu.task_cycles`
+    reports them; :func:`simulate_layer` passes ``scale=n_cu`` so a cost
+    adds straight onto its heap keys.
     """
     if pixel_counts is None:
         plan = plan_windows(workload.spec, config)
         pixel_counts = _window_pixel_counts(workload.spec, plan)
-    _, nonzeros, distinct = kernel_order(workload, policy)
-    engine = np.maximum(nonzeros, distinct * config.n_share)
-    group_max = np.maximum.reduceat(engine, np.arange(0, engine.size, config.n_knl))
-    sorted_max = group_max[np.argsort(-group_max, kind="stable")]
-    engine_total = int(engine.sum())
-    capacity_total = config.n_knl * int(group_max.sum())
+    table = dispatch_table(workload, config.n_knl, config.n_share, policy)
+    constant = (TASK_LAUNCH_CYCLES + PIPELINE_FILL_CYCLES) * scale
     schedules: Dict[int, _WindowSchedule] = {}
-    for pixels in pixel_counts:
-        if pixels in schedules:
-            continue
+    for pixels in set(pixel_counts):
         if pixels < 1:
             raise ValueError("window must cover at least one output pixel")
         steps = -(-pixels // config.s_ec)
         schedules[pixels] = _WindowSchedule(
-            cycles=(
-                sorted_max * steps + (TASK_LAUNCH_CYCLES + PIPELINE_FILL_CYCLES)
-            ).tolist(),
-            engine_busy=engine_total * steps,
-            engine_capacity=capacity_total * steps,
+            cycles=(table.group_max * (steps * scale) + constant).tolist(),
+            engine_busy=table.engine_total * steps,
+            engine_capacity=table.capacity_total * steps,
         )
     return schedules
 
@@ -349,19 +388,21 @@ def simulate_layer(
 ) -> LayerSimResult:
     """Vectorized layer simulation; cycle-exact vs the reference.
 
-    Costs come pre-sorted from :func:`compile_window_schedules`, scaled by
-    ``n_cu``, and each CU is one heap entry ``free * n_cu + cu``. A CU
-    waits for the window's release exactly when ``heap[0] < release *
-    n_cu``; those (at most ``n_cu``) tasks book their idle cycles and
-    start at the release, and every other task is one ``heapreplace``.
-    Busy cycles are the decoded free times minus the idle cycles. A
-    ``trace`` recorder runs the reference, which records the events.
+    Costs come pre-sorted and scaled by ``n_cu`` from
+    :func:`compile_window_schedules`, and each CU is one heap entry
+    ``free * n_cu + cu``. A CU waits for the window's release exactly when
+    ``heap[0] < release * n_cu``; those (at most ``n_cu``) tasks book
+    their idle cycles and start at the release, and every other task is
+    one ``heapreplace``. Busy cycles are the decoded free times minus the
+    idle cycles. A ``trace`` recorder runs the reference, which records
+    the events.
     """
     if trace is not None:
         return simulate_layer_reference(workload, config, memory, policy, trace)
     plan = plan_windows(workload.spec, config)
     pixel_counts = _window_pixel_counts(workload.spec, plan)
-    schedules = compile_window_schedules(workload, config, policy, pixel_counts)
+    n_cu = config.n_cu
+    schedules = compile_window_schedules(workload, config, policy, pixel_counts, n_cu)
     n_groups = -(-workload.nonzeros.size // config.n_knl)
 
     weight_bytes_per_window = workload.encoded_bytes / plan.windows / config.s_ec
@@ -372,20 +413,19 @@ def simulate_layer(
     )
     transfer = memory.record(window_bytes, plan.windows)
 
-    n_cu = config.n_cu
-    scaled = {p: [c * n_cu for c in s.cycles] for p, s in schedules.items()}
     heap = list(range(n_cu))  # every CU free at cycle 0: already a heap
     idle = [0] * n_cu
     channel_free = 0
-    window_finish = [0] * plan.windows
+    # Finish times of the previous two windows: window w+2's prefetch
+    # waits for window w to release its buffer half.
+    before_last = last = 0
 
-    for window_index, pixels in enumerate(pixel_counts):
-        buffer_free = window_finish[window_index - 2] if window_index >= 2 else 0
-        prefetch_done = max(channel_free, buffer_free) + transfer
+    for pixels in pixel_counts:
+        prefetch_done = max(channel_free, before_last) + transfer
         channel_free = prefetch_done
         release = prefetch_done + SYNC_CYCLES
         release_key = release * n_cu
-        costs = scaled[pixels]
+        costs = schedules[pixels].cycles
         position = 0
         # Waiting CUs start in (free, cu) order; moving them all to the
         # release when the window opens would break ties by index alone.
@@ -400,10 +440,11 @@ def simulate_layer(
         # window left alone, so by at most an earlier window's finish. The
         # DDR channel has waited for every earlier finish before window
         # w+2 prefetches, so that prefetch starts at the same time.
-        window_finish[window_index] = max(heap) // n_cu
+        before_last, last = last, max(heap) // n_cu
 
     free = [key // n_cu for key in sorted(heap, key=lambda key: key % n_cu)]
     clock = max(free)
+    windows_of = {pixels: pixel_counts.count(pixels) for pixels in schedules}
     return LayerSimResult(
         layer=workload.spec.name,
         cycles=clock,
@@ -416,6 +457,10 @@ def simulate_layer(
         windows=plan.windows,
         images=plan.batch_images,
         memory_bytes=window_bytes * plan.windows,
-        engine_busy_cycles=sum(schedules[p].engine_busy for p in pixel_counts),
-        engine_capacity_cycles=sum(schedules[p].engine_capacity for p in pixel_counts),
+        engine_busy_cycles=sum(
+            s.engine_busy * windows_of[p] for p, s in schedules.items()
+        ),
+        engine_capacity_cycles=sum(
+            s.engine_capacity * windows_of[p] for p, s in schedules.items()
+        ),
     )

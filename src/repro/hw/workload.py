@@ -13,12 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.encoding import EncodedLayer
 from ..core.specs import LayerSpec
+
+if TYPE_CHECKING:
+    from .scheduler import DispatchTable
 
 
 def _count_array(spec: LayerSpec, what: str, values: Sequence[int]) -> np.ndarray:
@@ -101,6 +104,17 @@ class LayerWorkload:
         for array in arrays:
             array.setflags(write=False)
         return arrays
+
+    @cached_property
+    def dispatch_tables(self) -> Dict[Tuple[int, int, str], "DispatchTable"]:
+        """LPT dispatch tables of this layer by ``(N_knl, N, policy)``.
+
+        :func:`repro.hw.scheduler.dispatch_table` fills it on first use.
+        Everything a table holds depends on those three values alone, so
+        configurations that differ only in ``n_cu``, ``s_ec``, ``d_f`` or
+        the clock share one table.
+        """
+        return {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LayerWorkload):

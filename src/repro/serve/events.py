@@ -183,6 +183,8 @@ class EventReport:
     busy_seconds: Dict[int, float]
     dense_ops_per_image: int
     records_collected: bool
+    #: Continuous batching: ``batches`` holds stream runs.
+    continuous: bool = False
 
     @property
     def rejected(self) -> int:
@@ -205,6 +207,7 @@ class EventReport:
             dense_ops_per_image=self.dense_ops_per_image,
             rejections=self.rejections,
             busy_seconds=self.busy_seconds,
+            continuous=self.continuous,
         )
 
 
@@ -696,6 +699,7 @@ class EventDrivenSimulator:
             busy_seconds=fleet.busy_seconds(),
             dense_ops_per_image=profile.dense_ops_per_image,
             records_collected=collect,
+            continuous=continuous,
         )
         if self.telemetry is not None:
             self._record_telemetry(report, lat_by_class, wait_all)

@@ -35,6 +35,7 @@ class ServeStats:
         dense_ops_per_image: int,
         rejections: Sequence[Rejection] = (),
         busy_seconds: Optional[Mapping[int, float]] = None,
+        continuous: bool = False,
     ) -> None:
         if not responses:
             raise ValueError("stats need at least one response")
@@ -46,6 +47,10 @@ class ServeStats:
         self.dense_ops_per_image = dense_ops_per_image
         self.rejections: Tuple[Rejection, ...] = tuple(rejections)
         self.busy_seconds = busy_seconds
+        #: Continuous batching: a record's ``batch_id`` and ``batch_size``
+        #: name its stream run (an instance's stretch of back-to-back lane
+        #: admissions), which can hold any number of requests, not a batch.
+        self.continuous = continuous
 
     # ---- request counts ------------------------------------------------
 
@@ -53,17 +58,29 @@ class ServeStats:
     def count(self) -> int:
         return len(self.responses)
 
-    @property
-    def batch_count(self) -> int:
-        return len({r.batch_id for r in self.responses})
-
-    def batch_size_histogram(self) -> Dict[int, int]:
-        """batch size -> number of batches dispatched at that size."""
+    def _dispatch_histogram(self) -> Dict[int, int]:
+        """size -> number of batches (or stream runs) of that size."""
         sizes = {r.batch_id: r.batch_size for r in self.responses}
         histogram: Dict[int, int] = {}
         for size in sizes.values():
             histogram[size] = histogram.get(size, 0) + 1
         return dict(sorted(histogram.items()))
+
+    def batch_size_histogram(self) -> Dict[int, int]:
+        """batch size -> number of batches dispatched at that size.
+
+        A continuous run dispatches no batches, so this raises there
+        rather than count a stream run as one batch.
+        """
+        if self.continuous:
+            raise ValueError(
+                "a continuous run admits requests into stream runs, not batches"
+            )
+        return self._dispatch_histogram()
+
+    @property
+    def batch_count(self) -> int:
+        return sum(self.batch_size_histogram().values())
 
     @property
     def mean_batch_size(self) -> float:
@@ -218,15 +235,15 @@ class ServeStats:
 
     def render(self) -> str:
         """Human-readable summary block for the CLI."""
-        histogram = ", ".join(
-            f"{size}x{count}" for size, count in self.batch_size_histogram().items()
-        )
+        runs = self._dispatch_histogram()
+        histogram = ", ".join(f"{size}x{count}" for size, count in runs.items())
+        unit = "stream runs" if self.continuous else "batches"
         utilization = "  ".join(
             f"w{worker}: {fraction:.0%}"
             for worker, fraction in self.worker_utilization().items()
         )
         lines = [
-            f"requests:        {self.count} in {self.batch_count} batches "
+            f"requests:        {self.count} in {sum(runs.values())} {unit} "
             f"(sizes {histogram})",
             f"makespan:        {self.makespan_s * 1e3:.3f} ms virtual",
             f"latency:         mean {self.mean_latency_s * 1e3:.3f} ms   "

@@ -144,6 +144,14 @@ class TestCommands:
             pytest.param(["serve-sim", "--model", "lenet", "--density", "1e-9"],
                          "--density 1e-09 prunes every weight",
                          id="density-prunes-every-weight"),
+            # The catalog search takes each device type once.
+            pytest.param(["partition", "--devices", "Stratix-V GXA7,Stratix-V GXA7"],
+                         "duplicate devices in catalog",
+                         id="partition-duplicate-device"),
+            # VGG16's smallest design does not fit the Cyclone-V fabric.
+            pytest.param(["explore", "--model", "vgg16", "--device", "Cyclone-V SE"],
+                         "no vgg16 design fits Cyclone-V SE",
+                         id="explore-infeasible-device"),
         ],
     )
     def test_bad_input_fails_cleanly(self, capsys, argv, message):

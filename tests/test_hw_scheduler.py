@@ -10,8 +10,10 @@ from repro.hw.scheduler import (
     POLICY_BALANCED,
     POLICY_NATURAL,
     build_tasks,
+    dispatch_table,
     make_kernel_groups,
     simulate_layer,
+    simulate_layer_reference,
 )
 from repro.hw.tiling import plan_windows
 from repro.hw.workload import workload_from_arrays
@@ -128,6 +130,60 @@ class TestSimulateLayer:
         result = simulate_layer(workload, config, make_memory(config))
         assert result.accumulate_ops == workload.accumulate_ops
         assert result.cycles > 0
+
+
+class TestDispatchTable:
+    def test_built_once_per_grouping_and_shared(self, workload):
+        """Configs that differ only in n_cu, s_ec, d_f or the clock share one
+        table; a new N_knl, N or policy builds one more."""
+        assert workload.dispatch_tables == {}
+        shared = [
+            AcceleratorConfig(n_cu=3, n_knl=4, n_share=4, s_ec=8, d_f=512),
+            AcceleratorConfig(n_cu=1, n_knl=4, n_share=4, s_ec=8, d_f=512),
+            AcceleratorConfig(n_cu=3, n_knl=4, n_share=4, s_ec=5, d_f=512),
+            AcceleratorConfig(n_cu=2, n_knl=4, n_share=4, s_ec=8, d_f=1024),
+            AcceleratorConfig(n_cu=3, n_knl=4, n_share=4, s_ec=8, d_f=512,
+                              freq_mhz=150.0),
+        ]
+        tables = []
+        for config in shared:
+            fast = simulate_layer(workload, config, make_memory(config))
+            reference = simulate_layer_reference(workload, config, make_memory(config))
+            assert fast == reference
+            assert list(workload.dispatch_tables) == [(4, 4, POLICY_BALANCED)]
+            tables.append(workload.dispatch_tables[(4, 4, POLICY_BALANCED)])
+        table = tables[0]
+        assert all(other is table for other in tables)
+        assert dispatch_table(workload, 4, 4, POLICY_BALANCED) is table
+
+        for n_knl, n_share, policy in (
+            (4, 2, POLICY_BALANCED),
+            (3, 4, POLICY_BALANCED),
+            (4, 4, POLICY_NATURAL),
+        ):
+            config = AcceleratorConfig(n_cu=3, n_knl=n_knl, n_share=n_share, s_ec=8, d_f=512)
+            simulate_layer(workload, config, make_memory(config), policy)
+        assert set(workload.dispatch_tables) == {
+            (4, 4, POLICY_BALANCED),
+            (4, 2, POLICY_BALANCED),
+            (3, 4, POLICY_BALANCED),
+            (4, 4, POLICY_NATURAL),
+        }
+        assert workload.dispatch_tables[(4, 4, POLICY_BALANCED)] is table
+
+    def test_table_is_the_sorted_group_maxima(self, workload):
+        table = dispatch_table(workload, 4, 3, POLICY_NATURAL)
+        engine = np.maximum(workload.nonzeros, workload.distinct * 3)
+        maxima = [int(engine[start : start + 4].max()) for start in range(0, 10, 4)]
+        assert table.group_max.tolist() == sorted(maxima, reverse=True)
+        assert table.engine_total == int(engine.sum())
+        assert table.capacity_total == 4 * sum(maxima)
+        assert not table.group_max.flags.writeable
+
+    def test_unknown_policy_builds_nothing(self, workload):
+        with pytest.raises(ValueError):
+            dispatch_table(workload, 4, 4, "zigzag")
+        assert workload.dispatch_tables == {}
 
 
 class TestExternalMemory:

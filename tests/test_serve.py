@@ -216,6 +216,29 @@ class TestWorkerPool:
         )
         assert sorted(report.stats.worker_busy_s()) == [0, 1, 2]
 
+    def test_continuous_run_reports_stream_runs(self, runtime):
+        """A stream run admits requests into lanes as they free, so it holds
+        far more requests than ``max_batch``; a continuous run reports
+        stream runs and has no batch statistics, while a windows run never
+        reports a batch above ``max_batch``."""
+        report = self._utilization_run(runtime, continuous=True)
+        stats = report.stats
+        assert max(run.size for run in report.batches) > 2
+        rendered = stats.render()
+        assert f"{stats.count} in {len(report.batches)} stream runs" in rendered
+        assert "batches" not in rendered
+        for statistic in (
+            lambda: stats.batch_count,
+            stats.batch_size_histogram,
+            lambda: stats.mean_batch_size,
+        ):
+            with pytest.raises(ValueError, match="stream runs"):
+                statistic()
+
+        windows = self._utilization_run(runtime, continuous=False).stats
+        assert max(windows.batch_size_histogram()) <= 2
+        assert f"in {windows.batch_count} batches" in windows.render()
+
     def test_empty_inputs_rejected(self, runtime):
         profile = ServiceProfile.from_runtime(runtime)
         with pytest.raises(ValueError):
