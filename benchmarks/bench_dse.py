@@ -43,6 +43,8 @@ from repro.workloads import synthetic_model_workload
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_dse.json"
+#: The cache families the instrumented explore fills, in artifact order.
+CACHE_FAMILIES = ("dse.buffers", "dse.compiled", "hw.windows")
 
 
 def _sweeps(workload, n_share, n_knl):
@@ -172,7 +174,7 @@ def test_bench_dse_artifact():
             workload = synthetic_model_workload(model, seed=1)
             with telemetry.span("explore", model=model):
                 explore(workload, STRATIX_V_GXA7)
-    report["telemetry"] = telemetry_section(telemetry)
+    report["telemetry"] = telemetry_section(telemetry, CACHE_FAMILIES)
 
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"  wrote {ARTIFACT}")

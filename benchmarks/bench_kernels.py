@@ -57,6 +57,8 @@ REAL_LAYERS = {
     "vgg_conv5_3": (512, 512, 3, 14, 1, 1, 1),
 }
 QUICK_LAYERS = ("alex_conv5",)
+#: The cache family the instrumented layer pass fills.
+CACHE_FAMILIES = ("core.plan",)
 
 
 def _header():
@@ -173,7 +175,7 @@ def test_bench_compiled_real_layers():
     telemetry = Telemetry()
     with activate(telemetry):
         abm_conv2d(features, encoded, geometry)
-    report["telemetry"] = telemetry_section(telemetry)
+    report["telemetry"] = telemetry_section(telemetry, CACHE_FAMILIES)
 
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"  wrote {ARTIFACT}")

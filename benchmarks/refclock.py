@@ -46,11 +46,12 @@ def fingerprint() -> dict:
     return harness.fingerprint(harness.gemm_peak_gflops())
 
 
-def telemetry_section(telemetry, families=None) -> dict:
+def telemetry_section(telemetry, families) -> dict:
     """Compact snapshot for bench artifacts: cache hit rates + span totals.
 
     ``families`` names the cache families to report, in order; a missing
-    one raises ``KeyError``. ``None`` reports every registered family.
+    one raises ``KeyError``. A fixed list keeps the artifact a function of
+    the bench, not of which modules happen to be imported.
     """
     caches = telemetry.snapshot(include_spans=False)["caches"]
     return {
@@ -59,7 +60,7 @@ def telemetry_section(telemetry, families=None) -> dict:
                 key: caches[name][key]
                 for key in ("hits", "misses", "evictions", "hit_rate")
             }
-            for name in (caches if families is None else families)
+            for name in families
         },
         "span_totals": telemetry.tracer.totals(),
     }

@@ -4,20 +4,18 @@ The paper compares SDConv (dense), SpConv (zero-skipping), FDConv
 (frequency domain) and ABM-SpConv by the operations each spends on the
 same layer (Table 1). This example runs one pruned, quantized layer
 through ABM-SpConv, checks the measured counts against the encoded
-workload, and sets them beside the op-count models of the three
-baselines — the single-layer view of paper Table 1.
+workload, and sets them beside the op counts of the three baselines
+(``repro.core.opcount``, the path Table 1 runs through) — the
+single-layer view of paper Table 1.
 
 Run:  python examples/scheme_comparison.py
 """
 
 import numpy as np
 
-from repro.baselines.fdconv import FDConvModel
-from repro.baselines.sdconv import SDConvModel
-from repro.baselines.spconv import SpConvModel
 from repro.core.abm import ConvGeometry, abm_conv2d
 from repro.core.encoding import encode_layer
-from repro.core.schemes import SchemeOps
+from repro.core.opcount import measured_layer_counts
 from repro.core.specs import conv_spec
 from repro.hw.workload import workload_from_encoded
 from repro.workloads.codebooks import codebook_size
@@ -45,17 +43,20 @@ def main() -> None:
     assert abm.multiply_ops == workload.multiply_ops, "one multiply per value"
     print("measured ABM counts match the encoded workload\n")
 
+    counts = measured_layer_counts(spec, encoded)
+    # A MAC-based scheme spends one multiply and one accumulate per MAC.
     rows = [
-        ("SDConv (dense)", SDConvModel().layer_ops(workload)),
-        ("FDConv (OaA model)", FDConvModel().layer_ops(workload)),
-        ("SpConv (zero-skip)", SpConvModel().layer_ops(workload)),
-        ("ABM-SpConv (measured)", SchemeOps(abm.multiply_ops, abm.accumulate_ops)),
+        ("SDConv (dense)", counts.sdconv_ops / 2, counts.sdconv_ops / 2),
+        ("FDConv (3.3x fewer)", counts.fdconv_ops / 2, counts.fdconv_ops / 2),
+        ("SpConv (zero-skip)", counts.spconv_ops / 2, counts.spconv_ops / 2),
+        ("ABM-SpConv (measured)", abm.multiply_ops, abm.accumulate_ops),
     ]
-    dense = rows[0][1].total_ops
+    dense = counts.sdconv_ops
     print(f"{'scheme':<22} {'multiplies':>12} {'accumulates':>12} {'total':>12} {'vs dense':>9}")
-    for name, ops in rows:
-        print(f"{name:<22} {ops.multiplies:>12,.0f} {ops.accumulates:>12,.0f} "
-              f"{ops.total_ops:>12,.0f} {ops.total_ops / dense:>8.1%}")
+    for name, multiplies, accumulates in rows:
+        total = multiplies + accumulates
+        print(f"{name:<22} {multiplies:>12,.0f} {accumulates:>12,.0f} "
+              f"{total:>12,.0f} {total / dense:>8.1%}")
     print(f"\nABM acc/mult ratio: {abm.acc_to_mult_ratio:.1f} "
           f"(paper Table 1 reports 62.7 for the full-size conv4_2)")
 

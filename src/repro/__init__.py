@@ -19,7 +19,7 @@ Subpackages
 ``repro.dse``
     Performance / bandwidth / resource models and the exploration flow.
 ``repro.baselines``
-    Executable SDConv / FDConv / SpConv models and published accelerators.
+    The published accelerators of Table 2.
 ``repro.workloads``
     Calibrated synthetic model and input generators.
 ``repro.experiments``

@@ -9,15 +9,8 @@ Commands
 - ``explore --model {alexnet,vgg16}`` — run the design-space exploration
   flow and print the chosen configuration, followed by the optimum of an
   exhaustive search over the seven-axis joint space.
-- ``schemes --model {alexnet,vgg16}`` — print the per-layer scheme plan
-  (chosen scheme, predicted cycles, rationale) produced by
-  :func:`repro.dse.schemes.plan_model_schemes`.
 - ``roofline`` — print the Figure 1 roofline for a device.
 - ``devices`` — list the FPGA device catalog (logic/DSP/M20K/bandwidth).
-- ``partition --model {alexnet,vgg16} --devices A,B`` — search
-  layer-pipeline partitions across a heterogeneous device catalog
-  exhaustively and print the best pipelined plan against the replication
-  baseline.
 - ``serve-sim --model {lenet,cifarnet}`` — simulate batched serving across
   a pool of accelerator instances and print the latency/throughput report;
   ``--metrics-out FILE`` additionally records the run through
@@ -25,8 +18,7 @@ Commands
 - ``metrics`` — inspect, validate (``--check``) or re-export
   (``--format jsonl``) a telemetry snapshot.
 
-Bad input (an unknown device name, an impossible shard count, a negative
-scheme margin, seed or link latency, a non-positive scale, bandwidth, rate
+Bad input (an unknown device name, a negative seed, a non-positive rate
 or frequency, an output path in a missing directory, an unreadable or
 malformed snapshot) prints one ``error: ...`` line to stderr and exits
 with status 2.
@@ -249,98 +241,6 @@ def _cmd_devices(args: argparse.Namespace) -> int:
             f"{device.m20k_blocks:>6,} {device.bandwidth_gbs:>8g} "
             f"{device.mac_count:>8,} {device.max_accumulators:>8,}"
         )
-    return 0
-
-
-def _cmd_partition(args: argparse.Namespace) -> int:
-    from .dse.partition import search_partitions
-    from .shard.link import LinkModel
-    from .workloads.synthetic import synthetic_model_workload
-
-    device_names = [name.strip() for name in args.devices.split(",") if name.strip()]
-    if not device_names:
-        raise _UsageError("--devices needs at least one device name")
-    if args.shards is not None and args.shards < 1:
-        raise _UsageError(f"--shards must be >= 1, got {args.shards}")
-    devices = [_device(name) for name in device_names]
-    workload = synthetic_model_workload(
-        args.model,
-        seed=args.seed,
-        scale=args.scale,
-        spatial_scale=args.spatial_scale,
-    )
-    link = LinkModel(
-        bandwidth_gbs=args.link_gbs,
-        latency_s=args.link_latency_us * 1e-6,
-        name="cli-link",
-    )
-    try:
-        result = search_partitions(
-            workload,
-            devices,
-            max_shards=args.shards,
-            link=link,
-            seed=args.seed,
-        )
-    except ValueError as error:
-        raise _UsageError(str(error)) from None
-    print(result.render())
-    return 0
-
-
-def _cmd_schemes(args: argparse.Namespace) -> int:
-    from .dse.schemes import plan_model_schemes
-    from .workloads.synthetic import synthetic_model_workload
-
-    config = _paper_config(args.model)
-    device = _device(args.device)
-    workload = synthetic_model_workload(
-        args.model,
-        seed=args.seed,
-        scale=args.scale,
-        spatial_scale=args.spatial_scale,
-    )
-    try:
-        plan = plan_model_schemes(workload, config, device=device, margin=args.margin)
-    except ValueError as error:
-        raise _UsageError(str(error)) from None
-    scaled = "" if args.scale == 1.0 and args.spatial_scale == 1.0 else (
-        f" (scale {args.scale:g}, spatial {args.spatial_scale:g})"
-    )
-    print(f"per-layer scheme plan for {args.model} on {device.name}{scaled}")
-    print(f"  config:   {config.describe()}")
-    print(f"  margin:   {plan.margin:.0%} fewer cycles than abm")
-    print(f"  enabled:  {', '.join(plan.enabled) if plan.enabled else 'none'}")
-    if plan.rejected:
-        print(f"  rejected: {', '.join(plan.rejected)} (unit does not fit fabric)")
-    if plan.enabled:
-        print(
-            f"  overhead: +{plan.overhead.alms} ALMs "
-            f"+{plan.overhead.dsps} DSPs +{plan.overhead.m20ks} M20Ks"
-        )
-    print()
-    print(
-        f"  {'layer':<10} {'shape':<24} {'scheme':<10} "
-        f"{'cycles':>9} {'gain':>6}  why"
-    )
-    specs = {layer.spec.name: layer.spec for layer in workload.layers}
-    for decision in plan.decisions:
-        spec = specs[decision.layer]
-        if spec.is_fc:
-            shape = f"fc {spec.in_channels}->{spec.out_channels}"
-        else:
-            shape = (
-                f"{spec.kernel}x{spec.kernel}/s{spec.stride} "
-                f"{spec.in_channels}->{spec.out_channels} "
-                f"@{spec.out_rows}x{spec.out_cols}"
-            )
-        print(
-            f"  {decision.layer:<10} {shape:<24} {decision.scheme:<10} "
-            f"{decision.chosen_cycles / 1e6:8.2f}M "
-            f"{decision.speedup:5.2f}x  {decision.reason}"
-        )
-    print()
-    print(f"  {plan.summary()}")
     return 0
 
 
@@ -674,31 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument("--device", default="Stratix-V GXA7")
     p_dse.set_defaults(func=_cmd_explore)
 
-    p_sch = sub.add_parser(
-        "schemes", help="print the per-layer scheme plan on predicted cycles"
-    )
-    p_sch.add_argument("--model", choices=("alexnet", "vgg16"), default="vgg16")
-    p_sch.add_argument("--device", default="Stratix-V GXA7")
-    p_sch.add_argument(
-        "--margin",
-        type=float,
-        default=0.1,
-        help="relative margin a challenger must beat ABM by per layer",
-    )
-    p_sch.add_argument(
-        "--scale",
-        type=_positive("--scale"),
-        default=1.0,
-        help="channel-count multiplier (bench-scale plans, e.g. 0.25)",
-    )
-    p_sch.add_argument(
-        "--spatial-scale",
-        type=_positive("--spatial-scale"),
-        default=1.0,
-        help="input-resolution multiplier (bench-scale plans, e.g. 0.5)",
-    )
-    p_sch.set_defaults(func=_cmd_schemes)
-
     p_roof = sub.add_parser("roofline", help="print the Figure 1 roofline")
     p_roof.add_argument("--device", default="Stratix-V GXA7")
     p_roof.add_argument("--freq", type=_positive("--freq"), default=200.0)
@@ -706,33 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dev = sub.add_parser("devices", help="list the FPGA device catalog")
     p_dev.set_defaults(func=_cmd_devices)
-
-    p_part = sub.add_parser(
-        "partition",
-        help="search layer-pipeline partitions over a device catalog",
-    )
-    p_part.add_argument("--model", choices=("alexnet", "vgg16"), default="vgg16")
-    p_part.add_argument(
-        "--devices",
-        default="Stratix-V GXA7,Stratix-V GXA3",
-        help="comma-separated device names (see `abm-spconv devices`)",
-    )
-    p_part.add_argument(
-        "--shards", type=int, default=None,
-        help="largest shard count to search, >= 1 "
-             "(default: the catalog size, capped at 3)",
-    )
-    p_part.add_argument("--link-gbs", type=_positive("--link-gbs"), default=6.0,
-                        help="inter-shard link bandwidth in GB/s")
-    p_part.add_argument("--link-latency-us",
-                        type=_non_negative("--link-latency-us"), default=5.0,
-                        help="per-transfer link latency in microseconds")
-    p_part.add_argument("--scale", type=_positive("--scale"), default=1.0,
-                        help="channel-count multiplier")
-    p_part.add_argument("--spatial-scale", type=_positive("--spatial-scale"),
-                        default=1.0, help="input-resolution multiplier")
-    p_part.add_argument("--seed", type=_non_negative("--seed", int), default=1)
-    p_part.set_defaults(func=_cmd_partition)
 
     p_sys = sub.add_parser("system", help="pipelined CPU/FPGA system model")
     p_sys.add_argument("--model", choices=("alexnet", "vgg16"), default="vgg16")

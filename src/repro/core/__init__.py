@@ -7,9 +7,8 @@
 - :mod:`~repro.core.opcount` — operation-count analysis of SDConv / FDConv /
   SpConv / ABM-SpConv (Table 1).
 - :mod:`~repro.core.specs` — analytic layer dimension records.
-- :mod:`~repro.core.schemes` — scheme taxonomy, computational roofs
-  (Figure 1), and the :class:`SchemeModel` registry behind per-layer
-  heterogeneous execution.
+- :mod:`~repro.core.schemes` — scheme taxonomy and computational roofs
+  (Figure 1).
 - :mod:`~repro.core.model_plan` — whole-network fused streaming execution
   (conv/FC + epilogue stages over ping-pong activation buffers).
 """

@@ -91,11 +91,6 @@ class LayerSpec:
         return self.in_channels * self.in_rows * self.in_cols
 
     @property
-    def output_size(self) -> int:
-        """Output feature-map elements M * R' * C'."""
-        return self.out_channels * self.out_rows * self.out_cols
-
-    @property
     def is_fc(self) -> bool:
         return self.kind == FC
 

@@ -9,6 +9,13 @@ configuration's own computational roof ``2 * R_mac * N_acc * Freq`` (the
 roof counts original ops, so the pruning reduction R_mac enters). The
 simulator additionally reports scheduler-level CU occupancy and
 within-task engine occupancy, which decompose where the loss comes from.
+
+The paper's own numbers disagree on this roof. Table 2's GOP/s over the
+roof is the efficiency the paper's throughput implies: ~98% for VGG16
+(1029 GOP/s of ~1052) and ~86% for AlexNet (699 of ~816), against the
+stated 87% and 81%. Those rows are emitted as comparisons too, so the
+VGG16 gap between the simulator and Table 2 reads as the paper's own
+arithmetic rather than a reproduction error.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from typing import List, Mapping, Tuple
 
 from ..analysis.compare import Comparison
 from ..analysis.tables import render_table
+from ..baselines.published import get_baseline
 from ..hw.accelerator import AcceleratorSimulator, ModelSimResult
 from ..hw.config import PAPER_CONFIG_ALEXNET, PAPER_CONFIG_VGG16
 from ..hw.device import STRATIX_V_GXA7
@@ -51,6 +59,11 @@ class UtilizationRow:
         return self.simulation.throughput_gops / self.roof_gops
 
     @property
+    def paper_implied_efficiency(self) -> float:
+        """Table 2's published GOP/s over the same roof."""
+        return get_baseline(f"proposed-{self.model}").throughput_gops / self.roof_gops
+
+    @property
     def cu_utilization(self) -> float:
         return self.simulation.cu_utilization
 
@@ -76,13 +89,16 @@ class UtilizationResult:
                     f"{row.cu_utilization:.1%}",
                     f"{row.engine_utilization:.1%}",
                     f"{CU_EFFICIENCY[model]:.0%}",
+                    f"{row.paper_implied_efficiency:.1%}",
                 )
             )
         table.append(
-            ("[2] lockstep", None, None, f"{BASELINE_LI_EFFICIENCY:.1%}", None, None, "64.5%")
+            ("[2] lockstep", None, None, f"{BASELINE_LI_EFFICIENCY:.1%}", None, None,
+             "64.5%", None)
         )
         return render_table(
-            ("model", "GOP/s", "roof GOP/s", "efficiency", "CU occ", "engine occ", "paper"),
+            ("model", "GOP/s", "roof GOP/s", "efficiency", "CU occ", "engine occ",
+             "paper", "Table 2 / roof"),
             table,
             title="Execution efficiency (semi-synchronous CUs)",
         )
@@ -111,6 +127,14 @@ def run(seed: int = 1, policy: str = POLICY_BALANCED) -> UtilizationResult:
                 f"{model}.execution_efficiency",
                 CU_EFFICIENCY[model],
                 row.execution_efficiency,
+            )
+        )
+        comparisons.append(
+            Comparison(
+                "utilization",
+                f"{model}.paper_implied_efficiency",
+                CU_EFFICIENCY[model],
+                row.paper_implied_efficiency,
             )
         )
         comparisons.append(

@@ -85,8 +85,8 @@ ARRIA_10_GT1150 = FPGADevice(
 )
 
 #: Mid-size Stratix-V sibling (GXA3-class inventory, same DDR3 board
-#: bandwidth as the DE5-Net). Figures are datasheet approximations for
-#: partition modeling, not a calibrated board.
+#: bandwidth as the DE5-Net). Figures are datasheet approximations, not a
+#: calibrated board; a smaller part for the DSE and feasibility checks.
 STRATIX_V_GXA3 = FPGADevice(
     name="Stratix-V GXA3",
     alms=128_300,
@@ -97,8 +97,7 @@ STRATIX_V_GXA3 = FPGADevice(
 
 #: Cyclone-V SoC-class small part (SE-A6-like inventory, single-channel
 #: DDR3). Too small to hold the whole-model buffers of the evaluated
-#: networks — it exists to carry *light shards* in pipelined
-#: deployments, where it turns otherwise-idle silicon into throughput.
+#: networks: the catalog's case of a device no paper design fits.
 CYCLONE_V_SE = FPGADevice(
     name="Cyclone-V SE",
     alms=41_910,

@@ -741,7 +741,9 @@ class EventDrivenSimulator:
                 "serve/latency_s", slo=report.class_names[cls]
             ).observe_many(latencies)
         registry.histogram("serve/queue_wait_s").observe_many(wait_all)
-        if report.batches:
+        # A continuous run's records are stream runs, not batches; like
+        # ``ServeStats``, report batch statistics for windows runs only.
+        if report.batches and not report.continuous:
             registry.counter("serve/batches").inc(len(report.batches))
             registry.histogram(
                 "serve/batch_size", buckets=(1, 2, 4, 8, 16, 32, 64)

@@ -86,13 +86,12 @@ class TestCommands:
         [
             (["explore", "--device", "nope"], "unknown device 'nope'"),
             (["simulate", "--device", "nope"], "unknown device 'nope'"),
-            (["partition", "--devices", "Stratix-V GXA7,nope"],
-             "unknown device 'nope'"),
-            (["partition", "--devices", " , "], "--devices needs at least one"),
-            (["partition", "--shards", "0"], "--shards must be >= 1"),
-            (["partition", "--shards", "-2"], "--shards must be >= 1"),
-            (["schemes", "--margin", "-1"], "margin must be a finite number >= 0"),
-            (["schemes", "--margin", "nan"], "margin must be a finite number >= 0"),
+            (["roofline", "--device", "nope"], "unknown device 'nope'"),
+            (["system", "--device", "nope"], "unknown device 'nope'"),
+            (["serve-sim", "--requests", "0"], "--requests must be >= 1"),
+            (["serve-sim", "--max-batch", "0"], "--max-batch must be >= 1"),
+            (["serve-sim", "--max-wait-ms", "-1"], "--max-wait-ms cannot be negative"),
+            (["serve-sim", "--best-effort", "1"], "--best-effort must be in [0, 1)"),
             (["serve-sim", "--workers", "0"], "--workers must be >= 1"),
             (["serve-sim", "--rate", "nan"], "--rate must be positive and finite"),
             (["serve-sim", "--queue-limit", "0", "--best-effort", "0.3"],
@@ -101,12 +100,13 @@ class TestCommands:
               "--autoscale-interval-ms", "0"],
              "--autoscale-interval-ms must be positive"),
             (["serve-sim", "--density", "1.5"], "--density must be in (0, 1]"),
-            (["schemes", "--scale", "0"], "--scale must be a positive"),
-            (["schemes", "--spatial-scale", "0"], "--spatial-scale must be a positive"),
-            (["partition", "--scale", "-1"], "--scale must be a positive"),
-            (["partition", "--spatial-scale", "inf"],
-             "--spatial-scale must be a positive"),
-            (["partition", "--link-gbs", "0"], "--link-gbs must be a positive"),
+            (["serve-sim", "--device", "nope"], "unknown device 'nope'"),
+            (["system", "--host-gops", "inf"], "--host-gops must be a positive"),
+            (["simulate", "--trace-capacity", "1.5"],
+             "--trace-capacity must be a positive integer"),
+            (["encode", "--max-layer-weights", "0"],
+             "--max-layer-weights must be a positive integer"),
+            (["serve-sim", "--rate", "0"], "--rate must be positive and finite"),
             (["system", "--host-gops", "0"], "--host-gops must be a positive"),
             (["roofline", "--freq", "0"], "--freq must be a positive"),
             (["roofline", "--freq", "fast"], "--freq must be a positive"),
@@ -114,11 +114,10 @@ class TestCommands:
              "--trace-capacity must be a positive integer"),
             (["encode", "--max-layer-weights", "-5"],
              "--max-layer-weights must be a positive integer"),
-            (["partition", "--link-latency-us", "-1"],
-             "--link-latency-us must be a non-negative finite number"),
+            (["roofline", "--freq=-inf"], "--freq must be a positive"),
             (["--seed", "-1", "simulate"],
              "--seed must be a non-negative integer"),
-            (["partition", "--seed", "-1"],
+            (["--seed", "x", "explore"],
              "--seed must be a non-negative integer"),
             (["encode", "--out", "no-such-dir/x.abms"],
              "--out: directory 'no-such-dir' does not exist"),
@@ -144,10 +143,6 @@ class TestCommands:
             pytest.param(["serve-sim", "--model", "lenet", "--density", "1e-9"],
                          "--density 1e-09 prunes every weight",
                          id="density-prunes-every-weight"),
-            # The catalog search takes each device type once.
-            pytest.param(["partition", "--devices", "Stratix-V GXA7,Stratix-V GXA7"],
-                         "duplicate devices in catalog",
-                         id="partition-duplicate-device"),
             # VGG16's smallest design does not fit the Cyclone-V fabric.
             pytest.param(["explore", "--model", "vgg16", "--device", "Cyclone-V SE"],
                          "no vgg16 design fits Cyclone-V SE",
@@ -162,20 +157,6 @@ class TestCommands:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert message in lines[0]
-
-    @pytest.mark.parametrize("model, layers", [("vgg16", 16), ("alexnet", 8)])
-    def test_schemes_paper_scale_is_all_abm(self, capsys, model, layers):
-        # Figure 1's claim on predicted cycles: ABM wins every layer.
-        assert main(["schemes", "--model", model]) == 0
-        out = capsys.readouterr().out
-        assert f"{model}: abm: {layers} (" in out
-        assert "enabled:  none" in out
-
-    def test_schemes_rejects_basis_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["schemes", "--basis", "cycles"])
-        assert exc.value.code == 2
-        assert "--basis" in capsys.readouterr().err
 
     def test_encode_roundtrip(self, capsys, tmp_path):
         from repro.core.serialize import load_model

@@ -1,12 +1,10 @@
 """Fifo under pipelined producer/consumer use (repro.hw.fifo).
 
 The buffer suite (test_hw_fifo_buffers) covers the CU-datapath sizing
-story; this suite covers the FIFO as an inter-stage queue of the
-partitioned pipeline (repro.shard): error paths under overflow and
-underflow, occupancy invariants over arbitrary interleavings, a
-hypothesis round-trip property (FIFO order survives any legal
-producer/consumer schedule), and the finite-FIFO tandem-line simulation
-that replays exact event times against the same model.
+story; this suite covers the FIFO as a producer/consumer queue: error
+paths under overflow and underflow, occupancy invariants over arbitrary
+interleavings, and a hypothesis round-trip property (FIFO order survives
+any legal producer/consumer schedule).
 """
 
 import pytest
@@ -14,10 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.fifo import Fifo, FifoOverflow, FifoUnderflow
-from repro.shard.pipeline_sim import (
-    analytic_bottleneck_s,
-    simulate_pipeline,
-)
 
 
 class TestProducerConsumerErrors:
@@ -112,70 +106,3 @@ class TestRoundTripProperty:
         assert fifo.pops == len(popped)
         assert fifo.pushes - fifo.pops == len(fifo) == 0
 
-
-class TestPipelineSimulation:
-    def test_departures_match_analytic_law(self):
-        """finish[k] == fill + k * bottleneck for a deterministic line."""
-        times = (0.2, 0.5, 0.3)
-        report = simulate_pipeline(times, images=12, queue_depth=2)
-        fill = sum(times)
-        bottleneck = analytic_bottleneck_s(times)
-        for k, finish in enumerate(report.finish_s):
-            assert finish == pytest.approx(fill + k * bottleneck, abs=1e-12)
-        assert report.fill_latency_s == pytest.approx(fill, abs=1e-12)
-        assert report.steady_interval_s == pytest.approx(bottleneck, abs=1e-12)
-
-    def test_throughput_independent_of_queue_depth(self):
-        times = (0.3, 0.7, 0.2)
-        reports = [
-            simulate_pipeline(times, images=15, queue_depth=depth)
-            for depth in (1, 2, 5)
-        ]
-        bottleneck = analytic_bottleneck_s(times)
-        for report in reports:
-            assert report.steady_interval_s == pytest.approx(
-                bottleneck, rel=1e-12
-            )
-
-    def test_backpressure_stalls_upstream_of_bottleneck(self):
-        """A slow downstream stage fills the queue feeding it."""
-        report = simulate_pipeline((0.1, 0.9), images=10, queue_depth=1)
-        # fifos[1] feeds the slow stage; the fast upstream stage blocks on it.
-        assert report.fifos[1].push_stalls > 0
-        assert report.max_occupancy[1] == 1
-
-    def test_occupancy_never_exceeds_depth(self):
-        report = simulate_pipeline((0.1, 0.2, 0.9, 0.1), images=30, queue_depth=3)
-        assert all(occ <= 3 for occ in report.max_occupancy)
-        # Every token passed through every queue exactly once.
-        for fifo in report.fifos:
-            assert fifo.pushes == fifo.pops == 30
-            assert fifo.empty
-
-    @given(
-        times=st.lists(
-            st.floats(min_value=1e-3, max_value=1.0, allow_nan=False),
-            min_size=1,
-            max_size=5,
-        ),
-        images=st.integers(min_value=1, max_value=12),
-        depth=st.integers(min_value=1, max_value=4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_simulated_line_always_obeys_the_law(self, times, images, depth):
-        report = simulate_pipeline(times, images, queue_depth=depth)
-        fill = sum(times)
-        bottleneck = analytic_bottleneck_s(times)
-        for k, finish in enumerate(report.finish_s):
-            assert finish == pytest.approx(fill + k * bottleneck, rel=1e-9)
-        assert all(occ <= depth for occ in report.max_occupancy)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            simulate_pipeline((), images=1)
-        with pytest.raises(ValueError):
-            simulate_pipeline((0.1, -0.2), images=1)
-        with pytest.raises(ValueError):
-            simulate_pipeline((0.1,), images=0)
-        with pytest.raises(ValueError):
-            simulate_pipeline((0.1,), images=1, queue_depth=0)

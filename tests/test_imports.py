@@ -100,8 +100,7 @@ def test_walk_finds_every_source_file():
     [
         (
             "from repro.dse import explore, exhaustive_search",
-            ("repro.shard", "repro.dse.partition", "repro.hw.faults",
-             "repro.hw.emulation"),
+            ("repro.hw.faults", "repro.hw.emulation"),
         ),
         ("import repro.cli", ("repro.serve", "repro.dse")),
     ],

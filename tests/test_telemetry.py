@@ -257,7 +257,7 @@ class TestCacheRegistry:
         # imports each owning module by name.
         code = (
             "import repro.core.model_plan, repro.core.plan\n"
-            "import repro.dse.compiled, repro.dse.explorer, repro.dse.partition\n"
+            "import repro.dse.compiled, repro.dse.explorer\n"
             "import repro.hw.accelerator, repro.hw.tiling\n"
             "from repro.telemetry.caches import registered_caches\n"
             "print(' '.join(registered_caches()))"
@@ -268,7 +268,7 @@ class TestCacheRegistry:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == [
             "core.model_plan", "core.plan", "dse.buffers", "dse.compiled",
-            "dse.partition", "hw.sim", "hw.windows",
+            "hw.sim", "hw.windows",
         ]
 
     def test_cache_stats_derived_fields(self):

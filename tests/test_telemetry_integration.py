@@ -12,7 +12,6 @@ deprecation warnings, and covers the ``metrics`` / ``--metrics-out`` /
 import numpy as np
 import pytest
 
-import repro.dse.partition  # noqa: F401  (registers dse.partition; nothing else here does)
 from repro.cli import main
 from repro.deploy import deploy
 from repro.hw.trace import TraceRecorder
@@ -44,7 +43,6 @@ GLOBAL_CACHE_FAMILIES = {
     "hw.windows",
     "dse.compiled",
     "dse.buffers",
-    "dse.partition",
 }
 
 
@@ -207,6 +205,27 @@ class TestServeSnapshot:
             for size, count in report.stats.batch_size_histogram().items()
         )
         assert histogram.sum == expected
+
+    def test_continuous_run_records_no_batch_metrics(self, served_model):
+        """A continuous run admits requests into stream runs, not batches,
+        so its snapshot carries no batch count or batch-size histogram."""
+        pipeline, specs = served_model
+        runtime = SystemRuntime.from_pipeline(pipeline, specs)
+        trace = LoadTrace("burst", np.zeros(16), np.zeros(16))
+        telemetry = Telemetry()
+        engine = EventDrivenSimulator(
+            ServiceProfile.from_runtime(runtime),
+            BatchPolicy(max_batch=2, max_wait_s=1.0),
+            instances=2,
+            continuous=True,
+            telemetry=telemetry,
+        )
+        report = engine.run_trace(trace)
+        snapshot = telemetry.snapshot()
+        assert report.batches, "the run recorded no stream runs"
+        assert snapshot["counters"]["serve/requests"] == 16
+        assert "serve/batches" not in snapshot["counters"]
+        assert "serve/batch_size" not in snapshot["histograms"]
 
     def test_snapshot_validates_and_round_trips(self, serve_run):
         _, _, snapshot = serve_run
