@@ -23,8 +23,11 @@ Two implementations produce *identical* results:
   group's largest engine figure times the window's vector steps, plus a
   constant, so the group maxima in LPT dispatch order are a
   :class:`DispatchTable` that each workload builds once per ``(N_knl, N,
-  policy)``, and each distinct window size of a configuration only
-  scales it (:func:`compile_window_schedules`). The CUs are a heap of ints
+  policy)``; the table keeps each ``(steps, n_cu)``-scaled cost tuple
+  once built (:meth:`DispatchTable.costs`). The cached
+  :class:`~repro.hw.tiling.WindowPlan` of each ``(spec, d_f, S_ec)``
+  holds the windows as runs of equal size, so a call rebuilds neither
+  the window list nor a cost list. The CUs are a heap of ints
   ``free * n_cu + cu``: its top is the earliest-free CU, ties to the
   lowest index, which is exactly the reference heap's (free_at, cu)
   order, and adding ``cost * n_cu`` keeps the CU, so a task that need
@@ -46,8 +49,9 @@ from __future__ import annotations
 
 import heapq
 from heapq import heapreplace
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from operator import sub
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -297,6 +301,29 @@ class DispatchTable:
     #: ``N_knl`` times the sum of the group maxima: a window's engine
     #: capacity per vector step.
     capacity_total: int
+    #: Task cost tuples by ``(steps, scale)``, filled by :meth:`costs`.
+    scaled_costs: Dict[Tuple[int, int], Tuple[int, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def costs(self, steps: int, scale: int = 1) -> Tuple[int, ...]:
+        """Task cycles in LPT order for a window of ``steps`` vector steps,
+        times ``scale``; built on first use per ``(steps, scale)``.
+
+        ``scale=1`` gives plain task cycles, as
+        :func:`~repro.hw.cu.task_cycles` reports them;
+        :func:`simulate_layer` passes ``scale=n_cu`` so a cost adds
+        straight onto its heap keys.
+        """
+        key = (steps, scale)
+        costs = self.scaled_costs.get(key)
+        if costs is None:
+            if steps < 1:
+                raise ValueError("window must cover at least one output pixel")
+            constant = (TASK_LAUNCH_CYCLES + PIPELINE_FILL_CYCLES) * scale
+            costs = tuple((self.group_max * (steps * scale) + constant).tolist())
+            self.scaled_costs[key] = costs
+        return costs
 
 
 def dispatch_table(
@@ -321,64 +348,6 @@ def dispatch_table(
     return table
 
 
-@dataclass(frozen=True)
-class _WindowSchedule:
-    """Dispatch list of one distinct window pixel count."""
-
-    #: Task cycles in LPT dispatch order, times the schedule's ``scale``.
-    cycles: List[int]
-    #: Window totals (independent of the CU assignment).
-    engine_busy: int
-    engine_capacity: int
-
-
-def _window_pixel_counts(spec, plan: WindowPlan) -> List[int]:
-    """Output pixels covered by each window, in window-major order.
-
-    Every window is full-size except the last row band and the last column
-    tile, so the grid is the outer product of two edge-clipped extents.
-    """
-    rows = [plan.window_rows] * (plan.g_r - 1)
-    rows.append(spec.out_rows - (plan.g_r - 1) * plan.window_rows)
-    cols = [plan.window_cols] * (plan.g_c - 1)
-    cols.append(spec.out_cols - (plan.g_c - 1) * plan.window_cols)
-    return [r * c for r in rows for c in cols]
-
-
-def compile_window_schedules(
-    workload: LayerWorkload,
-    config: AcceleratorConfig,
-    policy: str = POLICY_NATURAL,
-    pixel_counts: Optional[Sequence[int]] = None,
-    scale: int = 1,
-) -> Dict[int, _WindowSchedule]:
-    """Dispatch lists for every distinct window size of a layer.
-
-    Each list is one numpy expression on the layer's
-    :func:`dispatch_table`: the group maxima times the window's vector
-    steps, plus the per-task constants, all times ``scale``. The default
-    ``scale=1`` gives plain task cycles, as :func:`~repro.hw.cu.task_cycles`
-    reports them; :func:`simulate_layer` passes ``scale=n_cu`` so a cost
-    adds straight onto its heap keys.
-    """
-    if pixel_counts is None:
-        plan = plan_windows(workload.spec, config)
-        pixel_counts = _window_pixel_counts(workload.spec, plan)
-    table = dispatch_table(workload, config.n_knl, config.n_share, policy)
-    constant = (TASK_LAUNCH_CYCLES + PIPELINE_FILL_CYCLES) * scale
-    schedules: Dict[int, _WindowSchedule] = {}
-    for pixels in set(pixel_counts):
-        if pixels < 1:
-            raise ValueError("window must cover at least one output pixel")
-        steps = -(-pixels // config.s_ec)
-        schedules[pixels] = _WindowSchedule(
-            cycles=(table.group_max * (steps * scale) + constant).tolist(),
-            engine_busy=table.engine_total * steps,
-            engine_capacity=table.capacity_total * steps,
-        )
-    return schedules
-
-
 def simulate_layer(
     workload: LayerWorkload,
     config: AcceleratorConfig,
@@ -388,24 +357,23 @@ def simulate_layer(
 ) -> LayerSimResult:
     """Vectorized layer simulation; cycle-exact vs the reference.
 
-    Costs come pre-sorted and scaled by ``n_cu`` from
-    :func:`compile_window_schedules`, and each CU is one heap entry
-    ``free * n_cu + cu``. A CU waits for the window's release exactly when
-    ``heap[0] < release * n_cu``; those (at most ``n_cu``) tasks book
-    their idle cycles and start at the release, and every other task is
-    one ``heapreplace``. Busy cycles are the decoded free times minus the
-    idle cycles. A ``trace`` recorder runs the reference, which records
-    the events.
+    The windows come as runs of equal size from the cached plan
+    (:attr:`WindowPlan.window_runs`), and each run's costs come pre-sorted
+    and scaled by ``n_cu`` from :meth:`DispatchTable.costs`. Each CU is
+    one heap entry ``free * n_cu + cu``. A CU waits for the window's
+    release exactly when ``heap[0] < release * n_cu``; those (at most
+    ``n_cu``) tasks book their idle cycles and start at the release, and
+    every other task is one ``heapreplace``. Busy cycles are the decoded
+    free times minus the idle cycles. A ``trace`` recorder runs the
+    reference, which records the events.
     """
     if trace is not None:
         return simulate_layer_reference(workload, config, memory, policy, trace)
     plan = plan_windows(workload.spec, config)
-    pixel_counts = _window_pixel_counts(workload.spec, plan)
-    n_cu = config.n_cu
-    schedules = compile_window_schedules(workload, config, policy, pixel_counts, n_cu)
-    n_groups = -(-workload.nonzeros.size // config.n_knl)
+    table = dispatch_table(workload, config.n_knl, config.n_share, policy)
+    n_cu, s_ec = config.n_cu, config.s_ec
 
-    weight_bytes_per_window = workload.encoded_bytes / plan.windows / config.s_ec
+    weight_bytes_per_window = workload.encoded_bytes / plan.windows / s_ec
     window_bytes = int(
         plan.window_input_bytes * plan.batch_images
         + weight_bytes_per_window
@@ -419,48 +387,55 @@ def simulate_layer(
     # Finish times of the previous two windows: window w+2's prefetch
     # waits for window w to release its buffer half.
     before_last = last = 0
+    total_steps = 0
 
-    for pixels in pixel_counts:
-        prefetch_done = max(channel_free, before_last) + transfer
-        channel_free = prefetch_done
-        release = prefetch_done + SYNC_CYCLES
-        release_key = release * n_cu
-        costs = schedules[pixels].cycles
-        position = 0
-        # Waiting CUs start in (free, cu) order; moving them all to the
-        # release when the window opens would break ties by index alone.
-        while heap[0] < release_key and position < len(costs):
-            free, cu = divmod(heap[0], n_cu)
-            idle[cu] += release - free
-            heapreplace(heap, release_key + cu + costs[position])
-            position += 1
-        for cost in costs[position:]:
-            heapreplace(heap, heap[0] + cost)
-        # max(heap) exceeds this window's own finish only through a CU the
-        # window left alone, so by at most an earlier window's finish. The
-        # DDR channel has waited for every earlier finish before window
-        # w+2 prefetches, so that prefetch starts at the same time.
-        before_last, last = last, max(heap) // n_cu
+    for pixels, count in plan.window_runs:
+        steps = -(-pixels // s_ec)
+        total_steps += steps * count
+        costs = table.costs(steps, n_cu)
+        for _ in range(count):
+            # The prefetch starts at max(channel free, window w-2's finish).
+            if before_last > channel_free:
+                channel_free = before_last
+            channel_free += transfer
+            release = channel_free + SYNC_CYCLES
+            release_key = release * n_cu
+            tasks = iter(costs)
+            # Waiting CUs start in (free, cu) order; moving them all to the
+            # release when the window opens would break ties by index alone.
+            for cost in tasks:
+                top = heap[0]
+                if top >= release_key:
+                    heapreplace(heap, top + cost)
+                    break
+                free, cu = divmod(top, n_cu)
+                idle[cu] += release - free
+                heapreplace(heap, release_key + cu + cost)
+            for cost in tasks:
+                heapreplace(heap, heap[0] + cost)
+            # max(heap) exceeds this window's own finish only through a CU
+            # the window left alone, so by at most an earlier window's
+            # finish. The DDR channel has waited for every earlier finish
+            # before window w+2 prefetches, so that prefetch starts at the
+            # same time.
+            before_last, last = last, max(heap) // n_cu
 
-    free = [key // n_cu for key in sorted(heap, key=lambda key: key % n_cu)]
+    free = [0] * n_cu
+    for key in heap:
+        free[key % n_cu] = key // n_cu
     clock = max(free)
-    windows_of = {pixels: pixel_counts.count(pixels) for pixels in schedules}
     return LayerSimResult(
         layer=workload.spec.name,
         cycles=clock,
         compute_cycles=max(clock, 1),
         memory_stall_cycles=min(sum(idle) // max(n_cu, 1), clock),
-        cu_busy_cycles=tuple(done - waited for done, waited in zip(free, idle)),
+        cu_busy_cycles=tuple(map(sub, free, idle)),
         accumulate_ops=workload.accumulate_ops * plan.batch_images,
         multiply_ops=workload.multiply_ops * plan.batch_images,
-        tasks=plan.windows * n_groups,
+        tasks=plan.windows * len(table.group_max),
         windows=plan.windows,
         images=plan.batch_images,
         memory_bytes=window_bytes * plan.windows,
-        engine_busy_cycles=sum(
-            s.engine_busy * windows_of[p] for p, s in schedules.items()
-        ),
-        engine_capacity_cycles=sum(
-            s.engine_capacity * windows_of[p] for p, s in schedules.items()
-        ),
+        engine_busy_cycles=table.engine_total * total_steps,
+        engine_capacity_cycles=table.capacity_total * total_steps,
     )

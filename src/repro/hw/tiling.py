@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import groupby
+from typing import Tuple
 
 from ..core.specs import LayerSpec
 from ..telemetry.caches import CacheStats, register_cache
@@ -42,6 +44,10 @@ class WindowPlan:
     #: Prefetch grid: the layer completes after g_r * g_c windows.
     g_r: int
     g_c: int
+    #: Output extent of the layer; the last row band and column tile are
+    #: clipped to it.
+    out_rows: int
+    out_cols: int
     #: Input feature bytes loaded per window per image (includes halo).
     window_input_bytes: int
     #: Output feature bytes stored per window per image.
@@ -61,6 +67,23 @@ class WindowPlan:
     def window_pixels(self) -> int:
         """Output positions computed per window (per output channel)."""
         return self.window_rows * self.window_cols
+
+    @cached_property
+    def window_runs(self) -> Tuple[Tuple[int, int], ...]:
+        """Output pixels of each window in window-major order, as runs
+        ``((pixels, count), ...)`` of equal adjacent windows.
+
+        Every window is full-size except the last row band and the last
+        column tile, so the grid is the outer product of two edge-clipped
+        extents. Plans are cached per ``(spec, d_f, s_ec)``, so each grid
+        is walked once.
+        """
+        rows = [self.window_rows] * (self.g_r - 1)
+        rows.append(self.out_rows - (self.g_r - 1) * self.window_rows)
+        cols = [self.window_cols] * (self.g_c - 1)
+        cols.append(self.out_cols - (self.g_c - 1) * self.window_cols)
+        pixels = groupby(r * c for r in rows for c in cols)
+        return tuple((size, sum(1 for _ in run)) for size, run in pixels)
 
     @property
     def input_bytes_per_image(self) -> int:
@@ -111,6 +134,8 @@ def plan_layer_windows(spec: LayerSpec, d_f: int, s_ec: int) -> WindowPlan:
             window_cols=1,
             g_r=1,
             g_c=1,
+            out_rows=1,
+            out_cols=1,
             window_input_bytes=spec.input_size,
             window_output_bytes=spec.out_channels,
             batch_images=s_ec,
@@ -173,6 +198,8 @@ def plan_layer_windows(spec: LayerSpec, d_f: int, s_ec: int) -> WindowPlan:
         window_cols=w_c,
         g_r=g_r,
         g_c=g_c,
+        out_rows=spec.out_rows,
+        out_cols=spec.out_cols,
         window_input_bytes=steady_bytes + math.ceil(halo_bytes / g_c),
         window_output_bytes=spec.out_channels * w_r * w_c,
         batch_images=1,

@@ -116,8 +116,6 @@ TABLE2_COLUMNS = (
 #: Headline claims around Table 2.
 VGG16_SPEEDUP_VS_FDCONV = 1.55
 ALEXNET_SPEEDUP_VS_FDCONV = 1.054
-VGG16_MAC_REDUCTION = 3.06
-ALEXNET_MAC_REDUCTION = 2.3
 
 #: Section 7: measured execution efficiency of the proposed design.
 CU_EFFICIENCY = {"vgg16": 0.87, "alexnet": 0.81}

@@ -2,14 +2,18 @@
 
 These are the reproduction's acceptance tests. Absolute hardware numbers
 cannot be expected to match a simulator, so each assertion encodes the
-band argued in DESIGN.md: exact for pure op-count artifacts, ~15-25% for
-simulated throughput, and ordering/feasibility for the exploration flow.
+band argued in DESIGN.md: exact for pure op-count artifacts, the measured
+error plus a small margin for simulated throughput, and
+ordering/feasibility for the exploration flow.
 """
 
 import pytest
 
 from repro.analysis.compare import render_comparisons, worst_error
 from repro.experiments import fig1, fig6, fig7, table1, table2, table3, utilization
+from repro.hw.config import PAPER_CONFIG_VGG16
+from repro.hw.tiling import plan_windows
+from repro.workloads import synthetic_model_workload
 from repro.workloads.paper_targets import CU_EFFICIENCY, TABLE1_TOTALS
 
 
@@ -74,10 +78,14 @@ class TestTable1:
 
 
 class TestTable2:
-    def test_throughput_within_20pct_of_paper(self, t2):
-        for cnn in ("alexnet", "vgg16"):
+    def test_throughput_error_vs_paper_pinned(self, t2):
+        """Simulated GOP/s against Table 2 at the paper configs: 4.7% off on
+        AlexNet and 13.6% on VGG16 (the gap inside the paper's own
+        arithmetic, see TestUtilization), each pinned with 1.3-1.4 points of
+        margin."""
+        for cnn, bound in (("alexnet", 0.06), ("vgg16", 0.15)):
             row = next(c for c in t2.comparisons if c.metric == f"{cnn}.throughput_gops")
-            assert row.relative_error < 0.20, (cnn, row.measured)
+            assert row.relative_error < bound, (cnn, row.measured)
 
     def test_resource_columns_close(self, t2):
         for metric in ("vgg16.dsps", "vgg16.alms", "vgg16.m20k"):
@@ -231,6 +239,28 @@ class TestUtilization:
         # the gap between its efficiency and the one Table 2 implies.
         gap = 1 - vgg16.execution_efficiency / vgg16.paper_implied_efficiency
         assert gap == pytest.approx(0.136, abs=0.01)
+
+    def test_conv5_lane_fill_ceiling(self):
+        """With every window filling its S_ec lanes (``pixels / (steps *
+        S_ec)`` = 1), conv5_1-conv5_3 could reclaim at most 4% of VGG16's
+        simulated cycles at the paper config: lane packing cannot close
+        the Table 2 gap."""
+        simulation = utilization.run(seed=1).rows["vgg16"].simulation
+        config = simulation.config
+        assert config == PAPER_CONFIG_VGG16
+        cycles = {layer.layer: layer.cycles_per_image for layer in simulation.layers}
+        s_ec = config.s_ec
+        reclaimable = {}
+        for layer in synthetic_model_workload("vgg16", seed=1).layers:
+            name = layer.spec.name
+            if name.startswith("conv5_"):
+                runs = plan_windows(layer.spec, config).window_runs
+                pixels = sum(size * count for size, count in runs)
+                lanes = sum(-(-size // s_ec) * s_ec * count for size, count in runs)
+                reclaimable[name] = cycles[name] * (1 - pixels / lanes)
+        assert sorted(reclaimable) == ["conv5_1", "conv5_2", "conv5_3"]
+        share = sum(reclaimable.values()) / simulation.cycles_per_image
+        assert 0 < share <= 0.04
 
     def test_scheduling_ablation_ordering(self):
         ablation = utilization.scheduling_ablation(seed=1)

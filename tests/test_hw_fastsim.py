@@ -8,15 +8,17 @@ the reference) must record the same events. Hypothesis drives random configurati
 policies and conv/FC workloads through both implementations.
 
 Also covers the satellites that ride on the fast path: the layer result
-cache, the per-window-size schedules (checked against the scalar
-``task_cycles``) and the bounded trace ring buffer.
+cache, the dispatch table's per-window-size cost tuples (checked against
+the scalar ``task_cycles``), the plan's window runs and the bounded trace
+ring buffer.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.specs import conv_spec, fc_spec
@@ -29,11 +31,12 @@ from repro.hw.scheduler import (
     POLICY_BALANCED,
     POLICY_NATURAL,
     LayerSimResult,
-    compile_window_schedules,
+    dispatch_table,
     make_kernel_groups,
     simulate_layer,
     simulate_layer_reference,
 )
+from repro.hw.tiling import WindowPlan, plan_layer_windows
 from repro.hw.trace import TraceRecorder
 from repro.hw.workload import workload_from_arrays
 from repro.hw.device import STRATIX_V_GXA7
@@ -238,6 +241,72 @@ class TestFastPathExactness:
         reference = simulate_layer_reference(workload, config, _memory(config, 12.8))
         assert fast == reference
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        workload=conv_workloads(),
+        config=st.builds(
+            AcceleratorConfig,
+            n_cu=st.integers(1, 8),
+            n_knl=st.integers(1, 6),
+            n_share=st.integers(1, 8),
+            s_ec=st.integers(1, 4),
+            d_f=st.integers(4, 40),
+        ),
+        policy=policies,
+        bandwidth=bandwidths,
+    )
+    def test_column_tiles_exact(self, workload, config, policy, bandwidth):
+        """A shallow FT-Buffer forces column tiles (g_c > 1, the last tile
+        clipped whenever w_c does not divide the width): still exact."""
+        spec = workload.spec
+        k, s = spec.kernel, spec.stride
+        # Skip draws that do not fit even a 1x1 window, or fit a full row.
+        assume(spec.in_channels * s * k <= config.d_f * config.s_ec)
+        plan = plan_layer_windows(spec, config.d_f, config.s_ec)
+        assume(plan.g_c > 1)
+        fast = simulate_layer(workload, config, _memory(config, bandwidth), policy)
+        reference = simulate_layer_reference(
+            workload, config, _memory(config, bandwidth), policy
+        )
+        assert fast == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        workload=conv_workloads(),
+        config=configs,
+        policy=policies,
+        bandwidth=bandwidths,
+        data=st.data(),
+    )
+    def test_clipped_rows_and_columns_exact(
+        self, workload, config, policy, bandwidth, data
+    ):
+        """The planner tiles columns only at one output row, so no plan it
+        makes clips both edges; a hand-built grid that does is still
+        exact on both paths."""
+        spec = workload.spec
+        w_r = data.draw(st.integers(1, spec.out_rows), label="w_r")
+        w_c = data.draw(st.integers(1, spec.out_cols), label="w_c")
+        plan = WindowPlan(
+            layer=spec.name,
+            window_rows=w_r,
+            window_cols=w_c,
+            g_r=-(-spec.out_rows // w_r),
+            g_c=-(-spec.out_cols // w_c),
+            out_rows=spec.out_rows,
+            out_cols=spec.out_cols,
+            window_input_bytes=spec.in_channels * w_r * w_c,
+            window_output_bytes=spec.out_channels * w_r * w_c,
+        )
+        with mock.patch("repro.hw.scheduler.plan_windows", return_value=plan):
+            fast = simulate_layer(
+                workload, config, _memory(config, bandwidth), policy
+            )
+            reference = simulate_layer_reference(
+                workload, config, _memory(config, bandwidth), policy
+            )
+        assert fast == reference
+
 
 # ---------------------------------------------------------------------------
 # batched task costs
@@ -245,8 +314,8 @@ class TestFastPathExactness:
 
 
 class TestTaskCyclesBatch:
-    """A window schedule is every group's task cost at one window size,
-    sorted once per layer; the scalar ``task_cycles`` is its oracle."""
+    """A dispatch table's cost tuple is every group's task cost at one
+    window size, in LPT order; the scalar ``task_cycles`` is its oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -270,21 +339,24 @@ class TestTaskCyclesBatch:
             )
             for index, group in enumerate(make_kernel_groups(workload, config, policy))
         ]
-        schedule = compile_window_schedules(workload, config, policy, [pixels])[pixels]
+        table = dispatch_table(workload, config.n_knl, config.n_share, policy)
+        steps = -(-pixels // config.s_ec)
         # The reference's LPT order: descending cycles, stable ties.
         lpt = sorted(range(len(costs)), key=lambda g: -costs[g].cycles)
-        assert schedule.cycles == [costs[g].cycles for g in lpt]
-        assert schedule.engine_busy == sum(c.engine_busy_cycles for c in costs)
-        assert schedule.engine_capacity == sum(
+        assert table.costs(steps) == tuple(costs[g].cycles for g in lpt)
+        assert table.engine_total * steps == sum(c.engine_busy_cycles for c in costs)
+        assert table.capacity_total * steps == sum(
             c.engine_cycle_capacity for c in costs
         )
 
     def test_rejects_empty_window(self):
         spec = conv_spec("c", 4, 2, kernel=3, in_rows=6, in_cols=6)
         workload = workload_from_arrays(spec, np.array([9, 4]), np.array([3, 1]))
-        config = AcceleratorConfig(n_cu=1, n_knl=2, n_share=4, s_ec=4)
+        table = dispatch_table(workload, n_knl=2, n_share=4)
+        # A window of 0 pixels has 0 vector steps.
         with pytest.raises(ValueError):
-            compile_window_schedules(workload, config, pixel_counts=[0])
+            table.costs(0)
+        assert table.scaled_costs == {}
 
     def test_schedule_compiles_one_entry_per_distinct_size(self, rng):
         spec = conv_spec("c", 8, 8, kernel=3, in_rows=11, in_cols=11, padding=1)
@@ -292,9 +364,59 @@ class TestTaskCyclesBatch:
         distinct = np.minimum(rng.integers(1, 10, size=8), nonzeros)
         workload = workload_from_arrays(spec, nonzeros, distinct)
         config = AcceleratorConfig(n_cu=2, n_knl=4, n_share=4, s_ec=8, d_f=512)
-        schedules = compile_window_schedules(workload, config)
+        simulate_layer(workload, config, _memory(config, 12.8))
+        table = dispatch_table(workload, 4, 4, POLICY_BALANCED)
+        runs = plan_layer_windows(spec, config.d_f, config.s_ec).window_runs
+        steps = {-(-pixels // config.s_ec) for pixels, _ in runs}
         # Interior/edge/corner windows: at most four distinct pixel counts.
-        assert 1 <= len(schedules) <= 4
+        assert 1 <= len(steps) <= 4
+        assert set(table.scaled_costs) == {(n, config.n_cu) for n in steps}
+
+
+class TestWindowRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), out_rows=st.integers(1, 30), out_cols=st.integers(1, 30))
+    def test_runs_expand_to_the_clipped_grid(self, data, out_rows, out_cols):
+        """The runs expand to the window-major product of the edge-clipped
+        row and column extents, with equal neighbours merged."""
+        w_r = data.draw(st.integers(1, out_rows), label="w_r")
+        w_c = data.draw(st.integers(1, out_cols), label="w_c")
+        g_r, g_c = -(-out_rows // w_r), -(-out_cols // w_c)
+        plan = WindowPlan(
+            layer="c",
+            window_rows=w_r,
+            window_cols=w_c,
+            g_r=g_r,
+            g_c=g_c,
+            out_rows=out_rows,
+            out_cols=out_cols,
+            window_input_bytes=1,
+            window_output_bytes=1,
+        )
+        grid = [
+            min(w_r, out_rows - r * w_r) * min(w_c, out_cols - c * w_c)
+            for r in range(g_r)
+            for c in range(g_c)
+        ]
+        runs = plan.window_runs
+        assert [pixels for pixels, count in runs for _ in range(count)] == grid
+        assert all(count >= 1 for _, count in runs)
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+        assert plan.window_runs is runs
+
+    @settings(max_examples=60, deadline=None)
+    @given(workload=workloads, d_f=st.integers(8, 512), s_ec=st.integers(1, 12))
+    def test_planned_runs_cover_the_output_plane(self, workload, d_f, s_ec):
+        spec = workload.spec
+        try:
+            plan = plan_layer_windows(spec, d_f, s_ec)
+        except ValueError:
+            assume(False)
+        runs = plan.window_runs
+        assert sum(count for _, count in runs) == plan.windows
+        assert sum(pixels * count for pixels, count in runs) == (
+            1 if spec.is_fc else spec.output_pixels
+        )
 
 
 # ---------------------------------------------------------------------------

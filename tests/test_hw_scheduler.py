@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.specs import conv_spec, fc_spec
 from repro.hw.config import AcceleratorConfig
+from repro.hw.cu import PIPELINE_FILL_CYCLES, TASK_LAUNCH_CYCLES
 from repro.hw.memory import ExternalMemory
 from repro.hw.scheduler import (
     POLICY_BALANCED,
@@ -179,6 +180,42 @@ class TestDispatchTable:
         assert table.engine_total == int(engine.sum())
         assert table.capacity_total == 4 * sum(maxima)
         assert not table.group_max.flags.writeable
+
+    def test_cost_tuples_built_once_per_steps_and_n_cu(self, workload):
+        """Configs that differ only in d_f or the clock share each
+        ``(steps, n_cu)`` cost tuple; a new window size or CU count builds
+        one more. At S_ec = 8 the 12x12 plane is one 144-pixel window
+        (d_f 512), a 96- and a 48-pixel window (d_f 256) or three 48-pixel
+        windows (d_f 128): 18, 12 and 6 vector steps."""
+        table = dispatch_table(workload, 4, 4, POLICY_BALANCED)
+        assert table.scaled_costs == {}
+        seen = {}
+        for d_f, freq_mhz, n_cu, keys in (
+            (256, 200.0, 3, {(12, 3), (6, 3)}),
+            (128, 200.0, 3, {(12, 3), (6, 3)}),
+            (256, 150.0, 3, {(12, 3), (6, 3)}),
+            (512, 200.0, 3, {(12, 3), (6, 3), (18, 3)}),
+            (1024, 150.0, 3, {(12, 3), (6, 3), (18, 3)}),
+            (128, 200.0, 2, {(12, 3), (6, 3), (18, 3), (6, 2)}),
+        ):
+            config = AcceleratorConfig(
+                n_cu=n_cu, n_knl=4, n_share=4, s_ec=8, d_f=d_f, freq_mhz=freq_mhz
+            )
+            fast = simulate_layer(workload, config, make_memory(config))
+            reference = simulate_layer_reference(workload, config, make_memory(config))
+            assert fast == reference
+            assert dispatch_table(workload, 4, 4, POLICY_BALANCED) is table
+            assert set(table.scaled_costs) == keys
+            for key, costs in seen.items():
+                assert table.scaled_costs[key] is costs
+            seen.update(table.scaled_costs)
+        for (steps, n_cu), costs in seen.items():
+            assert type(costs) is tuple
+            assert table.costs(steps, n_cu) is costs
+            assert list(costs) == [
+                (int(m) * steps + TASK_LAUNCH_CYCLES + PIPELINE_FILL_CYCLES) * n_cu
+                for m in table.group_max
+            ]
 
     def test_unknown_policy_builds_nothing(self, workload):
         with pytest.raises(ValueError):
