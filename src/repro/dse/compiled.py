@@ -15,19 +15,19 @@ then scores the full ``N_knl x S_ec x N_cu`` space with array operations:
   ``N_knl`` is simply the first element of each chunk — ``sum(group_max)``
   for every ``N_knl`` is the strided sum ``engine[::N_knl].sum()``, no
   re-sort, no reshape, no padding.
-- **Window steps.** The per-window vector-step loop has a closed form:
-  a layer's prefetch grid contains at most four distinct window shapes
-  (interior, right edge, bottom edge, corner), so the exact sum of
-  ``ceil(rows * cols / S_ec)`` over all ``G_r x G_c`` windows is four
-  integer terms built from the cached :func:`plan_layer_windows` geometry.
-- **Column tables.** Window steps, batch images and the DDR bytes behind
-  the energy model depend only on a column's ``(d_f, S_ec)`` geometry,
-  not on ``N_knl`` or ``N_cu``. Each compiled workload keeps them as
-  arrays over its layers, built on a column's first use, so a joint-space
-  search that revisits a ``(d_f, S_ec)`` column under other ``d_w``,
-  frequency or energy coefficients re-reads them instead of re-planning
-  every layer. Group-max sums are gathered once per grid as one
-  ``(layers, N_knl)`` matrix.
+- **Column tables.** Window plans, vector steps, batch images and the
+  DDR bytes behind the energy model depend only on a column's
+  ``(d_f, S_ec)`` geometry, not on ``N``, ``N_knl`` or ``N_cu``.
+  :func:`plan_columns` plans every requested column of a workload at
+  once, as ``(layers, columns)`` arrays, with the closed forms of
+  :func:`~repro.hw.tiling.plan_layer_windows` (its scalar oracle). A
+  prefetch grid has at most four window shapes (interior, right edge,
+  bottom edge, corner), so the exact sum of ``ceil(rows * cols / S_ec)``
+  over its ``G_r x G_c`` windows is four integer terms. The tables are
+  kept on the workload (``ModelWorkload.column_tables``), so every N's
+  compiled grid and every joint-space ``(d_w, freq)`` cell re-reads them.
+  Group-max sums are gathered once per grid as one ``(layers, N_knl)``
+  matrix.
 - **Resources.** :meth:`ResourceModel.estimate_arrays` evaluates the
   C0..C7 equations over broadcast parameter arrays, operation-for-operation
   identical to the scalar path.
@@ -43,50 +43,129 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from ..core.specs import LayerSpec
 from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
-from ..hw.power import (
-    EnergyModel,
-    PowerReport,
-    analytic_ddr_bytes,
-    dynamic_energy_per_image,
-)
+from ..hw.power import EnergyModel, PowerReport, dynamic_energy_per_image
 from ..hw.tiling import plan_layer_windows
-from ..hw.workload import ModelWorkload
+from ..hw.workload import LayerWorkload, ModelWorkload
 from ..telemetry.caches import Memo
 from .performance import MODE_QUANTIZED, _MODES
 from .resources import ResourceEstimate, ResourceModel, ResourceUtilization
 
 
-def _ceil_div(a: int, b: int) -> int:
+def _ceil_div(a, b):
     return -(-a // b)
 
 
-def steps_total_closed_form(spec: LayerSpec, d_f: int, s_ec: int) -> Tuple[int, int]:
-    """Exact (vector steps, batch images) for one layer without a window loop.
+class _ColumnPlans(NamedTuple):
+    """Window plans of a batch of ``(d_f, S_ec)`` columns: ``[layer, column]``
+    arrays, then two per column. An unplannable column's entries mean nothing."""
 
-    Matches the quantized reference model's per-window accumulation: the
-    ``G_r x G_c`` prefetch grid has full-size interior windows and (at most)
-    one ragged edge row/column, so the sum of ``ceil(rows * cols / S_ec)``
-    collapses to four terms. FC layers are a single window batched over
-    ``S_ec`` images.
+    window_rows: np.ndarray
+    window_cols: np.ndarray
+    g_r: np.ndarray
+    g_c: np.ndarray
+    window_input_bytes: np.ndarray
+    window_output_bytes: np.ndarray
+    steps: np.ndarray
+    batch: np.ndarray
+    plannable: np.ndarray
+    ddr_bytes: Tuple[float, ...]
+
+
+def _planned_geometry(layer: LayerWorkload) -> Tuple[int, ...]:
+    """A layer's figures as the planner sees them: an FC layer is one 1x1
+    window over its whole input, whose lanes batch ``S_ec`` images."""
+    spec = layer.spec
+    if spec.is_fc:
+        geometry = (spec.input_size, 1, 1, 1, 1)
+    else:
+        geometry = (spec.in_channels, spec.kernel, spec.stride)
+        geometry += (spec.out_rows, spec.out_cols)
+    return geometry + (spec.out_channels, layer.encoded_bytes, spec.is_fc)
+
+
+def plan_columns(
+    workload: ModelWorkload, d_f: Sequence[int], s_ec: Sequence[int]
+) -> _ColumnPlans:
+    """Plan every layer on every ``(d_f[j], s_ec[j])`` column at once.
+
+    The array form of :func:`~repro.hw.tiling.plan_layer_windows`, the
+    vector steps of its ``window_runs`` and
+    :func:`~repro.hw.power.analytic_ddr_bytes`, equal to them exactly
+    while products stay below 2**53.
     """
-    plan = plan_layer_windows(spec, d_f, s_ec)
-    r_full, c_full = plan.window_rows, plan.window_cols
-    r_edge = spec.out_rows - (plan.g_r - 1) * r_full
-    c_edge = spec.out_cols - (plan.g_c - 1) * c_full
+    channels, k, s, rows, cols, out_channels, weights, is_fc = np.array(
+        [_planned_geometry(layer) for layer in workload.layers], dtype=np.int64
+    ).reshape(-1, 8).T[:, :, None]
+    d_f = np.asarray(d_f, dtype=np.int64)[None, :]
+    s_ec = np.asarray(s_ec, dtype=np.int64)[None, :]
+    # A non-positive depth or width plans nothing.
+    capacity = np.where((d_f >= 1) & (s_ec >= 1), d_f * s_ec, 0)
+    s_ec = np.maximum(s_ec, 1)
+
+    # Full-width stripes: the tallest lane-filling height that fits.
+    row_bytes = channels * s * ((cols - 1) * s + k)
+    full = row_bytes <= capacity
+    tallest = np.minimum(rows, capacity // row_bytes)
+    fill = s_ec // np.gcd(cols, s_ec)
+    w_r = np.where(full, tallest - tallest % fill, 1)
+    layer, column = np.nonzero(full & (tallest < fill))
+    if layer.size:  # no lane-filling height fits: best fill, taller on ties
+        limit = tallest[layer, column][:, None]
+        heights = np.arange(limit.max(), 0, -1)
+        pixels = heights * cols[layer]
+        lanes = s_ec[0, column][:, None]
+        fills = pixels / (_ceil_div(pixels, lanes) * lanes)
+        fills[heights > limit] = -1.0
+        w_r[layer, column] = heights[np.argmax(fills, axis=1)]
+    # Column tiles: the widest tile of one row that fits.
+    widest = (capacity // (channels * s) - k) // s + 1
+    w_c = np.where(full, cols, np.maximum(1, widest))
+    cols_in = (w_c - 1) * s + k
+
+    g_r, g_c = _ceil_div(rows, w_r), _ceil_div(cols, w_c)
+    halo = channels * np.maximum(k - s, 0) * cols_in
+    window_input = channels * w_r * s * cols_in + _ceil_div(halo, g_c)
+    window_output = out_channels * w_r * w_c
+    r_edge, c_edge = rows - (g_r - 1) * w_r, cols - (g_c - 1) * w_c
     steps = (
-        (plan.g_r - 1) * (plan.g_c - 1) * _ceil_div(r_full * c_full, s_ec)
-        + (plan.g_r - 1) * _ceil_div(r_full * c_edge, s_ec)
-        + (plan.g_c - 1) * _ceil_div(r_edge * c_full, s_ec)
+        (g_r - 1) * (g_c - 1) * _ceil_div(w_r * w_c, s_ec)
+        + (g_r - 1) * _ceil_div(w_r * c_edge, s_ec)
+        + (g_c - 1) * _ceil_div(r_edge * w_c, s_ec)
         + _ceil_div(r_edge * c_edge, s_ec)
     )
-    return steps, plan.batch_images
+    # layer_traffic: the encoded weights stream once per window, shared by
+    # the S_ec-image batch; Python's sum adds the layers in order.
+    windows = g_r * g_c
+    traffic = windows * (window_input + window_output) + weights * windows / s_ec
+    return _ColumnPlans(
+        w_r, w_c, g_r, g_c, window_input, window_output, steps,
+        np.where(is_fc == 1, s_ec, 1),
+        (channels * s * cols_in <= capacity).all(axis=0),
+        tuple(sum(column) for column in traffic.T.tolist()),
+    )
+
+
+def column_tables(
+    workload: ModelWorkload, columns: Sequence[Tuple[int, int]]
+) -> List[Optional[_Column]]:
+    """Each ``(d_f, S_ec)`` column's tables, None where a layer has no plan.
+    The workload keeps them; its missing columns are planned in one call
+    (racing threads may both plan a column; the first insert wins)."""
+    store = workload.column_tables
+    missing = [key for key in dict.fromkeys(columns) if key not in store]
+    if missing:
+        plans = plan_columns(workload, *zip(*missing))
+        for j, key in enumerate(missing):
+            column = _Column(plans.steps[:, j], plans.batch[:, j], plans.ddr_bytes[j])
+            store.setdefault(key, column if plans.plannable[j] else None)
+    return [store[key] for key in columns]
 
 
 def throughput_and_power(
@@ -127,7 +206,7 @@ class _CompiledLayer:
 class _Column:
     """Per-layer figures of one ``(d_f, S_ec)`` column of the grid."""
 
-    #: Exact vector steps and batch images per layer (``steps_total_closed_form``).
+    #: Exact vector steps and batch images per layer.
     steps: np.ndarray
     batch: np.ndarray
     #: Per-image DDR bytes of the whole model (``analytic_ddr_bytes``).
@@ -269,9 +348,6 @@ class CompiledWorkload:
         self._layers: Tuple[_CompiledLayer, ...] = tuple(layers)
         #: n_knl -> group-max sums, an (L,) float64 array.
         self._group_max: Dict[int, np.ndarray] = {}
-        #: (d_f, s_ec) -> that column's per-layer tables / plannability.
-        self._columns: Dict[Tuple[int, int], _Column] = {}
-        self._plannable: Dict[Tuple[int, int], bool] = {}
         self._lock = threading.Lock()
 
     @property
@@ -305,35 +381,6 @@ class CompiledWorkload:
                 dtype=np.float64,
             ),
         )
-
-    def plannable(self, d_f: int, s_ec: int) -> bool:
-        """Whether every layer has a prefetch-window plan at ``(d_f, s_ec)``."""
-
-        def build() -> bool:
-            try:
-                for layer in self._layers:
-                    plan_layer_windows(layer.spec, d_f, s_ec)
-            except ValueError:
-                return False
-            return True
-
-        return self._table(self._plannable, (d_f, s_ec), build)
-
-    def _column(self, workload: ModelWorkload, config: AcceleratorConfig) -> _Column:
-        """The per-layer tables of ``config``'s ``(d_f, S_ec)`` column."""
-
-        def build() -> _Column:
-            figures = [
-                steps_total_closed_form(layer.spec, config.d_f, config.s_ec)
-                for layer in self._layers
-            ]
-            return _Column(
-                steps=np.array([f[0] for f in figures], dtype=np.int64),
-                batch=np.array([f[1] for f in figures], dtype=np.int64),
-                ddr_bytes=analytic_ddr_bytes(workload, config),
-            )
-
-        return self._table(self._columns, (config.d_f, config.s_ec), build)
 
     def evaluate_grid(
         self,
@@ -393,26 +440,26 @@ class CompiledWorkload:
         sec = np.asarray(s_ec, dtype=np.int64)[None, :, None]
         ncu = np.asarray(n_cu, dtype=np.int64)[None, None, :]
 
-        # Everything below that depends on the column reads its table; the
-        # column configs also validate the buffer depths and the clock.
-        columns = [
-            self._column(
-                workload,
-                # The tables ignore the CU/kernel counts, so degenerate
-                # empty axes just borrow a placeholder.
-                AcceleratorConfig(
-                    n_cu=n_cu[0] if n_cu else 1,
-                    n_knl=n_knl[0] if n_knl else 1,
-                    n_share=self.n_share,
-                    s_ec=s,
-                    d_f=sized.d_f,
-                    d_w=sized.d_w,
-                    d_q=sized.d_q,
-                    freq_mhz=freq_mhz,
-                ),
+        # The column configs validate the buffer depths and the clock
+        # before any table is built. They ignore the CU/kernel counts, so
+        # degenerate empty axes just borrow a placeholder.
+        for s, sized in zip(s_ec, buffers):
+            AcceleratorConfig(
+                n_cu=n_cu[0] if n_cu else 1,
+                n_knl=n_knl[0] if n_knl else 1,
+                n_share=self.n_share,
+                s_ec=s,
+                d_f=sized.d_f,
+                d_w=sized.d_w,
+                d_q=sized.d_q,
+                freq_mhz=freq_mhz,
             )
-            for s, sized in zip(s_ec, buffers)
-        ]
+        keys = [(sized.d_f, s) for s, sized in zip(s_ec, buffers)]
+        columns = column_tables(workload, keys)
+        for (d_f, s), column in zip(keys, columns):
+            if column is None:  # the scalar planner names the layer
+                for layer in workload.layers:
+                    plan_layer_windows(layer.spec, d_f, s)
 
         total = np.zeros(shape, dtype=np.float64)
         if mode == MODE_QUANTIZED:

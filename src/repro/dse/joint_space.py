@@ -34,7 +34,8 @@ from ..hw.buffers import BufferRequirement
 from ..hw.device import FPGADevice
 from ..hw.power import EnergyModel
 from ..hw.workload import ModelWorkload
-from .compiled import GridEvaluation, compile_workload, throughput_and_power
+from .compiled import GridEvaluation, column_tables, compile_workload
+from .compiled import throughput_and_power
 from .explorer import BufferSizing, size_buffers
 from .frequency import DEFAULT_FREQUENCY_MODEL, FrequencyModel
 from .performance import share_factor_from_workloads
@@ -223,12 +224,14 @@ def _scored_cells(
     ncu = tuple(int(v) for v in space.values("n_cu"))
     ncu_arr = np.asarray(ncu, dtype=np.float64)[None, None, :]
     knl_ncu = np.asarray(knl, dtype=np.float64)[:, None, None] * ncu_arr
+    # Every cell's (d_f, S_ec) columns, planned in one call per workload.
+    keys = [(int(d_f), s) for d_f in space.values("d_f") for s in sec]
+    tables = zip(*(column_tables(w, keys) for w in workloads))
+    plannable = {key: None not in column for key, column in zip(keys, tables)}
     for n_share in space.values("n_share"):
         compiled = [compile_workload(w, int(n_share)) for w in workloads]
         for d_f in space.values("d_f"):
-            sub_sec = tuple(
-                s for s in sec if all(grid.plannable(int(d_f), s) for grid in compiled)
-            )
+            sub_sec = tuple(s for s in sec if plannable[int(d_f), s])
             if not sub_sec:
                 continue
             # Everything but the clock and d_w: one grid per workload.

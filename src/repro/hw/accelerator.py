@@ -171,18 +171,16 @@ class AcceleratorSimulator:
         telemetry context is active.
         """
         cached = self.use_cache and trace is None
-        results = []
-        for layer in workload.layers:
-            def build() -> LayerSimResult:
-                return simulate_layer(
-                    layer,
-                    self.config,
-                    self._memory(),
-                    policy=self.policy,
-                    trace=trace,
-                )
-
-            results.append(_sims.get(self._key(layer), build) if cached else build())
+        config, memory, policy = self.config, self._memory, self.policy
+        results = [
+            _sims.get(
+                self._key(layer),
+                lambda: simulate_layer(layer, config, memory(), policy=policy),
+            )
+            if cached
+            else simulate_layer(layer, config, memory(), policy=policy, trace=trace)
+            for layer in workload.layers
+        ]
         telemetry = get_active()
         if trace is not None and telemetry is not None:
             telemetry.registry.gauge("hw.trace.dropped").set(trace.dropped)

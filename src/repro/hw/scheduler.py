@@ -424,18 +424,21 @@ def simulate_layer(
     for key in heap:
         free[key % n_cu] = key // n_cu
     clock = max(free)
-    return LayerSimResult(
-        layer=workload.spec.name,
-        cycles=clock,
-        compute_cycles=max(clock, 1),
-        memory_stall_cycles=min(sum(idle) // max(n_cu, 1), clock),
-        cu_busy_cycles=tuple(map(sub, free, idle)),
-        accumulate_ops=workload.accumulate_ops * plan.batch_images,
-        multiply_ops=workload.multiply_ops * plan.batch_images,
-        tasks=plan.windows * len(table.group_max),
-        windows=plan.windows,
-        images=plan.batch_images,
-        memory_bytes=window_bytes * plan.windows,
-        engine_busy_cycles=table.engine_total * total_steps,
-        engine_capacity_cycles=table.capacity_total * total_steps,
-    )
+    # The frozen __init__ looks object.__setattr__ up per field; one
+    # __dict__.update would give each result a dict (~0.5 MB RSS a round).
+    result = object.__new__(LayerSimResult)
+    put = object.__setattr__
+    put(result, "layer", workload.spec.name)
+    put(result, "cycles", clock)
+    put(result, "compute_cycles", max(clock, 1))
+    put(result, "memory_stall_cycles", min(sum(idle) // max(n_cu, 1), clock))
+    put(result, "cu_busy_cycles", tuple(map(sub, free, idle)))
+    put(result, "accumulate_ops", workload.accumulate_ops * plan.batch_images)
+    put(result, "multiply_ops", workload.multiply_ops * plan.batch_images)
+    put(result, "tasks", plan.windows * len(table.group_max))
+    put(result, "windows", plan.windows)
+    put(result, "images", plan.batch_images)
+    put(result, "memory_bytes", window_bytes * plan.windows)
+    put(result, "engine_busy_cycles", table.engine_total * total_steps)
+    put(result, "engine_capacity_cycles", table.capacity_total * total_steps)
+    return result

@@ -164,22 +164,25 @@ def plan_layer_windows(spec: LayerSpec, d_f: int, s_ec: int) -> WindowPlan:
     if fits(1, spec.out_cols):
         # Full-width stripes: among feasible stripe heights, pick the one
         # whose pixel count best fills the S_ec vector lanes (ties favour
-        # taller stripes — fewer windows, less control overhead).
+        # taller stripes — fewer windows, less control overhead). Every
+        # multiple of S_ec / gcd(out_cols, S_ec) rows fills all lanes, so
+        # the tallest multiple that fits wins; the heights are scanned only
+        # when none fits (fewer than S_ec rows).
         w_c = spec.out_cols
-        best_w_r, best_eff = 1, lane_efficiency(1, w_c)
-        rows = 1
-        while rows < spec.out_rows and fits(rows + 1, w_c):
-            rows += 1
-            eff = lane_efficiency(rows, w_c)
-            if eff >= best_eff:
-                best_w_r, best_eff = rows, eff
-        w_r = best_w_r
+        row_bytes = channels * new_rows(1) * input_extent(w_c, k, s)
+        tallest = min(spec.out_rows, capacity // row_bytes)
+        fill = s_ec // math.gcd(w_c, s_ec)
+        if tallest >= fill:
+            w_r = tallest - tallest % fill
+        else:
+            # Taller first: max keeps the first of equal efficiencies.
+            heights = range(tallest, 0, -1)
+            w_r = max(heights, key=lambda rows: lane_efficiency(rows, w_c))
     else:
-        # Column tiling at one output row; never below one column.
+        # Column tiling at one output row: the widest tile that fits, and
+        # never below one column.
         w_r = 1
-        w_c = spec.out_cols
-        while w_c > 1 and not fits(1, w_c):
-            w_c -= 1
+        w_c = max(1, (capacity // (channels * s) - k) // s + 1)
         if not fits(w_r, w_c):
             raise ValueError(
                 f"{spec.name}: even a 1x1 output window exceeds the FT-Buffer "

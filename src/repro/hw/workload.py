@@ -140,6 +140,11 @@ class ModelWorkload:
     def multiply_ops(self) -> int:
         return sum(layer.multiply_ops for layer in self.layers)
 
+    @cached_property
+    def column_tables(self) -> Dict[Tuple[int, int], object]:
+        """DSE grid tables by ``(d_f, S_ec)``; ``repro.dse.compiled`` fills it."""
+        return {}
+
     @property
     def dense_ops(self) -> int:
         """Original-model op count that throughput is normalized to."""

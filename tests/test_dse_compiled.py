@@ -10,14 +10,16 @@ contract with the paper workloads and with hypothesis-random synthetic
 ones.
 """
 
+import dataclasses
 import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.specs import conv_spec, fc_spec
-from repro.dse.compiled import compile_workload, steps_total_closed_form
+from repro.dse.compiled import column_tables, compile_workload, plan_columns
 from repro.dse.explorer import (
     best_candidates,
     explore,
@@ -34,6 +36,7 @@ from repro.dse.performance import (
     share_factor_from_workloads,
 )
 from repro.dse.resources import DEFAULT_RESOURCE_MODEL
+from repro.dse import compiled as compiled_module
 from repro.dse.compiled import CompiledWorkload, _compiled
 from repro.dse.explorer import BufferSizing, GridPoint, _buffers
 from repro.dse.resources import ResourceEstimate, ResourceUtilization
@@ -41,7 +44,7 @@ from repro.hw.config import AcceleratorConfig
 from repro.hw.device import STRATIX_V_GXA7
 from repro.hw.tiling import plan_windows
 from repro.hw.device import FPGADevice
-from repro.hw.power import EnergyModel, abm_power_analytic
+from repro.hw.power import EnergyModel, abm_power_analytic, analytic_ddr_bytes
 from repro.hw.tiling import plan_layer_windows
 from repro.hw.workload import ModelWorkload, workload_from_arrays
 from repro.workloads import synthetic_model_workload
@@ -415,8 +418,83 @@ class TestHypothesisDifferential:
 
 
 # ---------------------------------------------------------------------------
-# The closed-form window-step sum vs the reference per-window loop.
+# The array column tables vs the scalar planner, window runs and traffic.
 # ---------------------------------------------------------------------------
+
+
+def assert_columns_match_planner(workload, columns):
+    """Every (layer, column) entry of ``plan_columns`` equals the scalar
+    planner's plan, the vector steps of its window runs, and its DDR
+    bytes; a column is plannable exactly when every layer plans."""
+    plans = plan_columns(workload, [d for d, _ in columns], [s for _, s in columns])
+    assert plans.steps.shape == (len(workload.layers), len(columns))
+    for j, (d_f, s_ec) in enumerate(columns):
+        try:
+            scalar = [
+                plan_layer_windows(layer.spec, d_f, s_ec) for layer in workload.layers
+            ]
+        except ValueError:
+            assert not plans.plannable[j], (d_f, s_ec)
+            continue
+        assert plans.plannable[j], (d_f, s_ec)
+        for i, plan in enumerate(scalar):
+            got = tuple(
+                int(getattr(plans, name)[i, j])
+                for name in (
+                    "window_rows", "window_cols", "g_r", "g_c",
+                    "window_input_bytes", "window_output_bytes", "batch",
+                )
+            )
+            assert got == (
+                plan.window_rows, plan.window_cols, plan.g_r, plan.g_c,
+                plan.window_input_bytes, plan.window_output_bytes,
+                plan.batch_images,
+            ), (plan.layer, d_f, s_ec)
+            runs = plan.window_runs
+            steps = sum(-(-pixels // s_ec) * count for pixels, count in runs)
+            assert plans.steps[i, j] == steps, (plan.layer, d_f, s_ec)
+        config = AcceleratorConfig(n_cu=1, n_knl=1, n_share=1, s_ec=s_ec, d_f=d_f)
+        assert plans.ddr_bytes[j] == analytic_ddr_bytes(workload, config)
+
+
+@st.composite
+def planner_layer(draw, index: int):
+    """A conv layer (stride may exceed the kernel) or an FC layer."""
+    if draw(st.booleans()):
+        spec = fc_spec(
+            f"fc{index}", draw(st.integers(1, 4000)), draw(st.integers(1, 16))
+        )
+        # An FC layer may also read a flattened map.
+        spec = dataclasses.replace(spec, in_rows=draw(st.integers(1, 3)))
+    else:
+        kernel = draw(st.integers(1, 7))
+        spec = conv_spec(
+            f"conv{index}",
+            draw(st.integers(1, 96)),
+            draw(st.integers(1, 8)),
+            kernel,
+            in_rows=draw(st.integers(kernel, 40)),
+            in_cols=draw(st.integers(kernel, 40)),
+            stride=draw(st.integers(1, 8)),
+            padding=draw(st.integers(0, 2)),
+        )
+    nonzeros = draw(
+        st.lists(
+            st.integers(0, spec.weights_per_kernel),
+            min_size=spec.out_channels,
+            max_size=spec.out_channels,
+        )
+    )
+    return workload_from_arrays(spec, nonzeros, [min(n, 3) for n in nonzeros])
+
+
+@st.composite
+def planner_workload(draw):
+    # Eight layers and more: numpy's pairwise sum would reorder the DDR bytes.
+    count = draw(st.integers(1, 10))
+    return ModelWorkload(
+        name="random", layers=tuple(draw(planner_layer(i)) for i in range(count))
+    )
 
 
 class TestStepsClosedForm:
@@ -427,7 +505,8 @@ class TestStepsClosedForm:
 
         workload = synthetic_model_workload(model, seed=1)
         buffers = size_buffers(workload, s_ec)
-        for layer in workload.layers:
+        plans = plan_columns(workload, [buffers.d_f], [s_ec])
+        for index, layer in enumerate(workload.layers):
             plan = plan_layer_windows(layer.spec, buffers.d_f, s_ec)
             expected = 0
             for window_index in range(plan.windows):
@@ -441,9 +520,85 @@ class TestStepsClosedForm:
                     layer.spec.out_cols - col_tile * plan.window_cols,
                 )
                 expected += math.ceil(rows * cols / s_ec)
-            steps, batch = steps_total_closed_form(layer.spec, buffers.d_f, s_ec)
-            assert steps == expected
-            assert batch == plan.batch_images
+            assert plans.steps[index, 0] == expected
+            assert plans.batch[index, 0] == plan.batch_images
+
+
+class TestColumnPlans:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        workload=planner_workload(),
+        columns=st.lists(
+            st.tuples(st.integers(1, 600), st.integers(1, 40)), min_size=1, max_size=8
+        ),
+    )
+    def test_random_columns_match_planner(self, workload, columns):
+        assert_columns_match_planner(workload, columns)
+
+    def test_mixed_batch_on_the_paper_models(self):
+        """Plannable and unplannable columns in one batch."""
+        for model in ("alexnet", "vgg16"):
+            workload = synthetic_model_workload(model, seed=1)
+            columns = [
+                (d_f, s_ec)
+                for d_f in (8, 64, 300, 1568, 3136, 8320)
+                for s_ec in (1, 4, 7, 20, 26, 39)
+            ]
+            plans = plan_columns(workload, *zip(*columns))
+            assert plans.plannable.any() and not plans.plannable.all()
+            assert_columns_match_planner(workload, columns)
+
+    def test_mixed_batch_with_column_tiles(self):
+        """Unplannable, column-tiled, one-row and tall-stripe columns of a
+        wide layer and a stride > kernel layer in one batch."""
+        layers = (
+            workload_from_arrays(
+                conv_spec("wide", 256, 8, 3, in_rows=30, in_cols=30, padding=1),
+                [5] * 8,
+                [2] * 8,
+            ),
+            workload_from_arrays(
+                conv_spec("strided", 3, 8, 2, in_rows=40, in_cols=40, stride=5),
+                [4] * 8,
+                [1] * 8,
+            ),
+        )
+        workload = ModelWorkload(name="mixed", layers=layers)
+        columns = [(1, 1), (100, 20), (500, 20), (4000, 20), (4000, 7)]
+        plans = plan_columns(workload, *zip(*columns))
+        assert plans.plannable.tolist() == [False, True, True, True, True]
+        assert plans.window_cols[0, 1] < 30  # column tiles
+        assert plans.window_rows[0, 2] == 1 and plans.window_rows[0, 3] > 1
+        assert_columns_match_planner(workload, columns)
+
+    def test_non_positive_geometry_plans_nothing(self, alexnet_workload):
+        plans = plan_columns(alexnet_workload, [0, 1568, -1568], [20, 0, -20])
+        assert not plans.plannable.any()
+
+    def test_tables_built_once_shared_by_every_n_and_dropped(self, monkeypatch):
+        workload = synthetic_model_workload("alexnet", seed=11)
+        built = []
+
+        def counting(workload, d_f, s_ec):
+            built.append(list(zip(d_f, s_ec)))
+            return plan_columns(workload, d_f, s_ec)
+
+        monkeypatch.setattr(compiled_module, "plan_columns", counting)
+        for n_share in (2, 4, 8):
+            compile_workload(workload, n_share).evaluate_grid(
+                workload,
+                DEFAULT_RESOURCE_MODEL,
+                n_knl_values=(14,),
+                s_ec_values=(16, 20),
+                n_cu_values=(3,),
+            )
+        keys = [(size_buffers(workload, s).d_f, s) for s in (16, 20)]
+        assert built == [keys]
+        assert list(workload.column_tables) == keys
+        tables = [weakref.ref(workload.column_tables[key]) for key in keys]
+        del workload
+        gc.collect()
+        assert all(table() is None for table in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +731,33 @@ class TestColumnTables:
             )
 
     def test_plannable_matches_the_planner(self, alexnet_workload):
-        compiled = compile_workload(alexnet_workload, 4)
-        for d_f in (16, 256, 4096):
-            for s_ec in (4, 20):
-                try:
-                    for layer in alexnet_workload.layers:
-                        plan_layer_windows(layer.spec, d_f, s_ec)
-                    expected = True
-                except ValueError:
-                    expected = False
-                assert compiled.plannable(d_f, s_ec) is expected
+        columns = [(d_f, s_ec) for d_f in (16, 256, 4096) for s_ec in (4, 20)]
+        for (d_f, s_ec), table in zip(
+            columns, column_tables(alexnet_workload, columns)
+        ):
+            try:
+                for layer in alexnet_workload.layers:
+                    plan_layer_windows(layer.spec, d_f, s_ec)
+                expected = True
+            except ValueError:
+                expected = False
+            assert (table is not None) is expected
+
+    def test_unplannable_column_raises_the_planners_error(self, alexnet_workload):
+        d_f, s_ec = 16, 4
+        with pytest.raises(ValueError) as planner:
+            for layer in alexnet_workload.layers:
+                plan_layer_windows(layer.spec, d_f, s_ec)
+        with pytest.raises(ValueError) as grid:
+            compile_workload(alexnet_workload, 4).evaluate_grid(
+                alexnet_workload,
+                DEFAULT_RESOURCE_MODEL,
+                n_knl_values=(14,),
+                s_ec_values=(s_ec,),
+                n_cu_values=(3,),
+                buffers=[BufferSizing(d_f=d_f, d_w=2048, d_q=128)],
+            )
+        assert str(grid.value) == str(planner.value)
 
 
 class TestCompiledOwnerEviction:

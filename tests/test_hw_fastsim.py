@@ -250,20 +250,26 @@ class TestFastPathExactness:
             n_knl=st.integers(1, 6),
             n_share=st.integers(1, 8),
             s_ec=st.integers(1, 4),
-            d_f=st.integers(4, 40),
         ),
         policy=policies,
         bandwidth=bandwidths,
+        data=st.data(),
     )
-    def test_column_tiles_exact(self, workload, config, policy, bandwidth):
+    def test_column_tiles_exact(self, workload, config, policy, bandwidth, data):
         """A shallow FT-Buffer forces column tiles (g_c > 1, the last tile
         clipped whenever w_c does not divide the width): still exact."""
         spec = workload.spec
         k, s = spec.kernel, spec.stride
-        # Skip draws that do not fit even a 1x1 window, or fit a full row.
-        assume(spec.in_channels * s * k <= config.d_f * config.s_ec)
-        plan = plan_layer_windows(spec, config.d_f, config.s_ec)
-        assume(plan.g_c > 1)
+        # Depths that fit a 1x1 window but not a full row. Drawing them,
+        # rather than filtering random depths, keeps Hypothesis from
+        # rejecting most draws.
+        one = spec.in_channels * s * k
+        row = spec.in_channels * s * ((spec.out_cols - 1) * s + k)
+        low, high = -(-one // config.s_ec), -(-row // config.s_ec) - 1
+        assume(low <= high)
+        d_f = data.draw(st.integers(low, high), label="d_f")
+        config = dataclasses.replace(config, d_f=d_f)
+        assert plan_layer_windows(spec, d_f, config.s_ec).g_c > 1
         fast = simulate_layer(workload, config, _memory(config, bandwidth), policy)
         reference = simulate_layer_reference(
             workload, config, _memory(config, bandwidth), policy
