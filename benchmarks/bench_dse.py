@@ -9,7 +9,8 @@ its device fit). The two must agree exactly, point for point, before any
 timing counts.
 
 ``test_bench_dse_artifact`` writes a ``BENCH_dse.json`` trajectory
-artifact (timings in perfbench reference seconds, speedups, grid sizes,
+artifact (timings in perfbench reference seconds per call, each the
+median over several intervals of repeated calls, speedups, grid sizes,
 Pareto timings, host fingerprint) to the repo root
 so future changes can track DSE performance over time;
 ``test_bench_dse_exhaustive`` adds one ``exhaustive`` row per model:
@@ -24,7 +25,7 @@ import json
 import os
 from pathlib import Path
 
-from refclock import CLOCK_UNIT, best_of, fingerprint, telemetry_section, timed
+from refclock import CLOCK_UNIT, fingerprint, median_per_call, telemetry_section, timed
 
 from repro.dse.explorer import explore, size_buffers, sweep_nknl, sweep_sec_ncu
 from repro.dse.joint_space import default_joint_space, exhaustive_search
@@ -122,10 +123,10 @@ def test_bench_dse_artifact():
             list(compiled_result.grid),
         )
 
-        compiled_s = best_of(lambda: _sweeps(workload, n_share, n_knl), repeats)
-        reference_s = best_of(
-            lambda: _per_point(workload, n_share, n_knl), max(1, repeats - 2)
-        )
+        # The same statistic on both sides of every ratio: a best-of over a
+        # few ~2 ms sweeps read up to 2x apart between runs of one commit.
+        compiled_s = median_per_call(lambda: _sweeps(workload, n_share, n_knl), repeats)
+        reference_s = median_per_call(lambda: _per_point(workload, n_share, n_knl), repeats)
         # Cold compile: what the very first query pays (caches emptied).
         clear_caches()
         cold_s = timed(lambda: explore(workload, STRATIX_V_GXA7))
@@ -139,10 +140,8 @@ def test_bench_dse_artifact():
             n_share=compiled_result.n_share,
         )
         assert pareto_frontier(grid) == pareto_frontier_reference(grid)
-        pareto_s = best_of(lambda: pareto_frontier(grid), repeats)
-        pareto_ref_s = best_of(
-            lambda: pareto_frontier_reference(grid), max(1, repeats - 2)
-        )
+        pareto_s = median_per_call(lambda: pareto_frontier(grid), repeats)
+        pareto_ref_s = median_per_call(lambda: pareto_frontier_reference(grid), repeats)
 
         entry = {
             "layers": len(workload.layers),

@@ -7,6 +7,8 @@ does not read as a regression — and stamp the host fingerprint the
 perfbench results carry.
 """
 
+import gc
+import statistics
 import sys
 from pathlib import Path
 
@@ -39,6 +41,36 @@ def timed(fn, clock=CLOCK) -> float:
 def best_of(fn, repeats: int, clock=CLOCK) -> float:
     """Best-of-``repeats`` reference seconds (min is the least noisy)."""
     return min(timed(fn, clock) for _ in range(repeats))
+
+
+#: Reference seconds :func:`median_per_call` fills each interval with:
+#: longer than the events calibration pass (~28 ms) that scales it.
+INTERVAL_S = 0.05
+
+
+def median_per_call(fn, repeats: int, clock=CLOCK) -> float:
+    """Median over ``repeats`` intervals of reference seconds per call of ``fn``.
+
+    For calls far shorter than the clock's calibration pass.  Each
+    interval runs ``fn`` enough times to last about :data:`INTERVAL_S`,
+    sized by one warm-up interval, so an interval is never a few
+    milliseconds scaled by a pass ten times its length.  A full
+    collection runs before every interval, so a generation-2 collection
+    never lands in an interval or in the calibration pass that scales
+    it; one that did made a best-of read ~25% low.
+    """
+    gc.collect()
+    calls = max(1, round(INTERVAL_S / timed(fn, clock)))
+
+    def batch():
+        for _ in range(calls):
+            fn()
+
+    samples = []
+    for _ in range(repeats):
+        gc.collect()
+        samples.append(timed(batch, clock) / calls)
+    return statistics.median(samples)
 
 
 def fingerprint() -> dict:

@@ -146,6 +146,7 @@ class _FusedStage:
         "sum_bound",
         "datapath",
         "fused_names",
+        "tiles",
     )
 
     def __init__(
@@ -160,6 +161,7 @@ class _FusedStage:
         pool: Optional[MaxPool2D],
         is_fc: bool,
         fused_names: Tuple[str, ...],
+        tiles: int,
     ) -> None:
         self.name = name
         self.plan = plan
@@ -185,6 +187,8 @@ class _FusedStage:
         #: What computes the raw sums: "gemm32", "gemm" or "int64".
         self.datapath = plan.datapath(input_peak, bias_peak)
         self.fused_names = fused_names
+        #: Im2col + GEMM bands per run (see :meth:`LayerPlan.bands`).
+        self.tiles = tiles
 
     def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
         if self.is_fc:
@@ -452,6 +456,7 @@ class ModelPlan:
                     fused.append(pool.name)
                     index += 1
                 out_shape = pool.output_shape(conv_shape) if pool else conv_shape
+                extent = (1, 1) if compiled.is_fc else (shape.rows, shape.cols)
                 stage = _FusedStage(
                     name=name,
                     plan=plan,
@@ -463,6 +468,7 @@ class ModelPlan:
                     pool=pool,
                     is_fc=compiled.is_fc,
                     fused_names=tuple(fused),
+                    tiles=plan.bands(images, *extent).count,
                 )
                 self.stages.append(stage)
                 pixels = images * conv_shape.rows * conv_shape.cols
@@ -529,6 +535,7 @@ class ModelPlan:
                         images=int(codes.shape[0]),
                         fused=",".join(stage.fused_names),
                         datapath=stage.datapath,
+                        tiles=stage.tiles,
                     ):
                         current = stage.run(self.arena, current)
                 else:
@@ -538,13 +545,16 @@ class ModelPlan:
     # ---- reporting -------------------------------------------------------
 
     def describe(self) -> str:
-        """One-line summary for logs and benchmarks."""
-        fused = sum(1 for s in self.stages if isinstance(s, _FusedStage))
+        """One-line summary for logs and benchmarks, with the im2col + GEMM
+        bands of every fused stage."""
+        fused = [s for s in self.stages if isinstance(s, _FusedStage)]
         host = sum(1 for s in self.stages if isinstance(s, _HostStage))
+        tiles = ",".join(f"{s.name}:{s.tiles}" for s in fused)
         return (
             f"model_plan({self.network_name}: {len(self.stages)} stages, "
-            f"{fused} fused, {host} host, batch={self.batch_shape}, "
-            f"codes={self.arena.codes}, arena={self.arena.nbytes / 1e6:.1f} MB)"
+            f"{len(fused)} fused, {host} host, batch={self.batch_shape}, "
+            f"codes={self.arena.codes}, arena={self.arena.nbytes / 1e6:.1f} MB, "
+            f"tiles={tiles})"
         )
 
 

@@ -23,7 +23,14 @@ axis: ``K*K`` contiguous runs of ``C`` feature words, in ``(k, k', n)``
 order.  A conv multiplies it by the ``(K*K*C, M)`` weights, so its
 ``(pixels, M)`` output is already the next layer's channels-last input;
 an FC layer keeps the kernel-major ``W @ x``, which is faster at its
-shapes.  The datapath follows from the input alone, via the bound
+shapes.  A wide conv runs as row bands of about :data:`BAND_PIXELS`
+output pixels — whole output rows of one image, or whole images — the
+way the accelerator streams prefetch windows through its FT-Buffer: each
+band is im2col'd into one reused tile, multiplied straight into its rows
+of the output and biased while still in cache (see :class:`Bands`).  The
+reduction axis stays whole, so every sum is the same exact integer.
+
+The datapath follows from the input alone, via the bound
 ``input_peak * max_weighted_sum + bias_peak`` on every product, every
 partial sum (in any summation order) and the biased total:
 
@@ -47,7 +54,7 @@ plan built on top of these plans — pays compilation and allocation once.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +81,15 @@ _plans = Memo("core.plan", capacity=64)
 _SCRATCH_CAPACITY = 16
 
 _DTYPES = {"gemm32": np.float32, "gemm": np.float64, "int64": np.int64}
+
+#: Output pixels per conv im2col + GEMM band, at most.  Sized by pixels,
+#: not bytes: each band streams the whole weight matrix again, so a band
+#: must be wide enough to amortize it, whatever its patch width.  Float32
+#: on one core: the full-size VGG16 conv3_2 (56x56, 256 channels, one
+#: image) ran 1.29x its untiled time in 1-row bands (56 px) and 0.98x in
+#: 8-row bands (448 px); a 56x56, 32-channel conv at batch 4 took 3.8 ms
+#: in 8-row bands against 5.3 ms untiled.
+BAND_PIXELS = 512
 
 
 class ExactnessError(ValueError):
@@ -103,6 +119,26 @@ def conv_output_hw(rows: int, cols: int, geometry: "ConvGeometry") -> Tuple[int,
     if out_rows < 1 or out_cols < 1:
         raise ValueError("convolution geometry does not fit the input")
     return out_rows, out_cols
+
+
+class Bands(NamedTuple):
+    """How a layer's output splits into im2col + GEMM bands.
+
+    A band is ``images`` whole images, or ``rows`` whole output rows of one
+    image, so its output pixels are one contiguous run of the pixel axis.
+    An FC layer, and a conv with fewer than two bands' worth of output
+    pixels, is one band: the whole batch.
+    """
+
+    images: int
+    rows: int
+    count: int
+
+
+def _even_split(total: int, most: int) -> int:
+    """The smallest chunk that covers ``total`` in as few chunks of at most
+    ``most`` as possible, so the chunks come out as even as they can."""
+    return -(-total // -(-total // most))
 
 
 def _max_weighted_sum(encoded: EncodedLayer) -> int:
@@ -222,6 +258,27 @@ class LayerPlan:
 
     # ---- execution -------------------------------------------------------
 
+    def bands(self, images: int, rows: int, cols: int) -> Bands:
+        """The :class:`Bands` of an ``images x rows x cols`` input batch.
+
+        Bands are even: the fewest that hold at most :data:`BAND_PIXELS`
+        output pixels each, every one but the last the same size.
+        """
+        out_rows, out_cols = conv_output_hw(rows, cols, self.geometry)
+        per_image = out_rows * out_cols
+        if self._is_fc(rows, cols) or images * per_image < 2 * BAND_PIXELS:
+            return Bands(images, out_rows, 1)
+        if per_image > BAND_PIXELS:  # whole rows of one image
+            band_rows = _even_split(out_rows, max(BAND_PIXELS // out_cols, 1))
+            return Bands(1, band_rows, images * -(-out_rows // band_rows))
+        band_images = _even_split(images, BAND_PIXELS // per_image)
+        return Bands(band_images, out_rows, -(-images // band_images))
+
+    def _is_fc(self, rows: int, cols: int) -> bool:
+        """Whether an input of this extent runs as an FC layer (1x1 over 1x1)."""
+        geometry = self.geometry
+        return rows == cols == geometry.kernel == 1 and geometry.padding == 0
+
     def execute(
         self,
         features: np.ndarray,
@@ -246,9 +303,14 @@ class LayerPlan:
         datapath = self.datapath(
             code_peak(batch), 0 if bias_codes is None else code_peak(bias_codes)
         )
+        images, _, rows, cols = batch.shape
         telemetry = get_active()
         with nullcontext() if telemetry is None else telemetry.span(
-            "kernel", layer=self.name, images=int(batch.shape[0]), datapath=datapath
+            "kernel",
+            layer=self.name,
+            images=int(images),
+            datapath=datapath,
+            tiles=self.bands(images, rows, cols).count,
         ):
             raw = self.execute_batch_raw(
                 batch.transpose(0, 2, 3, 1), bias_codes, datapath
@@ -271,7 +333,8 @@ class LayerPlan:
         bias_codes: Optional[np.ndarray],
         datapath: str,
     ) -> np.ndarray:
-        """Run a channels-last (B, H, W, C) batch, one GEMM per channel group.
+        """Run a channels-last (B, H, W, C) batch band by band (see
+        :meth:`bands`), one GEMM per channel group and band.
 
         Returns the biased sums as a (B, R', C', M) view of **plan-owned
         scratch** — float32 on ``gemm32``, float64 on ``gemm``, int64 on
@@ -292,10 +355,11 @@ class LayerPlan:
         out_rows, out_cols = conv_output_hw(rows, cols, geometry)
         pixels = images * out_rows * out_cols
         k, pad, width = geometry.kernel, geometry.padding, self.group_in
-        fc = rows == cols == k == 1 and pad == 0
+        fc = self._is_fc(rows, cols)
         weights = self._weights(dtype, pixel_major=not fc)
         shape = (self.out_channels, pixels) if fc else (pixels, self.out_channels)
         output = self._buffer("output", shape, dtype)
+        bias = None if bias_codes is None else np.asarray(bias_codes, dtype=dtype)
         source = batch
         if pad:  # the halo of the zeroed scratch is never written
             source = self._buffer(
@@ -304,23 +368,35 @@ class LayerPlan:
             np.copyto(source[:, pad:-pad, pad:-pad], batch, casting="same_kind")
         windows = np.lib.stride_tricks.sliding_window_view(source, (k, k), axis=(1, 2))
         windows = windows[:, :: geometry.stride, :: geometry.stride][:, :out_rows, :out_cols]
-        for g in range(geometry.groups):
-            block = slice(g * self.group_out, (g + 1) * self.group_out)
-            patches = self._buffer(("patches", g), (pixels, self.patch_width), dtype)
-            # (B, R', C', n, k, k') -> (B, R', C', k, k', n) in one pass that
-            # also converts to the work dtype.
-            np.copyto(
-                patches.reshape(images, out_rows, out_cols, k, k, width),
-                windows[:, :, :, g * width : (g + 1) * width].transpose(0, 1, 2, 4, 5, 3),
-                casting="same_kind",
-            )
-            if fc:  # kernel-major: about twice as fast as patches @ W.T here
-                np.matmul(weights[block], patches.T, out=output[block])
-            else:
-                np.matmul(patches, weights[:, block], out=output[:, block])
-        if bias_codes is not None:
-            bias = np.asarray(bias_codes, dtype=dtype)
-            output += bias[:, None] if fc else bias
+        band = self.bands(images, rows, cols)
+        tile = self._buffer(
+            "patches", (band.images * band.rows * out_cols, self.patch_width), dtype
+        )
+        start = 0
+        for i in range(0, images, band.images):
+            for r in range(0, out_rows, band.rows):
+                view = windows[i : i + band.images, r : r + band.rows]
+                stop = start + view.shape[0] * view.shape[1] * out_cols
+                patches = tile[: stop - start]
+                sums = output[:, start:stop] if fc else output[start:stop]
+                for g in range(geometry.groups):
+                    block = slice(g * self.group_out, (g + 1) * self.group_out)
+                    # (b, r, C', n, k, k') -> (b, r, C', k, k', n) in one pass
+                    # that also converts to the work dtype.
+                    np.copyto(
+                        patches.reshape(view.shape[:3] + (k, k, width)),
+                        view[:, :, :, g * width : (g + 1) * width].transpose(
+                            0, 1, 2, 4, 5, 3
+                        ),
+                        casting="same_kind",
+                    )
+                    if fc:  # kernel-major: about twice as fast as patches @ W.T here
+                        np.matmul(weights[block], patches.T, out=sums[block])
+                    else:
+                        np.matmul(patches, weights[:, block], out=sums[:, block])
+                if bias is not None:
+                    sums += bias[:, None] if fc else bias
+                start = stop
         return (output.T if fc else output).reshape(images, out_rows, out_cols, -1)
 
 

@@ -8,15 +8,22 @@ itself is anchored to Equation (1), the float :class:`repro.nn.layers.Conv2D`
 layer run on int64 codes.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.abm import ConvGeometry, abm_conv2d, abm_conv2d_reference
+from repro.core.abm import (
+    ConvGeometry,
+    abm_conv2d,
+    abm_conv2d_batch,
+    abm_conv2d_reference,
+)
 from repro.core.encoding import decode_layer, encode_layer
-from repro.core.plan import ExactnessError, compile_layer_plan
+from repro.core.plan import ExactnessError, compile_layer_plan, conv_output_hw
 from repro.core import plan as plan_module
 from repro.telemetry.context import Telemetry, activate
 from tests.conftest import direct_conv, sparse_weight_codes
@@ -139,6 +146,116 @@ class TestRandomLayers:
         ref = abm_conv2d_reference(features, encoded, geometry, bias_codes=bias)
         assert_results_identical(fast, ref)
         assert np.array_equal(ref.output, direct_conv(features, weights, geometry, bias))
+
+
+@st.composite
+def banded_convs(draw):
+    """A conv batch and a band size that splits its output into several
+    bands: whole images or rows of one image, a last band of any size.
+
+    Features are int8-range codes times a tier scale, with one code pinned
+    at -128 and one weight at 127, so the sum bound lands below ``2**24``
+    (float32 GEMM), in ``[2**24, 2**53)`` (float64 GEMM) or in
+    ``[2**53, 2**63)`` (int64 matmul): at most two input channels per
+    group keep ``max_weighted_sum <= 127 * 121 * 2``.
+    """
+    kernel = draw(st.sampled_from([1, 3, 5, 11]))
+    stride = draw(st.sampled_from([1, 2, 4]))
+    padding = draw(st.integers(0, min(2, kernel - 1)))
+    groups = draw(st.sampled_from([1, 2]))
+    images = draw(st.integers(1, 5))
+    out_rows, out_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    # The input that gives this output extent, at least one pixel (a
+    # padded kernel can cover a one-pixel input more than once).
+    rows = max(kernel - 2 * padding + stride * (out_rows - 1), 1)
+    cols = max(kernel - 2 * padding + stride * (out_cols - 1), 1)
+    in_channels = groups * draw(st.integers(1, 2))
+    out_channels = groups * draw(st.integers(1, 2))
+    scale, tier = draw(st.sampled_from([(1, "gemm32"), (2**13, "gemm"), (2**40, "int64")]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (out_channels, in_channels // groups, kernel, kernel)
+    value_range = draw(st.sampled_from([2, 8]))
+    weights = rng.integers(-value_range, value_range + 1, size=shape)
+    weights = weights * (rng.random(shape) < draw(st.floats(0.1, 1.0)))
+    weights[0, 0, 0, 0] = 127
+    unit = rng.integers(-128, 128, size=(images, in_channels, rows, cols))
+    unit[0, 0, 0, 0] = -128
+    bias = rng.integers(-500, 500, size=out_channels) if draw(st.booleans()) else None
+    geometry = ConvGeometry(kernel=kernel, stride=stride, padding=padding, groups=groups)
+    out_rows, out_cols = conv_output_hw(rows, cols, geometry)
+    band = draw(st.integers(1, max(1, images * out_rows * out_cols // 2)))
+    return weights.astype(np.int64), unit * scale, bias, geometry, band, tier
+
+
+class TestBands:
+    """The conv band loop: one tile per ~BAND_PIXELS output pixels."""
+
+    @given(conv=banded_convs())
+    @settings(max_examples=150, deadline=None)
+    def test_banded_conv_matches_reference(self, conv):
+        """Several bands — rows of one image, or whole images, a short last
+        band — on every datapath: outputs and op counts equal the literal
+        two-stage loop run image by image."""
+        weights, features, bias, geometry, band, tier = conv
+        encoded = encode_layer("banded", weights)
+        plan = compile_layer_plan(encoded, geometry)
+        images, _, rows, cols = features.shape
+        bias_peak = 0 if bias is None else int(np.abs(bias).max())
+        assert plan.datapath(int(np.abs(features).max()), bias_peak) == tier
+        with mock.patch.object(plan_module, "BAND_PIXELS", band):
+            bands = plan.bands(images, rows, cols)
+            fast = abm_conv2d_batch(features, encoded, geometry, bias_codes=bias)
+        refs = [
+            abm_conv2d_reference(image, encoded, geometry, bias_codes=bias)
+            for image in features
+        ]
+        assert fast.output.dtype == np.int64
+        assert np.array_equal(fast.output, np.stack([r.output for r in refs]))
+        assert fast.accumulate_ops == sum(r.accumulate_ops for r in refs)
+        assert fast.multiply_ops == sum(r.multiply_ops for r in refs)
+        out_rows = fast.output.shape[2]
+        assert bands.count == -(-images // bands.images) * -(-out_rows // bands.rows)
+        assert bands.images == 1 or bands.rows == out_rows
+
+    @pytest.mark.parametrize(
+        "images,side,expected",
+        [
+            (4, 56, (1, 8, 28)),  # 56x56: 8-row bands of 448 px, 7 per image
+            (4, 28, (1, 14, 8)),  # 28x28: two 392 px bands per image
+            (4, 14, (4, 14, 1)),  # 784 px in all: under two bands, one tile
+            (8, 14, (2, 14, 4)),  # 196 px images: two whole images per band
+            (1, 37, (1, 13, 3)),  # 37x37: bands of 13, 13 and 11 rows
+        ],
+    )
+    def test_band_shapes(self, rng, images, side, expected):
+        encoded = encode_layer("b", sparse_weight_codes(rng, shape=(4, 3, 3, 3)))
+        plan = compile_layer_plan(encoded, ConvGeometry(kernel=3, padding=1))
+        assert tuple(plan.bands(images, side, side)) == expected
+
+    def test_fc_is_one_band(self, rng):
+        encoded = encode_layer("fc", sparse_weight_codes(rng, shape=(10, 32, 1, 1)))
+        plan = compile_layer_plan(encoded, ConvGeometry(kernel=1))
+        assert plan.bands(4 * plan_module.BAND_PIXELS, 1, 1).count == 1
+
+    def test_scratch_holds_one_tile_not_the_patch_matrix(self, rng):
+        """A many-band conv keeps one tile of patches: its scratch stays under
+        that tile plus its output and padded input, far below the whole-batch
+        patch matrix."""
+        weights = sparse_weight_codes(rng, shape=(16, 16, 3, 3))
+        encoded = encode_layer("wide", weights)
+        geometry = ConvGeometry(kernel=3, padding=1)
+        plan = compile_layer_plan(encoded, geometry)
+        features = rng.integers(-128, 128, size=(3, 16, 48, 48))
+        abm_conv2d_batch(features, encoded, geometry)
+        bands = plan.bands(3, 48, 48)
+        assert bands.count >= 12
+        item = np.dtype(np.float32).itemsize
+        tile = bands.images * bands.rows * 48 * plan.patch_width * item
+        output = 3 * 48 * 48 * 16 * item
+        padded = 3 * 50 * 50 * 16 * item
+        scratch = sum(buffer.nbytes for buffer in plan._scratch.values())
+        assert scratch <= tile + output + padded
+        assert scratch < 3 * 48 * 48 * plan.patch_width * item
 
 
 class TestExactness:

@@ -40,7 +40,9 @@ from repro.nn.models import (
     ReLUDef,
     SoftmaxDef,
 )
+from repro.nn.models import get_architecture
 from repro.pipeline import QuantizedPipeline
+from repro.prune.schedules import deep_compression_schedule
 from repro.telemetry.context import Telemetry, activate
 
 @pytest.fixture(params=["sparse", "float64", "fallback"])
@@ -201,6 +203,20 @@ class TestDifferential:
         pipeline = build_pipeline(arch, rng)
         images = rng.standard_normal(
             (batch, arch.input_channels, arch.input_rows, arch.input_cols)
+        )
+        assert_batches_identical(
+            pipeline.run_batch(images), pipeline.run_batch_reference(images)
+        )
+
+    @pytest.mark.parametrize("arch_name", sorted(ARCHITECTURES))
+    def test_architecture_sweep_in_bands(self, rng, monkeypatch, datapath, arch_name):
+        """Every conv of both paths runs as many 5-pixel bands, so pooled,
+        host and FC stages read sums written band by band."""
+        monkeypatch.setattr(plan_module, "BAND_PIXELS", 5)
+        arch = ARCHITECTURES[arch_name]
+        pipeline = build_pipeline(arch, rng)
+        images = rng.standard_normal(
+            (3, arch.input_channels, arch.input_rows, arch.input_cols)
         )
         assert_batches_identical(
             pipeline.run_batch(images), pipeline.run_batch_reference(images)
@@ -744,6 +760,27 @@ class TestTelemetrySpans:
         fused_attrs = {span["attrs"]["fused"] for span in kernel_spans}
         assert "c1,r1,p1" in fused_attrs
         assert {span["attrs"]["datapath"] for span in kernel_spans} == {"gemm32"}
+        assert {span["attrs"]["tiles"] for span in kernel_spans} == {1}
+
+    def test_kernel_spans_count_bands(self, rng, monkeypatch):
+        """``tiles=`` on the fused and the per-layer kernel spans is the
+        stage's band count, fixed when the plan compiles."""
+        monkeypatch.setattr(plan_module, "BAND_PIXELS", 16)
+        pipeline = build_pipeline(ARCHITECTURES["conv_relu_pool"], rng)
+        images = rng.standard_normal((2, 3, 12, 12))
+        telemetry = Telemetry()
+        with activate(telemetry):
+            pipeline.run_batch(images)
+            pipeline.run_batch_reference(images)
+        spans = list(telemetry.tracer.roots)
+        spans += [child for span in spans if span.name == "layer" for child in span.children]
+        tiles = [
+            (span.attrs["layer"], span.attrs["tiles"], "fused" in span.attrs)
+            for span in spans
+            if span.name == "kernel"
+        ]
+        # c1: 2 images x 12 rows of 12 px, 1-row bands; fc: one band.
+        assert tiles == [("c1", 24, True), ("fc", 1, True), ("c1", 24, False), ("fc", 1, False)]
 
     def test_silent_without_active_telemetry(self, rng):
         arch = ARCHITECTURES["conv_relu_pool"]
@@ -752,3 +789,26 @@ class TestTelemetrySpans:
         telemetry = Telemetry()
         pipeline.run_batch(images)  # no active context: must not record
         assert telemetry.tracer.totals() == {}
+
+
+class TestBands:
+    def test_infer_vgg16_band_counts(self):
+        """The benchmark's VGG16 (half width, quarter resolution, batch 4):
+        conv1_x and conv2_x take the band loop, conv3_x to conv5_x and the
+        FC layers run as one tile."""
+        network = get_architecture("vgg16").build(scale=0.5, seed=0, spatial_scale=0.25)
+        pipeline = QuantizedPipeline(network)
+        pipeline.prune(deep_compression_schedule("vgg16").densities)
+        rng = np.random.default_rng(1)
+        pipeline.calibrate(rng.standard_normal(network.input_shape.as_tuple()))
+        pipeline.quantize()
+        plan = compile_model_plan(pipeline, (4,) + network.input_shape.as_tuple())
+        tiles = {s.name: s.tiles for s in plan.stages if isinstance(s, _FusedStage)}
+        assert len(tiles) == 16
+        assert {name: n for name, n in tiles.items() if n != 1} == {
+            "conv1_1": 28,
+            "conv1_2": 28,
+            "conv2_1": 8,
+            "conv2_2": 8,
+        }
+        assert "tiles=conv1_1:28,conv1_2:28,conv2_1:8,conv2_2:8,conv3_1:1," in plan.describe()
