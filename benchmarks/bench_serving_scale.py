@@ -10,16 +10,16 @@ fingerprint; the wall-time bars below are checked on wall seconds.
 Two measurements, one artifact (``BENCH_serving_scale.json``):
 
 - **scale**: >= 1,000,000 simulated requests pushed through the
-  event-driven engine (windowed batching, 16 instances) in well under
+  event-driven engine (continuous batching, 16 instances) in well under
   the 30 s acceptance bar — the wall-clock claim behind replacing the
   wall-clock thread loop with a virtual clock.
 - **load curve**: p50/p99/p999 latency versus offered load for two SLO
-  classes under continuous batching, at sub-saturation, near-saturation
-  and overload points. The percentiles come straight from the telemetry
-  registry's histograms (identical nearest-rank arithmetic to
-  ``ServeStats``), which is the p99-vs-offered-load story PR 5's
-  instruments were built for; the overload point also exercises
-  admission control, so rejection counts land in the artifact too.
+  classes, at sub-saturation, near-saturation and overload points. The
+  percentiles come straight from the telemetry registry's histograms
+  (identical nearest-rank arithmetic to ``ServeStats``), which is the
+  p99-vs-offered-load story the telemetry instruments were built for;
+  the overload point also exercises admission control, so rejection
+  counts land in the artifact too.
 
 Quick mode for CI (``REPRO_BENCH_QUICK=1``): >= 100k total simulated
 requests with a 60 s bar.
@@ -56,7 +56,7 @@ ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_serving_scale.json"
 MODEL = "cifarnet"
 DENSITY = 0.4
 INSTANCES = 16
-POLICY = BatchPolicy(max_batch=16, max_wait_s=4e-3)
+POLICY = BatchPolicy(max_batch=16)
 SLO_MIX = {"latency-sensitive": 0.6, "best-effort": 0.4}
 
 SCALE_REQUESTS = 120_000 if QUICK else 1_000_000
@@ -127,7 +127,6 @@ def test_bench_serving_scale_artifact(profile, seed):
             "host_ms": profile.host_s * 1e3,
             "instances": INSTANCES,
             "max_batch": POLICY.max_batch,
-            "max_wait_ms": POLICY.max_wait_s * 1e3,
             "fleet_capacity_rps": round(capacity, 1),
         },
     }
@@ -153,7 +152,7 @@ def test_bench_serving_scale_artifact(profile, seed):
     )
     report["scale"] = {
         "engine": "events",
-        "batching": "windows",
+        "batching": "continuous",
         "requests": SCALE_REQUESTS,
         "ref_s": round(ref_s, 3),
         "us_per_request": round(ref_s / SCALE_REQUESTS * 1e6, 3),
@@ -181,7 +180,6 @@ def test_bench_serving_scale_artifact(profile, seed):
             POLICY,
             classes=_classes(overloaded),
             instances=INSTANCES,
-            continuous=True,
             telemetry=telemetry,
             record_spans=False,
             collect_records=False,

@@ -274,7 +274,6 @@ def _check_serve_args(args: argparse.Namespace) -> None:
         (args.workers >= 1, "--workers must be >= 1"),
         (args.requests >= 1, "--requests must be >= 1"),
         (args.max_batch >= 1, "--max-batch must be >= 1"),
-        (args.max_wait_ms >= 0, "--max-wait-ms cannot be negative"),
         (0 < args.rate < float("inf"), "--rate must be positive and finite"),
         (0 <= args.best_effort < 1, "--best-effort must be in [0, 1)"),
         (args.queue_limit is None or args.queue_limit >= 1,
@@ -298,8 +297,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     from .pipeline import QuantizedPipeline
     from .prune.schedules import uniform_schedule
     from .runtime import SystemRuntime
-    from .serve.batcher import BatchPolicy
-    from .serve.events import EventDrivenSimulator, SLOClass
+    from .serve.events import BatchPolicy, EventDrivenSimulator, SLOClass
     from .serve.fleet import AutoscalePolicy, ServiceProfile
     from .serve.loadgen import make_trace
     from .workloads.images import natural_image
@@ -320,9 +318,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     runtime = SystemRuntime.from_pipeline(
         pipeline, architecture.accelerated_specs(), device
     )
-    policy = BatchPolicy(
-        max_batch=args.max_batch, max_wait_s=args.max_wait_ms * 1e-3
-    )
+    policy = BatchPolicy(max_batch=args.max_batch)
     telemetry = None
     if args.metrics_out:
         from .telemetry.context import Telemetry
@@ -334,8 +330,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         "accelerator instance(s)"
     )
     print(
-        f"policy:          max batch {policy.max_batch}, "
-        f"max wait {args.max_wait_ms:g} ms, "
+        f"policy:          max batch {policy.max_batch} (continuous lanes), "
         f"offered load {args.rate:g} req/s ({args.trace})"
     )
     slo_mix = {"latency-sensitive": 1.0}
@@ -364,13 +359,10 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         policy,
         classes=classes,
         instances=args.workers,
-        continuous=args.continuous,
         autoscale=autoscale,
         telemetry=telemetry,
     )
     report = engine.run_trace(trace)
-    if args.continuous:
-        print("batching:        continuous (in-flight admission)")
     if report.scale_events:
         print(
             f"autoscaling:     {len(report.scale_events)} decision(s), "
@@ -607,12 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--trace", choices=("poisson", "uniform", "diurnal",
                                            "burst"),
                        default="poisson", help="arrival process")
-    p_srv.add_argument("--max-batch", type=int, default=8)
-    p_srv.add_argument("--max-wait-ms", type=float, default=0.2,
-                       help="dynamic batcher deadline")
-    p_srv.add_argument("--continuous", action="store_true",
-                       help="continuous batching: admit requests into "
-                            "in-flight batches")
+    p_srv.add_argument("--max-batch", type=int, default=8,
+                       help="stream lanes per instance (continuous "
+                            "batching)")
     p_srv.add_argument("--best-effort", type=float, default=0.0,
                        help="fraction of requests in a lower-priority "
                             "best-effort SLO class")

@@ -1,57 +1,45 @@
-"""Event-driven, virtual-clock serving simulator.
+"""Event-driven, virtual-clock serving simulator with continuous batching.
 
 This is the serving engine behind ``serve-sim``: a priority-queue event
 loop over *virtual* time that pushes millions of simulated requests
 through in seconds of wall time. It is a pure timing simulator —
 instances are :class:`repro.serve.fleet.ServiceProfile` records, not live
-pipelines — and it is **differentially pinned** against the offline
-oracle :func:`repro.serve.batcher.form_batches` +
-:func:`repro.serve.batcher.dispatch_batches`: with one SLO class,
-windowed batching and no autoscaling, per-request latencies and batch
-compositions are *exactly* (float-for-float) equal
-(``tests/test_serve_events.py``).
+pipelines — and it is **differentially pinned** against a test-local
+reference that takes the literal full-scan argmin for every admission
+(``_continuous_reference`` in ``tests/test_serve_events.py``): every
+outcome, stream run and busy time is float-for-float equal.
+
+Each instance is a pipelined stream of the paper's two-stage CPU/FPGA
+system (Section 6.1) with ``max_batch`` lanes. Queued requests are
+admitted *into the in-flight stream* whenever a lane frees up. An
+admitted request finishes at ``max(now + fill, tail + step)``: either it
+refills a drained pipeline or it slots in behind the last scheduled
+image.
 
 Event kinds, in tie-break order at equal virtual times:
 
-1. ``FINISH`` — an instance completes a batch (windows mode) or a lane
-   frees (continuous mode); waiting work dispatches immediately.
-   Continuous lanes finish lazily: each instance keeps its lanes'
-   ``(finish_s, seq)`` in admission order, and at an ARRIVAL or SCALE a
-   lane with ``finish_s <= now`` is free, since FINISH ranks first. Only
-   while requests wait (every lane busy) does each instance's first lane
+1. ``FINISH`` — a lane frees; a waiting request takes it at once. Lanes
+   finish lazily: each instance keeps its lanes' ``(finish_s, seq)`` in
+   admission order, and at an ARRIVAL or SCALE a lane with
+   ``finish_s <= now`` is free, since FINISH ranks first. Only while
+   requests wait (every lane busy) does each instance's first lane
    become a FINISH event, with the ``seq`` of its admission, so lanes
    that free at the same instant still free one at a time, in admission
    order, with an admission after each; freeing them together would
    change picks.
 2. ``ARRIVAL`` — a request arrives; admission control may reject it,
-   otherwise it joins its SLO class's open batch (windows mode) or queue
-   (continuous mode). An arrival into an empty continuous queue is
-   admitted directly. Arrivals are walked straight off the sorted trace
-   array, so they never enter the heap.
-3. ``SEAL`` — a batching window expires (``max_wait_s`` after the oldest
-   member arrived); processed after same-instant arrivals so a request
-   arriving exactly at the deadline still joins, matching
-   :func:`repro.serve.batcher.form_batches`.
-4. ``SCALE`` — the autoscaler evaluates its policy.
+   otherwise it joins its SLO class's queue. An arrival into an empty
+   queue is admitted directly. Arrivals are walked straight off the
+   sorted trace array, so they never enter the heap.
+3. ``SCALE`` — the autoscaler evaluates its policy.
 
-Batching modes:
-
-- **windows** (default, oracle-equivalent): a batch seals when full
-  (``max_batch``) or at its window deadline, then dispatches whole to the
-  earliest-free instance.
-- **continuous**: no windows — each instance is a pipelined stream, and
-  queued requests are admitted *into the in-flight batch* whenever a
-  stream lane (``max_batch`` of them) frees up. An admitted request
-  finishes at ``max(now + fill, tail + step)``: either it refills a
-  drained pipeline or it slots in behind the last scheduled image.
-
-Both picks break ties to the lowest instance id. ``Fleet.active`` is in
-ascending id order, so each pick is one upward walk that keeps only a
-strictly earlier candidate. The continuous walk stops at the first
-drained instance (``tail + step <= now + fill``): it finishes at
-``now + fill``, the least possible. The virtual time is a local of the
-event loop, written back to :attr:`EventDrivenSimulator.clock` once per
-trace, at the later of the last event and the last finish.
+The pick breaks ties to the lowest instance id. ``Fleet.active`` is in
+ascending id order, so the pick is one upward walk that keeps only a
+strictly earlier candidate, and stops at the first drained instance
+(``tail + step <= now + fill``): it finishes at ``now + fill``, the
+least possible. The virtual time is a local of the event loop, written
+back to :attr:`EventDrivenSimulator.clock` once per trace, at the later
+of the last event and the last finish.
 
 SLO classes are served strictly by priority; per-class ``queue_limit``
 gives admission control, and rejected requests surface in the report,
@@ -66,12 +54,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry.context import Telemetry
 from ..telemetry.spans import VirtualClock
-from .batcher import BatchPolicy
 from .fleet import AutoscalePolicy, Fleet, Instance, ScaleEvent, ServiceProfile
 from .loadgen import LoadTrace
 from .stats import Rejection, ServeStats
 
 __all__ = [
+    "BatchPolicy",
     "DEFAULT_SLO",
     "EventBatch",
     "EventDrivenSimulator",
@@ -81,8 +69,28 @@ __all__ = [
 ]
 
 # Tie-break ranks of same-instant events (see module docstring).
-_FINISH, _ARRIVAL, _SEAL, _SCALE = 0, 1, 2, 3
+_FINISH, _ARRIVAL, _SCALE = 0, 1, 2
 _NEVER = float("inf")
+
+
+@dataclass(frozen=True)
+class BatchPolicy:
+    """Continuous-batching knobs: ``max_batch`` lanes per instance.
+
+    ``max_wait_s`` is validated but never read by the engine: it was the
+    deadline of the removed windows batching mode. The ``serve``
+    benchmark workload still passes it, so removing the field waits for a
+    change to the benchmark.
+    """
+
+    max_batch: int = 8
+    max_wait_s: float = 0.005
+
+    def __post_init__(self) -> None:
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if self.max_wait_s < 0:
+            raise ValueError("max_wait_s cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -92,25 +100,21 @@ class SLOClass:
     ``priority`` orders dispatch (lower = more latency-sensitive, served
     first); ``queue_limit`` bounds the class's admitted-but-unstarted
     requests (admission control — arrivals beyond it are rejected with
-    reason ``"queue_full"``); ``max_wait_s`` optionally overrides the
-    batch policy's window deadline for this class;
-    ``target_latency_s`` is the SLO target reported alongside the
-    measured percentiles (it does not change scheduling).
+    reason ``"queue_full"``); ``target_latency_s`` is the SLO target
+    reported alongside the measured percentiles (it does not change
+    scheduling).
     """
 
     name: str
     priority: int = 0
     target_latency_s: Optional[float] = None
     queue_limit: Optional[int] = None
-    max_wait_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("an SLO class needs a name")
         if self.queue_limit is not None and self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1 (or None)")
-        if self.max_wait_s is not None and self.max_wait_s < 0:
-            raise ValueError("max_wait_s cannot be negative")
         if self.target_latency_s is not None and self.target_latency_s <= 0:
             raise ValueError("target_latency_s must be positive")
 
@@ -124,6 +128,8 @@ class EventOutcome:
 
     The per-request record :class:`repro.serve.stats.ServeStats` reads;
     the engine carries no payloads, so there is no output tensor.
+    ``batch_id`` and ``batch_size`` name the request's stream run, and
+    ``close_s`` and ``start_s`` are both its admission time.
     """
 
     request_id: int
@@ -138,13 +144,8 @@ class EventOutcome:
 
     @property
     def queue_wait_s(self) -> float:
-        """Time from arrival until the batch starts on an instance."""
+        """Time from arrival until admission into a lane."""
         return self.start_s - self.arrival_s
-
-    @property
-    def service_s(self) -> float:
-        """Time the batch occupied its instance."""
-        return self.finish_s - self.start_s
 
     @property
     def latency_s(self) -> float:
@@ -154,7 +155,8 @@ class EventOutcome:
 
 @dataclass(frozen=True)
 class EventBatch:
-    """Dispatch record of one batch (windows) or stream run (continuous)."""
+    """Record of one stream run: an instance's stretch of back-to-back
+    lane admissions, from the first admission to the last finish."""
 
     batch_id: int
     worker_id: int
@@ -183,8 +185,6 @@ class EventReport:
     busy_seconds: Dict[int, float]
     dense_ops_per_image: int
     records_collected: bool
-    #: Continuous batching: ``batches`` holds stream runs.
-    continuous: bool = False
 
     @property
     def rejected(self) -> int:
@@ -207,26 +207,19 @@ class EventReport:
             dense_ops_per_image=self.dense_ops_per_image,
             rejections=self.rejections,
             busy_seconds=self.busy_seconds,
-            continuous=self.continuous,
         )
 
 
 class _ClassState:
     """Mutable per-SLO-class serving state (internal)."""
 
-    __slots__ = ("open", "open_seq", "queue", "queue_head", "pending",
-                 "max_wait_s", "limit", "priority", "name")
+    __slots__ = ("queue", "queue_head", "pending", "limit", "priority", "name")
 
-    def __init__(self, slo: SLOClass, max_wait_s: float) -> None:
+    def __init__(self, slo: SLOClass) -> None:
         self.name = slo.name
         self.priority = slo.priority
         self.limit = slo.queue_limit
-        self.max_wait_s = (
-            slo.max_wait_s if slo.max_wait_s is not None else max_wait_s
-        )
-        self.open: List[Tuple[int, float]] = []  # windows: open batch
-        self.open_seq = 0  # generation counter invalidating stale SEALs
-        self.queue: List[Tuple[int, float]] = []  # continuous: FIFO queue
+        self.queue: List[Tuple[int, float]] = []  # FIFO of (rid, arrival)
         self.queue_head = 0  # pop index (amortized O(1) FIFO on a list)
         self.pending = 0  # admitted but not yet started
 
@@ -240,7 +233,7 @@ class EventDrivenSimulator:
         policy: BatchPolicy,
         classes: Sequence[SLOClass] = (DEFAULT_SLO,),
         instances: int = 1,
-        continuous: bool = False,
+        continuous: bool = True,
         autoscale: Optional[AutoscalePolicy] = None,
         telemetry: Optional[Telemetry] = None,
         record_spans: bool = True,
@@ -249,7 +242,13 @@ class EventDrivenSimulator:
         """``collect_records=False`` skips per-request outcome/batch
         materialization (fleet-scale runs keep only aggregate latencies
         and the telemetry instruments); ``record_spans=False`` keeps the
-        metrics registry wiring but skips the per-batch span tree."""
+        metrics registry wiring but skips the per-run span tree.
+        ``continuous`` accepts only ``True``, the one batching mode."""
+        if not continuous:
+            raise ValueError(
+                "windows batching was removed; continuous batching is the "
+                "only mode (continuous=True)"
+            )
         if instances < 1:
             raise ValueError("need at least one instance")
         if not classes:
@@ -268,7 +267,6 @@ class EventDrivenSimulator:
         self.policy = policy
         self.classes = tuple(classes)
         self.instances = instances
-        self.continuous = continuous
         self.autoscale = autoscale
         self.telemetry = telemetry
         self.record_spans = record_spans
@@ -303,21 +301,16 @@ class EventDrivenSimulator:
         fill = profile.fill_s
         step = profile.step_s
         max_batch = self.policy.max_batch
-        continuous = self.continuous
         collect = self.collect_records
         fleet = Fleet(profile, self.instances)
         active = fleet.active  # ascending ids; spawn/retire edit it in place
-        states = [
-            _ClassState(slo, self.policy.max_wait_s) for slo in self.classes
-        ]
+        states = [_ClassState(slo) for slo in self.classes]
         by_priority = sorted(
             range(len(states)), key=lambda i: (states[i].priority, i)
         )
 
-        heap: List[tuple] = []  # (time, rank, seq, a, b)
+        heap: List[tuple] = []  # (time, rank, seq, instance or None)
         seq = 0
-        dispatch: List[tuple] = []  # (priority, close_s, bseq, cls, members)
-        bseq = 0
         next_batch_id = 0
         # The virtual clock lives in this local between events and is
         # written back to ``self.clock`` once, after the last event.
@@ -340,73 +333,15 @@ class EventDrivenSimulator:
         wait_all: List[float] = []
         last_finish_s = arrivals[0] if n else 0.0
         first_arrival_s = arrivals[0] if n else 0.0
-        # Batch traces; continuous mode finalizes stream runs at the end.
-        batch_rows: List[list] = []  # [id, worker, cls, size, close, start, finish]
-        # Continuous: instance id -> the row of its open stream run.
+        # Stream runs: [id, worker, cls, size, close, start, finish].
+        batch_rows: List[list] = []
+        # Instance id -> the row of its open stream run.
         open_run: Dict[int, list] = {}
 
         def more_work() -> bool:
             return i < n or queued > 0 or last_finish_s > now
 
-        # ---- windows mode helpers ----------------------------------
-
-        def seal(cls: int, close_s: float) -> None:
-            nonlocal bseq
-            state = states[cls]
-            members = state.open
-            state.open = []
-            state.open_seq += 1
-            heappush(dispatch, (state.priority, close_s, bseq, cls, members))
-            bseq += 1
-            try_dispatch()
-
-        def try_dispatch() -> None:
-            nonlocal seq, next_batch_id, queued, last_finish_s
-            while dispatch:
-                # Earliest-free instance, lowest id on ties: an ascending-id
-                # walk that keeps only a strictly earlier one.
-                worker = None
-                for w in active:
-                    if w.available_s <= now and (
-                        worker is None or w.available_s < worker.available_s
-                    ):
-                        worker = w
-                if worker is None:
-                    return
-                _, close_s, _, cls, members = heappop(dispatch)
-                size = len(members)
-                # Same expression as batcher.dispatch_batches, so start
-                # and finish are float-identical on the restricted config.
-                start_s = max(close_s, worker.available_s)
-                finish_s = start_s + profile.batch_seconds(size)
-                worker.available_s = finish_s
-                worker.busy_s += finish_s - start_s
-                worker.batches += 1
-                batch_id = next_batch_id
-                next_batch_id += 1
-                states[cls].pending -= size
-                queued -= size
-                heappush(heap, (finish_s, _FINISH, seq, worker, None))
-                seq += 1
-                latencies = lat_by_class[cls]
-                for _, arrival in members:
-                    latencies.append(finish_s - arrival)
-                    wait_all.append(start_s - arrival)
-                if finish_s > last_finish_s:
-                    last_finish_s = finish_s
-                if collect:
-                    worker_id = worker.instance_id
-                    batch_rows.append(
-                        [batch_id, worker_id, cls, size,
-                         close_s, start_s, finish_s]
-                    )
-                    records.extend(
-                        (rid, cls, worker_id, batch_id,
-                         arrival, close_s, start_s, finish_s)
-                        for rid, arrival in members
-                    )
-
-        # ---- continuous mode helpers -------------------------------
+        # ---- admission ---------------------------------------------
 
         def pick() -> Optional[Instance]:
             """The instance a request admitted now goes to, or None.
@@ -497,7 +432,7 @@ class EventDrivenSimulator:
                 if not w.armed:
                     w.armed = True
                     finish_s, lane_seq = w.lanes[0]
-                    heappush(heap, (finish_s, _FINISH, lane_seq, w, None))
+                    heappush(heap, (finish_s, _FINISH, lane_seq, w))
 
         # ---- autoscaling -------------------------------------------
 
@@ -542,26 +477,22 @@ class EventDrivenSimulator:
                             reason="idle instance, empty queue",
                         )
                     )
-            # Always retry dispatch: an instance may have just left its
-            # startup delay with no FINISH/SEAL event pending to kick it.
-            if continuous:
-                while queued:
-                    w = pick()
-                    if w is None:
-                        arm()
-                        break
-                    book(w, *dequeue())
-            else:
-                try_dispatch()
+            # Always retry admission: an instance may have just left its
+            # startup delay with no FINISH event pending to kick it.
+            while queued:
+                w = pick()
+                if w is None:
+                    arm()
+                    break
+                book(w, *dequeue())
             if more_work() or fleet.size > policy.min_instances:
                 heappush(
-                    heap,
-                    (now + policy.check_interval_s, _SCALE, seq, None, None),
+                    heap, (now + policy.check_interval_s, _SCALE, seq, None)
                 )
                 seq += 1
 
         if self.autoscale is not None and n:
-            heappush(heap, (first_arrival_s, _SCALE, seq, None, None))
+            heappush(heap, (first_arrival_s, _SCALE, seq, None))
             seq += 1
 
         # ---- main loop ---------------------------------------------
@@ -570,30 +501,23 @@ class EventDrivenSimulator:
             # A heap event goes before arrival i when it is earlier, or a
             # FINISH at the same instant (arrivals never enter the heap).
             if heap and heap[0] < (arrivals[i] if i < n else _NEVER, _ARRIVAL):
-                time_s, rank, _, a, b = heappop(heap)
+                time_s, rank, _, w = heappop(heap)
                 if time_s > now:
                     now = time_s
                 if rank == _FINISH:
-                    if continuous:
-                        # Only armed lanes finish here, and only while every
-                        # lane is busy: the lane that frees takes the next
-                        # queued request. Equal-time lanes of other
-                        # instances have later seqs and free after it.
-                        a.lanes.popleft()
-                        if queued:
-                            book(a, *dequeue())
-                        if queued:
-                            finish_s, lane_seq = a.lanes[0]
-                            heappush(heap, (finish_s, _FINISH, lane_seq, a, None))
-                        else:
-                            a.armed = False
+                    # Only armed lanes finish here, and only while every
+                    # lane is busy: the lane that frees takes the next
+                    # queued request. Equal-time lanes of other instances
+                    # have later seqs and free after it.
+                    w.lanes.popleft()
+                    if queued:
+                        book(w, *dequeue())
+                    if queued:
+                        finish_s, lane_seq = w.lanes[0]
+                        heappush(heap, (finish_s, _FINISH, lane_seq, w))
                     else:
-                        try_dispatch()
-                elif rank == _SEAL:
-                    cls = a
-                    if b == states[cls].open_seq and states[cls].open:
-                        seal(cls, time_s)
-                elif rank == _SCALE:
+                        w.armed = False
+                else:
                     scale_check()
                 continue
             # Arrival i.
@@ -615,7 +539,7 @@ class EventDrivenSimulator:
                     )
                 )
                 continue
-            if continuous and not queued:
+            if not queued:
                 # An arrival into an empty queue is admitted directly.
                 max_queued = max_queued or 1
                 w = pick()
@@ -626,25 +550,12 @@ class EventDrivenSimulator:
             queued += 1
             if queued > max_queued:
                 max_queued = queued
-            if continuous:
-                # Requests wait only while every lane is busy, and only a
-                # FINISH can free one: arm() when the wait begins.
-                state.queue.append((rid, t))
-                if queued == 1:
-                    arm()
-            else:
-                state.open.append((rid, t))
-                if len(state.open) == 1:
-                    state.open_seq += 1
-                    heappush(
-                        heap,
-                        (t + state.max_wait_s, _SEAL, seq, cls,
-                         state.open_seq),
-                    )
-                    seq += 1
-                if len(state.open) >= max_batch:
-                    seal(cls, t)
-        # Continuous lanes that finished with an empty queue had no event.
+            # Requests wait only while every lane is busy, and only a
+            # FINISH can free one: arm() when the wait begins.
+            state.queue.append((rid, t))
+            if queued == 1:
+                arm()
+        # Lanes that finished with an empty queue had no event.
         self.clock.advance_to(max(now, last_finish_s))
 
         # ---- report ------------------------------------------------
@@ -699,7 +610,6 @@ class EventDrivenSimulator:
             busy_seconds=fleet.busy_seconds(),
             dense_ops_per_image=profile.dense_ops_per_image,
             records_collected=collect,
-            continuous=continuous,
         )
         if self.telemetry is not None:
             self._record_telemetry(report, lat_by_class, wait_all)
@@ -741,13 +651,6 @@ class EventDrivenSimulator:
                 "serve/latency_s", slo=report.class_names[cls]
             ).observe_many(latencies)
         registry.histogram("serve/queue_wait_s").observe_many(wait_all)
-        # A continuous run's records are stream runs, not batches; like
-        # ``ServeStats``, report batch statistics for windows runs only.
-        if report.batches and not report.continuous:
-            registry.counter("serve/batches").inc(len(report.batches))
-            registry.histogram(
-                "serve/batch_size", buckets=(1, 2, 4, 8, 16, 32, 64)
-            ).observe_many([batch.size for batch in report.batches])
         registry.gauge("serve/makespan_s").set(report.makespan_s)
         registry.gauge("serve/requests_per_second").set(
             report.requests_per_second

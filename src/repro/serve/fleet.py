@@ -33,10 +33,10 @@ class ServiceProfile:
     """Timing model of one simulated accelerator instance.
 
     ``fpga_s`` and ``host_s`` are the per-image stage times of the
-    paper's two-stage CPU/FPGA pipeline (Section 6.1). A batch of B
-    images fills both stages once, then streams the remaining B-1 at the
-    slower stage's rate — see :meth:`batch_seconds`, the one copy of
-    that law.
+    paper's two-stage CPU/FPGA pipeline (Section 6.1). An image admitted
+    into a drained pipeline takes :attr:`fill_s` through both stages;
+    one admitted behind in-flight images leaves :attr:`step_s`, the
+    slower stage's time, after the one before it.
     """
 
     fpga_s: float
@@ -65,20 +65,6 @@ class ServiceProfile:
         """Saturated per-instance throughput, images per second."""
         return 1.0 / self.step_s
 
-    def batch_seconds(self, batch_size: int) -> float:
-        """Service time of one batch of ``batch_size`` images:
-
-            T(B) = fpga + host + (B - 1) * max(fpga, host)
-
-        so T(1) is the sequential per-image time and the marginal cost of
-        an extra batched image is the pipelined per-image time.
-        """
-        if batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        return self.fpga_s + self.host_s + (batch_size - 1) * max(
-            self.fpga_s, self.host_s
-        )
-
     @classmethod
     def from_runtime(cls, runtime) -> "ServiceProfile":
         """Extract the timing profile of a deployed ``SystemRuntime``.
@@ -102,42 +88,34 @@ class Instance:
 
     __slots__ = (
         "instance_id",
-        "available_s",
         "tail_s",
         "lanes",
         "armed",
         "busy_s",
         "spawned_s",
         "retired_s",
-        "batches",
     )
 
     def __init__(self, instance_id: int, spawned_s: float = 0.0) -> None:
         self.instance_id = instance_id
-        #: Windows mode: virtual time the instance frees up.
-        self.available_s = spawned_s
-        #: Continuous mode: finish time of the last scheduled stream slot.
+        #: Finish time of the last scheduled stream slot.
         self.tail_s = spawned_s
-        #: Continuous mode: ``(finish_s, seq)`` of the admitted requests,
-        #: in admission order (so by finish), that may not have finished
-        #: yet; the engine drops finished ones lazily.
+        #: ``(finish_s, seq)`` of the admitted requests, in admission order
+        #: (so by finish), that may not have finished yet; the engine drops
+        #: finished ones lazily.
         self.lanes: Deque[Tuple[float, int]] = deque()
-        #: Continuous mode: the first lane has a FINISH event in the heap.
+        #: The first lane has a FINISH event in the heap.
         self.armed = False
         self.busy_s = 0.0
         self.spawned_s = spawned_s
         self.retired_s: Optional[float] = None
-        self.batches = 0
 
     def idle_at(self, now: float) -> bool:
-        """No batch and no scheduled stream slot past ``now``."""
-        return self.available_s <= now and self.tail_s <= now
+        """No scheduled stream slot past ``now``."""
+        return self.tail_s <= now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Instance({self.instance_id}, available={self.available_s}, "
-            f"tail={self.tail_s})"
-        )
+        return f"Instance({self.instance_id}, tail={self.tail_s})"
 
 
 class Fleet:

@@ -1,4 +1,4 @@
-"""Serving telemetry: per-request latency, queue depth, batches, GOP/s.
+"""Serving telemetry: per-request latency, queue depth, stream runs, GOP/s.
 
 All times are virtual (simulated) seconds. The arithmetic is deliberately
 elementary — sorted-order percentiles, event-walk queue depths — so the
@@ -33,9 +33,8 @@ class ServeStats:
         self,
         responses: Sequence["EventOutcome"],
         dense_ops_per_image: int,
+        busy_seconds: Mapping[int, float],
         rejections: Sequence[Rejection] = (),
-        busy_seconds: Optional[Mapping[int, float]] = None,
-        continuous: bool = False,
     ) -> None:
         if not responses:
             raise ValueError("stats need at least one response")
@@ -46,11 +45,9 @@ class ServeStats:
         )
         self.dense_ops_per_image = dense_ops_per_image
         self.rejections: Tuple[Rejection, ...] = tuple(rejections)
+        #: instance id -> virtual seconds of scheduled service, as the
+        #: engine kept it (lanes overlap, so no record holds it).
         self.busy_seconds = busy_seconds
-        #: Continuous batching: a record's ``batch_id`` and ``batch_size``
-        #: name its stream run (an instance's stretch of back-to-back lane
-        #: admissions), which can hold any number of requests, not a batch.
-        self.continuous = continuous
 
     # ---- request counts ------------------------------------------------
 
@@ -58,33 +55,18 @@ class ServeStats:
     def count(self) -> int:
         return len(self.responses)
 
-    def _dispatch_histogram(self) -> Dict[int, int]:
-        """size -> number of batches (or stream runs) of that size."""
+    def _run_histogram(self) -> Dict[int, int]:
+        """size -> number of stream runs of that size.
+
+        A record's ``batch_id`` and ``batch_size`` name its stream run: an
+        instance's stretch of back-to-back lane admissions, which can hold
+        any number of requests.
+        """
         sizes = {r.batch_id: r.batch_size for r in self.responses}
         histogram: Dict[int, int] = {}
         for size in sizes.values():
             histogram[size] = histogram.get(size, 0) + 1
         return dict(sorted(histogram.items()))
-
-    def batch_size_histogram(self) -> Dict[int, int]:
-        """batch size -> number of batches dispatched at that size.
-
-        A continuous run dispatches no batches, so this raises there
-        rather than count a stream run as one batch.
-        """
-        if self.continuous:
-            raise ValueError(
-                "a continuous run admits requests into stream runs, not batches"
-            )
-        return self._dispatch_histogram()
-
-    @property
-    def batch_count(self) -> int:
-        return sum(self.batch_size_histogram().values())
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.count / self.batch_count
 
     # ---- admission -----------------------------------------------------
 
@@ -173,8 +155,8 @@ class ServeStats:
     def queue_depth_timeline(self) -> List[Tuple[float, int]]:
         """(time, depth) steps of the number of queued-but-unstarted requests.
 
-        Depth rises at each arrival and falls when the request's batch
-        starts on a worker; simultaneous events collapse into one step.
+        Depth rises at each arrival and falls when the request is admitted
+        into a lane; simultaneous events collapse into one step.
         """
         events: Dict[float, int] = {}
         for response in self.responses:
@@ -210,19 +192,9 @@ class ServeStats:
         return self.count * self.dense_ops_per_image / self.makespan_s / 1e9
 
     def worker_busy_s(self) -> Dict[int, float]:
-        """worker id -> virtual seconds busy, for each worker that served:
-        the engine's ``busy_seconds`` when given (continuous lanes overlap,
-        so no record holds a stream run's time), else per-batch sums."""
-        if self.busy_seconds is not None:
-            served = {r.worker_id for r in self.responses}
-            return {w: self.busy_seconds[w] for w in sorted(served)}
-        batch_service: Dict[int, Tuple[int, float]] = {
-            r.batch_id: (r.worker_id, r.service_s) for r in self.responses
-        }
-        busy: Dict[int, float] = {}
-        for worker_id, service in batch_service.values():
-            busy[worker_id] = busy.get(worker_id, 0.0) + service
-        return dict(sorted(busy.items()))
+        """worker id -> virtual seconds busy, for each worker that served."""
+        served = {r.worker_id for r in self.responses}
+        return {w: self.busy_seconds[w] for w in sorted(served)}
 
     def worker_utilization(self) -> Dict[int, float]:
         """worker id -> busy fraction of the makespan."""
@@ -235,15 +207,14 @@ class ServeStats:
 
     def render(self) -> str:
         """Human-readable summary block for the CLI."""
-        runs = self._dispatch_histogram()
+        runs = self._run_histogram()
         histogram = ", ".join(f"{size}x{count}" for size, count in runs.items())
-        unit = "stream runs" if self.continuous else "batches"
         utilization = "  ".join(
             f"w{worker}: {fraction:.0%}"
             for worker, fraction in self.worker_utilization().items()
         )
         lines = [
-            f"requests:        {self.count} in {sum(runs.values())} {unit} "
+            f"requests:        {self.count} in {sum(runs.values())} stream runs "
             f"(sizes {histogram})",
             f"makespan:        {self.makespan_s * 1e3:.3f} ms virtual",
             f"latency:         mean {self.mean_latency_s * 1e3:.3f} ms   "

@@ -90,7 +90,7 @@ class TestCommands:
             (["system", "--device", "nope"], "unknown device 'nope'"),
             (["serve-sim", "--requests", "0"], "--requests must be >= 1"),
             (["serve-sim", "--max-batch", "0"], "--max-batch must be >= 1"),
-            (["serve-sim", "--max-wait-ms", "-1"], "--max-wait-ms cannot be negative"),
+            (["serve-sim", "--best-effort", "-0.1"], "--best-effort must be in [0, 1)"),
             (["serve-sim", "--best-effort", "1"], "--best-effort must be in [0, 1)"),
             (["serve-sim", "--workers", "0"], "--workers must be >= 1"),
             (["serve-sim", "--rate", "nan"], "--rate must be positive and finite"),

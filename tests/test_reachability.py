@@ -27,8 +27,6 @@ ALLOWED = {
     "emulate_layer": "oracle of the CU datapath model (docs/architecture.md)",
     "random_fault": "drives the fault-injection campaign on encoded streams",
     "abm_power_analytic": "per-point oracle of the DSE grid's power and GOP/s-per-watt arrays",
-    "form_batches": "oracle of the event-driven serving engine's windows mode",
-    "dispatch_batches": "oracle of the event-driven serving engine's windows mode",
     "registered_caches": "the CI cache-family check reads the registry through it",
     "unregister_cache": "inverse of register_cache; keeps the pinned family list exact",
 }

@@ -1,13 +1,15 @@
 """Differential tests: batched serving vs sequential inference.
 
 The serving runtime's core guarantee is that batching and sharding are
-*timing-only* transformations — every request's output must be bit-exact
+*timing-only* transformations: every request's output must be bit-exact
 identical to running the same image through ``SystemRuntime.infer``
-sequentially. Requests are grouped by :func:`form_batches`, dispatched by
-:func:`dispatch_batches`, and each batch runs in one
-``SystemRuntime.infer_batch`` pass on its instance's runtime. A fixed
-image set pins this directly, and a property-based sweep checks it over
-random batch sizes, worker counts and arrival patterns.
+sequentially. The images are split into consecutive batches, batch k
+runs on worker ``k % workers``, and each batch runs in one
+``SystemRuntime.infer_batch`` pass on its worker's own runtime over the
+shared deployment. A fixed split pins this directly, and a property-based
+sweep checks it over every split into batches of 1-6 images on 1-3
+workers. The serving engine's timing is pinned separately, against its
+literal reference (``tests/test_serve_events.py``).
 """
 
 import functools
@@ -29,16 +31,14 @@ from repro.nn.models import (
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
-from repro.serve.batcher import (
-    BatchPolicy,
-    ServeRequest,
-    dispatch_batches,
-    form_batches,
-)
+from repro.serve.events import BatchPolicy, EventDrivenSimulator
 from repro.serve.fleet import ServiceProfile
+from repro.serve.loadgen import LoadTrace
 from repro.workloads.images import natural_image
 
 IMAGE_COUNT = 8
+#: Largest batch the property sweep draws.
+MAX_BATCH = 6
 
 
 def _architecture() -> Architecture:
@@ -87,32 +87,39 @@ def _context():
     return reference, images, sequential
 
 
-def _serve(arrivals, policy, workers):
-    """Batch, dispatch and run every request: (outcomes by id, dispatches).
+def _serve(sizes, workers):
+    """Run the images as consecutive batches of ``sizes``: outcomes by id.
 
-    Each instance is its own ``SystemRuntime`` over the shared deployment.
+    Batch k runs on worker ``k % workers``, each worker its own
+    ``SystemRuntime`` over the shared deployment.
     """
     reference, images, _ = _context()
     runtimes = [
         SystemRuntime(reference.pipeline, reference.deployed)
         for _ in range(workers)
     ]
-    requests = [ServeRequest(i, float(t)) for i, t in enumerate(arrivals)]
-    dispatched = dispatch_batches(
-        form_batches(requests, policy),
-        ServiceProfile.from_runtime(reference),
-        workers,
-    )
     outcomes = {}
-    for d in dispatched:
-        batch = d.batch.requests
-        results = runtimes[d.worker_id].infer_batch(
-            [images[r.request_id] for r in batch]
-        )
-        for request, result in zip(batch, results):
-            assert request.request_id not in outcomes
-            outcomes[request.request_id] = result
-    return outcomes, dispatched
+    first = 0
+    for k, size in enumerate(sizes):
+        ids = range(first, first + size)
+        results = runtimes[k % workers].infer_batch([images[i] for i in ids])
+        for request_id, result in zip(ids, results):
+            assert request_id not in outcomes
+            outcomes[request_id] = result
+        first += size
+    return outcomes
+
+
+@st.composite
+def _partitions(draw):
+    """Sizes of consecutive batches, each 1..MAX_BATCH, covering the images."""
+    sizes = []
+    left = IMAGE_COUNT
+    while left:
+        size = draw(st.integers(min_value=1, max_value=min(MAX_BATCH, left)))
+        sizes.append(size)
+        left -= size
+    return sizes
 
 
 class TestDifferentialFixedSet:
@@ -120,9 +127,7 @@ class TestDifferentialFixedSet:
 
     @pytest.fixture(scope="class")
     def outcomes(self):
-        policy = BatchPolicy(max_batch=3, max_wait_s=1e-4)
-        outcomes, _ = _serve([0.0] * IMAGE_COUNT, policy, workers=2)
-        return outcomes
+        return _serve([3, 3, 2], workers=2)
 
     def test_outputs_bit_exact(self, outcomes):
         _, _, sequential = _context()
@@ -138,18 +143,15 @@ class TestDifferentialFixedSet:
         assert sorted(outcomes) == list(range(IMAGE_COUNT))
 
     def test_batched_makespan_beats_sequential(self):
-        """Batching + 2 workers must outrun one-at-a-time service.
-
-        Uses a zero-wait policy so the comparison is about pipelining and
-        sharding, not the latency the batcher deliberately trades away.
-        """
+        """Pipelined lanes on 2 instances outrun one-at-a-time service."""
         reference, images, _ = _context()
-        policy = BatchPolicy(max_batch=3, max_wait_s=0.0)
-        _, dispatched = _serve([0.0] * len(images), policy, workers=2)
-        makespan = max(d.finish_s for d in dispatched)
         profile = ServiceProfile.from_runtime(reference)
-        sequential_span = profile.batch_seconds(1) * len(images)
-        assert makespan < sequential_span
+        n = len(images)
+        report = EventDrivenSimulator(
+            profile, BatchPolicy(max_batch=3), instances=2
+        ).run_trace(LoadTrace("burst", np.zeros(n), np.zeros(n)))
+        assert report.served == n
+        assert report.makespan_s < n * profile.fill_s
 
 
 class TestDifferentialProperty:
@@ -160,22 +162,11 @@ class TestDifferentialProperty:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(
-        max_batch=st.integers(min_value=1, max_value=6),
-        workers=st.integers(min_value=1, max_value=3),
-        max_wait_us=st.integers(min_value=0, max_value=200),
-        arrival_seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_any_shape_matches_sequential(
-        self, max_batch, workers, max_wait_us, arrival_seed
-    ):
-        _, images, sequential = _context()
-        rng = np.random.default_rng(arrival_seed)
-        arrivals = np.sort(rng.uniform(0.0, 2e-4, size=len(images)))
-        policy = BatchPolicy(max_batch=max_batch, max_wait_s=max_wait_us * 1e-6)
-        outcomes, dispatched = _serve(arrivals, policy, workers)
-        assert sorted(outcomes) == list(range(len(images)))
+    @given(sizes=_partitions(), workers=st.integers(min_value=1, max_value=3))
+    def test_any_shape_matches_sequential(self, sizes, workers):
+        _, _, sequential = _context()
+        outcomes = _serve(sizes, workers)
+        assert sorted(outcomes) == list(range(IMAGE_COUNT))
         for request_id, outcome in enumerate(sequential):
             assert np.array_equal(outcomes[request_id].output, outcome.output)
             assert outcomes[request_id].top1 == outcome.top1
-        assert all(d.batch.size <= max_batch for d in dispatched)

@@ -1,17 +1,15 @@
 """Differential pinning of the event-driven serving engine.
 
 The contract this file enforces is the one ``docs/serving.md`` promises:
-on the restricted configuration — one SLO class, windowed batching, no
-autoscaling — the event-driven engine is *exactly* equal to the offline
-oracle, :func:`form_batches` + :func:`dispatch_batches`: same batch
-compositions, same workers, and float-for-float identical
-close/start/finish times, first on a fixed trace through the profile of a
-real quantized pipeline and then on hypothesis-randomized traces.
-Continuous mode is pinned the same way against a test-local reference
-that takes the literal full-scan argmin for every admission.
-Randomized traces also pin the engine's serving invariants (served
-exactly once, FIFO within an SLO class, batch/lane caps, bounded batching
-wait) in both batching modes.
+the engine's continuous batching is *exactly* equal to
+:func:`_continuous_reference`, a test-local reference that takes the
+literal full-scan argmin for every admission: same outcomes, same stream
+runs and float-for-float identical busy times, first on a fixed trace
+through the profile of a real quantized pipeline and then on
+hypothesis-randomized traces, with one or two SLO classes, queue limits
+and lanes that fill, drain and fill again. Three autoscaled runs are
+pinned by digest. Randomized traces also pin the engine's serving
+invariants (served exactly once, FIFO within an SLO class, the lane cap).
 """
 
 import hashlib
@@ -23,14 +21,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.serve.batcher import (
-    BatchPolicy,
-    ServeRequest,
-    dispatch_batches,
-    form_batches,
-)
 from repro.serve.events import (
     DEFAULT_SLO,
+    BatchPolicy,
     EventBatch,
     EventDrivenSimulator,
     EventOutcome,
@@ -38,7 +31,7 @@ from repro.serve.events import (
 )
 from repro.serve.fleet import AutoscalePolicy, ServiceProfile
 from repro.serve.loadgen import LoadTrace, burst_trace
-from repro.serve.stats import Rejection, ServeStats
+from repro.serve.stats import Rejection
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -51,57 +44,24 @@ def _trace(arrivals, class_names=(DEFAULT_SLO.name,)):
     return LoadTrace("test", arrivals, class_ids, class_names=class_names)
 
 
-def _oracle(arrivals, policy, profile, workers):
-    """(dispatched batches, per-request outcomes) of the offline oracle."""
-    requests = [ServeRequest(i, float(t)) for i, t in enumerate(arrivals)]
-    dispatched = dispatch_batches(
-        form_batches(requests, policy), profile, workers
+def _assert_matches_reference(arrivals, policy, profile, workers=1):
+    """Engine and :func:`_continuous_reference` agree field for field."""
+    report = EventDrivenSimulator(
+        profile, policy, instances=workers
+    ).run_trace(_trace(arrivals))
+    outcomes, batches, busy = _continuous_reference(
+        arrivals, policy.max_batch, profile, workers
     )
-    outcomes = [
-        EventOutcome(
-            request_id=request.request_id,
-            slo=DEFAULT_SLO.name,
-            worker_id=d.worker_id,
-            batch_id=batch_id,
-            batch_size=d.batch.size,
-            arrival_s=request.arrival_s,
-            close_s=d.batch.close_s,
-            start_s=d.start_s,
-            finish_s=d.finish_s,
-        )
-        for batch_id, d in enumerate(dispatched)
-        for request in d.batch.requests
-    ]
-    return dispatched, sorted(outcomes, key=lambda o: o.request_id)
-
-
-def _run_both(arrivals, policy, fpga_s, host_s, workers=1):
-    """(oracle, event report) over the same arrival trace."""
-    profile = ServiceProfile(fpga_s=fpga_s, host_s=host_s)
-    engine = EventDrivenSimulator(profile, policy, instances=workers)
-    events = engine.run_trace(_trace(arrivals))
-    return _oracle(arrivals, policy, profile, workers), events
-
-
-def _assert_exactly_equal(oracle, events):
-    """Per-request and per-batch float-for-float equality."""
-    dispatched, outcomes = oracle
-    # Dataclass equality compares every float with ==, not approx.
-    assert sorted(events.outcomes, key=lambda o: o.request_id) == outcomes
-    expected_batches = {
-        batch_id: (d.worker_id, d.batch.size, d.batch.close_s, d.start_s,
-                   d.finish_s)
-        for batch_id, d in enumerate(dispatched)
-    }
-    evt_batches = {
-        b.batch_id: (b.worker_id, b.size, b.close_s, b.start_s, b.finish_s)
-        for b in events.batches
-    }
-    assert evt_batches == expected_batches
+    # Dataclass equality compares every field, floats with ==.
+    assert sorted(report.outcomes, key=lambda o: o.request_id) == outcomes
+    assert list(report.batches) == batches
+    assert report.busy_seconds == busy
+    return report
 
 
 # hypothesis building blocks: arrival gaps spanning idle gaps, ties and
-# sub-deadline clusters, in units of the ~ms service times below.
+# clusters, in units of the ~ms service times below. ``max_wait_s`` is
+# drawn too: the engine never reads it, so no draw may change a result.
 _GAPS = st.lists(
     st.floats(min_value=0.0, max_value=8e-3, allow_nan=False),
     min_size=1,
@@ -170,30 +130,24 @@ class TestDifferentialRealPipeline:
         return architecture, architecture.build(seed=10)
 
     def test_fixed_trace_exact_equality(self, runtime):
-        """Fixed trace, windows, two instances of a real model's profile."""
+        """Fixed trace, two instances of a real model's profile."""
         profile = ServiceProfile.from_runtime(runtime)
-        # A trace with ties, a full batch, a deadline close and idle gaps.
+        # Ties, a burst that fills every lane, idle gaps.
         step = profile.step_s
         arrivals = [
             0.0, 0.0, 0.1 * step, 0.2 * step, 0.2 * step, 0.3 * step,
             7.0 * step, 7.1 * step,
             30.0 * step,
         ]
-        policy = BatchPolicy(max_batch=4, max_wait_s=0.5 * step)
-        oracle = _oracle(arrivals, policy, profile, workers=2)
-        engine = EventDrivenSimulator(profile, policy, instances=2)
-        events = engine.run_trace(_trace(arrivals))
-        _assert_exactly_equal(oracle, events)
-        # And the aggregate stats agree exactly too.
-        expected = ServeStats(
-            oracle[1], dense_ops_per_image=profile.dense_ops_per_image
-        )
-        assert events.stats.p50_latency_s == expected.p50_latency_s
-        assert events.stats.makespan_s == expected.makespan_s
-        assert (
-            events.stats.batch_size_histogram()
-            == expected.batch_size_histogram()
-        )
+        policy = BatchPolicy(max_batch=2, max_wait_s=0.5 * step)
+        report = _assert_matches_reference(arrivals, policy, profile, 2)
+        # The burst waited for lanes; the stragglers did not.
+        waits = [
+            o.start_s - o.arrival_s
+            for o in sorted(report.outcomes, key=lambda o: o.request_id)
+        ]
+        assert max(waits) > 0
+        assert waits[-3:] == [0.0, 0.0, 0.0]
 
     def test_profile_copies_runtime_floats(self, runtime):
         profile = ServiceProfile.from_runtime(runtime)
@@ -202,10 +156,8 @@ class TestDifferentialRealPipeline:
         assert profile.fpga_s == fpga
         assert profile.host_s == host
         assert profile.dense_ops_per_image == runtime.simulation.dense_ops
-        for size in (1, 2, 5, 8):
-            assert profile.batch_seconds(size) == (
-                fpga + host + (size - 1) * max(fpga, host)
-            )
+        assert profile.fill_s == fpga + host
+        assert profile.step_s == max(fpga, host)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +166,15 @@ class TestDifferentialRealPipeline:
 
 
 class TestDifferentialRandomized:
+    """Profiles and lane counts beyond those of the classes below: equal
+    stage times and up to six lanes."""
+
     @settings(max_examples=60, deadline=None)
     @given(gaps=_GAPS, policy=_POLICIES)
     def test_single_worker_exact(self, gaps, policy):
         arrivals = _arrivals_from_gaps(gaps)
-        oracle, events = _run_both(arrivals, policy, 1.7e-3, 0.9e-3)
-        _assert_exactly_equal(oracle, events)
+        profile = ServiceProfile(fpga_s=1.7e-3, host_s=0.9e-3)
+        _assert_matches_reference(arrivals, policy, profile)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -229,22 +184,20 @@ class TestDifferentialRandomized:
     )
     def test_multi_worker_exact(self, gaps, policy, workers):
         arrivals = _arrivals_from_gaps(gaps)
-        oracle, events = _run_both(
-            arrivals, policy, 2.1e-3, 2.1e-3, workers=workers
-        )
-        _assert_exactly_equal(oracle, events)
+        profile = ServiceProfile(fpga_s=2.1e-3, host_s=2.1e-3)
+        _assert_matches_reference(arrivals, policy, profile, workers)
 
     @settings(max_examples=30, deadline=None)
     @given(gaps=_GAPS, policy=_POLICIES)
     def test_host_bound_profile_exact(self, gaps, policy):
         """host > fpga flips the pipeline bottleneck; equality must hold."""
         arrivals = _arrivals_from_gaps(gaps)
-        oracle, events = _run_both(arrivals, policy, 0.4e-3, 3.0e-3)
-        _assert_exactly_equal(oracle, events)
+        profile = ServiceProfile(fpga_s=0.4e-3, host_s=3.0e-3)
+        _assert_matches_reference(arrivals, policy, profile)
 
 
 # ---------------------------------------------------------------------------
-# differential: continuous mode against a literal reference
+# differential: the literal reference
 # ---------------------------------------------------------------------------
 
 
@@ -535,17 +488,17 @@ class TestContinuousPinnedReports:
 
 
 # ---------------------------------------------------------------------------
-# invariants on randomized traces (both batching modes)
+# invariants on randomized traces
 # ---------------------------------------------------------------------------
 
 
-def _run_events(arrivals, policy, continuous, classes=None, workers=1):
+def _run_events(arrivals, policy, classes=None, workers=1):
     profile = ServiceProfile(fpga_s=1.5e-3, host_s=0.8e-3)
     kwargs = {}
     if classes is not None:
         kwargs["classes"] = classes
     engine = EventDrivenSimulator(
-        profile, policy, instances=workers, continuous=continuous, **kwargs
+        profile, policy, instances=workers, **kwargs
     )
     if classes is None:
         trace = _trace(arrivals)
@@ -559,23 +512,22 @@ class TestInvariants:
     @given(
         gaps=_GAPS,
         policy=_POLICIES,
-        continuous=st.booleans(),
         workers=st.integers(min_value=1, max_value=3),
     )
-    def test_served_exactly_once(self, gaps, policy, continuous, workers):
+    def test_served_exactly_once(self, gaps, policy, workers):
         arrivals = _arrivals_from_gaps(gaps)
-        report = _run_events(arrivals, policy, continuous, workers=workers)
+        report = _run_events(arrivals, policy, workers=workers)
         assert report.rejected == 0
         served_ids = sorted(o.request_id for o in report.outcomes)
         assert served_ids == list(range(len(arrivals)))
 
     @settings(max_examples=60, deadline=None)
-    @given(gaps=_GAPS, policy=_POLICIES, continuous=st.booleans())
-    def test_fifo_within_slo_class(self, gaps, policy, continuous):
+    @given(gaps=_GAPS, policy=_POLICIES)
+    def test_fifo_within_slo_class(self, gaps, policy):
         """Earlier arrival in the same class never finishes later."""
         classes = (SLOClass("a", priority=0), SLOClass("b", priority=1))
         arrivals = _arrivals_from_gaps(gaps)
-        report = _run_events(arrivals, policy, continuous, classes=classes)
+        report = _run_events(arrivals, policy, classes=classes)
         by_class = {}
         for outcome in sorted(
             report.outcomes, key=lambda o: (o.arrival_s, o.request_id)
@@ -588,24 +540,6 @@ class TestInvariants:
             assert finishes == sorted(finishes)
 
     @settings(max_examples=60, deadline=None)
-    @given(gaps=_GAPS, policy=_POLICIES)
-    def test_windows_batch_and_wait_caps(self, gaps, policy):
-        """No batch exceeds max_batch; no request waits past max_wait_s."""
-        arrivals = _arrivals_from_gaps(gaps)
-        report = _run_events(arrivals, policy, continuous=False)
-        assert report.batches
-        for batch in report.batches:
-            assert 1 <= batch.size <= policy.max_batch
-        for outcome in report.outcomes:
-            # Batch-formation wait (close - arrival) honors the deadline;
-            # the dispatch queue behind busy instances is extra and
-            # unbounded by design.
-            assert (
-                outcome.close_s - outcome.arrival_s
-                <= policy.max_wait_s + 1e-12
-            )
-
-    @settings(max_examples=60, deadline=None)
     @given(
         gaps=_GAPS,
         policy=_POLICIES,
@@ -614,9 +548,7 @@ class TestInvariants:
     def test_continuous_lane_cap(self, gaps, policy, workers):
         """Per-instance in-flight concurrency never exceeds max_batch."""
         arrivals = _arrivals_from_gaps(gaps)
-        report = _run_events(
-            arrivals, policy, continuous=True, workers=workers
-        )
+        report = _run_events(arrivals, policy, workers=workers)
         per_worker = {}
         for outcome in report.outcomes:
             per_worker.setdefault(outcome.worker_id, []).append(outcome)
@@ -634,7 +566,7 @@ class TestInvariants:
         """N simultaneous arrivals: last finish == fill + (N-1) * step."""
         profile = ServiceProfile(fpga_s=2e-3, host_s=1e-3)
         policy = BatchPolicy(max_batch=64, max_wait_s=1.0)
-        engine = EventDrivenSimulator(profile, policy, continuous=True)
+        engine = EventDrivenSimulator(profile, policy)
         n = 9
         report = engine.run_trace(_trace(np.zeros(n)))
         finishes = sorted(o.finish_s for o in report.outcomes)
@@ -649,24 +581,18 @@ class TestInvariants:
             profile.fill_s + (n - 1) * profile.step_s
         )
 
-    def test_continuous_beats_windows_on_tail_latency(self):
-        """The point of continuous batching: stragglers stop waiting."""
-        profile = ServiceProfile(fpga_s=2e-3, host_s=1e-3)
-        policy = BatchPolicy(max_batch=8, max_wait_s=5e-3)
-        trace = _trace(np.arange(32) * 1e-3)
-        windows = EventDrivenSimulator(profile, policy).run_trace(trace)
-        continuous = EventDrivenSimulator(
-            profile, policy, continuous=True
-        ).run_trace(trace)
-        assert (
-            continuous.stats.p99_latency_s <= windows.stats.p99_latency_s
-        )
-
     def test_unknown_slo_class_rejected(self):
         profile = ServiceProfile(fpga_s=1e-3, host_s=1e-3)
         engine = EventDrivenSimulator(profile, BatchPolicy())
         with pytest.raises(ValueError, match="not among engine classes"):
             engine.run_trace(_trace([0.0], class_names=("nope",)))
+
+    def test_windows_mode_is_rejected(self):
+        """Continuous batching is the only mode; asking for another fails
+        loudly instead of silently batching differently."""
+        profile = ServiceProfile(fpga_s=1e-3, host_s=1e-3)
+        with pytest.raises(ValueError, match="windows batching was removed"):
+            EventDrivenSimulator(profile, BatchPolicy(), continuous=False)
 
 
 # ---------------------------------------------------------------------------

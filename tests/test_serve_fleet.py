@@ -11,8 +11,7 @@ registry's percentiles stay *identical* to the ``ServeStats`` arithmetic.
 import numpy as np
 import pytest
 
-from repro.serve.batcher import BatchPolicy
-from repro.serve.events import EventDrivenSimulator, SLOClass
+from repro.serve.events import BatchPolicy, EventDrivenSimulator, SLOClass
 from repro.serve.fleet import AutoscalePolicy, Fleet, ServiceProfile
 from repro.serve.loadgen import LoadTrace, poisson_trace, uniform_trace
 from repro.telemetry.context import Telemetry
@@ -46,7 +45,6 @@ def _overloaded_run(telemetry=None, queue_limit=16):
         PROFILE,
         BatchPolicy(max_batch=8, max_wait_s=2e-3),
         classes=_overload_classes(queue_limit),
-        continuous=True,
         telemetry=telemetry,
         record_spans=False,
     )
@@ -128,8 +126,9 @@ class TestSLOClasses:
             SLOClass("")
         with pytest.raises(ValueError, match="queue_limit"):
             SLOClass("x", queue_limit=0)
-        with pytest.raises(ValueError, match="max_wait_s"):
-            SLOClass("x", max_wait_s=-1.0)
+        # Batching windows are gone, and so is the per-class deadline.
+        with pytest.raises(TypeError, match="max_wait_s"):
+            SLOClass("x", max_wait_s=1e-3)
         with pytest.raises(ValueError, match="target_latency_s"):
             SLOClass("x", target_latency_s=0.0)
 
@@ -140,22 +139,6 @@ class TestSLOClasses:
                 BatchPolicy(),
                 classes=(SLOClass("a"), SLOClass("a")),
             )
-
-    def test_per_class_max_wait_override(self):
-        """A tighter per-class window seals that class's batches sooner."""
-        classes = (SLOClass("fast", max_wait_s=1e-3),)
-        engine = EventDrivenSimulator(
-            PROFILE,
-            BatchPolicy(max_batch=64, max_wait_s=50e-3),
-            classes=classes,
-        )
-        report = engine.run_trace(
-            LoadTrace("t", [0.0, 30e-3], [0, 0], class_names=("fast",))
-        )
-        # With the 50 ms policy window both requests share one batch; the
-        # 1 ms class override forces two.
-        assert len(report.batches) == 2
-        assert report.outcomes[0].close_s == 1e-3
 
     def test_stats_slo_classes_listing(self):
         report = _overloaded_run()
@@ -254,7 +237,7 @@ class TestFleetAccounting:
             # Random instances stay busy past ``now``, so retirement has
             # to skip over them and removes from the middle of the list.
             for worker in fleet.active:
-                worker.available_s = now + rng.integers(0, 2)
+                worker.tail_s = now + rng.integers(0, 2)
             if rng.random() < 0.5:
                 fleet.spawn(now)
             elif fleet.size > 1:
@@ -270,7 +253,7 @@ class TestFleetAccounting:
 
     def test_busy_instances_not_retired(self):
         fleet = Fleet(PROFILE, instances=1)
-        fleet.active[0].available_s = 10.0  # mid-batch until t=10
+        fleet.active[0].tail_s = 10.0  # streaming until t=10
         assert fleet.retire_idle(5.0) is None
         assert fleet.retire_idle(10.0) is not None
 

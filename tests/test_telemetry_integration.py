@@ -27,8 +27,7 @@ from repro.nn.models import (
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
-from repro.serve.batcher import BatchPolicy
-from repro.serve.events import EventDrivenSimulator
+from repro.serve.events import BatchPolicy, EventDrivenSimulator
 from repro.serve.fleet import ServiceProfile
 from repro.serve.loadgen import LoadTrace
 from repro.telemetry.caches import clear_caches
@@ -86,14 +85,18 @@ def served_model():
 
 @pytest.fixture(scope="module")
 def serve_run(served_model):
-    """One telemetered serving run: (report, telemetry, snapshot)."""
+    """One telemetered serving run: (report, telemetry, snapshot).
+
+    A burst of eight on two instances of two lanes: four requests are
+    admitted at once and four wait for a lane.
+    """
     pipeline, specs = served_model
     runtime = SystemRuntime.from_pipeline(pipeline, specs)
-    trace = LoadTrace("ramp", np.linspace(0.0, 1e-3, 8), np.zeros(8))
+    trace = LoadTrace("burst", np.zeros(8), np.zeros(8))
     telemetry = Telemetry()
     engine = EventDrivenSimulator(
         ServiceProfile.from_runtime(runtime),
-        BatchPolicy(max_batch=4, max_wait_s=1.0),
+        BatchPolicy(max_batch=2, max_wait_s=1.0),
         instances=2,
         telemetry=telemetry,
     )
@@ -170,14 +173,12 @@ class TestServeSnapshot:
     def test_serve_counters_and_gauges(self, serve_run):
         report, _, snapshot = serve_run
         assert snapshot["counters"]["serve/requests"] == report.stats.count
-        assert snapshot["counters"]["serve/batches"] == report.stats.batch_count
         assert snapshot["gauges"]["serve/makespan_s"] == report.stats.makespan_s
-        # The engine counts the 4th request of a full batch as queued for
-        # the instant before its batch dispatches (depth 4); ServeStats'
-        # timeline collapses that arrival and the start into one step.
+        # Four requests wait for a lane: the engine's depth and the
+        # ServeStats timeline agree.
         assert snapshot["gauges"]["serve/max_queue_depth"] == 4
         assert report.max_queue_depth == 4
-        assert report.stats.max_queue_depth == 3
+        assert report.stats.max_queue_depth == 4
 
     def test_differential_percentiles_vs_servestats(self, serve_run):
         """The telemetry histogram and ServeStats must agree *exactly*."""
@@ -194,21 +195,9 @@ class TestServeSnapshot:
         assert data["max"] == report.stats.max_latency_s
         assert data["mean"] == pytest.approx(report.stats.mean_latency_s)
 
-    def test_batch_size_histogram_matches_stats(self, serve_run):
-        report, telemetry, _ = serve_run
-        histogram = telemetry.registry.histogram(
-            "serve/batch_size", buckets=(1, 2, 4, 8, 16, 32, 64)
-        )
-        assert histogram.count == report.stats.batch_count
-        expected = sum(
-            size * count
-            for size, count in report.stats.batch_size_histogram().items()
-        )
-        assert histogram.sum == expected
-
     def test_continuous_run_records_no_batch_metrics(self, served_model):
-        """A continuous run admits requests into stream runs, not batches,
-        so its snapshot carries no batch count or batch-size histogram."""
+        """The engine admits requests into stream runs, not batches, so
+        the snapshot carries no batch count or batch-size histogram."""
         pipeline, specs = served_model
         runtime = SystemRuntime.from_pipeline(pipeline, specs)
         trace = LoadTrace("burst", np.zeros(16), np.zeros(16))
@@ -217,7 +206,6 @@ class TestServeSnapshot:
             ServiceProfile.from_runtime(runtime),
             BatchPolicy(max_batch=2, max_wait_s=1.0),
             instances=2,
-            continuous=True,
             telemetry=telemetry,
         )
         report = engine.run_trace(trace)
