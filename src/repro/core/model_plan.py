@@ -11,7 +11,9 @@ batch geometry)
   layer's 8-bit output format, ReLU (folded into the clip bound) and, when
   adjacent, the integer-exact MaxPool — into a single stage;
 - **streams channels-last (NHWC) activations through two preallocated
-  ping-pong buffers** at the network's high-water mark.  A conv's
+  ping-pong buffers** at the network's high-water mark, and runs every
+  stage's im2col + GEMM in one set of stage scratch regions sized at
+  compile time for the largest stage (see :class:`_Arena`).  A conv's
   pixel-major GEMM output is already the next layer's layout, so its
   requantize writes contiguously into the destination buffer and the
   next im2col copies contiguous ``C``-word runs.  ``run`` transposes at
@@ -51,7 +53,7 @@ geometry) and registered with the telemetry cache registry as
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,14 +70,14 @@ from ..nn.tensor import FeatureShape, pool_output_extent
 from ..quant.fixed_point import QFormat
 from ..telemetry.caches import Memo
 from ..telemetry.context import get_active
-from .plan import FLOAT32_EXACT, LayerPlan, code_peak, compile_layer_plan
+from .plan import FLOAT32_EXACT, LayerPlan, Scratch, code_peak, compile_layer_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.pipeline
     from ..pipeline import QuantizedPipeline
 
 #: Compiled model plans, LRU-bounded.  Model plans own their arena (two
-#: ping-pong code buffers at the network's high-water mark plus one
-#: requantize scratch, float32 or int64/float64), so the bound is
+#: ping-pong code buffers at the network's high-water mark, one requantize
+#: scratch and the stage scratch of the largest stage), so the bound is
 #: deliberately small.
 _model_plans = Memo("core.model_plan", capacity=8)
 
@@ -193,7 +195,9 @@ class _FusedStage:
     def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
         if self.is_fc:
             current = _flatten(arena, current)
-        raw = self.plan.execute_batch_raw(current, self.bias_codes, self.datapath)
+        raw = self.plan.execute_batch_raw(
+            current, self.bias_codes, self.datapath, arena.stage
+        )
         if self.pool is None:
             dest = arena.claim(current, raw.shape)
         else:
@@ -332,23 +336,35 @@ class _HostStage:
 
 
 class _Arena:
-    """The shared buffer arena of one model plan.
+    """All working memory of one model plan, sized once at compile time.
 
-    Two ping-pong code buffers at the activation high-water mark plus one
-    requantize scratch at the largest raw conv output: float32 codes with a
-    float32 scratch, or int64 codes with a float64 scratch.  ``claim``
-    hands out a view of whichever ping buffer the caller is *not* reading
-    from, so a stage can always write its output while streaming its input.
+    - Two ping-pong code buffers at the activation high-water mark.
+      ``claim`` hands out a view of whichever one the caller is *not*
+      reading from, so a stage can always write its output while streaming
+      its input.
+    - One requantize scratch at the largest stage output: float32 with
+      float32 codes, float64 with int64 codes.
+    - One :class:`~repro.core.plan.Scratch` (padded input, patch tile, raw
+      GEMM output), each region the largest any fused stage needs.  Stages
+      run one after another, so they share it, as the accelerator streams
+      every layer through one FT-Buffer sized for its largest layer.
     """
 
-    __slots__ = ("ping", "scratch")
+    __slots__ = ("ping", "scratch", "stage")
 
-    def __init__(self, high_water: int, scratch_elements: int, codes=np.int64) -> None:
+    def __init__(
+        self,
+        high_water: int,
+        scratch_elements: int,
+        codes=np.int64,
+        stage_bytes: Tuple[int, int, int] = (0, 0, 0),
+    ) -> None:
         codes = np.dtype(codes)
         self.ping = (np.empty(high_water, codes), np.empty(high_water, codes))
         self.scratch = np.empty(
             scratch_elements, np.float32 if codes == np.float32 else np.float64
         )
+        self.stage = Scratch.allocate(stage_bytes)
 
     @property
     def codes(self) -> np.dtype:
@@ -371,9 +387,18 @@ class _Arena:
         n = int(np.prod(shape))
         return self.ping[dest][:n].reshape(shape)
 
+    def split(self) -> Dict[str, int]:
+        """Bytes of the ping-pong buffers, the requantize scratch and the
+        stage scratch."""
+        return {
+            "ping_bytes": self.ping[0].nbytes * 2,
+            "requantize_bytes": self.scratch.nbytes,
+            "stage_bytes": self.stage.nbytes,
+        }
+
     @property
     def nbytes(self) -> int:
-        return self.ping[0].nbytes * 2 + self.scratch.nbytes
+        return sum(self.split().values())
 
 
 def _float32_codes(stages: Sequence[object], formats: Sequence[QFormat]) -> bool:
@@ -430,6 +455,7 @@ class ModelPlan:
         formats = [fmt]
         high_water = images * shape.size
         scratch_elements = 1
+        stage_bytes = (0, 0, 0)
         index = 0
         while index < len(layers):
             layer = layers[index]
@@ -480,6 +506,13 @@ class ModelPlan:
                     )
                 )
                 scratch_elements = max(scratch_elements, images * out_shape.size)
+                stage_bytes = tuple(
+                    map(
+                        max,
+                        stage_bytes,
+                        plan.scratch_bytes(images, *extent, stage.datapath),
+                    )
+                )
                 fmt = compiled.output_fmt
                 formats.append(fmt)
                 shape = out_shape
@@ -506,7 +539,7 @@ class ModelPlan:
         self.output_fmt = fmt
         self.output_shape = shape
         codes = np.float32 if _float32_codes(self.stages, formats) else np.int64
-        self.arena = _Arena(high_water, scratch_elements, codes)
+        self.arena = _Arena(high_water, scratch_elements, codes, stage_bytes)
 
     # ---- execution -------------------------------------------------------
 
@@ -581,6 +614,7 @@ def compile_model_plan(
         ) as span:
             plan = ModelPlan(pipeline, batch_shape)
             span.attrs["codes"] = str(plan.arena.codes)
+            span.attrs.update(plan.arena.split())
         return plan
 
     return _model_plans.get(

@@ -45,16 +45,21 @@ partial sum (in any summation order) and the biased total:
 - otherwise :class:`ExactnessError`: no host integer datapath can hold
   the worst-case sum, and silently wrapping int64 would be wrong.
 
-Plans are cached per (encoded layer, geometry) and keep reusable scratch
-buffers keyed by the shapes they have seen, so repeated inference — the
-per-layer reference walk, ``SystemRuntime.infer_batch``, the fused model
-plan built on top of these plans — pays compilation and allocation once.
+Plans are cached per (encoded layer, geometry), so repeated inference —
+the per-layer reference walk, ``SystemRuntime.infer_batch``, the fused
+model plan built on top of these plans — pays compilation once.  A plan
+keeps no working memory: :meth:`LayerPlan.execute_batch_raw` runs in the
+caller's :class:`Scratch` (its padded input, patch tile and GEMM output),
+sized by :meth:`LayerPlan.scratch_bytes`.  The fused model plan sizes one
+such region set for its largest stage at compile time and streams every
+stage through it, as the accelerator streams every layer through one
+FT-Buffer; a per-layer call allocates its regions and drops them.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Dict, Hashable, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -76,9 +81,6 @@ INT64_EXACT = 2**63
 
 #: Compiled plans, LRU-bounded.
 _plans = Memo("core.plan", capacity=64)
-
-#: Scratch buffers kept per plan before LRU eviction.
-_SCRATCH_CAPACITY = 16
 
 _DTYPES = {"gemm32": np.float32, "gemm": np.float64, "int64": np.int64}
 
@@ -135,6 +137,35 @@ class Bands(NamedTuple):
     count: int
 
 
+class Scratch(NamedTuple):
+    """The working memory of one :meth:`LayerPlan.execute_batch_raw` call.
+
+    Three flat byte regions, each viewed in the call's datapath dtype: the
+    padded input, one im2col tile and the raw GEMM output.  The caller owns
+    them and may reuse them across calls and layers: a call writes every
+    byte it reads, the padding halo included.
+    """
+
+    padded: np.ndarray
+    patches: np.ndarray
+    output: np.ndarray
+
+    @classmethod
+    def allocate(cls, nbytes: Tuple[int, int, int]) -> "Scratch":
+        """Uninitialized regions of ``nbytes`` bytes each, in field order."""
+        return cls(*(np.empty(n, np.uint8) for n in nbytes))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(region.nbytes for region in self)
+
+
+def _region(region: np.ndarray, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """The leading bytes of a :class:`Scratch` region as a ``shape`` array."""
+    n = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return region[:n].view(dtype).reshape(shape)
+
+
 def _even_split(total: int, most: int) -> int:
     """The smallest chunk that covers ``total`` in as few chunks of at most
     ``most`` as possible, so the chunks come out as even as they can."""
@@ -180,7 +211,6 @@ class LayerPlan:
         # One scatter, in the narrowest integer dtype; each dtype is a cast.
         self._codes = encoded.dense_codes(narrowest_int(encoded.qtable_values))
         self._dense: Dict[Tuple[bool, str], np.ndarray] = {}
-        self._scratch: Dict[Hashable, np.ndarray] = {}
 
     def dense_weights(self, dtype=np.float64) -> np.ndarray:
         """The weight codes as a dense (M, C*K*K) matrix of ``dtype``, built
@@ -199,23 +229,6 @@ class LayerPlan:
                 codes = codes.reshape(-1, self.group_in, k, k).transpose(2, 3, 1, 0)
             weights = self._dense[key] = codes.reshape(-1, codes.shape[-1]).astype(dtype)
         return weights
-
-    # ---- scratch management ---------------------------------------------
-
-    def _buffer(self, kind: Hashable, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """A reusable scratch array for this plan, LRU-bounded.
-
-        Zeroed when allocated, so a padded source needs no fill pass.
-        """
-        key = (kind, shape, np.dtype(dtype).str)
-        # Re-inserting keeps the dict in recency order: the oldest first.
-        buffer = self._scratch.pop(key, None)
-        if buffer is None:
-            buffer = np.zeros(shape, dtype=dtype)
-        self._scratch[key] = buffer
-        if len(self._scratch) > _SCRATCH_CAPACITY:
-            del self._scratch[next(iter(self._scratch))]
-        return buffer
 
     # ---- exactness ---------------------------------------------------------
 
@@ -279,6 +292,35 @@ class LayerPlan:
         geometry = self.geometry
         return rows == cols == geometry.kernel == 1 and geometry.padding == 0
 
+    def _scratch_shapes(
+        self, images: int, rows: int, cols: int
+    ) -> Tuple[Optional[Tuple[int, ...]], Tuple[int, int], Tuple[int, int]]:
+        """Element shapes of the padded input (``None`` when unpadded), the
+        patch tile and the GEMM output of an ``images x rows x cols`` batch."""
+        out_rows, out_cols = conv_output_hw(rows, cols, self.geometry)
+        pixels = images * out_rows * out_cols
+        pad = self.geometry.padding
+        padded = None
+        if pad:
+            channels = self.group_in * self.geometry.groups
+            padded = (images, rows + 2 * pad, cols + 2 * pad, channels)
+        band = self.bands(images, rows, cols)
+        tile = (band.images * band.rows * out_cols, self.patch_width)
+        fc = self._is_fc(rows, cols)
+        output = (self.out_channels, pixels) if fc else (pixels, self.out_channels)
+        return padded, tile, output
+
+    def scratch_bytes(
+        self, images: int, rows: int, cols: int, datapath: str
+    ) -> Tuple[int, int, int]:
+        """Bytes of each :class:`Scratch` region one
+        :meth:`execute_batch_raw` call on this batch extent needs."""
+        item = np.dtype(_DTYPES[datapath]).itemsize
+        return tuple(
+            0 if shape is None else int(np.prod(shape)) * item
+            for shape in self._scratch_shapes(images, rows, cols)
+        )
+
     def execute(
         self,
         features: np.ndarray,
@@ -305,6 +347,7 @@ class LayerPlan:
         )
         images, _, rows, cols = batch.shape
         telemetry = get_active()
+        scratch = Scratch.allocate(self.scratch_bytes(images, rows, cols, datapath))
         with nullcontext() if telemetry is None else telemetry.span(
             "kernel",
             layer=self.name,
@@ -313,11 +356,11 @@ class LayerPlan:
             tiles=self.bands(images, rows, cols).count,
         ):
             raw = self.execute_batch_raw(
-                batch.transpose(0, 2, 3, 1), bias_codes, datapath
+                batch.transpose(0, 2, 3, 1), bias_codes, datapath, scratch
             )
         images, out_rows, out_cols, kernels = raw.shape
-        # Detach the scratch into a fresh BCHW int64 array (exact: the sums
-        # are integers on every datapath).
+        # Copy the sums out of the call's scratch into a fresh BCHW int64
+        # array (exact: the sums are integers on every datapath).
         output = np.empty((images, kernels, out_rows, out_cols), np.int64)
         np.copyto(output.transpose(0, 2, 3, 1), raw, casting="unsafe")
         pixels = images * out_rows * out_cols
@@ -332,17 +375,19 @@ class LayerPlan:
         batch: np.ndarray,
         bias_codes: Optional[np.ndarray],
         datapath: str,
+        scratch: Scratch,
     ) -> np.ndarray:
         """Run a channels-last (B, H, W, C) batch band by band (see
         :meth:`bands`), one GEMM per channel group and band.
 
-        Returns the biased sums as a (B, R', C', M) view of **plan-owned
-        scratch** — float32 on ``gemm32``, float64 on ``gemm``, int64 on
-        ``int64`` — valid only until the next execute call on this plan.
-        The fused model plan consumes it directly, writing requantized
-        codes straight into its ping-pong buffers.  The result is exact
-        only when ``datapath`` is what :meth:`datapath` returns for the
-        batch.
+        Works entirely in ``scratch``, whose regions must hold at least
+        :meth:`scratch_bytes` of this batch.  Returns the biased sums as a
+        (B, R', C', M) view of ``scratch.output`` — float32 on ``gemm32``,
+        float64 on ``gemm``, int64 on ``int64`` — valid until the caller
+        reuses that region.  The fused model plan consumes it directly,
+        writing requantized codes straight into its ping-pong buffers.  The
+        result is exact only when ``datapath`` is what :meth:`datapath`
+        returns for the batch.
         """
         dtype = _DTYPES[datapath]
         geometry = self.geometry
@@ -353,25 +398,24 @@ class LayerPlan:
                 f"input channels, got {channels}"
             )
         out_rows, out_cols = conv_output_hw(rows, cols, geometry)
-        pixels = images * out_rows * out_cols
         k, pad, width = geometry.kernel, geometry.padding, self.group_in
         fc = self._is_fc(rows, cols)
         weights = self._weights(dtype, pixel_major=not fc)
-        shape = (self.out_channels, pixels) if fc else (pixels, self.out_channels)
-        output = self._buffer("output", shape, dtype)
+        padded, tile, shape = self._scratch_shapes(images, rows, cols)
+        output = _region(scratch.output, shape, dtype)
+        tile = _region(scratch.patches, tile, dtype)
         bias = None if bias_codes is None else np.asarray(bias_codes, dtype=dtype)
         source = batch
-        if pad:  # the halo of the zeroed scratch is never written
-            source = self._buffer(
-                "padded", (images, rows + 2 * pad, cols + 2 * pad, channels), dtype
-            )
+        if pad:  # the region is shared, so zero this call's halo: 4 strips
+            source = _region(scratch.padded, padded, dtype)
+            source[:, :pad] = 0
+            source[:, -pad:] = 0
+            source[:, pad:-pad, :pad] = 0
+            source[:, pad:-pad, -pad:] = 0
             np.copyto(source[:, pad:-pad, pad:-pad], batch, casting="same_kind")
         windows = np.lib.stride_tricks.sliding_window_view(source, (k, k), axis=(1, 2))
         windows = windows[:, :: geometry.stride, :: geometry.stride][:, :out_rows, :out_cols]
         band = self.bands(images, rows, cols)
-        tile = self._buffer(
-            "patches", (band.images * band.rows * out_cols, self.patch_width), dtype
-        )
         start = 0
         for i in range(0, images, band.images):
             for r in range(0, out_rows, band.rows):

@@ -541,7 +541,6 @@ class EventDrivenSimulator:
                 continue
             if not queued:
                 # An arrival into an empty queue is admitted directly.
-                max_queued = max_queued or 1
                 w = pick()
                 if w is not None:
                     book(w, rid, cls, t)

@@ -8,6 +8,7 @@ itself is anchored to Equation (1), the float :class:`repro.nn.layers.Conv2D`
 layer run on int64 codes.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,12 @@ from repro.core.abm import (
     abm_conv2d_reference,
 )
 from repro.core.encoding import decode_layer, encode_layer
-from repro.core.plan import ExactnessError, compile_layer_plan, conv_output_hw
+from repro.core.plan import (
+    ExactnessError,
+    Scratch,
+    compile_layer_plan,
+    conv_output_hw,
+)
 from repro.core import plan as plan_module
 from repro.telemetry.context import Telemetry, activate
 from tests.conftest import direct_conv, sparse_weight_codes
@@ -238,24 +244,55 @@ class TestBands:
         assert plan.bands(4 * plan_module.BAND_PIXELS, 1, 1).count == 1
 
     def test_scratch_holds_one_tile_not_the_patch_matrix(self, rng):
-        """A many-band conv keeps one tile of patches: its scratch stays under
-        that tile plus its output and padded input, far below the whole-batch
-        patch matrix."""
+        """A many-band conv works in one tile of patches: the scratch a call
+        needs is that tile plus its output and padded input, and the most
+        the call allocates is that scratch plus the int64 result it
+        returns, far below the whole-batch patch matrix."""
         weights = sparse_weight_codes(rng, shape=(16, 16, 3, 3))
         encoded = encode_layer("wide", weights)
-        geometry = ConvGeometry(kernel=3, padding=1)
-        plan = compile_layer_plan(encoded, geometry)
-        features = rng.integers(-128, 128, size=(3, 16, 48, 48))
-        abm_conv2d_batch(features, encoded, geometry)
+        plan = compile_layer_plan(encoded, ConvGeometry(kernel=3, padding=1))
+        batch = rng.integers(-128, 128, size=(3, 16, 48, 48))
+        plan.execute_batch(batch)  # builds the float32 weights once
         bands = plan.bands(3, 48, 48)
         assert bands.count >= 12
         item = np.dtype(np.float32).itemsize
         tile = bands.images * bands.rows * 48 * plan.patch_width * item
         output = 3 * 48 * 48 * 16 * item
         padded = 3 * 50 * 50 * 16 * item
-        scratch = sum(buffer.nbytes for buffer in plan._scratch.values())
-        assert scratch <= tile + output + padded
-        assert scratch < 3 * 48 * 48 * plan.patch_width * item
+        assert plan.scratch_bytes(3, 48, 48, "gemm32") == (padded, tile, output)
+        tracemalloc.start()
+        try:
+            plan.execute_batch(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result = 3 * 16 * 48 * 48 * np.dtype(np.int64).itemsize
+        assert peak <= tile + output + padded + result + 64 * 1024
+        assert peak < 3 * 48 * 48 * plan.patch_width * item
+
+    def test_calls_share_one_scratch(self, rng):
+        """Two layers with different padding run in one :class:`Scratch`
+        sized for the larger: the second call re-zeros its own halo over
+        the first call's interior, so both stay exact."""
+        geometries = (ConvGeometry(kernel=3, padding=1), ConvGeometry(kernel=5, padding=2))
+        shapes = ((6, 4, 3, 3), (6, 4, 5, 5))
+        batches = (
+            rng.integers(1, 128, size=(2, 4, 14, 14)),
+            rng.integers(1, 128, size=(2, 4, 7, 7)),
+        )
+        plans, sizes = [], []
+        for geometry, shape, batch in zip(geometries, shapes, batches):
+            encoded = encode_layer("s", sparse_weight_codes(rng, shape=shape))
+            plans.append((encoded, geometry, compile_layer_plan(encoded, geometry)))
+            sizes.append(plans[-1][2].scratch_bytes(2, *batch.shape[2:], "gemm32"))
+        assert sizes[0][0] > sizes[1][0]  # the larger padded input runs first
+        scratch = Scratch.allocate(tuple(map(max, *sizes)))
+        for (encoded, geometry, plan), batch in zip(plans, batches):
+            raw = plan.execute_batch_raw(
+                batch.transpose(0, 2, 3, 1), None, "gemm32", scratch
+            )
+            expected = abm_conv2d_batch(batch, encoded, geometry).output
+            assert np.array_equal(raw.transpose(0, 3, 1, 2), expected)
 
 
 class TestExactness:

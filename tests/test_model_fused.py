@@ -173,6 +173,24 @@ ARCHITECTURES = {
             FCDef("fc", 5, scale_output=False),
         ],
     ),
+    # A large padded stage, then a smaller one with wider padding: both
+    # run in the arena's one padded-input region, so the second stage's
+    # halo lies over the first stage's interior and must be re-zeroed.
+    "shared_halo": Architecture(
+        name="halo",
+        input_channels=4,
+        input_rows=14,
+        input_cols=14,
+        defs=[
+            ConvDef("c1", 8, kernel=3, padding=1),
+            ReLUDef("r1"),
+            PoolDef("p1", kernel=2, stride=2),
+            ConvDef("c2", 6, kernel=5, padding=2),
+            ReLUDef("r2"),
+            FlattenDef("fl"),
+            FCDef("fc", 4, scale_output=False),
+        ],
+    ),
     # FC stack with dropout and a trailing standalone ReLU epilogue.
     "fc_stack": Architecture(
         name="fcs",
@@ -332,6 +350,78 @@ class TestDifferential:
         assert_batches_identical(out_b, pipeline.run_batch_reference(b))
         stats = _model_plans.stats()
         assert stats.misses == 1 and stats.hits == 1
+
+
+# ---- the arena ------------------------------------------------------------
+
+
+def held_arrays(plan):
+    """The arrays a :class:`LayerPlan` keeps, directly or in a dict."""
+    for value in vars(plan).values():
+        for item in value.values() if isinstance(value, dict) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+class TestArena:
+    """The model plan's arena owns all working memory, sized at compile time."""
+
+    def _plan(self, rng, images):
+        pipeline = build_pipeline(ARCHITECTURES["shared_halo"], rng)
+        return pipeline, compile_model_plan(pipeline, images.shape)
+
+    def test_stage_scratch_is_the_largest_stage_not_the_sum(self, rng):
+        """Each region is the largest any stage needs.  In ``shared_halo``
+        c2's padded input is smaller than c1's, with a wider halo, so it
+        reuses the leading bytes c1's interior wrote."""
+        images = rng.standard_normal((2, 4, 14, 14))
+        _, plan = self._plan(rng, images)
+        extents = {"c1": (14, 14), "c2": (7, 7), "fc": (1, 1)}
+        fused = {s.name: s for s in plan.stages if isinstance(s, _FusedStage)}
+        sizes = {
+            name: s.plan.scratch_bytes(2, *extents[name], s.datapath)
+            for name, s in fused.items()
+        }
+        assert fused["c1"].plan.geometry.padding < fused["c2"].plan.geometry.padding
+        assert 0 < sizes["c2"][0] < sizes["c1"][0]
+        regions = tuple(region.nbytes for region in plan.arena.stage)
+        assert regions == tuple(map(max, *sizes.values()))
+        assert plan.arena.stage.nbytes < sum(map(sum, sizes.values()))
+
+    def test_arena_is_fixed_at_compile_time(self, rng, datapath):
+        """Runs reuse the arena's arrays; none is replaced or grown."""
+        images = rng.standard_normal((2, 4, 14, 14))
+        pipeline, plan = self._plan(rng, images)
+        arena = plan.arena
+        arrays = (*arena.ping, arena.scratch, *arena.stage)
+        split = arena.split()
+        for _ in range(3):
+            batch = rng.standard_normal(images.shape)
+            assert_batches_identical(
+                pipeline.run_batch(batch), pipeline.run_batch_reference(batch)
+            )
+        assert compile_model_plan(pipeline, images.shape) is plan
+        assert arena.split() == split
+        assert all(a is b for a, b in zip(arrays, (*arena.ping, arena.scratch, *arena.stage)))
+
+    @pytest.mark.parametrize("arch_name", sorted(ARCHITECTURES))
+    def test_layer_plans_hold_no_scratch(self, rng, arch_name):
+        """After a fused and a per-layer pass, every layer plan holds only
+        its weight codes and their dense GEMM matrices."""
+        arch = ARCHITECTURES[arch_name]
+        pipeline = build_pipeline(arch, rng)
+        images = rng.standard_normal(
+            (3, arch.input_channels, arch.input_rows, arch.input_cols)
+        )
+        pipeline.run_batch(images)
+        pipeline.run_batch_reference(images)
+        plan = compile_model_plan(pipeline, images.shape)
+        for stage in plan.stages:
+            if isinstance(stage, _FusedStage):
+                layer = stage.plan
+                weights = {id(layer._codes)} | {id(w) for w in layer._dense.values()}
+                assert {id(a) for a in held_arrays(layer)} == weights
+                assert layer._dense  # the runs did build GEMM weights
 
 
 # ---- integer max-pool -----------------------------------------------------
@@ -735,6 +825,8 @@ class TestPlanErrors:
         text = plan.describe()
         assert "fused" in text and "host" in text and "batch=(2, 3, 13, 13)" in text
         assert "codes=float32" in text
+        assert f"arena={plan.arena.nbytes / 1e6:.1f} MB" in text
+        assert plan.arena.stage.nbytes > 0
 
 
 # ---- telemetry ------------------------------------------------------------
@@ -753,6 +845,10 @@ class TestTelemetrySpans:
         assert totals["fuse"]["count"] == 1
         fuse = next(r for r in telemetry.tracer.roots if r.name == "fuse")
         assert fuse.attrs["codes"] == "float32"
+        arena = compile_model_plan(pipeline, images.shape).arena
+        split = {k: fuse.attrs[k] for k in ("ping_bytes", "requantize_bytes", "stage_bytes")}
+        assert split == arena.split() and sum(split.values()) == arena.nbytes
+        assert split["stage_bytes"] > 0
         # One kernel span per fused stage (conv + fc) per run.
         assert totals["kernel"]["count"] == 4
         roots = [root.to_dict() for root in telemetry.tracer.roots]
@@ -812,3 +908,11 @@ class TestBands:
             "conv2_2": 8,
         }
         assert "tiles=conv1_1:28,conv1_2:28,conv2_1:8,conv2_2:8,conv3_1:1," in plan.describe()
+        # The arena's stage scratch is one region per kind, each the largest
+        # stage's (float32): conv1_2's padded input, conv3_2's whole-batch
+        # patch matrix and conv1_1's GEMM output, not their sum over stages.
+        assert tuple(region.nbytes for region in plan.arena.stage) == (
+            4 * 58 * 58 * 32 * 4,
+            4 * 14 * 14 * (9 * 128) * 4,
+            4 * 56 * 56 * 32 * 4,
+        )

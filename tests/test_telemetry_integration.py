@@ -180,6 +180,26 @@ class TestServeSnapshot:
         assert report.max_queue_depth == 4
         assert report.stats.max_queue_depth == 4
 
+    def test_no_wait_run_reports_zero_depth(self, served_model):
+        """Four requests spread 10 ms apart on one instance: each finds a
+        free lane, so no request ever waits and all three depth surfaces
+        read 0."""
+        pipeline, specs = served_model
+        runtime = SystemRuntime.from_pipeline(pipeline, specs)
+        profile = ServiceProfile.from_runtime(runtime)
+        gap = 10 * (profile.fpga_s + profile.host_s)
+        trace = LoadTrace("spread", gap * np.arange(4), np.zeros(4))
+        telemetry = Telemetry()
+        engine = EventDrivenSimulator(
+            profile, BatchPolicy(max_batch=2), instances=1, telemetry=telemetry
+        )
+        report = engine.run_trace(trace)
+        assert report.served == 4
+        assert all(outcome.queue_wait_s == 0.0 for outcome in report.outcomes)
+        assert report.max_queue_depth == 0
+        assert report.stats.max_queue_depth == 0
+        assert telemetry.snapshot()["gauges"]["serve/max_queue_depth"] == 0
+
     def test_differential_percentiles_vs_servestats(self, serve_run):
         """The telemetry histogram and ServeStats must agree *exactly*."""
         report, telemetry, snapshot = serve_run
