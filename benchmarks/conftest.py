@@ -1,11 +1,13 @@
 """Benchmark harness configuration.
 
-Every module regenerates one paper artifact (table or figure), times the
-regeneration with pytest-benchmark, prints the rows the paper reports and
-the paper-vs-measured comparison, and asserts the headline shape so a
-regression is a failure, not just a slow run.
+The paper's tables and figures are regenerated and checked by
+``abm-spconv experiments [--only ID] [--out FILE]`` and by the tier-1
+suite's bound table (``tests/test_experiments.py``), not here. These
+modules time the extension studies and the host kernels, print their
+rows, and assert each study's headline shape so a regression is a
+failure, not just a slow run; several write a ``BENCH_*.json`` artifact.
 
-Run:  pytest benchmarks/ --benchmark-only -s
+Run one:  PYTHONPATH=src pytest benchmarks/<file> --benchmark-disable -q -s
 """
 
 import pytest

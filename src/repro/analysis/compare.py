@@ -1,9 +1,9 @@
 """Paper-vs-measured comparison records.
 
-Every experiment emits :class:`Comparison` rows so EXPERIMENTS.md and the
-benchmark harness can report how closely the reproduction tracks the
-published numbers, and the test suite can assert the *shape* claims
-(who wins, by roughly what factor) within explicit tolerance bands.
+Every paper experiment emits :class:`Comparison` rows, so
+``abm-spconv experiments`` can report how closely the reproduction tracks
+the published numbers and the test suite can hold each row to its stated
+bound.
 """
 
 from __future__ import annotations
@@ -54,9 +54,3 @@ def render_comparisons(rows: Sequence[Comparison], title: str = "") -> str:
         title=title or None,
     )
 
-
-def worst_error(rows: Sequence[Comparison]) -> float:
-    """Largest relative error across a comparison set."""
-    if not rows:
-        return 0.0
-    return max(row.relative_error for row in rows)

@@ -2,8 +2,10 @@
 
 Commands
 --------
-- ``experiments [--only ID]`` — regenerate the paper's tables/figures and
-  print paper-vs-measured comparisons.
+- ``experiments [--only ID] [--out FILE]`` — regenerate the paper's
+  tables/figures and the extension studies as one markdown text (per
+  experiment its rendering and the paper-vs-measured table); print it, or
+  write it to FILE.
 - ``simulate --model {alexnet,vgg16}`` — run the accelerator simulator on a
   calibrated synthetic workload and print the per-layer report.
 - ``explore --model {alexnet,vgg16}`` — run the design-space exploration
@@ -11,17 +13,21 @@ Commands
   exhaustive search over the seven-axis joint space.
 - ``roofline`` — print the Figure 1 roofline for a device.
 - ``devices`` — list the FPGA device catalog (logic/DSP/M20K/bandwidth).
+- ``system --model {alexnet,vgg16}`` — model the pipelined CPU/FPGA
+  system and print how much host work the accelerator hides.
 - ``serve-sim --model {lenet,cifarnet}`` — simulate batched serving across
   a pool of accelerator instances and print the latency/throughput report;
   ``--metrics-out FILE`` additionally records the run through
   :mod:`repro.telemetry` and writes the JSONL snapshot.
 - ``metrics`` — inspect, validate (``--check``) or re-export
   (``--format jsonl``) a telemetry snapshot.
+- ``encode --model {alexnet,vgg16}`` — encode a synthetic pruned model and
+  write the serialized blob to ``--out``.
 
-Bad input (an unknown device name, a negative seed, a non-positive rate
-or frequency, an output path in a missing directory, an unreadable or
-malformed snapshot) prints one ``error: ...`` line to stderr and exits
-with status 2.
+Bad input (an unknown device or experiment name, a negative seed, a
+non-positive rate or frequency, an output path in a missing directory, an
+unreadable or malformed snapshot) prints one ``error: ...`` line to stderr
+and exits with status 2.
 
 Each command imports the modules it runs inside its handler, so parsing
 the command line loads no simulator, DSE or serving code.
@@ -35,22 +41,11 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, List, Optional
 
+from .experiments import EXPERIMENTS
+
 if TYPE_CHECKING:
     from .hw.config import AcceleratorConfig
     from .hw.device import FPGADevice
-
-_EXPERIMENTS = (
-    "table1",
-    "table2",
-    "table3",
-    "fig1",
-    "fig6",
-    "fig7",
-    "utilization",
-    "bitwidth",
-    "batch_bandwidth",
-    "density_sweep",
-)
 
 
 class _UsageError(Exception):
@@ -100,6 +95,16 @@ def _output_path(flag: str) -> Callable[[str], str]:
     return parse
 
 
+def _experiment(name: str) -> str:
+    """An argparse ``type=`` for a registered experiment name."""
+    names = [known for known, _ in EXPERIMENTS]
+    if name not in names:
+        raise _UsageError(
+            f"unknown experiment {name!r}; choose from {', '.join(names)}"
+        )
+    return name
+
+
 def _device(name: str) -> FPGADevice:
     from .hw.device import get_device
 
@@ -116,24 +121,16 @@ def _paper_config(model: str) -> AcceleratorConfig:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    import importlib
+    from .experiments import render
 
-    from .analysis.compare import render_comparisons
-
-    names = [args.only] if args.only else list(_EXPERIMENTS)
-    for name in names:
-        if name not in _EXPERIMENTS:
-            print(f"unknown experiment {name!r}; choose from {_EXPERIMENTS}")
-            return 2
-        module = importlib.import_module(f"{__package__}.experiments.{name}")
-        result = module.run(seed=args.seed)
-        print(f"==== {name} " + "=" * max(0, 60 - len(name)))
-        print(result.render())
-        print()
-        comparisons = getattr(result, "comparisons", ())
-        if comparisons:
-            print(render_comparisons(comparisons, title="paper vs measured"))
-            print()
+    names = [args.only] if args.only else [name for name, _ in EXPERIMENTS]
+    text = render(names, seed=args.seed)
+    if args.out is None:
+        sys.stdout.write(text)
+        return 0
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"wrote {args.out} ({len(text.encode('utf-8')) / 1024:.1f} KiB)")
     return 0
 
 
@@ -528,16 +525,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis.report import write_report
-
-    size = write_report(
-        args.out, seed=args.seed, include_extensions=not args.no_extensions
-    )
-    print(f"wrote {args.out} ({size / 1024:.1f} KiB)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abm-spconv",
@@ -548,7 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("experiments", help="regenerate paper tables/figures")
-    p_exp.add_argument("--only", help=f"one of {', '.join(_EXPERIMENTS)}")
+    p_exp.add_argument("--only", type=_experiment,
+                       help=f"one of {', '.join(name for name, _ in EXPERIMENTS)}")
+    p_exp.add_argument("--out", type=_output_path("--out"), default=None,
+                       help="write the markdown to this file instead of stdout")
     p_exp.set_defaults(func=_cmd_experiments)
 
     p_sim = sub.add_parser("simulate", help="simulate a model on the accelerator")
@@ -638,12 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip layers with more weights (memory guard)")
     p_enc.set_defaults(func=_cmd_encode)
 
-    p_rep = sub.add_parser("report", help="write the full reproduction report")
-    p_rep.add_argument("--out", type=_output_path("--out"),
-                       default="reproduction_report.md")
-    p_rep.add_argument("--no-extensions", action="store_true",
-                       help="paper artifacts only")
-    p_rep.set_defaults(func=_cmd_report)
     return parser
 
 

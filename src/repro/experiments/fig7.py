@@ -18,6 +18,7 @@ from ..analysis.ascii_plots import heatmap
 from ..analysis.compare import Comparison
 from ..analysis.tables import render_table
 from ..dse.explorer import GridPoint, best_candidates, sweep_sec_ncu
+from ..dse.frequency import refine_with_frequency
 from ..dse.resources import DEFAULT_RESOURCE_MODEL
 from ..hw.device import STRATIX_V_GXA7
 from ..workloads.paper_targets import (
@@ -73,7 +74,15 @@ class Fig7Result:
                 f"(N_knl={OPTIMAL_N_KNL}, logic <= {FIG7_LOGIC_CONSTRAINT:.0%}), top candidates"
             ),
         )
-        return chart + "\n\n" + table
+        refined = render_table(
+            ("S_ec", "N_cu", "Fmax MHz", "delivered GOP/s"),
+            [
+                (r.point.s_ec, r.point.n_cu, r.fmax_mhz, r.delivered_gops)
+                for r in refine_with_frequency(list(self.candidates))[:5]
+            ],
+            title="top candidates re-ranked at their congestion-limited Fmax",
+        )
+        return "\n\n".join((chart, table, refined))
 
 
 def run(seed: int = 1) -> Fig7Result:

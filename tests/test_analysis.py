@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.compare import Comparison, render_comparisons, worst_error
+from repro.analysis.compare import Comparison, render_comparisons
 from repro.analysis.tables import render_table
 
 
@@ -17,14 +17,6 @@ class TestComparison:
     def test_zero_paper_value(self):
         assert Comparison("e", "m", 0.0, 0.0).relative_error == 0.0
         assert Comparison("e", "m", 0.0, 1.0).relative_error == float("inf")
-
-    def test_worst_error(self):
-        rows = [
-            Comparison("e", "a", 10, 11),
-            Comparison("e", "b", 10, 15),
-        ]
-        assert worst_error(rows) == pytest.approx(0.5)
-        assert worst_error([]) == 0.0
 
 
 class TestRenderTable:

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -121,7 +124,7 @@ class TestCommands:
              "--seed must be a non-negative integer"),
             (["encode", "--out", "no-such-dir/x.abms"],
              "--out: directory 'no-such-dir' does not exist"),
-            (["report", "--out", "no-such-dir/r.md"],
+            (["experiments", "--out", "no-such-dir/r.md"],
              "--out: directory 'no-such-dir' does not exist"),
             (["metrics", "--from", "no-such-file.jsonl"],
              "--from: cannot read no-such-file.jsonl"),
@@ -147,6 +150,9 @@ class TestCommands:
             pytest.param(["explore", "--model", "vgg16", "--device", "Cyclone-V SE"],
                          "no vgg16 design fits Cyclone-V SE",
                          id="explore-infeasible-device"),
+            pytest.param(["experiments", "--only", "fig99"],
+                         "unknown experiment 'fig99'; choose from table1, table2,",
+                         id="experiments-unknown-name"),
         ],
     )
     def test_bad_input_fails_cleanly(self, capsys, argv, message):
@@ -166,3 +172,36 @@ class TestCommands:
         layers = load_model(path)
         assert layers
         assert all(layer.nonzero_count > 0 for layer in layers)
+
+
+class TestExperimentsReport:
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("report") / "report.md"
+        assert main(["experiments", "--out", str(path)]) == 0
+        return path.read_bytes()
+
+    def test_report_contains_all_sections(self, written):
+        from repro.experiments import EXPERIMENTS
+
+        text = written.decode("utf-8")
+        for _, title in EXPERIMENTS:
+            assert f"\n## {title}\n" in text
+        for heading in ("Table 1", "Table 2", "Table 3", "Figure 1", "Figure 6",
+                        "Figure 7", "CU execution", "Extension"):
+            assert f"\n## {heading}" in text
+        assert "paper vs measured" in text
+
+    def test_out_file_is_stdout_byte_for_byte(self, written, capsys):
+        assert main(["experiments"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == written
+
+    def test_report_loads_its_experiments_in_a_fresh_interpreter(self):
+        # The experiments package imports no experiment module, so the
+        # renderer must import each one itself (one cheap section suffices).
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "experiments", "--only", "fig1"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "## Figure 1" in result.stdout

@@ -1,8 +1,5 @@
 """Tests for the low-level shape substrate (core.specs, nn.tensor)."""
 
-import subprocess
-import sys
-
 import pytest
 
 from repro.core.specs import conv_spec, fc_spec
@@ -88,31 +85,3 @@ class TestLayerSpec:
         with pytest.raises(ValueError):
             conv_spec("x", 3, 4, kernel=9, in_rows=4, in_cols=4)
 
-
-class TestReportGeneration:
-    def test_report_contains_all_sections(self, tmp_path):
-        from repro.analysis.report import write_report
-
-        path = str(tmp_path / "report.md")
-        size = write_report(path, seed=1, include_extensions=False)
-        assert size > 1000
-        with open(path, encoding="utf-8") as handle:
-            content = handle.read()
-        for heading in ("Table 1", "Table 2", "Table 3", "Figure 1", "Figure 6",
-                        "Figure 7", "CU execution"):
-            assert heading in content
-        assert "paper vs measured" in content
-
-    def test_report_loads_its_experiments_in_a_fresh_interpreter(self):
-        # The experiments package exports nothing, so the report must
-        # import each section's module itself (one cheap section suffices).
-        code = (
-            "import repro.analysis.report as report\n"
-            "report.PAPER_SECTIONS = report.PAPER_SECTIONS[3:4]\n"
-            "print(report.generate_report(include_extensions=False))"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        assert "## Figure 1" in result.stdout
