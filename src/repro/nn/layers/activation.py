@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import FeatureShape
-from .base import Layer, require_bchw, require_chw
+from .base import Layer, require_bchw
 
 
 class ReLU(Layer):
@@ -13,10 +13,6 @@ class ReLU(Layer):
 
     def output_shape(self, input_shape: FeatureShape) -> FeatureShape:
         return input_shape
-
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        features = require_chw(features, self)
-        return np.maximum(features, 0)
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         return np.maximum(require_bchw(batch, self), 0)
@@ -34,9 +30,6 @@ class Dropout(Layer):
     def output_shape(self, input_shape: FeatureShape) -> FeatureShape:
         return input_shape
 
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        return require_chw(features, self)
-
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         return require_bchw(batch, self)
 
@@ -46,10 +39,6 @@ class Flatten(Layer):
 
     def output_shape(self, input_shape: FeatureShape) -> FeatureShape:
         return FeatureShape(input_shape.size, 1, 1)
-
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        features = require_chw(features, self)
-        return features.reshape(-1, 1, 1)
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         batch = require_bchw(batch, self)

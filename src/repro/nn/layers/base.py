@@ -1,17 +1,19 @@
 """Layer interface for the inference-only CNN substrate.
 
 Layers are forward-only (the paper accelerates inference; pruning and
-quantization operate on already-trained weights, which we synthesize). Every
-layer can infer its output shape, report parameter and operation counts, and
-declare whether the paper's accelerator executes it on the FPGA (convolution
-and fully-connected layers) or leaves it to the host CPU (pooling, LRN,
-softmax and friends — Section 6.1).
+quantization operate on already-trained weights, which we synthesize). Each
+layer implements one body, :meth:`Layer.forward_batch` on a BCHW batch;
+:meth:`Layer.forward` on one CHW map is that body run on a batch of one.
+Every layer infers its output shape, reports its dense operation count, and
+declares whether the paper's accelerator executes it on the FPGA
+(convolution and fully-connected layers) or leaves it to the host CPU
+(pooling, LRN, softmax and friends — Section 6.1).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -20,6 +22,9 @@ from ..tensor import FeatureShape
 
 class Layer(abc.ABC):
     """Base class of all network layers."""
+
+    #: True if the FPGA executes this layer (CONV and FC only).
+    runs_on_accelerator: ClassVar[bool] = False
 
     def __init__(self, name: str) -> None:
         if not name:
@@ -31,33 +36,16 @@ class Layer(abc.ABC):
         """Shape of the output feature map for a given input shape."""
 
     @abc.abstractmethod
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        """Run the layer on a CHW feature map."""
-
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Run the layer on a (B, C, H, W) batch.
+        """Run the layer on a (B, C, H, W) batch."""
 
-        The default stacks per-image :meth:`forward` results; layers with a
-        genuinely batched implementation override this. Integer layers are
-        bit-exact against the per-image path; float matmul layers may
-        differ by BLAS summation order (ulp-level).
-        """
-        arr = require_bchw(batch, self)
-        return np.stack([self.forward(image) for image in arr])
-
-    @property
-    def parameter_count(self) -> int:
-        """Number of trainable parameters (0 for stateless layers)."""
-        return 0
+    def forward(self, features: np.ndarray) -> np.ndarray:
+        """Run the layer on one CHW feature map: a batch of one."""
+        return self.forward_batch(require_chw(features, self)[None])[0]
 
     def operation_count(self, input_shape: FeatureShape) -> int:
         """Number of arithmetic operations (the paper counts 2 per MAC)."""
         return 0
-
-    @property
-    def runs_on_accelerator(self) -> bool:
-        """True if the FPGA executes this layer (CONV and FC only)."""
-        return False
 
     @property
     def weights(self) -> Optional[np.ndarray]:

@@ -20,7 +20,7 @@ from typing import List
 import numpy as np
 
 from ..tensor import FeatureShape
-from .base import Layer, require_chw
+from .base import Layer, require_bchw
 from .conv import Conv2D
 from .fc import FullyConnected
 
@@ -61,10 +61,6 @@ class BatchNorm(Layer):
             raise ValueError(f"parameter must have shape ({channels},)")
         return arr.copy()
 
-    @property
-    def parameter_count(self) -> int:
-        return 4 * self.channels
-
     def output_shape(self, input_shape: FeatureShape) -> FeatureShape:
         if input_shape.channels != self.channels:
             raise ValueError(
@@ -80,10 +76,10 @@ class BatchNorm(Layer):
         shift = self.beta - scale * self.running_mean
         return scale, shift
 
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        features = require_chw(features, self)
+    def forward_batch(self, batch: np.ndarray) -> np.ndarray:
+        batch = require_bchw(batch, self)
         scale, shift = self.scale_and_shift()
-        return features * scale[:, None, None] + shift[:, None, None]
+        return batch * scale[:, None, None] + shift[:, None, None]
 
 
 def fold_batchnorm(layers: List[Layer]) -> List[Layer]:

@@ -12,45 +12,26 @@ from typing import Optional
 import numpy as np
 
 from ..tensor import FeatureShape, conv_output_extent
-from .base import Layer, require_bchw, require_chw
+from .base import Layer, require_bchw
 
 
-def im2col(
-    features: np.ndarray,
-    kernel: int,
-    stride: int,
-    padding: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Unfold a CHW feature map into a (out_pixels, C*K*K) patch matrix.
+def im2col(features: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """Unfold a CHW map, or a BCHW batch, into a (pixels, C*K*K) patch matrix.
 
-    Rows are ordered row-major over output positions; columns are ordered
-    (channel, kernel_row, kernel_col) — exactly the (n, k, k') index order
-    the paper's weight encoding uses. ``out``, when given, must be a
-    C-contiguous (out_pixels, C*K*K) array; hot paths pass a reused scratch
-    buffer to skip the per-call allocation.
+    Rows are ordered row-major over output positions, image after image for
+    a batch; columns are ordered (channel, kernel_row, kernel_col) — exactly
+    the (n, k, k') index order the paper's weight encoding uses.
     """
-    channels, rows, cols = features.shape
+    channels = features.shape[-3]
     if padding:
-        features = np.pad(
-            features, ((0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
-    out_rows = conv_output_extent(rows, kernel, stride, padding)
-    out_cols = conv_output_extent(cols, kernel, stride, padding)
-    # Gather with stride tricks: windows[c, r', c', k, k'].
+        pad = ((0, 0),) * (features.ndim - 2) + ((padding, padding),) * 2
+        features = np.pad(features, pad, mode="constant")
+    # Gather with stride tricks: windows[..., c, r', c', k, k'].
     windows = np.lib.stride_tricks.sliding_window_view(
-        features, (kernel, kernel), axis=(1, 2)
-    )[:, ::stride, ::stride]
-    stacked = windows.transpose(1, 2, 0, 3, 4)
-    if out is None:
-        return np.ascontiguousarray(stacked).reshape(
-            out_rows * out_cols, channels * kernel * kernel
-        )
-    expected = (out_rows * out_cols, channels * kernel * kernel)
-    if out.shape != expected:
-        raise ValueError(f"im2col out buffer must have shape {expected}, got {out.shape}")
-    np.copyto(out.reshape(out_rows, out_cols, channels, kernel, kernel), stacked)
-    return out
+        features, (kernel, kernel), axis=(-2, -1)
+    )[..., ::stride, ::stride, :, :]
+    stacked = np.moveaxis(windows, -5, -3)
+    return np.ascontiguousarray(stacked).reshape(-1, channels * kernel * kernel)
 
 
 class Conv2D(Layer):
@@ -70,6 +51,8 @@ class Conv2D(Layer):
     groups:
         Channel groups; weights then have shape (M, N/groups, K, K).
     """
+
+    runs_on_accelerator = True
 
     def __init__(
         self,
@@ -123,14 +106,6 @@ class Conv2D(Layer):
     def bias(self) -> np.ndarray:
         return self._bias
 
-    @property
-    def parameter_count(self) -> int:
-        return self._weights.size + self._bias.size
-
-    @property
-    def runs_on_accelerator(self) -> bool:
-        return True
-
     def output_shape(self, input_shape: FeatureShape) -> FeatureShape:
         if input_shape.channels != self.in_channels:
             raise ValueError(
@@ -149,28 +124,6 @@ class Conv2D(Layer):
         macs_per_pixel = (self.in_channels // self.groups) * self.kernel * self.kernel
         return 2 * macs_per_pixel * self.out_channels * out.pixels
 
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        features = require_chw(features, self)
-        out_shape = self.output_shape(FeatureShape(*features.shape))
-        group_in = self.in_channels // self.groups
-        group_out = self.out_channels // self.groups
-        output = np.empty(out_shape.as_tuple(), dtype=np.result_type(features, self._weights))
-        for g in range(self.groups):
-            patches = im2col(
-                features[g * group_in : (g + 1) * group_in],
-                self.kernel,
-                self.stride,
-                self.padding,
-            )
-            kernels = self._weights[g * group_out : (g + 1) * group_out].reshape(
-                group_out, -1
-            )
-            result = patches @ kernels.T + self._bias[g * group_out : (g + 1) * group_out]
-            output[g * group_out : (g + 1) * group_out] = result.T.reshape(
-                group_out, out_shape.rows, out_shape.cols
-            )
-        return output
-
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         """Batched im2col forward: one matmul per group over B*P patch rows."""
         batch = require_bchw(batch, self)
@@ -184,16 +137,11 @@ class Conv2D(Layer):
             dtype=np.result_type(batch, self._weights),
         )
         for g in range(self.groups):
-            patches = np.concatenate(
-                [
-                    im2col(
-                        batch[i, g * group_in : (g + 1) * group_in],
-                        self.kernel,
-                        self.stride,
-                        self.padding,
-                    )
-                    for i in range(images)
-                ]
+            patches = im2col(
+                batch[:, g * group_in : (g + 1) * group_in],
+                self.kernel,
+                self.stride,
+                self.padding,
             )
             kernels = self._weights[g * group_out : (g + 1) * group_out].reshape(
                 group_out, -1

@@ -2,9 +2,9 @@
 
 The paper folds FC computation into the convolution machinery by setting
 R = C = 1 and K = 1 in Equation (1): an FC layer is a 1x1 convolution over a
-1x1 feature map with N = in_features channels. :meth:`FullyConnected.as_conv`
-exposes exactly that view so the ABM-SpConv encoder, op counter and
-accelerator treat FC layers uniformly.
+1x1 feature map with N = in_features channels. The quantized pipeline
+encodes the (M, N) weights in exactly that (M, N, 1, 1) view, so the
+ABM-SpConv encoder, op counter and accelerator treat FC layers uniformly.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ from typing import Optional
 import numpy as np
 
 from ..tensor import FeatureShape
-from .base import Layer
+from .base import Layer, require_bchw
 
 
 class FullyConnected(Layer):
     """Dense layer computing ``y = W x + b`` with W of shape (out, in)."""
+
+    runs_on_accelerator = True
 
     def __init__(
         self,
@@ -62,14 +64,6 @@ class FullyConnected(Layer):
     def bias(self) -> np.ndarray:
         return self._bias
 
-    @property
-    def parameter_count(self) -> int:
-        return self._weights.size + self._bias.size
-
-    @property
-    def runs_on_accelerator(self) -> bool:
-        return True
-
     def output_shape(self, input_shape: FeatureShape) -> FeatureShape:
         if input_shape.size != self.in_features:
             raise ValueError(
@@ -83,25 +77,8 @@ class FullyConnected(Layer):
         self.output_shape(input_shape)
         return 2 * self.in_features * self.out_features
 
-    def as_conv_weights(self) -> np.ndarray:
-        """Weights viewed as (M, N, 1, 1) — the paper's FC-as-conv mapping."""
-        return self._weights.reshape(self.out_features, self.in_features, 1, 1)
-
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        flat = np.asarray(features).reshape(-1)
-        if flat.size != self.in_features:
-            raise ValueError(
-                f"{self.name}: expected {self.in_features} inputs, got {flat.size}"
-            )
-        result = self._weights @ flat + self._bias
-        return result.reshape(self.out_features, 1, 1)
-
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
-        arr = np.asarray(batch)
-        if arr.ndim != 4:
-            raise ValueError(
-                f"layer {self.name!r} expects a BCHW batch, got shape {arr.shape}"
-            )
+        arr = require_bchw(batch, self)
         flat = arr.reshape(arr.shape[0], -1)
         if flat.shape[1] != self.in_features:
             raise ValueError(

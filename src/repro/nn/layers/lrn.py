@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import FeatureShape
-from .base import Layer, require_bchw, require_chw
+from .base import Layer, require_bchw
 
 
 class LocalResponseNorm(Layer):
@@ -34,26 +34,12 @@ class LocalResponseNorm(Layer):
     def output_shape(self, input_shape: FeatureShape) -> FeatureShape:
         return input_shape
 
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        features = require_chw(features, self).astype(np.float64)
-        channels = features.shape[0]
-        squared = features**2
-        half = self.local_size // 2
-        # Prefix sums over the channel axis give O(C) windowed sums.
-        prefix = np.concatenate(
-            [np.zeros((1,) + squared.shape[1:]), np.cumsum(squared, axis=0)], axis=0
-        )
-        lo = np.clip(np.arange(channels) - half, 0, channels)
-        hi = np.clip(np.arange(channels) + half + 1, 0, channels)
-        window_sums = prefix[hi] - prefix[lo]
-        denom = (self.k + (self.alpha / self.local_size) * window_sums) ** self.beta
-        return features / denom
-
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         batch = require_bchw(batch, self).astype(np.float64)
         channels = batch.shape[1]
         squared = batch**2
         half = self.local_size // 2
+        # Prefix sums over the channel axis give O(C) windowed sums.
         prefix = np.concatenate(
             [np.zeros((batch.shape[0], 1) + squared.shape[2:]), np.cumsum(squared, axis=1)],
             axis=1,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import FeatureShape, pool_output_extent
-from .base import Layer, require_bchw, require_chw
+from .base import Layer, require_bchw
 
 
 class _Pool2D(Layer):
@@ -56,11 +56,6 @@ class _Pool2D(Layer):
 class MaxPool2D(_Pool2D):
     """Max pooling over KxK windows."""
 
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        features = require_chw(features, self)
-        windows = self._windows(features.astype(np.float64), fill=-np.inf)
-        return windows.max(axis=(3, 4))
-
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         # The window machinery only touches the trailing two axes, so the
         # batch folds into the channel axis and unfolds after the reduce.
@@ -75,12 +70,6 @@ class MaxPool2D(_Pool2D):
 
 class AvgPool2D(_Pool2D):
     """Average pooling over KxK windows (tail windows average real pixels)."""
-
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        features = require_chw(features, self)
-        valid = self._windows(np.ones_like(features, dtype=np.float64), fill=0.0)
-        windows = self._windows(features.astype(np.float64), fill=0.0)
-        return windows.sum(axis=(3, 4)) / valid.sum(axis=(3, 4))
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         batch = require_bchw(batch, self)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import FeatureShape
-from .base import Layer, require_bchw, require_chw
+from .base import Layer, require_bchw
 
 
 class Softmax(Layer):
@@ -13,12 +13,6 @@ class Softmax(Layer):
 
     def output_shape(self, input_shape: FeatureShape) -> FeatureShape:
         return input_shape
-
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        features = require_chw(features, self).astype(np.float64)
-        shifted = features - features.max(axis=0, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=0, keepdims=True)
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         batch = require_bchw(batch, self).astype(np.float64)

@@ -1,23 +1,27 @@
 """Architecture descriptions that build both networks and analytic specs.
 
-An :class:`Architecture` is a declarative layer list. It has two consumers:
+An :class:`Architecture` is a declarative layer list. One walk,
+:meth:`Architecture.layer_shapes`, resolves every def once against its
+input: the layer class and constructor arguments it stands for (channel
+scaling, group rounding and depthwise channels included) and its input and
+output shapes, without allocating a tensor. Everything else reads that walk:
 
-- :meth:`Architecture.build` instantiates an executable :class:`Network`
-  (optionally channel-scaled so laptop-scale tests don't allocate VGG16's
-  550 MB of fully-connected weights), and
-- :meth:`Architecture.accelerated_specs` walks the same description purely
-  symbolically and yields the :class:`~repro.core.specs.LayerSpec` of every
-  conv/FC layer at full size — what Tables 1-3 and the DSE flow consume.
+- :meth:`Architecture.build` constructs those layers, in order, into an
+  executable :class:`Network` (optionally channel-scaled so laptop-scale
+  tests don't allocate VGG16's 550 MB of fully-connected weights);
+- :meth:`Architecture.accelerated_specs` yields the
+  :class:`~repro.core.specs.LayerSpec` of every conv/FC layer — what
+  Tables 1-3 and the DSE flow consume — at any scale;
+- the system model's host-stage cost walks its shapes.
 
-Keeping one source of truth guarantees the analytic and executable views of
-AlexNet/VGG16 can never drift apart.
+So the analytic and executable views of a model agree at every scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Optional, Sequence, Type, Union
 
 from ...core.specs import LayerSpec, conv_spec, fc_spec
 from ..initializers import initialize_network
@@ -32,8 +36,12 @@ from ..layers import (
     ReLU,
     Softmax,
 )
+from ..layers.base import Layer
 from ..network import Network
 from ..tensor import FeatureShape, conv_output_extent, pool_output_extent
+
+#: The pooling layer each ``PoolDef.kind`` builds.
+_POOLS = {"max": MaxPool2D, "avg": AvgPool2D}
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,12 @@ class PoolDef:
     kernel: int
     stride: int
     kind: str = "max"
+
+    def __post_init__(self) -> None:
+        if self.kind not in _POOLS:
+            raise ValueError(
+                f"{self.name}: pool kind must be 'max' or 'avg', got {self.kind!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -99,9 +113,40 @@ LayerDef = Union[
 ]
 
 
+#: Shape-keeping defs and the layer each builds; the def's fields other
+#: than ``name`` are the layer's keyword arguments.
+_SHAPE_KEEPING = {
+    ReLUDef: ReLU,
+    LRNDef: LocalResponseNorm,
+    DropoutDef: Dropout,
+    SoftmaxDef: Softmax,
+}
+
+
 def _scaled(value: int, scale: float) -> int:
     """Scale a channel count, never below 1."""
     return max(1, int(round(value * scale)))
+
+
+@dataclass(frozen=True)
+class ResolvedLayer:
+    """One layer def resolved against its input shape.
+
+    ``layer_type(definition.name, **args)`` is the layer
+    :meth:`Architecture.build` constructs. ``layer_type`` is None for a def
+    the walk does not know; its shape passes through unchanged.
+    """
+
+    definition: LayerDef
+    layer_type: Optional[Type[Layer]]
+    args: Dict[str, Any]
+    in_shape: FeatureShape
+    out_shape: FeatureShape
+
+    def build(self) -> Layer:
+        if self.layer_type is None:
+            raise TypeError(f"unknown layer definition {self.definition!r}")
+        return self.layer_type(self.definition.name, **self.args)
 
 
 @dataclass
@@ -114,105 +159,126 @@ class Architecture:
     input_cols: int
     defs: Sequence[LayerDef] = field(default_factory=list)
 
-    def layer_shapes(self) -> List[tuple]:
-        """Symbolic (layer_def, in_shape, out_shape) walk at full size.
+    def _input_shape(self, spatial_scale: float) -> FeatureShape:
+        return FeatureShape(
+            self.input_channels,
+            max(8, int(round(self.input_rows * spatial_scale))),
+            max(8, int(round(self.input_cols * spatial_scale))),
+        )
 
-        Shapes are (channels, rows, cols) tuples; no weights are allocated,
-        so this works for models whose tensors would not fit in memory.
-        """
-        out: List[tuple] = []
-        channels, rows, cols = self.input_channels, self.input_rows, self.input_cols
-        for layer_def in self.defs:
-            in_shape = (channels, rows, cols)
-            if isinstance(layer_def, ConvDef):
-                channels = layer_def.out_channels
-                rows = conv_output_extent(
-                    rows, layer_def.kernel, layer_def.stride, layer_def.padding
-                )
-                cols = conv_output_extent(
-                    cols, layer_def.kernel, layer_def.stride, layer_def.padding
-                )
-            elif isinstance(layer_def, PoolDef):
-                rows = pool_output_extent(rows, layer_def.kernel, layer_def.stride)
-                cols = pool_output_extent(cols, layer_def.kernel, layer_def.stride)
-            elif isinstance(layer_def, FlattenDef):
-                channels, rows, cols = channels * rows * cols, 1, 1
-            elif isinstance(layer_def, FCDef):
-                channels, rows, cols = layer_def.out_features, 1, 1
-            out.append((layer_def, in_shape, (channels, rows, cols)))
-        return out
-
-    def accelerated_specs(
+    def layer_shapes(
         self, scale: float = 1.0, spatial_scale: float = 1.0
-    ) -> List[LayerSpec]:
-        """Conv/FC :class:`LayerSpec` list (no weight allocation at 1.0).
+    ) -> List[ResolvedLayer]:
+        """Resolve every def once, in order: its layer and its shapes.
 
-        ``scale`` / ``spatial_scale`` mirror :meth:`build`'s channel and
-        input-resolution multipliers; a scaled request delegates to
-        :meth:`build` (with zero weights) so the spec dims match the
-        executable network exactly, while the full-size default stays a
-        symbolic walk that never allocates tensors.
+        ``scale`` multiplies channel counts: grouped convolutions keep
+        their group counts, and a scaled count is rounded up to a multiple
+        of its own groups and of the next convolution's (its input
+        grouping). ``spatial_scale`` multiplies the input resolution, never
+        below 8 pixels. No tensor is allocated, so this works for models
+        whose weights would not fit in memory.
         """
-        if scale != 1.0 or spatial_scale != 1.0:
-            network = self.build(
-                scale=scale, seed=None, spatial_scale=spatial_scale
-            )
-            specs = []
-            for layer in network.accelerated_layers():
-                in_shape = network.input_shape_of(layer.name)
-                if isinstance(layer, Conv2D):
-                    specs.append(
-                        conv_spec(
-                            layer.name,
-                            layer.in_channels,
-                            layer.out_channels,
-                            layer.kernel,
-                            in_shape.rows,
-                            in_shape.cols,
-                            stride=layer.stride,
-                            padding=layer.padding,
-                            groups=layer.groups,
-                        )
-                    )
-                else:
-                    specs.append(
-                        fc_spec(layer.name, layer.in_features, layer.out_features)
-                    )
-            return specs
-        specs: List[LayerSpec] = []
-        channels, rows, cols = self.input_channels, self.input_rows, self.input_cols
+        if scale <= 0 or spatial_scale <= 0:
+            raise ValueError("scale factors must be positive")
+        conv_defs = [d for d in self.defs if isinstance(d, ConvDef)]
+        next_groups = {
+            d.name: conv_defs[i + 1].groups if i + 1 < len(conv_defs) else 1
+            for i, d in enumerate(conv_defs)
+        }
+        shape = self._input_shape(spatial_scale)
         flattened = False
+        resolved: List[ResolvedLayer] = []
         for layer_def in self.defs:
+            channels, rows, cols = shape.as_tuple()
+            layer_type, args, out_shape = None, {}, shape
             if isinstance(layer_def, ConvDef):
-                out_channels = channels if layer_def.depthwise else layer_def.out_channels
-                groups = channels if layer_def.depthwise else layer_def.groups
-                spec = conv_spec(
-                    layer_def.name,
-                    channels,
-                    out_channels,
-                    layer_def.kernel,
-                    rows,
-                    cols,
+                if layer_def.depthwise:
+                    out_channels = groups = channels
+                else:
+                    divisor = math.lcm(layer_def.groups, next_groups[layer_def.name])
+                    scaled = _scaled(layer_def.out_channels, scale)
+                    out_channels = math.ceil(scaled / divisor) * divisor
+                    groups = layer_def.groups
+                layer_type = Conv2D
+                args = dict(
+                    in_channels=channels,
+                    out_channels=out_channels,
+                    kernel=layer_def.kernel,
                     stride=layer_def.stride,
                     padding=layer_def.padding,
                     groups=groups,
                 )
-                specs.append(spec)
-                channels, rows, cols = spec.out_channels, spec.out_rows, spec.out_cols
+                out_shape = FeatureShape(
+                    out_channels,
+                    conv_output_extent(
+                        rows, layer_def.kernel, layer_def.stride, layer_def.padding
+                    ),
+                    conv_output_extent(
+                        cols, layer_def.kernel, layer_def.stride, layer_def.padding
+                    ),
+                )
             elif isinstance(layer_def, PoolDef):
-                rows = pool_output_extent(rows, layer_def.kernel, layer_def.stride)
-                cols = pool_output_extent(cols, layer_def.kernel, layer_def.stride)
-            elif isinstance(layer_def, FlattenDef):
-                channels, rows, cols = channels * rows * cols, 1, 1
-                flattened = True
+                layer_type = _POOLS[layer_def.kind]
+                args = dict(kernel=layer_def.kernel, stride=layer_def.stride)
+                out_shape = FeatureShape(
+                    channels,
+                    pool_output_extent(rows, layer_def.kernel, layer_def.stride),
+                    pool_output_extent(cols, layer_def.kernel, layer_def.stride),
+                )
             elif isinstance(layer_def, FCDef):
                 if not flattened and (rows, cols) != (1, 1):
                     raise ValueError(
                         f"{layer_def.name}: FC layer requires a flattened input"
                     )
-                specs.append(fc_spec(layer_def.name, channels * rows * cols, layer_def.out_features))
-                channels, rows, cols = layer_def.out_features, 1, 1
-            # ReLU / LRN / Dropout / Softmax keep the shape.
+                out_features = (
+                    _scaled(layer_def.out_features, scale)
+                    if layer_def.scale_output
+                    else layer_def.out_features
+                )
+                layer_type = FullyConnected
+                args = dict(in_features=shape.size, out_features=out_features)
+                out_shape = FeatureShape(out_features, 1, 1)
+            elif isinstance(layer_def, FlattenDef):
+                layer_type = Flatten
+                out_shape = FeatureShape(shape.size, 1, 1)
+                flattened = True
+            elif type(layer_def) in _SHAPE_KEEPING:
+                layer_type = _SHAPE_KEEPING[type(layer_def)]
+                args = {
+                    f.name: getattr(layer_def, f.name)
+                    for f in fields(layer_def)
+                    if f.name != "name"
+                }
+            resolved.append(
+                ResolvedLayer(layer_def, layer_type, args, shape, out_shape)
+            )
+            shape = out_shape
+        return resolved
+
+    def accelerated_specs(
+        self, scale: float = 1.0, spatial_scale: float = 1.0
+    ) -> List[LayerSpec]:
+        """Conv/FC :class:`LayerSpec` list of :meth:`build` at the same scales.
+
+        Read off :meth:`layer_shapes`, so no network or tensor is built at
+        any scale.
+        """
+        specs: List[LayerSpec] = []
+        # Conv2D's and FullyConnected's constructor arguments are
+        # conv_spec's and fc_spec's keyword arguments.
+        for layer in self.layer_shapes(scale, spatial_scale):
+            name = layer.definition.name
+            if layer.layer_type is Conv2D:
+                specs.append(
+                    conv_spec(
+                        name,
+                        in_rows=layer.in_shape.rows,
+                        in_cols=layer.in_shape.cols,
+                        **layer.args,
+                    )
+                )
+            elif layer.layer_type is FullyConnected:
+                specs.append(fc_spec(name, **layer.args))
         return specs
 
     def build(
@@ -221,98 +287,20 @@ class Architecture:
         seed: Optional[int] = 0,
         spatial_scale: float = 1.0,
     ) -> Network:
-        """Instantiate an executable network.
+        """Instantiate an executable network from :meth:`layer_shapes`.
 
         Parameters
         ----------
         scale:
             Channel-count multiplier (1.0 = the published architecture).
-            Grouped convolutions keep their group counts; channel counts are
-            rounded up to multiples of the group count.
         seed:
             Seed for the synthetic Laplacian weights; ``None`` leaves all
             weights zero (useful when a pruner/quantizer will overwrite them).
         spatial_scale:
             Input resolution multiplier for cheap end-to-end runs.
         """
-        if scale <= 0 or spatial_scale <= 0:
-            raise ValueError("scale factors must be positive")
-        rows = max(8, int(round(self.input_rows * spatial_scale)))
-        cols = max(8, int(round(self.input_cols * spatial_scale)))
-        input_shape = FeatureShape(self.input_channels, rows, cols)
-        layers = []
-        channels = self.input_channels
-        cur_rows, cur_cols = rows, cols
-        conv_defs = [d for d in self.defs if isinstance(d, ConvDef)]
-        # A scaled channel count must divide by this layer's groups *and*
-        # by the next convolution's groups (its input grouping).
-        next_groups = {
-            d.name: conv_defs[i + 1].groups if i + 1 < len(conv_defs) else 1
-            for i, d in enumerate(conv_defs)
-        }
-        for layer_def in self.defs:
-            if isinstance(layer_def, ConvDef):
-                if layer_def.depthwise:
-                    out_channels = channels
-                    groups = channels
-                else:
-                    out_channels = _scaled(layer_def.out_channels, scale)
-                    divisor = math.lcm(layer_def.groups, next_groups[layer_def.name])
-                    out_channels = math.ceil(out_channels / divisor) * divisor
-                    groups = layer_def.groups
-                layers.append(
-                    Conv2D(
-                        layer_def.name,
-                        channels,
-                        out_channels,
-                        layer_def.kernel,
-                        stride=layer_def.stride,
-                        padding=layer_def.padding,
-                        groups=groups,
-                    )
-                )
-                channels = out_channels
-                cur_rows = conv_output_extent(
-                    cur_rows, layer_def.kernel, layer_def.stride, layer_def.padding
-                )
-                cur_cols = conv_output_extent(
-                    cur_cols, layer_def.kernel, layer_def.stride, layer_def.padding
-                )
-            elif isinstance(layer_def, PoolDef):
-                pool_cls = MaxPool2D if layer_def.kind == "max" else AvgPool2D
-                layers.append(pool_cls(layer_def.name, layer_def.kernel, layer_def.stride))
-                cur_rows = pool_output_extent(cur_rows, layer_def.kernel, layer_def.stride)
-                cur_cols = pool_output_extent(cur_cols, layer_def.kernel, layer_def.stride)
-            elif isinstance(layer_def, FCDef):
-                in_features = channels * cur_rows * cur_cols
-                out_features = (
-                    _scaled(layer_def.out_features, scale)
-                    if layer_def.scale_output
-                    else layer_def.out_features
-                )
-                layers.append(FullyConnected(layer_def.name, in_features, out_features))
-                channels, cur_rows, cur_cols = out_features, 1, 1
-            elif isinstance(layer_def, ReLUDef):
-                layers.append(ReLU(layer_def.name))
-            elif isinstance(layer_def, LRNDef):
-                layers.append(
-                    LocalResponseNorm(
-                        layer_def.name,
-                        local_size=layer_def.local_size,
-                        alpha=layer_def.alpha,
-                        beta=layer_def.beta,
-                    )
-                )
-            elif isinstance(layer_def, DropoutDef):
-                layers.append(Dropout(layer_def.name, rate=layer_def.rate))
-            elif isinstance(layer_def, FlattenDef):
-                layers.append(Flatten(layer_def.name))
-                channels, cur_rows, cur_cols = channels * cur_rows * cur_cols, 1, 1
-            elif isinstance(layer_def, SoftmaxDef):
-                layers.append(Softmax(layer_def.name))
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown layer definition {layer_def!r}")
-        network = Network(self.name, input_shape, layers)
+        layers = [layer.build() for layer in self.layer_shapes(scale, spatial_scale)]
+        network = Network(self.name, self._input_shape(spatial_scale), layers)
         if seed is not None:
             initialize_network(network, seed=seed)
         return network

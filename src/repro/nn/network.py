@@ -1,9 +1,8 @@
-"""Sequential network container with shape inference and introspection."""
+"""Sequential network container with shape inference."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Sequence, Union
 
 import numpy as np
 
@@ -13,18 +12,6 @@ from .layers.fc import FullyConnected
 from .tensor import FeatureShape
 
 ComputeLayer = Union[Conv2D, FullyConnected]
-
-
-@dataclass(frozen=True)
-class LayerSummary:
-    """One row of :meth:`Network.summary`."""
-
-    name: str
-    kind: str
-    output_shape: FeatureShape
-    parameters: int
-    operations: int
-    on_accelerator: bool
 
 
 class Network:
@@ -71,13 +58,6 @@ class Network:
                 return self.input_shape if i == 0 else self._shapes[i - 1]
         raise KeyError(f"no layer named {name!r} in network {self.name!r}")
 
-    def output_shape_of(self, name: str) -> FeatureShape:
-        """Output shape produced by the named layer."""
-        for candidate, shape in zip(self.layers, self._shapes):
-            if candidate.name == name:
-                return shape
-        raise KeyError(f"no layer named {name!r} in network {self.name!r}")
-
     @property
     def output_shape(self) -> FeatureShape:
         return self._shapes[-1]
@@ -86,42 +66,21 @@ class Network:
         """Conv and FC layers, in order — what the FPGA executes."""
         return [layer for layer in self.layers if layer.runs_on_accelerator]  # type: ignore[misc]
 
-    def parameter_count(self) -> int:
-        """Total trainable parameters across all layers."""
-        return sum(layer.parameter_count for layer in self.layers)
-
-    def operation_count(self) -> int:
-        """Total dense op count (2 per MAC), the paper's '#OP' for SDConv."""
-        total = 0
-        shape = self.input_shape
-        for layer in self.layers:
-            total += layer.operation_count(shape)
-            shape = layer.output_shape(shape)
-        return total
-
-    def forward(self, features: np.ndarray, upto: Optional[str] = None) -> np.ndarray:
-        """Run inference; optionally stop after the layer named ``upto``."""
+    def forward(self, features: np.ndarray) -> np.ndarray:
+        """Run inference on one CHW input: the batched walk on a batch of one."""
         arr = np.asarray(features)
         if arr.shape != self.input_shape.as_tuple():
             raise ValueError(
                 f"network {self.name!r} expects input shape "
                 f"{self.input_shape.as_tuple()}, got {arr.shape}"
             )
-        for layer in self.layers:
-            arr = layer.forward(arr)
-            if upto is not None and layer.name == upto:
-                return arr
-        if upto is not None:
-            raise KeyError(f"no layer named {upto!r} in network {self.name!r}")
-        return arr
+        return self.forward_batch(arr[None])[0]
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         """Run a (B, C, H, W) batch through every layer's batched path.
 
-        The batch genuinely flows through each layer as one array instead
-        of a Python loop over images. Integer/quantized execution is
-        bit-exact against per-image :meth:`forward`; float conv/FC layers
-        may differ at the ulp level (BLAS summation order).
+        The batch flows through each layer as one array instead of a
+        Python loop over images.
         """
         arr = np.asarray(batch)
         expected = self.input_shape.as_tuple()
@@ -135,28 +94,10 @@ class Network:
         return arr
 
     def activations(self, features: np.ndarray) -> Dict[str, np.ndarray]:
-        """Run inference and capture every layer's output (for calibration)."""
-        arr = np.asarray(features)
+        """Run one CHW input and capture every layer's output (for calibration)."""
+        arr = np.asarray(features)[None]
         captured: Dict[str, np.ndarray] = {}
         for layer in self.layers:
-            arr = layer.forward(arr)
-            captured[layer.name] = arr
+            arr = layer.forward_batch(arr)
+            captured[layer.name] = arr[0]
         return captured
-
-    def summary(self) -> List[LayerSummary]:
-        """Per-layer table of shapes, parameters and op counts."""
-        rows = []
-        shape = self.input_shape
-        for layer, out_shape in zip(self.layers, self._shapes):
-            rows.append(
-                LayerSummary(
-                    name=layer.name,
-                    kind=type(layer).__name__,
-                    output_shape=out_shape,
-                    parameters=layer.parameter_count,
-                    operations=layer.operation_count(shape),
-                    on_accelerator=layer.runs_on_accelerator,
-                )
-            )
-            shape = out_shape
-        return rows

@@ -1,9 +1,10 @@
 """Shape bookkeeping for feature maps.
 
 The paper indexes feature maps as (channels, rows, cols) = (N, R, C) on the
-input side and (M, R', C') on the output side of a convolution. We keep that
-CHW convention throughout; batched paths (``Network.forward_batch``, the
-fused model plan) add an explicit leading batch axis.
+input side and (M, R', C') on the output side of a convolution. A
+:class:`FeatureShape` is that CHW shape of one image; arrays add a leading
+batch axis (BCHW), since every layer runs on a batch and one image is a
+batch of one.
 """
 
 from __future__ import annotations

@@ -158,14 +158,12 @@ class QuantizedPipeline:
             np.asarray(sample_input), self.feature_bits, strategy, percentile
         )
         activations = self.network.activations(np.asarray(sample_input))
-        shape = self.network.input_shape
         for layer in self.network:
             # Conv/FC outputs feed the Sum/Round stage; every layer output
             # that is stored as a feature map gets a calibrated format.
             self.output_fmts[layer.name] = fit_with_strategy(
                 activations[layer.name], self.feature_bits, strategy, percentile
             )
-            shape = layer.output_shape(shape)
         self._calibrated = True
         self._quantization_token += 1
         return self

@@ -15,7 +15,7 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List
 
 from ..nn.layers import (
     AvgPool2D,
@@ -28,6 +28,7 @@ from ..nn.layers import (
     Softmax,
 )
 from ..nn.layers.base import Layer
+from ..nn.models.arch import Architecture
 from ..nn.network import Network
 from ..nn.tensor import FeatureShape
 
@@ -55,33 +56,62 @@ class UnknownHostLayerError(TypeError):
     """
 
 
-def host_layer_ops(layer: Layer, input_shape: FeatureShape) -> int:
-    """Elementwise operation estimate for one host layer.
+def _host_ops(
+    kind: type, layer, in_shape: FeatureShape, out_shape: FeatureShape
+) -> int:
+    """The host-cost table: elementwise ops of one CPU layer of class ``kind``.
 
-    Pooling costs one compare/add per window element; LRN costs a square,
-    a windowed sum (via prefix sums, ~2 ops), a power and a divide (~8 ops
-    total) per element; softmax an exp+div (~10); ReLU one op; inference
-    batch norm a fused scale+shift (2). Layers with no arithmetic
-    (dropout, flatten) are free. Unknown layer types raise
-    :class:`UnknownHostLayerError` rather than silently costing nothing.
+    ``layer`` is the layer itself or the architecture def it is built from
+    (pooling reads its ``kernel``). Pooling costs one compare/add per window
+    element; LRN costs a square, a windowed sum (via prefix sums, ~2 ops), a
+    power and a divide (~8 ops total) per element; softmax an exp+div
+    (~10); ReLU one op; inference batch norm a fused scale+shift (2).
+    Layers with no arithmetic (dropout, flatten) are free. Unknown layer
+    types raise :class:`UnknownHostLayerError` rather than silently costing
+    nothing.
     """
-    output = layer.output_shape(input_shape)
-    if isinstance(layer, (MaxPool2D, AvgPool2D)):
-        return output.size * layer.kernel * layer.kernel
-    if isinstance(layer, LocalResponseNorm):
-        return input_shape.size * 8
-    if isinstance(layer, Softmax):
-        return input_shape.size * 10
-    if isinstance(layer, ReLU):
-        return input_shape.size
-    if isinstance(layer, BatchNorm):
-        return input_shape.size * 2
-    if isinstance(layer, (Dropout, Flatten)):
+    if issubclass(kind, (MaxPool2D, AvgPool2D)):
+        return out_shape.size * layer.kernel * layer.kernel
+    if issubclass(kind, LocalResponseNorm):
+        return in_shape.size * 8
+    if issubclass(kind, Softmax):
+        return in_shape.size * 10
+    if issubclass(kind, ReLU):
+        return in_shape.size
+    if issubclass(kind, BatchNorm):
+        return in_shape.size * 2
+    if issubclass(kind, (Dropout, Flatten)):
         return 0
     raise UnknownHostLayerError(
         f"no host cost model for layer {layer.name!r} "
-        f"({type(layer).__name__}); add it to host_layer_ops"
+        f"({kind.__name__}); add it to repro.system.host._host_ops"
     )
+
+
+def host_layer_ops(layer: Layer, input_shape: FeatureShape) -> int:
+    """Elementwise operation estimate for one host layer."""
+    return _host_ops(type(layer), layer, input_shape, layer.output_shape(input_shape))
+
+
+def host_ops_from_architecture(
+    architecture: Architecture, scale: float = 1.0, spatial_scale: float = 1.0
+) -> int:
+    """Elementwise host ops per image, read off the architecture walk.
+
+    The same table as :func:`host_costs` on ``architecture.build(scale,
+    spatial_scale=spatial_scale)``, without building the network, so
+    full-size VGG16 never allocates its FC tensors.
+    """
+    total = 0
+    for resolved in architecture.layer_shapes(scale, spatial_scale):
+        # A def the walk does not know has no layer type: the table rejects
+        # it by its def's type name.
+        kind = resolved.layer_type or type(resolved.definition)
+        if not getattr(kind, "runs_on_accelerator", False):
+            total += _host_ops(
+                kind, resolved.definition, resolved.in_shape, resolved.out_shape
+            )
+    return total
 
 
 def host_costs(network: Network) -> List[HostLayerCost]:
@@ -115,10 +145,3 @@ class HostModel:
 
     def seconds_per_image(self, network: Network) -> float:
         return sum(c.seconds(self.ops_per_second) for c in host_costs(network))
-
-    def breakdown(self, network: Network) -> Sequence[Tuple[str, float]]:
-        """(layer, seconds) pairs for reporting."""
-        return [
-            (cost.name, cost.seconds(self.ops_per_second))
-            for cost in host_costs(network)
-        ]

@@ -19,50 +19,9 @@ from dataclasses import dataclass
 from ..hw.accelerator import AcceleratorSimulator, ModelSimResult
 from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
-from ..nn.models.arch import (
-    Architecture,
-    ConvDef,
-    DropoutDef,
-    FCDef,
-    FlattenDef,
-    LRNDef,
-    PoolDef,
-    ReLUDef,
-    SoftmaxDef,
-)
+from ..nn.models.arch import Architecture
 from ..hw.workload import ModelWorkload
-from .host import DEFAULT_HOST_OPS_PER_SECOND, UnknownHostLayerError
-
-
-def host_ops_from_architecture(architecture: Architecture) -> int:
-    """Elementwise host ops per image from a symbolic architecture walk.
-
-    Mirrors :func:`repro.system.host.host_layer_ops` without building the
-    network, so full-size VGG16 never allocates its FC tensors. The two
-    walks are pinned against each other by tests; an unknown layer def
-    raises (like the network walk) instead of silently costing zero.
-    """
-    total = 0
-    for layer_def, in_shape, out_shape in architecture.layer_shapes():
-        in_size = in_shape[0] * in_shape[1] * in_shape[2]
-        out_size = out_shape[0] * out_shape[1] * out_shape[2]
-        if isinstance(layer_def, PoolDef):
-            total += out_size * layer_def.kernel * layer_def.kernel
-        elif isinstance(layer_def, LRNDef):
-            total += in_size * 8
-        elif isinstance(layer_def, SoftmaxDef):
-            total += in_size * 10
-        elif isinstance(layer_def, ReLUDef):
-            total += in_size
-        elif isinstance(layer_def, (ConvDef, FCDef, FlattenDef, DropoutDef)):
-            continue
-        else:
-            raise UnknownHostLayerError(
-                f"no host cost model for layer def {layer_def.name!r} "
-                f"({type(layer_def).__name__}); add it to "
-                f"host_ops_from_architecture and host_layer_ops"
-            )
-    return total
+from .host import DEFAULT_HOST_OPS_PER_SECOND, host_ops_from_architecture
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,6 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             BatchNorm("bn", 0)
 
-    def test_parameter_count(self):
-        assert BatchNorm("bn", 5).parameter_count == 20
-
 
 class TestFolding:
     def test_conv_fold_exact(self, rng):

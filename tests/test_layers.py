@@ -112,10 +112,6 @@ class TestFullyConnected:
         expected = fc.weights @ features.reshape(-1) + fc.bias
         assert np.allclose(fc.forward(features).reshape(-1), expected)
 
-    def test_as_conv_weights_shape(self):
-        fc = FullyConnected("fc", 12, 5)
-        assert fc.as_conv_weights().shape == (5, 12, 1, 1)
-
     def test_wrong_input_size(self):
         fc = FullyConnected("fc", 12, 5)
         with pytest.raises(ValueError):

@@ -3,13 +3,49 @@
 import numpy as np
 import pytest
 
+from repro.core.specs import conv_spec, fc_spec
+from repro.nn.layers import Conv2D
+from repro.nn.layers.base import Layer
 from repro.nn.models import (
+    PoolDef,
     alexnet_architecture,
     available_models,
     get_architecture,
     register_model,
     vgg16_architecture,
 )
+from repro.nn.network import Network
+
+#: Channel / input-resolution scales each model is built at: the
+#: paper-scale ones scaled so their FC tensors stay cheap.
+SCALED_POINTS = {
+    name: [(0.5, 0.25), (0.12, 0.42)] for name in ("alexnet", "vgg16", "vgg19")
+}
+SMALL_MODEL_POINTS = [(1.0, 1.0), (0.5, 1.0)]
+
+
+def specs_read_off(network):
+    """The conv/FC specs of a built network's layers and input shapes."""
+    specs = []
+    for layer in network.accelerated_layers():
+        in_shape = network.input_shape_of(layer.name)
+        if isinstance(layer, Conv2D):
+            specs.append(
+                conv_spec(
+                    layer.name,
+                    layer.in_channels,
+                    layer.out_channels,
+                    layer.kernel,
+                    in_shape.rows,
+                    in_shape.cols,
+                    stride=layer.stride,
+                    padding=layer.padding,
+                    groups=layer.groups,
+                )
+            )
+        else:
+            specs.append(fc_spec(layer.name, layer.in_features, layer.out_features))
+    return specs
 
 
 class TestVGG16:
@@ -112,6 +148,36 @@ class TestBuildScaling:
                 assert weights.shape == (spec.out_channels, spec.in_channels)
             else:
                 assert weights.shape == spec.weight_shape()
+
+    def test_specs_match_the_built_network(self):
+        """accelerated_specs(scale, spatial_scale) is what build() constructs."""
+        for name in available_models():
+            architecture = get_architecture(name)
+            for scale, spatial_scale in SCALED_POINTS.get(name, SMALL_MODEL_POINTS):
+                network = architecture.build(scale, seed=None, spatial_scale=spatial_scale)
+                specs = architecture.accelerated_specs(scale, spatial_scale)
+                assert specs == specs_read_off(network), (name, scale, spatial_scale)
+
+    def test_specs_build_nothing(self, monkeypatch):
+        """Specs are read off the symbolic walk at every scale: no network,
+        no layer and so no weight tensor is constructed."""
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} constructed")
+
+        monkeypatch.setattr(Network, "__init__", refuse)
+        monkeypatch.setattr(Layer, "__init__", refuse)
+        for name in available_models():
+            architecture = get_architecture(name)
+            points = SCALED_POINTS.get(name, SMALL_MODEL_POINTS) + [(1.0, 1.0)]
+            for scale, spatial_scale in points:
+                assert architecture.accelerated_specs(scale, spatial_scale)
+
+    def test_pool_kind_is_validated(self):
+        """A mistyped pool kind once built an average pool silently."""
+        with pytest.raises(ValueError, match="pool3"):
+            PoolDef("pool3", kernel=2, stride=2, kind="maxx")
+        assert PoolDef("pool3", kernel=2, stride=2, kind="avg").kind == "avg"
 
 
 class TestRegistry:

@@ -13,8 +13,19 @@ from repro.system.host import (
     host_layer_ops,
 )
 from repro.system.pipeline import host_ops_from_architecture, run_system
-from repro.nn.models import alexnet_architecture, get_architecture, vgg16_architecture
+from repro.nn.models import (
+    alexnet_architecture,
+    available_models,
+    get_architecture,
+    vgg16_architecture,
+)
 from repro.workloads import synthetic_model_workload
+
+#: Channel / input-resolution scales the paper-scale models are built at
+#: when a test needs the executable network; other models build full size.
+ZOO_POINTS = {
+    name: [(0.5, 0.25), (0.12, 0.42)] for name in ("alexnet", "vgg16", "vgg19")
+}
 
 
 class TestHostModel:
@@ -34,7 +45,7 @@ class TestHostModel:
         network = tiny_architecture.build(seed=1)
         costs = {cost.name: cost for cost in host_costs(network)}
         pool1 = network.layer("pool1")
-        out = network.output_shape_of("pool1")
+        out = pool1.output_shape(network.input_shape_of("pool1"))
         assert costs["pool1"].elementwise_ops == out.size * pool1.kernel**2
 
     def test_seconds_positive(self, tiny_architecture):
@@ -47,11 +58,30 @@ class TestHostModel:
             HostModel(ops_per_second=0).seconds_per_image(network)
 
     def test_symbolic_matches_network_walk(self, tiny_architecture):
-        """The allocation-free architecture walk equals the network walk."""
-        network = tiny_architecture.build(seed=1)
-        from_network = sum(c.elementwise_ops for c in host_costs(network))
-        from_arch = host_ops_from_architecture(tiny_architecture)
-        assert from_arch == from_network
+        """The allocation-free architecture walk equals the network walk.
+
+        On the tiny fixture and every registered model; the paper-scale
+        ones are built scaled so their FC tensors stay cheap. Depthwise
+        layers (mobilenet-tiny) once read 0 channels in the symbolic walk.
+        """
+        cases = [(tiny_architecture, (1.0, 1.0))] + [
+            (get_architecture(name), point)
+            for name in available_models()
+            for point in ZOO_POINTS.get(name, [(1.0, 1.0)])
+        ]
+        mismatched = []
+        for architecture, (scale, spatial_scale) in cases:
+            network = architecture.build(scale, seed=None, spatial_scale=spatial_scale)
+            from_network = sum(c.elementwise_ops for c in host_costs(network))
+            from_arch = host_ops_from_architecture(architecture, scale, spatial_scale)
+            if from_arch != from_network or from_arch <= 0:
+                mismatched.append((architecture.name, scale, from_arch, from_network))
+        assert not mismatched
+
+    def test_mobilenet_host_ops_count_depthwise_channels(self):
+        """Full-size mobilenet-tiny: 118,884 host ops, depthwise ReLUs included."""
+        ops = host_ops_from_architecture(get_architecture("mobilenet-tiny"))
+        assert ops == 118_884
 
     def test_symbolic_walk_full_vgg(self):
         """Full-size VGG16 host ops computable without weight allocation."""
@@ -66,8 +96,8 @@ class TestHostModel:
             def output_shape(self, input_shape):
                 return input_shape
 
-            def forward(self, features):  # pragma: no cover - never run
-                return features
+            def forward_batch(self, batch):  # pragma: no cover - never run
+                return batch
 
         with pytest.raises(UnknownHostLayerError, match="Mystery"):
             host_layer_ops(Mystery("mystery"), FeatureShape(3, 8, 8))
