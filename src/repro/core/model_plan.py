@@ -31,7 +31,17 @@ batch geometry)
 - **hoists run-time decisions to compile time**: each stage's datapath
   (see :meth:`LayerPlan.datapath`) comes from the tracked quantized-format
   code range (no peak scan per layer per batch), and the bias codes and
-  requantize scale factors are computed once.
+  requantize scale factors are computed once;
+- **binds every stage to the arena at compile time**, as the accelerator
+  fixes each layer's schedule, buffers and address generation before the
+  feature stream starts.  The stage order is fixed, so each stage's
+  source and destination ping buffer are assigned statically; each fused
+  stage's layer is bound with :meth:`LayerPlan.bind` (halo strips, window
+  views, band tiles, output rows, weight blocks, bias cast) and its
+  epilogue to fixed views (the MaxPool taps, the requantize ``scratch``
+  and ``dest``).  ``run`` then only replays fixed ``copyto`` /
+  ``matmul`` / ``add`` / ufunc calls; only an unpadded layer still
+  resolves its im2col copies against its input on each call.
 
 Bit-exactness: every fused stage computes the *same* codes as
 :meth:`repro.pipeline.QuantizedPipeline.run_batch_reference` (power-of-two
@@ -53,6 +63,7 @@ geometry) and registered with the telemetry cache registry as
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -133,11 +144,36 @@ def requantize(
     np.clip(scratch, clip_lo, clip_hi, out=out, casting="unsafe")
 
 
-class _FusedStage:
+def _other(index: Optional[int]) -> int:
+    """The ping buffer a stage writes when its input is in buffer ``index``
+    (``None``: the call's input, which lies outside the arena)."""
+    return 0 if index is None else 1 - index
+
+
+class _BoundStage:
+    """A stage bound to fixed arena views: ``run`` replays its calls.
+
+    Every stage reads the view its predecessor returned, which was fixed
+    when the plan compiled, so a bound stage ignores ``current`` and
+    returns its own fixed output view, :attr:`out`.  (A fused stage hands
+    ``current`` to its layer: a leading conv reads the call's input.)
+    """
+
+    __slots__ = ("name", "calls", "out")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def run(self, current: np.ndarray) -> np.ndarray:
+        for call in self.calls:
+            call()
+        return self.out
+
+
+class _FusedStage(_BoundStage):
     """conv/FC + bias + requantize [+ ReLU] [+ integer MaxPool], one stage."""
 
     __slots__ = (
-        "name",
         "plan",
         "bias_codes",
         "factor",
@@ -148,7 +184,10 @@ class _FusedStage:
         "sum_bound",
         "datapath",
         "fused_names",
+        "extent",
         "tiles",
+        "flatten",
+        "layer",
     )
 
     def __init__(
@@ -163,7 +202,7 @@ class _FusedStage:
         pool: Optional[MaxPool2D],
         is_fc: bool,
         fused_names: Tuple[str, ...],
-        tiles: int,
+        extent: Tuple[int, int, int],
     ) -> None:
         self.name = name
         self.plan = plan
@@ -189,25 +228,86 @@ class _FusedStage:
         #: What computes the raw sums: "gemm32", "gemm" or "int64".
         self.datapath = plan.datapath(input_peak, bias_peak)
         self.fused_names = fused_names
+        #: The (images, rows, cols) batch extent the layer plan runs on.
+        self.extent = extent
         #: Im2col + GEMM bands per run (see :meth:`LayerPlan.bands`).
-        self.tiles = tiles
+        self.tiles = plan.bands(*extent).count
 
-    def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
+    def bind(
+        self, arena: "_Arena", src: Optional[np.ndarray], index: Optional[int]
+    ) -> Tuple[np.ndarray, int]:
+        """Bind the layer to the arena's stage scratch and the epilogue to
+        the ping buffer ``src`` does not occupy; returns the output view
+        and its buffer.  ``src`` is ``None`` for a leading conv, which
+        reads each call's input directly."""
+        self.flatten = None
         if self.is_fc:
-            current = _flatten(arena, current)
-        raw = self.plan.execute_batch_raw(
-            current, self.bias_codes, self.datapath, arena.stage
+            self.flatten = _FlattenStage(self.name)
+            src, index = self.flatten.bind(arena, src, index)
+        self.layer = self.plan.bind(
+            *self.extent, self.bias_codes, self.datapath, arena.stage
         )
+        raw = self.layer.output
+        index = _other(index)
         if self.pool is None:
-            dest = arena.claim(current, raw.shape)
+            self.out = arena.view(index, raw.shape)
+            self.calls = []
         else:
             # Requantize is monotone non-decreasing, so it commutes with
             # max: pool the raw sums into the destination (an exact cast of
             # integers) and requantize only the pooled ones, in place.
-            dest = raw = _integer_maxpool(arena, self.pool, current, src=raw)
-        scratch = arena.scratch[: dest.size].reshape(dest.shape)
-        requantize(raw, self.factor, self.clip_lo, self.clip_hi, scratch, dest)
-        return dest
+            self.out = arena.view(index, _pooled_shape(self.pool, raw.shape))
+            self.calls = _bind_maxpool(self.pool, raw, self.out)
+            raw = self.out
+        scratch = arena.scratch[: self.out.size].reshape(self.out.shape)
+        self.calls.append(
+            partial(
+                requantize, raw, self.factor, self.clip_lo, self.clip_hi, scratch, self.out
+            )
+        )
+        return self.out, index
+
+    def run(self, current: np.ndarray) -> np.ndarray:
+        if self.flatten is not None:
+            current = self.flatten.run(current)
+        self.layer.run(current)
+        return super().run(current)
+
+
+def _pooled_shape(pool: MaxPool2D, shape: Sequence[int]) -> Tuple[int, int, int, int]:
+    """The channels-last extent ``pool`` makes of a ``shape`` stream."""
+    images, rows, cols, channels = shape
+    return (
+        images,
+        pool_output_extent(rows, pool.kernel, pool.stride),
+        pool_output_extent(cols, pool.kernel, pool.stride),
+        channels,
+    )
+
+
+def _bind_maxpool(pool: MaxPool2D, src: np.ndarray, dest: np.ndarray) -> List[partial]:
+    """The calls of a ceil-mode max pooling of channels-last integers
+    ``src`` into ``dest``, cast into ``dest``'s dtype on the way.
+
+    One strided ``np.maximum`` pass per window offset.  Offset (0, 0) lies
+    inside every window (ceil-mode windows never start past the edge), so
+    it initializes the output; each later offset updates only the leading
+    windows it still reaches, which is exactly max over the real pixels —
+    the reference's ``-inf`` padding never wins.  Max of codes == code of
+    max, so this is bit-identical to the float64 pool + ``astype(int64)``.
+    """
+    k, s = pool.kernel, pool.stride
+    out_rows, out_cols = dest.shape[1:3]
+    calls = []
+    for i in range(k):
+        for j in range(k):
+            tap = src[:, i::s, j::s][:, :out_rows, :out_cols]
+            if i == j == 0:
+                calls.append(partial(np.copyto, dest, tap, casting="unsafe"))
+            else:
+                part = dest[:, : tap.shape[1], : tap.shape[2]]
+                calls.append(partial(np.maximum, part, tap, out=part, casting="unsafe"))
+    return calls
 
 
 def _integer_maxpool(
@@ -216,110 +316,88 @@ def _integer_maxpool(
     current: np.ndarray,
     src: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Ceil-mode max pooling of channels-last integers into the ping buffer
-    ``current`` does not occupy.
-
-    ``src`` (default ``current``) is what is pooled: a fused stage pools
-    its raw sums, cast into the code dtype on the way.  One strided
-    ``np.maximum`` pass per window offset.  Offset (0, 0) lies inside
-    every window (ceil-mode windows never start past the edge), so it
-    initializes the output; each later offset updates only the leading
-    windows it still reaches, which is exactly max over the real pixels —
-    the reference's ``-inf`` padding never wins.  Max of codes == code of
-    max, so this is bit-identical to the float64 pool + ``astype(int64)``.
-    """
+    """Pool ``src`` (default ``current``) once into the ping buffer
+    ``current`` does not occupy: :func:`_bind_maxpool`'s calls, bound and
+    replayed in one go (a plan binds them once, at compile time)."""
     src = current if src is None else src
-    images, rows, cols, channels = src.shape
-    k, s = pool.kernel, pool.stride
-    out_rows = pool_output_extent(rows, k, s)
-    out_cols = pool_output_extent(cols, k, s)
-    dest = arena.claim(current, (images, out_rows, out_cols, channels))
-    for i in range(k):
-        for j in range(k):
-            tap = src[:, i::s, j::s][:, :out_rows, :out_cols]
-            if i == j == 0:
-                np.copyto(dest, tap, casting="unsafe")
-            else:
-                part = dest[:, : tap.shape[1], : tap.shape[2]]
-                np.maximum(part, tap, out=part, casting="unsafe")
+    index = 1 if np.may_share_memory(current, arena.ping[0]) else 0
+    dest = arena.view(index, _pooled_shape(pool, src.shape))
+    for call in _bind_maxpool(pool, src, dest):
+        call()
     return dest
 
 
-def _flatten(arena: "_Arena", current: np.ndarray) -> np.ndarray:
+class _FlattenStage(_BoundStage):
     """The stream as (B, 1, 1, C*H*W) features in the reference's CHW order.
 
-    A 1x1 map is already in that order; a wider one is copied, transposed,
-    into the free ping buffer, so FC weights keep their CHW columns.
+    A 1x1 map is already in that order, so it is a view; a wider one is
+    copied, transposed, into the other ping buffer, so FC weights keep
+    their CHW columns.  A fused FC stage flattens its input with one.
     """
-    if current.shape[1] * current.shape[2] > 1:
-        chw = current.transpose(0, 3, 1, 2)
-        current = arena.claim(current, chw.shape)
-        np.copyto(current, chw)
-    return current.reshape(current.shape[0], 1, 1, -1)
+
+    __slots__ = ()
+
+    def bind(self, arena: "_Arena", src: np.ndarray, index: int) -> Tuple[np.ndarray, int]:
+        images, rows, cols, channels = src.shape
+        self.calls = []
+        if rows * cols > 1:
+            index = _other(index)
+            chw = arena.view(index, (images, channels, rows, cols))
+            self.calls.append(partial(np.copyto, chw, src.transpose(0, 3, 1, 2)))
+            src = chw
+        self.out = src.reshape(images, 1, 1, -1)
+        return self.out, index
 
 
-def _to_bchw(current: np.ndarray) -> np.ndarray:
-    """The channels-last stream as a fresh C-contiguous BCHW int64 array.
-
-    The cast also turns the ``-0.0`` a float32 requantize can emit into 0.
-    """
-    images, rows, cols, channels = current.shape
-    out = np.empty((images, channels, rows, cols), np.int64)
-    np.copyto(out.transpose(0, 2, 3, 1), current, casting="unsafe")
-    return out
-
-
-class _PoolStage:
+class _PoolStage(_BoundStage):
     """Standalone integer MaxPool (not adjacent to a conv epilogue)."""
 
-    __slots__ = ("name", "pool")
+    __slots__ = ("pool",)
 
     def __init__(self, name: str, pool: MaxPool2D) -> None:
         self.name = name
         self.pool = pool
 
-    def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
-        return _integer_maxpool(arena, self.pool, current)
+    def bind(self, arena: "_Arena", src: np.ndarray, index: int) -> Tuple[np.ndarray, int]:
+        index = _other(index)
+        self.out = arena.view(index, _pooled_shape(self.pool, src.shape))
+        self.calls = _bind_maxpool(self.pool, src, self.out)
+        return self.out, index
 
 
-class _ReLUStage:
+class _ReLUStage(_BoundStage):
     """Standalone elementwise ReLU, in place on the stream buffer."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
-        np.maximum(current, 0, out=current)
-        return current
+    def bind(self, arena: "_Arena", src: np.ndarray, index: int) -> Tuple[np.ndarray, int]:
+        self.out = src
+        self.calls = [partial(np.maximum, src, 0, out=src)]
+        return src, index
 
 
-class _ReshapeStage:
-    """Flatten / Dropout: Dropout is the identity; Flatten is :func:`_flatten`."""
+class _DropoutStage(_BoundStage):
+    """Dropout: the identity at inference."""
 
-    __slots__ = ("name", "flatten")
+    __slots__ = ()
 
-    def __init__(self, name: str, flatten: bool) -> None:
-        self.name = name
-        self.flatten = flatten
-
-    def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
-        return _flatten(arena, current) if self.flatten else current
+    def bind(self, arena: "_Arena", src: np.ndarray, index: int) -> Tuple[np.ndarray, int]:
+        self.out, self.calls = src, []
+        return src, index
 
 
-class _HostStage:
+class _HostStage(_BoundStage):
     """AvgPool / LRN / Softmax: dequantize, run float64, requantize.
 
     The float round-trip is byte-for-byte the reference path's — host
     layers are where the paper's system leaves the integer stream, so the
     fused plan leaves it the same way.  The layer sees the reference's
     C-contiguous BCHW floats (so its reductions sum in the same order),
-    and its codes rejoin the stream as a channels-last view.  Float32
+    and its codes rejoin the stream in the other ping buffer.  Float32
     codes are integers below ``2**24``, so they dequantize exactly.
     """
 
-    __slots__ = ("name", "layer", "in_fmt", "out_fmt")
+    __slots__ = ("layer", "in_fmt", "out_fmt", "src", "dest")
 
     def __init__(self, name: str, layer, in_fmt: QFormat, out_fmt: QFormat) -> None:
         self.name = name
@@ -327,27 +405,39 @@ class _HostStage:
         self.in_fmt = in_fmt
         self.out_fmt = out_fmt
 
-    def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
-        bchw = np.ascontiguousarray(current.transpose(0, 3, 1, 2))
-        real = self.layer.forward_batch(self.in_fmt.dequantize(bchw))
-        # The fresh codes array rejoins the stream directly; downstream
-        # claims fall back to ping buffer 0 when reading from it.
-        return self.out_fmt.quantize(real).transpose(0, 2, 3, 1)
+    def bind(self, arena: "_Arena", src: np.ndarray, index: int) -> Tuple[np.ndarray, int]:
+        images, rows, cols, channels = src.shape
+        shape = self.layer.output_shape(FeatureShape(channels, rows, cols))
+        index = _other(index)
+        self.out = arena.view(index, (images, shape.rows, shape.cols, shape.channels))
+        self.src = src.transpose(0, 3, 1, 2)
+        self.dest = self.out.transpose(0, 3, 1, 2)
+        self.calls = [self._forward]
+        return self.out, index
+
+    def _forward(self) -> None:
+        real = self.layer.forward_batch(
+            self.in_fmt.dequantize(np.ascontiguousarray(self.src))
+        )
+        # Exact in a float32 arena: _float32_codes checks every host
+        # layer's output format fits the float32 significand.
+        np.copyto(self.dest, self.out_fmt.quantize(real), casting="unsafe")
 
 
 class _Arena:
     """All working memory of one model plan, sized once at compile time.
 
-    - Two ping-pong code buffers at the activation high-water mark.
-      ``claim`` hands out a view of whichever one the caller is *not*
-      reading from, so a stage can always write its output while streaming
-      its input.
+    - Two ping-pong code buffers at the activation high-water mark.  The
+      plan assigns each stage, at compile time, a view of the one its
+      input does not occupy (see :meth:`view`), so a stage can always
+      write its output while streaming its input.
     - One requantize scratch at the largest stage output: float32 with
       float32 codes, float64 with int64 codes.
     - One :class:`~repro.core.plan.Scratch` (padded input, patch tile, raw
       GEMM output), each region the largest any fused stage needs.  Stages
-      run one after another, so they share it, as the accelerator streams
-      every layer through one FT-Buffer sized for its largest layer.
+      run one after another, so every stage is bound to it, as the
+      accelerator streams every layer through one FT-Buffer sized for its
+      largest layer.
     """
 
     __slots__ = ("ping", "scratch", "stage")
@@ -371,21 +461,9 @@ class _Arena:
         """The dtype of the codes in the ping-pong buffers."""
         return self.ping[0].dtype
 
-    def _index_of(self, array: np.ndarray) -> Optional[int]:
-        base = array
-        while base.base is not None:  # walk view chains to the owning array
-            base = base.base
-        for i, buf in enumerate(self.ping):
-            if base is buf:
-                return i
-        return None
-
-    def claim(self, current: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-        """A destination view that does not alias ``current``."""
-        src = self._index_of(current)
-        dest = 1 - src if src is not None else 0
-        n = int(np.prod(shape))
-        return self.ping[dest][:n].reshape(shape)
+    def view(self, index: int, shape: Sequence[int]) -> np.ndarray:
+        """The leading elements of ping buffer ``index`` as a ``shape`` array."""
+        return self.ping[index][: int(np.prod(shape))].reshape(shape)
 
     def split(self) -> Dict[str, int]:
         """Bytes of the ping-pong buffers, the requantize scratch and the
@@ -451,6 +529,7 @@ class ModelPlan:
 
         layers = list(pipeline.network)
         shape = FeatureShape(*(int(s) for s in batch_shape[1:]))
+        entry = (images, shape.rows, shape.cols, shape.channels)
         fmt = pipeline.input_fmt
         formats = [fmt]
         high_water = images * shape.size
@@ -494,7 +573,7 @@ class ModelPlan:
                     pool=pool,
                     is_fc=compiled.is_fc,
                     fused_names=tuple(fused),
-                    tiles=plan.bands(images, *extent).count,
+                    extent=(images, *extent),
                 )
                 self.stages.append(stage)
                 pixels = images * conv_shape.rows * conv_shape.cols
@@ -522,9 +601,8 @@ class ModelPlan:
                 self.stages.append(_PoolStage(name, layer))
                 shape = layer.output_shape(shape)
             elif isinstance(layer, (Flatten, Dropout)):
-                self.stages.append(
-                    _ReshapeStage(name, flatten=isinstance(layer, Flatten))
-                )
+                stage = _FlattenStage if isinstance(layer, Flatten) else _DropoutStage
+                self.stages.append(stage(name))
                 shape = layer.output_shape(shape)
             elif isinstance(layer, (AvgPool2D, LocalResponseNorm, Softmax)):
                 out_fmt = pipeline.output_fmts.get(name, fmt)
@@ -539,7 +617,22 @@ class ModelPlan:
         self.output_fmt = fmt
         self.output_shape = shape
         codes = np.float32 if _float32_codes(self.stages, formats) else np.int64
-        self.arena = _Arena(high_water, scratch_elements, codes, stage_bytes)
+        self.arena = arena = _Arena(high_water, scratch_elements, codes, stage_bytes)
+        # Bind every stage once.  The stage order is fixed, so is each
+        # stage's source and destination: a stage writes the ping buffer
+        # its input does not occupy.  Only a leading conv reads the call's
+        # input itself (into its padded region, or as windows); any other
+        # plan copies the input into ping buffer 0 first.
+        first = self.stages[0] if self.stages else None
+        if isinstance(first, _FusedStage) and not first.is_fc:
+            self._entry = src = index = None
+        else:
+            self._entry = src = arena.view(0, entry)
+            index = 0
+        for stage in self.stages:
+            src, index = stage.bind(arena, src, index)
+        #: The final stream as a BCHW view, copied out by ``run``.
+        self._exit = src.transpose(0, 3, 1, 2)
 
     # ---- execution -------------------------------------------------------
 
@@ -560,6 +653,9 @@ class ModelPlan:
         telemetry = get_active()
         with self._lock:
             current = codes.transpose(0, 2, 3, 1)
+            if self._entry is not None:
+                np.copyto(self._entry, current, casting="same_kind")
+                current = self._entry
             for stage in self.stages:
                 if telemetry is not None and isinstance(stage, _FusedStage):
                     with telemetry.span(
@@ -570,10 +666,14 @@ class ModelPlan:
                         datapath=stage.datapath,
                         tiles=stage.tiles,
                     ):
-                        current = stage.run(self.arena, current)
+                        current = stage.run(current)
                 else:
-                    current = stage.run(self.arena, current)
-            return _to_bchw(current), self.output_fmt
+                    current = stage.run(current)
+            # A fresh int64 array; the cast also turns the -0.0 a float32
+            # requantize can emit into 0.
+            out = np.empty(self._exit.shape, np.int64)
+            np.copyto(out, self._exit, casting="unsafe")
+            return out, self.output_fmt
 
     # ---- reporting -------------------------------------------------------
 

@@ -48,18 +48,25 @@ partial sum (in any summation order) and the biased total:
 Plans are cached per (encoded layer, geometry), so repeated inference —
 the per-layer reference walk, ``SystemRuntime.infer_batch``, the fused
 model plan built on top of these plans — pays compilation once.  A plan
-keeps no working memory: :meth:`LayerPlan.execute_batch_raw` runs in the
-caller's :class:`Scratch` (its padded input, patch tile and GEMM output),
-sized by :meth:`LayerPlan.scratch_bytes`.  The fused model plan sizes one
-such region set for its largest stage at compile time and streams every
-stage through it, as the accelerator streams every layer through one
-FT-Buffer; a per-layer call allocates its regions and drops them.
+keeps no working memory: :meth:`LayerPlan.bind` binds it to the caller's
+:class:`Scratch` (its padded input, patch tile and GEMM output), sized by
+:meth:`LayerPlan.scratch_bytes`, and to one batch extent and datapath.
+Binding does all the view arithmetic — bands, halo strips, window views,
+tiles, output rows, weight blocks, the bias cast — so a
+:class:`BoundLayer` run only issues ``copyto`` / ``matmul`` / ``add``
+calls, as the accelerator fixes each layer's schedule and address
+generation before the feature stream starts.  The fused model plan sizes
+one region set for its largest stage at compile time, binds every stage
+to it once and streams every stage through it, as the accelerator streams
+every layer through one FT-Buffer; a per-layer call binds a fresh
+:class:`Scratch`, runs once and drops both.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -138,12 +145,12 @@ class Bands(NamedTuple):
 
 
 class Scratch(NamedTuple):
-    """The working memory of one :meth:`LayerPlan.execute_batch_raw` call.
+    """The working memory of a :class:`BoundLayer` (see :meth:`LayerPlan.bind`).
 
-    Three flat byte regions, each viewed in the call's datapath dtype: the
+    Three flat byte regions, each viewed in the bound datapath's dtype: the
     padded input, one im2col tile and the raw GEMM output.  The caller owns
-    them and may reuse them across calls and layers: a call writes every
-    byte it reads, the padding halo included.
+    them and may bind several layers to them: a run writes every byte it
+    reads, the padding halo included.
     """
 
     padded: np.ndarray
@@ -313,8 +320,8 @@ class LayerPlan:
     def scratch_bytes(
         self, images: int, rows: int, cols: int, datapath: str
     ) -> Tuple[int, int, int]:
-        """Bytes of each :class:`Scratch` region one
-        :meth:`execute_batch_raw` call on this batch extent needs."""
+        """Bytes of each :class:`Scratch` region a layer bound to this batch
+        extent needs (see :meth:`bind`)."""
         item = np.dtype(_DTYPES[datapath]).itemsize
         return tuple(
             0 if shape is None else int(np.prod(shape)) * item
@@ -355,9 +362,8 @@ class LayerPlan:
             datapath=datapath,
             tiles=self.bands(images, rows, cols).count,
         ):
-            raw = self.execute_batch_raw(
-                batch.transpose(0, 2, 3, 1), bias_codes, datapath, scratch
-            )
+            bound = self.bind(images, rows, cols, bias_codes, datapath, scratch)
+            raw = bound.run(batch.transpose(0, 2, 3, 1))
         images, out_rows, out_cols, kernels = raw.shape
         # Copy the sums out of the call's scratch into a fresh BCHW int64
         # array (exact: the sums are integers on every datapath).
@@ -370,78 +376,167 @@ class LayerPlan:
             self.multiplies_per_pixel * pixels,
         )
 
-    def execute_batch_raw(
+    def bind(
         self,
-        batch: np.ndarray,
+        images: int,
+        rows: int,
+        cols: int,
         bias_codes: Optional[np.ndarray],
         datapath: str,
         scratch: Scratch,
-    ) -> np.ndarray:
-        """Run a channels-last (B, H, W, C) batch band by band (see
-        :meth:`bands`), one GEMM per channel group and band.
+    ) -> "BoundLayer":
+        """Bind the plan to a channels-last ``images x rows x cols`` batch,
+        a datapath and a :class:`Scratch`, doing all view arithmetic once.
 
-        Works entirely in ``scratch``, whose regions must hold at least
-        :meth:`scratch_bytes` of this batch.  Returns the biased sums as a
-        (B, R', C', M) view of ``scratch.output`` — float32 on ``gemm32``,
-        float64 on ``gemm``, int64 on ``int64`` — valid until the caller
-        reuses that region.  The fused model plan consumes it directly,
-        writing requantized codes straight into its ping-pong buffers.  The
-        result is exact only when ``datapath`` is what :meth:`datapath`
-        returns for the batch.
+        The bands (see :meth:`bands`), each band's patch tile, window key
+        and output rows per channel group, the halo strips and interior of
+        the padded region, the GEMM weight blocks and the bias cast are
+        fixed here; :meth:`BoundLayer.run` only issues ``copyto`` /
+        ``matmul`` / ``add`` calls on them.  ``scratch`` must hold at least
+        :meth:`scratch_bytes` of this batch.  The bound layer's output is
+        exact only when ``datapath`` is what :meth:`datapath` returns for
+        the batches it runs.
         """
         dtype = _DTYPES[datapath]
         geometry = self.geometry
-        images, rows, cols, channels = batch.shape
-        if channels != self.group_in * geometry.groups:
-            raise ValueError(
-                f"layer {self.name!r} expects {self.group_in * geometry.groups} "
-                f"input channels, got {channels}"
-            )
         out_rows, out_cols = conv_output_hw(rows, cols, geometry)
-        k, pad, width = geometry.kernel, geometry.padding, self.group_in
+        k, width = geometry.kernel, self.group_in
         fc = self._is_fc(rows, cols)
         weights = self._weights(dtype, pixel_major=not fc)
         padded, tile, shape = self._scratch_shapes(images, rows, cols)
         output = _region(scratch.output, shape, dtype)
         tile = _region(scratch.patches, tile, dtype)
         bias = None if bias_codes is None else np.asarray(bias_codes, dtype=dtype)
-        source = batch
-        if pad:  # the region is shared, so zero this call's halo: 4 strips
-            source = _region(scratch.padded, padded, dtype)
-            source[:, :pad] = 0
-            source[:, -pad:] = 0
-            source[:, pad:-pad, :pad] = 0
-            source[:, pad:-pad, -pad:] = 0
-            np.copyto(source[:, pad:-pad, pad:-pad], batch, casting="same_kind")
-        windows = np.lib.stride_tricks.sliding_window_view(source, (k, k), axis=(1, 2))
-        windows = windows[:, :: geometry.stride, :: geometry.stride][:, :out_rows, :out_cols]
+        if fc and bias is not None:
+            bias = bias[:, None]
         band = self.bands(images, rows, cols)
+        # In run order: per band and group an im2col copy, as the (window
+        # key, tile) pair it fills, and its GEMM; then the band's bias add.
+        template: List[object] = []
         start = 0
         for i in range(0, images, band.images):
             for r in range(0, out_rows, band.rows):
-                view = windows[i : i + band.images, r : r + band.rows]
-                stop = start + view.shape[0] * view.shape[1] * out_cols
+                extent = (
+                    min(band.images, images - i), min(band.rows, out_rows - r), out_cols
+                )
+                stop = start + extent[0] * extent[1] * out_cols
                 patches = tile[: stop - start]
                 sums = output[:, start:stop] if fc else output[start:stop]
                 for g in range(geometry.groups):
                     block = slice(g * self.group_out, (g + 1) * self.group_out)
-                    # (b, r, C', n, k, k') -> (b, r, C', k, k', n) in one pass
-                    # that also converts to the work dtype.
-                    np.copyto(
-                        patches.reshape(view.shape[:3] + (k, k, width)),
-                        view[:, :, :, g * width : (g + 1) * width].transpose(
-                            0, 1, 2, 4, 5, 3
-                        ),
-                        casting="same_kind",
+                    key = (
+                        slice(i, i + band.images),
+                        slice(r, r + band.rows),
+                        slice(None),
+                        slice(g * width, (g + 1) * width),
                     )
+                    template.append((key, patches.reshape(extent + (k, k, width))))
                     if fc:  # kernel-major: about twice as fast as patches @ W.T here
-                        np.matmul(weights[block], patches.T, out=sums[block])
+                        lhs, rhs, out = weights[block], patches.T, sums[block]
                     else:
-                        np.matmul(patches, weights[:, block], out=sums[:, block])
+                        lhs, rhs, out = patches, weights[:, block], sums[:, block]
+                    template.append(partial(np.matmul, lhs, rhs, out=out))
                 if bias is not None:
-                    sums += bias[:, None] if fc else bias
+                    template.append(partial(np.add, sums, bias, out=sums))
                 start = stop
-        return (output.T if fc else output).reshape(images, out_rows, out_cols, -1)
+        return BoundLayer(
+            self,
+            (images, rows, cols, width * geometry.groups),
+            (output.T if fc else output).reshape(images, out_rows, out_cols, -1),
+            template,
+            None if padded is None else _region(scratch.padded, padded, dtype),
+        )
+
+    def _windows(self, source: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
+        """The (B, R', C', C, K, K) windows of a channels-last ``source``."""
+        k, stride = self.geometry.kernel, self.geometry.stride
+        if k == 1:  # a 1x1 window is its pixel: no generic window view needed
+            windows = source[..., None, None]
+        else:
+            windows = np.lib.stride_tricks.sliding_window_view(
+                source, (k, k), axis=(1, 2)
+            )
+        return windows[:, ::stride, ::stride][:, :out_rows, :out_cols]
+
+
+class BoundLayer:
+    """A :class:`LayerPlan` bound to one batch extent, datapath and
+    :class:`Scratch` by :meth:`LayerPlan.bind`.
+
+    A padded layer's windows are views of its padded region, so its whole
+    run is a fixed list of calls: zero the halo, copy the batch into the
+    interior, then per band and group an im2col copy and a GEMM, and the
+    band's bias add.  An unpadded layer reads its windows straight from
+    the batch, the one thing that changes between calls, so it resolves
+    its im2col copies against each call's batch.
+    """
+
+    __slots__ = ("plan", "shape", "output", "_template", "_halo", "_interior", "_calls")
+
+    def __init__(
+        self,
+        plan: LayerPlan,
+        shape: Tuple[int, int, int, int],
+        output: np.ndarray,
+        template: List[object],
+        padded: Optional[np.ndarray],
+    ) -> None:
+        self.plan = plan
+        #: The (B, H, W, C) batch extent :meth:`run` takes.
+        self.shape = shape
+        #: The biased sums as a (B, R', C', M) view of the scratch output
+        #: region: float32 on ``gemm32``, float64 on ``gemm``, int64 on
+        #: ``int64``; valid until the region's next user writes it.
+        self.output = output
+        self._template = template
+        self._halo: Tuple[np.ndarray, ...] = ()
+        self._interior = self._calls = None
+        if padded is not None:
+            pad = plan.geometry.padding
+            self._halo = (
+                padded[:, :pad],
+                padded[:, -pad:],
+                padded[:, pad:-pad, :pad],
+                padded[:, pad:-pad, -pad:],
+            )
+            self._interior = padded[:, pad:-pad, pad:-pad]
+            self._calls = self._program(padded)
+
+    def _program(self, source: np.ndarray) -> List[object]:
+        """The template with every im2col copy resolved against ``source``."""
+        windows = self.plan._windows(source, *self.output.shape[1:3])
+        return [
+            # (b, r, C', n, k, k') -> (b, r, C', k, k', n) in one pass that
+            # also converts to the work dtype.
+            partial(
+                np.copyto,
+                item[1],
+                windows[item[0]].transpose(0, 1, 2, 4, 5, 3),
+                casting="same_kind",
+            )
+            if isinstance(item, tuple)
+            else item
+            for item in self._template
+        ]
+
+    def run(self, batch: np.ndarray) -> np.ndarray:
+        """Run a channels-last (B, H, W, C) batch band by band, one GEMM per
+        channel group and band; returns :attr:`output`."""
+        if batch.shape != self.shape:
+            raise ValueError(
+                f"layer {self.plan.name!r} is bound to a {self.shape} (B, H, W, C) "
+                f"batch, got {batch.shape}"
+            )
+        calls = self._calls
+        if calls is None:
+            calls = self._program(batch)
+        else:  # the region is shared, so zero this layer's halo: 4 strips
+            for strip in self._halo:
+                strip.fill(0)
+            np.copyto(self._interior, batch, casting="same_kind")
+        for call in calls:
+            call()
+        return self.output
 
 
 def compile_layer_plan(encoded: EncodedLayer, geometry: "ConvGeometry") -> LayerPlan:

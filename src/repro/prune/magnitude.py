@@ -36,19 +36,24 @@ def prune_tensor(weights: np.ndarray, density: float) -> np.ndarray:
         return arr.copy()
     flat = arr.reshape(-1)
     cut = arr.size - keep
-    # The keep largest magnitudes land in the tail; NaN sorts above inf.
+    # One float64 buffer beside the input: it finds the threshold, holds
+    # |w| for the kept mask, then becomes the result.  The keep largest
+    # magnitudes land in the tail; NaN sorts above inf.
     magnitude = np.abs(flat)
     magnitude.partition(cut)
     if not np.isfinite(magnitude[cut:].max()):
         raise ValueError("weights contain non-finite values (NaN or inf)")
     threshold = magnitude[cut]
-    kept = (flat >= threshold) | (flat <= -threshold)
+    np.abs(flat, out=magnitude)
+    kept = magnitude >= threshold
     excess = int(np.count_nonzero(kept)) - keep
     if excess:
         # More ties at the threshold than places left: drop the latest ones.
-        ties = np.flatnonzero(np.abs(flat) == threshold)
+        ties = np.flatnonzero(magnitude == threshold)
         kept[ties[ties.size - excess :]] = False
-    return np.where(kept, flat, 0.0).reshape(arr.shape)
+    magnitude.fill(0.0)
+    np.copyto(magnitude, flat, where=kept)
+    return magnitude.reshape(arr.shape)
 
 
 def prune_network(network: Network, densities: Mapping[str, float]) -> Network:

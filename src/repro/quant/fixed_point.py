@@ -32,9 +32,13 @@ ROUND_EVEN = "even"
 _ROUNDING_MODES = (ROUND_NEAREST, ROUND_FLOOR, ROUND_EVEN)
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer with ties away from zero."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+def _round_half_away(x: np.ndarray) -> None:
+    """Round float64 ``x`` in place to the nearest integer, ties away from
+    zero: ``copysign(floor(|x| + 0.5), x)``, in one ``|x|`` buffer."""
+    magnitude = np.abs(x, out=np.empty_like(x))  # an array even when 0-d
+    magnitude += 0.5
+    np.floor(magnitude, out=magnitude)
+    np.copysign(magnitude, x, out=x)
 
 
 @dataclass(frozen=True)
@@ -100,15 +104,19 @@ class QFormat:
         """
         if rounding not in _ROUNDING_MODES:
             raise ValueError(f"unknown rounding mode {rounding!r}")
-        scaled = np.asarray(values, dtype=np.float64) * (2.0**self.frac_bits)
+        # One float64 working copy, scaled and rounded in place, clipped
+        # straight into the int64 result.
+        scaled = np.array(values, dtype=np.float64)
+        scaled *= 2.0**self.frac_bits
         if rounding == ROUND_NEAREST:
-            codes = _round_half_away(scaled)
+            _round_half_away(scaled)
         elif rounding == ROUND_EVEN:
-            codes = np.rint(scaled)
+            np.rint(scaled, out=scaled)
         else:
-            codes = np.floor(scaled)
-        codes = np.clip(codes, self.min_code, self.max_code)
-        return codes.astype(np.int64)
+            np.floor(scaled, out=scaled)
+        codes = np.empty(scaled.shape, np.int64)
+        np.clip(scaled, self.min_code, self.max_code, out=codes, casting="unsafe")
+        return codes if codes.ndim else codes[()]
 
     def dequantize(self, codes: ArrayLike) -> np.ndarray:
         """Convert integer codes back to real values."""

@@ -271,9 +271,10 @@ class TestBands:
         assert peak < 3 * 48 * 48 * plan.patch_width * item
 
     def test_calls_share_one_scratch(self, rng):
-        """Two layers with different padding run in one :class:`Scratch`
-        sized for the larger: the second call re-zeros its own halo over
-        the first call's interior, so both stay exact."""
+        """Two layers with different padding are bound to one
+        :class:`Scratch` sized for the larger: each run re-zeros its own
+        halo over the other layer's interior, so both stay exact, also
+        when the bound layers run again."""
         geometries = (ConvGeometry(kernel=3, padding=1), ConvGeometry(kernel=5, padding=2))
         shapes = ((6, 4, 3, 3), (6, 4, 5, 5))
         batches = (
@@ -287,13 +288,27 @@ class TestBands:
             sizes.append(plans[-1][2].scratch_bytes(2, *batch.shape[2:], "gemm32"))
         assert sizes[0][0] > sizes[1][0]  # the larger padded input runs first
         scratch = Scratch.allocate(tuple(map(max, *sizes)))
-        for (encoded, geometry, plan), batch in zip(plans, batches):
-            raw = plan.execute_batch_raw(
-                batch.transpose(0, 2, 3, 1), None, "gemm32", scratch
-            )
-            expected = abm_conv2d_batch(batch, encoded, geometry).output
-            assert np.array_equal(raw.transpose(0, 3, 1, 2), expected)
+        bound = [
+            plan.bind(2, *batch.shape[2:], None, "gemm32", scratch)
+            for (_, _, plan), batch in zip(plans, batches)
+        ]
+        for _ in range(2):
+            for (encoded, geometry, _), layer, batch in zip(plans, bound, batches):
+                raw = layer.run(batch.transpose(0, 2, 3, 1))
+                expected = abm_conv2d_batch(batch, encoded, geometry).output
+                assert np.array_equal(raw.transpose(0, 3, 1, 2), expected)
 
+
+    def test_bound_layer_rejects_other_extents(self, rng):
+        """A bound layer's views fit one batch extent: a batch of another
+        size or channel count fails loudly instead of broadcasting."""
+        encoded = encode_layer("s", sparse_weight_codes(rng, shape=(6, 4, 3, 3)))
+        plan = compile_layer_plan(encoded, ConvGeometry(kernel=3, padding=1))
+        scratch = Scratch.allocate(plan.scratch_bytes(2, 8, 8, "gemm32"))
+        bound = plan.bind(2, 8, 8, None, "gemm32", scratch)
+        for shape in ((2, 8, 8, 3), (1, 8, 8, 4), (2, 1, 1, 4)):
+            with pytest.raises(ValueError, match=r"bound to a \(2, 8, 8, 4\)"):
+                bound.run(np.zeros(shape, np.int64))
 
 class TestExactness:
     """The datapath split and the loud failure past int64."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.quant.fixed_point import (
     ROUND_EVEN,
@@ -96,6 +97,68 @@ class TestQFormat:
         arr = np.sort(np.asarray(values))
         codes = fmt.quantize(arr)
         assert np.all(np.diff(codes) >= 0)
+
+
+def formula_quantize(fmt, values, rounding):
+    """``QFormat.quantize`` as the out-of-place formula it replaced: the
+    oracle for the in-place body."""
+    scaled = np.asarray(values, dtype=np.float64) * (2.0**fmt.frac_bits)
+    if rounding == ROUND_NEAREST:
+        codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    elif rounding == ROUND_EVEN:
+        codes = np.rint(scaled)
+    else:
+        codes = np.floor(scaled)
+    codes = np.clip(codes, fmt.min_code, fmt.max_code)
+    return codes.astype(np.int64)
+
+
+#: Values at exact halves of a code step (after scaling by up to 2**40),
+#: around zero and far past any format's range, with both infinities.
+SPECIAL_VALUES = [0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 2.0**-41, -(2.0**-41),
+                  1e300, -1e300, np.inf, -np.inf]
+
+
+class TestQuantizeInPlace:
+    """The in-place quantize against the formula it replaced."""
+
+    @given(
+        data=st.data(),
+        total_bits=st.integers(2, 40),
+        frac_bits=st.integers(-8, 40),
+        rounding=st.sampled_from([ROUND_NEAREST, ROUND_EVEN, ROUND_FLOOR]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_formula(self, data, total_bits, frac_bits, rounding):
+        fmt = QFormat(total_bits, frac_bits)
+        half = st.integers(-(2**20), 2**20).map(lambda k: (k + 0.5) * 2.0**-frac_bits)
+        elements = st.one_of(
+            st.floats(allow_nan=False), half, st.sampled_from(SPECIAL_VALUES)
+        )
+        values = data.draw(
+            hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3), elements=elements)
+        )
+        with np.errstate(over="ignore"):
+            expected = formula_quantize(fmt, values, rounding)
+            got = fmt.quantize(values, rounding=rounding)
+        assert type(got) is type(expected)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("rounding", [ROUND_NEAREST, ROUND_EVEN, ROUND_FLOOR])
+    def test_scalars_and_lists(self, rounding):
+        """A scalar gives an int64 scalar and a list an int64 array, as
+        before; the input is never written."""
+        fmt = QFormat(8, 1)
+        for values in (2.25, -2.25, -0.0, 1e9, [2.25, -2.75, 63.75, -1e9], [[0.25], [-0.25]]):
+            got = fmt.quantize(values, rounding=rounding)
+            expected = formula_quantize(fmt, values, rounding)
+            assert type(got) is type(expected) and got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        values = np.array([0.3, -0.7, 5.5])
+        kept = values.copy()
+        fmt.quantize(values, rounding=rounding)
+        assert values.tobytes() == kept.tobytes()
 
 
 class TestFitQFormat:

@@ -916,3 +916,47 @@ class TestBands:
             4 * 14 * 14 * (9 * 128) * 4,
             4 * 56 * 56 * 32 * 4,
         )
+
+
+# ---- bound stages ----------------------------------------------------------
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a warm run rebuilt a view it bound at compile time")
+
+
+class TestBoundStages:
+    """A plan binds every stage's views once; runs replay fixed calls."""
+
+    @pytest.mark.parametrize("arch_name", sorted(ARCHITECTURES))
+    def test_one_plan_runs_distinct_batches(self, rng, datapath, arch_name):
+        """One compiled plan streams three distinct batches through the
+        views it bound once; each run matches the per-layer reference."""
+        arch = ARCHITECTURES[arch_name]
+        pipeline = build_pipeline(arch, rng)
+        shape = (2, arch.input_channels, arch.input_rows, arch.input_cols)
+        plan = compile_model_plan(pipeline, shape)
+        outputs = set()
+        for _ in range(3):
+            images = rng.standard_normal(shape)
+            fused = pipeline.run_batch(images)
+            assert_batches_identical(fused, pipeline.run_batch_reference(images))
+            outputs.add(b"".join(result.output.tobytes() for result in fused))
+        assert len(outputs) == 3
+        assert compile_model_plan(pipeline, shape) is plan
+        assert _model_plans.stats().misses == 1
+
+    @pytest.mark.parametrize("arch_name", ["conv_relu_pool", "shared_halo"])
+    def test_warm_runs_build_no_views(self, rng, monkeypatch, datapath, arch_name):
+        """After the first run, a run of an all-padded plan needs no window
+        view, band split or scratch shape: they were all bound."""
+        arch = ARCHITECTURES[arch_name]
+        pipeline = build_pipeline(arch, rng)
+        shape = (3, arch.input_channels, arch.input_rows, arch.input_cols)
+        pipeline.run_batch(rng.standard_normal(shape))
+        images = rng.standard_normal(shape)
+        expected = pipeline.run_batch_reference(images)
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", refuse)
+        monkeypatch.setattr(plan_module.LayerPlan, "bands", refuse)
+        monkeypatch.setattr(plan_module.LayerPlan, "_scratch_shapes", refuse)
+        assert_batches_identical(pipeline.run_batch(images), expected)

@@ -1,9 +1,13 @@
 """Tests for the pruning substrate."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.prune.magnitude import prune_network, prune_tensor
 from repro.prune.schedules import (
@@ -81,6 +85,78 @@ class TestPruneTensor:
         ties = np.flatnonzero(magnitude == threshold)
         kept_ties = ties[kept[ties]]
         assert kept_ties.tolist() == ties[: kept_ties.size].tolist()
+
+
+def masked_prune_tensor(weights, density):
+    """``prune_tensor``'s body before it shared one buffer, verbatim (an
+    ``np.abs`` copy, two comparisons, their OR and an ``np.where``): the
+    oracle for the lean body."""
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must be in [0, 1], got {density}")
+    arr = np.asarray(weights, dtype=np.float64)
+    keep = int(round(density * arr.size))
+    if keep == 0:
+        return np.zeros_like(arr)
+    if keep >= arr.size:
+        return arr.copy()
+    flat = arr.reshape(-1)
+    cut = arr.size - keep
+    # The keep largest magnitudes land in the tail; NaN sorts above inf.
+    magnitude = np.abs(flat)
+    magnitude.partition(cut)
+    if not np.isfinite(magnitude[cut:].max()):
+        raise ValueError("weights contain non-finite values (NaN or inf)")
+    threshold = magnitude[cut]
+    kept = (flat >= threshold) | (flat <= -threshold)
+    excess = int(np.count_nonzero(kept)) - keep
+    if excess:
+        # More ties at the threshold than places left: drop the latest ones.
+        ties = np.flatnonzero(np.abs(flat) == threshold)
+        kept[ties[ties.size - excess :]] = False
+    return np.where(kept, flat, 0.0).reshape(arr.shape)
+
+
+class TestLeanPrune:
+    """The one-buffer ``prune_tensor`` against the masked body it replaced."""
+
+    @given(
+        weights=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=3, max_side=8),
+            elements=st.one_of(
+                # Few distinct magnitudes: ties at the threshold, signed zeros.
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+        ),
+        density=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_masked_body(self, weights, density):
+        """Same bytes (signed zeros and NaN payloads included) or the same
+        non-finite error."""
+        try:
+            expected = masked_prune_tensor(weights, density)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                prune_tensor(weights, density)
+            return
+        got = prune_tensor(weights, density)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_peak_is_one_buffer_beside_the_weights(self, rng):
+        """The call's traced peak, result included, is about one float64
+        copy of the weights (plus a one-byte mask), not the ~3.4 copies
+        the masked body held."""
+        weights = rng.normal(size=(512, 1024))
+        tracemalloc.start()
+        try:
+            prune_tensor(weights, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * weights.nbytes
 
 
 class TestSchedules:
