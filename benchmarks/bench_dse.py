@@ -11,8 +11,8 @@ timing counts.
 ``test_bench_dse_artifact`` writes a ``BENCH_dse.json`` trajectory
 artifact (timings in perfbench reference seconds per call, each the
 median over several intervals of repeated calls, speedups, grid sizes,
-Pareto timings, host fingerprint) to the repo root
-so future changes can track DSE performance over time;
+host fingerprint) to the repo root so future changes can track DSE
+performance over time;
 ``test_bench_dse_exhaustive`` adds one ``exhaustive`` row per model:
 search time (reference seconds under the historical ``wall_s`` key), space
 size and optimum of the exhaustive joint-space search.
@@ -29,7 +29,6 @@ from refclock import CLOCK_UNIT, fingerprint, median_per_call, telemetry_section
 
 from repro.dse.explorer import explore, size_buffers, sweep_nknl, sweep_sec_ncu
 from repro.dse.joint_space import default_joint_space, exhaustive_search
-from repro.dse.pareto import pareto_frontier, pareto_frontier_reference
 from repro.dse.performance import (
     MODE_QUANTIZED,
     estimate_model,
@@ -131,18 +130,6 @@ def test_bench_dse_artifact():
         clear_caches()
         cold_s = timed(lambda: explore(workload, STRATIX_V_GXA7))
 
-        # Pareto dominance over the full S_ec x N_cu grid, both paths.
-        grid = sweep_sec_ncu(
-            workload,
-            STRATIX_V_GXA7,
-            DEFAULT_RESOURCE_MODEL,
-            n_knl=compiled_result.chosen_n_knl,
-            n_share=compiled_result.n_share,
-        )
-        assert pareto_frontier(grid) == pareto_frontier_reference(grid)
-        pareto_s = median_per_call(lambda: pareto_frontier(grid), repeats)
-        pareto_ref_s = median_per_call(lambda: pareto_frontier_reference(grid), repeats)
-
         entry = {
             "layers": len(workload.layers),
             "grid_points": len(compiled_result.grid),
@@ -152,10 +139,7 @@ def test_bench_dse_artifact():
             "reference_s": round(reference_s, 6),
             "compiled_s": round(compiled_s, 6),
             "cold_compile_s": round(cold_s, 6),
-            "pareto_reference_s": round(pareto_ref_s, 6),
-            "pareto_compiled_s": round(pareto_s, 6),
             "speedup_compiled_vs_reference": round(reference_s / compiled_s, 2),
-            "speedup_pareto": round(pareto_ref_s / pareto_s, 2),
         }
         report["models"][model] = entry
         print(

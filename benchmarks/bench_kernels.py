@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from refclock import INFER_CLOCK, INFER_CLOCK_UNIT, best_of, fingerprint, telemetry_section
 
-from repro.core.abm import ConvGeometry, abm_conv2d, abm_conv2d_reference
+from repro.core.abm import ConvGeometry, abm_conv2d_batch, abm_conv2d_reference
 from repro.core.encoding import encode_layer
 from repro.core.model_plan import compile_model_plan
 from repro.core.plan import compile_layer_plan
@@ -38,10 +38,7 @@ from repro.nn.models.vgg16 import vgg16_architecture
 from repro.pipeline import QuantizedPipeline
 from repro.telemetry.caches import clear_caches
 from repro.telemetry.context import Telemetry, activate
-from repro.workloads.synthetic import (
-    synthesize_quantized_layer,
-    synthetic_feature_codes,
-)
+from repro.workloads.synthetic import synthesize_quantized_layer
 
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
@@ -75,14 +72,14 @@ def layer():
     spec = conv_spec("bench", 64, 32, kernel=3, in_rows=28, in_cols=28, padding=1)
     rng = np.random.default_rng(42)
     weights = synthesize_quantized_layer(spec, density=0.3, codebook=20, rng=rng)
-    features = synthetic_feature_codes((64, 28, 28), rng)
+    features = rng.integers(-128, 128, size=(1, 64, 28, 28), dtype=np.int64)
     return weights, features, ConvGeometry(kernel=3, padding=1)
 
 
 def test_bench_abm_conv(benchmark, layer):
     weights, features, geometry = layer
     encoded = encode_layer("bench", weights)
-    result = benchmark(abm_conv2d, features, encoded, geometry)
+    result = benchmark(abm_conv2d_batch, features, encoded, geometry)
     assert result.multiply_ops < result.accumulate_ops
 
 
@@ -107,7 +104,8 @@ def _build_real_layer(name):
     )
     rng = np.random.default_rng(7)
     weights = synthesize_quantized_layer(spec, density=0.3, codebook=20, rng=rng)
-    features = synthetic_feature_codes((in_ch, in_hw, in_hw), rng)
+    # One image of 8-bit feature codes, as a batch of one.
+    features = rng.integers(-128, 128, size=(1, in_ch, in_hw, in_hw), dtype=np.int64)
     geometry = ConvGeometry(
         kernel=kernel, stride=stride, padding=padding, groups=groups
     )
@@ -135,16 +133,16 @@ def test_bench_compiled_real_layers():
             plan = compile_layer_plan(encoded, geometry)
         compile_s = took[0]
 
-        compiled = abm_conv2d(features, encoded, geometry)
+        compiled = abm_conv2d_batch(features, encoded, geometry)
         with INFER_CLOCK.interval() as took:
-            reference = abm_conv2d_reference(features, encoded, geometry)
+            reference = abm_conv2d_reference(features[0], encoded, geometry)
         reference_s = took[0]
-        assert np.array_equal(compiled.output, reference.output)
+        assert np.array_equal(compiled.output[0], reference.output)
         assert compiled.accumulate_ops == reference.accumulate_ops
         assert compiled.multiply_ops == reference.multiply_ops
 
         compiled_s = best_of(
-            lambda: abm_conv2d(features, encoded, geometry), repeats, INFER_CLOCK
+            lambda: abm_conv2d_batch(features, encoded, geometry), repeats, INFER_CLOCK
         )
 
         entry = {
@@ -174,7 +172,7 @@ def test_bench_compiled_real_layers():
     # untelemetered) captures kernel span totals and the bench's cache story.
     telemetry = Telemetry()
     with activate(telemetry):
-        abm_conv2d(features, encoded, geometry)
+        abm_conv2d_batch(features, encoded, geometry)
     report["telemetry"] = telemetry_section(telemetry, CACHE_FAMILIES)
 
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")

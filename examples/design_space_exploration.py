@@ -4,8 +4,9 @@ Stage by stage on VGG16 / Stratix-V GXA7:
 
 1. analyze the pruned quantized network (sharing factor N, buffer depths),
 2. sweep N_knl for the normalized-performance-boost optimum (Figure 6),
-3. characterize the platform with synthetic "fast compiles" and re-fit the
-   C0..C7 resource constants (the paper's calibration stage),
+3. (the paper's fast-compile calibration stage: here the C0..C7 resource
+   constants are stated, fitted once to Table 2, so there is no compile
+   loop to run),
 4. explore the S_ec x N_cu grid under the 75% logic constraint (Figure 7),
 
 then port the whole flow to a different device (Arria-10 GX1150) to show
@@ -14,14 +15,8 @@ the exploration is device-generic — the paper's "complete flow" claim.
 Run:  python examples/design_space_exploration.py
 """
 
-from repro.dse.calibration import (
-    SyntheticCompiler,
-    characterization_suite,
-    fit_constants,
-)
 from repro.dse.explorer import explore
 from repro.dse.performance import share_factor_from_workloads
-from repro.hw.config import AcceleratorConfig
 from repro.hw.device import ARRIA_10_GX1150, STRATIX_V_GXA7
 from repro.workloads import synthetic_model_workload
 
@@ -36,19 +31,8 @@ def run_flow(device, freq_mhz: float) -> None:
     n_share = share_factor_from_workloads(workload.layers)
     print(f"  stage 1: min Acc/Mult intensity ratio -> sharing factor N = {n_share}")
 
-    # Stage 3 (shown early so the fit feeds the sweeps): characterization.
-    compiler = SyntheticCompiler(device, noise=0.02, seed=SEED)
-    base = AcceleratorConfig(n_cu=3, n_knl=14, n_share=n_share, s_ec=20)
-    samples = compiler.characterize(characterization_suite(base))
-    fitted = fit_constants(samples)
-    print(
-        f"  stage 3: fitted constants from {len(samples)} compiles: "
-        f"C1={fitted.c1:.0f} ALM/lane, C4={fitted.c4:.1f} DSP/mult, "
-        f"C6={fitted.c6:.0f} M20K/lane"
-    )
-
     # Stages 2 + 4: the sweeps, inside the packaged flow.
-    result = explore(workload, device, resources=fitted, freq_mhz=freq_mhz)
+    result = explore(workload, device, freq_mhz=freq_mhz)
     print(f"  stage 2: optimal N_knl = {result.chosen_n_knl}")
     print(f"  stage 4: chosen {result.chosen.describe()}")
     print(

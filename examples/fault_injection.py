@@ -14,7 +14,7 @@ Run:  python examples/fault_injection.py
 
 import numpy as np
 
-from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.abm import ConvGeometry, abm_conv2d_batch
 from repro.core.encoding import encode_layer
 from repro.core.specs import conv_spec
 from repro.hw.config import AcceleratorConfig
@@ -28,10 +28,7 @@ from repro.hw.memory import ExternalMemory
 from repro.hw.scheduler import simulate_layer
 from repro.hw.trace import TraceRecorder
 from repro.hw.workload import workload_from_encoded
-from repro.workloads.synthetic import (
-    synthesize_quantized_layer,
-    synthetic_feature_codes,
-)
+from repro.workloads.synthetic import synthesize_quantized_layer
 
 SEED = 9
 
@@ -62,19 +59,20 @@ def fault_demo() -> None:
     spec = conv_spec("demo", 32, 8, kernel=3, in_rows=10, in_cols=10, padding=1)
     weights = synthesize_quantized_layer(spec, density=0.4, codebook=16, rng=rng)
     encoded = encode_layer(spec.name, weights)
-    features = synthetic_feature_codes((32, 10, 10), rng)
+    # One image of 8-bit feature codes, as a batch of one.
+    features = rng.integers(-128, 128, size=(1, 32, 10, 10), dtype=np.int64)
     geometry = ConvGeometry(kernel=3, padding=1)
-    clean = abm_conv2d(features, encoded, geometry).output
+    clean = abm_conv2d_batch(features, encoded, geometry).output[0]
 
     # 1. Q-Table VAL flip: corrupts exactly one output channel.
     corrupted = flip_value_bit(encoded, kernel_index=2, entry_index=0, bit=5)
-    dirty = abm_conv2d(features, corrupted, geometry).output
+    dirty = abm_conv2d_batch(features, corrupted, geometry).output[0]
     changed = [m for m in range(8) if not np.array_equal(clean[m], dirty[m])]
     print(f"VAL bit flip in kernel 2 -> corrupted channels: {changed}")
 
     # 2. Index flip: one accumulate reads the wrong pixel.
     corrupted = flip_index_bit(encoded, kernel_index=0, entry_index=3, bit=1)
-    dirty = abm_conv2d(features, corrupted, geometry).output
+    dirty = abm_conv2d_batch(features, corrupted, geometry).output[0]
     errors = np.abs(dirty - clean)
     print(f"index bit flip in kernel 0 -> max output error {errors.max()}, "
           f"{np.count_nonzero(errors)} of {errors.size} pixels touched")

@@ -13,16 +13,13 @@ Run:  python examples/scheme_comparison.py
 
 import numpy as np
 
-from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.abm import ConvGeometry, abm_conv2d_batch
 from repro.core.encoding import encode_layer
 from repro.core.opcount import measured_layer_counts
 from repro.core.specs import conv_spec
 from repro.hw.workload import workload_from_encoded
 from repro.workloads.codebooks import codebook_size
-from repro.workloads.synthetic import (
-    synthesize_quantized_layer,
-    synthetic_feature_codes,
-)
+from repro.workloads.synthetic import synthesize_quantized_layer
 
 SEED = 3
 
@@ -34,11 +31,12 @@ def main() -> None:
     weights = synthesize_quantized_layer(
         spec, density=0.27, codebook=codebook_size("vgg16", "conv4_2"), rng=rng
     )
-    features = synthetic_feature_codes((64, 14, 14), rng)
+    # One image of 8-bit feature codes, as a batch of one.
+    features = rng.integers(-128, 128, size=(1, 64, 14, 14), dtype=np.int64)
     encoded = encode_layer("demo", weights)
     workload = workload_from_encoded(spec, encoded)
 
-    abm = abm_conv2d(features, encoded, ConvGeometry(kernel=3, padding=1))
+    abm = abm_conv2d_batch(features, encoded, ConvGeometry(kernel=3, padding=1))
     assert abm.accumulate_ops == workload.accumulate_ops, "one add per nonzero"
     assert abm.multiply_ops == workload.multiply_ops, "one multiply per value"
     print("measured ABM counts match the encoded workload\n")
@@ -57,7 +55,7 @@ def main() -> None:
         total = multiplies + accumulates
         print(f"{name:<22} {multiplies:>12,.0f} {accumulates:>12,.0f} "
               f"{total:>12,.0f} {total / dense:>8.1%}")
-    print(f"\nABM acc/mult ratio: {abm.acc_to_mult_ratio:.1f} "
+    print(f"\nABM acc/mult ratio: {abm.accumulate_ops / abm.multiply_ops:.1f} "
           f"(paper Table 1 reports 62.7 for the full-size conv4_2)")
 
 

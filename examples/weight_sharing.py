@@ -18,7 +18,7 @@ import numpy as np
 from repro.nn.models import cifarnet_architecture
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import uniform_schedule
-from repro.quant.clustering import cluster_weights, clustering_error
+from repro.quant.clustering import cluster_weights
 
 SEED = 21
 
@@ -56,8 +56,8 @@ def main() -> None:
     weights = network.layer("conv2").weights
     for k in (4, 16, 64, 256):
         clustered = cluster_weights(weights, k)
-        print(f"  k={k:<4} distinct={clustered.distinct_values:<4} "
-              f"rms={clustering_error(weights, clustered):.5f}")
+        rms = np.sqrt(np.mean((weights - clustered.dense()) ** 2))
+        print(f"  k={k:<4} distinct={clustered.distinct_values:<4} rms={rms:.5f}")
 
 
 if __name__ == "__main__":

@@ -18,11 +18,12 @@ run on the same integer codes.
 Rounding to the 8-bit feature format happens once, after the kernel sum, as
 in the hardware's Sum/Round stage.
 
-Two implementations are provided: the literal reference loop
+Two implementations are provided: the literal one-image reference loop
 (:func:`abm_conv2d_reference`), the single kernel oracle; and the fast
-path (:func:`abm_conv2d`), which executes a compile-once layer plan
-(:mod:`repro.core.plan`) as one exact GEMM per channel group and is
-bit-exact against the oracle with identical (analytic) operation counts.
+path (:func:`abm_conv2d_batch`), which executes a compile-once layer plan
+(:mod:`repro.core.plan`) on a batch as one exact GEMM per channel group
+and is bit-exact against the oracle with identical (analytic) operation
+counts. One image runs on the fast path as a batch of one.
 """
 
 from __future__ import annotations
@@ -90,6 +91,13 @@ def abm_conv2d_reference(
     """
     features = _check_feature_codes(feature_codes)
     channels, rows, cols = features.shape
+    expected = encoded.kernel_shape[0] * geometry.groups
+    if channels != expected:
+        raise ValueError(
+            f"layer {encoded.name!r} expects {expected} input channels "
+            f"({encoded.kernel_shape[0]} per group x {geometry.groups} groups), "
+            f"got {channels}"
+        )
     out_rows, out_cols = conv_output_hw(rows, cols, geometry)
     kernels = encoded.out_channels
     if kernels % geometry.groups:
@@ -128,27 +136,6 @@ def abm_conv2d_reference(
     return ABMConvResult(output=output, accumulate_ops=acc_ops, multiply_ops=mult_ops)
 
 
-def abm_conv2d(
-    feature_codes: np.ndarray,
-    encoded: EncodedLayer,
-    geometry: ConvGeometry,
-    bias_codes: Optional[np.ndarray] = None,
-) -> ABMConvResult:
-    """ABM-SpConv through the compiled layer plan (the default).
-
-    Compiles (and caches) an execution plan on first use — see
-    :mod:`repro.core.plan` — then runs the layer as one exact GEMM per
-    channel group. Bit-exact against :func:`abm_conv2d_reference` with
-    identical operation counts; raises
-    :class:`repro.core.plan.ExactnessError` when the features are too
-    wide for any exact host datapath.
-    """
-    features = _check_feature_codes(feature_codes)
-    plan = compile_layer_plan(encoded, geometry)
-    output, acc_ops, mult_ops = plan.execute(features, bias_codes=bias_codes)
-    return ABMConvResult(output=output, accumulate_ops=acc_ops, multiply_ops=mult_ops)
-
-
 @dataclass(frozen=True)
 class ABMConvBatchResult:
     """Output of one batched ABM execution, with batch-total op counts."""
@@ -182,7 +169,10 @@ def abm_conv2d_batch(
 
     All B images run through one compiled-plan pass — the GEMM sees
     B x out_pixels columns — instead of looping images in Python.
-    Numerically identical to running each image through :func:`abm_conv2d`.
+    Bit-exact against :func:`abm_conv2d_reference` on each image, with
+    identical operation counts; raises
+    :class:`repro.core.plan.ExactnessError` when the features are too
+    wide for any exact host datapath.
     """
     batch = np.asarray(feature_codes)
     if batch.ndim != 4:

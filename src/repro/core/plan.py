@@ -328,15 +328,6 @@ class LayerPlan:
             for shape in self._scratch_shapes(images, rows, cols)
         )
 
-    def execute(
-        self,
-        features: np.ndarray,
-        bias_codes: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, int, int]:
-        """Run one CHW image; returns (output MHW, acc_ops, mult_ops)."""
-        output, acc, mult = self.execute_batch(features[None], bias_codes)
-        return output[0], acc, mult
-
     def execute_batch(
         self,
         batch: np.ndarray,

@@ -11,11 +11,12 @@ The flow mirrors the paper's stages:
    boost*: throughput gain per logic gain, which peaks where the fixed
    per-accelerator overhead has amortized but quantization/imbalance losses
    have not yet taken over.
-3. **Characterization** — fast compiles (synthetic here) fit the resource
-   constants C0..C7.
+3. **Characterization** — the paper's fast compiles fit the resource
+   constants C0..C7; here they are stated constants fitted once to Table 2
+   (:data:`~repro.dse.resources.DEFAULT_RESOURCE_MODEL`).
 4. **S_ec x N_cu sweep** (Figure 7) — evaluate attainable throughput over
    the grid under full DSP/memory utilization constraints and a logic
-   budget (75% in the paper); several near-tied candidates are returned,
+   budget (:data:`LOGIC_BUDGET`); several near-tied candidates are returned,
    exactly as the paper carries "several design candidates with close
    logic utilization ratio" into final implementation.
 """
@@ -45,6 +46,11 @@ from .resources import (
     ResourceUtilization,
     next_power_of_two,
 )
+
+
+#: Share of the device's ALMs a design may use (the paper's 75% logic
+#: constraint, Section 5.2).
+LOGIC_BUDGET = 0.75
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,7 @@ def sweep_nknl(
     n_cu: int = 3,
     s_ec: int = 20,
     freq_mhz: float = 200.0,
-    logic_limit: float = 0.75,
+    logic_limit: float = LOGIC_BUDGET,
     n_knl_range: Sequence[int] = tuple(range(2, 25)),
 ) -> List[NknlPoint]:
     """Figure 6: normalized performance boost across N_knl.
@@ -201,7 +207,7 @@ def sweep_sec_ncu(
     n_knl: int,
     n_share: int,
     freq_mhz: float = 200.0,
-    logic_limit: float = 0.75,
+    logic_limit: float = LOGIC_BUDGET,
     s_ec_range: Sequence[int] = tuple(range(4, 33, 2)),
     n_cu_range: Sequence[int] = tuple(range(1, 7)),
 ) -> List[GridPoint]:
@@ -265,9 +271,7 @@ class ExplorationResult:
 def explore(
     workload: ModelWorkload,
     device: FPGADevice,
-    resources: ResourceModel = DEFAULT_RESOURCE_MODEL,
     freq_mhz: float = 200.0,
-    logic_limit: float = 0.75,
     preset_n_cu: int = 3,
     preset_s_ec: int = 20,
     seed: Optional[int] = None,
@@ -288,23 +292,21 @@ def explore(
     n_share = share_factor_from_workloads(workload.layers)
     nknl_points = sweep_nknl(
         workload,
-        resources,
+        DEFAULT_RESOURCE_MODEL,
         n_share,
         device=device,
         n_cu=preset_n_cu,
         s_ec=preset_s_ec,
         freq_mhz=freq_mhz,
-        logic_limit=logic_limit,
     )
     n_knl = optimal_nknl(nknl_points)
     grid = sweep_sec_ncu(
         workload,
         device,
-        resources,
+        DEFAULT_RESOURCE_MODEL,
         n_knl=n_knl,
         n_share=n_share,
         freq_mhz=freq_mhz,
-        logic_limit=logic_limit,
     )
     candidates = best_candidates(grid)
     if not candidates:

@@ -7,7 +7,7 @@ position, and issues a sequential read of the FT-Buffer (paper Section 4.2,
 
 This functional model reproduces that mapping exactly, so the CU functional
 model can execute real encoded weights against a real feature window and be
-checked bit-for-bit against :func:`repro.core.abm.abm_conv2d`.
+checked bit-for-bit against :func:`repro.core.abm.abm_conv2d_batch`.
 """
 
 from __future__ import annotations

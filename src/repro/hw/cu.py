@@ -15,7 +15,7 @@ Two views are provided:
 - :class:`FunctionalCU` — a bit-accurate datapath emulation (address
   generator -> accumulators -> FIFO -> multiplier -> sum/round) used by the
   test suite to show the hardware dataflow computes the same numbers as
-  :func:`repro.core.abm.abm_conv2d`.
+  :func:`repro.core.abm.abm_conv2d_batch`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Hardware-faithful layer execution through the functional datapath.
 
-The fast path (:func:`repro.core.abm.abm_conv2d`) computes with numpy; this
-module instead drives a whole layer through the *microarchitectural*
-components — address generator decoding the WT-Buffer stream, accumulator
+The fast path (:func:`repro.core.abm.abm_conv2d_batch`) computes with
+numpy; this module instead drives a whole layer through the
+*microarchitectural* components — address generator decoding the WT-Buffer stream, accumulator
 groups, partial-sum FIFO, shared multiplier — one kernel engine at a time,
 the way RTL simulation would. It is slow by construction and is the single
 oracle of the datapath design: the emulator and the fast path must agree

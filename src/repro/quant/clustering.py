@@ -120,14 +120,6 @@ def cluster_weights(
     )
 
 
-def clustering_error(weights: np.ndarray, clustered: ClusteredWeights) -> float:
-    """RMS reconstruction error of the shared-weight approximation."""
-    diff = np.asarray(weights, dtype=np.float64) - clustered.dense()
-    if diff.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(diff**2)))
-
-
 #: Cluster counts Deep Compression reports: 256 for conv, 32 for FC layers.
 DEEP_COMPRESSION_CONV_CLUSTERS = 256
 DEEP_COMPRESSION_FC_CLUSTERS = 32

@@ -6,9 +6,9 @@ Two levels of fidelity, both calibrated to the paper's statistics:
   :func:`synthetic_model_workload`): draws per-kernel nonzero and
   distinct-value counts without materializing weights, so full-size VGG16
   (138 M parameters) can be simulated on a laptop.
-- **Concrete tensors** (:func:`synthesize_quantized_layer`,
-  :func:`synthetic_feature_codes`): integer weight/feature tensors with the
-  same statistics, used for functional runs and tests.
+- **Concrete tensors** (:func:`synthesize_quantized_layer`): integer
+  weight tensors with the same statistics, used for functional runs and
+  tests.
 
 Determinism: everything is driven by an explicit numpy Generator seed.
 """
@@ -114,13 +114,3 @@ def synthesize_quantized_layer(
         positions = rng.choice(total, size=nnz, replace=False)
         flat[positions] = rng.choice(values, size=nnz)
     return flat.reshape(shape)
-
-
-def synthetic_feature_codes(
-    shape: Tuple[int, ...],
-    rng: np.random.Generator,
-    feature_bits: int = 8,
-) -> np.ndarray:
-    """Integer feature-map codes uniform over the signed feature format."""
-    limit = 1 << (feature_bits - 1)
-    return rng.integers(-limit, limit, size=shape, dtype=np.int64)

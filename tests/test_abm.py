@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.abm import ConvGeometry, abm_conv2d, abm_conv2d_reference
+from repro.core.abm import ConvGeometry, abm_conv2d_batch, abm_conv2d_reference
 from repro.core.encoding import encode_layer
 from tests.conftest import direct_conv, sparse_weight_codes
 
 
 def abm_from_codes(features, weights, geometry, bias=None):
-    return abm_conv2d(features, encode_layer("t", weights), geometry, bias_codes=bias)
+    """One CHW image through the fast path, as a batch of one."""
+    return abm_conv2d_batch(
+        features[None], encode_layer("t", weights), geometry, bias_codes=bias
+    )
 
 
 class TestEquivalence:
@@ -27,9 +30,9 @@ class TestEquivalence:
         features = rng.integers(-128, 128, size=(8, 9, 9))
         geometry = ConvGeometry(kernel=3, stride=stride, padding=padding, groups=groups)
         encoded = encode_layer("t", weights)
-        result = abm_conv2d(features, encoded, geometry)
+        result = abm_conv2d_batch(features[None], encoded, geometry)
         expected = direct_conv(features, weights, geometry)
-        assert np.array_equal(result.output, expected)
+        assert np.array_equal(result.output[0], expected)
 
     def test_reference_matches_vectorized(self, rng):
         weights = sparse_weight_codes(rng, shape=(4, 5, 3, 3))
@@ -37,8 +40,8 @@ class TestEquivalence:
         geometry = ConvGeometry(kernel=3, padding=1)
         encoded = encode_layer("t", weights)
         ref = abm_conv2d_reference(features, encoded, geometry)
-        fast = abm_conv2d(features, encoded, geometry)
-        assert np.array_equal(ref.output, fast.output)
+        fast = abm_conv2d_batch(features[None], encoded, geometry)
+        assert np.array_equal(ref.output, fast.output[0])
         assert ref.accumulate_ops == fast.accumulate_ops
         assert ref.multiply_ops == fast.multiply_ops
 
@@ -49,13 +52,15 @@ class TestEquivalence:
         geometry = ConvGeometry(kernel=3)
         out = abm_from_codes(features, weights, geometry, bias=bias)
         expected = direct_conv(features, weights, geometry, bias=bias)
-        assert np.array_equal(out.output, expected)
+        assert np.array_equal(out.output[0], expected)
 
     def test_fc_path(self, rng):
         weights = sparse_weight_codes(rng, shape=(10, 32, 1, 1), density=0.2)
         features = rng.integers(-128, 128, size=32)
         encoded = encode_layer("fc", weights)
-        result = abm_conv2d(features.reshape(-1, 1, 1), encoded, ConvGeometry(kernel=1))
+        result = abm_conv2d_batch(
+            features.reshape(1, -1, 1, 1), encoded, ConvGeometry(kernel=1)
+        )
         expected = weights.reshape(10, 32).astype(np.int64) @ features
         assert np.array_equal(result.output.reshape(-1), expected)
 
@@ -77,7 +82,7 @@ class TestEquivalence:
         geometry = ConvGeometry(kernel=2)
         result = abm_from_codes(features, weights, geometry)
         expected = direct_conv(features, weights, geometry)
-        assert np.array_equal(result.output, expected)
+        assert np.array_equal(result.output[0], expected)
 
 
 class TestOpCounts:
@@ -86,7 +91,7 @@ class TestOpCounts:
         features = rng.integers(-8, 8, size=(6, 8, 8))
         geometry = ConvGeometry(kernel=3, padding=1)
         encoded = encode_layer("t", weights)
-        result = abm_conv2d(features, encoded, geometry)
+        result = abm_conv2d_batch(features[None], encoded, geometry)
         pixels = 8 * 8
         assert result.accumulate_ops == encoded.nonzero_count * pixels
         distinct = sum(k.distinct_values for k in encoded.kernels)
@@ -104,7 +109,9 @@ class TestOpCounts:
     def test_acc_to_mult_ratio(self, rng):
         weights = sparse_weight_codes(rng, shape=(2, 8, 3, 3), density=0.5)
         features = rng.integers(-8, 8, size=(8, 6, 6))
-        result = abm_from_codes(features, weights, ConvGeometry(kernel=3))
+        result = abm_conv2d_reference(
+            features, encode_layer("t", weights), ConvGeometry(kernel=3)
+        )
         if result.multiply_ops:
             assert result.acc_to_mult_ratio == pytest.approx(
                 result.accumulate_ops / result.multiply_ops
@@ -120,26 +127,47 @@ class TestOpCounts:
 
 
 class TestValidation:
+    """The fast path and the oracle reject the same malformed inputs."""
+
     def test_rejects_float_features(self, weight_codes, small_geometry):
         encoded = encode_layer("t", weight_codes)
         with pytest.raises(TypeError):
-            abm_conv2d(np.zeros((16, 10, 10)), encoded, small_geometry)
+            abm_conv2d_batch(np.zeros((1, 16, 10, 10)), encoded, small_geometry)
+        with pytest.raises(TypeError):
+            abm_conv2d_reference(np.zeros((16, 10, 10)), encoded, small_geometry)
 
     def test_rejects_2d_features(self, weight_codes, small_geometry):
         encoded = encode_layer("t", weight_codes)
-        with pytest.raises(ValueError):
-            abm_conv2d(np.zeros((10, 10), dtype=np.int64), encoded, small_geometry)
+        flat = np.zeros((10, 10), dtype=np.int64)
+        with pytest.raises(ValueError, match="CHW"):
+            abm_conv2d_reference(flat, encoded, small_geometry)
+        # A 2-D plane, or a CHW image without its batch axis.
+        for features in (flat, flat[None]):
+            with pytest.raises(ValueError, match="BCHW"):
+                abm_conv2d_batch(features, encoded, small_geometry)
+
+    @pytest.mark.parametrize("channels", [8, 32])
+    def test_rejects_channel_mismatch(self, rng, channels):
+        """A 16-channel layer refuses 8- or 32-channel features by name,
+        instead of reading past the features or dropping channels."""
+        encoded = encode_layer("c16", sparse_weight_codes(rng, shape=(4, 16, 3, 3)))
+        features = rng.integers(-8, 8, size=(channels, 8, 8))
+        geometry = ConvGeometry(kernel=3)
+        with pytest.raises(ValueError, match=rf"'c16' expects 16 .* got {channels}"):
+            abm_conv2d_reference(features, encoded, geometry)
+        with pytest.raises(ValueError, match="'c16'"):
+            abm_conv2d_batch(features[None], encoded, geometry)
 
     def test_rejects_bad_group_division(self, rng):
         weights = sparse_weight_codes(rng, shape=(3, 4, 3, 3))
         features = rng.integers(-8, 8, size=(4, 6, 6))
         encoded = encode_layer("t", weights)
         with pytest.raises(ValueError):
-            abm_conv2d(features, encoded, ConvGeometry(kernel=3, groups=2))
+            abm_conv2d_batch(features[None], encoded, ConvGeometry(kernel=3, groups=2))
 
     def test_rejects_oversized_kernel(self, rng):
         weights = sparse_weight_codes(rng, shape=(2, 3, 3, 3))
         features = rng.integers(-8, 8, size=(3, 2, 2))
         encoded = encode_layer("t", weights)
         with pytest.raises(ValueError):
-            abm_conv2d(features, encoded, ConvGeometry(kernel=3))
+            abm_conv2d_batch(features[None], encoded, ConvGeometry(kernel=3))

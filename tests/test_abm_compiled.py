@@ -19,7 +19,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.abm import (
     ConvGeometry,
-    abm_conv2d,
     abm_conv2d_batch,
     abm_conv2d_reference,
 )
@@ -53,7 +52,8 @@ def datapath(request, monkeypatch):
 
 
 def assert_results_identical(fast, ref):
-    assert np.array_equal(fast.output, ref.output)
+    """``fast`` is a batch of one, ``ref`` the oracle's one image."""
+    assert np.array_equal(fast.output[0], ref.output)
     assert fast.output.dtype == ref.output.dtype
     assert fast.accumulate_ops == ref.accumulate_ops
     assert fast.multiply_ops == ref.multiply_ops
@@ -73,7 +73,7 @@ class TestDifferential:
         bias = rng.integers(-500, 500, size=6) if with_bias else None
         geometry = ConvGeometry(kernel=3, stride=stride, padding=padding, groups=groups)
         encoded = encode_layer("t", weights)
-        fast = abm_conv2d(features, encoded, geometry, bias_codes=bias)
+        fast = abm_conv2d_batch(features[None], encoded, geometry, bias_codes=bias)
         ref = abm_conv2d_reference(features, encoded, geometry, bias_codes=bias)
         assert_results_identical(fast, ref)
 
@@ -109,7 +109,7 @@ class TestDifferential:
         plan = compile_layer_plan(encoded, geometry)
         assert plan.datapath(128 * scale) == expected
         ref = abm_conv2d_reference(features, encoded, geometry)
-        fast = abm_conv2d(features, encoded, geometry)
+        fast = abm_conv2d_batch(features[None], encoded, geometry)
         assert_results_identical(fast, ref)
         assert fast.output.dtype == np.int64
 
@@ -148,7 +148,7 @@ class TestRandomLayers:
         weights, features, bias, geometry = layer
         encoded = encode_layer("random", weights)
         assert np.array_equal(decode_layer(encoded), weights)
-        fast = abm_conv2d(features, encoded, geometry, bias_codes=bias)
+        fast = abm_conv2d_batch(features[None], encoded, geometry, bias_codes=bias)
         ref = abm_conv2d_reference(features, encoded, geometry, bias_codes=bias)
         assert_results_identical(fast, ref)
         assert np.array_equal(ref.output, direct_conv(features, weights, geometry, bias))
@@ -323,7 +323,7 @@ class TestExactness:
         _, encoded, geometry = self._layer(rng)
         features = rng.integers(-(2**56), 2**56, size=(2, 6, 6))
         with pytest.raises(ExactnessError, match="does not fit int64"):
-            abm_conv2d(features, encoded, geometry)
+            abm_conv2d_batch(features[None], encoded, geometry)
         with pytest.raises(OverflowError):
             abm_conv2d_reference(features, encoded, geometry)
 
@@ -341,11 +341,13 @@ class TestExactness:
         weights, encoded, geometry = self._layer(rng)
         telemetry = Telemetry()
         with activate(telemetry):
-            abm_conv2d(rng.integers(-128, 128, size=(2, 6, 6)), encoded, geometry)
-            abm_conv2d(rng.integers(-(2**20), 2**20, size=(2, 6, 6)), encoded, geometry)
+            abm_conv2d_batch(rng.integers(-128, 128, size=(1, 2, 6, 6)), encoded, geometry)
+            abm_conv2d_batch(
+                rng.integers(-(2**20), 2**20, size=(1, 2, 6, 6)), encoded, geometry
+            )
             wide = rng.integers(-(2**45), 2**45, size=(2, 6, 6))
-            result = abm_conv2d(wide, encoded, geometry)
-        assert np.array_equal(result.output, direct_conv(wide, weights, geometry))
+            result = abm_conv2d_batch(wide[None], encoded, geometry)
+        assert np.array_equal(result.output[0], direct_conv(wide, weights, geometry))
         spans = [root.to_dict() for root in telemetry.tracer.roots]
         assert [s["attrs"]["datapath"] for s in spans] == ["gemm32", "gemm", "int64"]
 
@@ -358,17 +360,17 @@ class TestEdgeCases:
         features = rng.integers(-64, 64, size=(3, 7, 7))
         geometry = ConvGeometry(kernel=3, padding=1)
         encoded = encode_layer("z", weights)
-        fast = abm_conv2d(features, encoded, geometry)
+        fast = abm_conv2d_batch(features[None], encoded, geometry)
         ref = abm_conv2d_reference(features, encoded, geometry)
         assert_results_identical(fast, ref)
-        assert not fast.output[2].any()
+        assert not fast.output[0, 2].any()
 
     def test_all_zero_layer(self, rng, datapath):
         weights = np.zeros((3, 2, 3, 3), dtype=np.int64)
         features = rng.integers(-64, 64, size=(2, 5, 5))
         geometry = ConvGeometry(kernel=3)
         encoded = encode_layer("zz", weights)
-        fast = abm_conv2d(features, encoded, geometry)
+        fast = abm_conv2d_batch(features[None], encoded, geometry)
         ref = abm_conv2d_reference(features, encoded, geometry)
         assert_results_identical(fast, ref)
         assert not fast.output.any()
@@ -382,7 +384,7 @@ class TestEdgeCases:
         geometry = ConvGeometry(kernel=3, padding=1)
         encoded = encode_layer("q1", weights)
         assert all(k.distinct_values <= 1 for k in encoded.kernels)
-        fast = abm_conv2d(features, encoded, geometry)
+        fast = abm_conv2d_batch(features[None], encoded, geometry)
         ref = abm_conv2d_reference(features, encoded, geometry)
         assert_results_identical(fast, ref)
 
@@ -392,15 +394,17 @@ class TestEdgeCases:
         features = rng.integers(-(2**45), 2**45, size=(2, 6, 6))
         geometry = ConvGeometry(kernel=3)
         encoded = encode_layer("big", weights)
-        fast = abm_conv2d(features, encoded, geometry)
+        fast = abm_conv2d_batch(features[None], encoded, geometry)
         expected = direct_conv(features, weights, geometry)
-        assert np.array_equal(fast.output, expected)
+        assert np.array_equal(fast.output[0], expected)
 
     def test_fc_path(self, rng, datapath):
         weights = sparse_weight_codes(rng, shape=(10, 32, 1, 1), density=0.2)
         features = rng.integers(-128, 128, size=32)
         encoded = encode_layer("fc", weights)
-        result = abm_conv2d(features.reshape(-1, 1, 1), encoded, ConvGeometry(kernel=1))
+        result = abm_conv2d_batch(
+            features.reshape(1, -1, 1, 1), encoded, ConvGeometry(kernel=1)
+        )
         expected = weights.reshape(10, 32).astype(np.int64) @ features
         assert np.array_equal(result.output.reshape(-1), expected)
 
@@ -445,6 +449,6 @@ class TestPlanCache:
         assert plan.accumulates_per_pixel == nnz
         assert plan.multiplies_per_pixel == qtable
         features = rng.integers(-64, 64, size=(3, 7, 7))
-        result = abm_conv2d(features, encoded, geometry)
+        result = abm_conv2d_batch(features[None], encoded, geometry)
         assert result.accumulate_ops == pixels * nnz
         assert result.multiply_ops == pixels * qtable

@@ -10,7 +10,7 @@ ulp-level BLAS summation-order differences.
 import numpy as np
 import pytest
 
-from repro.core.abm import ConvGeometry, abm_conv2d, abm_conv2d_batch
+from repro.core.abm import ConvGeometry, abm_conv2d_batch, abm_conv2d_reference
 from repro.core.encoding import encode_layer
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import uniform_schedule
@@ -19,7 +19,7 @@ from tests.conftest import sparse_weight_codes
 
 
 class TestBatchedKernel:
-    """abm_conv2d_batch vs per-image abm_conv2d: bit-exact, B x op counts."""
+    """A batch of B vs B batches of one: bit-exact, B x op counts."""
 
     @pytest.mark.parametrize(
         "stride,padding,groups",
@@ -34,10 +34,10 @@ class TestBatchedKernel:
         encoded = encode_layer("b", weights)
         batched = abm_conv2d_batch(batch, encoded, geometry, bias_codes=bias)
         singles = [
-            abm_conv2d(batch[i], encoded, geometry, bias_codes=bias)
+            abm_conv2d_batch(batch[i : i + 1], encoded, geometry, bias_codes=bias)
             for i in range(batch_size)
         ]
-        assert np.array_equal(batched.output, np.stack([s.output for s in singles]))
+        assert np.array_equal(batched.output, np.concatenate([s.output for s in singles]))
         assert batched.accumulate_ops == batch_size * singles[0].accumulate_ops
         assert batched.multiply_ops == batch_size * singles[0].multiply_ops
         acc, mult = batched.per_image_ops()
@@ -50,9 +50,10 @@ class TestBatchedKernel:
         geometry = ConvGeometry(kernel=3, padding=1)
         encoded = encode_layer("b1", weights)
         batched = abm_conv2d_batch(image[None], encoded, geometry)
-        single = abm_conv2d(image, encoded, geometry)
+        single = abm_conv2d_reference(image, encoded, geometry)
         assert np.array_equal(batched.output[0], single.output)
         assert batched.accumulate_ops == single.accumulate_ops
+        assert batched.multiply_ops == single.multiply_ops
 
     def test_fc_batch_matches_per_image(self, rng):
         weights = sparse_weight_codes(rng, shape=(10, 32, 1, 1), density=0.2)
@@ -63,8 +64,10 @@ class TestBatchedKernel:
         batched = abm_conv2d_batch(batch[:, :, None, None], encoded, fc, bias_codes=bias)
         assert batched.output.shape == (5, 10, 1, 1)
         for i in range(5):
-            single = abm_conv2d(batch[i, :, None, None], encoded, fc, bias_codes=bias)
-            assert np.array_equal(batched.output[i], single.output)
+            single = abm_conv2d_batch(
+                batch[i : i + 1, :, None, None], encoded, fc, bias_codes=bias
+            )
+            assert np.array_equal(batched.output[i], single.output[0])
 
     def test_rejects_non_bchw(self, rng):
         weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))

@@ -146,7 +146,9 @@ class TestCommands:
             pytest.param(["serve-sim", "--model", "lenet", "--density", "1e-9"],
                          "--density 1e-09 prunes every weight",
                          id="density-prunes-every-weight"),
-            # VGG16's smallest design does not fit the Cyclone-V fabric.
+            # A VGG16 design fits Cyclone-V (exhaustive_search finds N_knl=10
+            # S_ec=4 N_cu=1 N=3), but explore's N_knl sweep runs at the GXA7
+            # presets preset_n_cu=3, preset_s_ec=20, where no N_knl fits.
             pytest.param(["explore", "--model", "vgg16", "--device", "Cyclone-V SE"],
                          "no vgg16 design fits Cyclone-V SE",
                          id="explore-infeasible-device"),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.quant.clustering import (
     ClusteredWeights,
     cluster_weights,
-    clustering_error,
     kmeans_1d,
 )
 
@@ -68,9 +67,12 @@ class TestClusterWeights:
 
     def test_error_decreases_with_clusters(self, rng):
         weights = rng.normal(size=2000)
-        coarse = clustering_error(weights, cluster_weights(weights, 4))
-        fine = clustering_error(weights, cluster_weights(weights, 64))
-        assert fine < coarse
+
+        def rms(clusters):
+            dense = cluster_weights(weights, clusters).dense()
+            return np.sqrt(np.mean((weights - dense) ** 2))
+
+        assert rms(64) < rms(4)
 
     def test_all_zero_tensor(self):
         clustered = cluster_weights(np.zeros((3, 3)), clusters=4)

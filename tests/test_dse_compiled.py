@@ -28,7 +28,6 @@ from repro.dse.explorer import (
     sweep_nknl,
     sweep_sec_ncu,
 )
-from repro.dse.pareto import pareto_frontier, pareto_frontier_reference
 from repro.dse.performance import (
     MODE_IDEAL,
     MODE_QUANTIZED,
@@ -38,8 +37,7 @@ from repro.dse.performance import (
 from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.dse import compiled as compiled_module
 from repro.dse.compiled import CompiledWorkload, _compiled
-from repro.dse.explorer import BufferSizing, GridPoint, _buffers
-from repro.dse.resources import ResourceEstimate, ResourceUtilization
+from repro.dse.explorer import BufferSizing, _buffers
 from repro.hw.config import AcceleratorConfig
 from repro.hw.device import STRATIX_V_GXA7
 from repro.hw.tiling import plan_windows
@@ -386,35 +384,6 @@ class TestHypothesisDifferential:
         assert_grid_per_point(
             grid, workload, STRATIX_V_GXA7, n_knl=5, n_share=n_share, **grid_kwargs
         )
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        data=st.lists(
-            st.tuples(
-                st.integers(0, 4),  # throughput bucket (ties on purpose)
-                st.integers(0, 3),  # alms
-                st.integers(0, 3),  # dsps
-                st.integers(0, 3),  # m20ks
-                st.booleans(),  # feasible
-            ),
-            min_size=0,
-            max_size=40,
-        )
-    )
-    def test_pareto_matches_reference_on_random_grids(self, data):
-        config = AcceleratorConfig(n_cu=1, n_knl=1, n_share=1, s_ec=1)
-        utilization = ResourceUtilization(logic=0.5, dsp=0.5, memory=0.5)
-        grid = [
-            GridPoint(
-                config=config,
-                throughput_gops=float(t) / 2.0,
-                resources=ResourceEstimate(alms=a, dsps=d, m20ks=m),
-                utilization=utilization,
-                feasible=feasible,
-            )
-            for t, a, d, m, feasible in data
-        ]
-        assert pareto_frontier(grid) == pareto_frontier_reference(grid)
 
 
 # ---------------------------------------------------------------------------

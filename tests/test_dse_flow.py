@@ -1,14 +1,9 @@
-"""Tests for calibration, roofline and the exploration flow."""
+"""Tests for the roofline and the exploration flow."""
 
 import numpy as np
 import pytest
 
 from repro.core.schemes import ConvScheme
-from repro.dse.calibration import (
-    SyntheticCompiler,
-    characterization_suite,
-    fit_constants,
-)
 from repro.dse.explorer import (
     best_candidates,
     explore,
@@ -19,7 +14,6 @@ from repro.dse.explorer import (
 )
 from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.dse.roofline import DesignPoint, RooflineModel
-from repro.hw.config import PAPER_CONFIG_VGG16, AcceleratorConfig
 from repro.hw.device import STRATIX_V_GXA7
 from repro.workloads import synthetic_model_workload
 
@@ -27,49 +21,6 @@ from repro.workloads import synthetic_model_workload
 @pytest.fixture(scope="module")
 def vgg_workload():
     return synthetic_model_workload("vgg16", seed=1)
-
-
-class TestCalibration:
-    def test_fit_recovers_constants_noiseless(self):
-        compiler = SyntheticCompiler(STRATIX_V_GXA7, noise=0.0)
-        samples = compiler.characterize(
-            characterization_suite(AcceleratorConfig(3, 14, 4, 20))
-        )
-        fitted = fit_constants(samples)
-        truth = DEFAULT_RESOURCE_MODEL
-        assert fitted.c1 == pytest.approx(truth.c1, rel=0.02)
-        assert fitted.c4 == pytest.approx(truth.c4, rel=0.02)
-        assert fitted.c6 == pytest.approx(truth.c6, rel=0.02)
-        assert fitted.c7 == pytest.approx(truth.c7, rel=0.02)
-
-    def test_fit_with_noise_stays_close(self):
-        compiler = SyntheticCompiler(STRATIX_V_GXA7, noise=0.02, seed=7)
-        samples = compiler.characterize(
-            characterization_suite(AcceleratorConfig(3, 14, 4, 20))
-        )
-        fitted = fit_constants(samples)
-        assert fitted.c1 == pytest.approx(DEFAULT_RESOURCE_MODEL.c1, rel=0.15)
-
-    def test_fitted_model_predicts_paper_point(self):
-        compiler = SyntheticCompiler(STRATIX_V_GXA7, noise=0.02, seed=3)
-        samples = compiler.characterize(
-            characterization_suite(AcceleratorConfig(3, 14, 4, 20))
-        )
-        fitted = fit_constants(samples)
-        estimate = fitted.estimate(PAPER_CONFIG_VGG16)
-        truth = DEFAULT_RESOURCE_MODEL.estimate(PAPER_CONFIG_VGG16)
-        assert estimate.alms == pytest.approx(truth.alms, rel=0.05)
-        assert estimate.dsps == pytest.approx(truth.dsps, abs=6)
-
-    def test_too_few_samples(self):
-        compiler = SyntheticCompiler(STRATIX_V_GXA7)
-        samples = compiler.characterize([AcceleratorConfig(3, 14, 4, 20)])
-        with pytest.raises(ValueError):
-            fit_constants(samples)
-
-    def test_noise_validation(self):
-        with pytest.raises(ValueError):
-            SyntheticCompiler(STRATIX_V_GXA7, noise=-0.1)
 
 
 class TestRoofline:

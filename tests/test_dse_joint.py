@@ -13,17 +13,13 @@ Pins the contracts of :mod:`repro.dse.joint_space`:
   the best of one-cell searches, ties going to the first cell;
 - a two-workload search is conservative: the joint optimum is no better
   than either workload alone at the same configuration;
-- ``nondominated_mask`` keeps exactly the non-dominated points
-  (hypothesis-checked against a pairwise oracle);
 - the max-min AlexNet + VGG16 co-deployment serves both models from one
   shared configuration at near-solo performance.
 """
 
 import itertools
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.dse.compiled import column_tables, compile_workload
 from repro.dse.joint_space import (
@@ -33,7 +29,6 @@ from repro.dse.joint_space import (
     default_joint_space,
     exhaustive_search,
 )
-from repro.dse.pareto import nondominated_mask
 from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.hw import STRATIX_V_GXA7
 from repro.hw.power import abm_power_analytic, analytic_energy_per_image
@@ -345,52 +340,6 @@ class TestMultiWorkload:
                 <= solo.values["throughput_gops"] + 1e-9
             )
             assert joint.values["mem_util"] >= solo.values["mem_util"] - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Non-dominated set invariant
-# ---------------------------------------------------------------------------
-
-
-def _dominates(a, b, directions):
-    no_worse = all(
-        (x >= y) if d == "max" else (x <= y) for x, y, d in zip(a, b, directions)
-    )
-    better = any(
-        (x > y) if d == "max" else (x < y) for x, y, d in zip(a, b, directions)
-    )
-    return no_worse and better
-
-
-class TestNondominatedMask:
-    DIRECTIONS = ("max", "min")
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        points=st.lists(
-            st.tuples(
-                st.floats(1.0, 100.0, allow_nan=False),
-                st.floats(1.0, 10.0, allow_nan=False),
-            ),
-            max_size=40,
-        )
-    )
-    def test_mask_is_exactly_the_nondominated_set(self, points):
-        columns = [
-            np.array([p[i] for p in points], dtype=np.float64) for i in range(2)
-        ]
-        mask = nondominated_mask(columns, self.DIRECTIONS)
-        assert mask.shape == (len(points),)
-        for i, point in enumerate(points):
-            dominated = any(
-                _dominates(other, point, self.DIRECTIONS) for other in points
-            )
-            assert bool(mask[i]) == (not dominated)
-        # No survivor dominates another survivor.
-        survivors = [p for p, keep in zip(points, mask) if keep]
-        for a in survivors:
-            for b in survivors:
-                assert not _dominates(a, b, self.DIRECTIONS)
 
 
 class TestJointExploration:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.abm import ConvGeometry, abm_conv2d_batch
 from repro.core.encoding import encode_layer
 from repro.hw.config import AcceleratorConfig
 from repro.hw.emulation import emulate_layer
@@ -25,9 +25,9 @@ class TestEmulation:
         features = rng.integers(-32, 32, size=(6, 7, 7))
         geometry = ConvGeometry(kernel=3, stride=stride, padding=padding, groups=groups)
         encoded = encode_layer("t", weights)
-        fast = abm_conv2d(features, encoded, geometry)
+        fast = abm_conv2d_batch(features[None], encoded, geometry)
         slow = emulate_layer(features, encoded, geometry, config)
-        assert np.array_equal(slow.output, fast.output)
+        assert np.array_equal(slow.output, fast.output[0])
 
     def test_with_bias(self, rng, config):
         weights = sparse_weight_codes(rng, shape=(3, 4, 3, 3), density=0.5)
@@ -35,9 +35,9 @@ class TestEmulation:
         bias = rng.integers(-50, 50, size=3)
         geometry = ConvGeometry(kernel=3)
         encoded = encode_layer("t", weights)
-        fast = abm_conv2d(features, encoded, geometry, bias_codes=bias)
+        fast = abm_conv2d_batch(features[None], encoded, geometry, bias_codes=bias)
         slow = emulate_layer(features, encoded, geometry, config, bias_codes=bias)
-        assert np.array_equal(slow.output, fast.output)
+        assert np.array_equal(slow.output, fast.output[0])
 
     def test_fifo_pushes_equal_multiplies(self, rng, config):
         """Every partial sum crosses the FIFO exactly once."""
@@ -45,7 +45,7 @@ class TestEmulation:
         features = rng.integers(-16, 16, size=(4, 6, 6))
         geometry = ConvGeometry(kernel=3)
         encoded = encode_layer("t", weights)
-        fast = abm_conv2d(features, encoded, geometry)
+        fast = abm_conv2d_batch(features[None], encoded, geometry)
         slow = emulate_layer(features, encoded, geometry, config)
         assert slow.fifo_pushes == fast.multiply_ops
 

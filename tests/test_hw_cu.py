@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.abm import ConvGeometry, abm_conv2d_batch
 from repro.core.encoding import encode_layer
 from repro.hw.config import AcceleratorConfig
 from repro.hw.cu import (
@@ -81,12 +81,12 @@ class TestTaskCycles:
 
 class TestFunctionalCU:
     def test_datapath_matches_abm(self, rng):
-        """Address gen -> accumulators -> FIFO -> multiplier == abm_conv2d."""
+        """Address gen -> accumulators -> FIFO -> multiplier == the fast path."""
         weights = sparse_weight_codes(rng, shape=(3, 4, 3, 3), density=0.5)
         features = rng.integers(-32, 32, size=(4, 7, 7))
         geometry = ConvGeometry(kernel=3, stride=1, padding=0)
         encoded = encode_layer("t", weights)
-        expected = abm_conv2d(features, encoded, geometry).output
+        expected = abm_conv2d_batch(features[None], encoded, geometry).output[0]
 
         config = AcceleratorConfig(n_cu=1, n_knl=3, n_share=4, s_ec=4)
         cu = FunctionalCU(config, kernel_size=3, stride=1)

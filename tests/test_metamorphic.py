@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.abm import ConvGeometry, abm_conv2d_batch
 from repro.core.encoding import encode_layer
 from repro.dse.performance import MODE_QUANTIZED, estimate_model
 from repro.hw.accelerator import AcceleratorSimulator
@@ -111,8 +111,8 @@ class TestAlgorithmicInvariances:
         features = rng.integers(-32, 32, size=(4, 6, 6))
         encoded = encode_layer("t", weights)
         geometry = ConvGeometry(kernel=3)
-        once = abm_conv2d(features, encoded, geometry).output
-        twice = abm_conv2d(2 * features, encoded, geometry).output
+        once = abm_conv2d_batch(features[None], encoded, geometry).output[0]
+        twice = abm_conv2d_batch(2 * features[None], encoded, geometry).output[0]
         assert np.array_equal(twice, 2 * once)
 
     def test_kernel_permutation_permutes_output(self, rng):
@@ -121,10 +121,11 @@ class TestAlgorithmicInvariances:
         features = rng.integers(-32, 32, size=(4, 6, 6))
         geometry = ConvGeometry(kernel=3)
         order = rng.permutation(5)
-        direct = abm_conv2d(features, encode_layer("a", weights), geometry).output
-        permuted = abm_conv2d(
-            features, encode_layer("b", weights[order]), geometry
-        ).output
+        batch = features[None]
+        direct = abm_conv2d_batch(batch, encode_layer("a", weights), geometry).output[0]
+        permuted = abm_conv2d_batch(
+            batch, encode_layer("b", weights[order]), geometry
+        ).output[0]
         assert np.array_equal(permuted, direct[order])
 
     def test_workload_seed_stability_of_throughput(self, small_conv_spec, rng):

@@ -124,10 +124,10 @@ class TestNumerics:
         weight_codes = decode_layer(compiled.encoded)
         geometry = ConvGeometry(kernel=3, padding=1)
         direct = direct_conv(input_codes, weight_codes, geometry)
-        from repro.core.abm import abm_conv2d
+        from repro.core.abm import abm_conv2d_batch
 
-        abm = abm_conv2d(input_codes, compiled.encoded, geometry)
-        assert np.array_equal(abm.output, direct)
+        abm = abm_conv2d_batch(input_codes[None], compiled.encoded, geometry)
+        assert np.array_equal(abm.output[0], direct)
 
     def test_relu_and_maxpool_exact_in_integer(self, image):
         """Integer-domain host layers commute with dequantization."""

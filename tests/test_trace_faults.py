@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.abm import ConvGeometry, abm_conv2d
+from repro.core.abm import ConvGeometry, abm_conv2d_batch
 from repro.core.encoding import encode_layer
 from repro.core.specs import conv_spec
 from repro.hw.config import AcceleratorConfig
@@ -88,18 +88,18 @@ class TestFaults:
         """A Q-Table VAL flip corrupts only its kernel's output channel."""
         encoded, features = layer_and_features
         geometry = ConvGeometry(kernel=3, padding=1)
-        clean = abm_conv2d(features, encoded, geometry).output
+        clean = abm_conv2d_batch(features[None], encoded, geometry).output[0]
         corrupted = flip_value_bit(encoded, kernel_index=1, entry_index=0, bit=3)
-        dirty = abm_conv2d(features, corrupted, geometry).output
+        dirty = abm_conv2d_batch(features[None], corrupted, geometry).output[0]
         changed = [m for m in range(4) if not np.array_equal(clean[m], dirty[m])]
         assert changed == [1]
 
     def test_index_flip_perturbs_output(self, layer_and_features):
         encoded, features = layer_and_features
         geometry = ConvGeometry(kernel=3, padding=1)
-        clean = abm_conv2d(features, encoded, geometry).output
+        clean = abm_conv2d_batch(features[None], encoded, geometry).output[0]
         corrupted = flip_index_bit(encoded, kernel_index=0, entry_index=0, bit=2)
-        dirty = abm_conv2d(features, corrupted, geometry).output
+        dirty = abm_conv2d_batch(features[None], corrupted, geometry).output[0]
         # The op counts are unchanged — corruption is silent at that level.
         assert not np.array_equal(clean, dirty) or True
         assert dirty.shape == clean.shape

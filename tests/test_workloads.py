@@ -7,7 +7,7 @@ from repro.core.specs import conv_spec, fc_spec
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.accelerator import AcceleratorSimulator
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import PAPER_CONFIG_VGG16, AcceleratorConfig
 from repro.hw.device import STRATIX_V_GXA7
 from repro.hw.workload import LayerWorkload, ModelWorkload, workload_from_arrays
 from repro.prune import deep_compression_schedule
@@ -21,7 +21,6 @@ from repro.workloads.codebooks import (
 from repro.workloads.synthetic import (
     synthesize_layer_stats,
     synthesize_quantized_layer,
-    synthetic_feature_codes,
     synthetic_model_workload,
 )
 from repro.workloads.paper_targets import TABLE1_ROWS
@@ -170,11 +169,32 @@ class TestConcreteTensors:
         distinct = np.unique(codes[codes != 0])
         assert distinct.size <= 20
 
-    def test_feature_codes_range(self, rng):
-        codes = synthetic_feature_codes((3, 8, 8), rng)
-        assert codes.min() >= -128
-        assert codes.max() <= 127
-        assert codes.dtype == np.int64
+
+class TestVGG19Workload:
+    def test_schedule_extends_vgg16(self):
+        schedule = deep_compression_schedule("vgg19")
+        assert schedule.density("conv3_4") == schedule.density("conv3_3")
+        assert schedule.density("conv5_4") == schedule.density("conv5_3")
+        assert schedule.density("fc6") == pytest.approx(0.04)
+
+    def test_workload_builds_and_reduces(self):
+        workload = synthetic_model_workload("vgg19", seed=1)
+        reduction = workload.dense_ops / (2 * workload.accumulate_ops)
+        # Extrapolated schedule keeps VGG16's ~3x MAC-reduction regime.
+        assert 2.5 < reduction < 3.6
+
+    def test_simulates_on_paper_config(self):
+        workload = synthetic_model_workload("vgg19", seed=1)
+        result = AcceleratorSimulator(PAPER_CONFIG_VGG16, STRATIX_V_GXA7).simulate(
+            workload
+        )
+        # Deeper model, same accumulate-bound architecture: throughput in
+        # the same band as VGG16, inference proportionally slower.
+        assert 662 < result.throughput_gops < 1052
+        vgg16 = AcceleratorSimulator(PAPER_CONFIG_VGG16, STRATIX_V_GXA7).simulate(
+            synthetic_model_workload("vgg16", seed=1)
+        )
+        assert result.seconds_per_image > vgg16.seconds_per_image
 
 
 class TestWorkloadValidation:
