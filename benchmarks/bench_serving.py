@@ -35,6 +35,7 @@ from repro.runtime import SystemRuntime
 from repro.serve.events import BatchPolicy, EventDrivenSimulator
 from repro.serve.fleet import ServiceProfile
 from repro.serve.loadgen import LoadTrace
+from repro.telemetry.context import Telemetry
 from repro.workloads.images import natural_image
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
@@ -90,27 +91,28 @@ def test_bench_serving_scaling(benchmark, serving_setup):
     burst = LoadTrace("burst", np.zeros(REQUESTS), np.zeros(REQUESTS))
 
     def run_scaling():
-        return {
-            workers: EventDrivenSimulator(
-                profile, policy, instances=workers
+        runs = {}
+        for workers in (1, 2):
+            telemetry = Telemetry()
+            report = EventDrivenSimulator(
+                profile, policy, instances=workers, telemetry=telemetry
             ).run_trace(burst)
-            for workers in (1, 2)
-        }
+            runs[workers] = report, telemetry.registry
+        return runs
 
-    reports = benchmark(run_scaling)
+    runs = benchmark(run_scaling)
+    reports = {workers: report for workers, (report, _) in runs.items()}
     print()
-    for workers, report in reports.items():
-        stats = report.stats
+    for workers, (report, registry) in runs.items():
+        p95 = registry.histogram("serve/latency_s").percentile(95)
         print(
-            f"  {workers} worker(s): {stats.count} reqs in "
+            f"  {workers} worker(s): {report.served} reqs in "
             f"{len(report.batches)} stream runs  "
-            f"makespan {stats.makespan_s * 1e3:7.3f} ms  "
-            f"p95 {stats.p95_latency_s * 1e3:7.3f} ms  "
-            f"{stats.aggregate_gops:6.1f} GOP/s aggregate"
+            f"makespan {report.makespan_s * 1e3:7.3f} ms  "
+            f"p95 {p95 * 1e3:7.3f} ms  "
+            f"{report.aggregate_gops:6.1f} GOP/s aggregate"
         )
-    scaling = (
-        reports[2].stats.aggregate_gops / reports[1].stats.aggregate_gops
-    )
+    scaling = reports[2].aggregate_gops / reports[1].aggregate_gops
     print(f"  scaling 1 -> 2 workers: {scaling:.2f}x")
     # No instance ever has more than MAX_BATCH requests in flight.
     for report in reports.values():

@@ -16,7 +16,7 @@ Two measurements, one artifact (``BENCH_serving_scale.json``):
 - **load curve**: p50/p99/p999 latency versus offered load for two SLO
   classes, at sub-saturation, near-saturation and overload points. The
   percentiles come straight from the telemetry registry's histograms
-  (identical nearest-rank arithmetic to ``ServeStats``), which is the
+  (exact nearest-rank over the retained samples), which is the
   p99-vs-offered-load story the telemetry instruments were built for;
   the overload point also exercises admission control, so rejection
   counts land in the artifact too.

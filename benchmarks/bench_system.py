@@ -31,8 +31,8 @@ def test_bench_system_pipeline(benchmark, seed):
     print()
     for model, outcome in results.items():
         print(
-            f"  {model:<8} fpga {outcome.fpga_seconds * 1e3:6.2f} ms  "
-            f"host {outcome.host_seconds * 1e3:6.2f} ms  "
+            f"  {model:<8} fpga {outcome.fpga_s * 1e3:6.2f} ms  "
+            f"host {outcome.host_s * 1e3:6.2f} ms  "
             f"cpu hidden: {outcome.cpu_hidden}  "
             f"fpga {outcome.fpga_gops:6.1f} GOP/s  "
             f"system {outcome.system_gops:6.1f} GOP/s  "

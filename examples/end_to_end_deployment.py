@@ -5,10 +5,10 @@ The complete user story in one script:
 1. build a CNN and prune/quantize it (Deep Compression style),
 2. `deploy()` it — encode the weights, pick an accelerator configuration
    with the DSE flow, verify buffer fits, produce the binary blob,
-3. run inference through the `SystemRuntime`, which couples the bit-exact
-   ABM numerics with the simulator's cycle-level timing and the host model
-   (the paper's CPU/FPGA split),
-4. inspect the per-layer latency breakdown.
+3. run bit-exact ABM inference with `pipeline.run_batch` and take its
+   timing from the deployment's `ServiceProfile` — the simulator's
+   cycle-level FPGA time plus the host model (the paper's CPU/FPGA split),
+4. inspect the per-layer latency breakdown of the simulation.
 
 Run:  python examples/end_to_end_deployment.py
 """
@@ -19,7 +19,7 @@ from repro.nn.models import cifarnet_architecture
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
-from repro.system.pipeline import SystemResult
+from repro.system.pipeline import ServiceProfile
 
 SEED = 13
 
@@ -46,26 +46,27 @@ def main() -> None:
     print(f"  weight blob: {deployed.blob_bytes / 1024:.1f} KiB "
           f"(buffers fit: {deployed.fits})")
 
-    # 3. run one inference with coupled numerics + timing.
-    outcome = runtime.infer(image)
+    # 3. run one inference; its timing is the deployment's profile.
+    (result,) = pipeline.run_batch(image[None])
+    top1 = int(np.argmax(result.output))
     reference = int(np.argmax(pipeline.run_float(image)))
-    print(f"\ninference: top-1 = {outcome.top1} "
+    print(f"\ninference: top-1 = {top1} "
           f"(float reference {reference}, "
-          f"{'match' if outcome.top1 == reference else 'MISMATCH'})")
-    print(f"  FPGA time:   {outcome.fpga_ms * 1e3:8.1f} us")
-    print(f"  host time:   {outcome.host_ms * 1e3:8.1f} us")
+          f"{'match' if top1 == reference else 'MISMATCH'})")
+    profile = ServiceProfile.from_runtime(runtime)
+    print(f"  FPGA time:   {profile.fpga_s * 1e6:8.1f} us")
+    print(f"  host time:   {profile.host_s * 1e6:8.1f} us")
     # The CPU/FPGA pipeline runs at the pace of its slower stage.
-    system = SystemResult(
-        deployed.name, outcome.fpga_seconds, outcome.host_seconds,
-        outcome.dense_ops,
-    )
-    print(f"  throughput:  {system.system_gops:8.1f} GOP/s (dense basis)")
-    print(f"  effective:   {outcome.effective_gops:8.1f} GOP/s (executed ops)")
+    print(f"  throughput:  {profile.system_gops:8.1f} GOP/s (dense basis)")
+    effective = result.total_ops / profile.fpga_s / 1e9
+    print(f"  effective:   {effective:8.1f} GOP/s (executed ops)")
 
     # 4. per-layer latency breakdown.
     print("\nper-layer FPGA latency:")
-    for name, ms in runtime.latency_breakdown():
-        print(f"  {name:<8} {ms * 1e3:8.1f} us")
+    freq_hz = deployed.config.freq_mhz * 1e6
+    for layer in runtime.simulation.layers:
+        ms = layer.cycles_per_image / freq_hz * 1e3
+        print(f"  {layer.layer:<8} {ms * 1e3:8.1f} us")
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ Commands
 - ``system --model {alexnet,vgg16}`` — model the pipelined CPU/FPGA
   system and print how much host work the accelerator hides.
 - ``serve-sim --model {lenet,cifarnet}`` — simulate batched serving across
-  a pool of accelerator instances and print the latency/throughput report;
-  ``--metrics-out FILE`` additionally records the run through
-  :mod:`repro.telemetry` and writes the JSONL snapshot.
+  a pool of accelerator instances and print the latency/throughput report
+  (the run records into a :mod:`repro.telemetry` registry, whose
+  histograms give the latency lines); ``--metrics-out FILE`` also writes
+  the JSONL snapshot.
 - ``metrics`` — inspect, validate (``--check``) or re-export
   (``--format jsonl``) a telemetry snapshot.
 - ``encode --model {alexnet,vgg16}`` — encode a synthetic pruned model and
@@ -255,8 +256,8 @@ def _cmd_system(args: argparse.Namespace) -> int:
         host_ops_per_second=args.host_gops * 1e9,
     )
     print(f"pipelined CPU/FPGA system — {args.model}")
-    print(f"  FPGA stage:      {result.fpga_seconds * 1e3:8.2f} ms/image")
-    print(f"  host stage:      {result.host_seconds * 1e3:8.2f} ms/image")
+    print(f"  FPGA stage:      {result.fpga_s * 1e3:8.2f} ms/image")
+    print(f"  host stage:      {result.host_s * 1e3:8.2f} ms/image")
     print(f"  CPU hidden:      {result.cpu_hidden}")
     print(f"  bottleneck:      {result.bottleneck}")
     print(f"  FPGA-only:       {result.fpga_gops:8.1f} GOP/s")
@@ -295,8 +296,10 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     from .prune.schedules import uniform_schedule
     from .runtime import SystemRuntime
     from .serve.events import BatchPolicy, EventDrivenSimulator, SLOClass
-    from .serve.fleet import AutoscalePolicy, ServiceProfile
+    from .serve.fleet import AutoscalePolicy
     from .serve.loadgen import make_trace
+    from .system.pipeline import ServiceProfile
+    from .telemetry.context import Telemetry
     from .workloads.images import natural_image
 
     _check_serve_args(args)
@@ -316,11 +319,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         pipeline, architecture.accelerated_specs(), device
     )
     policy = BatchPolicy(max_batch=args.max_batch)
-    telemetry = None
-    if args.metrics_out:
-        from .telemetry.context import Telemetry
-
-        telemetry = Telemetry()
+    telemetry = Telemetry()
 
     print(
         f"serving simulation — {args.model} on {args.workers} simulated "
@@ -358,6 +357,8 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         instances=args.workers,
         autoscale=autoscale,
         telemetry=telemetry,
+        # Spans only feed the snapshot; the summary reads the registry.
+        record_spans=bool(args.metrics_out),
     )
     report = engine.run_trace(trace)
     if report.scale_events:
@@ -366,8 +367,8 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
             f"peak {report.peak_instances} instance(s), "
             f"final {report.final_instances}"
         )
-    print(report.stats.render())
-    if telemetry is not None:
+    print(report.render(telemetry.registry))
+    if args.metrics_out:
         from .telemetry.exporters import write_jsonl
 
         snapshot = telemetry.snapshot()
@@ -605,8 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--density", type=float, default=0.4,
                        help="uniform pruning density before quantization")
     p_srv.add_argument("--metrics-out", default=None,
-                       help="record the run through repro.telemetry and "
-                            "write the JSONL snapshot to this file")
+                       help="write the run's repro.telemetry JSONL "
+                            "snapshot to this file")
     p_srv.set_defaults(func=_cmd_serve_sim)
 
     p_met = sub.add_parser(

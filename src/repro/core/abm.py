@@ -77,6 +77,18 @@ def _check_feature_codes(features: np.ndarray) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _check_channels(
+    channels: int, encoded: EncodedLayer, geometry: ConvGeometry
+) -> None:
+    expected = encoded.kernel_shape[0] * geometry.groups
+    if channels != expected:
+        raise ValueError(
+            f"layer {encoded.name!r} expects {expected} input channels "
+            f"({encoded.kernel_shape[0]} per group x {geometry.groups} groups), "
+            f"got {channels}"
+        )
+
+
 def abm_conv2d_reference(
     feature_codes: np.ndarray,
     encoded: EncodedLayer,
@@ -91,13 +103,7 @@ def abm_conv2d_reference(
     """
     features = _check_feature_codes(feature_codes)
     channels, rows, cols = features.shape
-    expected = encoded.kernel_shape[0] * geometry.groups
-    if channels != expected:
-        raise ValueError(
-            f"layer {encoded.name!r} expects {expected} input channels "
-            f"({encoded.kernel_shape[0]} per group x {geometry.groups} groups), "
-            f"got {channels}"
-        )
+    _check_channels(channels, encoded, geometry)
     out_rows, out_cols = conv_output_hw(rows, cols, geometry)
     kernels = encoded.out_channels
     if kernels % geometry.groups:
@@ -179,6 +185,7 @@ def abm_conv2d_batch(
         raise ValueError(f"batched feature codes must be BCHW, got {batch.shape}")
     if not np.issubdtype(batch.dtype, np.integer):
         raise TypeError("ABM-SpConv operates on integer feature codes")
+    _check_channels(batch.shape[1], encoded, geometry)
     batch = batch.astype(np.int64)
     plan = compile_layer_plan(encoded, geometry)
     output, acc_ops, mult_ops = plan.execute_batch(batch, bias_codes=bias_codes)

@@ -46,11 +46,12 @@ partial sum (in any summation order) and the biased total:
   the worst-case sum, and silently wrapping int64 would be wrong.
 
 Plans are cached per (encoded layer, geometry), so repeated inference —
-the per-layer reference walk, ``SystemRuntime.infer_batch``, the fused
-model plan built on top of these plans — pays compilation once.  A plan
-keeps no working memory: :meth:`LayerPlan.bind` binds it to the caller's
-:class:`Scratch` (its padded input, patch tile and GEMM output), sized by
-:meth:`LayerPlan.scratch_bytes`, and to one batch extent and datapath.
+the per-layer reference walk (``QuantizedPipeline.run``) and the fused
+model plan built on top of these plans (``run_batch``) — pays
+compilation once.  A plan keeps no working memory: :meth:`LayerPlan.bind`
+binds it to the caller's :class:`Scratch` (its padded input, patch tile
+and GEMM output), sized by :meth:`LayerPlan.scratch_bytes`, and to one
+batch extent and datapath.
 Binding does all the view arithmetic — bands, halo strips, window views,
 tiles, output rows, weight blocks, the bias cast — so a
 :class:`BoundLayer` run only issues ``copyto`` / ``matmul`` / ``add``

@@ -251,6 +251,8 @@ class QuantizedPipeline:
             batch = batch[None]
         if batch.ndim != 4:
             raise ValueError(f"expected a BCHW batch, got shape {batch.shape}")
+        if batch.shape[0] == 0:
+            raise ValueError("batch must contain at least one image")
         # A NaN pixel quantizes to INT64_MIN, outside input_fmt: that would
         # break the model plan's compile-time input-peak exactness proof.
         if not np.isfinite(batch).all():

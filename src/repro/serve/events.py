@@ -42,21 +42,23 @@ back to :attr:`EventDrivenSimulator.clock` once per trace, at the later
 of the last event and the last finish.
 
 SLO classes are served strictly by priority; per-class ``queue_limit``
-gives admission control, and rejected requests surface in the report,
-``ServeStats`` and the telemetry snapshot with their reasons.
+gives admission control, and rejected requests surface in the report
+and the telemetry snapshot with their reasons.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..system.pipeline import ServiceProfile
 from ..telemetry.context import Telemetry
+from ..telemetry.registry import MetricsRegistry
 from ..telemetry.spans import VirtualClock
-from .fleet import AutoscalePolicy, Fleet, Instance, ScaleEvent, ServiceProfile
+from .fleet import AutoscalePolicy, Fleet, Instance, ScaleEvent
 from .loadgen import LoadTrace
-from .stats import Rejection, ServeStats
 
 __all__ = [
     "BatchPolicy",
@@ -65,6 +67,7 @@ __all__ = [
     "EventDrivenSimulator",
     "EventOutcome",
     "EventReport",
+    "Rejection",
     "SLOClass",
 ]
 
@@ -126,8 +129,8 @@ DEFAULT_SLO = SLOClass("standard")
 class EventOutcome:
     """One served request's full timing attribution.
 
-    The per-request record :class:`repro.serve.stats.ServeStats` reads;
-    the engine carries no payloads, so there is no output tensor.
+    The per-request record of one run (``collect_records=True``); the
+    engine carries no payloads, so there is no output tensor.
     ``batch_id`` and ``batch_size`` name the request's stream run, and
     ``close_s`` and ``start_s`` are both its admission time.
     """
@@ -151,6 +154,16 @@ class EventOutcome:
     def latency_s(self) -> float:
         """End-to-end request latency."""
         return self.finish_s - self.arrival_s
+
+
+@dataclass(frozen=True)
+class Rejection:
+    """One request turned away by admission control, with the reason."""
+
+    request_id: int
+    slo: str
+    arrival_s: float
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -195,19 +208,63 @@ class EventReport:
         return self.served / self.makespan_s if self.makespan_s > 0 else 0.0
 
     @property
-    def stats(self) -> ServeStats:
-        """ServeStats over the outcomes (needs ``collect_records=True``)."""
+    def aggregate_gops(self) -> float:
+        """Dense-op throughput of the whole pool over the run (paper basis)."""
+        if self.makespan_s <= 0:
+            return 0.0
+        return self.served * self.dense_ops_per_image / self.makespan_s / 1e9
+
+    def render(self, registry: MetricsRegistry) -> str:
+        """The ``serve-sim`` summary block of this run.
+
+        Stream runs, makespan, queue depth, busy seconds and rejections
+        come from the report; latency and queue wait from the
+        ``serve/latency_s`` and ``serve/queue_wait_s`` histograms of the
+        ``registry`` the run recorded into.
+        """
         if not self.records_collected:
             raise ValueError(
                 "per-request records were not collected "
                 "(engine ran with collect_records=False)"
             )
-        return ServeStats(
-            self.outcomes,
-            dense_ops_per_image=self.dense_ops_per_image,
-            rejections=self.rejections,
-            busy_seconds=self.busy_seconds,
+        runs = Counter(batch.size for batch in self.batches)
+        sizes = ", ".join(f"{size}x{runs[size]}" for size in sorted(runs))
+        # An instance that served a request was busy for a positive time.
+        utilization = "  ".join(
+            f"w{worker}: {busy / self.makespan_s:.0%}"
+            for worker, busy in sorted(self.busy_seconds.items())
+            if busy > 0
         )
+        latency = registry.histogram("serve/latency_s")
+        wait = registry.histogram("serve/queue_wait_s")
+        lines = [
+            f"requests:        {self.served} in {len(self.batches)} stream "
+            f"runs (sizes {sizes})",
+            f"makespan:        {self.makespan_s * 1e3:.3f} ms virtual",
+            f"latency:         mean {latency.mean * 1e3:.3f} ms   "
+            f"p50 {latency.percentile(50) * 1e3:.3f} ms   "
+            f"p95 {latency.percentile(95) * 1e3:.3f} ms   "
+            f"max {latency.max * 1e3:.3f} ms",
+            f"queue:           mean wait {wait.mean * 1e3:.3f} ms   "
+            f"max depth {self.max_queue_depth}",
+            f"throughput:      {self.requests_per_second:.1f} img/s   "
+            f"{self.aggregate_gops:.1f} GOP/s aggregate",
+            f"worker busy:     {utilization}",
+        ]
+        if self.rejections:
+            reasons = _tally(r.reason for r in self.rejections)
+            classes = _tally(r.slo for r in self.rejections)
+            lines.append(
+                f"rejected:        {self.rejected} of {self.offered} offered "
+                f"({self.rejected / self.offered:.1%}; {reasons}; "
+                f"by class {classes})"
+            )
+        return "\n".join(lines)
+
+
+def _tally(keys) -> str:
+    """``"a: 2, b: 1"`` — how often each key occurs, in key order."""
+    return ", ".join(f"{k}: {n}" for k, n in sorted(Counter(keys).items()))
 
 
 class _ClassState:
@@ -625,9 +682,9 @@ class EventDrivenSimulator:
         """Mirror the run into the metrics registry and the span tree.
 
         Latencies land in sample-retaining histograms (global and one per
-        SLO class), so registry percentiles are *identical* to
-        ``ServeStats.latency_percentile_s`` — p50/p99/p999-vs-offered-load
-        curves come straight from the snapshot.
+        SLO class) with exact nearest-rank percentiles, so
+        p50/p99/p999-vs-offered-load curves and the ``serve-sim`` summary
+        come straight from the registry.
         """
         telemetry = self.telemetry
         registry = telemetry.registry
@@ -668,13 +725,12 @@ class EventDrivenSimulator:
                     size=batch.size,
                     slo=batch.slo,
                 )
-                if span is not None:
-                    with tracer.attach(span):
-                        tracer.record_span(
-                            "batch",
-                            start_s=batch.start_s,
-                            end_s=batch.finish_s,
-                            worker=batch.worker_id,
-                            size=batch.size,
-                            slo=batch.slo,
-                        )
+                with tracer.attach(span):
+                    tracer.record_span(
+                        "batch",
+                        start_s=batch.start_s,
+                        end_s=batch.finish_s,
+                        worker=batch.worker_id,
+                        size=batch.size,
+                        slo=batch.slo,
+                    )

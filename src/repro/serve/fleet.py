@@ -2,10 +2,11 @@
 
 A *fleet* is the pool of simulated accelerator instances the event engine
 (:mod:`repro.serve.events`) dispatches onto. Each instance is a pure
-timing model — a :class:`ServiceProfile` captures the two-stage CPU/FPGA
-pipeline of one deployed :class:`repro.runtime.SystemRuntime` (Section
-6.1 of the paper) — so a fleet of N instances costs N small records, and
-simulating millions of requests never touches the ABM numerics.
+timing model — a :class:`repro.system.pipeline.ServiceProfile` captures
+the two-stage CPU/FPGA pipeline of one deployed
+:class:`repro.runtime.SystemRuntime` (Section 6.1 of the paper) — so a
+fleet of N instances costs N small records, and simulating millions of
+requests never touches the ABM numerics.
 
 Instances can be spawned and retired mid-run: :class:`AutoscalePolicy`
 describes when the engine should do so (queue-depth watermarks with
@@ -19,6 +20,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
+from ..system.pipeline import ServiceProfile
+
 __all__ = [
     "AutoscalePolicy",
     "Fleet",
@@ -26,61 +29,6 @@ __all__ = [
     "ScaleEvent",
     "ServiceProfile",
 ]
-
-
-@dataclass(frozen=True)
-class ServiceProfile:
-    """Timing model of one simulated accelerator instance.
-
-    ``fpga_s`` and ``host_s`` are the per-image stage times of the
-    paper's two-stage CPU/FPGA pipeline (Section 6.1). An image admitted
-    into a drained pipeline takes :attr:`fill_s` through both stages;
-    one admitted behind in-flight images leaves :attr:`step_s`, the
-    slower stage's time, after the one before it.
-    """
-
-    fpga_s: float
-    host_s: float
-    dense_ops_per_image: int = 0
-    name: str = "profile"
-
-    def __post_init__(self) -> None:
-        if self.fpga_s <= 0 or self.host_s < 0:
-            raise ValueError("stage times must be positive (host may be 0)")
-        if self.dense_ops_per_image < 0:
-            raise ValueError("dense ops cannot be negative")
-
-    @property
-    def step_s(self) -> float:
-        """Steady-state per-image time: the slower pipeline stage."""
-        return max(self.fpga_s, self.host_s)
-
-    @property
-    def fill_s(self) -> float:
-        """Latency of one image through both stages (pipeline fill)."""
-        return self.fpga_s + self.host_s
-
-    @property
-    def capacity_rps(self) -> float:
-        """Saturated per-instance throughput, images per second."""
-        return 1.0 / self.step_s
-
-    @classmethod
-    def from_runtime(cls, runtime) -> "ServiceProfile":
-        """Extract the timing profile of a deployed ``SystemRuntime``.
-
-        Copies the runtime's exact floats: ``simulation.seconds_per_image``
-        and the host model's per-image time.
-        """
-        simulation = runtime.simulation
-        return cls(
-            fpga_s=simulation.seconds_per_image,
-            host_s=runtime.host_model.seconds_per_image(
-                runtime.pipeline.network
-            ),
-            dense_ops_per_image=simulation.dense_ops,
-            name=runtime.pipeline.network.name,
-        )
 
 
 class Instance:

@@ -1,16 +1,16 @@
 """Unified telemetry: metrics, spans, and cache observability.
 
-One substrate for everything the repo previously scattered across
-``ServeStats``, the simulator cache's bare tuple, private plan/encode
-counters and unaggregated trace events:
+One substrate for serving latencies, cache counters, plan/encode
+counters and trace events:
 
 - :class:`MetricsRegistry` — thread-safe counters, gauges and fixed-bucket
-  histograms with deterministic nearest-rank percentiles, labeled
-  families, and a cheap no-op mode when disabled.
+  histograms with deterministic nearest-rank percentiles and labeled
+  families; ``serve-sim`` prints its latency and queue-wait lines from
+  the serving histograms.
 - :class:`Tracer` / :class:`Span` — request-scoped span trees with
-  virtual-clock support, so serve-sim (virtual seconds), the system
-  runtime, the accelerator simulator and the compiled kernel all nest
-  into one trace.
+  virtual-clock support, so serve-sim (virtual seconds), a batched
+  ``run_batch`` pass, the accelerator simulator and the compiled kernel
+  all nest into one trace.
 - :class:`Memo` + the cache registry — every process-wide LRU in the
   codebase (plans, layer-sim results, DSE memos, window plans) reports
   hit/miss/eviction counters as :class:`CacheStats` under one dotted
@@ -18,7 +18,8 @@ counters and unaggregated trace events:
 - Exporters — lossless JSON-lines round-trip — plus
   :func:`validate_snapshot` for the CI schema check.
 - :class:`Telemetry` — the facade bundling one registry + tracer, passed
-  to runtimes explicitly or installed process-wide via :func:`activate`.
+  to the serving engine explicitly or installed process-wide via
+  :func:`activate`; ``None`` is the one off switch.
 
 See ``docs/observability.md`` for the full tour and overhead numbers.
 """

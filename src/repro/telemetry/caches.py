@@ -46,10 +46,6 @@ class CacheStats:
     name: str = ""
 
     @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0

@@ -2,10 +2,9 @@
 
 A :class:`Telemetry` bundles one metrics registry and one tracer — the
 observability context of a run. Components accept it explicitly
-(``SystemRuntime(telemetry=...)``, ``EventDrivenSimulator(...,
-telemetry=...)``); deep hot paths that cannot thread a parameter through
-(the compiled kernel, the pipeline's layer loop) consult the *active*
-telemetry instead:
+(``EventDrivenSimulator(..., telemetry=...)``); deep hot paths that
+cannot thread a parameter through (the compiled kernel, the pipeline's
+layer loop) consult the *active* telemetry instead:
 
     telemetry = get_active()
     if telemetry is not None:
@@ -15,7 +14,8 @@ telemetry instead:
 ``get_active()`` is a single module-global read returning ``None`` by
 default, so uninstrumented runs — the hot-path default — pay one ``is
 None`` check and nothing else. :func:`activate` installs a context for a
-``with`` scope; nesting restores the previous context on exit.
+``with`` scope; nesting restores the previous context on exit. ``None``
+is the one off switch: a :class:`Telemetry` always records.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ SCHEMA = "repro.telemetry.v1"
 class Telemetry:
     """One run's observability context: metrics + spans + cache view."""
 
-    def __init__(self, enabled: bool = True, clock=time.perf_counter) -> None:
-        self.enabled = enabled
-        self.registry = MetricsRegistry(enabled=enabled)
-        self.tracer = Tracer(clock=clock, enabled=enabled)
+    def __init__(self, clock=time.perf_counter) -> None:
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer(clock=clock)
 
     def span(self, name: str, **attrs: object):
         """Shorthand for ``self.tracer.span`` (still a context manager)."""
@@ -87,13 +86,11 @@ def activate(telemetry: Optional[Telemetry]) -> Iterator[Optional[Telemetry]]:
     """Install ``telemetry`` as the active context for a ``with`` scope.
 
     Nests: the previous context (usually ``None``) is restored on exit.
-    Passing ``None`` — or a disabled instance — deactivates for the scope.
+    Passing ``None`` deactivates for the scope.
     """
     global _active
     previous = _active
-    _active = (
-        telemetry if telemetry is not None and telemetry.enabled else None
-    )
+    _active = telemetry
     try:
         yield _active
     finally:

@@ -1,18 +1,17 @@
 """Thread-safe metrics: counters, gauges, fixed-bucket histograms.
 
 The registry is the single metrics substrate for the whole repo — serving,
-the system runtime, the accelerator simulator and the DSE flow all report
-through one :class:`MetricsRegistry` so a snapshot tells the complete
-story of a run. Design constraints, in order:
+the accelerator simulator and the DSE flow all report through one
+:class:`MetricsRegistry` so a snapshot tells the complete story of a run;
+``serve-sim`` prints its latency and queue-wait lines from it. Design
+constraints, in order:
 
 - **Deterministic.** Histograms keep their raw samples and compute
-  nearest-rank percentiles with exactly the arithmetic of
-  :meth:`repro.serve.stats.ServeStats.latency_percentile_s`, so every
-  figure is hand-pinnable and the differential tests can assert equality
-  against the legacy stats surfaces, not approximate agreement.
-- **Cheap when disabled.** A disabled registry hands out shared null
-  instruments whose operations are single-dispatch no-ops; hot paths pay
-  one attribute lookup, nothing else.
+  nearest-rank percentiles (``rank = ceil(p/100 * n) - 1`` over the
+  sorted samples), so every figure is hand-pinnable.
+- **Off is ``None``.** Code that may run untelemetered holds an
+  ``Optional[Telemetry]`` (see :func:`repro.telemetry.context.get_active`);
+  a registry always records.
 - **Labeled families.** ``registry.counter("serve.requests",
   model="lenet")`` creates one child per label set, serialized into the
   snapshot as ``serve.requests{model="lenet"}`` — flat string keys keep
@@ -90,10 +89,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -104,9 +99,7 @@ class Histogram:
 
     ``buckets`` are finite upper bounds (inclusive, ascending); samples
     above the last bound land in ``overflow``. Raw samples are retained so
-    ``percentile`` can use the same nearest-rank arithmetic as
-    :class:`repro.serve.stats.ServeStats` — the snapshots of the two
-    surfaces are therefore *equal*, not merely close. Retention is fine at
+    ``percentile`` is the exact nearest-rank figure. Retention is fine at
     simulation scale (bounded request streams); production-scale callers
     can pass ``max_samples`` to cap the reservoir, which degrades
     percentiles to bucket-boundary precision once truncated.
@@ -208,11 +201,8 @@ class Histogram:
             return self.sum / self.count if self.count else None
 
     def percentile(self, percentile: float) -> float:
-        """Nearest-rank percentile over the retained samples.
-
-        Identical formula to ``ServeStats.latency_percentile_s``:
-        ``rank = ceil(p/100 * n) - 1`` over the sorted samples.
-        """
+        """Nearest-rank percentile over the retained samples:
+        ``rank = ceil(p/100 * n) - 1`` over the sorted samples."""
         if not 0 < percentile <= 100:
             raise ValueError("percentile must be in (0, 100]")
         with self._lock:
@@ -242,44 +232,14 @@ class Histogram:
         return data
 
 
-class _NullInstrument:
-    """Shared no-op stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        pass
-
-    @property
-    def value(self) -> float:
-        return 0
-
-
-_NULL = _NullInstrument()
-
-
 class MetricsRegistry:
     """Thread-safe home of every metric family in one process/run.
 
     Instruments are created on first use and identified by (kind, name,
-    sorted labels). ``enabled=False`` turns every accessor into a handout
-    of the shared null instrument — the no-op mode hot paths rely on.
+    sorted labels).
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
@@ -287,9 +247,7 @@ class MetricsRegistry:
 
     # ---- instrument accessors -----------------------------------------
 
-    def counter(self, name: str, **labels: str):
-        if not self.enabled:
-            return _NULL
+    def counter(self, name: str, **labels: str) -> Counter:
         key = metric_key(name, labels)
         with self._lock:
             instrument = self._counters.get(key)
@@ -298,9 +256,7 @@ class MetricsRegistry:
                 self._counters[key] = instrument
             return instrument
 
-    def gauge(self, name: str, **labels: str):
-        if not self.enabled:
-            return _NULL
+    def gauge(self, name: str, **labels: str) -> Gauge:
         key = metric_key(name, labels)
         with self._lock:
             instrument = self._gauges.get(key)
@@ -315,9 +271,7 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_TIME_BUCKETS_S,
         max_samples: Optional[int] = None,
         **labels: str,
-    ):
-        if not self.enabled:
-            return _NULL
+    ) -> Histogram:
         key = metric_key(name, labels)
         with self._lock:
             instrument = self._histograms.get(key)

@@ -86,22 +86,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name: str) -> Optional["Span"]:
-        """First descendant (or self) with the given name, depth-first."""
-        for span in self.walk():
-            if span.name == name:
-                return span
-        return None
-
-    def path_names(self) -> List[str]:
-        """Span names along one leftmost root-to-leaf path (test helper)."""
-        names = [self.name]
-        node = self
-        while node.children:
-            node = node.children[0]
-            names.append(node.name)
-        return names
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
@@ -120,13 +104,11 @@ class Tracer:
 
     Each thread keeps its own active-span stack; closing a span attaches
     it to its parent (or the shared root list) under a lock, so concurrent
-    workers never corrupt the tree. ``enabled=False`` makes ``span()``
-    yield a shared detached span and record nothing.
+    workers never corrupt the tree.
     """
 
-    def __init__(self, clock=time.perf_counter, enabled: bool = True) -> None:
+    def __init__(self, clock=time.perf_counter) -> None:
         self.clock = clock
-        self.enabled = enabled
         self.roots: List[Span] = []
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -150,9 +132,6 @@ class Tracer:
     @contextmanager
     def span(self, name: str, **attrs: object) -> Iterator[Span]:
         """Open a child span of this thread's current span."""
-        if not self.enabled:
-            yield _DETACHED
-            return
         opened = Span(name, attrs, start_s=self.clock())
         stack = self._stack()
         parent = stack[-1] if stack else None
@@ -170,15 +149,13 @@ class Tracer:
         start_s: float,
         end_s: float,
         **attrs: object,
-    ) -> Optional[Span]:
+    ) -> Span:
         """Record an already-timed span (e.g. a virtual-time interval).
 
         The span nests under this thread's current span like any other,
         but its times are the caller's — this is how discrete-event
         simulators place events on their own virtual clock.
         """
-        if not self.enabled:
-            return None
         if end_s < start_s:
             raise ValueError("span ends before it starts")
         closed = Span(name, attrs, start_s=start_s, end_s=end_s)
@@ -251,7 +228,3 @@ class Tracer:
         for root in roots:
             emit(root, 0)
         return "\n".join(lines) if lines else "(no spans)"
-
-
-#: Shared span handed out by disabled tracers; never attached to anything.
-_DETACHED = Span("disabled", {}, start_s=0.0, end_s=0.0)

@@ -155,7 +155,7 @@ class TestValidation:
         geometry = ConvGeometry(kernel=3)
         with pytest.raises(ValueError, match=rf"'c16' expects 16 .* got {channels}"):
             abm_conv2d_reference(features, encoded, geometry)
-        with pytest.raises(ValueError, match="'c16'"):
+        with pytest.raises(ValueError, match=rf"'c16' expects 16 .* got {channels}"):
             abm_conv2d_batch(features[None], encoded, geometry)
 
     def test_rejects_bad_group_division(self, rng):

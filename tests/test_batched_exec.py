@@ -14,7 +14,6 @@ from repro.core.abm import ConvGeometry, abm_conv2d_batch, abm_conv2d_reference
 from repro.core.encoding import encode_layer
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import uniform_schedule
-from repro.runtime import SystemRuntime
 from tests.conftest import sparse_weight_codes
 
 
@@ -146,17 +145,3 @@ class TestBatchedPipeline:
             for bs, ss in zip(result.layer_stats, single.layer_stats):
                 assert bs.accumulate_ops == ss.accumulate_ops
                 assert bs.multiply_ops == ss.multiply_ops
-
-    def test_runtime_infer_batch(self, pipeline, tiny_architecture):
-        runtime = SystemRuntime.from_pipeline(
-            pipeline, tiny_architecture.accelerated_specs()
-        )
-        rng = np.random.default_rng(6)
-        shape = pipeline.network.input_shape.as_tuple()
-        images = [rng.normal(size=shape) for _ in range(3)]
-        outcomes = runtime.infer_batch(images)
-        assert len(outcomes) == 3
-        for image, outcome in zip(images, outcomes):
-            single = runtime.infer(image)
-            assert np.array_equal(outcome.output, single.output)
-            assert outcome.top1 == single.top1

@@ -7,6 +7,33 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: Full stdout of ``serve-sim --requests 2048 --max-batch 2 --rate 400000
+#: --best-effort 0.7 --queue-limit 4 --autoscale-max 4``.
+SERVE_SIM_OVERLOAD = [
+    'serving simulation — lenet on 2 simulated accelerator instance(s)',
+    'policy:          max batch 2 (continuous lanes), offered load 400000 req/s (poisson)',
+    'autoscaling:     2 decision(s), peak 3 instance(s), final 2',
+    'requests:        832 in 3 stream runs (sizes 239x1, 296x1, 297x1)',
+    'makespan:        5.131 ms virtual',
+    'latency:         mean 0.078 ms   p50 0.054 ms   p95 0.153 ms   max 1.384 ms',
+    'queue:           mean wait 0.043 ms   max depth 19',
+    'throughput:      162159.7 img/s   743.7 GOP/s aggregate',
+    'worker busy:     w0: 100%  w1: 100%  w2: 80%',
+    'rejected:        1216 of 2048 offered (59.4%; queue_full: 1216; by class best-effort: 1216)',
+]
+
+#: Full stdout of ``system --model vgg16``.
+SYSTEM_VGG16 = [
+    'pipelined CPU/FPGA system — vgg16',
+    '  FPGA stage:         34.79 ms/image',
+    '  host stage:          4.92 ms/image',
+    '  CPU hidden:      True',
+    '  bottleneck:      fpga',
+    '  FPGA-only:          889.2 GOP/s',
+    '  overall system:     889.2 GOP/s',
+    '  pipeline gain:       1.14x vs sequential',
+]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -83,6 +110,20 @@ class TestCommands:
         assert "GOP/s aggregate" in out
         assert "max batch 2" in out
         assert "p95" in out
+
+    def test_serve_sim_overload_pinned(self, capsys):
+        """Every line of the summary block — autoscaling, worker busy and
+        rejected included — pinned as the command prints it."""
+        assert main([
+            "serve-sim", "--requests", "2048", "--max-batch", "2",
+            "--rate", "400000", "--best-effort", "0.7", "--queue-limit", "4",
+            "--autoscale-max", "4",
+        ]) == 0
+        assert capsys.readouterr().out.splitlines() == SERVE_SIM_OVERLOAD
+
+    def test_system_vgg16_pinned(self, capsys):
+        assert main(["system", "--model", "vgg16"]) == 0
+        assert capsys.readouterr().out.splitlines() == SYSTEM_VGG16
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -1,4 +1,4 @@
-"""Tests for the co-simulation runtime."""
+"""Tests for the deployed-system runtime and its timing profile."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
+from repro.system.pipeline import ServiceProfile
 
 
 @pytest.fixture
@@ -26,46 +27,45 @@ def runtime(tiny_architecture, rng):
 class TestRuntime:
     def test_numerics_match_pipeline(self, runtime):
         system, image = runtime
-        outcome = system.infer(image)
+        (batched,) = system.pipeline.run_batch(image[None])
         direct = system.pipeline.run(image)
-        assert np.array_equal(outcome.output, direct.output)
-        assert outcome.executed_ops == direct.total_ops
+        assert np.array_equal(batched.output, direct.output)
+        assert batched.total_ops == direct.total_ops
 
     def test_timing_attributed_per_layer(self, runtime):
-        system, image = runtime
-        outcome = system.infer(image)
+        system, _ = runtime
+        layers = system.simulation.layers
         expected = {layer.name for layer in system.pipeline.network.accelerated_layers()}
-        assert set(outcome.layer_cycles) == expected
-        assert all(cycles > 0 for cycles in outcome.layer_cycles.values())
+        assert {layer.layer for layer in layers} == expected
+        assert all(layer.cycles_per_image > 0 for layer in layers)
 
     def test_fpga_time_is_sum_of_layers(self, runtime):
-        system, image = runtime
-        outcome = system.infer(image)
+        system, _ = runtime
+        profile = ServiceProfile.from_runtime(system)
         freq_hz = system.deployed.config.freq_mhz * 1e6
-        total = sum(outcome.layer_cycles.values()) / freq_hz
-        assert outcome.fpga_seconds == pytest.approx(total)
+        total = sum(
+            layer.cycles_per_image for layer in system.simulation.layers
+        ) / freq_hz
+        assert profile.fpga_s == pytest.approx(total)
+        assert profile.host_s == system.host_model.seconds_per_image(
+            system.pipeline.network
+        )
 
     def test_simulation_cached(self, runtime):
-        system, image = runtime
-        system.infer(image)
+        system, _ = runtime
         first = system.simulation
-        system.infer(image)
+        ServiceProfile.from_runtime(system)
         assert system.simulation is first
 
     def test_throughput_metrics(self, runtime):
-        system, image = runtime
-        outcome = system.infer(image)
-        assert outcome.effective_gops > 0
+        system, _ = runtime
+        profile = ServiceProfile.from_runtime(system)
+        assert profile.dense_ops_per_image == system.simulation.dense_ops
+        assert profile.fpga_gops > 0
+        assert 0 < profile.system_gops <= profile.fpga_gops
 
     def test_latency_breakdown_order(self, runtime):
         system, _ = runtime
-        breakdown = system.latency_breakdown()
-        names = [name for name, _ in breakdown]
+        names = [layer.layer for layer in system.simulation.layers]
         expected = [l.name for l in system.pipeline.network.accelerated_layers()]
         assert names == expected
-        assert all(ms > 0 for _, ms in breakdown)
-
-    def test_top1_property(self, runtime):
-        system, image = runtime
-        outcome = system.infer(image)
-        assert outcome.top1 == int(np.argmax(outcome.output))

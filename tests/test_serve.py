@@ -2,8 +2,8 @@
 
 Covers the continuous-batching lane cap, sharding over instances, the
 two-stage batch-time law of a real deployment's ``ServiceProfile`` as
-the engine serves a burst, and the ``ServeStats`` arithmetic pinned
-against hand-computed values.
+the engine serves a burst, and the serving figures — the report's and
+the registry histograms' — pinned against a hand-computed run.
 """
 
 import numpy as np
@@ -12,10 +12,10 @@ import pytest
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
-from repro.serve.events import BatchPolicy, EventDrivenSimulator, EventOutcome
+from repro.serve.events import BatchPolicy, EventDrivenSimulator
 from repro.serve.fleet import ServiceProfile
 from repro.serve.loadgen import LoadTrace, poisson_trace
-from repro.serve.stats import ServeStats
+from repro.telemetry.context import Telemetry
 
 
 from repro.nn.models import (
@@ -133,11 +133,11 @@ class TestWorkerPool:
         report = engine.run_trace(_burst(8))
         served = [o.worker_id for o in report.outcomes]
         assert served.count(0) == served.count(1) == 4
-        busy = report.stats.worker_busy_s()
+        busy = report.busy_seconds
         assert busy[0] == pytest.approx(busy[1])
         # Each instance streams its four requests through one pipeline:
         # one fill, then three steps.
-        assert report.stats.makespan_s == pytest.approx(
+        assert report.makespan_s == pytest.approx(
             profile.fill_s + 3 * profile.step_s
         )
 
@@ -155,22 +155,29 @@ class TestWorkerPool:
         """A stream run's lanes overlap: utilization is the engine's
         per-instance busy time, not one lane's service time."""
         report = self._utilization_run(runtime)
-        utilization = report.stats.worker_utilization()
-        assert utilization == {
-            w: report.busy_seconds[w] / report.makespan_s for w in range(3)
-        }
-        # Saturated: every instance is busy for almost the whole run.
-        assert min(utilization.values()) > 0.9
+        assert sorted(report.busy_seconds) == [0, 1, 2]
+        utilization = [
+            report.busy_seconds[w] / report.makespan_s for w in range(3)
+        ]
+        # Saturated: every instance is busy for almost the whole run,
+        # though each one's lanes hold more than its makespan of service.
+        assert min(utilization) > 0.9
 
     def test_continuous_run_reports_stream_runs(self, runtime):
         """A stream run admits requests into lanes as they free, so it holds
         far more requests than ``max_batch``; the report counts stream
         runs, not batches."""
-        report = self._utilization_run(runtime)
-        stats = report.stats
+        telemetry = Telemetry()
+        profile = ServiceProfile.from_runtime(runtime)
+        report = EventDrivenSimulator(
+            profile, BatchPolicy(max_batch=2), instances=3, telemetry=telemetry
+        ).run_trace(
+            poisson_trace(256, 30 / (profile.fill_s + profile.step_s), seed=4)
+        )
         assert max(run.size for run in report.batches) > 2
-        rendered = stats.render()
-        assert f"{stats.count} in {len(report.batches)} stream runs" in rendered
+        assert sum(run.size for run in report.batches) == report.served
+        rendered = report.render(telemetry.registry)
+        assert f"{report.served} in {len(report.batches)} stream runs" in rendered
         assert "batches" not in rendered
 
     def test_empty_inputs_rejected(self, runtime):
@@ -207,86 +214,99 @@ class TestBatchSeconds:
             assert self._burst_finish(profile, batch) == pytest.approx(expected)
 
     def test_validation(self, runtime):
-        with pytest.raises(ValueError):
-            runtime.infer_batch([])
+        """An empty batch is refused before any plan compiles."""
+        shape = runtime.pipeline.network.input_shape.as_tuple()
+        with pytest.raises(ValueError, match="at least one image"):
+            runtime.pipeline.run_batch(np.empty((0,) + shape))
 
 
-def _response(request_id, worker, batch, size, arrival, close, start, finish):
-    return EventOutcome(
-        request_id=request_id,
-        slo="standard",
-        worker_id=worker,
-        batch_id=batch,
-        batch_size=size,
-        arrival_s=arrival,
-        close_s=close,
-        start_s=start,
-        finish_s=finish,
-    )
+#: Fill 3 s and step 2 s, 1 GOP per image.
+HAND_PROFILE = ServiceProfile(fpga_s=2.0, host_s=1.0, dense_ops_per_image=10**9)
 
 
 class TestServeStats:
-    """Every figure pinned against a tiny hand-computed scenario."""
+    """The serving figures of a five-request burst on two instances of
+    two lanes, pinned against hand-computed values.
 
-    @pytest.fixture
-    def stats(self):
-        responses = [
-            _response(0, worker=0, batch=0, size=2,
-                      arrival=0.0, close=1.0, start=1.0, finish=3.0),
-            _response(1, worker=0, batch=0, size=2,
-                      arrival=1.0, close=1.0, start=1.0, finish=3.0),
-            _response(2, worker=1, batch=1, size=1,
-                      arrival=2.0, close=2.5, start=2.5, finish=4.5),
+    r0 -> w0 and r1 -> w1 refill drained pipelines (finish 3); r2 -> w0
+    and r3 -> w1 slot in one step behind (finish 5); r4 waits for w0's
+    first lane to free at t = 3 and slots in behind r2 (finish 7).
+    """
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        telemetry = Telemetry()
+        report = EventDrivenSimulator(
+            HAND_PROFILE, BatchPolicy(max_batch=2), instances=2,
+            telemetry=telemetry,
+        ).run_trace(_burst(5))
+        return report, telemetry.registry
+
+    def test_counts(self, run):
+        report, _ = run
+        assert (report.offered, report.served, report.rejected) == (5, 5, 0)
+        assert sorted(batch.size for batch in report.batches) == [2, 3]
+        assert [(o.worker_id, o.finish_s) for o in report.outcomes] == [
+            (0, 3.0), (1, 3.0), (0, 5.0), (1, 5.0), (0, 7.0)
         ]
-        # Instance 2 served nothing, so it drops out of the per-worker view.
-        return ServeStats(
-            responses,
-            dense_ops_per_image=1_000_000_000,
-            busy_seconds={0: 2.0, 1: 2.0, 2: 0.0},
-        )
 
-    def test_counts(self, stats):
-        assert stats.count == 3
-        assert "3 in 2 stream runs (sizes 1x1, 2x1)" in stats.render()
-
-    def test_latency_arithmetic(self, stats):
-        assert stats.latencies_s() == [3.0, 2.0, 2.5]
-        assert stats.mean_latency_s == pytest.approx(2.5)
-        assert stats.max_latency_s == 3.0
-        # Nearest-rank percentiles over [2.0, 2.5, 3.0].
-        assert stats.p50_latency_s == 2.5
-        assert stats.p95_latency_s == 3.0
-        assert stats.latency_percentile_s(100) == 3.0
+    def test_latency_arithmetic(self, run):
+        _, registry = run
+        latency = registry.histogram("serve/latency_s")
+        assert latency.count == 5
+        assert latency.mean == pytest.approx(23 / 5)
+        assert latency.max == 7.0
+        # Nearest-rank percentiles over [3, 3, 5, 5, 7].
+        assert latency.percentile(50) == 5.0
+        assert latency.percentile(95) == 7.0
+        assert latency.percentile(40) == 3.0
+        assert latency.percentile(100) == 7.0
         with pytest.raises(ValueError):
-            stats.latency_percentile_s(0)
+            latency.percentile(0)
 
-    def test_queue_wait(self, stats):
-        assert stats.mean_queue_wait_s == pytest.approx((1.0 + 0.0 + 0.5) / 3)
+    def test_queue_wait(self, run):
+        _, registry = run
+        wait = registry.histogram("serve/queue_wait_s")
+        assert wait.count == 5
+        assert wait.mean == pytest.approx(3.0 / 5)
+        assert wait.max == 3.0
 
-    def test_queue_depth_timeline(self, stats):
-        assert stats.queue_depth_timeline() == [
-            (0.0, 1), (1.0, 0), (2.0, 1), (2.5, 0)
+    def test_queue_depth_timeline(self, run):
+        """The engine's max depth is the peak of the queued-but-unstarted
+        count walked from the records: +1 at arrival, -1 at admission."""
+        report, _ = run
+        steps = {}
+        for outcome in report.outcomes:
+            steps[outcome.arrival_s] = steps.get(outcome.arrival_s, 0) + 1
+            steps[outcome.start_s] = steps.get(outcome.start_s, 0) - 1
+        timeline = []
+        depth = 0
+        for time in sorted(steps):
+            depth += steps[time]
+            timeline.append((time, depth))
+        assert timeline == [(0.0, 1), (3.0, 0)]
+        assert report.max_queue_depth == 1
+
+    def test_throughput(self, run):
+        report, _ = run
+        assert report.makespan_s == 7.0
+        assert report.requests_per_second == pytest.approx(5 / 7)
+        # 5 images x 1 GOP each over 7 s.
+        assert report.aggregate_gops == pytest.approx(5 / 7)
+
+    def test_worker_accounting(self, run):
+        report, _ = run
+        # w0 streams fill + 2 steps, w1 fill + 1 step.
+        assert report.busy_seconds == {0: 7.0, 1: 5.0}
+
+    def test_render_mentions_headlines(self, run):
+        report, registry = run
+        assert report.render(registry).splitlines() == [
+            "requests:        5 in 2 stream runs (sizes 2x1, 3x1)",
+            "makespan:        7000.000 ms virtual",
+            "latency:         mean 4600.000 ms   p50 5000.000 ms   "
+            "p95 7000.000 ms   max 7000.000 ms",
+            "queue:           mean wait 600.000 ms   max depth 1",
+            "throughput:      0.7 img/s   0.7 GOP/s aggregate",
+            "worker busy:     w0: 100%  w1: 71%",
         ]
-        assert stats.max_queue_depth == 1
-
-    def test_throughput(self, stats):
-        assert stats.makespan_s == pytest.approx(4.5)
-        assert stats.requests_per_second == pytest.approx(3 / 4.5)
-        # 3 images x 1 GOP each over 4.5 s = 2/3 GOP/s.
-        assert stats.aggregate_gops == pytest.approx(2 / 3)
-
-    def test_worker_accounting(self, stats):
-        assert stats.worker_busy_s() == {0: 2.0, 1: 2.0}
-        utilization = stats.worker_utilization()
-        assert utilization[0] == pytest.approx(2.0 / 4.5)
-        assert utilization[1] == pytest.approx(2.0 / 4.5)
-
-    def test_render_mentions_headlines(self, stats):
-        text = stats.render()
-        assert "GOP/s aggregate" in text
-        assert "p95" in text
-        assert "max depth" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ServeStats([], dense_ops_per_image=1, busy_seconds={})

@@ -27,11 +27,12 @@ from repro.serve.events import (
     EventBatch,
     EventDrivenSimulator,
     EventOutcome,
+    Rejection,
     SLOClass,
 )
 from repro.serve.fleet import AutoscalePolicy, ServiceProfile
 from repro.serve.loadgen import LoadTrace, burst_trace
-from repro.serve.stats import Rejection
+from repro.telemetry.context import Telemetry
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -606,8 +607,9 @@ class TestReportModes:
         policy = BatchPolicy(max_batch=4, max_wait_s=1e-3)
         trace = _trace(np.arange(50) * 5e-4)
         full = EventDrivenSimulator(profile, policy).run_trace(trace)
+        telemetry = Telemetry()
         lean_engine = EventDrivenSimulator(
-            profile, policy, collect_records=False
+            profile, policy, collect_records=False, telemetry=telemetry
         )
         lean = lean_engine.run_trace(trace)
         assert lean.served == full.served == 50
@@ -615,4 +617,4 @@ class TestReportModes:
         assert lean.outcomes == ()
         assert lean.batches == ()
         with pytest.raises(ValueError, match="collect_records"):
-            _ = lean.stats
+            lean.render(telemetry.registry)

@@ -2,11 +2,14 @@
 
 Covers the serving-control surface of the event-driven engine: admission
 control rejects the best-effort class before the latency-sensitive class
-under over-offered load, rejections surface with reasons in both
-``ServeStats`` and the telemetry snapshot (which stays schema-valid), the
-autoscaler's scale-up/scale-down trajectory is recorded, and the
-registry's percentiles stay *identical* to the ``ServeStats`` arithmetic.
+under over-offered load, rejections surface with reasons in both the
+``serve-sim`` summary and the telemetry snapshot (which stays
+schema-valid), the autoscaler's scale-up/scale-down trajectory is
+recorded, and the registry mirrors the report.
 """
+
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -55,13 +58,12 @@ class TestBackpressure:
     def test_best_effort_rejected_before_latency_sensitive(self):
         report = _overloaded_run()
         assert report.rejected > 0
-        stats = report.stats
-        by_class = stats.rejections_by_class()
-        assert by_class.get("best-effort", 0) > 0
+        by_class = Counter(rejection.slo for rejection in report.rejections)
+        assert by_class["best-effort"] > 0
         # The latency-sensitive class rides out the overload unharmed.
-        assert by_class.get("latency-sensitive", 0) == 0
+        assert by_class["latency-sensitive"] == 0
         # And every rejection is the admission-control reason.
-        assert stats.rejections_by_reason() == {
+        assert Counter(r.reason for r in report.rejections) == {
             "queue_full": report.rejected
         }
         # The first rejected request is best-effort — backpressure starts
@@ -69,16 +71,19 @@ class TestBackpressure:
         assert report.rejections[0].slo == "best-effort"
 
     def test_rejections_in_serve_stats(self):
-        report = _overloaded_run()
-        stats = report.stats
-        assert stats.rejected_count == report.rejected
-        assert stats.offered_count == report.offered
-        assert stats.count + stats.rejected_count == report.offered
-        assert 0 < stats.rejection_rate < 1
-        rendered = stats.render()
-        assert "rejected:" in rendered
-        assert "queue_full" in rendered
-        assert "best-effort" in rendered
+        telemetry = Telemetry()
+        report = _overloaded_run(telemetry=telemetry)
+        assert report.served + report.rejected == report.offered
+        assert 0 < report.rejected < report.offered
+        (line,) = [
+            line for line in report.render(telemetry.registry).splitlines()
+            if line.startswith("rejected:")
+        ]
+        assert line.startswith(
+            f"rejected:        {report.rejected} of {report.offered} offered"
+        )
+        assert f"queue_full: {report.rejected}" in line
+        assert f"by class best-effort: {report.rejected}" in line
 
     def test_rejections_in_telemetry_snapshot(self):
         telemetry = Telemetry()
@@ -113,10 +118,15 @@ class TestBackpressure:
             assert depth <= limit
 
     def test_latency_sensitive_latency_is_bounded_under_overload(self):
-        report = _overloaded_run()
-        stats = report.stats
-        p99_sensitive = stats.latency_percentile_s(99, slo="latency-sensitive")
-        p99_effort = stats.latency_percentile_s(99, slo="best-effort")
+        telemetry = Telemetry()
+        _overloaded_run(telemetry=telemetry)
+        registry = telemetry.registry
+        p99_sensitive = registry.histogram(
+            "serve/latency_s", slo="latency-sensitive"
+        ).percentile(99)
+        p99_effort = registry.histogram(
+            "serve/latency_s", slo="best-effort"
+        ).percentile(99)
         assert p99_sensitive < p99_effort
 
 
@@ -141,12 +151,18 @@ class TestSLOClasses:
             )
 
     def test_stats_slo_classes_listing(self):
-        report = _overloaded_run()
-        assert report.stats.slo_classes() == [
-            "best-effort", "latency-sensitive"
+        telemetry = Telemetry()
+        report = _overloaded_run(telemetry=telemetry)
+        assert report.class_names == ("latency-sensitive", "best-effort")
+        histograms = telemetry.snapshot()["histograms"]
+        assert sorted(key for key in histograms if "slo=" in key) == [
+            'serve/latency_s{slo="best-effort"}',
+            'serve/latency_s{slo="latency-sensitive"}',
         ]
-        with pytest.raises(ValueError, match="no responses"):
-            report.stats.latencies_s(slo="missing")
+        assert sum(
+            histograms[f'serve/latency_s{{slo="{name}"}}']["count"]
+            for name in report.class_names
+        ) == report.served
 
 
 class TestAutoscaling:
@@ -269,18 +285,25 @@ class TestFleetAccounting:
 
 
 class TestTelemetryParity:
-    def test_registry_percentiles_equal_serve_stats(self):
-        """Same nearest-rank arithmetic on both surfaces: equal floats."""
+    def test_registry_percentiles_equal_outcomes(self):
+        """The histograms hold exactly the per-request latencies: their
+        nearest-rank percentiles equal the sorted records', globally and
+        per SLO class."""
         telemetry = Telemetry()
         report = _overloaded_run(telemetry=telemetry)
-        stats = report.stats
+
+        def nearest_rank(latencies, p):
+            ordered = sorted(latencies)
+            return ordered[max(math.ceil(p / 100 * len(ordered)) - 1, 0)]
+
+        latencies = [o.latency_s for o in report.outcomes]
         latency = telemetry.registry.histogram("serve/latency_s")
         for p in (50.0, 95.0, 99.0, 99.9):
-            assert latency.percentile(p) == stats.latency_percentile_s(p)
-        for slo in stats.slo_classes():
+            assert latency.percentile(p) == nearest_rank(latencies, p)
+        for slo in report.class_names:
             family = telemetry.registry.histogram("serve/latency_s", slo=slo)
-            assert family.percentile(99) == stats.latency_percentile_s(
-                99, slo=slo
+            assert family.percentile(99) == nearest_rank(
+                [o.latency_s for o in report.outcomes if o.slo == slo], 99
             )
 
     def test_gauges_mirror_report(self):

@@ -1,10 +1,10 @@
-"""Telemetry wired through serving, runtime, deploy and the CLI.
+"""Telemetry wired through serving, inference, deploy and the CLI.
 
 The acceptance story of the observability subsystem: one simulated
 serving run produces a request -> batch span tree and a snapshot carrying
-hit/miss counters for every registered cache family, with histogram
-percentiles *identical* to the existing ``ServeStats`` arithmetic; a
-batched runtime pass nests its kernel spans under its ``infer`` span. Also checks that plain imports emit no
+hit/miss counters for every registered cache family; a batched
+``run_batch`` pass under an activated telemetry nests its kernel spans
+under the caller's ``infer`` span. Also checks that plain imports emit no
 deprecation warnings, and covers the ``metrics`` / ``--metrics-out`` /
 ``--trace`` CLI surfaces.
 """
@@ -106,16 +106,14 @@ def serve_run(served_model):
 
 class TestServeSpanTree:
     def test_request_batch_kernel_nesting(self, served_model):
-        """A batched runtime pass nests fused kernel spans under `infer`."""
-        pipeline, specs = served_model
+        """A batched pass nests fused kernel spans under `infer`."""
+        pipeline, _ = served_model
         telemetry = Telemetry()
-        runtime = SystemRuntime(
-            pipeline, deploy(pipeline, specs), telemetry=telemetry
-        )
         rng = np.random.default_rng(5)
         shape = pipeline.network.input_shape.as_tuple()
         for _ in range(2):
-            runtime.infer_batch([rng.normal(size=shape) for _ in range(4)])
+            with activate(telemetry), telemetry.span("infer"):
+                pipeline.run_batch(rng.normal(size=(4,) + shape))
         roots = telemetry.tracer.roots
         assert [root.name for root in roots] == ["infer", "infer"]
         saw_fuse = False
@@ -172,18 +170,16 @@ class TestServeSnapshot:
 
     def test_serve_counters_and_gauges(self, serve_run):
         report, _, snapshot = serve_run
-        assert snapshot["counters"]["serve/requests"] == report.stats.count
-        assert snapshot["gauges"]["serve/makespan_s"] == report.stats.makespan_s
-        # Four requests wait for a lane: the engine's depth and the
-        # ServeStats timeline agree.
+        assert snapshot["counters"]["serve/requests"] == report.served == 8
+        assert snapshot["gauges"]["serve/makespan_s"] == report.makespan_s
+        # Four requests wait for a lane: the report and the gauge agree.
         assert snapshot["gauges"]["serve/max_queue_depth"] == 4
         assert report.max_queue_depth == 4
-        assert report.stats.max_queue_depth == 4
 
     def test_no_wait_run_reports_zero_depth(self, served_model):
         """Four requests spread 10 ms apart on one instance: each finds a
-        free lane, so no request ever waits and all three depth surfaces
-        read 0."""
+        free lane, so no request ever waits and both depth surfaces read
+        0."""
         pipeline, specs = served_model
         runtime = SystemRuntime.from_pipeline(pipeline, specs)
         profile = ServiceProfile.from_runtime(runtime)
@@ -197,23 +193,7 @@ class TestServeSnapshot:
         assert report.served == 4
         assert all(outcome.queue_wait_s == 0.0 for outcome in report.outcomes)
         assert report.max_queue_depth == 0
-        assert report.stats.max_queue_depth == 0
         assert telemetry.snapshot()["gauges"]["serve/max_queue_depth"] == 0
-
-    def test_differential_percentiles_vs_servestats(self, serve_run):
-        """The telemetry histogram and ServeStats must agree *exactly*."""
-        report, telemetry, snapshot = serve_run
-        histogram = telemetry.registry.histogram("serve/latency_s")
-        for percentile in (50, 95, 99, 100):
-            assert histogram.percentile(percentile) == report.stats.latency_percentile_s(
-                percentile
-            )
-        data = snapshot["histograms"]["serve/latency_s"]
-        assert data["count"] == report.stats.count
-        assert data["p50"] == report.stats.p50_latency_s
-        assert data["p95"] == report.stats.p95_latency_s
-        assert data["max"] == report.stats.max_latency_s
-        assert data["mean"] == pytest.approx(report.stats.mean_latency_s)
 
     def test_continuous_run_records_no_batch_metrics(self, served_model):
         """The engine admits requests into stream runs, not batches, so
@@ -244,20 +224,6 @@ class TestServeSnapshot:
 
 
 class TestRuntimeAndDeploySpans:
-    def test_system_runtime_owns_infer_span(self, served_model):
-        pipeline, specs = served_model
-        deployed = deploy(pipeline, specs)
-        telemetry = Telemetry()
-        runtime = SystemRuntime(pipeline, deployed, telemetry=telemetry)
-        image = np.random.default_rng(3).normal(
-            size=pipeline.network.input_shape.as_tuple()
-        )
-        runtime.infer(image)
-        (root,) = telemetry.tracer.roots
-        assert root.name == "infer"
-        assert {child.name for child in root.children} == {"layer"}
-        assert telemetry.registry.counter("runtime/images").value == 1
-
     def test_deployed_simulate_span_and_trace_gauges(self, served_model):
         pipeline, specs = served_model
         deployed = deploy(pipeline, specs)
