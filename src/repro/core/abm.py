@@ -29,7 +29,7 @@ counts. One image runs on the fast path as a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -54,18 +54,6 @@ class ABMConvResult:
     output: np.ndarray
     accumulate_ops: int
     multiply_ops: int
-
-    @property
-    def total_ops(self) -> int:
-        """Accumulates + multiplies, the paper's ABM '#OP'."""
-        return self.accumulate_ops + self.multiply_ops
-
-    @property
-    def acc_to_mult_ratio(self) -> float:
-        """Arithmetic-intensity ratio that sizes the sharing factor N."""
-        if self.multiply_ops == 0:
-            return 0.0
-        return self.accumulate_ops / self.multiply_ops
 
 
 def _check_feature_codes(features: np.ndarray) -> np.ndarray:
@@ -142,39 +130,17 @@ def abm_conv2d_reference(
     return ABMConvResult(output=output, accumulate_ops=acc_ops, multiply_ops=mult_ops)
 
 
-@dataclass(frozen=True)
-class ABMConvBatchResult:
-    """Output of one batched ABM execution, with batch-total op counts."""
-
-    output: np.ndarray  # (batch, M, R', C')
-    accumulate_ops: int
-    multiply_ops: int
-
-    @property
-    def batch_size(self) -> int:
-        return self.output.shape[0]
-
-    @property
-    def total_ops(self) -> int:
-        return self.accumulate_ops + self.multiply_ops
-
-    def per_image_ops(self) -> Tuple[int, int]:
-        """(accumulate, multiply) counts of each image — exact, since every
-        image of a batch executes the identical encoded layer."""
-        batch = self.batch_size
-        return self.accumulate_ops // batch, self.multiply_ops // batch
-
-
 def abm_conv2d_batch(
     feature_codes: np.ndarray,
     encoded: EncodedLayer,
     geometry: ConvGeometry,
     bias_codes: Optional[np.ndarray] = None,
-) -> ABMConvBatchResult:
+) -> ABMConvResult:
     """Batched ABM-SpConv: a (B, C, H, W) batch stacked into the pixel axis.
 
     All B images run through one compiled-plan pass — the GEMM sees
-    B x out_pixels columns — instead of looping images in Python.
+    B x out_pixels columns — instead of looping images in Python.  The
+    output is (B, M, R', C') and the op counts are batch totals.
     Bit-exact against :func:`abm_conv2d_reference` on each image, with
     identical operation counts; raises
     :class:`repro.core.plan.ExactnessError` when the features are too
@@ -189,6 +155,4 @@ def abm_conv2d_batch(
     batch = batch.astype(np.int64)
     plan = compile_layer_plan(encoded, geometry)
     output, acc_ops, mult_ops = plan.execute_batch(batch, bias_codes=bias_codes)
-    return ABMConvBatchResult(
-        output=output, accumulate_ops=acc_ops, multiply_ops=mult_ops
-    )
+    return ABMConvResult(output=output, accumulate_ops=acc_ops, multiply_ops=mult_ops)

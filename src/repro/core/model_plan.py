@@ -36,12 +36,14 @@ batch geometry)
   fixes each layer's schedule, buffers and address generation before the
   feature stream starts.  The stage order is fixed, so each stage's
   source and destination ping buffer are assigned statically; each fused
-  stage's layer is bound with :meth:`LayerPlan.bind` (halo strips, window
-  views, band tiles, output rows, weight blocks, bias cast) and its
-  epilogue to fixed views (the MaxPool taps, the requantize ``scratch``
-  and ``dest``).  ``run`` then only replays fixed ``copyto`` /
-  ``matmul`` / ``add`` / ufunc calls; only an unpadded layer still
-  resolves its im2col copies against its input on each call.
+  stage's layer is bound with :meth:`LayerPlan.bind` to its input view
+  (halo strips, window views, band tiles, output rows, weight blocks,
+  bias cast) and its epilogue to fixed views (the MaxPool taps, the
+  requantize ``scratch`` and ``dest``).  The call's input enters through ping buffer 0, so the
+  leading stage binds like any other, and every stage is a name, one
+  fixed call list and its output view: ``run`` copies the input in,
+  replays every stage's ``copyto`` / ``matmul`` / ``add`` / ufunc calls
+  and copies the final view out.
 
 Bit-exactness: every fused stage computes the *same* codes as
 :meth:`repro.pipeline.QuantizedPipeline.run_batch_reference` (power-of-two
@@ -63,6 +65,7 @@ geometry) and registered with the telemetry cache registry as
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -144,30 +147,14 @@ def requantize(
     np.clip(scratch, clip_lo, clip_hi, out=out, casting="unsafe")
 
 
-def _other(index: Optional[int]) -> int:
-    """The ping buffer a stage writes when its input is in buffer ``index``
-    (``None``: the call's input, which lies outside the arena)."""
-    return 0 if index is None else 1 - index
-
-
 class _BoundStage:
-    """A stage bound to fixed arena views: ``run`` replays its calls.
-
-    Every stage reads the view its predecessor returned, which was fixed
-    when the plan compiled, so a bound stage ignores ``current`` and
-    returns its own fixed output view, :attr:`out`.  (A fused stage hands
-    ``current`` to its layer: a leading conv reads the call's input.)
-    """
+    """A stage bound to fixed arena views: a run replays its ``calls``,
+    which read its input view and leave its output in :attr:`out`."""
 
     __slots__ = ("name", "calls", "out")
 
     def __init__(self, name: str) -> None:
         self.name = name
-
-    def run(self, current: np.ndarray) -> np.ndarray:
-        for call in self.calls:
-            call()
-        return self.out
 
 
 class _FusedStage(_BoundStage):
@@ -186,8 +173,6 @@ class _FusedStage(_BoundStage):
         "fused_names",
         "extent",
         "tiles",
-        "flatten",
-        "layer",
     )
 
     def __init__(
@@ -233,31 +218,28 @@ class _FusedStage(_BoundStage):
         #: Im2col + GEMM bands per run (see :meth:`LayerPlan.bands`).
         self.tiles = plan.bands(*extent).count
 
-    def bind(
-        self, arena: "_Arena", src: Optional[np.ndarray], index: Optional[int]
-    ) -> Tuple[np.ndarray, int]:
-        """Bind the layer to the arena's stage scratch and the epilogue to
-        the ping buffer ``src`` does not occupy; returns the output view
-        and its buffer.  ``src`` is ``None`` for a leading conv, which
-        reads each call's input directly."""
-        self.flatten = None
+    def bind(self, arena: "_Arena", src: np.ndarray, index: int) -> Tuple[np.ndarray, int]:
+        """Bind the layer to ``src`` and the arena's stage scratch, and the
+        epilogue to the ping buffer ``src`` does not occupy; returns the
+        output view and its buffer.  An FC stage flattens ``src`` first."""
+        self.calls = []
         if self.is_fc:
-            self.flatten = _FlattenStage(self.name)
-            src, index = self.flatten.bind(arena, src, index)
-        self.layer = self.plan.bind(
-            *self.extent, self.bias_codes, self.datapath, arena.stage
+            flatten = _FlattenStage(self.name)
+            src, index = flatten.bind(arena, src, index)
+            self.calls += flatten.calls
+        raw, layer_calls = self.plan.bind(
+            *self.extent, src, self.bias_codes, self.datapath, arena.stage
         )
-        raw = self.layer.output
-        index = _other(index)
+        self.calls += layer_calls
+        index = 1 - index
         if self.pool is None:
             self.out = arena.view(index, raw.shape)
-            self.calls = []
         else:
             # Requantize is monotone non-decreasing, so it commutes with
             # max: pool the raw sums into the destination (an exact cast of
             # integers) and requantize only the pooled ones, in place.
             self.out = arena.view(index, _pooled_shape(self.pool, raw.shape))
-            self.calls = _bind_maxpool(self.pool, raw, self.out)
+            self.calls += _bind_maxpool(self.pool, raw, self.out)
             raw = self.out
         scratch = arena.scratch[: self.out.size].reshape(self.out.shape)
         self.calls.append(
@@ -266,12 +248,6 @@ class _FusedStage(_BoundStage):
             )
         )
         return self.out, index
-
-    def run(self, current: np.ndarray) -> np.ndarray:
-        if self.flatten is not None:
-            current = self.flatten.run(current)
-        self.layer.run(current)
-        return super().run(current)
 
 
 def _pooled_shape(pool: MaxPool2D, shape: Sequence[int]) -> Tuple[int, int, int, int]:
@@ -310,23 +286,6 @@ def _bind_maxpool(pool: MaxPool2D, src: np.ndarray, dest: np.ndarray) -> List[pa
     return calls
 
 
-def _integer_maxpool(
-    arena: "_Arena",
-    pool: MaxPool2D,
-    current: np.ndarray,
-    src: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Pool ``src`` (default ``current``) once into the ping buffer
-    ``current`` does not occupy: :func:`_bind_maxpool`'s calls, bound and
-    replayed in one go (a plan binds them once, at compile time)."""
-    src = current if src is None else src
-    index = 1 if np.may_share_memory(current, arena.ping[0]) else 0
-    dest = arena.view(index, _pooled_shape(pool, src.shape))
-    for call in _bind_maxpool(pool, src, dest):
-        call()
-    return dest
-
-
 class _FlattenStage(_BoundStage):
     """The stream as (B, 1, 1, C*H*W) features in the reference's CHW order.
 
@@ -341,7 +300,7 @@ class _FlattenStage(_BoundStage):
         images, rows, cols, channels = src.shape
         self.calls = []
         if rows * cols > 1:
-            index = _other(index)
+            index = 1 - index
             chw = arena.view(index, (images, channels, rows, cols))
             self.calls.append(partial(np.copyto, chw, src.transpose(0, 3, 1, 2)))
             src = chw
@@ -359,7 +318,7 @@ class _PoolStage(_BoundStage):
         self.pool = pool
 
     def bind(self, arena: "_Arena", src: np.ndarray, index: int) -> Tuple[np.ndarray, int]:
-        index = _other(index)
+        index = 1 - index
         self.out = arena.view(index, _pooled_shape(self.pool, src.shape))
         self.calls = _bind_maxpool(self.pool, src, self.out)
         return self.out, index
@@ -408,7 +367,7 @@ class _HostStage(_BoundStage):
     def bind(self, arena: "_Arena", src: np.ndarray, index: int) -> Tuple[np.ndarray, int]:
         images, rows, cols, channels = src.shape
         shape = self.layer.output_shape(FeatureShape(channels, rows, cols))
-        index = _other(index)
+        index = 1 - index
         self.out = arena.view(index, (images, shape.rows, shape.cols, shape.channels))
         self.src = src.transpose(0, 3, 1, 2)
         self.dest = self.out.transpose(0, 3, 1, 2)
@@ -619,16 +578,11 @@ class ModelPlan:
         codes = np.float32 if _float32_codes(self.stages, formats) else np.int64
         self.arena = arena = _Arena(high_water, scratch_elements, codes, stage_bytes)
         # Bind every stage once.  The stage order is fixed, so is each
-        # stage's source and destination: a stage writes the ping buffer
-        # its input does not occupy.  Only a leading conv reads the call's
-        # input itself (into its padded region, or as windows); any other
-        # plan copies the input into ping buffer 0 first.
-        first = self.stages[0] if self.stages else None
-        if isinstance(first, _FusedStage) and not first.is_fc:
-            self._entry = src = index = None
-        else:
-            self._entry = src = arena.view(0, entry)
-            index = 0
+        # stage's source and destination: the call's input enters ping
+        # buffer 0, and a stage writes the ping buffer its input does not
+        # occupy.
+        self._entry = src = arena.view(0, entry)
+        index = 0
         for stage in self.stages:
             src, index = stage.bind(arena, src, index)
         #: The final stream as a BCHW view, copied out by ``run``.
@@ -641,7 +595,8 @@ class ModelPlan:
 
         Returns the final codes, as a fresh C-contiguous BCHW int64 array,
         and their format.  The stream itself is channels-last: the input
-        enters as a transposed view and leaves through one strided copy.
+        enters ping buffer 0 through one strided copy, every stage replays
+        its bound calls, and the codes leave through another strided copy.
         The arena is shared mutable state, so concurrent runs serialize on
         a plan lock.
         """
@@ -652,23 +607,21 @@ class ModelPlan:
             )
         telemetry = get_active()
         with self._lock:
-            current = codes.transpose(0, 2, 3, 1)
-            if self._entry is not None:
-                np.copyto(self._entry, current, casting="same_kind")
-                current = self._entry
+            np.copyto(self._entry, codes.transpose(0, 2, 3, 1), casting="same_kind")
             for stage in self.stages:
+                span = nullcontext()
                 if telemetry is not None and isinstance(stage, _FusedStage):
-                    with telemetry.span(
+                    span = telemetry.span(
                         "kernel",
                         layer=stage.name,
                         images=int(codes.shape[0]),
                         fused=",".join(stage.fused_names),
                         datapath=stage.datapath,
                         tiles=stage.tiles,
-                    ):
-                        current = stage.run(current)
-                else:
-                    current = stage.run(current)
+                    )
+                with span:
+                    for call in stage.calls:
+                        call()
             # A fresh int64 array; the cast also turns the -0.0 a float32
             # requantize can emit into 0.
             out = np.empty(self._exit.shape, np.int64)

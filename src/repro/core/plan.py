@@ -49,25 +49,26 @@ Plans are cached per (encoded layer, geometry), so repeated inference —
 the per-layer reference walk (``QuantizedPipeline.run``) and the fused
 model plan built on top of these plans (``run_batch``) — pays
 compilation once.  A plan keeps no working memory: :meth:`LayerPlan.bind`
-binds it to the caller's :class:`Scratch` (its padded input, patch tile
-and GEMM output), sized by :meth:`LayerPlan.scratch_bytes`, and to one
-batch extent and datapath.
-Binding does all the view arithmetic — bands, halo strips, window views,
-tiles, output rows, weight blocks, the bias cast — so a
-:class:`BoundLayer` run only issues ``copyto`` / ``matmul`` / ``add``
-calls, as the accelerator fixes each layer's schedule and address
+binds it to the channels-last array it reads on every run, a datapath and
+the caller's :class:`Scratch` (its padded input, patch tile and GEMM
+output), sized by :meth:`LayerPlan.scratch_bytes`.  Binding does all the
+view arithmetic — bands, halo strips, window views, tiles, output rows,
+weight blocks, the bias cast — and returns the output view and one fixed
+list of ``fill`` / ``copyto`` / ``matmul`` / ``add`` calls, padded or
+not, as the accelerator fixes each layer's schedule and address
 generation before the feature stream starts.  The fused model plan sizes
 one region set for its largest stage at compile time, binds every stage
-to it once and streams every stage through it, as the accelerator streams
-every layer through one FT-Buffer; a per-layer call binds a fresh
-:class:`Scratch`, runs once and drops both.
+to it and to its input view once and streams every stage through it, as
+the accelerator streams every layer through one FT-Buffer; a per-layer
+call binds a fresh :class:`Scratch` to its batch, replays the calls once
+and drops both.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -146,7 +147,7 @@ class Bands(NamedTuple):
 
 
 class Scratch(NamedTuple):
-    """The working memory of a :class:`BoundLayer` (see :meth:`LayerPlan.bind`).
+    """The working memory of a bound layer (see :meth:`LayerPlan.bind`).
 
     Three flat byte regions, each viewed in the bound datapath's dtype: the
     padded input, one im2col tile and the raw GEMM output.  The caller owns
@@ -220,14 +221,11 @@ class LayerPlan:
         self._codes = encoded.dense_codes(narrowest_int(encoded.qtable_values))
         self._dense: Dict[Tuple[bool, str], np.ndarray] = {}
 
-    def dense_weights(self, dtype=np.float64) -> np.ndarray:
-        """The weight codes as a dense (M, C*K*K) matrix of ``dtype``, built
-        once per dtype; group ``g`` owns rows ``g * group_out`` onward."""
-        return self._weights(dtype, pixel_major=False)
-
     def _weights(self, dtype, pixel_major: bool) -> np.ndarray:
-        """:meth:`dense_weights`, or with ``pixel_major`` the conv GEMM's
-        (K*K*C, M) transpose, rows in ``(k, k', n)`` order."""
+        """The weight codes as a dense (M, C*K*K) matrix of ``dtype`` (group
+        ``g`` owns rows ``g * group_out`` onward), or with ``pixel_major``
+        the conv GEMM's (K*K*C, M) transpose, rows in ``(k, k', n)`` order;
+        built once per dtype."""
         key = (pixel_major, np.dtype(dtype).str)
         weights = self._dense.get(key)
         if weights is None:
@@ -354,8 +352,11 @@ class LayerPlan:
             datapath=datapath,
             tiles=self.bands(images, rows, cols).count,
         ):
-            bound = self.bind(images, rows, cols, bias_codes, datapath, scratch)
-            raw = bound.run(batch.transpose(0, 2, 3, 1))
+            raw, calls = self.bind(
+                images, rows, cols, batch.transpose(0, 2, 3, 1), bias_codes, datapath, scratch
+            )
+            for call in calls:
+                call()
         images, out_rows, out_cols, kernels = raw.shape
         # Copy the sums out of the call's scratch into a fresh BCHW int64
         # array (exact: the sums are integers on every datapath).
@@ -373,26 +374,38 @@ class LayerPlan:
         images: int,
         rows: int,
         cols: int,
+        source: np.ndarray,
         bias_codes: Optional[np.ndarray],
         datapath: str,
         scratch: Scratch,
-    ) -> "BoundLayer":
-        """Bind the plan to a channels-last ``images x rows x cols`` batch,
-        a datapath and a :class:`Scratch`, doing all view arithmetic once.
+    ) -> Tuple[np.ndarray, List[Callable[[], object]]]:
+        """Bind the plan to the channels-last ``images x rows x cols`` array
+        ``source``, a datapath and a :class:`Scratch`, doing all view
+        arithmetic once.
 
-        The bands (see :meth:`bands`), each band's patch tile, window key
-        and output rows per channel group, the halo strips and interior of
-        the padded region, the GEMM weight blocks and the bias cast are
-        fixed here; :meth:`BoundLayer.run` only issues ``copyto`` /
-        ``matmul`` / ``add`` calls on them.  ``scratch`` must hold at least
-        :meth:`scratch_bytes` of this batch.  The bound layer's output is
-        exact only when ``datapath`` is what :meth:`datapath` returns for
-        the batches it runs.
+        Returns the biased sums as a (B, R', C', M) view of the scratch
+        output region (float32 on ``gemm32``, float64 on ``gemm``, int64 on
+        ``int64``; valid until the region's next user writes it) and the
+        fixed list of calls that fill it from what ``source`` holds when
+        they run.  In order: for a padded layer, zero the 4 halo strips
+        (the region is shared) and copy ``source`` into the interior; then
+        per band (see :meth:`bands`) and channel group an im2col copy from
+        the windows of the padded region, or of ``source`` itself, into the
+        band's patch tile, and its GEMM; then the band's bias add.
+        ``scratch`` must hold at least :meth:`scratch_bytes` of this batch.
+        The output is exact only when ``datapath`` is what :meth:`datapath`
+        returns for what ``source`` holds.
         """
-        dtype = _DTYPES[datapath]
         geometry = self.geometry
-        out_rows, out_cols = conv_output_hw(rows, cols, geometry)
         k, width = geometry.kernel, self.group_in
+        bound = (images, rows, cols, width * geometry.groups)
+        if source.shape != bound:
+            raise ValueError(
+                f"layer {self.name!r} is bound to a {bound} (B, H, W, C) "
+                f"batch, got {source.shape}"
+            )
+        dtype = _DTYPES[datapath]
+        out_rows, out_cols = conv_output_hw(rows, cols, geometry)
         fc = self._is_fc(rows, cols)
         weights = self._weights(dtype, pixel_major=not fc)
         padded, tile, shape = self._scratch_shapes(images, rows, cols)
@@ -401,10 +414,22 @@ class LayerPlan:
         bias = None if bias_codes is None else np.asarray(bias_codes, dtype=dtype)
         if fc and bias is not None:
             bias = bias[:, None]
+        calls: List[Callable[[], object]] = []
+        if padded is not None:
+            padded = _region(scratch.padded, padded, dtype)
+            pad = geometry.padding
+            for strip in (
+                padded[:, :pad],
+                padded[:, -pad:],
+                padded[:, pad:-pad, :pad],
+                padded[:, pad:-pad, -pad:],
+            ):
+                calls.append(partial(strip.fill, 0))
+            interior = padded[:, pad:-pad, pad:-pad]
+            calls.append(partial(np.copyto, interior, source, casting="same_kind"))
+            source = padded
+        windows = self._windows(source, out_rows, out_cols)
         band = self.bands(images, rows, cols)
-        # In run order: per band and group an im2col copy, as the (window
-        # key, tile) pair it fills, and its GEMM; then the band's bias add.
-        template: List[object] = []
         start = 0
         for i in range(0, images, band.images):
             for r in range(0, out_rows, band.rows):
@@ -422,22 +447,25 @@ class LayerPlan:
                         slice(None),
                         slice(g * width, (g + 1) * width),
                     )
-                    template.append((key, patches.reshape(extent + (k, k, width))))
+                    # (b, r, C', n, k, k') -> (b, r, C', k, k', n) in one
+                    # pass that also converts to the work dtype.
+                    calls.append(
+                        partial(
+                            np.copyto,
+                            patches.reshape(extent + (k, k, width)),
+                            windows[key].transpose(0, 1, 2, 4, 5, 3),
+                            casting="same_kind",
+                        )
+                    )
                     if fc:  # kernel-major: about twice as fast as patches @ W.T here
                         lhs, rhs, out = weights[block], patches.T, sums[block]
                     else:
                         lhs, rhs, out = patches, weights[:, block], sums[:, block]
-                    template.append(partial(np.matmul, lhs, rhs, out=out))
+                    calls.append(partial(np.matmul, lhs, rhs, out=out))
                 if bias is not None:
-                    template.append(partial(np.add, sums, bias, out=sums))
+                    calls.append(partial(np.add, sums, bias, out=sums))
                 start = stop
-        return BoundLayer(
-            self,
-            (images, rows, cols, width * geometry.groups),
-            (output.T if fc else output).reshape(images, out_rows, out_cols, -1),
-            template,
-            None if padded is None else _region(scratch.padded, padded, dtype),
-        )
+        return (output.T if fc else output).reshape(images, out_rows, out_cols, -1), calls
 
     def _windows(self, source: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
         """The (B, R', C', C, K, K) windows of a channels-last ``source``."""
@@ -449,86 +477,6 @@ class LayerPlan:
                 source, (k, k), axis=(1, 2)
             )
         return windows[:, ::stride, ::stride][:, :out_rows, :out_cols]
-
-
-class BoundLayer:
-    """A :class:`LayerPlan` bound to one batch extent, datapath and
-    :class:`Scratch` by :meth:`LayerPlan.bind`.
-
-    A padded layer's windows are views of its padded region, so its whole
-    run is a fixed list of calls: zero the halo, copy the batch into the
-    interior, then per band and group an im2col copy and a GEMM, and the
-    band's bias add.  An unpadded layer reads its windows straight from
-    the batch, the one thing that changes between calls, so it resolves
-    its im2col copies against each call's batch.
-    """
-
-    __slots__ = ("plan", "shape", "output", "_template", "_halo", "_interior", "_calls")
-
-    def __init__(
-        self,
-        plan: LayerPlan,
-        shape: Tuple[int, int, int, int],
-        output: np.ndarray,
-        template: List[object],
-        padded: Optional[np.ndarray],
-    ) -> None:
-        self.plan = plan
-        #: The (B, H, W, C) batch extent :meth:`run` takes.
-        self.shape = shape
-        #: The biased sums as a (B, R', C', M) view of the scratch output
-        #: region: float32 on ``gemm32``, float64 on ``gemm``, int64 on
-        #: ``int64``; valid until the region's next user writes it.
-        self.output = output
-        self._template = template
-        self._halo: Tuple[np.ndarray, ...] = ()
-        self._interior = self._calls = None
-        if padded is not None:
-            pad = plan.geometry.padding
-            self._halo = (
-                padded[:, :pad],
-                padded[:, -pad:],
-                padded[:, pad:-pad, :pad],
-                padded[:, pad:-pad, -pad:],
-            )
-            self._interior = padded[:, pad:-pad, pad:-pad]
-            self._calls = self._program(padded)
-
-    def _program(self, source: np.ndarray) -> List[object]:
-        """The template with every im2col copy resolved against ``source``."""
-        windows = self.plan._windows(source, *self.output.shape[1:3])
-        return [
-            # (b, r, C', n, k, k') -> (b, r, C', k, k', n) in one pass that
-            # also converts to the work dtype.
-            partial(
-                np.copyto,
-                item[1],
-                windows[item[0]].transpose(0, 1, 2, 4, 5, 3),
-                casting="same_kind",
-            )
-            if isinstance(item, tuple)
-            else item
-            for item in self._template
-        ]
-
-    def run(self, batch: np.ndarray) -> np.ndarray:
-        """Run a channels-last (B, H, W, C) batch band by band, one GEMM per
-        channel group and band; returns :attr:`output`."""
-        if batch.shape != self.shape:
-            raise ValueError(
-                f"layer {self.plan.name!r} is bound to a {self.shape} (B, H, W, C) "
-                f"batch, got {batch.shape}"
-            )
-        calls = self._calls
-        if calls is None:
-            calls = self._program(batch)
-        else:  # the region is shared, so zero this layer's halo: 4 strips
-            for strip in self._halo:
-                strip.fill(0)
-            np.copyto(self._interior, batch, casting="same_kind")
-        for call in calls:
-            call()
-        return self.output
 
 
 def compile_layer_plan(encoded: EncodedLayer, geometry: "ConvGeometry") -> LayerPlan:

@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .core.abm import ABMConvBatchResult, ConvGeometry, abm_conv2d_batch
+from .core.abm import ConvGeometry, abm_conv2d_batch
 from .telemetry.context import get_active
 from .core.encoding import EncodedLayer, encode_nonzeros
 from .nn.layers import (
@@ -351,14 +351,10 @@ class QuantizedPipeline:
             datapath_fmt = QFormat(32, fmt.frac_bits + compiled.weight_fmt.frac_bits)
             bias_codes = datapath_fmt.quantize(compiled.bias_codes)
             if compiled.is_fc:
-                flat = codes.reshape(codes.shape[0], -1, 1, 1)
-                result: ABMConvBatchResult = abm_conv2d_batch(
-                    flat, compiled.encoded, compiled.geometry, bias_codes=bias_codes
-                )
-            else:
-                result = abm_conv2d_batch(
-                    codes, compiled.encoded, compiled.geometry, bias_codes=bias_codes
-                )
+                codes = codes.reshape(codes.shape[0], -1, 1, 1)
+            result = abm_conv2d_batch(
+                codes, compiled.encoded, compiled.geometry, bias_codes=bias_codes
+            )
             # Sum/Round: single rounding into the 8-bit feature format.
             out_fmt = compiled.output_fmt
             out_codes = out_fmt.quantize(datapath_fmt.dequantize(result.output))

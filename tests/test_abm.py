@@ -106,17 +106,6 @@ class TestOpCounts:
         assert result.multiply_ops == 1 * pixels  # one distinct value
         assert result.accumulate_ops == 36 * pixels
 
-    def test_acc_to_mult_ratio(self, rng):
-        weights = sparse_weight_codes(rng, shape=(2, 8, 3, 3), density=0.5)
-        features = rng.integers(-8, 8, size=(8, 6, 6))
-        result = abm_conv2d_reference(
-            features, encode_layer("t", weights), ConvGeometry(kernel=3)
-        )
-        if result.multiply_ops:
-            assert result.acc_to_mult_ratio == pytest.approx(
-                result.accumulate_ops / result.multiply_ops
-            )
-
     def test_all_zero_weights(self, rng):
         weights = np.zeros((2, 3, 3, 3), dtype=np.int64)
         features = rng.integers(-8, 8, size=(3, 5, 5))

@@ -289,26 +289,28 @@ class TestBands:
         assert sizes[0][0] > sizes[1][0]  # the larger padded input runs first
         scratch = Scratch.allocate(tuple(map(max, *sizes)))
         bound = [
-            plan.bind(2, *batch.shape[2:], None, "gemm32", scratch)
+            plan.bind(
+                2, *batch.shape[2:], batch.transpose(0, 2, 3, 1), None, "gemm32", scratch
+            )
             for (_, _, plan), batch in zip(plans, batches)
         ]
         for _ in range(2):
-            for (encoded, geometry, _), layer, batch in zip(plans, bound, batches):
-                raw = layer.run(batch.transpose(0, 2, 3, 1))
+            for (encoded, geometry, _), (raw, calls), batch in zip(plans, bound, batches):
+                for call in calls:
+                    call()
                 expected = abm_conv2d_batch(batch, encoded, geometry).output
                 assert np.array_equal(raw.transpose(0, 3, 1, 2), expected)
 
 
     def test_bound_layer_rejects_other_extents(self, rng):
-        """A bound layer's views fit one batch extent: a batch of another
+        """A bound layer's views fit one batch extent: a source of another
         size or channel count fails loudly instead of broadcasting."""
         encoded = encode_layer("s", sparse_weight_codes(rng, shape=(6, 4, 3, 3)))
         plan = compile_layer_plan(encoded, ConvGeometry(kernel=3, padding=1))
         scratch = Scratch.allocate(plan.scratch_bytes(2, 8, 8, "gemm32"))
-        bound = plan.bind(2, 8, 8, None, "gemm32", scratch)
         for shape in ((2, 8, 8, 3), (1, 8, 8, 4), (2, 1, 1, 4)):
             with pytest.raises(ValueError, match=r"bound to a \(2, 8, 8, 4\)"):
-                bound.run(np.zeros(shape, np.int64))
+                plan.bind(2, 8, 8, np.zeros(shape, np.int64), None, "gemm32", scratch)
 
 class TestExactness:
     """The datapath split and the loud failure past int64."""

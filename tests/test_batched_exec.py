@@ -39,9 +39,6 @@ class TestBatchedKernel:
         assert np.array_equal(batched.output, np.concatenate([s.output for s in singles]))
         assert batched.accumulate_ops == batch_size * singles[0].accumulate_ops
         assert batched.multiply_ops == batch_size * singles[0].multiply_ops
-        acc, mult = batched.per_image_ops()
-        assert acc == singles[0].accumulate_ops
-        assert mult == singles[0].multiply_ops
 
     def test_batch_of_one(self, rng):
         weights = sparse_weight_codes(rng, shape=(4, 3, 3, 3))

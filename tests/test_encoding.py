@@ -227,7 +227,7 @@ class TestLayerEncoderDifferential:
         assert plan.max_weighted_sum == max(
             [sum(abs(v) * c for v, c in table) for table, _ in reference], default=0
         )
-        assert np.array_equal(plan.dense_weights(np.int64), kernels)
+        assert np.array_equal(plan._weights(np.int64, pixel_major=False), kernels)
 
 
 class TestLayerValidation:

@@ -21,9 +21,10 @@ from repro.core.model_plan import (
     _Arena,
     _FusedStage,
     _float32_codes,
-    _integer_maxpool,
+    _bind_maxpool,
     _model_plans,
     _normal_float32,
+    _pooled_shape,
     compile_model_plan,
     requantize,
 )
@@ -427,6 +428,15 @@ class TestArena:
 # ---- integer max-pool -----------------------------------------------------
 
 
+def integer_maxpool(arena, pool, src):
+    """Pool ``src`` into ping buffer 0 the way a plan does: bind
+    :func:`_bind_maxpool` to an arena view and replay its calls."""
+    dest = arena.view(0, _pooled_shape(pool, src.shape))
+    for call in _bind_maxpool(pool, src, dest):
+        call()
+    return dest
+
+
 class TestIntegerMaxPool:
     #: (arena code dtype, largest |code| drawn): int64 arenas hold wide
     #: codes, float32 arenas every integer code below 2**24.
@@ -459,7 +469,7 @@ class TestIntegerMaxPool:
         pool = MaxPool2D("p", kernel, stride)
         arena = _Arena(codes.size, 1, dtype)
         nhwc = codes.astype(dtype).transpose(0, 2, 3, 1)
-        fused = _integer_maxpool(arena, pool, nhwc).transpose(0, 3, 1, 2)
+        fused = integer_maxpool(arena, pool, nhwc).transpose(0, 3, 1, 2)
         expected = pool.forward_batch(codes).astype(np.int64)
         assert fused.dtype == dtype
         assert fused.shape == expected.shape
@@ -699,14 +709,14 @@ class TestEpilogueAlgebra:
         clip_lo, clip_hi = (0 if relu else -(1 << (bits - 1))), (1 << (bits - 1)) - 1
         pool = MaxPool2D("p", kernel, stride)
         arena = _Arena(raw.size, raw.size, dtype)
-        pooled = _integer_maxpool(arena, pool, raw, src=raw)
+        pooled = integer_maxpool(arena, pool, raw)
         scratch = arena.scratch[: pooled.size].reshape(pooled.shape)
         requantize(pooled, 2.0**e, clip_lo, clip_hi, scratch, pooled)
         fused = as_int64_bytes(pooled)
         codes = np.empty(raw.shape, dtype)
         scratch = arena.scratch.reshape(raw.shape)
         requantize(raw, 2.0**e, clip_lo, clip_hi, scratch, codes)
-        assert fused == as_int64_bytes(_integer_maxpool(arena, pool, codes))
+        assert fused == as_int64_bytes(integer_maxpool(arena, pool, codes))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_relu_requantize_needs_no_sign(self, dtype):
@@ -960,3 +970,20 @@ class TestBoundStages:
         monkeypatch.setattr(plan_module.LayerPlan, "bands", refuse)
         monkeypatch.setattr(plan_module.LayerPlan, "_scratch_shapes", refuse)
         assert_batches_identical(pipeline.run_batch(images), expected)
+
+    @pytest.mark.parametrize("arch_name", sorted(ARCHITECTURES))
+    def test_compiled_plan_never_rebinds(self, rng, monkeypatch, arch_name):
+        """Once compiled, a plan's runs neither bind a layer nor build a
+        window view: an unpadded leading conv (``conv_pool_no_relu``), a
+        leading FC (``fc_stack``), a padded strided stem (``strided_stem``)
+        and every FC read their fixed input views like any other stage."""
+        arch = ARCHITECTURES[arch_name]
+        pipeline = build_pipeline(arch, rng)
+        shape = (2, arch.input_channels, arch.input_rows, arch.input_cols)
+        batches = [rng.standard_normal(shape) for _ in range(2)]
+        expected = [pipeline.run_batch_reference(images) for images in batches]
+        compile_model_plan(pipeline, shape)
+        monkeypatch.setattr(plan_module.LayerPlan, "_windows", refuse)
+        monkeypatch.setattr(plan_module.LayerPlan, "bind", refuse)
+        for images, reference in zip(batches, expected):
+            assert_batches_identical(pipeline.run_batch(images), reference)
