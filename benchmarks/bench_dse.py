@@ -50,11 +50,10 @@ CACHE_FAMILIES = ("dse.buffers", "dse.compiled", "hw.windows")
 def _sweeps(workload, n_share, n_knl):
     """Both exploration sweeps through the compiled evaluator."""
     return (
-        sweep_nknl(workload, DEFAULT_RESOURCE_MODEL, n_share, device=STRATIX_V_GXA7),
+        sweep_nknl(workload, n_share, device=STRATIX_V_GXA7),
         sweep_sec_ncu(
             workload,
             STRATIX_V_GXA7,
-            DEFAULT_RESOURCE_MODEL,
             n_knl=n_knl,
             n_share=n_share,
         ),

@@ -85,7 +85,9 @@ def telemetry_section(telemetry, families) -> dict:
     one raises ``KeyError``. A fixed list keeps the artifact a function of
     the bench, not of which modules happen to be imported.
     """
-    caches = telemetry.snapshot(include_spans=False)["caches"]
+    from repro.telemetry.caches import cache_snapshot
+
+    caches = cache_snapshot()
     return {
         "caches": {
             name: {

@@ -30,9 +30,9 @@ def main() -> None:
     rng = np.random.default_rng(SEED)
     image = rng.normal(size=network.input_shape.as_tuple())
 
-    # 1. prune + quantize (with k-means weight sharing for good measure).
+    # 1. prune + quantize.
     names = [layer.name for layer in network.accelerated_layers()]
-    pipeline = QuantizedPipeline(network, weight_clusters=32)
+    pipeline = QuantizedPipeline(network)
     pipeline.prune(uniform_schedule(names, 0.35).densities)
     pipeline.calibrate(image)
     pipeline.quantize()
@@ -43,7 +43,7 @@ def main() -> None:
     )
     deployed = runtime.deployed
     print(f"deployed {deployed.name}: config {deployed.config.describe()}")
-    print(f"  weight blob: {deployed.blob_bytes / 1024:.1f} KiB "
+    print(f"  weight blob: {len(deployed.blob) / 1024:.1f} KiB "
           f"(buffers fit: {deployed.fits})")
 
     # 3. run one inference; its timing is the deployment's profile.
@@ -58,7 +58,7 @@ def main() -> None:
     print(f"  host time:   {profile.host_s * 1e6:8.1f} us")
     # The CPU/FPGA pipeline runs at the pace of its slower stage.
     print(f"  throughput:  {profile.system_gops:8.1f} GOP/s (dense basis)")
-    effective = result.total_ops / profile.fpga_s / 1e9
+    effective = (result.accumulate_ops + result.multiply_ops) / profile.fpga_s / 1e9
     print(f"  effective:   {effective:8.1f} GOP/s (executed ops)")
 
     # 4. per-layer latency breakdown.

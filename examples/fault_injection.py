@@ -4,7 +4,7 @@ Two diagnostics a hardware bring-up engineer would actually run:
 
 1. **Execution trace** — simulate a layer with the trace recorder attached,
    verify the scheduler invariants (no CU overlap, at most two prefetch
-   windows in flight — the ping-pong buffer), and print the Gantt chart.
+   windows in flight — the ping-pong buffer), and print each CU's busy cycles.
 2. **Fault injection** — corrupt the encoded weight stream in transit
    (single bit flips in WT-Buffer indices and Q-Table values, stream
    truncation) and measure the blast radius on the output feature map.
@@ -49,7 +49,8 @@ def trace_demo() -> None:
           f"cycles: {result.cycles:,}, CU util: {result.cu_utilization:.0%}")
     print(f"prefetch windows concurrently in flight: "
           f"{trace.windows_in_flight()} (ping-pong bound: 2)")
-    print(trace.gantt())
+    busy = ", ".join(f"CU{cu} {cycles:,}" for cu, cycles in enumerate(result.cu_busy_cycles))
+    print(f"busy cycles: {busy}")
     print()
 
 

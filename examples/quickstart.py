@@ -24,7 +24,8 @@ SEED = 7
 
 def main() -> None:
     # A laptop-sized AlexNet: 12% of the channels, 42% of the resolution.
-    network = alexnet_architecture().build(scale=0.12, spatial_scale=0.42, seed=SEED)
+    architecture = alexnet_architecture()
+    network = architecture.build(scale=0.12, spatial_scale=0.42, seed=SEED)
     rng = np.random.default_rng(SEED)
     image = rng.normal(0.0, 1.0, size=network.input_shape.as_tuple())
 
@@ -45,15 +46,16 @@ def main() -> None:
     print()
 
     dense_macs = sum(
-        layer.operation_count(network.input_shape_of(layer.name)) // 2
-        for layer in network.accelerated_layers()
+        spec.macs
+        for spec in architecture.accelerated_specs(scale=0.12, spatial_scale=0.42)
     )
     print("operation counts (all conv/FC layers):")
     print(f"  dense MACs:        {dense_macs:>12,}  (multiply+accumulate each)")
     print(f"  ABM accumulates:   {quantized.accumulate_ops:>12,}")
     print(f"  ABM multiplies:    {quantized.multiply_ops:>12,}")
     ratio = quantized.accumulate_ops / quantized.multiply_ops
-    saved = 1 - quantized.total_ops / (2 * dense_macs)
+    executed = quantized.accumulate_ops + quantized.multiply_ops
+    saved = 1 - executed / (2 * dense_macs)
     print(f"  acc/mult ratio:    {ratio:>12.1f}  (sizes the DSP sharing factor N)")
     print(f"  ops saved vs dense:{saved:>12.1%}")
     print()

@@ -35,10 +35,6 @@ class Comparison:
             return 0.0 if self.measured == 0 else float("inf")
         return abs(self.measured - self.paper) / abs(self.paper)
 
-    def within(self, tolerance: float) -> bool:
-        """True when the relative error is inside the tolerance band."""
-        return self.relative_error <= tolerance
-
 
 def render_comparisons(rows: Sequence[Comparison], title: str = "") -> str:
     """Monospace paper-vs-measured table."""

@@ -31,23 +31,6 @@ class PublishedAccelerator:
         """GOP/s per DSP, recomputed from the raw columns."""
         return self.column.throughput_gops / self.column.dsps
 
-    @property
-    def perf_per_mhz(self) -> float:
-        """Frequency-normalized throughput (GOP/s per MHz)."""
-        return self.column.throughput_gops / self.column.freq_mhz
-
-    def speedup_over(self, other: "PublishedAccelerator") -> float:
-        """Raw throughput ratio vs another design."""
-        return self.throughput_gops / other.throughput_gops
-
-    def speedup_over_normalized(self, other: "PublishedAccelerator") -> float:
-        """Throughput ratio normalized by clock frequency."""
-        return self.perf_per_mhz / other.perf_per_mhz
-
-    def density_advantage(self, other: "PublishedAccelerator") -> float:
-        """Performance-density ratio vs another design."""
-        return self.perf_density / other.perf_density
-
 
 def get_baseline(key: str) -> PublishedAccelerator:
     """Look one design up by its key (e.g. ``'zeng-vgg16'``)."""

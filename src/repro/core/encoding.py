@@ -23,8 +23,9 @@ of the layer's nonzeros (:func:`encode_layer` takes the dense codes).
 :class:`EncodedKernel` is a per-kernel view of them for the walkers that
 step through one kernel at a time.
 
-Decoding is exact: ``decode_layer(encode_layer(name, w)) == w`` for any
-integer weight tensor, a property test in the suite.
+Decoding is exact: ``encode_layer(name, w).dense_codes()`` is ``w`` (as an
+``(M, N*K*K)`` matrix) for any integer weight tensor, a property test in
+the suite.
 """
 
 from __future__ import annotations
@@ -91,11 +92,6 @@ class EncodedKernel:
     def nonzero_count(self) -> int:
         """Nonzero weights — accumulate operations per output pixel."""
         return int(self.indices.size)
-
-    @property
-    def distinct_values(self) -> int:
-        """Distinct nonzero values — multiply operations per output pixel."""
-        return len({entry.value for entry in self.qtable})
 
     @property
     def qtable_entries(self) -> int:
@@ -377,10 +373,3 @@ def decode_kernel(encoded: EncodedKernel) -> np.ndarray:
     for value, block in encoded.value_groups():
         flat[block] = value
     return flat.reshape(encoded.kernel_shape)
-
-
-def decode_layer(encoded: EncodedLayer) -> np.ndarray:
-    """Reconstruct the dense (M, N, K, K) tensor of an encoded layer."""
-    if not encoded.out_channels:
-        raise ValueError("encoded layer has no kernels")
-    return encoded.dense_codes().reshape(encoded.out_channels, *encoded.kernel_shape)

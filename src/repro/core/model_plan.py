@@ -466,16 +466,7 @@ class ModelPlan:
     ) -> None:
         if len(batch_shape) != 4:
             raise ValueError(f"expected a BCHW batch shape, got {batch_shape}")
-        if pipeline.input_fmt is None:
-            raise RuntimeError(
-                "pipeline is not calibrated: call calibrate() before compiling "
-                "a model plan"
-            )
-        if not pipeline.compiled:
-            raise RuntimeError(
-                "pipeline is not quantized: call quantize() before compiling "
-                "a model plan"
-            )
+        pipeline._check_ready("compiling a model plan")
         images = int(batch_shape[0])
         self.batch_shape = tuple(int(s) for s in batch_shape)
         self.network_name = pipeline.network.name

@@ -53,12 +53,6 @@ class LayerOpCounts:
             return 0.0
         return self.abm_accumulates / self.abm_multiplies
 
-    def saved_vs(self, other_ops: float) -> float:
-        """Fraction of ops ABM saves against another scheme's count."""
-        if other_ops == 0:
-            return 0.0
-        return 1.0 - self.abm_ops / other_ops
-
 
 @dataclass(frozen=True)
 class ModelOpCounts:

@@ -12,8 +12,8 @@ A :class:`LayerPlan` compiles an encoded layer once into
 - the analytic operation counts — ``nnz`` accumulates and one multiply per
   Q-Table segment (NUM-field splits counted separately), per output pixel
   — exactly what the reference loop counts one iteration at a time;
-- :attr:`LayerPlan.max_weighted_sum`, the exact per-kernel bound
-  ``max_k sum(|VAL| * NUM)`` on ``|output| / max|x|``;
+- the exact per-kernel bound ``max_weighted_sum = max_k sum(|VAL| * NUM)``
+  on ``|output| / max|x|`` (:meth:`LayerPlan.sum_bound` at a peak of 1);
 - the weight codes as one dense ``(M, C*K*K)`` matrix, scattered once from
   the flat WT-Buffer stream, and for a conv its transpose in GEMM order.
 
@@ -237,17 +237,6 @@ class LayerPlan:
         return weights
 
     # ---- exactness ---------------------------------------------------------
-
-    @property
-    def max_weighted_sum(self) -> int:
-        """Worst-case |output sum| per unit of input magnitude.
-
-        The exact per-kernel bound max_k sum(|VAL| * NUM): multiplied by a
-        bound on |x| it bounds every product, every partial sum in any
-        order and every total — which is what :meth:`datapath` checks
-        against ``2**24``, ``2**53`` and ``2**63``.
-        """
-        return self._max_weighted_sum
 
     def sum_bound(self, input_peak: int, bias_peak: int = 0) -> int:
         """``input_peak * max_weighted_sum + bias_peak``: a bound on every

@@ -7,7 +7,6 @@ configuration's on-chip buffers, serializes the weight blob the runtime
 would ship to DDR, and estimates the deployment's performance on a device.
 
     deployed = deploy(pipeline, architecture.accelerated_specs())
-    deployed.save("model.abms")
     print(deployed.simulate(STRATIX_V_GXA7).throughput_gops)
 """
 
@@ -44,18 +43,8 @@ class DeployedModel:
     blob: bytes
 
     @property
-    def blob_bytes(self) -> int:
-        return len(self.blob)
-
-    @property
     def fits(self) -> bool:
         return all(requirement.fits for requirement in self.buffers)
-
-    def save(self, path: str) -> int:
-        """Write the weight blob to disk; returns its size."""
-        with open(path, "wb") as handle:
-            handle.write(self.blob)
-        return len(self.blob)
 
     def simulate(
         self,
@@ -86,7 +75,6 @@ def deploy(
     specs: Sequence[LayerSpec],
     config: Optional[AcceleratorConfig] = None,
     device: FPGADevice = STRATIX_V_GXA7,
-    strict: bool = True,
 ) -> DeployedModel:
     """Package a quantized pipeline for the accelerator.
 
@@ -98,9 +86,9 @@ def deploy(
     config:
         Target configuration; when omitted the DSE flow picks one for the
         workload on ``device``.
-    strict:
-        Raise :class:`DeploymentError` when the encoding does not fit the
-        configuration's buffers (set False to get the report anyway).
+
+    Raises :class:`DeploymentError` when the encoding does not fit the
+    configuration's buffers.
     """
     if not pipeline.compiled:
         raise DeploymentError("pipeline must be calibrated and quantized first")
@@ -124,10 +112,9 @@ def deploy(
         buffers=requirements,
         blob=dumps(encoded_layers),
     )
-    if strict and not deployed.fits:
+    if not deployed.fits:
         broken = [r.name for r in requirements if not r.fits]
         raise DeploymentError(
-            f"encoding exceeds on-chip buffers: {', '.join(broken)} "
-            f"(pass strict=False to inspect the report)"
+            f"encoding exceeds on-chip buffers: {', '.join(broken)}"
         )
     return deployed

@@ -50,12 +50,12 @@ import numpy as np
 from ..core.specs import LayerSpec
 from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
-from ..hw.power import EnergyModel, PowerReport, dynamic_energy_per_image
+from ..hw.power import EnergyModel, dynamic_energy_per_image
 from ..hw.tiling import plan_layer_windows
 from ..hw.workload import LayerWorkload, ModelWorkload
 from ..telemetry.caches import Memo
 from .performance import MODE_QUANTIZED, _MODES
-from .resources import ResourceEstimate, ResourceModel, ResourceUtilization
+from .resources import DEFAULT_RESOURCE_MODEL, ResourceEstimate, ResourceUtilization
 
 
 def _ceil_div(a, b):
@@ -294,24 +294,6 @@ class GridEvaluation:
             memory=float(self.mem_util[idx]),
         )
 
-    def power_report_at(
-        self, i_knl: int, i_sec: int, i_ncu: int, label: str = "abm-spconv"
-    ) -> PowerReport:
-        """Scalar :class:`PowerReport` of one grid point.
-
-        ``report.total_power_w`` / ``report.gops_per_watt`` equal the
-        ``power_w`` / ``gops_per_watt`` array elements exactly.
-        """
-        idx = (i_knl, i_sec, i_ncu)
-        seconds = float(self.cycles_per_image[idx]) / (self.freq_mhz * 1e6)
-        return PowerReport(
-            label=label,
-            energy_per_image_j=self.energy_per_image_j[i_sec],
-            seconds_per_image=seconds,
-            static_w=self.static_w,
-            dense_ops=self.dense_ops,
-        )
-
 
 class CompiledWorkload:
     """Per-(workload, N) invariants for compile-once/evaluate-many DSE.
@@ -385,7 +367,6 @@ class CompiledWorkload:
     def evaluate_grid(
         self,
         workload: ModelWorkload,
-        resources: ResourceModel,
         device: Optional[FPGADevice] = None,
         *,
         n_knl_values: Sequence[int],
@@ -395,7 +376,6 @@ class CompiledWorkload:
         logic_limit: float = 0.75,
         mode: str = MODE_QUANTIZED,
         buffers: Optional[Sequence[object]] = None,
-        energy_model: Optional[EnergyModel] = None,
     ) -> GridEvaluation:
         """Score the full cartesian grid in one batch of array operations.
 
@@ -411,9 +391,9 @@ class CompiledWorkload:
         ``buffers`` overrides the per-``S_ec`` buffer sizing (one
         :class:`~repro.dse.explorer.BufferSizing` per ``s_ec_values``
         entry) — the joint-space search uses this to sweep ``d_f`` /
-        ``d_w`` as free axes instead of deriving them. ``energy_model``
-        selects the power coefficients (default
-        :class:`~repro.hw.power.EnergyModel`).
+        ``d_w`` as free axes instead of deriving them. Resources come from
+        :data:`~repro.dse.resources.DEFAULT_RESOURCE_MODEL` and power from
+        the default :class:`~repro.hw.power.EnergyModel`.
         """
         if mode not in _MODES:
             raise ValueError(f"unknown performance-model mode {mode!r}")
@@ -434,7 +414,7 @@ class CompiledWorkload:
                 raise ValueError(
                     f"{len(buffers)} buffer sizings for {len(s_ec)} S_ec values"
                 )
-        model = energy_model if energy_model is not None else EnergyModel()
+        model = EnergyModel()
         shape = (len(n_knl), len(s_ec), len(n_cu))
         knl = np.asarray(n_knl, dtype=np.int64)[:, None, None]
         sec = np.asarray(s_ec, dtype=np.int64)[None, :, None]
@@ -498,7 +478,9 @@ class CompiledWorkload:
             total, freq_mhz, self.dense_ops, energy_col, model.static_w
         )
 
-        alms, dsps, m20ks = resources.estimate_arrays(knl, sec, ncu, self.n_share)
+        alms, dsps, m20ks = DEFAULT_RESOURCE_MODEL.estimate_arrays(
+            knl, sec, ncu, self.n_share
+        )
         alms = np.broadcast_to(alms, shape).copy()
         dsps = np.broadcast_to(dsps, shape).copy()
         m20ks = np.broadcast_to(m20ks, shape).copy()

@@ -39,13 +39,7 @@ from .performance import (
     estimate_model,
     share_factor_from_workloads,
 )
-from .resources import (
-    DEFAULT_RESOURCE_MODEL,
-    ResourceEstimate,
-    ResourceModel,
-    ResourceUtilization,
-    next_power_of_two,
-)
+from .resources import ResourceEstimate, ResourceUtilization, next_power_of_two
 
 
 #: Share of the device's ALMs a design may use (the paper's 75% logic
@@ -121,18 +115,22 @@ class NknlPoint:
     feasible: bool
 
 
+#: The N_knl axis of the Figure 6 sweep.
+N_KNL_RANGE: Tuple[int, ...] = tuple(range(2, 25))
+#: The S_ec and N_cu axes of the Figure 7 grid.
+S_EC_RANGE: Tuple[int, ...] = tuple(range(4, 33, 2))
+N_CU_RANGE: Tuple[int, ...] = tuple(range(1, 7))
+
+
 def sweep_nknl(
     workload: ModelWorkload,
-    resources: ResourceModel,
     n_share: int,
     device: Optional[FPGADevice] = None,
     n_cu: int = 3,
     s_ec: int = 20,
     freq_mhz: float = 200.0,
-    logic_limit: float = LOGIC_BUDGET,
-    n_knl_range: Sequence[int] = tuple(range(2, 25)),
 ) -> List[NknlPoint]:
-    """Figure 6: normalized performance boost across N_knl.
+    """Figure 6: normalized performance boost across :data:`N_KNL_RANGE`.
 
     Boost is (throughput gain) / (logic gain), both relative to the first
     point of the sweep. Points whose DSP/memory/logic demand exceeds the
@@ -147,13 +145,12 @@ def sweep_nknl(
     """
     evaluation = compile_workload(workload, n_share).evaluate_grid(
         workload,
-        resources,
         device=device,
-        n_knl_values=tuple(n_knl_range),
+        n_knl_values=N_KNL_RANGE,
         s_ec_values=(s_ec,),
         n_cu_values=(n_cu,),
         freq_mhz=freq_mhz,
-        logic_limit=logic_limit,
+        logic_limit=LOGIC_BUDGET,
     )
     points = []
     for i, n_knl in enumerate(evaluation.n_knl_values):
@@ -203,15 +200,13 @@ class GridPoint:
 def sweep_sec_ncu(
     workload: ModelWorkload,
     device: FPGADevice,
-    resources: ResourceModel,
     n_knl: int,
     n_share: int,
     freq_mhz: float = 200.0,
     logic_limit: float = LOGIC_BUDGET,
-    s_ec_range: Sequence[int] = tuple(range(4, 33, 2)),
-    n_cu_range: Sequence[int] = tuple(range(1, 7)),
 ) -> List[GridPoint]:
-    """Figure 7: attainable throughput across the S_ec x N_cu grid.
+    """Figure 7: attainable throughput across the S_ec x N_cu grid
+    (:data:`S_EC_RANGE` x :data:`N_CU_RANGE`).
 
     Point order is N_cu outer, S_ec inner. The grid is scored by the
     compiled whole-grid evaluator, float-identical to the per-point
@@ -220,11 +215,10 @@ def sweep_sec_ncu(
     """
     evaluation = compile_workload(workload, n_share).evaluate_grid(
         workload,
-        resources,
         device=device,
         n_knl_values=(n_knl,),
-        s_ec_values=tuple(s_ec_range),
-        n_cu_values=tuple(n_cu_range),
+        s_ec_values=S_EC_RANGE,
+        n_cu_values=N_CU_RANGE,
         freq_mhz=freq_mhz,
         logic_limit=logic_limit,
     )
@@ -292,7 +286,6 @@ def explore(
     n_share = share_factor_from_workloads(workload.layers)
     nknl_points = sweep_nknl(
         workload,
-        DEFAULT_RESOURCE_MODEL,
         n_share,
         device=device,
         n_cu=preset_n_cu,
@@ -303,7 +296,6 @@ def explore(
     grid = sweep_sec_ncu(
         workload,
         device,
-        DEFAULT_RESOURCE_MODEL,
         n_knl=n_knl,
         n_share=n_share,
         freq_mhz=freq_mhz,

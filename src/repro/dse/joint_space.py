@@ -18,7 +18,7 @@ scored exhaustively:
   width x depth block mapping as :mod:`repro.hw.buffers`.
 - Multi-model sets combine per-workload grids through
   :func:`co_deployment_objectives`.
-- The search returns the best feasible point on the primary objective.
+- The search returns the feasible point of highest throughput.
   Scoring each cell alone, as a one-cell space, is its oracle.
 """
 
@@ -32,35 +32,25 @@ import numpy as np
 
 from ..hw.buffers import BufferRequirement
 from ..hw.device import FPGADevice
-from ..hw.power import EnergyModel
 from ..hw.workload import ModelWorkload
 from .compiled import GridEvaluation, column_tables, compile_workload
 from .compiled import throughput_and_power
+from .explorer import LOGIC_BUDGET, N_CU_RANGE, N_KNL_RANGE, S_EC_RANGE
 from .explorer import BufferSizing, size_buffers
-from .frequency import DEFAULT_FREQUENCY_MODEL, FrequencyModel
+from .frequency import DEFAULT_FREQUENCY_MODEL
 from .performance import share_factor_from_workloads
-from .resources import DEFAULT_RESOURCE_MODEL, ResourceModel
 
-#: Every objective the joint evaluator can score, with its direction.
+#: The objectives a search reports, with the direction co-deployment
+#: takes the worst of: the paper's throughput target, which the search
+#: maximizes, plus the resource/power axes.
 OBJECTIVE_DIRECTIONS: Dict[str, str] = {
     "throughput_gops": "max",
     "logic_util": "min",
     "dsp_util": "min",
     "mem_util": "min",
     "total_power_w": "min",
-    "gops_per_watt": "max",
 }
-
-#: Default objectives: the paper's throughput target plus the
-#: resource/power axes. The first entry is the primary objective the
-#: search maximizes or minimizes.
-DEFAULT_OBJECTIVES: Tuple[str, ...] = (
-    "throughput_gops",
-    "logic_util",
-    "dsp_util",
-    "mem_util",
-    "total_power_w",
-)
+DEFAULT_OBJECTIVES: Tuple[str, ...] = tuple(OBJECTIVE_DIRECTIONS)
 
 #: The joint axes, inner grid axes first, in canonical parameter order.
 JOINT_AXES: Tuple[str, ...] = (
@@ -90,17 +80,16 @@ class SearchSpace:
         return math.prod(len(values) for _, values in self.axes)
 
 
-def default_joint_space(
-    workloads: Sequence[ModelWorkload],
-    *,
-    n_knl_values: Sequence[int] = tuple(range(2, 25)),
-    s_ec_values: Sequence[int] = tuple(range(4, 33, 2)),
-    n_cu_values: Sequence[int] = tuple(range(1, 7)),
-    freq_values: Sequence[float] = (150.0, 175.0, 200.0, 225.0, 250.0),
-) -> SearchSpace:
+#: The clock candidates of the joint space, in MHz.
+FREQ_VALUES: Tuple[float, ...] = (150.0, 175.0, 200.0, 225.0, 250.0)
+
+
+def default_joint_space(workloads: Sequence[ModelWorkload]) -> SearchSpace:
     """The seven-axis joint space for a workload set.
 
-    The grid axes come straight from the paper's sweeps; the joint axes
+    The grid axes come straight from the paper's sweeps
+    (:data:`~repro.dse.explorer.N_KNL_RANGE`, ``S_EC_RANGE``,
+    ``N_CU_RANGE``) and the clock from :data:`FREQ_VALUES`; the joint axes
     are anchored on the derived sizing so every candidate is *plausible*:
     sharing factors bracket the intensity-ratio N, ``d_f`` spans the
     sizing rule's requirement from the widest to the narrowest ``S_ec``
@@ -117,9 +106,8 @@ def default_joint_space(
     shares = tuple(
         sorted({max(1, derived_share - 1), derived_share, derived_share + 1})
     )
-    ordered_sec = sorted(int(s) for s in s_ec_values)
-    s_lo, s_hi = ordered_sec[0], ordered_sec[-1]
-    s_mid = ordered_sec[len(ordered_sec) // 2]
+    s_lo, s_hi = S_EC_RANGE[0], S_EC_RANGE[-1]
+    s_mid = S_EC_RANGE[len(S_EC_RANGE) // 2]
     d_f_candidates = tuple(
         sorted(
             {
@@ -134,13 +122,13 @@ def default_joint_space(
     )
     return SearchSpace(
         (
-            ("n_knl", tuple(int(v) for v in n_knl_values)),
-            ("s_ec", tuple(ordered_sec)),
-            ("n_cu", tuple(int(v) for v in n_cu_values)),
+            ("n_knl", N_KNL_RANGE),
+            ("s_ec", S_EC_RANGE),
+            ("n_cu", N_CU_RANGE),
             ("n_share", shares),
             ("d_f", d_f_candidates),
             ("d_w", d_w_candidates),
-            ("freq_mhz", tuple(float(v) for v in freq_values)),
+            ("freq_mhz", FREQ_VALUES),
         )
     )
 
@@ -207,10 +195,6 @@ def _scored_cells(
     workloads: Tuple[ModelWorkload, ...],
     device: FPGADevice,
     space: SearchSpace,
-    resources: ResourceModel,
-    logic_limit: float,
-    energy_model: EnergyModel,
-    frequency_model: FrequencyModel,
 ) -> Iterator[Tuple[Dict[str, float], Tuple[int, ...], Mapping[str, np.ndarray]]]:
     """(outer params, plannable S_ec values, objective grids) of every cell.
 
@@ -240,17 +224,15 @@ def _scored_cells(
                 derived = [size_buffers(workload, s) for s in sub_sec]
                 evaluation = grid.evaluate_grid(
                     workload,
-                    resources,
                     device,
                     n_knl_values=knl,
                     s_ec_values=sub_sec,
                     n_cu_values=ncu,
-                    logic_limit=logic_limit,
+                    logic_limit=LOGIC_BUDGET,
                     buffers=[
                         BufferSizing(d_f=int(d_f), d_w=sized.d_w, d_q=sized.d_q)
                         for sized in derived
                     ],
-                    energy_model=energy_model,
                 )
                 # One FT-Buffer per CU at the cell's depth instead of the
                 # derived one.
@@ -267,7 +249,7 @@ def _scored_cells(
                         np.array(evaluation.energy_per_image_j, dtype=np.float64),
                         ncu_arr * ft_delta[None, :, None],
                         derived[0].d_w,
-                        frequency_model.fmax_mhz_array(evaluation.logic_util),
+                        DEFAULT_FREQUENCY_MODEL.fmax_mhz_array(evaluation.logic_util),
                     )
                 )
             for d_w in space.values("d_w"):
@@ -291,7 +273,7 @@ def _scored_cells(
                     per_workload = []
                     for group, (mem_util, feasible) in zip(groups, memory):
                         evaluation = group.evaluation
-                        throughput, power_w, gops_per_watt = throughput_and_power(
+                        throughput, power_w, _ = throughput_and_power(
                             evaluation.cycles_per_image,
                             float(freq_mhz),
                             evaluation.dense_ops,
@@ -305,7 +287,6 @@ def _scored_cells(
                                 "dsp_util": evaluation.dsp_util,
                                 "mem_util": mem_util,
                                 "total_power_w": power_w,
-                                "gops_per_watt": gops_per_watt,
                                 "feasible": feasible & (float(freq_mhz) <= group.fmax),
                             }
                         )
@@ -332,18 +313,13 @@ def exhaustive_search(
     device: FPGADevice,
     *,
     space: SearchSpace,
-    objectives: Sequence[str] = DEFAULT_OBJECTIVES,
-    resources: ResourceModel = DEFAULT_RESOURCE_MODEL,
-    logic_limit: float = 0.75,
-    energy_model: Optional[EnergyModel] = None,
-    frequency_model: FrequencyModel = DEFAULT_FREQUENCY_MODEL,
 ) -> ExhaustiveResult:
-    """Enumerate the whole joint space and return the primary-best point.
+    """Enumerate the whole joint space and return the highest-throughput point.
 
-    Every configuration is scored (``evaluated_points == space.size``).
-    The first objective is the primary; ``values`` reports every objective
-    at the winning point. Within a cell, ties keep the first point in C
-    order; across cells, the first cell in enumeration order.
+    Every configuration is scored (``evaluated_points == space.size``);
+    ``values`` reports every :data:`DEFAULT_OBJECTIVES` entry at the
+    winning point. Within a cell, ties keep the first point in C order;
+    across cells, the first cell in enumeration order.
     """
     workloads = tuple(workloads)
     if not workloads:
@@ -353,53 +329,36 @@ def exhaustive_search(
             f"joint search space must define exactly the axes {JOINT_AXES}, "
             f"got {space.names}"
         )
-    unknown = [name for name in objectives if name not in OBJECTIVE_DIRECTIONS]
-    if unknown or not objectives:
-        raise ValueError(
-            f"objectives must be a non-empty subset of "
-            f"{sorted(OBJECTIVE_DIRECTIONS)}, got {list(objectives)}"
-        )
     if any(v < 1 for v in space.values("d_w")) or any(
         v <= 0 for v in space.values("freq_mhz")
     ):
         raise ValueError("d_w and freq_mhz candidates must be positive")
-    primary = objectives[0]
-    maximize = OBJECTIVE_DIRECTIONS[primary] == "max"
-    sign = 1.0 if maximize else -1.0
     knl = tuple(int(v) for v in space.values("n_knl"))
     ncu = tuple(int(v) for v in space.values("n_cu"))
-    best: Optional[Tuple[float, Dict[str, float], Dict[str, float]]] = None
-    for outer, sub_sec, cell in _scored_cells(
-        workloads,
-        device,
-        space,
-        resources,
-        logic_limit,
-        energy_model if energy_model is not None else EnergyModel(),
-        frequency_model,
-    ):
+    best: Optional[ExhaustiveResult] = None
+    for outer, sub_sec, cell in _scored_cells(workloads, device, space):
         feasible = cell["feasible"]
         if not feasible.any():
             continue
-        masked = np.where(feasible, cell[primary], -np.inf if maximize else np.inf)
-        flat = int(np.argmax(masked) if maximize else np.argmin(masked))
-        index = np.unravel_index(flat, feasible.shape)
+        masked = np.where(feasible, cell["throughput_gops"], -np.inf)
+        index = np.unravel_index(int(np.argmax(masked)), feasible.shape)
         if not feasible[index]:
             continue
-        values = {name: float(cell[name][index]) for name in objectives}
+        values = {name: float(cell[name][index]) for name in DEFAULT_OBJECTIVES}
         if not all(math.isfinite(value) for value in values.values()):
             continue
-        score = sign * values[primary]
-        if best is None or score > best[0]:
+        if best is None or values["throughput_gops"] > best.values["throughput_gops"]:
             point = {
                 **outer,
                 "n_knl": knl[index[0]],
                 "s_ec": sub_sec[index[1]],
                 "n_cu": ncu[index[2]],
             }
-            best = (score, {name: point[name] for name in space.names}, values)
+            best = ExhaustiveResult(
+                params={name: point[name] for name in space.names},
+                values=values,
+                evaluated_points=space.size,
+            )
     if best is None:
         raise RuntimeError("no feasible point anywhere in the joint space")
-    return ExhaustiveResult(
-        params=best[1], values=best[2], evaluated_points=space.size
-    )
+    return best

@@ -86,10 +86,6 @@ class ModelPerformance:
         """GOP/s on the paper's dense-op basis."""
         return self.dense_ops / self.seconds_per_image / 1e9
 
-    @property
-    def multiplier_bound_layers(self) -> Tuple[str, ...]:
-        return tuple(l.layer for l in self.layers if l.bound == "multiply")
-
 
 def _ideal_layer_cycles(
     workload: LayerWorkload, config: AcceleratorConfig

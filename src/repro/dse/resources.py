@@ -65,12 +65,6 @@ class ResourceUtilization:
         """Feasibility under a logic constraint (DSP/memory are hard)."""
         return self.logic <= logic_limit and self.dsp <= 1.0 and self.memory <= 1.0
 
-    @property
-    def binding(self) -> str:
-        """Which resource is closest to its limit."""
-        pairs = (("logic", self.logic), ("dsp", self.dsp), ("memory", self.memory))
-        return max(pairs, key=lambda item: item[1])[0]
-
 
 @dataclass(frozen=True)
 class ResourceModel:
@@ -130,21 +124,6 @@ class ResourceModel:
         per_cu_mem = self.c6 * s_ec + self.c7 * n_knl
         m20ks = np.rint(self.c5 + per_cu_mem * n_cu).astype(np.int64)
         return alms, dsps, m20ks
-
-    def max_accumulators(self, device: FPGADevice, logic_limit: float = 0.8) -> int:
-        """Accumulator lanes an *implementable* design can host.
-
-        Uses the full per-lane datapath cost C1 (adder + mux + FIFO slice),
-        i.e. the budget a real compile would see. Figure 1's design-space
-        roof instead uses the bare-accumulator cost
-        (``device.alms_per_accumulator``), since the roof bounds what any
-        accumulator-centric architecture could reach — see
-        :mod:`repro.dse.roofline`.
-        """
-        budget = device.alms * logic_limit - self.c0
-        if budget <= 0:
-            return 0
-        return int(budget // self.c1)
 
 
 #: Constants calibrated against paper Table 2 (see module docstring).

@@ -71,21 +71,6 @@ class RooflineModel:
             )
         raise KeyError(f"no roof for scheme {scheme}")
 
-    def bandwidth_roof(self, intensity_gops_per_byte: float) -> float:
-        """Attainable GOP/s at a given throughput-to-communication ratio."""
-        if intensity_gops_per_byte <= 0:
-            raise ValueError("arithmetic intensity must be positive")
-        return self.device.bandwidth_gbs * intensity_gops_per_byte
-
-    def attainable(
-        self, scheme: ConvScheme, intensity_gops_per_byte: float
-    ) -> float:
-        """min(computational roof, bandwidth roof) — the roofline."""
-        return min(
-            self.roof_for(scheme).gops,
-            self.bandwidth_roof(intensity_gops_per_byte),
-        )
-
     def headroom(self, point: DesignPoint) -> float:
         """Fraction of the scheme's computational roof a design achieves."""
         return point.gops / self.roof_for(point.scheme).gops

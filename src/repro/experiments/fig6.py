@@ -18,7 +18,6 @@ from ..analysis.compare import Comparison
 from ..analysis.tables import render_table
 from ..dse.explorer import NknlPoint, optimal_nknl, sweep_nknl
 from ..dse.performance import share_factor_from_workloads
-from ..dse.resources import DEFAULT_RESOURCE_MODEL
 from ..hw.device import STRATIX_V_GXA7
 from ..workloads.paper_targets import OPTIMAL_N_KNL
 from ..workloads.synthetic import synthetic_model_workload
@@ -29,15 +28,6 @@ class Fig6Result:
     points: Tuple[NknlPoint, ...]
     chosen_n_knl: int
     comparisons: Tuple[Comparison, ...]
-
-    @property
-    def plateau(self) -> Tuple[int, ...]:
-        """Feasible N_knl values within 5% of the best boost."""
-        feasible = [p for p in self.points if p.feasible]
-        best = max(p.normalized_boost for p in feasible)
-        return tuple(
-            p.n_knl for p in feasible if p.normalized_boost >= 0.95 * best
-        )
 
     def render(self) -> str:
         rows = [
@@ -64,7 +54,6 @@ def run(seed: int = 1) -> Fig6Result:
     n_share = share_factor_from_workloads(workload.layers)
     points = sweep_nknl(
         workload,
-        DEFAULT_RESOURCE_MODEL,
         n_share,
         device=STRATIX_V_GXA7,
         n_cu=3,

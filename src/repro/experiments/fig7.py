@@ -19,7 +19,6 @@ from ..analysis.compare import Comparison
 from ..analysis.tables import render_table
 from ..dse.explorer import GridPoint, best_candidates, sweep_sec_ncu
 from ..dse.frequency import refine_with_frequency
-from ..dse.resources import DEFAULT_RESOURCE_MODEL
 from ..hw.device import STRATIX_V_GXA7
 from ..workloads.paper_targets import (
     FIG7_LOGIC_CONSTRAINT,
@@ -91,7 +90,6 @@ def run(seed: int = 1) -> Fig7Result:
     grid = sweep_sec_ncu(
         workload,
         STRATIX_V_GXA7,
-        DEFAULT_RESOURCE_MODEL,
         n_knl=OPTIMAL_N_KNL,
         n_share=4,
         freq_mhz=200.0,

@@ -115,12 +115,6 @@ class ModelSimResult:
             raise ValueError("DSP count must be positive")
         return self.throughput_gops / dsps_used
 
-    def layer_result(self, name: str) -> LayerSimResult:
-        for layer in self.layers:
-            if layer.layer == name:
-                return layer
-        raise KeyError(f"no layer named {name!r} in simulation of {self.model!r}")
-
 
 class AcceleratorSimulator:
     """Simulates the ABM-SpConv accelerator on model workloads.

@@ -24,7 +24,7 @@ Table 2's 94-95% DSP utilization on the 256-DSP GXA7.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -68,30 +68,6 @@ class AcceleratorConfig:
     @property
     def total_multipliers(self) -> int:
         return self.n_cu * self.multipliers_per_cu
-
-    @property
-    def ft_buffer_pixels(self) -> int:
-        """Feature pixels the FT-Buffer holds per image lane (d_f entries)."""
-        return self.d_f * self.s_ec
-
-    @property
-    def ft_buffer_bytes(self) -> int:
-        """FT-Buffer bytes per CU (entries are 8 * S_ec bits)."""
-        return self.d_f * self.s_ec
-
-    @property
-    def wt_buffer_bytes(self) -> int:
-        """WT-Buffer bytes per CU (16-bit entries)."""
-        return self.d_w * 2
-
-    @property
-    def qtable_bytes(self) -> int:
-        """Q-Table bytes per CU (16-bit entries)."""
-        return self.d_q * 2
-
-    def with_frequency(self, freq_mhz: float) -> "AcceleratorConfig":
-        """Copy of this configuration at another clock frequency."""
-        return replace(self, freq_mhz=freq_mhz)
 
     def describe(self) -> str:
         """One-line human-readable summary."""

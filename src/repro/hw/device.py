@@ -51,11 +51,6 @@ class FPGADevice:
         """Logic-bound accumulator capacity (sets the ABM roof of Fig. 1)."""
         return int(self.usable_logic_fraction * self.alms) // self.alms_per_accumulator
 
-    @property
-    def m20k_bytes(self) -> int:
-        """On-chip memory capacity in bytes (an M20K block is 20 kbit)."""
-        return self.m20k_blocks * 20 * 1024 // 8
-
 
 #: The paper's evaluation device (DE5-Net board).
 STRATIX_V_GXA7 = FPGADevice(

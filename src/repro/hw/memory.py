@@ -32,11 +32,6 @@ class ExternalMemory:
             raise ValueError("bandwidth and frequency must be positive")
         self._bytes_per_cycle = (self.bandwidth_gbs * 1e9) / (self.freq_mhz * 1e6)
 
-    @property
-    def bytes_per_cycle(self) -> float:
-        """Bytes the DDR delivers per accelerator clock cycle."""
-        return self._bytes_per_cycle
-
     def transfer_cycles(self, nbytes: int) -> int:
         """Cycles to move ``nbytes`` (without recording the transfer)."""
         if nbytes < 0:
@@ -54,10 +49,3 @@ class ExternalMemory:
             self.total_transfer_cycles += cycles * count
             self.transfers += count
         return cycles
-
-    def achieved_bandwidth_gbs(self, elapsed_cycles: int) -> float:
-        """Average bandwidth over a run of ``elapsed_cycles``."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        seconds = elapsed_cycles / (self.freq_mhz * 1e6)
-        return self.total_bytes / seconds / 1e9

@@ -47,31 +47,13 @@ class EnergyModel:
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Energy/power figures for one inference workload."""
+    """Energy/power figures of one design point."""
 
-    label: str
     energy_per_image_j: float
-    seconds_per_image: float
     static_w: float
-    dense_ops: int
-
-    @property
-    def dynamic_power_w(self) -> float:
-        return self.energy_per_image_j / self.seconds_per_image
-
-    @property
-    def total_power_w(self) -> float:
-        return self.dynamic_power_w + self.static_w
-
-    @property
-    def gops_per_watt(self) -> float:
-        """Efficiency on the paper's dense-op throughput basis."""
-        gops = self.dense_ops / self.seconds_per_image / 1e9
-        return gops / self.total_power_w
-
-    @property
-    def energy_per_image_mj(self) -> float:
-        return self.energy_per_image_j * 1e3
+    total_power_w: float
+    #: Efficiency on the paper's dense-op throughput basis.
+    gops_per_watt: float
 
 
 def analytic_ddr_bytes(workload: ModelWorkload, config: AcceleratorConfig) -> float:
@@ -131,10 +113,12 @@ def abm_power_analytic(
     ``seconds_per_image`` comes from the performance model (cycles at the
     configured clock); energy from :func:`analytic_energy_per_image`.
     """
+    energy = analytic_energy_per_image(workload, config, model)
+    total_power_w = energy / seconds_per_image + model.static_w
+    gops = workload.dense_ops / seconds_per_image / 1e9
     return PowerReport(
-        label=f"abm-spconv/{workload.name}",
-        energy_per_image_j=analytic_energy_per_image(workload, config, model),
-        seconds_per_image=seconds_per_image,
+        energy_per_image_j=energy,
         static_w=model.static_w,
-        dense_ops=workload.dense_ops,
+        total_power_w=total_power_w,
+        gops_per_watt=gops / total_power_w,
     )

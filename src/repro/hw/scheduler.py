@@ -114,10 +114,6 @@ class LayerSimResult:
             return 0.0
         return self.engine_busy_cycles / self.engine_capacity_cycles
 
-    @property
-    def memory_bound(self) -> bool:
-        return self.memory_stall_cycles > 0.05 * self.cycles
-
 
 def kernel_order(
     workload: LayerWorkload, policy: str = POLICY_NATURAL

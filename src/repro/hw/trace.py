@@ -93,15 +93,6 @@ class TraceRecorder:
                         f"before previous task ends at {previous.end}"
                     )
 
-    def busy_cycles(self, cu: int) -> int:
-        """Total busy cycles of one CU."""
-        return sum(e.cycles for e in self.by_cu().get(cu, []))
-
-    def makespan(self) -> int:
-        if not self.events:
-            return 0
-        return max(e.end for e in self.events)
-
     def windows_in_flight(self) -> int:
         """Maximum number of distinct prefetch windows concurrently active.
 
@@ -116,21 +107,3 @@ class TraceRecorder:
                 active = {e.window_index for e in events if e.start <= t < e.end}
                 peak = max(peak, len(active))
         return peak
-
-    def gantt(self, width: int = 72) -> str:
-        """ASCII Gantt chart of the trace (one row per CU)."""
-        total = self.makespan()
-        if total == 0:
-            return "(empty trace)"
-        lines = []
-        for cu, events in sorted(self.by_cu().items()):
-            row = [" "] * width
-            for event in events:
-                lo = int(event.start / total * (width - 1))
-                hi = max(lo + 1, int(event.end / total * (width - 1)))
-                glyph = chr(ord("a") + event.group_index % 26)
-                for i in range(lo, hi):
-                    row[i] = glyph
-            lines.append(f"CU{cu} |" + "".join(row) + "|")
-        lines.append(f"      0{' ' * (width - 10)}{total:>8} cycles")
-        return "\n".join(lines)

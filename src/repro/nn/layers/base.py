@@ -43,10 +43,6 @@ class Layer(abc.ABC):
         """Run the layer on one CHW feature map: a batch of one."""
         return self.forward_batch(require_chw(features, self)[None])[0]
 
-    def operation_count(self, input_shape: FeatureShape) -> int:
-        """Number of arithmetic operations (the paper counts 2 per MAC)."""
-        return 0
-
     @property
     def weights(self) -> Optional[np.ndarray]:
         """Weight tensor, or None for stateless layers."""

@@ -118,12 +118,6 @@ class Conv2D(Layer):
             conv_output_extent(input_shape.cols, self.kernel, self.stride, self.padding),
         )
 
-    def operation_count(self, input_shape: FeatureShape) -> int:
-        """Dense spatial-convolution op count: 2 ops (mul+add) per MAC."""
-        out = self.output_shape(input_shape)
-        macs_per_pixel = (self.in_channels // self.groups) * self.kernel * self.kernel
-        return 2 * macs_per_pixel * self.out_channels * out.pixels
-
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         """Batched im2col forward: one matmul per group over B*P patch rows."""
         batch = require_bchw(batch, self)

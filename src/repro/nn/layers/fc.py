@@ -72,11 +72,6 @@ class FullyConnected(Layer):
             )
         return FeatureShape(self.out_features, 1, 1)
 
-    def operation_count(self, input_shape: FeatureShape) -> int:
-        """Dense op count: 2 ops per MAC of the inner products."""
-        self.output_shape(input_shape)
-        return 2 * self.in_features * self.out_features
-
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         arr = require_bchw(batch, self)
         flat = arr.reshape(arr.shape[0], -1)

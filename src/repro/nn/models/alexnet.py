@@ -21,7 +21,7 @@ from .arch import (
 )
 
 
-def alexnet_architecture(num_classes: int = 1000) -> Architecture:
+def alexnet_architecture() -> Architecture:
     """The AlexNet architecture description."""
     return Architecture(
         name="alexnet",
@@ -51,7 +51,7 @@ def alexnet_architecture(num_classes: int = 1000) -> Architecture:
             FCDef("fc7", 4096),
             ReLUDef("relu7"),
             DropoutDef("drop7"),
-            FCDef("fc8", num_classes, scale_output=False),
+            FCDef("fc8", 1000, scale_output=False),
             SoftmaxDef("prob"),
         ],
     )

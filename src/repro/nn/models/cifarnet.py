@@ -19,7 +19,7 @@ from .arch import (
 )
 
 
-def cifarnet_architecture(num_classes: int = 10) -> Architecture:
+def cifarnet_architecture() -> Architecture:
     """The cifar10_quick-style architecture description."""
     return Architecture(
         name="cifarnet",
@@ -38,7 +38,7 @@ def cifarnet_architecture(num_classes: int = 10) -> Architecture:
             PoolDef("pool3", kernel=3, stride=2, kind="avg"),
             FlattenDef("flatten"),
             FCDef("fc4", 64),
-            FCDef("fc5", num_classes, scale_output=False),
+            FCDef("fc5", 10, scale_output=False),
             SoftmaxDef("prob"),
         ],
     )

@@ -18,7 +18,7 @@ from .arch import (
 )
 
 
-def lenet_architecture(num_classes: int = 10) -> Architecture:
+def lenet_architecture() -> Architecture:
     """The LeNet-5 architecture description (Caffe variant)."""
     return Architecture(
         name="lenet",
@@ -33,7 +33,7 @@ def lenet_architecture(num_classes: int = 10) -> Architecture:
             FlattenDef("flatten"),
             FCDef("fc3", 500),
             ReLUDef("relu3"),
-            FCDef("fc4", num_classes, scale_output=False),
+            FCDef("fc4", 10, scale_output=False),
             SoftmaxDef("prob"),
         ],
     )

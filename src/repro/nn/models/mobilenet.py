@@ -30,7 +30,7 @@ def _ds_block(index: int, out_channels: int, stride: int = 1) -> list:
     ]
 
 
-def mobilenet_tiny_architecture(num_classes: int = 10) -> Architecture:
+def mobilenet_tiny_architecture() -> Architecture:
     """A 4-block depthwise-separable CNN for 32x32 inputs."""
     defs = [
         ConvDef("stem", 16, kernel=3, padding=1, stride=1),
@@ -43,7 +43,7 @@ def mobilenet_tiny_architecture(num_classes: int = 10) -> Architecture:
     defs += [
         PoolDef("pool", kernel=8, stride=8, kind="avg"),
         FlattenDef("flatten"),
-        FCDef("fc", num_classes, scale_output=False),
+        FCDef("fc", 10, scale_output=False),
         SoftmaxDef("prob"),
     ]
     return Architecture(

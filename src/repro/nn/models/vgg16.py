@@ -28,7 +28,7 @@ _BLOCKS = [
 ]
 
 
-def vgg16_architecture(num_classes: int = 1000) -> Architecture:
+def vgg16_architecture() -> Architecture:
     """The VGG16-D architecture description."""
     defs = []
     for block, channels, repeats in _BLOCKS:
@@ -45,7 +45,7 @@ def vgg16_architecture(num_classes: int = 1000) -> Architecture:
             FCDef("fc7", 4096),
             ReLUDef("relu7"),
             DropoutDef("drop7"),
-            FCDef("fc8", num_classes, scale_output=False),
+            FCDef("fc8", 1000, scale_output=False),
             SoftmaxDef("prob"),
         ]
     )

@@ -51,13 +51,6 @@ class Network:
                 return candidate
         raise KeyError(f"no layer named {name!r} in network {self.name!r}")
 
-    def input_shape_of(self, name: str) -> FeatureShape:
-        """Input shape seen by the named layer."""
-        for i, candidate in enumerate(self.layers):
-            if candidate.name == name:
-                return self.input_shape if i == 0 else self._shapes[i - 1]
-        raise KeyError(f"no layer named {name!r} in network {self.name!r}")
-
     @property
     def output_shape(self) -> FeatureShape:
         return self._shapes[-1]

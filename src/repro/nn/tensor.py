@@ -25,11 +25,6 @@ class FeatureShape:
             raise ValueError(f"all dimensions must be positive, got {self}")
 
     @property
-    def pixels(self) -> int:
-        """Number of spatial positions (rows * cols)."""
-        return self.rows * self.cols
-
-    @property
     def size(self) -> int:
         """Total number of elements."""
         return self.channels * self.rows * self.cols

@@ -37,7 +37,6 @@ from .nn.layers import (
 from .nn.network import Network
 from .prune.magnitude import prune_network
 from .quant.fixed_point import QFormat, fit_qformat
-from .quant.quantizer import QuantizedTensor
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,6 @@ class LayerRunStats:
     accumulate_ops: int
     multiply_ops: int
 
-    @property
-    def total_ops(self) -> int:
-        return self.accumulate_ops + self.multiply_ops
-
 
 @dataclass
 class InferenceResult:
@@ -81,10 +76,6 @@ class InferenceResult:
     def multiply_ops(self) -> int:
         return sum(stats.multiply_ops for stats in self.layer_stats)
 
-    @property
-    def total_ops(self) -> int:
-        return self.accumulate_ops + self.multiply_ops
-
 
 class QuantizedPipeline:
     """Prune -> quantize -> encode -> execute a network with ABM-SpConv."""
@@ -94,20 +85,15 @@ class QuantizedPipeline:
         network: Network,
         weight_bits: int = 8,
         feature_bits: int = 8,
-        weight_clusters: Optional[int] = None,
     ) -> None:
-        """``weight_clusters`` enables Deep-Compression weight sharing:
-        each layer's surviving weights are k-means-clustered to at most
-        that many shared values before fixed-point encoding, which is the
-        mechanism that concentrates kernels onto few distinct values."""
         self.network = network
         self.weight_bits = weight_bits
         self.feature_bits = feature_bits
-        self.weight_clusters = weight_clusters
+        #: None until :meth:`calibrate` runs: the one readiness state of
+        #: calibration (``compiled`` is the one of quantization).
         self.input_fmt: Optional[QFormat] = None
         self.output_fmts: Dict[str, QFormat] = {}
         self.compiled: Dict[str, CompiledLayer] = {}
-        self._calibrated = False
         self._quantization_token = 0
 
     @property
@@ -140,31 +126,17 @@ class QuantizedPipeline:
         self._quantization_token += 1
         return self
 
-    def calibrate(
-        self,
-        sample_input: np.ndarray,
-        strategy: str = "max",
-        percentile: float = 99.9,
-    ) -> "QuantizedPipeline":
-        """Fit per-layer dynamic fixed-point formats from a sample run.
-
-        ``strategy='percentile'`` clips the top activation tail instead of
-        covering the absolute maximum — finer LSBs at the cost of rare
-        saturation (see :mod:`repro.quant.activation_calibration`).
-        """
-        from .quant.activation_calibration import fit_with_strategy
-
-        self.input_fmt = fit_with_strategy(
-            np.asarray(sample_input), self.feature_bits, strategy, percentile
-        )
+    def calibrate(self, sample_input: np.ndarray) -> "QuantizedPipeline":
+        """Fit per-layer dynamic fixed-point formats (max-abs range, as
+        Ristretto does) from a sample run."""
+        self.input_fmt = fit_qformat(np.asarray(sample_input), self.feature_bits)
         activations = self.network.activations(np.asarray(sample_input))
         for layer in self.network:
             # Conv/FC outputs feed the Sum/Round stage; every layer output
             # that is stored as a feature map gets a calibrated format.
-            self.output_fmts[layer.name] = fit_with_strategy(
-                activations[layer.name], self.feature_bits, strategy, percentile
+            self.output_fmts[layer.name] = fit_qformat(
+                activations[layer.name], self.feature_bits
             )
-        self._calibrated = True
         self._quantization_token += 1
         return self
 
@@ -176,7 +148,7 @@ class QuantizedPipeline:
         that round to code 0 are dropped before encoding. Raises
         ``ValueError`` naming the layer if a weight is NaN or infinite.
         """
-        if not self._calibrated:
+        if self.input_fmt is None:
             raise RuntimeError("calibrate() must run before quantize()")
         for layer in self.network:
             if isinstance(layer, Conv2D):
@@ -197,14 +169,6 @@ class QuantizedPipeline:
         self._quantization_token += 1
         return self
 
-    def _shared_weights(self, weights: np.ndarray) -> np.ndarray:
-        """Apply optional k-means weight sharing before fixed-point coding."""
-        if self.weight_clusters is None:
-            return np.asarray(weights)
-        from .quant.clustering import cluster_weights
-
-        return cluster_weights(weights, self.weight_clusters).dense()
-
     def _compile(
         self,
         name: str,
@@ -214,9 +178,7 @@ class QuantizedPipeline:
         bias: np.ndarray,
         is_fc: bool,
     ) -> None:
-        if self.input_fmt is None:
-            raise RuntimeError("pipeline is not calibrated")
-        flat = self._shared_weights(weights).reshape(-1)
+        flat = np.asarray(weights).reshape(-1)
         positions = np.flatnonzero(flat != 0)  # a bool scan beats one over floats
         values = flat[positions]
         if not np.isfinite(values).all():
@@ -398,10 +360,3 @@ class QuantizedPipeline:
     def encoded_bytes(self) -> int:
         """Total encoded weight footprint (paper Table 3's 'Encoded')."""
         return sum(encoded.encoded_bytes for encoded in self.encoded_layers())
-
-    def quantized_weights(self, name: str) -> QuantizedTensor:
-        """A layer's quantized weight tensor (decoded view)."""
-        from .core.encoding import decode_layer
-
-        compiled = self.compiled[name]
-        return QuantizedTensor(decode_layer(compiled.encoded), compiled.weight_fmt)

@@ -88,10 +88,6 @@ class PruningSchedule:
             raise KeyError(f"schedule {self.name!r} has no entry for {layer_name!r}")
         return self.densities[layer_name]
 
-    def pruning_ratio(self, layer_name: str) -> float:
-        """Fraction removed — the paper's Table 1 'Pruning Ratio' column."""
-        return 1.0 - self.density(layer_name)
-
     def __contains__(self, layer_name: str) -> bool:
         return layer_name in self.densities
 

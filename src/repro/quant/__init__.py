@@ -5,7 +5,7 @@ Public surface:
 - :class:`~repro.quant.fixed_point.QFormat` — signed fixed-point format with
   quantize/dequantize/saturate.
 - :func:`~repro.quant.fixed_point.fit_qformat` — dynamic-range calibration.
-- :class:`~repro.quant.quantizer.QuantizedTensor` — integer codes paired
-  with their format; :class:`repro.pipeline.QuantizedPipeline` does the
-  per-layer model quantization.
+
+:class:`repro.pipeline.QuantizedPipeline` does the per-layer model
+quantization.
 """

@@ -83,19 +83,9 @@ class QFormat:
         return (1 << (self.total_bits - 1)) - 1
 
     @property
-    def min_value(self) -> float:
-        """Most negative representable real value."""
-        return self.min_code * self.scale
-
-    @property
     def max_value(self) -> float:
         """Most positive representable real value."""
         return self.max_code * self.scale
-
-    @property
-    def num_codes(self) -> int:
-        """Number of distinct representable codes (2**total_bits)."""
-        return 1 << self.total_bits
 
     def quantize(self, values: ArrayLike, rounding: str = ROUND_NEAREST) -> np.ndarray:
         """Convert real values to integer codes, with saturation.
@@ -121,15 +111,6 @@ class QFormat:
     def dequantize(self, codes: ArrayLike) -> np.ndarray:
         """Convert integer codes back to real values."""
         return np.asarray(codes, dtype=np.float64) * self.scale
-
-    def roundtrip(self, values: ArrayLike, rounding: str = ROUND_NEAREST) -> np.ndarray:
-        """Quantize then dequantize (the value seen by the hardware)."""
-        return self.dequantize(self.quantize(values, rounding=rounding))
-
-    def saturates(self, values: ArrayLike) -> np.ndarray:
-        """Boolean mask of values that fall outside the representable range."""
-        arr = np.asarray(values, dtype=np.float64)
-        return (arr > self.max_value) | (arr < self.min_value)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"Q{self.int_bits}.{self.frac_bits} ({self.total_bits}b)"

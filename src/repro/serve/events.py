@@ -145,16 +145,6 @@ class EventOutcome:
     start_s: float
     finish_s: float
 
-    @property
-    def queue_wait_s(self) -> float:
-        """Time from arrival until admission into a lane."""
-        return self.start_s - self.arrival_s
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end request latency."""
-        return self.finish_s - self.arrival_s
-
 
 @dataclass(frozen=True)
 class Rejection:

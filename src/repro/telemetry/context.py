@@ -45,22 +45,18 @@ class Telemetry:
         """Shorthand for ``self.tracer.span`` (still a context manager)."""
         return self.tracer.span(name, **attrs)
 
-    def snapshot(self, include_spans: bool = True) -> Dict[str, object]:
+    def snapshot(self) -> Dict[str, object]:
         """Everything observable right now, as one JSON-serializable dict.
 
         Combines the registry's metric families, the global cache
-        namespace (hit/miss/eviction counters of every registered LRU)
-        and, optionally, the full span forest plus per-name span totals.
+        namespace (hit/miss/eviction counters of every registered LRU),
+        the full span forest and the per-name span totals.
         """
         snapshot: Dict[str, object] = {"schema": SCHEMA}
         snapshot.update(self.registry.snapshot())
         snapshot["caches"] = cache_snapshot()
-        if include_spans:
-            snapshot["spans"] = [root.to_dict() for root in self.tracer.roots]
-            snapshot["span_totals"] = self.tracer.totals()
-        else:
-            snapshot["spans"] = []
-            snapshot["span_totals"] = {}
+        snapshot["spans"] = [root.to_dict() for root in self.tracer.roots]
+        snapshot["span_totals"] = self.tracer.totals()
         return snapshot
 
     def clear(self) -> None:

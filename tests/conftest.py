@@ -76,6 +76,21 @@ def direct_conv(
     return layer.forward(np.asarray(features, dtype=np.int64))
 
 
+def input_shape_of(network, name: str):
+    """The feature shape the named layer of a network reads."""
+    shape = network.input_shape
+    for layer in network:
+        if layer.name == name:
+            return shape
+        shape = layer.output_shape(shape)
+    raise KeyError(name)
+
+
+def decode_layer(encoded) -> np.ndarray:
+    """The dense (M, N, K, K) codes of an encoded layer."""
+    return encoded.dense_codes().reshape(encoded.out_channels, *encoded.kernel_shape)
+
+
 @pytest.fixture
 def weight_codes(rng):
     return sparse_weight_codes(rng)

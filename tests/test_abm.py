@@ -94,7 +94,7 @@ class TestOpCounts:
         result = abm_conv2d_batch(features[None], encoded, geometry)
         pixels = 8 * 8
         assert result.accumulate_ops == encoded.nonzero_count * pixels
-        distinct = sum(k.distinct_values for k in encoded.kernels)
+        distinct = int(encoded.distinct.sum())
         assert result.multiply_ops == distinct * pixels
 
     def test_dense_worstcase_reduces_to_distinct_values(self, rng):

@@ -11,8 +11,6 @@ class TestComparison:
         row = Comparison("e", "m", paper=100.0, measured=90.0)
         assert row.ratio == pytest.approx(0.9)
         assert row.relative_error == pytest.approx(0.1)
-        assert row.within(0.1)
-        assert not row.within(0.05)
 
     def test_zero_paper_value(self):
         assert Comparison("e", "m", 0.0, 0.0).relative_error == 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.serialize import load_model
 from repro.deploy import DeploymentError, deploy
+from repro.hw.buffers import buffer_report
 from repro.hw.config import AcceleratorConfig
 from repro.hw.device import STRATIX_V_GXA7
 from repro.pipeline import QuantizedPipeline
@@ -28,7 +29,7 @@ class TestDeploy:
         pipeline, specs = pipeline_and_specs
         deployed = deploy(pipeline, specs)
         assert deployed.fits
-        assert deployed.blob_bytes > 0
+        assert len(deployed.blob) > 0
         assert deployed.workload.accumulate_ops > 0
 
     def test_simulation_runs(self, pipeline_and_specs):
@@ -41,9 +42,9 @@ class TestDeploy:
     def test_blob_roundtrips(self, pipeline_and_specs, tmp_path):
         pipeline, specs = pipeline_and_specs
         deployed = deploy(pipeline, specs)
-        path = str(tmp_path / "deployed.abms")
-        assert deployed.save(path) == deployed.blob_bytes
-        layers = load_model(path)
+        path = tmp_path / "deployed.abms"
+        path.write_bytes(deployed.blob)
+        layers = load_model(str(path))
         assert [l.name for l in layers] == [
             e.name for e in pipeline.encoded_layers()
         ]
@@ -52,10 +53,10 @@ class TestDeploy:
         pipeline, specs = pipeline_and_specs
         # A tiny WT-Buffer cannot hold the deepest kernel stream.
         config = AcceleratorConfig(n_cu=1, n_knl=2, n_share=2, s_ec=4, d_w=2, d_f=4096)
-        with pytest.raises(DeploymentError):
+        with pytest.raises(DeploymentError, match="WT-Buffer"):
             deploy(pipeline, specs, config=config)
-        deployed = deploy(pipeline, specs, config=config, strict=False)
-        assert not deployed.fits
+        report = buffer_report(config, pipeline.encoded_layers())
+        assert not all(requirement.fits for requirement in report)
 
     def test_unquantized_pipeline_rejected(self, tiny_architecture):
         network = tiny_architecture.build(seed=8)

@@ -21,6 +21,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.specs import conv_spec, fc_spec
 from repro.dse.compiled import column_tables, compile_workload, plan_columns
 from repro.dse.explorer import (
+    N_CU_RANGE,
+    N_KNL_RANGE,
+    S_EC_RANGE,
     best_candidates,
     explore,
     optimal_nknl,
@@ -42,7 +45,7 @@ from repro.hw.config import AcceleratorConfig
 from repro.hw.device import STRATIX_V_GXA7
 from repro.hw.tiling import plan_windows
 from repro.hw.device import FPGADevice
-from repro.hw.power import EnergyModel, abm_power_analytic, analytic_ddr_bytes
+from repro.hw.power import abm_power_analytic, analytic_ddr_bytes
 from repro.hw.tiling import plan_layer_windows
 from repro.hw.workload import ModelWorkload, workload_from_arrays
 from repro.workloads import synthetic_model_workload
@@ -83,13 +86,12 @@ def assert_nknl_per_point(
     workload,
     n_share,
     device=None,
-    n_knl_range=tuple(range(2, 25)),
     s_ec=20,
     n_cu=3,
 ):
     """Every Figure 6 point is the per-point oracle's; boosts are relative
     to the sweep's first point."""
-    assert [p.n_knl for p in points] == list(n_knl_range)
+    assert [p.n_knl for p in points] == list(N_KNL_RANGE)
     for point in points:
         config = point_config(workload, point.n_knl, n_share, s_ec, n_cu)
         estimate = DEFAULT_RESOURCE_MODEL.estimate(config)
@@ -110,13 +112,11 @@ def assert_grid_per_point(
     device,
     n_knl,
     n_share,
-    s_ec_range=tuple(range(4, 33, 2)),
-    n_cu_range=tuple(range(1, 7)),
 ):
     """Every Figure 7 point, in N_cu-outer / S_ec-inner order, is the
     per-point oracle's."""
     assert [(p.n_cu, p.s_ec) for p in points] == [
-        (n_cu, s_ec) for n_cu in n_cu_range for s_ec in s_ec_range
+        (n_cu, s_ec) for n_cu in N_CU_RANGE for s_ec in S_EC_RANGE
     ]
     for point in points:
         config = point_config(workload, n_knl, n_share, point.s_ec, point.n_cu)
@@ -139,7 +139,7 @@ class TestPaperWorkloadsIdentical:
     def test_sweep_nknl_identical(self, model):
         workload = synthetic_model_workload(model, seed=1)
         points = sweep_nknl(
-            workload, DEFAULT_RESOURCE_MODEL, n_share=4, device=STRATIX_V_GXA7
+            workload, n_share=4, device=STRATIX_V_GXA7
         )
         assert_nknl_per_point(points, workload, 4, device=STRATIX_V_GXA7)
 
@@ -147,7 +147,7 @@ class TestPaperWorkloadsIdentical:
     def test_sweep_sec_ncu_identical(self, model):
         workload = synthetic_model_workload(model, seed=1)
         points = sweep_sec_ncu(
-            workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=4
+            workload, STRATIX_V_GXA7, n_knl=14, n_share=4
         )
         assert_grid_per_point(points, workload, STRATIX_V_GXA7, n_knl=14, n_share=4)
 
@@ -176,7 +176,7 @@ class TestPaperWorkloadsIdentical:
         """The candidate set is the top five feasible points ranked by the
         per-point oracle's throughput."""
         grid = sweep_sec_ncu(
-            vgg_workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=4
+            vgg_workload, STRATIX_V_GXA7, n_knl=14, n_share=4
         )
         ranked = sorted(
             (p for p in grid if p.feasible),
@@ -194,48 +194,54 @@ class TestPaperWorkloadsIdentical:
 
 class TestDegenerateGrids:
     def test_single_point_grid(self, alexnet_workload):
-        kwargs = dict(s_ec_range=(20,), n_cu_range=(3,))
-        points = sweep_sec_ncu(
+        evaluation = compile_workload(alexnet_workload, 4).evaluate_grid(
             alexnet_workload,
             STRATIX_V_GXA7,
-            DEFAULT_RESOURCE_MODEL,
-            n_knl=14,
-            n_share=4,
-            **kwargs,
+            n_knl_values=(14,),
+            s_ec_values=(20,),
+            n_cu_values=(3,),
         )
-        assert len(points) == 1
-        assert_grid_per_point(
-            points, alexnet_workload, STRATIX_V_GXA7, n_knl=14, n_share=4, **kwargs
+        assert evaluation.shape == (1, 1, 1)
+        config = point_config(alexnet_workload, 14, 4, 20, 3)
+        estimate = DEFAULT_RESOURCE_MODEL.estimate(config)
+        assert evaluation.config_at(0, 0, 0) == config
+        assert evaluation.throughput_gops[0, 0, 0] == per_point_gops(
+            alexnet_workload, config
+        )
+        assert evaluation.estimate_at(0, 0, 0) == estimate
+        assert evaluation.utilization_at(0, 0, 0) == estimate.utilization(
+            STRATIX_V_GXA7
         )
 
     def test_single_point_nknl(self, alexnet_workload):
-        points = sweep_nknl(
+        """A one-N_knl grid scores exactly the sweep's point at that N_knl."""
+        evaluation = compile_workload(alexnet_workload, 4).evaluate_grid(
             alexnet_workload,
-            DEFAULT_RESOURCE_MODEL,
-            n_share=4,
-            device=STRATIX_V_GXA7,
-            n_knl_range=(14,),
+            STRATIX_V_GXA7,
+            n_knl_values=(14,),
+            s_ec_values=(20,),
+            n_cu_values=(3,),
         )
-        assert len(points) == 1
-        assert_nknl_per_point(
-            points, alexnet_workload, 4, device=STRATIX_V_GXA7, n_knl_range=(14,)
-        )
+        points = sweep_nknl(alexnet_workload, n_share=4, device=STRATIX_V_GXA7)
+        point = points[N_KNL_RANGE.index(14)]
+        assert point.throughput_gops == evaluation.throughput_gops[0, 0, 0]
+        assert point.logic_alms == evaluation.alms[0, 0, 0]
+        assert point.feasible == evaluation.feasible[0, 0, 0]
         assert points[0].normalized_boost == 1.0
 
     def test_empty_nknl_range(self, alexnet_workload):
-        assert (
-            sweep_nknl(
-                alexnet_workload,
-                DEFAULT_RESOURCE_MODEL,
-                n_share=4,
-                n_knl_range=(),
-            )
-            == []
+        evaluation = compile_workload(alexnet_workload, 4).evaluate_grid(
+            alexnet_workload,
+            n_knl_values=(),
+            s_ec_values=(20,),
+            n_cu_values=(3,),
         )
+        assert evaluation.shape == (0, 1, 1)
+        assert not evaluation.feasible.any()
 
     def test_all_infeasible_grid(self, alexnet_workload):
         points = sweep_sec_ncu(
-            alexnet_workload, TINY_DEVICE, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=4
+            alexnet_workload, TINY_DEVICE, n_knl=14, n_share=4
         )
         assert_grid_per_point(points, alexnet_workload, TINY_DEVICE, n_knl=14, n_share=4)
         assert not any(point.feasible for point in points)
@@ -244,13 +250,13 @@ class TestDegenerateGrids:
         with pytest.raises((RuntimeError, ValueError)):
             explore(alexnet_workload, TINY_DEVICE)
         nknl = sweep_nknl(
-            alexnet_workload, DEFAULT_RESOURCE_MODEL, n_share=4, device=TINY_DEVICE
+            alexnet_workload, n_share=4, device=TINY_DEVICE
         )
         with pytest.raises(ValueError):
             optimal_nknl(nknl)
 
     def test_no_device_marks_everything_feasible(self, alexnet_workload):
-        points = sweep_nknl(alexnet_workload, DEFAULT_RESOURCE_MODEL, n_share=4)
+        points = sweep_nknl(alexnet_workload, n_share=4)
         assert_nknl_per_point(points, alexnet_workload, 4)
         assert all(point.feasible for point in points)
 
@@ -330,7 +336,6 @@ class TestHypothesisDifferential:
         device = STRATIX_V_GXA7 if use_device else None
         evaluation = compile_workload(workload, n_share).evaluate_grid(
             workload,
-            DEFAULT_RESOURCE_MODEL,
             device=device,
             n_knl_values=n_knl_values,
             s_ec_values=s_ec_values,
@@ -367,23 +372,13 @@ class TestHypothesisDifferential:
     @given(workload=model_workload(), n_share=st.integers(1, 5))
     def test_sweeps_match_reference(self, workload, n_share):
         """Both sweeps are the per-point oracle's, point for point."""
-        kwargs = dict(n_knl_range=(1, 3, 7), s_ec=6, n_cu=2)
+        kwargs = dict(s_ec=6, n_cu=2)
         points = sweep_nknl(
-            workload, DEFAULT_RESOURCE_MODEL, n_share, device=STRATIX_V_GXA7, **kwargs
+            workload, n_share, device=STRATIX_V_GXA7, **kwargs
         )
         assert_nknl_per_point(points, workload, n_share, STRATIX_V_GXA7, **kwargs)
-        grid_kwargs = dict(s_ec_range=(2, 9), n_cu_range=(1, 4))
-        grid = sweep_sec_ncu(
-            workload,
-            STRATIX_V_GXA7,
-            DEFAULT_RESOURCE_MODEL,
-            n_knl=5,
-            n_share=n_share,
-            **grid_kwargs,
-        )
-        assert_grid_per_point(
-            grid, workload, STRATIX_V_GXA7, n_knl=5, n_share=n_share, **grid_kwargs
-        )
+        grid = sweep_sec_ncu(workload, STRATIX_V_GXA7, n_knl=5, n_share=n_share)
+        assert_grid_per_point(grid, workload, STRATIX_V_GXA7, n_knl=5, n_share=n_share)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +551,6 @@ class TestColumnPlans:
         for n_share in (2, 4, 8):
             compile_workload(workload, n_share).evaluate_grid(
                 workload,
-                DEFAULT_RESOURCE_MODEL,
                 n_knl_values=(14,),
                 s_ec_values=(16, 20),
                 n_cu_values=(3,),
@@ -622,7 +616,6 @@ class TestCaches:
         with pytest.raises(ValueError):
             compiled.evaluate_grid(
                 alexnet_workload,
-                DEFAULT_RESOURCE_MODEL,
                 n_knl_values=(14,),
                 s_ec_values=(20,),
                 n_cu_values=(3,),
@@ -647,14 +640,9 @@ def _assert_grids_identical(a, b):
 class TestColumnTables:
     AXES = dict(n_knl_values=(4, 14), s_ec_values=(8, 20), n_cu_values=(1, 3))
 
-    def _evaluate(self, compiled, workload, buffers, energy_model):
+    def _evaluate(self, compiled, workload, buffers):
         return compiled.evaluate_grid(
-            workload,
-            DEFAULT_RESOURCE_MODEL,
-            STRATIX_V_GXA7,
-            buffers=buffers,
-            energy_model=energy_model,
-            **self.AXES,
+            workload, STRATIX_V_GXA7, buffers=buffers, **self.AXES
         )
 
     def test_warm_tables_match_cold_and_per_point(self, alexnet_workload):
@@ -666,34 +654,26 @@ class TestColumnTables:
             tuple(BufferSizing(d_f=d_f, d_w=d_w, d_q=sized.d_q) for sized in derived)
             for d_w in (derived[0].d_w, 4 * derived[0].d_w)
         ]
-        energy_models = (
-            EnergyModel(),
-            EnergyModel(ddr_byte_j=90.0e-12, static_w=4.0, multiply_j=7.5e-12),
-        )
         warm = compile_workload(workload, 4)
-        self._evaluate(warm, workload, overrides[0], energy_models[0])
+        self._evaluate(warm, workload, overrides[0])
         for buffers in overrides:
-            for model in energy_models:
-                got = self._evaluate(warm, workload, buffers, model)
-                cold = self._evaluate(
-                    CompiledWorkload(workload, 4), workload, buffers, model
-                )
-                _assert_grids_identical(got, cold)
-                for index in np.ndindex(got.shape):
-                    config = got.config_at(*index)
-                    perf = estimate_model(workload, config, mode=MODE_QUANTIZED)
-                    assert got.cycles_per_image[index] == perf.cycles_per_image
-                    seconds = perf.cycles_per_image / (config.freq_mhz * 1e6)
-                    report = abm_power_analytic(workload, config, seconds, model)
-                    assert got.power_w[index] == report.total_power_w
-                    assert got.gops_per_watt[index] == report.gops_per_watt
+            got = self._evaluate(warm, workload, buffers)
+            cold = self._evaluate(CompiledWorkload(workload, 4), workload, buffers)
+            _assert_grids_identical(got, cold)
+            for index in np.ndindex(got.shape):
+                config = got.config_at(*index)
+                perf = estimate_model(workload, config, mode=MODE_QUANTIZED)
+                assert got.cycles_per_image[index] == perf.cycles_per_image
+                seconds = perf.cycles_per_image / (config.freq_mhz * 1e6)
+                report = abm_power_analytic(workload, config, seconds)
+                assert got.power_w[index] == report.total_power_w
+                assert got.gops_per_watt[index] == report.gops_per_watt
 
     def test_rejects_a_workload_it_was_not_compiled_from(self, alexnet_workload):
         copy = ModelWorkload(name=alexnet_workload.name, layers=alexnet_workload.layers)
         with pytest.raises(ValueError, match="not the one"):
             compile_workload(alexnet_workload, 4).evaluate_grid(
                 copy,
-                DEFAULT_RESOURCE_MODEL,
                 n_knl_values=(14,),
                 s_ec_values=(20,),
                 n_cu_values=(3,),
@@ -720,7 +700,6 @@ class TestColumnTables:
         with pytest.raises(ValueError) as grid:
             compile_workload(alexnet_workload, 4).evaluate_grid(
                 alexnet_workload,
-                DEFAULT_RESOURCE_MODEL,
                 n_knl_values=(14,),
                 s_ec_values=(s_ec,),
                 n_cu_values=(3,),
@@ -736,7 +715,6 @@ class TestCompiledOwnerEviction:
         for n_share in (2, 4):
             compile_workload(workload, n_share).evaluate_grid(
                 workload,
-                DEFAULT_RESOURCE_MODEL,
                 n_knl_values=(14,),
                 s_ec_values=(20,),
                 n_cu_values=(3,),

@@ -12,7 +12,6 @@ from repro.dse.explorer import (
     sweep_nknl,
     sweep_sec_ncu,
 )
-from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.dse.roofline import DesignPoint, RooflineModel
 from repro.hw.device import STRATIX_V_GXA7
 from repro.workloads import synthetic_model_workload
@@ -39,18 +38,6 @@ class TestRoofline:
             roofline.roof_for(ConvScheme.FDCONV).gops
         )
 
-    def test_bandwidth_roof(self, roofline):
-        assert roofline.bandwidth_roof(10.0) == pytest.approx(128.0)
-        with pytest.raises(ValueError):
-            roofline.bandwidth_roof(0.0)
-
-    def test_attainable_is_min(self, roofline):
-        # Low intensity -> bandwidth-bound; high intensity -> compute-bound.
-        assert roofline.attainable(ConvScheme.ABM_SPCONV, 1.0) == pytest.approx(12.8)
-        assert roofline.attainable(ConvScheme.ABM_SPCONV, 1000.0) == pytest.approx(
-            roofline.roof_for(ConvScheme.ABM_SPCONV).gops
-        )
-
     def test_headroom_and_render(self, roofline):
         point = DesignPoint("x", ConvScheme.FDCONV, 300.0)
         assert roofline.headroom(point) == pytest.approx(300 / 675.8, rel=0.01)
@@ -63,7 +50,7 @@ class TestExplorationFlow:
         """The paper picks 14; our models put the optimum in 11..15, with
         the DSP constraint capping the feasible range at 15."""
         points = sweep_nknl(
-            vgg_workload, DEFAULT_RESOURCE_MODEL, n_share=4, device=STRATIX_V_GXA7
+            vgg_workload, n_share=4, device=STRATIX_V_GXA7
         )
         best = optimal_nknl(points)
         assert 11 <= best <= 15
@@ -72,14 +59,14 @@ class TestExplorationFlow:
 
     def test_nknl_boost_has_interior_maximum(self, vgg_workload):
         points = sweep_nknl(
-            vgg_workload, DEFAULT_RESOURCE_MODEL, n_share=4, device=STRATIX_V_GXA7
+            vgg_workload, n_share=4, device=STRATIX_V_GXA7
         )
         boosts = [p.normalized_boost for p in points if p.feasible]
         assert max(boosts) > boosts[0]  # overhead amortization helps early on
 
     def test_grid_constraints(self, vgg_workload):
         grid = sweep_sec_ncu(
-            vgg_workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=4
+            vgg_workload, STRATIX_V_GXA7, n_knl=14, n_share=4
         )
         for point in grid:
             if point.feasible:
@@ -92,7 +79,7 @@ class TestExplorationFlow:
     def test_paper_point_near_best(self, vgg_workload):
         """(S_ec=20, N_cu=3) must be feasible and within 10% of the best."""
         grid = sweep_sec_ncu(
-            vgg_workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=4
+            vgg_workload, STRATIX_V_GXA7, n_knl=14, n_share=4
         )
         paper = next(p for p in grid if p.s_ec == 20 and p.n_cu == 3)
         assert paper.feasible

@@ -29,7 +29,6 @@ from repro.dse.joint_space import (
     default_joint_space,
     exhaustive_search,
 )
-from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.hw import STRATIX_V_GXA7
 from repro.hw.power import abm_power_analytic, analytic_energy_per_image
 from repro.workloads import synthetic_model_workload
@@ -62,6 +61,13 @@ def _point_space(params):
     return SearchSpace(tuple((name, (value,)) for name, value in params.items()))
 
 
+def _narrowed(space, **axes):
+    """``space`` with the named axes replaced by the given candidates."""
+    return SearchSpace(
+        tuple((name, axes.get(name, values)) for name, values in space.axes)
+    )
+
+
 # ---------------------------------------------------------------------------
 # SearchSpace
 # ---------------------------------------------------------------------------
@@ -83,11 +89,10 @@ class TestSearchSpace:
         assert alexnet_space.size == 279_450
 
     def test_default_objectives_cover_paper_axes(self):
-        assert DEFAULT_OBJECTIVES[0] == "throughput_gops"
-        assert {"logic_util", "dsp_util", "mem_util", "total_power_w"} <= set(
-            DEFAULT_OBJECTIVES
+        assert DEFAULT_OBJECTIVES == (
+            "throughput_gops", "logic_util", "dsp_util", "mem_util", "total_power_w",
         )
-        assert set(DEFAULT_OBJECTIVES) <= set(OBJECTIVE_DIRECTIONS)
+        assert set(DEFAULT_OBJECTIVES) == set(OBJECTIVE_DIRECTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +106,6 @@ class TestPowerArrays:
         s_ec_values = (8, 16, 24)
         evaluation = compiled.evaluate_grid(
             alexnet_workload,
-            DEFAULT_RESOURCE_MODEL,
             STRATIX_V_GXA7,
             n_knl_values=(8, 14),
             s_ec_values=s_ec_values,
@@ -111,7 +115,11 @@ class TestPowerArrays:
         for i in range(2):
             for j in range(3):
                 for k in range(3):
-                    report = evaluation.power_report_at(i, j, k)
+                    config = evaluation.config_at(i, j, k)
+                    seconds = float(evaluation.cycles_per_image[i, j, k]) / (
+                        config.freq_mhz * 1e6
+                    )
+                    report = abm_power_analytic(alexnet_workload, config, seconds)
                     assert (
                         evaluation.power_w[i, j, k] == report.total_power_w
                     )
@@ -124,7 +132,6 @@ class TestPowerArrays:
         compiled = compile_workload(alexnet_workload, n_share=11)
         evaluation = compiled.evaluate_grid(
             alexnet_workload,
-            DEFAULT_RESOURCE_MODEL,
             STRATIX_V_GXA7,
             n_knl_values=(14,),
             s_ec_values=(16,),
@@ -178,38 +185,12 @@ class TestExhaustiveSearch:
         )
         assert round(best.values["throughput_gops"], 1) == 983.7
 
-    def test_min_primary_objective(self, alexnet_workload):
-        # A minimized primary draws no more power than the max-GOP/s point
-        # of the same space.
-        space = default_joint_space(
-            [alexnet_workload], n_knl_values=(2, 14), n_cu_values=(1, 2)
-        )
-        fastest = exhaustive_search([alexnet_workload], STRATIX_V_GXA7, space=space)
-        frugal = exhaustive_search(
-            [alexnet_workload],
-            STRATIX_V_GXA7,
-            space=space,
-            objectives=("total_power_w", "throughput_gops"),
-        )
-        assert set(frugal.values) == {"total_power_w", "throughput_gops"}
-        assert frugal.values["total_power_w"] < fastest.values["total_power_w"]
-        assert (
-            frugal.values["throughput_gops"] < fastest.values["throughput_gops"]
-        )
-
     def test_rejects_bad_space_and_objectives(self, alexnet_workload):
         with pytest.raises(ValueError, match="axes"):
             exhaustive_search(
                 [alexnet_workload],
                 STRATIX_V_GXA7,
                 space=SearchSpace((("n_knl", (14,)),)),
-            )
-        with pytest.raises(ValueError, match="objectives"):
-            exhaustive_search(
-                [alexnet_workload],
-                STRATIX_V_GXA7,
-                space=default_joint_space([alexnet_workload]),
-                objectives=("latency",),
             )
 
 
@@ -218,14 +199,13 @@ class TestExhaustiveSearch:
 # ---------------------------------------------------------------------------
 
 
-def _per_cell_search(workloads, space, objectives):
+def _per_cell_search(workloads, space):
     """Best of one-outer-cell searches, each cell searched alone.
 
     Cells are visited in enumeration order (N, d_f, d_w, freq); a later
-    cell must be strictly better to win, so ties go to the first cell.
+    cell must have strictly higher throughput to win, so ties go to the
+    first cell.
     """
-    primary = objectives[0]
-    sign = 1.0 if OBJECTIVE_DIRECTIONS[primary] == "max" else -1.0
     best = None
     for n_share, d_f, d_w, freq_mhz in itertools.product(
         *(space.values(name) for name in ("n_share", "d_f", "d_w", "freq_mhz"))
@@ -238,12 +218,11 @@ def _per_cell_search(workloads, space, objectives):
             )
         )
         try:
-            found = exhaustive_search(
-                workloads, STRATIX_V_GXA7, space=cell, objectives=objectives
-            )
+            found = exhaustive_search(workloads, STRATIX_V_GXA7, space=cell)
         except RuntimeError:  # no feasible point in this cell
             continue
-        if best is None or sign * found.values[primary] > sign * best.values[primary]:
+        gops = found.values["throughput_gops"]
+        if best is None or gops > best.values["throughput_gops"]:
             best = found
     return best
 
@@ -252,36 +231,24 @@ class TestGroupedSearch:
     """``exhaustive_search`` scores each (N, d_f) cycle grid once for all
     its (d_w, freq) cells; searching every cell alone must agree."""
 
-    @pytest.mark.parametrize(
-        "objectives",
-        [tuple(OBJECTIVE_DIRECTIONS), ("total_power_w", "throughput_gops")],
-        ids=["max-primary", "min-primary"],
-    )
     def test_alexnet_equals_per_cell_search(
-        self, alexnet_workload, alexnet_space, objectives
+        self, alexnet_workload, alexnet_space, alexnet_exhaustive
     ):
-        grouped = exhaustive_search(
-            [alexnet_workload],
-            STRATIX_V_GXA7,
-            space=alexnet_space,
-            objectives=objectives,
-        )
-        oracle = _per_cell_search([alexnet_workload], alexnet_space, objectives)
-        assert grouped.params == oracle.params
-        assert grouped.values == oracle.values
+        oracle = _per_cell_search([alexnet_workload], alexnet_space)
+        assert alexnet_exhaustive.params == oracle.params
+        assert alexnet_exhaustive.values == oracle.values
 
     def test_co_deployment_equals_per_cell_search(
         self, alexnet_workload, vgg_workload
     ):
         workloads = [alexnet_workload, vgg_workload]
-        space = default_joint_space(
-            workloads, n_knl_values=(8, 14, 16, 20), n_cu_values=(1, 2, 3)
+        space = _narrowed(
+            default_joint_space(workloads),
+            n_knl=(8, 14, 16, 20),
+            n_cu=(1, 2, 3),
         )
-        objectives = tuple(OBJECTIVE_DIRECTIONS)
-        grouped = exhaustive_search(
-            workloads, STRATIX_V_GXA7, space=space, objectives=objectives
-        )
-        oracle = _per_cell_search(workloads, space, objectives)
+        grouped = exhaustive_search(workloads, STRATIX_V_GXA7, space=space)
+        oracle = _per_cell_search(workloads, space)
         assert grouped.params == oracle.params
         assert grouped.values == oracle.values
 
@@ -325,8 +292,8 @@ class TestGroupedSearch:
 class TestMultiWorkload:
     def test_joint_search_is_conservative(self, alexnet_workload, vgg_workload):
         workloads = [alexnet_workload, vgg_workload]
-        space = default_joint_space(
-            workloads, n_knl_values=(8, 14, 20), n_cu_values=(1, 2, 3)
+        space = _narrowed(
+            default_joint_space(workloads), n_knl=(8, 14, 20), n_cu=(1, 2, 3)
         )
         joint = exhaustive_search(workloads, STRATIX_V_GXA7, space=space)
         # The joint point is feasible for each workload alone — and no

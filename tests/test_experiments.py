@@ -161,7 +161,7 @@ def test_row_within_its_bound(rows, key):
     bound, reason = BOUNDS[key]
     assert key in rows, f"bound {key} has no row"
     row = rows[key]
-    assert row.within(bound), (key, row.measured, f"{row.relative_error:.4%}")
+    assert row.relative_error <= bound, (key, row.measured, f"{row.relative_error:.4%}")
     if bound > 0.10:
         assert reason, f"{key} misses by more than 10% and states no reason"
 
@@ -273,7 +273,8 @@ class TestTable3:
     def test_compression_factor(self, t3):
         """Encoding compresses ~4-6x (paper: 61->11.9, 138->26.4)."""
         for model in ("alexnet", "vgg16"):
-            assert 3.5 < t3.rows[model].compression < 7.0
+            row = t3.rows[model]
+            assert 3.5 < row.original_mb / row.encoded_mb < 7.0
 
     def test_render(self, t3):
         assert "vgg16" in t3.render()
@@ -296,7 +297,9 @@ class TestFig6:
     def test_optimum_in_plateau(self):
         result = fig6.run(seed=1)
         assert 11 <= result.chosen_n_knl <= 15
-        assert 14 in result.plateau  # the paper's choice is a near-tie
+        # The paper's choice is a near-tie: within 5% of the best boost.
+        feasible = {p.n_knl: p.normalized_boost for p in result.points if p.feasible}
+        assert feasible[14] >= 0.95 * max(feasible.values())
 
     def test_share_factor(self):
         result = fig6.run(seed=1)

@@ -16,14 +16,34 @@ from repro.quant.fixed_point import (
 )
 
 
+def saturates(fmt: QFormat, values) -> np.ndarray:
+    """Mask of the values outside the format's representable range."""
+    arr = np.asarray(values, dtype=np.float64)
+    return (arr > fmt.max_value) | (arr < fmt.min_code * fmt.scale)
+
+
+def sqnr_db(values: np.ndarray, fmt: QFormat) -> float:
+    """Signal-to-quantization-noise ratio of a format on a tensor, in dB."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
+        return float("inf")
+    reconstructed = fmt.dequantize(fmt.quantize(arr))
+    noise = np.mean((arr - reconstructed) ** 2)
+    signal = np.mean(arr**2)
+    if noise == 0.0:
+        return float("inf")
+    if signal == 0.0:
+        return 0.0
+    return float(10.0 * np.log10(signal / noise))
+
+
 class TestQFormat:
     def test_ranges_8bit(self):
         fmt = QFormat(8, 0)
         assert fmt.min_code == -128
         assert fmt.max_code == 127
-        assert fmt.min_value == -128.0
+        assert fmt.dequantize(fmt.min_code) == -128.0
         assert fmt.max_value == 127.0
-        assert fmt.num_codes == 256
 
     def test_fractional_scale(self):
         fmt = QFormat(8, 4)
@@ -69,9 +89,12 @@ class TestQFormat:
         assert fmt.quantize(-1000.0)[()] == -128
 
     def test_saturates_mask(self):
+        """Exactly the values outside [-128, 127] clip."""
         fmt = QFormat(8, 0)
-        mask = fmt.saturates(np.array([0.0, 127.0, 127.6, -128.0, -129.0]))
-        assert mask.tolist() == [False, False, True, False, True]
+        values = np.array([0.0, 127.0, 127.6, -128.0, -129.0])
+        clipped = fmt.dequantize(fmt.quantize(values)) != np.round(values)
+        assert clipped.tolist() == [False, False, True, False, True]
+        assert clipped.tolist() == saturates(fmt, values).tolist()
 
     def test_dequantize_inverse_on_codes(self):
         fmt = QFormat(8, 3)
@@ -85,9 +108,9 @@ class TestQFormat:
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_error_within_half_lsb(self, value, total_bits):
         fmt = QFormat(total_bits, total_bits - 1 - 3)  # 3 integer bits
-        if fmt.saturates(value):
+        if saturates(fmt, value):
             return  # out-of-range values clip, by design
-        recovered = fmt.roundtrip(value)[()]
+        recovered = fmt.dequantize(fmt.quantize(value))[()]
         assert abs(recovered - value) <= fmt.scale / 2 + 1e-12
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=20))
@@ -167,26 +190,26 @@ class TestFitQFormat:
 
     def test_unit_range(self):
         fmt = fit_qformat(np.array([0.9, -0.5]), 8)
-        assert not fmt.saturates(0.9)
-        assert not fmt.saturates(-0.9)
+        assert not saturates(fmt, 0.9)
+        assert not saturates(fmt, -0.9)
         assert fmt.frac_bits == 7
 
     def test_larger_range_gets_integer_bits(self):
         fmt = fit_qformat(np.array([5.0, -3.0]), 8)
-        assert not fmt.saturates(5.0)
+        assert not saturates(fmt, 5.0)
         # 5.0 needs 3 integer bits -> frac = 8 - 1 - 3
         assert fmt.frac_bits == 4
 
     def test_power_of_two_edge(self):
         fmt = fit_qformat(np.array([1.0]), 8)
-        assert not fmt.saturates(1.0)
+        assert not saturates(fmt, 1.0)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=200, deadline=None)
     def test_fit_never_saturates_the_peak(self, peak):
         fmt = fit_qformat(np.array([peak, -peak]), 8)
-        assert not fmt.saturates(peak)
-        assert not fmt.saturates(-peak)
+        assert not saturates(fmt, peak)
+        assert not saturates(fmt, -peak)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=100, deadline=None)
@@ -194,6 +217,30 @@ class TestFitQFormat:
         """One fewer integer bit would saturate (format wastes no range)."""
         fmt = fit_qformat(np.array([peak]), 8)
         tighter = QFormat(8, fmt.frac_bits + 1)
-        assert tighter.saturates(peak) or peak <= tighter.max_value
+        assert saturates(tighter, peak) or peak <= tighter.max_value
         # the chosen format covers the peak...
         assert peak <= fmt.max_value + 1e-9
+
+
+class TestSQNR:
+    def test_finer_format_higher_sqnr(self, rng):
+        values = rng.uniform(-0.9, 0.9, 5000)
+        coarse = QFormat(4, 3)
+        fine = QFormat(8, 7)
+        assert sqnr_db(values, fine) > sqnr_db(values, coarse) + 20
+
+    def test_roughly_six_db_per_bit(self, rng):
+        """The classic quantization law: ~6 dB of SQNR per bit."""
+        values = rng.uniform(-0.99, 0.99, 50_000)
+        gains = []
+        for bits in (5, 6, 7, 8):
+            gains.append(sqnr_db(values, QFormat(bits, bits - 1)))
+        steps = np.diff(gains)
+        assert np.all((steps > 4.5) & (steps < 7.5))
+
+    def test_exact_representation_is_infinite(self):
+        fmt = QFormat(8, 0)
+        assert sqnr_db(np.array([1.0, 2.0, -3.0]), fmt) == float("inf")
+
+    def test_empty(self):
+        assert sqnr_db(np.array([]), QFormat(8, 0)) == float("inf")

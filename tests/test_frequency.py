@@ -8,7 +8,6 @@ from repro.dse.frequency import (
     FrequencyModel,
     refine_with_frequency,
 )
-from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.hw import STRATIX_V_GXA7
 from repro.workloads import synthetic_model_workload
 
@@ -46,7 +45,7 @@ class TestRefinement:
     def grid(self):
         workload = synthetic_model_workload("vgg16", seed=1)
         return sweep_sec_ncu(
-            workload, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_knl=14, n_share=4
+            workload, STRATIX_V_GXA7, n_knl=14, n_share=4
         )
 
     def test_refined_ranking_penalizes_congestion(self, grid):

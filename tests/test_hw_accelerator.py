@@ -66,11 +66,6 @@ class TestModelSimulation:
         with pytest.raises(ValueError):
             vgg_result.perf_density(0)
 
-    def test_layer_lookup(self, vgg_result):
-        assert vgg_result.layer_result("conv1_1").layer == "conv1_1"
-        with pytest.raises(KeyError):
-            vgg_result.layer_result("conv9_9")
-
     def test_utilization_summary_renders(self, vgg_result):
         text = AcceleratorSimulator(
             PAPER_CONFIG_VGG16, STRATIX_V_GXA7

@@ -35,9 +35,6 @@ class TestDevices:
         with pytest.raises(ValueError):
             FPGADevice("bad", alms=1, dsps=1, m20k_blocks=1, bandwidth_gbs=0.0)
 
-    def test_m20k_bytes(self):
-        assert STRATIX_V_GXA7.m20k_bytes == 2560 * 2560
-
 
 class TestAcceleratorConfig:
     def test_paper_config_derived_sizes(self):
@@ -60,17 +57,6 @@ class TestAcceleratorConfig:
     def test_multiplier_ceiling(self):
         config = AcceleratorConfig(n_cu=1, n_knl=3, n_share=4, s_ec=5)
         assert config.multipliers_per_cu == 4  # ceil(15 / 4)
-
-    def test_buffer_bytes(self):
-        config = PAPER_CONFIG_VGG16
-        assert config.ft_buffer_bytes == 1568 * 20
-        assert config.wt_buffer_bytes == 2048 * 2
-        assert config.qtable_bytes == 128 * 2
-
-    def test_with_frequency(self):
-        config = PAPER_CONFIG_VGG16.with_frequency(150.0)
-        assert config.freq_mhz == 150.0
-        assert config.n_knl == PAPER_CONFIG_VGG16.n_knl
 
     def test_validation(self):
         with pytest.raises(ValueError):

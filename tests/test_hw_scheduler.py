@@ -108,7 +108,7 @@ class TestSimulateLayer:
         slow = simulate_layer(workload, config, slow_memory)
         assert slow.cycles > fast.cycles
         assert slow.memory_stall_cycles > 0
-        assert slow.memory_bound
+        assert slow.memory_stall_cycles > 0.05 * slow.cycles  # memory-bound
 
     def test_more_cus_not_slower(self, workload):
         memory_args = dict(bandwidth_gbs=12.8, freq_mhz=200.0)
@@ -226,8 +226,7 @@ class TestDispatchTable:
 class TestExternalMemory:
     def test_transfer_cycles(self):
         memory = ExternalMemory(bandwidth_gbs=12.8, freq_mhz=200.0)
-        assert memory.bytes_per_cycle == pytest.approx(64.0)
-        assert memory.transfer_cycles(6400) == 64 + 100
+        assert memory.transfer_cycles(6400) == 64 + 100  # 64 bytes per cycle
 
     def test_zero_transfer_free(self):
         memory = ExternalMemory(bandwidth_gbs=12.8, freq_mhz=200.0)
@@ -241,12 +240,6 @@ class TestExternalMemory:
         memory.record(6400)
         assert memory.total_bytes == 12800
         assert memory.transfers == 2
-
-    def test_achieved_bandwidth(self):
-        memory = ExternalMemory(bandwidth_gbs=12.8, freq_mhz=200.0)
-        memory.record(64_000_000)
-        achieved = memory.achieved_bandwidth_gbs(200_000_000)
-        assert achieved == pytest.approx(0.064, rel=0.01)
 
     def test_validation(self):
         with pytest.raises(ValueError):

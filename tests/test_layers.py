@@ -94,11 +94,6 @@ class TestConv2D:
         with pytest.raises(ValueError):
             conv.weights = np.zeros((8, 3, 5, 5))
 
-    def test_operation_count(self):
-        conv = Conv2D("c", 3, 8, kernel=3, padding=1)
-        ops = conv.operation_count(FeatureShape(3, 4, 4))
-        assert ops == 2 * 3 * 9 * 8 * 16
-
     def test_runs_on_accelerator(self):
         assert Conv2D("c", 3, 8, kernel=3).runs_on_accelerator
 
@@ -116,10 +111,6 @@ class TestFullyConnected:
         fc = FullyConnected("fc", 12, 5)
         with pytest.raises(ValueError):
             fc.forward(np.zeros((13,)))
-
-    def test_operation_count(self):
-        fc = FullyConnected("fc", 12, 5)
-        assert fc.operation_count(FeatureShape(12, 1, 1)) == 2 * 12 * 5
 
 
 class TestPooling:

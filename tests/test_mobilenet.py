@@ -81,7 +81,7 @@ class TestDepthwiseExecution:
         simulation = deployed.simulate()
         assert simulation.throughput_gops > 0
         # Depthwise layers simulate too (9-weight kernels, many channels).
-        dw = simulation.layer_result("dw1")
+        (dw,) = [layer for layer in simulation.layers if layer.layer == "dw1"]
         assert dw.accumulate_ops > 0
 
     def test_scaling_keeps_depthwise_consistent(self, architecture):

@@ -15,6 +15,7 @@ from repro.nn.models import (
     vgg16_architecture,
 )
 from repro.nn.network import Network
+from tests.conftest import input_shape_of
 
 #: Channel / input-resolution scales each model is built at: the
 #: paper-scale ones scaled so their FC tensors stay cheap.
@@ -28,7 +29,7 @@ def specs_read_off(network):
     """The conv/FC specs of a built network's layers and input shapes."""
     specs = []
     for layer in network.accelerated_layers():
-        in_shape = network.input_shape_of(layer.name)
+        in_shape = input_shape_of(network, layer.name)
         if isinstance(layer, Conv2D):
             specs.append(
                 conv_spec(

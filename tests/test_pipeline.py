@@ -12,9 +12,8 @@ from repro.nn.network import Network
 from repro.nn.tensor import FeatureShape
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import deep_compression_schedule, uniform_schedule
-from repro.quant.clustering import cluster_weights
 from repro.quant.fixed_point import fit_qformat
-from tests.conftest import direct_conv
+from tests.conftest import decode_layer, direct_conv
 
 
 @pytest.fixture
@@ -119,8 +118,6 @@ class TestNumerics:
         pipeline = build_pipeline(network, x)
         compiled = pipeline.compiled["conv1"]
         input_codes = pipeline.input_fmt.quantize(x)
-        from repro.core.encoding import decode_layer
-
         weight_codes = decode_layer(compiled.encoded)
         geometry = ConvGeometry(kernel=3, padding=1)
         direct = direct_conv(input_codes, weight_codes, geometry)
@@ -164,22 +161,19 @@ class TestSparseQuantize:
         st.sampled_from([1, 3]),
         st.sampled_from([1, 2]),
         st.data(),
-        st.none() | st.integers(1, 6),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_dense_formula(self, kernel, groups, data, clusters):
+    def test_matches_dense_formula(self, kernel, groups, data):
         conv = Conv2D("conv", 4, 6, kernel, padding=kernel // 2, groups=groups)
         fc = FullyConnected("fc", 6 * 5 * 5, 7)
         conv.weights = data.draw(coded_weights(conv.weights.shape))
         fc.weights = data.draw(coded_weights(fc.weights.shape))
         network = Network("sparse", FeatureShape(4, 5, 5), [conv, Flatten("flatten"), fc])
-        pipeline = QuantizedPipeline(network, weight_clusters=clusters)
+        pipeline = QuantizedPipeline(network)
         pipeline.calibrate(np.random.default_rng(0).normal(size=(4, 5, 5)))
         pipeline.quantize()
         for layer in (conv, fc):
             weights = layer.weights
-            if clusters is not None:
-                weights = cluster_weights(weights, clusters).dense()
             fmt = fit_qformat(weights, 8)
             want = encode_layer(layer.name, fmt.quantize(weights))
             got = pipeline.compiled[layer.name]
@@ -221,12 +215,6 @@ class TestOpAccounting:
             e.encoded_bytes for e in pipeline.encoded_layers()
         )
         assert pipeline.encoded_bytes() > 0
-
-    def test_quantized_weights_view(self, image):
-        network, x = image
-        pipeline = build_pipeline(network, x)
-        tensor = pipeline.quantized_weights("conv1")
-        assert tensor.shape == network.layer("conv1").weights.shape
 
 
 class TestDeepCompressionIntegration:

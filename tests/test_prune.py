@@ -163,12 +163,12 @@ class TestSchedules:
     def test_deep_compression_vgg_matches_table1(self):
         """Paper Table 1 pruning ratios: conv1_1 42%, conv4_2 73%, fc6 96%."""
         schedule = deep_compression_schedule("vgg16")
-        assert schedule.pruning_ratio("conv1_1") == pytest.approx(0.42)
-        assert schedule.pruning_ratio("conv1_2") == pytest.approx(0.78)
-        assert schedule.pruning_ratio("conv4_1") == pytest.approx(0.68)
-        assert schedule.pruning_ratio("conv4_2") == pytest.approx(0.73)
-        assert schedule.pruning_ratio("fc6") == pytest.approx(0.96)
-        assert schedule.pruning_ratio("fc7") == pytest.approx(0.96)
+        assert 1 - schedule.density("conv1_1") == pytest.approx(0.42)
+        assert 1 - schedule.density("conv1_2") == pytest.approx(0.78)
+        assert 1 - schedule.density("conv4_1") == pytest.approx(0.68)
+        assert 1 - schedule.density("conv4_2") == pytest.approx(0.73)
+        assert 1 - schedule.density("fc6") == pytest.approx(0.96)
+        assert 1 - schedule.density("fc7") == pytest.approx(0.96)
 
     def test_all_layers_covered(self):
         schedule = deep_compression_schedule("vgg16")

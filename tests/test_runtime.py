@@ -30,7 +30,8 @@ class TestRuntime:
         (batched,) = system.pipeline.run_batch(image[None])
         direct = system.pipeline.run(image)
         assert np.array_equal(batched.output, direct.output)
-        assert batched.total_ops == direct.total_ops
+        assert batched.accumulate_ops == direct.accumulate_ops
+        assert batched.multiply_ops == direct.multiply_ops
 
     def test_timing_attributed_per_layer(self, runtime):
         system, _ = runtime

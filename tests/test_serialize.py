@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.encoding import decode_layer, encode_layer
+from repro.core.encoding import encode_layer
 from repro.core.serialize import (
     SerializationError,
     dumps,
@@ -19,7 +19,7 @@ from repro.core.serialize import (
     save_model,
 )
 from repro.core.serialize import FORMAT_VERSION, MAGIC
-from tests.conftest import sparse_weight_codes
+from tests.conftest import decode_layer, sparse_weight_codes
 
 #: sha256 of ``dumps(_pinned_layers())``, recorded with the per-kernel
 #: encoder: the flat-array encoder must write the same bytes.

@@ -162,4 +162,5 @@ class TestDifferentialProperty:
         assert sorted(outcomes) == list(range(IMAGE_COUNT))
         for request_id, outcome in enumerate(sequential):
             assert np.array_equal(outcomes[request_id].output, outcome.output)
-            assert outcomes[request_id].total_ops == outcome.total_ops
+            assert outcomes[request_id].accumulate_ops == outcome.accumulate_ops
+            assert outcomes[request_id].multiply_ops == outcome.multiply_ops

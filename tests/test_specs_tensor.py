@@ -10,7 +10,6 @@ from repro.nn.tensor import FeatureShape, conv_output_extent, pool_output_extent
 class TestFeatureShape:
     def test_derived_sizes(self):
         shape = FeatureShape(3, 4, 5)
-        assert shape.pixels == 20
         assert shape.size == 60
         assert shape.as_tuple() == (3, 4, 5)
 

@@ -13,6 +13,7 @@ from repro.system.host import (
     host_layer_ops,
 )
 from repro.system.pipeline import host_ops_from_architecture, run_system
+from tests.conftest import input_shape_of
 from repro.nn.models import (
     alexnet_architecture,
     available_models,
@@ -45,7 +46,7 @@ class TestHostModel:
         network = tiny_architecture.build(seed=1)
         costs = {cost.name: cost for cost in host_costs(network)}
         pool1 = network.layer("pool1")
-        out = pool1.output_shape(network.input_shape_of("pool1"))
+        out = pool1.output_shape(input_shape_of(network, "pool1"))
         assert costs["pool1"].elementwise_ops == out.size * pool1.kernel**2
 
     def test_seconds_positive(self, tiny_architecture):

@@ -191,7 +191,7 @@ class TestServeSnapshot:
         )
         report = engine.run_trace(trace)
         assert report.served == 4
-        assert all(outcome.queue_wait_s == 0.0 for outcome in report.outcomes)
+        assert all(outcome.start_s == outcome.arrival_s for outcome in report.outcomes)
         assert report.max_queue_depth == 0
         assert telemetry.snapshot()["gauges"]["serve/max_queue_depth"] == 0
 

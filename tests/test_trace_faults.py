@@ -46,22 +46,19 @@ class TestTrace:
 
     def test_busy_cycles_match_result(self, traced_run):
         _, config, trace, result = traced_run
+        by_cu = trace.by_cu()
         for cu in range(config.n_cu):
-            assert trace.busy_cycles(cu) == result.cu_busy_cycles[cu]
+            busy = sum(event.cycles for event in by_cu.get(cu, []))
+            assert busy == result.cu_busy_cycles[cu]
 
     def test_makespan_matches_cycles(self, traced_run):
         _, _, trace, result = traced_run
-        assert trace.makespan() == result.cycles
+        assert max(event.end for event in trace.events) == result.cycles
 
     def test_double_buffer_invariant(self, traced_run):
         """At most two prefetch windows in flight (ping-pong buffer)."""
         _, _, trace, _ = traced_run
         assert 1 <= trace.windows_in_flight() <= 2
-
-    def test_gantt_renders(self, traced_run):
-        _, config, trace, _ = traced_run
-        text = trace.gantt()
-        assert text.count("CU") == config.n_cu
 
     def test_event_validation(self):
         from repro.hw.trace import TaskEvent
@@ -71,8 +68,8 @@ class TestTrace:
 
     def test_empty_trace(self):
         trace = TraceRecorder()
-        assert trace.makespan() == 0
-        assert trace.gantt() == "(empty trace)"
+        assert trace.by_cu() == {}
+        assert trace.windows_in_flight() == 0
         trace.verify_no_overlap()
 
 
