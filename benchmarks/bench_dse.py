@@ -4,7 +4,7 @@ Times the two sweeps of the exploration flow — the Figure 6 N_knl sweep
 and the Figure 7 S_ec x N_cu grid — on the paper's two workloads, once
 through the compiled whole-grid evaluator (:mod:`repro.dse.compiled`) and
 once by scoring the same configurations one at a time through the
-per-point oracle (``estimate_model`` plus ``ResourceModel.estimate`` and
+per-point oracle (``estimate_model`` plus ``estimate_resources`` and
 its device fit). The two must agree exactly, point for point, before any
 timing counts.
 
@@ -34,7 +34,7 @@ from repro.dse.performance import (
     estimate_model,
     share_factor_from_workloads,
 )
-from repro.dse.resources import DEFAULT_RESOURCE_MODEL
+from repro.dse.resources import estimate_resources
 from repro.hw.config import AcceleratorConfig
 from repro.hw.device import STRATIX_V_GXA7
 from repro.telemetry.caches import clear_caches
@@ -76,10 +76,10 @@ def _per_point(workload, n_share, n_knl):
             d_w=buffers.d_w,
             d_q=buffers.d_q,
         )
-        estimate = DEFAULT_RESOURCE_MODEL.estimate(config)
+        estimate = estimate_resources(config)
         return (
             estimate_model(workload, config, mode=MODE_QUANTIZED).throughput_gops,
-            estimate.utilization(STRATIX_V_GXA7).fits(0.75),
+            estimate.utilization(STRATIX_V_GXA7).fits(),
         )
 
     return [score(k, 20, 3) for k in range(2, 25)] + [

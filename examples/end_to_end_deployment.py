@@ -4,7 +4,7 @@ The complete user story in one script:
 
 1. build a CNN and prune/quantize it (Deep Compression style),
 2. `deploy()` it — encode the weights, pick an accelerator configuration
-   with the DSE flow, verify buffer fits, produce the binary blob,
+   with the DSE flow, verify buffer fits; `dumps` gives the binary blob,
 3. run bit-exact ABM inference with `pipeline.run_batch` and take its
    timing from the deployment's `ServiceProfile` — the simulator's
    cycle-level FPGA time plus the host model (the paper's CPU/FPGA split),
@@ -15,6 +15,7 @@ Run:  python examples/end_to_end_deployment.py
 
 import numpy as np
 
+from repro.core.serialize import dumps
 from repro.nn.models import cifarnet_architecture
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import uniform_schedule
@@ -37,13 +38,14 @@ def main() -> None:
     pipeline.calibrate(image)
     pipeline.quantize()
 
-    # 2. deploy: DSE picks the configuration, the blob is ready to ship.
+    # 2. deploy: DSE picks the configuration; the blob is what ships to DDR.
     runtime = SystemRuntime.from_pipeline(
         pipeline, architecture.accelerated_specs()
     )
     deployed = runtime.deployed
     print(f"deployed {deployed.name}: config {deployed.config.describe()}")
-    print(f"  weight blob: {len(deployed.blob) / 1024:.1f} KiB "
+    blob = dumps(pipeline.encoded_layers())
+    print(f"  weight blob: {len(blob) / 1024:.1f} KiB "
           f"(buffers fit: {deployed.fits})")
 
     # 3. run one inference; its timing is the deployment's profile.

@@ -103,11 +103,7 @@ class ModelOpCounts:
         return 1.0 - self.abm_ops / self.spconv_ops
 
 
-def measured_layer_counts(
-    spec: LayerSpec,
-    encoded: EncodedLayer,
-    fdconv_reduction: float = FDCONV_REDUCTION,
-) -> LayerOpCounts:
+def measured_layer_counts(spec: LayerSpec, encoded: EncodedLayer) -> LayerOpCounts:
     """Op counts measured from an actual encoded weight tensor."""
     if encoded.out_channels != spec.out_channels:
         raise ValueError(
@@ -116,7 +112,7 @@ def measured_layer_counts(
         )
     nnz = encoded.nonzero_count
     distinct_total = int(encoded.distinct.sum())
-    reduction = fdconv_reduction if spec.kind == "conv" else 1.0
+    reduction = FDCONV_REDUCTION if spec.kind == "conv" else 1.0
     return LayerOpCounts(
         name=spec.name,
         sdconv_ops=float(spec.dense_ops),

@@ -3,8 +3,10 @@
 Bridges the functional world (:class:`~repro.pipeline.QuantizedPipeline`)
 and the hardware world (:mod:`repro.hw`): extracts the accelerator
 workload from the actually-encoded layers, verifies the encoding fits the
-configuration's on-chip buffers, serializes the weight blob the runtime
-would ship to DDR, and estimates the deployment's performance on a device.
+configuration's on-chip buffers, and estimates the deployment's
+performance on a device. The weight blob the runtime would ship to DDR is
+:func:`repro.core.serialize.dumps` of ``pipeline.encoded_layers()``
+(``abm-spconv encode --out`` writes it).
 
     deployed = deploy(pipeline, architecture.accelerated_specs())
     print(deployed.simulate(STRATIX_V_GXA7).throughput_gops)
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .core.serialize import dumps
 from .core.specs import LayerSpec
 from .dse.explorer import explore
 from .hw.accelerator import AcceleratorSimulator, ModelSimResult
@@ -40,7 +41,6 @@ class DeployedModel:
     workload: ModelWorkload
     config: AcceleratorConfig
     buffers: Tuple[BufferRequirement, ...]
-    blob: bytes
 
     @property
     def fits(self) -> bool:
@@ -110,7 +110,6 @@ def deploy(
         workload=workload,
         config=config,
         buffers=requirements,
-        blob=dumps(encoded_layers),
     )
     if not deployed.fits:
         broken = [r.name for r in requirements if not r.fits]

@@ -28,12 +28,12 @@ then scores the full ``N_knl x S_ec x N_cu`` space with array operations:
   compiled grid and every joint-space ``(d_w, freq)`` cell re-reads them.
   Group-max sums are gathered once per grid as one ``(layers, N_knl)``
   matrix.
-- **Resources.** :meth:`ResourceModel.estimate_arrays` evaluates the
-  C0..C7 equations over broadcast parameter arrays, operation-for-operation
-  identical to the scalar path.
+- **Resources.** :func:`~repro.dse.resources.estimate_resource_arrays`
+  evaluates the C0..C7 equations over broadcast parameter arrays,
+  operation-for-operation identical to the scalar path.
 
 Every element of the resulting grid is **float-identical** to what the
-per-point oracle, `estimate_model` plus `ResourceModel.estimate`, produces
+per-point oracle, `estimate_model` plus `estimate_resources`, produces
 for the corresponding configuration — the differential suite in
 ``tests/test_dse_compiled.py`` pins this point for point.
 """
@@ -47,15 +47,14 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from ..core.specs import LayerSpec
 from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
-from ..hw.power import EnergyModel, dynamic_energy_per_image
+from ..hw.power import STATIC_W, dynamic_energy_per_image
 from ..hw.tiling import plan_layer_windows
 from ..hw.workload import LayerWorkload, ModelWorkload
 from ..telemetry.caches import Memo
-from .performance import MODE_QUANTIZED, _MODES
-from .resources import DEFAULT_RESOURCE_MODEL, ResourceEstimate, ResourceUtilization
+from .resources import LOGIC_BUDGET, ResourceEstimate, ResourceUtilization
+from .resources import estimate_resource_arrays
 
 
 def _ceil_div(a, b):
@@ -173,33 +172,19 @@ def throughput_and_power(
     freq_mhz: float,
     dense_ops: int,
     energy_per_image_j: np.ndarray,
-    static_w: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(GOP/s, total W, GOP/s per W) of an ``[N_knl, S_ec, N_cu]`` cycle grid.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(GOP/s, total W) of an ``[N_knl, S_ec, N_cu]`` cycle grid.
 
     ``energy_per_image_j`` holds one dynamic energy per ``S_ec`` column.
     The clock only scales the cycle grid, so the joint-space search scores
-    every candidate frequency from one grid through this formula.
+    every candidate frequency from one grid through this formula, float-
+    identical to the per-point :func:`repro.hw.power.abm_power_analytic`.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         seconds = cycles_per_image / (freq_mhz * 1e6)
         throughput = dense_ops / seconds / 1e9
-        power_w = energy_per_image_j[None, :, None] / seconds + static_w
-        gops_per_watt = throughput / power_w
-    return throughput, power_w, gops_per_watt
-
-
-@dataclass(frozen=True)
-class _CompiledLayer:
-    """Grid-invariant figures of one layer for one sharing factor N."""
-
-    spec: LayerSpec
-    #: Descending-sorted per-kernel engine cost max(nonzeros, distinct * N).
-    engine_desc: np.ndarray
-    accumulate_ops: int
-    #: multiply_ops * N — the multiplier-bound threshold of the model.
-    multiply_share: int
-    bound: str
+        power_w = energy_per_image_j[None, :, None] / seconds + STATIC_W
+    return throughput, power_w
 
 
 @dataclass(frozen=True)
@@ -222,15 +207,13 @@ class GridEvaluation:
 
     Every array is indexed ``[i_knl, i_sec, i_ncu]``. Buffer depths vary
     only along the ``S_ec`` axis (they are derived per ``size_buffers``),
-    and per-layer bound labels do not vary at all (they depend only on the
-    sharing factor N), exactly as in the per-point model.
+    exactly as in the per-point model.
     """
 
     n_knl_values: Tuple[int, ...]
     s_ec_values: Tuple[int, ...]
     n_cu_values: Tuple[int, ...]
     freq_mhz: float
-    logic_limit: float
     #: Per-S_ec buffer sizing (``repro.dse.explorer.BufferSizing``).
     buffers: Tuple[object, ...]
     cycles_per_image: np.ndarray
@@ -238,23 +221,17 @@ class GridEvaluation:
     alms: np.ndarray
     dsps: np.ndarray
     m20ks: np.ndarray
-    #: None when no device was given (then every point is feasible).
-    logic_util: Optional[np.ndarray]
-    dsp_util: Optional[np.ndarray]
-    mem_util: Optional[np.ndarray]
+    logic_util: np.ndarray
+    dsp_util: np.ndarray
+    mem_util: np.ndarray
+    #: Within :data:`~repro.dse.resources.LOGIC_BUDGET` and the device's
+    #: DSPs and M20Ks.
     feasible: np.ndarray
-    #: Per-layer bound labels ('accumulate' / 'multiply'), grid-invariant.
-    layer_bounds: Tuple[str, ...]
     n_share: int
-    #: Total power and efficiency per grid point, float-identical to the
-    #: per-point :func:`repro.hw.power.abm_power_analytic` report.
-    power_w: np.ndarray
-    gops_per_watt: np.ndarray
     #: Dynamic energy per image per ``S_ec`` column (it depends only on the
     #: (d_f, s_ec) geometry, not on the engine/CU axes).
     energy_per_image_j: Tuple[float, ...]
     dense_ops: int
-    static_w: float
 
     @property
     def shape(self) -> Tuple[int, int, int]:
@@ -284,9 +261,7 @@ class GridEvaluation:
 
     def utilization_at(
         self, i_knl: int, i_sec: int, i_ncu: int
-    ) -> Optional[ResourceUtilization]:
-        if self.logic_util is None:
-            return None
+    ) -> ResourceUtilization:
         idx = (i_knl, i_sec, i_ncu)
         return ResourceUtilization(
             logic=float(self.logic_util[idx]),
@@ -312,29 +287,17 @@ class CompiledWorkload:
         self._workload = weakref.ref(workload)
         self.n_share = n_share
         self.dense_ops = workload.dense_ops
-        layers: List[_CompiledLayer] = []
-        for layer in workload.layers:
-            engine = np.maximum(layer.nonzeros, layer.distinct * n_share)
-            engine_desc = np.ascontiguousarray(np.sort(engine)[::-1])
-            acc = layer.accumulate_ops
-            mult = layer.multiply_ops * n_share
-            layers.append(
-                _CompiledLayer(
-                    spec=layer.spec,
-                    engine_desc=engine_desc,
-                    accumulate_ops=acc,
-                    multiply_share=mult,
-                    bound="accumulate" if acc >= mult else "multiply",
-                )
+        #: Per layer, the descending-sorted per-kernel engine cost
+        #: max(nonzeros, distinct * N).
+        self._engines: Tuple[np.ndarray, ...] = tuple(
+            np.ascontiguousarray(
+                np.sort(np.maximum(layer.nonzeros, layer.distinct * n_share))[::-1]
             )
-        self._layers: Tuple[_CompiledLayer, ...] = tuple(layers)
+            for layer in workload.layers
+        )
         #: n_knl -> group-max sums, an (L,) float64 array.
         self._group_max: Dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
-
-    @property
-    def layer_bounds(self) -> Tuple[str, ...]:
-        return tuple(layer.bound for layer in self._layers)
 
     def _table(self, table: Dict, key, build: Callable[[], _T]) -> _T:
         """``table[key]``, built outside the lock on first use."""
@@ -359,7 +322,7 @@ class CompiledWorkload:
             self._group_max,
             n_knl,
             lambda: np.array(
-                [float(layer.engine_desc[::n_knl].sum()) for layer in self._layers],
+                [float(engine[::n_knl].sum()) for engine in self._engines],
                 dtype=np.float64,
             ),
         )
@@ -367,36 +330,31 @@ class CompiledWorkload:
     def evaluate_grid(
         self,
         workload: ModelWorkload,
-        device: Optional[FPGADevice] = None,
+        device: FPGADevice,
         *,
         n_knl_values: Sequence[int],
         s_ec_values: Sequence[int],
         n_cu_values: Sequence[int],
         freq_mhz: float = 200.0,
-        logic_limit: float = 0.75,
-        mode: str = MODE_QUANTIZED,
         buffers: Optional[Sequence[object]] = None,
     ) -> GridEvaluation:
         """Score the full cartesian grid in one batch of array operations.
 
         ``workload`` must be the workload this instance was compiled from.
-        Returns cycles/throughput, resource estimates, utilization, power
-        and the feasibility mask for every ``(N_knl, S_ec, N_cu)``
-        combination — each element float-identical to the per-point
-        reference evaluators on the corresponding configuration. Layer
-        cycles accumulate in layer order (matching
+        Returns cycles/throughput, resource estimates, utilization and the
+        feasibility mask for every ``(N_knl, S_ec, N_cu)`` combination —
+        each element float-identical to the quantized per-point model and
+        :func:`~repro.dse.resources.estimate_resources` on the
+        corresponding configuration — plus each column's dynamic energy
+        per image. Layer cycles accumulate in layer order (matching
         ``ModelPerformance.cycles_per_image``'s sequential sum bit for
         bit).
 
         ``buffers`` overrides the per-``S_ec`` buffer sizing (one
         :class:`~repro.dse.explorer.BufferSizing` per ``s_ec_values``
         entry) — the joint-space search uses this to sweep ``d_f`` /
-        ``d_w`` as free axes instead of deriving them. Resources come from
-        :data:`~repro.dse.resources.DEFAULT_RESOURCE_MODEL` and power from
-        the default :class:`~repro.hw.power.EnergyModel`.
+        ``d_w`` as free axes instead of deriving them.
         """
-        if mode not in _MODES:
-            raise ValueError(f"unknown performance-model mode {mode!r}")
         if self._workload() is not workload:
             raise ValueError(
                 f"workload {workload.name!r} is not the one this grid was compiled from"
@@ -414,7 +372,6 @@ class CompiledWorkload:
                 raise ValueError(
                     f"{len(buffers)} buffer sizings for {len(s_ec)} S_ec values"
                 )
-        model = EnergyModel()
         shape = (len(n_knl), len(s_ec), len(n_cu))
         knl = np.asarray(n_knl, dtype=np.int64)[:, None, None]
         sec = np.asarray(s_ec, dtype=np.int64)[None, :, None]
@@ -441,67 +398,43 @@ class CompiledWorkload:
                 for layer in workload.layers:
                     plan_layer_windows(layer.spec, d_f, s)
 
+        n_layers = len(self._engines)
+        # (L, S_ec) steps/batch and (L, N_knl) group-max sums.
+        steps = np.empty((n_layers, len(s_ec)), dtype=np.int64)
+        batch = np.empty((n_layers, len(s_ec)), dtype=np.int64)
+        for j, column in enumerate(columns):
+            steps[:, j] = column.steps
+            batch[:, j] = column.batch
+        gm = np.empty((n_layers, len(n_knl)), dtype=np.float64)
+        for i, n in enumerate(n_knl):
+            gm[:, i] = self.group_max_sums(n)
         total = np.zeros(shape, dtype=np.float64)
-        if mode == MODE_QUANTIZED:
-            n_layers = len(self._layers)
-            # (L, S_ec) steps/batch and (L, N_knl) group-max sums.
-            steps = np.empty((n_layers, len(s_ec)), dtype=np.int64)
-            batch = np.empty((n_layers, len(s_ec)), dtype=np.int64)
-            for j, column in enumerate(columns):
-                steps[:, j] = column.steps
-                batch[:, j] = column.batch
-            gm = np.empty((n_layers, len(n_knl)), dtype=np.float64)
-            for i, n in enumerate(n_knl):
-                gm[:, i] = self.group_max_sums(n)
-            for index in range(n_layers):
-                cycles = (
-                    gm[index][:, None, None] * steps[index][None, :, None]
-                ) / ncu / batch[index][None, :, None]
-                total = total + cycles
-        else:
-            accumulators = ncu * (knl * sec)
-            for layer in self._layers:
-                peak = max(layer.accumulate_ops, layer.multiply_share)
-                total = total + peak / accumulators
-
-        # Dynamic energy depends only on the (d_f, s_ec) column geometry, so
-        # one evaluation per column — the same formula the per-point path
-        # uses — keeps the whole power grid float-identical to it.
-        energy_col = np.array(
-            [
-                dynamic_energy_per_image(workload, column.ddr_bytes, model)
-                for column in columns
-            ],
-            dtype=np.float64,
+        for index in range(n_layers):
+            cycles = (
+                gm[index][:, None, None] * steps[index][None, :, None]
+            ) / ncu / batch[index][None, :, None]
+            total = total + cycles
+        # Dynamic energy depends only on the (d_f, s_ec) column geometry:
+        # one evaluation per column, the per-point formula.
+        energy = tuple(
+            dynamic_energy_per_image(workload, column.ddr_bytes) for column in columns
         )
-        throughput, power_w, gops_per_watt = throughput_and_power(
-            total, freq_mhz, self.dense_ops, energy_col, model.static_w
+        throughput, _ = throughput_and_power(
+            total, freq_mhz, self.dense_ops, np.array(energy, dtype=np.float64)
         )
 
-        alms, dsps, m20ks = DEFAULT_RESOURCE_MODEL.estimate_arrays(
-            knl, sec, ncu, self.n_share
-        )
+        alms, dsps, m20ks = estimate_resource_arrays(knl, sec, ncu, self.n_share)
         alms = np.broadcast_to(alms, shape).copy()
         dsps = np.broadcast_to(dsps, shape).copy()
         m20ks = np.broadcast_to(m20ks, shape).copy()
-        if device is not None:
-            logic_util = alms / device.alms
-            dsp_util = dsps / device.dsps
-            mem_util = m20ks / device.m20k_blocks
-            feasible = (
-                (logic_util <= logic_limit)
-                & (dsp_util <= 1.0)
-                & (mem_util <= 1.0)
-            )
-        else:
-            logic_util = dsp_util = mem_util = None
-            feasible = np.ones(shape, dtype=bool)
+        logic_util = alms / device.alms
+        dsp_util = dsps / device.dsps
+        mem_util = m20ks / device.m20k_blocks
         return GridEvaluation(
             n_knl_values=n_knl,
             s_ec_values=s_ec,
             n_cu_values=n_cu,
             freq_mhz=freq_mhz,
-            logic_limit=logic_limit,
             buffers=buffers,
             cycles_per_image=total,
             throughput_gops=throughput,
@@ -511,14 +444,12 @@ class CompiledWorkload:
             logic_util=logic_util,
             dsp_util=dsp_util,
             mem_util=mem_util,
-            feasible=feasible,
-            layer_bounds=self.layer_bounds,
+            feasible=(
+                (logic_util <= LOGIC_BUDGET) & (dsp_util <= 1.0) & (mem_util <= 1.0)
+            ),
             n_share=self.n_share,
-            power_w=power_w,
-            gops_per_watt=gops_per_watt,
-            energy_per_image_j=tuple(float(e) for e in energy_col),
+            energy_per_image_j=energy,
             dense_ops=self.dense_ops,
-            static_w=model.static_w,
         )
 
 

@@ -13,12 +13,13 @@ The flow mirrors the paper's stages:
    have not yet taken over.
 3. **Characterization** — the paper's fast compiles fit the resource
    constants C0..C7; here they are stated constants fitted once to Table 2
-   (:data:`~repro.dse.resources.DEFAULT_RESOURCE_MODEL`).
+   (:mod:`repro.dse.resources`).
 4. **S_ec x N_cu sweep** (Figure 7) — evaluate attainable throughput over
    the grid under full DSP/memory utilization constraints and a logic
-   budget (:data:`LOGIC_BUDGET`); several near-tied candidates are returned,
-   exactly as the paper carries "several design candidates with close
-   logic utilization ratio" into final implementation.
+   budget (:data:`~repro.dse.resources.LOGIC_BUDGET`); several near-tied
+   candidates are returned, exactly as the paper carries "several design
+   candidates with close logic utilization ratio" into final
+   implementation.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ from .performance import (
     share_factor_from_workloads,
 )
 from .resources import ResourceEstimate, ResourceUtilization, next_power_of_two
-
-
-#: Share of the device's ALMs a design may use (the paper's 75% logic
-#: constraint, Section 5.2).
-LOGIC_BUDGET = 0.75
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ N_CU_RANGE: Tuple[int, ...] = tuple(range(1, 7))
 def sweep_nknl(
     workload: ModelWorkload,
     n_share: int,
-    device: Optional[FPGADevice] = None,
+    device: FPGADevice,
     n_cu: int = 3,
     s_ec: int = 20,
     freq_mhz: float = 200.0,
@@ -134,23 +130,22 @@ def sweep_nknl(
 
     Boost is (throughput gain) / (logic gain), both relative to the first
     point of the sweep. Points whose DSP/memory/logic demand exceeds the
-    device (when given) are marked infeasible, which is what bounds the
+    device are marked infeasible, which is what bounds the
     sweep from above: at S_ec=20, N=4, N_cu=3 the GXA7's 256 DSPs admit at
     most N_knl=15.
 
     The sweep runs on the compiled whole-grid evaluator
     (:mod:`repro.dse.compiled`), point-for-point float-identical to the
     per-point :func:`~repro.dse.performance.estimate_model` and
-    :meth:`ResourceModel.estimate`.
+    :func:`~repro.dse.resources.estimate_resources`.
     """
     evaluation = compile_workload(workload, n_share).evaluate_grid(
         workload,
-        device=device,
+        device,
         n_knl_values=N_KNL_RANGE,
         s_ec_values=(s_ec,),
         n_cu_values=(n_cu,),
         freq_mhz=freq_mhz,
-        logic_limit=LOGIC_BUDGET,
     )
     points = []
     for i, n_knl in enumerate(evaluation.n_knl_values):
@@ -203,7 +198,6 @@ def sweep_sec_ncu(
     n_knl: int,
     n_share: int,
     freq_mhz: float = 200.0,
-    logic_limit: float = LOGIC_BUDGET,
 ) -> List[GridPoint]:
     """Figure 7: attainable throughput across the S_ec x N_cu grid
     (:data:`S_EC_RANGE` x :data:`N_CU_RANGE`).
@@ -211,16 +205,15 @@ def sweep_sec_ncu(
     Point order is N_cu outer, S_ec inner. The grid is scored by the
     compiled whole-grid evaluator, float-identical to the per-point
     :func:`~repro.dse.performance.estimate_model` and
-    :meth:`ResourceModel.estimate`.
+    :func:`~repro.dse.resources.estimate_resources`.
     """
     evaluation = compile_workload(workload, n_share).evaluate_grid(
         workload,
-        device=device,
+        device,
         n_knl_values=(n_knl,),
         s_ec_values=S_EC_RANGE,
         n_cu_values=N_CU_RANGE,
         freq_mhz=freq_mhz,
-        logic_limit=logic_limit,
     )
     points = []
     for k, _ in enumerate(evaluation.n_cu_values):

@@ -22,51 +22,34 @@ import numpy as np
 
 from .explorer import GridPoint
 
-
-@dataclass(frozen=True)
-class FrequencyModel:
-    """Fmax as a function of logic utilization."""
-
-    base_mhz: float = 250.0  # uncongested Fmax of the datapath
-    knee: float = 0.50  # utilization where routing pressure starts
-    slope_mhz: float = 235.0  # MHz lost per unit utilization past the knee
-    fail_utilization: float = 0.92  # compilation failure threshold
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.knee < self.fail_utilization <= 1.0:
-            raise ValueError("need 0 < knee < fail_utilization <= 1")
-        if self.base_mhz <= 0 or self.slope_mhz < 0:
-            raise ValueError("frequencies must be positive")
-
-    def compiles(self, logic_utilization: float) -> bool:
-        """Whether the design closes at all."""
-        return logic_utilization < self.fail_utilization
-
-    def fmax_mhz(self, logic_utilization: float) -> float:
-        """Achievable clock at a given logic utilization."""
-        if not self.compiles(logic_utilization):
-            return 0.0
-        if logic_utilization <= self.knee:
-            return self.base_mhz
-        return max(
-            1.0, self.base_mhz - self.slope_mhz * (logic_utilization - self.knee)
-        )
-
-    def fmax_mhz_array(self, logic_utilization: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`fmax_mhz` over a utilization array.
-
-        Element-for-element identical to the scalar method; the joint-space
-        search uses it to gate candidate clock frequencies against
-        congestion across whole evaluation grids at once.
-        """
-        util = np.asarray(logic_utilization, dtype=np.float64)
-        decayed = np.maximum(1.0, self.base_mhz - self.slope_mhz * (util - self.knee))
-        fmax = np.where(util <= self.knee, self.base_mhz, decayed)
-        return np.where(util < self.fail_utilization, fmax, 0.0)
-
-
 #: Calibrated to the paper's achieved 202-204 MHz at 68-73% ALMs.
-DEFAULT_FREQUENCY_MODEL = FrequencyModel()
+BASE_MHZ = 250.0  # uncongested Fmax of the datapath
+KNEE = 0.50  # utilization where routing pressure starts
+SLOPE_MHZ = 235.0  # MHz lost per unit utilization past the knee
+FAIL_UTILIZATION = 0.92  # compilation failure threshold
+
+
+def fmax_mhz(logic_utilization: float) -> float:
+    """Achievable clock at a given logic utilization (0 if it fails to
+    compile)."""
+    if not logic_utilization < FAIL_UTILIZATION:
+        return 0.0
+    if logic_utilization <= KNEE:
+        return BASE_MHZ
+    return max(1.0, BASE_MHZ - SLOPE_MHZ * (logic_utilization - KNEE))
+
+
+def fmax_mhz_array(logic_utilization: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`fmax_mhz` over a utilization array.
+
+    Element-for-element identical to the scalar function; the joint-space
+    search uses it to gate candidate clock frequencies against congestion
+    across whole evaluation grids at once.
+    """
+    util = np.asarray(logic_utilization, dtype=np.float64)
+    decayed = np.maximum(1.0, BASE_MHZ - SLOPE_MHZ * (util - KNEE))
+    fmax = np.where(util <= KNEE, BASE_MHZ, decayed)
+    return np.where(util < FAIL_UTILIZATION, fmax, 0.0)
 
 
 @dataclass(frozen=True)
@@ -77,15 +60,8 @@ class RefinedPoint:
     fmax_mhz: float
     delivered_gops: float
 
-    @property
-    def compiles(self) -> bool:
-        return self.fmax_mhz > 0.0
 
-
-def refine_with_frequency(
-    grid: Sequence[GridPoint],
-    model: FrequencyModel = DEFAULT_FREQUENCY_MODEL,
-) -> List[RefinedPoint]:
+def refine_with_frequency(grid: Sequence[GridPoint]) -> List[RefinedPoint]:
     """Re-rank exploration candidates by congestion-limited throughput.
 
     Throughput scales linearly with the clock in the compute-bound regime,
@@ -93,7 +69,7 @@ def refine_with_frequency(
     """
     refined = []
     for point in grid:
-        fmax = model.fmax_mhz(point.utilization.logic)
+        fmax = fmax_mhz(point.utilization.logic)
         scale = fmax / point.config.freq_mhz if point.config.freq_mhz else 0.0
         refined.append(
             RefinedPoint(

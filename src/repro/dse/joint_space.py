@@ -35,9 +35,9 @@ from ..hw.device import FPGADevice
 from ..hw.workload import ModelWorkload
 from .compiled import GridEvaluation, column_tables, compile_workload
 from .compiled import throughput_and_power
-from .explorer import LOGIC_BUDGET, N_CU_RANGE, N_KNL_RANGE, S_EC_RANGE
+from .explorer import N_CU_RANGE, N_KNL_RANGE, S_EC_RANGE
 from .explorer import BufferSizing, size_buffers
-from .frequency import DEFAULT_FREQUENCY_MODEL
+from .frequency import fmax_mhz_array
 from .performance import share_factor_from_workloads
 
 #: The objectives a search reports, with the direction co-deployment
@@ -228,7 +228,6 @@ def _scored_cells(
                     n_knl_values=knl,
                     s_ec_values=sub_sec,
                     n_cu_values=ncu,
-                    logic_limit=LOGIC_BUDGET,
                     buffers=[
                         BufferSizing(d_f=int(d_f), d_w=sized.d_w, d_q=sized.d_q)
                         for sized in derived
@@ -249,7 +248,7 @@ def _scored_cells(
                         np.array(evaluation.energy_per_image_j, dtype=np.float64),
                         ncu_arr * ft_delta[None, :, None],
                         derived[0].d_w,
-                        DEFAULT_FREQUENCY_MODEL.fmax_mhz_array(evaluation.logic_util),
+                        fmax_mhz_array(evaluation.logic_util),
                     )
                 )
             for d_w in space.values("d_w"):
@@ -273,12 +272,11 @@ def _scored_cells(
                     per_workload = []
                     for group, (mem_util, feasible) in zip(groups, memory):
                         evaluation = group.evaluation
-                        throughput, power_w, _ = throughput_and_power(
+                        throughput, power_w = throughput_and_power(
                             evaluation.cycles_per_image,
                             float(freq_mhz),
                             evaluation.dense_ops,
                             group.energy,
-                            evaluation.static_w,
                         )
                         per_workload.append(
                             {

@@ -15,12 +15,13 @@ inference time.
 
 Two fidelity levels:
 
-- ``ideal`` — the closed-form above, what the exploration flow of Figure 5
-  uses (fast enough for thousands of design points);
+- ``ideal`` — the closed-form above, kept to compare with the paper;
 - ``quantized`` — adds the discrete losses the event simulator exhibits:
   kernel-group ceiling (M may not divide N_knl * N_cu), vector-step
   ceiling on the prefetch windows, and per-group engine imbalance taken
-  from the actual kernel statistics.
+  from the actual kernel statistics. Every shipped caller scores this
+  one: the exploration sweeps of Figure 5, ``explore``'s chosen point,
+  the joint search and the experiments.
 
 This module is the *per-point reference* implementation: it scores one
 (workload, config) pair at a time, re-deriving the kernel statistics and

@@ -17,7 +17,7 @@ and the engine count) we extend to logic and DSPs:
   FIFO slice) plus per-engine control (C2);
 - DSPs are the shared multipliers plus a fixed memory-interface pool (C3).
 
-The default constants are stated, fitted once so the paper's final
+The constants are stated, fitted once so the paper's final
 configuration reproduces Table 2's resource columns on the Stratix-V GXA7
 (170K/160K ALMs, 243/240 DSPs, 2460/2435 M20Ks). No compile loop runs:
 without the vendor compiler there are no characterization samples to
@@ -35,6 +35,10 @@ import numpy as np
 
 from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
+
+#: Share of the device's ALMs a design may use (the paper's 75% logic
+#: constraint, Section 5.2).
+LOGIC_BUDGET = 0.75
 
 
 @dataclass(frozen=True)
@@ -61,73 +65,63 @@ class ResourceUtilization:
     dsp: float
     memory: float
 
-    def fits(self, logic_limit: float = 1.0) -> bool:
-        """Feasibility under a logic constraint (DSP/memory are hard)."""
-        return self.logic <= logic_limit and self.dsp <= 1.0 and self.memory <= 1.0
+    def fits(self) -> bool:
+        """Feasibility under :data:`LOGIC_BUDGET` (DSP/memory are hard)."""
+        return self.logic <= LOGIC_BUDGET and self.dsp <= 1.0 and self.memory <= 1.0
 
 
-@dataclass(frozen=True)
-class ResourceModel:
-    """The C0..C7 platform constants and the estimation equations."""
-
-    c0: float = 20_000.0  # base logic: fetch/store, scheduler, host interface
-    c1: float = 160.0  # ALMs per accumulator lane (adder+mux+FIFO slice)
-    c2: float = 250.0  # ALMs per kernel engine (loop counter, decode)
-    c3: float = 30.0  # DSPs for the memory interface / address generators
-    c4: float = 1.0  # DSPs per shared multiplier
-    c5: float = 300.0  # M20Ks: interface FIFOs and the host-visible cache
-    c6: float = 25.0  # M20Ks per vector lane per CU (FT-Buffer banks)
-    c7: float = 15.0  # M20Ks per kernel engine per CU (WT/Q/partial FIFOs)
-
-    def logic(self, config: AcceleratorConfig) -> int:
-        per_cu = self.c1 * config.n_knl * config.s_ec + self.c2 * config.n_knl
-        return int(round(self.c0 + per_cu * config.n_cu))
-
-    def dsps(self, config: AcceleratorConfig) -> int:
-        return int(round(self.c3 + self.c4 * config.multipliers_per_cu * config.n_cu))
-
-    def m20ks(self, config: AcceleratorConfig) -> int:
-        per_cu = self.c6 * config.s_ec + self.c7 * config.n_knl
-        return int(round(self.c5 + per_cu * config.n_cu))
-
-    def estimate(self, config: AcceleratorConfig) -> ResourceEstimate:
-        return ResourceEstimate(
-            alms=self.logic(config),
-            dsps=self.dsps(config),
-            m20ks=self.m20ks(config),
-        )
-
-    def estimate_arrays(
-        self,
-        n_knl: np.ndarray,
-        s_ec: np.ndarray,
-        n_cu: np.ndarray,
-        n_share: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized (alms, dsps, m20ks) over broadcastable parameter arrays.
-
-        Replicates :meth:`logic` / :meth:`dsps` / :meth:`m20ks` operation for
-        operation (same association order, same float division before the
-        ceiling, same round-half-even) so every element is bit-identical to
-        the scalar estimate of the corresponding configuration. This is the
-        resource half of the compiled DSE grid (:mod:`repro.dse.compiled`).
-        """
-        n_knl = np.asarray(n_knl, dtype=np.int64)
-        s_ec = np.asarray(s_ec, dtype=np.int64)
-        n_cu = np.asarray(n_cu, dtype=np.int64)
-        per_cu_logic = (self.c1 * n_knl) * s_ec + self.c2 * n_knl
-        alms = np.rint(self.c0 + per_cu_logic * n_cu).astype(np.int64)
-        # math.ceil(int / int) in the scalar path is a *float* division; the
-        # true_divide below reproduces it exactly.
-        mult_per_cu = np.ceil((n_knl * s_ec) / n_share)
-        dsps = np.rint(self.c3 + (self.c4 * mult_per_cu) * n_cu).astype(np.int64)
-        per_cu_mem = self.c6 * s_ec + self.c7 * n_knl
-        m20ks = np.rint(self.c5 + per_cu_mem * n_cu).astype(np.int64)
-        return alms, dsps, m20ks
+#: The C0..C7 platform constants, fitted to Table 2 (see the module docstring).
+C0 = 20_000.0  # base logic: fetch/store, scheduler, host interface
+C1 = 160.0  # ALMs per accumulator lane (adder+mux+FIFO slice)
+C2 = 250.0  # ALMs per kernel engine (loop counter, decode)
+C3 = 30.0  # DSPs for the memory interface / address generators
+C4 = 1.0  # DSPs per shared multiplier
+C5 = 300.0  # M20Ks: interface FIFOs and the host-visible cache
+C6 = 25.0  # M20Ks per vector lane per CU (FT-Buffer banks)
+C7 = 15.0  # M20Ks per kernel engine per CU (WT/Q/partial FIFOs)
 
 
-#: Constants calibrated against paper Table 2 (see module docstring).
-DEFAULT_RESOURCE_MODEL = ResourceModel()
+def estimate_dsps(config: AcceleratorConfig) -> int:
+    return int(round(C3 + C4 * config.multipliers_per_cu * config.n_cu))
+
+
+def estimate_resources(config: AcceleratorConfig) -> ResourceEstimate:
+    """The C0..C7 equations of the module docstring for one configuration."""
+    per_cu_logic = C1 * config.n_knl * config.s_ec + C2 * config.n_knl
+    per_cu_mem = C6 * config.s_ec + C7 * config.n_knl
+    return ResourceEstimate(
+        alms=int(round(C0 + per_cu_logic * config.n_cu)),
+        dsps=estimate_dsps(config),
+        m20ks=int(round(C5 + per_cu_mem * config.n_cu)),
+    )
+
+
+def estimate_resource_arrays(
+    n_knl: np.ndarray,
+    s_ec: np.ndarray,
+    n_cu: np.ndarray,
+    n_share: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized (alms, dsps, m20ks) over broadcastable parameter arrays.
+
+    Replicates :func:`estimate_resources` operation for operation (same
+    association order, same float division before the ceiling, same
+    round-half-even) so every element is bit-identical to the scalar
+    estimate of the corresponding configuration. This is the resource
+    half of the compiled DSE grid (:mod:`repro.dse.compiled`).
+    """
+    n_knl = np.asarray(n_knl, dtype=np.int64)
+    s_ec = np.asarray(s_ec, dtype=np.int64)
+    n_cu = np.asarray(n_cu, dtype=np.int64)
+    per_cu_logic = (C1 * n_knl) * s_ec + C2 * n_knl
+    alms = np.rint(C0 + per_cu_logic * n_cu).astype(np.int64)
+    # math.ceil(int / int) in the scalar path is a *float* division; the
+    # true_divide below reproduces it exactly.
+    mult_per_cu = np.ceil((n_knl * s_ec) / n_share)
+    dsps = np.rint(C3 + (C4 * mult_per_cu) * n_cu).astype(np.int64)
+    per_cu_mem = C6 * s_ec + C7 * n_knl
+    m20ks = np.rint(C5 + per_cu_mem * n_cu).astype(np.int64)
+    return alms, dsps, m20ks
 
 
 def next_power_of_two(value: int) -> int:

@@ -63,18 +63,21 @@ class BatchBandwidthResult:
         return table + note
 
 
+#: The weight-fetch batch sizes the sweep visits.
+BATCHES: Tuple[int, ...] = (1, 2, 4, 8, 20, 40)
+
+
 def run(
     model: str = "vgg16",
     config: AcceleratorConfig = PAPER_CONFIG_VGG16,
     device: FPGADevice = STRATIX_V_GXA7,
-    batches: Tuple[int, ...] = (1, 2, 4, 8, 20, 40),
     seed: int = 1,
 ) -> BatchBandwidthResult:
     """Sweep the weight-fetch batch size for one model/config/device."""
     workload = synthetic_model_workload(model, seed=seed)
     performance = estimate_model(workload, config, mode=MODE_QUANTIZED)
     points = []
-    for batch in batches:
+    for batch in BATCHES:
         report = bandwidth_report(
             workload, config, device, performance.images_per_second, batch=batch
         )

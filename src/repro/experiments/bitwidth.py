@@ -26,7 +26,7 @@ import numpy as np
 
 from ..analysis.tables import render_table
 from ..dse.performance import MODE_QUANTIZED, estimate_model, share_factor_from_workloads
-from ..dse.resources import DEFAULT_RESOURCE_MODEL
+from ..dse.resources import estimate_dsps
 from ..hw.config import AcceleratorConfig
 from ..hw.workload import ModelWorkload
 from ..nn.models import alexnet_architecture, get_architecture
@@ -94,12 +94,14 @@ def _workload_at_bits(model: str, weight_bits: int, seed: int) -> ModelWorkload:
     return ModelWorkload(name=f"{model}-{weight_bits}b", layers=tuple(layers))
 
 
-def sweep_statistics(
-    bits: Tuple[int, ...] = (3, 4, 5, 6, 8), seed: int = 1
-) -> List[BitwidthPoint]:
+#: The weight widths both halves of the sweep visit.
+BITS: Tuple[int, ...] = (3, 4, 5, 6, 8)
+
+
+def sweep_statistics(seed: int = 1) -> List[BitwidthPoint]:
     """The architecture half of the sweep, on full-size VGG16."""
     points = []
-    for weight_bits in bits:
+    for weight_bits in BITS:
         workload = _workload_at_bits("vgg16", weight_bits, seed)
         n_share = share_factor_from_workloads(workload.layers)
         ratios = [
@@ -117,21 +119,19 @@ def sweep_statistics(
                 multiply_mop=workload.multiply_ops / 1e6,
                 min_intensity_ratio=min(ratios),
                 n_share=n_share,
-                dsps=DEFAULT_RESOURCE_MODEL.dsps(config),
+                dsps=estimate_dsps(config),
                 throughput_gops=perf.throughput_gops,
             )
         )
     return points
 
 
-def sweep_accuracy(
-    bits: Tuple[int, ...] = (3, 4, 5, 6, 8), seed: int = 1
-) -> List[AccuracyPoint]:
+def sweep_accuracy(seed: int = 1) -> List[AccuracyPoint]:
     """The functional half: execute a scaled AlexNet at each width."""
     network_factory = alexnet_architecture()
     rng = np.random.default_rng(seed)
     points = []
-    for weight_bits in bits:
+    for weight_bits in BITS:
         network = network_factory.build(scale=0.1, spatial_scale=0.35, seed=seed)
         image = rng.normal(0.0, 1.0, size=network.input_shape.as_tuple())
         pipeline = QuantizedPipeline(network, weight_bits=weight_bits)

@@ -23,7 +23,7 @@ from ..analysis.ascii_plots import line_plot
 from ..analysis.tables import render_table
 from ..baselines.published import get_baseline
 from ..hw.accelerator import AcceleratorSimulator
-from ..hw.config import PAPER_CONFIG_VGG16, AcceleratorConfig
+from ..hw.config import PAPER_CONFIG_VGG16
 from ..hw.device import STRATIX_V_GXA7
 from ..nn.models import get_architecture
 from ..prune.schedules import uniform_schedule
@@ -84,7 +84,6 @@ class DensitySweepResult:
 def run(
     seed: int = 1,
     densities: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8, 1.0),
-    config: AcceleratorConfig = PAPER_CONFIG_VGG16,
 ) -> DensitySweepResult:
     """Sweep a uniform density across VGG16 and simulate each point."""
     architecture = get_architecture("vgg16")
@@ -95,7 +94,9 @@ def run(
         workload = synthetic_model_workload(
             "vgg16", seed=seed, schedule=uniform_schedule(names, density)
         )
-        simulation = AcceleratorSimulator(config, STRATIX_V_GXA7).simulate(workload)
+        simulation = AcceleratorSimulator(PAPER_CONFIG_VGG16, STRATIX_V_GXA7).simulate(
+            workload
+        )
         reduction = workload.dense_ops / (2.0 * workload.accumulate_ops)
         ratio = workload.accumulate_ops / max(workload.multiply_ops, 1)
         points.append(

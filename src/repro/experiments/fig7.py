@@ -19,13 +19,9 @@ from ..analysis.compare import Comparison
 from ..analysis.tables import render_table
 from ..dse.explorer import GridPoint, best_candidates, sweep_sec_ncu
 from ..dse.frequency import refine_with_frequency
+from ..dse.resources import LOGIC_BUDGET
 from ..hw.device import STRATIX_V_GXA7
-from ..workloads.paper_targets import (
-    FIG7_LOGIC_CONSTRAINT,
-    OPTIMAL_N_CU,
-    OPTIMAL_N_KNL,
-    OPTIMAL_S_EC,
-)
+from ..workloads.paper_targets import OPTIMAL_N_CU, OPTIMAL_N_KNL, OPTIMAL_S_EC
 from ..workloads.synthetic import synthetic_model_workload
 
 
@@ -70,7 +66,7 @@ class Fig7Result:
             rows,
             title=(
                 "Figure 7 — S_ec x N_cu exploration "
-                f"(N_knl={OPTIMAL_N_KNL}, logic <= {FIG7_LOGIC_CONSTRAINT:.0%}), top candidates"
+                f"(N_knl={OPTIMAL_N_KNL}, logic <= {LOGIC_BUDGET:.0%}), top candidates"
             ),
         )
         refined = render_table(
@@ -93,7 +89,6 @@ def run(seed: int = 1) -> Fig7Result:
         n_knl=OPTIMAL_N_KNL,
         n_share=4,
         freq_mhz=200.0,
-        logic_limit=FIG7_LOGIC_CONSTRAINT,
     )
     candidates = best_candidates(grid, count=8)
     paper_point = next(

@@ -17,7 +17,7 @@ from typing import List, Mapping, Tuple
 from ..analysis.compare import Comparison
 from ..analysis.tables import render_table
 from ..baselines.published import PublishedAccelerator, get_baseline
-from ..dse.resources import DEFAULT_RESOURCE_MODEL, ResourceEstimate
+from ..dse.resources import ResourceEstimate, estimate_resources
 from ..hw.accelerator import AcceleratorSimulator, ModelSimResult
 from ..hw.config import PAPER_CONFIG_ALEXNET, PAPER_CONFIG_VGG16, AcceleratorConfig
 from ..hw.device import STRATIX_V_GXA7
@@ -97,7 +97,7 @@ def _proposed(cnn: str, config: AcceleratorConfig, seed: int) -> ProposedColumn:
     workload = synthetic_model_workload(cnn, seed=seed)
     simulator = AcceleratorSimulator(config, STRATIX_V_GXA7)
     simulation = simulator.simulate(workload)
-    resources = DEFAULT_RESOURCE_MODEL.estimate(config)
+    resources = estimate_resources(config)
     return ProposedColumn(
         cnn=cnn, config=config, simulation=simulation, resources=resources
     )

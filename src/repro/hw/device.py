@@ -3,21 +3,29 @@
 The paper evaluates on a Terasic DE5-Net (Intel Stratix-V GXA7: 234,720
 ALMs, 256 DSP blocks, 2,560 M20K memories, 12.8 GB/s DDR3) and compares
 against accelerators on Arria-10 parts. A :class:`FPGADevice` carries the
-resource totals those comparisons need plus two modelling constants:
+resource totals those comparisons need; three modelling constants, the
+same for every catalogued part, turn them into the roofline's capacities:
 
-- ``macs_per_dsp`` — each Stratix-V DSP performs two 16/8-bit fixed-point
+- :data:`MACS_PER_DSP` — each Stratix-V DSP performs two 16/8-bit fixed-point
   MACs per cycle (paper Section 1), which fixes the SDConv roof at
   ``2 * 2 * 256 * 0.2 GHz = 204.8 GOP/s``.
-- ``alms_per_accumulator`` — logic cost of one 16-bit accumulator slice
+- :data:`ALMS_PER_ACCUMULATOR` — logic cost of one 16-bit accumulator slice
   (adder + input mux + control). This constant sets the *transformed*
   design-space roof of Figure 1: the GXA7's usable logic supports ~2,600
   accumulator slices, i.e. a 1,046 GOP/s accumulator-bound roof.
+- :data:`USABLE_LOGIC_FRACTION` — share of the ALMs usable before
+  routing/frequency collapse (the exploration's own budget is the
+  paper's 75%, :data:`repro.dse.resources.LOGIC_BUDGET`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List
+
+MACS_PER_DSP = 2
+ALMS_PER_ACCUMULATOR = 72
+USABLE_LOGIC_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -29,11 +37,6 @@ class FPGADevice:
     dsps: int
     m20k_blocks: int
     bandwidth_gbs: float
-    macs_per_dsp: int = 2
-    alms_per_accumulator: int = 72
-    #: Fraction of ALMs usable before routing/frequency collapse (the paper
-    #: applies a logic-utilization constraint of ~75% during exploration).
-    usable_logic_fraction: float = 0.8
 
     def __post_init__(self) -> None:
         if min(self.alms, self.dsps, self.m20k_blocks) < 1:
@@ -44,12 +47,12 @@ class FPGADevice:
     @property
     def mac_count(self) -> int:
         """N_mac: fixed-point MACs the DSP blocks supply per cycle."""
-        return self.dsps * self.macs_per_dsp
+        return self.dsps * MACS_PER_DSP
 
     @property
     def max_accumulators(self) -> int:
         """Logic-bound accumulator capacity (sets the ABM roof of Fig. 1)."""
-        return int(self.usable_logic_fraction * self.alms) // self.alms_per_accumulator
+        return int(USABLE_LOGIC_FRACTION * self.alms) // ALMS_PER_ACCUMULATOR
 
 
 #: The paper's evaluation device (DE5-Net board).

@@ -22,15 +22,6 @@ import numpy as np
 
 ArrayLike = Union[float, np.ndarray]
 
-#: Rounding mode: round half away from zero (what most HLS `round()` cores do).
-ROUND_NEAREST = "nearest"
-#: Rounding mode: truncate toward negative infinity (plain bit dropping).
-ROUND_FLOOR = "floor"
-#: Rounding mode: round to nearest, ties to even (IEEE style).
-ROUND_EVEN = "even"
-
-_ROUNDING_MODES = (ROUND_NEAREST, ROUND_FLOOR, ROUND_EVEN)
-
 
 def _round_half_away(x: np.ndarray) -> None:
     """Round float64 ``x`` in place to the nearest integer, ties away from
@@ -87,23 +78,17 @@ class QFormat:
         """Most positive representable real value."""
         return self.max_code * self.scale
 
-    def quantize(self, values: ArrayLike, rounding: str = ROUND_NEAREST) -> np.ndarray:
-        """Convert real values to integer codes, with saturation.
+    def quantize(self, values: ArrayLike) -> np.ndarray:
+        """Convert real values to integer codes, rounding half away from
+        zero (what most HLS ``round()`` cores do), with saturation.
 
         Returns an ``int64`` array of codes in ``[min_code, max_code]``.
         """
-        if rounding not in _ROUNDING_MODES:
-            raise ValueError(f"unknown rounding mode {rounding!r}")
         # One float64 working copy, scaled and rounded in place, clipped
         # straight into the int64 result.
         scaled = np.array(values, dtype=np.float64)
         scaled *= 2.0**self.frac_bits
-        if rounding == ROUND_NEAREST:
-            _round_half_away(scaled)
-        elif rounding == ROUND_EVEN:
-            np.rint(scaled, out=scaled)
-        else:
-            np.floor(scaled, out=scaled)
+        _round_half_away(scaled)
         codes = np.empty(scaled.shape, np.int64)
         np.clip(scaled, self.min_code, self.max_code, out=codes, casting="unsafe")
         return codes if codes.ndim else codes[()]

@@ -20,10 +20,9 @@ from typing import Optional, Sequence
 from .core.specs import LayerSpec
 from .deploy import DeployedModel, deploy
 from .hw.accelerator import ModelSimResult
-from .hw.config import AcceleratorConfig
 from .hw.device import STRATIX_V_GXA7, FPGADevice
 from .pipeline import QuantizedPipeline
-from .system.host import DEFAULT_HOST_OPS_PER_SECOND, HostModel
+from .system.host import HostModel
 
 
 class SystemRuntime:
@@ -33,13 +32,12 @@ class SystemRuntime:
         self,
         pipeline: QuantizedPipeline,
         deployed: DeployedModel,
-        device: FPGADevice = STRATIX_V_GXA7,
-        host_ops_per_second: float = DEFAULT_HOST_OPS_PER_SECOND,
+        device: FPGADevice,
     ) -> None:
         self.pipeline = pipeline
         self.deployed = deployed
         self.device = device
-        self.host_model = HostModel(ops_per_second=host_ops_per_second)
+        self.host_model = HostModel()
         self._simulation: Optional[ModelSimResult] = None
 
     @classmethod
@@ -48,17 +46,11 @@ class SystemRuntime:
         pipeline: QuantizedPipeline,
         specs: Sequence[LayerSpec],
         device: FPGADevice = STRATIX_V_GXA7,
-        config: Optional[AcceleratorConfig] = None,
-        host_ops_per_second: float = DEFAULT_HOST_OPS_PER_SECOND,
     ) -> "SystemRuntime":
-        """Deploy a quantized pipeline and wrap it in a runtime."""
-        deployed = deploy(pipeline, specs, config=config, device=device)
-        return cls(
-            pipeline,
-            deployed,
-            device=device,
-            host_ops_per_second=host_ops_per_second,
-        )
+        """Deploy a quantized pipeline on the configuration the DSE flow
+        picks for ``device``, and wrap it in a runtime."""
+        deployed = deploy(pipeline, specs, device=device)
+        return cls(pipeline, deployed, device)
 
     @property
     def simulation(self) -> ModelSimResult:

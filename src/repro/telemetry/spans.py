@@ -29,8 +29,8 @@ class VirtualClock:
     tests and lets simulators drive traces in virtual seconds.
     """
 
-    def __init__(self, start_s: float = 0.0) -> None:
-        self._now = float(start_s)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._lock = threading.Lock()
 
     def now(self) -> float:

@@ -89,17 +89,17 @@ def codebook_size(model: str, layer: str) -> int:
     return codebook_sizes(model).get(layer, DEFAULT_CODEBOOK_SIZE)
 
 
-def codebook_values(size: int, weight_bits: int = 8) -> np.ndarray:
+def codebook_values(size: int) -> np.ndarray:
     """Concrete distinct nonzero codes for a codebook of ``size`` values.
 
     Pruning removes small magnitudes, so the surviving codes sit away from
     zero; we spread them symmetrically over the upper magnitude range of
-    the signed ``weight_bits`` format. Only distinctness matters to the
+    the signed 8-bit format. Only distinctness matters to the
     op counts — the specific values matter only for functional runs.
     """
     if size < 1:
         raise ValueError("codebook size must be >= 1")
-    max_code = (1 << (weight_bits - 1)) - 1
+    max_code = 127
     per_side = max(1, size // 2)
     # Magnitudes from ~max/4 up to max, evenly spread and deduplicated.
     magnitudes = np.unique(

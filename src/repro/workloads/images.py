@@ -8,7 +8,7 @@ offline, so calibration runs see realistic dynamic ranges without any
 dataset.
 
 Construction: white Gaussian noise shaped in the frequency domain by
-``1 / f^alpha`` (alpha = 1 is the natural-image law), inverse-transformed,
+``1 / f`` (the natural-image law), inverse-transformed,
 then mixed across channels with a correlation factor and normalized to a
 target range.
 """
@@ -20,14 +20,14 @@ from typing import Tuple
 import numpy as np
 
 
-def _pink_field(rows: int, cols: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """One 2-D field with a 1/f^alpha amplitude spectrum, zero mean."""
+def _pink_field(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """One 2-D field with a 1/f amplitude spectrum, zero mean."""
     spectrum = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
     fy = np.fft.fftfreq(rows)[:, None]
     fx = np.fft.fftfreq(cols)[None, :]
     radius = np.sqrt(fy**2 + fx**2)
     radius[0, 0] = 1.0  # keep DC finite; it is re-centred below
-    shaped = spectrum / radius**alpha
+    shaped = spectrum / radius
     field = np.real(np.fft.ifft2(shaped))
     field -= field.mean()
     deviation = field.std()
@@ -39,11 +39,10 @@ def _pink_field(rows: int, cols: int, alpha: float, rng: np.random.Generator) ->
 def natural_image(
     shape: Tuple[int, int, int],
     rng: np.random.Generator,
-    alpha: float = 1.0,
     channel_correlation: float = 0.85,
     value_range: Tuple[float, float] = (-1.0, 1.0),
 ) -> np.ndarray:
-    """A CHW image with a 1/f^alpha spectrum and correlated channels."""
+    """A CHW image with a 1/f spectrum and correlated channels."""
     channels, rows, cols = shape
     if channels < 1:
         raise ValueError("need at least one channel")
@@ -52,10 +51,10 @@ def natural_image(
     lo, hi = value_range
     if hi <= lo:
         raise ValueError("value range must be increasing")
-    shared = _pink_field(rows, cols, alpha, rng)
+    shared = _pink_field(rows, cols, rng)
     image = np.empty(shape)
     for c in range(channels):
-        own = _pink_field(rows, cols, alpha, rng)
+        own = _pink_field(rows, cols, rng)
         mixed = channel_correlation * shared + (1 - channel_correlation) * own
         image[c] = mixed
     # Normalize to the requested range with a 3-sigma soft clip.

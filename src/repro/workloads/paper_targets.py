@@ -143,4 +143,3 @@ FIG1_ROOFS = {"sdconv": 204.8, "fdconv": 675.0, "abm": 1046.0}
 OPTIMAL_N_KNL = 14
 OPTIMAL_S_EC = 20
 OPTIMAL_N_CU = 3
-FIG7_LOGIC_CONSTRAINT = 0.75

@@ -101,11 +101,10 @@ def synthesize_quantized_layer(
     density: float,
     codebook: int,
     rng: np.random.Generator,
-    weight_bits: int = 8,
 ) -> np.ndarray:
-    """Concrete integer weight tensor (M, N/groups, K, K) with the target
-    density and codebook statistics."""
-    values = codebook_values(codebook, weight_bits)
+    """Concrete 8-bit integer weight tensor (M, N/groups, K, K) with the
+    target density and codebook statistics."""
+    values = codebook_values(codebook)
     shape = spec.weight_shape()
     total = int(np.prod(shape))
     flat = np.zeros(total, dtype=np.int64)

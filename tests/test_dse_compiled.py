@@ -2,10 +2,10 @@
 
 The compiled evaluator (`repro.dse.compiled`) and the sweeps built on it
 must be *float-identical*, point for point, to the per-point oracle —
-`estimate_model` plus `ResourceModel.estimate` on each point's
-configuration: same cycles, same throughput, same bound labels, same
-resource estimates, same feasibility, same chosen configuration — across
-models, modes, conv+FC layers and degenerate grids. These tests pin that
+`estimate_model` in the quantized mode plus `estimate_resources` on each
+point's configuration: same cycles, same throughput, same resource
+estimates, same feasibility, same chosen configuration — across models,
+conv+FC layers and degenerate grids. These tests pin that
 contract with the paper workloads and with hypothesis-random synthetic
 ones.
 """
@@ -19,7 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.specs import conv_spec, fc_spec
-from repro.dse.compiled import column_tables, compile_workload, plan_columns
+from repro.dse.compiled import (
+    column_tables,
+    compile_workload,
+    plan_columns,
+    throughput_and_power,
+)
 from repro.dse.explorer import (
     N_CU_RANGE,
     N_KNL_RANGE,
@@ -32,12 +37,11 @@ from repro.dse.explorer import (
     sweep_sec_ncu,
 )
 from repro.dse.performance import (
-    MODE_IDEAL,
     MODE_QUANTIZED,
     estimate_model,
     share_factor_from_workloads,
 )
-from repro.dse.resources import DEFAULT_RESOURCE_MODEL
+from repro.dse.resources import estimate_resources
 from repro.dse import compiled as compiled_module
 from repro.dse.compiled import CompiledWorkload, _compiled
 from repro.dse.explorer import BufferSizing, _buffers
@@ -85,7 +89,7 @@ def assert_nknl_per_point(
     points,
     workload,
     n_share,
-    device=None,
+    device,
     s_ec=20,
     n_cu=3,
 ):
@@ -94,12 +98,10 @@ def assert_nknl_per_point(
     assert [p.n_knl for p in points] == list(N_KNL_RANGE)
     for point in points:
         config = point_config(workload, point.n_knl, n_share, s_ec, n_cu)
-        estimate = DEFAULT_RESOURCE_MODEL.estimate(config)
+        estimate = estimate_resources(config)
         assert point.throughput_gops == per_point_gops(workload, config)
         assert point.logic_alms == estimate.alms
-        assert point.feasible == (
-            device is None or estimate.utilization(device).fits(0.75)
-        )
+        assert point.feasible == estimate.utilization(device).fits()
         first = points[0]
         assert point.normalized_boost == (
             point.throughput_gops / first.throughput_gops
@@ -120,13 +122,13 @@ def assert_grid_per_point(
     ]
     for point in points:
         config = point_config(workload, n_knl, n_share, point.s_ec, point.n_cu)
-        estimate = DEFAULT_RESOURCE_MODEL.estimate(config)
+        estimate = estimate_resources(config)
         utilization = estimate.utilization(device)
         assert point.config == config
         assert point.throughput_gops == per_point_gops(workload, config)
         assert point.resources == estimate
         assert point.utilization == utilization
-        assert point.feasible == utilization.fits(0.75)
+        assert point.feasible == utilization.fits()
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ class TestDegenerateGrids:
         )
         assert evaluation.shape == (1, 1, 1)
         config = point_config(alexnet_workload, 14, 4, 20, 3)
-        estimate = DEFAULT_RESOURCE_MODEL.estimate(config)
+        estimate = estimate_resources(config)
         assert evaluation.config_at(0, 0, 0) == config
         assert evaluation.throughput_gops[0, 0, 0] == per_point_gops(
             alexnet_workload, config
@@ -232,6 +234,7 @@ class TestDegenerateGrids:
     def test_empty_nknl_range(self, alexnet_workload):
         evaluation = compile_workload(alexnet_workload, 4).evaluate_grid(
             alexnet_workload,
+            STRATIX_V_GXA7,
             n_knl_values=(),
             s_ec_values=(20,),
             n_cu_values=(3,),
@@ -255,14 +258,9 @@ class TestDegenerateGrids:
         with pytest.raises(ValueError):
             optimal_nknl(nknl)
 
-    def test_no_device_marks_everything_feasible(self, alexnet_workload):
-        points = sweep_nknl(alexnet_workload, n_share=4)
-        assert_nknl_per_point(points, alexnet_workload, 4)
-        assert all(point.feasible for point in points)
-
 
 # ---------------------------------------------------------------------------
-# Hypothesis: random synthetic workloads, both modes, conv + FC layers.
+# Hypothesis: random synthetic workloads, conv + FC layers.
 # ---------------------------------------------------------------------------
 
 
@@ -326,47 +324,32 @@ class TestHypothesisDifferential:
         workload=model_workload(),
         n_share=st.integers(1, 6),
         axes=grid_axes,
-        mode=st.sampled_from([MODE_QUANTIZED, MODE_IDEAL]),
-        use_device=st.booleans(),
     )
-    def test_grid_matches_per_point_model(
-        self, workload, n_share, axes, mode, use_device
-    ):
+    def test_grid_matches_per_point_model(self, workload, n_share, axes):
         n_knl_values, s_ec_values, n_cu_values = axes
-        device = STRATIX_V_GXA7 if use_device else None
         evaluation = compile_workload(workload, n_share).evaluate_grid(
             workload,
-            device=device,
+            STRATIX_V_GXA7,
             n_knl_values=n_knl_values,
             s_ec_values=s_ec_values,
             n_cu_values=n_cu_values,
-            mode=mode,
         )
         for i in range(len(n_knl_values)):
             for j in range(len(s_ec_values)):
                 for k in range(len(n_cu_values)):
                     config = evaluation.config_at(i, j, k)
-                    perf = estimate_model(workload, config, mode=mode)
+                    perf = estimate_model(workload, config, mode=MODE_QUANTIZED)
                     assert (
                         evaluation.cycles_per_image[i, j, k] == perf.cycles_per_image
                     )
                     assert (
                         evaluation.throughput_gops[i, j, k] == perf.throughput_gops
                     )
-                    assert evaluation.layer_bounds == tuple(
-                        layer.bound for layer in perf.layers
-                    )
-                    estimate = DEFAULT_RESOURCE_MODEL.estimate(config)
+                    estimate = estimate_resources(config)
                     assert evaluation.estimate_at(i, j, k) == estimate
-                    if device is None:
-                        assert evaluation.utilization_at(i, j, k) is None
-                        assert bool(evaluation.feasible[i, j, k])
-                    else:
-                        utilization = estimate.utilization(device)
-                        assert evaluation.utilization_at(i, j, k) == utilization
-                        assert bool(evaluation.feasible[i, j, k]) == utilization.fits(
-                            evaluation.logic_limit
-                        )
+                    utilization = estimate.utilization(STRATIX_V_GXA7)
+                    assert evaluation.utilization_at(i, j, k) == utilization
+                    assert bool(evaluation.feasible[i, j, k]) == utilization.fits()
 
     @settings(max_examples=25, deadline=None)
     @given(workload=model_workload(), n_share=st.integers(1, 5))
@@ -551,6 +534,7 @@ class TestColumnPlans:
         for n_share in (2, 4, 8):
             compile_workload(workload, n_share).evaluate_grid(
                 workload,
+                STRATIX_V_GXA7,
                 n_knl_values=(14,),
                 s_ec_values=(16, 20),
                 n_cu_values=(3,),
@@ -611,24 +595,13 @@ class TestCaches:
                 expected = float(order.reshape(groups, n_knl).max(axis=1).sum())
                 assert sums[index] == expected
 
-    def test_evaluate_grid_rejects_unknown_mode(self, alexnet_workload):
-        compiled = compile_workload(alexnet_workload, 4)
-        with pytest.raises(ValueError):
-            compiled.evaluate_grid(
-                alexnet_workload,
-                n_knl_values=(14,),
-                s_ec_values=(20,),
-                n_cu_values=(3,),
-                mode="exact",
-            )
-
 
 # ---------------------------------------------------------------------------
 # Column tables: warm per-(d_f, S_ec) tables equal a cold compile and the
 # per-point model, exactly.
 # ---------------------------------------------------------------------------
 
-GRID_ARRAYS = ("cycles_per_image", "throughput_gops", "power_w", "gops_per_watt")
+GRID_ARRAYS = ("cycles_per_image", "throughput_gops", "alms", "feasible")
 
 
 def _assert_grids_identical(a, b):
@@ -660,20 +633,26 @@ class TestColumnTables:
             got = self._evaluate(warm, workload, buffers)
             cold = self._evaluate(CompiledWorkload(workload, 4), workload, buffers)
             _assert_grids_identical(got, cold)
+            _, power_w = throughput_and_power(
+                got.cycles_per_image,
+                got.freq_mhz,
+                got.dense_ops,
+                np.array(got.energy_per_image_j),
+            )
             for index in np.ndindex(got.shape):
                 config = got.config_at(*index)
                 perf = estimate_model(workload, config, mode=MODE_QUANTIZED)
                 assert got.cycles_per_image[index] == perf.cycles_per_image
                 seconds = perf.cycles_per_image / (config.freq_mhz * 1e6)
                 report = abm_power_analytic(workload, config, seconds)
-                assert got.power_w[index] == report.total_power_w
-                assert got.gops_per_watt[index] == report.gops_per_watt
+                assert power_w[index] == report.total_power_w
 
     def test_rejects_a_workload_it_was_not_compiled_from(self, alexnet_workload):
         copy = ModelWorkload(name=alexnet_workload.name, layers=alexnet_workload.layers)
         with pytest.raises(ValueError, match="not the one"):
             compile_workload(alexnet_workload, 4).evaluate_grid(
                 copy,
+                STRATIX_V_GXA7,
                 n_knl_values=(14,),
                 s_ec_values=(20,),
                 n_cu_values=(3,),
@@ -700,6 +679,7 @@ class TestColumnTables:
         with pytest.raises(ValueError) as grid:
             compile_workload(alexnet_workload, 4).evaluate_grid(
                 alexnet_workload,
+                STRATIX_V_GXA7,
                 n_knl_values=(14,),
                 s_ec_values=(s_ec,),
                 n_cu_values=(3,),
@@ -715,6 +695,7 @@ class TestCompiledOwnerEviction:
         for n_share in (2, 4):
             compile_workload(workload, n_share).evaluate_grid(
                 workload,
+                STRATIX_V_GXA7,
                 n_knl_values=(14,),
                 s_ec_values=(20,),
                 n_cu_values=(3,),

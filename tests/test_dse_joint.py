@@ -4,8 +4,8 @@ Pins the contracts of :mod:`repro.dse.joint_space`:
 
 - the default joint space covers all seven axes and its size is the
   product of the axis lengths;
-- the vectorized power/efficiency grids are float-identical to the
-  per-point analytic power model;
+- the throughput and power grids the search derives at each clock are
+  float-identical to the per-point performance and power models;
 - ``exhaustive_search`` scores the whole space, its winner is feasible
   and reproducible as a one-point search, and the seed-1 AlexNet / VGG16
   optima are pinned;
@@ -17,18 +17,22 @@ Pins the contracts of :mod:`repro.dse.joint_space`:
   shared configuration at near-solo performance.
 """
 
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
-from repro.dse.compiled import column_tables, compile_workload
+from repro.dse.compiled import column_tables, compile_workload, throughput_and_power
 from repro.dse.joint_space import (
     DEFAULT_OBJECTIVES,
+    FREQ_VALUES,
     OBJECTIVE_DIRECTIONS,
     SearchSpace,
     default_joint_space,
     exhaustive_search,
 )
+from repro.dse.performance import MODE_QUANTIZED, estimate_model
 from repro.hw import STRATIX_V_GXA7
 from repro.hw.power import abm_power_analytic, analytic_energy_per_image
 from repro.workloads import synthetic_model_workload
@@ -102,31 +106,32 @@ class TestSearchSpace:
 
 class TestPowerArrays:
     def test_grid_power_matches_per_point_reports(self, alexnet_workload):
+        """At every joint-space clock, the throughput and power the search
+        derives from one cycle grid are the per-point models' at that clock."""
         compiled = compile_workload(alexnet_workload, n_share=11)
-        s_ec_values = (8, 16, 24)
         evaluation = compiled.evaluate_grid(
             alexnet_workload,
             STRATIX_V_GXA7,
             n_knl_values=(8, 14),
-            s_ec_values=s_ec_values,
+            s_ec_values=(8, 16, 24),
             n_cu_values=(1, 2, 3),
         )
-        assert evaluation.power_w.shape == evaluation.cycles_per_image.shape
-        for i in range(2):
-            for j in range(3):
-                for k in range(3):
-                    config = evaluation.config_at(i, j, k)
-                    seconds = float(evaluation.cycles_per_image[i, j, k]) / (
-                        config.freq_mhz * 1e6
-                    )
-                    report = abm_power_analytic(alexnet_workload, config, seconds)
-                    assert (
-                        evaluation.power_w[i, j, k] == report.total_power_w
-                    )
-                    assert (
-                        evaluation.gops_per_watt[i, j, k]
-                        == report.gops_per_watt
-                    )
+        energy = np.array(evaluation.energy_per_image_j)
+        for freq_mhz in FREQ_VALUES:
+            throughput, power_w = throughput_and_power(
+                evaluation.cycles_per_image, freq_mhz, evaluation.dense_ops, energy
+            )
+            assert power_w.shape == evaluation.cycles_per_image.shape
+            for index in np.ndindex(evaluation.shape):
+                config = dataclasses.replace(
+                    evaluation.config_at(*index), freq_mhz=freq_mhz
+                )
+                perf = estimate_model(alexnet_workload, config, mode=MODE_QUANTIZED)
+                report = abm_power_analytic(
+                    alexnet_workload, config, perf.seconds_per_image
+                )
+                assert throughput[index] == perf.throughput_gops
+                assert power_w[index] == report.total_power_w
 
     def test_grid_power_matches_abm_power_analytic(self, alexnet_workload):
         compiled = compile_workload(alexnet_workload, n_share=11)
@@ -141,8 +146,13 @@ class TestPowerArrays:
         config = evaluation.config_at(0, 0, 0)
         seconds = float(evaluation.cycles_per_image[0, 0, 0]) / (200.0 * 1e6)
         report = abm_power_analytic(alexnet_workload, config, seconds)
-        assert evaluation.power_w[0, 0, 0] == report.total_power_w
-        assert evaluation.gops_per_watt[0, 0, 0] == report.gops_per_watt
+        _, power_w = throughput_and_power(
+            evaluation.cycles_per_image,
+            200.0,
+            evaluation.dense_ops,
+            np.array(evaluation.energy_per_image_j),
+        )
+        assert power_w[0, 0, 0] == report.total_power_w
         assert evaluation.energy_per_image_j[0] == analytic_energy_per_image(
             alexnet_workload, config
         )

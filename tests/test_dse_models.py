@@ -10,7 +10,7 @@ from repro.dse.performance import (
     estimate_model,
     share_factor_from_workloads,
 )
-from repro.dse.resources import DEFAULT_RESOURCE_MODEL, ResourceModel, next_power_of_two
+from repro.dse.resources import estimate_resources, next_power_of_two
 from repro.hw.accelerator import AcceleratorSimulator
 from repro.hw.config import PAPER_CONFIG_VGG16, AcceleratorConfig
 from repro.hw.device import STRATIX_V_GXA7
@@ -25,29 +25,29 @@ def vgg_workload():
 class TestResourceModel:
     def test_paper_config_matches_table2(self):
         """The calibrated constants must reproduce Table 2's resources."""
-        estimate = DEFAULT_RESOURCE_MODEL.estimate(PAPER_CONFIG_VGG16)
+        estimate = estimate_resources(PAPER_CONFIG_VGG16)
         assert estimate.dsps == pytest.approx(240, abs=4)
         assert estimate.alms == pytest.approx(165_000, rel=0.05)  # paper 160-170K
         assert estimate.m20ks == pytest.approx(2_447, rel=0.03)  # paper 2435-2460
 
     def test_utilization_and_binding(self):
-        estimate = DEFAULT_RESOURCE_MODEL.estimate(PAPER_CONFIG_VGG16)
+        estimate = estimate_resources(PAPER_CONFIG_VGG16)
         utilization = estimate.utilization(STRATIX_V_GXA7)
         assert 0.6 < utilization.logic < 0.8
         assert 0.9 < utilization.dsp < 1.0
         assert 0.9 < utilization.memory < 1.0
-        assert utilization.fits(logic_limit=0.75)
+        assert utilization.fits()
 
     def test_infeasible_config_detected(self):
         config = AcceleratorConfig(n_cu=6, n_knl=20, n_share=4, s_ec=32)
-        utilization = DEFAULT_RESOURCE_MODEL.estimate(config).utilization(STRATIX_V_GXA7)
-        assert not utilization.fits(0.75)
+        utilization = estimate_resources(config).utilization(STRATIX_V_GXA7)
+        assert not utilization.fits()
 
     def test_monotone_in_parallelism(self):
-        small = DEFAULT_RESOURCE_MODEL.estimate(
+        small = estimate_resources(
             AcceleratorConfig(n_cu=1, n_knl=4, n_share=4, s_ec=8)
         )
-        large = DEFAULT_RESOURCE_MODEL.estimate(
+        large = estimate_resources(
             AcceleratorConfig(n_cu=2, n_knl=8, n_share=4, s_ec=16)
         )
         assert large.alms > small.alms

@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.quant.fixed_point import (
-    ROUND_EVEN,
-    ROUND_FLOOR,
-    ROUND_NEAREST,
-    QFormat,
-    best_frac_bits,
-    fit_qformat,
-)
+from repro.quant.fixed_point import QFormat, best_frac_bits, fit_qformat
 
 
 def saturates(fmt: QFormat, values) -> np.ndarray:
@@ -69,20 +62,6 @@ class TestQFormat:
         assert fmt.quantize(-2.5)[()] == -3
         assert fmt.quantize(2.4)[()] == 2
 
-    def test_quantize_floor_mode(self):
-        fmt = QFormat(8, 0)
-        assert fmt.quantize(2.9, rounding=ROUND_FLOOR)[()] == 2
-        assert fmt.quantize(-2.1, rounding=ROUND_FLOOR)[()] == -3
-
-    def test_quantize_even_mode(self):
-        fmt = QFormat(8, 0)
-        assert fmt.quantize(2.5, rounding=ROUND_EVEN)[()] == 2
-        assert fmt.quantize(3.5, rounding=ROUND_EVEN)[()] == 4
-
-    def test_unknown_rounding_rejected(self):
-        with pytest.raises(ValueError):
-            QFormat(8, 0).quantize(1.0, rounding="stochastic")
-
     def test_saturation(self):
         fmt = QFormat(8, 0)
         assert fmt.quantize(1000.0)[()] == 127
@@ -122,16 +101,11 @@ class TestQFormat:
         assert np.all(np.diff(codes) >= 0)
 
 
-def formula_quantize(fmt, values, rounding):
+def formula_quantize(fmt, values):
     """``QFormat.quantize`` as the out-of-place formula it replaced: the
     oracle for the in-place body."""
     scaled = np.asarray(values, dtype=np.float64) * (2.0**fmt.frac_bits)
-    if rounding == ROUND_NEAREST:
-        codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    elif rounding == ROUND_EVEN:
-        codes = np.rint(scaled)
-    else:
-        codes = np.floor(scaled)
+    codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
     codes = np.clip(codes, fmt.min_code, fmt.max_code)
     return codes.astype(np.int64)
 
@@ -149,10 +123,9 @@ class TestQuantizeInPlace:
         data=st.data(),
         total_bits=st.integers(2, 40),
         frac_bits=st.integers(-8, 40),
-        rounding=st.sampled_from([ROUND_NEAREST, ROUND_EVEN, ROUND_FLOOR]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_formula(self, data, total_bits, frac_bits, rounding):
+    def test_matches_the_formula(self, data, total_bits, frac_bits):
         fmt = QFormat(total_bits, frac_bits)
         half = st.integers(-(2**20), 2**20).map(lambda k: (k + 0.5) * 2.0**-frac_bits)
         elements = st.one_of(
@@ -162,25 +135,24 @@ class TestQuantizeInPlace:
             hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3), elements=elements)
         )
         with np.errstate(over="ignore"):
-            expected = formula_quantize(fmt, values, rounding)
-            got = fmt.quantize(values, rounding=rounding)
+            expected = formula_quantize(fmt, values)
+            got = fmt.quantize(values)
         assert type(got) is type(expected)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
-    @pytest.mark.parametrize("rounding", [ROUND_NEAREST, ROUND_EVEN, ROUND_FLOOR])
-    def test_scalars_and_lists(self, rounding):
+    def test_scalars_and_lists(self):
         """A scalar gives an int64 scalar and a list an int64 array, as
         before; the input is never written."""
         fmt = QFormat(8, 1)
         for values in (2.25, -2.25, -0.0, 1e9, [2.25, -2.75, 63.75, -1e9], [[0.25], [-0.25]]):
-            got = fmt.quantize(values, rounding=rounding)
-            expected = formula_quantize(fmt, values, rounding)
+            got = fmt.quantize(values)
+            expected = formula_quantize(fmt, values)
             assert type(got) is type(expected) and got.dtype == expected.dtype
             assert np.array_equal(got, expected)
         values = np.array([0.3, -0.7, 5.5])
         kept = values.copy()
-        fmt.quantize(values, rounding=rounding)
+        fmt.quantize(values)
         assert values.tobytes() == kept.tobytes()
 
 

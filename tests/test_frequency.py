@@ -3,9 +3,15 @@
 import pytest
 
 from repro.dse.explorer import sweep_sec_ncu
+import numpy as np
+
 from repro.dse.frequency import (
-    DEFAULT_FREQUENCY_MODEL,
-    FrequencyModel,
+    BASE_MHZ,
+    FAIL_UTILIZATION,
+    KNEE,
+    SLOPE_MHZ,
+    fmax_mhz,
+    fmax_mhz_array,
     refine_with_frequency,
 )
 from repro.hw import STRATIX_V_GXA7
@@ -14,30 +20,30 @@ from repro.workloads import synthetic_model_workload
 
 class TestFrequencyModel:
     def test_flat_below_knee(self):
-        model = DEFAULT_FREQUENCY_MODEL
-        assert model.fmax_mhz(0.3) == model.base_mhz
-        assert model.fmax_mhz(model.knee) == model.base_mhz
+        assert fmax_mhz(0.3) == BASE_MHZ
+        assert fmax_mhz(KNEE) == BASE_MHZ
 
     def test_calibrated_to_paper_point(self):
         """The implemented design closed at 202-204 MHz at 68-73% logic."""
-        model = DEFAULT_FREQUENCY_MODEL
-        assert model.fmax_mhz(0.70) == pytest.approx(203, abs=6)
+        assert fmax_mhz(0.70) == pytest.approx(203, abs=6)
 
     def test_monotone_degradation(self):
-        model = DEFAULT_FREQUENCY_MODEL
-        fs = [model.fmax_mhz(u) for u in (0.5, 0.6, 0.7, 0.8, 0.9)]
+        fs = [fmax_mhz(u) for u in (0.5, 0.6, 0.7, 0.8, 0.9)]
         assert all(a >= b for a, b in zip(fs, fs[1:]))
 
     def test_compile_failure(self):
-        model = DEFAULT_FREQUENCY_MODEL
-        assert not model.compiles(0.95)
-        assert model.fmax_mhz(0.95) == 0.0
+        assert fmax_mhz(0.95) == 0.0
+        assert fmax_mhz(FAIL_UTILIZATION) == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FrequencyModel(knee=0.9, fail_utilization=0.8)
-        with pytest.raises(ValueError):
-            FrequencyModel(base_mhz=0.0)
+        """The calibrated constants keep the model's shape: a flat region,
+        then a non-negative slope, then a compile failure."""
+        assert 0.0 < KNEE < FAIL_UTILIZATION <= 1.0
+        assert BASE_MHZ > 0 and SLOPE_MHZ >= 0
+
+    def test_array_matches_scalar(self):
+        util = np.array([0.0, 0.3, KNEE, 0.6, 0.7, 0.91, FAIL_UTILIZATION, 0.95, 3.0])
+        assert fmax_mhz_array(util).tolist() == [fmax_mhz(u) for u in util]
 
 
 class TestRefinement:
@@ -53,7 +59,7 @@ class TestRefinement:
         # Delivered throughput never exceeds nominal * base/nominal ratio.
         for entry in refined:
             assert entry.delivered_gops <= entry.point.throughput_gops * (
-                DEFAULT_FREQUENCY_MODEL.base_mhz / entry.point.config.freq_mhz
+                BASE_MHZ / entry.point.config.freq_mhz
             ) + 1e-9
 
     def test_sorted_descending(self, grid):
@@ -68,9 +74,13 @@ class TestRefinement:
         assert (20, 3) in top
 
     def test_overcongested_points_drop_out(self, grid):
-        model = FrequencyModel(fail_utilization=0.60)
-        refined = refine_with_frequency(grid, model)
-        for entry in refined:
-            if entry.point.utilization.logic >= 0.60:
-                assert not entry.compiles
-                assert entry.delivered_gops == 0.0
+        refined = refine_with_frequency(grid)
+        failed = [
+            entry
+            for entry in refined
+            if entry.point.utilization.logic >= FAIL_UTILIZATION
+        ]
+        assert failed
+        for entry in failed:
+            assert entry.fmax_mhz == 0.0
+            assert entry.delivered_gops == 0.0

@@ -5,7 +5,7 @@ import pytest
 from repro.hw.accelerator import AcceleratorSimulator
 from repro.hw.config import PAPER_CONFIG_VGG16
 from repro.hw.device import STRATIX_V_GXA7
-from repro.hw.power import EnergyModel, abm_power_analytic
+from repro.hw.power import ACCUMULATE_J, MULTIPLY_J, STATIC_W, abm_power_analytic
 from repro.workloads import synthetic_model_workload
 
 
@@ -32,31 +32,10 @@ class TestPowerRelationships:
         assert 1.0 < report.total_power_w < 60.0
 
     def test_dynamic_plus_static(self, report, seconds):
-        assert report.static_w == EnergyModel().static_w
+        assert report.static_w == STATIC_W
         assert report.total_power_w == report.energy_per_image_j / seconds + report.static_w
 
 
 class TestEnergyModel:
-    def test_negative_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            EnergyModel(accumulate_j=-1.0)
-
     def test_multiply_costs_more_than_accumulate(self):
-        model = EnergyModel()
-        assert model.multiply_j > model.accumulate_j
-
-    def test_custom_coefficients_scale_energy(self, workload, seconds, report):
-        doubled = abm_power_analytic(
-            workload,
-            PAPER_CONFIG_VGG16,
-            seconds,
-            EnergyModel(
-                accumulate_j=3.0e-12,
-                multiply_j=12.0e-12,
-                sram_access_j=10.0e-12,
-                ddr_byte_j=140.0e-12,
-            ),
-        )
-        assert doubled.energy_per_image_j == pytest.approx(
-            2 * report.energy_per_image_j
-        )
+        assert MULTIPLY_J > ACCUMULATE_J
