@@ -579,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--model",
         choices=("lenet", "cifarnet"),
         default="lenet",
-        help="small zoo members run the full functional pipeline",
+        help="small zoo model that is pruned, calibrated, quantized and encoded "
+        "for the timing profile; no inference runs",
     )
     p_srv.add_argument("--device", default="Stratix-V GXA7")
     p_srv.add_argument("--workers", type=int, default=2,

@@ -19,7 +19,9 @@ kernel (the N*K*K weight block of one output channel) is encoded as:
 An :class:`EncodedLayer` keeps these as flat arrays — every kernel's
 stream concatenated, every kernel's Q-Table concatenated, and per-kernel
 offsets into both — built by :func:`encode_nonzeros` from one stable sort
-of the layer's nonzeros (:func:`encode_layer` takes the dense codes).
+of the layer's nonzeros (:func:`encode_layer` takes the dense codes). The
+streams are held at the wire widths: uint16 indices, uint8 NUMs and VALs
+in the narrowest signed dtype that holds them (int8 for 8-bit weights).
 :class:`EncodedKernel` is a per-kernel view of them for the walkers that
 step through one kernel at a time.
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -50,10 +52,11 @@ MAX_PACKED_INDEX = (1 << 16) - 1
 
 
 class EncodingError(ValueError):
-    """An :class:`EncodedLayer` failed a structural check: non-monotone
-    offsets, NUMs not summing to a kernel's stream length, a NUM outside
-    [1, 255], a zero VAL, an index outside the kernel, or a kernel shape
-    that is not (N, K, K) within the 16-bit index width."""
+    """An :class:`EncodedLayer` failed a structural check: a stream that is
+    not one-dimensional integers, non-monotone offsets, NUMs not summing to
+    a kernel's stream length, a NUM outside [1, 255], a zero VAL, an index
+    outside the kernel, or a kernel shape that is not (N, K, K) within the
+    16-bit index width."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,10 @@ def _value_runs(kernels: np.ndarray, values: np.ndarray):
     codes sort as int8) take numpy's radix sort; no combined key, so no
     code range can overflow."""
     order = np.lexsort(
-        (values.astype(narrowest_int(values)), kernels.astype(narrowest_int(kernels)))
+        (
+            values.astype(narrowest_int(values), copy=False),
+            kernels.astype(narrowest_int(kernels), copy=False),
+        )
     )
     kernels = kernels[order]
     values = values[order]
@@ -158,10 +164,21 @@ def _value_runs(kernels: np.ndarray, values: np.ndarray):
     return order, kernels, values, first
 
 
-def _frozen(values) -> np.ndarray:
-    array = np.array(values, dtype=np.int64)
+def _stream(values) -> np.ndarray:
+    """``values`` as a one-dimensional integer array, uncopied when it is one."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        if array.size:
+            raise EncodingError(f"encoded streams hold integers, got {array.dtype}")
+        array = array.astype(np.int64)
     if array.ndim != 1:
         raise EncodingError(f"encoded streams are one-dimensional, got shape {array.shape}")
+    return array
+
+
+def _frozen(values, dtype=np.int64) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``values``."""
+    array = np.array(values, dtype=dtype)
     array.setflags(write=False)
     return array
 
@@ -172,7 +189,14 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     return offsets
 
 
-_STREAMS = ("indices", "qtable_values", "qtable_counts", "stream_offsets", "qtable_offsets")
+#: Stored dtype of each stream but ``qtable_values``, which takes
+#: :func:`narrowest_int` of its VALs.
+_WIDTHS = {
+    "indices": np.uint16,
+    "qtable_counts": np.uint8,
+    "stream_offsets": np.int64,
+    "qtable_offsets": np.int64,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +207,12 @@ class EncodedLayer:
     and its Q-Table rows ``qtable_offsets[m]:qtable_offsets[m + 1]`` of
     ``qtable_values`` (VAL) and ``qtable_counts`` (NUM); each row owns the
     next NUM entries of the stream. Arrays are stored as checked read-only
-    int64 copies (:class:`EncodingError`); ``nonzeros`` and ``distinct``
-    (accumulates and multiplies per output pixel, per kernel) are derived.
+    copies at Figure 4's widths: ``indices`` uint16, ``qtable_counts`` uint8,
+    ``qtable_values`` the narrowest signed dtype holding them, offsets int64.
+    Every check runs on the given values before the cast, so an out-of-range
+    entry raises :class:`EncodingError` and never wraps. ``nonzeros`` and
+    ``distinct`` (int64 accumulates and multiplies per output pixel, per
+    kernel) are derived.
     """
 
     name: str
@@ -202,41 +230,46 @@ class EncodedLayer:
         if len(shape) != 3 or shape[1] != shape[2] or min(shape) < 1:
             raise EncodingError(f"kernel shape must be (N, K, K) with N, K >= 1, got {shape}")
         object.__setattr__(self, "kernel_shape", shape)
-        for name in _STREAMS:
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        self._check()
+        given = {name: _stream(getattr(self, name)) for name in (*_WIDTHS, "qtable_values")}
+        for name in ("stream_offsets", "qtable_offsets"):  # unsigned diffs would wrap
+            given[name] = given[name].astype(np.int64, copy=False)
+        self._check(given)
+        for name, array in given.items():
+            width = _WIDTHS.get(name) or narrowest_int(array)
+            object.__setattr__(self, name, _frozen(array, width))
         object.__setattr__(self, "nonzeros", _frozen(np.diff(self.stream_offsets)))
         kernels = np.repeat(np.arange(self.out_channels), np.diff(self.qtable_offsets))
         _, kernels, _, first = _value_runs(kernels, self.qtable_values)
         distinct = np.bincount(kernels[first], minlength=self.out_channels)
         object.__setattr__(self, "distinct", _frozen(distinct))
 
-    def _check(self) -> None:
-        """Vectorized structural checks; raise :class:`EncodingError`."""
+    def _check(self, given: Dict[str, np.ndarray]) -> None:
+        """Vectorized structural checks of the given streams, before they are
+        narrowed; raise :class:`EncodingError`."""
 
         def fail(message: str) -> None:
             raise EncodingError(f"layer {self.name!r}: {message}")
 
-        values, counts = self.qtable_values, self.qtable_counts
-        streams, tables = self.stream_offsets, self.qtable_offsets
+        indices, values, counts = given["indices"], given["qtable_values"], given["qtable_counts"]
+        streams, tables = given["stream_offsets"], given["qtable_offsets"]
         if values.size != counts.size:
             fail(f"{values.size} Q-Table VALs but {counts.size} NUMs")
         if streams.size == 0 or streams.size != tables.size:
             fail("stream and Q-Table offsets need one entry per kernel plus one")
         for offsets, total, what in (
-            (streams, self.indices.size, "stream"),
+            (streams, indices.size, "stream"),
             (tables, values.size, "Q-Table"),
         ):
             if offsets[0] != 0 or offsets[-1] != total or (np.diff(offsets) < 0).any():
                 fail(f"{what} offsets do not rise monotonically from 0 to {total}")
-        if counts.size and not (1 <= counts.min() and counts.max() <= MAX_ENTRY_COUNT):
+        if counts.size and not (1 <= int(counts.min()) and int(counts.max()) <= MAX_ENTRY_COUNT):
             fail(f"a Q-Table NUM lies outside [1, {MAX_ENTRY_COUNT}]")
         if (values == 0).any():
             fail("a Q-Table VAL is zero; zero weights are never encoded")
         width = self.kernel_width
         if width - 1 > MAX_PACKED_INDEX:
             fail(f"kernel of {width} weights overflows the 16-bit index width")
-        if self.indices.size and not (0 <= self.indices.min() and self.indices.max() < width):
+        if indices.size and not (0 <= int(indices.min()) and int(indices.max()) < width):
             fail(f"an index lies outside the kernel's {width} weights")
         ends = _offsets(counts)
         sums = ends[tables[1:]] - ends[tables[:-1]]
@@ -339,7 +372,7 @@ def encode_nonzeros(
     kernels = positions // width
     # Stable, so positions stay ascending inside each (kernel, value) run.
     order, kernels, values, run_start = _value_runs(
-        kernels, codes.astype(np.int64, copy=False)
+        kernels, codes.astype(narrowest_int(codes), copy=False)
     )
     indices = positions[order] - kernels * width
     starts = np.flatnonzero(run_start)

@@ -74,7 +74,7 @@ import numpy as np
 
 from ..telemetry.caches import Memo
 from ..telemetry.context import get_active
-from .encoding import EncodedLayer, narrowest_int
+from .encoding import EncodedLayer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.core.abm
     from .abm import ConvGeometry
@@ -183,7 +183,8 @@ def _even_split(total: int, most: int) -> int:
 
 def _max_weighted_sum(encoded: EncodedLayer) -> int:
     """``max_k sum(|VAL| * NUM)`` over the kernels, exactly: in int64 when
-    ``max|VAL| * max nnz`` fits it, otherwise on Python ints."""
+    ``max|VAL| * max nnz`` fits it, otherwise on Python ints. The narrow
+    VALs are cast before ``abs`` and the product, so neither can wrap."""
     values = encoded.qtable_values
     if values.size == 0:
         return 0
@@ -217,8 +218,8 @@ class LayerPlan:
         #: counting NUM-field split entries separately, as the loop does).
         self.multiplies_per_pixel = encoded.qtable_entries
         self._max_weighted_sum = _max_weighted_sum(encoded)
-        # One scatter, in the narrowest integer dtype; each dtype is a cast.
-        self._codes = encoded.dense_codes(narrowest_int(encoded.qtable_values))
+        # One scatter, in the VALs' (narrowest) dtype; each dtype is a cast.
+        self._codes = encoded.dense_codes(encoded.qtable_values.dtype)
         self._dense: Dict[Tuple[bool, str], np.ndarray] = {}
 
     def _weights(self, dtype, pixel_major: bool) -> np.ndarray:

@@ -62,7 +62,7 @@ def _write_layer(stream: BinaryIO, layer: EncodedLayer) -> None:
     qtable = np.empty(values.size, dtype=_QTABLE_ENTRY)
     qtable["value"] = values
     qtable["count"] = layer.qtable_counts
-    indices = layer.indices.astype("<u2")
+    indices = layer.indices.astype("<u2", copy=False)
     streams, tables = layer.stream_offsets.tolist(), layer.qtable_offsets.tolist()
     for m in range(layer.out_channels):
         stream.write(headers[m].tobytes())

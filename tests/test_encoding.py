@@ -75,7 +75,9 @@ def layer_codes(draw):
     groups = draw(st.integers(1, 3))
     kernels = groups * draw(st.integers(0, 3))
     if draw(st.booleans()):
-        shape = (kernels, draw(st.one_of(st.integers(1, 40), st.integers(300, 700))))
+        # Up to 65,536 weights wide: indices reach the top of the 16-bit range.
+        width = st.one_of(st.integers(1, 40), st.integers(300, 700), st.integers(65_000, 65_536))
+        shape = (kernels, draw(width))
     else:
         k = draw(st.sampled_from([1, 2, 3]))
         shape = (kernels, draw(st.integers(1, 40)), k, k)
@@ -274,10 +276,11 @@ class TestLayerValidation:
         with pytest.raises(EncodingError, match="kernel 0: Q-Table counts sum to 3"):
             replace(layer, stream_offsets=[0, 2, 2, 5])
 
-    @pytest.mark.parametrize("count", [0, MAX_ENTRY_COUNT + 1])
+    # 257 wraps to 1 in uint8: the NUM check must see it before the cast.
+    @pytest.mark.parametrize("count", [0, MAX_ENTRY_COUNT + 1, 257])
     def test_num_range(self, layer, count):
-        counts = layer.qtable_counts.copy()
-        counts[0] = count
+        counts = layer.qtable_counts.astype(np.int64)
+        counts[1] = count
         with pytest.raises(EncodingError, match="NUM"):
             replace(layer, qtable_counts=counts)
 
@@ -289,10 +292,24 @@ class TestLayerValidation:
 
     @pytest.mark.parametrize("index", [-1, 18, 0xFFFF])
     def test_index_outside_kernel(self, layer, index):
-        indices = layer.indices.copy()
+        indices = layer.indices.astype(np.int64)
         indices[0] = index
         with pytest.raises(EncodingError, match="outside the kernel"):
             replace(layer, indices=indices)
+
+    def test_index_is_checked_before_narrowing(self):
+        """Index -1 would wrap to 65,535, inside a 65,536-wide kernel."""
+        codes = np.zeros((1, 65_536), dtype=np.int64)
+        codes[0, [3, 40_000, 65_535]] = 1
+        layer = encode_layer("wide", codes)
+        indices = layer.indices.astype(np.int64)
+        indices[0] = -1
+        with pytest.raises(EncodingError, match="outside the kernel"):
+            replace(layer, indices=indices)
+
+    def test_float_stream_is_rejected_not_truncated(self, layer):
+        with pytest.raises(EncodingError, match="integers"):
+            replace(layer, indices=layer.indices + 0.5)
 
     @pytest.mark.parametrize("shape", [(2, 3, 2), (0, 3, 3), (2, 0, 0), (65537, 1, 1)])
     def test_bad_kernel_shape(self, layer, shape):

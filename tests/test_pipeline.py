@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.abm import ConvGeometry
-from repro.core.encoding import encode_layer
+from repro.core.encoding import KERNEL_HEADER_BYTES, encode_layer
 from repro.nn.layers import Conv2D, Flatten, FullyConnected
 from repro.nn.network import Network
 from repro.nn.tensor import FeatureShape
@@ -215,6 +215,22 @@ class TestOpAccounting:
             e.encoded_bytes for e in pipeline.encoded_layers()
         )
         assert pipeline.encoded_bytes() > 0
+
+    def test_streams_are_held_at_figure_4_widths(self, image):
+        """An 8-bit pipeline holds 16-bit indices, 8-bit NUMs and 8-bit VALs,
+        so the three streams take exactly the encoding's bytes less the
+        per-kernel headers."""
+        network, x = image
+        pipeline = build_pipeline(network, x)
+        for encoded in pipeline.encoded_layers():
+            assert encoded.indices.dtype == np.uint16
+            assert encoded.qtable_counts.dtype == np.uint8
+            assert encoded.qtable_values.dtype == np.int8
+            held = sum(
+                a.nbytes for a in (encoded.indices, encoded.qtable_counts, encoded.qtable_values)
+            )
+            assert held == 2 * encoded.nonzero_count + 2 * encoded.qtable_entries
+            assert held == encoded.encoded_bytes - KERNEL_HEADER_BYTES * encoded.out_channels
 
 
 class TestDeepCompressionIntegration:

@@ -83,6 +83,23 @@ class TestRoundTrip:
             l.qtable_entries for l in layers
         )
 
+    def test_wide_fc_layer_roundtrips_every_array(self, rng):
+        """Kernels 65,536 wide: indices up to 65,535 survive the u16 wire."""
+        codes = sparse_weight_codes(rng, shape=(3, 65_536), density=0.05, value_range=127)
+        codes[1, 65_535] = -128
+        codes[2, :300] = 7  # one value past 255 occurrences: a NUM split
+        layer = encode_layer("wide", codes)
+        assert layer.indices.max() == 65_535 and (layer.indices >= 32_768).any()
+        restored = loads(dumps([layer]))[0]
+        assert restored.kernel_shape == layer.kernel_shape
+        for stream in (
+            "indices", "qtable_values", "qtable_counts", "stream_offsets",
+            "qtable_offsets", "nonzeros", "distinct",
+        ):
+            original, loaded = getattr(layer, stream), getattr(restored, stream)
+            assert loaded.dtype == original.dtype, stream
+            assert np.array_equal(loaded, original), stream
+
     @given(
         hnp.arrays(
             dtype=np.int64,
