@@ -75,9 +75,10 @@ def main() -> None:
     reference = pipeline.run_float(image)
     print(f"tinynet top-1: quantized={int(np.argmax(result.output))} "
           f"float={int(np.argmax(reference))}")
-    print(f"ABM ops: {result.accumulate_ops:,} accumulates, "
-          f"{result.multiply_ops:,} multiplies "
-          f"(ratio {result.accumulate_ops / result.multiply_ops:.1f})")
+    accumulates = sum(stats.accumulate_ops for stats in result.layer_stats)
+    multiplies = sum(stats.multiply_ops for stats in result.layer_stats)
+    print(f"ABM ops: {accumulates:,} accumulates, {multiplies:,} multiplies "
+          f"(ratio {accumulates / multiplies:.1f})")
 
     # Build the accelerator workload from the *actual* encoded weights.
     specs = {spec.name: spec for spec in architecture.accelerated_specs()}

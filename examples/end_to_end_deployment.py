@@ -60,7 +60,8 @@ def main() -> None:
     print(f"  host time:   {profile.host_s * 1e6:8.1f} us")
     # The CPU/FPGA pipeline runs at the pace of its slower stage.
     print(f"  throughput:  {profile.system_gops:8.1f} GOP/s (dense basis)")
-    effective = (result.accumulate_ops + result.multiply_ops) / profile.fpga_s / 1e9
+    executed = sum(s.accumulate_ops + s.multiply_ops for s in result.layer_stats)
+    effective = executed / profile.fpga_s / 1e9
     print(f"  effective:   {effective:8.1f} GOP/s (executed ops)")
 
     # 4. per-layer latency breakdown.

@@ -39,7 +39,8 @@ def main() -> None:
 
     top_quant = int(np.argmax(quantized.output))
     top_float = int(np.argmax(reference))
-    print(f"input: {network.input_shape}, output classes: {reference.size}")
+    shape = "x".join(str(extent) for extent in network.input_shape.as_tuple())
+    print(f"input: {shape}, output classes: {reference.size}")
     print(f"top-1 (float reference): {top_float}")
     print(f"top-1 (8-bit ABM-SpConv): {top_quant}")
     print(f"agreement: {'yes' if top_quant == top_float else 'no'}")
@@ -51,15 +52,18 @@ def main() -> None:
     )
     print("operation counts (all conv/FC layers):")
     print(f"  dense MACs:        {dense_macs:>12,}  (multiply+accumulate each)")
-    print(f"  ABM accumulates:   {quantized.accumulate_ops:>12,}")
-    print(f"  ABM multiplies:    {quantized.multiply_ops:>12,}")
-    ratio = quantized.accumulate_ops / quantized.multiply_ops
-    executed = quantized.accumulate_ops + quantized.multiply_ops
+    accumulates = sum(stats.accumulate_ops for stats in quantized.layer_stats)
+    multiplies = sum(stats.multiply_ops for stats in quantized.layer_stats)
+    print(f"  ABM accumulates:   {accumulates:>12,}")
+    print(f"  ABM multiplies:    {multiplies:>12,}")
+    ratio = accumulates / multiplies
+    executed = accumulates + multiplies
     saved = 1 - executed / (2 * dense_macs)
     print(f"  acc/mult ratio:    {ratio:>12.1f}  (sizes the DSP sharing factor N)")
     print(f"  ops saved vs dense:{saved:>12.1%}")
     print()
-    print(f"encoded weights: {pipeline.encoded_bytes() / 1024:.0f} KiB "
+    encoded = sum(layer.encoded_bytes for layer in pipeline.encoded_layers())
+    print(f"encoded weights: {encoded / 1024:.0f} KiB "
           f"(WT-Buffer + Q-Table format of paper Fig. 4)")
 
 

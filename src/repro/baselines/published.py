@@ -19,10 +19,6 @@ class PublishedAccelerator:
     column: Table2Column
 
     @property
-    def key(self) -> str:
-        return self.column.key
-
-    @property
     def throughput_gops(self) -> float:
         return self.column.throughput_gops
 

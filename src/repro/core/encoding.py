@@ -143,7 +143,10 @@ def unpack_index(packed: int, kernel: int) -> Tuple[int, int, int]:
 def narrowest_int(values: np.ndarray):
     """The smallest signed integer dtype holding every element of ``values``."""
     peak = max(int(values.max()), -int(values.min()) - 1) if values.size else 0
-    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if peak <= np.iinfo(t).max)
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if peak <= np.iinfo(dtype).max:
+            return dtype
+    raise OverflowError(f"integers up to {peak} overflow int64")
 
 
 def _value_runs(kernels: np.ndarray, values: np.ndarray):
@@ -266,6 +269,8 @@ class EncodedLayer:
             fail(f"a Q-Table NUM lies outside [1, {MAX_ENTRY_COUNT}]")
         if (values == 0).any():
             fail("a Q-Table VAL is zero; zero weights are never encoded")
+        if values.size and int(values.max()) > np.iinfo(np.int64).max:
+            fail("a Q-Table VAL overflows int64 (qtable_values)")
         width = self.kernel_width
         if width - 1 > MAX_PACKED_INDEX:
             fail(f"kernel of {width} weights overflows the 16-bit index width")

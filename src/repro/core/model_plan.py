@@ -433,10 +433,6 @@ class _Arena:
             "stage_bytes": self.stage.nbytes,
         }
 
-    @property
-    def nbytes(self) -> int:
-        return sum(self.split().values())
-
 
 def _float32_codes(stages: Sequence[object], formats: Sequence[QFormat]) -> bool:
     """Whether a plan's activations and requantize can run in float32.
@@ -469,7 +465,6 @@ class ModelPlan:
         pipeline._check_ready("compiling a model plan")
         images = int(batch_shape[0])
         self.batch_shape = tuple(int(s) for s in batch_shape)
-        self.network_name = pipeline.network.name
         self.input_fmt = pipeline.input_fmt
         self.stages: List[object] = []
         #: (layer name, accumulates, multiplies) per accelerated layer, in
@@ -618,21 +613,6 @@ class ModelPlan:
             out = np.empty(self._exit.shape, np.int64)
             np.copyto(out, self._exit, casting="unsafe")
             return out, self.output_fmt
-
-    # ---- reporting -------------------------------------------------------
-
-    def describe(self) -> str:
-        """One-line summary for logs and benchmarks, with the im2col + GEMM
-        bands of every fused stage."""
-        fused = [s for s in self.stages if isinstance(s, _FusedStage)]
-        host = sum(1 for s in self.stages if isinstance(s, _HostStage))
-        tiles = ",".join(f"{s.name}:{s.tiles}" for s in fused)
-        return (
-            f"model_plan({self.network_name}: {len(self.stages)} stages, "
-            f"{len(fused)} fused, {host} host, batch={self.batch_shape}, "
-            f"codes={self.arena.codes}, arena={self.arena.nbytes / 1e6:.1f} MB, "
-            f"tiles={tiles})"
-        )
 
 
 def compile_model_plan(

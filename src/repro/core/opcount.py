@@ -43,10 +43,6 @@ class LayerOpCounts:
     abm_multiplies: float
 
     @property
-    def abm_ops(self) -> float:
-        return self.abm_accumulates + self.abm_multiplies
-
-    @property
     def acc_to_mult_ratio(self) -> float:
         """Table 1's last column (Acc./Mult.)."""
         if self.abm_multiplies == 0:

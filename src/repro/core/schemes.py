@@ -30,9 +30,6 @@ class ConvScheme(enum.Enum):
     SPCONV = "spconv"
     ABM_SPCONV = "abm-spconv"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass(frozen=True)
 class ComputationalRoof:

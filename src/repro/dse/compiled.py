@@ -233,10 +233,6 @@ class GridEvaluation:
     energy_per_image_j: Tuple[float, ...]
     dense_ops: int
 
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self.cycles_per_image.shape
-
     def config_at(self, i_knl: int, i_sec: int, i_ncu: int) -> AcceleratorConfig:
         """The full configuration of one grid point (with sized buffers)."""
         buffers = self.buffers[i_sec]

@@ -57,9 +57,6 @@ class LayerPerformance:
     cycles_per_image: float
     bound: str  # 'accumulate' or 'multiply'
 
-    def seconds_per_image(self, freq_mhz: float) -> float:
-        return self.cycles_per_image / (freq_mhz * 1e6)
-
 
 @dataclass(frozen=True)
 class ModelPerformance:

@@ -32,12 +32,6 @@ class Fig7Result:
     paper_point: Optional[GridPoint]
     comparisons: Tuple[Comparison, ...]
 
-    def point(self, s_ec: int, n_cu: int) -> GridPoint:
-        for candidate in self.grid:
-            if candidate.s_ec == s_ec and candidate.n_cu == n_cu:
-                return candidate
-        raise KeyError(f"no grid point (S_ec={s_ec}, N_cu={n_cu})")
-
     def render(self) -> str:
         surface = {
             (c.s_ec, c.n_cu): c.throughput_gops for c in self.grid

@@ -36,12 +36,6 @@ class Table1Result:
     counts: ModelOpCounts
     comparisons: Tuple[Comparison, ...]
 
-    def layer(self, name: str) -> LayerOpCounts:
-        for layer in self.counts.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(f"no layer {name!r} in Table 1 result")
-
     def render(self) -> str:
         rows = []
         for layer in self.counts.layers:

@@ -57,10 +57,6 @@ class ModelSimResult:
         return self.cycles_per_image / (self.config.freq_mhz * 1e6)
 
     @property
-    def images_per_second(self) -> float:
-        return 1.0 / self.seconds_per_image
-
-    @property
     def throughput_gops(self) -> float:
         """GOP/s on the paper's basis: dense #OP / average inference time."""
         return self.dense_ops / self.seconds_per_image / 1e9

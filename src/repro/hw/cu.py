@@ -73,13 +73,6 @@ class TaskCost:
     accumulate_ops: int
     multiply_ops: int
 
-    @property
-    def engine_utilization(self) -> float:
-        """Fraction of engine-cycles doing useful work within the task."""
-        if self.engine_cycle_capacity == 0:
-            return 0.0
-        return self.engine_busy_cycles / self.engine_cycle_capacity
-
 
 def task_cycles(task: ConvTask, config: AcceleratorConfig) -> TaskCost:
     """Timing model of one task (see module docstring).

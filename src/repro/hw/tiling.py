@@ -63,11 +63,6 @@ class WindowPlan:
     def windows(self) -> int:
         return self.g_r * self.g_c
 
-    @property
-    def window_pixels(self) -> int:
-        """Output positions computed per window (per output channel)."""
-        return self.window_rows * self.window_cols
-
     @cached_property
     def window_runs(self) -> Tuple[Tuple[int, int], ...]:
         """Output pixels of each window in window-major order, as runs

@@ -29,10 +29,6 @@ class TaskEvent:
         if self.end < self.start:
             raise ValueError("task ends before it starts")
 
-    @property
-    def cycles(self) -> int:
-        return self.end - self.start
-
 
 class TraceRecorder:
     """Collects task events during a simulation.
@@ -73,18 +69,12 @@ class TraceRecorder:
             )
         )
 
-    def by_cu(self) -> Dict[int, List[TaskEvent]]:
-        """Events grouped by CU, each list sorted by start time."""
-        grouped: Dict[int, List[TaskEvent]] = {}
-        for event in self.events:
-            grouped.setdefault(event.cu, []).append(event)
-        for events in grouped.values():
-            events.sort(key=lambda e: e.start)
-        return grouped
-
     def verify_no_overlap(self) -> None:
         """Raise if any CU runs two tasks at once (scheduler soundness)."""
-        for cu, events in self.by_cu().items():
+        by_cu: Dict[int, List[TaskEvent]] = {}
+        for event in sorted(self.events, key=lambda e: e.start):
+            by_cu.setdefault(event.cu, []).append(event)
+        for cu, events in by_cu.items():
             for previous, current in zip(events, events[1:]):
                 if current.start < previous.end:
                     raise AssertionError(

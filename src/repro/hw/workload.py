@@ -154,12 +154,6 @@ class ModelWorkload:
     def encoded_bytes(self) -> int:
         return sum(layer.encoded_bytes for layer in self.layers)
 
-    def layer(self, name: str) -> LayerWorkload:
-        for candidate in self.layers:
-            if candidate.spec.name == name:
-                return candidate
-        raise KeyError(f"no layer named {name!r} in workload {self.name!r}")
-
 
 def workload_from_encoded(spec: LayerSpec, encoded: EncodedLayer) -> LayerWorkload:
     """Build a layer workload from an actually-encoded weight tensor."""

@@ -2,7 +2,6 @@
 
 from .activation import Dropout, Flatten, ReLU
 from .base import Layer
-from .batchnorm import BatchNorm, fold_batchnorm
 from .conv import Conv2D, im2col
 from .fc import FullyConnected
 from .lrn import LocalResponseNorm
@@ -11,8 +10,6 @@ from .softmax import Softmax
 
 __all__ = [
     "Layer",
-    "BatchNorm",
-    "fold_batchnorm",
     "Conv2D",
     "im2col",
     "FullyConnected",

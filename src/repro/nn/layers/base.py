@@ -39,27 +39,11 @@ class Layer(abc.ABC):
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         """Run the layer on a (B, C, H, W) batch."""
 
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        """Run the layer on one CHW feature map: a batch of one."""
-        return self.forward_batch(require_chw(features, self)[None])[0]
-
     @property
     def weights(self) -> Optional[np.ndarray]:
         """Weight tensor, or None for stateless layers."""
         return None
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}({self.name!r})"
-
-
-def require_chw(features: np.ndarray, layer: Layer) -> np.ndarray:
-    """Validate that a feature map is a 3-D CHW array."""
-    arr = np.asarray(features)
-    if arr.ndim != 3:
-        raise ValueError(
-            f"layer {layer.name!r} expects a CHW feature map, got shape {arr.shape}"
-        )
-    return arr
 
 
 def require_bchw(batch: np.ndarray, layer: Layer) -> np.ndarray:

@@ -9,8 +9,6 @@ ABM-SpConv encoder, op counter and accelerator treat FC layers uniformly.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..tensor import FeatureShape
@@ -18,34 +16,20 @@ from .base import Layer, require_bchw
 
 
 class FullyConnected(Layer):
-    """Dense layer computing ``y = W x + b`` with W of shape (out, in)."""
+    """Dense layer computing ``y = W x + b`` with W of shape (out, in).
+
+    Weights and bias start at zero; the initializer or the caller sets
+    them through :attr:`weights` and ``bias[:]``.
+    """
 
     runs_on_accelerator = True
 
-    def __init__(
-        self,
-        name: str,
-        in_features: int,
-        out_features: int,
-        weights: Optional[np.ndarray] = None,
-        bias: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, name: str, in_features: int, out_features: int) -> None:
         super().__init__(name)
         self.in_features = in_features
         self.out_features = out_features
-        expected = (out_features, in_features)
-        if weights is None:
-            weights = np.zeros(expected, dtype=np.float64)
-        weights = np.asarray(weights)
-        if weights.shape != expected:
-            raise ValueError(f"weights must have shape {expected}, got {weights.shape}")
-        self._weights = weights
-        if bias is None:
-            bias = np.zeros(out_features, dtype=np.float64)
-        bias = np.asarray(bias)
-        if bias.shape != (out_features,):
-            raise ValueError(f"bias must have shape ({out_features},)")
-        self._bias = bias
+        self._weights = np.zeros((out_features, in_features), dtype=np.float64)
+        self._bias = np.zeros(out_features, dtype=np.float64)
 
     @property
     def weights(self) -> np.ndarray:
@@ -68,7 +52,7 @@ class FullyConnected(Layer):
         if input_shape.size != self.in_features:
             raise ValueError(
                 f"{self.name}: expected {self.in_features} input features, "
-                f"got shape {input_shape} ({input_shape.size} values)"
+                f"got shape {input_shape.as_tuple()} ({input_shape.size} values)"
             )
         return FeatureShape(self.out_features, 1, 1)
 

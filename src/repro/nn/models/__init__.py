@@ -14,10 +14,8 @@ from .arch import (
 )
 from .cifarnet import cifarnet_architecture
 from .lenet import lenet_architecture
-from .mobilenet import mobilenet_tiny_architecture
-from .registry import available_models, get_architecture, register_model
+from .registry import get_architecture
 from .vgg16 import vgg16_architecture
-from .vgg19 import vgg19_architecture
 
 __all__ = [
     "Architecture",
@@ -31,11 +29,7 @@ __all__ = [
     "SoftmaxDef",
     "alexnet_architecture",
     "vgg16_architecture",
-    "vgg19_architecture",
     "cifarnet_architecture",
     "lenet_architecture",
-    "mobilenet_tiny_architecture",
-    "available_models",
     "get_architecture",
-    "register_model",
 ]

@@ -3,7 +3,7 @@
 An :class:`Architecture` is a declarative layer list. One walk,
 :meth:`Architecture.layer_shapes`, resolves every def once against its
 input: the layer class and constructor arguments it stands for (channel
-scaling, group rounding and depthwise channels included) and its input and
+scaling and group rounding included) and its input and
 output shapes, without allocating a tensor. Everything else reads that walk:
 
 - :meth:`Architecture.build` constructs those layers, in order, into an
@@ -52,10 +52,6 @@ class ConvDef:
     stride: int = 1
     padding: int = 0
     groups: int = 1
-    #: Depthwise convolution: one filter per input channel (groups == the
-    #: input channel count, output channels == input channels). The
-    #: ``out_channels``/``groups`` fields are ignored when set.
-    depthwise: bool = False
 
 
 @dataclass(frozen=True)
@@ -192,13 +188,9 @@ class Architecture:
             channels, rows, cols = shape.as_tuple()
             layer_type, args, out_shape = None, {}, shape
             if isinstance(layer_def, ConvDef):
-                if layer_def.depthwise:
-                    out_channels = groups = channels
-                else:
-                    divisor = math.lcm(layer_def.groups, next_groups[layer_def.name])
-                    scaled = _scaled(layer_def.out_channels, scale)
-                    out_channels = math.ceil(scaled / divisor) * divisor
-                    groups = layer_def.groups
+                divisor = math.lcm(layer_def.groups, next_groups[layer_def.name])
+                scaled = _scaled(layer_def.out_channels, scale)
+                out_channels = math.ceil(scaled / divisor) * divisor
                 layer_type = Conv2D
                 args = dict(
                     in_channels=channels,
@@ -206,7 +198,7 @@ class Architecture:
                     kernel=layer_def.kernel,
                     stride=layer_def.stride,
                     padding=layer_def.padding,
-                    groups=groups,
+                    groups=layer_def.groups,
                 )
                 out_shape = FeatureShape(
                     out_channels,

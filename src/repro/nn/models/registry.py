@@ -2,29 +2,20 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from .alexnet import alexnet_architecture
 from .arch import Architecture
 from .cifarnet import cifarnet_architecture
 from .lenet import lenet_architecture
-from .mobilenet import mobilenet_tiny_architecture
 from .vgg16 import vgg16_architecture
-from .vgg19 import vgg19_architecture
 
 _REGISTRY: Dict[str, Callable[[], Architecture]] = {
     "alexnet": alexnet_architecture,
     "vgg16": vgg16_architecture,
-    "vgg19": vgg19_architecture,
     "cifarnet": cifarnet_architecture,
     "lenet": lenet_architecture,
-    "mobilenet-tiny": mobilenet_tiny_architecture,
 }
-
-
-def available_models() -> List[str]:
-    """Names of all registered architectures."""
-    return sorted(_REGISTRY)
 
 
 def get_architecture(name: str) -> Architecture:
@@ -32,14 +23,6 @@ def get_architecture(name: str) -> Architecture:
     key = name.lower()
     if key not in _REGISTRY:
         raise KeyError(
-            f"unknown model {name!r}; available: {', '.join(available_models())}"
+            f"unknown model {name!r}; available: {', '.join(sorted(_REGISTRY))}"
         )
     return _REGISTRY[key]()
-
-
-def register_model(name: str, factory: Callable[[], Architecture]) -> None:
-    """Register a custom architecture factory under ``name``."""
-    key = name.lower()
-    if key in _REGISTRY:
-        raise ValueError(f"model {name!r} is already registered")
-    _REGISTRY[key] = factory

@@ -32,28 +32,15 @@ class Network:
         self.name = name
         self.input_shape = input_shape
         self.layers: List[Layer] = list(layers)
-        self._shapes: List[FeatureShape] = []
         shape = input_shape
         for layer in self.layers:
             shape = layer.output_shape(shape)
-            self._shapes.append(shape)
 
     def __iter__(self) -> Iterator[Layer]:
         return iter(self.layers)
 
     def __len__(self) -> int:
         return len(self.layers)
-
-    def layer(self, name: str) -> Layer:
-        """Look a layer up by name."""
-        for candidate in self.layers:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"no layer named {name!r} in network {self.name!r}")
-
-    @property
-    def output_shape(self) -> FeatureShape:
-        return self._shapes[-1]
 
     def accelerated_layers(self) -> List[ComputeLayer]:
         """Conv and FC layers, in order — what the FPGA executes."""

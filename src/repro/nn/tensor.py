@@ -32,9 +32,6 @@ class FeatureShape:
     def as_tuple(self) -> tuple:
         return (self.channels, self.rows, self.cols)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.channels}x{self.rows}x{self.cols}"
-
 
 def conv_output_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output extent of a convolution along one axis."""

@@ -68,14 +68,6 @@ class InferenceResult:
     output: np.ndarray
     layer_stats: List[LayerRunStats] = field(default_factory=list)
 
-    @property
-    def accumulate_ops(self) -> int:
-        return sum(stats.accumulate_ops for stats in self.layer_stats)
-
-    @property
-    def multiply_ops(self) -> int:
-        return sum(stats.multiply_ops for stats in self.layer_stats)
-
 
 class QuantizedPipeline:
     """Prune -> quantize -> encode -> execute a network with ABM-SpConv."""
@@ -357,6 +349,3 @@ class QuantizedPipeline:
             if layer.name in self.compiled
         ]
 
-    def encoded_bytes(self) -> int:
-        """Total encoded weight footprint (paper Table 3's 'Encoded')."""
-        return sum(encoded.encoded_bytes for encoded in self.encoded_layers())

@@ -44,27 +44,9 @@ DEEP_COMPRESSION_VGG16: Mapping[str, float] = {
     "fc8": 0.23,
 }
 
-def _vgg19_densities() -> Mapping[str, float]:
-    """VGG19 schedule extrapolated from the published VGG16 one.
-
-    Deep Compression reports no VGG19 table; each extra conv (the fourth
-    of blocks 3-5) inherits its block's deepest published density, which
-    keeps the whole-model MAC reduction in VGG16's regime.
-    """
-    densities = dict(DEEP_COMPRESSION_VGG16)
-    densities["conv3_4"] = densities["conv3_3"]
-    densities["conv4_4"] = densities["conv4_3"]
-    densities["conv5_4"] = densities["conv5_3"]
-    return densities
-
-
-#: Extrapolated VGG19 schedule (see :func:`_vgg19_densities`).
-DEEP_COMPRESSION_VGG19: Mapping[str, float] = _vgg19_densities()
-
 _SCHEDULES: Dict[str, Mapping[str, float]] = {
     "alexnet": DEEP_COMPRESSION_ALEXNET,
     "vgg16": DEEP_COMPRESSION_VGG16,
-    "vgg19": DEEP_COMPRESSION_VGG19,
 }
 
 
@@ -87,9 +69,6 @@ class PruningSchedule:
         if layer_name not in self.densities:
             raise KeyError(f"schedule {self.name!r} has no entry for {layer_name!r}")
         return self.densities[layer_name]
-
-    def __contains__(self, layer_name: str) -> bool:
-        return layer_name in self.densities
 
 
 def deep_compression_schedule(model: str) -> PruningSchedule:

@@ -54,11 +54,6 @@ class QFormat:
             raise ValueError(f"total_bits must be >= 2, got {self.total_bits}")
 
     @property
-    def int_bits(self) -> int:
-        """Number of integer (non-sign, non-fraction) bits; may be negative."""
-        return self.total_bits - 1 - self.frac_bits
-
-    @property
     def scale(self) -> float:
         """Value of one least-significant bit."""
         return 2.0 ** (-self.frac_bits)
@@ -96,9 +91,6 @@ class QFormat:
     def dequantize(self, codes: ArrayLike) -> np.ndarray:
         """Convert integer codes back to real values."""
         return np.asarray(codes, dtype=np.float64) * self.scale
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Q{self.int_bits}.{self.frac_bits} ({self.total_bits}b)"
 
 
 def best_frac_bits(values: ArrayLike, total_bits: int) -> int:

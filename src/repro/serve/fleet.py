@@ -62,9 +62,6 @@ class Instance:
         """No scheduled stream slot past ``now``."""
         return self.tail_s <= now
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Instance({self.instance_id}, tail={self.tail_s})"
-
 
 class Fleet:
     """The active instance pool plus lifetime accounting.

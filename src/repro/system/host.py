@@ -19,7 +19,6 @@ from typing import List
 
 from ..nn.layers import (
     AvgPool2D,
-    BatchNorm,
     Dropout,
     Flatten,
     LocalResponseNorm,
@@ -65,8 +64,7 @@ def _host_ops(
     (pooling reads its ``kernel``). Pooling costs one compare/add per window
     element; LRN costs a square, a windowed sum (via prefix sums, ~2 ops), a
     power and a divide (~8 ops total) per element; softmax an exp+div
-    (~10); ReLU one op; inference batch norm a fused scale+shift (2).
-    Layers with no arithmetic (dropout, flatten) are free. Unknown layer
+    (~10); ReLU one op. Layers with no arithmetic (dropout, flatten) are free. Unknown layer
     types raise :class:`UnknownHostLayerError` rather than silently costing
     nothing.
     """
@@ -78,8 +76,6 @@ def _host_ops(
         return in_shape.size * 10
     if issubclass(kind, ReLU):
         return in_shape.size
-    if issubclass(kind, BatchNorm):
-        return in_shape.size * 2
     if issubclass(kind, (Dropout, Flatten)):
         return 0
     raise UnknownHostLayerError(

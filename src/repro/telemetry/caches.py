@@ -27,8 +27,6 @@ __all__ = [
     "cache_stats",
     "clear_caches",
     "register_cache",
-    "registered_caches",
-    "unregister_cache",
 ]
 
 T = TypeVar("T")
@@ -82,16 +80,6 @@ def register_cache(
             _clearers[name] = clear
 
 
-def unregister_cache(name: str) -> None:
-    with _lock:
-        _providers.pop(name, None)
-        _clearers.pop(name, None)
-
-
-def registered_caches() -> List[str]:
-    """Registered family names, sorted."""
-    with _lock:
-        return sorted(_providers)
 
 
 def cache_stats() -> Dict[str, CacheStats]:
@@ -191,10 +179,6 @@ class Memo:
             self.hits = 0
             self.misses = 0
             self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def stats(self) -> CacheStats:
         with self._lock:

@@ -59,11 +59,6 @@ class Telemetry:
         snapshot["span_totals"] = self.tracer.totals()
         return snapshot
 
-    def clear(self) -> None:
-        """Reset metrics and spans (not the global cache counters)."""
-        self.registry.clear()
-        self.tracer.clear()
-
 
 _active: Optional[Telemetry] = None
 

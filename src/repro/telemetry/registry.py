@@ -85,10 +85,6 @@ class Gauge:
         with self._lock:
             self._value = value
 
-    def inc(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value += amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -186,10 +182,6 @@ class Histogram:
                     self.truncated = True
                 if room > 0:
                     self._samples.extend(array[:room].tolist())
-
-    @property
-    def min(self) -> Optional[float]:
-        return self._min
 
     @property
     def max(self) -> Optional[float]:
@@ -295,9 +287,3 @@ class MetricsRegistry:
                 },
             }
 
-    def clear(self) -> None:
-        """Drop every instrument (tests, run boundaries)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()

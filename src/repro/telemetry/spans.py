@@ -95,9 +95,6 @@ class Span:
             "children": [child.to_dict() for child in self.children],
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Span({self.name!r}, {self.start_s}..{self.end_s}, {self.attrs})"
-
 
 class Tracer:
     """Collects a forest of spans across threads.
@@ -205,26 +202,3 @@ class Tracer:
             entry["total_s"] += span.duration_s
         return totals
 
-    def clear(self) -> None:
-        with self._lock:
-            self.roots.clear()
-
-    def render(self) -> str:
-        """Indented ASCII view of the span forest."""
-        lines: List[str] = []
-
-        def emit(span: Span, depth: int) -> None:
-            duration = (
-                f"{span.duration_s * 1e3:9.3f} ms" if span.end_s is not None
-                else "     open"
-            )
-            attrs = " ".join(f"{k}={v}" for k, v in span.attrs.items())
-            lines.append(f"{'  ' * depth}{span.name:<12} {duration}  {attrs}".rstrip())
-            for child in span.children:
-                emit(child, depth + 1)
-
-        with self._lock:
-            roots = list(self.roots)
-        for root in roots:
-            emit(root, 0)
-        return "\n".join(lines) if lines else "(no spans)"

@@ -54,19 +54,9 @@ ALEXNET_CODEBOOKS: Mapping[str, int] = {
     "fc8": 12,
 }
 
-#: VGG19 inherits VGG16's per-block calibration; the extra convolutions of
-#: blocks 3-5 use their block's deepest layer.
-VGG19_CODEBOOKS: Mapping[str, int] = {
-    **VGG16_CODEBOOKS,
-    "conv3_4": VGG16_CODEBOOKS["conv3_3"],
-    "conv4_4": VGG16_CODEBOOKS["conv4_3"],
-    "conv5_4": VGG16_CODEBOOKS["conv5_3"],
-}
-
 _CODEBOOKS = {
     "alexnet": ALEXNET_CODEBOOKS,
     "vgg16": VGG16_CODEBOOKS,
-    "vgg19": VGG19_CODEBOOKS,
 }
 
 #: Fallback codebook size for custom models.

@@ -10,7 +10,7 @@ dataset.
 Construction: white Gaussian noise shaped in the frequency domain by
 ``1 / f`` (the natural-image law), inverse-transformed,
 then mixed across channels with a correlation factor and normalized to a
-target range.
+fixed range.
 """
 
 from __future__ import annotations
@@ -18,6 +18,11 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+
+#: Weight of the field every channel shares against each channel's own.
+CHANNEL_CORRELATION = 0.85
+#: The range images are normalized to.
+VALUE_RANGE = (-1.0, 1.0)
 
 
 def _pink_field(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -36,27 +41,18 @@ def _pink_field(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return field
 
 
-def natural_image(
-    shape: Tuple[int, int, int],
-    rng: np.random.Generator,
-    channel_correlation: float = 0.85,
-    value_range: Tuple[float, float] = (-1.0, 1.0),
-) -> np.ndarray:
+def natural_image(shape: Tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
     """A CHW image with a 1/f spectrum and correlated channels."""
     channels, rows, cols = shape
     if channels < 1:
         raise ValueError("need at least one channel")
-    if not 0.0 <= channel_correlation <= 1.0:
-        raise ValueError("channel correlation must be in [0, 1]")
-    lo, hi = value_range
-    if hi <= lo:
-        raise ValueError("value range must be increasing")
+    lo, hi = VALUE_RANGE
     shared = _pink_field(rows, cols, rng)
     image = np.empty(shape)
     for c in range(channels):
         own = _pink_field(rows, cols, rng)
-        mixed = channel_correlation * shared + (1 - channel_correlation) * own
+        mixed = CHANNEL_CORRELATION * shared + (1 - CHANNEL_CORRELATION) * own
         image[c] = mixed
-    # Normalize to the requested range with a 3-sigma soft clip.
+    # Normalize to VALUE_RANGE with a 3-sigma soft clip.
     clipped = np.clip(image, -3.0, 3.0) / 3.0
     return lo + (clipped + 1.0) * (hi - lo) / 2.0

@@ -66,25 +66,18 @@ def synthetic_model_workload(
     model: str,
     seed: int = 0,
     schedule: Optional[PruningSchedule] = None,
-    scale: float = 1.0,
-    spatial_scale: float = 1.0,
 ) -> ModelWorkload:
-    """Synthetic workload for a registered model (full-size by default).
+    """Full-size synthetic workload for a registered model.
 
     Uses the Deep Compression pruning schedule and the calibrated per-layer
-    codebooks unless a custom schedule is given. ``scale`` and
-    ``spatial_scale`` shrink channel counts and input resolution the same
-    way :meth:`Architecture.build` does, for workloads matching the scaled
-    executable models the benchmarks run.
+    codebooks unless a custom schedule is given.
     """
     architecture = get_architecture(model)
     if schedule is None:
         schedule = deep_compression_schedule(model)
     rng = np.random.default_rng(seed)
     layers = []
-    for spec in architecture.accelerated_specs(
-        scale=scale, spatial_scale=spatial_scale
-    ):
+    for spec in architecture.accelerated_specs():
         layers.append(
             synthetic_layer_workload(
                 spec,

@@ -73,7 +73,18 @@ def direct_conv(
         weights=weights,
         bias=np.zeros(out_channels, np.int64) if bias is None else np.asarray(bias, np.int64),
     )
-    return layer.forward(np.asarray(features, dtype=np.int64))
+    return layer.forward_batch(np.asarray(features, dtype=np.int64)[None])[0]
+
+
+def op_totals(result):
+    """(accumulates, multiplies) of an inference result, over its layers."""
+    stats = result.layer_stats
+    return sum(s.accumulate_ops for s in stats), sum(s.multiply_ops for s in stats)
+
+
+def layer_named(network, name: str):
+    """The layer of a network called ``name``."""
+    return next(layer for layer in network if layer.name == name)
 
 
 def input_shape_of(network, name: str):

@@ -420,7 +420,7 @@ class TestPlanCache:
         first = compile_layer_plan(encoded, geometry)
         second = compile_layer_plan(encoded, geometry)
         assert first is second
-        assert len(plan_module._plans) == 1
+        assert plan_module._plans.stats().size == 1
 
     def test_distinct_geometry_distinct_plan(self, rng):
         plan_module._plans.clear()
@@ -429,15 +429,15 @@ class TestPlanCache:
         a = compile_layer_plan(encoded, ConvGeometry(kernel=3, padding=1))
         b = compile_layer_plan(encoded, ConvGeometry(kernel=3, padding=0))
         assert a is not b
-        assert len(plan_module._plans) == 2
+        assert plan_module._plans.stats().size == 2
 
     def test_clear_plan_cache(self, rng):
         weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))
         encoded = encode_layer("c", weights)
         compile_layer_plan(encoded, ConvGeometry(kernel=3))
-        assert len(plan_module._plans) >= 1
+        assert plan_module._plans.stats().size >= 1
         plan_module._plans.clear()
-        assert len(plan_module._plans) == 0
+        assert plan_module._plans.stats().size == 0
 
     def test_op_counts_are_analytic(self, rng):
         """Plan op counts come from nnz / Q-Table sizes, not execution."""

@@ -203,7 +203,7 @@ class TestDegenerateGrids:
             s_ec_values=(20,),
             n_cu_values=(3,),
         )
-        assert evaluation.shape == (1, 1, 1)
+        assert evaluation.cycles_per_image.shape == (1, 1, 1)
         config = point_config(alexnet_workload, 14, 4, 20, 3)
         estimate = estimate_resources(config)
         assert evaluation.config_at(0, 0, 0) == config
@@ -239,7 +239,7 @@ class TestDegenerateGrids:
             s_ec_values=(20,),
             n_cu_values=(3,),
         )
-        assert evaluation.shape == (0, 1, 1)
+        assert evaluation.cycles_per_image.shape == (0, 1, 1)
         assert not evaluation.feasible.any()
 
     def test_all_infeasible_grid(self, alexnet_workload):
@@ -558,9 +558,9 @@ class TestCaches:
         _buffers.clear()
         first = size_buffers(alexnet_workload, 20)
         assert size_buffers(alexnet_workload, 20) is first
-        assert len(_buffers) == 1
+        assert _buffers.stats().size == 1
         assert size_buffers(alexnet_workload, 16) is not first
-        assert len(_buffers) == 2
+        assert _buffers.stats().size == 2
         # A content-equal copy is a different identity: recomputed, equal.
         copy = ModelWorkload(name=alexnet_workload.name, layers=alexnet_workload.layers)
         assert size_buffers(copy, 20) == first
@@ -639,7 +639,7 @@ class TestColumnTables:
                 got.dense_ops,
                 np.array(got.energy_per_image_j),
             )
-            for index in np.ndindex(got.shape):
+            for index in np.ndindex(got.cycles_per_image.shape):
                 config = got.config_at(*index)
                 perf = estimate_model(workload, config, mode=MODE_QUANTIZED)
                 assert got.cycles_per_image[index] == perf.cycles_per_image
@@ -691,7 +691,7 @@ class TestColumnTables:
 class TestCompiledOwnerEviction:
     def test_entries_dropped_with_their_workload(self):
         workload = synthetic_model_workload("alexnet", seed=7)
-        before = len(_compiled)
+        before = _compiled.stats().size
         for n_share in (2, 4):
             compile_workload(workload, n_share).evaluate_grid(
                 workload,
@@ -700,7 +700,7 @@ class TestCompiledOwnerEviction:
                 s_ec_values=(20,),
                 n_cu_values=(3,),
             )
-        assert len(_compiled) == before + 2
+        assert _compiled.stats().size == before + 2
         del workload
         gc.collect()
-        assert len(_compiled) == before
+        assert _compiled.stats().size == before

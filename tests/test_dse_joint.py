@@ -122,7 +122,7 @@ class TestPowerArrays:
                 evaluation.cycles_per_image, freq_mhz, evaluation.dense_ops, energy
             )
             assert power_w.shape == evaluation.cycles_per_image.shape
-            for index in np.ndindex(evaluation.shape):
+            for index in np.ndindex(evaluation.cycles_per_image.shape):
                 config = dataclasses.replace(
                     evaluation.config_at(*index), freq_mhz=freq_mhz
                 )

@@ -22,6 +22,10 @@ def vgg_workload():
     return synthetic_model_workload("vgg16", seed=1)
 
 
+def _layer(workload, name):
+    return next(layer for layer in workload.layers if layer.spec.name == name)
+
+
 class TestResourceModel:
     def test_paper_config_matches_table2(self):
         """The calibrated constants must reproduce Table 2's resources."""
@@ -87,12 +91,12 @@ class TestPerformanceModel:
 
     def test_multiplier_bound_layer_flagged(self, vgg_workload):
         """conv1_2's 3.4 intensity ratio < N=4 makes it multiply-bound."""
-        layer = vgg_workload.layer("conv1_2")
+        layer = _layer(vgg_workload, "conv1_2")
         perf = estimate_layer(layer, PAPER_CONFIG_VGG16, mode=MODE_IDEAL)
         assert perf.bound == "multiply"
 
     def test_accumulate_bound_layer(self, vgg_workload):
-        layer = vgg_workload.layer("conv4_2")
+        layer = _layer(vgg_workload, "conv4_2")
         perf = estimate_layer(layer, PAPER_CONFIG_VGG16, mode=MODE_IDEAL)
         assert perf.bound == "accumulate"
 
@@ -119,14 +123,14 @@ class TestBandwidthModel:
         assert report.bandwidth_headroom > 1.0
 
     def test_weight_traffic_amortized_by_batch(self, vgg_workload):
-        fc6 = vgg_workload.layer("fc6")
+        fc6 = _layer(vgg_workload, "fc6")
         traffic = layer_traffic(fc6, PAPER_CONFIG_VGG16)
         assert traffic.weight_bytes == pytest.approx(
             fc6.encoded_bytes / PAPER_CONFIG_VGG16.s_ec
         )
 
     def test_conv_weight_restreamed_per_window(self, vgg_workload):
-        conv = vgg_workload.layer("conv4_2")
+        conv = _layer(vgg_workload, "conv4_2")
         traffic = layer_traffic(conv, PAPER_CONFIG_VGG16)
         assert traffic.windows > 1
         assert traffic.weight_bytes > conv.encoded_bytes / PAPER_CONFIG_VGG16.s_ec

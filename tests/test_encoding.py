@@ -20,6 +20,7 @@ from repro.core.encoding import (
     decode_kernel,
     encode_kernel,
     encode_layer,
+    narrowest_int,
     pack_index,
     unpack_index,
 )
@@ -290,6 +291,17 @@ class TestLayerValidation:
         with pytest.raises(EncodingError, match="VAL is zero"):
             replace(layer, qtable_values=values)
 
+    def test_val_beyond_int64(self, layer):
+        """A uint64 VAL above int64 fails as EncodingError, not StopIteration."""
+        values = layer.qtable_values.astype(np.uint64)
+        values[-1] = 2**63
+        with pytest.raises(EncodingError, match="qtable_values"):
+            replace(layer, qtable_values=values)
+
+    def test_narrowest_int_overflow(self):
+        with pytest.raises(OverflowError, match="overflow int64"):
+            narrowest_int(np.array([2**63], np.uint64))
+
     @pytest.mark.parametrize("index", [-1, 18, 0xFFFF])
     def test_index_outside_kernel(self, layer, index):
         indices = layer.indices.astype(np.int64)
@@ -371,5 +383,5 @@ class TestCacheThreadSafety:
         for t in threads:
             t.join()
         assert all(p is plans[0] for p in plans)
-        assert len(_plans) == 1
+        assert _plans.stats().size == 1
         _plans.clear()

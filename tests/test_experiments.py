@@ -198,7 +198,7 @@ class TestTable1:
         assert counts.abm_ops < counts.spconv_ops
 
     def test_fc_layers_keep_fdconv_dense(self, t1):
-        fc6 = t1.layer("fc6")
+        fc6 = next(layer for layer in t1.counts.layers if layer.name == "fc6")
         assert fc6.fdconv_ops == fc6.sdconv_ops
 
     def test_render(self, t1):
@@ -335,7 +335,7 @@ class TestFig7:
 
     def test_grid_point_lookup(self):
         result = fig7.run(seed=1)
-        point = result.point(20, 3)
+        point = next(p for p in result.grid if (p.s_ec, p.n_cu) == (20, 3))
         assert point.utilization.dsp < 1.0
 
     def test_render(self):

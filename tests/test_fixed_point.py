@@ -48,10 +48,6 @@ class TestQFormat:
         assert fmt.scale == 4.0
         assert fmt.quantize(8.0)[()] == 2
 
-    def test_int_bits(self):
-        assert QFormat(8, 4).int_bits == 3
-        assert QFormat(16, 15).int_bits == 0
-
     def test_rejects_tiny_width(self):
         with pytest.raises(ValueError):
             QFormat(1, 0)

@@ -81,7 +81,7 @@ class TestFCPlans:
 
     def test_fc_window_pixels(self, config):
         plan = plan_windows(fc_spec("fc", 128, 64), config)
-        assert plan.window_pixels == 1
+        assert plan.window_rows * plan.window_cols == 1
 
 
 # ---------------------------------------------------------------------------

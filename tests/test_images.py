@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads.images import natural_image
+from repro.workloads.images import VALUE_RANGE, natural_image
 
 
 def spectrum_slope(image_channel: np.ndarray) -> float:
@@ -25,10 +25,10 @@ def spectrum_slope(image_channel: np.ndarray) -> float:
 
 class TestNaturalImage:
     def test_shape_and_range(self, rng):
-        image = natural_image((3, 64, 64), rng, value_range=(0.0, 1.0))
+        image = natural_image((3, 64, 64), rng)
+        lo, hi = VALUE_RANGE
         assert image.shape == (3, 64, 64)
-        assert image.min() >= 0.0
-        assert image.max() <= 1.0
+        assert lo <= image.min() < 0.0 < image.max() <= hi
 
     def test_spectrum_is_pink(self, rng):
         """The fitted log-log slope sits near the natural-image -1 law."""
@@ -41,14 +41,9 @@ class TestNaturalImage:
         assert abs(spectrum_slope(noise)) < 0.3
 
     def test_channels_correlated(self, rng):
-        image = natural_image((3, 64, 64), rng, channel_correlation=0.9)
+        image = natural_image((3, 64, 64), rng)
         r = np.corrcoef(image[0].ravel(), image[1].ravel())[0, 1]
         assert r > 0.5
-
-    def test_uncorrelated_channels(self, rng):
-        image = natural_image((3, 64, 64), rng, channel_correlation=0.0)
-        r = np.corrcoef(image[0].ravel(), image[1].ravel())[0, 1]
-        assert abs(r) < 0.4
 
     def test_deterministic(self):
         a = natural_image((3, 32, 32), np.random.default_rng(5))
@@ -58,10 +53,6 @@ class TestNaturalImage:
     def test_validation(self, rng):
         with pytest.raises(ValueError):
             natural_image((0, 8, 8), rng)
-        with pytest.raises(ValueError):
-            natural_image((1, 8, 8), rng, channel_correlation=1.5)
-        with pytest.raises(ValueError):
-            natural_image((1, 8, 8), rng, value_range=(1.0, 0.0))
 
 
 class TestCalibrationIntegration:

@@ -73,7 +73,7 @@ class TestConv2D:
         conv.bias[:] = rng.normal(size=6)
         features = rng.normal(size=(4, 9, 9))
         expected = naive_conv(features, conv.weights, conv.bias, stride, padding, groups)
-        assert np.allclose(conv.forward(features), expected)
+        assert np.allclose(conv.forward_batch(features[None])[0], expected)
 
     def test_output_shape(self):
         conv = Conv2D("c", 3, 8, kernel=3, stride=1, padding=1)
@@ -105,19 +105,19 @@ class TestFullyConnected:
         fc.bias[:] = rng.normal(size=5)
         features = rng.normal(size=(3, 2, 2))
         expected = fc.weights @ features.reshape(-1) + fc.bias
-        assert np.allclose(fc.forward(features).reshape(-1), expected)
+        assert np.allclose(fc.forward_batch(features[None])[0].reshape(-1), expected)
 
     def test_wrong_input_size(self):
         fc = FullyConnected("fc", 12, 5)
         with pytest.raises(ValueError):
-            fc.forward(np.zeros((13,)))
+            fc.forward_batch(np.zeros((1, 13)))
 
 
 class TestPooling:
     def test_max_pool_basic(self):
         pool = MaxPool2D("p", kernel=2, stride=2)
         features = np.arange(16).reshape(1, 4, 4).astype(float)
-        out = pool.forward(features)
+        out = pool.forward_batch(features[None])[0]
         assert out.shape == (1, 2, 2)
         assert out[0].tolist() == [[5, 7], [13, 15]]
 
@@ -134,7 +134,7 @@ class TestPooling:
         """Ceil-mode tail windows must not invent -inf values."""
         pool = MaxPool2D("p", kernel=3, stride=2)
         features = rng.normal(size=(2, 7, 7))
-        out = pool.forward(features)
+        out = pool.forward_batch(features[None])[0]
         assert np.all(np.isfinite(out))
         assert out.shape == (2, 3, 3)
 
@@ -160,22 +160,22 @@ class TestPooling:
     def test_avg_pool_counts_only_real_pixels(self):
         pool = AvgPool2D("p", kernel=2, stride=2)
         features = np.ones((1, 4, 4))
-        assert np.allclose(pool.forward(features), 1.0)
+        assert np.allclose(pool.forward_batch(features[None])[0], 1.0)
 
     def test_avg_pool_values(self):
         pool = AvgPool2D("p", kernel=2, stride=2)
         features = np.arange(16, dtype=float).reshape(1, 4, 4)
-        assert pool.forward(features)[0, 0, 0] == pytest.approx(2.5)
+        assert pool.forward_batch(features[None])[0][0, 0, 0] == pytest.approx(2.5)
 
 
 class TestElementwise:
     def test_relu(self):
-        out = ReLU("r").forward(np.array([[[-1.0, 2.0]]]))
+        out = ReLU("r").forward_batch(np.array([[[-1.0, 2.0]]])[None])[0]
         assert out.tolist() == [[[0.0, 2.0]]]
 
     def test_dropout_is_identity(self, rng):
         features = rng.normal(size=(2, 3, 3))
-        assert np.array_equal(Dropout("d").forward(features), features)
+        assert np.array_equal(Dropout("d").forward_batch(features[None])[0], features)
 
     def test_dropout_rejects_bad_rate(self):
         with pytest.raises(ValueError):
@@ -183,7 +183,7 @@ class TestElementwise:
 
     def test_flatten(self, rng):
         features = rng.normal(size=(2, 3, 3))
-        out = Flatten("f").forward(features)
+        out = Flatten("f").forward_batch(features[None])[0]
         assert out.shape == (18, 1, 1)
         assert np.array_equal(out.reshape(2, 3, 3), features)
 
@@ -192,7 +192,7 @@ class TestLRN:
     def test_matches_naive(self, rng):
         lrn = LocalResponseNorm("n", local_size=5, alpha=1e-4, beta=0.75, k=1.0)
         features = rng.normal(size=(8, 4, 4))
-        out = lrn.forward(features)
+        out = lrn.forward_batch(features[None])[0]
         # Naive per-channel windowed implementation.
         for c in range(8):
             lo, hi = max(0, c - 2), min(8, c + 3)
@@ -206,10 +206,10 @@ class TestLRN:
 
 class TestSoftmax:
     def test_sums_to_one(self, rng):
-        out = Softmax("s").forward(rng.normal(size=(10, 1, 1)))
+        out = Softmax("s").forward_batch(rng.normal(size=(10, 1, 1))[None])[0]
         assert out.sum() == pytest.approx(1.0)
 
     def test_stable_for_large_logits(self):
-        out = Softmax("s").forward(np.array([1000.0, 1001.0]).reshape(2, 1, 1))
+        out = Softmax("s").forward_batch(np.array([1000.0, 1001.0]).reshape(2, 1, 1)[None])[0]
         assert np.all(np.isfinite(out))
         assert out[1] > out[0]

@@ -1,34 +1,16 @@
-"""Tests for the extended model zoo (VGG19, CifarNet, LeNet)."""
+"""Tests for the small models of the zoo (CifarNet, LeNet)."""
 
 import numpy as np
 import pytest
 
 from repro.nn.models import (
-    available_models,
     cifarnet_architecture,
     get_architecture,
     lenet_architecture,
-    vgg19_architecture,
 )
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import uniform_schedule
-
-
-class TestVGG19:
-    def test_registered(self):
-        assert "vgg19" in available_models()
-
-    def test_ops_exceed_vgg16(self):
-        vgg19 = sum(s.dense_ops for s in vgg19_architecture().accelerated_specs())
-        vgg16 = sum(
-            s.dense_ops for s in get_architecture("vgg16").accelerated_specs()
-        )
-        assert vgg19 / 1e9 == pytest.approx(39.3, rel=0.02)
-        assert vgg19 > vgg16
-
-    def test_layer_count(self):
-        specs = vgg19_architecture().accelerated_specs()
-        assert len(specs) == 19  # 16 conv + 3 fc
+from tests.conftest import layer_named, op_totals
 
 
 class TestCifarNet:
@@ -56,7 +38,7 @@ class TestCifarNet:
         network = cifarnet_architecture().build(seed=None)
         from repro.nn.layers import AvgPool2D
 
-        assert isinstance(network.layer("pool2"), AvgPool2D)
+        assert isinstance(layer_named(network, "pool2"), AvgPool2D)
 
 
 class TestLeNet:
@@ -77,7 +59,8 @@ class TestLeNet:
         pipeline.quantize()
         result = pipeline.run(x)
         assert result.output.shape == (10, 1, 1)
-        assert result.multiply_ops < result.accumulate_ops
+        accumulates, multiplies = op_totals(result)
+        assert multiplies < accumulates
 
     def test_no_padding_geometry(self):
         specs = {s.name: s for s in lenet_architecture().accelerated_specs()}
@@ -86,7 +69,7 @@ class TestLeNet:
 
 
 class TestZooUniformity:
-    @pytest.mark.parametrize("name", ["alexnet", "vgg16", "vgg19", "cifarnet", "lenet"])
+    @pytest.mark.parametrize("name", ["alexnet", "vgg16", "cifarnet", "lenet"])
     def test_specs_consistent(self, name):
         """Every zoo model yields well-formed accelerated specs."""
         specs = get_architecture(name).accelerated_specs()

@@ -13,7 +13,7 @@ from repro.nn.tensor import FeatureShape
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import deep_compression_schedule, uniform_schedule
 from repro.quant.fixed_point import fit_qformat
-from tests.conftest import decode_layer, direct_conv
+from tests.conftest import decode_layer, direct_conv, layer_named, op_totals
 
 
 @pytest.fixture
@@ -83,7 +83,7 @@ class TestFlowStages:
         network, x = image
         pipeline = QuantizedPipeline(network)
         pipeline.calibrate(x)
-        network.layer("fc3").weights[2, 5] = bad
+        layer_named(network, "fc3").weights[2, 5] = bad
         with pytest.raises(ValueError, match="layer 'fc3'.*non-finite"):
             pipeline.quantize()
 
@@ -190,13 +190,13 @@ class TestOpAccounting:
         network, x = image
         names = [l.name for l in network.accelerated_layers()]
         dense_pipeline = build_pipeline(network, x)
-        dense_ops = dense_pipeline.run(x).accumulate_ops
+        dense_ops, _ = op_totals(dense_pipeline.run(x))
 
         network2 = type(network)(network.name, network.input_shape, network.layers)
         pruned_pipeline = build_pipeline(
             network2, x, uniform_schedule(names, 0.25).densities
         )
-        pruned_ops = pruned_pipeline.run(x).accumulate_ops
+        pruned_ops, _ = op_totals(pruned_pipeline.run(x))
         assert pruned_ops < 0.35 * dense_ops
 
     def test_stats_per_layer(self, image):
@@ -211,10 +211,9 @@ class TestOpAccounting:
     def test_encoded_bytes_positive_and_consistent(self, image):
         network, x = image
         pipeline = build_pipeline(network, x)
-        assert pipeline.encoded_bytes() == sum(
-            e.encoded_bytes for e in pipeline.encoded_layers()
-        )
-        assert pipeline.encoded_bytes() > 0
+        sizes = [e.encoded_bytes for e in pipeline.encoded_layers()]
+        assert len(sizes) == len(network.accelerated_layers())
+        assert all(size > 0 for size in sizes)
 
     def test_streams_are_held_at_figure_4_widths(self, image):
         """An 8-bit pipeline holds 16-bit indices, 8-bit NUMs and 8-bit VALs,
@@ -246,4 +245,5 @@ class TestDeepCompressionIntegration:
         reference = pipeline.run_float(x)
         assert int(np.argmax(result.output)) == int(np.argmax(reference))
         # ABM multiplies far fewer than accumulates on a pruned model.
-        assert result.multiply_ops < result.accumulate_ops
+        accumulates, multiplies = op_totals(result)
+        assert multiplies < accumulates

@@ -7,6 +7,7 @@ from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import uniform_schedule
 from repro.runtime import SystemRuntime
 from repro.system.pipeline import ServiceProfile
+from tests.conftest import op_totals
 
 
 @pytest.fixture
@@ -30,8 +31,7 @@ class TestRuntime:
         (batched,) = system.pipeline.run_batch(image[None])
         direct = system.pipeline.run(image)
         assert np.array_equal(batched.output, direct.output)
-        assert batched.accumulate_ops == direct.accumulate_ops
-        assert batched.multiply_ops == direct.multiply_ops
+        assert op_totals(batched) == op_totals(direct)
 
     def test_timing_attributed_per_layer(self, runtime):
         system, _ = runtime

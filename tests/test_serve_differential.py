@@ -34,6 +34,7 @@ from repro.serve.events import BatchPolicy, EventDrivenSimulator
 from repro.serve.fleet import ServiceProfile
 from repro.serve.loadgen import LoadTrace
 from repro.workloads.images import natural_image
+from tests.conftest import op_totals
 
 IMAGE_COUNT = 8
 #: Largest batch the property sweep draws.
@@ -162,5 +163,4 @@ class TestDifferentialProperty:
         assert sorted(outcomes) == list(range(IMAGE_COUNT))
         for request_id, outcome in enumerate(sequential):
             assert np.array_equal(outcomes[request_id].output, outcome.output)
-            assert outcomes[request_id].accumulate_ops == outcome.accumulate_ops
-            assert outcomes[request_id].multiply_ops == outcome.multiply_ops
+            assert op_totals(outcomes[request_id]) == op_totals(outcome)

@@ -18,8 +18,6 @@ from repro.telemetry.caches import (
     cache_stats,
     clear_caches,
     register_cache,
-    registered_caches,
-    unregister_cache,
 )
 from repro.telemetry.context import Telemetry, activate, get_active
 from repro.telemetry.exporters import (
@@ -64,8 +62,7 @@ class TestCounterGauge:
         registry = MetricsRegistry()
         gauge = registry.gauge("depth")
         gauge.set(10)
-        gauge.inc(-3)
-        gauge.inc()
+        gauge.set(8)
         assert gauge.value == 8
 
 
@@ -93,7 +90,7 @@ class TestHistogram:
             histogram.observe(2.0)
         assert histogram.percentile(50) == 2.0
         assert histogram.percentile(99) == 2.0
-        assert histogram.min == histogram.max == 2.0
+        assert histogram.snapshot()["min"] == histogram.max == 2.0
 
     def test_nearest_rank_hand_pinned(self):
         # Ten samples 1..10: nearest-rank p95 -> ceil(9.5)-1 = index 9 -> 10,
@@ -127,14 +124,6 @@ class TestHistogram:
         assert histogram.truncated
         assert histogram.count == 3  # aggregates still exact
         assert histogram.snapshot()["truncated"] is True
-
-
-class TestRegistryModes:
-    def test_clear(self):
-        registry = MetricsRegistry()
-        registry.counter("n").inc()
-        registry.clear()
-        assert registry.snapshot()["counters"] == {}
 
 
 class TestSpans:
@@ -224,16 +213,20 @@ class TestActivation:
         assert get_active() is None
 
 
+@pytest.fixture
+def families(monkeypatch):
+    """Undo the cache families a test registers."""
+    from repro.telemetry import caches
+
+    monkeypatch.setattr(caches, "_providers", dict(caches._providers))
+    monkeypatch.setattr(caches, "_clearers", dict(caches._clearers))
+
+
 class TestCacheRegistry:
-    def test_register_and_unregister(self):
+    def test_register(self, families):
         stats = CacheStats(hits=3, misses=1, evictions=0, size=2, capacity=8)
         register_cache("test.family", lambda: stats)
-        try:
-            assert "test.family" in registered_caches()
-            assert cache_stats()["test.family"] is stats
-        finally:
-            unregister_cache("test.family")
-        assert "test.family" not in registered_caches()
+        assert cache_stats()["test.family"] is stats
 
     def test_cache_owners_register_exactly_their_families(self):
         # Package __init__s load no cache owner, so a fresh interpreter
@@ -242,8 +235,8 @@ class TestCacheRegistry:
             "import repro.core.model_plan, repro.core.plan\n"
             "import repro.dse.compiled, repro.dse.explorer\n"
             "import repro.hw.accelerator, repro.hw.tiling\n"
-            "from repro.telemetry.caches import registered_caches\n"
-            "print(' '.join(registered_caches()))"
+            "from repro.telemetry.caches import cache_stats\n"
+            "print(' '.join(cache_stats()))"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True
@@ -267,10 +260,8 @@ class _Owner:
 
 
 @pytest.fixture
-def memo():
-    memo = Memo("test.memo", capacity=2)
-    yield memo
-    unregister_cache("test.memo")
+def memo(families):
+    return Memo("test.memo", capacity=2)
 
 
 class TestMemo:
@@ -281,7 +272,7 @@ class TestMemo:
         assert memo.get("c", lambda: 3) == 3  # evicts "b", the oldest
         assert memo.get("a", lambda: 0) == 1
         assert memo.get("b", lambda: 4) == 4  # rebuilt; evicts "c"
-        assert len(memo) == 2
+        assert memo.stats().size == 2
         stats = memo.stats()
         assert (stats.hits, stats.misses, stats.evictions) == (2, 4, 2)
 
@@ -292,7 +283,7 @@ class TestMemo:
         assert memo.get("k", object, owner=other) is not first
         del owner
         gc.collect()
-        assert len(memo) == 1
+        assert memo.stats().size == 1
         assert memo.stats().evictions == 1
         memo.clear()
         del other
@@ -325,7 +316,6 @@ class TestMemo:
     def test_stats_and_registration(self, memo):
         memo.get("a", lambda: 1)
         memo.get("a", lambda: 1)
-        assert "test.memo" in registered_caches()
         stats = cache_stats()["test.memo"]
         assert stats == memo.stats()
         assert (stats.name, stats.capacity, stats.size) == ("test.memo", 2, 1)

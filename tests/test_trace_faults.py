@@ -46,9 +46,8 @@ class TestTrace:
 
     def test_busy_cycles_match_result(self, traced_run):
         _, config, trace, result = traced_run
-        by_cu = trace.by_cu()
         for cu in range(config.n_cu):
-            busy = sum(event.cycles for event in by_cu.get(cu, []))
+            busy = sum(e.end - e.start for e in trace.events if e.cu == cu)
             assert busy == result.cu_busy_cycles[cu]
 
     def test_makespan_matches_cycles(self, traced_run):
@@ -68,7 +67,7 @@ class TestTrace:
 
     def test_empty_trace(self):
         trace = TraceRecorder()
-        assert trace.by_cu() == {}
+        assert not trace.events
         assert trace.windows_in_flight() == 0
         trace.verify_no_overlap()
 
