@@ -39,11 +39,14 @@ batch geometry)
   stage's layer is bound with :meth:`LayerPlan.bind` to its input view
   (halo strips, window views, band tiles, output rows, weight blocks,
   bias cast) and its epilogue to fixed views (the MaxPool taps, the
-  requantize ``scratch`` and ``dest``).  The call's input enters through ping buffer 0, so the
-  leading stage binds like any other, and every stage is a name, one
-  fixed call list and its output view: ``run`` copies the input in,
-  replays every stage's ``copyto`` / ``matmul`` / ``add`` / ufunc calls
-  and copies the final view out.
+  requantize ``scratch`` and ``dest``).  The call's input enters through
+  ping buffer 0, so the leading stage binds like any other, and every
+  stage is a name, one fixed call list and its output view: ``run``
+  copies the input in, replays every stage's ``copyto`` / GEMM / ``add``
+  / ufunc calls and copies the final view out.  Each fused stage's call
+  is tagged with its kind (:data:`CALL_KINDS`), so a traced run records
+  on the stage's ``kernel`` span the ms it spent in each kind; an
+  untraced run times nothing.
 
 Bit-exactness: every fused stage computes the *same* codes as
 :meth:`repro.pipeline.QuantizedPipeline.run_batch_reference` (power-of-two
@@ -65,7 +68,7 @@ geometry) and registered with the telemetry cache registry as
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
+import time
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -84,7 +87,7 @@ from ..nn.tensor import FeatureShape, pool_output_extent
 from ..quant.fixed_point import QFormat
 from ..telemetry.caches import Memo
 from ..telemetry.context import get_active
-from .plan import FLOAT32_EXACT, LayerPlan, Scratch, code_peak, compile_layer_plan
+from .plan import FLOAT32_EXACT, Call, LayerPlan, Scratch, code_peak, compile_layer_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.pipeline
     from ..pipeline import QuantizedPipeline
@@ -94,6 +97,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.pipeline
 #: scratch and the stage scratch of the largest stage), so the bound is
 #: deliberately small.
 _model_plans = Memo("core.model_plan", capacity=8)
+
+#: The kinds of a fused stage's calls, each timed apart when tracing:
+#: halo fills, interior, flatten and im2col copies; the conv GEMM or FC
+#: sparse product; the bias add; the pool taps and requantize.
+CALL_KINDS = ("im2col", "gemm", "bias", "epilogue")
 
 #: Exclusive bound on the raw sums the float32 requantize rounds exactly.
 #: One bit below ``FLOAT32_EXACT``: ``|x| + 0.5`` of a 23-bit ``x`` always
@@ -243,11 +251,29 @@ class _FusedStage(_BoundStage):
             raw = self.out
         scratch = arena.scratch[: self.out.size].reshape(self.out.shape)
         self.calls.append(
-            partial(
-                requantize, raw, self.factor, self.clip_lo, self.clip_hi, scratch, self.out
+            Call(
+                "epilogue",
+                requantize,
+                raw,
+                self.factor,
+                self.clip_lo,
+                self.clip_hi,
+                scratch,
+                self.out,
             )
         )
         return self.out, index
+
+    def run_timed(self) -> Dict[str, float]:
+        """Replay the calls, timing each; returns the ms spent per kind as
+        ``{"<kind>_ms": ms}`` for every kind in :data:`CALL_KINDS`."""
+        clock = time.perf_counter
+        seconds = dict.fromkeys(CALL_KINDS, 0.0)
+        for call in self.calls:
+            start = clock()
+            call()
+            seconds[call.kind] += clock() - start
+        return {f"{kind}_ms": s * 1e3 for kind, s in seconds.items()}
 
 
 def _pooled_shape(pool: MaxPool2D, shape: Sequence[int]) -> Tuple[int, int, int, int]:
@@ -261,7 +287,7 @@ def _pooled_shape(pool: MaxPool2D, shape: Sequence[int]) -> Tuple[int, int, int,
     )
 
 
-def _bind_maxpool(pool: MaxPool2D, src: np.ndarray, dest: np.ndarray) -> List[partial]:
+def _bind_maxpool(pool: MaxPool2D, src: np.ndarray, dest: np.ndarray) -> List[Call]:
     """The calls of a ceil-mode max pooling of channels-last integers
     ``src`` into ``dest``, cast into ``dest``'s dtype on the way.
 
@@ -279,10 +305,12 @@ def _bind_maxpool(pool: MaxPool2D, src: np.ndarray, dest: np.ndarray) -> List[pa
         for j in range(k):
             tap = src[:, i::s, j::s][:, :out_rows, :out_cols]
             if i == j == 0:
-                calls.append(partial(np.copyto, dest, tap, casting="unsafe"))
+                calls.append(Call("epilogue", np.copyto, dest, tap, casting="unsafe"))
             else:
                 part = dest[:, : tap.shape[1], : tap.shape[2]]
-                calls.append(partial(np.maximum, part, tap, out=part, casting="unsafe"))
+                calls.append(
+                    Call("epilogue", np.maximum, part, tap, out=part, casting="unsafe")
+                )
     return calls
 
 
@@ -302,7 +330,7 @@ class _FlattenStage(_BoundStage):
         if rows * cols > 1:
             index = 1 - index
             chw = arena.view(index, (images, channels, rows, cols))
-            self.calls.append(partial(np.copyto, chw, src.transpose(0, 3, 1, 2)))
+            self.calls.append(Call("im2col", np.copyto, chw, src.transpose(0, 3, 1, 2)))
             src = chw
         self.out = src.reshape(images, 1, 1, -1)
         return self.out, index
@@ -595,19 +623,19 @@ class ModelPlan:
         with self._lock:
             np.copyto(self._entry, codes.transpose(0, 2, 3, 1), casting="same_kind")
             for stage in self.stages:
-                span = nullcontext()
-                if telemetry is not None and isinstance(stage, _FusedStage):
-                    span = telemetry.span(
-                        "kernel",
-                        layer=stage.name,
-                        images=int(codes.shape[0]),
-                        fused=",".join(stage.fused_names),
-                        datapath=stage.datapath,
-                        tiles=stage.tiles,
-                    )
-                with span:
+                if telemetry is None or not isinstance(stage, _FusedStage):
                     for call in stage.calls:
                         call()
+                    continue
+                with telemetry.span(
+                    "kernel",
+                    layer=stage.name,
+                    images=int(codes.shape[0]),
+                    fused=",".join(stage.fused_names),
+                    datapath=stage.datapath,
+                    tiles=stage.tiles,
+                ) as span:
+                    span.attrs.update(stage.run_timed())
             # A fresh int64 array; the cast also turns the -0.0 a float32
             # requantize can emit into 0.
             out = np.empty(self._exit.shape, np.int64)

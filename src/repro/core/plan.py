@@ -3,9 +3,9 @@
 The paper's accumulate-before-multiply flow (Equation 2) is a hardware
 dataflow: accumulate the feature words sharing a weight value, multiply
 each partial sum once.  On the host the same integer sums come out of one
-dense GEMM per channel group — the factorization only regroups an exact
-integer sum, so any exact evaluation of ``W @ patches`` is bit-identical
-to the two-stage loop of :func:`repro.core.abm.abm_conv2d_reference`.
+GEMM per channel group — the factorization only regroups an exact integer
+sum, so any exact evaluation of ``W @ patches`` is bit-identical to the
+two-stage loop of :func:`repro.core.abm.abm_conv2d_reference`.
 
 A :class:`LayerPlan` compiles an encoded layer once into
 
@@ -14,20 +14,27 @@ A :class:`LayerPlan` compiles an encoded layer once into
   — exactly what the reference loop counts one iteration at a time;
 - the exact per-kernel bound ``max_weighted_sum = max_k sum(|VAL| * NUM)``
   on ``|output| / max|x|`` (:meth:`LayerPlan.sum_bound` at a peak of 1);
-- the weight codes as one dense ``(M, C*K*K)`` matrix, scattered once from
-  the flat WT-Buffer stream, and for a conv its transpose in GEMM order.
+- on first bind, per datapath dtype, the GEMM weights, built straight from
+  the WT-Buffer and Q-Table streams: a conv's dense ``(K*K*C, M)`` matrix
+  in GEMM order, scattered once; an FC layer's ``scipy.sparse`` matrix,
+  whose CSR row pointers are the stream offsets, whose column indices are
+  the WT-Buffer indices and whose data is each VAL repeated NUM times,
+  stored as CSC.  An FC plan never builds a dense matrix.
 
 Execution is channels-last (NHWC).  A pixel-major im2col lays the batch
 out as one patch row per output pixel, the batch stacked into the pixel
 axis: ``K*K`` contiguous runs of ``C`` feature words, in ``(k, k', n)``
 order.  A conv multiplies it by the ``(K*K*C, M)`` weights, so its
-``(pixels, M)`` output is already the next layer's channels-last input;
-an FC layer keeps the kernel-major ``W @ x``, which is faster at its
-shapes.  A wide conv runs as row bands of about :data:`BAND_PIXELS`
-output pixels — whole output rows of one image, or whole images — the
-way the accelerator streams prefetch windows through its FT-Buffer: each
-band is im2col'd into one reused tile, multiplied straight into its rows
-of the output and biased while still in cache (see :class:`Bands`).  The
+``(pixels, M)`` output is already the next layer's channels-last input.
+An FC layer multiplies its patch rows by the sparse matrix instead, into
+the same layout: the pruned models' FC layers keep 4–23% of their
+weights, and a dense GEMV would stream every zero from memory (see
+docs/performance.md).  CSC read faster than CSR in the fused plan.  A
+wide conv runs as row bands of about :data:`BAND_PIXELS` output pixels —
+whole output rows of one image, or whole images — the way the
+accelerator streams prefetch windows through its FT-Buffer: each band is
+im2col'd into one reused tile, multiplied straight into its rows of the
+output and biased while still in cache (see :class:`Bands`).  The
 reduction axis stays whole, so every sum is the same exact integer.
 
 The datapath follows from the input alone, via the bound
@@ -45,6 +52,10 @@ partial sum (in any summation order) and the biased total:
 - otherwise :class:`ExactnessError`: no host integer datapath can hold
   the worst-case sum, and silently wrapping int64 would be wrong.
 
+An FC layer's sparse product runs in the same dtype (SciPy keeps float32,
+float64 and int64 data in their own dtype), and since the bound holds in
+any summation order, it holds in the sparse one too.
+
 Plans are cached per (encoded layer, geometry), so repeated inference —
 the per-layer reference walk (``QuantizedPipeline.run``) and the fused
 model plan built on top of these plans (``run_batch``) — pays
@@ -54,18 +65,19 @@ the caller's :class:`Scratch` (its padded input, patch tile and GEMM
 output), sized by :meth:`LayerPlan.scratch_bytes`.  Binding does all the
 view arithmetic — bands, halo strips, window views, tiles, output rows,
 weight blocks, the bias cast — and returns the output view and one fixed
-list of ``fill`` / ``copyto`` / ``matmul`` / ``add`` calls, padded or
-not, as the accelerator fixes each layer's schedule and address
-generation before the feature stream starts.  The fused model plan sizes
-one region set for its largest stage at compile time, binds every stage
-to it and to its input view once and streams every stage through it, as
-the accelerator streams every layer through one FT-Buffer; a per-layer
-call binds a fresh :class:`Scratch` to its batch, replays the calls once
-and drops both.
+list of ``fill`` / ``copyto`` / GEMM / ``add`` calls, padded or not,
+each tagged with its kind (:class:`Call`), as the accelerator fixes each
+layer's schedule and address generation before the feature stream
+starts.  The fused model plan sizes one region set for its largest stage
+at compile time, binds every stage to it and to its input view once and
+streams every stage through it, as the accelerator streams every layer
+through one FT-Buffer; a per-layer call binds a fresh :class:`Scratch` to
+its batch, replays the calls once and drops both.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import nullcontext
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -194,8 +206,23 @@ def _max_weighted_sum(encoded: EncodedLayer) -> int:
     return int(np.add.reduceat(weighted, starts).max())
 
 
+class Call(partial):
+    """A bound call tagged with the kind of work it does, so a traced run
+    can time each kind apart (see :meth:`LayerPlan.bind`)."""
+
+    def __new__(cls, kind: str, func: Callable[..., object], /, *args, **kwargs) -> "Call":
+        call = super().__new__(cls, func, *args, **kwargs)
+        call.kind = kind
+        return call
+
+
+def _sparse_matmul(matrix, patches: np.ndarray, out: np.ndarray) -> None:
+    """``patches @ matrix.T`` for a sparse ``matrix``, into ``out``."""
+    np.copyto(out, (matrix @ patches.T).T)
+
+
 class LayerPlan:
-    """A layer compiled for exact dense-GEMM execution (see module docs)."""
+    """A layer compiled for exact GEMM execution (see module docs)."""
 
     def __init__(self, encoded: EncodedLayer, geometry: "ConvGeometry") -> None:
         kernels = encoded.out_channels
@@ -218,24 +245,45 @@ class LayerPlan:
         #: counting NUM-field split entries separately, as the loop does).
         self.multiplies_per_pixel = encoded.qtable_entries
         self._max_weighted_sum = _max_weighted_sum(encoded)
-        # One scatter, in the VALs' (narrowest) dtype; each dtype is a cast.
-        self._codes = encoded.dense_codes(encoded.qtable_values.dtype)
-        self._dense: Dict[Tuple[bool, str], np.ndarray] = {}
+        # The weights are built from the encoding on first bind.  Weakly:
+        # the plan cache drops a plan when its encoded layer dies.
+        self._encoded = weakref.ref(encoded)
+        #: A conv's dense GEMM weights and an FC's sparse ones, per dtype.
+        self._dense: Dict[str, np.ndarray] = {}
+        self._sparse: Dict[str, object] = {}
 
-    def _weights(self, dtype, pixel_major: bool) -> np.ndarray:
-        """The weight codes as a dense (M, C*K*K) matrix of ``dtype`` (group
-        ``g`` owns rows ``g * group_out`` onward), or with ``pixel_major``
-        the conv GEMM's (K*K*C, M) transpose, rows in ``(k, k', n)`` order;
-        built once per dtype."""
-        key = (pixel_major, np.dtype(dtype).str)
+    def _weights(self, dtype) -> np.ndarray:
+        """The conv GEMM's dense (K*K*C, M) weights of ``dtype``, rows in
+        ``(k, k', n)`` order (group ``g`` owns columns ``g * group_out``
+        onward); scattered from the streams once per dtype."""
+        key = np.dtype(dtype).str
         weights = self._dense.get(key)
         if weights is None:
-            codes = self._codes
-            if pixel_major:
-                k = self.geometry.kernel
-                codes = codes.reshape(-1, self.group_in, k, k).transpose(2, 3, 1, 0)
-            weights = self._dense[key] = codes.reshape(-1, codes.shape[-1]).astype(dtype)
+            k = self.geometry.kernel
+            shape = (self.out_channels, self.group_in, k, k)
+            codes = self._encoded().dense_codes(dtype).reshape(shape).transpose(2, 3, 1, 0)
+            weights = self._dense[key] = codes.reshape(self.patch_width, self.out_channels)
         return weights
+
+    def _sparse_weights(self, dtype):
+        """The FC weights as one ``scipy.sparse`` (M, C) CSC matrix of
+        ``dtype`` (group ``g`` owns rows ``g * group_out`` onward), built
+        once per dtype straight from the streams, read as CSR: the stream
+        offsets are its row pointers, the WT-Buffer indices its column
+        indices and each VAL repeated NUM times its data.  SciPy is
+        imported here, so only a process that binds an FC layer loads it."""
+        key = np.dtype(dtype).str
+        matrix = self._sparse.get(key)
+        if matrix is None:
+            from scipy import sparse
+
+            encoded = self._encoded()
+            data = np.repeat(encoded.qtable_values, encoded.qtable_counts).astype(dtype)
+            matrix = self._sparse[key] = sparse.csr_array(
+                (data, encoded.indices, encoded.stream_offsets),
+                shape=(self.out_channels, self.patch_width),
+            ).tocsc()
+        return matrix
 
     # ---- exactness ---------------------------------------------------------
 
@@ -302,9 +350,7 @@ class LayerPlan:
             padded = (images, rows + 2 * pad, cols + 2 * pad, channels)
         band = self.bands(images, rows, cols)
         tile = (band.images * band.rows * out_cols, self.patch_width)
-        fc = self._is_fc(rows, cols)
-        output = (self.out_channels, pixels) if fc else (pixels, self.out_channels)
-        return padded, tile, output
+        return padded, tile, (pixels, self.out_channels)
 
     def scratch_bytes(
         self, images: int, rows: int, cols: int, datapath: str
@@ -368,7 +414,7 @@ class LayerPlan:
         bias_codes: Optional[np.ndarray],
         datapath: str,
         scratch: Scratch,
-    ) -> Tuple[np.ndarray, List[Callable[[], object]]]:
+    ) -> Tuple[np.ndarray, List[Call]]:
         """Bind the plan to the channels-last ``images x rows x cols`` array
         ``source``, a datapath and a :class:`Scratch`, doing all view
         arithmetic once.
@@ -377,11 +423,13 @@ class LayerPlan:
         output region (float32 on ``gemm32``, float64 on ``gemm``, int64 on
         ``int64``; valid until the region's next user writes it) and the
         fixed list of calls that fill it from what ``source`` holds when
-        they run.  In order: for a padded layer, zero the 4 halo strips
+        they run, each a :class:`Call` tagged ``"im2col"``, ``"gemm"`` or
+        ``"bias"``.  In order: for a padded layer, zero the 4 halo strips
         (the region is shared) and copy ``source`` into the interior; then
         per band (see :meth:`bands`) and channel group an im2col copy from
         the windows of the padded region, or of ``source`` itself, into the
-        band's patch tile, and its GEMM; then the band's bias add.
+        band's patch tile, and its GEMM: a dense BLAS GEMM for a conv, the
+        sparse product for an FC layer; then the band's bias add.
         ``scratch`` must hold at least :meth:`scratch_bytes` of this batch.
         The output is exact only when ``datapath`` is what :meth:`datapath`
         returns for what ``source`` holds.
@@ -397,14 +445,12 @@ class LayerPlan:
         dtype = _DTYPES[datapath]
         out_rows, out_cols = conv_output_hw(rows, cols, geometry)
         fc = self._is_fc(rows, cols)
-        weights = self._weights(dtype, pixel_major=not fc)
+        weights = self._sparse_weights(dtype) if fc else self._weights(dtype)
         padded, tile, shape = self._scratch_shapes(images, rows, cols)
         output = _region(scratch.output, shape, dtype)
         tile = _region(scratch.patches, tile, dtype)
         bias = None if bias_codes is None else np.asarray(bias_codes, dtype=dtype)
-        if fc and bias is not None:
-            bias = bias[:, None]
-        calls: List[Callable[[], object]] = []
+        calls: List[Call] = []
         if padded is not None:
             padded = _region(scratch.padded, padded, dtype)
             pad = geometry.padding
@@ -414,9 +460,9 @@ class LayerPlan:
                 padded[:, pad:-pad, :pad],
                 padded[:, pad:-pad, -pad:],
             ):
-                calls.append(partial(strip.fill, 0))
+                calls.append(Call("im2col", strip.fill, 0))
             interior = padded[:, pad:-pad, pad:-pad]
-            calls.append(partial(np.copyto, interior, source, casting="same_kind"))
+            calls.append(Call("im2col", np.copyto, interior, source, casting="same_kind"))
             source = padded
         windows = self._windows(source, out_rows, out_cols)
         band = self.bands(images, rows, cols)
@@ -428,7 +474,7 @@ class LayerPlan:
                 )
                 stop = start + extent[0] * extent[1] * out_cols
                 patches = tile[: stop - start]
-                sums = output[:, start:stop] if fc else output[start:stop]
+                sums = output[start:stop]
                 for g in range(geometry.groups):
                     block = slice(g * self.group_out, (g + 1) * self.group_out)
                     key = (
@@ -440,22 +486,27 @@ class LayerPlan:
                     # (b, r, C', n, k, k') -> (b, r, C', k, k', n) in one
                     # pass that also converts to the work dtype.
                     calls.append(
-                        partial(
+                        Call(
+                            "im2col",
                             np.copyto,
                             patches.reshape(extent + (k, k, width)),
                             windows[key].transpose(0, 1, 2, 4, 5, 3),
                             casting="same_kind",
                         )
                     )
-                    if fc:  # kernel-major: about twice as fast as patches @ W.T here
-                        lhs, rhs, out = weights[block], patches.T, sums[block]
+                    if fc:
+                        matrix = weights if geometry.groups == 1 else weights[block]
+                        calls.append(
+                            Call("gemm", _sparse_matmul, matrix, patches, sums[:, block])
+                        )
                     else:
-                        lhs, rhs, out = patches, weights[:, block], sums[:, block]
-                    calls.append(partial(np.matmul, lhs, rhs, out=out))
+                        calls.append(
+                            Call("gemm", np.matmul, patches, weights[:, block], out=sums[:, block])
+                        )
                 if bias is not None:
-                    calls.append(partial(np.add, sums, bias, out=sums))
+                    calls.append(Call("bias", np.add, sums, bias, out=sums))
                 start = stop
-        return (output.T if fc else output).reshape(images, out_rows, out_cols, -1), calls
+        return output.reshape(images, out_rows, out_cols, -1), calls
 
     def _windows(self, source: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
         """The (B, R', C', C, K, K) windows of a channels-last ``source``."""

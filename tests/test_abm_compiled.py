@@ -353,6 +353,19 @@ class TestExactness:
         spans = [root.to_dict() for root in telemetry.tracer.roots]
         assert [s["attrs"]["datapath"] for s in spans] == ["gemm32", "gemm", "int64"]
 
+        # The same three datapaths through an FC layer's sparse product.
+        fc_weights = sparse_weight_codes(rng, shape=(5, 24, 1, 1), density=0.5, value_range=127)
+        fc, fc_geometry = encode_layer("wide_fc", fc_weights), ConvGeometry(kernel=1)
+        telemetry = Telemetry()
+        with activate(telemetry):
+            for peak in (128, 2**20, 2**45):
+                features = rng.integers(-peak, peak, size=(24, 1, 1))
+                result = abm_conv2d_batch(features[None], fc, fc_geometry)
+                expected = direct_conv(features, fc_weights, fc_geometry)
+                assert np.array_equal(result.output[0], expected)
+        spans = [root.to_dict() for root in telemetry.tracer.roots]
+        assert [s["attrs"]["datapath"] for s in spans] == ["gemm32", "gemm", "int64"]
+
 
 class TestEdgeCases:
     def test_all_zero_kernel(self, rng, datapath):
@@ -378,6 +391,31 @@ class TestEdgeCases:
         assert not fast.output.any()
         assert fast.accumulate_ops == 0 and fast.multiply_ops == 0
 
+    def test_all_zero_kernel_fc(self, rng, datapath):
+        """An FC kernel with no nonzeros, and an input no kernel reads: an
+        empty row and an empty column of the sparse matrix."""
+        weights = sparse_weight_codes(rng, shape=(4, 12, 1, 1))
+        weights[2] = 0
+        weights[:, 5] = 0
+        features = rng.integers(-64, 64, size=(12, 1, 1))
+        geometry = ConvGeometry(kernel=1)
+        encoded = encode_layer("zfc", weights)
+        fast = abm_conv2d_batch(features[None], encoded, geometry)
+        ref = abm_conv2d_reference(features, encoded, geometry)
+        assert_results_identical(fast, ref)
+        assert not fast.output[0, 2].any()
+
+    def test_all_zero_layer_fc(self, rng, datapath):
+        weights = np.zeros((3, 8, 1, 1), dtype=np.int64)
+        features = rng.integers(-64, 64, size=(8, 1, 1))
+        geometry = ConvGeometry(kernel=1)
+        encoded = encode_layer("zzfc", weights)
+        fast = abm_conv2d_batch(features[None], encoded, geometry)
+        ref = abm_conv2d_reference(features, encoded, geometry)
+        assert_results_identical(fast, ref)
+        assert not fast.output.any()
+        assert fast.accumulate_ops == 0 and fast.multiply_ops == 0
+
     def test_single_distinct_value(self, rng, datapath):
         """Q=1: every nonzero weight shares one quantized value."""
         mask = rng.random(size=(4, 3, 3, 3)) < 0.4
@@ -397,6 +435,18 @@ class TestEdgeCases:
         geometry = ConvGeometry(kernel=3)
         encoded = encode_layer("big", weights)
         fast = abm_conv2d_batch(features[None], encoded, geometry)
+        expected = direct_conv(features, weights, geometry)
+        assert np.array_equal(fast.output[0], expected)
+
+    def test_int64_path_with_large_features_fc(self, rng, datapath):
+        """An FC layer's sparse product on features wide enough for int64."""
+        weights = sparse_weight_codes(rng, shape=(3, 18, 1, 1), value_range=127)
+        weights[0, :3] = 127  # a weighted sum past 2**53 / 2**45
+        features = rng.integers(-(2**45), 2**45, size=(18, 1, 1))
+        geometry = ConvGeometry(kernel=1)
+        encoded = encode_layer("bigfc", weights)
+        fast = abm_conv2d_batch(features[None], encoded, geometry)
+        assert compile_layer_plan(encoded, geometry).datapath(2**45) == "int64"
         expected = direct_conv(features, weights, geometry)
         assert np.array_equal(fast.output[0], expected)
 

@@ -235,7 +235,10 @@ class TestLayerEncoderDifferential:
         assert plan.sum_bound(1) == max(
             [sum(abs(v) * c for v, c in table) for table, _ in reference], default=0
         )
-        assert np.array_equal(plan._weights(np.int64, pixel_major=False), kernels)
+        assert np.array_equal(plan._sparse_weights(np.int64).toarray(), kernels)
+        grid = codes.reshape((codes.shape[0], *layer.kernel_shape)).transpose(2, 3, 1, 0)
+        pixel_major = grid.reshape(layer.kernel_width, codes.shape[0])
+        assert np.array_equal(plan._weights(np.int64), pixel_major)
 
 
 class TestLayerValidation:

@@ -111,3 +111,56 @@ def test_entry_point_loads_no_unused_subsystem(statement, forbidden):
         m for m in loaded for f in forbidden if m == f or m.startswith(f + ".")
     )
     assert leaked == []
+
+
+#: Prunes, calibrates and quantizes lenet; the statements below go on from it.
+_LENET = """
+import numpy as np
+from repro.nn.models.registry import get_architecture
+from repro.pipeline import QuantizedPipeline
+from repro.prune.schedules import uniform_schedule
+from repro.workloads.images import natural_image
+arch = get_architecture("lenet")
+net = arch.build(seed=1)
+pipeline = QuantizedPipeline(net)
+pipeline.prune(
+    uniform_schedule([l.name for l in net.accelerated_layers()], 0.4).densities
+)
+image = natural_image(net.input_shape.as_tuple(), np.random.default_rng(1))
+pipeline.calibrate(image)
+pipeline.quantize()
+"""
+
+
+def _holds_scipy(statement: str) -> bool:
+    """Whether a fresh interpreter holds ``scipy`` after ``statement``."""
+    code = f"{statement}\nimport sys\nprint('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()[-1] == "True"
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import repro.cli",
+        "from repro.dse import explore, exhaustive_search",
+        "from repro.serve import EventDrivenSimulator",
+        _LENET
+        + "from repro.runtime import SystemRuntime\n"
+        + "from repro.serve import ServiceProfile\n"
+        + "runtime = SystemRuntime.from_pipeline(pipeline, arch.accelerated_specs())\n"
+        + "ServiceProfile.from_runtime(runtime)",
+    ],
+    ids=["cli", "dse", "serve", "deploy-profile"],
+)
+def test_entry_point_leaves_scipy_unloaded(statement):
+    """SciPy runs only the FC layers' sparse product, so it is imported on
+    the first FC bind: no entry point that never runs a layer loads it."""
+    assert not _holds_scipy(statement)
+
+
+def test_fc_bind_loads_scipy():
+    assert _holds_scipy(_LENET + "pipeline.run_batch(image[None])")

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import sparse as scipy_sparse
 
 from repro.core import plan as plan_module
 from repro.core.model_plan import (
+    CALL_KINDS,
     FLOAT32_REQUANTIZE_EXACT,
     ModelPlan,
     _Arena,
@@ -362,12 +364,20 @@ class TestDifferential:
 # ---- the arena ------------------------------------------------------------
 
 
+def sparse_arrays(matrix):
+    """The data, indices and pointers of a ``scipy.sparse`` matrix."""
+    return matrix.data, matrix.indices, matrix.indptr
+
+
 def held_arrays(plan):
-    """The arrays a :class:`LayerPlan` keeps, directly or in a dict."""
+    """The arrays a :class:`LayerPlan` keeps, directly, in a dict or inside
+    a sparse matrix."""
     for value in vars(plan).values():
         for item in value.values() if isinstance(value, dict) else (value,):
             if isinstance(item, np.ndarray):
                 yield item
+            elif scipy_sparse.issparse(item):
+                yield from sparse_arrays(item)
 
 
 class TestArena:
@@ -413,8 +423,9 @@ class TestArena:
 
     @pytest.mark.parametrize("arch_name", sorted(ARCHITECTURES))
     def test_layer_plans_hold_no_scratch(self, rng, arch_name):
-        """After a fused and a per-layer pass, every layer plan holds only
-        its weight codes and their dense GEMM matrices."""
+        """After a fused and a per-layer pass, besides the encoding it reads,
+        an FC layer plan holds only its sparse matrix's arrays and a conv
+        plan only its dense GEMM matrices."""
         arch = ARCHITECTURES[arch_name]
         pipeline = build_pipeline(arch, rng)
         images = rng.standard_normal(
@@ -426,9 +437,16 @@ class TestArena:
         for stage in plan.stages:
             if isinstance(stage, _FusedStage):
                 layer = stage.plan
-                weights = {id(layer._codes)} | {id(w) for w in layer._dense.values()}
+                built, unbuilt = (
+                    (layer._sparse, layer._dense) if stage.is_fc else (layer._dense, layer._sparse)
+                )
+                assert built and not unbuilt  # the runs built one kind of weights
+                weights = {
+                    id(a)
+                    for w in built.values()
+                    for a in (sparse_arrays(w) if stage.is_fc else (w,))
+                }
                 assert {id(a) for a in held_arrays(layer)} == weights
-                assert layer._dense  # the runs did build GEMM weights
 
 
 # ---- integer max-pool -----------------------------------------------------
@@ -862,6 +880,31 @@ class TestTelemetrySpans:
         assert "c1,r1,p1" in fused_attrs
         assert {span["attrs"]["datapath"] for span in kernel_spans} == {"gemm32"}
         assert {span["attrs"]["tiles"] for span in kernel_spans} == {1}
+
+    @pytest.mark.parametrize("arch_name", sorted(ARCHITECTURES))
+    def test_kernel_spans_split_the_stage_time(self, rng, arch_name):
+        """Every fused stage's kernel span of a traced run splits its time
+        into GEMM, im2col, bias and epilogue ms: all four present and
+        non-negative, together no more than the span itself."""
+        arch = ARCHITECTURES[arch_name]
+        pipeline = build_pipeline(arch, rng)
+        images = rng.standard_normal(
+            (2, arch.input_channels, arch.input_rows, arch.input_cols)
+        )
+        pipeline.run_batch(images)  # compile outside the trace
+        telemetry = Telemetry()
+        with activate(telemetry):
+            pipeline.run_batch(images)
+        plan = compile_model_plan(pipeline, images.shape)
+        fused = [s.name for s in plan.stages if isinstance(s, _FusedStage)]
+        kernels = [span for span in telemetry.tracer.roots if span.name == "kernel"]
+        assert [span.attrs["layer"] for span in kernels] == fused
+        for span in kernels:
+            split = [span.attrs[f"{kind}_ms"] for kind in CALL_KINDS]
+            assert min(split) >= 0
+            assert sum(split) <= span.duration_s * 1e3
+        gemm = {span.attrs["layer"]: span.attrs["gemm_ms"] for span in kernels}
+        assert all(ms > 0 for ms in gemm.values())
 
     def test_kernel_spans_count_bands(self, rng, monkeypatch):
         """``tiles=`` on the fused and the per-layer kernel spans is the
