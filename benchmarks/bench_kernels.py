@@ -36,6 +36,7 @@ from repro.core.specs import conv_spec
 from repro.nn.models.alexnet import alexnet_architecture
 from repro.nn.models.vgg16 import vgg16_architecture
 from repro.pipeline import QuantizedPipeline
+from repro.prune.schedules import deep_compression_schedule
 from repro.telemetry.caches import clear_caches
 from repro.telemetry.context import Telemetry, activate
 from repro.workloads.synthetic import synthesize_quantized_layer
@@ -198,6 +199,9 @@ def _build_model(name):
     scale, spatial_scale, batch = MODEL_CONFIGS[name]
     network = arch.build(scale=scale, spatial_scale=spatial_scale, seed=11)
     pipeline = QuantizedPipeline(network)
+    # Pruned to the Deep Compression densities before calibration, as the
+    # paper's flow (and perfbench's infer pipeline) runs the model.
+    pipeline.prune(deep_compression_schedule(name).densities)
     rng = np.random.default_rng(11)
     pipeline.calibrate(rng.standard_normal(network.input_shape.as_tuple()))
     pipeline.quantize()
@@ -206,7 +210,7 @@ def _build_model(name):
 
 
 def test_bench_model_end_to_end():
-    """Per-layer vs fused on whole AlexNet/VGG16 networks.
+    """Per-layer vs fused on whole pruned AlexNet/VGG16 networks.
 
     Times `run_batch_reference` (the per-layer walk) and `run_batch` (the
     fused model plan) — asserting fused outputs stay bit-exact against

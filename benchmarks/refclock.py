@@ -10,6 +10,7 @@ perfbench results carry.
 import gc
 import statistics
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -73,9 +74,30 @@ def median_per_call(fn, repeats: int, clock=CLOCK) -> float:
     return statistics.median(samples)
 
 
+def sgemm_peak_gflops(size: int = 1024, repeats: int = 5) -> float:
+    """Best-of-``repeats`` float32 ``size``-cubed matmul rate on this host:
+    the roof of every ``gemm32`` stage, beside the harness's float64 probe."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((size, size), np.float32)
+    b = rng.standard_normal((size, size), np.float32)
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        np.matmul(a, b)
+        best = min(best, time.perf_counter() - start)
+    return 2.0 * size**3 / best / 1e9
+
+
 def fingerprint() -> dict:
-    """Where the artifact was measured (``harness.fingerprint``)."""
-    return harness.fingerprint(harness.gemm_peak_gflops())
+    """Where the artifact was measured (``harness.fingerprint``), with the
+    float32 roof ``host.sgemm_peak_gflops`` beside its float64
+    ``host.gemm_peak_gflops``."""
+    return {
+        **harness.fingerprint(harness.gemm_peak_gflops()),
+        "host.sgemm_peak_gflops": sgemm_peak_gflops(),
+    }
 
 
 def telemetry_section(telemetry, families) -> dict:

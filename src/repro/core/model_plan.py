@@ -19,15 +19,22 @@ batch geometry)
   next im2col copies contiguous ``C``-word runs.  ``run`` transposes at
   the two ends only; Flatten copies to the reference's CHW order when the
   map is wider than 1x1, so FC weights keep their columns;
-- **pools before it requantizes**: requantize is monotone non-decreasing,
-  so it commutes with max exactly, and a pooled stage requantizes only
-  the pooled sums;
-- **keeps the codes in the datapath's dtype**: when every fused stage runs
-  the float32 GEMM with a sum bound below ``2**23`` (the 8-bit models),
-  the ping-pong buffers hold float32 codes and the requantize runs in
-  float32 — narrow feature words, as in the paper's Feature Buffer —
-  otherwise int64 codes and a float64 requantize (see
-  :func:`_float32_codes`);
+- **pools before it biases and requantizes**: the bias is one value per
+  channel and requantize is monotone non-decreasing, so both commute with
+  max exactly, and a pooled stage biases and requantizes only the pooled
+  sums;
+- **streams narrow feature words**: the ping-pong buffers, and the padded
+  input its halo and interior copies fill, hold every code in the
+  narrowest signed integer dtype of the formats that reach them — int8
+  for the 8-bit models, as in the paper's Feature Buffer (see
+  :func:`_code_dtype`) — and im2col widens them to the datapath's dtype
+  in the copy it makes anyway.  A ReLU stage carries the rounding offset
+  in its bias codes, so its requantize is one power-of-two multiply and
+  one clip that narrows into the code buffer (see
+  :func:`relu_requantize`); other stages round half away from zero with
+  the sign restored (see :func:`requantize`).  Each stage requantizes in
+  float32 where that is exact and in float64 otherwise (see
+  :func:`_requantize_dtype`);
 - **hoists run-time decisions to compile time**: each stage's datapath
   (see :meth:`LayerPlan.datapath`) comes from the tracked quantized-format
   code range (no peak scan per layer per batch), and the bias codes and
@@ -51,7 +58,8 @@ batch geometry)
 Bit-exactness: every fused stage computes the *same* codes as
 :meth:`repro.pipeline.QuantizedPipeline.run_batch_reference` (power-of-two
 scale factors make the fused single multiply exact, max commutes with the
-monotone requantize, and below the float32 predicate's bounds the float32
+bias add and the monotone requantize, the folded rounding offset is an
+exact integer inside the sum bound, and below its bounds a float32
 requantize rounds exactly as the reference's float64 one), so fused
 outputs and op counts are identical to the per-layer path — pinned by the
 hypothesis differential suite in ``tests/test_model_fused.py``.
@@ -87,13 +95,21 @@ from ..nn.tensor import FeatureShape, pool_output_extent
 from ..quant.fixed_point import QFormat
 from ..telemetry.caches import Memo
 from ..telemetry.context import get_active
-from .plan import FLOAT32_EXACT, Call, LayerPlan, Scratch, code_peak, compile_layer_plan
+from .plan import (
+    DATAPATH_DTYPES,
+    FLOAT64_EXACT,
+    Call,
+    LayerPlan,
+    Scratch,
+    code_peak,
+    compile_layer_plan,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.pipeline
     from ..pipeline import QuantizedPipeline
 
 #: Compiled model plans, LRU-bounded.  Model plans own their arena (two
-#: ping-pong code buffers at the network's high-water mark, one requantize
+#: ping-pong code buffers at the network's high-water mark, one epilogue
 #: scratch and the stage scratch of the largest stage), so the bound is
 #: deliberately small.
 _model_plans = Memo("core.model_plan", capacity=8)
@@ -103,10 +119,11 @@ _model_plans = Memo("core.model_plan", capacity=8)
 #: sparse product; the bias add; the pool taps and requantize.
 CALL_KINDS = ("im2col", "gemm", "bias", "epilogue")
 
-#: Exclusive bound on the raw sums the float32 requantize rounds exactly.
-#: One bit below ``FLOAT32_EXACT``: ``|x| + 0.5`` of a 23-bit ``x`` always
-#: fits the 24-bit significand, while at 24 bits ``(2**24 - 1) * 2**-25``
-#: plus 0.5 rounds up to 1.0 where float64 rounds to 0.
+#: Exclusive bound on the raw sums the float32 :func:`requantize` rounds
+#: exactly.  One bit below ``FLOAT32_EXACT``: ``|x| + 0.5`` of a 23-bit
+#: ``x`` always fits the 24-bit significand, while at 24 bits
+#: ``(2**24 - 1) * 2**-25`` plus 0.5 rounds up to 1.0 where float64 rounds
+#: to 0.
 FLOAT32_REQUANTIZE_EXACT = 2**23
 
 
@@ -115,10 +132,39 @@ def _max_abs_code(fmt: QFormat) -> int:
     return max(-fmt.min_code, fmt.max_code)
 
 
+def _code_dtype(formats: Sequence[QFormat]) -> np.dtype:
+    """The narrowest signed integer dtype that holds every code of every
+    format in ``formats``: int8 for 8-bit features."""
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if all(info.min <= fmt.min_code and fmt.max_code <= info.max for fmt in formats):
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def _normal_float32(value: float) -> bool:
     """Whether ``value`` is a (finite, nonzero) normal float32."""
     info = np.finfo(np.float32)
     return float(info.smallest_normal) <= abs(value) <= float(info.max)
+
+
+def _rounding_offset(shift: int) -> int:
+    """The integer ``2**(-shift - 1)`` that, added to the sums, makes their
+    multiply by ``2**shift < 1`` add the rounding's 0.5; 0 for a factor
+    ``2**shift >= 1``, whose products are integers already."""
+    return 1 << (-shift - 1) if shift < 0 else 0
+
+
+def _requantize_dtype(datapath: str, sum_bound: int, factor: float, folded: bool) -> np.dtype:
+    """The dtype a stage requantizes in: float32 when it runs the float32
+    GEMM with a normal float32 factor and a sum bound below what its
+    rounding keeps exact, float64 otherwise, where the reference rounds.
+    :func:`relu_requantize` adds no 0.5, so the GEMM's own ``2**24``
+    bounds it; :func:`requantize` needs ``FLOAT32_REQUANTIZE_EXACT``."""
+    if datapath == "gemm32" and _normal_float32(factor):
+        if folded or sum_bound < FLOAT32_REQUANTIZE_EXACT:
+            return np.dtype(np.float32)
+    return np.dtype(np.float64)
 
 
 def requantize(
@@ -131,28 +177,44 @@ def requantize(
 ) -> None:
     """``clip(round_half_away(raw * factor), clip_lo, clip_hi)`` into ``out``.
 
-    Computed in ``scratch``'s dtype, which has ``raw``'s shape: one exact
-    power-of-two multiply, round half away from zero as ``floor(|x| +
-    0.5)`` with the sign of ``raw`` (``factor > 0``), and one clip that
-    writes, and casts, straight into ``out`` (which may be ``raw``).  In
-    float64 this is the reference's rounding; in float32 it is identical
-    whenever ``|raw| < FLOAT32_REQUANTIZE_EXACT`` and ``factor`` is a
-    normal float32, which is what :func:`_float32_codes` proves before a
-    plan stores float32 codes.
-
-    With ``clip_lo >= 0`` (a folded ReLU) the sign is never needed: a
-    negative ``x`` rounds to a value ``<= 0`` either way and clips to
-    ``clip_lo``, and for ``x >= 0`` ``floor(x + 0.5)`` is the half-away
-    rounding.  So ReLU stages skip the ``abs`` and ``copysign`` passes.
+    Computed in ``scratch``'s dtype, which has ``raw``'s shape and does not
+    alias it: one exact power-of-two multiply, round half away from zero
+    as ``floor(|x| + 0.5)`` with the sign of ``raw`` (``factor > 0``), and
+    one clip that writes, and casts, straight into ``out``.  In float64
+    this is the reference's rounding; in float32 it is identical whenever
+    ``|raw| < FLOAT32_REQUANTIZE_EXACT`` and ``factor`` is a normal
+    float32 (see :func:`_requantize_dtype`).
     """
     np.multiply(raw, factor, out=scratch, dtype=scratch.dtype)
-    if clip_lo < 0:
-        np.abs(scratch, out=scratch)
+    np.abs(scratch, out=scratch)
     scratch += 0.5
     np.floor(scratch, out=scratch)
-    if clip_lo < 0:
-        np.copysign(scratch, raw, out=scratch)
+    np.copysign(scratch, raw, out=scratch)
     np.clip(scratch, clip_lo, clip_hi, out=out, casting="unsafe")
+
+
+def relu_requantize(
+    sums: np.ndarray,
+    factor: float,
+    clip_hi: float,
+    scratch: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """``clip(sums * factor, 0, clip_hi)`` into the integer ``out``: the
+    requantize and ReLU of a stage whose sums carry the rounding offset.
+
+    One power-of-two multiply in ``scratch``'s dtype (``scratch`` may be
+    ``sums`` itself) and one clip that writes, and narrows, straight into
+    ``out``.  The sums are ``raw + 2**(-e-1)`` for a factor ``2**e < 1``
+    (see :func:`_rounding_offset`), so ``x = sums * 2**e`` is exactly the
+    reference's ``raw * 2**e + 0.5``.  For ``x >= 0`` the truncating cast
+    is ``floor(x)``, the half-away rounding of a non-negative value; a
+    negative ``x`` is a negative rounding, which ReLU maps to 0, and the
+    clip does too.  For ``e >= 0`` there is no offset and ``x`` is an
+    integer already.
+    """
+    np.multiply(sums, factor, out=scratch, dtype=scratch.dtype)
+    np.clip(scratch, 0, clip_hi, out=out, casting="unsafe")
 
 
 class _BoundStage:
@@ -176,8 +238,10 @@ class _FusedStage(_BoundStage):
         "clip_hi",
         "pool",
         "is_fc",
+        "folded",
         "sum_bound",
         "datapath",
+        "requantize_dtype",
         "fused_names",
         "extent",
         "tiles",
@@ -199,11 +263,11 @@ class _FusedStage(_BoundStage):
     ) -> None:
         self.name = name
         self.plan = plan
-        self.bias_codes = bias_codes
         # One multiply replaces dequantize(datapath) o quantize(out): both
         # scales are powers of two, so (codes * 2**-dp) * 2**out and
         # codes * 2**(out - dp) round identically (each step is exact).
-        self.factor = 2.0 ** (out_fmt.frac_bits - datapath_fmt.frac_bits)
+        shift = out_fmt.frac_bits - datapath_fmt.frac_bits
+        self.factor = 2.0**shift
         # ReLU folds into the requantize clip: max(clip(x, lo, hi), 0)
         # == clip(x, max(lo, 0), hi), and out_fmt.max_code >= 0 always.
         self.clip_lo = float(max(out_fmt.min_code, 0) if relu else out_fmt.min_code)
@@ -211,57 +275,80 @@ class _FusedStage(_BoundStage):
         self.pool = pool
         self.is_fc = is_fc
         input_peak = _max_abs_code(in_fmt)
+        bias_peak = code_peak(bias_codes)
+        # A ReLU stage adds the rounding offset to its bias codes (see
+        # relu_requantize).  The offset counts in the sum bound, and the
+        # biased sums must reach the float64 multiply exactly: below 2**53,
+        # whatever the datapath.
+        offset = _rounding_offset(shift) if relu else 0
+        #: Whether the bias codes carry the rounding offset.
+        self.folded = relu and plan.sum_bound(input_peak, bias_peak + offset) < FLOAT64_EXACT
+        if self.folded:
+            bias_codes = bias_codes + offset
+            bias_peak += offset
+        self.bias_codes = bias_codes
         # Compile-time exactness proof: every partial sum is bounded by
         # max|x| * max_k sum(|VAL|*NUM) + |bias|, so the float32 GEMM is
         # exact below 2**24, the float64 GEMM below 2**53 and the int64
         # fallback below 2**63; past that the plan raises ExactnessError
         # here, before any batch runs.
-        bias_peak = code_peak(bias_codes)
         self.sum_bound = plan.sum_bound(input_peak, bias_peak)
         #: What computes the raw sums: "gemm32", "gemm" or "int64".
         self.datapath = plan.datapath(input_peak, bias_peak)
+        #: The dtype the epilogue multiplies and rounds in.
+        self.requantize_dtype = _requantize_dtype(
+            self.datapath, self.sum_bound, self.factor, self.folded
+        )
         self.fused_names = fused_names
         #: The (images, rows, cols) batch extent the layer plan runs on.
         self.extent = extent
         #: Im2col + GEMM bands per run (see :meth:`LayerPlan.bands`).
         self.tiles = plan.bands(*extent).count
 
+    def scratch_bytes(self, elements: int) -> Tuple[int, int]:
+        """Bytes of the arena's epilogue scratch an ``elements``-word output
+        needs, in order: the pooled sums, then the requantize scratch, which
+        a folded stage multiplying in its sums' own dtype does without."""
+        sums = np.dtype(DATAPATH_DTYPES[self.datapath])
+        pooled = 0 if self.pool is None else elements * sums.itemsize
+        in_place = self.folded and self.requantize_dtype == sums
+        return pooled, 0 if in_place else elements * self.requantize_dtype.itemsize
+
     def bind(self, arena: "_Arena", src: np.ndarray, index: int) -> Tuple[np.ndarray, int]:
         """Bind the layer to ``src`` and the arena's stage scratch, and the
-        epilogue to the ping buffer ``src`` does not occupy; returns the
-        output view and its buffer.  An FC stage flattens ``src`` first."""
+        epilogue to the arena's epilogue scratch and the ping buffer ``src``
+        does not occupy; returns the output view and its buffer.  An FC
+        stage flattens ``src`` first."""
         self.calls = []
         if self.is_fc:
             flatten = _FlattenStage(self.name)
             src, index = flatten.bind(arena, src, index)
             self.calls += flatten.calls
+        pooled = self.pool is not None
         raw, layer_calls = self.plan.bind(
-            *self.extent, src, self.bias_codes, self.datapath, arena.stage
+            *self.extent, src, None if pooled else self.bias_codes, self.datapath, arena.stage
         )
         self.calls += layer_calls
         index = 1 - index
-        if self.pool is None:
-            self.out = arena.view(index, raw.shape)
+        shape = _pooled_shape(self.pool, raw.shape) if pooled else raw.shape
+        self.out = arena.view(index, shape)
+        start, size = self.scratch_bytes(self.out.size)
+        sums = raw
+        if pooled:
+            # The bias is one value per channel and requantize is monotone
+            # non-decreasing, so both commute with max: pool the raw sums
+            # into the epilogue scratch, then bias and requantize only the
+            # pooled ones.
+            sums = arena.scratch_view(0, shape, raw.dtype)
+            self.calls += _bind_maxpool(self.pool, raw, sums)
+            bias = np.asarray(self.bias_codes, raw.dtype)
+            self.calls.append(Call("bias", np.add, sums, bias, out=sums))
+        scratch = arena.scratch_view(start, shape, self.requantize_dtype) if size else sums
+        if self.folded:
+            epilogue = (relu_requantize, sums, self.factor, self.clip_hi)
         else:
-            # Requantize is monotone non-decreasing, so it commutes with
-            # max: pool the raw sums into the destination (an exact cast of
-            # integers) and requantize only the pooled ones, in place.
-            self.out = arena.view(index, _pooled_shape(self.pool, raw.shape))
-            self.calls += _bind_maxpool(self.pool, raw, self.out)
-            raw = self.out
-        scratch = arena.scratch[: self.out.size].reshape(self.out.shape)
-        self.calls.append(
-            Call(
-                "epilogue",
-                requantize,
-                raw,
-                self.factor,
-                self.clip_lo,
-                self.clip_hi,
-                scratch,
-                self.out,
-            )
-        )
+            epilogue = (requantize, sums, self.factor, self.clip_lo, self.clip_hi)
+        self.calls.append(Call("epilogue", *epilogue, scratch, self.out))
         return self.out, index
 
     def run_timed(self) -> Dict[str, float]:
@@ -380,8 +467,7 @@ class _HostStage(_BoundStage):
     layers are where the paper's system leaves the integer stream, so the
     fused plan leaves it the same way.  The layer sees the reference's
     C-contiguous BCHW floats (so its reductions sum in the same order),
-    and its codes rejoin the stream in the other ping buffer.  Float32
-    codes are integers below ``2**24``, so they dequantize exactly.
+    and its codes rejoin the stream in the other ping buffer.
     """
 
     __slots__ = ("layer", "in_fmt", "out_fmt", "src", "dest")
@@ -406,25 +492,27 @@ class _HostStage(_BoundStage):
         real = self.layer.forward_batch(
             self.in_fmt.dequantize(np.ascontiguousarray(self.src))
         )
-        # Exact in a float32 arena: _float32_codes checks every host
-        # layer's output format fits the float32 significand.
+        # Exact: the code dtype holds every host layer's output format.
         np.copyto(self.dest, self.out_fmt.quantize(real), casting="unsafe")
 
 
 class _Arena:
     """All working memory of one model plan, sized once at compile time.
 
-    - Two ping-pong code buffers at the activation high-water mark.  The
-      plan assigns each stage, at compile time, a view of the one its
-      input does not occupy (see :meth:`view`), so a stage can always
-      write its output while streaming its input.
-    - One requantize scratch at the largest stage output: float32 with
-      float32 codes, float64 with int64 codes.
-    - One :class:`~repro.core.plan.Scratch` (padded input, patch tile, raw
-      GEMM output), each region the largest any fused stage needs.  Stages
-      run one after another, so every stage is bound to it, as the
-      accelerator streams every layer through one FT-Buffer sized for its
-      largest layer.
+    - Two ping-pong code buffers at the activation high-water mark, in the
+      plan's integer code dtype (see :func:`_code_dtype`).  The plan
+      assigns each stage, at compile time, a view of the one its input
+      does not occupy (see :meth:`view`), so a stage can always write its
+      output while streaming its input.
+    - One epilogue scratch, in bytes, the most any fused stage needs: a
+      pooled stage's pooled sums, then a requantize scratch unless the
+      stage multiplies its sums in place (see
+      :meth:`_FusedStage.scratch_bytes`).
+    - One :class:`~repro.core.plan.Scratch` (padded input in the code
+      dtype, patch tile and raw GEMM output), each region the largest any
+      fused stage needs.  Stages run one after another, so every stage is
+      bound to it, as the accelerator streams every layer through one
+      FT-Buffer sized for its largest layer.
     """
 
     __slots__ = ("ping", "scratch", "stage")
@@ -432,15 +520,13 @@ class _Arena:
     def __init__(
         self,
         high_water: int,
-        scratch_elements: int,
-        codes=np.int64,
-        stage_bytes: Tuple[int, int, int] = (0, 0, 0),
+        codes,
+        scratch_bytes: int,
+        stage_bytes: Tuple[int, int, int],
     ) -> None:
         codes = np.dtype(codes)
         self.ping = (np.empty(high_water, codes), np.empty(high_water, codes))
-        self.scratch = np.empty(
-            scratch_elements, np.float32 if codes == np.float32 else np.float64
-        )
+        self.scratch = np.empty(scratch_bytes, np.uint8)
         self.stage = Scratch.allocate(stage_bytes)
 
     @property
@@ -452,32 +538,19 @@ class _Arena:
         """The leading elements of ping buffer ``index`` as a ``shape`` array."""
         return self.ping[index][: int(np.prod(shape))].reshape(shape)
 
+    def scratch_view(self, start: int, shape: Sequence[int], dtype) -> np.ndarray:
+        """The epilogue scratch from byte ``start`` as a ``shape`` array."""
+        stop = start + int(np.prod(shape)) * np.dtype(dtype).itemsize
+        return self.scratch[start:stop].view(dtype).reshape(shape)
+
     def split(self) -> Dict[str, int]:
-        """Bytes of the ping-pong buffers, the requantize scratch and the
+        """Bytes of the ping-pong buffers, the epilogue scratch and the
         stage scratch."""
         return {
             "ping_bytes": self.ping[0].nbytes * 2,
             "requantize_bytes": self.scratch.nbytes,
             "stage_bytes": self.stage.nbytes,
         }
-
-
-def _float32_codes(stages: Sequence[object], formats: Sequence[QFormat]) -> bool:
-    """Whether a plan's activations and requantize can run in float32.
-
-    Exact when every fused stage runs the float32 GEMM with its sum bound
-    below ``FLOAT32_REQUANTIZE_EXACT`` and a normal float32 requantize
-    factor (see :func:`requantize`), and every code format that reaches
-    the ping buffers — input, stage and host-layer outputs — stays below
-    ``2**24`` in magnitude, so float32 stores each code exactly.
-    """
-    fused = [s for s in stages if isinstance(s, _FusedStage)]
-    return all(
-        s.datapath == "gemm32"
-        and s.sum_bound < FLOAT32_REQUANTIZE_EXACT
-        and _normal_float32(s.factor)
-        for s in fused
-    ) and all(_max_abs_code(fmt) < FLOAT32_EXACT for fmt in formats)
 
 
 class ModelPlan:
@@ -506,8 +579,7 @@ class ModelPlan:
         fmt = pipeline.input_fmt
         formats = [fmt]
         high_water = images * shape.size
-        scratch_elements = 1
-        stage_bytes = (0, 0, 0)
+        scratch_bytes = 0
         index = 0
         while index < len(layers):
             layer = layers[index]
@@ -557,13 +629,8 @@ class ModelPlan:
                         plan.multiplies_per_pixel * pixels,
                     )
                 )
-                scratch_elements = max(scratch_elements, images * out_shape.size)
-                stage_bytes = tuple(
-                    map(
-                        max,
-                        stage_bytes,
-                        plan.scratch_bytes(images, *extent, stage.datapath),
-                    )
+                scratch_bytes = max(
+                    scratch_bytes, sum(stage.scratch_bytes(images * out_shape.size))
                 )
                 fmt = compiled.output_fmt
                 formats.append(fmt)
@@ -589,8 +656,19 @@ class ModelPlan:
             index += 1
         self.output_fmt = fmt
         self.output_shape = shape
-        codes = np.float32 if _float32_codes(self.stages, formats) else np.int64
-        self.arena = arena = _Arena(high_water, scratch_elements, codes, stage_bytes)
+        codes = _code_dtype(formats)
+        stage_bytes = tuple(
+            max(region)
+            for region in zip(
+                (0, 0, 0),
+                *(
+                    s.plan.scratch_bytes(*s.extent, s.datapath, codes)
+                    for s in self.stages
+                    if isinstance(s, _FusedStage)
+                ),
+            )
+        )
+        self.arena = arena = _Arena(high_water, codes, scratch_bytes, stage_bytes)
         # Bind every stage once.  The stage order is fixed, so is each
         # stage's source and destination: the call's input enters ping
         # buffer 0, and a stage writes the ping buffer its input does not
@@ -636,10 +714,8 @@ class ModelPlan:
                     tiles=stage.tiles,
                 ) as span:
                     span.attrs.update(stage.run_timed())
-            # A fresh int64 array; the cast also turns the -0.0 a float32
-            # requantize can emit into 0.
             out = np.empty(self._exit.shape, np.int64)
-            np.copyto(out, self._exit, casting="unsafe")
+            np.copyto(out, self._exit)
             return out, self.output_fmt
 
 

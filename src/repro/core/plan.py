@@ -103,7 +103,8 @@ INT64_EXACT = 2**63
 #: Compiled plans, LRU-bounded.
 _plans = Memo("core.plan", capacity=64)
 
-_DTYPES = {"gemm32": np.float32, "gemm": np.float64, "int64": np.int64}
+#: The dtype each datapath computes its sums in.
+DATAPATH_DTYPES = {"gemm32": np.float32, "gemm": np.float64, "int64": np.int64}
 
 #: Output pixels per conv im2col + GEMM band, at most.  Sized by pixels,
 #: not bytes: each band streams the whole weight matrix again, so a band
@@ -161,10 +162,10 @@ class Bands(NamedTuple):
 class Scratch(NamedTuple):
     """The working memory of a bound layer (see :meth:`LayerPlan.bind`).
 
-    Three flat byte regions, each viewed in the bound datapath's dtype: the
-    padded input, one im2col tile and the raw GEMM output.  The caller owns
-    them and may bind several layers to them: a run writes every byte it
-    reads, the padding halo included.
+    Three flat byte regions: the padded input, viewed in the source's code
+    dtype, and one im2col tile and the raw GEMM output, viewed in the bound
+    datapath's dtype.  The caller owns them and may bind several layers to
+    them: a run writes every byte it reads, the padding halo included.
     """
 
     padded: np.ndarray
@@ -353,14 +354,17 @@ class LayerPlan:
         return padded, tile, (pixels, self.out_channels)
 
     def scratch_bytes(
-        self, images: int, rows: int, cols: int, datapath: str
+        self, images: int, rows: int, cols: int, datapath: str, codes
     ) -> Tuple[int, int, int]:
         """Bytes of each :class:`Scratch` region a layer bound to this batch
-        extent needs (see :meth:`bind`)."""
-        item = np.dtype(_DTYPES[datapath]).itemsize
+        extent needs (see :meth:`bind`): the padded input in the source's
+        code dtype ``codes``, the patch tile and GEMM output in the
+        datapath's."""
+        work = np.dtype(DATAPATH_DTYPES[datapath]).itemsize
+        items = (np.dtype(codes).itemsize, work, work)
         return tuple(
             0 if shape is None else int(np.prod(shape)) * item
-            for shape in self._scratch_shapes(images, rows, cols)
+            for shape, item in zip(self._scratch_shapes(images, rows, cols), items)
         )
 
     def execute_batch(
@@ -380,7 +384,9 @@ class LayerPlan:
         )
         images, _, rows, cols = batch.shape
         telemetry = get_active()
-        scratch = Scratch.allocate(self.scratch_bytes(images, rows, cols, datapath))
+        scratch = Scratch.allocate(
+            self.scratch_bytes(images, rows, cols, datapath, batch.dtype)
+        )
         with nullcontext() if telemetry is None else telemetry.span(
             "kernel",
             layer=self.name,
@@ -427,8 +433,10 @@ class LayerPlan:
         ``"bias"``.  In order: for a padded layer, zero the 4 halo strips
         (the region is shared) and copy ``source`` into the interior; then
         per band (see :meth:`bands`) and channel group an im2col copy from
-        the windows of the padded region, or of ``source`` itself, into the
-        band's patch tile, and its GEMM: a dense BLAS GEMM for a conv, the
+        the windows of the padded region (held in ``source``'s dtype, so
+        the halo and interior copies move code words), or of ``source``
+        itself, into the band's patch tile, widening the codes to the
+        datapath's dtype, and its GEMM: a dense BLAS GEMM for a conv, the
         sparse product for an FC layer; then the band's bias add.
         ``scratch`` must hold at least :meth:`scratch_bytes` of this batch.
         The output is exact only when ``datapath`` is what :meth:`datapath`
@@ -442,7 +450,7 @@ class LayerPlan:
                 f"layer {self.name!r} is bound to a {bound} (B, H, W, C) "
                 f"batch, got {source.shape}"
             )
-        dtype = _DTYPES[datapath]
+        dtype = DATAPATH_DTYPES[datapath]
         out_rows, out_cols = conv_output_hw(rows, cols, geometry)
         fc = self._is_fc(rows, cols)
         weights = self._sparse_weights(dtype) if fc else self._weights(dtype)
@@ -452,7 +460,7 @@ class LayerPlan:
         bias = None if bias_codes is None else np.asarray(bias_codes, dtype=dtype)
         calls: List[Call] = []
         if padded is not None:
-            padded = _region(scratch.padded, padded, dtype)
+            padded = _region(scratch.padded, padded, source.dtype)
             pad = geometry.padding
             for strip in (
                 padded[:, :pad],
@@ -462,7 +470,7 @@ class LayerPlan:
             ):
                 calls.append(Call("im2col", strip.fill, 0))
             interior = padded[:, pad:-pad, pad:-pad]
-            calls.append(Call("im2col", np.copyto, interior, source, casting="same_kind"))
+            calls.append(Call("im2col", np.copyto, interior, source))
             source = padded
         windows = self._windows(source, out_rows, out_cols)
         band = self.bands(images, rows, cols)
@@ -484,7 +492,7 @@ class LayerPlan:
                         slice(g * width, (g + 1) * width),
                     )
                     # (b, r, C', n, k, k') -> (b, r, C', k, k', n) in one
-                    # pass that also converts to the work dtype.
+                    # pass that also widens the codes to the work dtype.
                     calls.append(
                         Call(
                             "im2col",

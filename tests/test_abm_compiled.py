@@ -245,7 +245,8 @@ class TestBands:
 
     def test_scratch_holds_one_tile_not_the_patch_matrix(self, rng):
         """A many-band conv works in one tile of patches: the scratch a call
-        needs is that tile plus its output and padded input, and the most
+        needs is that tile plus its output and padded input (in the batch's
+        int64 code dtype), and the most
         the call allocates is that scratch plus the int64 result it
         returns, far below the whole-batch patch matrix."""
         weights = sparse_weight_codes(rng, shape=(16, 16, 3, 3))
@@ -258,8 +259,8 @@ class TestBands:
         item = np.dtype(np.float32).itemsize
         tile = bands.images * bands.rows * 48 * plan.patch_width * item
         output = 3 * 48 * 48 * 16 * item
-        padded = 3 * 50 * 50 * 16 * item
-        assert plan.scratch_bytes(3, 48, 48, "gemm32") == (padded, tile, output)
+        padded = 3 * 50 * 50 * 16 * batch.itemsize
+        assert plan.scratch_bytes(3, 48, 48, "gemm32", batch.dtype) == (padded, tile, output)
         tracemalloc.start()
         try:
             plan.execute_batch(batch)
@@ -285,7 +286,7 @@ class TestBands:
         for geometry, shape, batch in zip(geometries, shapes, batches):
             encoded = encode_layer("s", sparse_weight_codes(rng, shape=shape))
             plans.append((encoded, geometry, compile_layer_plan(encoded, geometry)))
-            sizes.append(plans[-1][2].scratch_bytes(2, *batch.shape[2:], "gemm32"))
+            sizes.append(plans[-1][2].scratch_bytes(2, *batch.shape[2:], "gemm32", batch.dtype))
         assert sizes[0][0] > sizes[1][0]  # the larger padded input runs first
         scratch = Scratch.allocate(tuple(map(max, *sizes)))
         bound = [
@@ -307,7 +308,7 @@ class TestBands:
         size or channel count fails loudly instead of broadcasting."""
         encoded = encode_layer("s", sparse_weight_codes(rng, shape=(6, 4, 3, 3)))
         plan = compile_layer_plan(encoded, ConvGeometry(kernel=3, padding=1))
-        scratch = Scratch.allocate(plan.scratch_bytes(2, 8, 8, "gemm32"))
+        scratch = Scratch.allocate(plan.scratch_bytes(2, 8, 8, "gemm32", np.int64))
         for shape in ((2, 8, 8, 3), (1, 8, 8, 4), (2, 1, 1, 4)):
             with pytest.raises(ValueError, match=r"bound to a \(2, 8, 8, 4\)"):
                 plan.bind(2, 8, 8, np.zeros(shape, np.int64), None, "gemm32", scratch)

@@ -5,12 +5,13 @@ per-layer reference — same outputs, same per-image op counts — across
 the architecture space (groups, padding, strided convs, FC stacks,
 standalone and fused pooling, LRN/AvgPool host-layer splits), on all
 three host datapaths: the float32 GEMM, the float64 GEMM and the exact
-int64 fallback — and on both arena code dtypes, float32 and int64.
+int64 fallback — and on the integer code dtypes the plans pick: int8 for
+8-bit features, wider for wider ones.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse as scipy_sparse
@@ -20,17 +21,19 @@ from repro.core.model_plan import (
     CALL_KINDS,
     FLOAT32_REQUANTIZE_EXACT,
     ModelPlan,
-    _Arena,
     _FusedStage,
-    _float32_codes,
     _bind_maxpool,
+    _code_dtype,
     _model_plans,
     _normal_float32,
     _pooled_shape,
+    _requantize_dtype,
+    _rounding_offset,
     compile_model_plan,
+    relu_requantize,
     requantize,
 )
-from repro.core.plan import ExactnessError
+from repro.core.plan import FLOAT32_EXACT, FLOAT64_EXACT, ExactnessError
 from repro.nn.layers import MaxPool2D
 from repro.nn.models import (
     Architecture,
@@ -46,6 +49,7 @@ from repro.nn.models import (
 from repro.nn.models import get_architecture
 from repro.pipeline import QuantizedPipeline
 from repro.prune.schedules import deep_compression_schedule
+from repro.quant.fixed_point import QFormat
 from repro.telemetry.context import Telemetry, activate
 
 @pytest.fixture(params=["sparse", "float64", "fallback"])
@@ -318,12 +322,12 @@ class TestDifferential:
         )
 
     def test_large_batch_grouped_strided_is_byte_exact(self, rng):
-        """Batch 256 on the float32 arena: enough zero outputs that a
-        ``-0.0`` leaking from the float32 requantize would change bytes."""
+        """Batch 256 on int8 codes: enough zero outputs that a ``-0.0``
+        leaking from the float32 requantize would change bytes."""
         arch = ARCHITECTURES["grouped_strided"]
         pipeline = build_pipeline(arch, rng)
         images = rng.standard_normal((256, 4, 11, 11))
-        assert compile_model_plan(pipeline, images.shape).arena.codes == np.float32
+        assert compile_model_plan(pipeline, images.shape).arena.codes == np.int8
         assert_batches_identical(
             pipeline.run_batch(images), pipeline.run_batch_reference(images)
         )
@@ -396,7 +400,7 @@ class TestArena:
         extents = {"c1": (14, 14), "c2": (7, 7), "fc": (1, 1)}
         fused = {s.name: s for s in plan.stages if isinstance(s, _FusedStage)}
         sizes = {
-            name: s.plan.scratch_bytes(2, *extents[name], s.datapath)
+            name: s.plan.scratch_bytes(2, *extents[name], s.datapath, plan.arena.codes)
             for name, s in fused.items()
         }
         assert fused["c1"].plan.geometry.padding < fused["c2"].plan.geometry.padding
@@ -452,21 +456,22 @@ class TestArena:
 # ---- integer max-pool -----------------------------------------------------
 
 
-def integer_maxpool(arena, pool, src):
-    """Pool ``src`` into ping buffer 0 the way a plan does: bind
-    :func:`_bind_maxpool` to an arena view and replay its calls."""
-    dest = arena.view(0, _pooled_shape(pool, src.shape))
+def integer_maxpool(pool, src):
+    """Pool ``src`` into a fresh array of its dtype the way a plan does:
+    bind :func:`_bind_maxpool` to it and replay its calls."""
+    dest = np.empty(_pooled_shape(pool, src.shape), src.dtype)
     for call in _bind_maxpool(pool, src, dest):
         call()
     return dest
 
 
 class TestIntegerMaxPool:
-    #: (arena code dtype, largest |code| drawn): int64 arenas hold wide
-    #: codes, float32 arenas every integer code below 2**24.
-    ARENAS = [(np.int64, 2**40), (np.float32, 2**24 - 1)]
+    #: (pooled dtype, largest |code| drawn): the int64 and float32 sums a
+    #: pooled stage pools (every integer below 2**24 on the float32 GEMM),
+    #: and the int8 codes a standalone pool reads.
+    ARENAS = [(np.int64, 2**40), (np.float32, 2**24 - 1), (np.int8, 127)]
 
-    @pytest.mark.parametrize("dtype,peak", ARENAS, ids=["int64", "float32"])
+    @pytest.mark.parametrize("dtype,peak", ARENAS, ids=["int64", "float32", "int8"])
     @given(data=st.data(), kernel=st.integers(1, 3), stride=st.integers(1, 3),
            negative=st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -491,9 +496,8 @@ class TestIntegerMaxPool:
         if negative:
             codes = np.maximum(codes - (int(codes.max()) + 1), -peak)
         pool = MaxPool2D("p", kernel, stride)
-        arena = _Arena(codes.size, 1, dtype)
         nhwc = codes.astype(dtype).transpose(0, 2, 3, 1)
-        fused = integer_maxpool(arena, pool, nhwc).transpose(0, 3, 1, 2)
+        fused = integer_maxpool(pool, nhwc).transpose(0, 3, 1, 2)
         expected = pool.forward_batch(codes).astype(np.int64)
         assert fused.dtype == dtype
         assert fused.shape == expected.shape
@@ -543,8 +547,8 @@ class TestDatapathChoice:
 
 
 def reference_requantize(raw, e, clip_lo, clip_hi):
-    """The int64 arena's float64 requantize: the reference's arithmetic,
-    as the differential suite pins."""
+    """The float64 requantize: the reference's arithmetic, as the
+    differential suite pins."""
     scratch = np.empty(raw.shape, np.float64)
     out = np.empty(raw.shape, np.float64)
     requantize(raw, 2.0**e, clip_lo, clip_hi, scratch, out)
@@ -552,7 +556,7 @@ def reference_requantize(raw, e, clip_lo, clip_hi):
 
 
 def float32_requantize(raw, e, clip_lo, clip_hi):
-    """The float32-arena requantize, cast to int64 as ``ModelPlan.run`` does.
+    """The float32 requantize, cast to int64 as ``ModelPlan.run`` does.
 
     Large factors overflow to inf, which the clip saturates exactly as the
     float64 path saturates its finite value."""
@@ -588,12 +592,22 @@ CLIPS = [
 ]
 
 
+def codes_for(clip_hi):
+    """The code dtype a plan holds ``clip_hi``'s format in."""
+    return _code_dtype([QFormat(clip_hi.bit_length() + 1, 0)])
+
+
+def fused_stages(plan):
+    return [s for s in plan.stages if isinstance(s, _FusedStage)]
+
+
 class TestFloat32Codes:
-    """The compile-time predicate that stores a plan's codes in float32."""
+    """The compile-time rule that requantizes a stage in float32."""
 
     def test_requantize_float32_matches_float64(self):
         """Below 2**23 the float32 requantize rounds like the float64 one
-        for every normal float32 factor; the rest the predicate refuses."""
+        for every normal float32 factor; the rest ``_requantize_dtype``
+        sends to float64."""
         for e in range(-140, 131):
             if not _normal_float32(2.0**e):
                 assert e < -126 or e > 127
@@ -614,7 +628,7 @@ class TestFloat32Codes:
 
     def test_non_normal_factors_are_refused(self, rng):
         """2**128 overflows float32: ``0 * inf`` is NaN where float64 gives 0,
-        so a stage with that factor keeps the plan on int64 codes."""
+        so a stage with that factor requantizes in float64."""
         with np.errstate(over="ignore", invalid="ignore"):
             scratch = np.empty(1, np.float32)
             out = np.empty(1, np.float32)
@@ -622,51 +636,102 @@ class TestFloat32Codes:
         assert np.isnan(out[0])
         pipeline = build_pipeline(ARCHITECTURES["conv_relu_pool"], rng)
         plan = compile_model_plan(pipeline, (1, 3, 12, 12))
-        assert _float32_codes(plan.stages, [plan.input_fmt])
-        plan.stages[0].factor = 2.0**128
-        assert not _float32_codes(plan.stages, [plan.input_fmt])
+        assert {s.requantize_dtype for s in fused_stages(plan)} == {np.dtype(np.float32)}
+        for folded in (False, True):
+            assert _requantize_dtype("gemm32", 0, 2.0**-8, folded) == np.float32
+            for factor in (2.0**128, 2.0**-127):
+                assert _requantize_dtype("gemm32", 0, factor, folded) == np.float64
 
-    def test_8bit_plans_store_float32(self, rng, datapath):
-        """Only a plan whose every stage runs the float32 GEMM goes float32:
-        the float64 and fallback fixtures keep int64 codes."""
-        pipeline = build_pipeline(ARCHITECTURES["host_split"], rng)
-        plan = compile_model_plan(pipeline, (2, 3, 13, 13))
-        expected = np.float32 if datapath == "sparse" else np.int64
-        assert plan.arena.codes == expected
+    def test_sum_bound_between_2_23_and_2_24_requantizes_in_float64(self, rng):
+        """12-bit features put the FC's bound in [2**23, 2**24): every stage
+        runs the float32 GEMM, but the FC, which rounds with ``|x| + 0.5``,
+        requantizes in float64, while the ReLU conv stays float32."""
+        arch = ARCHITECTURES["conv_relu_pool"]
+        pipeline = build_pipeline(arch, rng, feature_bits=12)
+        plan = check_integer_plan(pipeline, arch, rng, np.int16)
+        conv, fc = fused_stages(plan)
+        assert {conv.datapath, fc.datapath} == {"gemm32"}
+        assert FLOAT32_REQUANTIZE_EXACT <= fc.sum_bound < 2**24
+        assert not fc.folded and fc.requantize_dtype == np.float64
+        assert conv.folded and conv.requantize_dtype == np.float32
 
-    def check_int64_plan(self, pipeline, arch, rng):
-        images = rng.standard_normal(
-            (3, arch.input_channels, arch.input_rows, arch.input_cols)
+    def test_rounding_offset_past_2_24_requantizes_in_float64(self, rng):
+        """A ReLU conv whose sums stay below 2**24 but not once the rounding
+        offset is added: the offset counts in the bound, so the stage runs
+        the float64 GEMM, requantizes in float64 and stays byte-exact.
+
+        1032 input channels of 8-bit codes (peak 128) under 1x1 weights of
+        code 127 bound the sums at 128 * 127 * 1032 = 2**24 - 1024."""
+        arch = Architecture(
+            name="edge", input_channels=1032, input_rows=8, input_cols=8,
+            defs=[
+                ConvDef("c1", 2, kernel=1),
+                ReLUDef("r1"),
+                FlattenDef("fl"),
+                FCDef("fc", 2, scale_output=False),
+            ],
         )
-        plan = compile_model_plan(pipeline, images.shape)
-        assert plan.arena.codes == np.int64
-        assert plan.arena.scratch.dtype == np.float64
+        network = arch.build(seed=7)
+        conv = network.accelerated_layers()[0]
+        conv.weights[...] = 127 / 128
+        conv.bias[...] = 0.0
+        pipeline = QuantizedPipeline(network)
+        pipeline.calibrate(rng.standard_normal((1032, 8, 8)))
+        pipeline.quantize()
+        images = rng.standard_normal((3, 1032, 8, 8))
+        stage = fused_stages(compile_model_plan(pipeline, images.shape))[0]
+        assert stage.plan.sum_bound(128) == 2**24 - 1024
+        assert stage.folded and stage.sum_bound >= FLOAT32_EXACT
+        assert stage.datapath == "gemm" and stage.requantize_dtype == np.float64
         assert_batches_identical(
             pipeline.run_batch(images), pipeline.run_batch_reference(images)
         )
-        return plan
 
-    def test_sum_bound_between_2_23_and_2_24_stays_int64(self, rng):
-        """12-bit features put the FC's bound in [2**23, 2**24): every stage
-        runs the float32 GEMM, but the requantize stays float64."""
-        arch = ARCHITECTURES["conv_relu_pool"]
-        pipeline = build_pipeline(arch, rng, feature_bits=12)
-        plan = self.check_int64_plan(pipeline, arch, rng)
-        stages = [s for s in plan.stages if isinstance(s, _FusedStage)]
-        assert {s.datapath for s in stages} == {"gemm32"}
-        assert FLOAT32_REQUANTIZE_EXACT <= max(s.sum_bound for s in stages) < 2**24
 
-    def test_mixed_gemm32_and_gemm_stages_stay_int64(self, rng):
+def check_integer_plan(pipeline, arch, rng, codes):
+    """Compile a batch-3 plan, check its code dtype and that it runs
+    byte-exact against the reference."""
+    images = rng.standard_normal(
+        (3, arch.input_channels, arch.input_rows, arch.input_cols)
+    )
+    plan = compile_model_plan(pipeline, images.shape)
+    assert plan.arena.codes == codes
+    assert all(buffer.dtype == codes for buffer in plan.arena.ping)
+    assert_batches_identical(
+        pipeline.run_batch(images), pipeline.run_batch_reference(images)
+    )
+    return plan
+
+
+class TestIntegerCodes:
+    """The compile-time rule that holds a plan's codes in the narrowest
+    signed integer dtype of the formats that reach its buffers."""
+
+    def test_8bit_plans_hold_int8(self, rng, datapath):
+        """8-bit plans hold int8 codes on every datapath, so the ping-pong
+        buffers take a quarter of the bytes float32 codes took; each stage
+        requantizes in float32 only on the float32 GEMM."""
+        arch = ARCHITECTURES["host_split"]
+        pipeline = build_pipeline(arch, rng)
+        plan = check_integer_plan(pipeline, arch, rng, np.int8)
+        high_water = plan.arena.ping[0].size
+        assert plan.arena.split()["ping_bytes"] * 4 == 2 * high_water * 4
+        expected = np.float32 if datapath == "sparse" else np.float64
+        assert {s.requantize_dtype for s in fused_stages(plan)} == {np.dtype(expected)}
+
+    def test_mixed_gemm32_and_gemm_stages_hold_int16(self, rng):
         """13-bit features split the stages between the float32 and float64
-        GEMMs: the buffers stay int64 and the run stays bit-exact."""
+        GEMMs: the buffers hold int16 codes and the run stays byte-exact."""
         arch = ARCHITECTURES["conv_relu_pool"]
         pipeline = build_pipeline(arch, rng, feature_bits=13)
-        plan = self.check_int64_plan(pipeline, arch, rng)
+        plan = check_integer_plan(pipeline, arch, rng, np.int16)
         assert fused_datapaths(plan) == ["gemm32", "gemm"]
 
-    def test_32_bit_codes_stay_int64_even_at_density_zero(self, rng):
-        """All-zero weights and biases make every sum bound 0, so every
-        stage runs the float32 GEMM — but 32-bit codes do not fit float32."""
+    def test_32_bit_codes_take_int32_even_at_density_zero(self, rng):
+        """All-zero weights and biases leave every sum bound at the stage's
+        rounding offset, so every stage runs the float32 GEMM, but the
+        buffers hold 32-bit codes in int32, and the halo and interior
+        copies move int32 words."""
         arch = ARCHITECTURES["conv_relu_pool"]
         network = arch.build(seed=7)
         for layer in network.accelerated_layers():
@@ -675,23 +740,22 @@ class TestFloat32Codes:
         pipeline.prune({layer.name: 0.0 for layer in network.accelerated_layers()})
         pipeline.calibrate(rng.standard_normal((3, 12, 12)))
         pipeline.quantize()
-        plan = self.check_int64_plan(pipeline, arch, rng)
-        stages = [s for s in plan.stages if isinstance(s, _FusedStage)]
-        assert [(s.datapath, s.sum_bound) for s in stages] == [("gemm32", 0)] * 2
+        plan = check_integer_plan(pipeline, arch, rng, np.int32)
+        stages = fused_stages(plan)
+        assert [s.datapath for s in stages] == ["gemm32"] * 2
+        assert [s.sum_bound for s in stages] == [0.5 / stages[0].factor, 0]
+        padded = stages[0].plan.scratch_bytes(3, 12, 12, "gemm32", np.int32)[0]
+        assert padded == 3 * 14 * 14 * 3 * 4
+
+    def test_code_dtype_is_the_narrowest_that_holds_every_format(self):
+        assert _code_dtype([QFormat(8, 3), QFormat(8, -2)]) == np.int8
+        assert _code_dtype([QFormat(8, 3), QFormat(9, 0)]) == np.int16
+        assert _code_dtype([QFormat(16, 0)]) == np.int16
+        assert _code_dtype([QFormat(17, 0)]) == np.int32
+        assert _code_dtype([QFormat(33, 0)]) == np.int64
 
 
 # ---- epilogue algebra ------------------------------------------------------
-
-
-def sign_restoring_requantize(raw, factor, clip_lo, clip_hi, scratch, out):
-    """:func:`requantize` without its ReLU shortcut: always round ``|x|``
-    and restore the sign of ``raw``."""
-    np.multiply(raw, factor, out=scratch, dtype=scratch.dtype)
-    np.abs(scratch, out=scratch)
-    scratch += 0.5
-    np.floor(scratch, out=scratch)
-    np.copysign(scratch, raw, out=scratch)
-    np.clip(scratch, clip_lo, clip_hi, out=out, casting="unsafe")
 
 
 def as_int64_bytes(codes):
@@ -699,13 +763,13 @@ def as_int64_bytes(codes):
 
 
 class TestEpilogueAlgebra:
-    """The fused epilogue's two rewrites, each against its plain form."""
+    """The fused epilogue's rewrites, each against its plain form."""
 
-    #: (arena code dtype, raw sum dtypes, largest |raw| drawn): an int64
-    #: arena takes int64 or float64 sums, a float32 arena float32 sums
-    #: below the float32 requantize bound.
+    #: (requantize dtype, raw sum dtypes, largest |raw| drawn): the float64
+    #: requantize takes int64 or float64 sums, the float32 one float32 sums
+    #: below its bound.  The ids name the widest sums drawn.
     ARENAS = [
-        (np.int64, (np.int64, np.float64), 2**40),
+        (np.float64, (np.int64, np.float64), 2**40),
         (np.float32, (np.float32,), FLOAT32_REQUANTIZE_EXACT - 1),
     ]
 
@@ -716,52 +780,90 @@ class TestEpilogueAlgebra:
     def test_pooling_commutes_with_requantize(
         self, dtype, raw_dtypes, peak, data, kernel, stride, e, relu, bits
     ):
-        """Pool-then-requantize (the fused stage) == requantize-then-pool
-        (the reference), byte for byte after the int64 cast.  Odd and even
+        """Pool, then bias and requantize (the fused stage) == bias,
+        requantize and ReLU, then pool (the reference), byte for byte.  A
+        ReLU stage's bias carries the rounding offset.  Odd and even
         extents exercise ceil-mode partial windows."""
+        offset = _rounding_offset(e) if relu else 0
+        exact = FLOAT32_EXACT if dtype == np.float32 else FLOAT64_EXACT
+        peak = min(peak, exact - 1 - offset) - 256  # room for the bias
+        assume(peak > 0)
+        bias = data.draw(hnp.arrays(np.int64, data.draw(st.integers(1, 3)),
+                                    elements=st.integers(-256, 256)))
         raw = data.draw(
             hnp.arrays(
                 dtype=np.int64,
                 shape=st.tuples(
                     st.integers(1, 2), st.integers(3, 8), st.integers(3, 8),
-                    st.integers(1, 3),
+                    st.just(bias.size),
                 ),
                 elements=st.integers(-peak, peak),
             )
-        ).astype(data.draw(st.sampled_from(raw_dtypes)))
-        clip_lo, clip_hi = (0 if relu else -(1 << (bits - 1))), (1 << (bits - 1)) - 1
+        )
+        clip_lo, clip_hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        codes = codes_for(clip_hi)
         pool = MaxPool2D("p", kernel, stride)
-        arena = _Arena(raw.size, raw.size, dtype)
-        pooled = integer_maxpool(arena, pool, raw)
-        scratch = arena.scratch[: pooled.size].reshape(pooled.shape)
-        requantize(pooled, 2.0**e, clip_lo, clip_hi, scratch, pooled)
-        fused = as_int64_bytes(pooled)
-        codes = np.empty(raw.shape, dtype)
-        scratch = arena.scratch.reshape(raw.shape)
-        requantize(raw, 2.0**e, clip_lo, clip_hi, scratch, codes)
-        assert fused == as_int64_bytes(integer_maxpool(arena, pool, codes))
+        sums = integer_maxpool(pool, raw.astype(data.draw(st.sampled_from(raw_dtypes))))
+        sums += (bias + offset).astype(sums.dtype)
+        scratch = np.empty(sums.shape, dtype)
+        fused = np.empty(sums.shape, codes)
+        if relu:
+            relu_requantize(sums, 2.0**e, clip_hi, scratch, fused)
+        else:
+            requantize(sums, 2.0**e, clip_lo, clip_hi, scratch, fused)
+        expected = reference_requantize(raw + bias, e, clip_lo, clip_hi).astype(codes)
+        if relu:
+            np.maximum(expected, 0, out=expected)
+        assert as_int64_bytes(fused) == as_int64_bytes(integer_maxpool(pool, expected))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_relu_requantize_needs_no_sign(self, dtype):
-        """With ``clip_lo >= 0`` the three-pass requantize equals the
-        sign-restoring one for every factor the dtype's plans can hold."""
+        """With ``clip_lo >= 0``, ``relu_requantize`` of the sums plus the
+        rounding offset equals the sign-restoring requantize of the sums
+        for every factor the dtype's folded stages can hold: a normal
+        float32 factor, and an offset that keeps the biased sums exact."""
+        limit = FLOAT32_EXACT if dtype == np.float32 else FLOAT64_EXACT
         for e in range(-140, 131):
             if dtype == np.float32 and not _normal_float32(2.0**e):
                 continue
-            raw = requantize_probes(e).astype(
-                np.int64 if dtype == np.float64 else np.float32
-            )
+            offset = _rounding_offset(e)
+            if offset >= limit:
+                continue
+            raw = requantize_probes(e)
+            raw = raw[np.abs(raw) < limit - offset]
             for clip_lo, clip_hi in CLIPS:
                 if clip_lo < 0:
                     continue
-                got = np.empty(raw.shape, dtype)
-                expected = np.empty(raw.shape, dtype)
+                got = np.empty(raw.shape, codes_for(clip_hi))
+                sums = (raw + offset).astype(dtype)
                 with np.errstate(over="ignore"):
-                    requantize(raw, 2.0**e, clip_lo, clip_hi, np.empty_like(got), got)
-                    sign_restoring_requantize(
-                        raw, 2.0**e, clip_lo, clip_hi, np.empty_like(got), expected
-                    )
+                    relu_requantize(sums, 2.0**e, clip_hi, sums, got)
+                expected = reference_requantize(raw, e, clip_lo, clip_hi)
                 assert as_int64_bytes(got) == as_int64_bytes(expected), (e, clip_hi)
+
+    @given(
+        data=st.data(),
+        e=st.integers(-30, 4),
+        bits=st.sampled_from([4, 8, 16]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_folded_relu_requantize_is_the_reference(self, data, e, bits, dtype):
+        """The folded form — the integer rounding offset in the bias, one
+        multiply by ``2**e`` and one clip that narrows into the code dtype
+        — equals the reference requantize followed by ReLU, byte for byte,
+        for raw sums up to the bound the sums' dtype keeps exact."""
+        offset = _rounding_offset(e)
+        bound = (FLOAT32_EXACT if dtype == np.float32 else FLOAT64_EXACT) - 1 - offset
+        assume(bound > 0)
+        element = st.one_of(st.integers(-bound, bound), st.sampled_from([-bound, 0, bound]))
+        raw = np.array(data.draw(st.lists(element, min_size=1, max_size=64)), np.int64)
+        clip_hi = (1 << (bits - 1)) - 1
+        codes = np.empty(raw.shape, codes_for(clip_hi))
+        sums = (raw + offset).astype(dtype)
+        relu_requantize(sums, 2.0**e, clip_hi, sums, codes)
+        expected = np.maximum(reference_requantize(raw, e, -clip_hi - 1, clip_hi), 0)
+        assert as_int64_bytes(codes) == as_int64_bytes(expected)
 
 
 # ---- plan cache -----------------------------------------------------------
@@ -867,7 +969,7 @@ class TestTelemetrySpans:
         totals = telemetry.tracer.totals()
         assert totals["fuse"]["count"] == 1
         fuse = next(r for r in telemetry.tracer.roots if r.name == "fuse")
-        assert fuse.attrs["codes"] == "float32"
+        assert fuse.attrs["codes"] == "int8"
         arena = compile_model_plan(pipeline, images.shape).arena
         split = {k: fuse.attrs[k] for k in ("ping_bytes", "requantize_bytes", "stage_bytes")}
         assert split == arena.split()
@@ -956,10 +1058,11 @@ class TestBands:
             "conv2_2": 8,
         }
         # The arena's stage scratch is one region per kind, each the largest
-        # stage's (float32): conv1_2's padded input, conv3_2's whole-batch
-        # patch matrix and conv1_1's GEMM output, not their sum over stages.
+        # stage's: conv1_2's padded input (int8 codes), conv3_2's whole-batch
+        # patch matrix and conv1_1's GEMM output (float32), not their sum
+        # over stages.
         assert tuple(region.nbytes for region in plan.arena.stage) == (
-            4 * 58 * 58 * 32 * 4,
+            4 * 58 * 58 * 32,
             4 * 14 * 14 * (9 * 128) * 4,
             4 * 56 * 56 * 32 * 4,
         )
